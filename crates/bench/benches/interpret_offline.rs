@@ -80,8 +80,9 @@ fn bench_interpret_server_counts(c: &mut Criterion) {
 }
 
 fn bench_interpret_sharing(c: &mut Criterion) {
-    // Copy-on-write vs the clone-per-block reference transcription, on an
-    // identical DAG: the cost line 4 of Algorithm 2 stops paying.
+    // Moved view + per-block delta vs the clone-per-block reference
+    // transcription, on an identical DAG: the cost line 4 of Algorithm 2
+    // stops paying.
     let n = 4;
     let rounds = 64;
     let labels = 16;
@@ -89,7 +90,7 @@ fn bench_interpret_sharing(c: &mut Criterion) {
     let mut group = c.benchmark_group("interpret_offline/sharing");
     group.throughput(Throughput::Elements(dag.len() as u64));
     group.bench_with_input(
-        BenchmarkId::new("cow", dag.len()),
+        BenchmarkId::new("view-delta", dag.len()),
         &(dag.clone(), config),
         |b, (dag, config)| {
             b.iter(|| {

@@ -32,7 +32,7 @@ fn main() {
         let dag_outcome = run_dag_brb(n, 1, NetworkModel::default(), 50);
         let dag = dag_costs(&dag_outcome, &labels);
         // Interpreter state held across all correct servers: total map
-        // entries vs unique resident instances (copy-on-write sharing).
+        // entries vs unique resident instances (the per-block deltas).
         let footprint = dag_outcome.interpreter_footprint();
         let direct = direct_costs(&run_direct_brb(n, 1, NetworkModel::default()), &labels);
         println!(
@@ -59,6 +59,6 @@ fn main() {
          case for *message* counts (blocks keep flowing); see report_parallel\n\
          for the amortized series the paper's claims are about. `inst uniq`\n\
          vs `inst tot`: interpreter state resident across all servers after\n\
-         the run — copy-on-write keeps only touched instances unique."
+         the run — each block stores only the instances it touched."
     );
 }

@@ -3,19 +3,19 @@
 //! Interprets pre-built DAGs (no network, no IO) and reports wall-clock
 //! throughput — blocks/s and materialized messages/s — quantifying the
 //! paper's claim that interpretation is decoupled, memory-speed work.
-//! Also reports the copy-on-write interpreter's footprint (total vs
-//! unique instances: the structural-sharing win over the clone-per-block
-//! transcription of Algorithm 2) and the naive reference interpreter's
-//! wall-clock on the same DAG for comparison.
+//! Also reports the interpreter's footprint (total vs unique instances:
+//! what the per-block deltas save over the clone-per-block transcription
+//! of Algorithm 2) and the naive reference interpreter's wall-clock on
+//! the same DAG for comparison.
 //!
 //! The final stdout line is a single machine-readable JSON object with
 //! every row (`BENCH_interpret.json` is a checked-in snapshot of it from
 //! a fixed-seed run). `--check` re-runs the experiment and validates the
 //! trajectory: schema identity against the committed snapshot, non-zero
-//! counters, visible copy-on-write sharing on every row, and a ≥2×
-//! CoW-over-naive wall-clock floor on the largest DAG (the measured gap
-//! is two orders of magnitude; the floor only guards against the sharing
-//! path silently degrading to clone-per-block).
+//! counters, unique ≪ total instances on every row, and a ≥2×
+//! over-naive wall-clock floor on the largest DAG (the measured gap is
+//! two orders of magnitude; the floor only guards against the view move
+//! silently degrading to clone-per-block).
 //!
 //! Run with: `cargo run --release -p dagbft-bench --bin report_interpret`
 
@@ -62,7 +62,7 @@ impl Row {
 
 fn measure(rounds: u64, labels: usize) -> Row {
     let (dag, config) = build_offline_dag(4, rounds, labels);
-    // Warm-up + measured run of the copy-on-write interpreter.
+    // Warm-up + measured run of the production interpreter.
     let mut interpreter: Interpreter<Brb<u64>> = Interpreter::new(config);
     interpreter.step(&dag);
     drop(interpreter);
@@ -117,7 +117,7 @@ fn check(rows: &[Row], json: &str) -> Result<(), String> {
     let speedup = largest.naive_seconds / largest.seconds;
     if speedup < 2.0 {
         return Err(format!(
-            "{} blocks: CoW speedup {speedup:.2} below the 2x floor",
+            "{} blocks: speedup over naive {speedup:.2} below the 2x floor",
             largest.blocks
         ));
     }
@@ -127,7 +127,7 @@ fn check(rows: &[Row], json: &str) -> Result<(), String> {
 fn main() {
     let check_mode = std::env::args().any(|a| a == "--check");
 
-    println!("# E8 — off-line interpretation throughput + CoW sharing (BRB, n = 4)\n");
+    println!("# E8 — off-line interpretation throughput + state sharing (BRB, n = 4)\n");
     println!(
         "| {:>7} | {:>6} | {:>9} | {:>10} | {:>10} | {:>10} | {:>9} | {:>9} | {:>7} |",
         "blocks",
@@ -171,9 +171,10 @@ fn main() {
         "\nReading: interpretation runs at memory speed with zero network cost,\n\
          so a server can re-derive every instance's full execution from a cold\n\
          copy of the DAG — the paper's off-line interpretation claim (§1, §7).\n\
-         `inst uniq` ≪ `inst tot`: copy-on-write shares untouched instance\n\
-         state along parent edges, so resident memory tracks *activity*, not\n\
-         chain length (the naive column clones the full map per block).\n"
+         `inst uniq` ≪ `inst tot`: each block stores only the instances it\n\
+         drives and each chain moves one view along, so resident memory\n\
+         tracks *activity*, not chain length (the naive column clones the\n\
+         full map per block).\n"
     );
 
     // Machine-readable trajectory line (snapshot: BENCH_interpret.json).

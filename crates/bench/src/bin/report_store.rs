@@ -16,7 +16,7 @@
 //! eighth — ≥2× and ≥8× replay speedups). Wall-clock is reported
 //! alongside but not gated: journal parse and DAG rebuild are common to
 //! both paths, and the snapshot record itself is re-checksummed on open,
-//! so wall-clock only favors snapshots once interpretation dominates
+//! so wall-clock favors snapshots only by what interpretation weighs
 //! (see the reading note printed with the table).
 //!
 //! The final stdout line is a machine-readable JSON object
@@ -268,10 +268,9 @@ fn main() {
          log; snapshots bound the log's replay cost). The gated floor is\n\
          the counter ratio — it is what survives any machine. Wall-clock\n\
          additionally pays to re-checksum the snapshot record and decode\n\
-         it (format v1 writes every retained copy-on-write state version),\n\
-         so it only nets out ahead once per-block interpretation dominates\n\
-         those linear costs — see ROADMAP: snapshot compaction and\n\
-         record-skipping journal reads.\n"
+         it (format 2: one delta and the out-buffers per covered block), so\n\
+         the margin over genesis replay is what interpretation weighs\n\
+         against the journal parse and DAG rebuild both paths share.\n"
     );
 
     // Machine-readable trajectory line (snapshot: BENCH_store.json).

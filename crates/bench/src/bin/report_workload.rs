@@ -12,9 +12,9 @@
 //!    transfer to delivery. The run's gossip/wave/interpreter/crypto
 //!    counters are mirror-published into a [`MetricsRegistry`] and the
 //!    JSON records the wave shape, the verify-batch sizes, and the
-//!    copy-on-write instance footprint (unique vs resident) at 10⁵-label
+//!    instance footprint (unique vs clone-per-block) at 10⁵-label
 //!    scale. Floors: ≥10⁵ distinct labels, every transfer delivered and
-//!    ledger-applied, CoW sharing ≥2×, wave batching engaged.
+//!    ledger-applied, state sharing ≥2×, wave batching engaged.
 //!
 //! 2. **Live TCP cluster** — three nodes with
 //!    `NodeConfig::metrics_addr` serve JSON snapshots over HTTP while a
@@ -642,8 +642,8 @@ fn check(
             offline.hot_share
         ));
     }
-    // Copy-on-write must shave ≥2× off the clone-per-block footprint even
-    // at 10⁵ resident instances.
+    // Per-block deltas must shave ≥2× off the clone-per-block footprint
+    // even at 10⁵ resident instances.
     if offline.unique_instances * 2 > offline.instances {
         return Err(format!(
             "no structural sharing: {} unique of {} instances",
@@ -772,8 +772,8 @@ fn main() {
          distinct labels equal transfers by construction — so the offline\n\
          row is the embedding at 10⁵ concurrent instances: wave-batched\n\
          admission keeps verification in multi-block batches while the\n\
-         copy-on-write interpreter keeps the unique-instance count far\n\
-         below the resident clone-per-block figure. The live row shows the\n\
+         interpreter's per-block deltas keep the unique-instance count far\n\
+         below the clone-per-block figure. The live row shows the\n\
          same counters served over HTTP *during* the run (the endpoint\n\
          counts its own scrapes), and the overhead row prices the whole\n\
          observability layer at the admission gate: one mirror-publish per\n\

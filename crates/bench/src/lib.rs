@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn offline_interpretation_shares_instances() {
         // The E8 workload: BRB traffic dies out after the delivery waves,
-        // so the copy-on-write interpreter keeps far fewer unique
+        // so the per-block deltas (`unique_instances`) hold far fewer
         // instances than the clone-per-block count (`instances`).
         use dagbft_core::Interpreter;
         let (dag, config) = build_offline_dag(4, 64, 10);

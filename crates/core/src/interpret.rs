@@ -20,46 +20,46 @@
 //! same states (Lemma 4.2), which is what makes the DAG an authenticated
 //! perfect point-to-point link (Lemma 4.3).
 //!
-//! # Copy-on-write state sharing
+//! # One moved view per chain, one delta per block
 //!
 //! Algorithm 2's line 4 says `PIs := B_parent.PIs` — a *copy* of the whole
 //! instance map per block. Taken literally (see [`crate::reference`] for
 //! that transcription), memory and clone cost grow as
-//! O(blocks × active labels × instance size), the unbounded-memory
-//! limitation the paper itself flags in §7. This interpreter instead
-//! shares per-block state structurally:
+//! O(blocks × labels ever seen × instance size), the unbounded-memory
+//! limitation the paper itself flags in §7. This interpreter keeps
+//! `B.PIs` in two pieces instead:
 //!
-//! * `B.PIs` is an `Arc<BTreeMap<Label, Arc<P>>>`. A block whose
-//!   interpretation touches **no** label (no requests fed, no messages
-//!   delivered) shares the parent's entire map by pointer — O(1).
-//! * A block that touches some labels unshares the *map* once
-//!   (cloning `Label → Arc<P>` entries, i.e. pointer bumps, not instance
-//!   states), then clones only the **touched** instances via
-//!   [`Arc::make_mut`]. Untouched entries keep pointing at the ancestor's
-//!   instance allocation.
-//! * The `active` label set is likewise an `Arc<BTreeSet<Label>>`, seeded
-//!   from the largest predecessor's set and unshared only when the union
-//!   over predecessors (plus this block's own requests) actually adds a
-//!   label.
+//! * every interpreted block stores only its **delta**: the
+//!   `Label → Arc<P>` entries Algorithm 2 drove *at* that block — a request
+//!   for the label appears in `B.rs` (lines 5–6) or a predecessor's
+//!   out-buffer delivers a message to `B.n` (lines 8–11);
+//! * every **chain tip** (an interpreted block no interpreted block names
+//!   as its parent) owns one mutable **view**, the full `Label → Arc<P>`
+//!   map at that block. Interpreting a child *moves* the parent's view to
+//!   the child and overwrites the touched entries, so a block costs the
+//!   labels it touches, not the labels its chain has ever seen.
 //!
-//! A label is therefore *materialized* at a block exactly when Algorithm 2
-//! drives its instance there: a request for it appears in `B.rs`
-//! (lines 5–6) or a predecessor's out-buffer delivers a message to `B.n`
-//! (lines 8–11). Everything else is shared, which
-//! [`Interpreter::footprint`] makes measurable: `instances` counts map
-//! entries across all blocks (what the naive interpreter would store),
-//! `unique_instances` counts distinct instance allocations (what is
-//! actually resident).
+//! `B.PIs[ℓ]` at any block is the newest delta entry for `ℓ` on the
+//! parent chain ending at `B` ([`Interpreter::instance_at`]). A block that
+//! finds its parent's view gone — the second child of one parent (an
+//! equivocation), out-of-band [`Interpreter::interpret_block`] calls, the
+//! first block after a snapshot restore — rebuilds it by that same walk,
+//! newest entry wins: O(touches on the chain), paid only on those paths.
+//!
+//! [`Interpreter::footprint`] makes the saving measurable from running
+//! counters: `instances` sums the view size over all blocks (what the
+//! literal interpreter would store), `unique_instances` sums the delta
+//! sizes (what is actually resident).
 //!
 //! Compaction ([`Interpreter::compact`]) drops the introspection-only
 //! `Ms[in, ·]` buffers. It keeps a watermark into the interpretation
 //! order, so repeated calls only visit blocks interpreted since the last
 //! compaction and return 0 cheaply when there is nothing to drop.
-//! Out-buffers and instance states are never dropped: any future block —
+//! Out-buffers and deltas are never dropped: any future block —
 //! including a byzantine server's — may still reference an old block
 //! directly (§7).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -105,6 +105,14 @@ pub enum InterpretError {
         /// The block in question.
         block: BlockRef,
     },
+    /// The block violates the parent rule (Definition 3.3 (ii)): it is not
+    /// `valid`, so Algorithm 2 has no `B_parent.PIs` to start from. Gossip
+    /// never admits such a block; a hand-built or tampered-journal DAG can
+    /// still hold one.
+    InvalidParent {
+        /// The offending block.
+        block: BlockRef,
+    },
 }
 
 impl fmt::Display for InterpretError {
@@ -121,49 +129,51 @@ impl fmt::Display for InterpretError {
             InterpretError::AlreadyInterpreted { block } => {
                 write!(f, "block {block} already interpreted")
             }
+            InterpretError::InvalidParent { block } => {
+                write!(f, "block {block} violates the parent rule")
+            }
         }
     }
 }
 
 impl Error for InterpretError {}
 
-/// The copy-on-write instance map `B.PIs`: shared with the parent block by
-/// pointer, unshared entry-wise only for labels touched at this block.
-type SharedInstances<P> = Arc<BTreeMap<Label, Arc<P>>>;
+/// A `Label → instance` map: a chain tip's view of `B.PIs`, or the part of
+/// it one block wrote (its delta). Instances are shared between the two.
+type Instances<P> = BTreeMap<Label, Arc<P>>;
 
-/// Interpretation state attached to one block `B`:
-/// `B.PIs`, `B.Ms[out, ·]`, `B.Ms[in, ·]` in the paper's notation.
-///
-/// `pis` and `active` are structurally shared with ancestor blocks (see
-/// the module docs); `outs`/`ins` are per-block by nature — they hold only
-/// what was produced or delivered *at* this block.
+/// `B.Ms[out, ·]` or `B.Ms[in, ·]`: per label, envelopes in the order `<_M`.
+type Buffers<M> = BTreeMap<Label, BTreeSet<Envelope<M>>>;
+
+fn envelope_count<M>(buffers: &Buffers<M>) -> usize {
+    buffers.values().map(BTreeSet::len).sum()
+}
+
+/// Interpretation state attached to one block `B`: the part of `B.PIs`
+/// driven at `B`, plus `B.Ms[out, ·]` and `B.Ms[in, ·]` in the paper's
+/// notation. All three hold only what was produced or delivered *at* this
+/// block; the rest of `B.PIs` is on the parent chain (see the module docs).
 #[derive(Debug, Clone)]
 pub struct BlockState<P: DeterministicProtocol> {
-    /// `B.PIs[ℓ]`: the state of process instance `ℓ` of server `B.n`,
-    /// *after* interpreting `B`. Instances are created lazily on first
-    /// request or message (the implementation refinement the paper notes
-    /// in §4), and shared with the parent block unless touched here.
-    pis: SharedInstances<P>,
+    /// `B.parent`, by which [`Interpreter::instance_at`] and view rebuilds
+    /// walk the chain. Always interpreted before `B`.
+    parent: Option<BlockRef>,
+    /// `B.PIs[ℓ]` for the labels touched here: the state of process
+    /// instance `ℓ` of server `B.n` *after* interpreting `B`. Instances
+    /// are created lazily on first request or message (the implementation
+    /// refinement the paper notes in §4).
+    delta: Instances<P>,
     /// `B.Ms[out, ℓ]`: messages sent by `B.n`'s instance at this block.
-    outs: BTreeMap<Label, BTreeSet<Envelope<P::Message>>>,
+    outs: Buffers<P::Message>,
     /// `B.Ms[in, ℓ]`: messages delivered to `B.n`'s instance at this block.
-    ins: BTreeMap<Label, BTreeSet<Envelope<P::Message>>>,
-    /// Labels with a request at this block or any ancestor — the set the
-    /// in-collection of line 7 ranges over (for descendants). Shared with
-    /// the largest predecessor's set when the union adds nothing.
-    active: Arc<BTreeSet<Label>>,
+    ins: Buffers<P::Message>,
 }
 
 impl<P: DeterministicProtocol> BlockState<P> {
-    /// The simulated instance of `label` for the block's builder, if it has
-    /// been started.
-    pub fn instance(&self, label: Label) -> Option<&P> {
-        self.pis.get(&label).map(Arc::as_ref)
-    }
-
-    /// Labels with a started instance at this block.
-    pub fn instance_labels(&self) -> impl Iterator<Item = &Label> {
-        self.pis.keys()
+    /// Labels whose instance this block drove (fed a request or delivered
+    /// a message to) — the block's delta, in label order.
+    pub fn touched_labels(&self) -> impl Iterator<Item = &Label> {
+        self.delta.keys()
     }
 
     /// Out-going messages `B.Ms[out, ℓ]` produced at this block.
@@ -176,31 +186,9 @@ impl<P: DeterministicProtocol> BlockState<P> {
         self.ins.get(&label).into_iter().flatten()
     }
 
-    /// Labels active at this block (requested here or at an ancestor).
-    pub fn active_labels(&self) -> impl Iterator<Item = &Label> {
-        self.active.iter()
-    }
-
     /// Labels for which this block produced out-going messages.
     pub fn out_labels(&self) -> impl Iterator<Item = &Label> {
         self.outs.keys()
-    }
-
-    /// Whether this state shares its *entire* instance map with `other`
-    /// (i.e. no label was touched between the two blocks). Observability
-    /// hook for the sharing claims; `true` implies every
-    /// [`BlockState::instance`] of the two states is pointer-identical.
-    pub fn shares_instances_with(&self, other: &BlockState<P>) -> bool {
-        Arc::ptr_eq(&self.pis, &other.pis)
-    }
-
-    /// Whether `label`'s instance is the same allocation in both states
-    /// (shared untouched along the parent chain).
-    pub fn shares_instance_with(&self, other: &BlockState<P>, label: Label) -> bool {
-        match (self.pis.get(&label), other.pis.get(&label)) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        }
     }
 }
 
@@ -210,12 +198,12 @@ impl<P: DeterministicProtocol> BlockState<P> {
 pub struct InterpreterFootprint {
     /// Interpreted blocks with stored state.
     pub blocks: usize,
-    /// Protocol-instance map entries summed across all block states — what
-    /// a clone-per-block interpreter would hold as full instance copies.
+    /// Size of `B.PIs` summed across all interpreted blocks — what a
+    /// clone-per-block interpreter would hold as full instance copies.
     pub instances: usize,
-    /// Distinct instance allocations actually resident. Structural sharing
-    /// makes this ≪ `instances` on long DAGs: only blocks that *touch* a
-    /// label clone its instance.
+    /// Instance states actually resident: the per-block deltas, summed.
+    /// This is ≪ `instances` on long DAGs: only blocks that *touch* a
+    /// label store its instance.
     pub unique_instances: usize,
     /// Envelopes in out-buffers.
     pub out_envelopes: usize,
@@ -224,8 +212,8 @@ pub struct InterpreterFootprint {
 }
 
 impl InterpreterFootprint {
-    /// `instances / unique_instances`: how many times the average resident
-    /// instance is shared across block states. 1.0 means no sharing.
+    /// `instances / unique_instances`: how many blocks' `B.PIs` the average
+    /// resident instance serves. 1.0 means no sharing.
     pub fn sharing_ratio(&self) -> f64 {
         if self.unique_instances == 0 {
             return 1.0;
@@ -236,9 +224,7 @@ impl InterpreterFootprint {
 
 impl std::ops::AddAssign for InterpreterFootprint {
     /// Field-wise sum, for aggregating over several interpreters (e.g. all
-    /// servers of a simulation). Note `unique_instances` of a sum counts
-    /// per-interpreter-unique allocations — interpreters never share
-    /// memory with each other.
+    /// servers of a simulation).
     fn add_assign(&mut self, rhs: InterpreterFootprint) {
         self.blocks += rhs.blocks;
         self.instances += rhs.instances;
@@ -267,8 +253,8 @@ pub struct InterpretStats {
     pub indications: u64,
 }
 
-/// The `interpret(G, P)` module of Algorithm 2, with copy-on-write state
-/// sharing along parent edges (see the module docs).
+/// The `interpret(G, P)` module of Algorithm 2, with `B.PIs` kept as one
+/// moved view per chain plus one delta per block (see the module docs).
 ///
 /// The interpreter never mutates the DAG; it tracks which blocks it has
 /// interpreted (`I[B]`, line 2) and owns the per-block protocol state. Feed
@@ -282,6 +268,11 @@ pub struct InterpretStats {
 pub struct Interpreter<P: DeterministicProtocol> {
     config: ProtocolConfig,
     states: HashMap<BlockRef, BlockState<P>>,
+    /// The full `B.PIs` of every chain tip `B` that has one; moved to the
+    /// child when a tip is extended, rebuilt from deltas when missing.
+    views: HashMap<BlockRef, Instances<P>>,
+    /// Running totals behind [`Interpreter::footprint`].
+    footprint: InterpreterFootprint,
     /// Interpretation order (for audits; any eligible-respecting order
     /// yields identical states, Lemma 4.2).
     order: Vec<BlockRef>,
@@ -299,7 +290,7 @@ pub struct Interpreter<P: DeterministicProtocol> {
     /// … the reverse dependency index …
     dependents: HashMap<BlockRef, Vec<BlockRef>>,
     /// … and the queue of blocks whose predecessors are all interpreted.
-    ready: std::collections::VecDeque<BlockRef>,
+    ready: VecDeque<BlockRef>,
 }
 
 impl<P: DeterministicProtocol> Interpreter<P> {
@@ -308,6 +299,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         Interpreter {
             config,
             states: HashMap::new(),
+            views: HashMap::new(),
+            footprint: InterpreterFootprint::default(),
             order: Vec::new(),
             indications: Vec::new(),
             stats: InterpretStats::default(),
@@ -315,7 +308,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             scanned: 0,
             waiting: HashMap::new(),
             dependents: HashMap::new(),
-            ready: std::collections::VecDeque::new(),
+            ready: VecDeque::new(),
         }
     }
 
@@ -342,6 +335,44 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// Blocks interpreted so far, in interpretation order.
     pub fn interpreted_order(&self) -> &[BlockRef] {
         &self.order
+    }
+
+    /// The interpreted blocks from `block` back to its chain's genesis:
+    /// `block`, its parent, its parent's parent, …
+    fn chain(&self, block: &BlockRef) -> impl Iterator<Item = &BlockState<P>> {
+        std::iter::successors(self.states.get(block), |state| {
+            state
+                .parent
+                .as_ref()
+                .and_then(|parent| self.states.get(parent))
+        })
+    }
+
+    /// `B.PIs[ℓ]`: the simulated instance of `label` for `block`'s builder
+    /// after interpreting `block`, if it has been started — the newest
+    /// delta entry on the parent chain. Walks the chain; for tests and
+    /// audits.
+    pub fn instance_at(&self, block: &BlockRef, label: Label) -> Option<&P> {
+        self.chain(block)
+            .find_map(|state| state.delta.get(&label))
+            .map(Arc::as_ref)
+    }
+
+    /// Labels with a started instance at `block` (the keys of `B.PIs`), in
+    /// label order. Walks the chain; for tests and audits.
+    pub fn instance_labels_at(&self, block: &BlockRef) -> Vec<Label> {
+        self.view_at(block).into_keys().collect()
+    }
+
+    /// `B.PIs` in full, rebuilt from the chain's deltas: newest entry wins.
+    fn view_at(&self, block: &BlockRef) -> Instances<P> {
+        let mut view = Instances::new();
+        for state in self.chain(block) {
+            for (label, instance) in &state.delta {
+                view.entry(*label).or_insert_with(|| Arc::clone(instance));
+            }
+        }
+        view
     }
 
     /// The blocks currently eligible: `I[B]` is false and `I[B_i]` holds
@@ -375,6 +406,9 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// DAG. Eligibility is tracked incrementally (`O(V + E)` across all
     /// calls), so repeatedly stepping a growing DAG — the shim does this
     /// after every gossip change — costs only the new blocks.
+    ///
+    /// A block that breaks the parent rule (gossip admits none) is not
+    /// `valid`: it stays uninterpreted, and so does everything built on it.
     pub fn step(&mut self, dag: &BlockDag) -> usize {
         self.scan_new_blocks(dag);
         let mut total = 0;
@@ -382,9 +416,11 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             if self.is_interpreted(&block_ref) {
                 continue; // interpreted out-of-band via interpret_block()
             }
-            self.interpret_block(dag, &block_ref)
-                .expect("ready block interprets");
-            total += 1;
+            // A ready block is known, uninterpreted and eligible: the one
+            // error left is `InvalidParent`.
+            if self.interpret_block(dag, &block_ref).is_ok() {
+                total += 1;
+            }
         }
         total
     }
@@ -428,19 +464,16 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         }
     }
 
-    /// Materializes a mutable handle on `label`'s instance in `pis`:
-    /// unshares the map (first touch at this block) and the instance
-    /// itself (first touch of this label at this block) if currently
-    /// shared with an ancestor; creates the instance lazily on first
-    /// contact.
+    /// A mutable handle on `label`'s instance in `view`: created lazily on
+    /// first contact, and cloned off the ancestor's delta entry it is still
+    /// shared with on the first touch at this block.
     fn touch<'a>(
-        pis: &'a mut SharedInstances<P>,
+        view: &'a mut Instances<P>,
         config: &ProtocolConfig,
         label: Label,
         me: ServerId,
     ) -> &'a mut P {
-        let map = Arc::make_mut(pis);
-        let slot = map
+        let slot = view
             .entry(label)
             .or_insert_with(|| Arc::new(P::new(config, label, me)));
         Arc::make_mut(slot)
@@ -448,15 +481,17 @@ impl<P: DeterministicProtocol> Interpreter<P> {
 
     /// Interprets a single eligible block (Algorithm 2, lines 4–12).
     ///
-    /// Line 4 (`PIs := B_parent.PIs`) shares the parent's map by pointer;
-    /// only labels touched here — requests fed (lines 5–6) or messages
-    /// delivered (lines 8–11) — are cloned on write.
+    /// Line 4 (`PIs := B_parent.PIs`) moves the parent's view here; only
+    /// labels touched at this block — requests fed (lines 5–6) or messages
+    /// delivered (lines 8–11) — are cloned on write and recorded as the
+    /// block's delta.
     ///
     /// # Errors
     ///
     /// * [`InterpretError::UnknownBlock`] — `block` not in `dag`;
     /// * [`InterpretError::AlreadyInterpreted`] — `I[B]` already holds;
-    /// * [`InterpretError::NotEligible`] — some predecessor uninterpreted.
+    /// * [`InterpretError::NotEligible`] — some predecessor uninterpreted;
+    /// * [`InterpretError::InvalidParent`] — `block` breaks the parent rule.
     pub fn interpret_block(
         &mut self,
         dag: &BlockDag,
@@ -477,44 +512,27 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         if !pending.is_empty() {
             return Err(InterpretError::NotEligible { pending });
         }
+        // The parent is one of the predecessors, hence interpreted.
+        let parent = block
+            .parent_via(|r| dag.meta(r))
+            .map_err(|_| InterpretError::InvalidParent { block: *block_ref })?;
 
         let me = block.builder();
 
-        // Line 4: PIs := the parent's PIs — shared by pointer, not copied.
-        // Genesis blocks (and, for lazily created labels, first contact)
-        // start fresh instances.
-        let parent = block
-            .parent_via(|r| dag.meta(r))
-            .expect("blocks in the DAG satisfy the parent rule");
-        let mut pis: SharedInstances<P> = match parent {
-            Some(parent_ref) => Arc::clone(&self.states[&parent_ref].pis),
-            None => Arc::new(BTreeMap::new()),
+        // Line 4: PIs := the parent's PIs — its view, moved. Only a parent
+        // that is no longer (or, after a restore, not yet) a tip with a
+        // view pays for a rebuild. Genesis blocks (and, for lazily created
+        // labels, first contact) start fresh instances.
+        let mut view = match &parent {
+            Some(parent) => match self.views.remove(parent) {
+                Some(view) => view,
+                None => self.view_at(parent),
+            },
+            None => Instances::new(),
         };
 
-        // Labels relevant at this block: requested at any strict ancestor
-        // (union over preds of their active sets) — line 7 — plus the labels
-        // requested at this block itself. Seeded from the largest
-        // predecessor set; unshared only if the union adds labels.
-        let mut active: Arc<BTreeSet<Label>> = preds
-            .iter()
-            .map(|pred| &self.states[pred].active)
-            .max_by_key(|set| set.len())
-            .map(Arc::clone)
-            .unwrap_or_default();
-        for pred in &preds {
-            let pred_active = &self.states[pred].active;
-            if Arc::ptr_eq(pred_active, &active) {
-                continue;
-            }
-            for label in pred_active.iter() {
-                if !active.contains(label) {
-                    Arc::make_mut(&mut active).insert(*label);
-                }
-            }
-        }
-
-        let mut outs: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> = BTreeMap::new();
-        let mut ins: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> = BTreeMap::new();
+        let mut outs: Buffers<P::Message> = BTreeMap::new();
+        let mut ins: Buffers<P::Message> = BTreeMap::new();
         let mut touched: BTreeSet<Label> = BTreeSet::new();
         let config = self.config;
 
@@ -523,15 +541,12 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             let label = labeled.label;
             match decode_from_slice::<P::Request>(&labeled.payload) {
                 Ok(request) => {
-                    let instance = Self::touch(&mut pis, &config, label, me);
+                    let instance = Self::touch(&mut view, &config, label, me);
                     let mut outbox = Outbox::new();
                     instance.on_request(request, &mut outbox);
                     let envelopes: Vec<_> = outbox.into_envelopes(me).collect();
                     self.stats.messages_materialized += envelopes.len() as u64;
                     outs.entry(label).or_default().extend(envelopes);
-                    if !active.contains(&label) {
-                        Arc::make_mut(&mut active).insert(label);
-                    }
                     touched.insert(label);
                     self.stats.requests_processed += 1;
                 }
@@ -546,14 +561,13 @@ impl<P: DeterministicProtocol> Interpreter<P> {
 
         // Lines 7–11: for every relevant label, collect the in-messages
         // addressed to B.n from the direct predecessors' out-buffers and
-        // deliver them in the total order <_M. Only labels some
-        // predecessor actually sent on can have a non-empty inbox — and
-        // a block's out-labels are always active at its successors — so
-        // ranging over the preds' out-label union instead of the whole
-        // `active` set is observationally identical (the retained
-        // reference interpreter iterates `active`; the equivalence suite
-        // pins this) and keeps delivery cost proportional to traffic,
-        // not to the lifetime label count.
+        // deliver them in the total order <_M. Line 7 ranges over every
+        // label requested at an ancestor, but only labels some predecessor
+        // actually sent on can have a non-empty inbox, so ranging over the
+        // preds' out-label union is observationally identical (the
+        // retained reference interpreter iterates the full set; the
+        // equivalence suite pins this) and keeps delivery cost
+        // proportional to traffic, not to the lifetime label count.
         let mut sending: BTreeSet<Label> = BTreeSet::new();
         for pred in &preds {
             sending.extend(self.states[pred].outs.keys().copied());
@@ -568,7 +582,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             if inbox.is_empty() {
                 continue;
             }
-            let instance = Self::touch(&mut pis, &config, label, me);
+            let instance = Self::touch(&mut view, &config, label, me);
             for envelope in &inbox {
                 let mut outbox = Outbox::new();
                 instance.on_message(envelope.sender, envelope.message.clone(), &mut outbox);
@@ -581,32 +595,38 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             ins.insert(label, inbox);
         }
 
-        // Lines 13–14: surface indications from the instances driven here.
-        // Touched instances are already unshared, so make_mut is free.
-        if !touched.is_empty() {
-            let map = Arc::make_mut(&mut pis);
-            for label in &touched {
-                if let Some(slot) = map.get_mut(label) {
-                    for indication in Arc::make_mut(slot).drain_indications() {
-                        self.stats.indications += 1;
-                        self.indications.push(Indication {
-                            label: *label,
-                            indication,
-                            server: me,
-                        });
-                    }
+        // Lines 13–14: surface indications from the instances driven here,
+        // then record them as this block's delta. Touched instances are
+        // already unshared, so make_mut is free.
+        let mut delta = Instances::new();
+        for label in touched {
+            if let Some(slot) = view.get_mut(&label) {
+                for indication in Arc::make_mut(slot).drain_indications() {
+                    self.stats.indications += 1;
+                    self.indications.push(Indication {
+                        label,
+                        indication,
+                        server: me,
+                    });
                 }
+                delta.insert(label, Arc::clone(slot));
             }
         }
 
         // Line 12: I[B] := true.
+        self.footprint.blocks += 1;
+        self.footprint.instances += view.len();
+        self.footprint.unique_instances += delta.len();
+        self.footprint.out_envelopes += envelope_count(&outs);
+        self.footprint.in_envelopes += envelope_count(&ins);
+        self.views.insert(*block_ref, view);
         self.states.insert(
             *block_ref,
             BlockState {
-                pis,
+                parent,
+                delta,
                 outs,
                 ins,
-                active,
             },
         );
         self.order.push(*block_ref);
@@ -643,38 +663,22 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             }
         }
         self.compacted = self.order.len();
+        self.footprint.in_envelopes -= dropped;
         dropped
     }
 
-    /// Approximate memory footprint: stored protocol instances (total map
-    /// entries *and* unique resident allocations), out- and in-envelopes
-    /// across all interpreted blocks. Used by the bounded-memory
-    /// experiments and as the input to compaction policies.
+    /// Approximate memory footprint: stored protocol instances (what the
+    /// literal Algorithm 2 would hold *and* what is resident), out- and
+    /// in-envelopes across all interpreted blocks. Used by the
+    /// bounded-memory experiments and as the input to compaction policies.
+    /// O(1): the totals are maintained as blocks are interpreted and
+    /// compacted.
     ///
     /// `instances` is what a clone-per-block interpreter would store;
     /// `unique_instances` is what this interpreter actually keeps —
-    /// their ratio is the structural-sharing win.
+    /// their ratio is the saving.
     pub fn footprint(&self) -> InterpreterFootprint {
-        let mut footprint = InterpreterFootprint::default();
-        let mut seen_maps: HashSet<*const BTreeMap<Label, Arc<P>>> = HashSet::new();
-        let mut seen_instances: HashSet<*const P> = HashSet::new();
-        for state in self.states.values() {
-            footprint.instances += state.pis.len();
-            if seen_maps.insert(Arc::as_ptr(&state.pis)) {
-                // A map shared by pointer contributes its instances once;
-                // distinct maps may still share entries, hence the second
-                // dedup level.
-                for slot in state.pis.values() {
-                    if seen_instances.insert(Arc::as_ptr(slot)) {
-                        footprint.unique_instances += 1;
-                    }
-                }
-            }
-            footprint.out_envelopes += state.outs.values().map(BTreeSet::len).sum::<usize>();
-            footprint.in_envelopes += state.ins.values().map(BTreeSet::len).sum::<usize>();
-        }
-        footprint.blocks = self.states.len();
-        footprint
+        self.footprint
     }
 
     /// Removes and returns the indications raised since the last drain.
@@ -700,8 +704,8 @@ pub enum SnapshotError {
         /// `f` recorded in the snapshot.
         f: u64,
     },
-    /// A cross-reference into one of the snapshot's sharing tables is out
-    /// of range.
+    /// The snapshot's interpretation order repeats a block, or a block's
+    /// parent index does not point at an earlier block of it.
     BadIndex,
 }
 
@@ -718,7 +722,7 @@ impl fmt::Display for SnapshotError {
                     "snapshot taken under different config (n={n}, f={faults})"
                 )
             }
-            SnapshotError::BadIndex => write!(f, "snapshot sharing-table index out of range"),
+            SnapshotError::BadIndex => write!(f, "snapshot block order or parent index invalid"),
         }
     }
 }
@@ -732,32 +736,16 @@ impl From<DecodeError> for SnapshotError {
 }
 
 /// Snapshot format version written by [`Interpreter::encode_snapshot`].
-const SNAPSHOT_VERSION: u8 = 1;
-
-/// Reads a `u64` element count and checks feasibility against the remaining
-/// input (each element needs at least `min_elem_size` bytes), so corrupt
-/// counts can never force a large allocation.
-fn read_count(reader: &mut Reader<'_>, min_elem_size: usize) -> Result<usize, SnapshotError> {
-    let claimed = reader.read_u64()? as usize;
-    let max = reader.remaining() / min_elem_size.max(1);
-    if claimed > max {
-        return Err(SnapshotError::Corrupt(DecodeError::LengthOutOfBounds {
-            claimed,
-            max,
-        }));
-    }
-    Ok(claimed)
-}
+const SNAPSHOT_VERSION: u8 = 2;
 
 impl<P: SnapshotProtocol> Interpreter<P>
 where
     P::Message: WireEncode + WireDecode,
 {
     /// Serializes the complete interpretation state — order, counters, and
-    /// every block's state with its copy-on-write structure *preserved*
-    /// (shared maps, instances, and active sets are written once and
-    /// cross-referenced), so a snapshot of a million-block DAG costs what
-    /// is actually resident, not blocks × labels.
+    /// per block its parent, delta and out-buffers — so a snapshot costs
+    /// what is actually resident, not blocks × labels. Tip views are not
+    /// written: they are rebuilt from the deltas on first use.
     ///
     /// Must be called at a fixed point ([`Interpreter::step`] returned and
     /// [`Interpreter::drain_indications`] was drained): pending eligibility
@@ -775,14 +763,10 @@ where
             self.indications.is_empty(),
             "drain indications before snapshotting"
         );
-        let mut out = Vec::new();
-        out.push(SNAPSHOT_VERSION);
-        (self.order.len() as u64).encode(&mut out);
+        let mut out = vec![SNAPSHOT_VERSION];
         (self.config.n as u64).encode(&mut out);
         (self.config.f as u64).encode(&mut out);
-        for block_ref in &self.order {
-            block_ref.encode(&mut out);
-        }
+        self.order.encode(&mut out);
         for counter in [
             self.stats.blocks_interpreted,
             self.stats.requests_processed,
@@ -790,77 +774,31 @@ where
             self.stats.messages_materialized,
             self.stats.messages_delivered,
             self.stats.indications,
+            self.footprint.instances as u64,
         ] {
             counter.encode(&mut out);
         }
-
-        // Discover the unique allocations in deterministic (interpretation
-        // order, then BTreeMap order) sequence, assigning dense indices.
-        let mut map_index: HashMap<*const BTreeMap<Label, Arc<P>>, u64> = HashMap::new();
-        let mut instance_index: HashMap<*const P, u64> = HashMap::new();
-        let mut active_index: HashMap<*const BTreeSet<Label>, u64> = HashMap::new();
-        let mut instances: Vec<Arc<P>> = Vec::new();
-        let mut maps: Vec<SharedInstances<P>> = Vec::new();
-        let mut actives: Vec<Arc<BTreeSet<Label>>> = Vec::new();
-        use std::collections::hash_map::Entry;
+        // Per block, in interpretation order. The parent is written as its
+        // 1-based position in that order (0 for a genesis block).
+        let position: HashMap<&BlockRef, u64> = self.order.iter().zip(1..).collect();
         for block_ref in &self.order {
             let state = &self.states[block_ref];
-            if let Entry::Vacant(entry) = map_index.entry(Arc::as_ptr(&state.pis)) {
-                entry.insert(maps.len() as u64);
-                maps.push(Arc::clone(&state.pis));
-                for slot in state.pis.values() {
-                    if let Entry::Vacant(entry) = instance_index.entry(Arc::as_ptr(slot)) {
-                        entry.insert(instances.len() as u64);
-                        instances.push(Arc::clone(slot));
-                    }
-                }
-            }
-            if let Entry::Vacant(entry) = active_index.entry(Arc::as_ptr(&state.active)) {
-                entry.insert(actives.len() as u64);
-                actives.push(Arc::clone(&state.active));
-            }
-        }
-
-        // Table 1: unique instance states, length-prefixed.
-        (instances.len() as u64).encode(&mut out);
-        let mut scratch = Vec::new();
-        for instance in &instances {
-            scratch.clear();
-            instance.encode_state(&mut scratch);
-            (scratch.len() as u64).encode(&mut out);
-            out.extend_from_slice(&scratch);
-        }
-        // Table 2: unique instance maps, as (label, instance index) pairs.
-        (maps.len() as u64).encode(&mut out);
-        for map in &maps {
-            (map.len() as u64).encode(&mut out);
-            for (label, slot) in map.iter() {
+            state
+                .parent
+                .as_ref()
+                .map_or(0, |parent| position[parent])
+                .encode(&mut out);
+            (state.delta.len() as u32).encode(&mut out);
+            for (label, instance) in &state.delta {
                 label.encode(&mut out);
-                instance_index[&Arc::as_ptr(slot)].encode(&mut out);
+                instance.encode_state(&mut out);
             }
-        }
-        // Table 3: unique active label sets.
-        (actives.len() as u64).encode(&mut out);
-        for active in &actives {
-            (active.len() as u64).encode(&mut out);
-            for label in active.iter() {
-                label.encode(&mut out);
-            }
-        }
-        // Per block, in interpretation order: table cross-references and
-        // the (per-block by nature) out-buffers.
-        for block_ref in &self.order {
-            let state = &self.states[block_ref];
-            map_index[&Arc::as_ptr(&state.pis)].encode(&mut out);
-            active_index[&Arc::as_ptr(&state.active)].encode(&mut out);
             state.outs.encode(&mut out);
         }
         out
     }
 
-    /// Rebuilds an interpreter from [`Interpreter::encode_snapshot`] bytes,
-    /// restoring the copy-on-write sharing structure (shared allocations
-    /// come back shared).
+    /// Rebuilds an interpreter from [`Interpreter::encode_snapshot`] bytes.
     ///
     /// The restored interpreter has scanned exactly the first
     /// `interpreted_count()` blocks of the DAG's insertion order — feed it
@@ -877,12 +815,12 @@ where
         if version != SNAPSHOT_VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
-        let covered = read_count(&mut reader, 32)?;
         let n = reader.read_u64()?;
         let f = reader.read_u64()?;
         if n != config.n as u64 || f != config.f as u64 {
             return Err(SnapshotError::ConfigMismatch { n, f });
         }
+        let covered = reader.read_len(32)?;
         let mut order = Vec::with_capacity(covered);
         for _ in 0..covered {
             order.push(BlockRef::decode(&mut reader)?);
@@ -895,79 +833,57 @@ where
             messages_delivered: reader.read_u64()?,
             indications: reader.read_u64()?,
         };
-
-        let instance_count = read_count(&mut reader, 8)?;
-        let mut instances: Vec<Arc<P>> = Vec::with_capacity(instance_count);
-        for _ in 0..instance_count {
-            let len = reader.read_u64()? as usize;
-            let slice = reader.take(len)?;
-            let mut sub = Reader::new(slice);
-            let instance = P::decode_state(&mut sub)?;
-            if sub.remaining() != 0 {
-                return Err(SnapshotError::Corrupt(DecodeError::TrailingBytes {
-                    remaining: sub.remaining(),
-                }));
-            }
-            instances.push(Arc::new(instance));
-        }
-        let map_count = read_count(&mut reader, 8)?;
-        let mut maps: Vec<SharedInstances<P>> = Vec::with_capacity(map_count);
-        for _ in 0..map_count {
-            let entries = read_count(&mut reader, 16)?;
-            let mut map = BTreeMap::new();
-            for _ in 0..entries {
-                let label = Label::decode(&mut reader)?;
-                let idx = reader.read_u64()? as usize;
-                let slot = instances.get(idx).ok_or(SnapshotError::BadIndex)?;
-                map.insert(label, Arc::clone(slot));
-            }
-            maps.push(Arc::new(map));
-        }
-        let active_count = read_count(&mut reader, 8)?;
-        let mut actives: Vec<Arc<BTreeSet<Label>>> = Vec::with_capacity(active_count);
-        for _ in 0..active_count {
-            let labels = read_count(&mut reader, 8)?;
-            let mut set = BTreeSet::new();
-            for _ in 0..labels {
-                set.insert(Label::decode(&mut reader)?);
-            }
-            actives.push(Arc::new(set));
-        }
+        let mut footprint = InterpreterFootprint {
+            blocks: covered,
+            instances: reader.read_u64()? as usize,
+            ..InterpreterFootprint::default()
+        };
 
         let mut states: HashMap<BlockRef, BlockState<P>> = HashMap::with_capacity(covered);
-        for block_ref in &order {
-            let map_idx = reader.read_u64()? as usize;
-            let active_idx = reader.read_u64()? as usize;
-            let outs: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> =
-                WireDecode::decode(&mut reader)?;
-            states.insert(
-                *block_ref,
-                BlockState {
-                    pis: Arc::clone(maps.get(map_idx).ok_or(SnapshotError::BadIndex)?),
-                    outs,
-                    ins: BTreeMap::new(),
-                    active: Arc::clone(actives.get(active_idx).ok_or(SnapshotError::BadIndex)?),
-                },
-            );
+        for (position, block_ref) in order.iter().enumerate() {
+            // A parent strictly earlier in a repetition-free order keeps
+            // every chain walk finite and inside `states`.
+            let parent = match reader.read_u64()? as usize {
+                0 => None,
+                index if index <= position => Some(order[index - 1]),
+                _ => return Err(SnapshotError::BadIndex),
+            };
+            let mut delta = Instances::new();
+            for _ in 0..reader.read_len(8)? {
+                let label = Label::decode(&mut reader)?;
+                delta.insert(label, Arc::new(P::decode_state(&mut reader)?));
+            }
+            let outs: Buffers<P::Message> = WireDecode::decode(&mut reader)?;
+            footprint.unique_instances += delta.len();
+            footprint.out_envelopes += envelope_count(&outs);
+            let state = BlockState {
+                parent,
+                delta,
+                outs,
+                ins: BTreeMap::new(),
+            };
+            if states.insert(*block_ref, state).is_some() {
+                return Err(SnapshotError::BadIndex);
+            }
         }
         if reader.remaining() != 0 {
             return Err(SnapshotError::Corrupt(DecodeError::TrailingBytes {
                 remaining: reader.remaining(),
             }));
         }
-        let compacted = order.len();
-        let scanned = order.len();
         Ok(Interpreter {
             config,
             states,
+            views: HashMap::new(),
+            footprint,
+            compacted: covered,
+            scanned: covered,
             order,
             indications: Vec::new(),
             stats,
-            compacted,
-            scanned,
             waiting: HashMap::new(),
             dependents: HashMap::new(),
-            ready: std::collections::VecDeque::new(),
+            ready: VecDeque::new(),
         })
     }
 }
@@ -1297,10 +1213,47 @@ mod tests {
             .collect();
         assert!(out3.iter().all(|m| *m == 1));
         assert!(out4.iter().all(|m| *m == 2));
-        // The split states are distinct allocations, never shared.
-        let state3 = interpreter.state(&b3.block_ref()).unwrap();
-        let state4 = interpreter.state(&b4.block_ref()).unwrap();
-        assert!(!state3.shares_instance_with(state4, label));
+        // Two chain tips, each with its own view and its own instance.
+        assert_eq!(interpreter.views.len(), 2);
+        assert_eq!(interpreter.footprint().unique_instances, 2);
+    }
+
+    #[test]
+    fn parent_rule_violation_is_an_error_not_a_panic() {
+        // A k=1 block without a k=0 predecessor of its builder is not
+        // `valid`; gossip never admits it, but `BlockDag::insert` (fed by
+        // journal recovery) does not check the parent rule.
+        let (_, signers) = setup(2);
+        let b0 = Block::build(ServerId::new(0), SeqNum::ZERO, vec![], vec![], &signers[0]);
+        let orphan = Block::build(
+            ServerId::new(1),
+            SeqNum::new(1),
+            vec![b0.block_ref()],
+            vec![],
+            &signers[1],
+        );
+        let child = Block::build(
+            ServerId::new(0),
+            SeqNum::new(1),
+            vec![b0.block_ref(), orphan.block_ref()],
+            vec![],
+            &signers[0],
+        );
+        let mut dag = BlockDag::new();
+        for block in [&b0, &orphan, &child] {
+            dag.insert(block.clone()).unwrap();
+        }
+        let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(2));
+        // step() leaves the invalid block and what is built on it alone.
+        assert_eq!(interpreter.step(&dag), 1);
+        assert_eq!(
+            interpreter.interpret_block(&dag, &orphan.block_ref()),
+            Err(InterpretError::InvalidParent {
+                block: orphan.block_ref()
+            })
+        );
+        assert!(!interpreter.is_interpreted(&child.block_ref()));
+        assert_eq!(interpreter.step(&dag), 0);
     }
 
     #[test]
@@ -1372,22 +1325,28 @@ mod tests {
     }
 
     #[test]
-    fn untouched_blocks_share_state_with_parent() {
+    fn untouched_blocks_store_nothing() {
         // Chain of 6 blocks, one request at genesis: activity dies out
-        // after index 1 (the self-delivered PING), so blocks 2.. share the
-        // whole instance map — and the active set — with their parent.
+        // after index 1 (the self-delivered PING), so blocks 2.. have an
+        // empty delta and read the label through the chain.
         let (dag, blocks) = single_chain(6);
         let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(1));
         interpreter.step(&dag);
 
-        let state1 = interpreter.state(&blocks[1].block_ref()).unwrap();
+        let driven = interpreter.instance_at(&blocks[1].block_ref(), Label::new(1));
         for later in &blocks[2..] {
             let state = interpreter.state(&later.block_ref()).unwrap();
-            assert!(
-                state.shares_instances_with(state1),
-                "quiescent block must share the parent's map"
+            assert_eq!(state.touched_labels().count(), 0, "quiescent block");
+            let seen = interpreter.instance_at(&later.block_ref(), Label::new(1));
+            assert!(std::ptr::eq(seen.unwrap(), driven.unwrap()));
+            assert_eq!(
+                interpreter.instance_labels_at(&later.block_ref()),
+                vec![Label::new(1)]
             );
         }
+        // One chain, one tip, one view.
+        assert_eq!(interpreter.views.len(), 1);
+        assert!(interpreter.views.contains_key(&blocks[5].block_ref()));
         // Genesis touched the label (request), block 1 touched it
         // (delivery): two unique instances; blocks 2.. add nothing.
         let footprint = interpreter.footprint();
@@ -1397,22 +1356,87 @@ mod tests {
         assert!(footprint.sharing_ratio() > 2.9);
     }
 
+    /// The structure the module docs promise: exactly one view per chain
+    /// tip, equal to the chain's deltas merged newest-first, and footprint
+    /// counters that say what the states hold.
+    fn assert_structure(interpreter: &Interpreter<Ping>) {
+        let states = &interpreter.states;
+        let parents: BTreeSet<BlockRef> = states.values().filter_map(|s| s.parent).collect();
+        let tips: BTreeSet<BlockRef> = states
+            .keys()
+            .filter(|block| !parents.contains(block))
+            .copied()
+            .collect();
+        let viewed: BTreeSet<BlockRef> = interpreter.views.keys().copied().collect();
+        assert_eq!(viewed, tips);
+        for (tip, view) in &interpreter.views {
+            let rebuilt = interpreter.view_at(tip);
+            assert!(view.keys().eq(rebuilt.keys()));
+            assert!(view
+                .values()
+                .zip(rebuilt.values())
+                .all(|(a, b)| Arc::ptr_eq(a, b)));
+        }
+        let footprint = interpreter.footprint();
+        let deltas: usize = states.values().map(|s| s.delta.len()).sum();
+        let slots: usize = states.keys().map(|b| interpreter.view_at(b).len()).sum();
+        assert_eq!(footprint.unique_instances, deltas);
+        assert_eq!(footprint.instances, slots);
+        assert_eq!(footprint.blocks, states.len());
+    }
+
     #[test]
-    fn cow_write_does_not_leak_into_ancestors() {
-        // The clone-on-write must isolate descendants from ancestors: after
+    fn one_view_per_chain_tip_in_any_interpretation_order() {
+        // A 5-block chain plus a late equivocating branch forking off at
+        // block 1 (a second k=2 block and its child), with fresh labels on
+        // both branches.
+        let (_, signers) = setup(1);
+        let (mut dag, chain) = single_chain(5);
+        let mut fork = Vec::new();
+        let mut parent = chain[1].block_ref();
+        for k in 2..4 {
+            let block = Block::build(
+                ServerId::new(0),
+                SeqNum::new(k),
+                vec![parent],
+                vec![LabeledRequest::encode(Label::new(k), &k)],
+                &signers[0],
+            );
+            dag.insert(block.clone()).unwrap();
+            parent = block.block_ref();
+            fork.push(block);
+        }
+
+        // Main chain first: the fork finds block 1's view long gone.
+        let mut late: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(1));
+        for block in chain.iter().chain(&fork) {
+            late.interpret_block(&dag, &block.block_ref()).unwrap();
+            assert_structure(&late);
+        }
+        assert_eq!(late.views.len(), 2);
+
+        // Fork first: it takes block 1's view and the main chain rebuilds.
+        let mut early: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(1));
+        for block in chain[..2].iter().chain(&fork).chain(&chain[2..]) {
+            early.interpret_block(&dag, &block.block_ref()).unwrap();
+            assert_structure(&early);
+        }
+        assert_eq!(late.footprint(), early.footprint());
+    }
+
+    #[test]
+    fn a_write_does_not_leak_into_ancestors() {
+        // Moving the view must isolate descendants from ancestors: after
         // block 1 drives the instance (PING delivery mutates `seen`), the
         // genesis state still shows the pre-delivery instance.
         let (dag, blocks) = single_chain(3);
         let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(1));
         interpreter.step(&dag);
 
-        let genesis = interpreter.state(&blocks[0].block_ref()).unwrap();
-        let after = interpreter.state(&blocks[1].block_ref()).unwrap();
-        let genesis_instance = genesis.instance(Label::new(1)).unwrap();
-        let after_instance = after.instance(Label::new(1)).unwrap();
-        assert!(genesis_instance.seen.is_empty(), "ancestor unmodified");
-        assert_eq!(after_instance.seen.len(), 1, "descendant advanced");
-        assert!(!genesis.shares_instance_with(after, Label::new(1)));
+        let genesis = interpreter.instance_at(&blocks[0].block_ref(), Label::new(1));
+        let after = interpreter.instance_at(&blocks[1].block_ref(), Label::new(1));
+        assert!(genesis.unwrap().seen.is_empty(), "ancestor unmodified");
+        assert_eq!(after.unwrap().seen.len(), 1, "descendant advanced");
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! `PIs := B_parent.PIs` is implemented as a deep clone of the whole
 //! instance map, and every block retains its own full copy. That is
 //! O(blocks × active labels × instance size) in memory and clone work —
-//! exactly the cost the copy-on-write interpreter in [`crate::interpret`]
-//! eliminates via structural sharing.
+//! exactly the cost the interpreter in [`crate::interpret`] eliminates by
+//! moving one view along each chain and storing per-block deltas.
 //!
 //! It stays in the tree for two reasons:
 //!
@@ -14,8 +14,8 @@
 //!   requests) yield bit-identical per-block states, indications, and
 //!   stats under both interpreters (Lemma 4.2 holds for either, so any
 //!   divergence is an implementation bug, not a semantic choice);
-//! * **benchmark baselines** — `interpret_offline` measures the win of
-//!   sharing against this implementation on identical workloads.
+//! * **benchmark baselines** — `interpret_offline` measures the win over
+//!   this implementation on identical workloads.
 //!
 //! Production code paths (`Shim`, the simulator) must use
 //! [`crate::interpret::Interpreter`]; nothing outside tests and benches
@@ -64,11 +64,6 @@ impl<P: DeterministicProtocol> ReferenceBlockState<P> {
     /// In-coming messages `B.Ms[in, ℓ]` delivered at this block.
     pub fn in_messages(&self, label: Label) -> impl Iterator<Item = &Envelope<P::Message>> {
         self.ins.get(&label).into_iter().flatten()
-    }
-
-    /// Labels active at this block.
-    pub fn active_labels(&self) -> impl Iterator<Item = &Label> {
-        self.active.iter()
     }
 
     /// Labels for which this block produced out-going messages.

@@ -33,7 +33,7 @@ use crate::block::{BlockRef, LabeledRequest, SeqNum};
 use crate::dag::BlockDag;
 use crate::defense::DefenseConfig;
 use crate::gossip::{AdmissionMode, Gossip, GossipConfig, NetCommand, NetMessage};
-use crate::interpret::{Indication, Interpreter, InterpreterFootprint};
+use crate::interpret::{Indication, Interpreter, InterpreterFootprint, SnapshotError};
 use crate::label::Label;
 use crate::protocol::{DeterministicProtocol, ProtocolConfig, SnapshotProtocol};
 use crate::store::{BlockStore, RecoverError, RecoveryReport, StoreContents, StoreError};
@@ -229,13 +229,11 @@ impl<P: DeterministicProtocol> Shim<P> {
     /// interpreter re-derives every instance's state by re-interpreting
     /// the DAG from scratch — interpretation is a pure function of the DAG
     /// (Lemma 4.2), so the recovered state is identical to the lost one.
-    /// The replay benefits from the interpreter's copy-on-write sharing
-    /// (see [`crate::interpret`]): re-interpreting a long DAG allocates
-    /// per-label instance state only at the blocks that touched the
-    /// label, so recovery *memory* is bounded by activity. Wall-clock
-    /// still visits every block once (Algorithm 2 interprets each block),
-    /// so replay time remains linear in chain length, just with a far
-    /// smaller per-block constant on quiescent stretches.
+    /// The replay stores per-label instance state only at the blocks that
+    /// touched the label (see [`crate::interpret`]), so recovery *memory*
+    /// is bounded by activity. Wall-clock still visits every block once
+    /// (Algorithm 2 interprets each block), so replay time remains linear
+    /// in chain length, with a per-block cost set by the labels it drives.
     /// Indications raised during the replay are delivered again; an
     /// application persisting its own progress should deduplicate them
     /// (the paper's "persist enough information … as part of P").
@@ -293,7 +291,7 @@ impl<P: DeterministicProtocol> Shim<P> {
     }
 
     /// The interpreter's memory footprint — total vs unique instances
-    /// (the structural-sharing win), out- and in-envelopes. See
+    /// (the saving over clone-per-block), out- and in-envelopes. See
     /// [`Interpreter::footprint`].
     pub fn footprint(&self) -> InterpreterFootprint {
         self.interpreter.footprint()
@@ -621,6 +619,7 @@ impl<P: DeterministicProtocol> Shim<P> {
             snapshot_covered,
             requests_rebuffered: rqsts.len(),
             truncated_records: contents.truncated_records,
+            snapshot_skipped_version: None,
         };
         let mut shim = Shim {
             me,
@@ -660,10 +659,13 @@ where
     /// state from the latest persisted snapshot (if any) and replaying
     /// only the journal suffix past it — the snapshot catch-up path.
     ///
-    /// The snapshot is validated before use: its version, `(n, f)`
-    /// configuration, and covered block set must match the journal prefix
-    /// exactly, otherwise a typed error is returned (never a divergent
-    /// state). All other semantics match [`Shim::recover_from_store`].
+    /// The snapshot is validated before use: its `(n, f)` configuration
+    /// and covered block set must match the journal prefix exactly,
+    /// otherwise a typed error is returned (never a divergent state). A
+    /// snapshot in a format version this build does not read is skipped —
+    /// recovery replays from genesis and
+    /// [`RecoveryReport::snapshot_skipped_version`] says so. All other
+    /// semantics match [`Shim::recover_from_store`].
     ///
     /// # Errors
     ///
@@ -675,35 +677,44 @@ where
         store: Box<dyn BlockStore>,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
         let contents = store.contents()?;
-        let interpreter = match &contents.snapshot {
-            Some((covered, payload)) => {
-                let covered = *covered as usize;
-                if covered > contents.blocks.len() {
-                    return Err(RecoverError::SnapshotDiverged {
-                        covered: covered as u64,
-                    });
-                }
-                let interpreter = Interpreter::decode_snapshot(config.protocol, payload)?;
-                let prefix: HashSet<BlockRef> = contents.blocks[..covered]
-                    .iter()
-                    .map(|block| block.block_ref())
-                    .collect();
-                let matches = interpreter.interpreted_count() == covered
-                    && prefix.len() == covered
-                    && interpreter
-                        .interpreted_order()
-                        .iter()
-                        .all(|block_ref| prefix.contains(block_ref));
-                if !matches {
-                    return Err(RecoverError::SnapshotDiverged {
-                        covered: covered as u64,
-                    });
-                }
-                interpreter
+        let mut interpreter = Interpreter::new(config.protocol);
+        let mut snapshot_skipped_version = None;
+        if let Some((covered, payload)) = &contents.snapshot {
+            let diverged = RecoverError::SnapshotDiverged { covered: *covered };
+            let covered = *covered as usize;
+            if covered > contents.blocks.len() {
+                return Err(diverged);
             }
-            None => Interpreter::new(config.protocol),
-        };
-        Self::recover_with_interpreter(me, config, registry, store, contents, interpreter)
+            match Interpreter::decode_snapshot(config.protocol, payload) {
+                // A snapshot caches a pure function of the journal
+                // (Lemma 4.2): one in a format this build does not read
+                // costs a genesis replay, not the node.
+                Err(SnapshotError::UnsupportedVersion(version)) => {
+                    snapshot_skipped_version = Some(version);
+                }
+                Err(err) => return Err(err.into()),
+                Ok(decoded) => {
+                    let prefix: HashSet<BlockRef> = contents.blocks[..covered]
+                        .iter()
+                        .map(|block| block.block_ref())
+                        .collect();
+                    let matches = decoded.interpreted_count() == covered
+                        && prefix.len() == covered
+                        && decoded
+                            .interpreted_order()
+                            .iter()
+                            .all(|block_ref| prefix.contains(block_ref));
+                    if !matches {
+                        return Err(diverged);
+                    }
+                    interpreter = decoded;
+                }
+            }
+        }
+        let (shim, mut report) =
+            Self::recover_with_interpreter(me, config, registry, store, contents, interpreter)?;
+        report.snapshot_skipped_version = snapshot_skipped_version;
+        Ok((shim, report))
     }
 }
 

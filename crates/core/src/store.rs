@@ -276,6 +276,10 @@ pub struct RecoveryReport {
     pub requests_rebuffered: usize,
     /// Torn-tail records the store dropped while reading.
     pub truncated_records: usize,
+    /// Format version of a persisted snapshot that was skipped because this
+    /// build does not read it; `snapshot_covered` is 0 and the whole
+    /// journal replayed instead.
+    pub snapshot_skipped_version: Option<u8>,
 }
 
 /// Errors recovering a server from a [`BlockStore`].

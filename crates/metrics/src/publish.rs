@@ -47,8 +47,8 @@ pub fn publish_waves(registry: &MetricsRegistry, stats: &WaveStats) {
 }
 
 /// Publishes an [`InterpreterFootprint`] — resident memory shape of the
-/// copy-on-write interpreter (unique vs total instances is the
-/// structural-sharing win).
+/// interpreter (unique vs total instances is the saving over
+/// clone-per-block).
 pub fn publish_footprint(registry: &MetricsRegistry, footprint: &InterpreterFootprint) {
     registry.set_gauge("interp_blocks", footprint.blocks as u64);
     registry.set_gauge("interp_instances", footprint.instances as u64);

@@ -321,9 +321,8 @@ impl<P: DeterministicProtocol> SimOutcome<P> {
     }
 
     /// Aggregated interpreter memory footprint over all correct servers:
-    /// total vs unique protocol instances (the copy-on-write sharing win)
-    /// and envelope counts. `unique_instances` sums per-server-unique
-    /// allocations; interpreters never share memory with each other.
+    /// total vs unique protocol instances (the saving over clone-per-block)
+    /// and envelope counts.
     pub fn interpreter_footprint(&self) -> dagbft_core::InterpreterFootprint {
         let mut total = dagbft_core::InterpreterFootprint::default();
         for server in &self.servers {

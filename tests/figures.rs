@@ -253,23 +253,22 @@ fn fig4_no_message_ever_sent() {
 #[test]
 fn fig4_long_tail_shares_interpreter_state() {
     // Extend Figure 4 past the delivery round: BRB goes quiescent after
-    // round 3, so every later block shares its whole instance map with its
-    // parent (copy-on-write), and the interpreter's resident state stops
-    // growing even as blocks keep flowing.
+    // round 3, so every later block touches no label and stores an empty
+    // delta, and the interpreter's resident state stops growing even as
+    // blocks keep flowing.
     let (dag, layers) = figure_4(8);
     let mut interpreter: Interpreter<Brb<u64>> = Interpreter::new(ProtocolConfig::for_n(4));
     interpreter.step(&dag);
 
-    for round in 5..8 {
-        for (server, block) in layers[round].iter().enumerate() {
+    for layer in &layers[5..8] {
+        for (server, block) in layer.iter().enumerate() {
             let state = interpreter.state(&block.block_ref()).unwrap();
-            let parent = interpreter
-                .state(&layers[round - 1][server].block_ref())
-                .unwrap();
-            assert!(
-                state.shares_instances_with(parent),
-                "round {round} block of s{server} must share its parent's map"
+            assert_eq!(
+                state.touched_labels().count(),
+                0,
+                "quiescent block of s{server} must store no instance"
             );
+            assert_eq!(interpreter.instance_labels_at(&block.block_ref()).len(), 1);
         }
     }
 

@@ -331,3 +331,47 @@ fn recovery_refuses_to_resume_below_own_tip() {
     assert_eq!(top, Some(SeqNum::new(2)), "resumes past the tip, no reuse");
     assert!(shim.dag().equivocations(ServerId::new(3)).is_empty());
 }
+
+#[test]
+fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
+    // The latest snapshot in the journal was written by a build with
+    // snapshot format 1. This build reads only format 2 — but a snapshot
+    // is a cache of a pure function of the journal (Lemma 4.2), so the
+    // server comes back by replaying from genesis, and says why.
+    let registry = KeyRegistry::generate(N, 9);
+    let chain = own_chain(&registry, 0, 5);
+    let config = ShimConfig::new(ProtocolConfig::for_n(N));
+    let recover = |covered: u64, payload: &[u8]| {
+        let mut store = MemoryStore::new();
+        for block in &chain {
+            store.append_block(block).unwrap();
+        }
+        store.append_snapshot(covered, payload).unwrap();
+        let me = ServerId::new(3);
+        Shim::<Brb<u64>>::recover_from_store_with_snapshots(me, config, &registry, Box::new(store))
+    };
+
+    // Format 1's header: version, covered, n, f.
+    let mut v1 = vec![1u8];
+    for field in [4u64, N as u64, 1] {
+        v1.extend(field.to_le_bytes());
+    }
+    let (shim, report) = recover(4, &v1).expect("an unreadable cache is not fatal");
+    assert_eq!(report.snapshot_covered, 0);
+    assert_eq!(report.replayed_blocks, 5);
+    assert_eq!(report.snapshot_skipped_version, Some(1));
+    assert_eq!(shim.interpreter().interpreted_count(), 5);
+
+    // Only the version is forgiven: a corrupt current-format snapshot and
+    // one that covers more than the journal keep their typed errors.
+    assert!(matches!(
+        recover(4, &[2, 0xff]),
+        Err(RecoverError::Snapshot(dagbft::dag::SnapshotError::Corrupt(
+            _
+        )))
+    ));
+    assert!(matches!(
+        recover(6, &v1),
+        Err(RecoverError::SnapshotDiverged { covered: 6 })
+    ));
+}
