@@ -1,24 +1,45 @@
 //! The field GF(p), p = 2^255 − 19, in 5 × 51-bit limbs.
 //!
-//! Products of two 51-bit limbs fit a `u128` with room for the ×19
-//! wraparound folding and the five-term accumulation, so multiplication
-//! is plain schoolbook with a carry chain — no platform intrinsics.
+//! Portable `u64`/`u128` arithmetic, no platform intrinsics, with the
+//! carries done lazily: products of two 54-bit limbs leave room in a
+//! `u128` for the ×19 wraparound and the five-term column sums, so
+//! [`Fe::add`] never carries, [`Fe::sub`] carries each limb once into its
+//! neighbour, and [`Fe::mul`] / [`Fe::square`] run one carry chain over
+//! the wide columns. Inversion and the square-root exponentiation share
+//! the 2^250 − 1 addition chain (254 squarings + 11–12 multiplications).
 
 /// A field element, as five base-2^51 limbs, little-endian.
 ///
-/// Invariant maintained by every constructor and operation: each limb is
-/// below 2^52 (operations internally tolerate more and reduce). Equality
-/// must go through [`Fe::to_bytes`] — limb representations are not
-/// unique.
+/// Limb invariant. An element is *reduced* when every limb is below
+/// 2^52; [`Fe::from_bytes`], [`Fe::mul`], [`Fe::square`], [`Fe::sub`] and
+/// [`Fe::neg`] return reduced elements. [`Fe::add`] does not carry: its
+/// result is bounded by the sum of its inputs' bounds. `mul`, `square`
+/// and `sub` accept limbs up to 2^54 — the sum of four reduced elements —
+/// and `debug_assert!` it, so no caller may chain more than that many
+/// additions before one of the three. Equality must go through
+/// [`Fe::to_bytes`] — limb representations are not unique.
 #[derive(Debug, Clone, Copy)]
 pub struct Fe(pub(crate) [u64; 5]);
 
 const MASK: u64 = (1 << 51) - 1;
 
+/// The largest limb [`Fe::mul`], [`Fe::square`] and [`Fe::sub`] accept.
+const MAX_INPUT_LIMB: u64 = 1 << 54;
+
 /// 16·p in 51-bit limbs: added before subtracting to keep limbs
-/// non-negative (inputs have limbs < 2^52 ≤ the corresponding limb of
-/// 16·p).
+/// non-negative (the subtrahend's limbs are ≤ 2^54 < the corresponding
+/// limb of 16·p).
 const SIXTEEN_P: [u64; 5] = [(MASK - 18) << 4, MASK << 4, MASK << 4, MASK << 4, MASK << 4];
+
+/// √−1 = 2^((p−1)/4). Decompression multiplies by it when the candidate
+/// root squares to −u/v instead of u/v.
+pub(crate) const SQRT_M1: Fe = Fe([
+    1_718_705_420_411_056,
+    234_908_883_556_509,
+    2_233_514_472_574_048,
+    2_117_202_627_021_982,
+    765_476_049_583_133,
+]);
 
 impl Fe {
     /// The additive identity.
@@ -28,9 +49,7 @@ impl Fe {
 
     /// A small integer as a field element.
     pub fn from_u64(value: u64) -> Fe {
-        let mut fe = Fe([value & MASK, value >> 51, 0, 0, 0]);
-        fe.reduce();
-        fe
+        Fe([value & MASK, value >> 51, 0, 0, 0])
     }
 
     /// Parses 32 little-endian bytes, ignoring bit 255 (the sign bit in
@@ -88,31 +107,20 @@ impl Fe {
         out
     }
 
-    /// Sum.
+    /// Sum, limb by limb with no carry: the result's limbs are bounded by
+    /// the sum of the inputs' bounds (see the invariant on [`Fe`]).
     pub fn add(&self, other: &Fe) -> Fe {
-        let mut out = Fe([
-            self.0[0] + other.0[0],
-            self.0[1] + other.0[1],
-            self.0[2] + other.0[2],
-            self.0[3] + other.0[3],
-            self.0[4] + other.0[4],
-        ]);
-        out.reduce();
-        out
+        Fe(std::array::from_fn(|i| self.0[i] + other.0[i]))
     }
 
-    /// Difference (computed as `self + 16p − other` to stay
-    /// non-negative).
+    /// Difference, computed as `self + 16p − other` to stay non-negative
+    /// and then carried once per limb.
     pub fn sub(&self, other: &Fe) -> Fe {
-        let mut out = Fe([
-            self.0[0] + SIXTEEN_P[0] - other.0[0],
-            self.0[1] + SIXTEEN_P[1] - other.0[1],
-            self.0[2] + SIXTEEN_P[2] - other.0[2],
-            self.0[3] + SIXTEEN_P[3] - other.0[3],
-            self.0[4] + SIXTEEN_P[4] - other.0[4],
-        ]);
-        out.reduce();
-        out
+        self.debug_assert_input();
+        other.debug_assert_input();
+        weak_reduce(std::array::from_fn(|i| {
+            self.0[i] + SIXTEEN_P[i] - other.0[i]
+        }))
     }
 
     /// Additive inverse.
@@ -123,86 +131,101 @@ impl Fe {
     /// Product, with the 2^255 ≡ 19 wraparound folded into the
     /// schoolbook columns.
     pub fn mul(&self, other: &Fe) -> Fe {
+        self.debug_assert_input();
+        other.debug_assert_input();
         let a = self.0;
         let b = other.0;
-        let m = |x: u64, y: u64| -> u128 { (x as u128) * (y as u128) };
 
+        // 19·2^54 < 2^59, and a column is at most 77 products of two
+        // 54-bit limbs (one plain, four ×19): below 2^115.
         let b1_19 = 19 * b[1];
         let b2_19 = 19 * b[2];
         let b3_19 = 19 * b[3];
         let b4_19 = 19 * b[4];
 
-        let mut c0 =
-            m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
-        let mut c1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
-        let mut c2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
-        let mut c3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
-        let mut c4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
-
-        c1 += c0 >> 51;
-        c0 &= MASK as u128;
-        c2 += c1 >> 51;
-        c1 &= MASK as u128;
-        c3 += c2 >> 51;
-        c2 &= MASK as u128;
-        c4 += c3 >> 51;
-        c3 &= MASK as u128;
-        let carry = (c4 >> 51) as u64;
-        c4 &= MASK as u128;
-
-        let mut limbs = [c0 as u64, c1 as u64, c2 as u64, c3 as u64, c4 as u64];
-        limbs[0] += 19 * carry;
-        let mut fe = Fe(limbs);
-        fe.reduce();
-        fe
+        carry_wide([
+            m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19),
+            m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19),
+            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19),
+            m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19),
+            m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]),
+        ])
     }
 
-    /// Square (delegates to [`Fe::mul`]; clarity over the ~20% saving a
-    /// dedicated squaring would buy).
+    /// Square: the 25 limb products of [`Fe::mul`] collapse to 15, each
+    /// cross term computed once and doubled.
     pub fn square(&self) -> Fe {
-        self.mul(self)
+        self.debug_assert_input();
+        let a = self.0;
+        let a3_19 = 19 * a[3];
+        let a4_19 = 19 * a[4];
+
+        carry_wide([
+            m(a[0], a[0]) + 2 * (m(a[1], a4_19) + m(a[2], a3_19)),
+            m(a[3], a3_19) + 2 * (m(a[0], a[1]) + m(a[2], a4_19)),
+            m(a[1], a[1]) + 2 * (m(a[0], a[2]) + m(a[4], a3_19)),
+            m(a[4], a4_19) + 2 * (m(a[0], a[3]) + m(a[1], a[2])),
+            m(a[2], a[2]) + 2 * (m(a[0], a[4]) + m(a[1], a[3])),
+        ])
     }
 
-    /// `self^exp` for a 32-byte little-endian exponent, by
-    /// square-and-multiply. Only used for the handful of fixed exponents
-    /// below — never on secret data.
-    fn pow_bytes_le(&self, exp: &[u8; 32]) -> Fe {
-        let mut acc = Fe::ONE;
-        let mut started = false;
-        for byte in exp.iter().rev() {
-            for bit in (0..8).rev() {
-                if started {
-                    acc = acc.square();
-                }
-                if (byte >> bit) & 1 == 1 {
-                    acc = acc.mul(self);
-                    started = true;
-                }
-            }
+    /// `self^(2^k)`: `k` successive squarings.
+    fn square_times(&self, k: u32) -> Fe {
+        let mut acc = *self;
+        for _ in 0..k {
+            acc = acc.square();
         }
         acc
     }
 
+    /// `(self^(2^250 − 1), self^11)`: the addition chain inversion and
+    /// the square-root exponentiation share. Exponents in the comments.
+    fn pow_2_250_minus_1(&self) -> (Fe, Fe) {
+        let x2 = self.square(); // 2
+        let x9 = x2.square_times(2).mul(self); // 9
+        let x11 = x9.mul(&x2); // 11
+        let ones5 = x11.square().mul(&x9); // 2^5 − 1
+        let ones10 = ones5.square_times(5).mul(&ones5); // 2^10 − 1
+        let ones20 = ones10.square_times(10).mul(&ones10); // 2^20 − 1
+        let ones40 = ones20.square_times(20).mul(&ones20); // 2^40 − 1
+        let ones50 = ones40.square_times(10).mul(&ones10); // 2^50 − 1
+        let ones100 = ones50.square_times(50).mul(&ones50); // 2^100 − 1
+        let ones200 = ones100.square_times(100).mul(&ones100); // 2^200 − 1
+        let ones250 = ones200.square_times(50).mul(&ones50); // 2^250 − 1
+        (ones250, x11)
+    }
+
     /// Multiplicative inverse (of zero: zero), via Fermat:
-    /// `self^(p − 2)`.
+    /// `self^(p − 2)`, p − 2 = 2^255 − 21 = (2^250 − 1)·2^5 + 11.
     pub fn invert(&self) -> Fe {
-        // p − 2 = 2^255 − 21.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xeb;
-        exp[31] = 0x7f;
-        self.pow_bytes_le(&exp)
+        let (ones250, x11) = self.pow_2_250_minus_1();
+        ones250.square_times(5).mul(&x11)
     }
 
     /// `self^((p − 5) / 8)` — the core of the square-root computation in
     /// point decompression (RFC 8032 §5.1.3).
+    /// (p − 5) / 8 = 2^252 − 3 = (2^250 − 1)·2^2 + 1.
     pub fn pow_p58(&self) -> Fe {
-        // (p − 5) / 8 = 2^252 − 3.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfd;
-        exp[31] = 0x0f;
-        self.pow_bytes_le(&exp)
+        let (ones250, _) = self.pow_2_250_minus_1();
+        ones250.square_times(2).mul(self)
+    }
+
+    /// `self^exp` for a 32-byte little-endian exponent, by bit-by-bit
+    /// square-and-multiply over [`Fe::mul`] alone: the oracle the
+    /// addition chains, [`Fe::square`] and the constants are tested
+    /// against.
+    #[cfg(test)]
+    fn pow_bytes_le(&self, exp: &[u8; 32]) -> Fe {
+        let mut acc = Fe::ONE;
+        for byte in exp.iter().rev() {
+            for bit in (0..8).rev() {
+                acc = acc.mul(&acc);
+                if (byte >> bit) & 1 == 1 {
+                    acc = acc.mul(self);
+                }
+            }
+        }
+        acc
     }
 
     /// True if the canonical encoding is all zero.
@@ -221,26 +244,50 @@ impl Fe {
         self.to_bytes() == other.to_bytes()
     }
 
-    /// One carry pass bringing every limb below 2^52 (below 2^51 except
-    /// for at most a small excess in limb 0 from the ×19 wraparound).
-    fn reduce(&mut self) {
-        carry_chain(&mut self.0);
+    fn debug_assert_input(&self) {
+        debug_assert!(
+            self.0.iter().all(|&limb| limb <= MAX_INPUT_LIMB),
+            "limb above 2^54: {:?}",
+            self.0
+        );
     }
 }
 
-/// √−1 = 2^((p−1)/4), computed once. Decompression multiplies by it when
-/// the candidate root squares to −u/v instead of u/v.
-pub fn sqrt_m1() -> Fe {
-    static SQRT_M1: std::sync::OnceLock<Fe> = std::sync::OnceLock::new();
-    *SQRT_M1.get_or_init(|| {
-        // (p − 1) / 4 = 2^253 − 5.
-        let mut exp = [0xffu8; 32];
-        exp[0] = 0xfb;
-        exp[31] = 0x1f;
-        Fe::from_u64(2).pow_bytes_le(&exp)
-    })
+fn m(x: u64, y: u64) -> u128 {
+    u128::from(x) * u128::from(y)
 }
 
+/// Carries the five wide columns of a product into a reduced element:
+/// one chain up the columns, the top carry folded back ×19 into limb 0,
+/// and limb 0's spill handed to limb 1 (which stays below 2^51 + 2^13).
+/// Columns are below 2^115, so the top carry is below 2^64/19.
+fn carry_wide(mut c: [u128; 5]) -> Fe {
+    const WIDE_MASK: u128 = MASK as u128;
+    c[1] += c[0] >> 51;
+    c[2] += c[1] >> 51;
+    c[3] += c[2] >> 51;
+    c[4] += c[3] >> 51;
+    let mut limbs = c.map(|column| (column & WIDE_MASK) as u64);
+    limbs[0] += 19 * (c[4] >> 51) as u64;
+    limbs[1] += limbs[0] >> 51;
+    limbs[0] &= MASK;
+    Fe(limbs)
+}
+
+/// Carries every limb once into its neighbour, all five in parallel (the
+/// top one ×19 into limb 0): limbs below 2^64 in, a reduced element out.
+fn weak_reduce(limbs: [u64; 5]) -> Fe {
+    Fe([
+        (limbs[0] & MASK) + 19 * (limbs[4] >> 51),
+        (limbs[1] & MASK) + (limbs[0] >> 51),
+        (limbs[2] & MASK) + (limbs[1] >> 51),
+        (limbs[3] & MASK) + (limbs[2] >> 51),
+        (limbs[4] & MASK) + (limbs[3] >> 51),
+    ])
+}
+
+/// The serial carry chain [`Fe::to_bytes`] starts from: every limb below
+/// 2^51 afterwards, except a spill of a few units into limb 1.
 fn carry_chain(limbs: &mut [u64; 5]) {
     let mut carry = limbs[0] >> 51;
     limbs[0] &= MASK;
@@ -257,7 +304,9 @@ fn carry_chain(limbs: &mut [u64; 5]) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testing::any_bytes32;
     use super::*;
+    use proptest::prelude::*;
 
     fn fe(value: u64) -> Fe {
         Fe::from_u64(value)
@@ -319,9 +368,14 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_m1_squares_to_minus_one() {
+    fn sqrt_m1_is_two_to_the_quarter_order() {
         let minus_one = Fe::ZERO.sub(&Fe::ONE);
-        assert!(sqrt_m1().square().eq_fe(&minus_one));
+        assert!(SQRT_M1.mul(&SQRT_M1).eq_fe(&minus_one));
+        // (p − 1) / 4 = 2^253 − 5.
+        let mut exp = [0xffu8; 32];
+        exp[0] = 0xfb;
+        exp[31] = 0x1f;
+        assert!(fe(2).pow_bytes_le(&exp).eq_fe(&SQRT_M1));
     }
 
     #[test]
@@ -344,6 +398,115 @@ mod tests {
                 sum = sum.add(&base);
             }
             assert!(base.mul(&fe(reps)).eq_fe(&sum), "{x} × {reps}");
+        }
+    }
+
+    /// p − 2 and (p − 5) / 8, the exponents of `invert` and `pow_p58`.
+    fn chain_exponents() -> ([u8; 32], [u8; 32]) {
+        let mut p_minus_two = [0xffu8; 32];
+        p_minus_two[0] = 0xeb;
+        p_minus_two[31] = 0x7f;
+        let mut p58 = [0xffu8; 32];
+        p58[0] = 0xfd;
+        p58[31] = 0x0f;
+        (p_minus_two, p58)
+    }
+
+    /// The same value with every limb below 2^51.
+    fn tight(x: &Fe) -> Fe {
+        Fe::from_bytes(&x.to_bytes())
+    }
+
+    /// `square`, `invert` and `pow_p58` against `mul` and `pow_bytes_le`.
+    fn assert_matches_oracles(x: &Fe) {
+        let (p_minus_two, p58) = chain_exponents();
+        assert!(x.square().eq_fe(&x.mul(x)), "square of {x:?}");
+        assert!(
+            x.invert().eq_fe(&x.pow_bytes_le(&p_minus_two)),
+            "invert {x:?}"
+        );
+        assert!(x.pow_p58().eq_fe(&x.pow_bytes_le(&p58)), "pow_p58 {x:?}");
+        if x.is_zero() {
+            assert!(x.invert().is_zero());
+        } else {
+            assert!(x.mul(&x.invert()).eq_fe(&Fe::ONE));
+        }
+    }
+
+    /// `mul`, `square`, `sub` and `neg` give a loose representation the
+    /// answers they give the tight one.
+    fn assert_loose_matches_tight(loose: &Fe, other: &Fe) {
+        let t = tight(loose);
+        assert!(loose.eq_fe(&t));
+        assert!(loose.mul(other).eq_fe(&t.mul(other)));
+        assert!(other.mul(loose).eq_fe(&t.mul(other)));
+        assert!(loose.mul(loose).eq_fe(&t.mul(&t)));
+        assert!(loose.square().eq_fe(&t.mul(&t)));
+        assert!(loose.sub(other).eq_fe(&t.sub(other)));
+        assert!(other.sub(loose).eq_fe(&other.sub(&t)));
+        assert!(loose.neg().add(&t).is_zero());
+        for out in [loose.mul(other), loose.square(), loose.sub(other)] {
+            assert!(out.0.iter().all(|&limb| limb < 1 << 52), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn extreme_elements_match_oracles() {
+        let mut p_bytes = [0xffu8; 32];
+        p_bytes[0] = 0xed;
+        p_bytes[31] = 0x7f;
+        let mut all_ones = [0xffu8; 32]; // 2^255 − 1 ≡ 18, non-canonical
+        all_ones[31] = 0x7f;
+        for x in [
+            Fe::ZERO,
+            Fe::ONE,
+            Fe::from_bytes(&p_minus_one_bytes()),
+            Fe::from_bytes(&p_bytes), // ≡ 0, non-canonical
+            Fe::from_bytes(&all_ones),
+            Fe([MASK; 5]),
+            Fe([(1 << 52) - 1; 5]),
+            Fe([MAX_INPUT_LIMB; 5]),
+            Fe([MAX_INPUT_LIMB, 0, MAX_INPUT_LIMB, 0, MAX_INPUT_LIMB]),
+        ] {
+            assert_matches_oracles(&x);
+            assert_loose_matches_tight(&x, &Fe([MAX_INPUT_LIMB; 5]));
+            assert_loose_matches_tight(&x, &fe(3));
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "limb above 2^54")]
+    fn a_fifth_unreduced_addition_trips_the_limb_bound() {
+        let x = Fe([(1 << 52) - 1; 5]);
+        let five = x.add(&x).add(&x).add(&x).add(&x);
+        let _ = five.square();
+    }
+
+    fn any_fe() -> impl Strategy<Value = Fe> {
+        any_bytes32().prop_map(|bytes| Fe::from_bytes(&bytes))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn random_elements_match_oracles(x in any_fe()) {
+            assert_matches_oracles(&x);
+        }
+
+        /// add → add → add carries nothing; sub, mul and square must take
+        /// the sum of four reduced elements as it is.
+        #[test]
+        fn unreduced_sums_match_their_reduced_value(
+            a in any_fe(), b in any_fe(), c in any_fe(), d in any_fe()
+        ) {
+            // Reduced but not tight: products and differences.
+            let (a, b) = (a.mul(&c), b.sub(&d));
+            let loose = a.add(&b).add(&c.add(&d));
+            assert_loose_matches_tight(&loose, &a.add(&b));
+            assert_loose_matches_tight(&loose.sub(&a).add(&loose.mul(&b)), &loose);
+            assert_matches_oracles(&loose);
         }
     }
 }

@@ -2,21 +2,27 @@
 //! from scratch.
 //!
 //! The environment provides no cryptographic crates, so the whole stack
-//! is in-tree: [`fe`] (the field GF(2^255 − 19), 5×51-bit limbs),
-//! [`scalar`] (integers mod the basepoint order `L`), [`point`] (the
-//! twisted Edwards curve in extended coordinates, RFC 8032 strict
-//! compression/decompression), and [`msm`] (multi-scalar multiplication:
-//! Straus for small batches, Pippenger above a width threshold — the
-//! engine behind amortized batch signature verification).
+//! is in-tree: [`fe`] (the field GF(2^255 − 19), 5×51-bit limbs with
+//! lazy carries, a dedicated squaring and addition-chain inversion),
+//! [`scalar`] (integers mod the basepoint order `L`, and the signed
+//! recodings the multiplications walk), [`point`] (the twisted Edwards
+//! curve in extended coordinates with cached addends, RFC 8032 strict
+//! compression/decompression, fixed-base and double-base scalar
+//! multiplication over tables of odd multiples), and [`msm`]
+//! (multi-scalar multiplication: Straus for small batches, Pippenger
+//! above a width threshold — the engine behind amortized batch signature
+//! verification).
 //!
 //! Every point addition and doubling bumps a thread-local counter
 //! ([`PointOps`], [`ops_snapshot`]): curve-level costs are *counted*, not
 //! timed, so the `report_sig` benchmark floor ("batched verification
 //! beats serial by ≥1.5× at wave width ≥32") is machine-independent.
 //!
-//! This implementation prioritizes clarity and auditability over
-//! constant-time execution: it reproduces a protocol simulation, not a
-//! production wallet, and secret-dependent timing is out of scope.
+//! The arithmetic is portable `u64`/`u128` — no intrinsics, no `unsafe`
+//! — and costs what the textbook formulas cost; bit-by-bit references
+//! live beside it as `#[cfg(test)]` oracles. It is *not*
+//! constant-time: it reproduces a protocol simulation, not a production
+//! wallet, and secret-dependent timing is out of scope.
 
 pub mod fe;
 pub mod msm;
@@ -79,4 +85,28 @@ pub(crate) fn count_double() {
 
 pub(crate) fn count_add() {
     ADDS.with(|c| c.set(c.get() + 1));
+}
+
+/// Strategies the differential tests of the submodules share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use proptest::prelude::*;
+
+    use super::scalar::Scalar;
+
+    /// 32 uniformly random bytes.
+    pub(crate) fn any_bytes32() -> impl Strategy<Value = [u8; 32]> {
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(a, b, c, d)| {
+            let mut bytes = [0u8; 32];
+            for (chunk, word) in bytes.chunks_exact_mut(8).zip([a, b, c, d]) {
+                chunk.copy_from_slice(&word.to_le_bytes());
+            }
+            bytes
+        })
+    }
+
+    /// A uniformly random 256-bit integer, reduced mod L.
+    pub(crate) fn any_scalar() -> impl Strategy<Value = Scalar> {
+        any_bytes32().prop_map(|bytes| Scalar::from_bytes_mod_order(&bytes))
+    }
 }

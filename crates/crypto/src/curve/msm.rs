@@ -2,10 +2,13 @@
 //!
 //! Two engines, picked by batch size:
 //!
-//! * **Straus** (interleaved radix-16 windows): one shared doubling chain
-//!   for the whole batch — ~252 doublings total instead of ~252 *per
-//!   point* — plus a 15-entry table and ~60 additions per point. Wins
-//!   from the first point and dominates at wave-sized batches.
+//! * **Straus** (interleaved signed windows): one shared doubling chain
+//!   for the whole batch — ~253 doublings total instead of ~253 *per
+//!   point* — plus, per point, a table of its eight odd multiples in
+//!   cached form (8 operations) and one addition per non-zero digit of
+//!   its scalar's width-5 non-adjacent form (~43 for a full-width scalar,
+//!   ~22 for a 128-bit batch coefficient). Wins from the first point and
+//!   dominates at wave-sized batches.
 //! * **Pippenger** (bucket method): per window, points land in buckets by
 //!   digit and a running sum recombines them, so per-point cost falls to
 //!   one addition per window. The fixed bucket overhead amortizes only
@@ -15,14 +18,16 @@
 //! timed, which is what makes the `report_sig` batch-verification floor
 //! machine-independent.
 
-use super::point::{Point, PointTable};
+use super::point::{Cached, Completed, OddMultiples, Point};
 use super::scalar::Scalar;
 
 /// Batch size (in points, not signatures) above which Pippenger's bucket
-/// overhead amortizes below Straus's per-point table+window cost. A
-/// k-signature batch verification is an MSM over 2k + 1 points, so this
-/// corresponds to a wave width of ~96 blocks.
-pub const PIPPENGER_THRESHOLD_POINTS: usize = 192;
+/// overhead amortizes below Straus's per-point table+window cost: counted
+/// in group operations, Straus is still ahead at 257 points and 5–6 %
+/// behind at 385, for full-width and for batch-shaped (every other scalar
+/// 128-bit) inputs alike. A k-signature batch verification is an MSM over
+/// 2k + 1 points, so this corresponds to a wave width of ~160 blocks.
+pub const PIPPENGER_THRESHOLD_POINTS: usize = 320;
 
 /// The engine [`msm`] picks for a batch of `points` points.
 pub fn msm_engine(points: usize) -> &'static str {
@@ -47,30 +52,26 @@ pub fn msm(scalars: &[Scalar], points: &[Point]) -> Point {
     }
 }
 
-/// Straus: interleaved radix-16 windowed multiplication with one shared
-/// doubling chain.
+/// Straus: interleaved width-5 signed windows over one shared doubling
+/// chain, each doubling skipping `T` unless an addition follows it.
 pub fn straus(scalars: &[Scalar], points: &[Point]) -> Point {
     assert_eq!(scalars.len(), points.len(), "msm input length mismatch");
-    let tables: Vec<PointTable> = points.iter().map(PointTable::new).collect();
-    let digits: Vec<[u8; 64]> = scalars.iter().map(|s| s.to_radix16()).collect();
+    let tables: Vec<OddMultiples<Cached, 8>> = points.iter().map(OddMultiples::new).collect();
+    let nafs: Vec<[i8; 256]> = scalars.iter().map(|s| s.non_adjacent_form(5)).collect();
 
-    let mut acc: Option<Point> = None;
-    for window in (0..64).rev() {
-        if let Some(point) = acc.as_mut() {
-            *point = point.double().double().double().double();
-        }
-        for (table, digit_row) in tables.iter().zip(&digits) {
-            let digit = digit_row[window];
-            if digit != 0 {
-                let entry = table.entry(digit);
-                acc = Some(match acc {
-                    Some(point) => point.add(entry),
-                    None => *entry,
-                });
+    let Some(top) = (0..256).rev().find(|&i| nafs.iter().any(|naf| naf[i] != 0)) else {
+        return Point::IDENTITY;
+    };
+    let mut acc = Completed::IDENTITY;
+    for i in (0..=top).rev() {
+        acc = acc.double();
+        for (table, naf) in tables.iter().zip(&nafs) {
+            if naf[i] != 0 {
+                acc = acc.to_point().add_cached(&table.select(naf[i]));
             }
         }
     }
-    acc.unwrap_or(Point::IDENTITY)
+    acc.to_point()
 }
 
 /// Pippenger: per-window bucket accumulation with a running-sum
@@ -80,13 +81,17 @@ pub fn pippenger(scalars: &[Scalar], points: &[Point]) -> Point {
     if scalars.is_empty() {
         return Point::IDENTITY;
     }
+    // Cheapest width by counted group operations at 129 … 2049 points.
     let width = match scalars.len() {
         0..=63 => 4,
-        64..=255 => 5,
-        256..=1023 => 6,
-        _ => 7,
+        64..=159 => 5,
+        160..=383 => 6,
+        384..=1023 => 7,
+        _ => 8,
     };
     let windows = 256usize.div_ceil(width);
+    // Every point is an addend once per window: cache it once.
+    let addends: Vec<Cached> = points.iter().map(|point| point.to_cached()).collect();
     let mut acc: Option<Point> = None;
 
     for window in (0..windows).rev() {
@@ -96,12 +101,12 @@ pub fn pippenger(scalars: &[Scalar], points: &[Point]) -> Point {
             }
         }
         let mut buckets: Vec<Option<Point>> = vec![None; (1 << width) - 1];
-        for (scalar, point) in scalars.iter().zip(points) {
+        for ((scalar, point), addend) in scalars.iter().zip(points).zip(&addends) {
             let digit = scalar.window_digit(window, width);
             if digit != 0 {
                 let bucket = &mut buckets[digit - 1];
                 *bucket = Some(match bucket {
-                    Some(existing) => existing.add(point),
+                    Some(existing) => existing.add_cached(addend).to_point(),
                     None => *point,
                 });
             }
@@ -138,7 +143,6 @@ pub fn pippenger(scalars: &[Scalar], points: &[Point]) -> Point {
 #[cfg(test)]
 mod tests {
     use super::super::ops_snapshot;
-    use super::super::point::basepoint;
     use super::*;
 
     /// Deterministic "random" scalars from a cheap LCG over bytes.
@@ -180,7 +184,7 @@ mod tests {
 
     #[test]
     fn both_engines_match_naive_sum() {
-        for n in [1usize, 2, 5, 17] {
+        for n in [1usize, 2, 5, 7, 17, 33] {
             let scalars = test_scalars(n, 7);
             let points = test_points(n);
             let expected = naive(&scalars, &points).compress();
@@ -188,6 +192,34 @@ mod tests {
             assert_eq!(pippenger(&scalars, &points).compress(), expected, "n = {n}");
             assert_eq!(msm(&scalars, &points).compress(), expected, "n = {n}");
         }
+    }
+
+    #[test]
+    fn straus_matches_naive_sum_on_edge_scalars_and_torsion() {
+        // 0, 1, L − 1, 2^252 and a 128-bit batch coefficient, over
+        // prime-order points and one carrying an order-4 component.
+        let minus_one = Scalar::ONE.neg();
+        let scalars = [
+            Scalar::ZERO,
+            Scalar::ONE,
+            minus_one,
+            Scalar([0, 0, 0, 1 << 60]),
+            Scalar::from_u128(u128::MAX),
+            minus_one,
+            test_scalars(1, 41)[0],
+        ];
+        let mut points = test_points(7);
+        let order_four = Point::decompress(&[0u8; 32]).expect("y = 0 is on the curve");
+        points[5] = points[5].add(&order_four);
+        points[6] = order_four;
+        for n in [1usize, 2, 7] {
+            assert_eq!(
+                straus(&scalars[..n], &points[..n]).compress(),
+                naive(&scalars[..n], &points[..n]).compress(),
+                "n = {n}"
+            );
+        }
+        assert!(straus(&[Scalar::ZERO; 2], &points[..2]).is_identity());
     }
 
     #[test]
@@ -230,8 +262,9 @@ mod tests {
             batched_ops * 2 < serial_ops,
             "straus {batched_ops} ops vs serial {serial_ops}"
         );
-        // And the shared chain pays at most one full-width doubling run.
-        assert!((mid - before).doubles <= 252 + u64::from(basepoint().is_identity()));
+        // And the shared chain pays one full-width doubling run, plus the
+        // doubling each point's odd-multiples table starts from.
+        assert!((mid - before).doubles <= 253 + 16);
     }
 
     #[test]

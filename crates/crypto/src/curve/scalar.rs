@@ -69,17 +69,10 @@ impl Scalar {
 
     /// Sum mod L.
     pub fn add(&self, other: &Scalar) -> Scalar {
-        let mut limbs = [0u64; 4];
-        let mut carry = 0u64;
-        for (i, limb) in limbs.iter_mut().enumerate() {
-            let (sum, o1) = self.0[i].overflowing_add(other.0[i]);
-            let (sum, o2) = sum.overflowing_add(carry);
-            *limb = sum;
-            carry = u64::from(o1) + u64::from(o2);
-        }
-        // Both inputs < L < 2^253, so the sum fits 254 bits: no carry
-        // out, and at most one subtraction of L.
-        debug_assert_eq!(carry, 0);
+        let mut limbs = self.0;
+        // Both inputs < L < 2^253, so the sum fits 254 bits, and takes at
+        // most one subtraction of L.
+        add_in_place(&mut limbs, &other.0);
         if !less_than(&limbs, &L) {
             sub_in_place(&mut limbs, &L);
         }
@@ -116,34 +109,84 @@ impl Scalar {
         self.0 == [0; 4]
     }
 
-    /// The scalar as 64 base-16 digits, little-endian — the window
-    /// decomposition Straus-style multi-scalar multiplication walks.
-    pub fn to_radix16(self) -> [u8; 64] {
-        let bytes = self.to_bytes();
-        let mut digits = [0u8; 64];
-        for (i, byte) in bytes.iter().enumerate() {
-            digits[2 * i] = byte & 0x0f;
-            digits[2 * i + 1] = byte >> 4;
+    /// The width-`width` non-adjacent form: signed digits, little-endian,
+    /// each zero or odd with |digit| < 2^(width − 1), any two non-zero
+    /// digits at least `width` positions apart, and Σ digitᵢ·2^i equal to
+    /// the scalar. About one digit in `width + 1` is non-zero, which is
+    /// what a signed-window multiplication pays an addition for.
+    pub fn non_adjacent_form(&self, width: usize) -> [i8; 256] {
+        debug_assert!((2..=8).contains(&width));
+        // A reduced scalar is below 2^253, so the last carry lands below
+        // position 256.
+        debug_assert!(self.0[3] >> 62 == 0);
+        let mut naf = [0i8; 256];
+        let mut pos = 0;
+        let mut carry = 0;
+        while pos < 256 {
+            let window = carry + bits(&self.0, pos, width);
+            if window & 1 == 0 {
+                // Covers window == 2^width (carry into an all-ones
+                // window): the carry rides on.
+                pos += 1;
+                continue;
+            }
+            if window < 1 << (width - 1) {
+                carry = 0;
+                naf[pos] = window as i8;
+            } else {
+                carry = 1;
+                naf[pos] = (window as i16 - (1 << width)) as i8;
+            }
+            pos += width;
         }
+        naf
+    }
+
+    /// 64 signed radix-16 digits, all odd (±1, ±3, …, ±15; the top one 1
+    /// or 3), with Σ digitᵢ·16^i equal to the scalar if it is odd and to
+    /// the scalar plus L if it is even — the same multiple of any point
+    /// of order L, which is the only use: the fixed-base tables of
+    /// [`super::point::Point::mul_base`] hold odd multiples only, and no
+    /// digit is ever zero.
+    pub(crate) fn to_odd_radix16(self) -> [i8; 64] {
+        let mut k = self.0;
+        if k[0] & 1 == 0 {
+            add_in_place(&mut k, &L); // odd, and below 2L < 2^254
+        }
+        // With k odd, digit i < 63 is 2·(bits 4i+1 … 4i+4 of k) − 15. The
+        // doubled nibbles are bits 1 … 252 of k in place; the −15s sum to
+        // −(16^63 − 1), which restores bit 0 and borrows 2^252 from the
+        // top digit: bits 252 and up, whose low bit the nibble below has
+        // already counted if it was set and the borrow sets if it was not.
+        let mut digits = [0i8; 64];
+        for (i, digit) in digits.iter_mut().enumerate().take(63) {
+            *digit = 2 * bits(&k, 4 * i + 1, 4) as i8 - 15;
+        }
+        digits[63] = (k[3] >> 60) as i8 | 1;
         digits
     }
 
     /// Digit `index` of the base-2^width decomposition (width ≤ 16) —
     /// the bucket selector for Pippenger windows.
     pub fn window_digit(&self, index: usize, width: usize) -> usize {
-        debug_assert!(width <= 16);
-        let bit = index * width;
-        if bit >= 256 {
-            return 0;
-        }
-        let limb = bit / 64;
-        let shift = bit % 64;
-        let mut digit = self.0[limb] >> shift;
-        if shift + width > 64 && limb + 1 < 4 {
-            digit |= self.0[limb + 1] << (64 - shift);
-        }
-        (digit as usize) & ((1 << width) - 1)
+        bits(&self.0, index * width, width) as usize
     }
+}
+
+/// Bits `start .. start + width` of a 256-bit integer (width ≤ 16; bits
+/// past 255 read as zero).
+fn bits(limbs: &[u64; 4], start: usize, width: usize) -> u64 {
+    debug_assert!(width <= 16);
+    if start >= 256 {
+        return 0;
+    }
+    let limb = start / 64;
+    let shift = start % 64;
+    let mut value = limbs[limb] >> shift;
+    if shift + width > 64 && limb + 1 < 4 {
+        value |= limbs[limb + 1] << (64 - shift);
+    }
+    value & ((1 << width) - 1)
 }
 
 fn load_limbs(bytes: &[u8; 32]) -> [u64; 4] {
@@ -161,6 +204,17 @@ fn less_than(a: &[u64; 4], b: &[u64; 4]) -> bool {
         }
     }
     false
+}
+
+fn add_in_place(a: &mut [u64; 4], b: &[u64; 4]) {
+    let mut carry = 0u64;
+    for i in 0..4 {
+        let (sum, o1) = a[i].overflowing_add(b[i]);
+        let (sum, o2) = sum.overflowing_add(carry);
+        a[i] = sum;
+        carry = u64::from(o1) + u64::from(o2);
+    }
+    debug_assert_eq!(carry, 0, "addition overflow");
 }
 
 fn sub_in_place(a: &mut [u64; 4], b: &[u64; 4]) {
@@ -199,7 +253,9 @@ fn reduce_wide(wide: &[u64; 8]) -> Scalar {
 
 #[cfg(test)]
 mod tests {
+    use super::super::testing::any_scalar;
     use super::*;
+    use proptest::prelude::*;
 
     fn l_minus_one() -> Scalar {
         let mut limbs = L;
@@ -265,18 +321,93 @@ mod tests {
         assert_eq!(direct, half.mul(&half));
     }
 
-    #[test]
-    fn radix16_recomposes() {
-        let s = Scalar::from_u128(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
-        let digits = s.to_radix16();
-        let mut acc = Scalar::ZERO;
-        let sixteen = Scalar::from_u128(16);
-        for digit in digits.iter().rev() {
-            acc = acc
-                .mul(&sixteen)
-                .add(&Scalar::from_u128(u128::from(*digit)));
+    /// Σ digitᵢ·2^(i·radix_bits) mod 2^256 — exact for the recodings
+    /// under test, whose sums are non-negative and below 2^256.
+    fn recompose(digits: &[i8], radix_bits: usize) -> [u64; 4] {
+        let mut acc = [0u64; 4];
+        for &digit in digits.iter().rev() {
+            for i in (0..4).rev() {
+                let below = if i == 0 {
+                    0
+                } else {
+                    acc[i - 1] >> (64 - radix_bits)
+                };
+                acc[i] = (acc[i] << radix_bits) | below;
+            }
+            // Sign-extend the digit to 256 bits and add, wrapping.
+            let extension = if digit < 0 { u64::MAX } else { 0 };
+            let mut carry = false;
+            for (i, limb) in acc.iter_mut().enumerate() {
+                let word = if i == 0 {
+                    digit as i64 as u64
+                } else {
+                    extension
+                };
+                let (sum, o1) = limb.overflowing_add(word);
+                let (sum, o2) = sum.overflowing_add(u64::from(carry));
+                *limb = sum;
+                carry = o1 || o2;
+            }
         }
-        assert_eq!(acc, s);
+        acc
+    }
+
+    fn assert_naf_recodes(limbs: [u64; 4], width: usize) {
+        let naf = Scalar(limbs).non_adjacent_form(width);
+        assert_eq!(recompose(&naf, 1), limbs, "width {width}");
+        for (i, &digit) in naf.iter().enumerate() {
+            if digit == 0 {
+                continue;
+            }
+            assert!(digit & 1 == 1, "even digit {digit} at {i}");
+            assert!(
+                i32::from(digit).abs() < 1 << (width - 1),
+                "digit {digit} at {i}"
+            );
+            let gap = &naf[i + 1..(i + width).min(256)];
+            assert!(gap.iter().all(|&d| d == 0), "adjacent digits after {i}");
+        }
+    }
+
+    fn assert_odd_radix16_recodes(scalar: Scalar) {
+        let digits = scalar.to_odd_radix16();
+        let mut expected = scalar.0;
+        if expected[0] & 1 == 0 {
+            add_in_place(&mut expected, &L);
+        }
+        assert_eq!(recompose(&digits, 4), expected);
+        assert!(digits.iter().all(|d| d & 1 == 1 && (-15..=15).contains(d)));
+    }
+
+    /// 0, 1, L − 1, 2^252 and 2^253 − 1: no digits, one digit, the
+    /// largest reduced scalar, a lone top bit, and the longest carry run
+    /// the 256 positions can hold.
+    const EDGE_LIMBS: [[u64; 4]; 5] = [
+        [0; 4],
+        [1, 0, 0, 0],
+        [L[0] - 1, L[1], L[2], L[3]],
+        [0, 0, 0, 1 << 60],
+        [u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 3],
+    ];
+
+    #[test]
+    fn recodings_recompose_on_edge_scalars() {
+        for limbs in EDGE_LIMBS {
+            assert_naf_recodes(limbs, 5);
+            assert_naf_recodes(limbs, 8);
+            if less_than(&limbs, &L) {
+                assert_odd_radix16_recodes(Scalar(limbs));
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn recodings_recompose_on_random_scalars(scalar in any_scalar()) {
+            assert_naf_recodes(scalar.0, 5);
+            assert_naf_recodes(scalar.0, 8);
+            assert_odd_radix16_recodes(scalar);
+        }
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! RFC 8032 ed25519 over the in-tree [`crate::curve`] arithmetic, with
 //! genuinely amortized batch verification.
 //!
-//! Serial verification is *cofactored* — `[8]([s]B − [k]A − R) = 𝒪` —
-//! and batch verification checks one random-linear-combination equation
+//! Serial verification is *cofactored* — `[8]([s]B − [k]A − R) = 𝒪`,
+//! with `[s]B − [k]A` one signed-window double-base pass
+//! ([`Point::double_base_mul`]) — and batch verification checks one
+//! random-linear-combination equation
 //!
 //! ```text
 //! [8]( [Σ zᵢsᵢ]B − Σ [zᵢ]Rᵢ − Σ [zᵢkᵢ]Aᵢ ) = 𝒪
@@ -12,7 +14,8 @@
 //! Straus for wave-sized batches, Pippenger past the width threshold).
 //! Cofactoring both sides makes the two paths agree on *every* input,
 //! adversarial torsion points included, so batch-accept ⟺ every item
-//! serial-accepts (up to the 2⁻¹²⁸ linear-combination slack).
+//! serial-accepts (up to the 2⁻¹²⁸ linear-combination slack). A batch of
+//! one *is* the serial equation and is verified as such.
 //!
 //! The coefficients `zᵢ` are derived deterministically from the whole
 //! batch transcript (SHA-512, Fiat–Shamir style) rather than sampled:
@@ -171,13 +174,11 @@ pub fn verify_cold(public_bytes: &[u8; 32], message: &[u8], signature: &[u8; 64]
 }
 
 fn verify_equation(parsed: &ParsedSignature, a_point: &Point, k: &Scalar) -> bool {
-    // [s]B + [k](−A) + (−R), cofactored.
-    let combined = msm(
-        &[parsed.s, *k],
-        &[*crate::curve::point::basepoint(), a_point.neg()],
-    )
-    .add(&parsed.r_point.neg());
-    combined.mul_by_cofactor().is_identity()
+    // [k](−A) + [s]B + (−R), cofactored.
+    Point::double_base_mul(k, &a_point.neg(), &parsed.s)
+        .add(&parsed.r_point.neg())
+        .mul_by_cofactor()
+        .is_identity()
 }
 
 /// One batch item: the claim "`signature` was produced over `message`
@@ -210,6 +211,11 @@ struct PreparedItem {
 /// coefficients; if the combined equation fails, a binary split isolates
 /// the forged items so the verdict vector always equals the serial one.
 pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<bool> {
+    if let [item] = items {
+        // With z odd the singleton combined equation *is* the cofactored
+        // serial check, so skip the transcript, z and the third point.
+        return vec![verify(item.public, item.message, item.signature)];
+    }
     let mut verdicts = vec![false; items.len()];
     let mut prepared = Vec::with_capacity(items.len());
     for (index, item) in items.iter().enumerate() {
@@ -293,6 +299,13 @@ fn range_equation_holds(range: &[PreparedItem]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// L, little-endian.
+    const L_BYTES: [u8; 32] = [
+        0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde,
+        0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x10,
+    ];
 
     fn hex_bytes<const N: usize>(hex: &str) -> [u8; N] {
         let mut out = [0u8; N];
@@ -386,12 +399,6 @@ mod tests {
         // it outright.
         let s = Scalar::from_bytes_canonical(&signature[32..].try_into().unwrap()).unwrap();
         let mut s_plus_l = [0u8; 32];
-        // L little-endian.
-        const L_BYTES: [u8; 32] = [
-            0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9,
-            0xde, 0x14, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-            0x00, 0x00, 0x00, 0x10,
-        ];
         let mut carry = 0u16;
         for (i, out) in s_plus_l.iter_mut().enumerate() {
             let sum = u16::from(s.to_bytes()[i]) + u16::from(L_BYTES[i]) + carry;
@@ -478,6 +485,58 @@ mod tests {
             vec![true, true, false, true, true, false, true, false, false]
         );
         assert_eq!(verify_batch(&items), expected);
+    }
+
+    /// A batch of one short-circuits to [`verify`]; the same item inside a
+    /// pair goes through the combined equation. All three entries must
+    /// agree, adversarial items included.
+    #[test]
+    fn batch_of_one_is_the_serial_verdict() {
+        let keys = test_keys(2);
+        let (secret, public) = &keys[0];
+        let valid = sign(secret, b"msg");
+
+        let mut forged = valid;
+        forged[40] ^= 0x10;
+        // R = the order-4 point y = 0: canonical, on-curve, small-order.
+        let mut small_order_r = valid;
+        small_order_r[..32].copy_from_slice(&[0u8; 32]);
+        // s = L: the same scalar as 0, non-canonically encoded.
+        let mut non_canonical_s = valid;
+        non_canonical_s[32..].copy_from_slice(&L_BYTES);
+        let invalid_key = PublicKey::from_bytes([0u8; 32]);
+        assert!(!invalid_key.is_valid());
+
+        let (companion_secret, companion_public) = &keys[1];
+        let companion_signature = sign(companion_secret, b"other");
+        let companion = || BatchItem {
+            public: companion_public,
+            message: b"other",
+            signature: &companion_signature,
+        };
+
+        let cases: [(&str, &PublicKey, &[u8; 64], bool); 6] = [
+            ("valid", public, &valid, true),
+            ("forged", public, &forged, false),
+            ("small-order R", public, &small_order_r, false),
+            ("non-canonical s", public, &non_canonical_s, false),
+            ("invalid key", &invalid_key, &valid, false),
+            ("wrong key", companion_public, &valid, false),
+        ];
+        for (name, public, signature, expected) in cases {
+            let item = || BatchItem {
+                public,
+                message: b"msg",
+                signature,
+            };
+            assert_eq!(verify(public, b"msg", signature), expected, "{name}");
+            assert_eq!(verify_batch(&[item()]), vec![expected], "{name}");
+            assert_eq!(
+                verify_batch(&[item(), companion()]),
+                vec![expected, true],
+                "{name}"
+            );
+        }
     }
 
     #[test]
