@@ -25,8 +25,8 @@
 //!    delivered everywhere, every node's scrape shows validated blocks,
 //!    traffic counters non-zero.
 //!
-//! 3. **Registry overhead** — the `report_admission` 2048-item batched
-//!    verification gate, run bare and with per-batch registry updates
+//! 3. **Registry overhead** — a 2048-item batched verification, run
+//!    bare and with per-batch registry updates
 //!    through pre-registered handles (atomic stores — the lock-light
 //!    pattern; per-batch is strictly more frequent than the node event
 //!    loop's per-tick cadence, so the gate is conservative). Interleaved
@@ -69,8 +69,8 @@ const N: usize = BUILDERS + 1;
 const REQUESTS_PER_BLOCK: usize = 256;
 const LOAD_ROUNDS: u64 = 100;
 const TAIL_ROUNDS: u64 = 6;
-/// Rounds folded into one ingest burst — the cross-cascade bracket turns
-/// each burst into multi-round verification waves.
+/// Rounds folded into one ingest burst, so verification waves span
+/// whole rounds.
 const BURST_ROUNDS: usize = 8;
 const ACCOUNTS: usize = 10_000;
 const EXPONENT: f64 = 1.0;
@@ -80,7 +80,7 @@ const LIVE_NODES: usize = 3;
 const LIVE_TRANSFERS: usize = 900;
 const LIVE_ACCOUNTS: usize = 200;
 
-// Overhead gate shape (mirrors report_admission's 2k-item row).
+// Overhead gate shape.
 const OVERHEAD_ITEMS: usize = 2048;
 const OVERHEAD_ROUNDS: usize = 8;
 
@@ -450,8 +450,7 @@ impl OverheadRow {
     }
 }
 
-/// The `report_admission` 2048-item batched-verification measurement,
-/// bare vs instrumented: the instrumented path updates pre-registered
+/// A 2048-item batched verification, bare vs instrumented: the instrumented path updates pre-registered
 /// handles after each batch (counter stores from the live crypto
 /// atomics, plus a batch-size histogram observation) — per-*batch*
 /// publication, strictly more frequent than the node event loop's
@@ -495,9 +494,9 @@ fn measure_overhead() -> OverheadRow {
         verdicts
     };
 
-    // Warm-up, then interleaved best-of rounds (see report_admission for
-    // why the minimum is the right estimator and why interleaving keeps
-    // host noise fair).
+    // Warm-up, then interleaved best-of rounds: the minimum is the
+    // estimate least inflated by host noise, and interleaving exposes
+    // both paths to the same noise.
     let expected = base_path();
     assert_eq!(metered_path(), expected);
     let mut base_seconds = f64::INFINITY;

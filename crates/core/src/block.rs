@@ -197,11 +197,8 @@ struct BlockInner {
     requests: Vec<LabeledRequest>,
     signature: Signature,
     /// Cached `ref(B)`, computed on first use. Builders fill it eagerly
-    /// (they sign it); decoded blocks leave it empty so the hash can be
-    /// computed off the receive path — on a [`VerifyPool`] worker for
-    /// bursts, or lazily at first reference otherwise.
-    ///
-    /// [`VerifyPool`]: crate::gossip::VerifyPool
+    /// (they sign it); decoded blocks leave it empty and hash lazily at
+    /// first reference.
     block_ref: OnceLock<BlockRef>,
     /// Cached canonical wire encoding, *including* the trailing signature.
     /// The signing preimage (Definition 3.1's hash input) is the prefix

@@ -16,7 +16,7 @@
 //!    ingest; a flooding peer's surplus is dropped before it buys any
 //!    verification work.
 //! 3. **Deprioritization** — a caught equivocator's blocks admit last in
-//!    every burst wave and its pending allowance shrinks
+//!    every ready set and its pending allowance shrinks
 //!    ([`DefenseConfig::deprioritized_allowance`]).
 //! 4. **Bans** — a score crossing [`DefenseConfig::ban_threshold`]
 //!    triggers a time-bounded ban: gossip drops the peer's traffic, and
@@ -25,8 +25,8 @@
 //! Every state change emits a typed [`DefenseEvent`] — the auditable
 //! trail next to gossip's `EvictionEvent` log — and everything is keyed
 //! on the logical [`TimeMs`] the caller supplies, so identical event
-//! sequences produce byte-identical score trajectories across admission
-//! engines, signature schemes, and restarts.
+//! sequences produce byte-identical score trajectories across runs,
+//! signature schemes, and restarts.
 
 use std::collections::BTreeMap;
 
@@ -587,8 +587,7 @@ impl PeerDefense {
     }
 
     /// Canonical byte encoding of the full event trajectory — what the
-    /// determinism tests compare across admission engines and signature
-    /// schemes.
+    /// determinism tests compare across runs and signature schemes.
     pub fn trajectory_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.events.len() * 24);
         for event in &self.events {

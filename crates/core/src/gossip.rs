@@ -19,81 +19,56 @@
 //! event loop) to execute. Time is passed in explicitly and is only used to
 //! pace `FWD` retransmissions (the paper's timer `Δ_B'`).
 //!
-//! # Admission engines
+//! # Admission
 //!
-//! Buffered-block admission (the promotion of `blks` entries into `G`) has
-//! three interchangeable engines, selected by [`AdmissionMode`]:
+//! Every received block enters the DAG the same way, whether it arrived
+//! alone ([`Gossip::on_message`]) or in a batch of messages
+//! ([`Gossip::on_messages`]):
 //!
-//! * [`AdmissionMode::Index`] (the default) maintains a reverse
-//!   dependency index — pending block → still-missing predecessors, missing
-//!   predecessor → waiting blocks — so admitting a burst of `B` buffered
-//!   blocks costs O(B · preds) map operations. Each *wave* of
-//!   simultaneously ready blocks is signature-checked in one
-//!   [`BatchVerifier`] pass over the cached `ref(B)` digests, amortizing
-//!   the per-verification key setup (the paper's batch-signature economics,
-//!   §4/E6).
-//! * [`AdmissionMode::Parallel`] is the index engine with each wave's
-//!   batched verification split across a fixed pool of worker threads
-//!   over crossbeam channels. The split is synchronous — promotion waits
-//!   for all verdicts — so it pays off only when waves are wide enough
-//!   for multi-core verification to beat the single-threaded batch (per
-//!   chunk dispatch costs a channel round-trip; on the narrow waves of
-//!   chain-shaped bursts the `Index` engine is faster). Verdicts are
-//!   reassembled in submission order before any state changes, so
-//!   promotion order — and every byte that is later hashed and signed —
-//!   is identical to the sequential engines regardless of worker
-//!   scheduling.
-//! * [`AdmissionMode::Scan`] is the paper-literal fixed-point rescan
-//!   (O(pending²) on adversarial orderings) with one signature check per
-//!   candidate, retained as the equivalence oracle: tests and the
-//!   `report_wire`/`report_admission` benches drive all engines with
-//!   identical hostile schedules and assert identical DAGs, promotion
-//!   orders, stats, and `FWD` traffic.
+//! 1. **Index on arrival.** Past the defense gate and dedup, a block
+//!    claiming a builder outside the server set is rejected on the spot
+//!    (decidable from the block alone). Any other block is buffered with
+//!    the set of its predecessors not yet in the DAG; a reverse index —
+//!    missing predecessor → waiting blocks — and the `FWD` view are
+//!    updated in O(preds · log). A block with nothing missing is *ready*.
+//! 2. **Cascade.** Once all messages of the call are indexed, ready
+//!    blocks are settled smallest key first, the key being
+//!    `(builder is deprioritized, ref(B))` — a builder with a proven
+//!    equivocation admits after every honest ready block, and with the
+//!    defense disabled the order is plain `ref` order, the order the
+//!    paper-literal rescan (the oracle in [`crate::reference`])
+//!    produces. Settling a valid block inserts it, references it from the
+//!    current block, and wakes its waiters, which join the ready set.
+//! 3. **Batch-verify the unverified ready set.** Whenever the front of
+//!    the ready set has no signature verdict yet, every not-yet-verified
+//!    ready block is checked in one [`BatchVerifier`] pass — a *wave* —
+//!    over the cached `ref(B)` digests (the paper's batch-signature
+//!    economics, §4). Verdicts are a pure per-block function of cached
+//!    bytes, so computing them early cannot change a promotion decision;
+//!    each ready block is verified exactly once.
 //!
-//! # Deferred admission bursts
-//!
-//! Waves are only as wide as the ready set at verification time, and
-//! per-message ingest keeps that set narrow: a chain delivered in order
-//! promotes one block per [`Gossip::on_block`], so every wave has width 1
-//! and the parallel pool starves. The *burst* path widens the unit of
-//! work from "one cascade's ready wave" to "one whole admission burst":
-//! [`Gossip::begin_burst`] opens a bracket in which `on_block` only
-//! dedups and buffers (O(1) per block — no verification, no promotion,
-//! no per-predecessor bookkeeping), and [`Gossip::end_burst`] then runs
-//! *one* dependency-analysis pass over the whole buffer (missing
-//! counts + reverse adjacency), computes the full ready frontier
-//! *across all cascades*, verifies it wave by wave — each wave ordered
-//! by `(builder, seq, ref)` so same-builder runs are contiguous for the
-//! verifier — and promotes in that canonical order, rebuilding the
-//! incremental index for whatever survives. [`Gossip::on_block_burst`]
-//! wraps the bracket for slice-shaped callers (the shim's ingest loop,
-//! the simulator's burst delivery, the transport's channel drain).
-//!
-//! Burst promotion is deterministic and byte-identical across all three
-//! engines (they share the wave schedule and differ only in verification
-//! dispatch: per-candidate under `Scan`, one [`BatchVerifier`] pass per
-//! wave under `Index`, pipelined pool fan-out under `Parallel`, which
-//! overlaps in-flight verification with promotion bookkeeping). Relative
-//! to per-message ingest the *outcome* — admitted blocks, rejections,
-//! validation counts — is identical as well (the promotion fixed point is
-//! confluent); only the order in which the current block references the
-//! newly admitted blocks, and the `FWD` traffic for gaps resolved within
-//! the burst, may differ.
+//! A multi-message call indexes everything before it promotes anything,
+//! so its waves are as wide as the whole call's ready set, and `FWD`
+//! requests inside it are answered from the DAG as it stood when the call
+//! began. The admitted set, the rejections and the verification count do
+//! not depend on how a schedule is cut into calls (the promotion fixed
+//! point is confluent); the order in which the current block references
+//! newly admitted blocks, and `FWD` traffic for gaps closed within one
+//! call, do.
 //!
 //! # Pending-buffer cap
 //!
 //! The `blks` buffer is bounded by [`GossipConfig::pending_cap`]: once
-//! admission (per-message or burst) has settled, the buffer is trimmed to
-//! the cap by deterministic eviction — oldest *never-promotable* block
-//! first (one referencing an already rejected predecessor), then oldest
-//! overall. Each eviction emits an [`EvictionEvent`] and re-lists the
-//! evicted reference as missing for any surviving waiters, so the `FWD`
-//! path can re-fetch a wanted block after byzantine flood pressure
-//! subsides — eviction bounds memory, never safety.
+//! admission has settled, the buffer is trimmed to the cap by
+//! deterministic eviction — oldest *never-promotable* block first (one
+//! referencing an already rejected predecessor), then oldest overall.
+//! Each eviction emits an [`EvictionEvent`] and re-lists the evicted
+//! reference as missing for any surviving waiters, so the `FWD` path can
+//! re-fetch a wanted block after byzantine flood pressure subsides —
+//! eviction bounds memory, never safety.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use crossbeam::channel::{Receiver, Sender};
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_crypto::{BatchVerifier, ServerId, SignedDigest, Signer, Verifier};
 
@@ -176,33 +151,6 @@ pub enum NetCommand {
     },
 }
 
-/// Which engine admits buffered blocks into the DAG (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum AdmissionMode {
-    /// Reverse-dependency index with wave-batched signature verification:
-    /// O(preds) bookkeeping per block, one `BatchVerifier` pass per ready
-    /// wave.
-    #[default]
-    Index,
-    /// The paper-literal full rescan, kept as the equivalence oracle.
-    Scan,
-    /// The index engine with wave verification split across a worker
-    /// pool (`workers` threads, clamped to at least 1); wins over
-    /// [`AdmissionMode::Index`] only on wide waves (see the module docs).
-    /// Promotion order is byte-identical to the sequential engines.
-    Parallel {
-        /// Number of verification worker threads.
-        workers: usize,
-    },
-}
-
-impl AdmissionMode {
-    /// Parallel admission with `workers` verification threads.
-    pub fn parallel(workers: usize) -> Self {
-        AdmissionMode::Parallel { workers }
-    }
-}
-
 /// Default bound on the pending (`blks`) buffer — far above any honest
 /// in-flight backlog, low enough that a byzantine flood of
 /// never-promotable blocks cannot grow memory without bound.
@@ -216,8 +164,6 @@ pub struct GossipConfig {
     /// Minimum time between repeated `FWD` requests for the same block
     /// (the paper's per-block wait `Δ_B'`, informed by the round-trip time).
     pub fwd_retry_ms: TimeMs,
-    /// The admission engine for buffered blocks.
-    pub admission: AdmissionMode,
     /// Maximum number of buffered, not-yet-valid blocks; exceeding it
     /// triggers deterministic eviction (see the module docs).
     pub pending_cap: usize,
@@ -227,22 +173,14 @@ pub struct GossipConfig {
 }
 
 impl GossipConfig {
-    /// Configuration for `n` servers with the default 100 ms `FWD` retry
-    /// and incremental admission.
+    /// Configuration for `n` servers with the default 100 ms `FWD` retry.
     pub fn for_n(n: usize) -> Self {
         GossipConfig {
             n,
             fwd_retry_ms: 100,
-            admission: AdmissionMode::default(),
             pending_cap: DEFAULT_PENDING_CAP,
             defense: DefenseConfig::default(),
         }
-    }
-
-    /// Selects the admission engine.
-    pub fn with_admission(mut self, admission: AdmissionMode) -> Self {
-        self.admission = admission;
-        self
     }
 
     /// Bounds the pending buffer (must be at least 1).
@@ -284,7 +222,7 @@ pub struct GossipStats {
 }
 
 /// State of an outstanding forward request for one missing block.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct FwdState {
     /// Builders of pending blocks that reference the missing block — the
     /// servers Algorithm 1 line 11 directs requests to.
@@ -311,8 +249,7 @@ struct PendingBlock {
     /// The peer that delivered the block (for offense attribution — the
     /// claimed builder is unauthenticated until the signature verifies).
     from: ServerId,
-    /// Predecessors not yet in the DAG (maintained by the index engines;
-    /// the scan engine recomputes promotability from the DAG).
+    /// Predecessors not yet in the DAG; the block is ready once empty.
     missing: BTreeSet<BlockRef>,
     /// Receipt ordinal — the deterministic age the eviction policy sorts
     /// by ("oldest never-promotable first").
@@ -326,6 +263,11 @@ struct PendingBlock {
     /// reconstructed exactly.
     rank: u8,
 }
+
+/// Position of a ready block in the promotion order: blocks of
+/// deprioritized builders last, then by reference. The flag is evaluated
+/// when the block becomes ready.
+type ReadyKey = (bool, BlockRef);
 
 /// Accountability record for one pending-buffer eviction.
 ///
@@ -347,13 +289,12 @@ pub struct EvictionEvent {
     pub stranded_on: Option<BlockRef>,
 }
 
-/// Counters for the wave-batched verification pipeline (index engines
-/// only; the scan oracle verifies per candidate and leaves these zero).
+/// Counters for wave-batched verification and multi-message ingest.
 ///
 /// Deliberately *not* part of [`GossipStats`]: that struct is asserted
-/// equal across admission engines by the equivalence tests, and waves are
-/// an implementation property of the batched engines, not an observable
-/// of Algorithm 1.
+/// equal to the paper-literal oracle's by the equivalence tests, and
+/// waves are an implementation property of batched verification, not an
+/// observable of Algorithm 1.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WaveStats {
     /// Verification waves batched so far.
@@ -364,11 +305,12 @@ pub struct WaveStats {
     pub largest_wave: usize,
     /// Size of the smallest wave (0 until the first wave is recorded).
     pub smallest_wave: usize,
-    /// Deferred-admission brackets processed (`begin_burst`/`end_burst`;
-    /// recorded by every engine, including the scan oracle — burst shape
-    /// is an ingest property, not a batching one).
+    /// Multi-message ingest calls processed ([`Gossip::on_messages`],
+    /// [`Gossip::on_block_burst`]); a single [`Gossip::on_message`] is
+    /// not a burst.
     pub bursts: u64,
-    /// Blocks buffered through those brackets (received minus duplicates).
+    /// Blocks buffered through those calls (received minus duplicates
+    /// and blocks rejected on receipt).
     pub burst_blocks: u64,
     /// Wave-width histogram over power-of-two buckets: index `i` counts
     /// waves of width in `[2^i, 2^(i+1))`; the last bucket is open-ended.
@@ -423,225 +365,6 @@ impl WaveStats {
     }
 }
 
-/// One unit of work for the verification pool.
-#[derive(Debug)]
-enum VerifyJob {
-    /// Verify a chunk of signature claims: `(slot, items)`. Answered on
-    /// the verdict channel for slot-ordered reassembly.
-    Verify(usize, Vec<SignedDigest>),
-    /// Warm the `ref(B)` caches of freshly decoded blocks (one SHA-256
-    /// each, filling the block's shared `OnceLock`). Fire-and-forget: no
-    /// verdict reply, and the event-loop thread computes any ref a
-    /// worker hasn't reached yet, so verdicts and promotion order never
-    /// depend on scheduling.
-    Hash(Vec<Block>),
-}
-
-/// A worker's verdicts for one chunk: `(slot, per-item results)`.
-type VerifyVerdicts = (usize, Vec<bool>);
-
-/// A fixed pool of signature-verification workers fed over crossbeam
-/// channels ([`AdmissionMode::Parallel`]).
-///
-/// The event-loop thread splits a wave into at most `workers` contiguous
-/// chunks, the pool verifies them concurrently (each worker runs
-/// [`BatchVerifier::verify_batch`] on whole chunks), and verdicts are
-/// reassembled by chunk slot — the output is a pure function of the input
-/// order, never of thread scheduling.
-#[derive(Debug)]
-struct VerifyPool {
-    /// `Some` until drop; taken so workers see the channel close.
-    jobs: Option<Sender<VerifyJob>>,
-    verdicts: Receiver<VerifyVerdicts>,
-    workers: usize,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl VerifyPool {
-    fn new(workers: usize, verifier: &BatchVerifier) -> Self {
-        let workers = workers.max(1);
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<VerifyJob>();
-        let (verdict_tx, verdict_rx) = crossbeam::channel::unbounded::<VerifyVerdicts>();
-        let handles = (0..workers)
-            .map(|_| {
-                let jobs = job_rx.clone();
-                let verdicts = verdict_tx.clone();
-                let verifier = verifier.clone();
-                std::thread::spawn(move || {
-                    while let Ok(job) = jobs.recv() {
-                        match job {
-                            VerifyJob::Verify(slot, items) => {
-                                if verdicts
-                                    .send((slot, verifier.verify_batch(&items)))
-                                    .is_err()
-                                {
-                                    return;
-                                }
-                            }
-                            VerifyJob::Hash(blocks) => {
-                                for block in &blocks {
-                                    let _ = block.block_ref();
-                                }
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        VerifyPool {
-            jobs: Some(job_tx),
-            verdicts: verdict_rx,
-            workers,
-            handles,
-        }
-    }
-
-    /// Verifies `items` across the pool; verdicts come back in item order.
-    fn verify(&self, items: &[SignedDigest]) -> Vec<bool> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let jobs = self.jobs.as_ref().expect("pool alive");
-        let chunk_len = items.len().div_ceil(self.workers);
-        let mut slots = 0;
-        for (slot, chunk) in items.chunks(chunk_len).enumerate() {
-            jobs.send(VerifyJob::Verify(slot, chunk.to_vec()))
-                .expect("workers alive");
-            slots += 1;
-        }
-        let mut by_slot: Vec<Option<Vec<bool>>> = vec![None; slots];
-        for _ in 0..slots {
-            let (slot, verdicts) = self.verdicts.recv().expect("workers alive");
-            by_slot[slot] = Some(verdicts);
-        }
-        by_slot
-            .into_iter()
-            .map(|chunk| chunk.expect("every slot answered"))
-            .collect::<Vec<_>>()
-            .concat()
-    }
-
-    /// Dispatches `items` across the pool in small chunks and returns a
-    /// cursor yielding verdicts *in item order* as chunks complete — the
-    /// burst path's pipeline: the event-loop thread promotes blocks of
-    /// chunk `k` while the workers are still verifying chunks `k+1…`.
-    /// Verdicts remain a pure function of the input order; only the
-    /// overlap of verification and promotion bookkeeping changes.
-    fn stream(&self, items: &[SignedDigest]) -> VerdictStream<'_> {
-        let mut dispatched = 0;
-        if !items.is_empty() {
-            let jobs = self.jobs.as_ref().expect("pool alive");
-            // Several chunks per worker so verdicts start flowing early
-            // and the reassembly thread rarely stalls; a floor keeps the
-            // per-chunk channel round-trip amortized on small waves.
-            let chunk_len = items
-                .len()
-                .div_ceil(self.workers * PIPELINE_CHUNKS_PER_WORKER)
-                .max(MIN_PIPELINE_CHUNK);
-            for (slot, chunk) in items.chunks(chunk_len).enumerate() {
-                jobs.send(VerifyJob::Verify(slot, chunk.to_vec()))
-                    .expect("workers alive");
-                dispatched += 1;
-            }
-        }
-        VerdictStream {
-            verdicts: &self.verdicts,
-            outstanding: dispatched,
-            reorder: BTreeMap::new(),
-            next_slot: 0,
-            current: Vec::new().into_iter(),
-        }
-    }
-
-    /// Fans the `ref(B)` hashing of a decoded burst across the workers
-    /// while the event-loop thread buffers the same blocks front to
-    /// back. Chunks are dispatched back to front so the two ends meet in
-    /// the middle; whoever reaches a block first fills its shared cache,
-    /// and `OnceLock` guarantees each hash is computed exactly once.
-    /// Tiny bursts skip the channel round-trip.
-    fn hash_blocks(&self, blocks: &[Block]) {
-        if blocks.len() < MIN_HASH_FANOUT {
-            return;
-        }
-        let jobs = self.jobs.as_ref().expect("pool alive");
-        let chunk_len = blocks
-            .len()
-            .div_ceil(self.workers * PIPELINE_CHUNKS_PER_WORKER)
-            .max(MIN_PIPELINE_CHUNK);
-        for chunk in blocks.chunks(chunk_len).rev() {
-            jobs.send(VerifyJob::Hash(chunk.to_vec()))
-                .expect("workers alive");
-        }
-    }
-}
-
-/// Gear selector for `end_burst`: the whole-buffer analysis pass runs
-/// only when the burst is at least this share (1/N) of the pending
-/// buffer, so its O(pending) cost is always amortized by the burst
-/// itself; smaller bursts index incrementally in O(burst · preds).
-const DEFERRED_ANALYSIS_FACTOR: usize = 4;
-
-/// Chunks dispatched per worker by [`VerifyPool::stream`].
-const PIPELINE_CHUNKS_PER_WORKER: usize = 4;
-/// Minimum pipelined chunk size (items), amortizing channel round-trips.
-const MIN_PIPELINE_CHUNK: usize = 16;
-/// Smallest burst worth fanning `ref(B)` hashing out to the pool; below
-/// this the event-loop thread hashes faster than the channel round-trip.
-const MIN_HASH_FANOUT: usize = 8;
-
-/// In-order cursor over a pipelined dispatch's verdicts (see
-/// [`VerifyPool::stream`]). Chunks arriving out of slot order are
-/// buffered; dropping the cursor drains stragglers so the next dispatch
-/// starts with an empty verdict channel.
-struct VerdictStream<'a> {
-    verdicts: &'a Receiver<VerifyVerdicts>,
-    /// Chunks dispatched but not yet received.
-    outstanding: usize,
-    /// Early chunks, keyed by slot.
-    reorder: BTreeMap<usize, Vec<bool>>,
-    next_slot: usize,
-    current: std::vec::IntoIter<bool>,
-}
-
-impl VerdictStream<'_> {
-    /// The next verdict in item order (blocks on the pool as needed).
-    /// Must be called exactly once per dispatched item.
-    fn next_verdict(&mut self) -> bool {
-        loop {
-            if let Some(verdict) = self.current.next() {
-                return verdict;
-            }
-            if let Some(chunk) = self.reorder.remove(&self.next_slot) {
-                self.next_slot += 1;
-                self.current = chunk.into_iter();
-                continue;
-            }
-            let (slot, verdicts) = self.verdicts.recv().expect("workers alive");
-            self.outstanding -= 1;
-            self.reorder.insert(slot, verdicts);
-        }
-    }
-}
-
-impl Drop for VerdictStream<'_> {
-    fn drop(&mut self) {
-        while self.outstanding > 0 {
-            let _ = self.verdicts.recv();
-            self.outstanding -= 1;
-        }
-    }
-}
-
-impl Drop for VerifyPool {
-    fn drop(&mut self) {
-        // Closing the job channel is the shutdown signal.
-        self.jobs = None;
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
 /// The gossip module of Algorithm 1: builds the local DAG `G` and the
 /// current block `B`.
 ///
@@ -667,7 +390,6 @@ pub struct Gossip {
     me: ServerId,
     config: GossipConfig,
     signer: Signer,
-    verifier: Verifier,
     dag: BlockDag,
     /// Sequence number of the block currently under construction.
     next_seq: SeqNum,
@@ -677,7 +399,7 @@ pub struct Gossip {
     /// The `blks` buffer of received, not-yet-valid blocks (line 3).
     pending: BTreeMap<BlockRef, PendingBlock>,
     /// Reverse dependency index: missing predecessor → pending blocks
-    /// waiting on it (incremental engine only).
+    /// waiting on it.
     waiters: BTreeMap<BlockRef, BTreeSet<BlockRef>>,
     /// Missing predecessor → forward-request state.
     missing: BTreeMap<BlockRef, FwdState>,
@@ -689,10 +411,8 @@ pub struct Gossip {
     /// "never promotable" predicate the eviction policy sorts by.
     stranded_refs: BTreeSet<BlockRef>,
     stats: GossipStats,
-    /// Wave-batched verification (index engines).
+    /// Verifies each wave of ready blocks in one pass.
     batch_verifier: BatchVerifier,
-    /// Worker pool, present only in [`AdmissionMode::Parallel`].
-    pool: Option<VerifyPool>,
     wave_stats: WaveStats,
     /// Receipt ordinal source for [`PendingBlock::arrival`].
     arrivals: u64,
@@ -704,8 +424,6 @@ pub struct Gossip {
     eviction_queue: BTreeSet<(u8, u64, BlockRef)>,
     /// Accountability log of cap evictions, in eviction order.
     evictions: Vec<EvictionEvent>,
-    /// `Some` while inside a `begin_burst()`/`end_burst()` bracket.
-    burst: Option<BurstState>,
     /// The adversarial peer-defense engine (see [`crate::defense`]).
     defense: PeerDefense,
     /// Logical time of the last timed entry point — what interior paths
@@ -714,34 +432,14 @@ pub struct Gossip {
     clock: TimeMs,
 }
 
-/// State accumulated inside a deferred-admission bracket.
-#[derive(Debug, Default)]
-struct BurstState {
-    /// Blocks buffered during this bracket (received minus duplicates),
-    /// in arrival order — the indexing order of the incremental branch.
-    arrived: Vec<BlockRef>,
-}
-
-/// Result of the validity checks of Definition 3.3 against the current DAG.
-enum Validity {
-    /// All three conditions hold.
-    Valid,
-    /// Condition (iii) cannot be decided yet: some predecessors are unknown.
-    MissingPreds,
-    /// The block can never become valid.
-    Invalid(InvalidBlockError),
-}
-
 impl Gossip {
     /// Creates a gossip instance for server `me`.
     pub fn new(me: ServerId, config: GossipConfig, signer: Signer, verifier: Verifier) -> Self {
         debug_assert_eq!(signer.id(), me);
-        let (batch_verifier, pool) = Self::verification_engine(config.admission, &verifier);
         Gossip {
             me,
             config,
             signer,
-            verifier,
             dag: BlockDag::new(),
             next_seq: SeqNum::ZERO,
             current_preds: Vec::new(),
@@ -751,30 +449,14 @@ impl Gossip {
             rejected: Vec::new(),
             stranded_refs: BTreeSet::new(),
             stats: GossipStats::default(),
-            batch_verifier,
-            pool,
+            batch_verifier: verifier.batch(),
             wave_stats: WaveStats::default(),
             arrivals: 0,
             eviction_queue: BTreeSet::new(),
             evictions: Vec::new(),
-            burst: None,
             defense: PeerDefense::new(config.defense),
             clock: 0,
         }
-    }
-
-    /// Builds the admission-mode-specific verification machinery: the
-    /// batch handle always, the worker pool only for parallel admission.
-    fn verification_engine(
-        admission: AdmissionMode,
-        verifier: &Verifier,
-    ) -> (BatchVerifier, Option<VerifyPool>) {
-        let batch_verifier = verifier.batch();
-        let pool = match admission {
-            AdmissionMode::Parallel { workers } => Some(VerifyPool::new(workers, &batch_verifier)),
-            AdmissionMode::Index | AdmissionMode::Scan => None,
-        };
-        (batch_verifier, pool)
     }
 
     /// Resumes gossip from a persisted DAG after a crash (§7
@@ -786,10 +468,10 @@ impl Gossip {
     /// referenced (so messages received just before the crash still get
     /// delivered). Resuming from a *stale* image — one missing own blocks
     /// that already reached the network — would re-use sequence numbers,
-    /// i.e. equivocate; persisting the DAG after each own dissemination
-    /// (the `dag()` accessor plus `recovery::persist_dag`) avoids this, as
-    /// the paper prescribes ("assuming that they persist enough
-    /// information").
+    /// i.e. equivocate; making each own block durable before it is
+    /// broadcast (what [`crate::Shim::disseminate`] does with a store
+    /// attached) avoids this, as the paper prescribes ("assuming that
+    /// they persist enough information").
     pub fn resume(
         me: ServerId,
         config: GossipConfig,
@@ -797,83 +479,37 @@ impl Gossip {
         verifier: Verifier,
         dag: BlockDag,
     ) -> Self {
-        let own_tip = dag.height_of(me).map(|height| {
+        let mut gossip = Gossip::new(me, config, signer, verifier);
+        let height = dag.height_of(me);
+        let own_tip = height.and_then(|height| {
             let at = dag.blocks_at(me, height);
             debug_assert_eq!(at.len(), 1, "own chain must not be forked");
-            at[0]
+            at.first().copied()
         });
-        let next_seq = dag
-            .height_of(me)
-            .map(|height| height.next())
-            .unwrap_or(SeqNum::ZERO);
+        gossip.next_seq = height.map_or(SeqNum::ZERO, |height| height.next());
         // Everything the own chain has referenced is an ancestor of the
         // tip; reference the rest now, in topological order.
-        let referenced: std::collections::BTreeSet<BlockRef> = match own_tip {
-            Some(tip) => {
-                let mut set = dag.ancestors(&tip);
-                set.insert(tip);
-                set
-            }
-            None => Default::default(),
-        };
-        let mut current_preds: Vec<BlockRef> = Vec::new();
-        if let Some(tip) = own_tip {
-            current_preds.push(tip);
-        }
-        for block_ref in dag.refs() {
-            if !referenced.contains(block_ref) {
-                current_preds.push(*block_ref);
-            }
-        }
-        let (batch_verifier, pool) = Self::verification_engine(config.admission, &verifier);
-        let mut gossip = Gossip {
-            me,
-            config,
-            signer,
-            verifier,
-            dag,
-            next_seq,
-            current_preds,
-            pending: BTreeMap::new(),
-            waiters: BTreeMap::new(),
-            missing: BTreeMap::new(),
-            rejected: Vec::new(),
-            stranded_refs: BTreeSet::new(),
-            stats: GossipStats::default(),
-            batch_verifier,
-            pool,
-            wave_stats: WaveStats::default(),
-            arrivals: 0,
-            eviction_queue: BTreeSet::new(),
-            evictions: Vec::new(),
-            burst: None,
-            defense: PeerDefense::new(config.defense),
-            clock: 0,
-        };
+        let mut referenced = own_tip.map_or_else(BTreeSet::new, |tip| dag.ancestors(&tip));
+        referenced.extend(own_tip);
+        gossip.current_preds = own_tip
+            .into_iter()
+            .chain(dag.refs().filter(|r| !referenced.contains(r)).copied())
+            .collect();
         // Re-derive the durable score component from the recovered DAG:
         // every equivocation provable from `G` before the crash is
-        // provable from it now (`recovery::persist_dag` round-trips the
-        // whole DAG), so convicted builders stay deprioritized across
-        // restarts. The volatile component is intentionally transient —
-        // it models resource pressure on *this* process, which a restart
-        // resets.
-        let seeds: Vec<(ServerId, u64)> = gossip
-            .dag
-            .known_servers()
-            .filter(|server| **server != me)
-            .map(|server| {
-                let extra: u64 = gossip
-                    .dag
-                    .equivocations(*server)
-                    .iter()
-                    .map(|(_, refs)| (refs.len() - 1) as u64)
-                    .sum();
-                (*server, extra)
-            })
-            .collect();
-        for (server, count) in seeds {
-            gossip.defense.seed_equivocations(server, count, 0);
+        // provable from it now, so convicted builders stay deprioritized
+        // across restarts. The volatile component is intentionally
+        // transient — it models resource pressure on *this* process,
+        // which a restart resets.
+        for server in dag.known_servers().filter(|server| **server != me) {
+            let extra: u64 = dag
+                .equivocations(*server)
+                .iter()
+                .map(|(_, refs)| (refs.len() - 1) as u64)
+                .sum();
+            gossip.defense.seed_equivocations(*server, extra, 0);
         }
+        gossip.dag = dag;
         gossip
     }
 
@@ -892,7 +528,7 @@ impl Gossip {
         &self.stats
     }
 
-    /// Wave-batched verification counters (zero under the scan oracle).
+    /// Wave-batched verification and multi-message ingest counters.
     pub fn wave_stats(&self) -> &WaveStats {
         &self.wave_stats
     }
@@ -947,29 +583,32 @@ impl Gossip {
         message: NetMessage,
         now: TimeMs,
     ) -> Vec<NetCommand> {
-        match message {
-            NetMessage::Block(block) => self.on_block_from(from, block, now),
-            NetMessage::FwdRequest(block_ref) => {
-                // A banned peer's FWD requests are dropped too: answering
-                // would hand it a block-sized reply per tiny request — an
-                // amplification channel the ban exists to close.
-                if self.defense.is_banned(from, now) {
-                    return Vec::new();
-                }
-                self.on_fwd_request(from, block_ref)
-            }
-        }
+        self.ingest(std::iter::once((from, message)), now)
     }
 
-    /// Handles a received block (lines 4–11).
-    ///
-    /// Inside a [`Gossip::begin_burst`] bracket this only buffers and
-    /// indexes the block (returning no commands); promotion,
-    /// verification, cap enforcement, and `FWD` emission are deferred to
-    /// [`Gossip::end_burst`].
+    /// Handles a batch of messages in one admission pass: everything is
+    /// indexed in arrival order, `FWD` requests are answered from the DAG
+    /// as it stood when the call began, then one cascade promotes the
+    /// whole batch's ready set (see the module docs). Counted as one
+    /// burst in [`WaveStats`] and the crypto metrics.
+    pub fn on_messages(
+        &mut self,
+        messages: impl IntoIterator<Item = (ServerId, NetMessage)>,
+        now: TimeMs,
+    ) -> Vec<NetCommand> {
+        let (arrivals, verified) = (self.arrivals, self.wave_stats.batched_blocks);
+        let commands = self.ingest(messages, now);
+        self.wave_stats.bursts += 1;
+        self.wave_stats.burst_blocks += self.arrivals - arrivals;
+        self.batch_verifier
+            .note_burst(self.wave_stats.batched_blocks - verified);
+        commands
+    }
+
+    /// Handles a received block (lines 4–11), taking the claimed builder
+    /// as the delivering peer.
     pub fn on_block(&mut self, block: Block, now: TimeMs) -> Vec<NetCommand> {
-        let from = block.builder();
-        self.on_block_from(from, block, now)
+        self.on_block_from(block.builder(), block, now)
     }
 
     /// [`Gossip::on_block`] with the delivering peer identified — the
@@ -979,14 +618,70 @@ impl Gossip {
     /// duplicates, junk) are charged to the deliverer, since a forged
     /// builder field must not let an attacker frame an honest server.
     pub fn on_block_from(&mut self, from: ServerId, block: Block, now: TimeMs) -> Vec<NetCommand> {
+        self.on_message(from, NetMessage::Block(block), now)
+    }
+
+    /// [`Gossip::on_messages`] for a batch of blocks, each delivered by
+    /// its claimed builder.
+    pub fn on_block_burst(
+        &mut self,
+        blocks: impl IntoIterator<Item = Block>,
+        now: TimeMs,
+    ) -> Vec<NetCommand> {
+        let messages = blocks
+            .into_iter()
+            .map(|block| (block.builder(), NetMessage::Block(block)));
+        self.on_messages(messages, now)
+    }
+
+    /// The one ingest body: index every message in arrival order, then
+    /// one cascade over the ready set, cap enforcement and due `FWD`
+    /// requests.
+    fn ingest(
+        &mut self,
+        messages: impl IntoIterator<Item = (ServerId, NetMessage)>,
+        now: TimeMs,
+    ) -> Vec<NetCommand> {
         self.clock = self.clock.max(now);
+        let arrivals = self.arrivals;
+        let mut commands = Vec::new();
+        let mut ready: BTreeSet<ReadyKey> = BTreeSet::new();
+        for (from, message) in messages {
+            match message {
+                NetMessage::Block(block) => ready.extend(self.receive_block(from, block, now)),
+                // A banned peer's FWD requests are dropped too: answering
+                // would hand it a block-sized reply per tiny request — an
+                // amplification channel the ban exists to close.
+                NetMessage::FwdRequest(_) if self.defense.is_banned(from, now) => {}
+                NetMessage::FwdRequest(block_ref) => {
+                    commands.extend(self.on_fwd_request(from, block_ref));
+                }
+            }
+        }
+        // Nothing new was buffered (duplicates, throttled or rejected
+        // blocks, FWD requests): nothing can have become ready or due for
+        // eviction, and `FWD` retries stay on the tick's schedule — a
+        // duplicate flood buys no promotion work.
+        if self.arrivals == arrivals {
+            return commands;
+        }
+        self.promote_cascade(ready);
+        self.enforce_pending_cap();
+        self.enforce_deprioritized_allowance();
+        commands.extend(self.collect_fwd_commands(now));
+        commands
+    }
+
+    /// Gates, counts, dedups and indexes one received block; returns its
+    /// promotion key if it is ready.
+    fn receive_block(&mut self, from: ServerId, block: Block, now: TimeMs) -> Option<ReadyKey> {
         if from != self.me {
             match self.defense.admit_block(from, block.wire_len() as u64, now) {
                 AdmitVerdict::Admit => {}
                 // Dropped before any hashing or verification: throttled
                 // blocks are recoverable later via FWD; banned peers'
                 // blocks are not wanted at all until the ban lapses.
-                AdmitVerdict::Throttle | AdmitVerdict::Ban => return Vec::new(),
+                AdmitVerdict::Throttle | AdmitVerdict::Ban => return None,
             }
         }
         self.stats.blocks_received += 1;
@@ -994,30 +689,23 @@ impl Gossip {
         if self.dag.contains(&block_ref) || self.pending.contains_key(&block_ref) {
             self.stats.duplicate_blocks += 1;
             self.penalize(from, Offense::DuplicateFlood);
-            return Vec::new();
+            return None;
         }
-        if self.burst.is_some() {
-            self.buffer_for_burst(from, block_ref, block);
-            return Vec::new();
+        let builder = block.builder();
+        if builder.index() >= self.config.n {
+            // Decidable from the block alone, so it is never buffered:
+            // its claimed builder must not become a `FWD` target.
+            let reason = InvalidBlockError::UnknownBuilder { claimed: builder };
+            self.reject(block_ref, from, reason);
+            return None;
         }
-        match self.config.admission {
-            AdmissionMode::Index | AdmissionMode::Parallel { .. } => {
-                self.admit_indexed(from, block_ref, block)
-            }
-            AdmissionMode::Scan => {
-                self.insert_pending(from, block_ref, block, BTreeSet::new());
-                self.promote_pending_scan();
-                self.refresh_missing_scan();
-            }
-        }
-        let evicted = self.enforce_pending_cap() + self.enforce_deprioritized_allowance();
-        if evicted > 0 && self.config.admission == AdmissionMode::Scan {
-            // Eviction changed the pending set; rebuild the FWD index the
-            // scan way so traffic matches the index engines' inline
-            // bookkeeping.
-            self.refresh_missing_scan();
-        }
-        self.collect_fwd_commands(now)
+        self.index_block(from, block_ref, block)
+            .then(|| self.ready_key(builder, block_ref))
+    }
+
+    /// The promotion key of a block of `builder` that just became ready.
+    fn ready_key(&self, builder: ServerId, block_ref: BlockRef) -> ReadyKey {
+        (self.defense.is_deprioritized(builder), block_ref)
     }
 
     /// Charges one offense to `peer` at the current logical clock (no-op
@@ -1028,106 +716,6 @@ impl Gossip {
         }
         let clock = self.clock;
         self.defense.note_offense(peer, offense, clock);
-    }
-
-    /// Opens a deferred-admission bracket: subsequent
-    /// [`Gossip::on_block`] calls only index, and [`Gossip::end_burst`]
-    /// runs one cross-cascade promotion over everything received (see
-    /// the module docs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a bracket is already open.
-    pub fn begin_burst(&mut self) {
-        assert!(self.burst.is_none(), "admission burst already open");
-        self.burst = Some(BurstState::default());
-    }
-
-    /// Closes the deferred-admission bracket: computes the full ready
-    /// frontier across all cascades, verifies it wave by wave in
-    /// `(builder, seq, ref)` order, promotes, enforces the pending cap,
-    /// and emits any due `FWD` requests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no bracket is open.
-    pub fn end_burst(&mut self, now: TimeMs) -> Vec<NetCommand> {
-        self.clock = self.clock.max(now);
-        let burst = self.burst.take().expect("no admission burst open");
-        // Nothing new arrived (duplicates, FWD requests): nothing can
-        // have become ready, so skip promotion entirely — a duplicate
-        // flood must not buy O(pending) work per bracket.
-        let verified = if burst.arrived.is_empty() {
-            0
-        } else {
-            match self.config.admission {
-                AdmissionMode::Index | AdmissionMode::Parallel { .. } => {
-                    self.promote_burst_indexed(&burst.arrived)
-                }
-                AdmissionMode::Scan => {
-                    let verified = self.promote_burst_scan();
-                    self.refresh_missing_scan();
-                    verified
-                }
-            }
-        };
-        self.batch_verifier.note_burst(verified);
-        self.wave_stats.bursts += 1;
-        self.wave_stats.burst_blocks += burst.arrived.len() as u64;
-        let evicted = self.enforce_pending_cap() + self.enforce_deprioritized_allowance();
-        if evicted > 0 && self.config.admission == AdmissionMode::Scan {
-            self.refresh_missing_scan();
-        }
-        self.collect_fwd_commands(now)
-    }
-
-    /// Delivers a whole burst of blocks through one
-    /// [`Gossip::begin_burst`]/[`Gossip::end_burst`] bracket.
-    ///
-    /// Under [`AdmissionMode::Parallel`] the burst's `ref(B)` hashes —
-    /// deferred at decode time — are computed on the worker pool while
-    /// this thread buffers the blocks, so the receive path no longer
-    /// pays one serial SHA-256 per block.
-    pub fn on_block_burst(
-        &mut self,
-        blocks: impl IntoIterator<Item = Block>,
-        now: TimeMs,
-    ) -> Vec<NetCommand> {
-        self.begin_burst();
-        if self.pool.is_some() {
-            let blocks: Vec<Block> = blocks.into_iter().collect();
-            self.pool
-                .as_ref()
-                .expect("checked above")
-                .hash_blocks(&blocks);
-            for block in blocks {
-                let commands = self.on_block(block, now);
-                debug_assert!(commands.is_empty(), "bracketed on_block defers commands");
-            }
-        } else {
-            for block in blocks {
-                let commands = self.on_block(block, now);
-                debug_assert!(commands.is_empty(), "bracketed on_block defers commands");
-            }
-        }
-        self.end_burst(now)
-    }
-
-    /// Buffers one block inside a burst bracket — O(1) beyond the insert:
-    /// no verification, no promotion, and (unlike per-message indexing)
-    /// no per-predecessor bookkeeping. The whole burst's dependency
-    /// analysis happens once, in [`Gossip::end_burst`]'s single pass.
-    fn buffer_for_burst(&mut self, from: ServerId, block_ref: BlockRef, block: Block) {
-        // The block is no longer wanted from the network (the FWD view
-        // is rebuilt wholesale at `end_burst`; dropping the entry early
-        // keeps the map small).
-        self.missing.remove(&block_ref);
-        self.insert_pending(from, block_ref, block, BTreeSet::new());
-        self.burst
-            .as_mut()
-            .expect("bracket open")
-            .arrived
-            .push(block_ref);
     }
 
     /// Handles `FWD ref(B)` from `from`: if `B ∈ G`, send it back
@@ -1180,16 +768,6 @@ impl Gossip {
         (block, commands)
     }
 
-    /// Indexed admission: index the new block's missing predecessors, or
-    /// promote it — and cascade through its waiters — if none are
-    /// missing. Equivalent to the scan engine (see `promote_pending_scan`)
-    /// but costs O(preds · log) per block instead of a full-buffer rescan.
-    fn admit_indexed(&mut self, from: ServerId, block_ref: BlockRef, block: Block) {
-        if self.index_block(from, block_ref, block) {
-            self.promote_cascade(block_ref);
-        }
-    }
-
     /// Buffers `block` and indexes its missing predecessors (reverse
     /// dependency index plus `FWD` bookkeeping); returns whether the
     /// block is immediately ready for promotion.
@@ -1211,29 +789,11 @@ impl Gossip {
             if !self.pending.contains_key(pred) {
                 self.missing
                     .entry(*pred)
-                    .and_modify(|state| {
-                        state.candidates.insert(block.builder());
-                    })
-                    .or_insert_with(|| FwdState {
-                        candidates: BTreeSet::from([block.builder()]),
-                        last_sent: None,
-                        attempts: 0,
-                    });
+                    .or_default()
+                    .candidates
+                    .insert(block.builder());
             }
         }
-        self.insert_pending(from, block_ref, block, missing);
-        ready
-    }
-
-    /// Inserts a block into the pending buffer, stamping its arrival and
-    /// mirroring it into the eviction queue.
-    fn insert_pending(
-        &mut self,
-        from: ServerId,
-        block_ref: BlockRef,
-        block: Block,
-        missing: BTreeSet<BlockRef>,
-    ) {
         let arrival = self.arrivals;
         self.arrivals += 1;
         let stranded = block.preds().iter().any(|p| self.stranded_refs.contains(p));
@@ -1260,16 +820,10 @@ impl Gossip {
         if stranded {
             // Publish the doom (later arrivals citing this block strand
             // at insertion) and re-rank earlier-arrived waiters, which
-            // are doomed too. Inside an index-engine bracket the waiters
-            // walk is deferred — the reverse index is not yet built for
-            // the burst — to `index_arrived`/the post-cascade rebuild;
-            // the scan oracle's rescan needs no index, so it marks
-            // eagerly either way.
-            self.stranded_refs.insert(block_ref);
-            if self.burst.is_none() || self.config.admission == AdmissionMode::Scan {
-                self.mark_never_promotable(block_ref);
-            }
+            // are doomed too.
+            self.mark_never_promotable(block_ref);
         }
+        ready
     }
 
     /// Removes a block from the pending buffer and the eviction queue
@@ -1283,121 +837,122 @@ impl Gossip {
         entry
     }
 
-    /// Promotes `start` and every pending block its admission unblocks,
-    /// always taking the smallest ready reference first — the same
-    /// deterministic order the scan engine's min-first rescan produces.
-    ///
-    /// Verification is pipelined in *waves*: whenever the front of the
-    /// ready set has no signature verdict yet, every not-yet-verified
-    /// ready block is checked in one [`BatchVerifier`] pass (fanned across
-    /// the worker pool under [`AdmissionMode::Parallel`]). Verdicts are a
-    /// pure per-block function of cached bytes, so pre-computing them in
-    /// batches cannot change any promotion decision — only amortize its
-    /// cost; each ready block is still verified exactly once, like the
-    /// sequential engines.
-    fn promote_cascade(&mut self, start: BlockRef) {
-        let mut ready: BTreeSet<BlockRef> = BTreeSet::from([start]);
-        // `Some(ok)` — batch-verified; `None` — no signature check needed
-        // (unknown builder: `validate_with` rejects before the signature,
-        // exactly as the per-block engines never reach the verifier).
-        let mut verdicts: BTreeMap<BlockRef, Option<bool>> = BTreeMap::new();
-        while let Some(front) = ready.first() {
-            if !verdicts.contains_key(front) {
-                self.verify_wave(&ready, &mut verdicts);
-            }
-            let block_ref = ready.pop_first().expect("front exists");
-            let verdict = verdicts.remove(&block_ref).expect("wave verified front");
+    /// The one promotion loop (lines 6–9): settles `ready` and every
+    /// pending block its admissions unblock, always taking the smallest
+    /// [`ReadyKey`] first. A front without a signature verdict triggers
+    /// one verification wave over the whole unverified ready set.
+    fn promote_cascade(&mut self, mut ready: BTreeSet<ReadyKey>) {
+        let mut verdicts: BTreeMap<BlockRef, bool> = BTreeMap::new();
+        while let Some((_, block_ref)) = ready.pop_first() {
+            let verdict = match verdicts.remove(&block_ref) {
+                Some(verdict) => verdict,
+                None => self.verify_wave(block_ref, &ready, &mut verdicts),
+            };
             let entry = self.take_pending(&block_ref);
             self.settle_ready(block_ref, entry, verdict, &mut ready);
         }
     }
 
-    /// Applies the validation outcome for one ready block (all preds in
-    /// the DAG, signature verdict pre-computed where applicable): inserts
-    /// and references it, or records the rejection and re-lists its
-    /// reference as missing for any surviving waiters. Blocks whose last
-    /// missing dependency this settles are added to `unlocked` — the
-    /// cascade's ready set, or the burst engine's next frontier.
+    /// Batch-verifies the signatures of `front` and of every ready block
+    /// that has no verdict yet — one wave, one `BatchVerifier` pass.
+    /// Returns `front`'s verdict and files the others under `verdicts`.
+    fn verify_wave(
+        &mut self,
+        front: BlockRef,
+        ready: &BTreeSet<ReadyKey>,
+        verdicts: &mut BTreeMap<BlockRef, bool>,
+    ) -> bool {
+        let wave: Vec<BlockRef> = std::iter::once(front)
+            .chain(ready.iter().map(|(_, block_ref)| *block_ref))
+            .filter(|block_ref| !verdicts.contains_key(block_ref))
+            .collect();
+        let items: Vec<SignedDigest> = wave
+            .iter()
+            .map(|block_ref| self.pending[block_ref].block.signed_digest())
+            .collect();
+        self.wave_stats.record(items.len());
+        let mut results = self.batch_verifier.verify_batch(&items).into_iter();
+        let front_verdict = results.next().expect("one verdict per item");
+        verdicts.extend(wave.into_iter().skip(1).zip(results));
+        front_verdict
+    }
+
+    /// Applies Definition 3.3 to one ready block — (i) its signature
+    /// verdict, (ii) genesis or exactly one parent; (iii) holds because
+    /// all its preds are in the DAG and only valid blocks enter it — then
+    /// inserts and references it, or rejects it. Blocks whose last missing
+    /// dependency this settles join `ready`.
     fn settle_ready(
         &mut self,
         block_ref: BlockRef,
         entry: PendingBlock,
-        verdict: Option<bool>,
-        unlocked: &mut BTreeSet<BlockRef>,
+        signature_ok: bool,
+        ready: &mut BTreeSet<ReadyKey>,
     ) {
-        let builder = entry.block.builder();
-        let seq = entry.block.seq();
-        let from = entry.from;
-        match self.validate_with(&entry.block, verdict) {
-            Validity::Valid => {
-                self.dag.insert(entry.block).expect("preds checked");
-                self.note_admitted(builder, seq);
-                // Line 8: B.preds := B.preds · [ref(B')]. Appending once
-                // per block is Lemma A.6 (correct servers reference a
-                // block at most once).
-                self.current_preds.push(block_ref);
-                self.stats.blocks_validated += 1;
-                self.missing.remove(&block_ref);
-                // Wake the waiters: drop the satisfied dependency and
-                // queue any block that just became fully satisfied.
-                if let Some(waiting) = self.waiters.remove(&block_ref) {
-                    for waiter in waiting {
-                        if let Some(pending) = self.pending.get_mut(&waiter) {
-                            pending.missing.remove(&block_ref);
-                            if pending.missing.is_empty() {
-                                unlocked.insert(waiter);
-                            }
-                        }
-                    }
+        let PendingBlock { block, from, .. } = entry;
+        let (builder, seq) = (block.builder(), block.seq());
+        let checked = if signature_ok {
+            block.parent_via(|r| self.dag.meta(r))
+        } else {
+            Err(InvalidBlockError::BadSignature { claimed: builder })
+        };
+        if let Err(reason) = checked {
+            self.reject(block_ref, from, reason);
+            return;
+        }
+        self.dag.insert(block).expect("every pred is in the DAG");
+        self.note_admitted(builder, seq);
+        // Line 8: B.preds := B.preds · [ref(B')]. Appending once per block
+        // is Lemma A.6 (correct servers reference a block at most once).
+        self.current_preds.push(block_ref);
+        self.stats.blocks_validated += 1;
+        self.missing.remove(&block_ref);
+        // Wake the waiters: drop the satisfied dependency and queue any
+        // block that just became fully satisfied.
+        for waiter in self.waiters.remove(&block_ref).unwrap_or_default() {
+            if let Some(pending) = self.pending.get_mut(&waiter) {
+                pending.missing.remove(&block_ref);
+                if pending.missing.is_empty() {
+                    let builder = pending.block.builder();
+                    ready.insert(self.ready_key(builder, waiter));
                 }
-            }
-            Validity::Invalid(reason) => {
-                self.record_rejection(block_ref, reason);
-                self.penalize(from, Offense::InvalidBlock);
-                self.missing.remove(&block_ref);
-                // Blocks referencing the rejected block keep waiting
-                // (its ref can never enter the DAG); it counts as
-                // missing-from-the-network again, exactly as the scan
-                // engine's rebuild would re-list it.
-                if let Some(waiting) = self.waiters.get(&block_ref) {
-                    let candidates: BTreeSet<ServerId> = waiting
-                        .iter()
-                        .filter_map(|w| self.pending.get(w))
-                        .map(|p| p.block.builder())
-                        .collect();
-                    if !candidates.is_empty() {
-                        self.missing.insert(
-                            block_ref,
-                            FwdState {
-                                candidates,
-                                last_sent: None,
-                                attempts: 0,
-                            },
-                        );
-                    }
-                }
-            }
-            Validity::MissingPreds => {
-                unreachable!("ready block had all preds in the DAG")
             }
         }
     }
 
-    /// Accounting shared by every rejection path: the audit log, the
-    /// counter, and publishing the reference as never-promotable.
-    fn note_rejection(&mut self, block_ref: BlockRef, reason: InvalidBlockError) {
+    /// Records a permanently invalid block: the audit log, the counter,
+    /// the offense (charged to the deliverer), and the never-promotable
+    /// marking of everything buffered that references it. Those blocks
+    /// keep waiting — the reference can never enter the DAG — so it
+    /// counts as missing from the network again.
+    fn reject(&mut self, block_ref: BlockRef, from: ServerId, reason: InvalidBlockError) {
         self.stats.invalid_blocks += 1;
         self.rejected.push((block_ref, reason));
-        self.stranded_refs.insert(block_ref);
+        self.mark_never_promotable(block_ref);
+        self.penalize(from, Offense::InvalidBlock);
+        self.missing.remove(&block_ref);
+        self.relist_missing(block_ref);
     }
 
-    /// [`Gossip::note_rejection`] plus the engine-appropriate transitive
-    /// marking — the rejection entry point for every non-burst path (the
-    /// burst cascade walks its own adjacency instead of the waiters map,
-    /// which is stale mid-bracket).
-    fn record_rejection(&mut self, block_ref: BlockRef, reason: InvalidBlockError) {
-        self.note_rejection(block_ref, reason);
-        self.mark_never_promotable(block_ref);
+    /// `block_ref` left the buffer without entering the DAG (rejected or
+    /// evicted): if pending blocks still reference it, it is wanted from
+    /// the network again, with a fresh retry timer.
+    fn relist_missing(&mut self, block_ref: BlockRef) {
+        let Some(waiting) = self.waiters.get(&block_ref) else {
+            return;
+        };
+        let candidates: BTreeSet<ServerId> = waiting
+            .iter()
+            .filter_map(|w| self.pending.get(w))
+            .map(|p| p.block.builder())
+            .collect();
+        if !candidates.is_empty() {
+            let fresh = FwdState {
+                candidates,
+                ..FwdState::default()
+            };
+            self.missing.insert(block_ref, fresh);
+        }
     }
 
     /// Marks one buffered block never-promotable: flips its eviction
@@ -1428,21 +983,14 @@ impl Gossip {
     /// the builder's first proven equivocation, so the eviction queue and
     /// the stored ranks stay exact under mid-life transitions.
     fn requeue_builder(&mut self, builder: ServerId) {
-        let refs: Vec<(u64, BlockRef)> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.rank == RANK_NORMAL && p.block.builder() == builder)
-            .map(|(r, p)| (p.arrival, *r))
-            .collect();
-        for (arrival, block_ref) in refs {
-            self.eviction_queue
-                .remove(&(RANK_NORMAL, arrival, block_ref));
-            self.eviction_queue
-                .insert((RANK_DEPRIORITIZED, arrival, block_ref));
-            self.pending
-                .get_mut(&block_ref)
-                .expect("iterating live refs")
-                .rank = RANK_DEPRIORITIZED;
+        for (block_ref, pending) in &mut self.pending {
+            if pending.rank == RANK_NORMAL && pending.block.builder() == builder {
+                self.eviction_queue
+                    .remove(&(RANK_NORMAL, pending.arrival, *block_ref));
+                self.eviction_queue
+                    .insert((RANK_DEPRIORITIZED, pending.arrival, *block_ref));
+                pending.rank = RANK_DEPRIORITIZED;
+            }
         }
     }
 
@@ -1463,442 +1011,26 @@ impl Gossip {
         }
     }
 
-    /// Marks `root` — and, transitively, every buffered block referencing
-    /// it — as never-promotable, re-ranking affected pending blocks to
-    /// the front of the eviction order. The index engines walk the
-    /// reverse dependency index; the scan oracle rescans the pending
-    /// buffer to a fixed point (its usual cost model). Later arrivals
-    /// referencing a marked reference are stranded at insertion.
+    /// Marks `root` — and, transitively along the reverse dependency
+    /// index, every buffered block referencing it — as never-promotable,
+    /// re-ranking affected pending blocks to the front of the eviction
+    /// order. Later arrivals referencing a marked reference are stranded
+    /// at insertion.
     fn mark_never_promotable(&mut self, root: BlockRef) {
         self.stranded_refs.insert(root);
-        match self.config.admission {
-            AdmissionMode::Index | AdmissionMode::Parallel { .. } => {
-                self.strand_pending(root);
-                let mut stack = vec![root];
-                while let Some(r) = stack.pop() {
-                    let waiting: Vec<BlockRef> = self
-                        .waiters
-                        .get(&r)
-                        .into_iter()
-                        .flatten()
-                        .copied()
-                        .collect();
-                    for waiter in waiting {
-                        if self.strand_pending(waiter) {
-                            stack.push(waiter);
-                        }
-                    }
-                }
-            }
-            AdmissionMode::Scan => {
-                self.strand_pending(root);
-                loop {
-                    let newly: Vec<BlockRef> = self
-                        .pending
-                        .iter()
-                        .filter(|(_, p)| {
-                            !p.stranded
-                                && p.block
-                                    .preds()
-                                    .iter()
-                                    .any(|q| self.stranded_refs.contains(q))
-                        })
-                        .map(|(r, _)| *r)
-                        .collect();
-                    if newly.is_empty() {
-                        break;
-                    }
-                    for block_ref in newly {
-                        self.strand_pending(block_ref);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Cross-cascade burst promotion (index engines), in one of two
-    /// byte-equivalent gears picked by burst-vs-backlog size:
-    ///
-    /// * **Whole-buffer analysis** (the burst dominates the buffer): one
-    ///   pass builds missing-predecessor *counts* and a reverse
-    ///   adjacency of `Vec`s — an order of magnitude cheaper than the
-    ///   per-block `BTreeSet` surgery the incremental index pays per
-    ///   delivery. The canonical incremental index is rebuilt for the
-    ///   few survivors afterwards. Every whole-buffer pass is amortized
-    ///   by the burst's size.
-    /// * **Incremental indexing** (a small burst against a large — e.g.
-    ///   flood-filled — backlog): only the arrived blocks are indexed,
-    ///   the per-message way, so a capped byzantine backlog cannot
-    ///   amplify per-bracket cost to O(pending).
-    ///
-    /// Either way, promotion repeatedly takes the whole ready frontier
-    /// as one wave in canonical `(builder, seq, ref)` order and
-    /// batch-verifies it — pipelined across the worker pool under
-    /// [`AdmissionMode::Parallel`] — before settling in wave order.
-    /// Returns the number of signatures checked.
-    fn promote_burst_indexed(&mut self, arrived: &[BlockRef]) -> u64 {
-        if arrived.len() * DEFERRED_ANALYSIS_FACTOR < self.pending.len() {
-            return self.promote_burst_incremental(arrived);
-        }
-        // Hash maps, not ordered maps: these are keyed lookups only —
-        // never iterated — so map order can't leak into any observable,
-        // and hashing a 32-byte ref beats walking a comparison tree on
-        // the per-edge hot path. Wave order (the only place order
-        // matters) comes from `BTreeSet` frontiers + `wave_order`.
-        let mut counts: HashMap<BlockRef, usize> = HashMap::with_capacity(self.pending.len());
-        let mut adjacency: HashMap<BlockRef, Vec<BlockRef>> =
-            HashMap::with_capacity(self.pending.len());
-        let mut frontier: BTreeSet<BlockRef> = BTreeSet::new();
-        for (block_ref, pending) in &self.pending {
-            let mut count = 0;
-            for pred in pending.block.preds() {
-                if !self.dag.contains(pred) {
-                    count += 1;
-                    adjacency.entry(*pred).or_default().push(*block_ref);
-                }
-            }
-            if count == 0 {
-                frontier.insert(*block_ref);
-            } else {
-                counts.insert(*block_ref, count);
-            }
-        }
-        let mut verified = 0;
-        let mut wave = self.wave_order(frontier);
-        while !wave.is_empty() {
-            let mut unlocked = BTreeSet::new();
-            verified += self.promote_wave_by(&wave, &mut |gossip, block_ref, entry, verdict| {
-                gossip.settle_burst(
-                    block_ref,
-                    entry,
-                    verdict,
-                    &mut adjacency,
-                    &mut counts,
-                    &mut unlocked,
-                )
-            });
-            wave = self.wave_order(unlocked);
-        }
-        self.rebuild_dependency_index();
-        verified
-    }
-
-    /// The small-burst gear: index just the arrived blocks the
-    /// per-message way (in arrival order, so `FWD` bookkeeping matches
-    /// the incremental engine exactly), then promote the resulting roots
-    /// with the shared wave scheduler over the maintained waiters index.
-    fn promote_burst_incremental(&mut self, arrived: &[BlockRef]) -> u64 {
-        let mut frontier: BTreeSet<BlockRef> = BTreeSet::new();
-        for block_ref in arrived {
-            if self.index_arrived(*block_ref) {
-                frontier.insert(*block_ref);
-            }
-        }
-        let mut verified = 0;
-        let mut wave = self.wave_order(frontier);
-        while !wave.is_empty() {
-            let mut unlocked = BTreeSet::new();
-            verified += self.promote_wave_by(&wave, &mut |gossip, block_ref, entry, verdict| {
-                gossip.settle_ready(block_ref, entry, verdict, &mut unlocked)
-            });
-            wave = self.wave_order(unlocked);
-        }
-        verified
-    }
-
-    /// Indexes one block that `buffer_for_burst` parked earlier: the
-    /// missing-predecessor set, the reverse waiters index, and the `FWD`
-    /// view, exactly as [`Gossip::index_block`] would have at delivery
-    /// time. Returns whether the block is ready for promotion.
-    fn index_arrived(&mut self, block_ref: BlockRef) -> bool {
-        let block = self.pending[&block_ref].block.clone();
-        let missing: BTreeSet<BlockRef> = block
-            .preds()
-            .iter()
-            .filter(|p| !self.dag.contains(p))
-            .copied()
-            .collect();
-        let ready = missing.is_empty();
-        for pred in &missing {
-            self.waiters.entry(*pred).or_default().insert(block_ref);
-            if !self.pending.contains_key(pred) {
-                self.missing
-                    .entry(*pred)
-                    .and_modify(|state| {
-                        state.candidates.insert(block.builder());
-                    })
-                    .or_insert_with(|| FwdState {
-                        candidates: BTreeSet::from([block.builder()]),
-                        last_sent: None,
-                        attempts: 0,
-                    });
-            }
-        }
-        self.pending
-            .get_mut(&block_ref)
-            .expect("arrived block pending")
-            .missing = missing;
-        // Stranded propagation deferred from buffering: now that this
-        // block (and everything before it) is indexed, the waiters walk
-        // is complete for already-indexed ancestors; later arrivals
-        // self-check against `stranded_refs` at their own turn.
-        if block.preds().iter().any(|p| self.stranded_refs.contains(p)) {
-            self.mark_never_promotable(block_ref);
-        }
-        ready
-    }
-
-    /// Restores the incremental engine's canonical state for whatever the
-    /// burst cascade left pending: per-block missing sets, the reverse
-    /// waiters index, and the `FWD` view — so per-message deliveries
-    /// after the bracket resume on exactly the state they would have
-    /// maintained themselves.
-    fn rebuild_dependency_index(&mut self) {
-        self.waiters.clear();
-        let refs: Vec<BlockRef> = self.pending.keys().copied().collect();
-        for block_ref in refs {
-            let missing: BTreeSet<BlockRef> = self.pending[&block_ref]
-                .block
-                .preds()
-                .iter()
-                .filter(|p| !self.dag.contains(p))
+        self.strand_pending(root);
+        let mut stack = vec![root];
+        while let Some(r) = stack.pop() {
+            let waiting: Vec<BlockRef> = self
+                .waiters
+                .get(&r)
+                .into_iter()
+                .flatten()
                 .copied()
                 .collect();
-            for pred in &missing {
-                self.waiters.entry(*pred).or_default().insert(block_ref);
-            }
-            self.pending
-                .get_mut(&block_ref)
-                .expect("iterating live refs")
-                .missing = missing;
-        }
-        // Close the ranking gaps deferred buffering left: any
-        // never-promotable reference strands its (freshly rebuilt)
-        // waiters transitively.
-        let stranded_roots: Vec<BlockRef> = self
-            .waiters
-            .keys()
-            .filter(|pred| self.stranded_refs.contains(pred))
-            .copied()
-            .collect();
-        for root in stranded_roots {
-            self.mark_never_promotable(root);
-        }
-        self.refresh_missing_scan();
-    }
-
-    /// Sorts a ready frontier into the canonical burst wave order,
-    /// `(deprioritized, builder, seq, ref)` — same-builder runs become
-    /// contiguous, which keys the verifier's per-server schedules
-    /// coherently, and builders with a proven equivocation admit after
-    /// every honest block of the wave (the leading key is `0` for all
-    /// blocks while the defense is disabled).
-    fn wave_order(&self, refs: BTreeSet<BlockRef>) -> Vec<BlockRef> {
-        let mut wave: Vec<(u8, usize, u64, BlockRef)> = refs
-            .into_iter()
-            .map(|r| {
-                let block = &self.pending[&r].block;
-                let builder = block.builder();
-                (
-                    self.defense.is_deprioritized(builder) as u8,
-                    builder.index(),
-                    block.seq().value(),
-                    r,
-                )
-            })
-            .collect();
-        wave.sort_unstable();
-        wave.into_iter().map(|(_, _, _, r)| r).collect()
-    }
-
-    /// Verifies one burst wave (already in canonical order) and settles
-    /// each block through `settle` — [`Gossip::settle_burst`] for the
-    /// analysis gear, [`Gossip::settle_ready`] for the incremental gear.
-    /// Returns the number of signatures checked. Blocks claiming an
-    /// unknown builder are settled without a verdict — `validate_with`
-    /// rejects them before the signature, exactly like the per-message
-    /// engines.
-    fn promote_wave_by<F>(&mut self, wave: &[BlockRef], settle: &mut F) -> u64
-    where
-        F: FnMut(&mut Gossip, BlockRef, PendingBlock, Option<bool>),
-    {
-        let items: Vec<SignedDigest> = wave
-            .iter()
-            .map(|r| &self.pending[r].block)
-            .filter(|block| block.builder().index() < self.config.n)
-            .map(|block| block.signed_digest())
-            .collect();
-        if !items.is_empty() {
-            self.wave_stats.record(items.len());
-        }
-        // Take the pool out so settling (which needs `&mut self`) can
-        // interleave with the in-flight verification it holds.
-        let pool = self.pool.take();
-        match &pool {
-            Some(pool) => {
-                let mut stream = pool.stream(&items);
-                for block_ref in wave {
-                    let entry = self.take_pending(block_ref);
-                    let verdict = (entry.block.builder().index() < self.config.n)
-                        .then(|| stream.next_verdict());
-                    settle(self, *block_ref, entry, verdict);
-                }
-            }
-            None => {
-                let mut results = self.batch_verifier.verify_batch(&items).into_iter();
-                for block_ref in wave {
-                    let entry = self.take_pending(block_ref);
-                    let verdict = (entry.block.builder().index() < self.config.n)
-                        .then(|| results.next().expect("one verdict per item"));
-                    settle(self, *block_ref, entry, verdict);
-                }
-            }
-        }
-        self.pool = pool;
-        items.len() as u64
-    }
-
-    /// Burst-mode settle: identical validation outcome to
-    /// [`Gossip::settle_ready`], with waiters driven by the burst's count
-    /// index instead of the incremental maps (which are rebuilt wholesale
-    /// after the cascade).
-    fn settle_burst(
-        &mut self,
-        block_ref: BlockRef,
-        entry: PendingBlock,
-        verdict: Option<bool>,
-        adjacency: &mut HashMap<BlockRef, Vec<BlockRef>>,
-        counts: &mut HashMap<BlockRef, usize>,
-        unlocked: &mut BTreeSet<BlockRef>,
-    ) {
-        let builder = entry.block.builder();
-        let seq = entry.block.seq();
-        let from = entry.from;
-        match self.validate_with(&entry.block, verdict) {
-            Validity::Valid => {
-                self.dag.insert(entry.block).expect("preds checked");
-                self.note_admitted(builder, seq);
-                self.current_preds.push(block_ref);
-                self.stats.blocks_validated += 1;
-                for waiter in adjacency.remove(&block_ref).unwrap_or_default() {
-                    if let Some(count) = counts.get_mut(&waiter) {
-                        *count -= 1;
-                        if *count == 0 {
-                            counts.remove(&waiter);
-                            unlocked.insert(waiter);
-                        }
-                    }
-                }
-            }
-            Validity::Invalid(reason) => {
-                self.note_rejection(block_ref, reason);
-                self.penalize(from, Offense::InvalidBlock);
-                // Everything transitively referencing the rejection is
-                // never-promotable: mark along the burst adjacency (the
-                // waiters map is stale mid-bracket; the FWD re-listing
-                // for surviving waiters happens in the post-cascade
-                // index rebuild).
-                let mut stack = vec![block_ref];
-                while let Some(r) = stack.pop() {
-                    let waiting: Vec<BlockRef> =
-                        adjacency.get(&r).into_iter().flatten().copied().collect();
-                    for waiter in waiting {
-                        if self.strand_pending(waiter) {
-                            stack.push(waiter);
-                        }
-                    }
-                }
-            }
-            Validity::MissingPreds => {
-                unreachable!("wave block had all preds in the DAG")
-            }
-        }
-    }
-
-    /// Burst promotion under the scan oracle: the same canonical wave
-    /// schedule, with readiness recomputed by rescanning the pending
-    /// buffer and one signature check per candidate (no batching — the
-    /// scan engine stays the paper-literal baseline). Always returns 0
-    /// batched verifications.
-    fn promote_burst_scan(&mut self) -> u64 {
-        loop {
-            let frontier: BTreeSet<BlockRef> = self
-                .pending
-                .iter()
-                .filter(|(_, pending)| pending.block.preds().iter().all(|p| self.dag.contains(p)))
-                .map(|(r, _)| *r)
-                .collect();
-            let wave = self.wave_order(frontier);
-            if wave.is_empty() {
-                return 0;
-            }
-            for block_ref in wave {
-                let entry = self.take_pending(&block_ref);
-                let builder = entry.block.builder();
-                let seq = entry.block.seq();
-                let from = entry.from;
-                match self.validate(&entry.block) {
-                    Validity::Valid => {
-                        self.dag.insert(entry.block).expect("preds checked");
-                        self.note_admitted(builder, seq);
-                        self.current_preds.push(block_ref);
-                        self.stats.blocks_validated += 1;
-                        self.missing.remove(&block_ref);
-                    }
-                    Validity::Invalid(reason) => {
-                        self.record_rejection(block_ref, reason);
-                        self.penalize(from, Offense::InvalidBlock);
-                        self.missing.remove(&block_ref);
-                    }
-                    Validity::MissingPreds => {
-                        unreachable!("frontier block had all preds in the DAG")
-                    }
-                }
-            }
-        }
-    }
-
-    /// Fixed-point promotion of pending blocks (lines 6–9): any buffered
-    /// block whose predecessors are all in the DAG is validated; valid
-    /// blocks are inserted and referenced from the current block. The
-    /// paper-literal engine, retained as the equivalence oracle.
-    ///
-    /// `pending` is an ordered map so the promotion order — and with it
-    /// the pred-list order of the block under construction, which is
-    /// hashed and signed — is a pure function of the received blocks,
-    /// keeping whole-simulation runs bit-for-bit reproducible.
-    fn promote_pending_scan(&mut self) {
-        loop {
-            let candidate = self.pending.iter().find_map(|(r, pending)| {
-                pending
-                    .block
-                    .preds()
-                    .iter()
-                    .all(|p| self.dag.contains(p))
-                    .then_some(*r)
-            });
-            let Some(block_ref) = candidate else {
-                return;
-            };
-            let entry = self.take_pending(&block_ref);
-            let builder = entry.block.builder();
-            let seq = entry.block.seq();
-            let from = entry.from;
-            match self.validate(&entry.block) {
-                Validity::Valid => {
-                    self.dag.insert(entry.block).expect("preds checked");
-                    self.note_admitted(builder, seq);
-                    self.current_preds.push(block_ref);
-                    self.stats.blocks_validated += 1;
-                    self.missing.remove(&block_ref);
-                }
-                Validity::Invalid(reason) => {
-                    self.record_rejection(block_ref, reason);
-                    self.penalize(from, Offense::InvalidBlock);
-                    self.missing.remove(&block_ref);
-                }
-                Validity::MissingPreds => {
-                    unreachable!("candidate had all preds in the DAG")
+            for waiter in waiting {
+                if self.strand_pending(waiter) {
+                    stack.push(waiter);
                 }
             }
         }
@@ -1907,26 +1039,23 @@ impl Gossip {
     /// Trims the pending buffer to [`GossipConfig::pending_cap`] by
     /// deterministic eviction — oldest never-promotable first (a block
     /// transitively referencing a rejected block), then oldest overall.
-    /// Returns the number of blocks evicted.
-    fn enforce_pending_cap(&mut self) -> usize {
-        let mut evicted = 0;
+    fn enforce_pending_cap(&mut self) {
         while self.pending.len() > self.config.pending_cap {
-            let (_, _, victim) = *self.eviction_queue.first().expect("queue mirrors pending");
+            let Some(&(_, _, victim)) = self.eviction_queue.first() else {
+                break;
+            };
             self.evict_pending(victim);
-            evicted += 1;
         }
-        evicted
     }
 
     /// Shrinks the pending footprint of deprioritized (caught
     /// equivocating) builders to
     /// [`DefenseConfig::deprioritized_allowance`] slots each, evicting
     /// oldest-first — a convicted flooder cannot hold honest blocks'
-    /// buffer space hostage while it waits out its ban. Returns the
-    /// number of blocks evicted.
-    fn enforce_deprioritized_allowance(&mut self) -> usize {
+    /// buffer space hostage while it waits out its ban.
+    fn enforce_deprioritized_allowance(&mut self) {
         if !self.defense.is_enabled() || !self.defense.any_deprioritized() {
-            return 0;
+            return;
         }
         let allowance = self.defense.config().deprioritized_allowance;
         let mut per_builder: BTreeMap<ServerId, Vec<(u64, BlockRef)>> = BTreeMap::new();
@@ -1939,7 +1068,6 @@ impl Gossip {
                     .push((pending.arrival, *block_ref));
             }
         }
-        let mut evicted = 0;
         for (_, mut entries) in per_builder {
             if entries.len() <= allowance {
                 continue;
@@ -1948,10 +1076,8 @@ impl Gossip {
             let excess = entries.len() - allowance;
             for (_, victim) in entries.into_iter().take(excess) {
                 self.evict_pending(victim);
-                evicted += 1;
             }
         }
-        evicted
     }
 
     /// Evicts one pending block: un-indexes it, logs the accountability
@@ -1980,9 +1106,8 @@ impl Gossip {
             builder: entry.block.builder(),
             stranded_on,
         });
-        // Un-index (index engines; the scan oracle rebuilds its FWD view
-        // by rescanning): the victim stops waiting on its missing preds,
-        // and preds nobody else waits for stop being requested.
+        // Un-index: the victim stops waiting on its missing preds, and
+        // preds nobody else waits for stop being requested.
         for pred in &entry.missing {
             if let Some(waiting) = self.waiters.get_mut(pred) {
                 waiting.remove(&victim);
@@ -1992,129 +1117,9 @@ impl Gossip {
                 }
             }
         }
-        // The victim counts as never-received again: if other pending
-        // blocks reference it, re-list it for FWD recovery (same shape as
-        // the rejected-block path, minus the permanence).
-        if let Some(waiting) = self.waiters.get(&victim) {
-            let candidates: BTreeSet<ServerId> = waiting
-                .iter()
-                .filter_map(|w| self.pending.get(w))
-                .map(|p| p.block.builder())
-                .collect();
-            if !candidates.is_empty() {
-                self.missing.insert(
-                    victim,
-                    FwdState {
-                        candidates,
-                        last_sent: None,
-                        attempts: 0,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Batch-verifies the signatures of every ready block that has no
-    /// verdict yet — one wave, one `BatchVerifier` pass (split across the
-    /// worker pool in parallel mode). Blocks claiming an unknown builder
-    /// are marked `None`: the per-block engines reject those before ever
-    /// reaching the verifier, so batching must not verify them either (it
-    /// would skew the shared verification counters).
-    fn verify_wave(
-        &mut self,
-        ready: &BTreeSet<BlockRef>,
-        verdicts: &mut BTreeMap<BlockRef, Option<bool>>,
-    ) {
-        let mut wave: Vec<BlockRef> = Vec::new();
-        let mut items: Vec<SignedDigest> = Vec::new();
-        for block_ref in ready {
-            if verdicts.contains_key(block_ref) {
-                continue;
-            }
-            let block = &self.pending[block_ref].block;
-            if block.builder().index() >= self.config.n {
-                verdicts.insert(*block_ref, None);
-            } else {
-                wave.push(*block_ref);
-                items.push(block.signed_digest());
-            }
-        }
-        if items.is_empty() {
-            return;
-        }
-        self.wave_stats.record(items.len());
-        let results = match &self.pool {
-            Some(pool) => pool.verify(&items),
-            None => self.batch_verifier.verify_batch(&items),
-        };
-        debug_assert_eq!(results.len(), wave.len());
-        for (block_ref, ok) in wave.into_iter().zip(results) {
-            verdicts.insert(block_ref, Some(ok));
-        }
-    }
-
-    /// The checks of Definition 3.3 for a block whose predecessors are all
-    /// present (condition (iii) — "all preds valid" — then holds because
-    /// only valid blocks enter the DAG).
-    fn validate(&self, block: &Block) -> Validity {
-        self.validate_with(block, None)
-    }
-
-    /// [`Gossip::validate`] with an optionally pre-computed signature
-    /// verdict: `Some` uses the wave batch's result, `None` verifies
-    /// inline. The check *order* is identical either way — the builder
-    /// bound is decided before the signature is consulted.
-    fn validate_with(&self, block: &Block, sig_verdict: Option<bool>) -> Validity {
-        if block.builder().index() >= self.config.n {
-            return Validity::Invalid(InvalidBlockError::UnknownBuilder {
-                claimed: block.builder(),
-            });
-        }
-        // (i) verify(B.n, B.σ).
-        let sig_ok = sig_verdict.unwrap_or_else(|| block.verify_signature(&self.verifier));
-        if !sig_ok {
-            return Validity::Invalid(InvalidBlockError::BadSignature {
-                claimed: block.builder(),
-            });
-        }
-        // (iii) prerequisite: all preds known.
-        if block.preds().iter().any(|p| !self.dag.contains(p)) {
-            return Validity::MissingPreds;
-        }
-        // (ii) genesis, or exactly one parent.
-        match block.parent_via(|r| self.dag.meta(r)) {
-            Ok(_) => Validity::Valid,
-            Err(err) => Validity::Invalid(err),
-        }
-    }
-
-    /// Rebuilds the missing-predecessor index from the pending buffer
-    /// (line 10: `B ∈ B'.preds`, `B ∉ blks`, `B ∉ G`) — scan engine only;
-    /// the incremental engine maintains the index in place.
-    fn refresh_missing_scan(&mut self) {
-        let mut still_missing: BTreeMap<BlockRef, BTreeSet<ServerId>> = BTreeMap::new();
-        for pending in self.pending.values() {
-            for pred in pending.block.preds() {
-                if !self.dag.contains(pred) && !self.pending.contains_key(pred) {
-                    still_missing
-                        .entry(*pred)
-                        .or_default()
-                        .insert(pending.block.builder());
-                }
-            }
-        }
-        // Drop satisfied entries, keep timers of persisting ones, add new.
-        self.missing.retain(|r, _| still_missing.contains_key(r));
-        for (block_ref, candidates) in still_missing {
-            self.missing
-                .entry(block_ref)
-                .and_modify(|state| state.candidates.extend(candidates.iter().copied()))
-                .or_insert(FwdState {
-                    candidates,
-                    last_sent: None,
-                    attempts: 0,
-                });
-        }
+        // The victim counts as never-received again (same shape as the
+        // rejected-block path, minus the permanence).
+        self.relist_missing(victim);
     }
 
     /// Emits `FWD` requests for missing blocks, respecting the retry timer.
@@ -2148,6 +1153,7 @@ impl Gossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{AdmissionView, ReferenceGossip};
     use dagbft_codec::encode_to_vec;
     use dagbft_crypto::KeyRegistry;
 
@@ -2155,15 +1161,6 @@ mod tests {
         Gossip::new(
             ServerId::new(id),
             GossipConfig::for_n(n),
-            registry.signer(ServerId::new(id)).unwrap(),
-            registry.verifier(),
-        )
-    }
-
-    fn gossip_for_mode(registry: &KeyRegistry, id: u32, n: usize, mode: AdmissionMode) -> Gossip {
-        Gossip::new(
-            ServerId::new(id),
-            GossipConfig::for_n(n).with_admission(mode),
             registry.signer(ServerId::new(id)).unwrap(),
             registry.verifier(),
         )
@@ -2246,8 +1243,58 @@ mod tests {
             vec![],
             &registry.signer(ServerId::new(3)).unwrap(),
         );
-        alice.on_block(outsider, 0);
+        alice.on_block(outsider.clone(), 0);
         assert_eq!(alice.stats().invalid_blocks, 1);
+        assert_eq!(
+            alice.rejected(),
+            &[(
+                outsider.block_ref(),
+                InvalidBlockError::UnknownBuilder {
+                    claimed: ServerId::new(3)
+                }
+            )]
+        );
+    }
+
+    #[test]
+    fn outsider_block_with_unknown_pred_is_never_buffered_or_asked_after() {
+        // A block naming a builder outside the server set, with a
+        // predecessor nobody has: rejected on receipt (charged to the
+        // deliverer), so no FWD is ever addressed to the outsider id.
+        let registry = KeyRegistry::generate(4, 1);
+        let mut alice = Gossip::new(
+            ServerId::new(0),
+            GossipConfig::for_n(2).with_defense(DefenseConfig::enabled()),
+            registry.signer(ServerId::new(0)).unwrap(),
+            registry.verifier(),
+        );
+        let unknown_pred = BlockRef::from_digest(dagbft_crypto::sha256(b"never built"));
+        let outsider = Block::build(
+            ServerId::new(3),
+            SeqNum::new(1),
+            vec![unknown_pred],
+            vec![],
+            &registry.signer(ServerId::new(3)).unwrap(),
+        );
+        let mut commands = alice.on_block_from(ServerId::new(1), outsider.clone(), 0);
+        commands.extend(alice.on_block_burst([outsider.clone()], 50));
+        for now in [100, 200, 1_000] {
+            commands.extend(alice.on_tick(now));
+        }
+        assert_eq!(commands, vec![], "nothing is requested from anyone");
+        assert_eq!(alice.pending_len(), 0);
+        assert_eq!(alice.stats().pending_peak, 0);
+        assert_eq!(alice.stats().invalid_blocks, 2);
+        assert_eq!(alice.stats().fwd_sent, 0);
+        assert!(matches!(
+            alice.rejected()[0],
+            (r, InvalidBlockError::UnknownBuilder { .. }) if r == outsider.block_ref()
+        ));
+        // The first copy was delivered by peer 1: that is who pays.
+        assert_eq!(
+            alice.defense().score(ServerId::new(1), 0),
+            DefenseConfig::default().invalid_penalty
+        );
     }
 
     #[test]
@@ -2403,133 +1450,78 @@ mod tests {
         }
     }
 
-    /// Every admission engine, for mode-spanning tests.
-    const ALL_MODES: [AdmissionMode; 3] = [
-        AdmissionMode::Index,
-        AdmissionMode::Scan,
-        AdmissionMode::Parallel { workers: 2 },
-    ];
-
     #[test]
     fn out_of_order_chain_promotes_in_one_pass() {
         let registry = KeyRegistry::generate(2, 1);
-        for mode in ALL_MODES {
-            let mut alice = gossip_for_mode(&registry, 0, 2, mode);
-            let mut bob = gossip_for(&registry, 1, 2);
-            let blocks: Vec<Block> = (0..5).map(|t| bob.disseminate(vec![], t).0).collect();
-            // Deliver in reverse order: everything buffers, then promotes at
-            // once.
-            for block in blocks.iter().rev().take(4) {
-                alice.on_block(block.clone(), 0);
-            }
-            assert_eq!(alice.dag().len(), 0);
-            alice.on_block(blocks[0].clone(), 1);
-            assert_eq!(alice.dag().len(), 5);
-            assert_eq!(alice.pending_len(), 0);
-            assert!(alice.dag().check_invariants());
+        let mut alice = gossip_for(&registry, 0, 2);
+        let mut bob = gossip_for(&registry, 1, 2);
+        let blocks: Vec<Block> = (0..5).map(|t| bob.disseminate(vec![], t).0).collect();
+        // Deliver in reverse order: everything buffers, then promotes at
+        // once.
+        for block in blocks.iter().rev().take(4) {
+            alice.on_block(block.clone(), 0);
         }
+        assert_eq!(alice.dag().len(), 0);
+        alice.on_block(blocks[0].clone(), 1);
+        assert_eq!(alice.dag().len(), 5);
+        assert_eq!(alice.pending_len(), 0);
+        assert!(alice.dag().check_invariants());
     }
 
-    /// Drives all three admission engines through the same hostile
-    /// schedule and asserts every observable — commands per delivery, DAG
-    /// content *and order*, pred list, stats, rejections — is identical.
-    fn assert_engines_agree(deliveries: &[(Block, TimeMs)], n: usize, registry: &KeyRegistry) {
-        let mut engines: Vec<Gossip> = ALL_MODES
-            .iter()
-            .map(|mode| gossip_for_mode(registry, 0, n, *mode))
-            .collect();
-        for (block, at) in deliveries {
-            let commands: Vec<Vec<NetCommand>> = engines
-                .iter_mut()
-                .map(|engine| engine.on_block(block.clone(), *at))
-                .collect();
-            for other in &commands[1..] {
-                assert_eq!(&commands[0], other, "commands diverged at t={at}");
-            }
-        }
-        let reference = &engines[0];
-        let refs: Vec<BlockRef> = reference.dag().iter().map(|b| b.block_ref()).collect();
-        for other in &engines[1..] {
-            let other_refs: Vec<BlockRef> = other.dag().iter().map(|b| b.block_ref()).collect();
-            assert_eq!(refs, other_refs, "promotion order diverged");
-            assert_eq!(reference.pending_len(), other.pending_len());
-            assert_eq!(reference.stats(), other.stats());
-            assert_eq!(reference.rejected(), other.rejected());
-        }
-        // The index engines batch every signature they check (every
-        // promoted or rejected block except unknown-builder rejects, which
-        // never reach the verifier); the scan oracle never batches.
-        assert!(engines[0].wave_stats().batched_blocks >= engines[0].stats().blocks_validated);
-        assert!(
-            engines[0].wave_stats().batched_blocks
-                <= engines[0].stats().blocks_validated + engines[0].stats().invalid_blocks
-        );
-        assert_eq!(engines[1].wave_stats(), &WaveStats::default());
-        assert_eq!(engines[0].wave_stats(), engines[2].wave_stats());
-        let own: Vec<Block> = engines
-            .iter_mut()
-            .map(|engine| engine.disseminate(vec![], 1_000).0)
-            .collect();
-        for other in &own[1..] {
-            assert_eq!(&own[0], other, "current block preds diverged");
-        }
-    }
-
-    /// Drives all three engines through the same schedule via
-    /// `on_block_burst` (one bracket per `chunk` blocks) and asserts every
-    /// observable is identical across engines.
-    fn assert_engines_agree_on_bursts(
-        deliveries: &[Block],
-        chunk: usize,
-        n: usize,
-        registry: &KeyRegistry,
-    ) {
-        let mut engines: Vec<Gossip> = ALL_MODES
-            .iter()
-            .map(|mode| gossip_for_mode(registry, 0, n, *mode))
-            .collect();
-        for (at, burst) in deliveries.chunks(chunk).enumerate() {
-            let commands: Vec<Vec<NetCommand>> = engines
-                .iter_mut()
-                .map(|engine| engine.on_block_burst(burst.iter().cloned(), at as TimeMs))
-                .collect();
-            for other in &commands[1..] {
-                assert_eq!(&commands[0], other, "burst commands diverged at {at}");
-            }
-        }
-        let reference_refs: Vec<BlockRef> =
-            engines[0].dag().iter().map(|b| b.block_ref()).collect();
-        for other in &engines[1..] {
-            let other_refs: Vec<BlockRef> = other.dag().iter().map(|b| b.block_ref()).collect();
-            assert_eq!(reference_refs, other_refs, "burst promotion order diverged");
-            assert_eq!(engines[0].pending_len(), other.pending_len());
-            assert_eq!(engines[0].stats(), other.stats());
-            assert_eq!(engines[0].rejected(), other.rejected());
-            assert_eq!(engines[0].evictions(), other.evictions());
-        }
-        // Wave structure: identical between the batching engines, absent
-        // under the scan oracle; burst brackets counted by all.
-        assert_eq!(engines[0].wave_stats(), engines[2].wave_stats());
-        assert_eq!(engines[1].wave_stats().waves, 0);
-        assert_eq!(
-            engines[1].wave_stats().bursts,
-            engines[0].wave_stats().bursts
-        );
-        assert_eq!(
-            engines[1].wave_stats().burst_blocks,
-            engines[0].wave_stats().burst_blocks
-        );
-        let own: Vec<Block> = engines
-            .iter_mut()
-            .map(|engine| engine.disseminate(vec![], 1_000).0)
-            .collect();
-        for other in &own[1..] {
+    /// Drives [`Gossip`] and the paper-literal [`ReferenceGossip`] through
+    /// the same schedule — one call per `calls` entry — and asserts every
+    /// observable of Algorithm 1 is identical: commands per call, the
+    /// [`AdmissionView`] (promotion order, rejections, pending, stats) and
+    /// the number of signature verifications. Each side counts on its own
+    /// registry (same seed, same keys).
+    fn assert_engine_matches_reference(calls: &[(Vec<Block>, TimeMs)], n: usize, seed: u64) {
+        let engine_registry = KeyRegistry::generate(n, seed);
+        let reference_registry = KeyRegistry::generate(n, seed);
+        let mut engine = gossip_for(&engine_registry, 0, n);
+        let mut reference = ReferenceGossip::new(n, reference_registry.verifier());
+        for (blocks, at) in calls {
+            // A single delivery takes the per-message road, a longer call
+            // the multi-message one.
+            let commands = match blocks.as_slice() {
+                [block] => engine.on_block(block.clone(), *at),
+                _ => engine.on_block_burst(blocks.iter().cloned(), *at),
+            };
             assert_eq!(
-                own[0].wire_bytes(),
-                other.wire_bytes(),
-                "burst own-block bytes diverged"
+                commands,
+                reference.on_blocks(blocks.iter().cloned(), *at),
+                "commands diverged at t={at}"
             );
         }
+        assert_eq!(AdmissionView::of(&engine), reference.view());
+        assert_eq!(
+            engine_registry.metrics().verifies(),
+            reference_registry.metrics().verifies(),
+            "verification count diverged"
+        );
+        // Every signature the engine checks goes through a batched wave:
+        // one per promoted or rejected-after-verification block.
+        let stats = engine.stats();
+        assert!(engine.wave_stats().batched_blocks >= stats.blocks_validated);
+        assert!(
+            engine.wave_stats().batched_blocks <= stats.blocks_validated + stats.invalid_blocks
+        );
+    }
+
+    fn assert_engines_agree(deliveries: &[(Block, TimeMs)], n: usize, seed: u64) {
+        let calls: Vec<(Vec<Block>, TimeMs)> = deliveries
+            .iter()
+            .map(|(block, at)| (vec![block.clone()], *at))
+            .collect();
+        assert_engine_matches_reference(&calls, n, seed);
+    }
+
+    fn assert_engines_agree_on_bursts(deliveries: &[Block], chunk: usize, n: usize, seed: u64) {
+        let calls: Vec<(Vec<Block>, TimeMs)> = deliveries
+            .chunks(chunk)
+            .enumerate()
+            .map(|(at, burst)| (burst.to_vec(), at as TimeMs))
+            .collect();
+        assert_engine_matches_reference(&calls, n, seed);
     }
 
     #[test]
@@ -2538,9 +1530,9 @@ mod tests {
         let mut bob = gossip_for(&registry, 1, 3);
         let mut blocks: Vec<Block> = (0..12).map(|t| bob.disseminate(vec![], t).0).collect();
         blocks.reverse();
-        // Whole-soup bracket and a split into small brackets.
+        // The whole soup in one call, and split into small calls.
         for chunk in [blocks.len(), 5] {
-            assert_engines_agree_on_bursts(&blocks, chunk, 3, &registry);
+            assert_engines_agree_on_bursts(&blocks, chunk, 3, 1);
         }
     }
 
@@ -2561,39 +1553,30 @@ mod tests {
         );
         let mut schedule: Vec<Block> = blocks.iter().rev().cloned().collect();
         schedule.insert(4, forged);
-        for mode in ALL_MODES {
-            let mut one_at_a_time = gossip_for_mode(&registry, 0, 3, mode);
-            for (t, block) in schedule.iter().enumerate() {
-                one_at_a_time.on_block(block.clone(), t as TimeMs);
-            }
-            let mut bursty = gossip_for_mode(&registry, 0, 3, mode);
-            bursty.on_block_burst(schedule.iter().cloned(), 0);
-            let set = |g: &Gossip| {
-                g.dag()
-                    .refs()
-                    .copied()
-                    .collect::<std::collections::BTreeSet<_>>()
-            };
-            assert_eq!(set(&one_at_a_time), set(&bursty), "{mode:?}: admitted set");
-            assert_eq!(one_at_a_time.rejected(), bursty.rejected(), "{mode:?}");
-            assert_eq!(
-                one_at_a_time.stats().blocks_validated,
-                bursty.stats().blocks_validated,
-                "{mode:?}"
-            );
-            assert_eq!(
-                one_at_a_time.stats().invalid_blocks,
-                bursty.stats().invalid_blocks,
-                "{mode:?}"
-            );
+        let mut one_at_a_time = gossip_for(&registry, 0, 3);
+        for (t, block) in schedule.iter().enumerate() {
+            one_at_a_time.on_block(block.clone(), t as TimeMs);
         }
+        let mut bursty = gossip_for(&registry, 0, 3);
+        bursty.on_block_burst(schedule.iter().cloned(), 0);
+        let set = |g: &Gossip| g.dag().refs().copied().collect::<BTreeSet<_>>();
+        assert_eq!(set(&one_at_a_time), set(&bursty), "admitted set");
+        assert_eq!(one_at_a_time.rejected(), bursty.rejected());
+        assert_eq!(
+            one_at_a_time.stats().blocks_validated,
+            bursty.stats().blocks_validated
+        );
+        assert_eq!(
+            one_at_a_time.stats().invalid_blocks,
+            bursty.stats().invalid_blocks
+        );
     }
 
     #[test]
     fn burst_widens_waves_past_per_message_ingest() {
         // An in-order 4-builder soup: per-message ingest promotes each
-        // block alone (waves of 1); one burst bracket promotes whole
-        // rounds (waves of 4) — the widening that feeds the pool.
+        // block alone (waves of 1); one multi-message call promotes whole
+        // rounds (waves of 4).
         let registry = KeyRegistry::generate(5, 9);
         let signers: Vec<_> = (1..5)
             .map(|i| registry.signer(ServerId::new(i)).unwrap())
@@ -2615,12 +1598,12 @@ mod tests {
             }
             prev = layer;
         }
-        let mut per_message = gossip_for_mode(&registry, 0, 5, AdmissionMode::Index);
+        let mut per_message = gossip_for(&registry, 0, 5);
         for block in &blocks {
             per_message.on_block(block.clone(), 0);
         }
         assert_eq!(per_message.wave_stats().largest_wave, 1);
-        let mut bursty = gossip_for_mode(&registry, 0, 5, AdmissionMode::Index);
+        let mut bursty = gossip_for(&registry, 0, 5);
         bursty.on_block_burst(blocks.iter().cloned(), 0);
         assert_eq!(bursty.dag().len(), blocks.len());
         assert_eq!(bursty.wave_stats().largest_wave, 4);
@@ -2671,45 +1654,41 @@ mod tests {
         let (bob_b0, _) = bob.disseminate(vec![], 0);
         let (bob_b1, _) = bob.disseminate(vec![], 1);
 
-        for mode in ALL_MODES {
-            let mut alice = Gossip::new(
-                ServerId::new(0),
-                GossipConfig::for_n(3)
-                    .with_admission(mode)
-                    .with_pending_cap(3),
-                registry.signer(ServerId::new(0)).unwrap(),
-                registry.verifier(),
-            );
-            alice.on_block(g_a.clone(), 0);
-            alice.on_block(g_b.clone(), 0);
-            alice.on_block(two_parents.clone(), 0); // rejected
-            alice.on_block(bob_b1.clone(), 1); // honest, waits for b0
-            for (t, block) in stranded_chain.iter().enumerate() {
-                alice.on_block(block.clone(), 2 + t as TimeMs);
-            }
-            // The flood stayed within the cap; the honest waiter survived
-            // because stranded blocks are evicted first.
-            assert!(alice.pending_len() <= 3, "{mode:?}");
-            assert!(alice.stats().blocks_evicted > 0, "{mode:?}");
-            assert!(
-                alice
-                    .evictions()
-                    .iter()
-                    .all(|e| e.builder == ServerId::new(1)),
-                "{mode:?}: only the flooder's blocks evicted"
-            );
-            assert!(
-                alice
-                    .evictions()
-                    .iter()
-                    .any(|e| e.stranded_on == Some(two_parents.block_ref())),
-                "{mode:?}: eviction names the stranding rejection"
-            );
-            // FWD recovery still completes the honest chain.
-            alice.on_block(bob_b0.clone(), 100);
-            assert!(alice.dag().contains(&bob_b0.block_ref()), "{mode:?}");
-            assert!(alice.dag().contains(&bob_b1.block_ref()), "{mode:?}");
+        let mut alice = Gossip::new(
+            ServerId::new(0),
+            GossipConfig::for_n(3).with_pending_cap(3),
+            registry.signer(ServerId::new(0)).unwrap(),
+            registry.verifier(),
+        );
+        alice.on_block(g_a.clone(), 0);
+        alice.on_block(g_b.clone(), 0);
+        alice.on_block(two_parents.clone(), 0); // rejected
+        alice.on_block(bob_b1.clone(), 1); // honest, waits for b0
+        for (t, block) in stranded_chain.iter().enumerate() {
+            alice.on_block(block.clone(), 2 + t as TimeMs);
         }
+        // The flood stayed within the cap; the honest waiter survived
+        // because stranded blocks are evicted first.
+        assert!(alice.pending_len() <= 3);
+        assert!(alice.stats().blocks_evicted > 0);
+        assert!(
+            alice
+                .evictions()
+                .iter()
+                .all(|e| e.builder == ServerId::new(1)),
+            "only the flooder's blocks evicted"
+        );
+        assert!(
+            alice
+                .evictions()
+                .iter()
+                .any(|e| e.stranded_on == Some(two_parents.block_ref())),
+            "eviction names the stranding rejection"
+        );
+        // FWD recovery still completes the honest chain.
+        alice.on_block(bob_b0.clone(), 100);
+        assert!(alice.dag().contains(&bob_b0.block_ref()));
+        assert!(alice.dag().contains(&bob_b1.block_ref()));
     }
 
     #[test]
@@ -2796,53 +1775,118 @@ mod tests {
         let mut bob = gossip_for(&registry, 2, 3);
         let (bob_b0, _) = bob.disseminate(vec![], 0);
         let (bob_b1, _) = bob.disseminate(vec![], 1);
-        for mode in ALL_MODES {
-            for bursted in [false, true] {
-                let mut alice = Gossip::new(
-                    ServerId::new(0),
-                    GossipConfig::for_n(3)
-                        .with_admission(mode)
-                        .with_pending_cap(2),
-                    registry.signer(ServerId::new(0)).unwrap(),
-                    registry.verifier(),
-                );
-                let schedule = [
-                    g_a.clone(),
-                    g_b.clone(),
-                    rejected.clone(),
-                    x.clone(), // arrives before its pred P — ranked honest
-                    p.clone(), // stranded at insertion; X is doomed too
-                    bob_b1.clone(),
-                ];
-                if bursted {
-                    alice.on_block_burst(schedule, 0);
-                } else {
-                    for (t, block) in schedule.into_iter().enumerate() {
-                        alice.on_block(block, t as TimeMs);
-                    }
+        for bursted in [false, true] {
+            let mut alice = Gossip::new(
+                ServerId::new(0),
+                GossipConfig::for_n(3).with_pending_cap(2),
+                registry.signer(ServerId::new(0)).unwrap(),
+                registry.verifier(),
+            );
+            let schedule = [
+                g_a.clone(),
+                g_b.clone(),
+                rejected.clone(),
+                x.clone(), // arrives before its pred P — ranked honest
+                p.clone(), // stranded at insertion; X is doomed too
+                bob_b1.clone(),
+            ];
+            if bursted {
+                alice.on_block_burst(schedule, 0);
+            } else {
+                for (t, block) in schedule.into_iter().enumerate() {
+                    alice.on_block(block, t as TimeMs);
                 }
-                // The cap evicted from the doomed chain (oldest stranded
-                // first: X), never the honest waiter.
-                assert_eq!(alice.pending_len(), 2, "{mode:?} burst={bursted}");
-                assert_eq!(
-                    alice.evictions(),
-                    &[EvictionEvent {
-                        block: x.block_ref(),
-                        builder: ServerId::new(1),
-                        stranded_on: Some(p.block_ref()),
-                    }],
-                    "{mode:?} burst={bursted}"
-                );
-                // The honest chain still completes.
-                alice.on_block(bob_b0.clone(), 100);
-                assert!(alice.dag().contains(&bob_b1.block_ref()), "{mode:?}");
             }
+            // The cap evicted from the doomed chain (oldest stranded
+            // first: X), never the honest waiter.
+            assert_eq!(alice.pending_len(), 2, "burst={bursted}");
+            assert_eq!(
+                alice.evictions(),
+                &[EvictionEvent {
+                    block: x.block_ref(),
+                    builder: ServerId::new(1),
+                    stranded_on: Some(p.block_ref()),
+                }],
+                "burst={bursted}"
+            );
+            // The honest chain still completes.
+            alice.on_block(bob_b0.clone(), 100);
+            assert!(alice.dag().contains(&bob_b1.block_ref()));
+        }
+    }
+
+    #[test]
+    fn convicted_builder_admits_last() {
+        // With the defense on, a ready set holding a convicted builder's
+        // block and an honest one promotes the honest block first even
+        // though the convict's reference is the smaller — in a
+        // multi-message call and in a per-message cascade alike.
+        let registry = KeyRegistry::generate(3, 1);
+        let (convict_id, honest_id) = (ServerId::new(1), ServerId::new(2));
+        let convict_signer = registry.signer(convict_id).unwrap();
+        let honest_signer = registry.signer(honest_id).unwrap();
+        let g_a = Block::build(convict_id, SeqNum::ZERO, vec![], vec![], &convict_signer);
+        let g_b = Block::build(
+            convict_id,
+            SeqNum::ZERO,
+            vec![],
+            vec![LabeledRequest::encode(crate::Label::new(1), &9u8)],
+            &convict_signer,
+        );
+        let honest_genesis = Block::build(honest_id, SeqNum::ZERO, vec![], vec![], &honest_signer);
+        let honest_child = Block::build(
+            honest_id,
+            SeqNum::new(1),
+            vec![honest_genesis.block_ref()],
+            vec![],
+            &honest_signer,
+        );
+        // Both children wait on the honest genesis; the nonce is searched
+        // until the convict's reference sorts first.
+        let convict_child = (0u64..)
+            .map(|nonce| {
+                Block::build(
+                    convict_id,
+                    SeqNum::new(1),
+                    vec![g_a.block_ref(), honest_genesis.block_ref()],
+                    vec![LabeledRequest::encode(crate::Label::new(7), &nonce)],
+                    &convict_signer,
+                )
+            })
+            .find(|block| block.block_ref() < honest_child.block_ref())
+            .unwrap();
+        for batched in [false, true] {
+            let mut alice = Gossip::new(
+                ServerId::new(0),
+                GossipConfig::for_n(3).with_defense(DefenseConfig::enabled()),
+                registry.signer(ServerId::new(0)).unwrap(),
+                registry.verifier(),
+            );
+            alice.on_block(g_a.clone(), 0);
+            alice.on_block(g_b.clone(), 0);
+            assert!(alice.defense().is_deprioritized(convict_id));
+            if batched {
+                // One call whose ready set holds both children.
+                alice.on_block(honest_genesis.clone(), 1);
+                alice.on_block_burst([convict_child.clone(), honest_child.clone()], 2);
+            } else {
+                // One delivery whose cascade unlocks both children.
+                alice.on_block(convict_child.clone(), 1);
+                alice.on_block(honest_child.clone(), 1);
+                alice.on_block(honest_genesis.clone(), 2);
+            }
+            let order: Vec<BlockRef> = alice.dag().refs().copied().collect();
+            assert_eq!(
+                order[order.len() - 2..],
+                [honest_child.block_ref(), convict_child.block_ref()],
+                "batched={batched}"
+            );
         }
     }
 
     #[test]
     fn duplicate_flood_burst_skips_promotion_work() {
-        // A bracket of pure duplicates must not pay a promotion pass.
+        // A call of pure duplicates must not pay a promotion pass.
         let registry = KeyRegistry::generate(2, 1);
         let mut bob = gossip_for(&registry, 1, 2);
         let (b0, _) = bob.disseminate(vec![], 0);
@@ -2857,17 +1901,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_burst_bracket_panics() {
-        let registry = KeyRegistry::generate(2, 1);
-        let mut gossip = gossip_for(&registry, 0, 2);
-        gossip.begin_burst();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            gossip.begin_burst();
-        }));
-        assert!(result.is_err(), "nested brackets must be rejected");
-    }
-
-    #[test]
     fn engines_agree_on_reverse_order_burst() {
         let registry = KeyRegistry::generate(3, 1);
         let mut bob = gossip_for(&registry, 1, 3);
@@ -2878,7 +1911,7 @@ mod tests {
             .enumerate()
             .map(|(i, b)| (b.clone(), i as TimeMs))
             .collect();
-        assert_engines_agree(&deliveries, 3, &registry);
+        assert_engines_agree(&deliveries, 3, 1);
     }
 
     #[test]
@@ -2928,6 +1961,6 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        assert_engines_agree(&deliveries, 3, &registry);
+        assert_engines_agree(&deliveries, 3, 1);
     }
 }

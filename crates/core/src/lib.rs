@@ -80,14 +80,14 @@ pub use defense::{
 };
 pub use error::{DagError, InvalidBlockError};
 pub use gossip::{
-    AdmissionMode, EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage,
-    WaveStats, DEFAULT_PENDING_CAP, WAVE_WIDTH_BUCKETS,
+    EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage, WaveStats,
+    DEFAULT_PENDING_CAP, WAVE_WIDTH_BUCKETS,
 };
 pub use interpret::{Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError};
 pub use label::Label;
 pub use protocol::{DeterministicProtocol, Envelope, Outbox, ProtocolConfig, SnapshotProtocol};
 pub use recovery::{persist_dag, restore_dag};
-pub use reference::ReferenceInterpreter;
+pub use reference::{AdmissionView, ReferenceGossip, ReferenceInterpreter};
 pub use shim::{SetupError, Shim, ShimConfig};
 pub use store::{BlockStore, MemoryStore, RecoverError, RecoveryReport, StoreContents, StoreError};
 

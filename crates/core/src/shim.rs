@@ -32,7 +32,7 @@ use dagbft_crypto::{KeyRegistry, ServerId};
 use crate::block::{BlockRef, LabeledRequest, SeqNum};
 use crate::dag::BlockDag;
 use crate::defense::DefenseConfig;
-use crate::gossip::{AdmissionMode, Gossip, GossipConfig, NetCommand, NetMessage};
+use crate::gossip::{Gossip, GossipConfig, NetCommand, NetMessage};
 use crate::interpret::{Indication, Interpreter, InterpreterFootprint, SnapshotError};
 use crate::label::Label;
 use crate::protocol::{DeterministicProtocol, ProtocolConfig, SnapshotProtocol};
@@ -49,8 +49,6 @@ pub struct ShimConfig {
     /// Maximum number of buffered requests injected per block
     /// (`rqsts.get()` returns "a suitable number", Algorithm 3).
     pub max_requests_per_block: usize,
-    /// The gossip admission engine (see [`AdmissionMode`]).
-    pub admission: AdmissionMode,
     /// Bound on gossip's pending buffer (see
     /// [`GossipConfig::pending_cap`]).
     pub pending_cap: usize,
@@ -66,7 +64,6 @@ impl ShimConfig {
             protocol,
             fwd_retry_ms: 100,
             max_requests_per_block: 1024,
-            admission: AdmissionMode::default(),
             pending_cap: crate::gossip::DEFAULT_PENDING_CAP,
             defense: DefenseConfig::default(),
         }
@@ -81,20 +78,6 @@ impl ShimConfig {
     /// Sets the per-block request cap.
     pub fn with_max_requests_per_block(mut self, max: usize) -> Self {
         self.max_requests_per_block = max;
-        self
-    }
-
-    /// Selects the gossip admission engine.
-    ///
-    /// [`AdmissionMode::Parallel`] gives this server a private
-    /// verification worker pool: each admission wave's signature checks
-    /// are split across the pool's threads. [`Shim::on_message`] still
-    /// waits for the verdicts, so this wins only when waves are wide
-    /// enough for multi-core verification to beat the default
-    /// single-threaded batch. All engines are byte-equivalent in every
-    /// observable.
-    pub fn with_admission(mut self, admission: AdmissionMode) -> Self {
-        self.admission = admission;
         self
     }
 
@@ -116,7 +99,6 @@ impl ShimConfig {
         GossipConfig {
             n: self.protocol.n,
             fwd_retry_ms: self.fwd_retry_ms,
-            admission: self.admission,
             pending_cap: self.pending_cap,
             defense: self.defense,
         }
@@ -344,35 +326,19 @@ impl<P: DeterministicProtocol> Shim<P> {
         commands
     }
 
-    /// Delivers a whole ingest burst through one deferred-admission
-    /// bracket: blocks are indexed first and promoted in one
-    /// cross-cascade pass ([`crate::Gossip::on_block_burst`] semantics),
-    /// `FWD` requests are answered from the DAG as it stood when the
-    /// burst began, and interpretation steps once for the whole burst
-    /// instead of once per message. This is the hot ingest path for the
-    /// simulator's burst delivery and the transport's channel drain.
+    /// Delivers a whole ingest burst in one admission pass
+    /// ([`Gossip::on_messages`]): blocks are indexed first and promoted
+    /// in one cascade, `FWD` requests are answered from the DAG as it
+    /// stood when the burst began, and interpretation steps once for the
+    /// whole burst instead of once per message. This is the ingest path
+    /// of the simulator's burst delivery and the transport's channel
+    /// drain.
     pub fn on_message_burst(
         &mut self,
         messages: impl IntoIterator<Item = (ServerId, NetMessage)>,
         now: TimeMs,
     ) -> Vec<NetCommand> {
-        self.gossip.begin_burst();
-        let mut commands = Vec::new();
-        for (from, message) in messages {
-            match message {
-                NetMessage::Block(block) => {
-                    let deferred = self.gossip.on_block_from(from, block, now);
-                    debug_assert!(deferred.is_empty(), "bracketed on_block defers commands");
-                }
-                NetMessage::FwdRequest(block_ref) => {
-                    if self.gossip.defense().is_banned(from, now) {
-                        continue;
-                    }
-                    commands.extend(self.gossip.on_fwd_request(from, block_ref));
-                }
-            }
-        }
-        commands.extend(self.gossip.end_burst(now));
+        let commands = self.gossip.on_messages(messages, now);
         self.run_interpretation();
         commands
     }

@@ -1,16 +1,18 @@
-//! Property tests for the deferred-admission burst engine and the
-//! pending-buffer cap:
+//! Property tests for multi-message ingest and the pending-buffer cap:
 //!
-//! * **burst ≡ per-message** — delivering a hostile schedule (shuffled
-//!   honest rounds, an equivocation, a permanently invalid block with
-//!   stranded descendants, one tampered signature per burst) through
-//!   `on_block_burst` brackets produces the *byte-identical admitted
-//!   DAG* and identical rejection set that one-at-a-time `on_block`
-//!   produces, under all three admission engines;
-//! * **burst is engine-equivalent** — under burst ingest, the three
-//!   engines agree on every observable: commands per bracket, promotion
-//!   order, stats, rejections, evictions, and the next own block's wire
-//!   bytes;
+//! * **any partition ≡ per-message** — delivering a hostile schedule
+//!   (shuffled honest rounds, an equivocation, a permanently invalid
+//!   block with stranded descendants, one tampered signature per call)
+//!   through `on_block_burst` calls cut at arbitrary points admits the
+//!   *byte-identical DAG*, rejects the same set and verifies the same
+//!   number of signatures as one-at-a-time `on_block`;
+//! * **engine ≡ oracle** — on both roads `Gossip` equals the
+//!   paper-literal `ReferenceGossip` on every observable of Algorithm 1:
+//!   commands per call, promotion order, rejections, pending, stats and
+//!   verification count;
+//! * **singleton bursts ≡ per-message** — `on_block_from` and
+//!   `on_block_burst` of one block are byte-identical, the next own
+//!   block included;
 //! * **flood stays capped** — a byzantine flood of never-promotable
 //!   blocks is held at the configured pending cap by stranded-first
 //!   eviction, with no change to the admitted-set bytes and an
@@ -19,28 +21,50 @@
 use std::collections::BTreeSet;
 
 use dagbft_core::{
-    AdmissionMode, Block, BlockRef, Gossip, GossipConfig, Label, LabeledRequest, SeqNum,
+    AdmissionView, Block, BlockRef, Gossip, GossipConfig, Label, LabeledRequest, NetCommand,
+    ReferenceGossip, SeqNum,
 };
 use dagbft_crypto::{sha256, Digest, KeyRegistry, ServerId, Signature};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-const ALL_MODES: [AdmissionMode; 3] = [
-    AdmissionMode::Index,
-    AdmissionMode::Scan,
-    AdmissionMode::Parallel { workers: 2 },
-];
+/// Seed of every registry in this file: same seed, same keys, so blocks
+/// built under one verify under another — while each registry counts its
+/// own verifications.
+const KEYS: u64 = 17;
 
-fn receiver(registry: &KeyRegistry, n: usize, mode: AdmissionMode, cap: usize) -> Gossip {
+fn receiver(registry: &KeyRegistry, n: usize, cap: usize) -> Gossip {
     Gossip::new(
         ServerId::new(0),
-        GossipConfig::for_n(n)
-            .with_admission(mode)
-            .with_pending_cap(cap),
+        GossipConfig::for_n(n).with_pending_cap(cap),
         registry.signer(ServerId::new(0)).unwrap(),
         registry.verifier(),
     )
+}
+
+/// Delivers `calls` to a fresh `Gossip` — a one-block call through
+/// `on_block`, a longer one through `on_block_burst` — and to a fresh
+/// `ReferenceGossip`, asserting identical commands per call, identical
+/// [`AdmissionView`]s and identical verification counts. Returns the
+/// engine and the number of signatures it verified.
+fn run_against_oracle(calls: &[&[Block]], n: usize) -> (Gossip, u64) {
+    let engine_keys = KeyRegistry::generate(n, KEYS);
+    let oracle_keys = KeyRegistry::generate(n, KEYS);
+    let mut engine = receiver(&engine_keys, n, usize::MAX);
+    let mut oracle = ReferenceGossip::new(n, oracle_keys.verifier());
+    for (t, call) in calls.iter().enumerate() {
+        let commands = match call {
+            [block] => engine.on_block(block.clone(), t as u64),
+            _ => engine.on_block_burst(call.iter().cloned(), t as u64),
+        };
+        let expected = oracle.on_blocks(call.iter().cloned(), t as u64);
+        assert_eq!(commands, expected, "commands of call {t}");
+    }
+    assert_eq!(AdmissionView::of(&engine), oracle.view());
+    let verified = engine_keys.metrics().verifies();
+    assert_eq!(verified, oracle_keys.metrics().verifies());
+    (engine, verified)
 }
 
 /// A hostile soup: `builders` honest chained rounds, an equivocating
@@ -113,50 +137,35 @@ fn dag_set_digest(gossip: &Gossip) -> Digest {
     sha256(&transcript)
 }
 
-/// Everything observable about a run, for cross-engine byte-identity.
-fn full_fingerprint(gossip: &mut Gossip) -> Digest {
-    let mut transcript = Vec::new();
-    for block in gossip.dag().iter() {
-        transcript.extend_from_slice(block.block_ref().as_bytes());
-    }
-    transcript.extend_from_slice(format!("{:?}", gossip.stats()).as_bytes());
-    transcript.extend_from_slice(format!("{:?}", gossip.rejected()).as_bytes());
-    transcript.extend_from_slice(format!("{:?}", gossip.evictions()).as_bytes());
-    transcript.extend_from_slice(format!("pending:{}", gossip.pending_len()).as_bytes());
-    let (own, _) = gossip.disseminate(vec![], 1_000_000);
-    transcript.extend_from_slice(own.wire_bytes());
-    sha256(&transcript)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite: `on_block` one-at-a-time vs `on_block_burst` (shuffled,
-    /// hostile, one tampered signature per burst) produce byte-identical
-    /// DAGs and identical rejection sets across all three engines — and
-    /// all three engines are byte-identical to each other on the burst
-    /// path.
+    /// *Any* partition of a hostile schedule into calls (one tampered
+    /// signature per call) admits the byte-identical DAG, rejects the
+    /// same set and verifies as many signatures as one-at-a-time ingest —
+    /// and on both roads the engine equals the oracle.
     #[test]
     fn burst_and_per_message_admit_identical_dags(
         builders in 2usize..5,
         rounds in 2u64..6,
-        // Up to 8 brackets per schedule: small late brackets against the
-        // accumulated backlog exercise the incremental burst gear, big
-        // ones the whole-buffer analysis gear.
-        bursts in 1usize..9,
+        // Chance, in percent, that a call ends after any given block:
+        // from one call for the whole schedule to mostly singletons.
+        cut_pct in 0u32..80,
         seed in 0u64..10_000,
     ) {
-        let registry = KeyRegistry::generate(builders + 1, 17);
-        let mut blocks = hostile_soup(builders, rounds, &registry);
-        blocks.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
-        // One tampered signature per burst: same shape, forged σ. The
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let registry = KeyRegistry::generate(builders + 1, KEYS);
+        let mut schedule = hostile_soup(builders, rounds, &registry);
+        schedule.shuffle(&mut rng);
+        let mut cuts = vec![0];
+        cuts.extend((1..schedule.len()).filter(|_| rng.gen_range(0u32..100) < cut_pct));
+        cuts.push(schedule.len());
+        // One tampered signature per call: same shape, forged σ. The
         // twin keeps the ref its dependents committed to, so dependents
         // strand exactly as under per-message ingest.
-        let burst_len = blocks.len().div_ceil(bursts);
-        let mut schedule = blocks.clone();
-        for chunk_start in (0..schedule.len()).step_by(burst_len.max(1)) {
-            let victim = &schedule[chunk_start];
-            schedule[chunk_start] = Block::build_with_signature(
+        for start in &cuts[..cuts.len() - 1] {
+            let victim = &schedule[*start];
+            schedule[*start] = Block::build_with_signature(
                 victim.builder(),
                 victim.seq(),
                 victim.preds().to_vec(),
@@ -164,56 +173,67 @@ proptest! {
                 Signature::NULL,
             );
         }
+        let singles: Vec<&[Block]> = schedule.chunks(1).collect();
+        let calls: Vec<&[Block]> = cuts.windows(2).map(|w| &schedule[w[0]..w[1]]).collect();
+        let (one_at_a_time, verified_singly) = run_against_oracle(&singles, builders + 1);
+        let (bursty, verified_in_calls) = run_against_oracle(&calls, builders + 1);
 
-        let mut burst_fingerprints = Vec::new();
-        for mode in ALL_MODES {
-            let mut one_at_a_time = receiver(&registry, builders + 1, mode, usize::MAX);
-            for (t, block) in schedule.iter().enumerate() {
-                one_at_a_time.on_block(block.clone(), t as u64);
-            }
-            let mut bursty = receiver(&registry, builders + 1, mode, usize::MAX);
-            for (t, bracket) in schedule.chunks(burst_len.max(1)).enumerate() {
-                bursty.on_block_burst(bracket.iter().cloned(), t as u64);
-            }
-            // Byte-identical admitted DAG, identical rejection set and
-            // validation counters.
-            prop_assert_eq!(
-                dag_set_digest(&one_at_a_time),
-                dag_set_digest(&bursty),
-                "{:?}: admitted DAG diverged",
-                mode
-            );
-            let rejected = |g: &Gossip| {
-                g.rejected()
-                    .iter()
-                    .map(|(r, e)| (*r, format!("{e:?}")))
-                    .collect::<BTreeSet<_>>()
-            };
-            prop_assert_eq!(rejected(&one_at_a_time), rejected(&bursty), "{:?}", mode);
-            prop_assert_eq!(
-                one_at_a_time.stats().blocks_validated,
-                bursty.stats().blocks_validated,
-                "{:?}", mode
-            );
-            prop_assert_eq!(
-                one_at_a_time.stats().invalid_blocks,
-                bursty.stats().invalid_blocks,
-                "{:?}", mode
-            );
-            prop_assert_eq!(one_at_a_time.pending_len(), bursty.pending_len(), "{:?}", mode);
-            burst_fingerprints.push(full_fingerprint(&mut bursty));
-        }
-        // Cross-engine byte-identity on the burst path, own block included.
-        prop_assert_eq!(burst_fingerprints[0], burst_fingerprints[1]);
-        prop_assert_eq!(burst_fingerprints[0], burst_fingerprints[2]);
+        prop_assert_eq!(dag_set_digest(&one_at_a_time), dag_set_digest(&bursty));
+        let rejected = |g: &Gossip| {
+            g.rejected()
+                .iter()
+                .map(|(r, e)| (*r, format!("{e:?}")))
+                .collect::<BTreeSet<_>>()
+        };
+        prop_assert_eq!(rejected(&one_at_a_time), rejected(&bursty));
+        prop_assert_eq!(verified_singly, verified_in_calls);
+        prop_assert_eq!(
+            one_at_a_time.stats().blocks_validated,
+            bursty.stats().blocks_validated
+        );
+        prop_assert_eq!(
+            one_at_a_time.stats().invalid_blocks,
+            bursty.stats().invalid_blocks
+        );
+        prop_assert_eq!(one_at_a_time.pending_len(), bursty.pending_len());
     }
 
-    /// Satellite: a byzantine flood of never-promotable blocks stays
-    /// within the pending cap — honest admission unchanged byte-for-byte,
-    /// one accountability event per eviction, all engines identical.
-    /// Honest traffic and the flood arrive in causal order (the cap
-    /// bounds *memory*; out-of-order honest gaps are the FWD path's job,
-    /// pinned by the gossip unit tests).
+    /// The benchmark's `Admitter` delivers singleton `on_block_burst`s,
+    /// the simulator `on_block_from`: the two roads are byte-identical —
+    /// commands per call, every admission observable, evictions under a
+    /// tight cap, and the next sealed own block.
+    #[test]
+    fn singleton_bursts_are_per_message_ingest(
+        builders in 2usize..5,
+        rounds in 2u64..6,
+        cap in 2usize..40,
+        seed in 0u64..10_000,
+    ) {
+        let registry = KeyRegistry::generate(builders + 1, KEYS);
+        let mut schedule = hostile_soup(builders, rounds, &registry);
+        schedule.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let mut per_message = receiver(&registry, builders + 1, cap);
+        let mut singletons = receiver(&registry, builders + 1, cap);
+        for (t, block) in schedule.iter().enumerate() {
+            let one: Vec<NetCommand> =
+                per_message.on_block_from(block.builder(), block.clone(), t as u64);
+            let other = singletons.on_block_burst([block.clone()], t as u64);
+            prop_assert_eq!(one, other, "commands of delivery {}", t);
+        }
+        prop_assert_eq!(AdmissionView::of(&per_message), AdmissionView::of(&singletons));
+        prop_assert_eq!(per_message.stats(), singletons.stats());
+        prop_assert_eq!(per_message.evictions(), singletons.evictions());
+        let (own, _) = per_message.disseminate(vec![], 1_000_000);
+        let (other, _) = singletons.disseminate(vec![], 1_000_000);
+        prop_assert_eq!(own.wire_bytes(), other.wire_bytes());
+    }
+
+    /// A byzantine flood of never-promotable blocks stays within the
+    /// pending cap — honest admission unchanged byte-for-byte, one
+    /// accountability event per eviction. Honest traffic and the flood
+    /// arrive in causal order (the cap bounds *memory*; out-of-order
+    /// honest gaps are the FWD path's job, pinned by the gossip unit
+    /// tests).
     #[test]
     fn byzantine_flood_stays_within_cap(
         cap in 4usize..12,
@@ -241,44 +261,36 @@ proptest! {
             parent = block.block_ref();
             flood_blocks.push(block);
         }
-        let mut fingerprints = Vec::new();
-        for mode in ALL_MODES {
-            let mut baseline = receiver(&registry, 3, mode, usize::MAX);
-            for (t, block) in honest.iter().enumerate() {
-                baseline.on_block(block.clone(), t as u64);
-            }
-            let baseline_digest = dag_set_digest(&baseline);
-
-            let mut capped = receiver(&registry, 3, mode, cap);
-            for (t, block) in honest.iter().enumerate() {
-                capped.on_block(block.clone(), t as u64);
-                prop_assert!(capped.pending_len() <= cap, "{:?}: honest phase", mode);
-            }
-            for (t, block) in flood_blocks.iter().enumerate() {
-                capped.on_block(block.clone(), 1_000 + t as u64);
-                prop_assert!(capped.pending_len() <= cap, "{:?}: flood phase", mode);
-            }
-            // The flood changed nothing about what was admitted.
-            prop_assert_eq!(baseline_digest, dag_set_digest(&capped), "{:?}", mode);
-            // Every eviction is logged, and evictions only ever hit the
-            // flooder's stranded blocks (the honest soup's own stranded
-            // grandchild is older than every flood block, so it may be
-            // evicted too — but it belongs to the equivocator, builder 2).
-            prop_assert_eq!(
-                capped.stats().blocks_evicted as usize,
-                capped.evictions().len(),
-                "{:?}", mode
-            );
-            for event in capped.evictions() {
-                prop_assert!(
-                    event.stranded_on.is_some(),
-                    "{:?}: only never-promotable blocks evicted under flood",
-                    mode
-                );
-            }
-            fingerprints.push(full_fingerprint(&mut capped));
+        let mut baseline = receiver(&registry, 3, usize::MAX);
+        for (t, block) in honest.iter().enumerate() {
+            baseline.on_block(block.clone(), t as u64);
         }
-        prop_assert_eq!(fingerprints[0], fingerprints[1]);
-        prop_assert_eq!(fingerprints[0], fingerprints[2]);
+        let baseline_digest = dag_set_digest(&baseline);
+
+        let mut capped = receiver(&registry, 3, cap);
+        for (t, block) in honest.iter().enumerate() {
+            capped.on_block(block.clone(), t as u64);
+            prop_assert!(capped.pending_len() <= cap, "honest phase");
+        }
+        for (t, block) in flood_blocks.iter().enumerate() {
+            capped.on_block(block.clone(), 1_000 + t as u64);
+            prop_assert!(capped.pending_len() <= cap, "flood phase");
+        }
+        // The flood changed nothing about what was admitted.
+        prop_assert_eq!(baseline_digest, dag_set_digest(&capped));
+        // Every eviction is logged, and evictions only ever hit the
+        // flooder's stranded blocks (the honest soup's own stranded
+        // grandchild is older than every flood block, so it may be
+        // evicted too — but it belongs to the equivocator, builder 2).
+        prop_assert_eq!(
+            capped.stats().blocks_evicted as usize,
+            capped.evictions().len()
+        );
+        for event in capped.evictions() {
+            prop_assert!(
+                event.stranded_on.is_some(),
+                "only never-promotable blocks evicted under flood"
+            );
+        }
     }
 }

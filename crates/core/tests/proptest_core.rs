@@ -9,7 +9,7 @@
 //! * tampered-wave rejection — a delivery wave containing one
 //!   forged-signature block rejects exactly that block, promotes every
 //!   honest block not depending on it, and leaves its dependents pending,
-//!   identically under all three admission engines;
+//!   identically under `Gossip` and the paper-literal `ReferenceGossip`;
 //! * encode-once cache — a block's cached wire bytes are bit-identical to
 //!   a fresh field-by-field encoding across build → encode → decode
 //!   round-trips, `ref(B)` from the cached preimage equals the recomputed
@@ -17,7 +17,8 @@
 //!   vouched for by the cache.
 
 use dagbft_core::{
-    AdmissionMode, Block, Gossip, GossipConfig, Label, LabeledRequest, NetMessage, SeqNum,
+    AdmissionView, Block, Gossip, GossipConfig, Label, LabeledRequest, NetMessage, ReferenceGossip,
+    SeqNum,
 };
 use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId, Signature};
 use proptest::prelude::*;
@@ -86,10 +87,10 @@ fn receive_in_order(blocks: &[Block], order: &[usize], builders: usize) -> (usiz
     (received, refs)
 }
 
-/// Forges one block's signature inside a full delivery wave and checks —
-/// under every admission engine — that exactly the tampered block is
-/// rejected, its round-mates promote, and its dependents stay pending,
-/// with identical promotion orders across engines.
+/// Forges one block's signature inside a full delivery wave and checks
+/// that exactly the tampered block is rejected, its round-mates promote,
+/// and its dependents stay pending — with commands, promotion order,
+/// stats and verification count equal to the paper-literal oracle's.
 fn tampered_wave_case(scheme: SchemeKind, builders: usize, rounds: u64, tamper: usize, seed: u64) {
     let mut blocks = block_soup_with(scheme, builders, rounds, true);
     let tamper = tamper % blocks.len();
@@ -121,43 +122,37 @@ fn tampered_wave_case(scheme: SchemeKind, builders: usize, rounds: u64, tamper: 
     let expected_pending = (rounds as usize - tamper_round - 1) * builders;
 
     let registry = KeyRegistry::generate_kind(scheme, builders + 1, 17);
-    let mut orders = Vec::new();
-    for mode in [
-        AdmissionMode::Index,
-        AdmissionMode::Scan,
-        AdmissionMode::Parallel { workers: 2 },
-    ] {
-        let mut receiver = Gossip::new(
-            ServerId::new(0),
-            GossipConfig::for_n(builders + 1).with_admission(mode),
-            registry.signer(ServerId::new(0)).unwrap(),
-            registry.verifier(),
-        );
-        for index in &order {
-            receiver.on_block(blocks[*index].clone(), 0);
-        }
-        prop_assert_eq!(receiver.dag().len(), expected_promoted, "{mode:?}");
-        prop_assert_eq!(receiver.pending_len(), expected_pending, "{mode:?}");
-        prop_assert_eq!(receiver.rejected().len(), 1, "{mode:?}");
-        let (rejected_ref, reason) = &receiver.rejected()[0];
-        prop_assert_eq!(*rejected_ref, forged_ref, "{mode:?}");
-        prop_assert!(
-            matches!(reason, dagbft_core::InvalidBlockError::BadSignature { .. }),
-            "{mode:?}: wrong rejection reason {reason:?}"
-        );
-        prop_assert!(!receiver.dag().contains(&forged_ref), "{mode:?}");
-        prop_assert_eq!(receiver.stats().invalid_blocks, 1, "{mode:?}");
-        orders.push(
-            receiver
-                .dag()
-                .iter()
-                .map(|b| b.block_ref())
-                .collect::<Vec<_>>(),
+    let mut receiver = Gossip::new(
+        ServerId::new(0),
+        GossipConfig::for_n(builders + 1),
+        registry.signer(ServerId::new(0)).unwrap(),
+        registry.verifier(),
+    );
+    // Same seed, same keys; its own verification counter.
+    let oracle_registry = KeyRegistry::generate_kind(scheme, builders + 1, 17);
+    let mut oracle = ReferenceGossip::new(builders + 1, oracle_registry.verifier());
+    for index in &order {
+        prop_assert_eq!(
+            receiver.on_block(blocks[*index].clone(), 0),
+            oracle.on_blocks([blocks[*index].clone()], 0)
         );
     }
-    // All three engines promoted in the same order.
-    prop_assert_eq!(&orders[0], &orders[1]);
-    prop_assert_eq!(&orders[0], &orders[2]);
+    prop_assert_eq!(receiver.dag().len(), expected_promoted);
+    prop_assert_eq!(receiver.pending_len(), expected_pending);
+    prop_assert_eq!(receiver.rejected().len(), 1);
+    let (rejected_ref, reason) = &receiver.rejected()[0];
+    prop_assert_eq!(*rejected_ref, forged_ref);
+    prop_assert!(
+        matches!(reason, dagbft_core::InvalidBlockError::BadSignature { .. }),
+        "wrong rejection reason {reason:?}"
+    );
+    prop_assert!(!receiver.dag().contains(&forged_ref));
+    prop_assert_eq!(receiver.stats().invalid_blocks, 1);
+    prop_assert_eq!(AdmissionView::of(&receiver), oracle.view());
+    prop_assert_eq!(
+        registry.metrics().verifies(),
+        oracle_registry.metrics().verifies()
+    );
 }
 
 proptest! {

@@ -166,13 +166,6 @@ pub fn verify(public: &PublicKey, message: &[u8], signature: &[u8; 64]) -> bool 
     verify_equation(&parsed, &a_point, &k)
 }
 
-/// [`verify`] without the cached decompressed key: re-parses the
-/// compressed public key on every call. The pre-hoist baseline the
-/// `report_admission` bench compares against; not used on any hot path.
-pub fn verify_cold(public_bytes: &[u8; 32], message: &[u8], signature: &[u8; 64]) -> bool {
-    verify(&PublicKey::from_bytes(*public_bytes), message, signature)
-}
-
 fn verify_equation(parsed: &ParsedSignature, a_point: &Point, k: &Scalar) -> bool {
     // [k](−A) + [s]B + (−R), cofactored.
     Point::double_base_mul(k, &a_point.neg(), &parsed.s)
@@ -573,13 +566,5 @@ mod tests {
             2 * batch_ops < serial_ops,
             "batch {batch_ops} vs serial {serial_ops}"
         );
-    }
-
-    #[test]
-    fn verify_cold_agrees_with_hot() {
-        let (secret, public) = &test_keys(1)[0];
-        let signature = sign(secret, b"m");
-        assert!(verify_cold(public.as_bytes(), b"m", &signature));
-        assert!(!verify_cold(public.as_bytes(), b"n", &signature));
     }
 }

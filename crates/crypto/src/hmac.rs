@@ -3,10 +3,7 @@
 //! Two entry points compute the same function:
 //!
 //! * [`hmac_sha256`] — the one-shot form, rebuilding the padded key blocks
-//!   on every call. Retained verbatim as the *cold* path: it is what every
-//!   per-block verification paid before key schedules were hoisted, and
-//!   the `report_admission` bench pins the batched path's speedup against
-//!   it.
+//!   on every call; the form the RFC 4231 vectors are checked against.
 //! * [`HmacKey`] — a precomputed key schedule: the SHA-256 midstates after
 //!   absorbing the ipad/opad-xored key block. Building one costs the two
 //!   pad compressions once; every subsequent MAC resumes from the
@@ -241,7 +238,7 @@ mod tests {
 
     #[test]
     fn schedule_matches_one_shot() {
-        // The hoisted key schedule is the same function as the cold path,
+        // The hoisted key schedule is the same function as the one-shot form,
         // across the RFC 4231 key shapes and message lengths straddling
         // the one-compression fast path (0, 31, 32, 33, multi-block).
         let keys: [&[u8]; 4] = [b"Jefe", &[0x0b; 20], &[0xaa; 131], &[0x42; 64]];

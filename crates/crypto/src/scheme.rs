@@ -5,9 +5,9 @@
 //! are generic over. Two implementations ship:
 //!
 //! * [`HmacScheme`] — the original HMAC-SHA256 stand-in (pairwise
-//!   symmetric keys, optionally cost-calibrated). Deterministic, cheap,
-//!   and exactly as unforgeable as HMAC: the oracle the determinism and
-//!   equivalence tests cross-check real schemes against.
+//!   symmetric keys). Deterministic, cheap, and exactly as unforgeable
+//!   as HMAC: the oracle the determinism and equivalence tests
+//!   cross-check real schemes against.
 //! * [`Ed25519Scheme`] — real RFC 8032 ed25519 over the in-tree
 //!   [`crate::curve`], whose `verify_batch` folds a whole wave into one
 //!   random-linear-combination multi-scalar multiplication.
@@ -49,11 +49,6 @@ pub trait SignatureScheme: Clone + Send + Sync + std::fmt::Debug + 'static {
     /// Checks `signature` over `message` under `public`.
     fn verify(&self, public: &Self::PublicKey, message: &[u8], signature: &Signature) -> bool;
 
-    /// [`SignatureScheme::verify`] without per-key caches (HMAC key
-    /// schedules, decompressed curve points): the pre-hoist baseline
-    /// benchmarks compare against.
-    fn verify_cold(&self, public: &Self::PublicKey, message: &[u8], signature: &Signature) -> bool;
-
     /// Verifies a batch in one pass, returning per-item verdicts in
     /// input order; `publics` is indexed by `SignedDigest::claimed`, and
     /// out-of-range claims verify to `false`. The default is the serial
@@ -73,7 +68,7 @@ pub trait SignatureScheme: Clone + Send + Sync + std::fmt::Debug + 'static {
 /// configuration knob simulations and clusters expose.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchemeKind {
-    /// HMAC-SHA256 stand-in (cost 1): the cheap deterministic oracle.
+    /// HMAC-SHA256 stand-in: the cheap deterministic oracle.
     #[default]
     Hmac,
     /// RFC 8032 ed25519 with multi-scalar batch verification.
@@ -90,10 +85,9 @@ impl SchemeKind {
     }
 }
 
-/// HMAC key material: the raw key plus its precomputed schedule.
+/// HMAC key material: the precomputed schedule of one 32-byte key.
 #[derive(Clone)]
 pub struct HmacKeyPair {
-    raw: [u8; 32],
     schedule: HmacKey,
 }
 
@@ -105,46 +99,9 @@ impl std::fmt::Debug for HmacKeyPair {
 }
 
 /// The HMAC-SHA256 stand-in scheme (see `DESIGN.md` §3): "signatures"
-/// are MAC tags under pairwise symmetric keys, optionally chained
-/// `cost` times to price operations like the asymmetric schemes it
-/// stood in for before [`Ed25519Scheme`] landed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HmacScheme {
-    /// MAC chain length per sign/verify; 1 = plain HMAC.
-    pub cost: u32,
-}
-
-impl HmacScheme {
-    /// A scheme with the given calibrated cost (clamped to ≥ 1).
-    pub fn new(cost: u32) -> Self {
-        HmacScheme { cost: cost.max(1) }
-    }
-
-    /// One signature operation at the calibrated cost: the MAC re-applied
-    /// to its own output `cost − 1` times.
-    fn chained_mac(&self, schedule: &HmacKey, message: &[u8]) -> crate::Digest {
-        let mut tag = schedule.mac(message);
-        for _ in 1..self.cost {
-            tag = schedule.mac32(tag.as_bytes());
-        }
-        tag
-    }
-
-    /// [`HmacScheme::chained_mac`] over the 32-byte fast path.
-    fn chained_mac32(&self, schedule: &HmacKey, message: &[u8; 32]) -> crate::Digest {
-        let mut tag = schedule.mac32(message);
-        for _ in 1..self.cost {
-            tag = schedule.mac32(tag.as_bytes());
-        }
-        tag
-    }
-}
-
-impl Default for HmacScheme {
-    fn default() -> Self {
-        HmacScheme::new(1)
-    }
-}
+/// are MAC tags under pairwise symmetric keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HmacScheme;
 
 impl SignatureScheme for HmacScheme {
     type SecretKey = HmacKeyPair;
@@ -158,28 +115,17 @@ impl SignatureScheme for HmacScheme {
         let mut raw = [0u8; 32];
         rng.fill(&mut raw);
         let pair = HmacKeyPair {
-            raw,
             schedule: HmacKey::new(&raw),
         };
         (pair.clone(), pair)
     }
 
     fn sign(&self, secret: &HmacKeyPair, message: &[u8]) -> Signature {
-        Signature::from_tag(self.chained_mac(&secret.schedule, message))
+        Signature::from_tag(secret.schedule.mac(message))
     }
 
     fn verify(&self, public: &HmacKeyPair, message: &[u8], signature: &Signature) -> bool {
-        signature.matches_tag(&self.chained_mac(&public.schedule, message))
-    }
-
-    fn verify_cold(&self, public: &HmacKeyPair, message: &[u8], signature: &Signature) -> bool {
-        // Re-derive the padded key blocks on every chain step — the
-        // per-call price schedule hoisting removed.
-        let mut tag = crate::hmac_sha256(&public.raw, message);
-        for _ in 1..self.cost {
-            tag = crate::hmac_sha256(&public.raw, tag.as_bytes());
-        }
-        signature.matches_tag(&tag)
+        signature.matches_tag(&public.schedule.mac(message))
     }
 
     fn verify_batch(&self, publics: &[HmacKeyPair], items: &[SignedDigest]) -> Vec<bool> {
@@ -188,7 +134,7 @@ impl SignatureScheme for HmacScheme {
             .map(|item| match publics.get(item.claimed.index()) {
                 Some(public) => item
                     .signature
-                    .matches_tag(&self.chained_mac32(&public.schedule, item.digest.as_bytes())),
+                    .matches_tag(&public.schedule.mac32(item.digest.as_bytes())),
                 None => false,
             })
             .collect()
@@ -221,15 +167,6 @@ impl SignatureScheme for Ed25519Scheme {
 
     fn verify(&self, public: &ed25519::PublicKey, message: &[u8], signature: &Signature) -> bool {
         ed25519::verify(public, message, signature.as_bytes())
-    }
-
-    fn verify_cold(
-        &self,
-        public: &ed25519::PublicKey,
-        message: &[u8],
-        signature: &Signature,
-    ) -> bool {
-        ed25519::verify_cold(public.as_bytes(), message, signature.as_bytes())
     }
 
     fn verify_batch(&self, publics: &[ed25519::PublicKey], items: &[SignedDigest]) -> Vec<bool> {
@@ -280,10 +217,10 @@ pub enum AnyScheme {
 }
 
 impl AnyScheme {
-    /// The scheme a [`SchemeKind`] selects (HMAC at cost 1).
+    /// The scheme a [`SchemeKind`] selects.
     pub fn from_kind(kind: SchemeKind) -> AnyScheme {
         match kind {
-            SchemeKind::Hmac => AnyScheme::Hmac(HmacScheme::default()),
+            SchemeKind::Hmac => AnyScheme::Hmac(HmacScheme),
             SchemeKind::Ed25519 => AnyScheme::Ed25519(Ed25519Scheme),
         }
     }
@@ -348,18 +285,6 @@ impl SignatureScheme for AnyScheme {
             }
             (AnyScheme::Ed25519(scheme), AnyPublicKey::Ed25519(public)) => {
                 scheme.verify(public, message, signature)
-            }
-            _ => false,
-        }
-    }
-
-    fn verify_cold(&self, public: &AnyPublicKey, message: &[u8], signature: &Signature) -> bool {
-        match (self, public) {
-            (AnyScheme::Hmac(scheme), AnyPublicKey::Hmac(public)) => {
-                scheme.verify_cold(public, message, signature)
-            }
-            (AnyScheme::Ed25519(scheme), AnyPublicKey::Ed25519(public)) => {
-                scheme.verify_cold(public, message, signature)
             }
             _ => false,
         }

@@ -132,17 +132,16 @@ impl CryptoMetrics {
         self.largest_batch.load(Ordering::Relaxed)
     }
 
-    /// Number of cross-cascade admission bursts accounted so far — one
-    /// per deferred-admission bracket that verified at least one
-    /// signature, spanning every wave the bracket produced (the
-    /// "multi-wave" unit the burst engine amortizes over).
+    /// Number of admission bursts accounted so far — one per
+    /// multi-message ingest call that verified at least one signature,
+    /// spanning every wave the call produced.
     pub fn bursts(&self) -> u64 {
         self.bursts.load(Ordering::Relaxed)
     }
 
-    /// Number of verifications performed inside cross-cascade bursts —
-    /// the share of [`CryptoMetrics::batched_verifies`] that was widened
-    /// past single-cascade waves.
+    /// Number of verifications performed inside bursts — the share of
+    /// [`CryptoMetrics::batched_verifies`] that multi-message ingest
+    /// could widen past per-message waves.
     pub fn burst_verifies(&self) -> u64 {
         self.burst_verifies.load(Ordering::Relaxed)
     }
@@ -291,20 +290,9 @@ impl<S: SignatureScheme> KeyRegistry<S> {
 impl KeyRegistry<AnyScheme> {
     /// Generates HMAC stand-in keys for `n` servers from a deterministic
     /// seed — the historical default, kept as the cheap oracle scheme.
+    /// For the real thing, use [`KeyRegistry::generate_ed25519`].
     pub fn generate(n: usize, seed: u64) -> Self {
-        Self::generate_calibrated(n, seed, 1)
-    }
-
-    /// [`KeyRegistry::generate`] with a calibrated per-operation cost:
-    /// every sign/verify runs a MAC chain of length `cost` (clamped to at
-    /// least 1). `cost = 1` is the plain HMAC stand-in; larger values
-    /// price signature operations like real asymmetric schemes, so
-    /// experiments can measure the paper's §4 batching/parallelism
-    /// economics at calibrated signature prices without paying for curve
-    /// arithmetic. For the real thing, use
-    /// [`KeyRegistry::generate_ed25519`].
-    pub fn generate_calibrated(n: usize, seed: u64, cost: u32) -> Self {
-        Self::generate_with(AnyScheme::Hmac(HmacScheme::new(cost)), n, seed)
+        Self::generate_with(AnyScheme::Hmac(HmacScheme), n, seed)
     }
 
     /// Generates real ed25519 keys for `n` servers from a deterministic
@@ -317,15 +305,6 @@ impl KeyRegistry<AnyScheme> {
     /// configuration-knob entry point used by simulations and clusters.
     pub fn generate_kind(kind: SchemeKind, n: usize, seed: u64) -> Self {
         Self::generate_with(AnyScheme::from_kind(kind), n, seed)
-    }
-
-    /// The calibrated MAC chain length per signature operation (1 for
-    /// schemes without calibration, including ed25519).
-    pub fn cost(&self) -> u32 {
-        match &self.inner.scheme {
-            AnyScheme::Hmac(scheme) => scheme.cost,
-            AnyScheme::Ed25519(_) => 1,
-        }
     }
 }
 
@@ -357,9 +336,7 @@ impl<S: SignatureScheme> Signer<S> {
 ///
 /// Holds the per-server verification key material with its caches built
 /// (HMAC key schedules, decompressed ed25519 points), so each
-/// verification resumes from cached state instead of re-deriving it
-/// (which [`Verifier::verify_cold`] still does, as the pre-hoist
-/// baseline for benchmarks).
+/// verification resumes from cached state instead of re-deriving it.
 #[derive(Debug, Clone)]
 pub struct Verifier<S: SignatureScheme = AnyScheme> {
     registry: Arc<RegistryInner<S>>,
@@ -376,23 +353,6 @@ impl<S: SignatureScheme> Verifier<S> {
             .fetch_add(1, Ordering::Relaxed);
         match self.registry.publics.get(claimed.index()) {
             Some(public) => self.registry.scheme.verify(public, message, signature),
-            None => false,
-        }
-    }
-
-    /// [`Verifier::verify`] without the per-key caches: re-derives the
-    /// HMAC padded key blocks / re-parses the compressed ed25519 key on
-    /// every call, exactly as every per-block verification did before
-    /// the hoisting. Retained so the `report_admission` bench can pin
-    /// the batched path's speedup against a stable baseline; not used on
-    /// any hot path.
-    pub fn verify_cold(&self, claimed: ServerId, message: &[u8], signature: &Signature) -> bool {
-        self.registry
-            .metrics
-            .verifies
-            .fetch_add(1, Ordering::Relaxed);
-        match self.registry.publics.get(claimed.index()) {
-            Some(public) => self.registry.scheme.verify_cold(public, message, signature),
             None => false,
         }
     }
@@ -458,8 +418,8 @@ impl<S: SignatureScheme> BatchVerifier<S> {
     /// Verifies every item in one pass, returning per-item verdicts in
     /// input order. Unknown identities verify to `false`. The verdicts
     /// are always exactly the serial ones, whatever the batch grouping —
-    /// which is what keeps the admission engines byte-identical however
-    /// waves are chunked.
+    /// which is what makes admission independent of how wide its
+    /// verification waves happen to be.
     ///
     /// An empty batch performs (and records) nothing.
     pub fn verify_batch(&self, items: &[SignedDigest]) -> Vec<bool> {
@@ -472,13 +432,12 @@ impl<S: SignatureScheme> BatchVerifier<S> {
             .verify_batch(&self.registry.publics, items)
     }
 
-    /// Accounts one cross-cascade admission *burst* of `items`
-    /// verifications. The items themselves were already verified (and
-    /// counted) through [`BatchVerifier::verify_batch`] passes — possibly
-    /// several waves, possibly split across worker threads; this records
-    /// that they belonged to one deferred-admission unit, so experiments
-    /// can tell burst-widened verification apart from per-cascade waves.
-    /// Zero-item bursts are not recorded.
+    /// Accounts one admission *burst* of `items` verifications. The
+    /// items themselves were already verified (and counted) through
+    /// [`BatchVerifier::verify_batch`] passes — possibly several waves;
+    /// this records that they belonged to one multi-message ingest call,
+    /// so experiments can tell burst-widened verification apart from
+    /// per-message waves. Zero-item bursts are not recorded.
     pub fn note_burst(&self, items: u64) {
         if items > 0 {
             self.registry.metrics.record_burst(items);
@@ -497,7 +456,6 @@ mod tests {
     fn all_registries() -> Vec<KeyRegistry> {
         vec![
             KeyRegistry::generate(4, 1),
-            KeyRegistry::generate_calibrated(4, 1, 8),
             KeyRegistry::generate_ed25519(4, 1),
         ]
     }
@@ -574,25 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn cold_and_hoisted_verify_agree_all_schemes() {
-        for registry in all_registries() {
-            let verifier = registry.verifier();
-            let signer = registry.signer(ServerId::new(1)).unwrap();
-            let digest = crate::sha256(b"preimage");
-            let sig = signer.sign(digest.as_bytes());
-            for claimed in [1u32, 2, 9] {
-                let claimed = ServerId::new(claimed);
-                assert_eq!(
-                    verifier.verify(claimed, digest.as_bytes(), &sig),
-                    verifier.verify_cold(claimed, digest.as_bytes(), &sig),
-                    "{}: claimed {claimed:?}",
-                    registry.scheme_name()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn batch_verify_matches_single_verdicts_all_schemes() {
         for registry in all_registries() {
             let name = registry.scheme_name();
@@ -660,49 +599,6 @@ mod tests {
         registry.metrics().reset();
         assert_eq!(registry.metrics().batches(), 0);
         assert_eq!(registry.metrics().largest_batch(), 0);
-    }
-
-    #[test]
-    fn calibrated_cost_roundtrips_and_changes_tags() {
-        let cheap = KeyRegistry::generate_calibrated(2, 5, 1);
-        let costly = KeyRegistry::generate_calibrated(2, 5, 32);
-        assert_eq!(cheap.cost(), 1);
-        assert_eq!(costly.cost(), 32);
-        let digest = crate::sha256(b"block");
-        let signer = costly.signer(ServerId::new(0)).unwrap();
-        let sig = signer.sign(digest.as_bytes());
-        // All three verification paths agree at any calibration.
-        assert!(costly
-            .verifier()
-            .verify(ServerId::new(0), digest.as_bytes(), &sig));
-        assert!(costly
-            .verifier()
-            .verify_cold(ServerId::new(0), digest.as_bytes(), &sig));
-        assert_eq!(
-            costly.batch_verifier().verify_batch(&[SignedDigest {
-                claimed: ServerId::new(0),
-                digest,
-                signature: sig,
-            }]),
-            vec![true]
-        );
-        // A different calibration is a different scheme: same key, same
-        // message, incompatible tags.
-        let cheap_sig = cheap
-            .signer(ServerId::new(0))
-            .unwrap()
-            .sign(digest.as_bytes());
-        assert_ne!(cheap_sig, sig);
-        assert!(!costly
-            .verifier()
-            .verify(ServerId::new(0), digest.as_bytes(), &cheap_sig));
-        // `generate` is calibration 1.
-        let default = KeyRegistry::generate(2, 5);
-        let default_sig = default
-            .signer(ServerId::new(0))
-            .unwrap()
-            .sign(digest.as_bytes());
-        assert_eq!(default_sig, cheap_sig);
     }
 
     #[test]

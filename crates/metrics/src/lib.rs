@@ -27,8 +27,8 @@
 //! and interpretation counter in the workspace is already maintained
 //! (and determinism-tested) where the work happens, so the live surface
 //! is a periodic, lock-free copy — overhead is bounded by the publish
-//! cadence, not by traffic (gated at ≤5% of the `report_admission`
-//! 2k-item verify gate by `report_workload --check`).
+//! cadence, not by traffic (gated at ≤5% of a 2k-item batched
+//! verification by `report_workload --check`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -14,8 +14,7 @@ use dagbft_crypto::CryptoMetrics;
 
 use crate::registry::MetricsRegistry;
 
-/// Publishes [`GossipStats`] — the admission observables of Algorithm 1
-/// (engine-independent: every admission mode reports identical values).
+/// Publishes [`GossipStats`] — the admission observables of Algorithm 1.
 pub fn publish_gossip(registry: &MetricsRegistry, stats: &GossipStats) {
     registry.set_counter("gossip_blocks_received", stats.blocks_received);
     registry.set_counter("gossip_duplicate_blocks", stats.duplicate_blocks);
@@ -30,8 +29,8 @@ pub fn publish_gossip(registry: &MetricsRegistry, stats: &GossipStats) {
 }
 
 /// Publishes [`WaveStats`] — the verification-pipeline shape (waves,
-/// bursts, and the wave-width log₂ histogram). Implementation properties
-/// of the batched engines: the scan oracle leaves them zero.
+/// bursts, and the wave-width log₂ histogram): properties of how
+/// admission batches signature checks, not observables of Algorithm 1.
 pub fn publish_waves(registry: &MetricsRegistry, stats: &WaveStats) {
     registry.set_counter("wave_count", stats.waves);
     registry.set_counter("wave_batched_blocks", stats.batched_blocks);

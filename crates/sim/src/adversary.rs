@@ -68,6 +68,14 @@ pub enum Role {
         /// Forged blocks sent per flooding round (clamped to at least 1).
         per_round: usize,
     },
+    /// Byzantine: every round floods `per_round` blocks that can never be
+    /// valid — each names a builder outside the server set and cites a
+    /// predecessor nobody holds. A receiver that buffered them would
+    /// address `FWD` requests to a server that does not exist.
+    OutsiderFlood {
+        /// Blocks sent per round (clamped to at least 1).
+        per_round: usize,
+    },
 }
 
 impl Role {
@@ -80,6 +88,7 @@ impl Role {
                 | Role::SelectiveBroadcast { .. }
                 | Role::SlowLoris { .. }
                 | Role::FloodThenBehave { .. }
+                | Role::OutsiderFlood { .. }
         )
     }
 }
@@ -221,6 +230,22 @@ impl ByzServer {
                     let (block, _) = self.gossip.disseminate(vec![], now);
                     self.broadcast_to_all(block)
                 }
+            }
+            Role::OutsiderFlood { per_round } => {
+                let mut out = Vec::new();
+                for i in 0..per_round.max(1) as u64 {
+                    let nonce = now.wrapping_mul(1_000_003).wrapping_add(i);
+                    let nobody_has = dagbft_crypto::sha256(nonce.to_le_bytes());
+                    let outsider = Block::build_with_signature(
+                        ServerId::new(self.n as u32),
+                        dagbft_core::SeqNum::new(1),
+                        vec![dagbft_core::BlockRef::from_digest(nobody_has)],
+                        vec![],
+                        Signature::NULL,
+                    );
+                    out.extend(self.broadcast_to_all(outsider));
+                }
+                out
             }
             Role::Correct | Role::Crash { .. } | Role::Restart { .. } => {
                 unreachable!("checked in new()")

@@ -12,9 +12,9 @@ use std::collections::{BTreeSet, HashMap};
 
 use dagbft_codec::{WireDecode, WireEncode};
 use dagbft_core::{
-    accountability, AdmissionMode, BlockStore, DefenseConfig, DeterministicProtocol, Label,
-    NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Shim, ShimConfig,
-    SnapshotProtocol, TimeMs,
+    accountability, BlockStore, DefenseConfig, DeterministicProtocol, Label, NetCommand,
+    NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Shim, ShimConfig, SnapshotProtocol,
+    TimeMs,
 };
 use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
 use rand::rngs::StdRng;
@@ -43,18 +43,20 @@ pub struct Injection<P: DeterministicProtocol> {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IngestMode {
     /// One [`Shim::on_message`] call per delivered message (the
-    /// historical behavior; every cross-PR fingerprint was pinned on it).
+    /// historical behavior; `tests/golden/cross_seed.txt` is pinned on
+    /// it).
     #[default]
     PerMessage,
     /// Coalesce a run of same-instant deliveries to the same server into
-    /// one [`Shim::on_message_burst`] call (up to `max` messages): blocks
-    /// are indexed first, then verified and promoted in one
-    /// cross-cascade pass — the deferred-admission hot path. Protocol
-    /// outcomes are unchanged; block bytes may differ from
-    /// [`IngestMode::PerMessage`] because the current block references
-    /// newly admitted blocks in burst order.
+    /// one [`Shim::on_message_burst`] call (up to `max` messages): all of
+    /// them are indexed first, then verified and promoted in one cascade
+    /// — what a live node's channel drain does. Protocol outcomes are
+    /// unchanged; block bytes may differ from [`IngestMode::PerMessage`]
+    /// because a call promotes its whole ready set smallest key first
+    /// rather than message by message, so the current block can reference
+    /// newly admitted blocks in another order.
     Burst {
-        /// Maximum messages folded into one bracket.
+        /// Maximum messages folded into one call.
         max: usize,
     },
 }
@@ -83,12 +85,6 @@ pub struct SimConfig {
     pub roles: HashMap<usize, Role>,
     /// Cap on requests per block (Algorithm 3's `rqsts.get()`).
     pub max_requests_per_block: usize,
-    /// Gossip admission engine for every correct server: the batched
-    /// index (default), the scan oracle, or the parallel pipeline with a
-    /// per-server verification worker pool. Whole-simulation byte
-    /// equivalence across all three is asserted by
-    /// `tests/cross_seed_determinism.rs`.
-    pub admission: AdmissionMode,
     /// Delivery hand-off shape for correct servers (see [`IngestMode`]).
     pub ingest: IngestMode,
     /// Bound on each correct server's gossip pending buffer (see
@@ -122,7 +118,6 @@ impl SimConfig {
             network: NetworkModel::default(),
             roles: HashMap::new(),
             max_requests_per_block: 1024,
-            admission: AdmissionMode::default(),
             ingest: IngestMode::default(),
             pending_cap: dagbft_core::DEFAULT_PENDING_CAP,
             scheme: SchemeKind::default(),
@@ -163,12 +158,6 @@ impl SimConfig {
     /// Assigns a role to one server.
     pub fn with_role(mut self, server: usize, role: Role) -> Self {
         self.roles.insert(server, role);
-        self
-    }
-
-    /// Selects the gossip admission engine for all correct servers.
-    pub fn with_admission(mut self, admission: AdmissionMode) -> Self {
-        self.admission = admission;
         self
     }
 
@@ -224,17 +213,15 @@ pub struct SimOutcome<P: DeterministicProtocol> {
     pub net: NetMetrics,
     /// Signature operations (from the shared key registry).
     pub signatures: u64,
-    /// Verification operations (batched items included, so this total is
-    /// admission-mode independent).
+    /// Verification operations (a batch of `k` counts `k`).
     pub verifications: u64,
-    /// Batched verification passes performed by the admission pipeline
-    /// (zero under [`AdmissionMode::Scan`]).
+    /// Batched verification passes performed by the admission pipeline.
     pub verify_batches: u64,
     /// Verifications that went through batched waves — the share of
     /// `verifications` on the amortized path.
     pub batched_verifications: u64,
-    /// Cross-cascade admission bursts accounted by the crypto layer
-    /// (zero unless servers ingest via [`IngestMode::Burst`]).
+    /// Multi-message ingest calls accounted by the crypto layer (zero
+    /// unless servers ingest via [`IngestMode::Burst`]).
     pub verify_bursts: u64,
     /// Verifications that belonged to those bursts.
     pub burst_verifications: u64,
@@ -403,7 +390,6 @@ impl<P: DeterministicProtocol> Simulation<P> {
         let registry = KeyRegistry::generate_kind(config.scheme, config.n, config.seed);
         let shim_config = ShimConfig::new(config.protocol)
             .with_max_requests_per_block(config.max_requests_per_block)
-            .with_admission(config.admission)
             .with_pending_cap(config.pending_cap)
             .with_defense(config.defense);
         let mut servers = Vec::with_capacity(config.n);
@@ -623,7 +609,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
                             IngestMode::Burst { max } => {
                                 // Coalesce the run of deliveries queued for
                                 // this server at this instant into one
-                                // deferred-admission bracket.
+                                // ingest call.
                                 let mut batch = vec![(from, message)];
                                 while batch.len() < max.max(1) {
                                     let coalesced = self.queue.pop_if(|at, event| {
@@ -695,7 +681,6 @@ impl<P: DeterministicProtocol> Simulation<P> {
         let dag = dagbft_core::restore_dag(image).expect("own image restores");
         let shim_config = ShimConfig::new(self.config.protocol)
             .with_max_requests_per_block(self.config.max_requests_per_block)
-            .with_admission(self.config.admission)
             .with_pending_cap(self.config.pending_cap)
             .with_defense(self.config.defense);
         let mut shim = Shim::recover(
@@ -731,7 +716,6 @@ impl<P: DeterministicProtocol> Simulation<P> {
             .expect("durable crash scheduled with a recovery hook");
         let shim_config = ShimConfig::new(self.config.protocol)
             .with_max_requests_per_block(self.config.max_requests_per_block)
-            .with_admission(self.config.admission)
             .with_pending_cap(self.config.pending_cap)
             .with_defense(self.config.defense);
         let (mut recovered, report) = hook(
@@ -1047,33 +1031,16 @@ mod tests {
 
     #[test]
     fn admission_modes_agree_and_batch_counters_surface() {
-        let run = |mode: AdmissionMode| {
-            let config = SimConfig::new(4)
-                .with_max_time(5_000)
-                .with_admission(mode)
-                .with_stop_after_deliveries(4);
-            let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
-            sim.inject(broadcast_injection(0, 0, 1, 6));
-            sim.run()
-        };
-        let index = run(AdmissionMode::Index);
-        let scan = run(AdmissionMode::Scan);
-        let parallel = run(AdmissionMode::Parallel { workers: 2 });
-        for outcome in [&scan, &parallel] {
-            assert_eq!(index.deliveries.len(), outcome.deliveries.len());
-            assert_eq!(index.net.bytes_sent, outcome.net.bytes_sent);
-            assert_eq!(index.signatures, outcome.signatures);
-            // The verification *total* is mode-independent; only the share
-            // that went through batched waves differs.
-            assert_eq!(index.verifications, outcome.verifications);
-        }
-        assert_eq!(scan.verify_batches, 0);
-        assert_eq!(scan.batched_verifications, 0);
-        for outcome in [&index, &parallel] {
-            assert!(outcome.verify_batches > 0);
-            assert!(outcome.batched_verifications > 0);
-            assert!(outcome.batched_verifications <= outcome.verifications);
-        }
+        let config = SimConfig::new(4)
+            .with_max_time(5_000)
+            .with_stop_after_deliveries(4);
+        let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+        sim.inject(broadcast_injection(0, 0, 1, 6));
+        let outcome = sim.run();
+        // Admission verifies every signature through a batched wave.
+        assert!(outcome.verify_batches > 0);
+        assert_eq!(outcome.batched_verifications, outcome.verifications);
+        assert_eq!(outcome.wave_stats.batched_blocks, outcome.verifications);
     }
 
     #[test]
@@ -1104,7 +1071,7 @@ mod tests {
                     assert!(outcome.shim(index).dag().check_invariants());
                 }
             }
-            // Burst ingest actually exercised the bracket machinery.
+            // Burst ingest actually made multi-message calls.
             assert!(bursty.wave_stats.bursts > 0, "drop {drop_rate}");
             assert_eq!(per_message.wave_stats.bursts, 0);
         }
@@ -1112,47 +1079,27 @@ mod tests {
 
     #[test]
     fn burst_ingest_is_engine_equivalent_and_reproducible() {
-        let run = |mode: AdmissionMode| {
+        let run = || {
             let config = SimConfig::new(4)
                 .with_max_time(10_000)
-                .with_admission(mode)
                 .with_ingest(IngestMode::Burst { max: 256 })
                 .with_stop_after_deliveries(4);
             let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
             sim.inject(broadcast_injection(0, 0, 1, 6));
             sim.run()
         };
-        let index = run(AdmissionMode::Index);
-        let scan = run(AdmissionMode::Scan);
-        let parallel = run(AdmissionMode::Parallel { workers: 2 });
-        for outcome in [&scan, &parallel] {
-            assert_eq!(index.deliveries.len(), outcome.deliveries.len());
-            assert_eq!(index.net.bytes_sent, outcome.net.bytes_sent);
-            assert_eq!(index.signatures, outcome.signatures);
-            assert_eq!(index.verifications, outcome.verifications);
-            // Burst brackets are an ingest property: identical counts
-            // whichever engine runs inside them.
-            assert_eq!(index.wave_stats.bursts, outcome.wave_stats.bursts);
-            assert_eq!(
-                index.wave_stats.burst_blocks,
-                outcome.wave_stats.burst_blocks
-            );
-        }
-        // Wave structure matches between the batching engines; the scan
-        // oracle never batches, so the crypto layer saw bursts only from
-        // index/parallel servers.
-        assert_eq!(index.wave_stats.waves, parallel.wave_stats.waves);
-        assert_eq!(scan.wave_stats.waves, 0);
-        assert_eq!(scan.verify_bursts, 0);
-        for outcome in [&index, &parallel] {
-            assert!(outcome.verify_bursts > 0);
-            assert!(outcome.burst_verifications <= outcome.verifications);
-        }
+        let outcome = run();
+        // Every multi-message call is one burst to gossip and, when it
+        // verified anything, one to the crypto layer.
+        assert!(outcome.verify_bursts > 0);
+        assert!(outcome.verify_bursts <= outcome.wave_stats.bursts);
+        assert_eq!(outcome.burst_verifications, outcome.verifications);
         // Reproducibility: same seed, same burst trace.
-        let again = run(AdmissionMode::Index);
-        assert_eq!(index.net.bytes_sent, again.net.bytes_sent);
+        let again = run();
+        assert_eq!(outcome.net.bytes_sent, again.net.bytes_sent);
+        assert_eq!(outcome.wave_stats, again.wave_stats);
         assert_eq!(
-            index.deliveries.iter().map(|d| d.at).collect::<Vec<_>>(),
+            outcome.deliveries.iter().map(|d| d.at).collect::<Vec<_>>(),
             again.deliveries.iter().map(|d| d.at).collect::<Vec<_>>()
         );
     }

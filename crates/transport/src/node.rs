@@ -22,7 +22,7 @@ pub struct NodeConfig {
     pub disseminate_every_ms: u64,
     /// Interval between `FWD` retry ticks.
     pub tick_every_ms: u64,
-    /// Maximum messages folded into one deferred-admission burst by the
+    /// Maximum messages folded into one ingest burst by the
     /// event loop — bounds the latency added by draining the channel.
     /// Wider caps amortize verification better under sustained load;
     /// narrower ones keep tail latency low (clamped to at least 1).
@@ -114,13 +114,10 @@ impl<P: DeterministicProtocol> NodeHandle<P> {
 /// Spawns a node: a [`Shim<P>`] event loop over an already-bound
 /// transport.
 ///
-/// The admission engine comes from `config` (see
-/// `dagbft_core::AdmissionMode`): with
-/// `ShimConfig::with_admission(AdmissionMode::Parallel { workers })` the
-/// node's signature checks run on a per-node verification pool, spreading
-/// hostile-burst admission waves across cores. The event loop still waits
-/// for each wave's verdicts, so prefer the default batched engine unless
-/// waves are wide enough to amortize the per-chunk channel round-trip.
+/// Each drain of the inbound channel is handed to the shim as one
+/// `Shim::on_message_burst` call, so the blocks of a drain are indexed
+/// together and their signatures verified in batched waves on the event
+/// loop's own thread.
 ///
 /// # Errors
 ///
@@ -266,10 +263,8 @@ where
                     if let Ok(first) = incoming {
                         // Drain whatever else already queued up behind the
                         // first message and admit the whole run as one
-                        // deferred burst: blocks are indexed first, then
-                        // verified in cross-cascade waves and interpreted
-                        // once — the ingest shape the parallel admission
-                        // pool is built for.
+                        // burst: blocks are indexed first, then verified
+                        // in batched waves and interpreted once.
                         let mut batch = vec![first];
                         while batch.len() < pacing.ingest_burst_cap.max(1) {
                             match transport.incoming().try_recv() {

@@ -67,12 +67,12 @@ pub use dagbft_transport as transport;
 pub mod prelude {
     pub use dagbft_baseline::{BaselineConfig, BaselineSimulation, DirectInjection};
     pub use dagbft_core::{
-        AdmissionMode, AdmitVerdict, Block, BlockDag, BlockRef, BlockStore, DefenseConfig,
-        DefenseEvent, DefenseStats, DeterministicProtocol, Envelope, Gossip, GossipConfig,
-        GossipStats, Indication, InterpretStats, Interpreter, InterpreterFootprint, Label,
-        LabeledRequest, MemoryStore, NetCommand, NetMessage, Offense, Outbox, PeerDefense,
-        PeerScoreSnapshot, ProtocolConfig, RecoverError, RecoveryReport, ReferenceInterpreter,
-        SeqNum, Shim, ShimConfig, SnapshotProtocol, StoreContents, StoreError, TimeMs,
+        AdmitVerdict, Block, BlockDag, BlockRef, BlockStore, DefenseConfig, DefenseEvent,
+        DefenseStats, DeterministicProtocol, Envelope, Gossip, GossipConfig, GossipStats,
+        Indication, InterpretStats, Interpreter, InterpreterFootprint, Label, LabeledRequest,
+        MemoryStore, NetCommand, NetMessage, Offense, Outbox, PeerDefense, PeerScoreSnapshot,
+        ProtocolConfig, RecoverError, RecoveryReport, ReferenceInterpreter, SeqNum, Shim,
+        ShimConfig, SnapshotProtocol, StoreContents, StoreError, TimeMs,
     };
     pub use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
     pub use dagbft_protocols::{

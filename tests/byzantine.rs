@@ -257,6 +257,39 @@ fn equivocation_yields_transferable_proofs() {
 }
 
 #[test]
+fn outsider_builder_flood_is_rejected_on_receipt() {
+    // s3 floods blocks naming a builder outside the server set, each
+    // citing a predecessor nobody holds. They are rejected on receipt —
+    // never buffered, so no `FWD` is ever addressed to the phantom server
+    // (which the simulator could not route) — and the run completes.
+    let config = SimConfig::new(4)
+        .with_max_time(10_000)
+        .with_role(3, Role::OutsiderFlood { per_round: 2 })
+        .with_stop_after_deliveries(3);
+    let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+    sim.inject(Injection {
+        at: 0,
+        server: 1,
+        label: Label::new(1),
+        request: BrbRequest::Broadcast(5),
+    });
+    let outcome = sim.run();
+    assert_eq!(outcome.deliveries.len(), 3);
+    assert_eq!(values_delivered(&outcome), [5].into_iter().collect());
+    for index in outcome.correct_servers() {
+        let gossip = outcome.shim(index).gossip();
+        assert!(
+            gossip.stats().invalid_blocks > 0,
+            "the flood reached s{index}"
+        );
+        assert!(gossip.rejected().iter().all(|(_, reason)| matches!(
+            reason,
+            dagbft::dag::InvalidBlockError::UnknownBuilder { claimed } if claimed.index() == 4
+        )));
+    }
+}
+
+#[test]
 fn forged_signature_blocks_never_enter_dags() {
     // Inject a block with a forged signature directly through the runner's
     // network: every correct server must reject it. We emulate by running

@@ -5,16 +5,24 @@
 //! byte-identical — deliveries, wire metrics, crypto counters, the final
 //! clock, and every block's canonical wire bytes all included.
 //!
-//! The same fingerprint also pins the zero-copy wire path refactor: a run
-//! under the incremental admission index is byte-identical to a run under
-//! the seed's scan-based engine ("before/after" equivalence at the
-//! whole-system level).
+//! The same fingerprints are pinned across commits by
+//! `tests/golden/cross_seed.txt`: a change that moves any of those bytes
+//! — promotion order, block encoding, event ordering, RNG call order —
+//! fails `golden_fingerprints_hold` and has to regenerate the file on
+//! purpose (`DAGBFT_FP_OUT=tests/golden/cross_seed.txt cargo test --test
+//! cross_seed_determinism fingerprint_digest_export`).
 
 use dagbft::prelude::*;
 
+/// Seeds of the HMAC corpus.
+const HMAC_SEEDS: [u64; 5] = [0, 1, 7, 42, 1337];
+/// Seeds of the ed25519 corpus — a subset, real signatures are far
+/// costlier than the HMAC stand-in.
+const ED25519_SEEDS: [u64; 2] = [0, 42];
+
 /// Runs the standard lossy BRB workload (three broadcasts across
-/// servers) under the given admission engine and signature scheme.
-fn run_outcome(seed: u64, admission: AdmissionMode, scheme: SchemeKind) -> SimOutcome<Brb<u64>> {
+/// servers) under the given signature scheme.
+fn run_outcome(seed: u64, scheme: SchemeKind) -> SimOutcome<Brb<u64>> {
     let n = 4;
     let values = [7u64, 1000 + seed, 13];
     let expected = values.len() * n;
@@ -22,7 +30,6 @@ fn run_outcome(seed: u64, admission: AdmissionMode, scheme: SchemeKind) -> SimOu
         .with_seed(seed)
         .with_max_time(120_000)
         .with_network(NetworkModel::default().with_drop_rate(0.05))
-        .with_admission(admission)
         .with_scheme(scheme)
         .with_stop_after_deliveries(expected);
     let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
@@ -40,8 +47,8 @@ fn run_outcome(seed: u64, admission: AdmissionMode, scheme: SchemeKind) -> SimOu
 }
 
 /// Fingerprints everything observable about one run's outcome.
-fn run_fingerprint_scheme(seed: u64, admission: AdmissionMode, scheme: SchemeKind) -> Vec<u8> {
-    let outcome = run_outcome(seed, admission, scheme);
+fn run_fingerprint_scheme(seed: u64, scheme: SchemeKind) -> Vec<u8> {
+    let outcome = run_outcome(seed, scheme);
     let mut fingerprint = Vec::new();
     for delivery in &outcome.deliveries {
         fingerprint.extend_from_slice(
@@ -92,17 +99,13 @@ fn run_fingerprint_scheme(seed: u64, admission: AdmissionMode, scheme: SchemeKin
     fingerprint
 }
 
-fn run_fingerprint_with(seed: u64, admission: AdmissionMode) -> Vec<u8> {
-    run_fingerprint_scheme(seed, admission, SchemeKind::Hmac)
-}
-
 fn run_fingerprint(seed: u64) -> Vec<u8> {
-    run_fingerprint_with(seed, AdmissionMode::Index)
+    run_fingerprint_scheme(seed, SchemeKind::Hmac)
 }
 
 #[test]
 fn same_seed_twice_is_byte_identical() {
-    for seed in [0, 1, 7, 42, 1337] {
+    for seed in HMAC_SEEDS {
         let first = run_fingerprint(seed);
         let second = run_fingerprint(seed);
         assert_eq!(first, second, "seed {seed} not reproducible");
@@ -118,21 +121,35 @@ fn different_seeds_give_different_schedules() {
     assert_ne!(a, b, "seeds 2 and 3 produced identical outcomes");
 }
 
-#[test]
-fn admission_engines_are_byte_identical_at_system_level() {
-    // "Before/after" proof for the admission pipeline: whole lossy
-    // simulations — deliveries, wire metrics, crypto counters, and every
-    // block's canonical bytes — are identical under the retained scan
-    // engine, the wave-batched index, and the parallel pipeline (whose
-    // verification worker pool must not leak thread scheduling into any
-    // observable).
-    for seed in [0, 7, 42] {
-        let index = run_fingerprint_with(seed, AdmissionMode::Index);
-        let scan = run_fingerprint_with(seed, AdmissionMode::Scan);
-        assert_eq!(index, scan, "seed {seed}: index vs scan diverged");
-        let parallel = run_fingerprint_with(seed, AdmissionMode::Parallel { workers: 2 });
-        assert_eq!(index, parallel, "seed {seed}: index vs parallel diverged");
+/// The golden corpus: one `scheme:seed:sha256(run_fingerprint)` line per
+/// pinned run, HMAC seeds first.
+fn golden_corpus() -> String {
+    let runs = HMAC_SEEDS
+        .iter()
+        .map(|seed| ("hmac", SchemeKind::Hmac, *seed))
+        .chain(
+            ED25519_SEEDS
+                .iter()
+                .map(|seed| ("ed25519", SchemeKind::Ed25519, *seed)),
+        );
+    let mut corpus = String::new();
+    for (name, scheme, seed) in runs {
+        let digest = dagbft::crypto::sha256(run_fingerprint_scheme(seed, scheme)).to_hex();
+        corpus.push_str(&format!("{name}:{seed}:{digest}\n"));
     }
+    corpus
+}
+
+#[test]
+fn golden_fingerprints_hold() {
+    // Byte identity across commits: deliveries, wire and crypto counters,
+    // the final clock and every block's wire bytes of every pinned run
+    // hash to what `tests/golden/cross_seed.txt` recorded.
+    assert_eq!(
+        golden_corpus(),
+        include_str!("golden/cross_seed.txt"),
+        "a fingerprint moved (lines are scheme:seed:sha256)"
+    );
 }
 
 /// The fingerprint up to the per-block content hashes — the subset that
@@ -150,48 +167,31 @@ fn schedule_prefix(fingerprint: &[u8]) -> &[u8] {
 
 #[test]
 fn ed25519_engines_byte_identical_and_schedule_matches_hmac() {
-    // Real ed25519 admission is far costlier than the HMAC stand-in, so
-    // a seed subset carries this one: all three admission engines agree
-    // byte-for-byte under the real scheme, and the whole schedule is
-    // identical to the HMAC run — only the signature bytes inside the
-    // blocks (hence the block-content hashes) differ.
-    for seed in [0, 42] {
-        let index = run_fingerprint_scheme(seed, AdmissionMode::Index, SchemeKind::Ed25519);
-        let scan = run_fingerprint_scheme(seed, AdmissionMode::Scan, SchemeKind::Ed25519);
-        assert_eq!(index, scan, "seed {seed}: ed25519 index vs scan diverged");
-        let parallel = run_fingerprint_scheme(
-            seed,
-            AdmissionMode::Parallel { workers: 2 },
-            SchemeKind::Ed25519,
-        );
+    // The whole schedule under real ed25519 is identical to the HMAC
+    // run — only the signature bytes inside the blocks (hence the
+    // block-content hashes) differ.
+    for seed in ED25519_SEEDS {
+        let ed25519 = run_fingerprint_scheme(seed, SchemeKind::Ed25519);
+        let hmac = run_fingerprint(seed);
         assert_eq!(
-            index, parallel,
-            "seed {seed}: ed25519 index vs parallel diverged"
-        );
-
-        let hmac = run_fingerprint_with(seed, AdmissionMode::Index);
-        assert_eq!(
-            schedule_prefix(&index),
+            schedule_prefix(&ed25519),
             schedule_prefix(&hmac),
             "seed {seed}: swapping the signature scheme moved the schedule"
         );
         assert_ne!(
-            index, hmac,
+            ed25519, hmac,
             "seed {seed}: schemes produced identical block bytes"
         );
     }
 }
 
-/// Publishes the mode- and scheme-*independent* observables of a
-/// finished run into a fresh metrics registry — server 0's gossip
-/// admission counters and interpreter footprint, plus the global
-/// sign/verify totals — and returns the JSON snapshot. Deliberately
-/// excludes wave stats and the batched/burst crypto counters: those are
-/// implementation properties of the batched engines (the scan oracle
-/// leaves them zero) and are pinned by the fingerprint tests instead.
-fn metrics_snapshot(seed: u64, admission: AdmissionMode, scheme: SchemeKind) -> String {
+/// Publishes the scheme-*independent* observables of a finished run into
+/// a fresh metrics registry — server 0's gossip admission counters and
+/// interpreter footprint, plus the global sign/verify totals — and
+/// returns the JSON snapshot.
+fn metrics_snapshot(seed: u64, scheme: SchemeKind) -> String {
     use dagbft::metrics::{publish, MetricsRegistry};
-    let outcome = run_outcome(seed, admission, scheme);
+    let outcome = run_outcome(seed, scheme);
     let shim = outcome.shim(0);
     let registry = MetricsRegistry::new();
     publish::publish_gossip(&registry, shim.gossip().stats());
@@ -205,73 +205,31 @@ fn metrics_snapshot(seed: u64, admission: AdmissionMode, scheme: SchemeKind) -> 
 
 #[test]
 fn metrics_snapshot_is_mode_and_scheme_independent() {
-    // The observability layer must not leak the admission engine or the
-    // signature scheme: for one seed, the published snapshot of
-    // engine-independent counters is byte-identical across all three
-    // admission modes and across HMAC vs real ed25519 — so operators can
-    // compare metrics between heterogeneous deployments, and a future
-    // engine that moves these counters fails loudly here.
-    for seed in [0, 42] {
-        let base = metrics_snapshot(seed, AdmissionMode::Index, SchemeKind::Hmac);
+    // The observability layer must not leak the signature scheme: for one
+    // seed, the published snapshot is byte-identical run to run and
+    // across HMAC vs real ed25519 — so operators can compare metrics
+    // between heterogeneous deployments.
+    for seed in ED25519_SEEDS {
+        let base = metrics_snapshot(seed, SchemeKind::Hmac);
         assert_eq!(
             base,
-            metrics_snapshot(seed, AdmissionMode::Index, SchemeKind::Hmac),
+            metrics_snapshot(seed, SchemeKind::Hmac),
             "seed {seed}: same run, different snapshot bytes"
         );
         assert_eq!(
             base,
-            metrics_snapshot(seed, AdmissionMode::Scan, SchemeKind::Hmac),
-            "seed {seed}: scan moved the published counters"
-        );
-        assert_eq!(
-            base,
-            metrics_snapshot(
-                seed,
-                AdmissionMode::Parallel { workers: 2 },
-                SchemeKind::Hmac
-            ),
-            "seed {seed}: the worker pool leaked into the snapshot"
-        );
-        assert_eq!(
-            base,
-            metrics_snapshot(seed, AdmissionMode::Index, SchemeKind::Ed25519),
+            metrics_snapshot(seed, SchemeKind::Ed25519),
             "seed {seed}: the signature scheme leaked into the snapshot"
         );
     }
 }
 
-/// CI hook for the determinism smoke step: when `DAGBFT_FP_OUT` is set,
-/// write a digest of the full cross-seed, cross-engine fingerprint
-/// corpus to that path. CI runs the suite twice — `--test-threads=1` and
-/// the default parallel harness — and diffs the two files, so a worker
-/// pool (or any future thread) leaking scheduling order into an
-/// observable fails the build even if each in-process assertion still
-/// holds.
-/// `DAGBFT_FP_SCHEME=ed25519` switches the exported corpus to the real
-/// scheme (with a smaller seed set — ed25519 runs are costlier); any
-/// other value, or none, exports the HMAC corpus.
+/// Regenerates the golden file: when `DAGBFT_FP_OUT` is set, the corpus
+/// `golden_fingerprints_hold` asserts is written to that path.
 #[test]
 fn fingerprint_digest_export() {
     let Ok(path) = std::env::var("DAGBFT_FP_OUT") else {
         return;
     };
-    let (scheme, seeds): (SchemeKind, &[u64]) =
-        if std::env::var("DAGBFT_FP_SCHEME").as_deref() == Ok("ed25519") {
-            (SchemeKind::Ed25519, &[0, 42])
-        } else {
-            (SchemeKind::Hmac, &[0, 7, 42])
-        };
-    let mut corpus = Vec::new();
-    for &seed in seeds {
-        for (name, mode) in [
-            ("index", AdmissionMode::Index),
-            ("scan", AdmissionMode::Scan),
-            ("parallel", AdmissionMode::Parallel { workers: 2 }),
-        ] {
-            corpus.extend_from_slice(format!("{seed}:{name}:").as_bytes());
-            corpus.extend_from_slice(&run_fingerprint_scheme(seed, mode, scheme));
-        }
-    }
-    let digest = dagbft::crypto::sha256(&corpus).to_hex();
-    std::fs::write(&path, format!("{digest}\n")).expect("fingerprint digest written");
+    std::fs::write(&path, golden_corpus()).expect("golden fingerprints written");
 }

@@ -15,9 +15,8 @@
 //!   their blocks, and leave honest liveness intact.
 //!
 //! Determinism is pinned alongside: identical runs produce byte-identical
-//! defense-event trajectories across all three admission engines and both
-//! signature schemes, and a crash/restart replays to the same durable
-//! score.
+//! defense-event trajectories under both signature schemes, and a
+//! crash/restart replays to the same durable score.
 
 use dagbft::prelude::*;
 use proptest::prelude::*;
@@ -270,7 +269,7 @@ fn durable_crash_replays_equivocation_scores() {
 }
 
 // ---------------------------------------------------------------------
-// Determinism: trajectories and DAGs across engines and schemes.
+// Determinism: trajectories and DAGs across schemes.
 // ---------------------------------------------------------------------
 
 /// Runs the slow-loris scenario and returns per-correct-server defense
@@ -278,7 +277,6 @@ fn durable_crash_replays_equivocation_scores() {
 /// DAG block hashes).
 fn defended_run(
     seed: u64,
-    admission: AdmissionMode,
     scheme: SchemeKind,
     repeat: usize,
     drop_rate: f64,
@@ -287,7 +285,6 @@ fn defended_run(
         .with_seed(seed)
         .with_max_time(4_000)
         .with_network(NetworkModel::default().with_drop_rate(drop_rate))
-        .with_admission(admission)
         .with_scheme(scheme)
         .with_defense(attack_defense())
         .with_role(3, Role::SlowLoris { repeat });
@@ -335,31 +332,14 @@ fn defended_run(
 }
 
 #[test]
-fn defended_runs_are_byte_identical_across_admission_engines() {
-    for seed in [0, 42] {
-        let index = defended_run(seed, AdmissionMode::Index, SchemeKind::Hmac, 5, 0.05);
-        let scan = defended_run(seed, AdmissionMode::Scan, SchemeKind::Hmac, 5, 0.05);
-        assert_eq!(index, scan, "seed {seed}: index vs scan diverged");
-        let parallel = defended_run(
-            seed,
-            AdmissionMode::Parallel { workers: 2 },
-            SchemeKind::Hmac,
-            5,
-            0.05,
-        );
-        assert_eq!(index, parallel, "seed {seed}: index vs parallel diverged");
-    }
-}
-
-#[test]
 fn defense_trajectories_are_scheme_independent() {
     // Signatures have one wire size for every scheme, so the defense
     // layer's byte buckets, scores, and event timestamps must not move
     // when the scheme swaps — only block content bytes (hence the DAG
     // hashes) may.
     for seed in [0, 42] {
-        let hmac = defended_run(seed, AdmissionMode::Index, SchemeKind::Hmac, 5, 0.05);
-        let ed25519 = defended_run(seed, AdmissionMode::Index, SchemeKind::Ed25519, 5, 0.05);
+        let hmac = defended_run(seed, SchemeKind::Hmac, 5, 0.05);
+        let ed25519 = defended_run(seed, SchemeKind::Ed25519, 5, 0.05);
         assert_eq!(hmac.0, ed25519.0, "seed {seed}: trajectories moved");
         assert_ne!(
             hmac.1, ed25519.1,
@@ -371,9 +351,9 @@ fn defense_trajectories_are_scheme_independent() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Satellite property: identical offense sequences produce
-    /// byte-identical score trajectories whichever admission engine runs
-    /// them and whichever signature scheme signs the blocks.
+    /// Identical offense sequences produce byte-identical score
+    /// trajectories run after run and whichever signature scheme signs
+    /// the blocks.
     #[test]
     fn score_trajectories_identical_across_engines_and_schemes(
         seed in 0u64..500,
@@ -381,20 +361,12 @@ proptest! {
         drop_pct in 0usize..20,
     ) {
         let drop_rate = drop_pct as f64 / 100.0;
-        let (index, _) = defended_run(seed, AdmissionMode::Index, SchemeKind::Hmac, repeat, drop_rate);
-        let (scan, _) = defended_run(seed, AdmissionMode::Scan, SchemeKind::Hmac, repeat, drop_rate);
-        prop_assert_eq!(&index, &scan, "index vs scan");
-        let (parallel, _) = defended_run(
-            seed,
-            AdmissionMode::Parallel { workers: 2 },
-            SchemeKind::Hmac,
-            repeat,
-            drop_rate,
-        );
-        prop_assert_eq!(&index, &parallel, "index vs parallel");
-        let (ed25519, _) = defended_run(seed, AdmissionMode::Index, SchemeKind::Ed25519, repeat, drop_rate);
-        prop_assert_eq!(&index, &ed25519, "hmac vs ed25519");
+        let (hmac, _) = defended_run(seed, SchemeKind::Hmac, repeat, drop_rate);
+        let (again, _) = defended_run(seed, SchemeKind::Hmac, repeat, drop_rate);
+        prop_assert_eq!(&hmac, &again, "same run twice");
+        let (ed25519, _) = defended_run(seed, SchemeKind::Ed25519, repeat, drop_rate);
+        prop_assert_eq!(&hmac, &ed25519, "hmac vs ed25519");
         // The trajectories are non-trivial: the loris actually offended.
-        prop_assert!(index.iter().any(|t| !t.is_empty()), "no defensive action at all");
+        prop_assert!(hmac.iter().any(|t| !t.is_empty()), "no defensive action at all");
     }
 }

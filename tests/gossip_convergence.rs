@@ -1,11 +1,11 @@
 //! Lemma 3.6/3.7: eventual convergence of correct servers' DAGs — under
 //! clean networks, loss, and healed partitions (experiment E10's
 //! functional side) — plus the gossip-burst admission regression: the
-//! batched reverse-dependency index and the parallel pipeline must
-//! promote exactly what the seed's scan-based engine promotes, in the
-//! same deterministic order, on hostile out-of-order and equivocating
-//! deliveries.
+//! batched reverse-dependency index must promote exactly what the
+//! paper-literal rescan promotes, in the same deterministic order, on
+//! hostile out-of-order and equivocating deliveries.
 
+use dagbft::dag::{AdmissionView, ReferenceGossip};
 use dagbft::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -205,40 +205,6 @@ fn hostile_soup(rounds: u64) -> (KeyRegistry, Vec<Block>) {
     (registry, blocks)
 }
 
-/// Replays `schedule` into a fresh receiver under `mode` and fingerprints
-/// everything admission-observable: per-delivery commands, DAG content in
-/// promotion order, pending/rejected sets, stats, and the pred list of the
-/// next own block (which is hashed and signed — determinism boundary).
-fn admission_fingerprint(
-    registry: &KeyRegistry,
-    schedule: &[Block],
-    mode: AdmissionMode,
-) -> (
-    Vec<NetCommand>,
-    Vec<BlockRef>,
-    usize,
-    usize,
-    GossipStats,
-    Block,
-) {
-    let mut receiver = Gossip::new(
-        ServerId::new(0),
-        GossipConfig::for_n(4).with_admission(mode),
-        registry.signer(ServerId::new(0)).unwrap(),
-        registry.verifier(),
-    );
-    let mut commands = Vec::new();
-    for (t, block) in schedule.iter().enumerate() {
-        commands.extend(receiver.on_block(block.clone(), t as u64));
-    }
-    let order: Vec<BlockRef> = receiver.dag().iter().map(|b| b.block_ref()).collect();
-    let pending = receiver.pending_len();
-    let rejected = receiver.rejected().len();
-    let stats = *receiver.stats();
-    let (own, _) = receiver.disseminate(vec![], 10_000);
-    (commands, order, pending, rejected, stats, own)
-}
-
 #[test]
 fn gossip_burst_admission_matches_scan_engine() {
     let (registry, blocks) = hostile_soup(6);
@@ -250,36 +216,36 @@ fn gossip_burst_admission_matches_scan_engine() {
         schedules.push(("shuffled", shuffled));
     }
     for (name, schedule) in schedules {
-        let index = admission_fingerprint(&registry, &schedule, AdmissionMode::Index);
-        for (engine, mode) in [
-            ("scan", AdmissionMode::Scan),
-            ("parallel", AdmissionMode::Parallel { workers: 3 }),
-        ] {
-            let other = admission_fingerprint(&registry, &schedule, mode);
+        let mut receiver = Gossip::new(
+            ServerId::new(0),
+            GossipConfig::for_n(4),
+            registry.signer(ServerId::new(0)).unwrap(),
+            registry.verifier(),
+        );
+        let mut scan = ReferenceGossip::new(4, registry.verifier());
+        for (t, block) in schedule.iter().enumerate() {
             assert_eq!(
-                index.0, other.0,
-                "{name}/{engine}: FWD/command traffic diverged"
-            );
-            assert_eq!(
-                index.1, other.1,
-                "{name}/{engine}: promotion order diverged"
-            );
-            assert_eq!(index.2, other.2, "{name}/{engine}: pending buffer diverged");
-            assert_eq!(index.3, other.3, "{name}/{engine}: rejections diverged");
-            assert_eq!(index.4, other.4, "{name}/{engine}: stats diverged");
-            // The sealed next block — whose bytes are hashed and signed —
-            // is bit-identical, so the engines are indistinguishable on
-            // the wire.
-            assert_eq!(
-                index.5.wire_bytes(),
-                other.5.wire_bytes(),
-                "{name}/{engine}: own block bytes diverged"
+                receiver.on_block(block.clone(), t as u64),
+                scan.on_blocks([block.clone()], t as u64),
+                "{name}: FWD/command traffic diverged at delivery {t}"
             );
         }
+        // Promotion order — which fixes the bytes of the next sealed own
+        // block — pending buffer, rejections and stats all agree.
+        let view = AdmissionView::of(&receiver);
+        assert_eq!(view, scan.view(), "{name}");
         // The permanently-invalid chain stays buffered/rejected, never
-        // promoted, under every engine.
-        assert_eq!(index.3, 1, "{name}: the two-parent block is rejected");
-        assert_eq!(index.2, 1, "{name}: its child stays pending forever");
+        // promoted.
+        assert_eq!(
+            view.rejected.len(),
+            1,
+            "{name}: the two-parent block is rejected"
+        );
+        assert_eq!(view.pending, 1, "{name}: its child stays pending forever");
+        // Every admitted block is referenced by the next own block, in
+        // promotion order.
+        let (own, _) = receiver.disseminate(vec![], 10_000);
+        assert_eq!(own.preds(), view.order.as_slice(), "{name}");
     }
 }
 

@@ -5,18 +5,19 @@
 use std::collections::BTreeSet;
 
 use dagbft::prelude::*;
+use dagbft::sim::IngestMode;
 
 /// The §7 restart scenario under an explicit signature scheme and
-/// admission engine: crash mid-run, rejoin, catch up through gossip,
-/// never equivocate. Recovery is interpretation-level — none of its code
-/// paths may depend on which admission engine re-admits the replayed
-/// blocks or which scheme signed them.
-fn restart_case(scheme: SchemeKind, admission: AdmissionMode) {
+/// ingest shape: crash mid-run, rejoin, catch up through gossip, never
+/// equivocate. Recovery is interpretation-level — none of its code paths
+/// may depend on whether the catch-up blocks are admitted one message or
+/// one burst at a time, or on which scheme signed them.
+fn restart_case(scheme: SchemeKind, ingest: IngestMode) {
     let n = 4;
     let config = SimConfig::new(n)
         .with_max_time(60_000)
         .with_scheme(scheme)
-        .with_admission(admission)
+        .with_ingest(ingest)
         .with_role(
             3,
             Role::Restart {
@@ -53,7 +54,7 @@ fn restart_case(scheme: SchemeKind, admission: AdmissionMode) {
         .collect();
     assert!(
         late_deliverers.contains(&3),
-        "{scheme:?}/{admission:?}: restarted server must catch up: {late_deliverers:?}"
+        "{scheme:?}/{ingest:?}: restarted server must catch up: {late_deliverers:?}"
     );
     assert_eq!(late_deliverers.len(), 4);
 
@@ -63,7 +64,7 @@ fn restart_case(scheme: SchemeKind, admission: AdmissionMode) {
         let dag = outcome.shim(index).dag();
         assert!(
             dag.equivocations(ServerId::new(3)).is_empty(),
-            "{scheme:?}/{admission:?}: restart must not equivocate (observer {index})"
+            "{scheme:?}/{ingest:?}: restart must not equivocate (observer {index})"
         );
     }
     // The restarted server is a correct server at the end.
@@ -72,21 +73,17 @@ fn restart_case(scheme: SchemeKind, admission: AdmissionMode) {
 
 #[test]
 fn restarted_server_catches_up_and_delivers() {
-    restart_case(SchemeKind::Hmac, AdmissionMode::Index);
+    restart_case(SchemeKind::Hmac, IngestMode::PerMessage);
 }
 
 #[test]
 fn restart_matrix_across_schemes_and_admission_engines() {
-    // Every (scheme × admission engine) pair must survive the same crash:
-    // the HMAC stand-in and real ed25519, each under the scan oracle, the
-    // wave-batched index, and the parallel verification pipeline.
+    // Every (scheme × ingest shape) pair must survive the same crash:
+    // the HMAC stand-in and real ed25519, each admitting per message and
+    // in bursts.
     for scheme in [SchemeKind::Hmac, SchemeKind::Ed25519] {
-        for admission in [
-            AdmissionMode::Index,
-            AdmissionMode::Scan,
-            AdmissionMode::Parallel { workers: 2 },
-        ] {
-            restart_case(scheme, admission);
+        for ingest in [IngestMode::PerMessage, IngestMode::Burst { max: 64 }] {
+            restart_case(scheme, ingest);
         }
     }
 }
