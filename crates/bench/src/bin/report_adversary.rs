@@ -60,8 +60,9 @@ fn main() {
     println!(
         "\nReading: a silent server only removes its own deliveries; an\n\
          equivocator costs extra blocks on one fork; a selective sender forces\n\
-         FWD recovery traffic; a restarting server re-derives its state from\n\
-         the persisted DAG and rejoins at full speed. Safety held in all runs\n\
+         FWD recovery traffic; a restarting server is recovered from its\n\
+         store — the journal replays, requests it had accepted are buffered\n\
+         again — and rejoins at full speed. Safety held in all runs\n\
          (asserted by the corresponding integration tests)."
     );
 }

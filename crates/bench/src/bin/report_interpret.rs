@@ -43,8 +43,7 @@ impl Row {
         format!(
             "{{\"blocks\":{},\"labels\":{},\"seconds\":{:.6},\"blocks_per_sec\":{:.2},\
              \"naive_seconds\":{:.6},\"messages_materialized\":{},\"instances_total\":{},\
-             \"instances_unique\":{},\"sharing_ratio\":{:.2},\"out_envelopes\":{},\
-             \"in_envelopes\":{}}}",
+             \"instances_unique\":{},\"sharing_ratio\":{:.2},\"out_envelopes\":{}}}",
             self.blocks,
             self.labels,
             self.seconds,
@@ -55,7 +54,6 @@ impl Row {
             self.footprint.unique_instances,
             self.footprint.sharing_ratio(),
             self.footprint.out_envelopes,
-            self.footprint.in_envelopes,
         )
     }
 }

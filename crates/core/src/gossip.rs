@@ -459,19 +459,20 @@ impl Gossip {
         }
     }
 
-    /// Resumes gossip from a persisted DAG after a crash (§7
-    /// crash–recovery discussion).
+    /// Resumes gossip over the DAG a server recovered from its store
+    /// after a crash (§7 crash–recovery discussion). Over an empty DAG
+    /// this is [`Gossip::new`].
     ///
     /// The next block continues this server's own chain: its sequence
     /// number follows the highest own block in `dag`, its predecessors are
     /// the own chain tip plus every block of `dag` the chain has not yet
     /// referenced (so messages received just before the crash still get
-    /// delivered). Resuming from a *stale* image — one missing own blocks
+    /// delivered). Resuming from a *stale* DAG — one missing own blocks
     /// that already reached the network — would re-use sequence numbers,
     /// i.e. equivocate; making each own block durable before it is
-    /// broadcast (what [`crate::Shim::disseminate`] does with a store
-    /// attached) avoids this, as the paper prescribes ("assuming that
-    /// they persist enough information").
+    /// broadcast (what a durable [`crate::Shim::disseminate`] does)
+    /// avoids this, as the paper prescribes ("assuming that they persist
+    /// enough information").
     pub fn resume(
         me: ServerId,
         config: GossipConfig,

@@ -51,10 +51,9 @@
 //! literal interpreter would store), `unique_instances` sums the delta
 //! sizes (what is actually resident).
 //!
-//! Compaction ([`Interpreter::compact`]) drops the introspection-only
-//! `Ms[in, ·]` buffers. It keeps a watermark into the interpretation
-//! order, so repeated calls only visit blocks interpreted since the last
-//! compaction and return 0 cheaply when there is nothing to drop.
+//! `B.Ms[in, ·]` is not stored at all: it is a pure function of the direct
+//! predecessors' out-buffers ([`Interpreter::in_messages`]), assembled
+//! when `B` is interpreted and derived again whenever someone asks.
 //! Out-buffers and deltas are never dropped: any future block —
 //! including a byzantine server's — may still reference an old block
 //! directly (§7).
@@ -142,7 +141,7 @@ impl Error for InterpretError {}
 /// it one block wrote (its delta). Instances are shared between the two.
 type Instances<P> = BTreeMap<Label, Arc<P>>;
 
-/// `B.Ms[out, ·]` or `B.Ms[in, ·]`: per label, envelopes in the order `<_M`.
+/// `B.Ms[out, ·]`: per label, envelopes in the order `<_M`.
 type Buffers<M> = BTreeMap<Label, BTreeSet<Envelope<M>>>;
 
 fn envelope_count<M>(buffers: &Buffers<M>) -> usize {
@@ -150,9 +149,10 @@ fn envelope_count<M>(buffers: &Buffers<M>) -> usize {
 }
 
 /// Interpretation state attached to one block `B`: the part of `B.PIs`
-/// driven at `B`, plus `B.Ms[out, ·]` and `B.Ms[in, ·]` in the paper's
-/// notation. All three hold only what was produced or delivered *at* this
-/// block; the rest of `B.PIs` is on the parent chain (see the module docs).
+/// driven at `B`, plus `B.Ms[out, ·]` in the paper's notation. Both hold
+/// only what was produced *at* this block; the rest of `B.PIs` is on the
+/// parent chain, and `B.Ms[in, ·]` is derived from the predecessors'
+/// out-buffers ([`Interpreter::in_messages`]; see the module docs).
 #[derive(Debug, Clone)]
 pub struct BlockState<P: DeterministicProtocol> {
     /// `B.parent`, by which [`Interpreter::instance_at`] and view rebuilds
@@ -165,8 +165,6 @@ pub struct BlockState<P: DeterministicProtocol> {
     delta: Instances<P>,
     /// `B.Ms[out, ℓ]`: messages sent by `B.n`'s instance at this block.
     outs: Buffers<P::Message>,
-    /// `B.Ms[in, ℓ]`: messages delivered to `B.n`'s instance at this block.
-    ins: Buffers<P::Message>,
 }
 
 impl<P: DeterministicProtocol> BlockState<P> {
@@ -179,11 +177,6 @@ impl<P: DeterministicProtocol> BlockState<P> {
     /// Out-going messages `B.Ms[out, ℓ]` produced at this block.
     pub fn out_messages(&self, label: Label) -> impl Iterator<Item = &Envelope<P::Message>> {
         self.outs.get(&label).into_iter().flatten()
-    }
-
-    /// In-coming messages `B.Ms[in, ℓ]` delivered at this block.
-    pub fn in_messages(&self, label: Label) -> impl Iterator<Item = &Envelope<P::Message>> {
-        self.ins.get(&label).into_iter().flatten()
     }
 
     /// Labels for which this block produced out-going messages.
@@ -207,8 +200,6 @@ pub struct InterpreterFootprint {
     pub unique_instances: usize,
     /// Envelopes in out-buffers.
     pub out_envelopes: usize,
-    /// Envelopes in in-buffers (droppable via [`Interpreter::compact`]).
-    pub in_envelopes: usize,
 }
 
 impl InterpreterFootprint {
@@ -230,7 +221,6 @@ impl std::ops::AddAssign for InterpreterFootprint {
         self.instances += rhs.instances;
         self.unique_instances += rhs.unique_instances;
         self.out_envelopes += rhs.out_envelopes;
-        self.in_envelopes += rhs.in_envelopes;
     }
 }
 
@@ -278,9 +268,6 @@ pub struct Interpreter<P: DeterministicProtocol> {
     order: Vec<BlockRef>,
     indications: Vec<Indication<P::Indication>>,
     stats: InterpretStats,
-    /// Prefix of `order` whose in-buffers [`Interpreter::compact`] has
-    /// already dropped; repeated compactions skip it.
-    compacted: usize,
     /// Incremental eligibility tracking for [`Interpreter::step`]: how many
     /// blocks of the DAG's insertion order have been scanned …
     scanned: usize,
@@ -304,7 +291,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             order: Vec::new(),
             indications: Vec::new(),
             stats: InterpretStats::default(),
-            compacted: 0,
             scanned: 0,
             waiting: HashMap::new(),
             dependents: HashMap::new(),
@@ -373,6 +359,41 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             }
         }
         view
+    }
+
+    /// `B.Ms[in, ℓ]` for a block built by `me` with direct predecessors
+    /// `preds` (Algorithm 2, lines 8–10): the envelopes addressed to `me`
+    /// in the predecessors' `Ms[out, ℓ]`, in the total order `<_M`.
+    fn inbox<'a>(
+        states: &'a HashMap<BlockRef, BlockState<P>>,
+        preds: &[BlockRef],
+        label: Label,
+        me: ServerId,
+    ) -> BTreeSet<&'a Envelope<P::Message>> {
+        preds
+            .iter()
+            .filter_map(|pred| states.get(pred)?.outs.get(&label))
+            .flatten()
+            .filter(|envelope| envelope.receiver == me)
+            .collect()
+    }
+
+    /// In-coming messages `B.Ms[in, ℓ]` of `block`: what interpreting it
+    /// delivers (or delivered) to its builder's instance of `label`, in
+    /// delivery order. Derived from the predecessors' out-buffers, not
+    /// stored — so it reads the same on an interpreter restored from a
+    /// snapshot. Empty for a block `dag` does not hold.
+    pub fn in_messages(
+        &self,
+        dag: &BlockDag,
+        block: &BlockRef,
+        label: Label,
+    ) -> impl Iterator<Item = &Envelope<P::Message>> {
+        let preds = dag.preds_of(block);
+        dag.get(block)
+            .map(|block| Self::inbox(&self.states, &preds, label, block.builder()))
+            .into_iter()
+            .flatten()
     }
 
     /// The blocks currently eligible: `I[B]` is false and `I[B_i]` holds
@@ -532,7 +553,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         };
 
         let mut outs: Buffers<P::Message> = BTreeMap::new();
-        let mut ins: Buffers<P::Message> = BTreeMap::new();
         let mut touched: BTreeSet<Label> = BTreeSet::new();
         let config = self.config;
 
@@ -573,17 +593,12 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             sending.extend(self.states[pred].outs.keys().copied());
         }
         for label in sending {
-            let mut inbox: BTreeSet<Envelope<P::Message>> = BTreeSet::new();
-            for pred in &preds {
-                if let Some(out) = self.states[pred].outs.get(&label) {
-                    inbox.extend(out.iter().filter(|e| e.receiver == me).cloned());
-                }
-            }
+            let inbox = Self::inbox(&self.states, &preds, label, me);
             if inbox.is_empty() {
                 continue;
             }
             let instance = Self::touch(&mut view, &config, label, me);
-            for envelope in &inbox {
+            for envelope in inbox {
                 let mut outbox = Outbox::new();
                 instance.on_message(envelope.sender, envelope.message.clone(), &mut outbox);
                 let envelopes: Vec<_> = outbox.into_envelopes(me).collect();
@@ -592,7 +607,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 self.stats.messages_delivered += 1;
             }
             touched.insert(label);
-            ins.insert(label, inbox);
         }
 
         // Lines 13–14: surface indications from the instances driven here,
@@ -618,7 +632,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         self.footprint.instances += view.len();
         self.footprint.unique_instances += delta.len();
         self.footprint.out_envelopes += envelope_count(&outs);
-        self.footprint.in_envelopes += envelope_count(&ins);
         self.views.insert(*block_ref, view);
         self.states.insert(
             *block_ref,
@@ -626,7 +639,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 parent,
                 delta,
                 outs,
-                ins,
             },
         );
         self.order.push(*block_ref);
@@ -635,44 +647,11 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         Ok(())
     }
 
-    /// Drops the stored `Ms[in, ·]` buffers of interpreted blocks.
-    ///
-    /// In-buffers are kept only for introspection (figure traces, audits);
-    /// the interpretation itself never reads them back, so compaction is
-    /// always safe. Out-buffers and instance states must be retained:
-    /// *any* block — including a byzantine server's — may still reference
-    /// an old block directly (§7 discusses this unbounded-memory
-    /// limitation of the abstraction). Returns the number of envelopes
-    /// dropped.
-    ///
-    /// Compaction is incremental: a watermark into the interpretation
-    /// order skips already-compacted states, so calling this repeatedly
-    /// (e.g. on a timer) costs only the blocks interpreted since the last
-    /// call, and returns 0 in O(1) when there is nothing to drop.
-    pub fn compact(&mut self) -> usize {
-        if self.compacted == self.order.len() {
-            return 0;
-        }
-        let mut dropped = 0;
-        let (order, states) = (&self.order, &mut self.states);
-        for block_ref in &order[self.compacted..] {
-            if let Some(state) = states.get_mut(block_ref) {
-                for (_, ins) in std::mem::take(&mut state.ins) {
-                    dropped += ins.len();
-                }
-            }
-        }
-        self.compacted = self.order.len();
-        self.footprint.in_envelopes -= dropped;
-        dropped
-    }
-
     /// Approximate memory footprint: stored protocol instances (what the
-    /// literal Algorithm 2 would hold *and* what is resident), out- and
-    /// in-envelopes across all interpreted blocks. Used by the
-    /// bounded-memory experiments and as the input to compaction policies.
-    /// O(1): the totals are maintained as blocks are interpreted and
-    /// compacted.
+    /// literal Algorithm 2 would hold *and* what is resident) and
+    /// out-envelopes across all interpreted blocks. Used by the
+    /// bounded-memory experiments. O(1): the totals are maintained as
+    /// blocks are interpreted.
     ///
     /// `instances` is what a clone-per-block interpreter would store;
     /// `unique_instances` is what this interpreter actually keeps —
@@ -750,10 +729,6 @@ where
     /// Must be called at a fixed point ([`Interpreter::step`] returned and
     /// [`Interpreter::drain_indications`] was drained): pending eligibility
     /// bookkeeping and undrained indications are not captured.
-    ///
-    /// The `ins` buffers are deliberately not captured — they are
-    /// introspection-only (see [`Interpreter::compact`]), and a restored
-    /// interpreter behaves like a compacted one.
     pub fn encode_snapshot(&self) -> Vec<u8> {
         debug_assert!(
             self.ready.is_empty() && self.waiting.is_empty(),
@@ -860,7 +835,6 @@ where
                 parent,
                 delta,
                 outs,
-                ins: BTreeMap::new(),
             };
             if states.insert(*block_ref, state).is_some() {
                 return Err(SnapshotError::BadIndex);
@@ -876,7 +850,6 @@ where
             states,
             views: HashMap::new(),
             footprint,
-            compacted: covered,
             scanned: covered,
             order,
             indications: Vec::new(),
@@ -1064,15 +1037,17 @@ mod tests {
         assert_eq!(interpreted, 4);
 
         // b2 (by s1) received PING 7 via the edge b0 ⇀ b2.
-        let state_b2 = interpreter.state(&blocks[2].block_ref()).unwrap();
-        let ins: Vec<_> = state_b2.in_messages(Label::new(1)).collect();
+        let ins: Vec<_> = interpreter
+            .in_messages(&dag, &blocks[2].block_ref(), Label::new(1))
+            .collect();
         assert_eq!(ins.len(), 1);
         assert_eq!(ins[0].receiver, ServerId::new(1));
 
         // b3 (by s0) received its own PING via b0 ⇀ b3 (self-delivery on
         // the next own block).
-        let state_b3 = interpreter.state(&blocks[3].block_ref()).unwrap();
-        let ins3: Vec<_> = state_b3.in_messages(Label::new(1)).collect();
+        let ins3: Vec<_> = interpreter
+            .in_messages(&dag, &blocks[3].block_ref(), Label::new(1))
+            .collect();
         assert_eq!(ins3.len(), 1);
         assert_eq!(ins3[0].receiver, ServerId::new(0));
 
@@ -1119,8 +1094,8 @@ mod tests {
             let outs_a: Vec<_> = state_a.out_messages(label).collect();
             let outs_b: Vec<_> = state_b.out_messages(label).collect();
             assert_eq!(outs_a, outs_b);
-            let ins_a: Vec<_> = state_a.in_messages(label).collect();
-            let ins_b: Vec<_> = state_b.in_messages(label).collect();
+            let ins_a: Vec<_> = a.in_messages(&dag, r, label).collect();
+            let ins_b: Vec<_> = b.in_messages(&dag, r, label).collect();
             assert_eq!(ins_a, ins_b);
         }
         assert_eq!(a.stats().messages_delivered, b.stats().messages_delivered);
@@ -1281,50 +1256,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_drops_only_in_buffers() {
-        let (dag, blocks) = two_server_dag();
-        let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(2));
-        interpreter.step(&dag);
-
-        let before = interpreter.footprint();
-        assert!(before.in_envelopes > 0);
-        assert!(before.out_envelopes > 0);
-        let dropped = interpreter.compact();
-        assert_eq!(dropped, before.in_envelopes);
-
-        let after = interpreter.footprint();
-        assert_eq!(after.in_envelopes, 0);
-        assert_eq!(after.out_envelopes, before.out_envelopes);
-        assert_eq!(after.instances, before.instances);
-        // Out-buffers still serve future blocks correctly.
-        let state = interpreter.state(&blocks[0].block_ref()).unwrap();
-        assert_eq!(state.out_messages(Label::new(1)).count(), 2);
-    }
-
-    #[test]
-    fn compact_is_incremental_across_calls() {
-        let (dag_full, blocks) = two_server_dag();
-        let mut dag_partial = BlockDag::new();
-        dag_partial.insert(blocks[0].clone()).unwrap();
-        dag_partial.insert(blocks[1].clone()).unwrap();
-
-        let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(2));
-        interpreter.step(&dag_partial);
-        // Genesis blocks have no preds, hence no in-buffers to drop.
-        assert_eq!(interpreter.compact(), 0);
-        // Re-compacting with no new blocks is a cheap no-op.
-        assert_eq!(interpreter.compact(), 0);
-
-        // Grow the DAG: only the two new blocks are visited, and exactly
-        // their in-envelopes (one each) are dropped.
-        interpreter.step(&dag_full);
-        let before = interpreter.footprint();
-        assert_eq!(interpreter.compact(), before.in_envelopes);
-        assert_eq!(interpreter.compact(), 0);
-        assert_eq!(interpreter.footprint().in_envelopes, 0);
-    }
-
-    #[test]
     fn untouched_blocks_store_nothing() {
         // Chain of 6 blocks, one request at genesis: activity dies out
         // after index 1 (the self-delivered PING), so blocks 2.. have an
@@ -1465,13 +1396,12 @@ mod tests {
         let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(1));
         interpreter.step(&dag);
 
-        let state = interpreter.state(&b1.block_ref()).unwrap();
-        let in1: Vec<_> = state
-            .in_messages(Label::new(1))
+        let in1: Vec<_> = interpreter
+            .in_messages(&dag, &b1.block_ref(), Label::new(1))
             .map(|e| e.message)
             .collect();
-        let in2: Vec<_> = state
-            .in_messages(Label::new(2))
+        let in2: Vec<_> = interpreter
+            .in_messages(&dag, &b1.block_ref(), Label::new(2))
             .map(|e| e.message)
             .collect();
         assert_eq!(in1, vec![10]);

@@ -66,7 +66,6 @@ pub mod gossip;
 pub mod interpret;
 mod label;
 pub mod protocol;
-pub mod recovery;
 pub mod reference;
 pub mod shim;
 pub mod store;
@@ -86,7 +85,6 @@ pub use gossip::{
 pub use interpret::{Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError};
 pub use label::Label;
 pub use protocol::{DeterministicProtocol, Envelope, Outbox, ProtocolConfig, SnapshotProtocol};
-pub use recovery::{persist_dag, restore_dag};
 pub use reference::{AdmissionView, ReferenceGossip, ReferenceInterpreter};
 pub use shim::{SetupError, Shim, ShimConfig};
 pub use store::{BlockStore, MemoryStore, RecoverError, RecoveryReport, StoreContents, StoreError};

@@ -29,11 +29,11 @@ use std::fmt;
 
 use dagbft_crypto::{KeyRegistry, ServerId};
 
-use crate::block::{BlockRef, LabeledRequest, SeqNum};
+use crate::block::{BlockRef, LabeledRequest};
 use crate::dag::BlockDag;
 use crate::defense::DefenseConfig;
 use crate::gossip::{Gossip, GossipConfig, NetCommand, NetMessage};
-use crate::interpret::{Indication, Interpreter, InterpreterFootprint, SnapshotError};
+use crate::interpret::{Interpreter, InterpreterFootprint, SnapshotError};
 use crate::label::Label;
 use crate::protocol::{DeterministicProtocol, ProtocolConfig, SnapshotProtocol};
 use crate::store::{BlockStore, RecoverError, RecoveryReport, StoreContents, StoreError};
@@ -131,21 +131,19 @@ impl Error for SetupError {}
 /// so [`StoreBinding`] stays protocol-generic without extra bounds.
 type SnapshotEncodeFn<P> = fn(&Interpreter<P>) -> Vec<u8>;
 
-/// An attached [`BlockStore`] plus the shim's bookkeeping around it:
-/// how much of the DAG's insertion order has been journaled, and the
-/// snapshot cadence (installed by [`Shim::enable_snapshots`]).
+/// The [`BlockStore`] a durable shim was born from, plus the shim's
+/// bookkeeping around it: how much of the DAG's insertion order has been
+/// journaled, and the snapshot cadence.
 #[derive(Debug)]
 struct StoreBinding<P: DeterministicProtocol> {
     store: Box<dyn BlockStore>,
     /// Prefix of the DAG's insertion order already appended to the store.
     synced_blocks: usize,
-    /// Snapshot cadence in blocks; 0 disables snapshots.
-    snapshot_every: u64,
+    /// Snapshot cadence in blocks and the encoder, once
+    /// [`Shim::enable_snapshots`] installed them.
+    snapshots: Option<(u64, SnapshotEncodeFn<P>)>,
     /// Interpreted-block count at the last snapshot.
     last_snapshot_at: u64,
-    /// Encodes the interpreter into snapshot bytes; present only when the
-    /// protocol supports snapshots and they were enabled.
-    encode: Option<SnapshotEncodeFn<P>>,
 }
 
 /// A complete block DAG server: `shim(P)` running as one member of `Srvrs`.
@@ -154,6 +152,13 @@ struct StoreBinding<P: DeterministicProtocol> {
 /// timers ([`Shim::on_tick`]), and requesting dissemination
 /// ([`Shim::disseminate`]); it returns [`NetCommand`]s for the transport.
 /// See the crate-level docs for a runnable example.
+///
+/// A shim is either *volatile* ([`Shim::new`]: nothing outlives the
+/// process) or *durable*, and a durable shim has one way into existence:
+/// from its [`BlockStore`] ([`Shim::recover_from_store`]), whether the
+/// store is empty (a fresh start, the same state `Shim::new` yields),
+/// holds a journal, or a journal plus a snapshot. A crash is "everything
+/// except the store is gone"; the restart is the same call again.
 #[derive(Debug)]
 pub struct Shim<P: DeterministicProtocol> {
     me: ServerId,
@@ -163,23 +168,23 @@ pub struct Shim<P: DeterministicProtocol> {
     /// The `rqsts` buffer shared between shim and gossip (Algorithm 3,
     /// line 2; ownership replaces sharing in this implementation).
     rqsts: VecDeque<LabeledRequest>,
-    /// Indications for `me`, awaiting [`Shim::poll_indications`].
+    /// Indications for `me`, awaiting [`Shim::poll_indications`]; those of
+    /// other servers' simulations are not kept (Algorithm 3 line 8 requires
+    /// `s' = s`).
     delivered: VecDeque<(Label, P::Indication)>,
-    /// Indications raised for *other* servers' simulations — not forwarded
-    /// to the user (Algorithm 3 line 8 requires `s' = s`), but observable
-    /// for auditing and tests.
-    observed: Vec<Indication<P::Indication>>,
-    /// Durable storage, when attached: every admitted block, buffered
+    /// Durable storage of a durable shim: every admitted block, buffered
     /// request, and periodic snapshot is journaled through it.
     store: Option<StoreBinding<P>>,
-    /// A store write failure detaches the store (the server keeps running
-    /// non-durably — storage must never panic or wedge consensus) and
-    /// stashes the error here for the operator.
+    /// The write failure that detached the store. Storage must never
+    /// panic or wedge consensus, so the server keeps admitting,
+    /// interpreting and answering `FWD` — but it seals no further own
+    /// block ([`Shim::disseminate`]): one it could not make durable
+    /// first is one a restart would sign again.
     store_error: Option<StoreError>,
 }
 
 impl<P: DeterministicProtocol> Shim<P> {
-    /// Creates the shim for server `me`.
+    /// Creates the volatile shim for server `me`.
     ///
     /// # Errors
     ///
@@ -189,45 +194,20 @@ impl<P: DeterministicProtocol> Shim<P> {
         config: ShimConfig,
         registry: &KeyRegistry,
     ) -> Result<Self, SetupError> {
-        let signer = registry
-            .signer(me)
-            .ok_or(SetupError::UnknownServer { server: me })?;
-        Ok(Shim {
-            me,
-            config,
-            gossip: Gossip::new(me, config.gossip(), signer, registry.verifier()),
-            interpreter: Interpreter::new(config.protocol),
-            rqsts: VecDeque::new(),
-            delivered: VecDeque::new(),
-            observed: Vec::new(),
-            store: None,
-            store_error: None,
-        })
+        let interpreter = Interpreter::new(config.protocol);
+        Self::assemble(me, config, registry, BlockDag::new(), interpreter)
     }
 
-    /// Reconstructs a server from its persisted DAG after a crash.
-    ///
-    /// Gossip resumes the own block chain ([`Gossip::resume`]); the
-    /// interpreter re-derives every instance's state by re-interpreting
-    /// the DAG from scratch — interpretation is a pure function of the DAG
-    /// (Lemma 4.2), so the recovered state is identical to the lost one.
-    /// The replay stores per-label instance state only at the blocks that
-    /// touched the label (see [`crate::interpret`]), so recovery *memory*
-    /// is bounded by activity. Wall-clock still visits every block once
-    /// (Algorithm 2 interprets each block), so replay time remains linear
-    /// in chain length, with a per-block cost set by the labels it drives.
-    /// Indications raised during the replay are delivered again; an
-    /// application persisting its own progress should deduplicate them
-    /// (the paper's "persist enough information … as part of P").
-    ///
-    /// # Errors
-    ///
-    /// [`SetupError::UnknownServer`] if `registry` has no key for `me`.
-    pub fn recover(
+    /// The one place a shim is put together, as a volatile one: gossip
+    /// resumes the own chain over `dag` ([`Gossip::resume`]; over an empty
+    /// DAG that is `Gossip::new`), and `interpreter` replays whatever part
+    /// of `dag` it has not covered.
+    fn assemble(
         me: ServerId,
         config: ShimConfig,
         registry: &KeyRegistry,
         dag: BlockDag,
+        interpreter: Interpreter<P>,
     ) -> Result<Self, SetupError> {
         let signer = registry
             .signer(me)
@@ -236,10 +216,9 @@ impl<P: DeterministicProtocol> Shim<P> {
             me,
             config,
             gossip: Gossip::resume(me, config.gossip(), signer, registry.verifier(), dag),
-            interpreter: Interpreter::new(config.protocol),
+            interpreter,
             rqsts: VecDeque::new(),
             delivered: VecDeque::new(),
-            observed: Vec::new(),
             store: None,
             store_error: None,
         };
@@ -273,39 +252,21 @@ impl<P: DeterministicProtocol> Shim<P> {
     }
 
     /// The interpreter's memory footprint — total vs unique instances
-    /// (the saving over clone-per-block), out- and in-envelopes. See
+    /// (the saving over clone-per-block) and out-envelopes. See
     /// [`Interpreter::footprint`].
     pub fn footprint(&self) -> InterpreterFootprint {
         self.interpreter.footprint()
     }
 
-    /// Drops the interpreter's introspection-only in-buffers
-    /// ([`Interpreter::compact`]); incremental, safe to call on a timer.
-    /// Returns the number of envelopes dropped.
-    pub fn compact(&mut self) -> usize {
-        self.interpreter.compact()
-    }
-
     /// `request(ℓ, r)`: buffer a user request for instance `ℓ`
     /// (Algorithm 3, lines 6–7).
     ///
-    /// With a store attached, the request is also journaled (write-ahead):
-    /// recovery re-buffers every journaled request not yet sealed into an
-    /// own block, so accepted-but-unsealed requests survive a crash.
+    /// A durable shim also journals the request (write-ahead): recovery
+    /// re-buffers every journaled request not yet sealed into an own
+    /// block, so accepted-but-unsealed requests survive a crash.
     pub fn request(&mut self, label: Label, request: P::Request) {
         let labeled = LabeledRequest::encode(label, &request);
-        if self.store.is_some() {
-            let result = self
-                .store
-                .as_mut()
-                .expect("checked above")
-                .store
-                .append_request(&labeled);
-            if let Err(err) = result {
-                self.store = None;
-                self.store_error = Some(err);
-            }
-        }
+        self.journal(|_, binding| binding.store.append_request(&labeled));
         self.rqsts.push_back(labeled);
     }
 
@@ -359,36 +320,37 @@ impl<P: DeterministicProtocol> Shim<P> {
     /// the current block with up to
     /// [`ShimConfig::max_requests_per_block`] buffered requests.
     ///
-    /// With a store attached, the sealed block is journaled, the journal
-    /// synced, and the own-tip marker durably advanced *before* the
-    /// broadcast commands are returned — so a crash can never lose an own
-    /// block that other servers may already hold (the §7 equivocation
-    /// caveat; see [`crate::store::RecoverError::OwnChainTruncated`]).
+    /// A durable shim journals the sealed block, syncs the journal, and
+    /// durably advances the own-tip marker *before* the broadcast command
+    /// is returned — so a crash can never lose an own block that other
+    /// servers may already hold (the §7 equivocation caveat; see
+    /// [`crate::store::RecoverError::OwnChainTruncated`]). It fails
+    /// *closed*: if any of the three writes fails the block is not
+    /// broadcast, and once a store error is latched
+    /// ([`Shim::store_error`]) nothing further is sealed — the withheld
+    /// block reached nobody, so whatever a restart seals at its sequence
+    /// number collides with nothing. Restart the server onto healthy
+    /// media to resume sealing.
     pub fn disseminate(&mut self, now: TimeMs) -> Vec<NetCommand> {
+        if self.store_error.is_some() {
+            return Vec::new();
+        }
         let take = self.rqsts.len().min(self.config.max_requests_per_block);
         let requests: Vec<LabeledRequest> = self.rqsts.drain(..take).collect();
         let (block, commands) = self.gossip.disseminate(requests, now);
         let sealed = block.seq();
         self.run_interpretation();
-        if self.store.is_some() {
-            if let Err(err) = self.seal_durable(sealed) {
-                self.store = None;
-                self.store_error = Some(err);
-            }
+        // Journal sync first, then the own-tip marker: the marker must
+        // never get ahead of a durable journal, or recovery would refuse
+        // to resume after a crash that lost nothing observable.
+        self.journal(|_, binding| {
+            binding.store.sync()?;
+            binding.store.mark_own_tip(sealed)
+        });
+        if self.store_error.is_some() {
+            return Vec::new();
         }
         commands
-    }
-
-    /// Journal sync first, then the own-tip marker: the marker must never
-    /// get ahead of a durable journal, or recovery would refuse to resume
-    /// after a crash that lost nothing observable.
-    fn seal_durable(&mut self, seq: SeqNum) -> Result<(), StoreError> {
-        let Some(binding) = self.store.as_mut() else {
-            return Ok(());
-        };
-        binding.store.sync()?;
-        binding.store.mark_own_tip(seq)?;
-        Ok(())
     }
 
     /// Returns indications raised for this server since the last poll
@@ -397,96 +359,59 @@ impl<P: DeterministicProtocol> Shim<P> {
         self.delivered.drain(..).collect()
     }
 
-    /// Indications observed for *other* servers' simulations (auditing;
-    /// never part of `P`'s interface).
-    pub fn drain_observed(&mut self) -> Vec<Indication<P::Indication>> {
-        std::mem::take(&mut self.observed)
-    }
-
     fn run_interpretation(&mut self) {
         self.interpreter.step(self.gossip.dag());
         for indication in self.interpreter.drain_indications() {
             if indication.server == self.me {
                 self.delivered
                     .push_back((indication.label, indication.indication));
-            } else {
-                self.observed.push(indication);
             }
         }
-        if self.store.is_some() {
-            if let Err(err) = self.try_sync_store() {
-                self.store = None;
-                self.store_error = Some(err);
-            }
+        self.journal(Self::journal_admitted);
+    }
+
+    /// Runs one `write` against the store of a durable shim (no-op for a
+    /// volatile one). The only place a failed store is detached: the
+    /// error is latched in `store_error`, which [`Shim::disseminate`]
+    /// reads.
+    fn journal(
+        &mut self,
+        write: impl FnOnce(&Self, &mut StoreBinding<P>) -> Result<(), StoreError>,
+    ) {
+        let Some(mut binding) = self.store.take() else {
+            return;
+        };
+        match write(self, &mut binding) {
+            Ok(()) => self.store = Some(binding),
+            Err(err) => self.store_error = Some(err),
         }
     }
 
-    /// Appends DAG blocks admitted since the last sync to the store, and
+    /// Appends DAG blocks admitted since the last call to the store, and
     /// takes a snapshot when the cadence is due. Interpretation runs to a
     /// fixed point before this is called, so a due snapshot always
     /// captures a fully-interpreted DAG.
-    fn try_sync_store(&mut self) -> Result<(), StoreError> {
-        let Some(binding) = self.store.as_mut() else {
-            return Ok(());
-        };
+    fn journal_admitted(&self, binding: &mut StoreBinding<P>) -> Result<(), StoreError> {
         let dag = self.gossip.dag();
-        let new: Vec<BlockRef> = dag.refs().skip(binding.synced_blocks).copied().collect();
-        for block_ref in new {
-            let block = dag.get(&block_ref).expect("ref comes from the dag");
+        for block_ref in dag.refs().skip(binding.synced_blocks) {
+            let block = dag.get(block_ref).expect("ref comes from the dag");
             binding.store.append_block(block)?;
             binding.synced_blocks += 1;
         }
-        if let Some(encode) = binding.encode {
+        if let Some((every, encode)) = binding.snapshots {
             let covered = self.interpreter.interpreted_count() as u64;
-            if binding.snapshot_every > 0
-                && covered.saturating_sub(binding.last_snapshot_at) >= binding.snapshot_every
-            {
-                let payload = encode(&self.interpreter);
-                binding.store.append_snapshot(covered, &payload)?;
+            if covered.saturating_sub(binding.last_snapshot_at) >= every {
+                binding
+                    .store
+                    .append_snapshot(covered, &encode(&self.interpreter))?;
                 binding.last_snapshot_at = covered;
             }
         }
         Ok(())
     }
 
-    /// Attaches a durable store. Every block already in the DAG beyond the
-    /// store's current content is journaled immediately; from then on the
-    /// shim appends admitted blocks, buffered requests, and (if enabled
-    /// via [`Shim::enable_snapshots`]) periodic snapshots.
-    ///
-    /// The store's existing blocks must be a prefix of this shim's DAG
-    /// insertion order (trivially true for an empty store, and guaranteed
-    /// by [`Shim::recover_from_store`] when re-attaching after recovery).
-    ///
-    /// # Errors
-    ///
-    /// Any [`StoreError`] reading the store's current content or writing
-    /// the backlog; the store is not attached on error.
-    pub fn attach_store(&mut self, store: Box<dyn BlockStore>) -> Result<(), StoreError> {
-        let already = store.contents()?.blocks.len();
-        self.attach_store_synced(store, already);
-        if let Err(err) = self.try_sync_store() {
-            self.store = None;
-            return Err(err);
-        }
-        Ok(())
-    }
-
-    /// Attaches `store` asserting its first `synced_blocks` journal blocks
-    /// already mirror the DAG prefix (the recovery re-attach path, which
-    /// just rebuilt the DAG *from* that journal).
-    fn attach_store_synced(&mut self, store: Box<dyn BlockStore>, synced_blocks: usize) {
-        self.store = Some(StoreBinding {
-            store,
-            synced_blocks,
-            snapshot_every: 0,
-            last_snapshot_at: 0,
-            encode: None,
-        });
-    }
-
-    /// Detaches and returns the store, if one is attached. The shim keeps
-    /// running non-durably.
+    /// Detaches and returns the store of a durable shim — what a crash
+    /// leaves behind. The shim keeps running as a volatile one.
     pub fn detach_store(&mut self) -> Option<Box<dyn BlockStore>> {
         self.store.take().map(|binding| binding.store)
     }
@@ -501,20 +426,25 @@ impl<P: DeterministicProtocol> Shim<P> {
         self.store_error.as_ref()
     }
 
-    /// Recovers a server from its durable store, replaying the whole
-    /// journal from genesis (any persisted snapshot is ignored — this is
-    /// the oracle path; see
+    /// Brings a durable server into existence from its store, replaying
+    /// the whole journal from genesis (any persisted snapshot is ignored
+    /// — this is the oracle path; see
     /// [`Shim::recover_from_store_with_snapshots`] for snapshot catch-up).
+    /// An empty store is a fresh start: the result is [`Shim::new`]'s
+    /// state with the store attached.
     ///
     /// The journal's blocks are re-inserted in admission order (a
     /// topological order by construction), gossip resumes the own chain
-    /// ([`Gossip::resume`]), interpretation replays (pure function of the
-    /// DAG, Lemma 4.2), journaled-but-unsealed requests are re-buffered,
-    /// and the store is re-attached so journaling continues seamlessly.
+    /// ([`Gossip::resume`]), interpretation replays — a pure function of
+    /// the DAG (Lemma 4.2), so the recovered state is the lost one —
+    /// journaled-but-unsealed requests are re-buffered, and journaling
+    /// continues through the same store.
     ///
-    /// Indications raised by the replay are delivered again, exactly like
-    /// [`Shim::recover`]; callers that must not re-deliver (the simulator's
-    /// crash scenarios) discard the first poll.
+    /// Indications raised by the replay are delivered again; an
+    /// application persisting its own progress deduplicates them (the
+    /// paper's "persist enough information … as part of P"), and callers
+    /// that must not re-deliver (the simulator's crash scenarios) discard
+    /// the first poll.
     ///
     /// # Errors
     ///
@@ -527,31 +457,25 @@ impl<P: DeterministicProtocol> Shim<P> {
         registry: &KeyRegistry,
         store: Box<dyn BlockStore>,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
-        let contents = store.contents()?;
-        Self::recover_with_interpreter(
-            me,
-            config,
-            registry,
-            store,
-            contents,
-            Interpreter::new(config.protocol),
-        )
+        Self::recover_with(me, config, registry, store, |_| {
+            Ok((Interpreter::new(config.protocol), None))
+        })
     }
 
-    /// Shared recovery tail: rebuild the DAG, enforce the own-tip guard,
-    /// resume gossip, replay the suffix the interpreter has not covered,
-    /// re-buffer unsealed requests, and re-attach the store.
-    fn recover_with_interpreter(
+    /// The recovery body both public entry points share: read the store
+    /// back, let `restore` produce the interpreter to start from (and the
+    /// version of a snapshot it had to skip), rebuild the DAG, enforce
+    /// the own-tip guard, assemble the shim, re-buffer unsealed requests,
+    /// and bind the store it all came from.
+    fn recover_with(
         me: ServerId,
         config: ShimConfig,
         registry: &KeyRegistry,
         store: Box<dyn BlockStore>,
-        contents: StoreContents,
-        interpreter: Interpreter<P>,
+        restore: impl FnOnce(&StoreContents) -> Result<(Interpreter<P>, Option<u8>), RecoverError>,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
-        let signer = registry
-            .signer(me)
-            .ok_or(SetupError::UnknownServer { server: me })?;
+        let contents = store.contents()?;
+        let (interpreter, snapshot_skipped_version) = restore(&contents)?;
         let mut dag = BlockDag::new();
         for block in &contents.blocks {
             let block_ref = block.block_ref();
@@ -585,21 +509,16 @@ impl<P: DeterministicProtocol> Shim<P> {
             snapshot_covered,
             requests_rebuffered: rqsts.len(),
             truncated_records: contents.truncated_records,
-            snapshot_skipped_version: None,
+            snapshot_skipped_version,
         };
-        let mut shim = Shim {
-            me,
-            config,
-            gossip: Gossip::resume(me, config.gossip(), signer, registry.verifier(), dag),
-            interpreter,
-            rqsts,
-            delivered: VecDeque::new(),
-            observed: Vec::new(),
-            store: None,
-            store_error: None,
-        };
-        shim.run_interpretation();
-        shim.attach_store_synced(store, contents.blocks.len());
+        let mut shim = Self::assemble(me, config, registry, dag, interpreter)?;
+        shim.rqsts = rqsts;
+        shim.store = Some(StoreBinding {
+            store,
+            synced_blocks: contents.blocks.len(),
+            snapshots: None,
+            last_snapshot_at: 0,
+        });
         Ok((shim, report))
     }
 }
@@ -608,22 +527,21 @@ impl<P: SnapshotProtocol> Shim<P>
 where
     P::Message: dagbft_codec::WireEncode + dagbft_codec::WireDecode,
 {
-    /// Enables periodic interpreter snapshots through the attached store:
-    /// one snapshot every `every` interpreted blocks, so recovery via
-    /// [`Shim::recover_from_store_with_snapshots`] replays only the suffix
-    /// past the last snapshot. No-op without an attached store.
+    /// Enables periodic interpreter snapshots through the store of a
+    /// durable shim: one snapshot every `every` interpreted blocks, so
+    /// recovery via [`Shim::recover_from_store_with_snapshots`] replays
+    /// only the suffix past the last snapshot. No-op on a volatile shim.
     pub fn enable_snapshots(&mut self, every: u64) {
         let covered = self.interpreter.interpreted_count() as u64;
         if let Some(binding) = self.store.as_mut() {
-            binding.snapshot_every = every.max(1);
+            binding.snapshots = Some((every.max(1), |interpreter| interpreter.encode_snapshot()));
             binding.last_snapshot_at = covered;
-            binding.encode = Some(|interpreter| interpreter.encode_snapshot());
         }
     }
 
-    /// Recovers a server from its durable store, restoring interpreter
-    /// state from the latest persisted snapshot (if any) and replaying
-    /// only the journal suffix past it — the snapshot catch-up path.
+    /// [`Shim::recover_from_store`] with snapshot catch-up: interpreter
+    /// state is restored from the latest persisted snapshot (if any) and
+    /// only the journal suffix past it replays.
     ///
     /// The snapshot is validated before use: its `(n, f)` configuration
     /// and covered block set must match the journal prefix exactly,
@@ -642,10 +560,11 @@ where
         registry: &KeyRegistry,
         store: Box<dyn BlockStore>,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
-        let contents = store.contents()?;
-        let mut interpreter = Interpreter::new(config.protocol);
-        let mut snapshot_skipped_version = None;
-        if let Some((covered, payload)) = &contents.snapshot {
+        Self::recover_with(me, config, registry, store, |contents| {
+            let fresh = Interpreter::new(config.protocol);
+            let Some((covered, payload)) = &contents.snapshot else {
+                return Ok((fresh, None));
+            };
             let diverged = RecoverError::SnapshotDiverged { covered: *covered };
             let covered = *covered as usize;
             if covered > contents.blocks.len() {
@@ -655,10 +574,8 @@ where
                 // A snapshot caches a pure function of the journal
                 // (Lemma 4.2): one in a format this build does not read
                 // costs a genesis replay, not the node.
-                Err(SnapshotError::UnsupportedVersion(version)) => {
-                    snapshot_skipped_version = Some(version);
-                }
-                Err(err) => return Err(err.into()),
+                Err(SnapshotError::UnsupportedVersion(version)) => Ok((fresh, Some(version))),
+                Err(err) => Err(err.into()),
                 Ok(decoded) => {
                     let prefix: HashSet<BlockRef> = contents.blocks[..covered]
                         .iter()
@@ -670,25 +587,25 @@ where
                             .interpreted_order()
                             .iter()
                             .all(|block_ref| prefix.contains(block_ref));
-                    if !matches {
-                        return Err(diverged);
+                    if matches {
+                        Ok((decoded, None))
+                    } else {
+                        Err(diverged)
                     }
-                    interpreter = decoded;
                 }
             }
-        }
-        let (shim, mut report) =
-            Self::recover_with_interpreter(me, config, registry, store, contents, interpreter)?;
-        report.snapshot_skipped_version = snapshot_skipped_version;
-        Ok((shim, report))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::SeqNum;
     use crate::protocol::Outbox;
+    use crate::store::MemoryStore;
     use std::collections::BTreeSet;
+    use std::sync::{Arc, Mutex};
 
     /// Minimal deterministic broadcast: on request, send the value to all;
     /// indicate each distinct value once on receipt.
@@ -796,10 +713,10 @@ mod tests {
         let commands = shims[1].disseminate(1);
         run_commands(&mut shims, 1, commands, 1);
 
-        // s0 observes the indication of s1's simulation but does not
-        // deliver it to its own user.
-        let observed = shims[0].drain_observed();
-        assert!(observed.iter().all(|i| i.server != shims[0].me()));
+        // s0's interpreter raised the indication of s1's simulation too,
+        // but s0 does not deliver it to its own user.
+        assert_eq!(shims[0].interpreter().stats().indications, 1);
+        assert_eq!(shims[0].poll_indications(), vec![]);
         // s1 delivered for itself.
         assert_eq!(shims[1].poll_indications(), vec![(Label::new(1), 5)]);
     }
@@ -835,11 +752,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn recover_resumes_chain_without_equivocation() {
+    /// A durable two-server network: every shim born from an empty
+    /// [`MemoryStore`].
+    fn durable_network() -> (KeyRegistry, ShimConfig, Vec<Shim<Flood>>) {
         let registry = KeyRegistry::generate(2, 77);
         let config = ShimConfig::new(ProtocolConfig::for_n(2));
-        let mut shims = network(2);
+        let shims = (0..2)
+            .map(|i| {
+                let store = Box::new(MemoryStore::new());
+                Shim::recover_from_store(ServerId::new(i), config, &registry, store)
+                    .unwrap()
+                    .0
+            })
+            .collect();
+        (registry, config, shims)
+    }
+
+    #[test]
+    fn recover_resumes_chain_without_equivocation() {
+        let (registry, config, mut shims) = durable_network();
         shims[0].request(Label::new(1), 42);
         let commands = shims[0].disseminate(0);
         run_commands(&mut shims, 0, commands, 0);
@@ -850,12 +781,13 @@ mod tests {
         // s0 delivered before the crash.
         assert_eq!(shims[0].poll_indications(), vec![(Label::new(1), 42)]);
 
-        // "Crash" s0, persist its DAG, recover a fresh shim from it.
-        let image = crate::recovery::persist_dag(shims[0].dag());
-        let dag = crate::recovery::restore_dag(&image).unwrap();
-        let expected_seq = dag.height_of(ServerId::new(0)).unwrap().next();
-        let mut recovered: Shim<Flood> =
-            Shim::recover(ServerId::new(0), config, &registry, dag).unwrap();
+        // Crash s0: all that is left is its store; a fresh shim is born
+        // from it.
+        let store = shims[0].detach_store().unwrap();
+        let expected_seq = shims[0].dag().height_of(ServerId::new(0)).unwrap().next();
+        let (mut recovered, report) =
+            Shim::<Flood>::recover_from_store(ServerId::new(0), config, &registry, store).unwrap();
+        assert_eq!(report.journal_blocks, shims[0].dag().len());
 
         // The replay re-derives the indication (application dedups).
         assert_eq!(recovered.poll_indications(), vec![(Label::new(1), 42)]);
@@ -880,18 +812,17 @@ mod tests {
     fn recover_references_unreferenced_blocks() {
         // s0 crashes having received a block from s1 it never referenced;
         // the recovery block must reference it, so its messages deliver.
-        let registry = KeyRegistry::generate(2, 77);
-        let config = ShimConfig::new(ProtocolConfig::for_n(2));
-        let mut shims = network(2);
+        let (registry, config, mut shims) = durable_network();
         // s1 disseminates; s0 receives but crashes before disseminating.
         let commands = shims[1].disseminate(0);
         run_commands(&mut shims, 1, commands, 0);
-        let image = crate::recovery::persist_dag(shims[0].dag());
-        let dag = crate::recovery::restore_dag(&image).unwrap();
-        let s1_tip = dag.blocks_at(ServerId::new(1), crate::SeqNum::ZERO)[0];
+        let store = shims[0].detach_store().unwrap();
+        let s1_tip = shims[0]
+            .dag()
+            .blocks_at(ServerId::new(1), crate::SeqNum::ZERO)[0];
 
-        let mut recovered: Shim<Flood> =
-            Shim::recover(ServerId::new(0), config, &registry, dag).unwrap();
+        let (mut recovered, _) =
+            Shim::<Flood>::recover_from_store(ServerId::new(0), config, &registry, store).unwrap();
         recovered.disseminate(1);
         let own_genesis = recovered
             .dag()
@@ -901,6 +832,158 @@ mod tests {
             block.preds().contains(&s1_tip),
             "recovered block must reference the pre-crash backlog"
         );
+    }
+
+    #[test]
+    fn an_empty_store_yields_the_state_of_new() {
+        let registry = KeyRegistry::generate(1, 3);
+        let config = ShimConfig::new(ProtocolConfig::for_n(1));
+        let me = ServerId::new(0);
+        let mut volatile: Shim<Flood> = Shim::new(me, config, &registry).unwrap();
+        let (mut durable, report) =
+            Shim::<Flood>::recover_from_store(me, config, &registry, Box::new(MemoryStore::new()))
+                .unwrap();
+        assert_eq!(report, RecoveryReport::default());
+        assert!(durable.store_attached() && !volatile.store_attached());
+        for shim in [&mut volatile, &mut durable] {
+            shim.request(Label::new(1), 7);
+            shim.disseminate(0);
+            shim.disseminate(1);
+        }
+        assert!(volatile.dag().refs().eq(durable.dag().refs()));
+        assert_eq!(volatile.poll_indications(), durable.poll_indications());
+    }
+
+    /// The three writes a seal waits for.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Write {
+        AppendBlock,
+        Sync,
+        MarkOwnTip,
+    }
+
+    /// A [`BlockStore`] over a medium that outlives it, whose `fail.0`
+    /// writes err from the `fail.1`-th call on. A failed `sync` may or may
+    /// not have lost the unsynced appends: `sync_loses` picks.
+    #[derive(Debug)]
+    struct FailingStore {
+        medium: Arc<Mutex<MemoryStore>>,
+        fail: (Write, usize),
+        sync_loses: bool,
+        calls: [usize; 3],
+        unsynced: usize,
+    }
+
+    impl FailingStore {
+        fn attempt(&mut self, write: Write) -> Result<(), StoreError> {
+            self.calls[write as usize] += 1;
+            if self.fail.0 == write && self.calls[write as usize] >= self.fail.1 {
+                return Err(StoreError::Io(format!("{write:?} failed")));
+            }
+            Ok(())
+        }
+    }
+
+    impl BlockStore for FailingStore {
+        fn append_block(&mut self, block: &crate::Block) -> Result<(), StoreError> {
+            self.attempt(Write::AppendBlock)?;
+            self.unsynced += 1;
+            self.medium.lock().unwrap().append_block(block)
+        }
+        fn append_request(&mut self, request: &LabeledRequest) -> Result<(), StoreError> {
+            self.medium.lock().unwrap().append_request(request)
+        }
+        fn append_snapshot(&mut self, covered: u64, payload: &[u8]) -> Result<(), StoreError> {
+            self.medium
+                .lock()
+                .unwrap()
+                .append_snapshot(covered, payload)
+        }
+        fn mark_own_tip(&mut self, seq: SeqNum) -> Result<(), StoreError> {
+            self.attempt(Write::MarkOwnTip)?;
+            self.medium.lock().unwrap().mark_own_tip(seq)
+        }
+        fn sync(&mut self) -> Result<(), StoreError> {
+            let synced = self.attempt(Write::Sync);
+            if synced.is_err() && self.sync_loses {
+                self.medium.lock().unwrap().truncate_tail(self.unsynced);
+            }
+            self.unsynced = 0;
+            synced
+        }
+        fn contents(&self) -> Result<StoreContents, StoreError> {
+            self.medium.lock().unwrap().contents()
+        }
+    }
+
+    /// The own blocks `commands` put on the wire, as `(seq, ref)`.
+    fn broadcast_own(commands: &[NetCommand]) -> Vec<(SeqNum, BlockRef)> {
+        commands
+            .iter()
+            .filter_map(|command| match command {
+                NetCommand::Broadcast {
+                    message: NetMessage::Block(block),
+                } => Some((block.seq(), block.block_ref())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_failed_seal_broadcasts_nothing_and_no_restart_forks_the_chain() {
+        // §7 over every failure point: n = 1, five request + seal rounds
+        // on a store whose k-th append / sync / marker write fails, then a
+        // restart onto the same medium and one more seal. Every own block
+        // that ever reached the wire must be the only one at its sequence
+        // number.
+        let registry = KeyRegistry::generate(1, 3);
+        let config = ShimConfig::new(ProtocolConfig::for_n(1));
+        let me = ServerId::new(0);
+        for write in [Write::AppendBlock, Write::Sync, Write::MarkOwnTip] {
+            for (k, sync_loses) in (1..=6).flat_map(|k| [(k, false), (k, true)]) {
+                let case = format!("{write:?} #{k}, sync_loses={sync_loses}");
+                let medium = Arc::new(Mutex::new(MemoryStore::new()));
+                let store = FailingStore {
+                    medium: Arc::clone(&medium),
+                    fail: (write, k),
+                    sync_loses,
+                    calls: [0; 3],
+                    unsynced: 0,
+                };
+                let (mut shim, _) =
+                    Shim::<Flood>::recover_from_store(me, config, &registry, Box::new(store))
+                        .unwrap();
+                let mut on_wire = Vec::new();
+                for round in 0..5 {
+                    shim.request(Label::new(round), round);
+                    let commands = shim.disseminate(round);
+                    let failed = shim.store_error().is_some();
+                    assert_eq!(shim.store_attached(), !failed, "{case}");
+                    assert!(
+                        !failed || commands.is_empty(),
+                        "{case}: sealed past a failure"
+                    );
+                    on_wire.extend(broadcast_own(&commands));
+                }
+                assert_eq!(shim.store_error().is_some(), k <= 5, "{case}");
+                assert_eq!(
+                    on_wire.len(),
+                    (k - 1).min(5),
+                    "{case}: seals before the failure"
+                );
+                drop(shim);
+
+                let healthy = Arc::try_unwrap(medium).unwrap().into_inner().unwrap();
+                let (mut restarted, _) =
+                    Shim::<Flood>::recover_from_store(me, config, &registry, Box::new(healthy))
+                        .expect("nothing durable was lost below the marker");
+                on_wire.extend(broadcast_own(&restarted.disseminate(9)));
+                assert_eq!(on_wire.len(), k.min(6), "{case}: the restart seals again");
+                let seqs: BTreeSet<SeqNum> = on_wire.iter().map(|(seq, _)| *seq).collect();
+                assert_eq!(seqs.len(), on_wire.len(), "{case}: forked: {on_wire:?}");
+                assert!(restarted.dag().equivocations(me).is_empty(), "{case}");
+            }
+        }
     }
 
     #[test]
@@ -922,13 +1005,6 @@ mod tests {
             footprint.unique_instances,
             footprint.instances
         );
-        let dropped = shim.compact();
-        assert_eq!(dropped, footprint.in_envelopes);
-        assert_eq!(shim.compact(), 0, "second compaction is a no-op");
-        assert_eq!(shim.footprint().in_envelopes, 0);
-        // Interpretation still extends correctly after compaction.
-        shim.disseminate(12);
-        assert_eq!(shim.footprint().blocks, 13);
     }
 
     #[test]

@@ -3,17 +3,19 @@
 //! The paper's §7 observes that crash–recovery is "a great match for the
 //! block DAG approach": the DAG *is* the log, and interpretation is a pure
 //! function of it (Lemma 4.2). This module defines the storage seam the
-//! rest of the workspace shares — the shim journals every admitted block
-//! (its already-canonical wire bytes), every buffered user request, and
-//! periodic interpreter snapshots through a `BlockStore`, and recovery
-//! ([`crate::Shim::recover_from_store`]) rebuilds a server from whatever
-//! the store returns.
+//! rest of the workspace shares, and the one persistence format: a
+//! durable shim is born from its `BlockStore`
+//! ([`crate::Shim::recover_from_store`], from whatever the store returns
+//! — nothing, a journal, or a journal plus a snapshot), journals every
+//! admitted block (its already-canonical wire bytes), every buffered user
+//! request, and periodic interpreter snapshots through it, crashes back
+//! to it, and is born from it again.
 //!
 //! Two families of implementations exist:
 //!
 //! * [`MemoryStore`] (here) — the in-memory oracle: loss-free, used by
-//!   tests and the simulator's crash scenarios to pin the recovery
-//!   semantics independent of any file format;
+//!   tests and as the store of the simulator's restarting servers, to pin
+//!   the recovery semantics independent of any file format;
 //! * `dagbft_store::JournalStore` — the log-structured on-disk journal
 //!   with checksummed records, torn-tail truncation, and fault-injected
 //!   recovery matrices.
@@ -190,8 +192,8 @@ pub trait BlockStore: fmt::Debug + Send {
 }
 
 /// The in-memory oracle [`BlockStore`]: loss-free and infallible, used to
-/// pin recovery semantics independent of any on-disk format, and by the
-/// simulator's crash-at-instant scenarios.
+/// pin recovery semantics independent of any on-disk format, and as the
+/// store of the simulator's restarting servers.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
     blocks: Vec<Block>,
@@ -260,7 +262,8 @@ impl BlockStore for MemoryStore {
 }
 
 /// What a [`crate::Shim::recover_from_store`] call actually did — the
-/// counters the snapshot-catch-up acceptance criteria assert on.
+/// counters the snapshot-catch-up acceptance criteria assert on. All zero
+/// for a fresh start from an empty store.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Blocks read back from the journal.

@@ -333,86 +333,6 @@ proptest! {
     }
 }
 
-/// Builds a [`dagbft_core::BlockDag`] from a soup (which is emitted in
-/// topological order, so plain insertion succeeds).
-fn soup_dag(blocks: &[Block]) -> dagbft_core::BlockDag {
-    let mut dag = dagbft_core::BlockDag::new();
-    for block in blocks {
-        dag.insert(block.clone()).expect("soup is topological");
-    }
-    dag
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn dag_image_roundtrip_and_truncation(
-        builders in 2usize..4,
-        rounds in 1u64..4,
-        cut in any::<usize>(),
-    ) {
-        let dag = soup_dag(&block_soup(builders, rounds, true));
-        let bytes = dagbft_core::persist_dag(&dag);
-
-        // Roundtrip: same refs, valid invariants, and a byte-identical
-        // re-persist (the image is canonical, not merely equivalent).
-        let restored = dagbft_core::restore_dag(&bytes).unwrap();
-        prop_assert_eq!(restored.len(), dag.len());
-        for r in dag.refs() {
-            prop_assert!(restored.contains(r));
-        }
-        prop_assert!(restored.check_invariants());
-        prop_assert_eq!(dagbft_core::persist_dag(&restored), bytes.clone());
-
-        // Any strict-prefix truncation maps to the exact typed error —
-        // the image's block count promises bytes that are no longer
-        // there. Never a panic, never a silently shorter DAG.
-        let cut = cut % bytes.len();
-        prop_assert!(matches!(
-            dagbft_core::restore_dag(&bytes[..cut]),
-            Err(dagbft_core::recovery::RestoreError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn dag_image_bit_flips_are_caught_or_rejected(
-        builders in 2usize..4,
-        rounds in 1u64..3,
-        flip_at in any::<usize>(),
-        flip_bit in 0u8..8,
-        seq_bit in 0u8..64,
-    ) {
-        let dag = soup_dag(&block_soup(builders, rounds, false));
-        let originals: Vec<_> = dag.refs().copied().collect();
-        let bytes = dagbft_core::persist_dag(&dag);
-
-        // An arbitrary single-bit flip anywhere never panics the restore,
-        // and whatever survives still satisfies the DAG invariants.
-        let mut anywhere = bytes.clone();
-        let at = flip_at % anywhere.len();
-        anywhere[at] ^= 1 << flip_bit;
-        if let Ok(restored) = dagbft_core::restore_dag(&anywhere) {
-            prop_assert!(restored.check_invariants());
-        }
-
-        // A flip inside the first block's *content* (its sequence-number
-        // field: u32 image count, u32 builder, then the u64 seq) changes
-        // the block's recomputed `ref(B)` — the original identity must
-        // not survive the restore (successors referencing it fail, or the
-        // ref set visibly changes). Tampering never goes unnoticed.
-        let mut tampered = bytes.clone();
-        tampered[8 + (seq_bit / 8) as usize] ^= 1 << (seq_bit % 8);
-        match dagbft_core::restore_dag(&tampered) {
-            Err(_) => {}
-            Ok(restored) => prop_assert!(
-                !originals.iter().all(|r| restored.contains(r)),
-                "a content flip kept every original block identity"
-            ),
-        }
-    }
-}
-
 proptest! {
     // Real ed25519 admission is ~three orders of magnitude costlier than
     // the HMAC stand-in, so a few cases suffice — the HMAC variant above

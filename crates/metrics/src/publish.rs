@@ -53,7 +53,6 @@ pub fn publish_footprint(registry: &MetricsRegistry, footprint: &InterpreterFoot
     registry.set_gauge("interp_instances", footprint.instances as u64);
     registry.set_gauge("interp_unique_instances", footprint.unique_instances as u64);
     registry.set_gauge("interp_out_envelopes", footprint.out_envelopes as u64);
-    registry.set_gauge("interp_in_envelopes", footprint.in_envelopes as u64);
 }
 
 /// Publishes [`CryptoMetrics`] — sign/verify totals and the batched /

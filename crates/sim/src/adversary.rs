@@ -21,13 +21,15 @@ use dagbft_crypto::{KeyRegistry, ServerId, Signature, Signer};
 pub enum Role {
     /// A correct server running `shim(P)`.
     Correct,
-    /// Correct until `at`, then stops entirely (crash-stop).
+    /// A volatile server: correct until `at`, then stops for good
+    /// (crash-stop; there is no store to come back from).
     Crash {
         /// Crash time.
         at: TimeMs,
     },
-    /// Correct until `crash_at`, down until `rejoin_at`, then recovered
-    /// from its persisted DAG (§7 crash–recovery; `Shim::recover`).
+    /// A durable server: correct until `crash_at`, when everything except
+    /// its store is gone; down until `rejoin_at`, then recovered from its
+    /// store (§7 crash–recovery; `Shim::recover_from_store`).
     Restart {
         /// Crash time.
         crash_at: TimeMs,

@@ -12,9 +12,9 @@ use std::collections::{BTreeSet, HashMap};
 
 use dagbft_codec::{WireDecode, WireEncode};
 use dagbft_core::{
-    accountability, BlockStore, DefenseConfig, DeterministicProtocol, Label, NetCommand,
-    NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Shim, ShimConfig, SnapshotProtocol,
-    TimeMs,
+    accountability, BlockStore, DefenseConfig, DeterministicProtocol, Label, MemoryStore,
+    NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Shim, ShimConfig,
+    SnapshotProtocol, TimeMs,
 };
 use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
 use rand::rngs::StdRng;
@@ -195,13 +195,10 @@ impl SimConfig {
 enum Server<P: DeterministicProtocol> {
     Correct(Box<Shim<P>>),
     Byzantine(Box<ByzServer>),
-    /// A crashed server; retained for index stability.
+    /// A crashed volatile server, nothing to come back from; kept for index stability.
     Crashed,
-    /// A crashed server awaiting restart, holding its persisted DAG image.
-    Down {
-        /// `recovery::persist_dag` bytes captured at crash time.
-        image: Vec<u8>,
-    },
+    /// A crashed durable server: everything except its store is gone.
+    Down(Box<dyn BlockStore>),
 }
 
 /// What happened in a run.
@@ -232,8 +229,8 @@ pub struct SimOutcome<P: DeterministicProtocol> {
     pub finished_at: TimeMs,
     /// Injection times by label (first injection wins), for latency math.
     pub injected_at: HashMap<Label, TimeMs>,
-    /// Durable crash–recoveries performed during the run, in time order:
-    /// `(at, server, report)`.
+    /// Crash–recoveries performed during the run, in time order:
+    /// `(at, server, report)` per rejoin.
     pub recoveries: Vec<(TimeMs, ServerId, RecoveryReport)>,
     /// Transferable equivocation proofs extractable from the correct
     /// servers' final DAGs (§6 accountability;
@@ -321,25 +318,22 @@ impl<P: DeterministicProtocol> SimOutcome<P> {
     }
 }
 
-/// How a server is rebuilt from its detached [`BlockStore`] after a
-/// durable crash. A plain `fn` pointer so [`Simulation`] itself needs no
-/// snapshot bounds: the bounded builder methods instantiate it with
-/// [`Shim::recover_from_store`] or
-/// [`Shim::recover_from_store_with_snapshots`].
-type RecoverFn<P> = fn(
-    ServerId,
-    ShimConfig,
-    &KeyRegistry,
-    Box<dyn BlockStore>,
-) -> Result<(Shim<P>, RecoveryReport), RecoverError>;
+/// What a recovery returns.
+type Recovered<P> = Result<(Shim<P>, RecoveryReport), RecoverError>;
+
+/// Recovery with snapshot catch-up at a cadence, as
+/// [`Simulation::with_durable_snapshots`] installs it. A plain `fn`
+/// pointer so [`Simulation`] itself needs no snapshot bounds.
+type SnapshotRecoverFn<P> =
+    fn(ServerId, ShimConfig, &KeyRegistry, Box<dyn BlockStore>, u64) -> Recovered<P>;
 
 enum Event<P: DeterministicProtocol> {
-    Rejoin {
+    /// Everything of `server` except its store is gone.
+    Crash {
         server: usize,
     },
-    /// Crash-at-instant with same-instant restart from the durable store
-    /// attached via [`Simulation::with_durable_store`].
-    DurableCrash {
+    /// `server` is born again from the store its crash left behind.
+    Rejoin {
         server: usize,
     },
     Deliver {
@@ -363,6 +357,8 @@ enum Event<P: DeterministicProtocol> {
 /// See the crate-level docs.
 pub struct Simulation<P: DeterministicProtocol> {
     config: SimConfig,
+    /// What every correct server runs under, derived from `config`.
+    shim_config: ShimConfig,
     registry: KeyRegistry,
     servers: Vec<Server<P>>,
     queue: EventQueue<Event<P>>,
@@ -370,12 +366,10 @@ pub struct Simulation<P: DeterministicProtocol> {
     net: NetMetrics,
     deliveries: Vec<Delivery<P::Indication>>,
     injected_at: HashMap<Label, TimeMs>,
-    recover_hook: Option<RecoverFn<P>>,
-    /// Snapshot cadence to re-enable on recovered shims, with the
-    /// fn-pointer that applies it (set by
-    /// [`Simulation::with_durable_snapshots`]).
-    snapshot_every: Option<u64>,
-    snapshot_install: Option<fn(&mut Shim<P>, u64)>,
+    /// Set by [`Simulation::with_durable_snapshots`]: the snapshot cadence
+    /// and the recovery that catches up from snapshots and re-enables it.
+    /// `None`: durable servers come back via [`Shim::recover_from_store`].
+    snapshots: Option<(u64, SnapshotRecoverFn<P>)>,
     recoveries: Vec<(TimeMs, ServerId, RecoveryReport)>,
 }
 
@@ -418,60 +412,90 @@ impl<P: DeterministicProtocol> Simulation<P> {
             let phase = (index as TimeMs * config.disseminate_every) / config.n as TimeMs;
             queue.schedule(phase, Event::Disseminate { server: index });
             queue.schedule(phase + 1, Event::Tick { server: index });
-            if let Some(Role::Restart { rejoin_at, .. }) = config.roles.get(&index) {
-                // `schedule_first`, like injections: a server rejoining at
-                // `t` must be up before an injection at the same `t`
-                // reaches it (rejoins are enqueued at construction, so
-                // within the class they still precede any injection).
-                queue.schedule_first(*rejoin_at, Event::Rejoin { server: index });
-            }
         }
 
-        Simulation {
+        let mut sim = Simulation {
             rng: StdRng::seed_from_u64(config.seed.wrapping_add(1)),
+            shim_config,
             registry,
             servers,
             queue,
             net: NetMetrics::default(),
             deliveries: Vec::new(),
             injected_at: HashMap::new(),
-            recover_hook: None,
-            snapshot_every: None,
-            snapshot_install: None,
+            snapshots: None,
             recoveries: Vec::new(),
             config,
+        };
+        for server in 0..sim.config.n {
+            match sim.config.roles.get(&server) {
+                Some(&Role::Crash { at }) => sim.queue.schedule_first(at, Event::Crash { server }),
+                Some(&Role::Restart {
+                    crash_at,
+                    rejoin_at,
+                }) => sim.durable(server, Box::new(MemoryStore::new()), crash_at, rejoin_at),
+                _ => {}
+            }
         }
+        sim
     }
 
-    /// Attaches a durable [`BlockStore`] to `server` and schedules a
-    /// crash-at-instant at `crash_at`: at that moment the server's entire
-    /// volatile state is dropped and it is rebuilt purely from the store
-    /// (same-instant restart). The shim journals every admitted block and
-    /// buffered request from now on.
+    /// Brings `server` into existence from `store` — the one way a
+    /// durable server starts, at construction and after every crash.
+    /// Indications re-raised by the replay are discarded: the modeled
+    /// application persisted its own progress.
+    fn boot(&self, server: usize, store: Box<dyn BlockStore>) -> (Shim<P>, RecoveryReport) {
+        let me = ServerId::new(server as u32);
+        let (mut shim, report) = match self.snapshots {
+            Some((every, recover)) => recover(me, self.shim_config, &self.registry, store, every),
+            None => Shim::recover_from_store(me, self.shim_config, &self.registry, store),
+        }
+        .expect("a server recovers from its own store");
+        let _replayed = shim.poll_indications();
+        (shim, report)
+    }
+
+    /// Makes `server` a durable one, born from `store`, and schedules its
+    /// crash and its rejoin — `schedule_first`, like injections, crash
+    /// ahead of rejoin: at one instant `t` the order is crash, rejoin,
+    /// injections, then timers and deliveries.
+    fn durable(
+        &mut self,
+        server: usize,
+        store: Box<dyn BlockStore>,
+        crash_at: TimeMs,
+        rejoin_at: TimeMs,
+    ) {
+        assert!(
+            matches!(self.servers[server], Server::Correct(_)),
+            "server {server} is not correct"
+        );
+        self.servers[server] = Server::Correct(Box::new(self.boot(server, store).0));
+        self.queue.schedule_first(crash_at, Event::Crash { server });
+        self.queue
+            .schedule_first(rejoin_at, Event::Rejoin { server });
+    }
+
+    /// Makes `server` a durable one over the caller's [`BlockStore`], with a
+    /// crash-at-instant at `crash_at`. The server is born from the store
+    /// right away — an empty one is a fresh start, one holding a journal is
+    /// recovered from — and journals through it; at `crash_at` everything
+    /// except the store is dropped and the server is born from it again.
     ///
     /// Recovery replays the journal from genesis unless
     /// [`Simulation::with_durable_snapshots`] is also configured.
     ///
     /// # Panics
     ///
-    /// Panics if `server` is not a correct server, or if attaching the
-    /// store fails.
+    /// Panics if `server` is not a correct server, or if it does not
+    /// recover from `store`.
     pub fn with_durable_store(
         mut self,
         server: usize,
         store: Box<dyn BlockStore>,
         crash_at: TimeMs,
     ) -> Self {
-        let Server::Correct(shim) = &mut self.servers[server] else {
-            panic!("server {server} is not correct");
-        };
-        shim.attach_store(store).expect("durable store attaches");
-        self.recover_hook
-            .get_or_insert(Shim::recover_from_store as RecoverFn<P>);
-        // `schedule_first`, like injections: the crash must precede any
-        // same-instant delivery so the restarted server sees it fresh.
-        self.queue
-            .schedule_first(crash_at, Event::DurableCrash { server });
+        self.durable(server, store, crash_at, crash_at);
         self
     }
 
@@ -546,7 +570,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 .map(|server| match server {
                     Server::Correct(shim) => ServerView::Correct(shim),
                     Server::Byzantine(byz) => ServerView::Byzantine(byz),
-                    Server::Crashed | Server::Down { .. } => ServerView::Crashed,
+                    Server::Crashed | Server::Down(_) => ServerView::Crashed,
                 })
                 .collect(),
         }
@@ -554,20 +578,29 @@ impl<P: DeterministicProtocol> Simulation<P> {
 
     fn handle(&mut self, now: TimeMs, event: Event<P>) {
         match event {
-            Event::Rejoin { server } => {
-                self.rejoin(server, now);
+            Event::Crash { server } => {
+                if let Server::Correct(shim) = &mut self.servers[server] {
+                    let left = shim.detach_store();
+                    self.servers[server] = left.map_or(Server::Crashed, Server::Down);
+                }
             }
-            Event::DurableCrash { server } => {
-                self.durable_crash(server, now);
+            Event::Rejoin { server } => {
+                match std::mem::replace(&mut self.servers[server], Server::Crashed) {
+                    Server::Down(store) => {
+                        let (shim, report) = self.boot(server, store);
+                        self.servers[server] = Server::Correct(Box::new(shim));
+                        self.recoveries
+                            .push((now, ServerId::new(server as u32), report));
+                    }
+                    up => self.servers[server] = up,
+                }
             }
             Event::Inject(injection) => {
-                self.crash_if_due(injection.server, now);
                 if let Server::Correct(shim) = &mut self.servers[injection.server] {
                     shim.request(injection.label, injection.request);
                 }
             }
             Event::Disseminate { server } => {
-                self.crash_if_due(server, now);
                 match &mut self.servers[server] {
                     Server::Correct(shim) => {
                         let commands = shim.disseminate(now);
@@ -580,7 +613,10 @@ impl<P: DeterministicProtocol> Simulation<P> {
                             self.send(server, to.index(), message, now);
                         }
                     }
-                    Server::Crashed | Server::Down { .. } => return, // no rescheduling
+                    // A down server's timers keep their schedule for its
+                    // rejoin; a crashed one's lapse for good.
+                    Server::Down(_) => {}
+                    Server::Crashed => return,
                 }
                 self.queue.schedule(
                     now + self.config.disseminate_every,
@@ -588,20 +624,19 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 );
             }
             Event::Tick { server } => {
-                self.crash_if_due(server, now);
                 match &mut self.servers[server] {
                     Server::Correct(shim) => {
                         let commands = shim.on_tick(now);
                         self.route_commands(server, commands, now);
                     }
-                    Server::Byzantine(_) => {} // byzantine servers skip retries
-                    Server::Crashed | Server::Down { .. } => return,
+                    // Byzantine servers skip retries.
+                    Server::Byzantine(_) | Server::Down(_) => {}
+                    Server::Crashed => return,
                 }
                 self.queue
                     .schedule(now + self.config.tick_every, Event::Tick { server });
             }
             Event::Deliver { to, from, message } => {
-                self.crash_if_due(to, now);
                 match &mut self.servers[to] {
                     Server::Correct(shim) => {
                         let commands = match self.config.ingest {
@@ -637,102 +672,10 @@ impl<P: DeterministicProtocol> Simulation<P> {
                         let commands = byz.on_message(from, message, now);
                         self.route_commands(to, commands, now);
                     }
-                    Server::Crashed | Server::Down { .. } => {}
+                    Server::Crashed | Server::Down(_) => {}
                 }
             }
         }
-    }
-
-    /// Crash-stop servers whose time has come (checked lazily on their
-    /// next event). Restarting servers persist their DAG at crash time —
-    /// the paper's "persist enough information" prerequisite.
-    fn crash_if_due(&mut self, server: usize, now: TimeMs) {
-        match self.config.roles.get(&server) {
-            Some(Role::Crash { at })
-                if now >= *at && matches!(self.servers[server], Server::Correct(_)) =>
-            {
-                self.servers[server] = Server::Crashed;
-            }
-            Some(Role::Restart {
-                crash_at,
-                rejoin_at,
-            }) => {
-                let down_window = now >= *crash_at && now < *rejoin_at;
-                if down_window {
-                    if let Server::Correct(shim) = &self.servers[server] {
-                        let image = dagbft_core::persist_dag(shim.dag());
-                        self.servers[server] = Server::Down { image };
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Recovers a restarting server from its persisted image
-    /// (`Shim::recover`): the DAG is restored, instance states are
-    /// re-derived by re-interpretation, and the block chain resumes at the
-    /// correct sequence number. Indications re-raised by the replay are
-    /// discarded — the modeled application persisted its own progress.
-    fn rejoin(&mut self, server: usize, now: TimeMs) {
-        let Server::Down { image } = &self.servers[server] else {
-            return;
-        };
-        let dag = dagbft_core::restore_dag(image).expect("own image restores");
-        let shim_config = ShimConfig::new(self.config.protocol)
-            .with_max_requests_per_block(self.config.max_requests_per_block)
-            .with_pending_cap(self.config.pending_cap)
-            .with_defense(self.config.defense);
-        let mut shim = Shim::recover(
-            ServerId::new(server as u32),
-            shim_config,
-            &self.registry,
-            dag,
-        )
-        .expect("key exists for every server");
-        let _replayed = shim.poll_indications();
-        self.servers[server] = Server::Correct(Box::new(shim));
-        // Timers died while down; restart them.
-        self.queue.schedule(now, Event::Disseminate { server });
-        self.queue.schedule(now + 1, Event::Tick { server });
-    }
-
-    /// Crash-at-instant with same-instant restart from the durable store:
-    /// the old shim (DAG, interpreter, buffered requests, pending gossip)
-    /// is dropped wholesale and the server rebuilt purely from what the
-    /// store reads back. Indications re-raised by the replay are discarded
-    /// — the modeled application persisted its own progress. The server
-    /// slot never leaves `Correct`, so its dissemination and tick timers
-    /// keep their schedule across the crash.
-    fn durable_crash(&mut self, server: usize, now: TimeMs) {
-        let Server::Correct(shim) = &mut self.servers[server] else {
-            return;
-        };
-        let Some(store) = shim.detach_store() else {
-            return;
-        };
-        let hook = self
-            .recover_hook
-            .expect("durable crash scheduled with a recovery hook");
-        let shim_config = ShimConfig::new(self.config.protocol)
-            .with_max_requests_per_block(self.config.max_requests_per_block)
-            .with_pending_cap(self.config.pending_cap)
-            .with_defense(self.config.defense);
-        let (mut recovered, report) = hook(
-            ServerId::new(server as u32),
-            shim_config,
-            &self.registry,
-            store,
-        )
-        .expect("recovery from durable store succeeds");
-        let _ = recovered.poll_indications();
-        let _ = recovered.drain_observed();
-        if let (Some(every), Some(install)) = (self.snapshot_every, self.snapshot_install) {
-            install(&mut recovered, every);
-        }
-        self.servers[server] = Server::Correct(Box::new(recovered));
-        self.recoveries
-            .push((now, ServerId::new(server as u32), report));
     }
 
     fn route_commands(&mut self, origin: usize, commands: Vec<NetCommand>, now: TimeMs) {
@@ -795,10 +738,10 @@ where
     P::Message: WireEncode + WireDecode,
 {
     /// Enables periodic interpreter snapshots (one every `every`
-    /// interpreted blocks) on every correct server with an attached store,
-    /// and switches durable-crash recovery to the snapshot catch-up path:
-    /// the restarted server restores interpreter state from the latest
-    /// snapshot and replays only the journal suffix past it.
+    /// interpreted blocks) on every durable server, and switches their
+    /// recovery to the snapshot catch-up path: a rejoining server restores
+    /// interpreter state from the latest snapshot and replays only the
+    /// journal suffix past it.
     ///
     /// Call after [`Simulation::with_durable_store`].
     pub fn with_durable_snapshots(mut self, every: u64) -> Self {
@@ -807,10 +750,21 @@ where
                 shim.enable_snapshots(every);
             }
         }
-        self.snapshot_every = Some(every);
-        self.snapshot_install = Some(|shim: &mut Shim<P>, every: u64| shim.enable_snapshots(every));
-        self.recover_hook = Some(Shim::recover_from_store_with_snapshots as RecoverFn<P>);
+        self.snapshots = Some((every, Self::recover_snapshotting));
         self
+    }
+
+    fn recover_snapshotting(
+        me: ServerId,
+        config: ShimConfig,
+        registry: &KeyRegistry,
+        store: Box<dyn BlockStore>,
+        every: u64,
+    ) -> Recovered<P> {
+        let (mut shim, report) =
+            Shim::recover_from_store_with_snapshots(me, config, registry, store)?;
+        shim.enable_snapshots(every);
+        Ok((shim, report))
     }
 }
 

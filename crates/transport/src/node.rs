@@ -145,19 +145,27 @@ where
     ))
 }
 
-/// Spawns a node with a durable [`BlockStore`]: the shim is **recovered**
-/// from whatever the store holds (empty store → fresh start) before the
-/// event loop begins, and every block admitted from then on is journaled
-/// through the same store.
+/// Spawns a node with a durable [`BlockStore`]: the shim is **born from**
+/// whatever the store holds ([`Shim::recover_from_store`]; empty store →
+/// fresh start) before the event loop begins, and every block admitted
+/// from then on is journaled through the same store.
 ///
-/// On restart after a crash the journal replays — past the latest
-/// snapshot, only the suffix — and gossip resumes from the recovered
-/// frontier. Blocks lost to a torn journal tail come back through the
-/// normal `FWD` path: peers' newer blocks reference them, the shim
-/// requests the missing range, and the re-admitted blocks are re-journaled.
-/// The recovered builder never reuses a sequence number (§7's
-/// equivocation caveat): recovery refuses to resume below the highest
-/// self-built record ever synced.
+/// On restart after a crash the whole journal replays from genesis and
+/// gossip resumes from the recovered frontier. The node neither writes
+/// nor reads interpreter snapshots — it is generic over any
+/// [`DeterministicProtocol`] — so [`RecoveryReport::snapshot_covered`]
+/// is always 0 here; an embedder whose protocol implements
+/// `SnapshotProtocol` and who wants suffix-only catch-up drives the shim
+/// itself via `Shim::recover_from_store_with_snapshots` +
+/// `Shim::enable_snapshots`.
+///
+/// Blocks lost to a torn journal tail come back through the normal `FWD`
+/// path: peers' newer blocks reference them, the shim requests the
+/// missing range, and the re-admitted blocks are re-journaled. The
+/// recovered builder never reuses a sequence number (§7's equivocation
+/// caveat): recovery refuses to resume below the highest self-built
+/// record ever synced, and a node whose store fails at runtime stops
+/// sealing own blocks (see [`Shim::disseminate`]).
 ///
 /// Indications raised by the replay are delivered to the (restarted)
 /// user through the normal channel — restart semantics are at-least-once.
@@ -165,8 +173,8 @@ where
 /// # Errors
 ///
 /// Any [`RecoverError`]: an unreadable or corrupted journal, a broken
-/// topology, a diverged snapshot, or a registry missing
-/// `transport.me()`'s key.
+/// topology, an own chain truncated below its durable marker, or a
+/// registry missing `transport.me()`'s key.
 pub fn spawn_node_with_store<P>(
     config: ShimConfig,
     node_config: NodeConfig,
@@ -402,7 +410,8 @@ where
     P::Indication: Send,
 {
     let registry = KeyRegistry::generate(n, seed);
-    // Phase 1: bind all listeners to learn the port assignment.
+    // Bind all listeners to learn the port assignment, then hand each to
+    // its transport with the full peer table: no port is ever released.
     let listeners: Vec<std::net::TcpListener> = (0..n)
         .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
         .collect::<std::io::Result<_>>()?;
@@ -410,12 +419,10 @@ where
         .iter()
         .map(std::net::TcpListener::local_addr)
         .collect::<std::io::Result<_>>()?;
-    // Phase 2: release the probe listeners, rebind real transports on the
-    // same ports with the full peer table.
-    drop(listeners);
     let mut handles = Vec::with_capacity(n);
-    for (index, addr) in addrs.iter().enumerate() {
-        let transport = TcpTransport::bind(ServerId::new(index as u32), *addr, addrs.clone())?;
+    for (index, listener) in listeners.into_iter().enumerate() {
+        let me = ServerId::new(index as u32);
+        let transport = TcpTransport::from_listener(me, listener, addrs.clone())?;
         let handle = spawn_node::<P>(config, node_config, &registry, transport)
             .expect("registry covers all servers");
         handles.push(handle);

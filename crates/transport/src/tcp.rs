@@ -138,7 +138,21 @@ impl TcpTransport {
     ///
     /// Propagates the listener bind error.
     pub fn bind(me: ServerId, listen: SocketAddr, peers: Vec<SocketAddr>) -> io::Result<Self> {
-        let listener = TcpListener::bind(listen)?;
+        Self::from_listener(me, TcpListener::bind(listen)?, peers)
+    }
+
+    /// [`TcpTransport::bind`] over a listener the caller already holds —
+    /// for a cluster that must learn every port before any transport can
+    /// be given its peer table, without releasing a port in between.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the listener's configuration errors.
+    pub fn from_listener(
+        me: ServerId,
+        listener: TcpListener,
+        peers: Vec<SocketAddr>,
+    ) -> io::Result<Self> {
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));

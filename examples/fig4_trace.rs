@@ -104,7 +104,10 @@ fn main() {
                 "  {}/{}  in  = {}",
                 block.builder(),
                 block.seq(),
-                render(state.in_messages(label), true)
+                render(
+                    interpreter.in_messages(&dag, &block.block_ref(), label),
+                    true
+                )
             );
             println!("        out = {}", render(state.out_messages(label), false));
         }

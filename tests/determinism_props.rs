@@ -174,7 +174,10 @@ fn interpret_fingerprint(dag: &BlockDag, pick_seed: u64) -> Vec<String> {
                 .out_messages(label)
                 .map(|e| format!("{e:?}"))
                 .collect();
-            let ins: Vec<String> = state.in_messages(label).map(|e| format!("{e:?}")).collect();
+            let ins: Vec<String> = interpreter
+                .in_messages(dag, &r, label)
+                .map(|e| format!("{e:?}"))
+                .collect();
             fingerprint.push(format!("{r}/{label}: out={outs:?} in={ins:?}"));
         }
     }

@@ -220,8 +220,12 @@ fn agreement_across_observers_lemma_4_2() {
         let outs0: Vec<_> = state0.out_messages(Label::new(1)).collect();
         let outs1: Vec<_> = state1.out_messages(Label::new(1)).collect();
         assert_eq!(outs0, outs1, "out buffers diverged at {r}");
-        let ins0: Vec<_> = state0.in_messages(Label::new(1)).collect();
-        let ins1: Vec<_> = state1.in_messages(Label::new(1)).collect();
+        let ins0: Vec<_> = interpreters[0]
+            .in_messages(net.dag(0), r, Label::new(1))
+            .collect();
+        let ins1: Vec<_> = interpreters[1]
+            .in_messages(net.dag(2), r, Label::new(1))
+            .collect();
         assert_eq!(ins0, ins1, "in buffers diverged at {r}");
     }
 }

@@ -1,6 +1,6 @@
-//! Crash–recovery end to end (§7): a server crashes mid-run, restarts from
-//! its persisted DAG, catches up through gossip, and keeps participating —
-//! without ever equivocating.
+//! Crash–recovery end to end (§7): a server crashes mid-run — everything
+//! except its store is gone — is born again from that store, catches up
+//! through gossip, and keeps participating, without ever equivocating.
 
 use std::collections::BTreeSet;
 
@@ -154,4 +154,64 @@ fn repeated_outages_still_converge() {
     for index in outcome.correct_servers() {
         assert!(outcome.shim(index).dag().check_invariants());
     }
+}
+
+/// One request accepted by server 0 at t = 10, ahead of its next seal at
+/// t = 50, with server 0 under `role`.
+fn request_accepted_before_a_crash(role: Role) -> SimOutcome<Brb<u64>> {
+    let config = SimConfig::new(4)
+        .with_max_time(2_000)
+        .with_network(NetworkModel::reliable_constant(5))
+        .with_role(0, role);
+    let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+    sim.inject(Injection {
+        at: 10,
+        server: 0,
+        label: Label::new(1),
+        request: BrbRequest::Broadcast(7),
+    });
+    sim.run()
+}
+
+#[test]
+fn restart_keeps_accepted_requests() {
+    // The request was accepted (journaled write-ahead) but not yet sealed
+    // when the server went down: recovery re-buffers it, and it delivers
+    // everywhere once the server is back.
+    let outcome = request_accepted_before_a_crash(Role::Restart {
+        crash_at: 20,
+        rejoin_at: 45,
+    });
+    let [(at, who, report)] = outcome.recoveries[..] else {
+        panic!("expected one recovery: {:?}", outcome.recoveries);
+    };
+    assert_eq!((at, who), (45, ServerId::new(0)));
+    assert_eq!(report.requests_rebuffered, 1);
+    assert_eq!(outcome.deliveries.len(), 4, "the accepted request survived");
+}
+
+#[test]
+fn restart_with_an_empty_window_still_crashes() {
+    // None of server 0's own events falls inside [20, 21): the crash is an
+    // event of its own, not something its next timer notices.
+    let outcome = request_accepted_before_a_crash(Role::Restart {
+        crash_at: 20,
+        rejoin_at: 21,
+    });
+    assert_eq!(outcome.recoveries.len(), 1);
+    assert_eq!(outcome.recoveries[0].0, 21);
+    assert_eq!(outcome.deliveries.len(), 4);
+}
+
+#[test]
+fn crash_stops_a_server_for_good() {
+    let outcome = request_accepted_before_a_crash(Role::Crash { at: 20 });
+    assert!(outcome.recoveries.is_empty());
+    assert!(!outcome.correct_servers().contains(&0));
+    assert_eq!(outcome.deliveries.len(), 0, "the request died with s0");
+    let seen_by_s1 = outcome.dag(1).expect("s1 is up");
+    let sealed = seen_by_s1
+        .iter()
+        .filter(|b| b.builder() == ServerId::new(0));
+    assert_eq!(sealed.count(), 1, "s0 sealed at t = 0 and never again");
 }

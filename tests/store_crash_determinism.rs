@@ -1,11 +1,14 @@
 //! Durable-store crash determinism (§7: the DAG is the log): a server
-//! that crashes at an instant and is rebuilt purely from its journal must
-//! be *invisible* in the run's fingerprint — deliveries, wire traffic,
+//! that crashes at an instant and is born again purely from its journal
+//! must be *invisible* in the run's fingerprint — deliveries, wire traffic,
 //! crypto counters, the final clock, and every block's canonical bytes
 //! are byte-identical to the same seed run without the crash. The same
 //! holds when recovery goes through the real journal format
 //! ([`MemStore`]/[`FileStore`]) and through snapshot catch-up, which must
-//! additionally replay only the post-snapshot suffix.
+//! additionally replay only the post-snapshot suffix. There is one crash
+//! model: a `Role::Restart` with no downtime and a caller-supplied store
+//! crashed at the same instant are the same run, byte for byte, and a
+//! store that already holds a journal is recovered from, not overwritten.
 //!
 //! Also here, at the shim level:
 //!
@@ -47,7 +50,10 @@ fn run_fingerprint(
     seed: u64,
     durable: impl FnOnce(Simulation<Brb<u64>>) -> Simulation<Brb<u64>>,
 ) -> (Vec<u8>, SimOutcome<Brb<u64>>) {
-    let mut sim: Simulation<Brb<u64>> = durable(Simulation::new(config(seed)));
+    run_fingerprint_of(durable(Simulation::new(config(seed))), seed)
+}
+
+fn run_fingerprint_of(mut sim: Simulation<Brb<u64>>, seed: u64) -> (Vec<u8>, SimOutcome<Brb<u64>>) {
     for (i, at) in INJECT_AT.iter().enumerate() {
         sim.inject(Injection {
             at: *at,
@@ -142,6 +148,80 @@ fn crash_and_restart_is_invisible_in_the_fingerprint() {
             "seed {seed}: crash at t={crash_at} on server {server} leaked into the fingerprint"
         );
     }
+}
+
+#[test]
+fn one_crash_model_one_fingerprint() {
+    // `Role::Restart` with no downtime is `with_durable_store` over a
+    // `MemoryStore` crashed at the same instant: the same crash event,
+    // the same rejoin, the same bytes — which are the uncrashed run's.
+    for seed in SEEDS {
+        let (baseline, _) = run_fingerprint(seed, |sim| sim);
+        let (server, crash_at) = crash_point(seed);
+        let (stored, by_store) = run_fingerprint(seed, |sim| {
+            sim.with_durable_store(server, Box::new(MemoryStore::new()), crash_at)
+        });
+        let role = Role::Restart {
+            crash_at,
+            rejoin_at: crash_at,
+        };
+        let (restarted, by_role) =
+            run_fingerprint_of(Simulation::new(config(seed).with_role(server, role)), seed);
+        assert_eq!(by_role.recoveries, by_store.recoveries, "seed {seed}");
+        assert_eq!(by_role.recoveries.len(), 1, "seed {seed}: it did crash");
+        assert_eq!(restarted, stored, "seed {seed}: two crash models");
+        assert_eq!(restarted, baseline, "seed {seed}: the restart leaked");
+    }
+}
+
+#[test]
+fn a_store_that_holds_a_journal_is_recovered_from() {
+    // The server's store already holds its first three own blocks (and
+    // the marker for them) when the simulation is built over it: the
+    // server is born from that journal — its chain continues at seq 3 —
+    // instead of sealing a second seq 0 beside a journal that no longer
+    // mirrors its DAG.
+    let seed = 7;
+    let server = 1;
+    let me = ServerId::new(server as u32);
+    let dir = std::env::temp_dir().join(format!("dagbft-preloaded-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = own_chain(&KeyRegistry::generate(N, seed), server as u32, 3);
+    let mut store = FileStore::open_dir(&dir).expect("journal dir opens");
+    for block in &journal {
+        store.append_block(block).unwrap();
+    }
+    store.sync().unwrap();
+    store.mark_own_tip(SeqNum::new(2)).unwrap();
+
+    let (_, outcome) = run_fingerprint(seed, |sim| {
+        sim.with_durable_store(server, Box::new(store), 450)
+    });
+    let [(_, _, report)] = outcome.recoveries[..] else {
+        panic!("expected exactly one recovery");
+    };
+    assert!(report.journal_blocks > journal.len(), "journaling went on");
+    for observer in outcome.correct_servers() {
+        let dag = outcome.dag(observer).unwrap();
+        assert!(dag.equivocations(me).is_empty(), "observer {observer}");
+        for block in &journal {
+            assert_eq!(dag.blocks_at(me, block.seq()), [block.block_ref()]);
+        }
+        assert!(dag.height_of(me) > Some(SeqNum::new(2)));
+    }
+    // The journal still mirrors the server's DAG, block for block.
+    let final_dag: Vec<BlockRef> = outcome.dag(server).unwrap().refs().copied().collect();
+    drop(outcome); // release the journal file handles
+    let reopened = FileStore::open_dir(&dir).expect("journal reopens after the run");
+    let journaled: Vec<BlockRef> = reopened
+        .contents()
+        .expect("journal reads back")
+        .blocks
+        .iter()
+        .map(Block::block_ref)
+        .collect();
+    assert_eq!(journaled, final_dag);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

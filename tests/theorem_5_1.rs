@@ -181,12 +181,8 @@ fn observed_indications_for_other_servers_match_own() {
         let BrbIndication::Deliver(v) = delivery.indication;
         actual.insert(delivery.server.index(), v);
     }
-    // Server 0's observations of others, reconstructed from its final shim
-    // state: every other server's simulation must have indicated the same
-    // value (the observed buffer is drained during the run by the
-    // runner only for `delivered`; others accumulate in the shim).
-    // Note: drain_observed requires &mut; SimOutcome exposes shims
-    // immutably, so we check via the interpreter stats instead: all four
+    // The shim keeps only its own indications; what server 0's
+    // interpreter raised for the others shows in its stats: all four
     // simulations indicated (4 indications total at server 0).
     let stats = outcome.shim(0).interpreter().stats();
     assert_eq!(stats.indications, 4, "one indication per simulated server");
