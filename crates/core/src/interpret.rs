@@ -57,8 +57,35 @@
 //! Out-buffers and deltas are never dropped: any future block —
 //! including a byzantine server's — may still reference an old block
 //! directly (§7).
+//!
+//! # A touch costs a touch
+//!
+//! A *touch* is one label driven at one block. Everything a touch writes
+//! goes into flat storage that is sized by the block, not by the message:
+//!
+//! * `B.Ms[out, ·]` is one vector of `(label, envelope)` per block. The
+//!   handlers' messages are appended as they are produced — through **one**
+//!   [`Outbox`] per block, drained after every handler call — and the
+//!   vector is sorted by `(label, <_M)` and deduplicated once, when the
+//!   block is done. Algorithm 2's buffers are *sets*: a handler that emits
+//!   a value-equal envelope twice stores it once
+//!   ([`InterpretStats::messages_materialized`] still counts both). A label
+//!   whose instance was driven but sent nothing has no entry at all.
+//! * `B.Ms[in, ·]` is one merged inbox per block: the envelopes addressed
+//!   to `B.n` are picked from each predecessor's out-vector in one pass —
+//!   at most |preds| runs, each already in `(label, <_M)` order — merged,
+//!   and deduplicated **by value**: two predecessors by one builder (the
+//!   parent and an older block, or two equivocating siblings) can hold
+//!   value-equal envelopes, and the set union of lines 8–10 delivers one.
+//!   The inbox is walked in label groups, one instance lookup per group.
+//! * the delta is a label-sorted vector of `(label, Arc<P>)`.
+//!
+//! What is left per touch is the one instance copy that keeping per-block
+//! versions makes inherent (`Arc::make_mut` on first touch), plus whatever
+//! `P` itself allocates. `tests/interpret_alloc_budget.rs` holds the total
+//! to at most 2 heap allocations per touch on a BRB payments run.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -137,15 +164,28 @@ impl fmt::Display for InterpretError {
 
 impl Error for InterpretError {}
 
-/// A `Label → instance` map: a chain tip's view of `B.PIs`, or the part of
-/// it one block wrote (its delta). Instances are shared between the two.
+/// A chain tip's view of `B.PIs`: the full `Label → instance` map at that
+/// block. Instances are shared with the deltas of the blocks that wrote
+/// them.
 type Instances<P> = BTreeMap<Label, Arc<P>>;
 
-/// `B.Ms[out, ·]`: per label, envelopes in the order `<_M`.
-type Buffers<M> = BTreeMap<Label, BTreeSet<Envelope<M>>>;
+/// `B.Ms[out, ·]`: every envelope with its label, sorted by `(label, <_M)`
+/// and free of repeats. A label that sent nothing has no entry.
+type Buffer<M> = Vec<(Label, Envelope<M>)>;
 
-fn envelope_count<M>(buffers: &Buffers<M>) -> usize {
-    buffers.values().map(BTreeSet::len).sum()
+/// Puts a block's out-buffer into its stored form. `Ms[out, ℓ]` is a set:
+/// value-equal envelopes are stored once.
+fn normalize<M: Ord>(outs: &mut Buffer<M>) {
+    outs.sort_unstable();
+    outs.dedup();
+    outs.shrink_to_fit();
+}
+
+/// The run of `label`'s entries in a label-sorted slice.
+fn label_range<T>(entries: &[(Label, T)], label: Label) -> &[(Label, T)] {
+    let start = entries.partition_point(|(held, _)| *held < label);
+    let len = entries[start..].partition_point(|(held, _)| *held == label);
+    &entries[start..start + len]
 }
 
 /// Interpretation state attached to one block `B`: the part of `B.PIs`
@@ -161,27 +201,32 @@ pub struct BlockState<P: DeterministicProtocol> {
     /// `B.PIs[ℓ]` for the labels touched here: the state of process
     /// instance `ℓ` of server `B.n` *after* interpreting `B`. Instances
     /// are created lazily on first request or message (the implementation
-    /// refinement the paper notes in §4).
-    delta: Instances<P>,
+    /// refinement the paper notes in §4). Sorted by label, one entry each.
+    delta: Vec<(Label, Arc<P>)>,
     /// `B.Ms[out, ℓ]`: messages sent by `B.n`'s instance at this block.
-    outs: Buffers<P::Message>,
+    outs: Buffer<P::Message>,
 }
 
 impl<P: DeterministicProtocol> BlockState<P> {
     /// Labels whose instance this block drove (fed a request or delivered
     /// a message to) — the block's delta, in label order.
     pub fn touched_labels(&self) -> impl Iterator<Item = &Label> {
-        self.delta.keys()
+        self.delta.iter().map(|(label, _)| label)
     }
 
-    /// Out-going messages `B.Ms[out, ℓ]` produced at this block.
+    /// Out-going messages `B.Ms[out, ℓ]` produced at this block, in the
+    /// order `<_M`.
     pub fn out_messages(&self, label: Label) -> impl Iterator<Item = &Envelope<P::Message>> {
-        self.outs.get(&label).into_iter().flatten()
+        label_range(&self.outs, label)
+            .iter()
+            .map(|(_, envelope)| envelope)
     }
 
-    /// Labels for which this block produced out-going messages.
-    pub fn out_labels(&self) -> impl Iterator<Item = &Label> {
-        self.outs.keys()
+    /// This block's delta entry for `label`, if it drove that instance.
+    fn instance(&self, label: Label) -> Option<&Arc<P>> {
+        label_range(&self.delta, label)
+            .first()
+            .map(|(_, instance)| instance)
     }
 }
 
@@ -340,7 +385,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// audits.
     pub fn instance_at(&self, block: &BlockRef, label: Label) -> Option<&P> {
         self.chain(block)
-            .find_map(|state| state.delta.get(&label))
+            .find_map(|state| state.instance(label))
             .map(Arc::as_ref)
     }
 
@@ -361,21 +406,31 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         view
     }
 
-    /// `B.Ms[in, ℓ]` for a block built by `me` with direct predecessors
+    /// `B.Ms[in, ·]` for a block built by `me` with direct predecessors
     /// `preds` (Algorithm 2, lines 8–10): the envelopes addressed to `me`
-    /// in the predecessors' `Ms[out, ℓ]`, in the total order `<_M`.
+    /// in the predecessors' out-buffers — of every label, or of `only` one
+    /// — sorted by `(label, <_M)`. The union is a set: an envelope that two
+    /// predecessors hold by value is delivered once.
     fn inbox<'a>(
         states: &'a HashMap<BlockRef, BlockState<P>>,
         preds: &[BlockRef],
-        label: Label,
         me: ServerId,
-    ) -> BTreeSet<&'a Envelope<P::Message>> {
-        preds
+        only: Option<Label>,
+    ) -> Vec<&'a (Label, Envelope<P::Message>)> {
+        let mut inbox: Vec<_> = preds
             .iter()
-            .filter_map(|pred| states.get(pred)?.outs.get(&label))
-            .flatten()
-            .filter(|envelope| envelope.receiver == me)
-            .collect()
+            .filter_map(|pred| states.get(pred))
+            .flat_map(|state| match only {
+                Some(label) => label_range(&state.outs, label),
+                None => &state.outs,
+            })
+            .filter(|(_, envelope)| envelope.receiver == me)
+            .collect();
+        // One sorted run per predecessor: the stable sort finds the runs
+        // and merges them.
+        inbox.sort();
+        inbox.dedup();
+        inbox
     }
 
     /// In-coming messages `B.Ms[in, ℓ]` of `block`: what interpreting it
@@ -391,9 +446,10 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     ) -> impl Iterator<Item = &Envelope<P::Message>> {
         let preds = dag.preds_of(block);
         dag.get(block)
-            .map(|block| Self::inbox(&self.states, &preds, label, block.builder()))
+            .map(|block| Self::inbox(&self.states, &preds, block.builder(), Some(label)))
             .into_iter()
             .flatten()
+            .map(|(_, envelope)| envelope)
     }
 
     /// The blocks currently eligible: `I[B]` is false and `I[B_i]` holds
@@ -552,8 +608,9 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             None => Instances::new(),
         };
 
-        let mut outs: Buffers<P::Message> = BTreeMap::new();
-        let mut touched: BTreeSet<Label> = BTreeSet::new();
+        let mut outs: Buffer<P::Message> = Vec::new();
+        let mut touched: Vec<Label> = Vec::new();
+        let mut outbox = Outbox::new();
         let config = self.config;
 
         // Lines 5–6: feed the block's own requests to B.n's instances.
@@ -561,13 +618,9 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             let label = labeled.label;
             match decode_from_slice::<P::Request>(&labeled.payload) {
                 Ok(request) => {
-                    let instance = Self::touch(&mut view, &config, label, me);
-                    let mut outbox = Outbox::new();
-                    instance.on_request(request, &mut outbox);
-                    let envelopes: Vec<_> = outbox.into_envelopes(me).collect();
-                    self.stats.messages_materialized += envelopes.len() as u64;
-                    outs.entry(label).or_default().extend(envelopes);
-                    touched.insert(label);
+                    Self::touch(&mut view, &config, label, me).on_request(request, &mut outbox);
+                    outs.extend(outbox.drain_envelopes(me).map(|envelope| (label, envelope)));
+                    touched.push(label);
                     self.stats.requests_processed += 1;
                 }
                 Err(_) => {
@@ -579,40 +632,36 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             }
         }
 
-        // Lines 7–11: for every relevant label, collect the in-messages
-        // addressed to B.n from the direct predecessors' out-buffers and
-        // deliver them in the total order <_M. Line 7 ranges over every
-        // label requested at an ancestor, but only labels some predecessor
-        // actually sent on can have a non-empty inbox, so ranging over the
-        // preds' out-label union is observationally identical (the
+        // Lines 7–11: collect the in-messages addressed to B.n from the
+        // direct predecessors' out-buffers and deliver them label by
+        // label, each label's in the total order <_M. Line 7 ranges over
+        // every label requested at an ancestor, but only labels some
+        // predecessor actually sent on can have a non-empty inbox, so
+        // walking the merged inbox is observationally identical (the
         // retained reference interpreter iterates the full set; the
         // equivalence suite pins this) and keeps delivery cost
         // proportional to traffic, not to the lifetime label count.
-        let mut sending: BTreeSet<Label> = BTreeSet::new();
-        for pred in &preds {
-            sending.extend(self.states[pred].outs.keys().copied());
-        }
-        for label in sending {
-            let inbox = Self::inbox(&self.states, &preds, label, me);
-            if inbox.is_empty() {
-                continue;
-            }
+        let inbox = Self::inbox(&self.states, &preds, me, None);
+        for group in inbox.chunk_by(|a, b| a.0 == b.0) {
+            let label = group[0].0;
             let instance = Self::touch(&mut view, &config, label, me);
-            for envelope in inbox {
-                let mut outbox = Outbox::new();
+            for (_, envelope) in group {
                 instance.on_message(envelope.sender, envelope.message.clone(), &mut outbox);
-                let envelopes: Vec<_> = outbox.into_envelopes(me).collect();
-                self.stats.messages_materialized += envelopes.len() as u64;
-                outs.entry(label).or_default().extend(envelopes);
-                self.stats.messages_delivered += 1;
+                outs.extend(outbox.drain_envelopes(me).map(|envelope| (label, envelope)));
             }
-            touched.insert(label);
+            touched.push(label);
         }
+        self.stats.messages_delivered += inbox.len() as u64;
+        // The counter is of messages made; the buffer is a set.
+        self.stats.messages_materialized += outs.len() as u64;
+        normalize(&mut outs);
+        touched.sort_unstable();
+        touched.dedup();
 
         // Lines 13–14: surface indications from the instances driven here,
-        // then record them as this block's delta. Touched instances are
-        // already unshared, so make_mut is free.
-        let mut delta = Instances::new();
+        // label by label, then record them as this block's delta. Touched
+        // instances are already unshared, so make_mut is free.
+        let mut delta = Vec::with_capacity(touched.len());
         for label in touched {
             if let Some(slot) = view.get_mut(&label) {
                 for indication in Arc::make_mut(slot).drain_indications() {
@@ -623,7 +672,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                         server: me,
                     });
                 }
-                delta.insert(label, Arc::clone(slot));
+                delta.push((label, Arc::clone(slot)));
             }
         }
 
@@ -631,7 +680,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         self.footprint.blocks += 1;
         self.footprint.instances += view.len();
         self.footprint.unique_instances += delta.len();
-        self.footprint.out_envelopes += envelope_count(&outs);
+        self.footprint.out_envelopes += outs.len();
         self.views.insert(*block_ref, view);
         self.states.insert(
             *block_ref,
@@ -768,7 +817,16 @@ where
                 label.encode(&mut out);
                 instance.encode_state(&mut out);
             }
-            state.outs.encode(&mut out);
+            // Out-buffers grouped by label: label, envelope count, envelopes.
+            let groups = || state.outs.chunk_by(|a, b| a.0 == b.0);
+            (groups().count() as u32).encode(&mut out);
+            for group in groups() {
+                group[0].0.encode(&mut out);
+                (group.len() as u32).encode(&mut out);
+                for (_, envelope) in group {
+                    envelope.encode(&mut out);
+                }
+            }
         }
         out
     }
@@ -823,14 +881,31 @@ where
                 index if index <= position => Some(order[index - 1]),
                 _ => return Err(SnapshotError::BadIndex),
             };
-            let mut delta = Instances::new();
-            for _ in 0..reader.read_len(8)? {
+            let touched = reader.read_len(8)?;
+            let mut delta = Vec::with_capacity(touched);
+            for _ in 0..touched {
                 let label = Label::decode(&mut reader)?;
-                delta.insert(label, Arc::new(P::decode_state(&mut reader)?));
+                delta.push((label, Arc::new(P::decode_state(&mut reader)?)));
             }
-            let outs: Buffers<P::Message> = WireDecode::decode(&mut reader)?;
+            // Canonical bytes are sorted and repeat-free already; anything
+            // else is normalized once per block. Of a repeated delta label
+            // the last entry wins: reversed, the stable sort puts it first
+            // of its run, which is the one `dedup` keeps.
+            delta.reverse();
+            delta.sort_by_key(|(label, _)| *label);
+            delta.dedup_by_key(|(label, _)| *label);
+            let mut outs: Buffer<P::Message> = Vec::new();
+            for _ in 0..reader.read_len(12)? {
+                let label = Label::decode(&mut reader)?;
+                let envelopes = reader.read_len(8)?;
+                outs.reserve(envelopes);
+                for _ in 0..envelopes {
+                    outs.push((label, Envelope::decode(&mut reader)?));
+                }
+            }
+            normalize(&mut outs);
             footprint.unique_instances += delta.len();
-            footprint.out_envelopes += envelope_count(&outs);
+            footprint.out_envelopes += outs.len();
             let state = BlockState {
                 parent,
                 delta,
@@ -866,6 +941,7 @@ mod tests {
     use super::*;
     use crate::block::{Block, LabeledRequest, SeqNum};
     use dagbft_crypto::{KeyRegistry, Signer};
+    use std::collections::BTreeSet;
 
     /// A deterministic ping protocol: on request, send PING to everyone;
     /// on PING, indicate the value once.
@@ -902,6 +978,98 @@ mod tests {
         fn drain_indications(&mut self) -> Vec<u64> {
             std::mem::take(&mut self.pending)
         }
+    }
+
+    impl SnapshotProtocol for Ping {
+        fn encode_state(&self, out: &mut Vec<u8>) {
+            (self.config.n as u64, self.config.f as u64).encode(out);
+            self.seen.encode(out);
+            self.pending.encode(out);
+        }
+
+        fn decode_state(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            let (n, f) = <(u64, u64)>::decode(reader)?;
+            Ok(Ping {
+                config: ProtocolConfig {
+                    n: n as usize,
+                    f: f as usize,
+                },
+                seen: WireDecode::decode(reader)?,
+                pending: WireDecode::decode(reader)?,
+            })
+        }
+    }
+
+    /// Indicates every event in the order it arrived: a request `r` (which
+    /// it also broadcasts) as `r`, a message `m` as `1000 + m`.
+    #[derive(Debug, Clone)]
+    struct Journal {
+        config: ProtocolConfig,
+        pending: Vec<u64>,
+    }
+
+    impl DeterministicProtocol for Journal {
+        type Request = u64;
+        type Message = u64;
+        type Indication = u64;
+
+        fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+            Journal {
+                config: *config,
+                pending: Vec::new(),
+            }
+        }
+
+        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64>) {
+            self.pending.push(request);
+            outbox.broadcast(&self.config, request);
+        }
+
+        fn on_message(&mut self, _sender: ServerId, message: u64, _outbox: &mut Outbox<u64>) {
+            self.pending.push(1000 + message);
+        }
+
+        fn drain_indications(&mut self) -> Vec<u64> {
+            std::mem::take(&mut self.pending)
+        }
+    }
+
+    /// Interprets `dag` in insertion order with this interpreter and with
+    /// the paper-literal oracle, checks that they agree on the counters,
+    /// the indication sequence and `labels`' buffers at every block, and
+    /// returns this one with its indications.
+    fn interpret_like_the_oracle<P>(
+        dag: &BlockDag,
+        n: usize,
+        labels: &[Label],
+    ) -> (Interpreter<P>, Vec<Indication<P::Indication>>)
+    where
+        P: DeterministicProtocol,
+        P::Indication: fmt::Debug,
+    {
+        let config = ProtocolConfig::for_n(n);
+        let mut interpreter: Interpreter<P> = Interpreter::new(config);
+        let mut oracle: crate::ReferenceInterpreter<P> = crate::ReferenceInterpreter::new(config);
+        for block in dag.refs() {
+            interpreter.interpret_block(dag, block).unwrap();
+            oracle.interpret_block(dag, block).unwrap();
+        }
+        assert_eq!(interpreter.stats(), oracle.stats());
+        let indications = interpreter.drain_indications();
+        assert_eq!(indications, oracle.drain_indications());
+        for block in dag.refs() {
+            let (state, stored) = (
+                interpreter.state(block).unwrap(),
+                oracle.state(block).unwrap(),
+            );
+            for label in labels {
+                assert!(state.out_messages(*label).eq(stored.out_messages(*label)));
+                assert!(interpreter
+                    .in_messages(dag, block, *label)
+                    .eq(stored.in_messages(*label)));
+            }
+        }
+        (interpreter, indications)
     }
 
     fn setup(n: usize) -> (KeyRegistry, Vec<Signer>) {
@@ -1368,6 +1536,234 @@ mod tests {
         let after = interpreter.instance_at(&blocks[1].block_ref(), Label::new(1));
         assert!(genesis.unwrap().seen.is_empty(), "ancestor unmodified");
         assert_eq!(after.unwrap().seen.len(), 1, "descendant advanced");
+    }
+
+    #[test]
+    fn a_driven_but_silent_instance_leaves_no_out_entry() {
+        // Block 1 delivers the self-addressed PING; Ping answers with
+        // silence. The label is in block 1's delta and nowhere in its
+        // out-buffer, so block 2 has nothing to look at.
+        let (dag, blocks) = single_chain(3);
+        let (interpreter, _) = interpret_like_the_oracle::<Ping>(&dag, 1, &[Label::new(1)]);
+        let driven = interpreter.state(&blocks[1].block_ref()).unwrap();
+        assert!(driven.touched_labels().eq([&Label::new(1)]));
+        assert!(driven.outs.is_empty());
+        assert_eq!(driven.out_messages(Label::new(1)).count(), 0);
+        let successor = blocks[2].block_ref();
+        assert_eq!(
+            interpreter
+                .in_messages(&dag, &successor, Label::new(1))
+                .count(),
+            0
+        );
+        assert_eq!(interpreter.footprint().out_envelopes, 1);
+    }
+
+    /// Builds the blocks described by `(builder, seq, preds, requests)`,
+    /// `preds` indexing earlier entries, all requests on label 1.
+    fn dag_of(n: usize, spec: &[(u32, u64, &[usize], &[u64])]) -> (BlockDag, Vec<Block>) {
+        let (_, signers) = setup(n);
+        let mut dag = BlockDag::new();
+        let mut blocks: Vec<Block> = Vec::new();
+        for (builder, seq, preds, requests) in spec {
+            let block = Block::build(
+                ServerId::new(*builder),
+                SeqNum::new(*seq),
+                preds.iter().map(|at| blocks[*at].block_ref()).collect(),
+                requests
+                    .iter()
+                    .map(|value| LabeledRequest::encode(Label::new(1), value))
+                    .collect(),
+                &signers[*builder as usize],
+            );
+            dag.insert(block.clone()).unwrap();
+            blocks.push(block);
+        }
+        (dag, blocks)
+    }
+
+    #[test]
+    fn an_envelope_two_preds_hold_by_value_is_delivered_once() {
+        // s0 requests 7 at its genesis and again at block 1: both blocks'
+        // out-buffers hold PING 7 from s0 to s0. Block 2 references its
+        // parent and, again, its parent's parent.
+        let (dag, blocks) = dag_of(
+            1,
+            &[(0, 0, &[], &[7]), (0, 1, &[0], &[7]), (0, 2, &[1, 0], &[])],
+        );
+        let (interpreter, indications) =
+            interpret_like_the_oracle::<Ping>(&dag, 1, &[Label::new(1)]);
+        let tip = blocks[2].block_ref();
+        assert_eq!(
+            interpreter.in_messages(&dag, &tip, Label::new(1)).count(),
+            1
+        );
+        // Block 1 and block 2 each deliver one PING 7; only the first is new.
+        assert_eq!(interpreter.stats().messages_delivered, 2);
+        assert_eq!(indications.len(), 1);
+
+        // s0 equivocates at genesis — the same request, then that request
+        // and another — and s1 references both siblings.
+        let (dag, blocks) = dag_of(
+            2,
+            &[
+                (0, 0, &[], &[7]),
+                (0, 0, &[], &[7, 8]),
+                (1, 0, &[], &[]),
+                (1, 1, &[2, 0, 1], &[]),
+            ],
+        );
+        let (interpreter, indications) =
+            interpret_like_the_oracle::<Ping>(&dag, 2, &[Label::new(1)]);
+        let joined: Vec<u64> = interpreter
+            .in_messages(&dag, &blocks[3].block_ref(), Label::new(1))
+            .map(|envelope| envelope.message)
+            .collect();
+        assert_eq!(joined, vec![7, 8]);
+        assert_eq!(interpreter.stats().messages_delivered, 2);
+        assert_eq!(indications.len(), 2);
+    }
+
+    #[test]
+    fn a_repeated_emission_is_stored_once_and_counted_twice() {
+        // Two equal requests in one block: the handler broadcasts PING 7
+        // twice. `Ms[out, ℓ]` is a set; the counter counts work done.
+        let (dag, blocks) = dag_of(2, &[(0, 0, &[], &[7, 7])]);
+        let (interpreter, _) = interpret_like_the_oracle::<Ping>(&dag, 2, &[Label::new(1)]);
+        let state = interpreter.state(&blocks[0].block_ref()).unwrap();
+        assert_eq!(state.out_messages(Label::new(1)).count(), 2);
+        assert_eq!(interpreter.footprint().out_envelopes, 2);
+        assert_eq!(interpreter.stats().requests_processed, 2);
+        assert_eq!(interpreter.stats().messages_materialized, 4);
+    }
+
+    #[test]
+    fn a_label_sees_its_request_before_its_deliveries() {
+        // Block 1 carries a request for the label its parent's PING is
+        // delivered on.
+        let (dag, _) = dag_of(1, &[(0, 0, &[], &[5]), (0, 1, &[0], &[6])]);
+        let (_, indications) = interpret_like_the_oracle::<Journal>(&dag, 1, &[Label::new(1)]);
+        let events: Vec<u64> = indications.iter().map(|i| i.indication).collect();
+        assert_eq!(events, vec![5, 6, 1005]);
+    }
+
+    /// Snapshot v2 bytes of `interpreter` as a writer other than
+    /// `encode_snapshot` may have left them: per block a stale copy of the
+    /// first delta entry ahead of the real entries, the out-buffer's label
+    /// groups in descending order, each group's first envelope twice, and
+    /// a `(label, 0)` pair for every label driven in silence (which the
+    /// tree-backed buffers of earlier commits did write).
+    fn sloppy_snapshot(interpreter: &Interpreter<Ping>) -> Vec<u8> {
+        let mut out = vec![SNAPSHOT_VERSION];
+        (interpreter.config.n as u64).encode(&mut out);
+        (interpreter.config.f as u64).encode(&mut out);
+        interpreter.order.encode(&mut out);
+        let stats = interpreter.stats;
+        for counter in [
+            stats.blocks_interpreted,
+            stats.requests_processed,
+            stats.malformed_requests,
+            stats.messages_materialized,
+            stats.messages_delivered,
+            stats.indications,
+            interpreter.footprint.instances as u64,
+        ] {
+            counter.encode(&mut out);
+        }
+        for block in &interpreter.order {
+            let state = &interpreter.states[block];
+            let parent = state.parent.map_or(0, |parent| {
+                1 + interpreter.order.iter().position(|r| *r == parent).unwrap()
+            });
+            (parent as u64).encode(&mut out);
+            let stale = state.delta.first().map(|(label, _)| {
+                (
+                    *label,
+                    Ping::new(&interpreter.config, *label, ServerId::new(0)),
+                )
+            });
+            ((state.delta.len() + stale.iter().len()) as u32).encode(&mut out);
+            let real = state
+                .delta
+                .iter()
+                .map(|(label, ping)| (label, ping.as_ref()));
+            for (label, ping) in stale.iter().map(|(label, ping)| (label, ping)).chain(real) {
+                label.encode(&mut out);
+                ping.encode_state(&mut out);
+            }
+            let mut groups: BTreeMap<Label, Vec<&Envelope<u64>>> = BTreeMap::new();
+            for label in state.touched_labels() {
+                groups.entry(*label).or_default();
+            }
+            for (label, envelope) in &state.outs {
+                groups.entry(*label).or_default().push(envelope);
+            }
+            (groups.len() as u32).encode(&mut out);
+            for (label, envelopes) in groups.iter().rev() {
+                label.encode(&mut out);
+                let twice = envelopes.first().into_iter().chain(envelopes);
+                (twice.clone().count() as u32).encode(&mut out);
+                twice.for_each(|envelope| envelope.encode(&mut out));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_sloppy_v2_snapshot_decodes_to_the_canonical_state() {
+        // s0's genesis requests on two labels; s1's block 1 is driven on
+        // both in silence; the last two blocks lie past the snapshot.
+        let (_, signers) = setup(2);
+        let request = |label, value: u64| LabeledRequest::encode(Label::new(label), &value);
+        let build = |builder: usize, seq, preds: &[&Block], requests| {
+            Block::build(
+                ServerId::new(builder as u32),
+                SeqNum::new(seq),
+                preds.iter().map(|block| block.block_ref()).collect(),
+                requests,
+                &signers[builder],
+            )
+        };
+        let b0 = build(0, 0, &[], vec![request(2, 20), request(1, 10)]);
+        let b1 = build(1, 0, &[], vec![]);
+        let b2 = build(1, 1, &[&b1, &b0], vec![request(3, 30)]);
+        let b3 = build(0, 1, &[&b0, &b2], vec![request(1, 11)]);
+        let b4 = build(1, 2, &[&b2, &b3], vec![]);
+        let (mut prefix, mut dag) = (BlockDag::new(), BlockDag::new());
+        for (at, block) in [&b0, &b1, &b2, &b3, &b4].into_iter().enumerate() {
+            dag.insert(block.clone()).unwrap();
+            if at < 3 {
+                prefix.insert(block.clone()).unwrap();
+            }
+        }
+        let config = ProtocolConfig::for_n(2);
+        let mut straight: Interpreter<Ping> = Interpreter::new(config);
+        straight.step(&prefix);
+        straight.drain_indications();
+        let canonical = straight.encode_snapshot();
+        let sloppy = sloppy_snapshot(&straight);
+        // Two `(label, 0)` pairs at b2, and nothing else is shorter.
+        assert!(sloppy.len() > canonical.len() + 2 * 12);
+
+        let mut restored: Interpreter<Ping> =
+            Interpreter::decode_snapshot(config, &sloppy).unwrap();
+        assert_eq!(restored.encode_snapshot(), canonical);
+        assert_eq!(restored.footprint(), straight.footprint());
+        assert_eq!(straight.step(&dag), 2);
+        assert_eq!(restored.step(&dag), 2);
+        assert_eq!(restored.drain_indications(), straight.drain_indications());
+        assert_eq!(restored.stats(), straight.stats());
+        assert_eq!(restored.footprint(), straight.footprint());
+        for block in dag.refs() {
+            for label in (1..4).map(Label::new) {
+                let seen = |interpreter: &Interpreter<Ping>| {
+                    interpreter
+                        .instance_at(block, label)
+                        .map(|ping| ping.seen.clone())
+                };
+                assert_eq!(seen(&restored), seen(&straight));
+            }
+        }
     }
 
     #[test]

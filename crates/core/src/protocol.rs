@@ -170,6 +170,18 @@ impl<M> Outbox<M> {
                 message,
             })
     }
+
+    /// Empties the outbox, stamping `sender` on every queued message, and
+    /// keeps its capacity: one outbox serves every handler call of a block.
+    pub fn drain_envelopes(&mut self, sender: ServerId) -> impl Iterator<Item = Envelope<M>> + '_ {
+        self.messages
+            .drain(..)
+            .map(move |(receiver, message)| Envelope {
+                sender,
+                receiver,
+                message,
+            })
+    }
 }
 
 impl<M: Clone> Outbox<M> {
@@ -193,7 +205,9 @@ impl<M: Clone> Outbox<M> {
 ///
 /// * no randomness, clocks, thread identity, or I/O;
 /// * iteration order over internal collections must be deterministic
-///   (use `BTreeMap`/`BTreeSet`, not hash maps);
+///   (use `BTreeMap`/`BTreeSet`, not hash maps). For counting the distinct
+///   senders of a value towards a quorum, `dagbft_protocols::Tally` is the
+///   ordered collection that costs no heap block per instance copy;
 /// * `Clone` must produce an observationally identical instance — the
 ///   interpreter clones instance state along DAG edges
 ///   (Algorithm 2, line 4).
@@ -332,5 +346,18 @@ mod tests {
         assert_eq!(envelopes.len(), 1);
         assert_eq!(envelopes[0].sender, ServerId::new(7));
         assert_eq!(envelopes[0].receiver, ServerId::new(2));
+    }
+
+    #[test]
+    fn outbox_drains_and_is_reusable() {
+        let mut outbox = Outbox::new();
+        outbox.send(ServerId::new(2), "m");
+        let drained: Vec<_> = outbox.drain_envelopes(ServerId::new(7)).collect();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].sender, ServerId::new(7));
+        assert_eq!(drained[0].receiver, ServerId::new(2));
+        assert!(outbox.is_empty());
+        outbox.send(ServerId::new(3), "n");
+        assert_eq!(outbox.drain_envelopes(ServerId::new(7)).count(), 1);
     }
 }

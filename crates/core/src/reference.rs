@@ -84,11 +84,6 @@ impl<P: DeterministicProtocol> ReferenceBlockState<P> {
     pub fn in_messages(&self, label: Label) -> impl Iterator<Item = &Envelope<P::Message>> {
         self.ins.get(&label).into_iter().flatten()
     }
-
-    /// Labels for which this block produced out-going messages.
-    pub fn out_labels(&self) -> impl Iterator<Item = &Label> {
-        self.outs.keys()
-    }
 }
 
 /// The clone-per-block `interpret(G, P)` oracle.

@@ -17,12 +17,11 @@
 //! — a nice illustration that the embedding preserves each protocol's exact
 //! property set (Theorem 5.1), neither strengthening nor weakening it.
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig};
 use dagbft_crypto::ServerId;
 
+use crate::tally::Tally;
 use crate::value::Value;
 
 /// Requests `{ broadcast(v) }`.
@@ -93,7 +92,7 @@ pub struct Bcb<V: Value> {
     /// The value this instance echoed, if any (one echo, ever).
     echoed: Option<V>,
     delivered: bool,
-    echoes: BTreeMap<V, BTreeSet<ServerId>>,
+    echoes: Tally<V>,
     pending: Vec<BcbIndication<V>>,
 }
 
@@ -110,7 +109,7 @@ impl<V: Value> Bcb<V> {
 
     /// Number of distinct `ECHO` senders recorded for `value`.
     pub fn echo_count(&self, value: &V) -> usize {
-        self.echoes.get(value).map_or(0, BTreeSet::len)
+        self.echoes.count(value)
     }
 }
 
@@ -125,7 +124,7 @@ impl<V: Value> DeterministicProtocol for Bcb<V> {
             sent: false,
             echoed: None,
             delivered: false,
-            echoes: BTreeMap::new(),
+            echoes: Tally::new(),
             pending: Vec::new(),
         }
     }
@@ -152,8 +151,8 @@ impl<V: Value> DeterministicProtocol for Bcb<V> {
                 }
             }
             BcbMessage::Echo(value) => {
-                self.echoes.entry(value.clone()).or_default().insert(sender);
-                if !self.delivered && self.echo_count(&value) >= self.config.quorum() {
+                let echoes = self.echoes.record(&value, sender);
+                if !self.delivered && echoes >= self.config.quorum() {
                     self.delivered = true;
                     self.pending.push(BcbIndication::Deliver(value));
                 }
@@ -169,6 +168,7 @@ impl<V: Value> DeterministicProtocol for Bcb<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn pump(
         instances: &mut [Bcb<u64>],

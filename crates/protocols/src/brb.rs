@@ -21,12 +21,11 @@
 //! does). The request is self-contained and authenticated by the block
 //! signature of the server that inscribed it (§5).
 
-use std::collections::{BTreeMap, BTreeSet};
-
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig, SnapshotProtocol};
 use dagbft_crypto::ServerId;
 
+use crate::tally::Tally;
 use crate::value::Value;
 
 /// Requests `Rqsts_BRB = { broadcast(v) | v ∈ Vals }`.
@@ -120,9 +119,9 @@ pub struct Brb<V: Value> {
     readied: bool,
     delivered: bool,
     /// `ECHO v` senders, per value.
-    echoes: BTreeMap<V, BTreeSet<ServerId>>,
+    echoes: Tally<V>,
     /// `READY v` senders, per value.
-    readies: BTreeMap<V, BTreeSet<ServerId>>,
+    readies: Tally<V>,
     pending: Vec<BrbIndication<V>>,
 }
 
@@ -144,12 +143,12 @@ impl<V: Value> Brb<V> {
 
     /// Number of distinct `ECHO` senders recorded for `value`.
     pub fn echo_count(&self, value: &V) -> usize {
-        self.echoes.get(value).map_or(0, BTreeSet::len)
+        self.echoes.count(value)
     }
 
     /// Number of distinct `READY` senders recorded for `value`.
     pub fn ready_count(&self, value: &V) -> usize {
-        self.readies.get(value).map_or(0, BTreeSet::len)
+        self.readies.count(value)
     }
 
     fn maybe_ready(&mut self, value: &V, outbox: &mut Outbox<BrbMessage<V>>) {
@@ -182,8 +181,8 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
             echoed: false,
             readied: false,
             delivered: false,
-            echoes: BTreeMap::new(),
-            readies: BTreeMap::new(),
+            echoes: Tally::new(),
+            readies: Tally::new(),
             pending: Vec::new(),
         }
     }
@@ -210,14 +209,11 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
                     self.echoed = true;
                     outbox.broadcast(&self.config, BrbMessage::Echo(value.clone()));
                 }
-                self.echoes.entry(value.clone()).or_default().insert(sender);
+                self.echoes.record(&value, sender);
                 self.maybe_ready(&value, outbox);
             }
             BrbMessage::Ready(value) => {
-                self.readies
-                    .entry(value.clone())
-                    .or_default()
-                    .insert(sender);
+                self.readies.record(&value, sender);
                 self.maybe_ready(&value, outbox);
                 self.maybe_deliver(&value);
             }
@@ -236,16 +232,8 @@ impl<V: Value> SnapshotProtocol for Brb<V> {
         out.push(u8::from(self.echoed));
         out.push(u8::from(self.readied));
         out.push(u8::from(self.delivered));
-        for tally in [&self.echoes, &self.readies] {
-            (tally.len() as u32).encode(out);
-            for (value, senders) in tally {
-                value.encode(out);
-                (senders.len() as u32).encode(out);
-                for sender in senders {
-                    sender.encode(out);
-                }
-            }
-        }
+        self.echoes.encode(out);
+        self.readies.encode(out);
         (self.pending.len() as u32).encode(out);
         for indication in &self.pending {
             indication.encode(out);
@@ -253,9 +241,19 @@ impl<V: Value> SnapshotProtocol for Brb<V> {
     }
 
     fn decode_state(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = u64::decode(reader)? as usize;
-        let f = u64::decode(reader)? as usize;
-        let config = ProtocolConfig { n, f };
+        let n = u64::decode(reader)?;
+        let f = u64::decode(reader)?;
+        // `n ≥ 3f + 1` (§2) and every server has a `ServerId`: no quorum
+        // arithmetic on a corrupt `f` can overflow.
+        if n > u64::from(u32::MAX) || f.checked_mul(3).is_none_or(|faulty| faulty >= n) {
+            return Err(DecodeError::Invalid {
+                reason: "Brb configuration violates n >= 3f + 1",
+            });
+        }
+        let config = ProtocolConfig {
+            n: n as usize,
+            f: f as usize,
+        };
         let mut flags = [false; 3];
         for flag in &mut flags {
             *flag = match reader.read_u8()? {
@@ -269,23 +267,8 @@ impl<V: Value> SnapshotProtocol for Brb<V> {
                 }
             };
         }
-        let mut tallies: Vec<BTreeMap<V, BTreeSet<ServerId>>> = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let entries = reader.read_len(2)?;
-            let mut tally = BTreeMap::new();
-            for _ in 0..entries {
-                let value = V::decode(reader)?;
-                let count = reader.read_len(4)?;
-                let mut senders = BTreeSet::new();
-                for _ in 0..count {
-                    senders.insert(ServerId::decode(reader)?);
-                }
-                tally.insert(value, senders);
-            }
-            tallies.push(tally);
-        }
-        let readies = tallies.pop().expect("two tallies");
-        let echoes = tallies.pop().expect("two tallies");
+        let echoes = Tally::decode(reader)?;
+        let readies = Tally::decode(reader)?;
         let pending_count = reader.read_len(2)?;
         let mut pending = Vec::with_capacity(pending_count);
         for _ in 0..pending_count {
@@ -306,6 +289,7 @@ impl<V: Value> SnapshotProtocol for Brb<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// A tiny in-memory network of BRB instances with synchronous,
     /// in-order delivery. `byzantine_silent` servers never respond.

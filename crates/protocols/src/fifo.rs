@@ -17,12 +17,13 @@
 //! delivers `v2` before `v1`. A byzantine origin that skips a sequence
 //! number stalls only *its own* stream.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig};
 use dagbft_crypto::ServerId;
 
+use crate::tally::Tally;
 use crate::value::Value;
 
 /// Per-sender stream position.
@@ -84,8 +85,8 @@ struct Sub<V: Value> {
     echoed: bool,
     readied: bool,
     delivered: bool,
-    echoes: BTreeMap<V, BTreeSet<ServerId>>,
-    readies: BTreeMap<V, BTreeSet<ServerId>>,
+    echoes: Tally<V>,
+    readies: Tally<V>,
 }
 
 impl<V: Value> Default for Sub<V> {
@@ -94,8 +95,8 @@ impl<V: Value> Default for Sub<V> {
             echoed: false,
             readied: false,
             delivered: false,
-            echoes: BTreeMap::new(),
-            readies: BTreeMap::new(),
+            echoes: Tally::new(),
+            readies: Tally::new(),
         }
     }
 }
@@ -156,8 +157,8 @@ impl<V: Value> Fifo<V> {
             sub.echoed = true;
             outbox.broadcast(&config, FifoMessage::Echo(origin, seq, value.clone()));
         }
-        sub.echoes.entry(value.clone()).or_default().insert(sender);
-        if !sub.readied && sub.echoes[&value].len() >= quorum {
+        let echo_count = sub.echoes.record(&value, sender);
+        if !sub.readied && echo_count >= quorum {
             sub.readied = true;
             outbox.broadcast(&config, FifoMessage::Ready(origin, seq, value));
         }
@@ -175,8 +176,7 @@ impl<V: Value> Fifo<V> {
         let plurality = self.config.plurality();
         let config = self.config;
         let sub = self.subs.entry((origin, seq)).or_default();
-        sub.readies.entry(value.clone()).or_default().insert(sender);
-        let ready_count = sub.readies[&value].len();
+        let ready_count = sub.readies.record(&value, sender);
         if !sub.readied && ready_count >= plurality {
             sub.readied = true;
             outbox.broadcast(&config, FifoMessage::Ready(origin, seq, value.clone()));

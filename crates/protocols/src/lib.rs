@@ -25,7 +25,10 @@
 //!
 //! All protocols are pure state machines: no clocks, no randomness, ordered
 //! internal collections — see the determinism contract on
-//! [`dagbft_core::DeterministicProtocol`].
+//! [`dagbft_core::DeterministicProtocol`]. They count quorums with
+//! [`Tally`], the sender-per-value collection whose copy costs no heap
+//! block in an honest run (the interpreter copies an instance every time
+//! a block first touches it).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,6 +40,7 @@ pub mod fifo;
 pub mod payments;
 pub mod settlement;
 pub mod smr;
+mod tally;
 mod value;
 mod wire_msgs;
 
@@ -47,4 +51,5 @@ pub use fifo::{Fifo, FifoDeliver, FifoMessage, FifoRequest};
 pub use payments::{AccountId, Ledger, Transfer, TransferError};
 pub use settlement::SettlementNode;
 pub use smr::{Smr, SmrIndication, SmrMessage, SmrRequest};
+pub use tally::Tally;
 pub use value::Value;

@@ -29,6 +29,7 @@ use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig};
 use dagbft_crypto::ServerId;
 
+use crate::tally::Tally;
 use crate::value::Value;
 
 /// A slot in the replicated log of one SMR instance.
@@ -90,8 +91,8 @@ struct SlotState<V: Value> {
     /// The value accepted from the leader's first `PRE-PREPARE` — the
     /// prepare lock: a correct server prepares at most one value per slot.
     accepted: Option<V>,
-    prepares: BTreeMap<V, BTreeSet<ServerId>>,
-    commits: BTreeMap<V, BTreeSet<ServerId>>,
+    prepares: Tally<V>,
+    commits: Tally<V>,
     sent_commit: bool,
     committed: Option<V>,
 }
@@ -100,8 +101,8 @@ impl<V: Value> Default for SlotState<V> {
     fn default() -> Self {
         SlotState {
             accepted: None,
-            prepares: BTreeMap::new(),
-            commits: BTreeMap::new(),
+            prepares: Tally::new(),
+            commits: Tally::new(),
             sent_commit: false,
             committed: None,
         }
@@ -240,12 +241,7 @@ impl<V: Value> DeterministicProtocol for Smr<V> {
             SmrMessage::Prepare(slot, value) => {
                 let quorum = self.config.quorum();
                 let state = self.slots.entry(slot).or_default();
-                state
-                    .prepares
-                    .entry(value.clone())
-                    .or_default()
-                    .insert(sender);
-                let prepared = state.prepares[&value].len() >= quorum;
+                let prepared = state.prepares.record(&value, sender) >= quorum;
                 // Commit only for the value we accepted (the prepare lock):
                 // a correct server never helps commit a value it did not
                 // accept from the leader.
@@ -258,12 +254,8 @@ impl<V: Value> DeterministicProtocol for Smr<V> {
             SmrMessage::Commit(slot, value) => {
                 let quorum = self.config.quorum();
                 let state = self.slots.entry(slot).or_default();
-                state
-                    .commits
-                    .entry(value.clone())
-                    .or_default()
-                    .insert(sender);
-                if state.committed.is_none() && state.commits[&value].len() >= quorum {
+                let commits = state.commits.record(&value, sender);
+                if state.committed.is_none() && commits >= quorum {
                     state.committed = Some(value);
                     self.try_deliver();
                 }

@@ -6,13 +6,19 @@
 //! the structured adversaries in `dagbft-sim`, though unlike real
 //! byzantine servers they cannot forge *identities*, which the signature
 //! layer prevents). Safety must hold in every schedule.
+//!
+//! The last section is about bytes instead of schedules: what [`Tally`]
+//! and [`Brb`] write into interpreter snapshots is what the nested
+//! `BTreeMap<V, BTreeSet<ServerId>>` wrote, and what they read back from a
+//! damaged disk is an error or a usable instance, never a panic.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
-use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig};
+use dagbft_codec::{decode_from_slice, encode_to_vec, Reader, WireEncode};
+use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig, SnapshotProtocol};
 use dagbft_crypto::ServerId;
 use dagbft_protocols::{
-    Brb, BrbIndication, BrbMessage, BrbRequest, Smr, SmrIndication, SmrMessage, SmrRequest,
+    Brb, BrbIndication, BrbMessage, BrbRequest, Smr, SmrIndication, SmrMessage, SmrRequest, Tally,
 };
 use proptest::prelude::*;
 
@@ -205,4 +211,165 @@ proptest! {
             prop_assert!(values.len() <= 1, "slot {slot} disagreement: {values:?}");
         }
     }
+}
+
+/// The collection [`Tally`] replaced, kept here as its model.
+type TallyModel = BTreeMap<u64, BTreeSet<ServerId>>;
+
+/// Senders on both sides of the 128-bit inline set, and the largest index.
+fn any_sender() -> impl Strategy<Value = u32> {
+    prop_oneof![0u32..8, 120u32..136, Just(u32::MAX)]
+}
+
+/// One message into a `Brb<u64>`: `(sender, READY instead of ECHO, value)`.
+/// Three values, so a byzantine sender's second and third are reached.
+fn brb_events() -> impl Strategy<Value = Vec<(u32, bool, u64)>> {
+    proptest::collection::vec((0u32..4, any::<bool>(), 0u64..3), 0..16)
+}
+
+fn brb_message(ready: bool, value: u64) -> BrbMessage<u64> {
+    if ready {
+        BrbMessage::Ready(value)
+    } else {
+        BrbMessage::Echo(value)
+    }
+}
+
+/// Server 0's instance after `events`, its indications left undrained so
+/// they are part of the state, and the two tallies as the model holds them.
+fn reach(events: &[(u32, bool, u64)]) -> (Brb<u64>, TallyModel, TallyModel) {
+    let config = ProtocolConfig::for_n(4);
+    let mut instance: Brb<u64> = Brb::new(&config, Label::new(1), ServerId::new(0));
+    let (mut echoes, mut readies) = (TallyModel::new(), TallyModel::new());
+    let mut outbox = Outbox::new();
+    for (sender, ready, value) in events {
+        let sender = ServerId::new(*sender);
+        instance.on_message(sender, brb_message(*ready, *value), &mut outbox);
+        let model = if *ready { &mut readies } else { &mut echoes };
+        model.entry(*value).or_default().insert(sender);
+    }
+    (instance, echoes, readies)
+}
+
+fn encode_state(instance: &Brb<u64>) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    instance.encode_state(&mut bytes);
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn tally_is_the_nested_map(
+        records in proptest::collection::vec((0u64..4, any_sender()), 0..48),
+    ) {
+        let mut tally: Tally<u64> = Tally::new();
+        let mut model = TallyModel::new();
+        for (value, sender) in records {
+            let sender = ServerId::new(sender);
+            let senders = model.entry(value).or_default();
+            senders.insert(sender);
+            prop_assert_eq!(tally.record(&value, sender), senders.len());
+        }
+        for value in 0..5 {
+            prop_assert_eq!(tally.count(&value), model.get(&value).map_or(0, BTreeSet::len));
+        }
+        let pairs = model.iter().flat_map(|(v, senders)| senders.iter().map(move |s| (v, *s)));
+        prop_assert!(tally.iter().eq(pairs));
+        let bytes = encode_to_vec(&tally);
+        prop_assert_eq!(&bytes, &encode_to_vec(&model));
+        let decoded: Tally<u64> = decode_from_slice(&bytes).unwrap();
+        prop_assert!(decoded.iter().eq(tally.iter()));
+        prop_assert_eq!(encode_to_vec(&decoded), bytes);
+    }
+
+    #[test]
+    fn brb_state_bytes_are_the_nested_map_s(events in brb_events()) {
+        let (instance, echoes, readies) = reach(&events);
+        let mut expected = encode_to_vec(&(4u64, 1u64));
+        for flag in [instance.echoed(), instance.readied(), instance.delivered()] {
+            flag.encode(&mut expected);
+        }
+        echoes.encode(&mut expected);
+        readies.encode(&mut expected);
+        instance.clone().drain_indications().encode(&mut expected);
+        let bytes = encode_state(&instance);
+        prop_assert_eq!(&bytes, &expected);
+
+        let mut reader = Reader::new(&bytes);
+        let decoded = Brb::<u64>::decode_state(&mut reader).unwrap();
+        prop_assert_eq!(reader.remaining(), 0);
+        prop_assert_eq!(encode_state(&decoded), bytes);
+    }
+
+    #[test]
+    fn brb_state_decoder_never_panics(
+        events in brb_events(),
+        flips in proptest::collection::vec((0usize..10_000, 1u8..=255), 1..4),
+    ) {
+        let (instance, ..) = reach(&events);
+        let bytes = encode_state(&instance);
+
+        // Every strict prefix is an error, never a panic or a success.
+        for cut in 0..bytes.len() {
+            prop_assert!(Brb::<u64>::decode_state(&mut Reader::new(&bytes[..cut])).is_err());
+        }
+
+        // Bit flips decode to a typed error or to an instance that takes a
+        // message of each kind from every server.
+        let mut flipped = bytes.clone();
+        for (at, mask) in flips {
+            let at = at % flipped.len();
+            flipped[at] ^= mask;
+        }
+        let n = u64::from_le_bytes(flipped[..8].try_into().unwrap());
+        if let Ok(mut decoded) = Brb::<u64>::decode_state(&mut Reader::new(&flipped)) {
+            // A flipped `n` that still decodes is another, possibly
+            // enormous, server set; a broadcast to it is as large. Drive
+            // the ones a test can afford.
+            if n <= 64 {
+                let mut outbox = Outbox::new();
+                for sender in (0..4).map(ServerId::new) {
+                    decoded.on_message(sender, BrbMessage::Echo(1), &mut outbox);
+                    decoded.on_message(sender, BrbMessage::Ready(1), &mut outbox);
+                }
+                decoded.drain_indications();
+            }
+        }
+    }
+}
+
+/// A tally entry naming sender `u32::MAX` costs its four bytes: it decodes,
+/// counts once, and re-encodes to the same bytes. (That the set behind it
+/// holds one list slot for it, not a bit per index below it, is
+/// `tally::tests::an_honest_tally_owns_no_heap`.)
+#[test]
+fn brb_state_naming_the_largest_sender_decodes() {
+    let mut bytes = encode_to_vec(&(4u64, 1u64));
+    bytes.extend([1, 0, 0]); // echoed
+    let echoes: TallyModel = [(7, [0, 2, u32::MAX].map(ServerId::new).into())].into();
+    echoes.encode(&mut bytes);
+    TallyModel::new().encode(&mut bytes); // readies
+    0u32.encode(&mut bytes); // pending
+    let mut decoded = Brb::<u64>::decode_state(&mut Reader::new(&bytes)).unwrap();
+    assert_eq!(decoded.echo_count(&7), 3);
+    assert_eq!(encode_state(&decoded), bytes);
+    let mut outbox = Outbox::new();
+    decoded.on_message(ServerId::new(u32::MAX), BrbMessage::Echo(7), &mut outbox);
+    assert_eq!(decoded.echo_count(&7), 3);
+    assert!(decoded.readied(), "three ECHOs are a quorum of four");
+}
+
+#[test]
+fn brb_state_with_an_impossible_configuration_is_rejected() {
+    let state = |n: u64, f: u64| {
+        let mut bytes = encode_to_vec(&(n, f));
+        bytes.extend([0u8; 3 + 4 + 4 + 4]); // flags, two empty tallies, no indication
+        Brb::<u64>::decode_state(&mut Reader::new(&bytes))
+    };
+    assert!(state(4, 1).is_ok());
+    assert!(state(3, 1).is_err(), "n >= 3f + 1");
+    assert!(state(4, u64::MAX).is_err(), "3f + 1 must not wrap");
+    assert!(state(1 << 32, 1).is_err(), "servers are u32 identities");
 }
