@@ -1,16 +1,19 @@
-//! Shared workload builders and measurement helpers for the dagbft
-//! benchmark harness.
+//! The paper's experiment tables and the workload generator shared with
+//! the benchmark.
 //!
-//! Every experiment in `EXPERIMENTS.md` (E5–E12) is regenerated by either
-//! a Criterion bench (`benches/`, wall-clock measurements) or a report
-//! binary (`src/bin/report_*.rs`, the paper-style tables of wire messages,
-//! bytes, signatures, and simulated latency). Both are built from the
-//! helpers in this crate so the DAG embedding and the direct baseline run
-//! *identical* workloads.
+//! [`experiments::render`] produces the repository's root
+//! `EXPERIMENTS.md` (E5–E13: wire messages, bytes, signatures and
+//! simulated latency — exact counts on the seeded simulator, no
+//! clocks); `tests/experiments.rs` pins the committed file byte for
+//! byte. The runners below drive the DAG embedding and the direct
+//! baseline through *identical* workloads. Timings are the benchmark's
+//! job (`src/bin/benchmark/`, `BENCHMARK.json`), which takes its
+//! zipfian payment inputs from [`workload`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod experiments;
 pub mod workload;
 
 use dagbft_baseline::{BaselineConfig, BaselineOutcome, BaselineSimulation, DirectInjection};
@@ -23,21 +26,17 @@ use dagbft_sim::{Injection, NetworkModel, Role, SimConfig, SimOutcome, Simulatio
 
 /// Cost summary of one run, common to both deployments.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Costs {
+struct Costs {
     /// Wire messages sent.
-    pub messages: u64,
+    messages: u64,
     /// Wire bytes sent.
-    pub bytes: u64,
+    bytes: u64,
     /// Signing operations.
-    pub signatures: u64,
+    signatures: u64,
     /// Verification operations.
-    pub verifications: u64,
-    /// Deliveries observed.
-    pub deliveries: usize,
-    /// Simulated time at stop (ms).
-    pub finished_at: TimeMs,
+    verifications: u64,
     /// Mean delivery latency (ms) over all deliveries with known injection.
-    pub mean_latency: f64,
+    mean_latency: f64,
 }
 
 fn mean(values: &[TimeMs]) -> f64 {
@@ -48,7 +47,7 @@ fn mean(values: &[TimeMs]) -> f64 {
 }
 
 /// Extracts [`Costs`] from a DAG-simulation outcome.
-pub fn dag_costs(outcome: &SimOutcome<Brb<u64>>, labels: &[Label]) -> Costs {
+fn dag_costs(outcome: &SimOutcome<Brb<u64>>, labels: &[Label]) -> Costs {
     let latencies: Vec<TimeMs> = labels
         .iter()
         .flat_map(|l| outcome.latencies_for(*l))
@@ -58,14 +57,12 @@ pub fn dag_costs(outcome: &SimOutcome<Brb<u64>>, labels: &[Label]) -> Costs {
         bytes: outcome.net.bytes_sent,
         signatures: outcome.signatures,
         verifications: outcome.verifications,
-        deliveries: outcome.deliveries.len(),
-        finished_at: outcome.finished_at,
         mean_latency: mean(&latencies),
     }
 }
 
 /// Extracts [`Costs`] from a baseline outcome.
-pub fn direct_costs(outcome: &BaselineOutcome<Brb<u64>>, labels: &[Label]) -> Costs {
+fn direct_costs(outcome: &BaselineOutcome<Brb<u64>>, labels: &[Label]) -> Costs {
     let latencies: Vec<TimeMs> = labels
         .iter()
         .flat_map(|l| outcome.latencies_for(*l))
@@ -75,20 +72,18 @@ pub fn direct_costs(outcome: &BaselineOutcome<Brb<u64>>, labels: &[Label]) -> Co
         bytes: outcome.net.bytes_sent,
         signatures: outcome.signatures,
         verifications: outcome.verifications,
-        deliveries: outcome.deliveries.len(),
-        finished_at: outcome.finished_at,
         mean_latency: mean(&latencies),
     }
 }
 
 /// Standard BRB workload labels: `instances` broadcasts.
-pub fn brb_labels(instances: usize) -> Vec<Label> {
+fn brb_labels(instances: usize) -> Vec<Label> {
     (0..instances as u64).map(Label::new).collect()
 }
 
 /// Runs `instances` parallel BRB broadcasts over the block DAG until every
 /// correct server delivered every instance.
-pub fn run_dag_brb(
+fn run_dag_brb(
     n: usize,
     instances: usize,
     network: NetworkModel,
@@ -115,11 +110,7 @@ pub fn run_dag_brb(
 }
 
 /// The same workload on the direct point-to-point baseline.
-pub fn run_direct_brb(
-    n: usize,
-    instances: usize,
-    network: NetworkModel,
-) -> BaselineOutcome<Brb<u64>> {
+fn run_direct_brb(n: usize, instances: usize, network: NetworkModel) -> BaselineOutcome<Brb<u64>> {
     let expected = instances * n;
     let config = BaselineConfig::new(n)
         .with_max_time(600_000)
@@ -139,19 +130,26 @@ pub fn run_direct_brb(
     outcome
 }
 
-/// Runs `proposals` SMR proposals across `leaders` labels over the DAG.
-pub fn run_dag_smr(n: usize, proposals: usize, leaders: usize) -> SimOutcome<Smr<u64>> {
-    let expected = proposals * n;
-    let config = SimConfig::new(n)
+/// Runs `proposals` SMR proposals across `leaders` labels over the DAG
+/// until every correct server committed each. With `silent`, the last
+/// server never speaks and only its commits are missing; labels are led
+/// by server `ℓ mod n`, so keep `leaders < n` then.
+fn run_dag_smr(n: usize, proposals: usize, leaders: usize, silent: bool) -> SimOutcome<Smr<u64>> {
+    let correct = if silent { n - 1 } else { n };
+    let expected = proposals * correct;
+    let mut config = SimConfig::new(n)
         .with_max_time(600_000)
         .with_stop_after_deliveries(expected);
+    if silent {
+        config = config.with_role(n - 1, Role::Silent);
+    }
     let mut sim: Simulation<Smr<u64>> = Simulation::new(config);
     for i in 0..proposals {
         sim.inject(Injection {
             at: (i as u64) * 3,
-            server: i % n,
+            server: i % correct,
             label: Label::new((i % leaders) as u64),
-            request: SmrRequest::Propose(1000 + i as u64),
+            request: SmrRequest::Propose(5000 + i as u64),
         });
     }
     let outcome = sim.run();
@@ -161,7 +159,7 @@ pub fn run_dag_smr(n: usize, proposals: usize, leaders: usize) -> SimOutcome<Smr
 
 /// Runs a DAG BRB workload with one byzantine role installed on the last
 /// server; requests originate at correct servers only.
-pub fn run_dag_brb_with_role(n: usize, instances: usize, role: Role) -> SimOutcome<Brb<u64>> {
+fn run_dag_brb_with_role(n: usize, instances: usize, role: Role) -> SimOutcome<Brb<u64>> {
     let byzantine = n - 1;
     let correct = n - 1;
     let expected = instances * correct;
@@ -184,7 +182,7 @@ pub fn run_dag_brb_with_role(n: usize, instances: usize, role: Role) -> SimOutco
 /// Builds a fully-connected `rounds × n` block DAG carrying `instances`
 /// BRB broadcasts in the first round — the input for off-line
 /// interpretation benchmarks (experiment E8).
-pub fn build_offline_dag(n: usize, rounds: u64, instances: usize) -> (BlockDag, ProtocolConfig) {
+fn build_offline_dag(n: usize, rounds: u64, instances: usize) -> (BlockDag, ProtocolConfig) {
     let registry = KeyRegistry::generate(n, 7);
     let signers: Vec<_> = (0..n)
         .map(|i| registry.signer(ServerId::new(i as u32)).unwrap())
@@ -224,82 +222,13 @@ pub fn build_offline_dag(n: usize, rounds: u64, instances: usize) -> (BlockDag, 
 }
 
 /// Formats a float with two decimals.
-pub fn f2(value: f64) -> String {
+fn f2(value: f64) -> String {
     format!("{value:.2}")
-}
-
-/// Usable hardware parallelism, recorded in every `BENCH_*.json`
-/// snapshot so wall-clock numbers committed from small machines stay
-/// interpretable (and hardware-conditional `--check` gates can key on
-/// it).
-pub fn cores() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Every distinct `"key":` token of a JSON string — a cheap structural
-/// schema for bench-trajectory snapshot diffing (no JSON parser in the
-/// tree). Shared by every `report_*` binary's `--check` mode, so all
-/// committed `BENCH_*.json` snapshots are schema-validated the same way.
-pub fn json_keys(json: &str) -> std::collections::BTreeSet<String> {
-    let mut keys = std::collections::BTreeSet::new();
-    let bytes = json.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'"' {
-            if let Some(end) = json[i + 1..].find('"') {
-                let end = i + 1 + end;
-                if bytes.get(end + 1) == Some(&b':') {
-                    keys.insert(json[i + 1..end].to_owned());
-                }
-                i = end + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    keys
-}
-
-/// Compares the key schema of a freshly produced trajectory line against
-/// a committed `BENCH_*.json` snapshot. Every snapshot must carry a
-/// `cores` key — wall-clock rows without the recording machine's
-/// parallelism are uninterpretable.
-///
-/// # Errors
-///
-/// A human-readable reason when the snapshot is unreadable, the key sets
-/// differ, or `cores` is missing.
-pub fn check_snapshot_schema(snapshot_path: &str, json: &str) -> Result<(), String> {
-    let snapshot = std::fs::read_to_string(snapshot_path)
-        .map_err(|e| format!("{snapshot_path} unreadable: {e}"))?;
-    let expected = json_keys(&snapshot);
-    let actual = json_keys(json);
-    if expected != actual {
-        return Err(format!(
-            "JSON schema drifted from {snapshot_path}: snapshot keys {expected:?}, run keys {actual:?}"
-        ));
-    }
-    if !actual.contains("cores") {
-        return Err(format!(
-            "{snapshot_path}: trajectory JSON must record the machine's `cores`"
-        ));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_keys_extracts_only_keys() {
-        let keys = json_keys("{\"a\":1,\"b\":{\"c\":[\"not_a_key\"]},\"d\":\"x\"}");
-        let expected: std::collections::BTreeSet<String> =
-            ["a", "b", "c", "d"].map(str::to_owned).into();
-        assert_eq!(keys, expected);
-    }
 
     #[test]
     fn dag_and_direct_runs_complete() {
@@ -337,7 +266,7 @@ mod tests {
 
     #[test]
     fn smr_run_completes() {
-        let outcome = run_dag_smr(4, 4, 4);
+        let outcome = run_dag_smr(4, 4, 4, false);
         assert_eq!(outcome.deliveries.len(), 16);
     }
 
@@ -350,8 +279,8 @@ mod tests {
     #[test]
     fn costs_extraction() {
         let outcome = run_dag_brb(4, 1, NetworkModel::default(), 50);
+        assert_eq!(outcome.deliveries.len(), 4);
         let costs = dag_costs(&outcome, &brb_labels(1));
-        assert_eq!(costs.deliveries, 4);
         assert!(costs.messages > 0);
         assert!(costs.mean_latency > 0.0);
     }

@@ -12,8 +12,8 @@
 //! sequenced, settleable [`Transfer`]s: per-sender sequence numbers
 //! increase densely, so each transfer's `(from, seq)` label is fresh and
 //! the distinct-label count equals the transfer count by construction.
-//! `report_workload` feeds these transfers through the DAG and gates the
-//! resulting metrics snapshot (`BENCH_workload.json`).
+//! The benchmark's `sim_*` and `live_steady` workloads feed these
+//! transfers through the DAG (`src/bin/benchmark/inputs.rs`).
 
 use std::collections::BTreeSet;
 

@@ -20,7 +20,7 @@
 //! block body lives behind an `Arc`), so broadcasting to `n − 1` peers
 //! costs one canonical encode total instead of `n − 1`.
 //! [`Block::canonical_encodes`] counts the encodes actually performed,
-//! which the `report_wire` bench uses to pin the encode-once claim.
+//! which `tests/encode_once.rs` uses to pin the encode-once claim.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -318,7 +318,7 @@ impl Block {
 
     /// Number of canonical (field-by-field) block encodings performed by
     /// this process so far. Sends that reuse the cached wire image do not
-    /// count — the `report_wire` bench asserts exactly one per block
+    /// count — `tests/encode_once.rs` asserts exactly one per block
     /// regardless of broadcast fan-out.
     pub fn canonical_encodes() -> u64 {
         CANONICAL_ENCODES.load(Ordering::Relaxed)

@@ -10,6 +10,9 @@
 //!   paper-literal `ReferenceGossip` on every observable of Algorithm 1:
 //!   commands per call, promotion order, rejections, pending, stats and
 //!   verification count;
+//! * **reverse chain** — one builder's deep chain delivered newest
+//!   first, the schedule that buffers every block until the last call
+//!   and then promotes them all in one cascade, equals the oracle too;
 //! * **singleton bursts ≡ per-message** — `on_block_from` and
 //!   `on_block_burst` of one block are byte-identical, the next own
 //!   block included;
@@ -135,6 +138,36 @@ fn dag_set_digest(gossip: &Gossip) -> Digest {
         transcript.extend_from_slice(block.wire_bytes());
     }
     sha256(&transcript)
+}
+
+/// One builder's chain delivered newest first, one block per call: every
+/// block waits in the pending index until the genesis block arrives, and
+/// that one call promotes the whole chain in the oracle's order.
+#[test]
+fn reverse_ordered_chain_promotes_in_the_oracles_order() {
+    const DEPTH: u64 = 512;
+    let registry = KeyRegistry::generate(2, KEYS);
+    let signer = registry.signer(ServerId::new(1)).unwrap();
+    let mut prev: Vec<BlockRef> = Vec::new();
+    let mut chain: Vec<Block> = (0..DEPTH)
+        .map(|k| {
+            let block = Block::build(
+                signer.id(),
+                SeqNum::new(k),
+                std::mem::take(&mut prev),
+                vec![],
+                &signer,
+            );
+            prev = vec![block.block_ref()];
+            block
+        })
+        .collect();
+    chain.reverse();
+    let singles: Vec<&[Block]> = chain.chunks(1).collect();
+    let (engine, verified) = run_against_oracle(&singles, 2);
+    assert_eq!(engine.dag().len() as u64, DEPTH);
+    assert_eq!(engine.pending_len(), 0);
+    assert_eq!(verified, DEPTH);
 }
 
 proptest! {

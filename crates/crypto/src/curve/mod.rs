@@ -15,8 +15,9 @@
 //!
 //! Every point addition and doubling bumps a thread-local counter
 //! ([`PointOps`], [`ops_snapshot`]): curve-level costs are *counted*, not
-//! timed, so the `report_sig` benchmark floor ("batched verification
-//! beats serial by ≥1.5× at wave width ≥32") is machine-independent.
+//! timed, so the floor `batch_is_cheaper_than_serial` asserts ("batched
+//! verification halves serial's cost at wave width ≥32") is
+//! machine-independent.
 //!
 //! The arithmetic is portable `u64`/`u128` — no intrinsics, no `unsafe`
 //! — and costs what the textbook formulas cost; bit-by-bit references

@@ -15,8 +15,8 @@
 //!   past [`PIPPENGER_THRESHOLD_POINTS`]; below it Straus is cheaper.
 //!
 //! Cost here is *counted* (thread-local [`super::PointOps`]) rather than
-//! timed, which is what makes the `report_sig` batch-verification floor
-//! machine-independent.
+//! timed, which is what makes the batch-verification floor
+//! (`ed25519.rs`, `batch_is_cheaper_than_serial`) machine-independent.
 
 use super::point::{Cached, Completed, OddMultiples, Point};
 use super::scalar::Scalar;

@@ -532,39 +532,61 @@ mod tests {
         }
     }
 
+    /// The machine-independent cost floors, in curve group operations
+    /// (thread-local counters, so parallel tests do not disturb them): a
+    /// serial verification fits the one-pass double-base multiplication
+    /// (~337 operations; the generic MSM over the same two points takes
+    /// ~360), and one wave-wide MSM at least halves the operations per
+    /// item, on the Straus and on the Pippenger side of the threshold.
     #[test]
     fn batch_is_cheaper_than_serial() {
+        use crate::curve::msm::msm_engine;
         use crate::curve::ops_snapshot;
-        let keys = test_keys(32);
+        const SERIAL_OPS_CEILING: u64 = 350;
         let message = b"wave";
-        let signatures: Vec<[u8; 64]> = keys
-            .iter()
-            .map(|(secret, _)| sign(secret, message))
-            .collect();
-        let items: Vec<BatchItem<'_>> = keys
-            .iter()
-            .zip(&signatures)
-            .map(|((_, public), signature)| BatchItem {
-                public,
-                message,
-                signature,
-            })
-            .collect();
+        // Build the lazy basepoint tables outside the counted regions.
+        let (secret, public) = keygen(&[7; 32]);
+        assert!(verify(&public, message, &sign(&secret, message)));
 
-        let before = ops_snapshot();
-        let verdicts = verify_batch(&items);
-        let mid = ops_snapshot();
-        for item in &items {
-            assert!(verify(item.public, item.message, item.signature));
+        let mut engines = Vec::new();
+        for width in [32usize, 128, 256] {
+            let keys = test_keys(width);
+            let signatures: Vec<[u8; 64]> = keys
+                .iter()
+                .map(|(secret, _)| sign(secret, message))
+                .collect();
+            let items: Vec<BatchItem<'_>> = keys
+                .iter()
+                .zip(&signatures)
+                .map(|((_, public), signature)| BatchItem {
+                    public,
+                    message,
+                    signature,
+                })
+                .collect();
+
+            let before = ops_snapshot();
+            let verdicts = verify_batch(&items);
+            let mid = ops_snapshot();
+            for item in &items {
+                assert!(verify(item.public, item.message, item.signature));
+            }
+            let after = ops_snapshot();
+
+            assert_eq!(verdicts, vec![true; width]);
+            let batch_ops = (mid - before).total();
+            let serial_ops = (after - mid).total();
+            assert!(
+                serial_ops <= SERIAL_OPS_CEILING * width as u64,
+                "width {width}: {serial_ops} group operations for {width} serial verifications"
+            );
+            assert!(
+                2 * batch_ops < serial_ops,
+                "width {width}: batch {batch_ops} vs serial {serial_ops}"
+            );
+            // A batch of k signatures is one MSM over 2k + 1 points.
+            engines.push(msm_engine(2 * width + 1));
         }
-        let after = ops_snapshot();
-
-        assert_eq!(verdicts, vec![true; 32]);
-        let batch_ops = (mid - before).total();
-        let serial_ops = (after - mid).total();
-        assert!(
-            2 * batch_ops < serial_ops,
-            "batch {batch_ops} vs serial {serial_ops}"
-        );
+        assert_eq!(engines, ["straus", "straus", "pippenger"]);
     }
 }

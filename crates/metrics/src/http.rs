@@ -132,7 +132,7 @@ fn answer(mut stream: TcpStream, registry: &MetricsRegistry) -> io::Result<()> {
 
 /// Scrapes a metrics endpoint: one blocking `GET /metrics`, returning the
 /// response body (the snapshot JSON). The client half of
-/// [`MetricsServer`], shared by tests and `report_workload`.
+/// [`MetricsServer`], shared by this crate's and the transport's tests.
 ///
 /// # Errors
 ///

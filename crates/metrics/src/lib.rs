@@ -10,13 +10,13 @@
 //!   publishing from hot paths costs nanoseconds and never blocks the
 //!   event loop. [`MetricsRegistry::snapshot_json`] serializes the whole
 //!   registry to one deterministic, versioned JSON object
-//!   ([`SCHEMA_VERSION`]) — the same shape the committed
-//!   `BENCH_workload.json` trajectory and `docs/METRICS.md` are checked
-//!   against.
+//!   ([`SCHEMA_VERSION`]) — the shape `docs/METRICS.md` documents and
+//!   is checked against.
 //! * [`MetricsServer`] — a minimal JSON-over-HTTP/1.0 responder on a
 //!   spawned thread: any `GET` returns the current snapshot. This is what
 //!   `dagbft_transport::NodeConfig::metrics_addr` exposes from a running
-//!   TCP node, and what `report_workload` scrapes mid-run.
+//!   TCP node, and what the transport's `node_metrics` test scrapes
+//!   mid-run.
 //! * [`publish`] — adapters that mirror the counters the workspace
 //!   already keeps (`GossipStats`, `WaveStats`, `InterpreterFootprint`,
 //!   `CryptoMetrics`, `RecoveryReport`, per-peer transport traffic) into
@@ -27,8 +27,8 @@
 //! and interpretation counter in the workspace is already maintained
 //! (and determinism-tested) where the work happens, so the live surface
 //! is a periodic, lock-free copy — overhead is bounded by the publish
-//! cadence, not by traffic (gated at ≤5% of a 2k-item batched
-//! verification by `report_workload --check`).
+//! cadence, not by traffic (the benchmark reports one publish as
+//! `metrics.publish_us`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -4,8 +4,8 @@
 //! Every function overwrites absolute values (the sources are themselves
 //! monotonic counters or instantaneous footprints), so publishing is
 //! idempotent and safe on any cadence. `docs/METRICS.md` documents each
-//! field emitted here; `report_workload --check` fails when the two
-//! drift.
+//! field emitted here; the unit test
+//! `publishers_register_documented_fields` fails when the two drift.
 
 use dagbft_core::{
     GossipStats, InterpreterFootprint, PeerDefense, RecoveryReport, TimeMs, WaveStats,
@@ -153,8 +153,26 @@ pub fn publish_node(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
+    /// Replaces a `peer<digits>_` prefix with the documented `peer<i>_`.
+    fn normalize_field(field: &str) -> String {
+        if let Some(rest) = field.strip_prefix("peer") {
+            let digits = rest.chars().take_while(char::is_ascii_digit).count();
+            if digits > 0 && rest[digits..].starts_with('_') {
+                return format!("peer<i>{}", &rest[digits..]);
+            }
+        }
+        field.to_owned()
+    }
+
+    /// No drift between the registry and `docs/METRICS.md`, in either
+    /// direction: every field the workspace can publish is a back-ticked
+    /// name in one of the document's tables, and every table row's
+    /// first back-ticked name is a field some publisher registers — so
+    /// neither an undocumented gauge nor a documented ghost survives.
     #[test]
     fn publishers_register_documented_fields() {
         let registry = MetricsRegistry::new();
@@ -166,6 +184,8 @@ mod tests {
         publish_store_health(&registry, false, false);
         publish_peer(&registry, 0, 0, 0, 0, 0);
         publish_node(&registry, 0, 0, 0);
+        // The defense publisher only emits per-peer rows for touched
+        // peers, so touch one to surface the `peer<i>_*` defense family.
         let mut defense = PeerDefense::new(dagbft_core::DefenseConfig::enabled());
         defense.note_offense(
             dagbft_crypto::ServerId::new(0),
@@ -173,22 +193,41 @@ mod tests {
             0,
         );
         publish_defense(&registry, &defense, 0);
-        let names = registry.field_names();
-        for expected in [
-            "gossip_blocks_validated",
-            "wave_width",
-            "interp_unique_instances",
-            "crypto_verifies",
-            "recovery_replayed_blocks",
-            "store_attached",
-            "peer0_sent_bytes",
-            "node_dag_blocks",
-            "defense_offenses",
-            "peer0_score",
-            "peer0_banned",
-        ] {
-            assert!(names.contains(expected), "missing field {expected}");
+        // Registered by the HTTP responder itself on its first request.
+        registry.counter("metrics_http_requests");
+        let published: BTreeSet<String> = registry
+            .field_names()
+            .iter()
+            .map(|field| normalize_field(field))
+            .collect();
+
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../docs/METRICS.md");
+        let doc = std::fs::read_to_string(path).expect("docs/METRICS.md");
+        // Per table row: every back-ticked name, and the first of them
+        // (the row's own field).
+        let mut documented = BTreeSet::new();
+        let mut row_fields = BTreeSet::new();
+        for line in doc.lines().filter(|line| line.starts_with('|')) {
+            let names: Vec<String> = line
+                .split('`')
+                .skip(1)
+                .step_by(2)
+                .map(str::to_owned)
+                .collect();
+            row_fields.extend(names.first().cloned());
+            documented.extend(names);
         }
+
+        let undocumented: Vec<_> = published.difference(&documented).collect();
+        assert!(
+            undocumented.is_empty(),
+            "published but missing from docs/METRICS.md: {undocumented:?}"
+        );
+        let stale: Vec<_> = row_fields.difference(&published).collect();
+        assert!(
+            stale.is_empty(),
+            "documented in docs/METRICS.md but published by nothing: {stale:?}"
+        );
     }
 
     #[test]

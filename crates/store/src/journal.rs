@@ -140,16 +140,14 @@ pub fn parse(bytes: &[u8]) -> Result<ParsedJournal, StoreError> {
     parsed.valid_len = offset;
     let mut record = 0usize;
     while offset < bytes.len() {
-        let rest = &bytes[offset..];
-        if rest.len() < HEADER_LEN {
+        let Some((len, &[kind, ref body @ ..])) = bytes[offset..].split_first_chunk::<4>() else {
             parsed.truncated_records = 1;
             break;
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().expect("4-byte slice")) as usize;
-        let kind = rest[4];
-        let Some(total) = len
-            .checked_add(HEADER_LEN + CHECKSUM_LEN)
-            .filter(|total| *total <= rest.len())
+        };
+        let len = u32::from_le_bytes(*len) as usize;
+        let Some((payload, stored)) = body
+            .split_at_checked(len)
+            .and_then(|(payload, rest)| Some((payload, rest.first_chunk::<CHECKSUM_LEN>()?)))
         else {
             // Framing runs past end-of-file: the torn tail. (A bit flip
             // that enlarged `len` is indistinguishable from a torn write
@@ -157,11 +155,7 @@ pub fn parse(bytes: &[u8]) -> Result<ParsedJournal, StoreError> {
             parsed.truncated_records = 1;
             break;
         };
-        let payload = &rest[HEADER_LEN..HEADER_LEN + len];
-        let stored: [u8; 8] = rest[total - CHECKSUM_LEN..total]
-            .try_into()
-            .expect("8-byte slice");
-        if record_checksum(kind, payload) != stored {
+        if record_checksum(kind, payload) != *stored {
             return Err(StoreError::ChecksumMismatch { record });
         }
         match kind {
@@ -191,20 +185,20 @@ pub fn parse(bytes: &[u8]) -> Result<ParsedJournal, StoreError> {
                 parsed.requests.push(request);
             }
             KIND_SNAPSHOT => {
-                if payload.len() < 8 {
+                let Some((covered, state)) = payload.split_first_chunk::<8>() else {
                     return Err(StoreError::Decode {
                         record,
                         error: "snapshot record shorter than its coverage prefix".into(),
                     });
-                }
-                let covered = u64::from_le_bytes(payload[..8].try_into().expect("8-byte slice"));
+                };
+                let covered = u64::from_le_bytes(*covered);
                 if covered > parsed.blocks.len() as u64 {
                     return Err(StoreError::SnapshotCoversFuture {
                         covered,
                         blocks: parsed.blocks.len() as u64,
                     });
                 }
-                parsed.snapshot = Some((covered, payload[8..].to_vec()));
+                parsed.snapshot = Some((covered, state.to_vec()));
             }
             other => {
                 return Err(StoreError::UnknownKind {
@@ -213,7 +207,7 @@ pub fn parse(bytes: &[u8]) -> Result<ParsedJournal, StoreError> {
                 });
             }
         }
-        offset += total;
+        offset += HEADER_LEN + len + CHECKSUM_LEN;
         parsed.valid_len = offset;
         record += 1;
     }
@@ -234,8 +228,11 @@ fn parse_tip(bytes: &[u8]) -> (Option<SeqNum>, u64) {
             // Never written (fresh file reads back zeros).
             continue;
         }
-        let seq = u64::from_le_bytes(raw[..8].try_into().expect("8-byte slice"));
-        if tip_checksum(seq) != raw[8..16] {
+        let Some((seq, sum)) = raw.split_first_chunk::<8>() else {
+            continue;
+        };
+        let seq = u64::from_le_bytes(*seq);
+        if tip_checksum(seq) != *sum {
             continue;
         }
         let seq = SeqNum::new(seq);

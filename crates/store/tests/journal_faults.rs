@@ -12,10 +12,18 @@
 //!   [`FaultyMedia`] whose writes tear at an exact byte budget, then a
 //!   "restart" over the surviving bytes;
 //! * flip-every-bit — at-rest corruption of each bit in the image.
+//!
+//! The truncation matrix cuts inside every record's `len`, `kind` and
+//! checksum fields. Two header fields it cannot reach get explicit
+//! cases: a snapshot record's coverage prefix (behind a valid checksum)
+//! and the tip sidecar's slots.
 
 use dagbft_core::{Block, BlockStore, Label, LabeledRequest, SeqNum, StoreError};
 use dagbft_crypto::{KeyRegistry, ServerId};
-use dagbft_store::{parse, FaultyMedia, JournalStore, MemMedia, MemStore, MAGIC};
+use dagbft_store::{
+    encode_record, parse, FaultyMedia, JournalStore, Media, MemMedia, MemStore, KIND_SNAPSHOT,
+    MAGIC,
+};
 use proptest::prelude::*;
 
 /// A short chain of valid blocks (each referencing its predecessor) from
@@ -246,6 +254,46 @@ fn lost_own_tip_marker_never_resurrects_higher_seq() {
         Some(SeqNum::ZERO),
         "pre-crash marker survives"
     );
+}
+
+#[test]
+fn snapshot_record_shorter_than_its_coverage_prefix_is_typed() {
+    // Size-complete and checksummed, so neither a torn tail nor a
+    // checksum mismatch: the 8-byte coverage prefix itself is short.
+    for payload_len in 0..8 {
+        let mut image = MAGIC.to_vec();
+        image.extend_from_slice(&encode_record(KIND_SNAPSHOT, &[0xAB; 8][..payload_len]));
+        match parse(&image) {
+            Err(StoreError::Decode { record: 0, .. }) => {}
+            other => panic!("payload_len={payload_len}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn tip_sidecar_cut_inside_a_slot_falls_back_to_the_older_marker() {
+    let blocks = chain(2);
+    let mut store = MemStore::in_memory();
+    for (index, block) in blocks.iter().enumerate() {
+        store.append_block(block).unwrap();
+        store.sync().unwrap();
+        store.mark_own_tip(SeqNum::new(index as u64)).unwrap();
+    }
+    let media = store.into_media();
+    let (journal, tip) = (media.journal().to_vec(), media.tip().to_vec());
+    assert_eq!(tip.len(), 32, "two 16-byte slots: seq + checksum each");
+    for cut in 0..=tip.len() {
+        let mut damaged = MemMedia::from_journal(journal.clone());
+        damaged.write_tip(0, &tip[..cut]).unwrap();
+        let contents = JournalStore::open(damaged).unwrap().contents().unwrap();
+        let expected = match cut {
+            0..=15 => None,
+            16..=31 => Some(SeqNum::ZERO),
+            _ => Some(SeqNum::new(1)),
+        };
+        assert_eq!(contents.own_tip, expected, "cut={cut}");
+        assert_eq!(contents.blocks, blocks, "cut={cut}");
+    }
 }
 
 proptest! {

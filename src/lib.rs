@@ -47,8 +47,9 @@
 //! ```
 //!
 //! See `examples/` for runnable scenarios (quickstart, the paper's
-//! figures, payments, consensus) and `EXPERIMENTS.md` for the full
-//! experiment index.
+//! figures, payments, consensus) and `EXPERIMENTS.md` at the repository
+//! root for the paper's experiment tables (E5–E13), generated by
+//! `dagbft_bench::experiments::render`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -168,6 +168,72 @@ fn flood_then_behave_earns_a_ban_then_decays_back_to_standing() {
     }
 }
 
+/// A flood that never stops (8 forged blocks per 50 ms round at n = 5)
+/// against a tight bucket (4 blocks + 2 per 100 ms), beside the same
+/// workload attack-free. All on the simulated clock and in counts: honest
+/// mean latency stays within 2× the baseline, what the attacker pushes
+/// past the gate stays within the bucket's budget over the run, and the
+/// throttle, the ban and the audit trail all engaged.
+#[test]
+fn sustained_flood_stays_inside_the_bucket_budget_and_costs_under_2x_latency() {
+    const N: usize = 5;
+    const INSTANCES: usize = 4;
+    let defense = DefenseConfig::enabled().with_block_bucket(4, 2);
+    let run = |attacked: bool| {
+        let correct = if attacked { N - 1 } else { N };
+        let mut config = SimConfig::new(N)
+            .with_seed(23)
+            .with_defense(defense)
+            .with_stop_after_deliveries(INSTANCES * correct);
+        if attacked {
+            config = config.with_role(
+                N - 1,
+                Role::FloodThenBehave {
+                    until: u64::MAX,
+                    per_round: 8,
+                },
+            );
+        }
+        let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+        for i in 0..INSTANCES {
+            sim.inject(broadcast(i as u64, i % correct, i as u64, i as u64));
+        }
+        let outcome = sim.run();
+        assert_eq!(outcome.deliveries.len(), INSTANCES * correct);
+        let latencies: Vec<TimeMs> = (0..INSTANCES as u64)
+            .flat_map(|label| outcome.latencies_for(Label::new(label)))
+            .collect();
+        let mean = latencies.iter().sum::<u64>() as f64 / latencies.len() as f64;
+        (outcome, mean)
+    };
+    let (_, baseline_latency) = run(false);
+    let (attack, attack_latency) = run(true);
+    assert!(
+        attack_latency <= 2.0 * baseline_latency,
+        "honest latency {attack_latency} ms under attack, {baseline_latency} ms without"
+    );
+
+    let budget = defense.bucket_blocks
+        + defense.refill_blocks * (attack.finished_at / defense.refill_interval_ms);
+    let (mut throttled, mut bans, mut events) = (0, 0, 0);
+    for server in attack.correct_servers() {
+        let gossip = attack.shim(server).gossip();
+        // Honest servers never emit an invalid block: every one that
+        // reached verification is the attacker's.
+        let admitted = gossip.stats().invalid_blocks;
+        assert!(
+            admitted <= budget,
+            "server {server}: {admitted} forged blocks passed the gate, budget {budget}"
+        );
+        throttled += gossip.defense().stats().throttled_blocks;
+        bans += gossip.defense().stats().bans;
+        events += gossip.defense().events().len();
+    }
+    assert!(throttled > 0, "the token bucket never engaged");
+    assert!(bans > 0, "scoring never escalated to a ban");
+    assert!(events > 0, "no DefenseEvent was recorded");
+}
+
 // ---------------------------------------------------------------------
 // Scenario 3: colluding equivocator clique.
 // ---------------------------------------------------------------------

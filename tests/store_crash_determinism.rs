@@ -229,27 +229,30 @@ fn journal_backed_snapshot_recovery_is_also_invisible_and_replays_the_suffix() {
     // Same property through the real journal format plus snapshot
     // catch-up: the restarted interpreter starts from the persisted
     // snapshot, replays only the suffix, and still lands on the same
-    // bytes.
+    // bytes. The suffix is shorter than the snapshot cadence whatever
+    // the journal's length — a count, the same on every machine.
     for seed in [7, 42] {
         let (baseline, _) = run_fingerprint(seed, |sim| sim);
         let (server, crash_at) = crash_point(seed);
-        let (crashed, outcome) = run_fingerprint(seed, |sim| {
-            sim.with_durable_store(server, Box::new(MemStore::in_memory()), crash_at)
-                .with_durable_snapshots(4)
-        });
-        let [(_, _, report)] = outcome.recoveries[..] else {
-            panic!("seed {seed}: expected exactly one recovery");
-        };
-        assert!(report.snapshot_covered > 0, "seed {seed}: {report:?}");
-        assert!(
-            report.replayed_blocks < report.journal_blocks,
-            "seed {seed}: snapshot must shrink the replay: {report:?}"
-        );
-        assert_eq!(
-            report.snapshot_covered + report.replayed_blocks,
-            report.journal_blocks
-        );
-        assert_eq!(baseline, crashed, "seed {seed}: snapshot recovery leaked");
+        for cadence in [4, 16] {
+            let (crashed, outcome) = run_fingerprint(seed, |sim| {
+                sim.with_durable_store(server, Box::new(MemStore::in_memory()), crash_at)
+                    .with_durable_snapshots(cadence)
+            });
+            let [(_, _, report)] = outcome.recoveries[..] else {
+                panic!("seed {seed}: expected exactly one recovery");
+            };
+            assert!(report.snapshot_covered > 0, "seed {seed}: {report:?}");
+            assert!(
+                (report.replayed_blocks as u64) < cadence,
+                "seed {seed}, cadence {cadence}: replay is the suffix past the last snapshot: {report:?}"
+            );
+            assert_eq!(
+                report.snapshot_covered + report.replayed_blocks,
+                report.journal_blocks
+            );
+            assert_eq!(baseline, crashed, "seed {seed}: snapshot recovery leaked");
+        }
     }
 }
 
