@@ -141,12 +141,6 @@ impl DefenseConfig {
         self.decay_step = step;
         self
     }
-
-    /// Sets the deprioritized builders' pending allowance (at least 1).
-    pub fn with_deprioritized_allowance(mut self, allowance: usize) -> Self {
-        self.deprioritized_allowance = allowance.max(1);
-        self
-    }
 }
 
 /// The admission outcomes the scoring engine consumes.

@@ -20,6 +20,15 @@
 //! same states (Lemma 4.2), which is what makes the DAG an authenticated
 //! perfect point-to-point link (Lemma 4.3).
 //!
+//! Interpretation order is admission order. Restrictive insertion
+//! (Definition 2.1) admits a block only after all its predecessors, so a
+//! DAG's insertion order is a topological order (Lemma 2.2) in which every
+//! block is `eligible` when reached (Lemma A.10). [`Interpreter::step`] is
+//! one pass over it from a cursor; the interpreter schedules nothing
+//! itself, and its [`Interpreter::interpreted_order`] is the DAG's — on a
+//! durable server the journal's — order, whether blocks arrived one at a
+//! time, in a burst, or at recovery.
+//!
 //! # One moved view per chain, one delta per block
 //!
 //! Algorithm 2's line 4 says `PIs := B_parent.PIs` — a *copy* of the whole
@@ -85,7 +94,7 @@
 //! `P` itself allocates. `tests/interpret_alloc_budget.rs` holds the total
 //! to at most 2 heap allocations per touch on a BRB payments run.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -313,16 +322,8 @@ pub struct Interpreter<P: DeterministicProtocol> {
     order: Vec<BlockRef>,
     indications: Vec<Indication<P::Indication>>,
     stats: InterpretStats,
-    /// Incremental eligibility tracking for [`Interpreter::step`]: how many
-    /// blocks of the DAG's insertion order have been scanned …
+    /// [`Interpreter::step`]'s cursor into the DAG's insertion order.
     scanned: usize,
-    /// … per uninterpreted block, the number of uninterpreted distinct
-    /// predecessors …
-    waiting: HashMap<BlockRef, usize>,
-    /// … the reverse dependency index …
-    dependents: HashMap<BlockRef, Vec<BlockRef>>,
-    /// … and the queue of blocks whose predecessors are all interpreted.
-    ready: VecDeque<BlockRef>,
 }
 
 impl<P: DeterministicProtocol> Interpreter<P> {
@@ -337,9 +338,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             indications: Vec::new(),
             stats: InterpretStats::default(),
             scanned: 0,
-            waiting: HashMap::new(),
-            dependents: HashMap::new(),
-            ready: VecDeque::new(),
         }
     }
 
@@ -452,93 +450,37 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             .map(|(_, envelope)| envelope)
     }
 
-    /// The blocks currently eligible: `I[B]` is false and `I[B_i]` holds
-    /// for every `B_i ∈ B.preds` (Algorithm 2, line 3).
-    ///
-    /// Served from the incremental `waiting`/`ready` bookkeeping that
-    /// [`Interpreter::step`] maintains — only blocks appended to the DAG
-    /// since the last call are scanned, never the whole DAG (the previous
-    /// implementation rescanned all of `V` and `E` per call).
-    ///
-    /// Like [`Interpreter::step`], this requires every call on one
-    /// interpreter to pass the *same, append-only* DAG (or a grown copy
-    /// of it, `G ≤ G'`): the scan position is an index into the DAG's
-    /// insertion order. Feeding unrelated DAGs to one interpreter yields
-    /// stale results.
-    pub fn eligible(&mut self, dag: &BlockDag) -> Vec<BlockRef> {
-        self.scan_new_blocks(dag);
-        // Prune blocks interpreted out-of-band (interpret_block() leaves
-        // its entry behind) so the queue never accumulates stale refs
-        // across repeated eligible()/interpret_block() driving loops.
-        let states = &self.states;
-        self.ready.retain(|r| !states.contains_key(r));
-        self.ready.iter().copied().collect()
+    /// The blocks currently eligible — `I[B]` is false and `I[B_i]` holds
+    /// for every `B_i ∈ B.preds` (Algorithm 2, line 3) — in insertion order,
+    /// by a scan of the whole DAG: for tests and audits that drive
+    /// [`Interpreter::interpret_block`] themselves. `step` never asks.
+    pub fn eligible(&self, dag: &BlockDag) -> Vec<BlockRef> {
+        dag.refs()
+            .filter(|r| !self.is_interpreted(r))
+            .filter(|r| dag.preds_of(r).iter().all(|p| self.is_interpreted(p)))
+            .copied()
+            .collect()
     }
 
-    /// Interprets every block of `dag` that is or becomes eligible, to a
-    /// fixed point. Returns the number of blocks interpreted.
+    /// Interprets every block appended to `dag` since the last call, in
+    /// the order the DAG admitted them, and returns how many. That order is
+    /// topological (Definition 2.1), so one pass is the fixed point
+    /// (Lemma A.10; see the module docs).
     ///
-    /// Since `G` is finite and acyclic, every block is picked eventually
-    /// (Lemma A.10); a single call interprets everything currently in the
-    /// DAG. Eligibility is tracked incrementally (`O(V + E)` across all
-    /// calls), so repeatedly stepping a growing DAG — the shim does this
-    /// after every gossip change — costs only the new blocks.
-    ///
-    /// A block that breaks the parent rule (gossip admits none) is not
-    /// `valid`: it stays uninterpreted, and so does everything built on it.
+    /// Every call on one interpreter must pass the *same, append-only* DAG
+    /// (or a grown copy of it, `G ≤ G'`): the cursor indexes its insertion
+    /// order. A block already interpreted ([`Interpreter::interpret_block`])
+    /// is passed over; one that breaks the parent rule (gossip admits none)
+    /// is not `valid` and stays uninterpreted, with everything built on it.
     pub fn step(&mut self, dag: &BlockDag) -> usize {
-        self.scan_new_blocks(dag);
         let mut total = 0;
-        while let Some(block_ref) = self.ready.pop_front() {
-            if self.is_interpreted(&block_ref) {
-                continue; // interpreted out-of-band via interpret_block()
-            }
-            // A ready block is known, uninterpreted and eligible: the one
-            // error left is `InvalidParent`.
-            if self.interpret_block(dag, &block_ref).is_ok() {
+        for block_ref in dag.refs().skip(self.scanned) {
+            self.scanned += 1;
+            if self.interpret_block(dag, block_ref).is_ok() {
                 total += 1;
             }
         }
         total
-    }
-
-    /// Feeds blocks appended to the DAG since the last scan into the
-    /// incremental eligibility tracker.
-    fn scan_new_blocks(&mut self, dag: &BlockDag) {
-        let refs: Vec<BlockRef> = dag.refs().skip(self.scanned).copied().collect();
-        self.scanned += refs.len();
-        for block_ref in refs {
-            if self.is_interpreted(&block_ref) || self.waiting.contains_key(&block_ref) {
-                continue;
-            }
-            let missing: Vec<BlockRef> = dag
-                .preds_of(&block_ref)
-                .into_iter()
-                .filter(|p| !self.is_interpreted(p))
-                .collect();
-            if missing.is_empty() {
-                self.ready.push_back(block_ref);
-            } else {
-                self.waiting.insert(block_ref, missing.len());
-                for pred in missing {
-                    self.dependents.entry(pred).or_default().push(block_ref);
-                }
-            }
-        }
-    }
-
-    /// Called after a block was interpreted: releases dependents whose last
-    /// missing predecessor it was.
-    fn release_dependents(&mut self, block_ref: &BlockRef) {
-        for dependent in self.dependents.remove(block_ref).unwrap_or_default() {
-            if let Some(count) = self.waiting.get_mut(&dependent) {
-                *count -= 1;
-                if *count == 0 {
-                    self.waiting.remove(&dependent);
-                    self.ready.push_back(dependent);
-                }
-            }
-        }
     }
 
     /// A mutable handle on `label`'s instance in `view`: created lazily on
@@ -692,7 +634,6 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         );
         self.order.push(*block_ref);
         self.stats.blocks_interpreted += 1;
-        self.release_dependents(block_ref);
         Ok(())
     }
 
@@ -775,14 +716,9 @@ where
     /// what is actually resident, not blocks × labels. Tip views are not
     /// written: they are rebuilt from the deltas on first use.
     ///
-    /// Must be called at a fixed point ([`Interpreter::step`] returned and
-    /// [`Interpreter::drain_indications`] was drained): pending eligibility
-    /// bookkeeping and undrained indications are not captured.
+    /// Must be called with [`Interpreter::drain_indications`] drained:
+    /// undrained indications are not captured.
     pub fn encode_snapshot(&self) -> Vec<u8> {
-        debug_assert!(
-            self.ready.is_empty() && self.waiting.is_empty(),
-            "snapshot requires interpretation at a fixed point"
-        );
         debug_assert!(
             self.indications.is_empty(),
             "drain indications before snapshotting"
@@ -833,11 +769,10 @@ where
 
     /// Rebuilds an interpreter from [`Interpreter::encode_snapshot`] bytes.
     ///
-    /// The restored interpreter has scanned exactly the first
-    /// `interpreted_count()` blocks of the DAG's insertion order — feed it
-    /// the same, grown DAG and [`Interpreter::step`] replays only the
-    /// suffix. The caller must verify the covered prefix matches
-    /// (see `Shim::recover_from_store_with_snapshots`).
+    /// Its cursor stands after the first `interpreted_count()` blocks of
+    /// the DAG's insertion order — feed it the same, grown DAG and
+    /// [`Interpreter::step`] interprets only the suffix. The caller checks
+    /// the covered prefix (see `Shim::recover_from_store_with_snapshots`).
     ///
     /// # Errors
     ///
@@ -929,9 +864,6 @@ where
             order,
             indications: Vec::new(),
             stats,
-            waiting: HashMap::new(),
-            dependents: HashMap::new(),
-            ready: VecDeque::new(),
         })
     }
 }
@@ -1162,8 +1094,8 @@ mod tests {
 
     #[test]
     fn eligible_tracks_incremental_progress() {
-        // eligible() reflects interpret_block() progress without rescans:
-        // interpreting a genesis block releases its dependents.
+        // eligible() reflects interpret_block() progress: interpreting the
+        // genesis blocks makes what is built on them eligible.
         let (dag, blocks) = two_server_dag();
         let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(2));
         interpreter
@@ -1182,6 +1114,25 @@ mod tests {
             .interpret_block(&dag, &blocks[3].block_ref())
             .unwrap();
         assert!(interpreter.eligible(&dag).is_empty());
+    }
+
+    #[test]
+    fn step_interprets_in_admission_order() {
+        // Inserted as A, B (child of A), C (another chain's genesis): C is
+        // eligible before B is, and still comes after it.
+        let (mut dag, chain) = single_chain(2);
+        let c = Block::build(
+            ServerId::new(1),
+            SeqNum::ZERO,
+            vec![],
+            vec![],
+            &setup(2).1[1],
+        );
+        dag.insert(c.clone()).unwrap();
+        let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(2));
+        assert_eq!(interpreter.step(&dag), 3);
+        let inserted = [chain[0].block_ref(), chain[1].block_ref(), c.block_ref()];
+        assert_eq!(interpreter.interpreted_order(), inserted);
     }
 
     #[test]
@@ -1402,7 +1353,7 @@ mod tests {
     #[test]
     fn incremental_step_matches_batch_interpretation() {
         // Interleave manual interpret_block() calls with step() on a
-        // growing DAG: the tracker must neither skip nor double-interpret.
+        // growing DAG: the cursor must neither skip nor double-interpret.
         let (dag_full, blocks) = two_server_dag();
         let mut dag_partial = BlockDag::new();
         dag_partial.insert(blocks[0].clone()).unwrap();

@@ -987,7 +987,7 @@ mod tests {
     }
 
     #[test]
-    fn footprint_and_compact_surface_sharing() {
+    fn footprint_surfaces_sharing() {
         let registry = KeyRegistry::generate(1, 3);
         let config = ShimConfig::new(ProtocolConfig::for_n(1));
         let mut shim: Shim<Flood> = Shim::new(ServerId::new(0), config, &registry).unwrap();

@@ -337,7 +337,7 @@ proptest! {
     // Real ed25519 admission is ~three orders of magnitude costlier than
     // the HMAC stand-in, so a few cases suffice — the HMAC variant above
     // carries the case-count load and the schemes share every code path
-    // beyond `SignatureScheme::verify*`.
+    // beyond `KeyRegistry`'s sign and verify.
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]

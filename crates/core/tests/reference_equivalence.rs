@@ -243,6 +243,8 @@ fn assert_equivalent(dag: &BlockDag, pick_seed: u64) {
 
     loop {
         let mut eligible = reference.eligible(dag);
+        // Both answer line 3 by the same scan, in insertion order.
+        assert_eq!(real.eligible(dag), eligible);
         if eligible.is_empty() {
             break;
         }

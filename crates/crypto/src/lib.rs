@@ -9,12 +9,12 @@
 //!   implementation, validated against the standard test vectors. Used for
 //!   block references ([`Digest`]).
 //! * [`Signer`] / [`Verifier`] / [`BatchVerifier`] — signing handles under
-//!   a trusted [`KeyRegistry`], generic over the [`SignatureScheme`]. Two
-//!   schemes ship: real RFC 8032 [`ed25519`] over the in-tree [`curve`]
-//!   arithmetic (with one multi-scalar multiplication per verified batch),
-//!   and the original HMAC-SHA256 stand-in (the pairwise-symmetric-key
-//!   model; see `DESIGN.md` §3), retained as the cheap deterministic
-//!   oracle.
+//!   a trusted [`KeyRegistry`], whose keys all belong to the one scheme a
+//!   [`SchemeKind`] selects: real RFC 8032 [`ed25519`] over the in-tree
+//!   [`curve`] arithmetic (with one multi-scalar multiplication per
+//!   verified batch), or the original HMAC-SHA256 stand-in (the
+//!   pairwise-symmetric-key model; see the signature-scheme section of
+//!   `docs/ARCHITECTURE.md`), retained as the cheap deterministic oracle.
 //! * [`ServerId`] — the server identity `n` carried in every block
 //!   (Definition 3.1); it lives here because identity and key material are
 //!   inseparable in the protocols.
@@ -40,7 +40,6 @@ mod digest;
 pub mod ed25519;
 mod hmac;
 mod identity;
-pub mod scheme;
 mod sha256;
 mod sha512;
 mod sig;
@@ -48,9 +47,9 @@ mod sig;
 pub use digest::Digest;
 pub use hmac::{hmac_sha256, HmacKey};
 pub use identity::ServerId;
-pub use scheme::{AnyScheme, Ed25519Scheme, HmacScheme, SchemeKind, SignatureScheme};
 pub use sha256::{sha256, Sha256};
 pub use sha512::{sha512, Sha512};
 pub use sig::{
-    BatchVerifier, CryptoMetrics, KeyRegistry, Signature, SignedDigest, Signer, Verifier,
+    BatchVerifier, CryptoMetrics, KeyRegistry, SchemeKind, Signature, SignedDigest, Signer,
+    Verifier,
 };

@@ -1,14 +1,15 @@
-//! Signing handles over a trusted key registry, generic over the
-//! [`SignatureScheme`].
+//! Signing handles over a trusted key registry, under one of two
+//! signature schemes.
 //!
 //! The paper assumes a secure signature scheme whose failure probability
 //! is zero (§2). [`KeyRegistry`] performs the trusted setup — one keypair
 //! per server, deterministically seeded so whole-simulation runs stay
 //! reproducible — and hands out [`Signer`] handles (one per server,
 //! carrying only that server's key) and [`Verifier`]/[`BatchVerifier`]
-//! handles (able to check any server's signature). All of them are
-//! generic over the scheme, defaulting to the runtime-dispatched
-//! [`AnyScheme`] so existing call sites stay non-generic.
+//! handles (able to check any server's signature). A registry draws all
+//! its keys from the one scheme a [`SchemeKind`] picks when it is
+//! generated: RFC 8032 [ed25519](crate::ed25519), or the HMAC-SHA256
+//! stand-in the determinism and equivalence tests cross-check it against.
 //!
 //! The economic property the paper leans on — *batch signatures*, one
 //! signature per block instead of one per protocol message (§4) — is
@@ -20,10 +21,9 @@ use std::sync::Arc;
 
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use crate::scheme::{AnyScheme, Ed25519Scheme, HmacScheme, SchemeKind, SignatureScheme};
-use crate::{Digest, ServerId};
+use crate::{ed25519, Digest, HmacKey, ServerId};
 
 /// A 64-byte wire signature, produced by [`Signer::sign`].
 ///
@@ -177,24 +177,144 @@ impl CryptoMetrics {
     }
 }
 
+/// Which signature scheme a [`KeyRegistry`]'s keys belong to — the
+/// configuration knob simulations and clusters expose.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SchemeKind {
+    /// HMAC-SHA256 stand-in: the cheap deterministic oracle.
+    #[default]
+    Hmac,
+    /// RFC 8032 ed25519 with multi-scalar batch verification.
+    Ed25519,
+}
+
+impl SchemeKind {
+    /// Short identifier ("hmac", "ed25519") for benchmarks and
+    /// fingerprints.
+    pub fn name(self) -> &'static str {
+        match self {
+            SchemeKind::Hmac => "hmac",
+            SchemeKind::Ed25519 => "ed25519",
+        }
+    }
+}
+
+/// One registry's key material, all of one scheme and indexed by server.
+/// Per-key caches (HMAC key schedules, decompressed ed25519 points) are
+/// built once here and shared by every handle. `Debug` prints no secret:
+/// [`HmacKey`] and [`ed25519::SecretKey`] redact themselves.
 #[derive(Debug)]
-struct RegistryInner<S: SignatureScheme> {
-    scheme: S,
-    secrets: Vec<S::SecretKey>,
-    /// Verification key material, one per server, shared by every
-    /// [`Verifier`] and [`BatchVerifier`] handle — per-key caches (HMAC
-    /// key schedules, decompressed ed25519 points) are built exactly
-    /// once per registry.
-    publics: Vec<S::PublicKey>,
+enum Keys {
+    /// Pairwise symmetric keys: the key that signs also verifies.
+    Hmac(Vec<HmacKey>),
+    Ed25519 {
+        secrets: Vec<ed25519::SecretKey>,
+        publics: Vec<ed25519::PublicKey>,
+    },
+}
+
+impl Keys {
+    /// One key (pair) per server, each from the next 32 bytes of `rng`.
+    fn generate(kind: SchemeKind, n: usize, rng: &mut StdRng) -> Keys {
+        let seeds = (0..n).map(|_| {
+            let mut seed = [0u8; 32];
+            rng.fill(&mut seed);
+            seed
+        });
+        match kind {
+            SchemeKind::Hmac => Keys::Hmac(seeds.map(|seed| HmacKey::new(&seed)).collect()),
+            SchemeKind::Ed25519 => {
+                let (secrets, publics) = seeds.map(|seed| ed25519::keygen(&seed)).unzip();
+                Keys::Ed25519 { secrets, publics }
+            }
+        }
+    }
+
+    fn kind(&self) -> SchemeKind {
+        match self {
+            Keys::Hmac(_) => SchemeKind::Hmac,
+            Keys::Ed25519 { .. } => SchemeKind::Ed25519,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Keys::Hmac(keys) => keys.len(),
+            Keys::Ed25519 { secrets, .. } => secrets.len(),
+        }
+    }
+
+    /// Signs for `id`, which the [`Signer`] holding it was checked against.
+    fn sign(&self, id: ServerId, message: &[u8]) -> Signature {
+        match self {
+            Keys::Hmac(keys) => Signature::from_tag(keys[id.index()].mac(message)),
+            Keys::Ed25519 { secrets, .. } => {
+                Signature::from_bytes(ed25519::sign(&secrets[id.index()], message))
+            }
+        }
+    }
+
+    /// Unknown claimants verify to `false`.
+    fn verify(&self, claimed: ServerId, message: &[u8], signature: &Signature) -> bool {
+        match self {
+            Keys::Hmac(keys) => keys
+                .get(claimed.index())
+                .is_some_and(|key| signature.matches_tag(&key.mac(message))),
+            Keys::Ed25519 { publics, .. } => publics
+                .get(claimed.index())
+                .is_some_and(|public| ed25519::verify(public, message, signature.as_bytes())),
+        }
+    }
+
+    /// Per-item verdicts in input order, equal to the serial ones.
+    fn verify_batch(&self, items: &[SignedDigest]) -> Vec<bool> {
+        match self {
+            Keys::Hmac(keys) => items
+                .iter()
+                .map(|item| {
+                    keys.get(item.claimed.index()).is_some_and(|key| {
+                        item.signature
+                            .matches_tag(&key.mac32(item.digest.as_bytes()))
+                    })
+                })
+                .collect(),
+            Keys::Ed25519 { publics, .. } => {
+                // Items claiming unknown identities fail outright and stay
+                // out of the combined equation.
+                let (known, batch): (Vec<usize>, Vec<ed25519::BatchItem<'_>>) = items
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(index, item)| {
+                        let public = publics.get(item.claimed.index())?;
+                        let batch_item = ed25519::BatchItem {
+                            public,
+                            message: item.digest.as_bytes(),
+                            signature: item.signature.as_bytes(),
+                        };
+                        Some((index, batch_item))
+                    })
+                    .unzip();
+                let mut verdicts = vec![false; items.len()];
+                for (index, verdict) in known.into_iter().zip(ed25519::verify_batch(&batch)) {
+                    verdicts[index] = verdict;
+                }
+                verdicts
+            }
+        }
+    }
+}
+
+#[derive(Debug)]
+struct RegistryInner {
+    keys: Keys,
     metrics: CryptoMetrics,
 }
 
 /// Trusted key setup for a fixed server set.
 ///
-/// Generates one keypair per server under the chosen
-/// [`SignatureScheme`]; hands out [`Signer`] handles (one per server,
-/// carrying only that server's key) and [`Verifier`] handles (able to
-/// check any server's signature).
+/// Generates one keypair per server under the chosen [`SchemeKind`]; hands
+/// out [`Signer`] handles (one per server, carrying only that server's
+/// key) and [`Verifier`] handles (able to check any server's signature).
 ///
 /// # Examples
 ///
@@ -207,58 +327,61 @@ struct RegistryInner<S: SignatureScheme> {
 /// assert!(registry.verifier().verify(ServerId::new(3), b"hello", &sig));
 /// ```
 #[derive(Debug, Clone)]
-pub struct KeyRegistry<S: SignatureScheme = AnyScheme> {
-    inner: Arc<RegistryInner<S>>,
+pub struct KeyRegistry {
+    inner: Arc<RegistryInner>,
 }
 
-impl<S: SignatureScheme> KeyRegistry<S> {
-    /// Generates keys for `n` servers under `scheme` from a
-    /// deterministic seed.
-    ///
-    /// Deterministic seeding keeps whole-simulation runs reproducible.
-    pub fn generate_with(scheme: S, n: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut secrets = Vec::with_capacity(n);
-        let mut publics = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (secret, public) = scheme.keygen(&mut rng);
-            secrets.push(secret);
-            publics.push(public);
-        }
+impl KeyRegistry {
+    /// Generates HMAC stand-in keys for `n` servers from a deterministic
+    /// seed — the historical default, kept as the cheap oracle scheme.
+    /// For the real thing, use [`KeyRegistry::generate_ed25519`].
+    pub fn generate(n: usize, seed: u64) -> Self {
+        Self::generate_kind(SchemeKind::Hmac, n, seed)
+    }
+
+    /// Generates real ed25519 keys for `n` servers from a deterministic
+    /// seed.
+    pub fn generate_ed25519(n: usize, seed: u64) -> Self {
+        Self::generate_kind(SchemeKind::Ed25519, n, seed)
+    }
+
+    /// Generates keys for `n` servers under the scheme `kind` selects, from
+    /// a deterministic seed — which keeps whole-simulation runs
+    /// reproducible.
+    pub fn generate_kind(kind: SchemeKind, n: usize, seed: u64) -> Self {
+        let keys = Keys::generate(kind, n, &mut StdRng::seed_from_u64(seed));
         KeyRegistry {
             inner: Arc::new(RegistryInner {
-                scheme,
-                secrets,
-                publics,
+                keys,
                 metrics: CryptoMetrics::default(),
             }),
         }
     }
 
     /// The scheme this registry's keys belong to.
-    pub fn scheme(&self) -> &S {
-        &self.inner.scheme
+    pub fn kind(&self) -> SchemeKind {
+        self.inner.keys.kind()
     }
 
     /// Short scheme identifier ("hmac", "ed25519") for benchmarks and
     /// fingerprints.
     pub fn scheme_name(&self) -> &'static str {
-        self.inner.scheme.name()
+        self.kind().name()
     }
 
     /// Number of servers with keys in this registry.
     pub fn len(&self) -> usize {
-        self.inner.secrets.len()
+        self.inner.keys.len()
     }
 
     /// Returns `true` if the registry holds no keys.
     pub fn is_empty(&self) -> bool {
-        self.inner.secrets.is_empty()
+        self.len() == 0
     }
 
     /// Returns the signing handle for `id`, or `None` for unknown servers.
-    pub fn signer(&self, id: ServerId) -> Option<Signer<S>> {
-        if id.index() >= self.inner.secrets.len() {
+    pub fn signer(&self, id: ServerId) -> Option<Signer> {
+        if id.index() >= self.len() {
             return None;
         }
         Some(Signer {
@@ -268,14 +391,14 @@ impl<S: SignatureScheme> KeyRegistry<S> {
     }
 
     /// Returns a verification handle over all servers' keys.
-    pub fn verifier(&self) -> Verifier<S> {
+    pub fn verifier(&self) -> Verifier {
         Verifier {
             registry: self.inner.clone(),
         }
     }
 
     /// Returns a batch-verification handle (see [`BatchVerifier`]).
-    pub fn batch_verifier(&self) -> BatchVerifier<S> {
+    pub fn batch_verifier(&self) -> BatchVerifier {
         BatchVerifier {
             registry: self.inner.clone(),
         }
@@ -287,38 +410,17 @@ impl<S: SignatureScheme> KeyRegistry<S> {
     }
 }
 
-impl KeyRegistry<AnyScheme> {
-    /// Generates HMAC stand-in keys for `n` servers from a deterministic
-    /// seed — the historical default, kept as the cheap oracle scheme.
-    /// For the real thing, use [`KeyRegistry::generate_ed25519`].
-    pub fn generate(n: usize, seed: u64) -> Self {
-        Self::generate_with(AnyScheme::Hmac(HmacScheme), n, seed)
-    }
-
-    /// Generates real ed25519 keys for `n` servers from a deterministic
-    /// seed.
-    pub fn generate_ed25519(n: usize, seed: u64) -> Self {
-        Self::generate_with(AnyScheme::Ed25519(Ed25519Scheme), n, seed)
-    }
-
-    /// Generates keys under the scheme a [`SchemeKind`] selects — the
-    /// configuration-knob entry point used by simulations and clusters.
-    pub fn generate_kind(kind: SchemeKind, n: usize, seed: u64) -> Self {
-        Self::generate_with(AnyScheme::from_kind(kind), n, seed)
-    }
-}
-
 /// Signing handle for a single server.
 ///
 /// Holds only that server's key: simulated byzantine servers receive
 /// their own [`Signer`] and therefore cannot forge others' signatures.
 #[derive(Debug, Clone)]
-pub struct Signer<S: SignatureScheme = AnyScheme> {
+pub struct Signer {
     id: ServerId,
-    registry: Arc<RegistryInner<S>>,
+    registry: Arc<RegistryInner>,
 }
 
-impl<S: SignatureScheme> Signer<S> {
+impl Signer {
     /// The identity this handle signs for.
     pub fn id(&self) -> ServerId {
         self.id
@@ -327,8 +429,7 @@ impl<S: SignatureScheme> Signer<S> {
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
         self.registry.metrics.signs.fetch_add(1, Ordering::Relaxed);
-        let secret = &self.registry.secrets[self.id.index()];
-        self.registry.scheme.sign(secret, message)
+        self.registry.keys.sign(self.id, message)
     }
 }
 
@@ -338,11 +439,11 @@ impl<S: SignatureScheme> Signer<S> {
 /// (HMAC key schedules, decompressed ed25519 points), so each
 /// verification resumes from cached state instead of re-deriving it.
 #[derive(Debug, Clone)]
-pub struct Verifier<S: SignatureScheme = AnyScheme> {
-    registry: Arc<RegistryInner<S>>,
+pub struct Verifier {
+    registry: Arc<RegistryInner>,
 }
 
-impl<S: SignatureScheme> Verifier<S> {
+impl Verifier {
     /// Checks that `signature` is `sign(claimed, message)`.
     ///
     /// Returns `false` for unknown identities or forged signatures.
@@ -351,14 +452,11 @@ impl<S: SignatureScheme> Verifier<S> {
             .metrics
             .verifies
             .fetch_add(1, Ordering::Relaxed);
-        match self.registry.publics.get(claimed.index()) {
-            Some(public) => self.registry.scheme.verify(public, message, signature),
-            None => false,
-        }
+        self.registry.keys.verify(claimed, message, signature)
     }
 
     /// Returns a batch handle over the same registry (and counters).
-    pub fn batch(&self) -> BatchVerifier<S> {
+    pub fn batch(&self) -> BatchVerifier {
         BatchVerifier {
             registry: self.registry.clone(),
         }
@@ -410,11 +508,11 @@ pub struct SignedDigest {
 /// assert_eq!(verdicts, vec![true]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct BatchVerifier<S: SignatureScheme = AnyScheme> {
-    registry: Arc<RegistryInner<S>>,
+pub struct BatchVerifier {
+    registry: Arc<RegistryInner>,
 }
 
-impl<S: SignatureScheme> BatchVerifier<S> {
+impl BatchVerifier {
     /// Verifies every item in one pass, returning per-item verdicts in
     /// input order. Unknown identities verify to `false`. The verdicts
     /// are always exactly the serial ones, whatever the batch grouping —
@@ -427,9 +525,7 @@ impl<S: SignatureScheme> BatchVerifier<S> {
             return Vec::new();
         }
         self.registry.metrics.record_batch(items.len() as u64);
-        self.registry
-            .scheme
-            .verify_batch(&self.registry.publics, items)
+        self.registry.keys.verify_batch(items)
     }
 
     /// Accounts one admission *burst* of `items` verifications. The
@@ -507,6 +603,8 @@ mod tests {
     fn scheme_kind_selects_scheme() {
         let hmac = KeyRegistry::generate_kind(SchemeKind::Hmac, 2, 7);
         let ed = KeyRegistry::generate_kind(SchemeKind::Ed25519, 2, 7);
+        assert_eq!(hmac.kind(), SchemeKind::Hmac);
+        assert_eq!(ed.kind(), SchemeKind::Ed25519);
         assert_eq!(hmac.scheme_name(), "hmac");
         assert_eq!(ed.scheme_name(), "ed25519");
         assert_eq!(SchemeKind::default(), SchemeKind::Hmac);
@@ -564,14 +662,35 @@ mod tests {
     #[test]
     fn batch_verify_unknown_identity_false() {
         for registry in all_registries() {
+            let name = registry.scheme_name();
             let batch = registry.verifier().batch();
             let digest = crate::sha256(b"x");
-            let verdicts = batch.verify_batch(&[SignedDigest {
+            let unknown = SignedDigest {
                 claimed: ServerId::new(99),
                 digest,
                 signature: Signature::NULL,
-            }]);
-            assert_eq!(verdicts, vec![false], "{}", registry.scheme_name());
+            };
+            assert_eq!(batch.verify_batch(&[unknown]), vec![false], "{name}");
+            // Among known claimants the unknown one alone fails: under
+            // ed25519 it is left out of the combined equation.
+            let signed_by = |i: u32| SignedDigest {
+                claimed: ServerId::new(i),
+                digest,
+                signature: registry
+                    .signer(ServerId::new(i))
+                    .unwrap()
+                    .sign(digest.as_bytes()),
+            };
+            let forged = SignedDigest {
+                claimed: ServerId::new(99),
+                ..signed_by(0)
+            };
+            let mixed = [signed_by(1), forged, signed_by(2)];
+            assert_eq!(
+                batch.verify_batch(&mixed),
+                vec![true, false, true],
+                "{name}"
+            );
         }
     }
 

@@ -157,14 +157,6 @@ impl<V: Value> Smr<V> {
         self.slots.get(&slot).and_then(|s| s.committed.as_ref())
     }
 
-    /// Number of slots committed (delivered or not).
-    pub fn committed_count(&self) -> usize {
-        self.slots
-            .values()
-            .filter(|s| s.committed.is_some())
-            .count()
-    }
-
     fn leader_assign(&mut self, value: V, outbox: &mut Outbox<SmrMessage<V>>) {
         if self.assigned.contains(&value) {
             return;

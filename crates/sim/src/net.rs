@@ -122,12 +122,6 @@ impl NetworkModel {
         self
     }
 
-    /// Sets the latency distribution.
-    pub fn with_latency(mut self, latency: Latency) -> Self {
-        self.latency = latency;
-        self
-    }
-
     /// Adds a partition window.
     pub fn with_partition(mut self, partition: Partition) -> Self {
         self.partitions.push(partition);

@@ -61,6 +61,9 @@ pub enum IngestMode {
     },
 }
 
+/// Interval between a server's `FWD`-retry timer ticks.
+const TICK_EVERY: TimeMs = 100;
+
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -72,8 +75,6 @@ pub struct SimConfig {
     pub protocol: ProtocolConfig,
     /// Interval between a server's `disseminate()` calls.
     pub disseminate_every: TimeMs,
-    /// Interval between `FWD`-retry timer ticks.
-    pub tick_every: TimeMs,
     /// Hard stop time.
     pub max_time: TimeMs,
     /// Early stop once this many deliveries were observed (`None`: run to
@@ -83,8 +84,6 @@ pub struct SimConfig {
     pub network: NetworkModel,
     /// Per-server roles; missing entries default to [`Role::Correct`].
     pub roles: HashMap<usize, Role>,
-    /// Cap on requests per block (Algorithm 3's `rqsts.get()`).
-    pub max_requests_per_block: usize,
     /// Delivery hand-off shape for correct servers (see [`IngestMode`]).
     pub ingest: IngestMode,
     /// Bound on each correct server's gossip pending buffer (see
@@ -112,12 +111,10 @@ impl SimConfig {
             seed: 42,
             protocol: ProtocolConfig::for_n(n),
             disseminate_every: 50,
-            tick_every: 100,
             max_time: 60_000,
             stop_after_deliveries: None,
             network: NetworkModel::default(),
             roles: HashMap::new(),
-            max_requests_per_block: 1024,
             ingest: IngestMode::default(),
             pending_cap: dagbft_core::DEFAULT_PENDING_CAP,
             scheme: SchemeKind::default(),
@@ -183,11 +180,6 @@ impl SimConfig {
     pub fn with_defense(mut self, defense: DefenseConfig) -> Self {
         self.defense = defense;
         self
-    }
-
-    /// Number of byzantine servers configured.
-    pub fn byzantine_count(&self) -> usize {
-        self.roles.values().filter(|r| r.is_byzantine()).count()
     }
 }
 
@@ -383,7 +375,6 @@ impl<P: DeterministicProtocol> Simulation<P> {
     pub fn new(config: SimConfig) -> Self {
         let registry = KeyRegistry::generate_kind(config.scheme, config.n, config.seed);
         let shim_config = ShimConfig::new(config.protocol)
-            .with_max_requests_per_block(config.max_requests_per_block)
             .with_pending_cap(config.pending_cap)
             .with_defense(config.defense);
         let mut servers = Vec::with_capacity(config.n);
@@ -634,7 +625,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
                     Server::Crashed => return,
                 }
                 self.queue
-                    .schedule(now + self.config.tick_every, Event::Tick { server });
+                    .schedule(now + TICK_EVERY, Event::Tick { server });
             }
             Event::Deliver { to, from, message } => {
                 match &mut self.servers[to] {
@@ -984,7 +975,7 @@ mod tests {
     }
 
     #[test]
-    fn admission_modes_agree_and_batch_counters_surface() {
+    fn every_signature_is_verified_in_a_batched_wave() {
         let config = SimConfig::new(4)
             .with_max_time(5_000)
             .with_stop_after_deliveries(4);

@@ -22,11 +22,6 @@ pub struct NodeConfig {
     pub disseminate_every_ms: u64,
     /// Interval between `FWD` retry ticks.
     pub tick_every_ms: u64,
-    /// Maximum messages folded into one ingest burst by the
-    /// event loop — bounds the latency added by draining the channel.
-    /// Wider caps amortize verification better under sustained load;
-    /// narrower ones keep tail latency low (clamped to at least 1).
-    pub ingest_burst_cap: usize,
     /// When set, the node serves a live JSON metrics snapshot over HTTP
     /// from this address (port 0 binds ephemerally — read the bound
     /// address back via [`NodeHandle::metrics_addr`]). The event loop
@@ -38,12 +33,6 @@ pub struct NodeConfig {
 }
 
 impl NodeConfig {
-    /// Caps the per-iteration ingest burst (clamped to at least 1).
-    pub fn with_ingest_burst_cap(mut self, cap: usize) -> Self {
-        self.ingest_burst_cap = cap.max(1);
-        self
-    }
-
     /// Serves live metrics over HTTP from `addr` (see
     /// [`NodeConfig::metrics_addr`]).
     pub fn with_metrics_addr(mut self, addr: SocketAddr) -> Self {
@@ -57,7 +46,6 @@ impl Default for NodeConfig {
         NodeConfig {
             disseminate_every_ms: 50,
             tick_every_ms: 100,
-            ingest_burst_cap: 1024,
             metrics_addr: None,
         }
     }
@@ -193,6 +181,10 @@ where
     Ok((handle, report))
 }
 
+/// Most messages of one channel drain handed to the shim as one ingest
+/// call: bounds the latency draining adds under sustained load.
+const INGEST_BURST_CAP: usize = 1024;
+
 fn spawn_with_shim<P>(
     mut shim: Shim<P>,
     node_config: NodeConfig,
@@ -274,7 +266,7 @@ where
                         // burst: blocks are indexed first, then verified
                         // in batched waves and interpreted once.
                         let mut batch = vec![first];
-                        while batch.len() < pacing.ingest_burst_cap.max(1) {
+                        while batch.len() < INGEST_BURST_CAP {
                             match transport.incoming().try_recv() {
                                 Ok(message) => batch.push(message),
                                 Err(_) => break,

@@ -9,9 +9,14 @@
 //!   (`http(s)://`, `mailto:`) targets are only syntax-checked, since
 //!   tests run offline;
 //! * every back-ticked file citation — an inline code span without
-//!   whitespace that ends in `.md`: it must name a file relative to the
+//!   whitespace that ends in ".md": it must name a file relative to the
 //!   citing file's directory or to the repository root. (A link-only
 //!   check once let a file that did not exist be cited four times.)
+//!
+//! The citation rule also covers the `//!` and `///` lines of every `.rs`
+//! file under `src/`, `tests/`, `examples/` and `crates/` (a markdown-only
+//! walk let rustdoc cite an absent file twice), the benchmark's directory
+//! excepted.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -43,7 +48,7 @@ fn doc_files() -> Vec<PathBuf> {
     files
 }
 
-/// One `[text](target)` occurrence or back-ticked `file.md` citation.
+/// One `[text](target)` occurrence or back-ticked file citation.
 struct Reference {
     line: usize,
     target: String,
@@ -103,7 +108,7 @@ fn extract_links(text: &str) -> Vec<Reference> {
 }
 
 /// Extracts back-ticked file citations outside fenced code blocks:
-/// inline code spans without whitespace that end in `.md`.
+/// inline code spans without whitespace that end in ".md".
 fn extract_citations(text: &str) -> Vec<Reference> {
     let mut citations = Vec::new();
     for (number, line) in prose_lines(text) {
@@ -117,6 +122,40 @@ fn extract_citations(text: &str) -> Vec<Reference> {
         }
     }
     citations
+}
+
+/// Every `.rs` file whose rustdoc is checked, sorted.
+fn rust_files() -> Vec<PathBuf> {
+    let benchmark = root().join("crates/bench/src/bin/benchmark");
+    let mut dirs: Vec<PathBuf> = ["src", "tests", "examples", "crates"]
+        .iter()
+        .map(|dir| root().join(dir))
+        .collect();
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).expect("a source directory is readable") {
+            let path = entry.expect("a source directory is readable").path();
+            if path.is_dir() && path != benchmark {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|ext| ext == "rs") {
+                files.push(path);
+            }
+        }
+    }
+    files.sort();
+    files
+}
+
+/// The `//!` and `///` lines of a Rust source as markdown: markers
+/// stripped, every other line blank, so line numbers carry over.
+fn rustdoc_text(source: &str) -> String {
+    fn doc(line: &str) -> &str {
+        let line = line.trim_start();
+        line.strip_prefix("//!")
+            .or_else(|| line.strip_prefix("///"))
+            .unwrap_or("")
+    }
+    source.lines().map(doc).collect::<Vec<_>>().join("\n")
 }
 
 /// GitHub's heading-slug rule: lowercase; alphanumerics, hyphens, and
@@ -224,6 +263,16 @@ fn every_link_and_cited_file_resolves() {
         }
     }
     assert!(checked > 0, "no references found: the walk is broken");
+    let checked_in_markdown = checked;
+    for file in rust_files() {
+        let source = std::fs::read_to_string(&file)
+            .unwrap_or_else(|error| panic!("{}: unreadable: {error}", file.display()));
+        for citation in extract_citations(&rustdoc_text(&source)) {
+            checked += 1;
+            check_citation(&file, &citation, &mut problems);
+        }
+    }
+    assert!(checked > checked_in_markdown, "no rustdoc citation found");
     assert!(
         problems.is_empty(),
         "{} broken references:\n{}",
@@ -244,6 +293,16 @@ fn inline_code_spans_are_not_links() {
     let text = "folds into `[8](P − Q) = O` — see [real](x.md)";
     let links: Vec<String> = extract_links(text).into_iter().map(|l| l.target).collect();
     assert_eq!(links, ["x.md"]);
+}
+
+#[test]
+fn rustdoc_lines_are_cited_from_and_code_is_not() {
+    let source = "//! see `a.md`\nlet s = \"`b.md`\";\n    /// and `c.md`\n// not `d.md`";
+    let cited: Vec<(usize, String)> = extract_citations(&rustdoc_text(source))
+        .into_iter()
+        .map(|c| (c.line, c.target))
+        .collect();
+    assert_eq!(cited, [(1, "a.md".to_owned()), (3, "c.md".to_owned())]);
 }
 
 #[test]

@@ -5,7 +5,10 @@
 //! are byte-identical to the same seed run without the crash. The same
 //! holds when recovery goes through the real journal format
 //! ([`MemStore`]/[`FileStore`]) and through snapshot catch-up, which must
-//! additionally replay only the post-snapshot suffix. There is one crash
+//! additionally replay only the post-snapshot suffix. Either way, and
+//! whether messages are ingested one at a time or in bursts, the
+//! recovered interpreter visited the blocks in the order the DAG admitted
+//! them, as its never-crashed twin did. There is one crash
 //! model: a `Role::Restart` with no downtime and a caller-supplied store
 //! crashed at the same instant are the same run, byte for byte, and a
 //! store that already holds a journal is recovered from, not overwritten.
@@ -22,6 +25,9 @@
 //!   (the paper's §7 caveat).
 
 use dagbft::prelude::*;
+use dagbft::sim::IngestMode;
+
+const INGEST_MODES: [IngestMode; 2] = [IngestMode::PerMessage, IngestMode::Burst { max: 64 }];
 
 /// The determinism-smoke seed set (mirrors `cross_seed_determinism`).
 const SEEDS: [u64; 5] = [0, 1, 7, 42, 1337];
@@ -30,11 +36,14 @@ const N: usize = 4;
 /// Three broadcasts, spread so seed-derived crash instants land mid-run.
 const INJECT_AT: [TimeMs; 3] = [0, 300, 600];
 
+/// The default network's seeded 5–30 ms latencies, not a constant one: in
+/// lockstep every DAG grows layer by layer, an order any topological
+/// traversal reproduces, and the interpretation-order checks see nothing.
 fn config(seed: u64) -> SimConfig {
     SimConfig::new(N)
         .with_seed(seed)
         .with_max_time(3_000)
-        .with_network(NetworkModel::reliable_constant(5))
+        .with_network(NetworkModel::default())
 }
 
 /// The server that crashes and the instant it does, derived from the seed
@@ -47,10 +56,12 @@ fn crash_point(seed: u64) -> (usize, TimeMs) {
 /// (identity for the uncrashed baseline), and fingerprints everything
 /// observable — the same format as `cross_seed_determinism`.
 fn run_fingerprint(
+    ingest: IngestMode,
     seed: u64,
     durable: impl FnOnce(Simulation<Brb<u64>>) -> Simulation<Brb<u64>>,
 ) -> (Vec<u8>, SimOutcome<Brb<u64>>) {
-    run_fingerprint_of(durable(Simulation::new(config(seed))), seed)
+    let sim = Simulation::new(config(seed).with_ingest(ingest));
+    run_fingerprint_of(durable(sim), seed)
 }
 
 fn run_fingerprint_of(mut sim: Simulation<Brb<u64>>, seed: u64) -> (Vec<u8>, SimOutcome<Brb<u64>>) {
@@ -117,13 +128,29 @@ fn run_fingerprint_of(mut sim: Simulation<Brb<u64>>, seed: u64) -> (Vec<u8>, Sim
     (fingerprint, outcome)
 }
 
+/// Interpretation order is admission order, and a crash changes neither:
+/// `server`'s recovered interpreter visited its DAG front to back, which
+/// is what its never-crashed `twin` did.
+fn assert_interpreted_as_admitted(
+    server: usize,
+    recovered: &SimOutcome<Brb<u64>>,
+    twin: &SimOutcome<Brb<u64>>,
+    context: &str,
+) {
+    let order = recovered.shim(server).interpreter().interpreted_order();
+    let admitted: Vec<BlockRef> = recovered.dag(server).unwrap().refs().copied().collect();
+    assert!(order == admitted, "{context}: not the DAG's order");
+    let twin = twin.shim(server).interpreter().interpreted_order();
+    assert!(order == twin, "{context}: not the twin's order");
+}
+
 #[test]
 fn crash_and_restart_is_invisible_in_the_fingerprint() {
-    for seed in SEEDS {
-        let (baseline, _) = run_fingerprint(seed, |sim| sim);
+    for (seed, ingest) in SEEDS.into_iter().flat_map(|s| INGEST_MODES.map(|i| (s, i))) {
+        let (baseline, twin) = run_fingerprint(ingest, seed, |sim| sim);
 
         let (server, crash_at) = crash_point(seed);
-        let (crashed, outcome) = run_fingerprint(seed, |sim| {
+        let (crashed, outcome) = run_fingerprint(ingest, seed, |sim| {
             sim.with_durable_store(server, Box::new(MemoryStore::new()), crash_at)
         });
 
@@ -145,8 +172,10 @@ fn crash_and_restart_is_invisible_in_the_fingerprint() {
 
         assert_eq!(
             baseline, crashed,
-            "seed {seed}: crash at t={crash_at} on server {server} leaked into the fingerprint"
+            "seed {seed}, {ingest:?}: crash at t={crash_at} on server {server} leaked into the fingerprint"
         );
+        let context = format!("seed {seed}, {ingest:?}, genesis replay");
+        assert_interpreted_as_admitted(server, &outcome, &twin, &context);
     }
 }
 
@@ -156,9 +185,9 @@ fn one_crash_model_one_fingerprint() {
     // `MemoryStore` crashed at the same instant: the same crash event,
     // the same rejoin, the same bytes — which are the uncrashed run's.
     for seed in SEEDS {
-        let (baseline, _) = run_fingerprint(seed, |sim| sim);
+        let (baseline, _) = run_fingerprint(IngestMode::PerMessage, seed, |sim| sim);
         let (server, crash_at) = crash_point(seed);
-        let (stored, by_store) = run_fingerprint(seed, |sim| {
+        let (stored, by_store) = run_fingerprint(IngestMode::PerMessage, seed, |sim| {
             sim.with_durable_store(server, Box::new(MemoryStore::new()), crash_at)
         });
         let role = Role::Restart {
@@ -194,7 +223,7 @@ fn a_store_that_holds_a_journal_is_recovered_from() {
     store.sync().unwrap();
     store.mark_own_tip(SeqNum::new(2)).unwrap();
 
-    let (_, outcome) = run_fingerprint(seed, |sim| {
+    let (_, outcome) = run_fingerprint(IngestMode::PerMessage, seed, |sim| {
         sim.with_durable_store(server, Box::new(store), 450)
     });
     let [(_, _, report)] = outcome.recoveries[..] else {
@@ -231,11 +260,14 @@ fn journal_backed_snapshot_recovery_is_also_invisible_and_replays_the_suffix() {
     // snapshot, replays only the suffix, and still lands on the same
     // bytes. The suffix is shorter than the snapshot cadence whatever
     // the journal's length — a count, the same on every machine.
-    for seed in [7, 42] {
-        let (baseline, _) = run_fingerprint(seed, |sim| sim);
+    for (seed, ingest) in [1, 7, 42]
+        .into_iter()
+        .flat_map(|s| INGEST_MODES.map(|i| (s, i)))
+    {
+        let (baseline, twin) = run_fingerprint(ingest, seed, |sim| sim);
         let (server, crash_at) = crash_point(seed);
         for cadence in [4, 16] {
-            let (crashed, outcome) = run_fingerprint(seed, |sim| {
+            let (crashed, outcome) = run_fingerprint(ingest, seed, |sim| {
                 sim.with_durable_store(server, Box::new(MemStore::in_memory()), crash_at)
                     .with_durable_snapshots(cadence)
             });
@@ -252,6 +284,8 @@ fn journal_backed_snapshot_recovery_is_also_invisible_and_replays_the_suffix() {
                 report.journal_blocks
             );
             assert_eq!(baseline, crashed, "seed {seed}: snapshot recovery leaked");
+            let context = format!("seed {seed}, {ingest:?}, snapshot every {cadence}");
+            assert_interpreted_as_admitted(server, &outcome, &twin, &context);
         }
     }
 }
@@ -265,10 +299,10 @@ fn file_backed_journal_crash_survives_on_disk() {
     let dir = std::env::temp_dir().join(format!("dagbft-crash-determinism-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let (baseline, _) = run_fingerprint(seed, |sim| sim);
+    let (baseline, _) = run_fingerprint(IngestMode::PerMessage, seed, |sim| sim);
     let (server, crash_at) = crash_point(seed);
     let store = Box::new(FileStore::open_dir(&dir).expect("journal dir opens"));
-    let (crashed, outcome) = run_fingerprint(seed, |sim| {
+    let (crashed, outcome) = run_fingerprint(IngestMode::PerMessage, seed, |sim| {
         sim.with_durable_store(server, store, crash_at)
             .with_durable_snapshots(6)
     });
