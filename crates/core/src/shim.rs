@@ -471,7 +471,7 @@ impl<P: DeterministicProtocol> Shim<P> {
         me: ServerId,
         config: ShimConfig,
         registry: &KeyRegistry,
-        store: Box<dyn BlockStore>,
+        mut store: Box<dyn BlockStore>,
         restore: impl FnOnce(&StoreContents) -> Result<(Interpreter<P>, Option<u8>), RecoverError>,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
         let contents = store.contents()?;
@@ -911,7 +911,7 @@ mod tests {
             self.unsynced = 0;
             synced
         }
-        fn contents(&self) -> Result<StoreContents, StoreError> {
+        fn contents(&mut self) -> Result<StoreContents, StoreError> {
             self.medium.lock().unwrap().contents()
         }
     }

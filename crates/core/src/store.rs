@@ -184,11 +184,16 @@ pub trait BlockStore: fmt::Debug + Send {
 
     /// Reads everything back from the durable medium.
     ///
+    /// The first read after opening may be served from the verification
+    /// pass the store made when it opened (hence `&mut self`: that pass
+    /// is handed out once); any later read, and any read after an
+    /// append, re-reads the medium.
+    ///
     /// # Errors
     ///
     /// Any [`StoreError`]; implementations must not panic on corrupt
     /// input.
-    fn contents(&self) -> Result<StoreContents, StoreError>;
+    fn contents(&mut self) -> Result<StoreContents, StoreError>;
 }
 
 /// The in-memory oracle [`BlockStore`]: loss-free and infallible, used to
@@ -250,7 +255,7 @@ impl BlockStore for MemoryStore {
         Ok(())
     }
 
-    fn contents(&self) -> Result<StoreContents, StoreError> {
+    fn contents(&mut self) -> Result<StoreContents, StoreError> {
         Ok(StoreContents {
             blocks: self.blocks.clone(),
             requests: self.requests.clone(),

@@ -1,6 +1,13 @@
-//! The log-structured journal: record framing, strict re-verifying
-//! parser, and the [`JournalStore`] that implements
-//! [`dagbft_core::BlockStore`] over any [`Media`].
+//! The log-structured journal: record framing, strict verifying parser,
+//! and the [`JournalStore`] that implements [`dagbft_core::BlockStore`]
+//! over any [`Media`].
+//!
+//! Each journal byte is read and verified once per recovery:
+//! [`JournalStore::open`] parses the whole image (it must, to find a torn
+//! tail before truncating), and the first `contents()` after it returns
+//! that parse instead of reading the medium again. Once anything has
+//! been appended, or the parse has been handed out, `contents()` reads
+//! and parses the medium afresh.
 //!
 //! # Journal format
 //!
@@ -20,7 +27,8 @@
 //! * `2` (request): the wire encoding of a [`LabeledRequest`] (the
 //!   request WAL).
 //! * `3` (snapshot): `covered:u64le` followed by an opaque interpreter
-//!   snapshot payload. Only the latest snapshot is kept.
+//!   snapshot payload. Every snapshot record is verified (checksum and
+//!   coverage); only the latest one is copied out and read back.
 //!
 //! # Torn tails vs corruption
 //!
@@ -45,7 +53,7 @@ use std::path::Path;
 
 use dagbft_codec::decode_from_slice;
 use dagbft_core::{Block, BlockStore, LabeledRequest, SeqNum, StoreContents, StoreError};
-use dagbft_crypto::sha256;
+use dagbft_crypto::{sha256, Sha256};
 
 use crate::media::{FileMedia, Media, MemMedia};
 
@@ -69,15 +77,15 @@ const TIP_DOMAIN: &[u8; 8] = b"DAGBFTT1";
 /// Bytes per tip slot (`seq:u64le` + 8-byte checksum).
 const TIP_SLOT_LEN: usize = 16;
 
-/// Truncated sha256 over the checksummed span of one record.
+/// Truncated sha256 over the checksummed span of one record, streamed
+/// piece by piece so the payload is hashed in place, never copied.
 fn record_checksum(kind: u8, payload: &[u8]) -> [u8; 8] {
-    let mut preimage = Vec::with_capacity(HEADER_LEN + payload.len());
-    preimage.push(kind);
-    preimage.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    preimage.extend_from_slice(payload);
-    let digest = sha256(&preimage);
+    let mut hasher = Sha256::new();
+    hasher.update(&[kind]);
+    hasher.update(&(payload.len() as u32).to_le_bytes());
+    hasher.update(payload);
     let mut sum = [0u8; 8];
-    sum.copy_from_slice(&digest.as_bytes()[..8]);
+    sum.copy_from_slice(&hasher.finalize().as_bytes()[..8]);
     sum
 }
 
@@ -139,6 +147,9 @@ pub fn parse(bytes: &[u8]) -> Result<ParsedJournal, StoreError> {
     let mut offset = MAGIC.len();
     parsed.valid_len = offset;
     let mut record = 0usize;
+    // Every snapshot record is verified in place; only the last one
+    // survives the walk to be copied out.
+    let mut latest_snapshot: Option<(u64, &[u8])> = None;
     while offset < bytes.len() {
         let Some((len, &[kind, ref body @ ..])) = bytes[offset..].split_first_chunk::<4>() else {
             parsed.truncated_records = 1;
@@ -198,7 +209,7 @@ pub fn parse(bytes: &[u8]) -> Result<ParsedJournal, StoreError> {
                         blocks: parsed.blocks.len() as u64,
                     });
                 }
-                parsed.snapshot = Some((covered, state.to_vec()));
+                latest_snapshot = Some((covered, state));
             }
             other => {
                 return Err(StoreError::UnknownKind {
@@ -211,6 +222,7 @@ pub fn parse(bytes: &[u8]) -> Result<ParsedJournal, StoreError> {
         parsed.valid_len = offset;
         record += 1;
     }
+    parsed.snapshot = latest_snapshot.map(|(covered, state)| (covered, state.to_vec()));
     Ok(parsed)
 }
 
@@ -257,7 +269,8 @@ fn tip_checksum(seq: u64) -> [u8; 8] {
 }
 
 /// The log-structured [`BlockStore`]: appends checksummed records through
-/// a [`Media`], re-verifies everything on open, and truncates torn tails.
+/// a [`Media`], verifies everything once on open, and truncates torn
+/// tails.
 #[derive(Debug)]
 pub struct JournalStore<M: Media> {
     media: M,
@@ -267,19 +280,23 @@ pub struct JournalStore<M: Media> {
     tip: Option<SeqNum>,
     /// Sidecar slot the next marker write goes to.
     tip_slot: u64,
+    /// The verified parse `open` made, still equal to the medium: the
+    /// first `contents()` takes it, and any append drops it.
+    read_back: Option<ParsedJournal>,
 }
 
 impl<M: Media> JournalStore<M> {
-    /// Opens a journal over `media`: parses and re-verifies the full
-    /// image, physically truncates a torn tail (at most one record), and
-    /// reads the own-tip sidecar. Never panics on corrupt media.
+    /// Opens a journal over `media`: parses and verifies the full image,
+    /// physically truncates a torn tail (at most one record), and reads
+    /// the own-tip sidecar. Never panics on corrupt media. The parse is
+    /// kept, so the first [`BlockStore::contents`] reads nothing again.
     ///
     /// # Errors
     ///
     /// Any typed [`StoreError`] from [`parse`] or the media.
     pub fn open(mut media: M) -> Result<Self, StoreError> {
         let bytes = media.journal_bytes()?;
-        let parsed = parse(&bytes)?;
+        let mut parsed = parse(&bytes)?;
         if parsed.valid_len < bytes.len() {
             media.truncate_journal(parsed.valid_len as u64)?;
         }
@@ -289,9 +306,12 @@ impl<M: Media> JournalStore<M> {
         let (tip, tip_slot) = parse_tip(&media.tip_bytes()?);
         Ok(JournalStore {
             media,
-            truncated_at_open: parsed.truncated_records,
+            // The torn tail is gone from the medium now, so a read-back
+            // reports it through this counter alone.
+            truncated_at_open: std::mem::take(&mut parsed.truncated_records),
             tip,
             tip_slot,
+            read_back: Some(parsed),
         })
     }
 
@@ -316,8 +336,8 @@ impl JournalStore<FileMedia> {
     ///
     /// # Errors
     ///
-    /// Any typed [`StoreError`] from the filesystem or from re-verifying
-    /// an existing journal.
+    /// Any typed [`StoreError`] from the filesystem or from verifying an
+    /// existing journal.
     pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         JournalStore::open(FileMedia::open(dir)?)
     }
@@ -336,6 +356,7 @@ impl JournalStore<MemMedia> {
 
 impl<M: Media> BlockStore for JournalStore<M> {
     fn append_block(&mut self, block: &Block) -> Result<(), StoreError> {
+        self.read_back = None;
         let wire = block.wire_bytes();
         let mut payload = Vec::with_capacity(32 + wire.len());
         payload.extend_from_slice(block.block_ref().as_bytes());
@@ -345,12 +366,14 @@ impl<M: Media> BlockStore for JournalStore<M> {
     }
 
     fn append_request(&mut self, request: &LabeledRequest) -> Result<(), StoreError> {
+        self.read_back = None;
         let payload = dagbft_codec::encode_to_vec(request);
         self.media
             .append_journal(&encode_record(KIND_REQUEST, &payload))
     }
 
     fn append_snapshot(&mut self, covered: u64, payload: &[u8]) -> Result<(), StoreError> {
+        self.read_back = None;
         let mut framed = Vec::with_capacity(8 + payload.len());
         framed.extend_from_slice(&covered.to_le_bytes());
         framed.extend_from_slice(payload);
@@ -376,8 +399,11 @@ impl<M: Media> BlockStore for JournalStore<M> {
         self.media.sync_journal()
     }
 
-    fn contents(&self) -> Result<StoreContents, StoreError> {
-        let parsed = parse(&self.media.journal_bytes()?)?;
+    fn contents(&mut self) -> Result<StoreContents, StoreError> {
+        let parsed = match self.read_back.take() {
+            Some(parsed) => parsed,
+            None => parse(&self.media.journal_bytes()?)?,
+        };
         Ok(StoreContents {
             blocks: parsed.blocks,
             requests: parsed.requests,

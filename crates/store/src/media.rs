@@ -80,7 +80,10 @@ pub struct FileMedia {
 }
 
 impl FileMedia {
-    /// Opens (creating if needed) the media files under `dir`.
+    /// Opens (creating if needed) the media files under `dir`. When either
+    /// file is created, the directory is synced too: a new directory
+    /// entry is not durable until then, and a lost `tip.bin` would let a
+    /// restart resume below an own tip it already broadcast (§7).
     ///
     /// # Errors
     ///
@@ -90,6 +93,8 @@ impl FileMedia {
         fs::create_dir_all(dir).map_err(io_err)?;
         let journal_path = dir.join("journal.log");
         let tip_path = dir.join("tip.bin");
+        let creates = !journal_path.try_exists().map_err(io_err)?
+            || !tip_path.try_exists().map_err(io_err)?;
         let journal = OpenOptions::new()
             .read(true)
             .write(true)
@@ -104,6 +109,11 @@ impl FileMedia {
             .truncate(false)
             .open(&tip_path)
             .map_err(io_err)?;
+        if creates {
+            File::open(dir)
+                .and_then(|dir| dir.sync_all())
+                .map_err(io_err)?;
+        }
         Ok(FileMedia {
             journal_path,
             tip_path,

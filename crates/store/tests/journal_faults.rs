@@ -105,7 +105,7 @@ fn assert_clean_truncation(image: &[u8], cut: usize, boundaries: &[usize], block
 
     // The store-level open physically truncates to the same point and
     // reads back the same prefix.
-    let store = JournalStore::open(MemMedia::from_journal(image[..cut].to_vec()))
+    let mut store = JournalStore::open(MemMedia::from_journal(image[..cut].to_vec()))
         .expect("open never fails on truncation");
     assert_eq!(store.truncated_at_open(), parsed.truncated_records);
     let journal = store.media().journal();
@@ -154,7 +154,7 @@ fn crash_at_every_write_budget_recovers_a_prefix() {
 
         // "Restart": reopen over whatever survived the crash.
         let surviving = store.into_media().into_surviving();
-        let restarted = JournalStore::open(surviving).expect("restart never fails");
+        let mut restarted = JournalStore::open(surviving).expect("restart never fails");
         assert!(restarted.truncated_at_open() <= 1, "budget={budget}");
         let contents = restarted.contents().unwrap();
         assert_eq!(
@@ -246,7 +246,7 @@ fn lost_own_tip_marker_never_resurrects_higher_seq() {
         store.sync().unwrap();
         store.mark_own_tip(SeqNum::new(index as u64)).unwrap();
     }
-    let restarted = JournalStore::open(store.into_media().into_surviving()).unwrap();
+    let mut restarted = JournalStore::open(store.into_media().into_surviving()).unwrap();
     let contents = restarted.contents().unwrap();
     assert_eq!(contents.blocks, vec![blocks[0].clone()]);
     assert_eq!(

@@ -241,7 +241,7 @@ fn a_store_that_holds_a_journal_is_recovered_from() {
     // The journal still mirrors the server's DAG, block for block.
     let final_dag: Vec<BlockRef> = outcome.dag(server).unwrap().refs().copied().collect();
     drop(outcome); // release the journal file handles
-    let reopened = FileStore::open_dir(&dir).expect("journal reopens after the run");
+    let mut reopened = FileStore::open_dir(&dir).expect("journal reopens after the run");
     let journaled: Vec<BlockRef> = reopened
         .contents()
         .expect("journal reads back")
@@ -314,7 +314,7 @@ fn file_backed_journal_crash_survives_on_disk() {
         .len();
     drop(outcome); // release the journal file handles
 
-    let reopened = FileStore::open_dir(&dir).expect("journal reopens after the run");
+    let mut reopened = FileStore::open_dir(&dir).expect("journal reopens after the run");
     let contents = reopened.contents().expect("journal reads back");
     assert_eq!(
         contents.blocks.len(),
@@ -395,7 +395,7 @@ fn truncated_peer_tail_is_refetched_via_fwd() {
     shim.on_message(ServerId::new(0), NetMessage::Block(chain[3].clone()), 1_002);
     assert_eq!(shim.dag().len(), 5, "caught back up past the lost tail");
     assert!(shim.store_error().is_none());
-    let store = shim.detach_store().expect("store stays attached");
+    let mut store = shim.detach_store().expect("store stays attached");
     assert_eq!(store.contents().unwrap().blocks.len(), 5, "re-journaled");
 }
 
