@@ -13,10 +13,19 @@
 //!
 //! ```text
 //! journal.log := MAGIC record*
-//! MAGIC       := "DAGBFTJ1"                              (8 bytes)
-//! record      := len:u32le kind:u8 payload:[u8; len] checksum:[u8; 8]
-//! checksum    := sha256(kind ‖ len:u32le ‖ payload)[..8]
+//! MAGIC       := "DAGBFTJ2"                              (8 bytes)
+//! record      := len:u32le kind:u8 payload:[u8; len] checksum:u64le
+//! checksum    := xxh64(payload, seed = kind << 32 | len)
 //! ```
+//!
+//! The checksum catches torn writes and at-rest bit flips; it is unkeyed
+//! and stored beside the bytes it covers, so it authenticates nothing and
+//! need not be cryptographic. `ref(B)` is what names a block, and it stays
+//! SHA-256 (Definition 3.1). The seed binds `kind` and `len` into the
+//! checksum without hashing them as bytes. There is one format: a journal
+//! written under the `DAGBFTJ1` magic (whose checksum was
+//! `sha256(kind ‖ len ‖ payload)[..8]`) is refused with
+//! [`StoreError::BadMagic`].
 //!
 //! Record kinds:
 //!
@@ -47,18 +56,21 @@
 //! slot write can never destroy the previous marker; the reader takes the
 //! highest valid slot. This is the §7 equivocation guard's durable
 //! high-water mark, written *after* the journal sync that makes the
-//! corresponding own block durable.
+//! corresponding own block durable. Its format is the one `DAGBFTJ1`
+//! stores wrote, so a server whose old journal was refused still reads
+//! the marker and refuses to resume below it.
 
 use std::path::Path;
 
 use dagbft_codec::decode_from_slice;
 use dagbft_core::{Block, BlockStore, LabeledRequest, SeqNum, StoreContents, StoreError};
-use dagbft_crypto::{sha256, Sha256};
+use dagbft_crypto::sha256;
 
 use crate::media::{FileMedia, Media, MemMedia};
+use crate::xxh64::xxh64;
 
 /// Journal file magic: format name + version.
-pub const MAGIC: [u8; 8] = *b"DAGBFTJ1";
+pub const MAGIC: [u8; 8] = *b"DAGBFTJ2";
 
 /// Record kind: an admitted block (`ref(B)` + wire bytes).
 pub const KIND_BLOCK: u8 = 1;
@@ -77,16 +89,12 @@ const TIP_DOMAIN: &[u8; 8] = b"DAGBFTT1";
 /// Bytes per tip slot (`seq:u64le` + 8-byte checksum).
 const TIP_SLOT_LEN: usize = 16;
 
-/// Truncated sha256 over the checksummed span of one record, streamed
-/// piece by piece so the payload is hashed in place, never copied.
+/// The checksum of one record: XXH64 of the payload, hashed in place,
+/// seeded with the record's kind and length. The one place that knows
+/// the algorithm.
 fn record_checksum(kind: u8, payload: &[u8]) -> [u8; 8] {
-    let mut hasher = Sha256::new();
-    hasher.update(&[kind]);
-    hasher.update(&(payload.len() as u32).to_le_bytes());
-    hasher.update(payload);
-    let mut sum = [0u8; 8];
-    sum.copy_from_slice(&hasher.finalize().as_bytes()[..8]);
-    sum
+    let seed = u64::from(kind) << 32 | u64::from(payload.len() as u32);
+    xxh64(payload, seed).to_le_bytes()
 }
 
 /// Frames one record (`len kind payload checksum`) ready to append.

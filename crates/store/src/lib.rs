@@ -11,6 +11,16 @@
 //! is re-opened. Recovery reads back that verified parse rather than a
 //! second read of the medium.
 //!
+//! A record's checksum is XXH64 of its payload, seeded with its kind and
+//! length (format `DAGBFTJ2`, grammar in `journal.rs`). It only has to
+//! catch torn writes and at-rest bit flips, and it runs at memory speed,
+//! so a restart's verify pass costs about what reading the file does.
+//! Block identity is not the checksum's job: `ref(B)` stays SHA-256. A
+//! journal in the older `DAGBFTJ1` format (truncated-SHA-256 checksums)
+//! is refused with [`StoreError::BadMagic`](dagbft_core::StoreError);
+//! there is no in-place migration. The own-tip sidecar's format is
+//! unchanged, so its §7 guard still holds across the upgrade.
+//!
 //! Robustness guarantees, enforced by the fault matrices in
 //! `tests/journal_faults.rs`:
 //!
@@ -34,6 +44,7 @@
 
 mod journal;
 mod media;
+mod xxh64;
 
 pub use journal::{
     encode_record, parse, JournalStore, ParsedJournal, KIND_BLOCK, KIND_REQUEST, KIND_SNAPSHOT,
@@ -126,18 +137,16 @@ mod tests {
         let _ = std::fs::remove_dir_all(&root);
     }
 
-    /// The framing spelled out: `len ‖ kind ‖ payload ‖ checksum`, with
-    /// `checksum = sha256(kind ‖ len ‖ payload)[..8]`, from one copied
-    /// preimage.
+    /// The framing spelled out: `len:u32le ‖ kind ‖ payload ‖ checksum`,
+    /// with `checksum = xxh64(payload, seed = kind << 32 | len)` stored
+    /// little-endian.
     fn reference_record(kind: u8, payload: &[u8]) -> Vec<u8> {
-        let len = (payload.len() as u32).to_le_bytes();
-        let mut preimage = vec![kind];
-        preimage.extend_from_slice(&len);
-        preimage.extend_from_slice(payload);
-        let mut record = len.to_vec();
+        let len = payload.len() as u32;
+        let seed = (u64::from(kind) << 32) + u64::from(len);
+        let mut record = len.to_le_bytes().to_vec();
         record.push(kind);
         record.extend_from_slice(payload);
-        record.extend_from_slice(&dagbft_crypto::sha256(&preimage).as_bytes()[..8]);
+        record.extend_from_slice(&xxh64::xxh64(payload, seed).to_le_bytes());
         record
     }
 

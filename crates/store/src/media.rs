@@ -83,14 +83,28 @@ impl FileMedia {
     /// Opens (creating if needed) the media files under `dir`. When either
     /// file is created, the directory is synced too: a new directory
     /// entry is not durable until then, and a lost `tip.bin` would let a
-    /// restart resume below an own tip it already broadcast (§7).
+    /// restart resume below an own tip it already broadcast (§7). For the
+    /// same reason, each directory this call creates on the way to `dir`
+    /// is made durable by syncing its parent.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on any filesystem failure.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
         let dir = dir.as_ref();
+        // The directories `create_dir_all` is about to make, innermost
+        // first: every ancestor below the first one that exists.
+        let mut created = Vec::new();
+        for ancestor in dir.ancestors() {
+            if ancestor.as_os_str().is_empty() || ancestor.try_exists().map_err(io_err)? {
+                break;
+            }
+            created.push(ancestor);
+        }
         fs::create_dir_all(dir).map_err(io_err)?;
+        for parent in created.into_iter().rev().filter_map(Path::parent) {
+            sync_dir(parent)?;
+        }
         let journal_path = dir.join("journal.log");
         let tip_path = dir.join("tip.bin");
         let creates = !journal_path.try_exists().map_err(io_err)?
@@ -110,9 +124,7 @@ impl FileMedia {
             .open(&tip_path)
             .map_err(io_err)?;
         if creates {
-            File::open(dir)
-                .and_then(|dir| dir.sync_all())
-                .map_err(io_err)?;
+            sync_dir(dir)?;
         }
         Ok(FileMedia {
             journal_path,
@@ -121,6 +133,19 @@ impl FileMedia {
             tip,
         })
     }
+}
+
+/// Makes `dir`'s entries durable. The empty path is the working
+/// directory, as the parent of a relative path's first component.
+fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+    let dir = if dir.as_os_str().is_empty() {
+        Path::new(".")
+    } else {
+        dir
+    };
+    File::open(dir)
+        .and_then(|dir| dir.sync_all())
+        .map_err(io_err)
 }
 
 impl Media for FileMedia {

@@ -13,6 +13,11 @@
 //!   "restart" over the surviving bytes;
 //! * flip-every-bit — at-rest corruption of each bit in the image.
 //!
+//! A fourth matrix pins the checksum's strength where it matters: every
+//! single-bit flip inside a request record and inside a 4 KiB snapshot
+//! payload is a [`StoreError::ChecksumMismatch`], never merely "typed or
+//! clean".
+//!
 //! The truncation matrix cuts inside every record's `len`, `kind` and
 //! checksum fields. Two header fields it cannot reach get explicit
 //! cases: a snapshot record's coverage prefix (behind a valid checksum)
@@ -21,8 +26,8 @@
 use dagbft_core::{Block, BlockStore, Label, LabeledRequest, SeqNum, StoreError};
 use dagbft_crypto::{KeyRegistry, ServerId};
 use dagbft_store::{
-    encode_record, parse, FaultyMedia, JournalStore, Media, MemMedia, MemStore, KIND_SNAPSHOT,
-    MAGIC,
+    encode_record, parse, FaultyMedia, JournalStore, Media, MemMedia, MemStore, KIND_REQUEST,
+    KIND_SNAPSHOT, MAGIC,
 };
 use proptest::prelude::*;
 
@@ -221,6 +226,42 @@ fn flip_every_bit_is_typed_or_clean() {
                     );
                     assert_eq!(parsed.blocks, blocks[..parsed.blocks.len()]);
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn every_bit_flip_inside_a_request_or_a_4_kib_snapshot_is_a_checksum_mismatch() {
+    // The matrix above accepts "typed or clean" and flips a 40-byte
+    // snapshot. Here the checksum alone must catch every flip: in a
+    // request record's kind, payload and checksum, and in a 4 KiB
+    // snapshot payload. (A flip in `len` can read as a torn tail, which
+    // the matrix above covers.)
+    let request = dagbft_codec::encode_to_vec(&LabeledRequest::encode(Label::new(7), &7u64));
+    let mut snapshot = 0u64.to_le_bytes().to_vec();
+    snapshot.extend((0..4096u32).map(|i| ((i * 131) >> 3) as u8));
+    let mut image = MAGIC.to_vec();
+    let request_at = image.len();
+    image.extend_from_slice(&encode_record(KIND_REQUEST, &request));
+    let snapshot_at = image.len();
+    image.extend_from_slice(&encode_record(KIND_SNAPSHOT, &snapshot));
+    assert!(parse(&image).is_ok());
+
+    // `len:u32le` is the first 4 bytes of a record, the payload starts
+    // after the kind byte.
+    let request_span = request_at + 4..snapshot_at;
+    let snapshot_payload = snapshot_at + 5..snapshot_at + 5 + snapshot.len();
+    for (record, span) in [(0, request_span), (1, snapshot_payload)] {
+        for byte in span {
+            for bit in 0..8 {
+                let mut corrupted = image.clone();
+                corrupted[byte] ^= 1 << bit;
+                assert_eq!(
+                    parse(&corrupted).unwrap_err(),
+                    StoreError::ChecksumMismatch { record },
+                    "byte={byte} bit={bit}"
+                );
             }
         }
     }
