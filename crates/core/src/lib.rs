@@ -84,7 +84,9 @@ pub use gossip::{
 };
 pub use interpret::{Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError};
 pub use label::Label;
-pub use protocol::{DeterministicProtocol, Envelope, Outbox, ProtocolConfig, SnapshotProtocol};
+pub use protocol::{
+    DeterministicProtocol, Envelope, Outbox, ProtocolConfig, ServerSet, SnapshotProtocol,
+};
 pub use reference::{AdmissionView, ReferenceGossip, ReferenceInterpreter};
 pub use shim::{SetupError, Shim, ShimConfig};
 pub use store::{BlockStore, MemoryStore, RecoverError, RecoveryReport, StoreContents, StoreError};

@@ -104,10 +104,131 @@ impl<M: WireDecode> WireDecode for Envelope<M> {
     }
 }
 
+/// A set of servers: indices below 128 as bits, the rest as a sorted list,
+/// so memory follows the number of members and never the largest index.
+///
+/// The receivers of one [`Outbox`] entry and of one out-buffer entry of the
+/// [`crate::Interpreter`], and the senders a `dagbft_protocols::Tally`
+/// counts. A set whose members all have an index below 128 owns no heap.
+/// On the wire it is a `BTreeSet<ServerId>`: a `u32` count, then the
+/// members ascending.
+///
+/// # Examples
+///
+/// ```
+/// use dagbft_core::ServerSet;
+/// use dagbft_crypto::ServerId;
+///
+/// let mut set: ServerSet = [3, 0, 200].map(ServerId::new).into_iter().collect();
+/// assert!(!set.insert(ServerId::new(3)));
+/// assert!(set.contains(ServerId::new(200)));
+/// assert_eq!(set.iter().map(|server| server.index()).collect::<Vec<_>>(), [0, 3, 200]);
+/// ```
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ServerSet {
+    low: u128,
+    high: Vec<u32>,
+}
+
+impl ServerSet {
+    /// Creates an empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `server`; returns whether it was new.
+    pub fn insert(&mut self, server: ServerId) -> bool {
+        let index = server.index() as u32;
+        if index < 128 {
+            let fresh = self.low & (1 << index) == 0;
+            self.low |= 1 << index;
+            fresh
+        } else if let Err(at) = self.high.binary_search(&index) {
+            self.high.insert(at, index);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Whether `server` is a member.
+    pub fn contains(&self, server: ServerId) -> bool {
+        let index = server.index() as u32;
+        if index < 128 {
+            self.low & (1 << index) != 0
+        } else {
+            self.high.binary_search(&index).is_ok()
+        }
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.low.count_ones() as usize + self.high.len()
+    }
+
+    /// Returns `true` if the set has no member.
+    pub fn is_empty(&self) -> bool {
+        self.low == 0 && self.high.is_empty()
+    }
+
+    /// Members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = ServerId> + '_ {
+        let mut bits = self.low;
+        std::iter::from_fn(move || {
+            let index = (bits != 0).then(|| bits.trailing_zeros())?;
+            bits &= bits - 1;
+            Some(index)
+        })
+        .chain(self.high.iter().copied())
+        .map(ServerId::new)
+    }
+
+    /// Adds every member of `other`.
+    pub fn union_with(&mut self, other: &ServerSet) {
+        self.low |= other.low;
+        for &index in &other.high {
+            self.insert(ServerId::new(index));
+        }
+    }
+}
+
+impl FromIterator<ServerId> for ServerSet {
+    fn from_iter<I: IntoIterator<Item = ServerId>>(servers: I) -> Self {
+        let mut set = ServerSet::new();
+        for server in servers {
+            set.insert(server);
+        }
+        set
+    }
+}
+
+impl WireEncode for ServerSet {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).encode(out);
+        for server in self.iter() {
+            server.encode(out);
+        }
+    }
+}
+
+/// Accepts members in any order and with repeats, so corrupt input costs
+/// its own length and still yields a well-formed set.
+impl WireDecode for ServerSet {
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+        let mut set = ServerSet::new();
+        for _ in 0..reader.read_len(4)? {
+            set.insert(ServerId::decode(reader)?);
+        }
+        Ok(set)
+    }
+}
+
 /// Collector for the messages a protocol handler emits.
 ///
 /// The sender is implicit (the process instance being driven); the
-/// interpreter stamps it when materializing [`Envelope`]s.
+/// interpreter stamps it when materializing [`Envelope`]s. A message is
+/// queued once with the set of its receivers: a broadcast is one entry,
+/// not `n` copies of the message. Counting and expanding are per receiver.
 ///
 /// # Examples
 ///
@@ -123,7 +244,8 @@ impl<M: WireDecode> WireDecode for Envelope<M> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Outbox<M> {
-    messages: Vec<(ServerId, M)>,
+    /// Per queued message, in call order, the servers it is addressed to.
+    messages: Vec<(ServerSet, M)>,
 }
 
 impl<M> Default for Outbox<M> {
@@ -140,57 +262,60 @@ impl<M> Outbox<M> {
         }
     }
 
-    /// Number of queued messages.
+    /// Number of queued messages, one per receiver.
     pub fn len(&self) -> usize {
-        self.messages.len()
+        self.messages
+            .iter()
+            .map(|(receivers, _)| receivers.len())
+            .sum()
     }
 
     /// Returns `true` if no messages are queued.
     pub fn is_empty(&self) -> bool {
-        self.messages.is_empty()
+        self.len() == 0
     }
 
     /// Queues `message` for `receiver`.
     pub fn send(&mut self, receiver: ServerId, message: M) {
-        self.messages.push((receiver, message));
+        self.messages
+            .push((ServerSet::from_iter([receiver]), message));
     }
 
-    /// Consumes the outbox, yielding `(receiver, message)` pairs.
+    /// Queues `message` for every server in the configuration, including the
+    /// sender itself (the usual "send to all" of broadcast protocols).
+    pub fn broadcast(&mut self, config: &ProtocolConfig, message: M) {
+        self.messages.push((config.servers().collect(), message));
+    }
+
+    /// Empties the outbox, yielding each queued message with its receivers,
+    /// and keeps its capacity: one outbox serves every handler call of a
+    /// block.
+    pub fn drain(&mut self) -> impl Iterator<Item = (ServerSet, M)> + '_ {
+        self.messages.drain(..)
+    }
+}
+
+impl<M: Clone> Outbox<M> {
+    /// Consumes the outbox, yielding one `(receiver, message)` pair per
+    /// receiver: a broadcast expands to every server, in ascending order.
     pub fn into_messages(self) -> Vec<(ServerId, M)> {
-        self.messages
+        let mut pairs = Vec::with_capacity(self.len());
+        for (receivers, message) in self.messages {
+            pairs.extend(receivers.iter().map(|receiver| (receiver, message.clone())));
+        }
+        pairs
     }
 
-    /// Stamps `sender` on every queued message, producing envelopes.
+    /// Stamps `sender` on every queued message, producing one envelope per
+    /// receiver.
     pub fn into_envelopes(self, sender: ServerId) -> impl Iterator<Item = Envelope<M>> {
-        self.messages
+        self.into_messages()
             .into_iter()
             .map(move |(receiver, message)| Envelope {
                 sender,
                 receiver,
                 message,
             })
-    }
-
-    /// Empties the outbox, stamping `sender` on every queued message, and
-    /// keeps its capacity: one outbox serves every handler call of a block.
-    pub fn drain_envelopes(&mut self, sender: ServerId) -> impl Iterator<Item = Envelope<M>> + '_ {
-        self.messages
-            .drain(..)
-            .map(move |(receiver, message)| Envelope {
-                sender,
-                receiver,
-                message,
-            })
-    }
-}
-
-impl<M: Clone> Outbox<M> {
-    /// Queues `message` for every server in the configuration, including the
-    /// sender itself (the usual "send to all" of broadcast protocols).
-    pub fn broadcast(&mut self, config: &ProtocolConfig, message: M) {
-        for server in config.servers() {
-            self.messages.push((server, message.clone()));
-        }
     }
 }
 
@@ -259,11 +384,13 @@ pub trait DeterministicProtocol: Clone {
 /// The interpreter persists periodic state snapshots through a
 /// [`crate::store::BlockStore`] so crash recovery replays only the block
 /// suffix past the last snapshot instead of from genesis. The encoding
-/// must be **self-contained and canonical**: `decode_state` applied to
-/// `encode_state`'s output must reproduce an observationally identical
-/// instance (including its [`ProtocolConfig`] and [`Label`], if behaviour
-/// depends on them), and identical instances must encode to identical
-/// bytes — snapshots feed determinism fingerprints.
+/// must be **canonical**: `decode_state` applied to `encode_state`'s
+/// output, under the same [`ProtocolConfig`], must reproduce an
+/// observationally identical instance (including its [`Label`], if
+/// behaviour depends on it), and identical instances must encode to
+/// identical bytes — snapshots feed determinism fingerprints. The
+/// configuration is not part of an instance's bytes: a snapshot writes it
+/// once, in its header, and hands it to every `decode_state`.
 ///
 /// Messages additionally need wire bounds because a snapshot persists the
 /// materialized out-message sets of every interpreted block.
@@ -271,17 +398,18 @@ pub trait SnapshotProtocol: DeterministicProtocol
 where
     Self::Message: WireEncode + WireDecode,
 {
-    /// Appends this instance's complete state to `out`.
+    /// Appends this instance's state, less its [`ProtocolConfig`], to
+    /// `out`.
     fn encode_state(&self, out: &mut Vec<u8>);
 
-    /// Rebuilds an instance from bytes produced by
+    /// Rebuilds an instance running under `config` from bytes produced by
     /// [`SnapshotProtocol::encode_state`].
     ///
     /// # Errors
     ///
     /// Any [`DecodeError`] on malformed or truncated input; implementations
     /// must not panic.
-    fn decode_state(reader: &mut Reader<'_>) -> Result<Self, DecodeError>;
+    fn decode_state(config: &ProtocolConfig, reader: &mut Reader<'_>) -> Result<Self, DecodeError>;
 }
 
 #[cfg(test)]
@@ -350,14 +478,78 @@ mod tests {
 
     #[test]
     fn outbox_drains_and_is_reusable() {
+        let config = ProtocolConfig::for_n(4);
         let mut outbox = Outbox::new();
         outbox.send(ServerId::new(2), "m");
-        let drained: Vec<_> = outbox.drain_envelopes(ServerId::new(7)).collect();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].sender, ServerId::new(7));
-        assert_eq!(drained[0].receiver, ServerId::new(2));
+        outbox.broadcast(&config, "b");
+        assert_eq!(outbox.len(), 5);
+        let drained: Vec<_> = outbox.drain().collect();
+        assert_eq!(drained.len(), 2, "a broadcast is one entry");
+        assert!(drained[0].0.iter().eq([ServerId::new(2)]));
+        assert!(drained[1].0.iter().eq(config.servers()));
         assert!(outbox.is_empty());
         outbox.send(ServerId::new(3), "n");
-        assert_eq!(outbox.drain_envelopes(ServerId::new(7)).count(), 1);
+        assert_eq!(outbox.drain().count(), 1);
+    }
+
+    #[test]
+    fn outbox_expands_in_call_then_receiver_order() {
+        let config = ProtocolConfig::for_n(3);
+        let mut outbox = Outbox::new();
+        outbox.send(ServerId::new(2), 'a');
+        outbox.broadcast(&config, 'b');
+        outbox.send(ServerId::new(0), 'b');
+        let pairs: Vec<(usize, char)> = outbox
+            .into_messages()
+            .into_iter()
+            .map(|(to, message)| (to.index(), message))
+            .collect();
+        assert_eq!(pairs, [(2, 'a'), (0, 'b'), (1, 'b'), (2, 'b'), (0, 'b')]);
+    }
+
+    #[test]
+    fn server_set_is_a_set_on_both_sides_of_the_inline_bits() {
+        let mut set = ServerSet::new();
+        assert!(set.is_empty());
+        for index in [130, 5, 127, 128, u32::MAX, 5, 130] {
+            set.insert(ServerId::new(index));
+        }
+        let members: Vec<usize> = set.iter().map(|server| server.index()).collect();
+        assert_eq!(members, [5, 127, 128, 130, u32::MAX as usize]);
+        assert_eq!(set.len(), 5);
+        assert!(set.contains(ServerId::new(128)) && !set.contains(ServerId::new(129)));
+        let mut other: ServerSet = [0, 129, 130].map(ServerId::new).into_iter().collect();
+        other.union_with(&set);
+        assert_eq!(other.len(), 7);
+        assert!(other.iter().map(|server| server.index()).is_sorted());
+    }
+
+    #[test]
+    fn server_set_below_128_owns_no_heap() {
+        let set: ServerSet = ServerId::all(128).collect();
+        assert_eq!(set.len(), 128);
+        assert_eq!(set.high.capacity(), 0);
+        // The largest index costs one list slot, not a bit vector.
+        let mut set = set;
+        set.insert(ServerId::new(u32::MAX));
+        assert_eq!(set.high, vec![u32::MAX]);
+    }
+
+    #[test]
+    fn server_set_wire_bytes_are_the_btree_set_s() {
+        use dagbft_codec::{decode_from_slice, encode_to_vec};
+        use std::collections::BTreeSet;
+        let members = [300, 2, 0, 128, 77].map(ServerId::new);
+        let set: ServerSet = members.into_iter().collect();
+        let model: BTreeSet<ServerId> = members.into_iter().collect();
+        let bytes = encode_to_vec(&set);
+        assert_eq!(bytes, encode_to_vec(&model));
+        assert_eq!(decode_from_slice::<ServerSet>(&bytes).unwrap(), set);
+        // Any order and repeats decode to the same set.
+        let sloppy = encode_to_vec(&vec![77u32, 300, 2, 77, 0, 128]);
+        assert_eq!(decode_from_slice::<ServerSet>(&sloppy).unwrap(), set);
+        for cut in 0..bytes.len() {
+            assert!(decode_from_slice::<ServerSet>(&bytes[..cut]).is_err());
+        }
     }
 }

@@ -14,7 +14,11 @@
 //! include the hostile shapes: equivocating builders (two valid blocks at
 //! the same sequence number, at the tip and forking off deep behind it),
 //! malformed request payloads (byzantine bytes that fail to decode),
-//! servers skipping rounds, and multi-label traffic. A second property
+//! servers skipping rounds, and multi-label traffic. The test protocol
+//! sends one value by broadcast *and* by `send`, and another to a subset
+//! of the servers twice, so the interpreter's out-buffer entries — one per
+//! message, with the union of its receivers — must expand to exactly the
+//! oracle's envelope sets. A second property
 //! cuts the same DAGs at a random fixed point, round-trips a snapshot,
 //! and continues: nothing observable may differ from never having
 //! stopped.
@@ -56,8 +60,22 @@ impl DeterministicProtocol for Relay {
         }
     }
 
+    /// Out-buffer entries that must merge: the broadcast value once more to
+    /// one server, and a second value to a subset of the servers, twice.
     fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64>) {
         outbox.broadcast(&self.config, request);
+        outbox.send(
+            ServerId::new((request % self.config.n as u64) as u32),
+            request,
+        );
+        let subset = self
+            .config
+            .servers()
+            .filter(|server| (server.index() as u64 + request).is_multiple_of(2));
+        for server in subset {
+            outbox.send(server, request + 500);
+            outbox.send(server, request + 500);
+        }
     }
 
     fn on_message(&mut self, sender: ServerId, message: u64, outbox: &mut Outbox<u64>) {
@@ -75,19 +93,14 @@ impl DeterministicProtocol for Relay {
 
 impl SnapshotProtocol for Relay {
     fn encode_state(&self, out: &mut Vec<u8>) {
-        (self.config.n as u64, self.config.f as u64).encode(out);
         self.received.encode(out);
         self.relayed.encode(out);
         self.pending.encode(out);
     }
 
-    fn decode_state(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let (n, f) = <(u64, u64)>::decode(reader)?;
+    fn decode_state(config: &ProtocolConfig, reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Relay {
-            config: ProtocolConfig {
-                n: n as usize,
-                f: f as usize,
-            },
+            config: *config,
             received: WireDecode::decode(reader)?,
             relayed: WireDecode::decode(reader)?,
             pending: WireDecode::decode(reader)?,
@@ -281,10 +294,10 @@ fn assert_equivalent(dag: &BlockDag, pick_seed: u64) {
             );
         }
         for label in (0..3).map(Label::new) {
-            let outs_naive: Vec<_> = naive.out_messages(label).collect();
+            let outs_naive: Vec<_> = naive.out_messages(label).cloned().collect();
             let outs_shared: Vec<_> = shared.out_messages(label).collect();
             assert_eq!(outs_naive, outs_shared, "out buffers {} at {}", label, r);
-            let ins_naive: Vec<_> = naive.in_messages(label).collect();
+            let ins_naive: Vec<_> = naive.in_messages(label).cloned().collect();
             let ins_shared: Vec<_> = real.in_messages(dag, r, label).collect();
             assert_eq!(ins_naive, ins_shared, "in buffers {} at {}", label, r);
         }
@@ -303,6 +316,14 @@ fn assert_equivalent(dag: &BlockDag, pick_seed: u64) {
         .sum();
     assert_eq!(footprint.instances, naive_slots);
     assert_eq!(footprint.unique_instances, touches);
+    // Envelopes are counted per receiver, however the entries merged.
+    let naive_envelopes: usize = dag
+        .refs()
+        .flat_map(|r| (0..3).map(move |label| (r, Label::new(label))))
+        .map(|(r, label)| reference.state(r).unwrap().out_messages(label).count())
+        .sum();
+    assert_eq!(footprint.out_envelopes, naive_envelopes);
+    assert!(footprint.out_entries <= footprint.out_envelopes);
 }
 
 /// Interprets the first `cut` blocks of `dag`, round-trips a snapshot,
@@ -353,6 +374,7 @@ fn assert_snapshot_transparent(dag: &BlockDag, cut: usize) {
             assert!(
                 stored
                     .in_messages(label)
+                    .cloned()
                     .eq(restored.in_messages(dag, r, label)),
                 "ins at {r}"
             );

@@ -227,8 +227,6 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
 
 impl<V: Value> SnapshotProtocol for Brb<V> {
     fn encode_state(&self, out: &mut Vec<u8>) {
-        (self.config.n as u64).encode(out);
-        (self.config.f as u64).encode(out);
         out.push(u8::from(self.echoed));
         out.push(u8::from(self.readied));
         out.push(u8::from(self.delivered));
@@ -240,20 +238,7 @@ impl<V: Value> SnapshotProtocol for Brb<V> {
         }
     }
 
-    fn decode_state(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        let n = u64::decode(reader)?;
-        let f = u64::decode(reader)?;
-        // `n ≥ 3f + 1` (§2) and every server has a `ServerId`: no quorum
-        // arithmetic on a corrupt `f` can overflow.
-        if n > u64::from(u32::MAX) || f.checked_mul(3).is_none_or(|faulty| faulty >= n) {
-            return Err(DecodeError::Invalid {
-                reason: "Brb configuration violates n >= 3f + 1",
-            });
-        }
-        let config = ProtocolConfig {
-            n: n as usize,
-            f: f as usize,
-        };
+    fn decode_state(config: &ProtocolConfig, reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let mut flags = [false; 3];
         for flag in &mut flags {
             *flag = match reader.read_u8()? {
@@ -275,7 +260,7 @@ impl<V: Value> SnapshotProtocol for Brb<V> {
             pending.push(BrbIndication::decode(reader)?);
         }
         Ok(Brb {
-            config,
+            config: *config,
             echoed: flags[0],
             readied: flags[1],
             delivered: flags[2],
@@ -497,7 +482,7 @@ mod tests {
         let mut bytes = Vec::new();
         instance.encode_state(&mut bytes);
         let mut reader = Reader::new(&bytes);
-        let decoded = Brb::<u64>::decode_state(&mut reader).unwrap();
+        let decoded = Brb::<u64>::decode_state(&config, &mut reader).unwrap();
         assert_eq!(reader.remaining(), 0, "snapshot must be self-delimiting");
 
         // Canonical: identical state re-encodes to identical bytes.
@@ -515,10 +500,11 @@ mod tests {
 
     #[test]
     fn snapshot_decode_never_panics_on_garbage() {
+        let config = ProtocolConfig::for_n(4);
         for len in 0..64usize {
             let bytes = vec![0xFFu8; len];
             let mut reader = Reader::new(&bytes);
-            let _ = Brb::<u64>::decode_state(&mut reader);
+            let _ = Brb::<u64>::decode_state(&config, &mut reader);
         }
     }
 

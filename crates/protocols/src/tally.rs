@@ -4,47 +4,13 @@
 //! the innermost operation of every protocol in this crate, and the
 //! interpreter copies an instance — tallies included — on its first touch
 //! at each block. [`Tally`] therefore holds what an honest run produces
-//! without touching the heap: one value, inline, with its senders as a bit
-//! set. Only a byzantine sender's second value, or a server index of 128
-//! and up, spills into a `Vec`.
+//! without touching the heap: one value, inline, with its senders as a
+//! [`ServerSet`] bit set. Only a byzantine sender's second value, or a
+//! server index of 128 and up, spills into a `Vec`.
 
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
+use dagbft_core::ServerSet;
 use dagbft_crypto::ServerId;
-
-/// A set of servers: indices below 128 as bits, the rest as a sorted list,
-/// so memory follows the number of members and never the largest index.
-#[derive(Debug, Clone, Default)]
-struct Senders {
-    low: u128,
-    high: Vec<u32>,
-}
-
-impl Senders {
-    fn insert(&mut self, sender: ServerId) {
-        let index = sender.index() as u32;
-        if index < 128 {
-            self.low |= 1 << index;
-        } else if let Err(at) = self.high.binary_search(&index) {
-            self.high.insert(at, index);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.low.count_ones() as usize + self.high.len()
-    }
-
-    /// Members in ascending order.
-    fn iter(&self) -> impl Iterator<Item = ServerId> + '_ {
-        let mut bits = self.low;
-        std::iter::from_fn(move || {
-            let index = (bits != 0).then(|| bits.trailing_zeros())?;
-            bits &= bits - 1;
-            Some(index)
-        })
-        .chain(self.high.iter().copied())
-        .map(ServerId::new)
-    }
-}
 
 /// Per value, the set of servers that sent it.
 ///
@@ -69,9 +35,9 @@ impl Senders {
 #[derive(Debug, Clone)]
 pub struct Tally<V> {
     /// The first value recorded.
-    first: Option<(V, Senders)>,
+    first: Option<(V, ServerSet)>,
     /// Every further value, sorted.
-    rest: Vec<(V, Senders)>,
+    rest: Vec<(V, ServerSet)>,
 }
 
 impl<V> Default for Tally<V> {
@@ -97,8 +63,18 @@ impl<V: Ord> Tally<V> {
     where
         V: Clone,
     {
-        let fresh = || (value.clone(), Senders::default());
-        let senders = if self.first.as_ref().is_none_or(|(held, _)| held == value) {
+        let senders = self.senders_mut(value);
+        senders.insert(sender);
+        senders.len()
+    }
+
+    /// The senders of `value`, an empty set on first sight.
+    fn senders_mut(&mut self, value: &V) -> &mut ServerSet
+    where
+        V: Clone,
+    {
+        let fresh = || (value.clone(), ServerSet::new());
+        if self.first.as_ref().is_none_or(|(held, _)| held == value) {
             &mut self.first.get_or_insert_with(fresh).1
         } else {
             let at = self
@@ -109,9 +85,7 @@ impl<V: Ord> Tally<V> {
                     at
                 });
             &mut self.rest[at].1
-        };
-        senders.insert(sender);
-        senders.len()
+        }
     }
 
     /// Number of distinct servers that sent `value`.
@@ -124,7 +98,7 @@ impl<V: Ord> Tally<V> {
                 .ok()
                 .map(|at| &self.rest[at].1),
         };
-        senders.map_or(0, Senders::len)
+        senders.map_or(0, ServerSet::len)
     }
 
     /// Every recorded `(value, sender)` pair, in that order.
@@ -134,7 +108,7 @@ impl<V: Ord> Tally<V> {
     }
 
     /// The entries in value order: `first` spliced into `rest`.
-    fn entries(&self) -> impl Iterator<Item = &(V, Senders)> {
+    fn entries(&self) -> impl Iterator<Item = &(V, ServerSet)> {
         let split = self.first.as_ref().map_or(0, |(first, _)| {
             self.rest.partition_point(|(held, _)| held < first)
         });
@@ -150,10 +124,7 @@ impl<V: Ord + WireEncode> WireEncode for Tally<V> {
         (self.entries().count() as u32).encode(out);
         for (value, senders) in self.entries() {
             value.encode(out);
-            (senders.len() as u32).encode(out);
-            for sender in senders.iter() {
-                sender.encode(out);
-            }
+            senders.encode(out);
         }
     }
 }
@@ -163,11 +134,12 @@ impl<V: Ord + WireEncode> WireEncode for Tally<V> {
 impl<V: Ord + Clone + WireDecode> WireDecode for Tally<V> {
     fn decode(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
         let mut tally = Tally::new();
-        // An entry is at least its sender count, a sender four bytes.
+        // An entry is at least its sender count.
         for _ in 0..reader.read_len(4)? {
             let value = V::decode(reader)?;
-            for _ in 0..reader.read_len(4)? {
-                tally.record(&value, ServerId::decode(reader)?);
+            let senders = ServerSet::decode(reader)?;
+            if !senders.is_empty() {
+                tally.senders_mut(&value).union_with(&senders);
             }
         }
         Ok(tally)
@@ -251,9 +223,10 @@ mod tests {
         }
         assert_eq!(tally.count(&1), 128);
         assert_eq!(tally.rest.capacity(), 0);
-        assert_eq!(tally.first.as_ref().unwrap().1.high.capacity(), 0);
-        // The largest index costs one list slot, not a bit vector.
+        // The senders are a `ServerSet`, whose own tests pin that indices
+        // below 128 take no heap and the largest index one list slot.
         tally.record(&1, ServerId::new(u32::MAX));
-        assert_eq!(tally.first.as_ref().unwrap().1.high, vec![u32::MAX]);
+        assert_eq!(tally.count(&1), 129);
+        assert_eq!(tally.rest.capacity(), 0);
     }
 }

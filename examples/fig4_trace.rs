@@ -55,8 +55,8 @@ fn build_dag(n: usize, rounds: u64) -> (BlockDag, Vec<Vec<Block>>) {
 }
 
 /// Renders a message set the way Figure 4 annotates blocks.
-fn render<'a>(
-    envelopes: impl Iterator<Item = &'a Envelope<BrbMessage<u64>>>,
+fn render(
+    envelopes: impl Iterator<Item = Envelope<BrbMessage<u64>>>,
     direction_in: bool,
 ) -> String {
     let mut by_message: BTreeMap<String, Vec<String>> = BTreeMap::new();

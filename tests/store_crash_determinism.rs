@@ -449,22 +449,76 @@ fn recovery_refuses_to_resume_below_own_tip() {
     assert!(shim.dag().equivocations(ServerId::new(3)).is_empty());
 }
 
+/// Snapshot format 2 of `interpreter` over `dag`, byte for byte as the
+/// format-2 encoder wrote it: the configuration, order and counters as in
+/// format 3; per block its parent, its delta with `(n, f)` ahead of every
+/// instance, and its out-buffer as label groups of one envelope per
+/// receiver.
+fn snapshot_v2(interpreter: &Interpreter<Brb<u64>>, dag: &BlockDag) -> Vec<u8> {
+    use dagbft::codec::WireEncode;
+    let config = ProtocolConfig::for_n(N);
+    let order = interpreter.interpreted_order();
+    let mut out = vec![2u8];
+    (config.n as u64, config.f as u64).encode(&mut out);
+    order.to_vec().encode(&mut out);
+    let stats = interpreter.stats();
+    for counter in [
+        stats.blocks_interpreted,
+        stats.requests_processed,
+        stats.malformed_requests,
+        stats.messages_materialized,
+        stats.messages_delivered,
+        stats.indications,
+        interpreter.footprint().instances as u64,
+    ] {
+        counter.encode(&mut out);
+    }
+    for block_ref in order {
+        let parent = dag.get(block_ref).unwrap().parent_via(|r| dag.meta(r));
+        let position = |parent: BlockRef| 1 + order.iter().position(|r| *r == parent).unwrap();
+        (parent.unwrap().map_or(0, position) as u64).encode(&mut out);
+        let state = interpreter.state(block_ref).unwrap();
+        let touched: Vec<Label> = state.touched_labels().copied().collect();
+        (touched.len() as u32).encode(&mut out);
+        for label in &touched {
+            label.encode(&mut out);
+            (config.n as u64, config.f as u64).encode(&mut out);
+            let instance = interpreter.instance_at(block_ref, *label).unwrap();
+            instance.encode_state(&mut out);
+        }
+        let groups: Vec<(Label, Vec<Envelope<BrbMessage<u64>>>)> = touched
+            .iter()
+            .map(|label| (*label, state.out_messages(*label).collect::<Vec<_>>()))
+            .filter(|(_, envelopes)| !envelopes.is_empty())
+            .collect();
+        (groups.len() as u32).encode(&mut out);
+        for (label, envelopes) in groups {
+            label.encode(&mut out);
+            (envelopes.len() as u32).encode(&mut out);
+            envelopes
+                .iter()
+                .for_each(|envelope| envelope.encode(&mut out));
+        }
+    }
+    out
+}
+
 #[test]
 fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
-    // The latest snapshot in the journal was written by a build with
-    // snapshot format 1. This build reads only format 2 — but a snapshot
-    // is a cache of a pure function of the journal (Lemma 4.2), so the
-    // server comes back by replaying from genesis, and says why.
+    // The latest snapshot in the journal was written by a build with an
+    // older snapshot format. This build reads only format 3 — but a
+    // snapshot is a cache of a pure function of the journal (Lemma 4.2), so
+    // the server comes back by replaying from genesis, and says why.
     let registry = KeyRegistry::generate(N, 9);
     let chain = own_chain(&registry, 0, 5);
     let config = ShimConfig::new(ProtocolConfig::for_n(N));
-    let recover = |covered: u64, payload: &[u8]| {
+    let me = ServerId::new(3);
+    let recover = |blocks: &[Block], covered: u64, payload: &[u8]| {
         let mut store = MemoryStore::new();
-        for block in &chain {
+        for block in blocks {
             store.append_block(block).unwrap();
         }
         store.append_snapshot(covered, payload).unwrap();
-        let me = ServerId::new(3);
         Shim::<Brb<u64>>::recover_from_store_with_snapshots(me, config, &registry, Box::new(store))
     };
 
@@ -473,22 +527,59 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     for field in [4u64, N as u64, 1] {
         v1.extend(field.to_le_bytes());
     }
-    let (shim, report) = recover(4, &v1).expect("an unreadable cache is not fatal");
+    let (shim, report) = recover(&chain, 4, &v1).expect("an unreadable cache is not fatal");
     assert_eq!(report.snapshot_covered, 0);
     assert_eq!(report.replayed_blocks, 5);
     assert_eq!(report.snapshot_skipped_version, Some(1));
     assert_eq!(shim.interpreter().interpreted_count(), 5);
 
+    // Format 2: a real snapshot of the first half of server 3's journal of
+    // three broadcasts, as the previous format wrote it.
+    let (_, outcome) = run_fingerprint(IngestMode::PerMessage, 7, |sim| sim);
+    let dag = outcome.dag(me.index()).unwrap();
+    let blocks: Vec<Block> = dag.iter().cloned().collect();
+    let covered = blocks.len() / 2;
+    let mut prefix = BlockDag::new();
+    for block in &blocks[..covered] {
+        prefix.insert(block.clone()).unwrap();
+    }
+    let mut snapshotted: Interpreter<Brb<u64>> = Interpreter::new(config.protocol);
+    snapshotted.step(&prefix);
+    snapshotted.drain_indications();
+    let v2 = snapshot_v2(&snapshotted, &prefix);
+    let (mut shim, report) = recover(&blocks, covered as u64, &v2).expect("a format-2 cache");
+    assert_eq!(report.snapshot_skipped_version, Some(2));
+    assert_eq!(report.snapshot_covered, 0);
+    assert_eq!(report.replayed_blocks, blocks.len());
+    // It indicates what a fresh interpreter of the journal indicates.
+    let mut fresh: Interpreter<Brb<u64>> = Interpreter::new(config.protocol);
+    fresh.step(dag);
+    let expected: Vec<(Label, BrbIndication<u64>)> = fresh
+        .drain_indications()
+        .into_iter()
+        .filter(|indication| indication.server == me)
+        .map(|indication| (indication.label, indication.indication))
+        .collect();
+    assert_eq!(expected.len(), INJECT_AT.len());
+    assert_eq!(shim.poll_indications(), expected);
+    // The same prefix in format 3 is read, and only the suffix replays.
+    let v3 = snapshotted.encode_snapshot();
+    assert!(v3.len() < v2.len());
+    let (_, report) = recover(&blocks, covered as u64, &v3).expect("a format-3 cache");
+    assert_eq!(report.snapshot_skipped_version, None);
+    assert_eq!(report.snapshot_covered, covered);
+    assert_eq!(report.replayed_blocks, blocks.len() - covered);
+
     // Only the version is forgiven: a corrupt current-format snapshot and
     // one that covers more than the journal keep their typed errors.
     assert!(matches!(
-        recover(4, &[2, 0xff]),
+        recover(&chain, 4, &[3, 0xff]),
         Err(RecoverError::Snapshot(dagbft::dag::SnapshotError::Corrupt(
             _
         )))
     ));
     assert!(matches!(
-        recover(6, &v1),
+        recover(&chain, 6, &v1),
         Err(RecoverError::SnapshotDiverged { covered: 6 })
     ));
 }
