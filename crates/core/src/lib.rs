@@ -15,6 +15,8 @@
 //! * [`interpret`] — Algorithm 2: off-line interpretation of `P` over the
 //!   DAG, materializing messages without sending them;
 //! * [`shim`] — Algorithm 3: the user-facing choreography of the above;
+//! * [`schedule`] — when each server seals and ticks (Algorithm 3,
+//!   lines 10–11), one grid for the simulator and the TCP node alike;
 //! * [`protocol`] — the black-box abstraction of a deterministic `P`.
 //!
 //! # Quickstart
@@ -67,6 +69,7 @@ pub mod interpret;
 mod label;
 pub mod protocol;
 pub mod reference;
+pub mod schedule;
 pub mod shim;
 pub mod store;
 
@@ -88,6 +91,7 @@ pub use protocol::{
     DeterministicProtocol, Envelope, Outbox, ProtocolConfig, ServerSet, SnapshotProtocol,
 };
 pub use reference::{AdmissionView, ReferenceGossip, ReferenceInterpreter};
+pub use schedule::Schedule;
 pub use shim::{SetupError, Shim, ShimConfig};
 pub use store::{BlockStore, MemoryStore, RecoverError, RecoveryReport, StoreContents, StoreError};
 

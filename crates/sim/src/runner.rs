@@ -4,17 +4,18 @@
 //! The runner realizes the deployment of Figure 1: every correct server is
 //! a [`Shim<P>`] whose [`NetCommand`]s are routed through the
 //! [`NetworkModel`]; byzantine servers are [`ByzServer`]s. Dissemination is
-//! requested on a per-server timer (Algorithm 3, lines 10–11), `FWD`
-//! retries on another. Everything — keys, latencies, drops, event order —
-//! derives from the seed, so runs are exactly reproducible.
+//! requested on a per-server grid (Algorithm 3, lines 10–11; the
+//! [`Schedule`] a live node uses too), `FWD` retries on another.
+//! Everything — keys, latencies, drops, event order — derives from the
+//! seed, so runs are exactly reproducible.
 
 use std::collections::{BTreeSet, HashMap};
 
 use dagbft_codec::{WireDecode, WireEncode};
 use dagbft_core::{
     accountability, BlockStore, DefenseConfig, DeterministicProtocol, Label, MemoryStore,
-    NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Shim, ShimConfig,
-    SnapshotProtocol, TimeMs,
+    NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Schedule, Shim,
+    ShimConfig, SnapshotProtocol, TimeMs,
 };
 use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
 use rand::rngs::StdRng;
@@ -64,6 +65,15 @@ pub enum IngestMode {
 /// Interval between a server's `FWD`-retry timer ticks.
 const TICK_EVERY: TimeMs = 100;
 
+/// Server `index`'s seal grid, the one a live node uses too.
+fn seal_schedule(config: &SimConfig, index: usize) -> Schedule {
+    Schedule::for_server(
+        ServerId::new(index as u32),
+        config.n,
+        config.disseminate_every,
+    )
+}
+
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -73,7 +83,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// The embedded protocol's fault configuration.
     pub protocol: ProtocolConfig,
-    /// Interval between a server's `disseminate()` calls.
+    /// Interval between a server's `disseminate()` calls, on the grid of
+    /// [`Schedule::for_server`] (0 is taken as 1 ms).
     pub disseminate_every: TimeMs,
     /// Hard stop time.
     pub max_time: TimeMs,
@@ -399,10 +410,11 @@ impl<P: DeterministicProtocol> Simulation<P> {
 
         let mut queue = EventQueue::new();
         for index in 0..config.n {
-            // Phase-shift the timers so servers do not act in lockstep.
-            let phase = (index as TimeMs * config.disseminate_every) / config.n as TimeMs;
-            queue.schedule(phase, Event::Disseminate { server: index });
-            queue.schedule(phase + 1, Event::Tick { server: index });
+            // Server i seals on the grid `i·period/n + k·period`, so
+            // servers do not act in lockstep, and ticks 1 ms after it.
+            let seal = seal_schedule(&config, index);
+            queue.schedule(seal.first(), Event::Disseminate { server: index });
+            queue.schedule(seal.tick(TICK_EVERY).first(), Event::Tick { server: index });
         }
 
         let mut sim = Simulation {
@@ -609,10 +621,8 @@ impl<P: DeterministicProtocol> Simulation<P> {
                     Server::Down(_) => {}
                     Server::Crashed => return,
                 }
-                self.queue.schedule(
-                    now + self.config.disseminate_every,
-                    Event::Disseminate { server },
-                );
+                let next = seal_schedule(&self.config, server).next_after(now);
+                self.queue.schedule(next, Event::Disseminate { server });
             }
             Event::Tick { server } => {
                 match &mut self.servers[server] {
@@ -624,8 +634,10 @@ impl<P: DeterministicProtocol> Simulation<P> {
                     Server::Byzantine(_) | Server::Down(_) => {}
                     Server::Crashed => return,
                 }
-                self.queue
-                    .schedule(now + TICK_EVERY, Event::Tick { server });
+                let next = seal_schedule(&self.config, server)
+                    .tick(TICK_EVERY)
+                    .next_after(now);
+                self.queue.schedule(next, Event::Tick { server });
             }
             Event::Deliver { to, from, message } => {
                 match &mut self.servers[to] {
@@ -818,6 +830,25 @@ mod tests {
         let servers: std::collections::BTreeSet<_> =
             outcome.deliveries.iter().map(|d| d.server).collect();
         assert_eq!(servers.len(), 4);
+    }
+
+    #[test]
+    fn a_zero_seal_period_runs_to_completion() {
+        // A zero period seals every millisecond instead of rescheduling
+        // one instant forever.
+        let config = SimConfig::new(4)
+            .with_disseminate_every(0)
+            .with_max_time(300);
+        let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+        sim.inject(broadcast_injection(0, 1, 1, 5));
+        let outcome = sim.run();
+        assert!(outcome.finished_at > 300, "the clock ran past max_time");
+        let servers: std::collections::BTreeSet<_> =
+            outcome.deliveries.iter().map(|d| d.server).collect();
+        assert_eq!(servers.len(), 4);
+        for delivery in &outcome.deliveries {
+            assert_eq!(delivery.indication, BrbIndication::Deliver(5));
+        }
     }
 
     #[test]

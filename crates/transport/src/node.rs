@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dagbft_core::{
     shim::SetupError, BlockStore, DeterministicProtocol, Label, NetCommand, RecoverError,
-    RecoveryReport, Shim, ShimConfig, TimeMs,
+    RecoveryReport, Schedule, Shim, ShimConfig, TimeMs,
 };
 use dagbft_crypto::{KeyRegistry, ServerId};
 use dagbft_metrics::{publish, MetricsRegistry, MetricsServer};
@@ -19,8 +19,13 @@ use crate::tcp::TcpTransport;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeConfig {
     /// Interval between `disseminate()` calls (Algorithm 3, lines 10–11).
+    /// Seals fall on the simulator's fixed grid, server `me` of `n` at
+    /// `me·period/n + k·period` on the node's clock from its start
+    /// ([`Schedule::for_server`]); a loop that wakes late skips the slots
+    /// it missed rather than sealing to catch up. 0 is taken as 1 ms.
     pub disseminate_every_ms: u64,
-    /// Interval between `FWD` retry ticks.
+    /// Interval between `FWD` retry ticks, on the grid one millisecond
+    /// after the seal phase ([`Schedule::tick`]).
     pub tick_every_ms: u64,
     /// When set, the node serves a live JSON metrics snapshot over HTTP
     /// from this address (port 0 binds ephemerally — read the bound
@@ -227,8 +232,11 @@ where
     let thread = std::thread::spawn(move || {
         let start = Instant::now();
         let now_ms = |start: Instant| -> TimeMs { start.elapsed().as_millis() as TimeMs };
-        let mut next_disseminate = 0;
-        let mut next_tick = pacing.tick_every_ms;
+        // The simulator's grid, on this node's clock from its start.
+        let seal = Schedule::for_server(me, shim.config().protocol.n, pacing.disseminate_every_ms);
+        let tick = seal.tick(pacing.tick_every_ms);
+        let mut next_disseminate = seal.first();
+        let mut next_tick = tick.first();
         // Per-peer decode-error counts already charged to the defense
         // layer, so each tick feeds only the delta.
         let mut charged_decode_errors = vec![0u64; transport.peer_traffic().len()];
@@ -238,12 +246,12 @@ where
             if now >= next_disseminate {
                 let commands = shim.disseminate(now);
                 route(&transport, commands);
-                next_disseminate = now + pacing.disseminate_every_ms;
+                next_disseminate = seal.next_after(now);
             }
             if now >= next_tick {
                 let commands = shim.on_tick(now);
                 route(&transport, commands);
-                next_tick = now + pacing.tick_every_ms;
+                next_tick = tick.next_after(now);
                 sync_defense(&mut shim, &transport, &mut charged_decode_errors, now);
                 if let Some(metrics) = metrics.as_ref() {
                     publish_node_metrics(metrics, &shim, &transport, &registry, now);

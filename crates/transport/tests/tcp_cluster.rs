@@ -94,3 +94,37 @@ fn parallel_instances_over_real_tcp() {
         node.stop();
     }
 }
+
+#[test]
+fn a_node_seals_at_most_once_per_slot() {
+    let n = 4;
+    let period = 20;
+    let started = Instant::now();
+    let (nodes, _registry) = spawn_local_cluster::<Brb<u64>>(
+        n,
+        shim_config(n),
+        NodeConfig {
+            disseminate_every_ms: period,
+            tick_every_ms: 50,
+            ..NodeConfig::default()
+        },
+        13,
+    )
+    .expect("cluster binds");
+    for (i, node) in nodes.iter().enumerate() {
+        node.request(Label::new(i as u64), BrbRequest::Broadcast(i as u64));
+    }
+    std::thread::sleep(Duration::from_secs(1));
+    let shims: Vec<_> = nodes.into_iter().map(|node| node.stop()).collect();
+    // Every node lived at most this long; its grid has at most one slot
+    // per period in it. No lower bound: that depends on the host.
+    let slots = started.elapsed().as_millis() as u64 / period + 1;
+    for shim in shims {
+        let built = shim.gossip().stats().blocks_built;
+        assert!(
+            built <= slots,
+            "{} built {built} blocks in {slots} slots",
+            shim.me()
+        );
+    }
+}
