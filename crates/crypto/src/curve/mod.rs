@@ -7,17 +7,17 @@
 //! [`scalar`] (integers mod the basepoint order `L`, and the signed
 //! recodings the multiplications walk), [`point`] (the twisted Edwards
 //! curve in extended coordinates with cached addends, RFC 8032 strict
-//! compression/decompression, fixed-base and double-base scalar
-//! multiplication over tables of odd multiples), and [`msm`]
-//! (multi-scalar multiplication: Straus for small batches, Pippenger
-//! above a width threshold — the engine behind amortized batch signature
+//! compression/decompression, and fixed-base scalar multiplication over
+//! per-point tables of odd multiples), and [`msm`] (multi-scalar
+//! multiplication: Straus for small batches, Pippenger above a width
+//! threshold — the engine behind amortized batch signature
 //! verification).
 //!
 //! Every point addition and doubling bumps a thread-local counter
 //! ([`PointOps`], [`ops_snapshot`]): curve-level costs are *counted*, not
-//! timed, so the floor `batch_is_cheaper_than_serial` asserts ("batched
-//! verification halves serial's cost at wave width ≥32") is
-//! machine-independent.
+//! timed, so the floors the ed25519 tests assert (a serial check costs
+//! ≤ 140 operations; a batch never costs more per item than serial
+//! checks) are machine-independent.
 //!
 //! The arithmetic is portable `u64`/`u128` — no intrinsics, no `unsafe`
 //! — and costs what the textbook formulas cost; bit-by-bit references
@@ -93,7 +93,29 @@ pub(crate) fn count_add() {
 pub(crate) mod testing {
     use proptest::prelude::*;
 
+    use super::point::Point;
     use super::scalar::Scalar;
+
+    /// The eight torsion points, as multiples of a generator of order 8:
+    /// entry `i` has order 8 / gcd(i, 8).
+    pub(crate) fn torsion_points() -> Vec<Point> {
+        let generator = Point::decompress(&[
+            0xc7, 0x17, 0x6a, 0x70, 0x3d, 0x4d, 0xd8, 0x4f, 0xba, 0x3c, 0x0b, 0x76, 0x0d, 0x10,
+            0x67, 0x0f, 0x2a, 0x20, 0x53, 0xfa, 0x2c, 0x39, 0xcc, 0xc6, 0x4e, 0xc7, 0xfd, 0x77,
+            0x92, 0xac, 0x03, 0x7a,
+        ])
+        .expect("the order-8 encoding is on the curve");
+        assert!(generator.is_small_order());
+        assert!(
+            !generator.double().double().is_identity(),
+            "order exactly 8"
+        );
+        let mut points = vec![Point::IDENTITY];
+        for i in 1..8 {
+            points.push(points[i - 1].add(&generator));
+        }
+        points
+    }
 
     /// 32 uniformly random bytes.
     pub(crate) fn any_bytes32() -> impl Strategy<Value = [u8; 32]> {

@@ -16,7 +16,9 @@
 //!
 //! Cost here is *counted* (thread-local [`super::PointOps`]) rather than
 //! timed, which is what makes the batch-verification floor
-//! (`ed25519.rs`, `batch_is_cheaper_than_serial`) machine-independent.
+//! (`ed25519.rs`, `batch_costs_no_more_per_item_than_serial`: where a
+//! wave folds into one MSM instead of fixed-base serial checks)
+//! machine-independent.
 
 use super::point::{Cached, Completed, OddMultiples, Point};
 use super::scalar::Scalar;

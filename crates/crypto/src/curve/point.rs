@@ -13,7 +13,11 @@
 //!   feeds another doubling never computes `T` (3 multiplications and 4
 //!   squarings instead of 4 and 4);
 //! * every scalar multiplication looks its addends up in one table type,
-//!   `OddMultiples`, by signed odd digit.
+//!   `OddMultiples`, by signed odd digit;
+//! * a point of order L whose multiples are wanted many times (the
+//!   basepoint, a registered public key) carries a `FixedBase`: 64
+//!   windows of odd multiples, so a multiplication is 64 additions with
+//!   no doubling chain, and `[s]B − [k]A` in a signature check is 128.
 //!
 //! Decompression is strict RFC 8032 §5.1.3: non-canonical `y`, and
 //! `x = 0` with the sign bit set, are rejected at parse time. Every
@@ -98,7 +102,7 @@ pub(crate) struct Cached {
 
 /// [`Cached`] for a point normalised to Z = 1, (y+x, y−x, 2dxy): one
 /// multiplication fewer per addition, at the price of an inversion to
-/// build — the form of the static basepoint tables.
+/// build — the form of [`FixedBase`] entries.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct AffineCached {
     y_plus_x: Fe,
@@ -316,66 +320,12 @@ impl Point {
         acc
     }
 
-    /// `[scalar]B` with no doublings: the scalar is recoded into 64 odd
-    /// signed radix-16 digits (`Scalar::to_odd_radix16`) and digit `i`
-    /// selects its addend from a lazily built table of the eight odd
-    /// multiples of 16^i·B in affine cached form — 64 additions of 7
-    /// multiplications each, the fixed-base speedup signing and key
-    /// generation lean on.
+    /// `[scalar]B` from the basepoint's `FixedBase` table, built on
+    /// first use: 64 additions and no doublings, the fixed-base speedup
+    /// signing and key generation lean on.
     pub fn mul_base(scalar: &Scalar) -> Point {
-        static WINDOWS: OnceLock<Vec<OddMultiples<AffineCached, 8>>> = OnceLock::new();
-        let windows = WINDOWS.get_or_init(|| {
-            let mut multiples = Vec::with_capacity(64 * 8);
-            let mut window_base = BASEPOINT;
-            for _ in 0..64 {
-                multiples.extend(odd_multiples::<8>(&window_base));
-                // Next window's base: 2^4 × the current one.
-                window_base = window_base.double().double().double().double();
-            }
-            affine_cached(&multiples)
-                .chunks_exact(8)
-                .map(|window| OddMultiples(window.try_into().expect("chunks of 8")))
-                .collect()
-        });
-        let mut acc = Point::IDENTITY;
-        for (window, digit) in windows.iter().zip(scalar.to_odd_radix16()) {
-            acc = acc.add_affine(&window.select(digit)).to_point();
-        }
-        acc
-    }
-
-    /// `[a_scalar]·a_point + [b_scalar]·B` in one variable-time
-    /// signed-window pass — the verification equation's two
-    /// multiplications on one shared doubling chain: width-5 NAF digits
-    /// of `a_scalar` select among eight odd multiples of `a_point` built
-    /// per call, width-8 NAF digits of `b_scalar` among a process-wide
-    /// table of the 64 odd multiples B, 3B, …, 127B in affine cached form.
-    /// About 253 doublings, 8 table-building operations and 43 + 29
-    /// additions.
-    pub fn double_base_mul(a_scalar: &Scalar, a_point: &Point, b_scalar: &Scalar) -> Point {
-        static BASE_TABLE: OnceLock<OddMultiples<AffineCached, 64>> = OnceLock::new();
-        let base_table = BASE_TABLE.get_or_init(|| {
-            let multiples = affine_cached(&odd_multiples::<64>(&BASEPOINT));
-            OddMultiples(multiples.try_into().expect("64 in, 64 out"))
-        });
-        let a_table = OddMultiples::<Cached, 8>::new(a_point);
-        let a_naf = a_scalar.non_adjacent_form(5);
-        let b_naf = b_scalar.non_adjacent_form(8);
-
-        let Some(top) = (0..256).rev().find(|&i| a_naf[i] != 0 || b_naf[i] != 0) else {
-            return Point::IDENTITY;
-        };
-        let mut acc = Completed::IDENTITY;
-        for i in (0..=top).rev() {
-            acc = acc.double();
-            if a_naf[i] != 0 {
-                acc = acc.to_point().add_cached(&a_table.select(a_naf[i]));
-            }
-            if b_naf[i] != 0 {
-                acc = acc.to_point().add_affine(&base_table.select(b_naf[i]));
-            }
-        }
-        acc.to_point()
+        static TABLE: OnceLock<FixedBase> = OnceLock::new();
+        TABLE.get_or_init(|| FixedBase::new(&BASEPOINT)).mul(scalar)
     }
 
     /// Compresses to the 32-byte RFC 8032 encoding: `y` with the sign of
@@ -447,9 +397,9 @@ fn odd_multiples<const N: usize>(point: &Point) -> [Point; N] {
 }
 
 /// The odd multiples [P, 3P, 5P, …, (2N − 1)P] of a point as addends:
-/// the one lookup table behind [`Point::mul_base`],
-/// [`Point::double_base_mul`] and [`super::msm::straus`], indexed by
-/// signed odd digit.
+/// the one lookup table behind [`FixedBase`] and [`super::msm::straus`],
+/// indexed by signed odd digit.
+#[derive(Clone)]
 pub(crate) struct OddMultiples<A, const N: usize>([A; N]);
 
 impl<A: Addend, const N: usize> OddMultiples<A, N> {
@@ -469,6 +419,70 @@ impl<const N: usize> OddMultiples<Cached, N> {
     /// The table of `point`: N group operations and N multiplications.
     pub(crate) fn new(point: &Point) -> Self {
         OddMultiples(odd_multiples::<N>(point).map(Point::to_cached))
+    }
+}
+
+/// A fixed-base table of a point P of order L: for each of the 64
+/// radix-16 windows, the eight odd multiples of 16^i·P in affine cached
+/// form (512 entries of three field elements, 60 KiB).
+///
+/// A multiplication recodes its scalar into 64 odd signed digits
+/// (`Scalar::to_odd_radix16`) and adds one entry per window: 64
+/// additions of 7 multiplications each and no doublings. The recoding
+/// turns an even scalar k into k + L, which is the same multiple only
+/// because \[L\]P = 𝒪 — so a table is built only for a torsion-free point:
+/// the basepoint, and an ed25519 public key once its strict parse passed.
+#[derive(Clone)]
+pub(crate) struct FixedBase {
+    point: Point,
+    windows: Vec<OddMultiples<AffineCached, 8>>,
+}
+
+impl FixedBase {
+    /// The table of `point`, which must lie in the prime-order subgroup
+    /// (see the type's docs): 64 × 12 group operations and one inversion.
+    pub(crate) fn new(point: &Point) -> FixedBase {
+        let mut multiples = Vec::with_capacity(64 * 8);
+        let mut window_base = *point;
+        for _ in 0..64 {
+            multiples.extend(odd_multiples::<8>(&window_base));
+            // Next window's base: 2^4 × the current one.
+            window_base = window_base.double().double().double().double();
+        }
+        let windows = affine_cached(&multiples)
+            .chunks_exact(8)
+            .map(|window| OddMultiples(window.try_into().expect("chunks of 8")))
+            .collect();
+        FixedBase {
+            point: *point,
+            windows,
+        }
+    }
+
+    /// The point P this table multiplies.
+    pub(crate) fn point(&self) -> &Point {
+        &self.point
+    }
+
+    /// `[scalar]P`.
+    pub(crate) fn mul(&self, scalar: &Scalar) -> Point {
+        self.add_mul(&Point::IDENTITY, scalar)
+    }
+
+    /// `acc + [scalar]P`: one addition per window.
+    pub(crate) fn add_mul(&self, acc: &Point, scalar: &Scalar) -> Point {
+        let mut acc = *acc;
+        for (window, digit) in self.windows.iter().zip(scalar.to_odd_radix16()) {
+            acc = acc.add_affine(&window.select(digit)).to_point();
+        }
+        acc
+    }
+}
+
+impl std::fmt::Debug for FixedBase {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // A summary: the entries are 1 536 field elements.
+        write!(f, "FixedBase({} windows × 8)", self.windows.len())
     }
 }
 
@@ -506,7 +520,7 @@ fn affine_cached(points: &[Point]) -> Vec<AffineCached> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testing::any_scalar;
+    use super::super::testing::{any_scalar, torsion_points};
     use super::*;
     use proptest::prelude::*;
 
@@ -652,7 +666,8 @@ mod tests {
         assert_eq!(delta.total(), 2);
     }
 
-    /// 0, 1, 2, L − 1, L − 2, 2^252 and 2^128 − 1.
+    /// 0, 1, 2, L − 1, L − 2, 2^252, 2^128 − 1 and 2^128. The even ones
+    /// (0, 2, L − 1, 2^252, 2^128) take the recoding's `+L` path.
     fn edge_scalars() -> Vec<Scalar> {
         let minus_one = Scalar::ONE.neg();
         vec![
@@ -663,51 +678,59 @@ mod tests {
             minus_one.add(&minus_one),
             Scalar([0, 0, 0, 1 << 60]),
             Scalar::from_u128(u128::MAX),
+            Scalar([0, 0, 1, 0]),
         ]
     }
 
-    /// The eight torsion points, as multiples of a generator of order 8.
-    fn torsion_points() -> Vec<Point> {
-        let generator = Point::decompress(&[
-            0xc7, 0x17, 0x6a, 0x70, 0x3d, 0x4d, 0xd8, 0x4f, 0xba, 0x3c, 0x0b, 0x76, 0x0d, 0x10,
-            0x67, 0x0f, 0x2a, 0x20, 0x53, 0xfa, 0x2c, 0x39, 0xcc, 0xc6, 0x4e, 0xc7, 0xfd, 0x77,
-            0x92, 0xac, 0x03, 0x7a,
-        ])
-        .expect("the order-8 encoding is on the curve");
-        assert!(generator.is_small_order());
-        assert!(
-            !generator.double().double().is_identity(),
-            "order exactly 8"
-        );
-        let mut points = vec![Point::IDENTITY];
-        for i in 1..8 {
-            points.push(points[i - 1].add(&generator));
+    fn assert_fixed_base_matches_oracle(point: &Point, scalars: &[Scalar]) {
+        let table = FixedBase::new(point);
+        let acc = Point::mul_base(&Scalar::from_u128(0xacc));
+        for scalar in scalars {
+            let expected = point.mul(scalar);
+            assert_eq!(
+                table.mul(scalar).compress(),
+                expected.compress(),
+                "[{scalar:?}]{:?}",
+                point.compress()
+            );
+            assert_eq!(
+                table.add_mul(&acc, scalar).compress(),
+                acc.add(&expected).compress(),
+                "acc + [{scalar:?}]{:?}",
+                point.compress()
+            );
         }
-        points
     }
 
-    /// Prime-order, mixed-order and pure-torsion points.
-    fn double_base_points() -> Vec<Point> {
+    #[test]
+    fn fixed_base_matches_oracle_on_edge_scalars() {
         let prime_order = [
             *basepoint(),
             Point::mul_base(&Scalar::from_u128(0xfeed_f00d)),
             Point::mul_base(&Scalar::ONE.neg()),
         ];
-        let torsion = torsion_points();
-        let mut points = prime_order.to_vec();
-        points.extend(torsion.iter().skip(1).map(|t| prime_order[1].add(t)));
-        points.extend(torsion);
-        points
+        for point in prime_order {
+            assert_fixed_base_matches_oracle(&point, &edge_scalars());
+        }
     }
 
-    fn assert_double_base_matches_oracle(a_scalar: &Scalar, a_point: &Point, b_scalar: &Scalar) {
-        let expected = a_point.mul(a_scalar).add(&basepoint().mul(b_scalar));
-        assert_eq!(
-            Point::double_base_mul(a_scalar, a_point, b_scalar).compress(),
-            expected.compress(),
-            "[{a_scalar:?}]{:?} + [{b_scalar:?}]B",
-            a_point.compress()
-        );
+    /// Why only torsion-free points get a table: for P = Q + T with T of
+    /// order 4, an even scalar's `+L` recoding adds \[L\]T = T ≠ 𝒪.
+    #[test]
+    fn fixed_base_of_a_mixed_order_point_is_wrong_on_even_scalars() {
+        let mixed = Point::mul_base(&Scalar::from_u128(0xfeed_f00d)).add(&torsion_points()[2]);
+        assert!(!mixed.is_torsion_free());
+        let table = FixedBase::new(&mixed);
+        let odd = Scalar::from_u128(3);
+        let even = Scalar::from_u128(4);
+        assert_eq!(table.mul(&odd).compress(), mixed.mul(&odd).compress());
+        assert_ne!(table.mul(&even).compress(), mixed.mul(&even).compress());
+    }
+
+    #[test]
+    fn fixed_base_debug_is_a_summary() {
+        let rendered = format!("{:?}", FixedBase::new(basepoint()));
+        assert_eq!(rendered, "FixedBase(64 windows × 8)");
     }
 
     #[test]
@@ -720,22 +743,6 @@ mod tests {
             );
         }
         assert!(Point::mul_base(&Scalar::ZERO).is_identity());
-    }
-
-    #[test]
-    fn double_base_matches_oracle_on_edge_scalars_and_adversarial_points() {
-        let edges = edge_scalars();
-        for a_point in double_base_points() {
-            for (i, a_scalar) in edges.iter().enumerate() {
-                // Every pairing for the first point, a rotating one after.
-                for (j, b_scalar) in edges.iter().enumerate() {
-                    if a_point.compress() == basepoint().compress() || (i + j) % edges.len() == 1 {
-                        assert_double_base_matches_oracle(a_scalar, &a_point, b_scalar);
-                    }
-                }
-            }
-        }
-        assert!(Point::double_base_mul(&Scalar::ZERO, basepoint(), &Scalar::ZERO).is_identity());
     }
 
     #[test]
@@ -790,14 +797,14 @@ mod tests {
         }
 
         #[test]
-        fn double_base_matches_oracle(
-            a_scalar in any_scalar(),
-            b_scalar in any_scalar(),
+        fn fixed_base_matches_oracle(
+            scalar in any_scalar(),
             point_scalar in any_scalar(),
-            torsion in 0usize..8,
+            even in any::<bool>(),
         ) {
-            let a_point = Point::mul_base(&point_scalar).add(&torsion_points()[torsion]);
-            assert_double_base_matches_oracle(&a_scalar, &a_point, &b_scalar);
+            // Half the cases clear bit 0 so the `+L` recoding runs.
+            let scalar = if even { Scalar([scalar.0[0] & !1, scalar.0[1], scalar.0[2], scalar.0[3]]) } else { scalar };
+            assert_fixed_base_matches_oracle(&Point::mul_base(&point_scalar), &[scalar]);
         }
     }
 }

@@ -145,9 +145,9 @@ impl Scalar {
     /// 64 signed radix-16 digits, all odd (±1, ±3, …, ±15; the top one 1
     /// or 3), with Σ digitᵢ·16^i equal to the scalar if it is odd and to
     /// the scalar plus L if it is even — the same multiple of any point
-    /// of order L, which is the only use: the fixed-base tables of
-    /// [`super::point::Point::mul_base`] hold odd multiples only, and no
-    /// digit is ever zero.
+    /// of order L, which is the only use: a
+    /// [`super::point::FixedBase`] holds odd multiples only, and no digit
+    /// is ever zero.
     pub(crate) fn to_odd_radix16(self) -> [i8; 64] {
         let mut k = self.0;
         if k[0] & 1 == 0 {

@@ -1,9 +1,12 @@
 //! RFC 8032 ed25519 over the in-tree [`crate::curve`] arithmetic, with
 //! genuinely amortized batch verification.
 //!
-//! Serial verification is *cofactored* — `[8]([s]B − [k]A − R) = 𝒪`,
-//! with `[s]B − [k]A` one signed-window double-base pass
-//! ([`Point::double_base_mul`]) — and batch verification checks one
+//! Serial verification is *cofactored* — `[8]([s]B − [k]A − R) = 𝒪`.
+//! Every valid key carries a `FixedBase` table, built once where the
+//! key is validated ([`keygen`], [`PublicKey::from_bytes`]), so
+//! `[s]B − [k]A` is 64 additions from the basepoint's table and 64 from
+//! the key's, with no doubling chain: ~135 group operations per check,
+//! and 60 KiB per key. Batch verification checks one
 //! random-linear-combination equation
 //!
 //! ```text
@@ -14,8 +17,10 @@
 //! Straus for wave-sized batches, Pippenger past the width threshold).
 //! Cofactoring both sides makes the two paths agree on *every* input,
 //! adversarial torsion points included, so batch-accept ⟺ every item
-//! serial-accepts (up to the 2⁻¹²⁸ linear-combination slack). A batch of
-//! one *is* the serial equation and is verified as such.
+//! serial-accepts (up to the 2⁻¹²⁸ linear-combination slack). The fold
+//! pays ~305 shared operations (the doubling chain, mostly) plus ~82 per
+//! item, so a wave narrower than `BATCH_MIN_WIDTH` is verified
+//! serially instead.
 //!
 //! The coefficients `zᵢ` are derived deterministically from the whole
 //! batch transcript (SHA-512, Fiat–Shamir style) rather than sampled:
@@ -23,14 +28,22 @@
 //! soundness bound does not rely on secrecy, only on the zᵢ being fixed
 //! before the equation is evaluated. When the combined equation fails,
 //! a binary split pinpoints the forged items: subranges whose equation
-//! holds are accepted wholesale, failing singletons resolve to their
-//! exact serial verdict — which is how "exactly the tampered block
-//! rejected, dependents stranded" survives any batch grouping.
+//! holds are accepted wholesale, failing ranges narrower than
+//! `BATCH_MIN_WIDTH` resolve to their items' serial verdicts — which is
+//! how "exactly the tampered block rejected, dependents stranded"
+//! survives any batch grouping.
 
 use crate::curve::msm::msm;
-use crate::curve::point::Point;
+use crate::curve::point::{FixedBase, Point};
 use crate::curve::scalar::Scalar;
 use crate::{sha512, Sha512};
+
+/// The narrowest wave [`verify_batch`] folds into one multi-scalar
+/// multiplication; narrower ones are verified item by item. Counted in
+/// group operations, a fold of w items costs ~305 + 82·w against 135·w
+/// serially: 720 against 675 at width 5, 794 against 810 at width 6.
+/// `batch_costs_no_more_per_item_than_serial` pins the crossover.
+pub(crate) const BATCH_MIN_WIDTH: usize = 6;
 
 /// An ed25519 keypair's secret half, expanded per RFC 8032 §5.1.5.
 #[derive(Clone)]
@@ -53,24 +66,28 @@ impl std::fmt::Debug for SecretKey {
 }
 
 /// An ed25519 public key: the compressed encoding plus, when the
-/// encoding is valid, the decompressed point cached for verification.
+/// encoding is valid, the point's fixed-base table for verification.
 #[derive(Debug, Clone)]
 pub struct PublicKey {
     bytes: [u8; 32],
     /// `None` when the encoding is rejected (off-curve, non-canonical,
     /// small-order, or carrying torsion) — such a key verifies nothing.
-    point: Option<Point>,
+    /// The table's recoding is sound only for torsion-free points, so
+    /// only a key that passed the strict parse gets one.
+    table: Option<FixedBase>,
 }
 
 impl PublicKey {
     /// Parses a compressed public key, applying the strict checks once:
     /// canonical encoding, on-curve, not small-order, and torsion-free
-    /// (`[L]A = 𝒪`, the "mixed-order" rejection). Returns a key handle
-    /// either way; an invalid key simply never verifies.
+    /// (`[L]A = 𝒪`, the "mixed-order" rejection), then builds the valid
+    /// key's table. Returns a key handle either way; an invalid key
+    /// simply never verifies.
     pub fn from_bytes(bytes: [u8; 32]) -> PublicKey {
-        let point =
-            Point::decompress(&bytes).filter(|p| !p.is_small_order() && p.is_torsion_free());
-        PublicKey { bytes, point }
+        let table = Point::decompress(&bytes)
+            .filter(|p| !p.is_small_order() && p.is_torsion_free())
+            .map(|p| FixedBase::new(&p));
+        PublicKey { bytes, table }
     }
 
     /// The compressed encoding.
@@ -80,7 +97,7 @@ impl PublicKey {
 
     /// True if the encoding passed the strict parse.
     pub fn is_valid(&self) -> bool {
-        self.point.is_some()
+        self.table.is_some()
     }
 }
 
@@ -101,9 +118,10 @@ pub fn keygen(seed: &[u8; 32]) -> (SecretKey, PublicKey) {
             prefix,
             public_bytes,
         },
+        // [scalar]B lies in B's prime-order subgroup: torsion-free.
         PublicKey {
             bytes: public_bytes,
-            point: Some(public_point),
+            table: Some(FixedBase::new(&public_point)),
         },
     )
 }
@@ -135,21 +153,23 @@ fn challenge(r_bytes: &[u8; 32], public_bytes: &[u8; 32], message: &[u8]) -> Sca
 }
 
 /// A signature parsed into its verification inputs.
-struct ParsedSignature {
+struct ParsedSignature<'a> {
+    key: &'a FixedBase,
     r_point: Point,
     r_bytes: [u8; 32],
     s: Scalar,
 }
 
-/// Strict parse: `s` canonical (< L), `R` canonically encoded, on-curve,
-/// and not small-order.
-fn parse_signature(public: &PublicKey, signature: &[u8; 64]) -> Option<ParsedSignature> {
-    public.point?;
+/// Strict parse: a valid key, `s` canonical (< L), `R` canonically
+/// encoded, on-curve, and not small-order.
+fn parse_signature<'a>(public: &'a PublicKey, signature: &[u8; 64]) -> Option<ParsedSignature<'a>> {
+    let key = public.table.as_ref()?;
     let r_bytes: [u8; 32] = signature[..32].try_into().expect("32-byte half");
     let s_bytes: [u8; 32] = signature[32..].try_into().expect("32-byte half");
     let s = Scalar::from_bytes_canonical(&s_bytes)?;
     let r_point = Point::decompress(&r_bytes).filter(|r| !r.is_small_order())?;
     Some(ParsedSignature {
+        key,
         r_point,
         r_bytes,
         s,
@@ -161,14 +181,15 @@ pub fn verify(public: &PublicKey, message: &[u8], signature: &[u8; 64]) -> bool 
     let Some(parsed) = parse_signature(public, signature) else {
         return false;
     };
-    let a_point = public.point.expect("parse checked key validity");
     let k = challenge(&parsed.r_bytes, &public.bytes, message);
-    verify_equation(&parsed, &a_point, &k)
+    equation_holds(&parsed, &k)
 }
 
-fn verify_equation(parsed: &ParsedSignature, a_point: &Point, k: &Scalar) -> bool {
-    // [k](−A) + [s]B + (−R), cofactored.
-    Point::double_base_mul(k, &a_point.neg(), &parsed.s)
+/// `[8]([s]B + [−k]A + (−R)) = 𝒪` from the two fixed-base tables.
+fn equation_holds(parsed: &ParsedSignature<'_>, k: &Scalar) -> bool {
+    parsed
+        .key
+        .add_mul(&Point::mul_base(&parsed.s), &k.neg())
         .add(&parsed.r_point.neg())
         .mul_by_cofactor()
         .is_identity()
@@ -187,16 +208,16 @@ pub struct BatchItem<'a> {
 
 /// An item that survived the strict parse, with its challenge scalar and
 /// linear-combination coefficient precomputed.
-struct PreparedItem {
+struct PreparedItem<'a> {
     index: usize,
-    a_point: Point,
-    parsed: ParsedSignature,
+    parsed: ParsedSignature<'a>,
     k: Scalar,
     z: Scalar,
 }
 
-/// Verifies a whole batch through one multi-scalar multiplication,
-/// returning per-item verdicts in input order.
+/// Verifies a whole batch, returning per-item verdicts in input order:
+/// item by item below `BATCH_MIN_WIDTH`, otherwise through one
+/// multi-scalar multiplication.
 ///
 /// Items failing the strict parse (invalid key, non-canonical `s` or
 /// `R`, small-order `R`) are rejected up front without touching the
@@ -204,12 +225,20 @@ struct PreparedItem {
 /// coefficients; if the combined equation fails, a binary split isolates
 /// the forged items so the verdict vector always equals the serial one.
 pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<bool> {
-    if let [item] = items {
-        // With z odd the singleton combined equation *is* the cofactored
-        // serial check, so skip the transcript, z and the third point.
-        return vec![verify(item.public, item.message, item.signature)];
+    if items.len() < BATCH_MIN_WIDTH {
+        return items
+            .iter()
+            .map(|item| verify(item.public, item.message, item.signature))
+            .collect();
     }
     let mut verdicts = vec![false; items.len()];
+    resolve_range(&prepare(items), &mut verdicts);
+    verdicts
+}
+
+/// The items that pass the strict parse, with their challenges and
+/// batch coefficients.
+fn prepare<'a>(items: &[BatchItem<'a>]) -> Vec<PreparedItem<'a>> {
     let mut prepared = Vec::with_capacity(items.len());
     for (index, item) in items.iter().enumerate() {
         let Some(parsed) = parse_signature(item.public, item.signature) else {
@@ -218,7 +247,6 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<bool> {
         let k = challenge(&parsed.r_bytes, &item.public.bytes, item.message);
         prepared.push(PreparedItem {
             index,
-            a_point: item.public.point.expect("parse checked key validity"),
             parsed,
             k,
             z: Scalar::ZERO, // assigned below from the batch transcript
@@ -241,20 +269,21 @@ pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<bool> {
         hash.update(&transcript_digest);
         hash.update(&(item.index as u64).to_le_bytes());
         let mut z_bytes: [u8; 16] = hash.finalize()[..16].try_into().expect("16 bytes");
-        // Odd ⇒ non-zero mod L ⇒ a singleton equation is exactly the
-        // cofactored serial check.
+        // Odd ⇒ non-zero mod L: no item drops out of the combination.
         z_bytes[0] |= 1;
         item.z = Scalar::from_u128(u128::from_le_bytes(z_bytes));
     }
-
-    resolve_range(&prepared, &mut verdicts);
-    verdicts
+    prepared
 }
 
 /// Accepts `range` wholesale if its combined equation holds; otherwise
-/// splits in half and recurses, bottoming out at exact singleton checks.
-fn resolve_range(range: &[PreparedItem], verdicts: &mut [bool]) {
-    if range.is_empty() {
+/// splits in half and recurses, bottoming out at serial checks once a
+/// range is narrower than [`BATCH_MIN_WIDTH`].
+fn resolve_range(range: &[PreparedItem<'_>], verdicts: &mut [bool]) {
+    if range.len() < BATCH_MIN_WIDTH {
+        for item in range {
+            verdicts[item.index] = equation_holds(&item.parsed, &item.k);
+        }
         return;
     }
     if range_equation_holds(range) {
@@ -263,17 +292,12 @@ fn resolve_range(range: &[PreparedItem], verdicts: &mut [bool]) {
         }
         return;
     }
-    if range.len() == 1 {
-        // A failing singleton equation with z ≢ 0 (mod L) *is* the
-        // cofactored serial verdict; the verdict stays false.
-        return;
-    }
     let (left, right) = range.split_at(range.len() / 2);
     resolve_range(left, verdicts);
     resolve_range(right, verdicts);
 }
 
-fn range_equation_holds(range: &[PreparedItem]) -> bool {
+fn range_equation_holds(range: &[PreparedItem<'_>]) -> bool {
     let mut scalars = Vec::with_capacity(2 * range.len() + 1);
     let mut points = Vec::with_capacity(2 * range.len() + 1);
     let mut b_coefficient = Scalar::ZERO;
@@ -282,7 +306,7 @@ fn range_equation_holds(range: &[PreparedItem]) -> bool {
         scalars.push(item.z);
         points.push(item.parsed.r_point.neg());
         scalars.push(item.z.mul(&item.k));
-        points.push(item.a_point.neg());
+        points.push(item.parsed.key.point().neg());
     }
     scalars.push(b_coefficient);
     points.push(*crate::curve::point::basepoint());
@@ -292,6 +316,8 @@ fn range_equation_holds(range: &[PreparedItem]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::curve::point::basepoint;
+    use crate::curve::testing::torsion_points;
 
     /// L, little-endian.
     const L_BYTES: [u8; 32] = [
@@ -390,17 +416,22 @@ mod tests {
         assert!(verify(public, b"msg", &signature));
         // s + L is the classic malleation; strict verification rejects
         // it outright.
-        let s = Scalar::from_bytes_canonical(&signature[32..].try_into().unwrap()).unwrap();
+        let s_plus_l = plus_l(&signature[32..].try_into().unwrap());
+        signature[32..].copy_from_slice(&s_plus_l);
+        assert!(!verify(public, b"msg", &signature));
+    }
+
+    /// `s + L` over little-endian bytes, for an `s < L`.
+    fn plus_l(s: &[u8; 32]) -> [u8; 32] {
         let mut s_plus_l = [0u8; 32];
         let mut carry = 0u16;
         for (i, out) in s_plus_l.iter_mut().enumerate() {
-            let sum = u16::from(s.to_bytes()[i]) + u16::from(L_BYTES[i]) + carry;
+            let sum = u16::from(s[i]) + u16::from(L_BYTES[i]) + carry;
             *out = sum as u8;
             carry = sum >> 8;
         }
         assert_eq!(carry, 0, "s + L fits 256 bits");
-        signature[32..].copy_from_slice(&s_plus_l);
-        assert!(!verify(public, b"msg", &signature));
+        s_plus_l
     }
 
     #[test]
@@ -480,9 +511,35 @@ mod tests {
         assert_eq!(verify_batch(&items), expected);
     }
 
-    /// A batch of one short-circuits to [`verify`]; the same item inside a
-    /// pair goes through the combined equation. All three entries must
-    /// agree, adversarial items included.
+    /// A wave of 24 with forgeries at 3 and 20 fails its fold, and the
+    /// split folds again twice (12 + 12, then 6 + 6) before the failing
+    /// ranges drop below `BATCH_MIN_WIDTH` and resolve item by item.
+    #[test]
+    fn wide_batch_splits_down_to_serial_checks() {
+        let keys = test_keys(24);
+        let mut signatures: Vec<[u8; 64]> = keys
+            .iter()
+            .map(|(secret, _)| sign(secret, b"wide"))
+            .collect();
+        signatures[3][40] ^= 0x10;
+        signatures[20][0] ^= 1;
+        let items: Vec<BatchItem<'_>> = keys
+            .iter()
+            .zip(&signatures)
+            .map(|((_, public), signature)| BatchItem {
+                public,
+                message: b"wide",
+                signature,
+            })
+            .collect();
+        let expected: Vec<bool> = (0..24).map(|i| i != 3 && i != 20).collect();
+        assert_eq!(verify_batch(&items), expected);
+    }
+
+    /// A batch of one or two is checked item by item; the same item with
+    /// enough companions to reach [`BATCH_MIN_WIDTH`] goes through the
+    /// combined equation. All entries must agree, adversarial items
+    /// included.
     #[test]
     fn batch_of_one_is_the_serial_verdict() {
         let keys = test_keys(2);
@@ -529,64 +586,264 @@ mod tests {
                 vec![expected, true],
                 "{name}"
             );
+            let mut wave = vec![item()];
+            wave.extend((1..BATCH_MIN_WIDTH).map(|_| companion()));
+            let mut verdicts = vec![true; BATCH_MIN_WIDTH];
+            verdicts[0] = expected;
+            assert_eq!(verify_batch(&wave), verdicts, "{name}");
         }
     }
 
-    /// The machine-independent cost floors, in curve group operations
-    /// (thread-local counters, so parallel tests do not disturb them): a
-    /// serial verification fits the one-pass double-base multiplication
-    /// (~337 operations; the generic MSM over the same two points takes
-    /// ~360), and one wave-wide MSM at least halves the operations per
-    /// item, on the Straus and on the Pippenger side of the threshold.
+    /// Group operations `work` performs on this thread (the counters are
+    /// thread-local, so parallel tests do not disturb them).
+    fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
+        let before = crate::curve::ops_snapshot();
+        let result = work();
+        (result, (crate::curve::ops_snapshot() - before).total())
+    }
+
+    /// Machine-independent floor: a serial check is 128 table additions,
+    /// one for `−R` and three doublings each for `R`'s small-order check
+    /// and the cofactor — no doubling chain.
     #[test]
-    fn batch_is_cheaper_than_serial() {
+    fn serial_verify_costs_at_most_140_operations() {
+        for (secret, public) in test_keys(4) {
+            let signature = sign(&secret, b"serial");
+            let before = crate::curve::ops_snapshot();
+            assert!(verify(&public, b"serial", &signature));
+            let ops = crate::curve::ops_snapshot() - before;
+            assert!(ops.total() <= 140, "{ops:?}");
+            assert_eq!(ops.doubles, 6, "{ops:?}");
+        }
+    }
+
+    /// Machine-independent floor: `verify_batch` never costs more group
+    /// operations per item than serial checks, and `BATCH_MIN_WIDTH` is
+    /// the crossover — the fold loses below it and wins from it on.
+    #[test]
+    fn batch_costs_no_more_per_item_than_serial() {
         use crate::curve::msm::msm_engine;
-        use crate::curve::ops_snapshot;
-        const SERIAL_OPS_CEILING: u64 = 350;
         let message = b"wave";
-        // Build the lazy basepoint tables outside the counted regions.
-        let (secret, public) = keygen(&[7; 32]);
-        assert!(verify(&public, message, &sign(&secret, message)));
+        let keys = test_keys(256);
+        let signatures: Vec<[u8; 64]> = keys
+            .iter()
+            .map(|(secret, _)| sign(secret, message))
+            .collect();
+        let all_items: Vec<BatchItem<'_>> = keys
+            .iter()
+            .zip(&signatures)
+            .map(|((_, public), signature)| BatchItem {
+                public,
+                message,
+                signature,
+            })
+            .collect();
 
         let mut engines = Vec::new();
-        for width in [32usize, 128, 256] {
-            let keys = test_keys(width);
-            let signatures: Vec<[u8; 64]> = keys
-                .iter()
-                .map(|(secret, _)| sign(secret, message))
-                .collect();
-            let items: Vec<BatchItem<'_>> = keys
-                .iter()
-                .zip(&signatures)
-                .map(|((_, public), signature)| BatchItem {
-                    public,
-                    message,
-                    signature,
-                })
-                .collect();
-
-            let before = ops_snapshot();
-            let verdicts = verify_batch(&items);
-            let mid = ops_snapshot();
-            for item in &items {
-                assert!(verify(item.public, item.message, item.signature));
-            }
-            let after = ops_snapshot();
-
+        for width in [1usize, 2, 3, 4, 5, 6, 7, 8, 32, 128, 256] {
+            let items = &all_items[..width];
+            let (verdicts, batch_ops) = counted(|| verify_batch(items));
             assert_eq!(verdicts, vec![true; width]);
-            let batch_ops = (mid - before).total();
-            let serial_ops = (after - mid).total();
+            let (_, serial_ops) = counted(|| {
+                for item in items {
+                    assert!(verify(item.public, item.message, item.signature));
+                }
+            });
             assert!(
-                serial_ops <= SERIAL_OPS_CEILING * width as u64,
-                "width {width}: {serial_ops} group operations for {width} serial verifications"
-            );
-            assert!(
-                2 * batch_ops < serial_ops,
+                batch_ops <= serial_ops,
                 "width {width}: batch {batch_ops} vs serial {serial_ops}"
             );
-            // A batch of k signatures is one MSM over 2k + 1 points.
-            engines.push(msm_engine(2 * width + 1));
+            if width <= 8 {
+                let (holds, fold_ops) = counted(|| range_equation_holds(&prepare(items)));
+                assert!(holds);
+                assert_eq!(
+                    fold_ops > serial_ops,
+                    width < BATCH_MIN_WIDTH,
+                    "width {width}: fold {fold_ops} vs serial {serial_ops}"
+                );
+            } else {
+                // A batch of k signatures is one MSM over 2k + 1 points.
+                engines.push(msm_engine(2 * width + 1));
+            }
         }
         assert_eq!(engines, ["straus", "straus", "pippenger"]);
+    }
+
+    /// Test-only cofactored verification spelled out with the
+    /// double-and-add oracle `Point::mul`, behind the same strict parse.
+    fn oracle_verify(public: &[u8; 32], message: &[u8], signature: &[u8; 64]) -> bool {
+        let Some(a) =
+            Point::decompress(public).filter(|a| !a.is_small_order() && a.is_torsion_free())
+        else {
+            return false;
+        };
+        let r_bytes: [u8; 32] = signature[..32].try_into().expect("32-byte half");
+        let s_bytes: [u8; 32] = signature[32..].try_into().expect("32-byte half");
+        let Some(s) = Scalar::from_bytes_canonical(&s_bytes) else {
+            return false;
+        };
+        let Some(r) = Point::decompress(&r_bytes).filter(|r| !r.is_small_order()) else {
+            return false;
+        };
+        let k = challenge(&r_bytes, public, message);
+        basepoint()
+            .mul(&s)
+            .add(&a.mul(&k).neg())
+            .add(&r.neg())
+            .mul_by_cofactor()
+            .is_identity()
+    }
+
+    /// A signature by secret scalar `a` under the claimed key `public`,
+    /// whose `R` carries the torsion component `r_torsion`: with
+    /// `public` = \[a\]B + T and T of small order, the cofactored equation
+    /// holds and only the strict parse can reject it.
+    fn crafted_signature(
+        a: &Scalar,
+        public: &[u8; 32],
+        r_torsion: &Point,
+        message: &[u8],
+    ) -> [u8; 64] {
+        let nonce = Scalar::from_bytes_wide(&sha512(message));
+        let r_bytes = Point::mul_base(&nonce).add(r_torsion).compress();
+        let s = challenge(&r_bytes, public, message).mul(a).add(&nonce);
+        let mut signature = [0u8; 64];
+        signature[..32].copy_from_slice(&r_bytes);
+        signature[32..].copy_from_slice(&s.to_bytes());
+        signature
+    }
+
+    /// y = p + 1 ≡ 1 with the sign bit clear: the identity, encoded
+    /// non-canonically.
+    fn non_canonical_y() -> [u8; 32] {
+        let mut bytes = [0xffu8; 32];
+        bytes[0] = 0xee;
+        bytes[31] = 0x7f;
+        bytes
+    }
+
+    /// The adversarial shapes `tests/proptest_sig.rs` generates, around
+    /// `secret`'s honest key: `key` 0–3 claims the honest, a small-order,
+    /// a mixed-order (honest + `torsion`) or a non-canonical-`y` key;
+    /// `tamper` 0–4 keeps the signature (whose `R` carries `torsion`),
+    /// adds L to `s`, swaps `R` for a small-order or non-canonical-`y`
+    /// encoding, or flips a bit of `s`.
+    fn adversarial_case(
+        secret: &SecretKey,
+        key: usize,
+        torsion: usize,
+        tamper: usize,
+        message: &[u8],
+    ) -> ([u8; 32], [u8; 64]) {
+        let torsion_point = torsion_points()[torsion];
+        let (public, a) = match key {
+            0 => (secret.public_bytes, secret.scalar),
+            1 => (torsion_points()[2].compress(), Scalar::ZERO),
+            2 => {
+                let mixed = Point::mul_base(&secret.scalar).add(&torsion_point);
+                (mixed.compress(), secret.scalar)
+            }
+            _ => (non_canonical_y(), secret.scalar),
+        };
+        let mut signature = crafted_signature(&a, &public, &torsion_point, message);
+        match tamper {
+            0 => {}
+            1 => {
+                let s_plus_l = plus_l(&signature[32..].try_into().expect("32-byte half"));
+                signature[32..].copy_from_slice(&s_plus_l);
+            }
+            2 => signature[..32].copy_from_slice(&torsion_points()[4].compress()),
+            3 => signature[..32].copy_from_slice(&non_canonical_y()),
+            _ => signature[40] ^= 0x08,
+        }
+        (public, signature)
+    }
+
+    fn assert_verify_matches_oracle(
+        public: [u8; 32],
+        message: &[u8],
+        signature: &[u8; 64],
+    ) -> bool {
+        let expected = oracle_verify(&public, message, signature);
+        let key = PublicKey::from_bytes(public);
+        assert_eq!(verify(&key, message, signature), expected);
+        let item = || BatchItem {
+            public: &key,
+            message,
+            signature,
+        };
+        assert_eq!(verify_batch(&[item()]), vec![expected]);
+        let wave: Vec<BatchItem<'_>> = (0..BATCH_MIN_WIDTH).map(|_| item()).collect();
+        assert_eq!(verify_batch(&wave), vec![expected; BATCH_MIN_WIDTH]);
+        expected
+    }
+
+    /// Every key shape × every tamper, with R's torsion component none,
+    /// of order 8 and of order 2: the only accepted signatures claim the
+    /// honest key and are untampered — torsion in R included, since the
+    /// check is cofactored.
+    #[test]
+    fn verify_matches_the_oracle_on_every_adversarial_shape() {
+        let (secret, _) = &test_keys(1)[0];
+        for key in 0..4 {
+            for tamper in 0..5 {
+                for torsion in [0, 1, 4] {
+                    let (public, signature) = adversarial_case(secret, key, torsion, tamper, b"m");
+                    let accepted = assert_verify_matches_oracle(public, b"m", &signature);
+                    let honest = key == 0 || (key == 2 && torsion == 0);
+                    assert_eq!(
+                        accepted,
+                        honest && tamper == 0,
+                        "key {key}, tamper {tamper}, torsion {torsion}"
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn verify_matches_the_oracle_on_adversarial_inputs(
+            key in 0usize..4,
+            torsion in 0usize..8,
+            tamper in 0usize..5,
+            message in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..32),
+        ) {
+            let (secret, _) = &test_keys(1)[0];
+            let (public, signature) = adversarial_case(secret, key, torsion, tamper, &message);
+            assert_verify_matches_oracle(public, &message, &signature);
+        }
+    }
+
+    /// The table is built where the key is validated, so a key that fails
+    /// the strict parse has none.
+    #[test]
+    fn only_strictly_parsed_keys_carry_a_table() {
+        let (secret, honest) = &test_keys(1)[0];
+        assert!(honest.table.is_some());
+        assert!(PublicKey::from_bytes(*honest.as_bytes()).table.is_some());
+        let honest_point = Point::mul_base(&secret.scalar);
+        let rejected = [
+            ("small-order", torsion_points()[2].compress()),
+            (
+                "mixed-order",
+                honest_point.add(&torsion_points()[1]).compress(),
+            ),
+            ("non-canonical y", non_canonical_y()),
+            ("off-curve", {
+                let mut bytes = [0u8; 32];
+                bytes[0] = 2;
+                while Point::decompress(&bytes).is_some() {
+                    bytes[0] += 1;
+                }
+                bytes
+            }),
+        ];
+        for (name, bytes) in rejected {
+            let key = PublicKey::from_bytes(bytes);
+            assert!(key.table.is_none() && !key.is_valid(), "{name}");
+        }
     }
 }

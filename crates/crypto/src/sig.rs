@@ -200,9 +200,10 @@ impl SchemeKind {
 }
 
 /// One registry's key material, all of one scheme and indexed by server.
-/// Per-key caches (HMAC key schedules, decompressed ed25519 points) are
-/// built once here and shared by every handle. `Debug` prints no secret:
-/// [`HmacKey`] and [`ed25519::SecretKey`] redact themselves.
+/// Per-key caches (HMAC key schedules, ed25519 fixed-base tables) are
+/// built once here and shared by every handle. `Debug` prints no secret
+/// and no table: [`HmacKey`] and [`ed25519::SecretKey`] redact
+/// themselves, and a table prints a one-line summary.
 #[derive(Debug)]
 enum Keys {
     /// Pairwise symmetric keys: the key that signs also verifies.
@@ -436,7 +437,7 @@ impl Signer {
 /// Verification handle over the whole server set.
 ///
 /// Holds the per-server verification key material with its caches built
-/// (HMAC key schedules, decompressed ed25519 points), so each
+/// (HMAC key schedules, ed25519 fixed-base tables), so each
 /// verification resumes from cached state instead of re-deriving it.
 #[derive(Debug, Clone)]
 pub struct Verifier {
@@ -482,11 +483,12 @@ pub struct SignedDigest {
 /// Batched verification over the whole server set: one pass over a slice
 /// of [`SignedDigest`]s, with per-item verdicts in input order.
 ///
-/// Under ed25519 the pass is genuinely amortized — one random-linear-
-/// combination multi-scalar multiplication for the whole batch, with a
-/// binary split pinpointing forged items on failure — so a batch of `k`
-/// costs far fewer group operations than `k` serial verifications. The
-/// HMAC stand-in keeps the same shape over its 32-byte MAC fast path.
+/// Under ed25519 a batch of at least `ed25519::BATCH_MIN_WIDTH` (6) items
+/// is genuinely amortized — one random-linear-combination multi-scalar
+/// multiplication for the whole batch, with a binary split pinpointing
+/// forged items on failure — and a narrower one is checked item by item,
+/// where that costs fewer group operations. The HMAC stand-in keeps the
+/// same shape over its 32-byte MAC fast path.
 /// Batch passes and sizes are counted in [`CryptoMetrics`] (experiment
 /// E6's batching argument, PAPER §4).
 ///
@@ -776,5 +778,17 @@ mod tests {
         let rendered = format!("{sig:?}");
         assert!(rendered.starts_with("Signature("));
         assert!(rendered.len() < 30);
+    }
+
+    /// `Shim` and `Gossip` print their registry through `Signer`,
+    /// `Verifier` and `BatchVerifier`: each key's fixed-base table must
+    /// print as a summary, not its 1 536 field elements.
+    #[test]
+    fn registry_debug_stays_short() {
+        let registry = KeyRegistry::generate_ed25519(16, 1);
+        let rendered = format!("{registry:?}");
+        assert_eq!(rendered.matches("FixedBase(64 windows × 8)").count(), 16);
+        // ~250 bytes a key pair; one table's entries would print > 100 KB.
+        assert!(rendered.len() < 4096, "{} bytes", rendered.len());
     }
 }
