@@ -5,7 +5,7 @@
 //! and Polygraph). The block DAG makes this almost free: an equivocation
 //! *is* two validly signed blocks with the same `(builder, seq)` and
 //! different content — self-contained, transferable evidence that convicts
-//! the builder to any third party holding the key registry.
+//! the builder to any third party holding the servers' public keys.
 //!
 //! [`EquivocationProof`] packages that evidence; [`collect_proofs`]
 //! extracts every provable equivocation from a DAG.

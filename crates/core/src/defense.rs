@@ -25,8 +25,8 @@
 //! Every state change emits a typed [`DefenseEvent`] — the auditable
 //! trail next to gossip's `EvictionEvent` log — and everything is keyed
 //! on the logical [`TimeMs`] the caller supplies, so identical event
-//! sequences produce byte-identical score trajectories across runs,
-//! signature schemes, and restarts.
+//! sequences produce byte-identical score trajectories across runs and
+//! restarts.
 
 use std::collections::BTreeMap;
 
@@ -581,7 +581,7 @@ impl PeerDefense {
     }
 
     /// Canonical byte encoding of the full event trajectory — what the
-    /// determinism tests compare across runs and signature schemes.
+    /// determinism tests compare across runs.
     pub fn trajectory_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.events.len() * 24);
         for event in &self.events {

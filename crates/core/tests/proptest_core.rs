@@ -20,7 +20,7 @@ use dagbft_core::{
     AdmissionView, Block, Gossip, GossipConfig, Label, LabeledRequest, NetMessage, ReferenceGossip,
     SeqNum,
 };
-use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId, Signature};
+use dagbft_crypto::{KeyRegistry, ServerId, Signature};
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -28,17 +28,7 @@ use rand::SeedableRng;
 /// Builds a set of valid blocks: `builders` servers × `rounds` rounds,
 /// each block referencing the whole previous round.
 fn block_soup(builders: usize, rounds: u64, with_requests: bool) -> Vec<Block> {
-    block_soup_with(SchemeKind::Hmac, builders, rounds, with_requests)
-}
-
-/// [`block_soup`] under an explicit signature scheme.
-fn block_soup_with(
-    scheme: SchemeKind,
-    builders: usize,
-    rounds: u64,
-    with_requests: bool,
-) -> Vec<Block> {
-    let registry = KeyRegistry::generate_kind(scheme, builders + 1, 17);
+    let registry = KeyRegistry::generate(builders + 1, 17);
     let signers: Vec<_> = (1..=builders)
         .map(|i| registry.signer(ServerId::new(i as u32)).unwrap())
         .collect();
@@ -87,74 +77,6 @@ fn receive_in_order(blocks: &[Block], order: &[usize], builders: usize) -> (usiz
     (received, refs)
 }
 
-/// Forges one block's signature inside a full delivery wave and checks
-/// that exactly the tampered block is rejected, its round-mates promote,
-/// and its dependents stay pending — with commands, promotion order,
-/// stats and verification count equal to the paper-literal oracle's.
-fn tampered_wave_case(scheme: SchemeKind, builders: usize, rounds: u64, tamper: usize, seed: u64) {
-    let mut blocks = block_soup_with(scheme, builders, rounds, true);
-    let tamper = tamper % blocks.len();
-    // Forge the signature of one block. `ref(B)` excludes `σ`
-    // (Definition 3.1), so the twin keeps the reference its
-    // dependents committed to — the wave sees a correctly shaped,
-    // badly signed block.
-    let victim = &blocks[tamper];
-    let forged = Block::build_with_signature(
-        victim.builder(),
-        victim.seq(),
-        victim.preds().to_vec(),
-        victim.requests().to_vec(),
-        Signature::NULL,
-    );
-    prop_assert_eq!(forged.block_ref(), victim.block_ref());
-    let forged_ref = forged.block_ref();
-    blocks[tamper] = forged;
-
-    let mut order: Vec<usize> = (0..blocks.len()).collect();
-    order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
-
-    // Expectations from the soup's shape (each block references the
-    // whole previous round): rounds before the victim's promote in
-    // full, the victim's round-mates promote, every later round
-    // depends on the victim and must stay pending.
-    let tamper_round = tamper / builders;
-    let expected_promoted = tamper_round * builders + (builders - 1);
-    let expected_pending = (rounds as usize - tamper_round - 1) * builders;
-
-    let registry = KeyRegistry::generate_kind(scheme, builders + 1, 17);
-    let mut receiver = Gossip::new(
-        ServerId::new(0),
-        GossipConfig::for_n(builders + 1),
-        registry.signer(ServerId::new(0)).unwrap(),
-        registry.verifier(),
-    );
-    // Same seed, same keys; its own verification counter.
-    let oracle_registry = KeyRegistry::generate_kind(scheme, builders + 1, 17);
-    let mut oracle = ReferenceGossip::new(builders + 1, oracle_registry.verifier());
-    for index in &order {
-        prop_assert_eq!(
-            receiver.on_block(blocks[*index].clone(), 0),
-            oracle.on_blocks([blocks[*index].clone()], 0)
-        );
-    }
-    prop_assert_eq!(receiver.dag().len(), expected_promoted);
-    prop_assert_eq!(receiver.pending_len(), expected_pending);
-    prop_assert_eq!(receiver.rejected().len(), 1);
-    let (rejected_ref, reason) = &receiver.rejected()[0];
-    prop_assert_eq!(*rejected_ref, forged_ref);
-    prop_assert!(
-        matches!(reason, dagbft_core::InvalidBlockError::BadSignature { .. }),
-        "wrong rejection reason {reason:?}"
-    );
-    prop_assert!(!receiver.dag().contains(&forged_ref));
-    prop_assert_eq!(receiver.stats().invalid_blocks, 1);
-    prop_assert_eq!(AdmissionView::of(&receiver), oracle.view());
-    prop_assert_eq!(
-        registry.metrics().verifies(),
-        oracle_registry.metrics().verifies()
-    );
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -182,6 +104,10 @@ proptest! {
         prop_assert_eq!(refs_a, refs_b);
     }
 
+    /// Forges one block's signature inside a full delivery wave and checks
+    /// that exactly the tampered block is rejected, its round-mates promote,
+    /// and its dependents stay pending — with commands, promotion order,
+    /// stats and verification count equal to the paper-literal oracle's.
     #[test]
     fn tampered_block_in_wave_rejected_exactly(
         builders in 2usize..5,
@@ -189,7 +115,67 @@ proptest! {
         tamper in 0usize..16,
         seed in 0u64..10_000,
     ) {
-        tampered_wave_case(SchemeKind::Hmac, builders, rounds, tamper, seed);
+        let mut blocks = block_soup(builders, rounds, true);
+        let tamper = tamper % blocks.len();
+        // Forge the signature of one block. `ref(B)` excludes `σ`
+        // (Definition 3.1), so the twin keeps the reference its
+        // dependents committed to — the wave sees a correctly shaped,
+        // badly signed block.
+        let victim = &blocks[tamper];
+        let forged = Block::build_with_signature(
+            victim.builder(),
+            victim.seq(),
+            victim.preds().to_vec(),
+            victim.requests().to_vec(),
+            Signature::NULL,
+        );
+        prop_assert_eq!(forged.block_ref(), victim.block_ref());
+        let forged_ref = forged.block_ref();
+        blocks[tamper] = forged;
+
+        let mut order: Vec<usize> = (0..blocks.len()).collect();
+        order.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+
+        // Expectations from the soup's shape (each block references the
+        // whole previous round): rounds before the victim's promote in
+        // full, the victim's round-mates promote, every later round
+        // depends on the victim and must stay pending.
+        let tamper_round = tamper / builders;
+        let expected_promoted = tamper_round * builders + (builders - 1);
+        let expected_pending = (rounds as usize - tamper_round - 1) * builders;
+
+        let registry = KeyRegistry::generate(builders + 1, 17);
+        let mut receiver = Gossip::new(
+            ServerId::new(0),
+            GossipConfig::for_n(builders + 1),
+            registry.signer(ServerId::new(0)).unwrap(),
+            registry.verifier(),
+        );
+        // Same seed, same keys; its own verification counter.
+        let oracle_registry = KeyRegistry::generate(builders + 1, 17);
+        let mut oracle = ReferenceGossip::new(builders + 1, oracle_registry.verifier());
+        for index in &order {
+            prop_assert_eq!(
+                receiver.on_block(blocks[*index].clone(), 0),
+                oracle.on_blocks([blocks[*index].clone()], 0)
+            );
+        }
+        prop_assert_eq!(receiver.dag().len(), expected_promoted);
+        prop_assert_eq!(receiver.pending_len(), expected_pending);
+        prop_assert_eq!(receiver.rejected().len(), 1);
+        let (rejected_ref, reason) = &receiver.rejected()[0];
+        prop_assert_eq!(*rejected_ref, forged_ref);
+        prop_assert!(
+            matches!(reason, dagbft_core::InvalidBlockError::BadSignature { .. }),
+            "wrong rejection reason {reason:?}"
+        );
+        prop_assert!(!receiver.dag().contains(&forged_ref));
+        prop_assert_eq!(receiver.stats().invalid_blocks, 1);
+        prop_assert_eq!(AdmissionView::of(&receiver), oracle.view());
+        prop_assert_eq!(
+            registry.metrics().verifies(),
+            oracle_registry.metrics().verifies()
+        );
     }
 
     #[test]
@@ -330,23 +316,5 @@ proptest! {
                 "tampered block must not keep the original ref AND verify"
             );
         }
-    }
-}
-
-proptest! {
-    // Real ed25519 admission is ~three orders of magnitude costlier than
-    // the HMAC stand-in, so a few cases suffice — the HMAC variant above
-    // carries the case-count load and the schemes share every code path
-    // beyond `KeyRegistry`'s sign and verify.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    #[test]
-    fn tampered_block_in_wave_rejected_exactly_ed25519(
-        builders in 2usize..4,
-        rounds in 2u64..4,
-        tamper in 0usize..16,
-        seed in 0u64..10_000,
-    ) {
-        tampered_wave_case(SchemeKind::Ed25519, builders, rounds, tamper, seed);
     }
 }

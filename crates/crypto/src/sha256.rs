@@ -69,26 +69,6 @@ impl Sha256 {
         }
     }
 
-    /// Resumes hashing from a captured compression state after
-    /// `blocks_processed` whole 64-byte blocks — the midstate trick HMAC
-    /// key schedules use to absorb the padded key exactly once per key
-    /// instead of once per MAC.
-    pub(crate) fn from_midstate(state: [u32; 8], blocks_processed: u64) -> Self {
-        Sha256 {
-            state,
-            buffer: [0; 64],
-            buffered: 0,
-            length: blocks_processed * 64,
-        }
-    }
-
-    /// The compression state, valid as a resumable midstate only when a
-    /// whole number of blocks has been absorbed (no buffered bytes).
-    pub(crate) fn midstate(&self) -> [u32; 8] {
-        debug_assert_eq!(self.buffered, 0, "midstate requires block alignment");
-        self.state
-    }
-
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.length = self.length.wrapping_add(data.len() as u64);
@@ -167,10 +147,8 @@ impl Sha256 {
     }
 }
 
-/// The raw SHA-256 compression function over a bare state — shared by the
-/// incremental hasher and the HMAC fast path, which drives pre-absorbed
-/// key midstates directly.
-pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+/// The raw SHA-256 compression function over a bare state.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
     let mut w = [0u32; 64];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);

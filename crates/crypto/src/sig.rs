@@ -1,15 +1,12 @@
-//! Signing handles over a trusted key registry, under one of two
-//! signature schemes.
+//! Signing handles over a trusted key registry of RFC 8032
+//! [ed25519](crate::ed25519) keys.
 //!
 //! The paper assumes a secure signature scheme whose failure probability
 //! is zero (§2). [`KeyRegistry`] performs the trusted setup — one keypair
 //! per server, deterministically seeded so whole-simulation runs stay
-//! reproducible — and hands out [`Signer`] handles (one per server,
-//! carrying only that server's key) and [`Verifier`]/[`BatchVerifier`]
-//! handles (able to check any server's signature). A registry draws all
-//! its keys from the one scheme a [`SchemeKind`] picks when it is
-//! generated: RFC 8032 [ed25519](crate::ed25519), or the HMAC-SHA256
-//! stand-in the determinism and equivalence tests cross-check it against.
+//! reproducible — and hands out [`Signer`] handles (one per server, able
+//! to sign only as that server) and [`Verifier`]/[`BatchVerifier`]
+//! handles (able to check any server's signature from its public key).
 //!
 //! The economic property the paper leans on — *batch signatures*, one
 //! signature per block instead of one per protocol message (§4) — is
@@ -23,13 +20,10 @@ use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::{ed25519, Digest, HmacKey, ServerId};
+use crate::{ed25519, Digest, ServerId};
 
-/// A 64-byte wire signature, produced by [`Signer::sign`].
-///
-/// The layout is scheme-defined: ed25519 fills all 64 bytes (`R ‖ s`,
-/// RFC 8032); the HMAC stand-in stores its 32-byte tag followed by
-/// zeroes. One fixed wire size keeps block encodings scheme-independent.
+/// A 64-byte ed25519 wire signature (`R ‖ s`, RFC 8032), produced by
+/// [`Signer::sign`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Signature([u8; 64]);
 
@@ -45,22 +39,9 @@ impl Signature {
         Signature(bytes)
     }
 
-    /// A signature carrying a 32-byte MAC tag (zero-padded).
-    pub fn from_tag(tag: Digest) -> Signature {
-        let mut bytes = [0u8; 64];
-        bytes[..32].copy_from_slice(tag.as_bytes());
-        Signature(bytes)
-    }
-
     /// The raw signature bytes.
     pub fn as_bytes(&self) -> &[u8; 64] {
         &self.0
-    }
-
-    /// True iff this signature is exactly `tag` zero-padded — the HMAC
-    /// accept test, without materializing a temporary [`Signature`].
-    pub(crate) fn matches_tag(&self, tag: &Digest) -> bool {
-        self.0[..32] == tag.as_bytes()[..] && self.0[32..] == [0u8; 32]
     }
 }
 
@@ -177,145 +158,34 @@ impl CryptoMetrics {
     }
 }
 
-/// Which signature scheme a [`KeyRegistry`]'s keys belong to — the
-/// configuration knob simulations and clusters expose.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The signature scheme a [`KeyRegistry`]'s keys belong to: ed25519 is
+/// the only one.
+///
+/// Kept only because the benchmark adapter
+/// (`crates/bench/src/bin/benchmark/adapter.rs`) names it; it goes once
+/// that adapter stops naming it (`ROADMAP.md` item 9(g)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchemeKind {
-    /// HMAC-SHA256 stand-in: the cheap deterministic oracle.
-    #[default]
-    Hmac,
     /// RFC 8032 ed25519 with multi-scalar batch verification.
     Ed25519,
 }
 
-impl SchemeKind {
-    /// Short identifier ("hmac", "ed25519") for benchmarks and
-    /// fingerprints.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchemeKind::Hmac => "hmac",
-            SchemeKind::Ed25519 => "ed25519",
-        }
-    }
-}
-
-/// One registry's key material, all of one scheme and indexed by server.
-/// Per-key caches (HMAC key schedules, ed25519 fixed-base tables) are
-/// built once here and shared by every handle. `Debug` prints no secret
-/// and no table: [`HmacKey`] and [`ed25519::SecretKey`] redact
-/// themselves, and a table prints a one-line summary.
-#[derive(Debug)]
-enum Keys {
-    /// Pairwise symmetric keys: the key that signs also verifies.
-    Hmac(Vec<HmacKey>),
-    Ed25519 {
-        secrets: Vec<ed25519::SecretKey>,
-        publics: Vec<ed25519::PublicKey>,
-    },
-}
-
-impl Keys {
-    /// One key (pair) per server, each from the next 32 bytes of `rng`.
-    fn generate(kind: SchemeKind, n: usize, rng: &mut StdRng) -> Keys {
-        let seeds = (0..n).map(|_| {
-            let mut seed = [0u8; 32];
-            rng.fill(&mut seed);
-            seed
-        });
-        match kind {
-            SchemeKind::Hmac => Keys::Hmac(seeds.map(|seed| HmacKey::new(&seed)).collect()),
-            SchemeKind::Ed25519 => {
-                let (secrets, publics) = seeds.map(|seed| ed25519::keygen(&seed)).unzip();
-                Keys::Ed25519 { secrets, publics }
-            }
-        }
-    }
-
-    fn kind(&self) -> SchemeKind {
-        match self {
-            Keys::Hmac(_) => SchemeKind::Hmac,
-            Keys::Ed25519 { .. } => SchemeKind::Ed25519,
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Keys::Hmac(keys) => keys.len(),
-            Keys::Ed25519 { secrets, .. } => secrets.len(),
-        }
-    }
-
-    /// Signs for `id`, which the [`Signer`] holding it was checked against.
-    fn sign(&self, id: ServerId, message: &[u8]) -> Signature {
-        match self {
-            Keys::Hmac(keys) => Signature::from_tag(keys[id.index()].mac(message)),
-            Keys::Ed25519 { secrets, .. } => {
-                Signature::from_bytes(ed25519::sign(&secrets[id.index()], message))
-            }
-        }
-    }
-
-    /// Unknown claimants verify to `false`.
-    fn verify(&self, claimed: ServerId, message: &[u8], signature: &Signature) -> bool {
-        match self {
-            Keys::Hmac(keys) => keys
-                .get(claimed.index())
-                .is_some_and(|key| signature.matches_tag(&key.mac(message))),
-            Keys::Ed25519 { publics, .. } => publics
-                .get(claimed.index())
-                .is_some_and(|public| ed25519::verify(public, message, signature.as_bytes())),
-        }
-    }
-
-    /// Per-item verdicts in input order, equal to the serial ones.
-    fn verify_batch(&self, items: &[SignedDigest]) -> Vec<bool> {
-        match self {
-            Keys::Hmac(keys) => items
-                .iter()
-                .map(|item| {
-                    keys.get(item.claimed.index()).is_some_and(|key| {
-                        item.signature
-                            .matches_tag(&key.mac32(item.digest.as_bytes()))
-                    })
-                })
-                .collect(),
-            Keys::Ed25519 { publics, .. } => {
-                // Items claiming unknown identities fail outright and stay
-                // out of the combined equation.
-                let (known, batch): (Vec<usize>, Vec<ed25519::BatchItem<'_>>) = items
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(index, item)| {
-                        let public = publics.get(item.claimed.index())?;
-                        let batch_item = ed25519::BatchItem {
-                            public,
-                            message: item.digest.as_bytes(),
-                            signature: item.signature.as_bytes(),
-                        };
-                        Some((index, batch_item))
-                    })
-                    .unzip();
-                let mut verdicts = vec![false; items.len()];
-                for (index, verdict) in known.into_iter().zip(ed25519::verify_batch(&batch)) {
-                    verdicts[index] = verdict;
-                }
-                verdicts
-            }
-        }
-    }
-}
-
+/// One registry's key material, indexed by server. Each public key's
+/// fixed-base table is built once here and shared by every handle.
+/// `Debug` prints no secret and no table: [`ed25519::SecretKey`] redacts
+/// itself, and a table prints a one-line summary.
 #[derive(Debug)]
 struct RegistryInner {
-    keys: Keys,
+    secrets: Vec<ed25519::SecretKey>,
+    publics: Vec<ed25519::PublicKey>,
     metrics: CryptoMetrics,
 }
 
 /// Trusted key setup for a fixed server set.
 ///
-/// Generates one keypair per server under the chosen [`SchemeKind`]; hands
-/// out [`Signer`] handles (one per server, carrying only that server's
-/// key) and [`Verifier`] handles (able to check any server's signature).
+/// Generates one ed25519 keypair per server; hands out [`Signer`] handles
+/// (one per server, able to sign only as that server) and [`Verifier`]
+/// handles (able to check any server's signature from its public key).
 ///
 /// # Examples
 ///
@@ -333,46 +203,39 @@ pub struct KeyRegistry {
 }
 
 impl KeyRegistry {
-    /// Generates HMAC stand-in keys for `n` servers from a deterministic
-    /// seed — the historical default, kept as the cheap oracle scheme.
-    /// For the real thing, use [`KeyRegistry::generate_ed25519`].
+    /// Generates ed25519 keys for `n` servers from a deterministic seed —
+    /// which keeps whole-simulation runs reproducible. Each keypair comes
+    /// from the next 32 bytes the seeded RNG draws.
     pub fn generate(n: usize, seed: u64) -> Self {
-        Self::generate_kind(SchemeKind::Hmac, n, seed)
-    }
-
-    /// Generates real ed25519 keys for `n` servers from a deterministic
-    /// seed.
-    pub fn generate_ed25519(n: usize, seed: u64) -> Self {
-        Self::generate_kind(SchemeKind::Ed25519, n, seed)
-    }
-
-    /// Generates keys for `n` servers under the scheme `kind` selects, from
-    /// a deterministic seed — which keeps whole-simulation runs
-    /// reproducible.
-    pub fn generate_kind(kind: SchemeKind, n: usize, seed: u64) -> Self {
-        let keys = Keys::generate(kind, n, &mut StdRng::seed_from_u64(seed));
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (secrets, publics) = (0..n)
+            .map(|_| {
+                let mut key_seed = [0u8; 32];
+                rng.fill(&mut key_seed);
+                ed25519::keygen(&key_seed)
+            })
+            .unzip();
         KeyRegistry {
             inner: Arc::new(RegistryInner {
-                keys,
+                secrets,
+                publics,
                 metrics: CryptoMetrics::default(),
             }),
         }
     }
 
-    /// The scheme this registry's keys belong to.
-    pub fn kind(&self) -> SchemeKind {
-        self.inner.keys.kind()
-    }
-
-    /// Short scheme identifier ("hmac", "ed25519") for benchmarks and
-    /// fingerprints.
-    pub fn scheme_name(&self) -> &'static str {
-        self.kind().name()
+    /// [`KeyRegistry::generate`]; `SchemeKind` has one value.
+    ///
+    /// Kept only because the benchmark adapter
+    /// (`crates/bench/src/bin/benchmark/adapter.rs`) calls it; it goes
+    /// once that adapter stops naming it (`ROADMAP.md` item 9(g)).
+    pub fn generate_kind(_: SchemeKind, n: usize, seed: u64) -> Self {
+        Self::generate(n, seed)
     }
 
     /// Number of servers with keys in this registry.
     pub fn len(&self) -> usize {
-        self.inner.keys.len()
+        self.inner.publics.len()
     }
 
     /// Returns `true` if the registry holds no keys.
@@ -413,8 +276,9 @@ impl KeyRegistry {
 
 /// Signing handle for a single server.
 ///
-/// Holds only that server's key: simulated byzantine servers receive
-/// their own [`Signer`] and therefore cannot forge others' signatures.
+/// It can sign only as [`Signer::id`]: simulated byzantine servers
+/// receive their own [`Signer`] and therefore cannot forge others'
+/// signatures.
 #[derive(Debug, Clone)]
 pub struct Signer {
     id: ServerId,
@@ -430,15 +294,16 @@ impl Signer {
     /// Signs `message`.
     pub fn sign(&self, message: &[u8]) -> Signature {
         self.registry.metrics.signs.fetch_add(1, Ordering::Relaxed);
-        self.registry.keys.sign(self.id, message)
+        let secret = &self.registry.secrets[self.id.index()];
+        Signature::from_bytes(ed25519::sign(secret, message))
     }
 }
 
 /// Verification handle over the whole server set.
 ///
-/// Holds the per-server verification key material with its caches built
-/// (HMAC key schedules, ed25519 fixed-base tables), so each
-/// verification resumes from cached state instead of re-deriving it.
+/// Checks against every server's public key, whose fixed-base table the
+/// registry built once, so each verification starts from the cached
+/// table instead of re-deriving it.
 #[derive(Debug, Clone)]
 pub struct Verifier {
     registry: Arc<RegistryInner>,
@@ -453,7 +318,10 @@ impl Verifier {
             .metrics
             .verifies
             .fetch_add(1, Ordering::Relaxed);
-        self.registry.keys.verify(claimed, message, signature)
+        self.registry
+            .publics
+            .get(claimed.index())
+            .is_some_and(|public| ed25519::verify(public, message, signature.as_bytes()))
     }
 
     /// Returns a batch handle over the same registry (and counters).
@@ -483,12 +351,11 @@ pub struct SignedDigest {
 /// Batched verification over the whole server set: one pass over a slice
 /// of [`SignedDigest`]s, with per-item verdicts in input order.
 ///
-/// Under ed25519 a batch of at least `ed25519::BATCH_MIN_WIDTH` (6) items
-/// is genuinely amortized — one random-linear-combination multi-scalar
-/// multiplication for the whole batch, with a binary split pinpointing
-/// forged items on failure — and a narrower one is checked item by item,
-/// where that costs fewer group operations. The HMAC stand-in keeps the
-/// same shape over its 32-byte MAC fast path.
+/// A batch of at least `ed25519::BATCH_MIN_WIDTH` (6) items is genuinely
+/// amortized — one random-linear-combination multi-scalar multiplication
+/// for the whole batch, with a binary split pinpointing forged items on
+/// failure — and a narrower one is checked item by item, where that costs
+/// fewer group operations.
 /// Batch passes and sizes are counted in [`CryptoMetrics`] (experiment
 /// E6's batching argument, PAPER §4).
 ///
@@ -497,7 +364,7 @@ pub struct SignedDigest {
 /// ```
 /// use dagbft_crypto::{KeyRegistry, ServerId, SignedDigest};
 ///
-/// let registry = KeyRegistry::generate_ed25519(2, 42);
+/// let registry = KeyRegistry::generate(2, 42);
 /// let signer = registry.signer(ServerId::new(1)).unwrap();
 /// let digest = dagbft_crypto::sha256(b"block preimage");
 /// let signature = signer.sign(digest.as_bytes());
@@ -527,7 +394,26 @@ impl BatchVerifier {
             return Vec::new();
         }
         self.registry.metrics.record_batch(items.len() as u64);
-        self.registry.keys.verify_batch(items)
+        // Items claiming unknown identities fail outright and stay out of
+        // the combined equation.
+        let (known, batch): (Vec<usize>, Vec<ed25519::BatchItem<'_>>) = items
+            .iter()
+            .enumerate()
+            .filter_map(|(index, item)| {
+                let public = self.registry.publics.get(item.claimed.index())?;
+                let batch_item = ed25519::BatchItem {
+                    public,
+                    message: item.digest.as_bytes(),
+                    signature: item.signature.as_bytes(),
+                };
+                Some((index, batch_item))
+            })
+            .unzip();
+        let mut verdicts = vec![false; items.len()];
+        for (index, verdict) in known.into_iter().zip(ed25519::verify_batch(&batch)) {
+            verdicts[index] = verdict;
+        }
+        verdicts
     }
 
     /// Accounts one admission *burst* of `items` verifications. The
@@ -551,45 +437,28 @@ mod tests {
         KeyRegistry::generate(4, 1)
     }
 
-    fn all_registries() -> Vec<KeyRegistry> {
-        vec![
-            KeyRegistry::generate(4, 1),
-            KeyRegistry::generate_ed25519(4, 1),
-        ]
-    }
-
     #[test]
     fn sign_verify_roundtrip_all_schemes() {
-        for registry in all_registries() {
-            let name = registry.scheme_name();
-            let signer = registry.signer(ServerId::new(0)).unwrap();
-            let sig = signer.sign(b"m");
-            assert!(
-                registry.verifier().verify(ServerId::new(0), b"m", &sig),
-                "{name}"
-            );
-            assert!(
-                !registry.verifier().verify(ServerId::new(1), b"m", &sig),
-                "{name}: wrong identity"
-            );
-            assert!(
-                !registry.verifier().verify(ServerId::new(0), b"m2", &sig),
-                "{name}: wrong message"
-            );
-        }
+        let registry = registry();
+        let signer = registry.signer(ServerId::new(0)).unwrap();
+        let sig = signer.sign(b"m");
+        let verifier = registry.verifier();
+        assert!(verifier.verify(ServerId::new(0), b"m", &sig));
+        assert!(
+            !verifier.verify(ServerId::new(1), b"m", &sig),
+            "wrong identity"
+        );
+        assert!(
+            !verifier.verify(ServerId::new(0), b"m2", &sig),
+            "wrong message"
+        );
     }
 
     #[test]
     fn null_signature_never_verifies() {
-        for registry in all_registries() {
-            assert!(
-                !registry
-                    .verifier()
-                    .verify(ServerId::new(0), b"m", &Signature::NULL),
-                "{}",
-                registry.scheme_name()
-            );
-        }
+        assert!(!registry()
+            .verifier()
+            .verify(ServerId::new(0), b"m", &Signature::NULL));
     }
 
     #[test]
@@ -603,17 +472,13 @@ mod tests {
 
     #[test]
     fn scheme_kind_selects_scheme() {
-        let hmac = KeyRegistry::generate_kind(SchemeKind::Hmac, 2, 7);
-        let ed = KeyRegistry::generate_kind(SchemeKind::Ed25519, 2, 7);
-        assert_eq!(hmac.kind(), SchemeKind::Hmac);
-        assert_eq!(ed.kind(), SchemeKind::Ed25519);
-        assert_eq!(hmac.scheme_name(), "hmac");
-        assert_eq!(ed.scheme_name(), "ed25519");
-        assert_eq!(SchemeKind::default(), SchemeKind::Hmac);
-        assert_eq!(SchemeKind::Ed25519.name(), "ed25519");
-        // Same seed, different schemes: incompatible signatures.
-        let hmac_sig = hmac.signer(ServerId::new(0)).unwrap().sign(b"x");
-        assert!(!ed.verifier().verify(ServerId::new(0), b"x", &hmac_sig));
+        // The one scheme there is: `generate_kind` draws the very keys
+        // `generate` does.
+        let kind = KeyRegistry::generate_kind(SchemeKind::Ed25519, 2, 7);
+        let plain = KeyRegistry::generate(2, 7);
+        let sig = kind.signer(ServerId::new(1)).unwrap().sign(b"x");
+        assert_eq!(sig, plain.signer(ServerId::new(1)).unwrap().sign(b"x"));
+        assert!(plain.verifier().verify(ServerId::new(1), b"x", &sig));
     }
 
     #[test]
@@ -633,67 +498,59 @@ mod tests {
 
     #[test]
     fn batch_verify_matches_single_verdicts_all_schemes() {
-        for registry in all_registries() {
-            let name = registry.scheme_name();
-            let verifier = registry.verifier();
-            let batch = registry.batch_verifier();
-            let mut items = Vec::new();
-            for i in 0..4u32 {
-                let signer = registry.signer(ServerId::new(i)).unwrap();
-                let digest = crate::sha256(i.to_le_bytes());
-                let signature = signer.sign(digest.as_bytes());
-                items.push(SignedDigest {
-                    claimed: ServerId::new(i),
-                    digest,
-                    signature,
-                });
-            }
-            // Tamper item 2 (wrong signature) and item 3 (wrong claimed id).
-            items[2].signature = Signature::NULL;
-            items[3].claimed = ServerId::new(0);
-            let verdicts = batch.verify_batch(&items);
-            let singles: Vec<bool> = items
-                .iter()
-                .map(|item| verifier.verify(item.claimed, item.digest.as_bytes(), &item.signature))
-                .collect();
-            assert_eq!(verdicts, singles, "{name}");
-            assert_eq!(verdicts, vec![true, true, false, false], "{name}");
+        let registry = registry();
+        let verifier = registry.verifier();
+        let batch = registry.batch_verifier();
+        let mut items = Vec::new();
+        for i in 0..4u32 {
+            let signer = registry.signer(ServerId::new(i)).unwrap();
+            let digest = crate::sha256(i.to_le_bytes());
+            let signature = signer.sign(digest.as_bytes());
+            items.push(SignedDigest {
+                claimed: ServerId::new(i),
+                digest,
+                signature,
+            });
         }
+        // Tamper item 2 (wrong signature) and item 3 (wrong claimed id).
+        items[2].signature = Signature::NULL;
+        items[3].claimed = ServerId::new(0);
+        let verdicts = batch.verify_batch(&items);
+        let singles: Vec<bool> = items
+            .iter()
+            .map(|item| verifier.verify(item.claimed, item.digest.as_bytes(), &item.signature))
+            .collect();
+        assert_eq!(verdicts, singles);
+        assert_eq!(verdicts, vec![true, true, false, false]);
     }
 
     #[test]
     fn batch_verify_unknown_identity_false() {
-        for registry in all_registries() {
-            let name = registry.scheme_name();
-            let batch = registry.verifier().batch();
-            let digest = crate::sha256(b"x");
-            let unknown = SignedDigest {
-                claimed: ServerId::new(99),
-                digest,
-                signature: Signature::NULL,
-            };
-            assert_eq!(batch.verify_batch(&[unknown]), vec![false], "{name}");
-            // Among known claimants the unknown one alone fails: under
-            // ed25519 it is left out of the combined equation.
-            let signed_by = |i: u32| SignedDigest {
-                claimed: ServerId::new(i),
-                digest,
-                signature: registry
-                    .signer(ServerId::new(i))
-                    .unwrap()
-                    .sign(digest.as_bytes()),
-            };
-            let forged = SignedDigest {
-                claimed: ServerId::new(99),
-                ..signed_by(0)
-            };
-            let mixed = [signed_by(1), forged, signed_by(2)];
-            assert_eq!(
-                batch.verify_batch(&mixed),
-                vec![true, false, true],
-                "{name}"
-            );
-        }
+        let registry = registry();
+        let batch = registry.verifier().batch();
+        let digest = crate::sha256(b"x");
+        let unknown = SignedDigest {
+            claimed: ServerId::new(99),
+            digest,
+            signature: Signature::NULL,
+        };
+        assert_eq!(batch.verify_batch(&[unknown]), vec![false]);
+        // Among known claimants the unknown one alone fails: it is left
+        // out of the combined equation.
+        let signed_by = |i: u32| SignedDigest {
+            claimed: ServerId::new(i),
+            digest,
+            signature: registry
+                .signer(ServerId::new(i))
+                .unwrap()
+                .sign(digest.as_bytes()),
+        };
+        let forged = SignedDigest {
+            claimed: ServerId::new(99),
+            ..signed_by(0)
+        };
+        let mixed = [signed_by(1), forged, signed_by(2)];
+        assert_eq!(batch.verify_batch(&mixed), vec![true, false, true]);
     }
 
     #[test]
@@ -752,11 +609,9 @@ mod tests {
 
     #[test]
     fn deterministic_generation_all_schemes() {
-        for (a, b) in all_registries().into_iter().zip(all_registries()) {
-            let sig_a = a.signer(ServerId::new(0)).unwrap().sign(b"x");
-            let sig_b = b.signer(ServerId::new(0)).unwrap().sign(b"x");
-            assert_eq!(sig_a, sig_b, "{}", a.scheme_name());
-        }
+        let sig_a = registry().signer(ServerId::new(0)).unwrap().sign(b"x");
+        let sig_b = registry().signer(ServerId::new(0)).unwrap().sign(b"x");
+        assert_eq!(sig_a, sig_b);
         let c = KeyRegistry::generate(2, 10);
         let d = KeyRegistry::generate(2, 9);
         let sig_c = c.signer(ServerId::new(0)).unwrap().sign(b"x");
@@ -766,7 +621,7 @@ mod tests {
 
     #[test]
     fn signature_wire_roundtrip_and_debug() {
-        let registry = KeyRegistry::generate_ed25519(1, 3);
+        let registry = KeyRegistry::generate(1, 3);
         let sig = registry.signer(ServerId::new(0)).unwrap().sign(b"wire");
         let mut encoded = Vec::new();
         sig.encode(&mut encoded);
@@ -785,7 +640,7 @@ mod tests {
     /// print as a summary, not its 1 536 field elements.
     #[test]
     fn registry_debug_stays_short() {
-        let registry = KeyRegistry::generate_ed25519(16, 1);
+        let registry = KeyRegistry::generate(16, 1);
         let rendered = format!("{registry:?}");
         assert_eq!(rendered.matches("FixedBase(64 windows × 8)").count(), 16);
         // ~250 bytes a key pair; one table's entries would print > 100 KB.

@@ -3,13 +3,10 @@
 //! * strict-encoding rejection — non-canonical ed25519 scalar and point
 //!   encodings (`s ≥ L`, `y ≥ p`), small-order keys, and mixed-order
 //!   (torsion-carrying) keys never verify;
-//! * batch ⟺ serial — ed25519 batch verification returns exactly the
-//!   serial verdict vector under arbitrary tampering, so batch-accept
-//!   holds iff every item serial-accepts;
-//! * oracle agreement — the registry's verdict *pattern* under tampering
-//!   is scheme-independent: real ed25519 and the cheap HMAC stand-in
-//!   reject exactly the same items, which is what lets the determinism
-//!   suite cross-check the schemes against each other.
+//! * batch ⟺ serial ⟺ tamper pattern — the registry's batch
+//!   verification returns exactly the serial verdict vector under
+//!   arbitrary tampering, so batch-accept holds iff every item
+//!   serial-accepts, and that vector rejects exactly the tampered items.
 
 use dagbft_crypto::curve::point::Point;
 use dagbft_crypto::curve::scalar::Scalar;
@@ -196,35 +193,31 @@ proptest! {
 
     /// The batch verdict vector is exactly the serial one under
     /// arbitrary per-item tampering — so batch-accept ⟺ every item
-    /// serial-accepts — and the HMAC oracle produces the same pattern.
+    /// serial-accepts — and it rejects exactly the tampered items.
     #[test]
-    fn batch_matches_serial_and_hmac_oracle(pattern in proptest::collection::vec(tamper_strategy(), 2..10)) {
-        let ed = KeyRegistry::generate_ed25519(pattern.len(), 7);
-        let hmac = KeyRegistry::generate(pattern.len(), 7);
-        for registry in [&ed, &hmac] {
-            let items = tampered_items(registry, &pattern);
-            let serial: Vec<bool> = items
-                .iter()
-                .map(|item| {
-                    registry
-                        .verifier()
-                        .verify(item.claimed, item.digest.as_bytes(), &item.signature)
-                })
-                .collect();
-            let batched = registry.batch_verifier().verify_batch(&items);
-            prop_assert_eq!(&batched, &serial, "scheme {}", registry.scheme_name());
-            prop_assert_eq!(
-                batched.iter().all(|v| *v),
-                serial.iter().all(|v| *v),
-                "batch-accept iff all serial-accept ({})",
-                registry.scheme_name()
-            );
-            // The verdict pattern is forced by the tampering alone.
-            let expected: Vec<bool> = pattern
-                .iter()
-                .map(|tamper| matches!(tamper, Tamper::None))
-                .collect();
-            prop_assert_eq!(&batched, &expected, "scheme {}", registry.scheme_name());
-        }
+    fn batch_matches_serial_and_tamper_pattern(pattern in proptest::collection::vec(tamper_strategy(), 2..10)) {
+        let registry = KeyRegistry::generate(pattern.len(), 7);
+        let items = tampered_items(&registry, &pattern);
+        let serial: Vec<bool> = items
+            .iter()
+            .map(|item| {
+                registry
+                    .verifier()
+                    .verify(item.claimed, item.digest.as_bytes(), &item.signature)
+            })
+            .collect();
+        let batched = registry.batch_verifier().verify_batch(&items);
+        prop_assert_eq!(&batched, &serial);
+        prop_assert_eq!(
+            batched.iter().all(|v| *v),
+            serial.iter().all(|v| *v),
+            "batch-accept iff all serial-accept"
+        );
+        // The verdict pattern is forced by the tampering alone.
+        let expected: Vec<bool> = pattern
+            .iter()
+            .map(|tamper| matches!(tamper, Tamper::None))
+            .collect();
+        prop_assert_eq!(&batched, &expected);
     }
 }

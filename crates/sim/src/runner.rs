@@ -100,12 +100,6 @@ pub struct SimConfig {
     /// Bound on each correct server's gossip pending buffer (see
     /// `dagbft_core::GossipConfig::pending_cap`).
     pub pending_cap: usize,
-    /// Signature scheme for the whole server set: the HMAC stand-in
-    /// (default — cheap, the determinism oracle) or real ed25519 with
-    /// multi-scalar batch verification. Promotion orders and delivery
-    /// sequences are identical under both; only signature bytes and
-    /// per-operation cost differ.
-    pub scheme: SchemeKind,
     /// Peer-defense configuration for every correct server (scored
     /// admission, rate limits, bans — see `dagbft_core::DefenseConfig`).
     /// Disabled by default: every pinned fingerprint predates the defense
@@ -128,7 +122,6 @@ impl SimConfig {
             roles: HashMap::new(),
             ingest: IngestMode::default(),
             pending_cap: dagbft_core::DEFAULT_PENDING_CAP,
-            scheme: SchemeKind::default(),
             defense: DefenseConfig::default(),
         }
     }
@@ -181,9 +174,13 @@ impl SimConfig {
         self
     }
 
-    /// Selects the signature scheme for the whole server set.
-    pub fn with_scheme(mut self, scheme: SchemeKind) -> Self {
-        self.scheme = scheme;
+    /// Returns `self`: every simulation signs with ed25519 keys, and
+    /// `SchemeKind` has one value.
+    ///
+    /// Kept only because the benchmark adapter
+    /// (`crates/bench/src/bin/benchmark/adapter.rs`) calls it; it goes
+    /// once that adapter stops naming it (`ROADMAP.md` item 9(g)).
+    pub fn with_scheme(self, _: SchemeKind) -> Self {
         self
     }
 
@@ -384,7 +381,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
     ///
     /// Panics if a configured role index is out of range.
     pub fn new(config: SimConfig) -> Self {
-        let registry = KeyRegistry::generate_kind(config.scheme, config.n, config.seed);
+        let registry = KeyRegistry::generate(config.n, config.seed);
         let shim_config = ShimConfig::new(config.protocol)
             .with_pending_cap(config.pending_cap)
             .with_defense(config.defense);

@@ -21,7 +21,7 @@
 //! | [`metrics`] | live observability: metrics registry, JSON snapshots, HTTP endpoint |
 //! | [`baseline`] | the direct point-to-point comparator deployment |
 //! | [`transport`] | real TCP transport (threads, framing) for live clusters |
-//! | [`crypto`] | SHA-256, HMAC signatures, identities |
+//! | [`crypto`] | SHA-256, ed25519 signatures, identities |
 //! | [`codec`] | the deterministic wire format |
 //!
 //! # Quickstart
@@ -75,7 +75,7 @@ pub mod prelude {
         ProtocolConfig, RecoverError, RecoveryReport, ReferenceInterpreter, SeqNum, Shim,
         ShimConfig, SnapshotProtocol, StoreContents, StoreError, TimeMs,
     };
-    pub use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
+    pub use dagbft_crypto::{KeyRegistry, ServerId};
     pub use dagbft_protocols::{
         AccountId, Bcb, BcbIndication, BcbMessage, BcbRequest, Brb, BrbIndication, BrbMessage,
         BrbRequest, Ledger, Smr, SmrIndication, SmrMessage, SmrRequest, Transfer,

@@ -14,15 +14,12 @@
 
 use dagbft::prelude::*;
 
-/// Seeds of the HMAC corpus.
-const HMAC_SEEDS: [u64; 5] = [0, 1, 7, 42, 1337];
-/// Seeds of the ed25519 corpus — a subset, real signatures are far
-/// costlier than the HMAC stand-in.
-const ED25519_SEEDS: [u64; 2] = [0, 42];
+/// Seeds of the pinned corpus.
+const SEEDS: [u64; 5] = [0, 1, 7, 42, 1337];
 
 /// Runs the standard lossy BRB workload (three broadcasts across
-/// servers) under the given signature scheme.
-fn run_outcome(seed: u64, scheme: SchemeKind) -> SimOutcome<Brb<u64>> {
+/// servers).
+fn run_outcome(seed: u64) -> SimOutcome<Brb<u64>> {
     let n = 4;
     let values = [7u64, 1000 + seed, 13];
     let expected = values.len() * n;
@@ -30,7 +27,6 @@ fn run_outcome(seed: u64, scheme: SchemeKind) -> SimOutcome<Brb<u64>> {
         .with_seed(seed)
         .with_max_time(120_000)
         .with_network(NetworkModel::default().with_drop_rate(0.05))
-        .with_scheme(scheme)
         .with_stop_after_deliveries(expected);
     let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
     for (i, value) in values.iter().enumerate() {
@@ -47,8 +43,8 @@ fn run_outcome(seed: u64, scheme: SchemeKind) -> SimOutcome<Brb<u64>> {
 }
 
 /// Fingerprints everything observable about one run's outcome.
-fn run_fingerprint_scheme(seed: u64, scheme: SchemeKind) -> Vec<u8> {
-    let outcome = run_outcome(seed, scheme);
+fn run_fingerprint(seed: u64) -> Vec<u8> {
+    let outcome = run_outcome(seed);
     let mut fingerprint = Vec::new();
     for delivery in &outcome.deliveries {
         fingerprint.extend_from_slice(
@@ -99,13 +95,9 @@ fn run_fingerprint_scheme(seed: u64, scheme: SchemeKind) -> Vec<u8> {
     fingerprint
 }
 
-fn run_fingerprint(seed: u64) -> Vec<u8> {
-    run_fingerprint_scheme(seed, SchemeKind::Hmac)
-}
-
 #[test]
 fn same_seed_twice_is_byte_identical() {
-    for seed in HMAC_SEEDS {
+    for seed in SEEDS {
         let first = run_fingerprint(seed);
         let second = run_fingerprint(seed);
         assert_eq!(first, second, "seed {seed} not reproducible");
@@ -121,21 +113,13 @@ fn different_seeds_give_different_schedules() {
     assert_ne!(a, b, "seeds 2 and 3 produced identical outcomes");
 }
 
-/// The golden corpus: one `scheme:seed:sha256(run_fingerprint)` line per
-/// pinned run, HMAC seeds first.
+/// The golden corpus: one `ed25519:seed:sha256(run_fingerprint)` line
+/// per pinned run.
 fn golden_corpus() -> String {
-    let runs = HMAC_SEEDS
-        .iter()
-        .map(|seed| ("hmac", SchemeKind::Hmac, *seed))
-        .chain(
-            ED25519_SEEDS
-                .iter()
-                .map(|seed| ("ed25519", SchemeKind::Ed25519, *seed)),
-        );
     let mut corpus = String::new();
-    for (name, scheme, seed) in runs {
-        let digest = dagbft::crypto::sha256(run_fingerprint_scheme(seed, scheme)).to_hex();
-        corpus.push_str(&format!("{name}:{seed}:{digest}\n"));
+    for seed in SEEDS {
+        let digest = dagbft::crypto::sha256(run_fingerprint(seed)).to_hex();
+        corpus.push_str(&format!("ed25519:{seed}:{digest}\n"));
     }
     corpus
 }
@@ -148,50 +132,17 @@ fn golden_fingerprints_hold() {
     assert_eq!(
         golden_corpus(),
         include_str!("golden/cross_seed.txt"),
-        "a fingerprint moved (lines are scheme:seed:sha256)"
+        "a fingerprint moved (lines are ed25519:seed:sha256)"
     );
 }
 
-/// The fingerprint up to the per-block content hashes — the subset that
-/// must be scheme-independent. `ref(B)` excludes `σ` (Definition 3.1)
-/// and `Signature` has one wire size for every scheme, so swapping
-/// schemes may only change the signature bytes inside blocks; the
-/// schedule, deliveries, wire metrics, and crypto counters must not move.
-fn schedule_prefix(fingerprint: &[u8]) -> &[u8] {
-    let text = std::str::from_utf8(fingerprint).expect("fingerprint is utf8");
-    match text.find("dag:") {
-        Some(at) => &fingerprint[..at],
-        None => fingerprint,
-    }
-}
-
-#[test]
-fn ed25519_engines_byte_identical_and_schedule_matches_hmac() {
-    // The whole schedule under real ed25519 is identical to the HMAC
-    // run — only the signature bytes inside the blocks (hence the
-    // block-content hashes) differ.
-    for seed in ED25519_SEEDS {
-        let ed25519 = run_fingerprint_scheme(seed, SchemeKind::Ed25519);
-        let hmac = run_fingerprint(seed);
-        assert_eq!(
-            schedule_prefix(&ed25519),
-            schedule_prefix(&hmac),
-            "seed {seed}: swapping the signature scheme moved the schedule"
-        );
-        assert_ne!(
-            ed25519, hmac,
-            "seed {seed}: schemes produced identical block bytes"
-        );
-    }
-}
-
-/// Publishes the scheme-*independent* observables of a finished run into
-/// a fresh metrics registry — server 0's gossip admission counters and
-/// interpreter footprint, plus the global sign/verify totals — and
-/// returns the JSON snapshot.
-fn metrics_snapshot(seed: u64, scheme: SchemeKind) -> String {
+/// Publishes the observables of a finished run into a fresh metrics
+/// registry — server 0's gossip admission counters and interpreter
+/// footprint, plus the global sign/verify totals — and returns the JSON
+/// snapshot.
+fn metrics_snapshot(seed: u64) -> String {
     use dagbft::metrics::{publish, MetricsRegistry};
-    let outcome = run_outcome(seed, scheme);
+    let outcome = run_outcome(seed);
     let shim = outcome.shim(0);
     let registry = MetricsRegistry::new();
     publish::publish_gossip(&registry, shim.gossip().stats());
@@ -204,22 +155,14 @@ fn metrics_snapshot(seed: u64, scheme: SchemeKind) -> String {
 }
 
 #[test]
-fn metrics_snapshot_is_mode_and_scheme_independent() {
-    // The observability layer must not leak the signature scheme: for one
-    // seed, the published snapshot is byte-identical run to run and
-    // across HMAC vs real ed25519 — so operators can compare metrics
-    // between heterogeneous deployments.
-    for seed in ED25519_SEEDS {
-        let base = metrics_snapshot(seed, SchemeKind::Hmac);
+fn metrics_snapshot_is_reproducible() {
+    // The observability layer adds no nondeterminism of its own: for one
+    // seed, the published snapshot is byte-identical run to run.
+    for seed in [0, 42] {
         assert_eq!(
-            base,
-            metrics_snapshot(seed, SchemeKind::Hmac),
+            metrics_snapshot(seed),
+            metrics_snapshot(seed),
             "seed {seed}: same run, different snapshot bytes"
-        );
-        assert_eq!(
-            base,
-            metrics_snapshot(seed, SchemeKind::Ed25519),
-            "seed {seed}: the signature scheme leaked into the snapshot"
         );
     }
 }

@@ -15,8 +15,8 @@
 //!   their blocks, and leave honest liveness intact.
 //!
 //! Determinism is pinned alongside: identical runs produce byte-identical
-//! defense-event trajectories under both signature schemes, and a
-//! crash/restart replays to the same durable score.
+//! defense-event trajectories, and a crash/restart replays to the same
+//! durable score.
 
 use dagbft::prelude::*;
 use proptest::prelude::*;
@@ -335,91 +335,33 @@ fn durable_crash_replays_equivocation_scores() {
 }
 
 // ---------------------------------------------------------------------
-// Determinism: trajectories and DAGs across schemes.
+// Determinism: score trajectories run to run.
 // ---------------------------------------------------------------------
 
 /// Runs the slow-loris scenario and returns per-correct-server defense
-/// trajectories plus a whole-run fingerprint (deliveries, wire counters,
-/// DAG block hashes).
-fn defended_run(
-    seed: u64,
-    scheme: SchemeKind,
-    repeat: usize,
-    drop_rate: f64,
-) -> (Vec<Vec<u8>>, Vec<u8>) {
+/// trajectories.
+fn defended_run(seed: u64, repeat: usize, drop_rate: f64) -> Vec<Vec<u8>> {
     let config = SimConfig::new(4)
         .with_seed(seed)
         .with_max_time(4_000)
         .with_network(NetworkModel::default().with_drop_rate(drop_rate))
-        .with_scheme(scheme)
         .with_defense(attack_defense())
         .with_role(3, Role::SlowLoris { repeat });
     let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
     sim.inject(broadcast(0, 0, 1, 1000 + seed));
     let outcome = sim.run();
-    let trajectories: Vec<Vec<u8>> = outcome
+    outcome
         .correct_servers()
         .into_iter()
         .map(|server| outcome.shim(server).gossip().defense().trajectory_bytes())
-        .collect();
-    let mut fingerprint = Vec::new();
-    for delivery in &outcome.deliveries {
-        fingerprint.extend_from_slice(
-            format!(
-                "d:{}:{}:{:?}\n",
-                delivery.at, delivery.server, delivery.indication
-            )
-            .as_bytes(),
-        );
-    }
-    fingerprint.extend_from_slice(
-        format!(
-            "net:{}:{} clock:{}\n",
-            outcome.net.messages_sent, outcome.net.bytes_sent, outcome.finished_at
-        )
-        .as_bytes(),
-    );
-    for server in outcome.correct_servers() {
-        if let Some(dag) = outcome.dag(server) {
-            let mut refs: Vec<_> = dag.refs().copied().collect();
-            refs.sort();
-            for r in refs {
-                let block = dag.get(&r).expect("listed ref present");
-                fingerprint.extend_from_slice(
-                    dagbft::crypto::sha256(block.wire_bytes())
-                        .to_hex()
-                        .as_bytes(),
-                );
-                fingerprint.push(b'\n');
-            }
-        }
-    }
-    (trajectories, fingerprint)
-}
-
-#[test]
-fn defense_trajectories_are_scheme_independent() {
-    // Signatures have one wire size for every scheme, so the defense
-    // layer's byte buckets, scores, and event timestamps must not move
-    // when the scheme swaps — only block content bytes (hence the DAG
-    // hashes) may.
-    for seed in [0, 42] {
-        let hmac = defended_run(seed, SchemeKind::Hmac, 5, 0.05);
-        let ed25519 = defended_run(seed, SchemeKind::Ed25519, 5, 0.05);
-        assert_eq!(hmac.0, ed25519.0, "seed {seed}: trajectories moved");
-        assert_ne!(
-            hmac.1, ed25519.1,
-            "seed {seed}: schemes gave identical block bytes"
-        );
-    }
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Identical offense sequences produce byte-identical score
-    /// trajectories run after run and whichever signature scheme signs
-    /// the blocks.
+    /// trajectories run after run.
     #[test]
     fn score_trajectories_identical_across_engines_and_schemes(
         seed in 0u64..500,
@@ -427,12 +369,13 @@ proptest! {
         drop_pct in 0usize..20,
     ) {
         let drop_rate = drop_pct as f64 / 100.0;
-        let (hmac, _) = defended_run(seed, SchemeKind::Hmac, repeat, drop_rate);
-        let (again, _) = defended_run(seed, SchemeKind::Hmac, repeat, drop_rate);
-        prop_assert_eq!(&hmac, &again, "same run twice");
-        let (ed25519, _) = defended_run(seed, SchemeKind::Ed25519, repeat, drop_rate);
-        prop_assert_eq!(&hmac, &ed25519, "hmac vs ed25519");
+        let trajectories = defended_run(seed, repeat, drop_rate);
+        let again = defended_run(seed, repeat, drop_rate);
+        prop_assert_eq!(&trajectories, &again, "same run twice");
         // The trajectories are non-trivial: the loris actually offended.
-        prop_assert!(hmac.iter().any(|t| !t.is_empty()), "no defensive action at all");
+        prop_assert!(
+            trajectories.iter().any(|t| !t.is_empty()),
+            "no defensive action at all"
+        );
     }
 }

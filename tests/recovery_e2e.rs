@@ -7,16 +7,15 @@ use std::collections::BTreeSet;
 use dagbft::prelude::*;
 use dagbft::sim::IngestMode;
 
-/// The §7 restart scenario under an explicit signature scheme and
-/// ingest shape: crash mid-run, rejoin, catch up through gossip, never
-/// equivocate. Recovery is interpretation-level — none of its code paths
-/// may depend on whether the catch-up blocks are admitted one message or
-/// one burst at a time, or on which scheme signed them.
-fn restart_case(scheme: SchemeKind, ingest: IngestMode) {
+/// The §7 restart scenario under an explicit ingest shape: crash
+/// mid-run, rejoin, catch up through gossip, never equivocate. Recovery
+/// is interpretation-level — none of its code paths may depend on
+/// whether the catch-up blocks are admitted one message or one burst at
+/// a time.
+fn restart_case(ingest: IngestMode) {
     let n = 4;
     let config = SimConfig::new(n)
         .with_max_time(60_000)
-        .with_scheme(scheme)
         .with_ingest(ingest)
         .with_role(
             3,
@@ -54,7 +53,7 @@ fn restart_case(scheme: SchemeKind, ingest: IngestMode) {
         .collect();
     assert!(
         late_deliverers.contains(&3),
-        "{scheme:?}/{ingest:?}: restarted server must catch up: {late_deliverers:?}"
+        "{ingest:?}: restarted server must catch up: {late_deliverers:?}"
     );
     assert_eq!(late_deliverers.len(), 4);
 
@@ -64,7 +63,7 @@ fn restart_case(scheme: SchemeKind, ingest: IngestMode) {
         let dag = outcome.shim(index).dag();
         assert!(
             dag.equivocations(ServerId::new(3)).is_empty(),
-            "{scheme:?}/{ingest:?}: restart must not equivocate (observer {index})"
+            "{ingest:?}: restart must not equivocate (observer {index})"
         );
     }
     // The restarted server is a correct server at the end.
@@ -73,18 +72,15 @@ fn restart_case(scheme: SchemeKind, ingest: IngestMode) {
 
 #[test]
 fn restarted_server_catches_up_and_delivers() {
-    restart_case(SchemeKind::Hmac, IngestMode::PerMessage);
+    restart_case(IngestMode::PerMessage);
 }
 
 #[test]
 fn restart_matrix_across_schemes_and_admission_engines() {
-    // Every (scheme × ingest shape) pair must survive the same crash:
-    // the HMAC stand-in and real ed25519, each admitting per message and
-    // in bursts.
-    for scheme in [SchemeKind::Hmac, SchemeKind::Ed25519] {
-        for ingest in [IngestMode::PerMessage, IngestMode::Burst { max: 64 }] {
-            restart_case(scheme, ingest);
-        }
+    // Every ingest shape must survive the same crash: admitting per
+    // message and in bursts.
+    for ingest in [IngestMode::PerMessage, IngestMode::Burst { max: 64 }] {
+        restart_case(ingest);
     }
 }
 
