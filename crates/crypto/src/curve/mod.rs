@@ -15,9 +15,12 @@
 //!
 //! Every point addition and doubling bumps a thread-local counter
 //! ([`PointOps`], [`ops_snapshot`]): curve-level costs are *counted*, not
-//! timed, so the floors the ed25519 tests assert (a serial check costs
-//! ≤ 140 operations; a batch never costs more per item than serial
-//! checks) are machine-independent.
+//! timed, so the floors the ed25519 tests assert (a signature costs 32
+//! additions, a serial check ≤ 105 operations; a batch never costs more
+//! per item than serial checks) are machine-independent. The
+//! basepoint's table is built on a process's first `[s]B` and counted on
+//! the thread that asked for it, so a counting test computes one `[s]B`
+//! before its first snapshot.
 //!
 //! The arithmetic is portable `u64`/`u128` — no intrinsics, no `unsafe`
 //! — and costs what the textbook formulas cost; bit-by-bit references
@@ -131,5 +134,21 @@ pub(crate) mod testing {
     /// A uniformly random 256-bit integer, reduced mod L.
     pub(crate) fn any_scalar() -> impl Strategy<Value = Scalar> {
         any_bytes32().prop_map(|bytes| Scalar::from_bytes_mod_order(&bytes))
+    }
+
+    /// 0, 1, 2, L − 1, L − 2, 2^252, 2^128 − 1 and 2^128. The even ones
+    /// (0, 2, L − 1, 2^252, 2^128) take the odd recoding's `+L` path.
+    pub(crate) fn edge_scalars() -> Vec<Scalar> {
+        let minus_one = Scalar::ONE.neg();
+        vec![
+            Scalar::ZERO,
+            Scalar::ONE,
+            Scalar::from_u128(2),
+            minus_one,
+            minus_one.add(&minus_one),
+            Scalar([0, 0, 0, 1 << 60]),
+            Scalar::from_u128(u128::MAX),
+            Scalar([0, 0, 1, 0]),
+        ]
     }
 }

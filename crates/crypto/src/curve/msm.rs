@@ -58,7 +58,7 @@ pub fn msm(scalars: &[Scalar], points: &[Point]) -> Point {
 /// chain, each doubling skipping `T` unless an addition follows it.
 pub fn straus(scalars: &[Scalar], points: &[Point]) -> Point {
     assert_eq!(scalars.len(), points.len(), "msm input length mismatch");
-    let tables: Vec<OddMultiples<Cached, 8>> = points.iter().map(OddMultiples::new).collect();
+    let tables: Vec<OddMultiples<8>> = points.iter().map(OddMultiples::new).collect();
     let nafs: Vec<[i8; 256]> = scalars.iter().map(|s| s.non_adjacent_form(5)).collect();
 
     let Some(top) = (0..256).rev().find(|&i| nafs.iter().any(|naf| naf[i] != 0)) else {

@@ -12,12 +12,13 @@
 //!   factors before the final cross-multiplication — so a doubling that
 //!   feeds another doubling never computes `T` (3 multiplications and 4
 //!   squarings instead of 4 and 4);
-//! * every scalar multiplication looks its addends up in one table type,
-//!   `OddMultiples`, by signed odd digit;
-//! * a point of order L whose multiples are wanted many times (the
-//!   basepoint, a registered public key) carries a `FixedBase`: 64
-//!   windows of odd multiples, so a multiplication is 64 additions with
-//!   no doubling chain, and `[s]B − [k]A` in a signature check is 128.
+//! * every scalar multiplication looks its addends up among odd
+//!   multiples [P, 3P, 5P, …] by signed odd digit (`select`);
+//! * a point of order L whose multiples are wanted many times carries a
+//!   `FixedBase`: 256/w windows of odd multiples, so a multiplication is
+//!   256/w additions with no doubling chain. The basepoint's table is
+//!   radix 2⁸ (32 additions), a registered public key's radix 16 (64),
+//!   and `[s]B − [k]A` in a signature check is 96.
 //!
 //! Decompression is strict RFC 8032 §5.1.3: non-canonical `y`, and
 //! `x = 0` with the sign bit set, are rejected at parse time. Every
@@ -110,7 +111,7 @@ pub(crate) struct AffineCached {
     xy2d: Fe,
 }
 
-/// What [`OddMultiples::select`] needs of a table entry.
+/// What [`select`] needs of a table entry.
 pub(crate) trait Addend: Copy {
     /// The same form of the negated point.
     fn neg(&self) -> Self;
@@ -321,11 +322,13 @@ impl Point {
     }
 
     /// `[scalar]B` from the basepoint's `FixedBase` table, built on
-    /// first use: 64 additions and no doublings, the fixed-base speedup
-    /// signing and key generation lean on.
+    /// first use: 32 additions and no doublings, the fixed-base speedup
+    /// signing, key generation and every signature check lean on.
     pub fn mul_base(scalar: &Scalar) -> Point {
         static TABLE: OnceLock<FixedBase> = OnceLock::new();
-        TABLE.get_or_init(|| FixedBase::new(&BASEPOINT)).mul(scalar)
+        TABLE
+            .get_or_init(|| FixedBase::new(&BASEPOINT, BASEPOINT_TABLE_WIDTH))
+            .mul(scalar)
     }
 
     /// Compresses to the 32-byte RFC 8032 encoding: `y` with the sign of
@@ -385,49 +388,67 @@ impl Point {
     }
 }
 
-/// The odd multiples [P, 3P, 5P, …, (2N − 1)P] of a point in extended
-/// coordinates: one doubling and N − 1 additions.
-fn odd_multiples<const N: usize>(point: &Point) -> [Point; N] {
+/// Fills `out` with the odd multiples [P, 3P, 5P, …] of `point` in
+/// extended coordinates: one doubling and `out.len() − 1` additions.
+fn odd_multiples(point: &Point, out: &mut [Point]) {
     let step = point.double().to_cached();
-    let mut multiples = [*point; N];
-    for i in 1..N {
-        multiples[i] = multiples[i - 1].add_cached(&step).to_point();
+    out[0] = *point;
+    for i in 1..out.len() {
+        out[i] = out[i - 1].add_cached(&step).to_point();
     }
-    multiples
 }
 
-/// The odd multiples [P, 3P, 5P, …, (2N − 1)P] of a point as addends:
-/// the one lookup table behind [`FixedBase`] and [`super::msm::straus`],
-/// indexed by signed odd digit.
+/// The addend `[digit]P` from P's odd multiples [P, 3P, 5P, …], for an
+/// odd `digit` with |digit| < 2·`multiples.len()`: the one lookup behind
+/// [`OddMultiples`] and [`FixedBase`].
+fn select<A: Addend>(multiples: &[A], digit: i16) -> A {
+    debug_assert!(digit & 1 == 1, "even digit {digit}");
+    let entry = multiples[usize::from(digit.unsigned_abs()) / 2];
+    if digit < 0 {
+        entry.neg()
+    } else {
+        entry
+    }
+}
+
+/// The odd multiples [P, 3P, 5P, …, (2N − 1)P] of a point as cached
+/// addends: the per-point table of [`super::msm::straus`], indexed by
+/// signed odd digit.
 #[derive(Clone)]
-pub(crate) struct OddMultiples<A, const N: usize>([A; N]);
+pub(crate) struct OddMultiples<const N: usize>([Cached; N]);
 
-impl<A: Addend, const N: usize> OddMultiples<A, N> {
-    /// The addend `[digit]P` for an odd `digit`, |digit| < 2N.
-    pub(crate) fn select(&self, digit: i8) -> A {
-        debug_assert!(digit & 1 == 1, "even digit {digit}");
-        let entry = self.0[usize::from(digit.unsigned_abs()) / 2];
-        if digit < 0 {
-            entry.neg()
-        } else {
-            entry
-        }
-    }
-}
-
-impl<const N: usize> OddMultiples<Cached, N> {
+impl<const N: usize> OddMultiples<N> {
     /// The table of `point`: N group operations and N multiplications.
     pub(crate) fn new(point: &Point) -> Self {
-        OddMultiples(odd_multiples::<N>(point).map(Point::to_cached))
+        let mut multiples = [*point; N];
+        odd_multiples(point, &mut multiples);
+        OddMultiples(multiples.map(Point::to_cached))
+    }
+
+    /// The addend `[digit]P` for an odd `digit`, |digit| < 2N.
+    pub(crate) fn select(&self, digit: i8) -> Cached {
+        select(&self.0, digit.into())
     }
 }
 
-/// A fixed-base table of a point P of order L: for each of the 64
-/// radix-16 windows, the eight odd multiples of 16^i·P in affine cached
-/// form (512 entries of three field elements, 60 KiB).
+/// The window width of the basepoint's [`FixedBase`]: 32 windows of 128
+/// odd multiples, 480 KiB built once per process, so `[s]B` is 32
+/// additions — half a signature check's table work and all of a
+/// signature's.
+const BASEPOINT_TABLE_WIDTH: usize = 8;
+
+/// How many entries a [`FixedBase`] build normalises with one shared
+/// inversion: a radix-16 table's 512 in one, the basepoint's 4 096 in
+/// eight, so the build's transient stays under 200 KiB.
+const NORMALISE_BATCH: usize = 512;
+
+/// A fixed-base table of a point P of order L at window width w (4 or
+/// 8): for each of the 256/w radix-2^w windows i, the 2^(w − 1) odd
+/// multiples of 2^(w·i)·P in affine cached form — 512 entries of three
+/// field elements (60 KiB) at w = 4, 4 096 (480 KiB) at w = 8.
 ///
-/// A multiplication recodes its scalar into 64 odd signed digits
-/// (`Scalar::to_odd_radix16`) and adds one entry per window: 64
+/// A multiplication recodes its scalar into 256/w odd signed digits
+/// (`Scalar::to_odd_radix`) and adds one entry per window: 256/w
 /// additions of 7 multiplications each and no doublings. The recoding
 /// turns an even scalar k into k + L, which is the same multiple only
 /// because \[L\]P = 𝒪 — so a table is built only for a torsion-free point:
@@ -435,27 +456,38 @@ impl<const N: usize> OddMultiples<Cached, N> {
 #[derive(Clone)]
 pub(crate) struct FixedBase {
     point: Point,
-    windows: Vec<OddMultiples<AffineCached, 8>>,
+    width: usize,
+    /// Window-major: window i's odd multiples of 2^(w·i)·P.
+    entries: Vec<AffineCached>,
 }
 
 impl FixedBase {
-    /// The table of `point`, which must lie in the prime-order subgroup
-    /// (see the type's docs): 64 × 12 group operations and one inversion.
-    pub(crate) fn new(point: &Point) -> FixedBase {
-        let mut multiples = Vec::with_capacity(64 * 8);
+    /// The width-`width` table of `point`, which must lie in the
+    /// prime-order subgroup (see the type's docs): 256/w × (2^(w − 1) + w)
+    /// group operations — 768 at w = 4, 4 352 at w = 8 — and one
+    /// inversion per [`NORMALISE_BATCH`] entries.
+    pub(crate) fn new(point: &Point, width: usize) -> FixedBase {
+        assert!(matches!(width, 4 | 8), "table width {width}");
+        let per_window = 1 << (width - 1);
+        let windows = 256 / width;
+        let windows_per_batch = (NORMALISE_BATCH / per_window).min(windows);
+        let mut batch = vec![*point; windows_per_batch * per_window];
+        let mut entries = Vec::with_capacity(windows * per_window);
         let mut window_base = *point;
-        for _ in 0..64 {
-            multiples.extend(odd_multiples::<8>(&window_base));
-            // Next window's base: 2^4 × the current one.
-            window_base = window_base.double().double().double().double();
+        for _ in 0..windows / windows_per_batch {
+            for window in batch.chunks_exact_mut(per_window) {
+                odd_multiples(&window_base, window);
+                // Next window's base: 2^width × the current one.
+                for _ in 0..width {
+                    window_base = window_base.double();
+                }
+            }
+            entries.extend(affine_cached(&batch));
         }
-        let windows = affine_cached(&multiples)
-            .chunks_exact(8)
-            .map(|window| OddMultiples(window.try_into().expect("chunks of 8")))
-            .collect();
         FixedBase {
             point: *point,
-            windows,
+            width,
+            entries,
         }
     }
 
@@ -471,9 +503,10 @@ impl FixedBase {
 
     /// `acc + [scalar]P`: one addition per window.
     pub(crate) fn add_mul(&self, acc: &Point, scalar: &Scalar) -> Point {
+        let windows = self.entries.chunks_exact(1 << (self.width - 1));
         let mut acc = *acc;
-        for (window, digit) in self.windows.iter().zip(scalar.to_odd_radix16()) {
-            acc = acc.add_affine(&window.select(digit)).to_point();
+        for (window, digit) in windows.zip(scalar.to_odd_radix(self.width)) {
+            acc = acc.add_affine(&select(window, digit)).to_point();
         }
         acc
     }
@@ -481,8 +514,13 @@ impl FixedBase {
 
 impl std::fmt::Debug for FixedBase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // A summary: the entries are 1 536 field elements.
-        write!(f, "FixedBase({} windows × 8)", self.windows.len())
+        // A summary: the entries are thousands of field elements.
+        write!(
+            f,
+            "FixedBase({} windows × {})",
+            256 / self.width,
+            1 << (self.width - 1)
+        )
     }
 }
 
@@ -520,7 +558,7 @@ fn affine_cached(points: &[Point]) -> Vec<AffineCached> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testing::{any_scalar, torsion_points};
+    use super::super::testing::{any_scalar, edge_scalars, torsion_points};
     use super::*;
     use proptest::prelude::*;
 
@@ -666,39 +704,28 @@ mod tests {
         assert_eq!(delta.total(), 2);
     }
 
-    /// 0, 1, 2, L − 1, L − 2, 2^252, 2^128 − 1 and 2^128. The even ones
-    /// (0, 2, L − 1, 2^252, 2^128) take the recoding's `+L` path.
-    fn edge_scalars() -> Vec<Scalar> {
-        let minus_one = Scalar::ONE.neg();
-        vec![
-            Scalar::ZERO,
-            Scalar::ONE,
-            Scalar::from_u128(2),
-            minus_one,
-            minus_one.add(&minus_one),
-            Scalar([0, 0, 0, 1 << 60]),
-            Scalar::from_u128(u128::MAX),
-            Scalar([0, 0, 1, 0]),
-        ]
-    }
+    /// The widths tables are built at: a key's and the basepoint's.
+    const TABLE_WIDTHS: [usize; 2] = [4, BASEPOINT_TABLE_WIDTH];
 
     fn assert_fixed_base_matches_oracle(point: &Point, scalars: &[Scalar]) {
-        let table = FixedBase::new(point);
         let acc = Point::mul_base(&Scalar::from_u128(0xacc));
-        for scalar in scalars {
-            let expected = point.mul(scalar);
-            assert_eq!(
-                table.mul(scalar).compress(),
-                expected.compress(),
-                "[{scalar:?}]{:?}",
-                point.compress()
-            );
-            assert_eq!(
-                table.add_mul(&acc, scalar).compress(),
-                acc.add(&expected).compress(),
-                "acc + [{scalar:?}]{:?}",
-                point.compress()
-            );
+        for width in TABLE_WIDTHS {
+            let table = FixedBase::new(point, width);
+            for scalar in scalars {
+                let expected = point.mul(scalar);
+                assert_eq!(
+                    table.mul(scalar).compress(),
+                    expected.compress(),
+                    "width {width}: [{scalar:?}]{:?}",
+                    point.compress()
+                );
+                assert_eq!(
+                    table.add_mul(&acc, scalar).compress(),
+                    acc.add(&expected).compress(),
+                    "width {width}: acc + [{scalar:?}]{:?}",
+                    point.compress()
+                );
+            }
         }
     }
 
@@ -720,17 +747,38 @@ mod tests {
     fn fixed_base_of_a_mixed_order_point_is_wrong_on_even_scalars() {
         let mixed = Point::mul_base(&Scalar::from_u128(0xfeed_f00d)).add(&torsion_points()[2]);
         assert!(!mixed.is_torsion_free());
-        let table = FixedBase::new(&mixed);
         let odd = Scalar::from_u128(3);
         let even = Scalar::from_u128(4);
-        assert_eq!(table.mul(&odd).compress(), mixed.mul(&odd).compress());
-        assert_ne!(table.mul(&even).compress(), mixed.mul(&even).compress());
+        for width in TABLE_WIDTHS {
+            let table = FixedBase::new(&mixed, width);
+            assert_eq!(table.mul(&odd).compress(), mixed.mul(&odd).compress());
+            assert_ne!(table.mul(&even).compress(), mixed.mul(&even).compress());
+        }
     }
 
     #[test]
     fn fixed_base_debug_is_a_summary() {
-        let rendered = format!("{:?}", FixedBase::new(basepoint()));
+        let rendered = format!("{:?}", FixedBase::new(basepoint(), 4));
         assert_eq!(rendered, "FixedBase(64 windows × 8)");
+        let rendered = format!("{:?}", FixedBase::new(basepoint(), 8));
+        assert_eq!(rendered, "FixedBase(32 windows × 128)");
+    }
+
+    /// A multiplication is one addition per window and no doubling; a
+    /// build is 256/w × (2^(w − 1) + w) operations, which for the
+    /// basepoint land on whichever thread first asks for `[s]B`.
+    #[test]
+    fn fixed_base_costs_one_addition_per_window() {
+        for (width, build_ops) in [(4, 768), (8, 4352)] {
+            let before = super::super::ops_snapshot();
+            let table = FixedBase::new(basepoint(), width);
+            let built = super::super::ops_snapshot();
+            let _ = table.mul(&Scalar::ONE.neg());
+            let after = super::super::ops_snapshot();
+            assert_eq!((built - before).total(), build_ops, "width {width}");
+            let mul = after - built;
+            assert_eq!((mul.adds, mul.doubles), (256 / width as u64, 0));
+        }
     }
 
     #[test]
@@ -748,12 +796,10 @@ mod tests {
     #[test]
     fn select_negates_by_swapping() {
         let p = Point::mul_base(&Scalar::from_u128(77));
-        let table = OddMultiples::<Cached, 8>::new(&p);
-        let affine = OddMultiples::<AffineCached, 8>(
-            affine_cached(&odd_multiples::<8>(&p))
-                .try_into()
-                .expect("8 in, 8 out"),
-        );
+        let table = OddMultiples::<8>::new(&p);
+        let mut multiples = [p; 8];
+        odd_multiples(&p, &mut multiples);
+        let affine = affine_cached(&multiples);
         for digit in (-15i8..=15).step_by(2) {
             let magnitude = Scalar::from_u128(u128::from(digit.unsigned_abs()));
             let scalar = if digit < 0 {
@@ -763,7 +809,9 @@ mod tests {
             };
             let expected = basepoint().add(&p.mul(&scalar)).compress();
             let via_cached = basepoint().add_cached(&table.select(digit)).to_point();
-            let via_affine = basepoint().add_affine(&affine.select(digit)).to_point();
+            let via_affine = basepoint()
+                .add_affine(&select(&affine, digit.into()))
+                .to_point();
             assert_eq!(via_cached.compress(), expected, "digit {digit}");
             assert_eq!(via_affine.compress(), expected, "digit {digit}");
         }

@@ -1,11 +1,11 @@
 //! Integers modulo the ed25519 basepoint order
 //! L = 2^252 + 27742317777372353535851937790883648493.
 //!
-//! Scalar work is a rounding error next to point operations, so the
-//! representation favors obvious correctness: four `u64` limbs, wide
-//! products reduced by binary shift-subtract long division. Canonicality
-//! (`s < L`, RFC 8032's strict check on the wire) is a first-class
-//! operation.
+//! Four `u64` limbs, wide products reduced by Barrett reduction: a
+//! signature reduces three 512-bit values and a check one, so reduction
+//! sits on every signature's path. Binary long division, a bit at a
+//! time, is the `#[cfg(test)]` oracle. Canonicality (`s < L`, RFC 8032's
+//! strict check on the wire) is a first-class operation.
 
 /// The group order `L`, as little-endian `u64` limbs.
 const L: [u64; 4] = [
@@ -13,6 +13,16 @@ const L: [u64; 4] = [
     0x14def9dea2f79cd6,
     0x0000000000000000,
     0x1000000000000000,
+];
+
+/// μ = ⌊2^512 / L⌋, the Barrett constant of [`reduce_wide`], as
+/// little-endian `u64` limbs (260 bits).
+const MU: [u64; 5] = [
+    0xed9ce5a30a2c131b,
+    0x2106215d086329a7,
+    0xffffffffffffffeb,
+    0xffffffffffffffff,
+    0x000000000000000f,
 ];
 
 /// An integer mod L, always fully reduced.
@@ -92,15 +102,7 @@ impl Scalar {
     /// Product mod L.
     pub fn mul(&self, other: &Scalar) -> Scalar {
         let mut wide = [0u64; 8];
-        for i in 0..4 {
-            let mut carry = 0u128;
-            for j in 0..4 {
-                let acc = wide[i + j] as u128 + (self.0[i] as u128) * (other.0[j] as u128) + carry;
-                wide[i + j] = acc as u64;
-                carry = acc >> 64;
-            }
-            wide[i + 4] = carry as u64;
-        }
+        mul_into(&self.0, &other.0, &mut wide);
         reduce_wide(&wide)
     }
 
@@ -142,28 +144,36 @@ impl Scalar {
         naf
     }
 
-    /// 64 signed radix-16 digits, all odd (±1, ±3, …, ±15; the top one 1
-    /// or 3), with Σ digitᵢ·16^i equal to the scalar if it is odd and to
-    /// the scalar plus L if it is even — the same multiple of any point
-    /// of order L, which is the only use: a
-    /// [`super::point::FixedBase`] holds odd multiples only, and no digit
-    /// is ever zero.
-    pub(crate) fn to_odd_radix16(self) -> [i8; 64] {
+    /// 256/`width` signed radix-2^`width` digits, little-endian, all odd
+    /// (±1, ±3, …, ±(2^width − 1); the top one positive), with
+    /// Σ digitᵢ·2^(width·i) equal to the scalar if it is odd and to the
+    /// scalar plus L if it is even — the same multiple of any point of
+    /// order L, which is the only use: a [`super::point::FixedBase`]
+    /// holds odd multiples only, and no digit is ever zero.
+    ///
+    /// `width` must divide 256 and be at most 8.
+    pub(crate) fn to_odd_radix(self, width: usize) -> impl Iterator<Item = i16> {
+        debug_assert!(width <= 8 && 256 % width == 0, "width {width}");
         let mut k = self.0;
         if k[0] & 1 == 0 {
             add_in_place(&mut k, &L); // odd, and below 2L < 2^254
         }
-        // With k odd, digit i < 63 is 2·(bits 4i+1 … 4i+4 of k) − 15. The
-        // doubled nibbles are bits 1 … 252 of k in place; the −15s sum to
-        // −(16^63 − 1), which restores bit 0 and borrows 2^252 from the
-        // top digit: bits 252 and up, whose low bit the nibble below has
-        // already counted if it was set and the borrow sets if it was not.
-        let mut digits = [0i8; 64];
-        for (i, digit) in digits.iter_mut().enumerate().take(63) {
-            *digit = 2 * bits(&k, 4 * i + 1, 4) as i8 - 15;
-        }
-        digits[63] = (k[3] >> 60) as i8 | 1;
-        digits
+        // With k odd, digit i below the top is 2·(bits wi+1 … wi+w of k)
+        // − (2^w − 1). The doubled windows are bits 1 … w(n−1) of k in
+        // place; the −(2^w − 1)s sum to −(2^(w(n−1)) − 1), which restores
+        // bit 0 and borrows 2^(w(n−1)) from the top digit: bits w(n−1)
+        // and up, whose low bit the window below has already counted if
+        // it was set and the borrow sets if it was not. k < 2^256, so the
+        // top digit is below 2^w too.
+        let top = 256 / width - 1;
+        let offset = (1i16 << width) - 1;
+        (0..=top).map(move |i| {
+            if i < top {
+                2 * bits(&k, width * i + 1, width) as i16 - offset
+            } else {
+                bits(&k, width * top, width) as i16 | 1
+            }
+        })
     }
 
     /// Digit `index` of the base-2^width decomposition (width ≤ 16) —
@@ -228,11 +238,53 @@ fn sub_in_place(a: &mut [u64; 4], b: &[u64; 4]) {
     debug_assert_eq!(borrow, 0, "subtraction underflow");
 }
 
+/// Schoolbook product of two little-endian limb strings into `out`, which
+/// is `a.len() + b.len()` limbs long.
+fn mul_into(a: &[u64], b: &[u64], out: &mut [u64]) {
+    debug_assert_eq!(out.len(), a.len() + b.len());
+    out.fill(0);
+    for (i, &a_limb) in a.iter().enumerate() {
+        let mut carry = 0u128;
+        for (j, &b_limb) in b.iter().enumerate() {
+            let acc = out[i + j] as u128 + (a_limb as u128) * (b_limb as u128) + carry;
+            out[i + j] = acc as u64;
+            carry = acc >> 64;
+        }
+        out[i + b.len()] = carry as u64;
+    }
+}
+
+/// Reduces a 512-bit value x mod L by Barrett reduction (base 2^64, four
+/// limbs): the quotient estimate q = ⌊⌊x / 2^192⌋·μ / 2^320⌋ falls short
+/// of ⌊x / L⌋ by at most 2, so x − q·L lies below 3L < 2^255 — exact when
+/// computed mod 2^256 — and takes at most two subtractions of L.
+fn reduce_wide(wide: &[u64; 8]) -> Scalar {
+    let mut q_mu = [0u64; 10];
+    mul_into(&wide[3..], &MU, &mut q_mu);
+    let mut q_l = [0u64; 9];
+    mul_into(&q_mu[5..], &L, &mut q_l);
+    let mut r = [0u64; 4];
+    let mut borrow = false;
+    for i in 0..4 {
+        let (diff, b1) = wide[i].overflowing_sub(q_l[i]);
+        let (diff, b2) = diff.overflowing_sub(u64::from(borrow));
+        r[i] = diff;
+        borrow = b1 || b2;
+    }
+    for _ in 0..2 {
+        if !less_than(&r, &L) {
+            sub_in_place(&mut r, &L);
+        }
+    }
+    debug_assert!(less_than(&r, &L));
+    Scalar(r)
+}
+
 /// Reduces a 512-bit value mod L by binary long division: scan bits from
 /// the top, shifting into an accumulator that is reduced whenever it
-/// reaches L. ~512 constant-time-ish limb steps — microseconds, done a
-/// handful of times per signature.
-fn reduce_wide(wide: &[u64; 8]) -> Scalar {
+/// reaches L — the oracle [`reduce_wide`] is tested against.
+#[cfg(test)]
+fn reduce_wide_by_division(wide: &[u64; 8]) -> Scalar {
     let mut acc = [0u64; 4];
     for i in (0..512).rev() {
         // acc = (acc << 1) | bit_i; acc < 2L < 2^254 so the shift never
@@ -253,7 +305,7 @@ fn reduce_wide(wide: &[u64; 8]) -> Scalar {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testing::any_scalar;
+    use super::super::testing::{any_bytes32, any_scalar, edge_scalars};
     use super::*;
     use proptest::prelude::*;
 
@@ -321,9 +373,142 @@ mod tests {
         assert_eq!(direct, half.mul(&half));
     }
 
+    /// The 512-bit value `high`·2^256 + `low`.
+    fn wide_of(low: [u64; 4], high: [u64; 4]) -> [u64; 8] {
+        let mut wide = [0u64; 8];
+        wide[..4].copy_from_slice(&low);
+        wide[4..].copy_from_slice(&high);
+        wide
+    }
+
+    /// `q`·L + `r` as a 512-bit value, for a `q` whose product with L
+    /// leaves room for `r`.
+    fn multiple_of_l_plus(q: &[u64; 5], r: &[u64; 4]) -> [u64; 8] {
+        let mut product = [0u64; 9];
+        mul_into(q, &L, &mut product);
+        assert_eq!(product[8], 0, "q·L fits 512 bits");
+        let mut carry = 0u128;
+        for (i, limb) in product.iter_mut().enumerate().take(8) {
+            let acc = *limb as u128 + r.get(i).copied().map_or(0, u128::from) + carry;
+            *limb = acc as u64;
+            carry = acc >> 64;
+        }
+        assert_eq!(carry, 0, "q·L + r fits 512 bits");
+        product[..8].try_into().expect("eight limbs")
+    }
+
+    fn assert_reduces_like_division(wide: &[u64; 8]) {
+        assert_eq!(
+            reduce_wide(wide),
+            reduce_wide_by_division(wide),
+            "{wide:016x?}"
+        );
+    }
+
+    #[test]
+    fn mu_is_the_barrett_quotient() {
+        // μ·L < 2^512 < (μ + 1)·L (L is odd), i.e. 2^512 − μ·L lies in
+        // (0, L).
+        let mut mu_l = [0u64; 9];
+        mul_into(&MU, &L, &mut mu_l);
+        assert_eq!(mu_l[8], 0, "μ·L < 2^512");
+        let mut gap = [0u64; 8]; // 2^512 − μ·L, which is mod 2^512 the negation
+        let mut borrow = false;
+        for (limb, &subtrahend) in gap.iter_mut().zip(&mu_l) {
+            let (diff, b1) = 0u64.overflowing_sub(subtrahend);
+            let (diff, b2) = diff.overflowing_sub(u64::from(borrow));
+            *limb = diff;
+            borrow = b1 || b2;
+        }
+        assert!(gap[4..].iter().all(|&limb| limb == 0), "gap < 2^256");
+        let gap: [u64; 4] = gap[..4].try_into().expect("four limbs");
+        assert!(less_than(&gap, &L), "gap < L: {gap:016x?}");
+        assert!(gap != [0; 4]);
+    }
+
+    #[test]
+    fn barrett_matches_long_division_on_edge_inputs() {
+        let below_l = l_minus_one().0;
+        let mut l_plus_one = L;
+        l_plus_one[0] += 1;
+        let mut mu_minus_one = MU;
+        mu_minus_one[0] -= 1;
+        let edges = [
+            wide_of([0; 4], [0; 4]),
+            wide_of([1, 0, 0, 0], [0; 4]),
+            wide_of(below_l, [0; 4]),
+            wide_of(L, [0; 4]),
+            wide_of(l_plus_one, [0; 4]),
+            wide_of([0, 0, 0, 1 << 60], [0; 4]),
+            wide_of([0; 4], [1, 0, 0, 0]),
+            wide_of([u64::MAX; 4], [0; 4]),
+            wide_of([u64::MAX; 4], [u64::MAX; 4]),
+            wide_of([0; 4], L),
+            // q·L + r at the top of the range: μ = ⌊2^512 / L⌋ is the
+            // largest quotient there is.
+            multiple_of_l_plus(&MU, &[0; 4]),
+            multiple_of_l_plus(&MU, &[1, 0, 0, 0]),
+            multiple_of_l_plus(&mu_minus_one, &below_l),
+            multiple_of_l_plus(&mu_minus_one, &[0; 4]),
+        ];
+        for wide in &edges {
+            assert_reduces_like_division(wide);
+        }
+        assert_eq!(reduce_wide(&edges[3]), Scalar::ZERO);
+        assert_eq!(reduce_wide(&edges[4]), Scalar::ONE);
+        assert_eq!(reduce_wide(&edges[10]), Scalar::ZERO);
+        assert_eq!(reduce_wide(&edges[12]), l_minus_one());
+    }
+
+    #[test]
+    fn barrett_matches_long_division_on_random_inputs() {
+        use rand::{RngCore, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xba77e77);
+        for _ in 0..100_000 {
+            let mut wide = [0u64; 8];
+            for limb in wide.iter_mut() {
+                *limb = rng.next_u64();
+            }
+            assert_reduces_like_division(&wide);
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn scalar_arithmetic_matches_long_division(
+            a in any_bytes32(),
+            b in any_bytes32(),
+        ) {
+            // Keygen's clamped scalars: 2^254 ≤ s < 2^255, a multiple of 8.
+            let mut clamped = a;
+            clamped[0] &= 248;
+            clamped[31] &= 127;
+            clamped[31] |= 64;
+            for bytes in [a, b, clamped] {
+                let limbs = load_limbs(&bytes);
+                prop_assert_eq!(
+                    Scalar::from_bytes_mod_order(&bytes),
+                    reduce_wide_by_division(&wide_of(limbs, [0; 4]))
+                );
+            }
+            let x = Scalar::from_bytes_mod_order(&a);
+            let y = Scalar::from_bytes_mod_order(&clamped);
+            let mut product = [0u64; 8];
+            mul_into(&x.0, &y.0, &mut product);
+            prop_assert_eq!(x.mul(&y), reduce_wide_by_division(&product));
+            let mut wide_bytes = [0u8; 64];
+            wide_bytes[..32].copy_from_slice(&a);
+            wide_bytes[32..].copy_from_slice(&b);
+            prop_assert_eq!(
+                Scalar::from_bytes_wide(&wide_bytes),
+                reduce_wide_by_division(&wide_of(load_limbs(&a), load_limbs(&b)))
+            );
+        }
+    }
+
     /// Σ digitᵢ·2^(i·radix_bits) mod 2^256 — exact for the recodings
     /// under test, whose sums are non-negative and below 2^256.
-    fn recompose(digits: &[i8], radix_bits: usize) -> [u64; 4] {
+    fn recompose(digits: &[i16], radix_bits: usize) -> [u64; 4] {
         let mut acc = [0u64; 4];
         for &digit in digits.iter().rev() {
             for i in (0..4).rev() {
@@ -354,7 +539,7 @@ mod tests {
 
     fn assert_naf_recodes(limbs: [u64; 4], width: usize) {
         let naf = Scalar(limbs).non_adjacent_form(width);
-        assert_eq!(recompose(&naf, 1), limbs, "width {width}");
+        assert_eq!(recompose(&naf.map(i16::from), 1), limbs, "width {width}");
         for (i, &digit) in naf.iter().enumerate() {
             if digit == 0 {
                 continue;
@@ -369,14 +554,25 @@ mod tests {
         }
     }
 
-    fn assert_odd_radix16_recodes(scalar: Scalar) {
-        let digits = scalar.to_odd_radix16();
+    /// The widths `FixedBase` tables are built at: the keys' and the
+    /// basepoint's.
+    const ODD_RADIX_WIDTHS: [usize; 2] = [4, 8];
+
+    fn assert_odd_radix_recodes(scalar: Scalar, width: usize) {
+        let digits: Vec<i16> = scalar.to_odd_radix(width).collect();
         let mut expected = scalar.0;
         if expected[0] & 1 == 0 {
             add_in_place(&mut expected, &L);
         }
-        assert_eq!(recompose(&digits, 4), expected);
-        assert!(digits.iter().all(|d| d & 1 == 1 && (-15..=15).contains(d)));
+        assert_eq!(digits.len(), 256 / width);
+        assert_eq!(recompose(&digits, width), expected, "width {width}");
+        let max = (1 << width) - 1;
+        assert!(
+            digits
+                .iter()
+                .all(|d| d & 1 == 1 && (-max..=max).contains(d)),
+            "width {width}: {digits:?}"
+        );
     }
 
     /// 0, 1, L − 1, 2^252 and 2^253 − 1: no digits, one digit, the
@@ -395,8 +591,10 @@ mod tests {
         for limbs in EDGE_LIMBS {
             assert_naf_recodes(limbs, 5);
             assert_naf_recodes(limbs, 8);
-            if less_than(&limbs, &L) {
-                assert_odd_radix16_recodes(Scalar(limbs));
+        }
+        for scalar in edge_scalars() {
+            for width in ODD_RADIX_WIDTHS {
+                assert_odd_radix_recodes(scalar, width);
             }
         }
     }
@@ -406,7 +604,9 @@ mod tests {
         fn recodings_recompose_on_random_scalars(scalar in any_scalar()) {
             assert_naf_recodes(scalar.0, 5);
             assert_naf_recodes(scalar.0, 8);
-            assert_odd_radix16_recodes(scalar);
+            for width in ODD_RADIX_WIDTHS {
+                assert_odd_radix_recodes(scalar, width);
+            }
         }
     }
 

@@ -2,12 +2,13 @@
 //! genuinely amortized batch verification.
 //!
 //! Serial verification is *cofactored* — `[8]([s]B − [k]A − R) = 𝒪`.
-//! Every valid key carries a `FixedBase` table, built once where the
-//! key is validated ([`keygen`], [`PublicKey::from_bytes`]), so
-//! `[s]B − [k]A` is 64 additions from the basepoint's table and 64 from
-//! the key's, with no doubling chain: ~135 group operations per check,
-//! and 60 KiB per key. Batch verification checks one
-//! random-linear-combination equation
+//! Every valid key carries a radix-16 `FixedBase` table, built once
+//! where the key is validated ([`keygen`], [`PublicKey::from_bytes`]),
+//! and the basepoint one at radix 2⁸, so `[s]B − [k]A` is 32 additions
+//! from the basepoint's table and 64 from the key's, with no doubling
+//! chain: 103 group operations per check, 60 KiB per key and 480 KiB
+//! for the basepoint. Signing is the basepoint's 32 additions. Batch
+//! verification checks one random-linear-combination equation
 //!
 //! ```text
 //! [8]( [Σ zᵢsᵢ]B − Σ [zᵢ]Rᵢ − Σ [zᵢkᵢ]Aᵢ ) = 𝒪
@@ -40,10 +41,16 @@ use crate::{sha512, Sha512};
 
 /// The narrowest wave [`verify_batch`] folds into one multi-scalar
 /// multiplication; narrower ones are verified item by item. Counted in
-/// group operations, a fold of w items costs ~305 + 82·w against 135·w
-/// serially: 720 against 675 at width 5, 794 against 810 at width 6.
-/// `batch_costs_no_more_per_item_than_serial` pins the crossover.
-pub(crate) const BATCH_MIN_WIDTH: usize = 6;
+/// group operations, a fold of w items costs ~305 + 82·w against 103·w
+/// serially. `batch_costs_no_more_per_item_than_serial` pins the
+/// crossover.
+pub(crate) const BATCH_MIN_WIDTH: usize = 15;
+
+/// The window width of a public key's `FixedBase`: 64 radix-16 windows
+/// of eight odd multiples, 60 KiB and 768 group operations per key. A
+/// key's table is built and held once per key, the basepoint's once per
+/// process, so only the basepoint's is radix 2⁸.
+const KEY_TABLE_WIDTH: usize = 4;
 
 /// An ed25519 keypair's secret half, expanded per RFC 8032 §5.1.5.
 #[derive(Clone)]
@@ -86,7 +93,7 @@ impl PublicKey {
     pub fn from_bytes(bytes: [u8; 32]) -> PublicKey {
         let table = Point::decompress(&bytes)
             .filter(|p| !p.is_small_order() && p.is_torsion_free())
-            .map(|p| FixedBase::new(&p));
+            .map(|p| FixedBase::new(&p, KEY_TABLE_WIDTH));
         PublicKey { bytes, table }
     }
 
@@ -121,7 +128,7 @@ pub fn keygen(seed: &[u8; 32]) -> (SecretKey, PublicKey) {
         // [scalar]B lies in B's prime-order subgroup: torsion-free.
         PublicKey {
             bytes: public_bytes,
-            table: Some(FixedBase::new(&public_point)),
+            table: Some(FixedBase::new(&public_point, KEY_TABLE_WIDTH)),
         },
     )
 }
@@ -511,18 +518,19 @@ mod tests {
         assert_eq!(verify_batch(&items), expected);
     }
 
-    /// A wave of 24 with forgeries at 3 and 20 fails its fold, and the
-    /// split folds again twice (12 + 12, then 6 + 6) before the failing
-    /// ranges drop below `BATCH_MIN_WIDTH` and resolve item by item.
+    /// A wave of 64 with forgeries at 3 and 50 fails its fold, and the
+    /// split folds again twice (32 + 32, then four ranges of 16, two of
+    /// which hold and are accepted wholesale) before the failing ranges
+    /// drop below `BATCH_MIN_WIDTH` and resolve item by item.
     #[test]
     fn wide_batch_splits_down_to_serial_checks() {
-        let keys = test_keys(24);
+        let keys = test_keys(64);
         let mut signatures: Vec<[u8; 64]> = keys
             .iter()
             .map(|(secret, _)| sign(secret, b"wide"))
             .collect();
         signatures[3][40] ^= 0x10;
-        signatures[20][0] ^= 1;
+        signatures[50][0] ^= 1;
         let items: Vec<BatchItem<'_>> = keys
             .iter()
             .zip(&signatures)
@@ -532,7 +540,7 @@ mod tests {
                 signature,
             })
             .collect();
-        let expected: Vec<bool> = (0..24).map(|i| i != 3 && i != 20).collect();
+        let expected: Vec<bool> = (0..64).map(|i| i != 3 && i != 50).collect();
         assert_eq!(verify_batch(&items), expected);
     }
 
@@ -602,18 +610,31 @@ mod tests {
         (result, (crate::curve::ops_snapshot() - before).total())
     }
 
-    /// Machine-independent floor: a serial check is 128 table additions,
-    /// one for `−R` and three doublings each for `R`'s small-order check
-    /// and the cofactor — no doubling chain.
+    /// Machine-independent floor: a serial check is 32 + 64 table
+    /// additions, one for `−R` and three doublings each for `R`'s
+    /// small-order check and the cofactor — no doubling chain.
+    /// (`test_keys` has built the basepoint's table on this thread.)
     #[test]
-    fn serial_verify_costs_at_most_140_operations() {
+    fn serial_verify_costs_at_most_105_operations() {
         for (secret, public) in test_keys(4) {
             let signature = sign(&secret, b"serial");
             let before = crate::curve::ops_snapshot();
             assert!(verify(&public, b"serial", &signature));
             let ops = crate::curve::ops_snapshot() - before;
-            assert!(ops.total() <= 140, "{ops:?}");
+            assert!(ops.total() <= 105, "{ops:?}");
             assert_eq!(ops.doubles, 6, "{ops:?}");
+        }
+    }
+
+    /// Machine-independent floor: a signature is `[r]B` from the
+    /// basepoint's radix-2⁸ table — 32 additions and no doubling.
+    #[test]
+    fn sign_costs_32_additions() {
+        for (secret, _) in test_keys(4) {
+            let before = crate::curve::ops_snapshot();
+            let _ = sign(&secret, b"sign");
+            let ops = crate::curve::ops_snapshot() - before;
+            assert_eq!((ops.adds, ops.doubles), (32, 0), "{ops:?}");
         }
     }
 
@@ -639,8 +660,12 @@ mod tests {
             })
             .collect();
 
+        // Widths 13–17 pin the crossover from both sides: at 14 the fold
+        // costs 1 471 against 1 442 serially, at 15 1 542 against 1 545.
         let mut engines = Vec::new();
-        for width in [1usize, 2, 3, 4, 5, 6, 7, 8, 32, 128, 256] {
+        for width in [
+            1usize, 2, 3, 4, 5, 6, 7, 8, 13, 14, 15, 16, 17, 32, 128, 256,
+        ] {
             let items = &all_items[..width];
             let (verdicts, batch_ops) = counted(|| verify_batch(items));
             assert_eq!(verdicts, vec![true; width]);
@@ -653,7 +678,7 @@ mod tests {
                 batch_ops <= serial_ops,
                 "width {width}: batch {batch_ops} vs serial {serial_ops}"
             );
-            if width <= 8 {
+            if width < 32 {
                 let (holds, fold_ops) = counted(|| range_equation_holds(&prepare(items)));
                 assert!(holds);
                 assert_eq!(

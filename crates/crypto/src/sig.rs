@@ -351,7 +351,7 @@ pub struct SignedDigest {
 /// Batched verification over the whole server set: one pass over a slice
 /// of [`SignedDigest`]s, with per-item verdicts in input order.
 ///
-/// A batch of at least `ed25519::BATCH_MIN_WIDTH` (6) items is genuinely
+/// A batch of at least `ed25519::BATCH_MIN_WIDTH` (15) items is genuinely
 /// amortized — one random-linear-combination multi-scalar multiplication
 /// for the whole batch, with a binary split pinpointing forged items on
 /// failure — and a narrower one is checked item by item, where that costs
@@ -438,7 +438,7 @@ mod tests {
     }
 
     #[test]
-    fn sign_verify_roundtrip_all_schemes() {
+    fn sign_verify_roundtrip() {
         let registry = registry();
         let signer = registry.signer(ServerId::new(0)).unwrap();
         let sig = signer.sign(b"m");
@@ -497,7 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_verify_matches_single_verdicts_all_schemes() {
+    fn batch_verify_matches_single_verdicts() {
         let registry = registry();
         let verifier = registry.verifier();
         let batch = registry.batch_verifier();
@@ -608,7 +608,7 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_generation_all_schemes() {
+    fn deterministic_generation() {
         let sig_a = registry().signer(ServerId::new(0)).unwrap().sign(b"x");
         let sig_b = registry().signer(ServerId::new(0)).unwrap().sign(b"x");
         assert_eq!(sig_a, sig_b);
