@@ -29,24 +29,34 @@
 //! durable server the journal's — order, whether blocks arrived one at a
 //! time, in a burst, or at recovery.
 //!
-//! # One moved view per chain, one delta per block
+//! # One arena, one moved view per chain, one delta per block
 //!
 //! Algorithm 2's line 4 says `PIs := B_parent.PIs` — a *copy* of the whole
 //! instance map per block. Taken literally (see [`crate::reference`] for
 //! that transcription), memory and clone cost grow as
 //! O(blocks × labels ever seen × instance size), the unbounded-memory
 //! limitation the paper itself flags in §7. This interpreter keeps
-//! `B.PIs` in two pieces instead:
+//! `B.PIs` in three pieces instead:
 //!
+//! * one append-only **arena** owns every instance version the
+//!   interpreter has made, addressed by slot. It is a list of
+//!   fixed-capacity chunks, so growing it never moves an instance;
 //! * every interpreted block stores only its **delta**: the
-//!   `Label → Arc<P>` entries Algorithm 2 drove *at* that block — a request
+//!   `Label → slot` entries Algorithm 2 drove *at* that block — a request
 //!   for the label appears in `B.rs` (lines 5–6) or a predecessor's
 //!   out-buffer delivers a message to `B.n` (lines 8–11);
 //! * every **chain tip** (an interpreted block no interpreted block names
-//!   as its parent) owns one mutable **view**, the full `Label → Arc<P>`
+//!   as its parent) owns one mutable **view**, the full `Label → slot`
 //!   map at that block. Interpreting a child *moves* the parent's view to
-//!   the child and overwrites the touched entries, so a block costs the
+//!   the child and repoints the touched entries, so a block costs the
 //!   labels it touches, not the labels its chain has ever seen.
+//!
+//! Copy-on-write is one rule. A block notes the arena's length when it
+//! starts; every slot below that mark belongs to an earlier block and is
+//! never written again. The first touch of a label at a block pushes a
+//! clone of the version its view names (or, on first contact, a new
+//! instance) and repoints the view; later touches at the same block drive
+//! that slot in place.
 //!
 //! `B.PIs[ℓ]` at any block is the newest delta entry for `ℓ` on the
 //! parent chain ending at `B` ([`Interpreter::instance_at`]). A block that
@@ -63,9 +73,10 @@
 //! `B.Ms[in, ·]` is not stored at all: it is a pure function of the direct
 //! predecessors' out-buffers ([`Interpreter::in_messages`]), assembled
 //! when `B` is interpreted and derived again whenever someone asks.
-//! Out-buffers and deltas are never dropped: any future block —
-//! including a byzantine server's — may still reference an old block
-//! directly (§7).
+//! Out-buffers, deltas and arena slots are never dropped: any future
+//! block — including a byzantine server's — may still reference an old
+//! block directly (§7). Nothing is shared, so nothing is counted: the
+//! interpreter is the one owner, and dropping it frees every chunk.
 //!
 //! # A touch costs a touch
 //!
@@ -94,21 +105,25 @@
 //!   parent and an older block, or two equivocating siblings) can hold
 //!   value-equal messages, and the set union of lines 8–10 delivers one.
 //!   The inbox is walked in label groups, one instance lookup per group.
-//! * the delta is a label-sorted vector of `(label, Arc<P>)`.
+//! * the delta is a label-sorted vector of `(label, slot)`.
 //!
 //! What is left per touch is the one instance copy that keeping per-block
-//! versions makes inherent (`Arc::make_mut` on first touch), plus whatever
-//! `P` itself allocates. `tests/interpret_alloc_budget.rs` holds the total
-//! to a pinned budget of heap allocations per touch on a BRB payments run.
+//! versions makes inherent — written into the arena's current chunk, so
+//! the heap sees one allocation per chunk, not one per touch — plus
+//! whatever `P`'s clone itself allocates. `tests/interpret_alloc_budget.rs`
+//! holds the total to a pinned budget of heap allocations per touch on a
+//! BRB payments run, and a snapshot restore to a budget per stored
+//! instance.
 //!
 //! A snapshot (format 3, [`Interpreter::encode_snapshot`]) writes the same
 //! shapes: the [`ProtocolConfig`] once, then per block its parent, builder,
 //! delta and out-buffer entries, each entry once with its receiver set.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
+use std::ops::{Index, IndexMut};
 
 use dagbft_codec::{decode_from_slice, DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_crypto::ServerId;
@@ -186,10 +201,67 @@ impl fmt::Display for InterpretError {
 
 impl Error for InterpretError {}
 
+/// The position of one instance version in the interpreter's [`Arena`].
+type Slot = usize;
+
+/// Instance versions per arena chunk. A chunk is allocated at this
+/// capacity and never grows. `crates/core/tests/reference_equivalence.rs`
+/// names the same figure to cross chunk boundaries on purpose.
+const CHUNK: usize = 1024;
+
+/// Every instance version an interpreter holds, owned in one place and
+/// addressed by [`Slot`]: deltas and views store slots. Append-only, in
+/// chunks of [`CHUNK`], so a push never moves an instance already there.
+#[derive(Debug)]
+struct Arena<P> {
+    chunks: Vec<Vec<P>>,
+}
+
+impl<P> Arena<P> {
+    fn new() -> Self {
+        Arena { chunks: Vec::new() }
+    }
+
+    /// The slot the next push will fill.
+    fn len(&self) -> Slot {
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
+    }
+
+    /// Stores `instance` in the next slot and returns that slot.
+    fn push(&mut self, instance: P) -> Slot {
+        let slot = self.len();
+        match self.chunks.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(instance),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(instance);
+                self.chunks.push(chunk);
+            }
+        }
+        slot
+    }
+}
+
+impl<P> Index<Slot> for Arena<P> {
+    type Output = P;
+
+    fn index(&self, slot: Slot) -> &P {
+        &self.chunks[slot / CHUNK][slot % CHUNK]
+    }
+}
+
+impl<P> IndexMut<Slot> for Arena<P> {
+    fn index_mut(&mut self, slot: Slot) -> &mut P {
+        &mut self.chunks[slot / CHUNK][slot % CHUNK]
+    }
+}
+
 /// A chain tip's view of `B.PIs`: the full `Label → instance` map at that
-/// block. Instances are shared with the deltas of the blocks that wrote
+/// block, as arena slots shared with the deltas of the blocks that wrote
 /// them.
-type Instances<P> = BTreeMap<Label, Arc<P>>;
+type Instances = BTreeMap<Label, Slot>;
 
 /// `B.Ms[out, ·]`: one entry per distinct message with its label and every
 /// server it is addressed to, sorted by `(label, message)` and free of
@@ -242,8 +314,9 @@ pub struct BlockState<P: DeterministicProtocol> {
     /// `B.PIs[ℓ]` for the labels touched here: the state of process
     /// instance `ℓ` of server `B.n` *after* interpreting `B`. Instances
     /// are created lazily on first request or message (the implementation
-    /// refinement the paper notes in §4). Sorted by label, one entry each.
-    delta: Vec<(Label, Arc<P>)>,
+    /// refinement the paper notes in §4). Sorted by label, one entry each,
+    /// naming the instance's arena slot.
+    delta: Vec<(Label, Slot)>,
     /// `B.Ms[out, ℓ]`: messages sent by `B.n`'s instance at this block,
     /// each once with its receivers.
     outs: Buffer<P::Message>,
@@ -275,10 +348,10 @@ impl<P: DeterministicProtocol> BlockState<P> {
     }
 
     /// This block's delta entry for `label`, if it drove that instance.
-    fn instance(&self, label: Label) -> Option<&Arc<P>> {
+    fn instance(&self, label: Label) -> Option<Slot> {
         label_range(&self.delta, label)
             .first()
-            .map(|(_, instance)| instance)
+            .map(|(_, slot)| *slot)
     }
 }
 
@@ -359,9 +432,11 @@ pub struct InterpretStats {
 pub struct Interpreter<P: DeterministicProtocol> {
     config: ProtocolConfig,
     states: HashMap<BlockRef, BlockState<P>>,
+    /// Every instance version the deltas and views name.
+    arena: Arena<P>,
     /// The full `B.PIs` of every chain tip `B` that has one; moved to the
     /// child when a tip is extended, rebuilt from deltas when missing.
-    views: HashMap<BlockRef, Instances<P>>,
+    views: HashMap<BlockRef, Instances>,
     /// Running totals behind [`Interpreter::footprint`].
     footprint: InterpreterFootprint,
     /// Interpretation order (for audits; any eligible-respecting order
@@ -379,6 +454,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         Interpreter {
             config,
             states: HashMap::new(),
+            arena: Arena::new(),
             views: HashMap::new(),
             footprint: InterpreterFootprint::default(),
             order: Vec::new(),
@@ -431,7 +507,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     pub fn instance_at(&self, block: &BlockRef, label: Label) -> Option<&P> {
         self.chain(block)
             .find_map(|state| state.instance(label))
-            .map(Arc::as_ref)
+            .map(|slot| &self.arena[slot])
     }
 
     /// Labels with a started instance at `block` (the keys of `B.PIs`), in
@@ -443,15 +519,14 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// `B.PIs` in full, rebuilt from the chain's deltas: newest entry wins.
     /// The entries are gathered newest block first; the stable sort keeps
     /// that order within a label, so the first of each label is the one.
-    fn view_at(&self, block: &BlockRef) -> Instances<P> {
-        let mut entries: Vec<&(Label, Arc<P>)> =
-            self.chain(block).flat_map(|state| &state.delta).collect();
+    fn view_at(&self, block: &BlockRef) -> Instances {
+        let mut entries: Vec<(Label, Slot)> = self
+            .chain(block)
+            .flat_map(|state| state.delta.iter().copied())
+            .collect();
         entries.sort_by_key(|(label, _)| *label);
         entries.dedup_by_key(|(label, _)| *label);
-        entries
-            .into_iter()
-            .map(|(label, instance)| (*label, Arc::clone(instance)))
-            .collect()
+        entries.into_iter().collect()
     }
 
     /// `B.Ms[in, ·]` for a block built by `me` with direct predecessors
@@ -546,27 +621,38 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         total
     }
 
-    /// A mutable handle on `label`'s instance in `view`: created lazily on
-    /// first contact, and cloned off the ancestor's delta entry it is still
-    /// shared with on the first touch at this block.
+    /// A mutable handle on `label`'s instance in `view`, for a block whose
+    /// own versions start at slot `fresh`: a slot below `fresh` belongs to
+    /// an earlier block, so it is cloned into a new slot and the view
+    /// repointed; a slot at or above it is this block's and is driven in
+    /// place; a label the view lacks starts a new instance.
     fn touch<'a>(
-        view: &'a mut Instances<P>,
+        arena: &'a mut Arena<P>,
+        fresh: Slot,
+        view: &mut Instances,
         config: &ProtocolConfig,
         label: Label,
         me: ServerId,
     ) -> &'a mut P {
-        let slot = view
-            .entry(label)
-            .or_insert_with(|| Arc::new(P::new(config, label, me)));
-        Arc::make_mut(slot)
+        let slot = match view.entry(label) {
+            Entry::Occupied(mut held) => {
+                if *held.get() < fresh {
+                    let copy = arena[*held.get()].clone();
+                    held.insert(arena.push(copy));
+                }
+                *held.get()
+            }
+            Entry::Vacant(new) => *new.insert(arena.push(P::new(config, label, me))),
+        };
+        &mut arena[slot]
     }
 
     /// Interprets a single eligible block (Algorithm 2, lines 4–12).
     ///
     /// Line 4 (`PIs := B_parent.PIs`) moves the parent's view here; only
     /// labels touched at this block — requests fed (lines 5–6) or messages
-    /// delivered (lines 8–11) — are cloned on write and recorded as the
-    /// block's delta.
+    /// delivered (lines 8–11) — are cloned into the arena on first write
+    /// and recorded as the block's delta.
     ///
     /// # Errors
     ///
@@ -617,13 +703,16 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         let mut touched: Vec<Label> = Vec::new();
         let mut outbox = Outbox::new();
         let config = self.config;
+        // Every slot from here on is this block's own.
+        let fresh = self.arena.len();
 
         // Lines 5–6: feed the block's own requests to B.n's instances.
         for labeled in block.requests() {
             let label = labeled.label;
             match decode_from_slice::<P::Request>(&labeled.payload) {
                 Ok(request) => {
-                    Self::touch(&mut view, &config, label, me).on_request(request, &mut outbox);
+                    Self::touch(&mut self.arena, fresh, &mut view, &config, label, me)
+                        .on_request(request, &mut outbox);
                     outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
                     touched.push(label);
                     self.stats.requests_processed += 1;
@@ -649,7 +738,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         let inbox = Self::inbox(&self.states, &preds, me, None);
         for group in inbox.chunk_by(|a, b| a.0 == b.0) {
             let label = group[0].0;
-            let instance = Self::touch(&mut view, &config, label, me);
+            let instance = Self::touch(&mut self.arena, fresh, &mut view, &config, label, me);
             for (_, sender, message) in group {
                 instance.on_message(*sender, (*message).clone(), &mut outbox);
                 outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
@@ -664,12 +753,13 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         touched.dedup();
 
         // Lines 13–14: surface indications from the instances driven here,
-        // label by label, then record them as this block's delta. Touched
-        // instances are already unshared, so make_mut is free.
+        // label by label, then record them as this block's delta. Every
+        // touched label's slot is this block's own, so it is drained in
+        // place.
         let mut delta = Vec::with_capacity(touched.len());
         for label in touched {
-            if let Some(slot) = view.get_mut(&label) {
-                for indication in Arc::make_mut(slot).drain_indications() {
+            if let Some(&slot) = view.get(&label) {
+                for indication in self.arena[slot].drain_indications() {
                     self.stats.indications += 1;
                     self.indications.push(Indication {
                         label,
@@ -677,7 +767,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                         server: me,
                     });
                 }
-                delta.push((label, Arc::clone(slot)));
+                delta.push((label, slot));
             }
         }
 
@@ -819,9 +909,9 @@ where
                 .encode(&mut out);
             state.builder.encode(&mut out);
             (state.delta.len() as u32).encode(&mut out);
-            for (label, instance) in &state.delta {
+            for (label, slot) in &state.delta {
                 label.encode(&mut out);
-                instance.encode_state(&mut out);
+                self.arena[*slot].encode_state(&mut out);
             }
             (state.outs.len() as u32).encode(&mut out);
             for (label, (message, receivers)) in &state.outs {
@@ -874,6 +964,7 @@ where
         };
 
         let mut states: HashMap<BlockRef, BlockState<P>> = HashMap::with_capacity(covered);
+        let mut arena = Arena::new();
         for (position, block_ref) in order.iter().enumerate() {
             // A parent strictly earlier in a repetition-free order keeps
             // every chain walk finite and inside `states`.
@@ -887,12 +978,13 @@ where
             let mut delta = Vec::with_capacity(touched);
             for _ in 0..touched {
                 let label = Label::decode(&mut reader)?;
-                delta.push((label, Arc::new(P::decode_state(&config, &mut reader)?)));
+                delta.push((label, arena.push(P::decode_state(&config, &mut reader)?)));
             }
             // Canonical bytes are sorted and repeat-free already; anything
             // else is normalized once per block. Of a repeated delta label
             // the last entry wins: reversed, the stable sort puts it first
-            // of its run, which is the one `dedup` keeps.
+            // of its run, which is the one `dedup` keeps. The losers' slots
+            // stay in the arena, named by nothing.
             delta.reverse();
             delta.sort_by_key(|(label, _)| *label);
             delta.dedup_by_key(|(label, _)| *label);
@@ -926,6 +1018,7 @@ where
         Ok(Interpreter {
             config,
             states,
+            arena,
             views: HashMap::new(),
             footprint,
             scanned: covered,
@@ -1475,8 +1568,9 @@ mod tests {
     }
 
     /// The structure the module docs promise: exactly one view per chain
-    /// tip, equal to the chain's deltas merged newest-first, and footprint
-    /// counters that say what the states hold.
+    /// tip, naming the slots of the chain's deltas merged newest-first;
+    /// one arena slot per touch, each named by exactly one delta entry;
+    /// and footprint counters that say what the states hold.
     fn assert_structure(interpreter: &Interpreter<Ping>) {
         let states = &interpreter.states;
         let parents: BTreeSet<BlockRef> = states.values().filter_map(|s| s.parent).collect();
@@ -1488,15 +1582,16 @@ mod tests {
         let viewed: BTreeSet<BlockRef> = interpreter.views.keys().copied().collect();
         assert_eq!(viewed, tips);
         for (tip, view) in &interpreter.views {
-            let rebuilt = interpreter.view_at(tip);
-            assert!(view.keys().eq(rebuilt.keys()));
-            assert!(view
-                .values()
-                .zip(rebuilt.values())
-                .all(|(a, b)| Arc::ptr_eq(a, b)));
+            assert_eq!(*view, interpreter.view_at(tip));
         }
         let footprint = interpreter.footprint();
+        let named: BTreeSet<Slot> = states
+            .values()
+            .flat_map(|s| s.delta.iter().map(|(_, slot)| *slot))
+            .collect();
         let deltas: usize = states.values().map(|s| s.delta.len()).sum();
+        assert!(named.iter().copied().eq(0..interpreter.arena.len()));
+        assert_eq!(deltas, interpreter.arena.len());
         let slots: usize = states.keys().map(|b| interpreter.view_at(b).len()).sum();
         assert_eq!(footprint.unique_instances, deltas);
         assert_eq!(footprint.instances, slots);
@@ -1706,7 +1801,7 @@ mod tests {
             let real = state
                 .delta
                 .iter()
-                .map(|(label, ping)| (label, ping.as_ref()));
+                .map(|(label, slot)| (label, &interpreter.arena[*slot]));
             for (label, ping) in stale.iter().map(|(label, ping)| (label, ping)).chain(real) {
                 label.encode(&mut out);
                 ping.encode_state(&mut out);

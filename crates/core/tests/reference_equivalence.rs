@@ -21,7 +21,8 @@
 //! oracle's envelope sets. A second property
 //! cuts the same DAGs at a random fixed point, round-trips a snapshot,
 //! and continues: nothing observable may differ from never having
-//! stopped.
+//! stopped. A fixed case, too large for the random DAGs, crosses the
+//! boundaries of the arena that owns the interpreter's instance versions.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -478,6 +479,148 @@ fn equivalence_under_full_equivocation() {
     assert!(fork_parent.is_some());
     assert_equivalent(&dag, 7);
     assert_snapshot_transparent(&dag, dag.len() - 2);
+}
+
+/// Instance versions per chunk of the interpreter's arena (`CHUNK` in
+/// `crates/core/src/interpret.rs`). On a DAG touched in insertion order,
+/// `footprint().unique_instances` is the arena's length.
+const ARENA_CHUNK: usize = 1024;
+
+/// Labels the requests of [`wide_dag`] cycle through.
+const WIDE_LABELS: u64 = 64;
+
+/// Four servers, `rounds` rounds: every server builds one block per round
+/// on the whole previous round, carrying `per_block` requests on labels
+/// that cycle through [`WIDE_LABELS`] with a fresh value each, so a block
+/// touches ~5 × `per_block` labels. Then a deep fork of server 0 off its
+/// round-1 block: a second block at sequence number 2 on the last round,
+/// and a child of it. Returns the DAG and the fork's parent.
+fn wide_dag(rounds: u64, per_block: u64) -> (BlockDag, BlockRef) {
+    let n = 4;
+    let registry = KeyRegistry::generate(n, 5);
+    let signers: Vec<_> = (0..n)
+        .map(|i| registry.signer(ServerId::new(i as u32)).unwrap())
+        .collect();
+    let mut next_value = 0u64;
+    let mut requests = |count: u64| -> Vec<LabeledRequest> {
+        (0..count)
+            .map(|_| {
+                next_value += 1;
+                LabeledRequest::encode(Label::new(next_value % WIDE_LABELS), &next_value)
+            })
+            .collect()
+    };
+    let mut dag = BlockDag::new();
+    let mut layer: Vec<BlockRef> = Vec::new();
+    let mut fork_parent = None;
+    for round in 0..rounds {
+        let built: Vec<BlockRef> = (0..n)
+            .map(|server| {
+                let block = Block::build(
+                    ServerId::new(server as u32),
+                    SeqNum::new(round),
+                    layer.clone(),
+                    requests(per_block),
+                    &signers[server],
+                );
+                dag.insert(block.clone()).unwrap();
+                block.block_ref()
+            })
+            .collect();
+        if round == 1 {
+            fork_parent = Some(built[0]);
+        }
+        layer = built;
+    }
+    let fork_parent = fork_parent.expect("at least two rounds");
+    let mut parent = fork_parent;
+    for seq in [2, 3] {
+        let mut preds = vec![parent];
+        preds.extend(&layer[1..]);
+        let block = Block::build(
+            ServerId::new(0),
+            SeqNum::new(seq),
+            preds,
+            requests(per_block),
+            &signers[0],
+        );
+        dag.insert(block.clone()).unwrap();
+        parent = block.block_ref();
+    }
+    (dag, fork_parent)
+}
+
+/// More than three arena chunks' worth of touches, interpreted in
+/// insertion order beside the oracle and checked at every block: chunk
+/// boundaries fall inside blocks whose view was moved from their parent,
+/// inside the deep fork whose view is rebuilt from deltas in the first
+/// chunk, and after a snapshot restore cut in the middle of a chunk.
+#[test]
+fn chunk_boundaries_are_crossed_by_moved_and_rebuilt_views_and_a_restore() {
+    let (dag, fork_parent) = wide_dag(24, 8);
+    assert!(dag.check_invariants());
+    let config = ProtocolConfig::for_n(4);
+    let mut reference: ReferenceInterpreter<Relay> = ReferenceInterpreter::new(config);
+    let mut real: Interpreter<Relay> = Interpreter::new(config);
+    let check = |real: &Interpreter<Relay>, reference: &ReferenceInterpreter<Relay>, r| {
+        let naive = reference.state(r).expect("interpreted");
+        let labels: Vec<Label> = naive.instance_labels().copied().collect();
+        assert_eq!(labels, real.instance_labels_at(r), "instance labels at {r}");
+        for label in labels {
+            assert_eq!(
+                naive.instance(label),
+                real.instance_at(r, label),
+                "instance {label} at {r}"
+            );
+            let outs: Vec<_> = real.state(r).unwrap().out_messages(label).collect();
+            assert!(naive.out_messages(label).eq(&outs), "outs {label} at {r}");
+            let ins: Vec<_> = real.in_messages(&dag, r, label).collect();
+            assert!(naive.in_messages(label).eq(&ins), "ins {label} at {r}");
+        }
+    };
+
+    // The arena's length after each block.
+    let mut arena_after = Vec::new();
+    for r in dag.refs() {
+        reference.interpret_block(&dag, r).unwrap();
+        real.interpret_block(&dag, r).unwrap();
+        check(&real, &reference, r);
+        arena_after.push(real.footprint().unique_instances);
+    }
+    // No version an earlier block wrote moved or changed since.
+    for r in dag.refs() {
+        check(&real, &reference, r);
+    }
+    assert_eq!(reference.stats(), real.stats());
+    assert_eq!(reference.drain_indications(), real.drain_indications());
+
+    let blocks = dag.len();
+    let total = arena_after[blocks - 1];
+    assert!(total > 3 * ARENA_CHUNK, "{total} touches");
+    // Moved views: the block that opens each of chunks 1–3 is past round
+    // 0 and on the main chains, so its parent's view came to it whole.
+    for chunk in 1..=3 {
+        let opener = arena_after
+            .iter()
+            .position(|&after| after > chunk * ARENA_CHUNK)
+            .unwrap();
+        assert!((4..blocks - 2).contains(&opener), "chunk {chunk}");
+    }
+    // The rebuilt view: the fork's parent holds slots of the first chunk,
+    // and the fork touches its labels after the third chunk is full.
+    let parent_at = dag.refs().position(|r| *r == fork_parent).unwrap();
+    assert!(arena_after[parent_at] < ARENA_CHUNK);
+    assert!(arena_after[blocks - 3] > 3 * ARENA_CHUNK);
+    assert!(arena_after[blocks - 2] > arena_after[blocks - 3]);
+
+    // The restore: cut where the arena stands inside its second chunk.
+    let cut = 1 + arena_after
+        .iter()
+        .position(|&after| after > ARENA_CHUNK + ARENA_CHUNK / 2)
+        .unwrap();
+    assert_ne!(arena_after[cut - 1] % ARENA_CHUNK, 0);
+    assert!(parent_at < cut && cut < blocks - 2);
+    assert_snapshot_transparent(&dag, cut);
 }
 
 #[test]

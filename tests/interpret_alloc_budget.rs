@@ -1,10 +1,11 @@
 //! Counted floors of the interpreter on one BRB payments DAG (400
 //! transfers, n = 4): heap allocations per touch (one label driven at one
-//! block), out-buffer entries per envelope, and snapshot bytes.
+//! block) and per restored instance, out-buffer entries per envelope, and
+//! snapshot bytes.
 //!
 //! Counts, not timings: the same on every machine, and the gate that
-//! keeps per-message tree nodes, per-label inboxes, per-message outboxes
-//! and per-receiver message copies from coming back
+//! keeps per-touch heap blocks, per-message tree nodes, per-label inboxes,
+//! per-message outboxes and per-receiver message copies from coming back
 //! (`docs/ARCHITECTURE.md`, "Interpreter state"). This file is its own
 //! test binary because the counting allocator below replaces the global
 //! one; it counts per thread, so the tests may run side by side.
@@ -16,9 +17,15 @@ use std::sync::OnceLock;
 use dagbft::prelude::*;
 
 /// Heap allocations per touch the interpreter may make on this DAG
-/// (measured: 7 947 over 5 343 touches, 1.49; with one envelope per
-/// receiver it was 1.50).
-const ALLOCATIONS_PER_TOUCH: f64 = 1.5;
+/// (measured: 2 612 over 5 343 touches, 0.49; with one reference-counted
+/// heap block per instance version it was 7 947, 1.49).
+const ALLOCATIONS_PER_TOUCH: f64 = 0.55;
+
+/// Heap allocations per stored instance a snapshot restore of this DAG's
+/// interpretation may make: per block and per arena chunk, not per
+/// instance (measured: 81 over 5 343 instances and 32 blocks, 0.015; with
+/// one heap block per instance it was 5 416).
+const ALLOCATIONS_PER_RESTORED_INSTANCE: f64 = 0.05;
 
 /// Bytes a snapshot of this DAG's interpretation may take: exactly what
 /// format 3 writes (format 2, one envelope per receiver and `(n, f)` in
@@ -101,7 +108,7 @@ fn interpreted(dag: &BlockDag) -> Interpreter<Brb<Transfer>> {
 }
 
 #[test]
-fn a_touch_costs_at_most_two_allocations() {
+fn a_touch_costs_about_half_an_allocation() {
     let dag = payments_dag();
     let mut interpreter: Interpreter<Brb<Transfer>> = Interpreter::new(ProtocolConfig::for_n(4));
     let before = allocations();
@@ -122,6 +129,30 @@ fn a_touch_costs_at_most_two_allocations() {
          {interpreted} blocks) = {per_touch:.2} per touch, budget {ALLOCATIONS_PER_TOUCH}"
     );
     println!("{allocations} allocations / {touches} touches = {per_touch:.2} ({delivered} deliveries, {interpreted} blocks)");
+}
+
+#[test]
+fn a_restore_allocates_per_block_not_per_instance() {
+    let dag = payments_dag();
+    let bytes = interpreted(dag).encode_snapshot();
+    let config = ProtocolConfig::for_n(4);
+    let before = allocations();
+    let restored = Interpreter::<Brb<Transfer>>::decode_snapshot(config, &bytes).unwrap();
+    let allocations = allocations() - before;
+
+    let instances = restored.footprint().unique_instances;
+    assert!(instances >= 4 * TRANSFERS as usize);
+    let per_instance = allocations as f64 / instances as f64;
+    assert!(
+        per_instance <= ALLOCATIONS_PER_RESTORED_INSTANCE,
+        "{allocations} allocations restoring {instances} instances ({} blocks) = \
+         {per_instance:.3} per instance, budget {ALLOCATIONS_PER_RESTORED_INSTANCE}",
+        dag.len()
+    );
+    println!(
+        "{allocations} allocations / {instances} restored instances = {per_instance:.3} ({} blocks)",
+        dag.len()
+    );
 }
 
 #[test]
