@@ -156,14 +156,15 @@ pub enum NetCommand {
 /// never-promotable blocks cannot grow memory without bound.
 pub const DEFAULT_PENDING_CAP: usize = 65_536;
 
+/// Minimum time between repeated `FWD` requests for the same block (the
+/// paper's per-block wait `Δ_B'`, informed by the round-trip time).
+pub const FWD_RETRY_MS: TimeMs = 100;
+
 /// Configuration for the gossip layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GossipConfig {
     /// Total number of servers `|Srvrs|`.
     pub n: usize,
-    /// Minimum time between repeated `FWD` requests for the same block
-    /// (the paper's per-block wait `Δ_B'`, informed by the round-trip time).
-    pub fwd_retry_ms: TimeMs,
     /// Maximum number of buffered, not-yet-valid blocks; exceeding it
     /// triggers deterministic eviction (see the module docs).
     pub pending_cap: usize,
@@ -173,11 +174,10 @@ pub struct GossipConfig {
 }
 
 impl GossipConfig {
-    /// Configuration for `n` servers with the default 100 ms `FWD` retry.
+    /// Configuration for `n` servers.
     pub fn for_n(n: usize) -> Self {
         GossipConfig {
             n,
-            fwd_retry_ms: 100,
             pending_cap: DEFAULT_PENDING_CAP,
             defense: DefenseConfig::default(),
         }
@@ -1125,12 +1125,11 @@ impl Gossip {
 
     /// Emits `FWD` requests for missing blocks, respecting the retry timer.
     fn collect_fwd_commands(&mut self, now: TimeMs) -> Vec<NetCommand> {
-        let retry = self.config.fwd_retry_ms;
         let mut commands = Vec::new();
         for (block_ref, state) in self.missing.iter_mut() {
             let due = match state.last_sent {
                 None => true,
-                Some(last) => now.saturating_sub(last) >= retry,
+                Some(last) => now.saturating_sub(last) >= FWD_RETRY_MS,
             };
             if !due || state.candidates.is_empty() {
                 continue;

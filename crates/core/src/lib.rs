@@ -83,7 +83,7 @@ pub use defense::{
 pub use error::{DagError, InvalidBlockError};
 pub use gossip::{
     EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage, WaveStats,
-    DEFAULT_PENDING_CAP, WAVE_WIDTH_BUCKETS,
+    DEFAULT_PENDING_CAP, FWD_RETRY_MS, WAVE_WIDTH_BUCKETS,
 };
 pub use interpret::{Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError};
 pub use label::Label;

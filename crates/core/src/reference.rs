@@ -44,7 +44,7 @@ use dagbft_crypto::{ServerId, Verifier};
 use crate::block::{Block, BlockRef};
 use crate::dag::BlockDag;
 use crate::error::InvalidBlockError;
-use crate::gossip::{Gossip, GossipConfig, GossipStats, NetCommand, NetMessage};
+use crate::gossip::{Gossip, GossipStats, NetCommand, NetMessage, FWD_RETRY_MS};
 use crate::interpret::{Indication, InterpretError, InterpretStats};
 use crate::label::Label;
 use crate::protocol::{DeterministicProtocol, Envelope, Outbox, ProtocolConfig};
@@ -350,7 +350,6 @@ struct ReferenceFwd {
 #[derive(Debug)]
 pub struct ReferenceGossip {
     n: usize,
-    fwd_retry_ms: TimeMs,
     verifier: Verifier,
     dag: BlockDag,
     /// `blks`: received, not yet valid (line 3).
@@ -361,12 +360,11 @@ pub struct ReferenceGossip {
 }
 
 impl ReferenceGossip {
-    /// An oracle for `n` servers with [`GossipConfig::for_n`]'s `FWD`
-    /// retry interval.
+    /// An oracle for `n` servers, retrying `FWD` requests every
+    /// [`FWD_RETRY_MS`] as [`Gossip`] does.
     pub fn new(n: usize, verifier: Verifier) -> Self {
         ReferenceGossip {
             n,
-            fwd_retry_ms: GossipConfig::for_n(n).fwd_retry_ms,
             verifier,
             dag: BlockDag::new(),
             blks: BTreeMap::new(),
@@ -512,12 +510,11 @@ impl ReferenceGossip {
     /// Line 11: ask a builder of a referencing block, at most once per
     /// retry interval, rotating through the candidates.
     fn due_fwd_requests(&mut self, now: TimeMs) -> Vec<NetCommand> {
-        let retry = self.fwd_retry_ms;
         let mut commands = Vec::new();
         for (block_ref, request) in &mut self.fwd {
             if request
                 .last_sent
-                .is_some_and(|last| now.saturating_sub(last) < retry)
+                .is_some_and(|last| now.saturating_sub(last) < FWD_RETRY_MS)
             {
                 continue;
             }

@@ -44,8 +44,6 @@ use crate::TimeMs;
 pub struct ShimConfig {
     /// The embedded protocol's configuration (server count, fault bound).
     pub protocol: ProtocolConfig,
-    /// `FWD` retransmission pacing (see [`GossipConfig`]).
-    pub fwd_retry_ms: TimeMs,
     /// Maximum number of buffered requests injected per block
     /// (`rqsts.get()` returns "a suitable number", Algorithm 3).
     pub max_requests_per_block: usize,
@@ -62,17 +60,10 @@ impl ShimConfig {
     pub fn new(protocol: ProtocolConfig) -> Self {
         ShimConfig {
             protocol,
-            fwd_retry_ms: 100,
             max_requests_per_block: 1024,
             pending_cap: crate::gossip::DEFAULT_PENDING_CAP,
             defense: DefenseConfig::default(),
         }
-    }
-
-    /// Sets the `FWD` retry interval.
-    pub fn with_fwd_retry_ms(mut self, fwd_retry_ms: TimeMs) -> Self {
-        self.fwd_retry_ms = fwd_retry_ms;
-        self
     }
 
     /// Sets the per-block request cap.
@@ -98,7 +89,6 @@ impl ShimConfig {
     fn gossip(&self) -> GossipConfig {
         GossipConfig {
             n: self.protocol.n,
-            fwd_retry_ms: self.fwd_retry_ms,
             pending_cap: self.pending_cap,
             defense: self.defense,
         }

@@ -58,7 +58,9 @@ impl Default for NodeConfig {
 
 /// Control handle for a running node thread.
 ///
-/// Dropping the handle without [`NodeHandle::stop`] detaches the node.
+/// Dropping the handle without [`NodeHandle::stop`] stops the node as
+/// `stop` does (transport and metrics endpoint shut down) and drops its
+/// final shim.
 #[derive(Debug)]
 pub struct NodeHandle<P: DeterministicProtocol> {
     me: ServerId,
@@ -285,17 +287,20 @@ where
                         route(&transport, commands);
                     }
                 }
-                recv(requests_rx) -> request => {
-                    if let Ok((label, request)) = request {
-                        shim.request(label, request);
-                    }
-                }
+                // Polled before the requests: once the handle is dropped
+                // both channels disconnect, and a disconnected arm fires
+                // on every turn, so this one must be the one that does.
                 recv(stop_rx) -> _ => {
                     if let Some(server) = metrics_server {
                         server.shutdown();
                     }
                     transport.shutdown();
                     return shim;
+                }
+                recv(requests_rx) -> request => {
+                    if let Ok((label, request)) = request {
+                        shim.request(label, request);
+                    }
                 }
                 default(Duration::from_millis(wait)) => {}
             }

@@ -50,7 +50,7 @@ fn live_nodes_serve_metrics_over_http() {
         ..NodeConfig::default()
     }
     .with_metrics_addr(metrics_endpoint);
-    let shim_config = ShimConfig::new(ProtocolConfig::for_n(n)).with_fwd_retry_ms(100);
+    let shim_config = ShimConfig::new(ProtocolConfig::for_n(n));
 
     let nodes: Vec<_> = (0..n)
         .map(|index| {
@@ -151,6 +151,35 @@ fn live_nodes_serve_metrics_over_http() {
     );
     for node in nodes {
         node.stop();
+    }
+}
+
+#[test]
+fn dropping_the_handle_stops_the_node() {
+    let n = 3;
+    let registry = KeyRegistry::generate(n, 73);
+    let addrs = reserve_ports(n);
+    let transport = TcpTransport::bind(ServerId::new(0), addrs[0], addrs.clone()).unwrap();
+    let node = spawn_node::<Brb<u64>>(
+        ShimConfig::new(ProtocolConfig::for_n(n)),
+        NodeConfig::default().with_metrics_addr("127.0.0.1:0".parse().unwrap()),
+        &registry,
+        transport,
+    )
+    .unwrap();
+    let endpoint = node.metrics_addr().expect("metrics endpoint bound");
+    assert!(
+        scrape(endpoint).is_ok(),
+        "the endpoint serves while the node runs"
+    );
+    drop(node);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while scrape(endpoint).is_ok() {
+        assert!(
+            Instant::now() < deadline,
+            "a dropped handle left its node running"
+        );
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 

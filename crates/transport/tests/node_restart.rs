@@ -14,7 +14,7 @@ use dagbft_store::FileStore;
 use dagbft_transport::{spawn_node, spawn_node_with_store, NodeConfig, TcpTransport};
 
 fn shim_config(n: usize) -> ShimConfig {
-    ShimConfig::new(ProtocolConfig::for_n(n)).with_fwd_retry_ms(100)
+    ShimConfig::new(ProtocolConfig::for_n(n))
 }
 
 fn node_config() -> NodeConfig {

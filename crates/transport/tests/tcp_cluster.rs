@@ -9,7 +9,7 @@ use dagbft_protocols::{Brb, BrbIndication, BrbRequest};
 use dagbft_transport::{spawn_local_cluster, NodeConfig};
 
 fn shim_config(n: usize) -> ShimConfig {
-    ShimConfig::new(ProtocolConfig::for_n(n)).with_fwd_retry_ms(100)
+    ShimConfig::new(ProtocolConfig::for_n(n))
 }
 
 #[test]
