@@ -47,23 +47,36 @@
 //!   out-buffer delivers a message to `B.n` (lines 8–11);
 //! * every **chain tip** (an interpreted block no interpreted block names
 //!   as its parent) owns one mutable **view**, the full `Label → slot`
-//!   map at that block. Interpreting a child *moves* the parent's view to
-//!   the child and repoints the touched entries, so a block costs the
-//!   labels it touches, not the labels its chain has ever seen.
+//!   map at that block, a hash map. Interpreting a child *moves* the
+//!   parent's view to the child and repoints the touched entries, so a
+//!   block costs the labels it touches, not the labels its chain has ever
+//!   seen.
 //!
 //! Copy-on-write is one rule. A block notes the arena's length when it
 //! starts; every slot below that mark belongs to an earlier block and is
 //! never written again. The first touch of a label at a block pushes a
 //! clone of the version its view names (or, on first contact, a new
 //! instance) and repoints the view; later touches at the same block drive
-//! that slot in place.
+//! that slot in place. Each touch is one probe of the view, and it returns
+//! the slot it resolved: the block's delta is those `(label, slot)` pairs,
+//! sorted and deduplicated.
 //!
 //! `B.PIs[ℓ]` at any block is the newest delta entry for `ℓ` on the
 //! parent chain ending at `B` ([`Interpreter::instance_at`]). A block that
 //! finds its parent's view gone — the second child of one parent (an
 //! equivocation), out-of-band [`Interpreter::interpret_block`] calls, the
 //! first block after a snapshot restore — rebuilds it by that same walk,
-//! newest entry wins: O(touches on the chain), paid only on those paths.
+//! newest block first, where the first insert of a label wins:
+//! O(touches on the chain), paid only on those paths.
+//!
+//! Labels are chosen by whoever inscribes a request, byzantine builders
+//! included, so a view hashes with the standard library's randomly keyed
+//! hasher, not a fixed-key one whose collisions could be precomputed. The
+//! key differs per map and per run, and so does a view's iteration order:
+//! nothing may iterate a view into an output. Views are only probed by
+//! key, and the one reader that lists a view's labels,
+//! [`Interpreter::instance_labels_at`], sorts them — so interpretation
+//! stays a pure function of the DAG (Lemma 4.2).
 //!
 //! [`Interpreter::footprint`] makes the saving measurable from running
 //! counters: `instances` sums the view size over all blocks (what the
@@ -105,7 +118,8 @@
 //!   parent and an older block, or two equivocating siblings) can hold
 //!   value-equal messages, and the set union of lines 8–10 delivers one.
 //!   The inbox is walked in label groups, one instance lookup per group.
-//! * the delta is a label-sorted vector of `(label, slot)`.
+//! * the delta is a label-sorted vector of `(label, slot)`, built from
+//!   the slots the block's touches returned: no second view lookup.
 //!
 //! What is left per touch is the one instance copy that keeping per-block
 //! versions makes inherent — written into the arena's current chunk, so
@@ -119,8 +133,8 @@
 //! shapes: the [`ProtocolConfig`] once, then per block its parent, builder,
 //! delta and out-buffer entries, each entry once with its receiver set.
 
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -260,8 +274,9 @@ impl<P> IndexMut<Slot> for Arena<P> {
 
 /// A chain tip's view of `B.PIs`: the full `Label → instance` map at that
 /// block, as arena slots shared with the deltas of the blocks that wrote
-/// them.
-type Instances = BTreeMap<Label, Slot>;
+/// them. Randomly keyed and only ever probed by key: its iteration order
+/// differs between runs and must reach no output (see the module docs).
+type Instances = HashMap<Label, Slot>;
 
 /// `B.Ms[out, ·]`: one entry per distinct message with its label and every
 /// server it is addressed to, sorted by `(label, message)` and free of
@@ -513,20 +528,22 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// Labels with a started instance at `block` (the keys of `B.PIs`), in
     /// label order. Walks the chain; for tests and audits.
     pub fn instance_labels_at(&self, block: &BlockRef) -> Vec<Label> {
-        self.view_at(block).into_keys().collect()
+        let mut labels: Vec<Label> = self.view_at(block).into_keys().collect();
+        labels.sort_unstable();
+        labels
     }
 
     /// `B.PIs` in full, rebuilt from the chain's deltas: newest entry wins.
-    /// The entries are gathered newest block first; the stable sort keeps
-    /// that order within a label, so the first of each label is the one.
+    /// The chain is walked newest block first, so the first insert of each
+    /// label is the one.
     fn view_at(&self, block: &BlockRef) -> Instances {
-        let mut entries: Vec<(Label, Slot)> = self
-            .chain(block)
-            .flat_map(|state| state.delta.iter().copied())
-            .collect();
-        entries.sort_by_key(|(label, _)| *label);
-        entries.dedup_by_key(|(label, _)| *label);
-        entries.into_iter().collect()
+        let mut view = Instances::new();
+        for state in self.chain(block) {
+            for &(label, slot) in &state.delta {
+                view.entry(label).or_insert(slot);
+            }
+        }
+        view
     }
 
     /// `B.Ms[in, ·]` for a block built by `me` with direct predecessors
@@ -621,11 +638,12 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         total
     }
 
-    /// A mutable handle on `label`'s instance in `view`, for a block whose
-    /// own versions start at slot `fresh`: a slot below `fresh` belongs to
-    /// an earlier block, so it is cloned into a new slot and the view
-    /// repointed; a slot at or above it is this block's and is driven in
-    /// place; a label the view lacks starts a new instance.
+    /// The slot of `label`'s instance in `view`, and a mutable handle on
+    /// it, for a block whose own versions start at slot `fresh`: a slot
+    /// below `fresh` belongs to an earlier block, so it is cloned into a
+    /// new slot and the view repointed; a slot at or above it is this
+    /// block's and is driven in place; a label the view lacks starts a new
+    /// instance.
     fn touch<'a>(
         arena: &'a mut Arena<P>,
         fresh: Slot,
@@ -633,7 +651,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         config: &ProtocolConfig,
         label: Label,
         me: ServerId,
-    ) -> &'a mut P {
+    ) -> (Slot, &'a mut P) {
         let slot = match view.entry(label) {
             Entry::Occupied(mut held) => {
                 if *held.get() < fresh {
@@ -644,7 +662,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             }
             Entry::Vacant(new) => *new.insert(arena.push(P::new(config, label, me))),
         };
-        &mut arena[slot]
+        (slot, &mut arena[slot])
     }
 
     /// Interprets a single eligible block (Algorithm 2, lines 4–12).
@@ -700,7 +718,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         };
 
         let mut outs: Buffer<P::Message> = Vec::new();
-        let mut touched: Vec<Label> = Vec::new();
+        // Every touch's `(label, slot)`: sorted and deduplicated, the delta.
+        let mut delta: Vec<(Label, Slot)> = Vec::new();
         let mut outbox = Outbox::new();
         let config = self.config;
         // Every slot from here on is this block's own.
@@ -711,10 +730,11 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             let label = labeled.label;
             match decode_from_slice::<P::Request>(&labeled.payload) {
                 Ok(request) => {
-                    Self::touch(&mut self.arena, fresh, &mut view, &config, label, me)
-                        .on_request(request, &mut outbox);
+                    let (slot, instance) =
+                        Self::touch(&mut self.arena, fresh, &mut view, &config, label, me);
+                    instance.on_request(request, &mut outbox);
                     outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
-                    touched.push(label);
+                    delta.push((label, slot));
                     self.stats.requests_processed += 1;
                 }
                 Err(_) => {
@@ -738,36 +758,33 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         let inbox = Self::inbox(&self.states, &preds, me, None);
         for group in inbox.chunk_by(|a, b| a.0 == b.0) {
             let label = group[0].0;
-            let instance = Self::touch(&mut self.arena, fresh, &mut view, &config, label, me);
+            let (slot, instance) =
+                Self::touch(&mut self.arena, fresh, &mut view, &config, label, me);
             for (_, sender, message) in group {
                 instance.on_message(*sender, (*message).clone(), &mut outbox);
                 outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
             }
-            touched.push(label);
+            delta.push((label, slot));
         }
         self.stats.messages_delivered += inbox.len() as u64;
         // The counter is of messages made; the buffer is a set.
         self.stats.messages_materialized += envelope_count(&outs) as u64;
         normalize(&mut outs);
-        touched.sort_unstable();
-        touched.dedup();
+        // Every touch of one label at this block returned the same slot.
+        delta.sort_unstable_by_key(|(label, _)| *label);
+        delta.dedup_by_key(|(label, _)| *label);
 
         // Lines 13–14: surface indications from the instances driven here,
-        // label by label, then record them as this block's delta. Every
-        // touched label's slot is this block's own, so it is drained in
-        // place.
-        let mut delta = Vec::with_capacity(touched.len());
-        for label in touched {
-            if let Some(&slot) = view.get(&label) {
-                for indication in self.arena[slot].drain_indications() {
-                    self.stats.indications += 1;
-                    self.indications.push(Indication {
-                        label,
-                        indication,
-                        server: me,
-                    });
-                }
-                delta.push((label, slot));
+        // label by label. Every delta slot is this block's own, so it is
+        // drained in place.
+        for &(label, slot) in &delta {
+            for indication in self.arena[slot].drain_indications() {
+                self.stats.indications += 1;
+                self.indications.push(Indication {
+                    label,
+                    indication,
+                    server: me,
+                });
             }
         }
 
@@ -1879,6 +1896,54 @@ mod tests {
                 };
                 assert_eq!(seen(&restored), seen(&straight));
             }
+        }
+    }
+
+    #[test]
+    fn instance_labels_come_in_label_order_whatever_the_view_holds() {
+        // A thousand labels inscribed in descending order in one block, and
+        // a child that is driven on all of them: views this wide iterate in
+        // no particular order, so only the sort can make the list ascending.
+        let (_, signers) = setup(1);
+        let requests = (1..=1000u64)
+            .rev()
+            .map(|label| LabeledRequest::encode(Label::new(label), &label))
+            .collect();
+        let b0 = Block::build(
+            ServerId::new(0),
+            SeqNum::ZERO,
+            vec![],
+            requests,
+            &signers[0],
+        );
+        let b1 = Block::build(
+            ServerId::new(0),
+            SeqNum::new(1),
+            vec![b0.block_ref()],
+            vec![],
+            &signers[0],
+        );
+        let mut dag = BlockDag::new();
+        dag.insert(b0.clone()).unwrap();
+        dag.insert(b1.clone()).unwrap();
+        let config = ProtocolConfig::for_n(1);
+        let mut interpreter: Interpreter<Ping> = Interpreter::new(config);
+        let mut oracle: crate::ReferenceInterpreter<Ping> =
+            crate::ReferenceInterpreter::new(config);
+        interpreter.step(&dag);
+        oracle.step(&dag);
+        assert_eq!(interpreter.drain_indications(), oracle.drain_indications());
+        let ascending: Vec<Label> = (1..=1000).map(Label::new).collect();
+        for block in [b0.block_ref(), b1.block_ref()] {
+            let labels = interpreter.instance_labels_at(&block);
+            assert_eq!(labels, ascending);
+            let reference: Vec<Label> = oracle
+                .state(&block)
+                .unwrap()
+                .instance_labels()
+                .copied()
+                .collect();
+            assert_eq!(labels, reference);
         }
     }
 

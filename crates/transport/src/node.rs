@@ -155,8 +155,9 @@ where
 /// `Shim::enable_snapshots`.
 ///
 /// Blocks lost to a torn journal tail come back through the normal `FWD`
-/// path: peers' newer blocks reference them, the shim requests the
-/// missing range, and the re-admitted blocks are re-journaled. The
+/// path, one block at a time: `FWD` names a single block, so each lost
+/// block is requested by reference once a block naming it arrives, and
+/// the re-admitted blocks are re-journaled. The
 /// recovered builder never reuses a sequence number (§7's equivocation
 /// caveat): recovery refuses to resume below the highest self-built
 /// record ever synced, and a node whose store fails at runtime stops

@@ -17,9 +17,10 @@ use std::sync::OnceLock;
 use dagbft::prelude::*;
 
 /// Heap allocations per touch the interpreter may make on this DAG
-/// (measured: 2 612 over 5 343 touches, 0.49; with one reference-counted
-/// heap block per instance version it was 7 947, 1.49).
-const ALLOCATIONS_PER_TOUCH: f64 = 0.55;
+/// (measured: 2 380 over 5 343 touches, 0.45; with a B-tree per tip view
+/// it was 2 612, 0.49; with one reference-counted heap block per instance
+/// version, 7 947, 1.49).
+const ALLOCATIONS_PER_TOUCH: f64 = 0.50;
 
 /// Heap allocations per stored instance a snapshot restore of this DAG's
 /// interpretation may make: per block and per arena chunk, not per
