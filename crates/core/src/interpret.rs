@@ -52,22 +52,48 @@
 //!   block costs the labels it touches, not the labels its chain has ever
 //!   seen.
 //!
-//! Copy-on-write is one rule. A block notes the arena's length when it
-//! starts; every slot below that mark belongs to an earlier block and is
-//! never written again. The first touch of a label at a block pushes a
-//! clone of the version its view names (or, on first contact, a new
-//! instance) and repoints the view; later touches at the same block drive
-//! that slot in place. Each touch is one probe of the view, and it returns
-//! the slot it resolved: the block's delta is those `(label, slot)` pairs,
-//! sorted and deduplicated.
+//! # Copy-on-write per segment
 //!
-//! `B.PIs[ℓ]` at any block is the newest delta entry for `ℓ` on the
-//! parent chain ending at `B` ([`Interpreter::instance_at`]). A block that
+//! A chain is cut into **segments** of at most `SEGMENT` = 16 blocks. A
+//! segment opens at every block whose sequence number is a multiple of
+//! `SEGMENT`, at a genesis block, and at every block whose parent's view
+//! had to be rebuilt (see below). A view carries its segment's *mark*, the
+//! arena's length when the segment opened. A slot below the mark belongs to
+//! an earlier segment or to another chain and is never written again: the
+//! first touch of a label in the segment pushes a clone of the version the
+//! view names (or, on first contact, a new instance) and repoints the view.
+//! A slot at or above the mark is the segment's own, and every later touch
+//! in the segment, at this block or a later one, drives it in place. Each
+//! touch is one probe of the view, and it returns the slot it resolved: the
+//! block's delta is those `(label, slot)` pairs, sorted and deduplicated. A
+//! label driven at every block of a segment costs one version, not sixteen.
+//!
+//! So a delta entry names its label's version as of the *last* block of
+//! the segment that drove it. A block whose child moved its view on without
+//! opening a segment is **continued**, and its exact `B.PIs` is recomputed
+//! when someone needs it:
+//!
+//! * below the block's segment, by the delta walk of the next paragraph,
+//!   which is exact there because a closed segment is never written again;
+//! * then the segment's blocks up to `B` — at most `SEGMENT − 1`, since a
+//!   continued block is never its segment's last — are **replayed**: their
+//!   requests, and their inboxes from the stored out-buffers, drive owned
+//!   copies, and the outs this makes are `debug_assert`ed equal to the
+//!   stored ones. Replay and interpretation run one shared body.
+//!
+//! At a block that is not continued, `B.PIs[ℓ]` is the newest delta entry
+//! for `ℓ` on the parent chain ([`Interpreter::instance_at`]). A block that
 //! finds its parent's view gone — the second child of one parent (an
 //! equivocation), out-of-band [`Interpreter::interpret_block`] calls, the
 //! first block after a snapshot restore — rebuilds it by that same walk,
-//! newest block first, where the first insert of a label wins:
-//! O(touches on the chain), paid only on those paths.
+//! newest block first, where the first entry of a label wins. If the parent
+//! is continued, the rebuild also replays the parent's segment into fresh
+//! arena slots and records them as what the rebuilt block started from.
+//! They lie below the new segment's mark, so they stay exact; a walk that
+//! reaches the rebuilt block reads them and skips the replayed segment. A
+//! rebuild costs O(touches on the chain) plus at most `SEGMENT − 1`
+//! replayed blocks ([`Interpreter::blocks_replayed`]), paid only on those
+//! paths.
 //!
 //! Labels are chosen by whoever inscribes a request, byzantine builders
 //! included, so a view hashes with the standard library's randomly keyed
@@ -78,10 +104,11 @@
 //! [`Interpreter::instance_labels_at`], sorts them — so interpretation
 //! stays a pure function of the DAG (Lemma 4.2).
 //!
-//! [`Interpreter::footprint`] makes the saving measurable from running
-//! counters: `instances` sums the view size over all blocks (what the
-//! literal interpreter would store), `unique_instances` sums the delta
-//! sizes (what is actually resident).
+//! [`Interpreter::footprint`] keeps running counters: `instances` sums
+//! the view size over all blocks (what the literal interpreter would
+//! store), `unique_instances` sums the delta sizes (the touches). The
+//! versions actually resident, at most one per label per segment plus
+//! what rebuilds replayed, are [`Interpreter::resident_versions`].
 //!
 //! `B.Ms[in, ·]` is not stored at all: it is a pure function of the direct
 //! predecessors' out-buffers ([`Interpreter::in_messages`]), assembled
@@ -121,20 +148,21 @@
 //! * the delta is a label-sorted vector of `(label, slot)`, built from
 //!   the slots the block's touches returned: no second view lookup.
 //!
-//! What is left per touch is the one instance copy that keeping per-block
-//! versions makes inherent — written into the arena's current chunk, so
-//! the heap sees one allocation per chunk, not one per touch — plus
-//! whatever `P`'s clone itself allocates. `tests/interpret_alloc_budget.rs`
-//! holds the total to a pinned budget of heap allocations per touch on a
-//! BRB payments run, and a snapshot restore to a budget per stored
-//! instance.
+//! What is left per touch is at most one instance copy — one per label
+//! per segment, written into the arena's current chunk, so the heap sees
+//! one allocation per chunk, not one per touch — plus whatever `P`'s clone
+//! itself allocates. `tests/interpret_alloc_budget.rs` holds the total to
+//! a pinned budget of heap allocations per touch on a BRB payments run,
+//! the resident versions to a pinned share of the touches, and a snapshot
+//! restore to a budget per stored instance.
 //!
-//! A snapshot (format 3, [`Interpreter::encode_snapshot`]) writes the same
-//! shapes: the [`ProtocolConfig`] once, then per block its parent, builder,
-//! delta and out-buffer entries, each entry once with its receiver set.
+//! A snapshot (format 4, [`Interpreter::encode_snapshot`]) writes the same
+//! shapes: the [`ProtocolConfig`] once, every arena version once, then per
+//! block its parent, builder, segment flags, delta (naming versions by
+//! index) and out-buffer entries, each entry once with its receiver set.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::ops::{Index, IndexMut};
@@ -142,7 +170,7 @@ use std::ops::{Index, IndexMut};
 use dagbft_codec::{decode_from_slice, DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_crypto::ServerId;
 
-use crate::block::BlockRef;
+use crate::block::{Block, BlockRef};
 use crate::dag::BlockDag;
 use crate::label::Label;
 use crate::protocol::{
@@ -162,6 +190,8 @@ pub struct Indication<I> {
     pub indication: I,
     /// The simulated server on whose behalf the indication was produced.
     pub server: ServerId,
+    /// The block whose interpretation raised it, built by `server`.
+    pub block: BlockRef,
 }
 
 /// Errors from explicit single-block interpretation.
@@ -256,6 +286,11 @@ impl<P> Arena<P> {
         }
         slot
     }
+
+    /// Every version, in slot order.
+    fn iter(&self) -> impl Iterator<Item = &P> {
+        self.chunks.iter().flatten()
+    }
 }
 
 impl<P> Index<Slot> for Arena<P> {
@@ -278,11 +313,129 @@ impl<P> IndexMut<Slot> for Arena<P> {
 /// differs between runs and must reach no output (see the module docs).
 type Instances = HashMap<Label, Slot>;
 
+/// Blocks per copy-on-write segment of a chain: a block whose sequence
+/// number is a multiple of this opens a segment (see the module docs). A
+/// constant, not a setting: it trades resident versions against the
+/// blocks one rebuild may replay, at most `SEGMENT − 1`.
+const SEGMENT: u64 = 16;
+
+/// A chain tip's view and the mark of the segment the tip is in: the
+/// arena's length when that segment opened. The slots at or above the mark
+/// that the view names are the segment's own, driven in place.
+#[derive(Debug)]
+struct Tip {
+    view: Instances,
+    mark: Slot,
+}
+
+/// What a block whose parent was continued started from, besides the
+/// chain below the parent's segment: that segment, replayed into fresh
+/// slots up to the parent.
+#[derive(Debug)]
+struct Replayed {
+    /// The block that opened the replayed segment. A walk that reaches the
+    /// rebuilt block goes on from what this block started from.
+    from: BlockRef,
+    /// Every label the replayed blocks drove, sorted, with the slot of its
+    /// version at the parent. Those slots are never written again.
+    entries: Delta,
+}
+
+/// Where a walk of a chain starts: at a block, for its `B.PIs`, or before
+/// a block that opened a segment, for what that block started from.
+#[derive(Debug, Clone, Copy)]
+enum Start {
+    At(BlockRef),
+    Before(BlockRef),
+}
+
+/// Where one block's touches find the versions they drive: the tip's view
+/// over the arena while interpreting, or owned copies while replaying.
+trait Versions<P> {
+    /// What names a touched version again once the touches are done.
+    type Key: Copy;
+
+    /// The version of `label` to drive at this block, and its key.
+    fn touch(&mut self, label: Label) -> (Self::Key, &mut P);
+
+    /// The version `touch` returned `key` for.
+    fn get(&mut self, key: Self::Key) -> &mut P;
+}
+
+/// A tip while a block is interpreted: the touches resolve into the arena
+/// and repoint the tip's view.
+struct Driven<'a, P> {
+    arena: &'a mut Arena<P>,
+    tip: &'a mut Tip,
+    config: &'a ProtocolConfig,
+    me: ServerId,
+}
+
+impl<P: DeterministicProtocol> Versions<P> for Driven<'_, P> {
+    type Key = Slot;
+
+    /// A slot below the mark is cloned into a new slot and the view
+    /// repointed; a slot at or above it is driven in place; a label the
+    /// view lacks starts a new instance.
+    fn touch(&mut self, label: Label) -> (Slot, &mut P) {
+        let arena = &mut *self.arena;
+        let slot = match self.tip.view.entry(label) {
+            Entry::Occupied(mut held) => {
+                if *held.get() < self.tip.mark {
+                    let copy = arena[*held.get()].clone();
+                    held.insert(arena.push(copy));
+                }
+                *held.get()
+            }
+            Entry::Vacant(new) => *new.insert(arena.push(P::new(self.config, label, self.me))),
+        };
+        (slot, &mut arena[slot])
+    }
+
+    fn get(&mut self, slot: Slot) -> &mut P {
+        &mut self.arena[slot]
+    }
+}
+
+/// A replay's versions: owned copies, each cloned on first touch from the
+/// version `base` names in the arena, which the replay only reads.
+struct Overlay<'a, P> {
+    arena: &'a Arena<P>,
+    base: &'a Instances,
+    versions: BTreeMap<Label, P>,
+    config: &'a ProtocolConfig,
+    me: ServerId,
+}
+
+impl<P: DeterministicProtocol> Versions<P> for Overlay<'_, P> {
+    type Key = Label;
+
+    fn touch(&mut self, label: Label) -> (Label, &mut P) {
+        let (arena, base, config, me) = (self.arena, self.base, self.config, self.me);
+        let version = self
+            .versions
+            .entry(label)
+            .or_insert_with(|| match base.get(&label) {
+                Some(&slot) => arena[slot].clone(),
+                None => P::new(config, label, me),
+            });
+        (label, version)
+    }
+
+    fn get(&mut self, label: Label) -> &mut P {
+        self.versions.get_mut(&label).expect("a touched label")
+    }
+}
+
 /// `B.Ms[out, ·]`: one entry per distinct message with its label and every
 /// server it is addressed to, sorted by `(label, message)` and free of
 /// repeats. The sender of every entry is the block's builder. A label that
 /// sent nothing has no entry.
 type Buffer<M> = Vec<(Label, (M, ServerSet))>;
+
+/// `(label, version)` entries, one per label, sorted by label: a block's
+/// touches, or what a rebuild replayed. Stored ones name arena slots.
+type Delta<K = Slot> = Vec<(Label, K)>;
 
 /// Puts a block's out-buffer into its stored form. `Ms[out, ℓ]` is a set of
 /// envelopes: the entries of one message merge into one with the union of
@@ -326,12 +479,18 @@ pub struct BlockState<P: DeterministicProtocol> {
     parent: Option<BlockRef>,
     /// `B.n`: the sender of every message in `outs`.
     builder: ServerId,
-    /// `B.PIs[ℓ]` for the labels touched here: the state of process
-    /// instance `ℓ` of server `B.n` *after* interpreting `B`. Instances
-    /// are created lazily on first request or message (the implementation
-    /// refinement the paper notes in §4). Sorted by label, one entry each,
-    /// naming the instance's arena slot.
-    delta: Vec<(Label, Slot)>,
+    /// Whether `B` opened a copy-on-write segment of its chain.
+    opens: bool,
+    /// Whether a child of `B` moved `B`'s view on without opening a
+    /// segment, and so may have driven the slots of `delta` since.
+    continued: bool,
+    /// The labels touched here, each with the arena slot of its instance:
+    /// `B.PIs[ℓ]`, the state of process instance `ℓ` of server `B.n`
+    /// *after* interpreting `B` — or, once `B` is continued, after a later
+    /// block of its segment. Instances are created lazily on first request
+    /// or message (the implementation refinement the paper notes in §4).
+    /// Sorted by label, one entry each.
+    delta: Delta,
     /// `B.Ms[out, ℓ]`: messages sent by `B.n`'s instance at this block,
     /// each once with its receivers.
     outs: Buffer<P::Message>,
@@ -362,11 +521,12 @@ impl<P: DeterministicProtocol> BlockState<P> {
         envelopes.into_iter()
     }
 
-    /// This block's delta entry for `label`, if it drove that instance.
-    fn instance(&self, label: Label) -> Option<Slot> {
-        label_range(&self.delta, label)
-            .first()
-            .map(|(_, slot)| *slot)
+    /// `B.Ms[out, ·]` as stored: one entry per distinct message with its
+    /// label and receivers, sorted by `(label, message)`.
+    pub fn out_entries(&self) -> impl Iterator<Item = (Label, &P::Message, &ServerSet)> {
+        self.outs
+            .iter()
+            .map(|(label, (message, receivers))| (*label, message, receivers))
     }
 }
 
@@ -379,9 +539,11 @@ pub struct InterpreterFootprint {
     /// Size of `B.PIs` summed across all interpreted blocks — what a
     /// clone-per-block interpreter would hold as full instance copies.
     pub instances: usize,
-    /// Instance states actually resident: the per-block deltas, summed.
-    /// This is ≪ `instances` on long DAGs: only blocks that *touch* a
-    /// label store its instance.
+    /// Delta entries, summed over the blocks: one per touch, a label
+    /// driven at a block. This is ≪ `instances` on long DAGs: only blocks
+    /// that *touch* a label name its instance. Within a segment the
+    /// entries of one label share a version, so the versions actually
+    /// resident are fewer still ([`Interpreter::resident_versions`]).
     pub unique_instances: usize,
     /// Envelopes in out-buffers: every stored message once per receiver.
     pub out_envelopes: usize,
@@ -392,7 +554,7 @@ pub struct InterpreterFootprint {
 
 impl InterpreterFootprint {
     /// `instances / unique_instances`: how many blocks' `B.PIs` the average
-    /// resident instance serves. 1.0 means no sharing.
+    /// delta entry serves. 1.0 means no sharing.
     pub fn sharing_ratio(&self) -> f64 {
         if self.unique_instances == 0 {
             return 1.0;
@@ -447,11 +609,17 @@ pub struct InterpretStats {
 pub struct Interpreter<P: DeterministicProtocol> {
     config: ProtocolConfig,
     states: HashMap<BlockRef, BlockState<P>>,
-    /// Every instance version the deltas and views name.
+    /// Every instance version the deltas, views and replays name.
     arena: Arena<P>,
-    /// The full `B.PIs` of every chain tip `B` that has one; moved to the
-    /// child when a tip is extended, rebuilt from deltas when missing.
-    views: HashMap<BlockRef, Instances>,
+    /// The full `B.PIs` of every chain tip `B` that has one, with its
+    /// segment's mark; moved to the child when a tip is extended, rebuilt
+    /// when missing.
+    views: HashMap<BlockRef, Tip>,
+    /// What each block whose rebuild replayed its parent's segment started
+    /// from.
+    replays: HashMap<BlockRef, Replayed>,
+    /// Blocks those rebuilds replayed.
+    blocks_replayed: u64,
     /// Running totals behind [`Interpreter::footprint`].
     footprint: InterpreterFootprint,
     /// Interpretation order (for audits; any eligible-respecting order
@@ -471,6 +639,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             states: HashMap::new(),
             arena: Arena::new(),
             views: HashMap::new(),
+            replays: HashMap::new(),
+            blocks_replayed: 0,
             footprint: InterpreterFootprint::default(),
             order: Vec::new(),
             indications: Vec::new(),
@@ -494,6 +664,19 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         &self.stats
     }
 
+    /// Blocks that view rebuilds replayed, at most `SEGMENT − 1` = 15 per
+    /// rebuild (see the module docs). Not in [`InterpretStats`]: the
+    /// clone-per-block oracle shares that type and never replays.
+    pub fn blocks_replayed(&self) -> u64 {
+        self.blocks_replayed
+    }
+
+    /// Instance versions held in the arena: at most one per label per
+    /// chain segment, plus the versions rebuilds replayed.
+    pub fn resident_versions(&self) -> usize {
+        self.arena.len()
+    }
+
     /// Interpretation state attached to `block`, if interpreted.
     pub fn state(&self, block: &BlockRef) -> Option<&BlockState<P>> {
         self.states.get(block)
@@ -504,46 +687,156 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         &self.order
     }
 
-    /// The interpreted blocks from `block` back to its chain's genesis:
-    /// `block`, its parent, its parent's parent, …
-    fn chain(&self, block: &BlockRef) -> impl Iterator<Item = &BlockState<P>> {
-        std::iter::successors(self.states.get(block), |state| {
-            state
-                .parent
-                .as_ref()
-                .and_then(|parent| self.states.get(parent))
-        })
+    /// `top` and its parent chain down to the block that opened `top`'s
+    /// segment, newest first.
+    fn segment(&self, top: &BlockRef) -> Vec<BlockRef> {
+        let mut blocks = Vec::new();
+        let mut at = *top;
+        while let Some(state) = self.states.get(&at) {
+            blocks.push(at);
+            match state.parent {
+                Some(parent) if !state.opens => at = parent,
+                _ => break,
+            }
+        }
+        blocks
+    }
+
+    /// Hands `visit` the entry lists that make up the `B.PIs` that `start`
+    /// names, newest first, until it returns `false`; the first entry of a
+    /// label is its version. Exact at a block that is not continued (see
+    /// the module docs).
+    fn walk<'a>(&'a self, start: Start, mut visit: impl FnMut(&'a Delta) -> bool) {
+        let mut next = Some(start);
+        while let Some(start) = next {
+            let mut opener = match start {
+                Start::At(top) => {
+                    let mut opener = top;
+                    for block in self.segment(&top) {
+                        if !visit(&self.states[&block].delta) {
+                            return;
+                        }
+                        opener = block;
+                    }
+                    opener
+                }
+                Start::Before(opener) => opener,
+            };
+            // `opener` opened a segment: take what it started from.
+            while let Some(replayed) = self.replays.get(&opener) {
+                if !visit(&replayed.entries) {
+                    return;
+                }
+                opener = replayed.from;
+            }
+            next = self
+                .states
+                .get(&opener)
+                .and_then(|state| state.parent)
+                .map(Start::At);
+        }
+    }
+
+    /// The full `Label → slot` map [`Interpreter::walk`] reads from
+    /// `start`.
+    fn view_of(&self, start: Start) -> Instances {
+        let mut view = Instances::new();
+        self.walk(start, |entries| {
+            for &(label, slot) in entries {
+                view.entry(label).or_insert(slot);
+            }
+            true
+        });
+        view
+    }
+
+    /// Drives the blocks of `segment` (newest first, as
+    /// [`Interpreter::segment`] lists them) once more, oldest first, on
+    /// owned copies of the versions `base` names, and returns the copies:
+    /// every label the blocks drove — or just `only`, skipping the blocks
+    /// that did not drive it — at the newest block. The outs each block
+    /// makes are the ones it stored.
+    fn replay(
+        &self,
+        dag: &BlockDag,
+        segment: &[BlockRef],
+        base: &Instances,
+        only: Option<Label>,
+    ) -> BTreeMap<Label, P> {
+        let Some(me) = segment.first().and_then(|top| self.states.get(top)) else {
+            return BTreeMap::new();
+        };
+        let mut overlay = Overlay {
+            arena: &self.arena,
+            base,
+            versions: BTreeMap::new(),
+            config: &self.config,
+            me: me.builder,
+        };
+        let mut scratch = InterpretStats::default();
+        for block_ref in segment.iter().rev() {
+            // A block that did not drive `only` has nothing of it to replay.
+            let delta = &self.states[block_ref].delta;
+            if only.is_some_and(|label| label_range(delta, label).is_empty()) {
+                continue;
+            }
+            let Some(block) = dag.get(block_ref) else {
+                continue;
+            };
+            let preds = dag.preds_of(block_ref);
+            let (outs, _) = Self::drive(
+                &mut overlay,
+                &self.states,
+                block,
+                &preds,
+                only,
+                &mut scratch,
+                |_, _| {},
+            );
+            let stored = &self.states[block_ref].outs;
+            debug_assert!(
+                outs[..] == *only.map_or(&stored[..], |label| label_range(stored, label)),
+                "a replayed block sends what it sent"
+            );
+        }
+        overlay.versions
     }
 
     /// `B.PIs[ℓ]`: the simulated instance of `label` for `block`'s builder
     /// after interpreting `block`, if it has been started — the newest
-    /// delta entry on the parent chain. Walks the chain; for tests and
-    /// audits.
-    pub fn instance_at(&self, block: &BlockRef, label: Label) -> Option<&P> {
-        self.chain(block)
-            .find_map(|state| state.instance(label))
-            .map(|slot| &self.arena[slot])
+    /// delta entry on the parent chain, or, at a continued block, the
+    /// replay of its segment. For tests and audits.
+    pub fn instance_at(&self, dag: &BlockDag, block: &BlockRef, label: Label) -> Option<P> {
+        let state = self.states.get(block)?;
+        let segment = if state.continued {
+            self.segment(block)
+        } else {
+            Vec::new()
+        };
+        let start = match segment.last() {
+            Some(opener) => Start::Before(*opener),
+            None => Start::At(*block),
+        };
+        let mut base = Instances::new();
+        self.walk(start, |entries| match label_range(entries, label).first() {
+            Some(&(_, slot)) => {
+                base.insert(label, slot);
+                false
+            }
+            None => true,
+        });
+        let mut replayed = self.replay(dag, &segment, &base, Some(label));
+        replayed
+            .remove(&label)
+            .or_else(|| base.get(&label).map(|&slot| self.arena[slot].clone()))
     }
 
     /// Labels with a started instance at `block` (the keys of `B.PIs`), in
     /// label order. Walks the chain; for tests and audits.
     pub fn instance_labels_at(&self, block: &BlockRef) -> Vec<Label> {
-        let mut labels: Vec<Label> = self.view_at(block).into_keys().collect();
+        let mut labels: Vec<Label> = self.view_of(Start::At(*block)).into_keys().collect();
         labels.sort_unstable();
         labels
-    }
-
-    /// `B.PIs` in full, rebuilt from the chain's deltas: newest entry wins.
-    /// The chain is walked newest block first, so the first insert of each
-    /// label is the one.
-    fn view_at(&self, block: &BlockRef) -> Instances {
-        let mut view = Instances::new();
-        for state in self.chain(block) {
-            for &(label, slot) in &state.delta {
-                view.entry(label).or_insert(slot);
-            }
-        }
-        view
     }
 
     /// `B.Ms[in, ·]` for a block built by `me` with direct predecessors
@@ -638,39 +931,114 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         total
     }
 
-    /// The slot of `label`'s instance in `view`, and a mutable handle on
-    /// it, for a block whose own versions start at slot `fresh`: a slot
-    /// below `fresh` belongs to an earlier block, so it is cloned into a
-    /// new slot and the view repointed; a slot at or above it is this
-    /// block's and is driven in place; a label the view lacks starts a new
-    /// instance.
-    fn touch<'a>(
-        arena: &'a mut Arena<P>,
-        fresh: Slot,
-        view: &mut Instances,
-        config: &ProtocolConfig,
-        label: Label,
-        me: ServerId,
-    ) -> (Slot, &'a mut P) {
-        let slot = match view.entry(label) {
-            Entry::Occupied(mut held) => {
-                if *held.get() < fresh {
-                    let copy = arena[*held.get()].clone();
-                    held.insert(arena.push(copy));
-                }
-                *held.get()
+    /// Drives `block`'s touches on `versions` (Algorithm 2, lines 5–11 and
+    /// 13–14) — every label's, or `only` one's — counting the work into
+    /// `stats` and handing each indication to `raise`. Returns the block's
+    /// out-buffer, normalized, and every touched label with its key, sorted.
+    /// The one body that interpretation and replay share.
+    fn drive<V: Versions<P>>(
+        versions: &mut V,
+        states: &HashMap<BlockRef, BlockState<P>>,
+        block: &Block,
+        preds: &[BlockRef],
+        only: Option<Label>,
+        stats: &mut InterpretStats,
+        mut raise: impl FnMut(Label, P::Indication),
+    ) -> (Buffer<P::Message>, Delta<V::Key>) {
+        let me = block.builder();
+        let mut outs: Buffer<P::Message> = Vec::new();
+        // Every touch's `(label, key)`: sorted and deduplicated, the delta.
+        let mut delta: Delta<V::Key> = Vec::new();
+        let mut outbox = Outbox::new();
+
+        // Lines 5–6: feed the block's own requests to B.n's instances.
+        for labeled in block.requests() {
+            let label = labeled.label;
+            if only.is_some_and(|only| only != label) {
+                continue;
             }
-            Entry::Vacant(new) => *new.insert(arena.push(P::new(config, label, me))),
-        };
-        (slot, &mut arena[slot])
+            match decode_from_slice::<P::Request>(&labeled.payload) {
+                Ok(request) => {
+                    let (key, instance) = versions.touch(label);
+                    instance.on_request(request, &mut outbox);
+                    outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
+                    delta.push((label, key));
+                    stats.requests_processed += 1;
+                }
+                Err(_) => {
+                    // A byzantine builder inscribed bytes that are not a
+                    // request of P. P assumes requests are authentic
+                    // (§5); garbage never reaches it.
+                    stats.malformed_requests += 1;
+                }
+            }
+        }
+
+        // Lines 7–11: collect the in-messages addressed to B.n from the
+        // direct predecessors' out-buffers and deliver them label by
+        // label, each label's in the total order <_M. Line 7 ranges over
+        // every label requested at an ancestor, but only labels some
+        // predecessor actually sent on can have a non-empty inbox, so
+        // walking the merged inbox is observationally identical (the
+        // retained reference interpreter iterates the full set; the
+        // equivalence suite pins this) and keeps delivery cost
+        // proportional to traffic, not to the lifetime label count.
+        let inbox = Self::inbox(states, preds, me, only);
+        for group in inbox.chunk_by(|a, b| a.0 == b.0) {
+            let label = group[0].0;
+            let (key, instance) = versions.touch(label);
+            for (_, sender, message) in group {
+                instance.on_message(*sender, (*message).clone(), &mut outbox);
+                outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
+            }
+            delta.push((label, key));
+        }
+        stats.messages_delivered += inbox.len() as u64;
+        // The counter is of messages made; the buffer is a set.
+        stats.messages_materialized += envelope_count(&outs) as u64;
+        normalize(&mut outs);
+        // Every touch of one label at this block returned the same key.
+        delta.sort_unstable_by_key(|(label, _)| *label);
+        delta.dedup_by_key(|(label, _)| *label);
+
+        // Lines 13–14: surface indications from the instances driven here,
+        // label by label.
+        for &(label, key) in &delta {
+            for indication in versions.get(key).drain_indications() {
+                stats.indications += 1;
+                raise(label, indication);
+            }
+        }
+        (outs, delta)
+    }
+
+    /// `B.PIs` at `parent` for a `child` that found no view there: the
+    /// walk, and if `parent` is continued, its segment replayed into fresh
+    /// slots that `child` records as what it started from.
+    fn rebuild(&mut self, dag: &BlockDag, parent: BlockRef, child: BlockRef) -> Instances {
+        if !self.states[&parent].continued {
+            return self.view_of(Start::At(parent));
+        }
+        let segment = self.segment(&parent);
+        let from = *segment.last().expect("a segment holds its top");
+        let mut view = self.view_of(Start::Before(from));
+        let replayed = self.replay(dag, &segment, &view, None);
+        self.blocks_replayed += segment.len() as u64;
+        let entries: Delta = replayed
+            .into_iter()
+            .map(|(label, version)| (label, self.arena.push(version)))
+            .collect();
+        view.extend(entries.iter().copied());
+        self.replays.insert(child, Replayed { from, entries });
+        view
     }
 
     /// Interprets a single eligible block (Algorithm 2, lines 4–12).
     ///
     /// Line 4 (`PIs := B_parent.PIs`) moves the parent's view here; only
     /// labels touched at this block — requests fed (lines 5–6) or messages
-    /// delivered (lines 8–11) — are cloned into the arena on first write
-    /// and recorded as the block's delta.
+    /// delivered (lines 8–11) — are cloned into the arena, on their first
+    /// write in the chain's segment, and recorded as the block's delta.
     ///
     /// # Errors
     ///
@@ -705,101 +1073,70 @@ impl<P: DeterministicProtocol> Interpreter<P> {
 
         let me = block.builder();
 
-        // Line 4: PIs := the parent's PIs — its view, moved. Only a parent
-        // that is no longer (or, after a restore, not yet) a tip with a
-        // view pays for a rebuild. Genesis blocks (and, for lazily created
-        // labels, first contact) start fresh instances.
-        let mut view = match &parent {
-            Some(parent) => match self.views.remove(parent) {
-                Some(view) => view,
-                None => self.view_at(parent),
+        // Line 4: PIs := the parent's PIs — its view, moved, in the same
+        // segment unless this block's sequence number opens one. Only a
+        // parent that is no longer (or, after a restore, not yet) a tip
+        // with a view pays for a rebuild, which opens a segment too.
+        // Genesis blocks (and, for lazily created labels, first contact)
+        // start fresh instances.
+        let opening = block.seq().value() % SEGMENT == 0;
+        let (view, continued) = match parent {
+            None => (Instances::new(), None),
+            Some(parent) => match self.views.remove(&parent) {
+                Some(tip) if !opening => {
+                    if let Some(state) = self.states.get_mut(&parent) {
+                        state.continued = true;
+                    }
+                    (tip.view, Some(tip.mark))
+                }
+                Some(tip) => (tip.view, None),
+                None => (self.rebuild(dag, parent, *block_ref), None),
             },
-            None => Instances::new(),
+        };
+        let opens = continued.is_none();
+        let mut tip = Tip {
+            view,
+            mark: continued.unwrap_or(self.arena.len()),
         };
 
-        let mut outs: Buffer<P::Message> = Vec::new();
-        // Every touch's `(label, slot)`: sorted and deduplicated, the delta.
-        let mut delta: Vec<(Label, Slot)> = Vec::new();
-        let mut outbox = Outbox::new();
-        let config = self.config;
-        // Every slot from here on is this block's own.
-        let fresh = self.arena.len();
-
-        // Lines 5–6: feed the block's own requests to B.n's instances.
-        for labeled in block.requests() {
-            let label = labeled.label;
-            match decode_from_slice::<P::Request>(&labeled.payload) {
-                Ok(request) => {
-                    let (slot, instance) =
-                        Self::touch(&mut self.arena, fresh, &mut view, &config, label, me);
-                    instance.on_request(request, &mut outbox);
-                    outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
-                    delta.push((label, slot));
-                    self.stats.requests_processed += 1;
-                }
-                Err(_) => {
-                    // A byzantine builder inscribed bytes that are not a
-                    // request of P. P assumes requests are authentic
-                    // (§5); garbage never reaches it.
-                    self.stats.malformed_requests += 1;
-                }
-            }
-        }
-
-        // Lines 7–11: collect the in-messages addressed to B.n from the
-        // direct predecessors' out-buffers and deliver them label by
-        // label, each label's in the total order <_M. Line 7 ranges over
-        // every label requested at an ancestor, but only labels some
-        // predecessor actually sent on can have a non-empty inbox, so
-        // walking the merged inbox is observationally identical (the
-        // retained reference interpreter iterates the full set; the
-        // equivalence suite pins this) and keeps delivery cost
-        // proportional to traffic, not to the lifetime label count.
-        let inbox = Self::inbox(&self.states, &preds, me, None);
-        for group in inbox.chunk_by(|a, b| a.0 == b.0) {
-            let label = group[0].0;
-            let (slot, instance) =
-                Self::touch(&mut self.arena, fresh, &mut view, &config, label, me);
-            for (_, sender, message) in group {
-                instance.on_message(*sender, (*message).clone(), &mut outbox);
-                outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
-            }
-            delta.push((label, slot));
-        }
-        self.stats.messages_delivered += inbox.len() as u64;
-        // The counter is of messages made; the buffer is a set.
-        self.stats.messages_materialized += envelope_count(&outs) as u64;
-        normalize(&mut outs);
-        // Every touch of one label at this block returned the same slot.
-        delta.sort_unstable_by_key(|(label, _)| *label);
-        delta.dedup_by_key(|(label, _)| *label);
-
-        // Lines 13–14: surface indications from the instances driven here,
-        // label by label. Every delta slot is this block's own, so it is
-        // drained in place.
-        for &(label, slot) in &delta {
-            for indication in self.arena[slot].drain_indications() {
-                self.stats.indications += 1;
-                self.indications.push(Indication {
+        let indications = &mut self.indications;
+        let mut driven = Driven {
+            arena: &mut self.arena,
+            tip: &mut tip,
+            config: &self.config,
+            me,
+        };
+        let (outs, delta) = Self::drive(
+            &mut driven,
+            &self.states,
+            block,
+            &preds,
+            None,
+            &mut self.stats,
+            |label, indication| {
+                indications.push(Indication {
                     label,
                     indication,
                     server: me,
-                });
-            }
-        }
+                    block: *block_ref,
+                })
+            },
+        );
 
         // Line 12: I[B] := true.
         self.footprint.blocks += 1;
-        self.footprint.instances += view.len();
+        self.footprint.instances += tip.view.len();
         self.footprint.unique_instances += delta.len();
         self.footprint.out_envelopes += envelope_count(&outs);
         self.footprint.out_entries += outs.len();
-        self.views.insert(*block_ref, view);
+        self.views.insert(*block_ref, tip);
         self.states.insert(
             *block_ref,
             BlockState {
                 parent,
                 builder: me,
+                opens,
+                continued: false,
                 delta,
                 outs,
             },
@@ -810,14 +1147,15 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     }
 
     /// Approximate memory footprint: stored protocol instances (what the
-    /// literal Algorithm 2 would hold *and* what is resident) and
-    /// out-envelopes across all interpreted blocks. Used by the
+    /// literal Algorithm 2 would hold, and the touches this one records)
+    /// and out-envelopes across all interpreted blocks. Used by the
     /// bounded-memory experiments. O(1): the totals are maintained as
     /// blocks are interpreted.
     ///
     /// `instances` is what a clone-per-block interpreter would store;
-    /// `unique_instances` is what this interpreter actually keeps —
-    /// their ratio is the saving.
+    /// `unique_instances` is the delta entries this interpreter keeps —
+    /// their ratio is the saving. [`Interpreter::resident_versions`]
+    /// counts the versions those entries share.
     pub fn footprint(&self) -> InterpreterFootprint {
         self.footprint
     }
@@ -845,8 +1183,9 @@ pub enum SnapshotError {
         /// `f` recorded in the snapshot.
         f: u64,
     },
-    /// The snapshot's interpretation order repeats a block, or a block's
-    /// parent index does not point at an earlier block of it.
+    /// The snapshot's interpretation order repeats a block, a block's
+    /// parent or replayed segment does not point at an earlier block of
+    /// it, or an entry names a version the snapshot does not hold.
     BadIndex,
 }
 
@@ -863,7 +1202,12 @@ impl fmt::Display for SnapshotError {
                     "snapshot taken under different config (n={n}, f={faults})"
                 )
             }
-            SnapshotError::BadIndex => write!(f, "snapshot block order or parent index invalid"),
+            SnapshotError::BadIndex => {
+                write!(
+                    f,
+                    "snapshot block order, block index or version index invalid"
+                )
+            }
         }
     }
 }
@@ -877,20 +1221,58 @@ impl From<DecodeError> for SnapshotError {
 }
 
 /// Snapshot format version written by [`Interpreter::encode_snapshot`].
-/// Format 3 writes each out-buffer entry once with its receiver set, and
-/// the protocol configuration once per snapshot; format 2 wrote one
-/// envelope per receiver and the configuration in every instance.
-const SNAPSHOT_VERSION: u8 = 3;
+/// Format 4 writes each arena version once and names versions by index,
+/// with each block's segment flags; format 3 wrote the version of every
+/// delta entry, and format 2 also one envelope per receiver and the
+/// configuration in every instance.
+const SNAPSHOT_VERSION: u8 = 4;
+
+/// A block's segment flags in a snapshot: it opened a segment, it was
+/// continued, and it records a replayed segment.
+const OPENS: u8 = 1;
+const CONTINUED: u8 = 2;
+const REPLAYED: u8 = 4;
+
+/// Writes `(label, slot)` entries: their count, then each label with its
+/// slot as a version index.
+fn encode_entries(entries: &[(Label, Slot)], out: &mut Vec<u8>) {
+    (entries.len() as u32).encode(out);
+    for (label, slot) in entries {
+        label.encode(out);
+        (*slot as u32).encode(out);
+    }
+}
+
+/// Reads what [`encode_entries`] wrote, each slot below `versions`. Of a
+/// repeated label the last entry wins: reversed, the stable sort puts it
+/// first of its run, which is the one `dedup` keeps.
+fn decode_entries(reader: &mut Reader<'_>, versions: Slot) -> Result<Delta, SnapshotError> {
+    // An entry is a label and a version index.
+    let count = reader.read_len(12)?;
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        let label = Label::decode(reader)?;
+        let slot = reader.read_u32()? as Slot;
+        if slot >= versions {
+            return Err(SnapshotError::BadIndex);
+        }
+        entries.push((label, slot));
+    }
+    entries.reverse();
+    entries.sort_by_key(|(label, _)| *label);
+    entries.dedup_by_key(|(label, _)| *label);
+    Ok(entries)
+}
 
 impl<P: SnapshotProtocol> Interpreter<P>
 where
     P::Message: WireEncode + WireDecode,
 {
-    /// Serializes the complete interpretation state — order, counters, and
-    /// per block its parent, builder, delta and out-buffer entries — so a
-    /// snapshot costs what is actually resident, not blocks × labels. Tip
-    /// views are not written: they are rebuilt from the deltas on first
-    /// use.
+    /// Serializes the complete interpretation state — order, counters,
+    /// every instance version once, and per block its parent, builder,
+    /// segment flags, delta and out-buffer entries — so a snapshot costs
+    /// what is actually resident, not blocks × labels. Tip views are not
+    /// written: they are rebuilt on first use.
     ///
     /// Must be called with [`Interpreter::drain_indications`] drained:
     /// undrained indications are not captured.
@@ -914,8 +1296,12 @@ where
         ] {
             counter.encode(&mut out);
         }
-        // Per block, in interpretation order. The parent is written as its
-        // 1-based position in that order (0 for a genesis block).
+        (self.arena.len() as u32).encode(&mut out);
+        for version in self.arena.iter() {
+            version.encode_state(&mut out);
+        }
+        // Per block, in interpretation order. A block is written as its
+        // 1-based position in that order (0 for no parent).
         let position: HashMap<&BlockRef, u64> = self.order.iter().zip(1..).collect();
         for block_ref in &self.order {
             let state = &self.states[block_ref];
@@ -925,11 +1311,16 @@ where
                 .map_or(0, |parent| position[parent])
                 .encode(&mut out);
             state.builder.encode(&mut out);
-            (state.delta.len() as u32).encode(&mut out);
-            for (label, slot) in &state.delta {
-                label.encode(&mut out);
-                self.arena[*slot].encode_state(&mut out);
+            let replayed = self.replays.get(block_ref);
+            let flags = if state.opens { OPENS } else { 0 }
+                | if state.continued { CONTINUED } else { 0 }
+                | if replayed.is_some() { REPLAYED } else { 0 };
+            flags.encode(&mut out);
+            if let Some(replayed) = replayed {
+                position[&replayed.from].encode(&mut out);
+                encode_entries(&replayed.entries, &mut out);
             }
+            encode_entries(&state.delta, &mut out);
             (state.outs.len() as u32).encode(&mut out);
             for (label, (message, receivers)) in &state.outs {
                 label.encode(&mut out);
@@ -980,31 +1371,37 @@ where
             ..InterpreterFootprint::default()
         };
 
-        let mut states: HashMap<BlockRef, BlockState<P>> = HashMap::with_capacity(covered);
         let mut arena = Arena::new();
+        // A protocol's state may encode to no bytes at all.
+        for _ in 0..reader.read_len(0)? {
+            arena.push(P::decode_state(&config, &mut reader)?);
+        }
+        let versions = arena.len();
+        let mut states: HashMap<BlockRef, BlockState<P>> = HashMap::with_capacity(covered);
+        let mut replays = HashMap::new();
         for (position, block_ref) in order.iter().enumerate() {
-            // A parent strictly earlier in a repetition-free order keeps
-            // every chain walk finite and inside `states`.
-            let parent = match reader.read_u64()? as usize {
-                0 => None,
-                index if index <= position => Some(order[index - 1]),
-                _ => return Err(SnapshotError::BadIndex),
+            // A block named strictly earlier in a repetition-free order
+            // keeps every chain walk finite and inside `states`.
+            let earlier = |index: u64| match index as usize {
+                0 => Ok(None),
+                index if index <= position => Ok(Some(order[index - 1])),
+                _ => Err(SnapshotError::BadIndex),
             };
+            let parent = earlier(reader.read_u64()?)?;
             let builder = ServerId::decode(&mut reader)?;
-            let touched = reader.read_len(8)?;
-            let mut delta = Vec::with_capacity(touched);
-            for _ in 0..touched {
-                let label = Label::decode(&mut reader)?;
-                delta.push((label, arena.push(P::decode_state(&config, &mut reader)?)));
+            let flags = reader.read_u8()?;
+            if flags & !(OPENS | CONTINUED | REPLAYED) != 0 {
+                return Err(SnapshotError::Corrupt(DecodeError::InvalidDiscriminant {
+                    type_name: "segment flags",
+                    value: flags,
+                }));
             }
-            // Canonical bytes are sorted and repeat-free already; anything
-            // else is normalized once per block. Of a repeated delta label
-            // the last entry wins: reversed, the stable sort puts it first
-            // of its run, which is the one `dedup` keeps. The losers' slots
-            // stay in the arena, named by nothing.
-            delta.reverse();
-            delta.sort_by_key(|(label, _)| *label);
-            delta.dedup_by_key(|(label, _)| *label);
+            if flags & REPLAYED != 0 {
+                let from = earlier(reader.read_u64()?)?.ok_or(SnapshotError::BadIndex)?;
+                let entries = decode_entries(&mut reader, versions)?;
+                replays.insert(*block_ref, Replayed { from, entries });
+            }
+            let delta = decode_entries(&mut reader, versions)?;
             // An entry is at least its label and its receiver count.
             let entries = reader.read_len(12)?;
             let mut outs: Buffer<P::Message> = Vec::with_capacity(entries);
@@ -1013,6 +1410,8 @@ where
                 let message = P::Message::decode(&mut reader)?;
                 outs.push((label, (message, ServerSet::decode(&mut reader)?)));
             }
+            // Canonical bytes are sorted and repeat-free already; anything
+            // else is normalized once per block.
             normalize(&mut outs);
             footprint.unique_instances += delta.len();
             footprint.out_envelopes += envelope_count(&outs);
@@ -1020,6 +1419,9 @@ where
             let state = BlockState {
                 parent,
                 builder,
+                // A block without a parent starts a chain, so a segment.
+                opens: flags & OPENS != 0 || parent.is_none(),
+                continued: flags & CONTINUED != 0,
                 delta,
                 outs,
             };
@@ -1037,6 +1439,8 @@ where
             states,
             arena,
             views: HashMap::new(),
+            replays,
+            blocks_replayed: 0,
             footprint,
             scanned: covered,
             order,
@@ -1561,12 +1965,16 @@ mod tests {
         let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(1));
         interpreter.step(&dag);
 
-        let driven = interpreter.instance_at(&blocks[1].block_ref(), Label::new(1));
+        let at = |block: &Block| {
+            interpreter
+                .instance_at(&dag, &block.block_ref(), Label::new(1))
+                .unwrap()
+                .seen
+        };
         for later in &blocks[2..] {
             let state = interpreter.state(&later.block_ref()).unwrap();
             assert_eq!(state.touched_labels().count(), 0, "quiescent block");
-            let seen = interpreter.instance_at(&later.block_ref(), Label::new(1));
-            assert!(std::ptr::eq(seen.unwrap(), driven.unwrap()));
+            assert_eq!(at(later), at(&blocks[1]));
             assert_eq!(
                 interpreter.instance_labels_at(&later.block_ref()),
                 vec![Label::new(1)]
@@ -1582,12 +1990,15 @@ mod tests {
         assert_eq!(footprint.instances, 6); // one label in every state
         assert_eq!(footprint.unique_instances, 2);
         assert!(footprint.sharing_ratio() > 2.9);
+        // Both touches fell in the chain's first segment: one version.
+        assert_eq!(interpreter.resident_versions(), 1);
     }
 
     /// The structure the module docs promise: exactly one view per chain
-    /// tip, naming the slots of the chain's deltas merged newest-first;
-    /// one arena slot per touch, each named by exactly one delta entry;
-    /// and footprint counters that say what the states hold.
+    /// tip, naming the slots of the chain's walk; a block is continued
+    /// exactly when a child moved its view on inside its segment; every
+    /// arena slot is named by a delta entry or a replay; and footprint
+    /// counters that say what the states hold.
     fn assert_structure(interpreter: &Interpreter<Ping>) {
         let states = &interpreter.states;
         let parents: BTreeSet<BlockRef> = states.values().filter_map(|s| s.parent).collect();
@@ -1598,18 +2009,28 @@ mod tests {
             .collect();
         let viewed: BTreeSet<BlockRef> = interpreter.views.keys().copied().collect();
         assert_eq!(viewed, tips);
-        for (tip, view) in &interpreter.views {
-            assert_eq!(*view, interpreter.view_at(tip));
+        for (tip, held) in &interpreter.views {
+            assert_eq!(held.view, interpreter.view_of(Start::At(*tip)));
+        }
+        for (block, state) in states {
+            let continued = states
+                .values()
+                .any(|child| child.parent == Some(*block) && !child.opens);
+            assert_eq!(state.continued, continued);
         }
         let footprint = interpreter.footprint();
         let named: BTreeSet<Slot> = states
             .values()
-            .flat_map(|s| s.delta.iter().map(|(_, slot)| *slot))
+            .flat_map(|s| &s.delta)
+            .chain(interpreter.replays.values().flat_map(|r| &r.entries))
+            .map(|(_, slot)| *slot)
             .collect();
         let deltas: usize = states.values().map(|s| s.delta.len()).sum();
         assert!(named.iter().copied().eq(0..interpreter.arena.len()));
-        assert_eq!(deltas, interpreter.arena.len());
-        let slots: usize = states.keys().map(|b| interpreter.view_at(b).len()).sum();
+        let slots: usize = states
+            .keys()
+            .map(|b| interpreter.instance_labels_at(b).len())
+            .sum();
         assert_eq!(footprint.unique_instances, deltas);
         assert_eq!(footprint.instances, slots);
         assert_eq!(footprint.blocks, states.len());
@@ -1663,8 +2084,8 @@ mod tests {
         let mut interpreter: Interpreter<Ping> = Interpreter::new(ProtocolConfig::for_n(1));
         interpreter.step(&dag);
 
-        let genesis = interpreter.instance_at(&blocks[0].block_ref(), Label::new(1));
-        let after = interpreter.instance_at(&blocks[1].block_ref(), Label::new(1));
+        let genesis = interpreter.instance_at(&dag, &blocks[0].block_ref(), Label::new(1));
+        let after = interpreter.instance_at(&dag, &blocks[1].block_ref(), Label::new(1));
         assert!(genesis.unwrap().seen.is_empty(), "ancestor unmodified");
         assert_eq!(after.unwrap().seen.len(), 1, "descendant advanced");
     }
@@ -1780,8 +2201,9 @@ mod tests {
     }
 
     /// Snapshot bytes of `interpreter` as a writer other than
-    /// `encode_snapshot` may have left them: per block a stale copy of the
-    /// first delta entry ahead of the real entries; the out-buffer entries
+    /// `encode_snapshot` may have left them: per block no segment flag on a
+    /// genesis block, and a stale entry for the first delta label, naming
+    /// the last version, ahead of the real entries; the out-buffer entries
     /// in descending order, each split into one entry per receiver; the
     /// first entry once more, whole; and a message with no receiver.
     fn sloppy_snapshot(interpreter: &Interpreter<Ping>) -> Vec<u8> {
@@ -1801,6 +2223,11 @@ mod tests {
         ] {
             counter.encode(&mut out);
         }
+        (interpreter.arena.len() as u32).encode(&mut out);
+        for version in interpreter.arena.iter() {
+            version.encode_state(&mut out);
+        }
+        assert!(interpreter.replays.is_empty());
         for block in &interpreter.order {
             let state = &interpreter.states[block];
             let parent = state.parent.map_or(0, |parent| {
@@ -1808,21 +2235,16 @@ mod tests {
             });
             (parent as u64).encode(&mut out);
             state.builder.encode(&mut out);
-            let stale = state.delta.first().map(|(label, _)| {
-                (
-                    *label,
-                    Ping::new(&interpreter.config, *label, ServerId::new(0)),
-                )
-            });
-            ((state.delta.len() + stale.iter().len()) as u32).encode(&mut out);
-            let real = state
-                .delta
-                .iter()
-                .map(|(label, slot)| (label, &interpreter.arena[*slot]));
-            for (label, ping) in stale.iter().map(|(label, ping)| (label, ping)).chain(real) {
-                label.encode(&mut out);
-                ping.encode_state(&mut out);
-            }
+            let opens = state.opens && state.parent.is_some();
+            let continued = if state.continued { CONTINUED } else { 0 };
+            (if opens { OPENS } else { 0 } | continued).encode(&mut out);
+            let last = interpreter.arena.len() - 1;
+            let stale = state.delta.first().map(|(label, _)| (*label, last));
+            let entries: Delta = stale
+                .into_iter()
+                .chain(state.delta.iter().copied())
+                .collect();
+            encode_entries(&entries, &mut out);
             let mut entries: Vec<(Label, u64, ServerSet)> = Vec::new();
             for (label, (message, receivers)) in state.outs.iter().rev() {
                 for receiver in receivers.iter() {
@@ -1891,8 +2313,8 @@ mod tests {
             for label in (1..4).map(Label::new) {
                 let seen = |interpreter: &Interpreter<Ping>| {
                     interpreter
-                        .instance_at(block, label)
-                        .map(|ping| ping.seen.clone())
+                        .instance_at(&dag, block, label)
+                        .map(|ping| ping.seen)
                 };
                 assert_eq!(seen(&restored), seen(&straight));
             }

@@ -269,6 +269,7 @@ impl<P: DeterministicProtocol> ReferenceInterpreter<P> {
                         label: *label,
                         indication,
                         server: me,
+                        block: *block_ref,
                     });
                 }
             }

@@ -23,7 +23,7 @@
 //! (Lemma 4.2), so scheduling cannot change any outcome — only *when* it
 //! becomes observable.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -33,7 +33,7 @@ use crate::block::{BlockRef, LabeledRequest};
 use crate::dag::BlockDag;
 use crate::defense::DefenseConfig;
 use crate::gossip::{Gossip, GossipConfig, NetCommand, NetMessage};
-use crate::interpret::{Interpreter, InterpreterFootprint, SnapshotError};
+use crate::interpret::{Indication, Interpreter, InterpreterFootprint, SnapshotError};
 use crate::label::Label;
 use crate::protocol::{DeterministicProtocol, ProtocolConfig, SnapshotProtocol};
 use crate::store::{BlockStore, RecoverError, RecoveryReport, StoreContents, StoreError};
@@ -162,6 +162,10 @@ pub struct Shim<P: DeterministicProtocol> {
     /// other servers' simulations are not kept (Algorithm 3 line 8 requires
     /// `s' = s`).
     delivered: VecDeque<(Label, P::Indication)>,
+    /// In debug builds, every indication each block this shim interpreted
+    /// raised, for every simulated server: what [`Shim::raised_at`]
+    /// answers. Release builds leave it empty.
+    raised: HashMap<BlockRef, Vec<Indication<P::Indication>>>,
     /// Durable storage of a durable shim: every admitted block, buffered
     /// request, and periodic snapshot is journaled through it.
     store: Option<StoreBinding<P>>,
@@ -209,6 +213,7 @@ impl<P: DeterministicProtocol> Shim<P> {
             interpreter,
             rqsts: VecDeque::new(),
             delivered: VecDeque::new(),
+            raised: HashMap::new(),
             store: None,
             store_error: None,
         };
@@ -349,9 +354,30 @@ impl<P: DeterministicProtocol> Shim<P> {
         self.delivered.drain(..).collect()
     }
 
+    /// The indications interpreting `block` raised, for every simulated
+    /// server, in the order raised — if this shim interpreted `block`
+    /// itself, in a debug build. `None` for a block it has not interpreted
+    /// or took from a snapshot, and in release builds, which keep no such
+    /// record. For cross-server audits of Lemma 4.2.
+    pub fn raised_at(&self, block: &BlockRef) -> Option<&[Indication<P::Indication>]> {
+        self.raised.get(block).map(Vec::as_slice)
+    }
+
     fn run_interpretation(&mut self) {
+        let before = self.interpreter.interpreted_count();
         self.interpreter.step(self.gossip.dag());
-        for indication in self.interpreter.drain_indications() {
+        let raised = self.interpreter.drain_indications();
+        if cfg!(debug_assertions) {
+            for block in &self.interpreter.interpreted_order()[before..] {
+                self.raised.insert(*block, Vec::new());
+            }
+            for indication in &raised {
+                if let Some(at) = self.raised.get_mut(&indication.block) {
+                    at.push(indication.clone());
+                }
+            }
+        }
+        for indication in raised {
             if indication.server == self.me {
                 self.delivered
                     .push_back((indication.label, indication.indication));

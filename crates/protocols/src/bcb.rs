@@ -12,10 +12,21 @@
 //!
 //! Compared with [`crate::brb`] it provides *consistency* (no two correct
 //! servers deliver different values) but **not totality**: with a byzantine
-//! broadcaster some correct servers may deliver while others never do. The
-//! difference is observable in the workspace's byzantine integration tests
-//! — a nice illustration that the embedding preserves each protocol's exact
-//! property set (Theorem 5.1), neither strengthening nor weakening it.
+//! broadcaster some correct servers may deliver while others never do.
+//!
+//! What is tested of that, and where:
+//! * the unit test `no_totality_guarantee_documented` below drives bare
+//!   instances with a byzantine sender's conflicting messages, and one
+//!   honest server never delivers;
+//! * `tests/byzantine.rs::bcb_consistency_but_not_totality_under_equivocation`
+//!   embeds `Bcb` in the DAG with an equivocating *builder*, but injects
+//!   its request at honest server 1, so the broadcaster is correct. It
+//!   asserts consistency only.
+//!
+//! No test has a byzantine broadcaster inside the DAG: a simulated
+//! byzantine server inscribes no requests. Whether the embedding gives
+//! `Bcb` totality there (a non-equivocating byzantine sender is
+//! interpreted as a correct one) is open: `ROADMAP.md` item 14.
 
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig};

@@ -49,4 +49,4 @@ pub mod sched;
 pub use adversary::Role;
 pub use metrics::{Delivery, NetMetrics};
 pub use net::{Latency, NetworkModel, Partition};
-pub use runner::{IngestMode, Injection, SimConfig, SimOutcome, Simulation};
+pub use runner::{Disagreement, IngestMode, Injection, SimConfig, SimOutcome, Simulation};

@@ -13,7 +13,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use dagbft_codec::{WireDecode, WireEncode};
 use dagbft_core::{
-    accountability, BlockStore, DefenseConfig, DeterministicProtocol, Label, MemoryStore,
+    accountability, BlockRef, BlockStore, DefenseConfig, DeterministicProtocol, Label, MemoryStore,
     NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Schedule, Shim,
     ShimConfig, SnapshotProtocol, TimeMs,
 };
@@ -243,6 +243,42 @@ pub struct SimOutcome<P: DeterministicProtocol> {
     servers: Vec<ServerView<P>>,
 }
 
+/// Two honest servers that interpreted one block differently — a
+/// violation of Lemma 4.2, found by
+/// [`SimOutcome::check_interpretation_agrees`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Disagreement {
+    /// The block both servers hold.
+    pub block: BlockRef,
+    /// The first label on which their interpretations differ.
+    pub label: Label,
+    /// The two servers, the lower index first.
+    pub servers: (ServerId, ServerId),
+    /// What differs: `"out-buffer"` or `"indications"`.
+    pub what: &'static str,
+}
+
+impl std::fmt::Display for Disagreement {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (a, b) = self.servers;
+        write!(
+            f,
+            "servers {a} and {b} interpreted block {} to different {} on label {}",
+            self.block, self.what, self.label
+        )
+    }
+}
+
+/// The label of the first position at which `a` and `b` differ, if any.
+fn first_difference<T: PartialEq>(a: &[T], b: &[T], label: impl Fn(&T) -> Label) -> Option<Label> {
+    let at = a
+        .iter()
+        .zip(b)
+        .position(|(x, y)| x != y)
+        .unwrap_or(a.len().min(b.len()));
+    a.get(at).or(b.get(at)).map(label)
+}
+
 /// Post-run view of one server.
 #[derive(Debug)]
 pub enum ServerView<P: DeterministicProtocol> {
@@ -302,6 +338,60 @@ impl<P: DeterministicProtocol> SimOutcome<P> {
             .enumerate()
             .filter_map(|(i, s)| matches!(s, ServerView::Correct(_)).then_some(i))
             .collect()
+    }
+
+    /// Lemma 4.2 across servers: every block that two or more honest
+    /// servers hold was interpreted by each to the same out-buffer entries
+    /// and — where both recorded them, see [`Shim::raised_at`] — the same
+    /// indications. Returns how many (block, server pair) comparisons were
+    /// made, or the first disagreement, in server order and then in the
+    /// lower-indexed server's interpretation order. [`Simulation::run`]
+    /// calls it in debug builds and panics on a disagreement.
+    ///
+    /// # Errors
+    ///
+    /// The first [`Disagreement`] found.
+    pub fn check_interpretation_agrees(&self) -> Result<usize, Disagreement> {
+        let honest: Vec<(ServerId, &Shim<P>)> = self
+            .servers
+            .iter()
+            .enumerate()
+            .filter_map(|(index, server)| match server {
+                ServerView::Correct(shim) => Some((ServerId::new(index as u32), &**shim)),
+                _ => None,
+            })
+            .collect();
+        let mut compared = 0;
+        for (at, (a, first)) in honest.iter().enumerate() {
+            for (b, second) in &honest[at + 1..] {
+                for block in first.interpreter().interpreted_order() {
+                    let Some(theirs) = second.interpreter().state(block) else {
+                        continue;
+                    };
+                    let ours = first.interpreter().state(block).expect("interpreted");
+                    let disagree = |label, what| Disagreement {
+                        block: *block,
+                        label,
+                        servers: (*a, *b),
+                        what,
+                    };
+                    let ours: Vec<_> = ours.out_entries().collect();
+                    let theirs: Vec<_> = theirs.out_entries().collect();
+                    if let Some(label) = first_difference(&ours, &theirs, |entry| entry.0) {
+                        return Err(disagree(label, "out-buffer"));
+                    }
+                    if let (Some(ours), Some(theirs)) =
+                        (first.raised_at(block), second.raised_at(block))
+                    {
+                        if let Some(label) = first_difference(ours, theirs, |raised| raised.label) {
+                            return Err(disagree(label, "indications"));
+                        }
+                    }
+                    compared += 1;
+                }
+            }
+        }
+        Ok(compared)
     }
 
     /// Aggregated interpreter memory footprint over all correct servers:
@@ -549,7 +639,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 }
             }
         }
-        SimOutcome {
+        let outcome = SimOutcome {
             deliveries: self.deliveries,
             net: self.net,
             signatures: self.registry.metrics().signs(),
@@ -573,7 +663,13 @@ impl<P: DeterministicProtocol> Simulation<P> {
                     Server::Crashed | Server::Down(_) => ServerView::Crashed,
                 })
                 .collect(),
+        };
+        if cfg!(debug_assertions) {
+            if let Err(disagreement) = outcome.check_interpretation_agrees() {
+                panic!("Lemma 4.2 does not hold across servers: {disagreement}");
+            }
         }
+        outcome
     }
 
     fn handle(&mut self, now: TimeMs, event: Event<P>) {
@@ -827,6 +923,34 @@ mod tests {
         let servers: std::collections::BTreeSet<_> =
             outcome.deliveries.iter().map(|d| d.server).collect();
         assert_eq!(servers.len(), 4);
+    }
+
+    #[test]
+    fn honest_servers_interpret_every_shared_block_alike() {
+        // Server 3 equivocates at its third block, so honest chains fork
+        // in their views of it; the others ingest in bursts. Every block
+        // two honest servers hold must read the same on both.
+        let config = SimConfig::new(4)
+            .with_max_time(3_000)
+            .with_ingest(IngestMode::Burst { max: 8 })
+            .with_role(3, Role::Equivocate { at_seq: 2 });
+        let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+        for label in 0..6 {
+            sim.inject(broadcast_injection(
+                label * 40,
+                label as usize % 3,
+                label,
+                label,
+            ));
+        }
+        let outcome = sim.run();
+        let compared = outcome.check_interpretation_agrees().unwrap();
+        // Three honest pairs, each over (almost) every block of the run.
+        assert!(compared > 3 * 100, "{compared} comparisons");
+        if cfg!(debug_assertions) {
+            let block = outcome.shim(0).interpreter().interpreted_order()[0];
+            assert!(outcome.shim(0).raised_at(&block).is_some());
+        }
     }
 
     #[test]

@@ -81,8 +81,8 @@ pub mod prelude {
         BrbRequest, Ledger, Smr, SmrIndication, SmrMessage, SmrRequest, Transfer,
     };
     pub use dagbft_sim::{
-        Delivery, Injection, Latency, NetMetrics, NetworkModel, Partition, Role, SimConfig,
-        SimOutcome, Simulation,
+        Delivery, Disagreement, Injection, Latency, NetMetrics, NetworkModel, Partition, Role,
+        SimConfig, SimOutcome, Simulation,
     };
     pub use dagbft_store::{FileStore, JournalStore, MemStore};
 }

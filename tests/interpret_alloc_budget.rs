@@ -1,7 +1,7 @@
 //! Counted floors of the interpreter on one BRB payments DAG (400
 //! transfers, n = 4): heap allocations per touch (one label driven at one
-//! block) and per restored instance, out-buffer entries per envelope, and
-//! snapshot bytes.
+//! block) and per restored instance, resident instance versions per touch,
+//! out-buffer entries per envelope, and snapshot bytes.
 //!
 //! Counts, not timings: the same on every machine, and the gate that
 //! keeps per-touch heap blocks, per-message tree nodes, per-label inboxes,
@@ -17,21 +17,30 @@ use std::sync::OnceLock;
 use dagbft::prelude::*;
 
 /// Heap allocations per touch the interpreter may make on this DAG
-/// (measured: 2 380 over 5 343 touches, 0.45; with a B-tree per tip view
-/// it was 2 612, 0.49; with one reference-counted heap block per instance
-/// version, 7 947, 1.49).
-const ALLOCATIONS_PER_TOUCH: f64 = 0.50;
+/// (measured: 2 375 over 5 343 touches, 0.44; with one arena version per
+/// touch it was 2 380, 0.45; with a B-tree per tip view, 2 612, 0.49;
+/// with one reference-counted heap block per instance version, 7 947,
+/// 1.49).
+const ALLOCATIONS_PER_TOUCH: f64 = 0.48;
 
 /// Heap allocations per stored instance a snapshot restore of this DAG's
 /// interpretation may make: per block and per arena chunk, not per
-/// instance (measured: 81 over 5 343 instances and 32 blocks, 0.015; with
-/// one heap block per instance it was 5 416).
-const ALLOCATIONS_PER_RESTORED_INSTANCE: f64 = 0.05;
+/// instance (measured: 76 over 5 343 instances and 32 blocks, 0.014; with
+/// one arena version per touch it was 81; with one heap block per
+/// instance, 5 416).
+const ALLOCATIONS_PER_RESTORED_INSTANCE: f64 = 0.02;
+
+/// Instance versions resident per touch on this DAG: the touches of one
+/// label in one segment of a chain share a version (measured: 1 600
+/// versions over 5 343 touches, 0.299; one version per touch, 1.00,
+/// before segments).
+const RESIDENT_VERSIONS_PER_TOUCH: f64 = 0.30;
 
 /// Bytes a snapshot of this DAG's interpretation may take: exactly what
-/// format 3 writes (format 2, one envelope per receiver and `(n, f)` in
-/// every instance, wrote 897 978 B).
-const SNAPSHOT_BYTES: usize = 562_674;
+/// format 4 writes, every resident version once (format 3, one version
+/// per touch, wrote 562 674 B; format 2, also one envelope per receiver
+/// and `(n, f)` in every instance, 897 978 B).
+const SNAPSHOT_BYTES: usize = 374_213;
 
 thread_local! {
     /// `alloc` + `realloc` calls this thread made since it started.
@@ -154,6 +163,20 @@ fn a_restore_allocates_per_block_not_per_instance() {
         "{allocations} allocations / {instances} restored instances = {per_instance:.3} ({} blocks)",
         dag.len()
     );
+}
+
+#[test]
+fn a_segment_keeps_one_version_per_label() {
+    let interpreter = interpreted(payments_dag());
+    let touches = interpreter.footprint().unique_instances;
+    let resident = interpreter.resident_versions();
+    let per_touch = resident as f64 / touches as f64;
+    assert!(
+        per_touch <= RESIDENT_VERSIONS_PER_TOUCH,
+        "{resident} resident versions over {touches} touches = {per_touch:.3} per touch, \
+         budget {RESIDENT_VERSIONS_PER_TOUCH}"
+    );
+    println!("{resident} resident versions / {touches} touches = {per_touch:.3}");
 }
 
 #[test]

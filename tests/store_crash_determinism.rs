@@ -483,7 +483,7 @@ fn snapshot_v2(interpreter: &Interpreter<Brb<u64>>, dag: &BlockDag) -> Vec<u8> {
         for label in &touched {
             label.encode(&mut out);
             (config.n as u64, config.f as u64).encode(&mut out);
-            let instance = interpreter.instance_at(block_ref, *label).unwrap();
+            let instance = interpreter.instance_at(dag, block_ref, *label).unwrap();
             instance.encode_state(&mut out);
         }
         let groups: Vec<(Label, Vec<Envelope<BrbMessage<u64>>>)> = touched
@@ -506,7 +506,7 @@ fn snapshot_v2(interpreter: &Interpreter<Brb<u64>>, dag: &BlockDag) -> Vec<u8> {
 #[test]
 fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     // The latest snapshot in the journal was written by a build with an
-    // older snapshot format. This build reads only format 3 — but a
+    // older snapshot format. This build reads only format 4 — but a
     // snapshot is a cache of a pure function of the journal (Lemma 4.2), so
     // the server comes back by replaying from genesis, and says why.
     let registry = KeyRegistry::generate(N, 9);
@@ -532,6 +532,10 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     assert_eq!(report.replayed_blocks, 5);
     assert_eq!(report.snapshot_skipped_version, Some(1));
     assert_eq!(shim.interpreter().interpreted_count(), 5);
+    // Format 3, one version per delta entry, is skipped the same way.
+    let (_, report) = recover(&chain, 4, &[3, 0xff]).expect("a format-3 cache");
+    assert_eq!(report.snapshot_skipped_version, Some(3));
+    assert_eq!(report.replayed_blocks, 5);
 
     // Format 2: a real snapshot of the first half of server 3's journal of
     // three broadcasts, as the previous format wrote it.
@@ -562,10 +566,10 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
         .collect();
     assert_eq!(expected.len(), INJECT_AT.len());
     assert_eq!(shim.poll_indications(), expected);
-    // The same prefix in format 3 is read, and only the suffix replays.
-    let v3 = snapshotted.encode_snapshot();
-    assert!(v3.len() < v2.len());
-    let (_, report) = recover(&blocks, covered as u64, &v3).expect("a format-3 cache");
+    // The same prefix in format 4 is read, and only the suffix replays.
+    let v4 = snapshotted.encode_snapshot();
+    assert!(v4.len() < v2.len());
+    let (_, report) = recover(&blocks, covered as u64, &v4).expect("a format-4 cache");
     assert_eq!(report.snapshot_skipped_version, None);
     assert_eq!(report.snapshot_covered, covered);
     assert_eq!(report.replayed_blocks, blocks.len() - covered);
@@ -573,7 +577,7 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     // Only the version is forgiven: a corrupt current-format snapshot and
     // one that covers more than the journal keep their typed errors.
     assert!(matches!(
-        recover(&chain, 4, &[3, 0xff]),
+        recover(&chain, 4, &[4, 0xff]),
         Err(RecoverError::Snapshot(dagbft::dag::SnapshotError::Corrupt(
             _
         )))
