@@ -87,13 +87,14 @@
 //! equivocation), out-of-band [`Interpreter::interpret_block`] calls, the
 //! first block after a snapshot restore — rebuilds it by that same walk,
 //! newest block first, where the first entry of a label wins. If the parent
-//! is continued, the rebuild also replays the parent's segment into fresh
-//! arena slots and records them as what the rebuilt block started from.
-//! They lie below the new segment's mark, so they stay exact; a walk that
-//! reaches the rebuilt block reads them and skips the replayed segment. A
-//! rebuild costs O(touches on the chain) plus at most `SEGMENT − 1`
-//! replayed blocks ([`Interpreter::blocks_replayed`]), paid only on those
-//! paths.
+//! is continued, the first rebuild there also replays the parent's segment
+//! into fresh arena slots and records them as the parent's exact state.
+//! They lie below every later segment's mark, so they stay exact; every
+//! later rebuild at that parent, and every walk that reaches it, reads the
+//! record and skips the replayed segment. A rebuild costs O(touches on the
+//! chain), plus, once per continued parent, at most `SEGMENT − 1` replayed
+//! blocks ([`Interpreter::blocks_replayed`]): an equivocator's `k` children
+//! of one parent cost one replay, not `k`.
 //!
 //! Labels are chosen by whoever inscribes a request, byzantine builders
 //! included, so a view hashes with the standard library's randomly keyed
@@ -328,16 +329,17 @@ struct Tip {
     mark: Slot,
 }
 
-/// What a block whose parent was continued started from, besides the
-/// chain below the parent's segment: that segment, replayed into fresh
-/// slots up to the parent.
+/// The exact `B.PIs` of a continued block `B` that a rebuild needed, as far
+/// as `B`'s segment reaches: that segment, replayed into fresh slots up to
+/// `B`. Made once per block, by the first rebuild at it, and read by every
+/// later rebuild and walk there.
 #[derive(Debug)]
 struct Replayed {
-    /// The block that opened the replayed segment. A walk that reaches the
-    /// rebuilt block goes on from what this block started from.
+    /// The block that opened the replayed segment. Below the replayed
+    /// entries, a walk goes on from what this block started from.
     from: BlockRef,
     /// Every label the replayed blocks drove, sorted, with the slot of its
-    /// version at the parent. Those slots are never written again.
+    /// version at `B`. Those slots are never written again.
     entries: Delta,
 }
 
@@ -615,10 +617,10 @@ pub struct Interpreter<P: DeterministicProtocol> {
     /// segment's mark; moved to the child when a tip is extended, rebuilt
     /// when missing.
     views: HashMap<BlockRef, Tip>,
-    /// What each block whose rebuild replayed its parent's segment started
+    /// The replayed `B.PIs` of each continued block a rebuild started
     /// from.
     replays: HashMap<BlockRef, Replayed>,
-    /// Blocks those rebuilds replayed.
+    /// Blocks those replays drove.
     blocks_replayed: u64,
     /// Running totals behind [`Interpreter::footprint`].
     footprint: InterpreterFootprint,
@@ -664,9 +666,10 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         &self.stats
     }
 
-    /// Blocks that view rebuilds replayed, at most `SEGMENT − 1` = 15 per
-    /// rebuild (see the module docs). Not in [`InterpretStats`]: the
-    /// clone-per-block oracle shares that type and never replays.
+    /// Blocks that view rebuilds replayed: at most `SEGMENT − 1` = 15 per
+    /// continued parent, once, however many children rebuild there (see
+    /// the module docs). Not in [`InterpretStats`]: the clone-per-block
+    /// oracle shares that type and never replays.
     pub fn blocks_replayed(&self) -> u64 {
         self.blocks_replayed
     }
@@ -702,33 +705,45 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         blocks
     }
 
+    /// Whether [`Interpreter::walk`] reads `block`'s exact `B.PIs`: it was
+    /// never continued, or a rebuild replayed it.
+    fn exact(&self, block: &BlockRef) -> bool {
+        self.states
+            .get(block)
+            .is_some_and(|state| !state.continued || self.replays.contains_key(block))
+    }
+
     /// Hands `visit` the entry lists that make up the `B.PIs` that `start`
     /// names, newest first, until it returns `false`; the first entry of a
-    /// label is its version. Exact at a block that is not continued (see
-    /// the module docs).
+    /// label is its version. Exact at a block that is
+    /// [`Interpreter::exact`], which every parent of a segment's opener is
+    /// (see the module docs).
     fn walk<'a>(&'a self, start: Start, mut visit: impl FnMut(&'a Delta) -> bool) {
         let mut next = Some(start);
         while let Some(start) = next {
-            let mut opener = match start {
-                Start::At(top) => {
-                    let mut opener = top;
-                    for block in self.segment(&top) {
-                        if !visit(&self.states[&block].delta) {
+            let opener = match start {
+                Start::At(top) => match self.replays.get(&top) {
+                    // A replayed block: its record, then below its segment.
+                    Some(replayed) => {
+                        if !visit(&replayed.entries) {
                             return;
                         }
-                        opener = block;
+                        replayed.from
                     }
-                    opener
-                }
+                    None => {
+                        let mut opener = top;
+                        for block in self.segment(&top) {
+                            if !visit(&self.states[&block].delta) {
+                                return;
+                            }
+                            opener = block;
+                        }
+                        opener
+                    }
+                },
                 Start::Before(opener) => opener,
             };
-            // `opener` opened a segment: take what it started from.
-            while let Some(replayed) = self.replays.get(&opener) {
-                if !visit(&replayed.entries) {
-                    return;
-                }
-                opener = replayed.from;
-            }
+            // `opener` opened a segment: go on at its parent.
             next = self
                 .states
                 .get(&opener)
@@ -756,15 +771,20 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// every label the blocks drove — or just `only`, skipping the blocks
     /// that did not drive it — at the newest block. The outs each block
     /// makes are the ones it stored.
+    ///
+    /// # Errors
+    ///
+    /// [`InterpretError::UnknownBlock`] for a block to replay that `dag`
+    /// does not hold.
     fn replay(
         &self,
         dag: &BlockDag,
         segment: &[BlockRef],
         base: &Instances,
         only: Option<Label>,
-    ) -> BTreeMap<Label, P> {
+    ) -> Result<BTreeMap<Label, P>, InterpretError> {
         let Some(me) = segment.first().and_then(|top| self.states.get(top)) else {
-            return BTreeMap::new();
+            return Ok(BTreeMap::new());
         };
         let mut overlay = Overlay {
             arena: &self.arena,
@@ -780,9 +800,9 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             if only.is_some_and(|label| label_range(delta, label).is_empty()) {
                 continue;
             }
-            let Some(block) = dag.get(block_ref) else {
-                continue;
-            };
+            let block = dag
+                .get(block_ref)
+                .ok_or(InterpretError::UnknownBlock { block: *block_ref })?;
             let preds = dag.preds_of(block_ref);
             let (outs, _) = Self::drive(
                 &mut overlay,
@@ -799,19 +819,23 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 "a replayed block sends what it sent"
             );
         }
-        overlay.versions
+        Ok(overlay.versions)
     }
 
     /// `B.PIs[ℓ]`: the simulated instance of `label` for `block`'s builder
     /// after interpreting `block`, if it has been started — the newest
-    /// delta entry on the parent chain, or, at a continued block, the
-    /// replay of its segment. For tests and audits.
+    /// delta entry on the parent chain, or, at a continued block that no
+    /// rebuild replayed, the replay of its segment from `dag`. For tests
+    /// and audits. `None` also when that replay needs a block `dag` does
+    /// not hold.
     pub fn instance_at(&self, dag: &BlockDag, block: &BlockRef, label: Label) -> Option<P> {
-        let state = self.states.get(block)?;
-        let segment = if state.continued {
-            self.segment(block)
-        } else {
+        if !self.is_interpreted(block) {
+            return None;
+        }
+        let segment = if self.exact(block) {
             Vec::new()
+        } else {
+            self.segment(block)
         };
         let start = match segment.last() {
             Some(opener) => Start::Before(*opener),
@@ -825,7 +849,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             }
             None => true,
         });
-        let mut replayed = self.replay(dag, &segment, &base, Some(label));
+        let mut replayed = self.replay(dag, &segment, &base, Some(label)).ok()?;
         replayed
             .remove(&label)
             .or_else(|| base.get(&label).map(|&slot| self.arena[slot].clone()))
@@ -1012,25 +1036,29 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         (outs, delta)
     }
 
-    /// `B.PIs` at `parent` for a `child` that found no view there: the
-    /// walk, and if `parent` is continued, its segment replayed into fresh
-    /// slots that `child` records as what it started from.
-    fn rebuild(&mut self, dag: &BlockDag, parent: BlockRef, child: BlockRef) -> Instances {
-        if !self.states[&parent].continued {
-            return self.view_of(Start::At(parent));
+    /// `B.PIs` at `parent` for a child that found no view there: the walk,
+    /// once `parent` is exact — a continued `parent` that no rebuild has
+    /// replayed yet gets its segment replayed into fresh slots, recorded
+    /// for every later child and walk.
+    ///
+    /// # Errors
+    ///
+    /// [`InterpretError::UnknownBlock`] if that replay needs a block `dag`
+    /// does not hold.
+    fn rebuild(&mut self, dag: &BlockDag, parent: BlockRef) -> Result<Instances, InterpretError> {
+        if !self.exact(&parent) {
+            let segment = self.segment(&parent);
+            let from = *segment.last().expect("a segment holds its top");
+            let base = self.view_of(Start::Before(from));
+            let replayed = self.replay(dag, &segment, &base, None)?;
+            self.blocks_replayed += segment.len() as u64;
+            let entries: Delta = replayed
+                .into_iter()
+                .map(|(label, version)| (label, self.arena.push(version)))
+                .collect();
+            self.replays.insert(parent, Replayed { from, entries });
         }
-        let segment = self.segment(&parent);
-        let from = *segment.last().expect("a segment holds its top");
-        let mut view = self.view_of(Start::Before(from));
-        let replayed = self.replay(dag, &segment, &view, None);
-        self.blocks_replayed += segment.len() as u64;
-        let entries: Delta = replayed
-            .into_iter()
-            .map(|(label, version)| (label, self.arena.push(version)))
-            .collect();
-        view.extend(entries.iter().copied());
-        self.replays.insert(child, Replayed { from, entries });
-        view
+        Ok(self.view_of(Start::At(parent)))
     }
 
     /// Interprets a single eligible block (Algorithm 2, lines 4–12).
@@ -1042,7 +1070,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     ///
     /// # Errors
     ///
-    /// * [`InterpretError::UnknownBlock`] — `block` not in `dag`;
+    /// * [`InterpretError::UnknownBlock`] — `block`, or a block its parent's
+    ///   rebuild must replay, not in `dag`;
     /// * [`InterpretError::AlreadyInterpreted`] — `I[B]` already holds;
     /// * [`InterpretError::NotEligible`] — some predecessor uninterpreted;
     /// * [`InterpretError::InvalidParent`] — `block` breaks the parent rule.
@@ -1090,7 +1119,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                     (tip.view, Some(tip.mark))
                 }
                 Some(tip) => (tip.view, None),
-                None => (self.rebuild(dag, parent, *block_ref), None),
+                None => (self.rebuild(dag, parent)?, None),
             },
         };
         let opens = continued.is_none();
@@ -1184,8 +1213,9 @@ pub enum SnapshotError {
         f: u64,
     },
     /// The snapshot's interpretation order repeats a block, a block's
-    /// parent or replayed segment does not point at an earlier block of
-    /// it, or an entry names a version the snapshot does not hold.
+    /// parent does not point at an earlier block of it or its replayed
+    /// segment at it or an earlier one, or an entry names a version the
+    /// snapshot does not hold.
     BadIndex,
 }
 
@@ -1228,7 +1258,7 @@ impl From<DecodeError> for SnapshotError {
 const SNAPSHOT_VERSION: u8 = 4;
 
 /// A block's segment flags in a snapshot: it opened a segment, it was
-/// continued, and it records a replayed segment.
+/// continued, and a rebuild replayed its segment up to it.
 const OPENS: u8 = 1;
 const CONTINUED: u8 = 2;
 const REPLAYED: u8 = 4;
@@ -1397,7 +1427,11 @@ where
                 }));
             }
             if flags & REPLAYED != 0 {
-                let from = earlier(reader.read_u64()?)?.ok_or(SnapshotError::BadIndex)?;
+                // A replayed segment opened at this block or an earlier one.
+                let from = match reader.read_u64()? as usize {
+                    index if index == position + 1 => *block_ref,
+                    index => earlier(index as u64)?.ok_or(SnapshotError::BadIndex)?,
+                };
                 let entries = decode_entries(&mut reader, versions)?;
                 replays.insert(*block_ref, Replayed { from, entries });
             }

@@ -23,7 +23,7 @@
 //! (Lemma 4.2), so scheduling cannot change any outcome — only *when* it
 //! becomes observable.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 use std::error::Error;
 use std::fmt;
 
@@ -158,14 +158,11 @@ pub struct Shim<P: DeterministicProtocol> {
     /// The `rqsts` buffer shared between shim and gossip (Algorithm 3,
     /// line 2; ownership replaces sharing in this implementation).
     rqsts: VecDeque<LabeledRequest>,
-    /// Indications for `me`, awaiting [`Shim::poll_indications`]; those of
-    /// other servers' simulations are not kept (Algorithm 3 line 8 requires
-    /// `s' = s`).
-    delivered: VecDeque<(Label, P::Indication)>,
-    /// In debug builds, every indication each block this shim interpreted
-    /// raised, for every simulated server: what [`Shim::raised_at`]
-    /// answers. Release builds leave it empty.
-    raised: HashMap<BlockRef, Vec<Indication<P::Indication>>>,
+    /// Indications raised since the last poll, for every simulated server.
+    /// [`Shim::poll_indications`] hands out `me`'s (Algorithm 3 line 8
+    /// requires `s' = s`), [`Shim::poll_raised`] all of them, for audits;
+    /// either poll empties it.
+    raised: Vec<Indication<P::Indication>>,
     /// Durable storage of a durable shim: every admitted block, buffered
     /// request, and periodic snapshot is journaled through it.
     store: Option<StoreBinding<P>>,
@@ -212,8 +209,7 @@ impl<P: DeterministicProtocol> Shim<P> {
             gossip: Gossip::resume(me, config.gossip(), signer, registry.verifier(), dag),
             interpreter,
             rqsts: VecDeque::new(),
-            delivered: VecDeque::new(),
-            raised: HashMap::new(),
+            raised: Vec::new(),
             store: None,
             store_error: None,
         };
@@ -349,40 +345,28 @@ impl<P: DeterministicProtocol> Shim<P> {
     }
 
     /// Returns indications raised for this server since the last poll
-    /// (Algorithm 3, lines 8–9).
+    /// (Algorithm 3, lines 8–9); those raised for the other simulated
+    /// servers since then are dropped.
     pub fn poll_indications(&mut self) -> Vec<(Label, P::Indication)> {
-        self.delivered.drain(..).collect()
+        let me = self.me;
+        self.raised
+            .drain(..)
+            .filter(|raised| raised.server == me)
+            .map(|raised| (raised.label, raised.indication))
+            .collect()
     }
 
-    /// The indications interpreting `block` raised, for every simulated
-    /// server, in the order raised — if this shim interpreted `block`
-    /// itself, in a debug build. `None` for a block it has not interpreted
-    /// or took from a snapshot, and in release builds, which keep no such
-    /// record. For cross-server audits of Lemma 4.2.
-    pub fn raised_at(&self, block: &BlockRef) -> Option<&[Indication<P::Indication>]> {
-        self.raised.get(block).map(Vec::as_slice)
+    /// Every indication raised since the last poll, for every simulated
+    /// server, with the block that raised it, in the order raised: what
+    /// [`Shim::poll_indications`] narrows to `me`'s. Either poll empties
+    /// the queue. For audits of Lemma 4.2 across servers.
+    pub fn poll_raised(&mut self) -> Vec<Indication<P::Indication>> {
+        std::mem::take(&mut self.raised)
     }
 
     fn run_interpretation(&mut self) {
-        let before = self.interpreter.interpreted_count();
         self.interpreter.step(self.gossip.dag());
-        let raised = self.interpreter.drain_indications();
-        if cfg!(debug_assertions) {
-            for block in &self.interpreter.interpreted_order()[before..] {
-                self.raised.insert(*block, Vec::new());
-            }
-            for indication in &raised {
-                if let Some(at) = self.raised.get_mut(&indication.block) {
-                    at.push(indication.clone());
-                }
-            }
-        }
-        for indication in raised {
-            if indication.server == self.me {
-                self.delivered
-                    .push_back((indication.label, indication.indication));
-            }
-        }
+        self.raised.extend(self.interpreter.drain_indications());
         self.journal(Self::journal_admitted);
     }
 

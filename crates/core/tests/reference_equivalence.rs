@@ -550,10 +550,14 @@ fn wide_dag(rounds: u64, per_block: u64) -> (BlockDag, BlockRef) {
 }
 
 /// More than three arena chunks' worth of touches, interpreted in
-/// insertion order beside the oracle and checked at every block: chunk
-/// boundaries fall inside blocks whose view was moved from their parent,
-/// inside the deep fork whose view is rebuilt from deltas in the first
-/// chunk, and after a snapshot restore cut in the middle of a chunk.
+/// insertion order beside the oracle and checked at every block: the
+/// thresholds fall inside blocks whose view was moved from their parent,
+/// inside the deep fork whose view is rebuilt from deltas of the first
+/// chunk's worth, and after a snapshot restore cut in the middle of a
+/// chunk's worth. They count touches, the delta entries
+/// (`footprint().unique_instances`); a segment's touches of one label
+/// share a version, so the arena itself stays shorter —
+/// `a_fork_and_a_restore_cross_arena_chunks` crosses its chunks.
 #[test]
 fn chunk_boundaries_are_crossed_by_moved_and_rebuilt_views_and_a_restore() {
     let (dag, fork_parent) = wide_dag(24, 8);
@@ -578,13 +582,13 @@ fn chunk_boundaries_are_crossed_by_moved_and_rebuilt_views_and_a_restore() {
         }
     };
 
-    // The arena's length after each block.
-    let mut arena_after = Vec::new();
+    // The touches after each block.
+    let mut touches_after = Vec::new();
     for r in dag.refs() {
         reference.interpret_block(&dag, r).unwrap();
         real.interpret_block(&dag, r).unwrap();
         check(&real, &reference, r);
-        arena_after.push(real.footprint().unique_instances);
+        touches_after.push(real.footprint().unique_instances);
     }
     // No version an earlier block wrote moved or changed since.
     for r in dag.refs() {
@@ -594,30 +598,31 @@ fn chunk_boundaries_are_crossed_by_moved_and_rebuilt_views_and_a_restore() {
     assert_eq!(reference.drain_indications(), real.drain_indications());
 
     let blocks = dag.len();
-    let total = arena_after[blocks - 1];
+    let total = touches_after[blocks - 1];
     assert!(total > 3 * ARENA_CHUNK, "{total} touches");
-    // Moved views: the block that opens each of chunks 1–3 is past round
-    // 0 and on the main chains, so its parent's view came to it whole.
+    // Moved views: the block that passes each of 1–3 chunks' worth is past
+    // round 0 and on the main chains, so its parent's view came to it whole.
     for chunk in 1..=3 {
-        let opener = arena_after
+        let opener = touches_after
             .iter()
             .position(|&after| after > chunk * ARENA_CHUNK)
             .unwrap();
         assert!((4..blocks - 2).contains(&opener), "chunk {chunk}");
     }
-    // The rebuilt view: the fork's parent holds slots of the first chunk,
-    // and the fork touches its labels after the third chunk is full.
+    // The rebuilt view: the fork's parent comes within the first chunk's
+    // worth of touches, and the fork touches its labels after the third.
     let parent_at = dag.refs().position(|r| *r == fork_parent).unwrap();
-    assert!(arena_after[parent_at] < ARENA_CHUNK);
-    assert!(arena_after[blocks - 3] > 2 * ARENA_CHUNK, "{arena_after:?}");
-    assert!(arena_after[blocks - 2] > arena_after[blocks - 3]);
+    assert!(touches_after[parent_at] < ARENA_CHUNK);
+    assert!(touches_after[blocks - 3] > 3 * ARENA_CHUNK);
+    assert!(touches_after[blocks - 2] > touches_after[blocks - 3]);
 
-    // The restore: cut where the arena stands inside its second chunk.
-    let cut = 1 + arena_after
+    // The restore: cut where the touches stand inside the second chunk's
+    // worth.
+    let cut = 1 + touches_after
         .iter()
         .position(|&after| after > ARENA_CHUNK + ARENA_CHUNK / 2)
         .unwrap();
-    assert_ne!(arena_after[cut - 1] % ARENA_CHUNK, 0);
+    assert_ne!(touches_after[cut - 1] % ARENA_CHUNK, 0);
     assert!(parent_at < cut && cut < blocks - 2);
     assert_snapshot_transparent(&dag, cut);
 }
@@ -877,5 +882,70 @@ fn a_fork_and_a_restore_cross_arena_chunks() {
     assert_ne!(arena_after[cut - 1] % ARENA_CHUNK, 0);
     let parent_at = dag.refs().position(|r| *r == chains[0][1].0).unwrap();
     assert!(parent_at < cut && cut < blocks - 2);
+    assert_snapshot_transparent(&dag, cut);
+}
+
+#[test]
+fn siblings_of_a_continued_parent_share_one_replay() {
+    // Server 0 forks three times off block 38, which the tip, block 39,
+    // continued. The first sibling's rebuild replays blocks 32–38; the
+    // second and third read that replay and add no version beyond their
+    // own touches — before a snapshot cut between them and after it.
+    let (dag, chains) = forked_dag(40, 3, 1, &[(0, 38, 1), (0, 38, 1), (0, 38, 1)]);
+    let siblings: Vec<BlockRef> = chains[1..].iter().map(|chain| chain[0].0).collect();
+    let config = ProtocolConfig::for_n(4);
+    let mut reference: ReferenceInterpreter<Relay> = ReferenceInterpreter::new(config);
+    let mut real: Interpreter<Relay> = Interpreter::new(config);
+    // Per sibling: blocks replayed so far, and the versions it added
+    // beyond one per label it touched.
+    let mut added = Vec::new();
+    for r in dag.refs() {
+        let before = real.resident_versions();
+        reference.interpret_block(&dag, r).unwrap();
+        real.interpret_block(&dag, r).unwrap();
+        if siblings.contains(r) {
+            let touched = real.state(r).unwrap().touched_labels().count();
+            let beyond = real.resident_versions() - before - touched;
+            added.push((real.blocks_replayed(), beyond));
+        }
+    }
+    assert_eq!(reference.stats(), real.stats());
+    assert_eq!(reference.drain_indications(), real.drain_indications());
+    assert_like_the_oracle(&real, &reference, &dag);
+    let replayed = 38 % SEGMENT + 1;
+    assert!(replayed < SEGMENT);
+    assert_eq!(added[0].0, replayed);
+    assert!(added[0].1 > 0, "{added:?}");
+    assert_eq!(added[1..], [(replayed, 0), (replayed, 0)]);
+    // Block 37 is continued and no rebuild replayed it: its instances are
+    // a replay, which a DAG without its segment cannot give. Block 31 is
+    // its segment's last block, and block 38 was replayed: both are read
+    // from the arena alone.
+    let label = Label::new(0);
+    let empty = BlockDag::new();
+    assert_eq!(real.instance_at(&empty, &chains[0][37].0, label), None);
+    for at in [31, 38] {
+        let block = chains[0][at].0;
+        assert_eq!(
+            real.instance_at(&empty, &block, label),
+            real.instance_at(&dag, &block, label)
+        );
+        assert!(real.instance_at(&empty, &block, label).is_some());
+    }
+
+    // Restored between the first and the second sibling, the record
+    // comes along: the later siblings replay nothing.
+    let cut = 1 + dag.refs().position(|r| *r == siblings[0]).unwrap();
+    let mut prefix = BlockDag::new();
+    for block in dag.iter().take(cut) {
+        prefix.insert(block.clone()).unwrap();
+    }
+    let mut stopped: Interpreter<Relay> = Interpreter::new(config);
+    stopped.step(&prefix);
+    stopped.drain_indications();
+    let mut restored: Interpreter<Relay> =
+        Interpreter::decode_snapshot(config, &stopped.encode_snapshot()).unwrap();
+    assert_eq!(restored.step(&dag), dag.len() - cut);
+    assert_eq!(restored.blocks_replayed(), 0);
     assert_snapshot_transparent(&dag, cut);
 }

@@ -13,9 +13,9 @@ use std::collections::{BTreeSet, HashMap};
 
 use dagbft_codec::{WireDecode, WireEncode};
 use dagbft_core::{
-    accountability, BlockRef, BlockStore, DefenseConfig, DeterministicProtocol, Label, MemoryStore,
-    NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Schedule, Shim,
-    ShimConfig, SnapshotProtocol, TimeMs,
+    accountability, BlockRef, BlockStore, DefenseConfig, DeterministicProtocol, Indication, Label,
+    MemoryStore, NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Schedule,
+    Shim, ShimConfig, SnapshotProtocol, TimeMs,
 };
 use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
 use rand::rngs::StdRng;
@@ -241,7 +241,17 @@ pub struct SimOutcome<P: DeterministicProtocol> {
     pub accused: BTreeSet<ServerId>,
     /// The servers, for post-run inspection (DAGs, interpreter stats).
     servers: Vec<ServerView<P>>,
+    /// What each server's interpretation raised, block by block.
+    raised: Raised<P::Indication>,
 }
+
+/// Per server, every indication each block it interpreted raised, for every
+/// simulated server, in the order raised: the record behind
+/// [`SimOutcome::check_interpretation_agrees`]. Filled from
+/// [`Shim::poll_raised`] after every step, in debug builds only — in
+/// release builds it stays empty, so the benchmarks' memory is the
+/// servers' own.
+type Raised<I> = Vec<HashMap<BlockRef, Vec<Indication<I>>>>;
 
 /// Two honest servers that interpreted one block differently — a
 /// violation of Lemma 4.2, found by
@@ -342,11 +352,13 @@ impl<P: DeterministicProtocol> SimOutcome<P> {
 
     /// Lemma 4.2 across servers: every block that two or more honest
     /// servers hold was interpreted by each to the same out-buffer entries
-    /// and — where both recorded them, see [`Shim::raised_at`] — the same
-    /// indications. Returns how many (block, server pair) comparisons were
-    /// made, or the first disagreement, in server order and then in the
-    /// lower-indexed server's interpretation order. [`Simulation::run`]
-    /// calls it in debug builds and panics on a disagreement.
+    /// and — in debug builds, where the simulation recorded what each step
+    /// raised, for every block both recorded — the same indications.
+    /// Release builds compare out-buffer entries only. Returns how many
+    /// (block, server pair) comparisons were made, or the first
+    /// disagreement, in server order and then in the lower-indexed
+    /// server's interpretation order. [`Simulation::run`] calls it in
+    /// debug builds and panics on a disagreement.
     ///
     /// # Errors
     ///
@@ -380,9 +392,10 @@ impl<P: DeterministicProtocol> SimOutcome<P> {
                     if let Some(label) = first_difference(&ours, &theirs, |entry| entry.0) {
                         return Err(disagree(label, "out-buffer"));
                     }
-                    if let (Some(ours), Some(theirs)) =
-                        (first.raised_at(block), second.raised_at(block))
-                    {
+                    if let (Some(ours), Some(theirs)) = (
+                        self.raised[a.index()].get(block),
+                        self.raised[b.index()].get(block),
+                    ) {
                         if let Some(label) = first_difference(ours, theirs, |raised| raised.label) {
                             return Err(disagree(label, "indications"));
                         }
@@ -461,6 +474,9 @@ pub struct Simulation<P: DeterministicProtocol> {
     /// `None`: durable servers come back via [`Shim::recover_from_store`].
     snapshots: Option<(u64, SnapshotRecoverFn<P>)>,
     recoveries: Vec<(TimeMs, ServerId, RecoveryReport)>,
+    raised: Raised<P::Indication>,
+    /// Per server, how much of its interpreter's order `raised` covers.
+    audited: Vec<usize>,
 }
 
 impl<P: DeterministicProtocol> Simulation<P> {
@@ -515,6 +531,8 @@ impl<P: DeterministicProtocol> Simulation<P> {
             injected_at: HashMap::new(),
             snapshots: None,
             recoveries: Vec::new(),
+            raised: (0..config.n).map(|_| HashMap::new()).collect(),
+            audited: vec![0; config.n],
             config,
         };
         for server in 0..sim.config.n {
@@ -533,15 +551,17 @@ impl<P: DeterministicProtocol> Simulation<P> {
     /// Brings `server` into existence from `store` — the one way a
     /// durable server starts, at construction and after every crash.
     /// Indications re-raised by the replay are discarded: the modeled
-    /// application persisted its own progress.
-    fn boot(&self, server: usize, store: Box<dyn BlockStore>) -> (Shim<P>, RecoveryReport) {
+    /// application persisted its own progress. The audit record of the
+    /// blocks recovery interpreted again stays the one made before.
+    fn boot(&mut self, server: usize, store: Box<dyn BlockStore>) -> (Shim<P>, RecoveryReport) {
         let me = ServerId::new(server as u32);
         let (mut shim, report) = match self.snapshots {
             Some((every, recover)) => recover(me, self.shim_config, &self.registry, store, every),
             None => Shim::recover_from_store(me, self.shim_config, &self.registry, store),
         }
         .expect("a server recovers from its own store");
-        let _replayed = shim.poll_indications();
+        let _replayed = shim.poll_raised();
+        self.audited[server] = shim.interpreter().interpreted_count();
         (shim, report)
     }
 
@@ -652,6 +672,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
             finished_at,
             injected_at: self.injected_at,
             recoveries: self.recoveries,
+            raised: self.raised,
             equivocation_proofs: convictions.len(),
             accused,
             servers: self
@@ -816,13 +837,30 @@ impl<P: DeterministicProtocol> Simulation<P> {
 
     fn collect_deliveries(&mut self, server: usize, now: TimeMs) {
         if let Server::Correct(shim) = &mut self.servers[server] {
-            for (label, indication) in shim.poll_indications() {
-                self.deliveries.push(Delivery {
-                    at: now,
-                    server: ServerId::new(server as u32),
-                    label,
-                    indication,
-                });
+            let me = ServerId::new(server as u32);
+            let raised = shim.poll_raised();
+            if cfg!(debug_assertions) {
+                let record = &mut self.raised[server];
+                let order = shim.interpreter().interpreted_order();
+                for block in &order[self.audited[server]..] {
+                    record.insert(*block, Vec::new());
+                }
+                self.audited[server] = order.len();
+                for indication in &raised {
+                    if let Some(at) = record.get_mut(&indication.block) {
+                        at.push(indication.clone());
+                    }
+                }
+            }
+            for indication in raised {
+                if indication.server == me {
+                    self.deliveries.push(Delivery {
+                        at: now,
+                        server: me,
+                        label: indication.label,
+                        indication: indication.indication,
+                    });
+                }
             }
         }
     }
@@ -947,10 +985,33 @@ mod tests {
         let compared = outcome.check_interpretation_agrees().unwrap();
         // Three honest pairs, each over (almost) every block of the run.
         assert!(compared > 3 * 100, "{compared} comparisons");
-        if cfg!(debug_assertions) {
-            let block = outcome.shim(0).interpreter().interpreted_order()[0];
-            assert!(outcome.shim(0).raised_at(&block).is_some());
+    }
+
+    #[test]
+    fn a_recorded_indication_that_differs_is_reported() {
+        let mut sim: Simulation<Brb<u64>> = Simulation::new(SimConfig::new(4).with_max_time(2_000));
+        sim.inject(broadcast_injection(0, 0, 7, 7));
+        let mut outcome = sim.run();
+        if !cfg!(debug_assertions) {
+            // Release builds record no indications to compare.
+            assert!(outcome.raised.iter().all(HashMap::is_empty));
+            return;
         }
+        assert!(outcome.raised.iter().all(|record| record.len() > 10));
+        // A block both server 0 and server 1 recorded indications for.
+        let (block, raised) = outcome.raised[0]
+            .iter()
+            .filter(|(block, raised)| !raised.is_empty() && outcome.raised[1].contains_key(block))
+            .map(|(block, raised)| (*block, raised.clone()))
+            .min_by_key(|(block, _)| *block)
+            .expect("a shared block raised indications");
+        assert_eq!(outcome.raised[1][&block], raised);
+        outcome.raised[1].get_mut(&block).unwrap().pop();
+        let disagreement = outcome.check_interpretation_agrees().unwrap_err();
+        assert_eq!(disagreement.block, block);
+        assert_eq!(disagreement.label, raised.last().unwrap().label);
+        assert_eq!(disagreement.servers, (ServerId::new(0), ServerId::new(1)));
+        assert_eq!(disagreement.what, "indications");
     }
 
     #[test]
