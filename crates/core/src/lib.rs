@@ -16,7 +16,7 @@
 //!   DAG, materializing messages without sending them;
 //! * [`shim`] — Algorithm 3: the user-facing choreography of the above;
 //! * [`schedule`] — when each server seals and ticks (Algorithm 3,
-//!   lines 10–11), one grid for the simulator and the TCP node alike;
+//!   lines 10–11): the shim's timers, which every driver only wakes;
 //! * [`protocol`] — the black-box abstraction of a deterministic `P`.
 //!
 //! # Quickstart

@@ -8,14 +8,15 @@
 //! make every hop wait a full period; staggered ones let a block reach a
 //! peer shortly before that peer seals. Server `i` of `n` therefore seals
 //! at `i·period/n + k·period` and ticks one millisecond after each of its
-//! seal phases. The simulator and the TCP node both read their timers off
-//! [`Schedule`], so neither invents its own.
+//! seal phases. The shim owns both timers ([`crate::Shim::wake`]); the
+//! simulator and the TCP node only wake it, so neither keeps a grid.
 
 use dagbft_crypto::ServerId;
 
 use crate::TimeMs;
 
-/// The fixed grid of instants `phase + k·period`, `k ≥ 0`.
+/// The fixed grid of instants `phase + k·period`, `k ≥ 0`, and a timer
+/// on it ([`Schedule::fire`]).
 ///
 /// # Examples
 ///
@@ -23,17 +24,17 @@ use crate::TimeMs;
 /// use dagbft_core::Schedule;
 /// use dagbft_crypto::ServerId;
 ///
-/// let seal = Schedule::for_server(ServerId::new(1), 4, 50);
-/// assert_eq!(seal.first(), 12);
-/// assert_eq!(seal.next_after(12), 62);
-/// // A driver that wakes late skips the slots it missed.
-/// assert_eq!(seal.next_after(200), 212);
-/// assert_eq!(seal.tick(100).first(), 13);
+/// let mut seal = Schedule::for_server(ServerId::new(1), 4, 50);
+/// assert!(!seal.fire(0)); // arms the timer on slot 12
+/// assert!(seal.fire(12));
+/// assert!(seal.fire(200)); // late: fires once, skips the slots it missed
+/// assert_eq!(seal.deadline(), Some(212));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Schedule {
     phase: TimeMs,
     period: TimeMs,
+    deadline: Option<TimeMs>,
 }
 
 impl Schedule {
@@ -43,6 +44,7 @@ impl Schedule {
         Schedule {
             phase,
             period: period.max(1),
+            deadline: None,
         }
     }
 
@@ -55,26 +57,37 @@ impl Schedule {
     }
 
     /// The tick grid that goes with this seal grid: one millisecond after
-    /// the seal phase, every `period`.
+    /// the seal phase, every `period`, its timer unarmed.
     pub fn tick(&self, period: TimeMs) -> Self {
         Schedule::new(self.phase + 1, period)
     }
 
-    /// The grid's first instant, its phase.
-    pub fn first(&self) -> TimeMs {
-        self.phase
+    /// The first grid instant strictly after `now`: one slot, however
+    /// many a late caller missed.
+    fn next_after(&self, now: TimeMs) -> TimeMs {
+        self.at_or_after(now.saturating_add(1))
     }
 
-    /// The first grid instant strictly after `now`. A caller that wakes
-    /// several periods late gets the next slot, not one per slot missed.
-    pub fn next_after(&self, now: TimeMs) -> TimeMs {
-        match now.checked_sub(self.phase) {
-            None => self.phase,
-            Some(since) => {
-                let slots = since / self.period + 1;
-                self.phase.saturating_add(slots.saturating_mul(self.period))
-            }
-        }
+    /// The first grid instant at or after `now`.
+    fn at_or_after(&self, now: TimeMs) -> TimeMs {
+        let slots = now.saturating_sub(self.phase).div_ceil(self.period);
+        self.phase.saturating_add(slots.saturating_mul(self.period))
+    }
+
+    /// When the timer fires next, `None` until [`Schedule::fire`] arms it.
+    pub fn deadline(&self) -> Option<TimeMs> {
+        self.deadline
+    }
+
+    /// Whether the timer is due at `now`, re-armed on the next slot if so.
+    /// Unarmed, it first arms on the first slot at or after `now`, so a
+    /// server reborn after a crash resumes on the instants its lost life
+    /// would have used.
+    pub fn fire(&mut self, now: TimeMs) -> bool {
+        let due = self.deadline.unwrap_or_else(|| self.at_or_after(now));
+        let fired = now >= due;
+        self.deadline = Some(if fired { self.next_after(now) } else { due });
+        fired
     }
 }
 
@@ -88,7 +101,7 @@ mod tests {
 
     #[test]
     fn four_servers_seal_a_quarter_period_apart() {
-        let phases: Vec<TimeMs> = (0..4).map(|me| seal(me).first()).collect();
+        let phases: Vec<TimeMs> = (0..4).map(|me| seal(me).at_or_after(0)).collect();
         assert_eq!(phases, vec![0, 12, 25, 37]);
     }
 
@@ -99,8 +112,8 @@ mod tests {
             for now in 0..400 {
                 let next = grid.next_after(now);
                 assert!(next > now);
-                assert!(next >= grid.first());
-                assert_eq!((next - grid.first()) % 50, 0);
+                assert!(next >= grid.phase);
+                assert_eq!((next - grid.phase) % 50, 0);
                 assert!(next - now <= 50);
             }
         }
@@ -118,8 +131,8 @@ mod tests {
     fn the_tick_runs_one_millisecond_after_the_seal_phase() {
         for me in 0..4 {
             let tick = seal(me).tick(100);
-            assert_eq!(tick.first(), seal(me).first() + 1);
-            assert_eq!(tick.next_after(tick.first()), tick.first() + 100);
+            assert_eq!(tick.phase, seal(me).phase + 1);
+            assert_eq!(tick.next_after(tick.phase), tick.phase + 100);
         }
     }
 
@@ -135,7 +148,28 @@ mod tests {
     #[test]
     fn a_huge_period_does_not_overflow() {
         let grid = Schedule::for_server(ServerId::new(3), 4, TimeMs::MAX);
-        assert_eq!(grid.first(), TimeMs::MAX / 4 * 3 + 2);
-        assert_eq!(grid.next_after(grid.first()), TimeMs::MAX);
+        assert_eq!(grid.phase, TimeMs::MAX / 4 * 3 + 2);
+        assert_eq!(grid.next_after(grid.phase), TimeMs::MAX);
+    }
+
+    #[test]
+    fn at_or_after_is_the_first_slot_not_before_now() {
+        let grid = seal(1);
+        assert_eq!(grid.at_or_after(0), 12);
+        assert_eq!(grid.at_or_after(12), 12);
+        assert_eq!(grid.at_or_after(13), 62);
+        assert_eq!(seal(0).at_or_after(0), 0);
+        assert_eq!(seal(0).at_or_after(100), 100);
+    }
+
+    #[test]
+    fn a_timer_fires_once_per_slot_it_is_woken_in() {
+        let mut grid = seal(2);
+        let fired: Vec<TimeMs> = (0..200).filter(|now| grid.fire(*now)).collect();
+        assert_eq!(fired, vec![25, 75, 125, 175]);
+        // Armed late, it fires at the first slot at or after the arming.
+        let mut grid = seal(2);
+        assert!(grid.fire(75));
+        assert_eq!(grid.deadline(), Some(125));
     }
 }

@@ -10,8 +10,8 @@
 //! * indications raised by the interpretation *for this server* are
 //!   forwarded to the user (lines 8–9, Lemma A.18);
 //! * `disseminate()` is requested repeatedly (lines 10–11) — here by the
-//!   caller (simulator or event loop), which controls pacing to meet `P`'s
-//!   network assumptions.
+//!   shim's own clock, on its seal grid ([`Shim::wake`]); the driver
+//!   (simulator or event loop) only calls it at [`Shim::next_wake`].
 //!
 //! Theorem 5.1: with these pieces, `shim(P)` implements `P`'s interface and
 //! preserves every property of `P` whose proof relies on the reliable
@@ -32,10 +32,11 @@ use dagbft_crypto::{KeyRegistry, ServerId};
 use crate::block::{BlockRef, LabeledRequest};
 use crate::dag::BlockDag;
 use crate::defense::DefenseConfig;
-use crate::gossip::{Gossip, GossipConfig, NetCommand, NetMessage};
+use crate::gossip::{Gossip, GossipConfig, NetCommand, NetMessage, FWD_RETRY_MS};
 use crate::interpret::{Indication, Interpreter, InterpreterFootprint, SnapshotError};
 use crate::label::Label;
 use crate::protocol::{DeterministicProtocol, ProtocolConfig, SnapshotProtocol};
+use crate::schedule::Schedule;
 use crate::store::{BlockStore, RecoverError, RecoveryReport, StoreContents, StoreError};
 use crate::TimeMs;
 
@@ -53,6 +54,9 @@ pub struct ShimConfig {
     /// The adversarial peer-defense engine (see [`crate::defense`];
     /// disabled by default).
     pub defense: DefenseConfig,
+    /// Interval between own seals, on [`Schedule::for_server`]'s grid (0
+    /// is taken as 1 ms): the pacing that meets `P`'s network assumptions.
+    pub disseminate_every_ms: TimeMs,
 }
 
 impl ShimConfig {
@@ -63,7 +67,14 @@ impl ShimConfig {
             max_requests_per_block: 1024,
             pending_cap: crate::gossip::DEFAULT_PENDING_CAP,
             defense: DefenseConfig::default(),
+            disseminate_every_ms: 50,
         }
+    }
+
+    /// Sets the interval between own seals.
+    pub fn with_disseminate_every_ms(mut self, period: TimeMs) -> Self {
+        self.disseminate_every_ms = period;
+        self
     }
 
     /// Sets the per-block request cap.
@@ -138,10 +149,10 @@ struct StoreBinding<P: DeterministicProtocol> {
 
 /// A complete block DAG server: `shim(P)` running as one member of `Srvrs`.
 ///
-/// Drive it by delivering network messages ([`Shim::on_message`]), ticking
-/// timers ([`Shim::on_tick`]), and requesting dissemination
-/// ([`Shim::disseminate`]); it returns [`NetCommand`]s for the transport.
-/// See the crate-level docs for a runnable example.
+/// Drive it by delivering network messages ([`Shim::on_message`]) and
+/// waking it at [`Shim::next_wake`] ([`Shim::wake`]); it returns
+/// [`NetCommand`]s for the transport. See the crate-level docs for a
+/// runnable example.
 ///
 /// A shim is either *volatile* ([`Shim::new`]: nothing outlives the
 /// process) or *durable*, and a durable shim has one way into existence:
@@ -172,6 +183,9 @@ pub struct Shim<P: DeterministicProtocol> {
     /// block ([`Shim::disseminate`]): one it could not make durable
     /// first is one a restart would sign again.
     store_error: Option<StoreError>,
+    /// The seal and tick timers, armed by the first [`Shim::wake`].
+    seal: Schedule,
+    tick: Schedule,
 }
 
 impl<P: DeterministicProtocol> Shim<P> {
@@ -203,6 +217,7 @@ impl<P: DeterministicProtocol> Shim<P> {
         let signer = registry
             .signer(me)
             .ok_or(SetupError::UnknownServer { server: me })?;
+        let seal = Schedule::for_server(me, config.protocol.n, config.disseminate_every_ms);
         let mut shim = Shim {
             me,
             config,
@@ -212,6 +227,8 @@ impl<P: DeterministicProtocol> Shim<P> {
             raised: Vec::new(),
             store: None,
             store_error: None,
+            seal,
+            tick: seal.tick(FWD_RETRY_MS),
         };
         shim.run_interpretation();
         Ok(shim)
@@ -220,11 +237,6 @@ impl<P: DeterministicProtocol> Shim<P> {
     /// The server this shim runs as.
     pub fn me(&self) -> ServerId {
         self.me
-    }
-
-    /// The shim's configuration.
-    pub fn config(&self) -> &ShimConfig {
-        &self.config
     }
 
     /// Read access to the local DAG.
@@ -298,6 +310,26 @@ impl<P: DeterministicProtocol> Shim<P> {
     /// Advances timers (`FWD` retries).
     pub fn on_tick(&mut self, now: TimeMs) -> Vec<NetCommand> {
         self.gossip.on_tick(now)
+    }
+
+    /// Runs the timers due at `now` ([`Schedule::fire`]): [`Shim::on_tick`]
+    /// every [`FWD_RETRY_MS`] from 1 ms after the seal phase, then
+    /// [`Shim::disseminate`] on the seal grid. The first wake arms both; a
+    /// wake before [`Shim::next_wake`] does nothing.
+    pub fn wake(&mut self, now: TimeMs) -> Vec<NetCommand> {
+        let mut commands = Vec::new();
+        if self.tick.fire(now) {
+            commands = self.on_tick(now);
+        }
+        if self.seal.fire(now) {
+            commands.extend(self.disseminate(now));
+        }
+        commands
+    }
+
+    /// When [`Shim::wake`] next has work (0 before the first wake).
+    pub fn next_wake(&self) -> TimeMs {
+        self.seal.deadline().min(self.tick.deadline()).unwrap_or(0)
     }
 
     /// Reports `count` malformed frames received from `peer` — the
@@ -1016,5 +1048,89 @@ mod tests {
         shim.disseminate(0); // request written into the genesis block
         shim.disseminate(1); // parent edge delivers the self-message
         assert_eq!(shim.poll_indications(), vec![(Label::new(1), 7)]);
+    }
+
+    /// Server 1 of 4 with the default 50 ms seal period: seals on
+    /// `12 + 50k`, ticks on `13 + 100k`.
+    fn server_one() -> Shim<Flood> {
+        network(4).swap_remove(1)
+    }
+
+    fn sealed(shim: &Shim<Flood>) -> u64 {
+        shim.gossip().next_seq().value()
+    }
+
+    #[test]
+    fn the_first_wake_arms_both_timers_at_the_first_slots_at_or_after_it() {
+        let mut shim = server_one();
+        assert_eq!(shim.next_wake(), 0, "an unarmed shim wants a wake now");
+        assert!(shim.wake(30).is_empty());
+        assert_eq!(sealed(&shim), 0);
+        // Seal slot 62 (not 12), tick slot 113 (not 13).
+        assert_eq!(shim.next_wake(), 62);
+        assert!(!shim.wake(62).is_empty());
+        assert_eq!(sealed(&shim), 1);
+        assert_eq!(shim.next_wake(), 112);
+        shim.wake(112);
+        assert_eq!((sealed(&shim), shim.next_wake()), (2, 113));
+        shim.wake(113);
+        assert_eq!((sealed(&shim), shim.next_wake()), (2, 162));
+
+        // Armed on a slot, the timer fires at once.
+        let mut shim = server_one();
+        assert!(!shim.wake(12).is_empty());
+        assert_eq!(sealed(&shim), 1);
+    }
+
+    #[test]
+    fn a_wake_three_periods_late_seals_once_and_rearms_on_the_next_slot() {
+        let mut shim = server_one();
+        shim.wake(12);
+        assert_eq!(sealed(&shim), 1);
+        shim.wake(12 + 3 * 50 + 7);
+        assert_eq!(sealed(&shim), 2);
+        assert_eq!(shim.next_wake(), 12 + 4 * 50);
+    }
+
+    #[test]
+    fn a_wake_before_the_deadline_does_nothing() {
+        let mut shim = server_one();
+        shim.wake(12);
+        shim.wake(13);
+        shim.request(Label::new(1), 6);
+        for now in [13, 40, 61] {
+            assert!(shim.wake(now).is_empty());
+            assert_eq!(sealed(&shim), 1);
+            assert_eq!(shim.pending_requests(), 1);
+            assert_eq!(shim.next_wake(), 62);
+        }
+    }
+
+    #[test]
+    fn next_wake_is_the_earlier_of_the_seal_and_tick_deadlines() {
+        let mut shim = server_one();
+        shim.wake(12);
+        assert_eq!(shim.next_wake(), 13, "the tick");
+        shim.wake(13);
+        assert_eq!(shim.next_wake(), 62, "the seal");
+        shim.wake(62);
+        assert_eq!(shim.next_wake(), 112);
+        shim.wake(112);
+        assert_eq!(shim.next_wake(), 113);
+    }
+
+    #[test]
+    fn the_seal_period_is_a_shim_setting() {
+        let registry = KeyRegistry::generate(4, 77);
+        let config = ShimConfig::new(ProtocolConfig::for_n(4)).with_disseminate_every_ms(20);
+        let mut shim: Shim<Flood> = Shim::new(ServerId::new(2), config, &registry).unwrap();
+        let sealed_at: Vec<TimeMs> = (0..100)
+            .filter(|now| {
+                let before = sealed(&shim);
+                shim.wake(*now);
+                sealed(&shim) > before
+            })
+            .collect();
+        assert_eq!(sealed_at, vec![10, 30, 50, 70, 90]);
     }
 }

@@ -19,8 +19,8 @@ use crate::payments::{Ledger, Transfer, TransferError};
 ///
 /// # Examples
 ///
-/// See `examples/payments.rs` and the settlement tests; the node is driven
-/// exactly like a [`Shim`] (deliver messages, tick, disseminate), plus
+/// See the settlement tests; the node is driven exactly like a [`Shim`]
+/// (deliver messages, wake at [`Shim::next_wake`]), plus
 /// [`SettlementNode::submit`] and [`SettlementNode::ledger`].
 #[derive(Debug)]
 pub struct SettlementNode {
@@ -95,9 +95,11 @@ impl SettlementNode {
         commands
     }
 
-    /// Advances timers.
-    pub fn on_tick(&mut self, now: TimeMs) -> Vec<NetCommand> {
-        self.shim.on_tick(now)
+    /// Runs the shim's due timers and settles any deliveries.
+    pub fn wake(&mut self, now: TimeMs) -> Vec<NetCommand> {
+        let commands = self.shim.wake(now);
+        self.settle_deliveries();
+        commands
     }
 
     /// Disseminates the current block and settles any deliveries.
@@ -183,6 +185,34 @@ mod tests {
             assert_eq!(node.ledger().balance(AccountId(1)), 70, "{}", node.me());
             assert_eq!(node.ledger().balance(AccountId(2)), 80);
             assert_eq!(node.ledger().total_supply(), 150);
+        }
+    }
+
+    #[test]
+    fn a_cluster_driven_only_by_wake_settles_on_every_node() {
+        let mut nodes = cluster(4);
+        nodes[2]
+            .submit(Transfer {
+                from: AccountId(2),
+                to: AccountId(1),
+                amount: 20,
+                seq: 0,
+            })
+            .unwrap();
+        for now in 0..1_000 {
+            for origin in 0..nodes.len() {
+                let commands = nodes[origin].wake(now);
+                pump(&mut nodes, origin, commands, now);
+            }
+        }
+        for node in &nodes {
+            assert_eq!(node.ledger().balance(AccountId(1)), 120, "{}", node.me());
+            assert_eq!(node.ledger().balance(AccountId(2)), 30);
+            assert_eq!(node.unsettled().count(), 0);
+        }
+        // Each node sealed once per 50 ms slot of its own grid.
+        for node in &nodes {
+            assert_eq!(node.shim().gossip().next_seq().value(), 20);
         }
     }
 

@@ -13,7 +13,9 @@
 
 use std::collections::BTreeSet;
 
-use dagbft_core::{Block, Gossip, GossipConfig, LabeledRequest, NetCommand, NetMessage, TimeMs};
+use dagbft_core::{
+    Block, Gossip, GossipConfig, LabeledRequest, NetCommand, NetMessage, Schedule, TimeMs,
+};
 use dagbft_crypto::{KeyRegistry, ServerId, Signature, Signer};
 
 /// The behaviour of one server in a simulation.
@@ -102,16 +104,19 @@ pub struct ByzServer {
     signer: Signer,
     role: Role,
     n: usize,
+    /// The seal timer, armed by the first wake.
+    seal: Schedule,
 }
 
 impl ByzServer {
-    /// Creates a byzantine server with the given role.
+    /// Creates a byzantine server with the given role, sealing every
+    /// `period` on the grid a correct `me` would.
     ///
     /// # Panics
     ///
     /// Panics if `role` is [`Role::Correct`] or [`Role::Crash`] (those run
     /// a real shim), or if `me` has no key in the registry.
-    pub fn new(me: ServerId, n: usize, role: Role, registry: &KeyRegistry) -> Self {
+    pub fn new(me: ServerId, n: usize, role: Role, registry: &KeyRegistry, period: TimeMs) -> Self {
         assert!(role.is_byzantine(), "ByzServer requires a byzantine role");
         let signer = registry.signer(me).expect("byzantine server has a key");
         ByzServer {
@@ -124,6 +129,7 @@ impl ByzServer {
             signer,
             role,
             n,
+            seal: Schedule::for_server(me, n, period),
         }
     }
 
@@ -153,10 +159,23 @@ impl ByzServer {
         }
     }
 
-    /// Produces this round's dissemination, per role. Returns pre-routed
-    /// `(destination, message)` pairs because byzantine sending is not a
-    /// uniform broadcast.
-    pub fn disseminate(&mut self, now: TimeMs) -> Vec<(ServerId, NetMessage)> {
+    /// `Shim::wake` without the tick (byzantine servers skip `FWD`
+    /// retries): [`ByzServer::disseminate`] when its seal slot is due.
+    pub fn wake(&mut self, now: TimeMs) -> Vec<NetCommand> {
+        if self.seal.fire(now) {
+            self.disseminate(now)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// When [`ByzServer::wake`] next has work (0 before the first wake).
+    pub fn next_wake(&self) -> TimeMs {
+        self.seal.deadline().unwrap_or(0)
+    }
+
+    /// Produces this round's dissemination, per role.
+    pub fn disseminate(&mut self, now: TimeMs) -> Vec<NetCommand> {
         match self.role.clone() {
             Role::Silent => Vec::new(),
             Role::Equivocate { at_seq } => {
@@ -175,18 +194,13 @@ impl ByzServer {
                         }],
                         &self.signer,
                     );
-                    let mut out = Vec::new();
-                    for target in 0..self.n {
-                        let target_id = ServerId::new(target as u32);
-                        if target_id == self.me() {
-                            continue;
-                        }
-                        let block = if target < self.n / 2 { &block_a } else { &twin };
-                        out.push((target_id, NetMessage::Block(block.clone())));
-                    }
-                    out
+                    let me = self.me().index();
+                    (0..self.n)
+                        .filter(|target| *target != me)
+                        .map(|to| send(to, if to < self.n / 2 { &block_a } else { &twin }))
+                        .collect()
                 } else {
-                    self.broadcast_to_all(block_a)
+                    vec![broadcast(block_a)]
                 }
             }
             Role::SelectiveBroadcast { targets } => {
@@ -194,16 +208,12 @@ impl ByzServer {
                 targets
                     .iter()
                     .filter(|t| **t != self.me().index())
-                    .map(|t| (ServerId::new(*t as u32), NetMessage::Block(block.clone())))
+                    .map(|t| send(*t, &block))
                     .collect()
             }
             Role::SlowLoris { repeat } => {
                 let (block, _) = self.gossip.disseminate(vec![], now);
-                let mut out = Vec::new();
-                for _ in 0..repeat.max(1) {
-                    out.extend(self.broadcast_to_all(block.clone()));
-                }
-                out
+                vec![broadcast(block); repeat.max(1)]
             }
             Role::FloodThenBehave { until, per_round } => {
                 if now < until {
@@ -225,12 +235,12 @@ impl ByzServer {
                             }],
                             Signature::NULL,
                         );
-                        out.extend(self.broadcast_to_all(forged));
+                        out.push(broadcast(forged));
                     }
                     out
                 } else {
                     let (block, _) = self.gossip.disseminate(vec![], now);
-                    self.broadcast_to_all(block)
+                    vec![broadcast(block)]
                 }
             }
             Role::OutsiderFlood { per_round } => {
@@ -245,7 +255,7 @@ impl ByzServer {
                         vec![],
                         Signature::NULL,
                     );
-                    out.extend(self.broadcast_to_all(outsider));
+                    out.push(broadcast(outsider));
                 }
                 out
             }
@@ -254,13 +264,18 @@ impl ByzServer {
             }
         }
     }
+}
 
-    fn broadcast_to_all(&self, block: Block) -> Vec<(ServerId, NetMessage)> {
-        (0..self.n)
-            .map(|i| ServerId::new(i as u32))
-            .filter(|id| *id != self.me())
-            .map(|id| (id, NetMessage::Block(block.clone())))
-            .collect()
+fn send(to: usize, block: &Block) -> NetCommand {
+    NetCommand::SendTo {
+        to: ServerId::new(to as u32),
+        message: NetMessage::Block(block.clone()),
+    }
+}
+
+fn broadcast(block: Block) -> NetCommand {
+    NetCommand::Broadcast {
+        message: NetMessage::Block(block),
     }
 }
 
@@ -274,6 +289,25 @@ mod tests {
 
     fn registry(n: usize) -> KeyRegistry {
         KeyRegistry::generate(n, 9)
+    }
+
+    /// One round's dissemination as `(destination, message)` pairs, for
+    /// a server among four.
+    fn routed(server: &mut ByzServer, now: TimeMs) -> Vec<(ServerId, NetMessage)> {
+        let me = server.me();
+        let mut out = Vec::new();
+        for command in server.disseminate(now) {
+            match command {
+                NetCommand::Broadcast { message } => out.extend(
+                    (0..4)
+                        .map(ServerId::new)
+                        .filter(|to| *to != me)
+                        .map(|to| (to, message.clone())),
+                ),
+                NetCommand::SendTo { to, message } => out.push((to, message)),
+            }
+        }
+        out
     }
 
     #[test]
@@ -297,14 +331,14 @@ mod tests {
     #[should_panic(expected = "byzantine role")]
     fn correct_role_rejected() {
         let registry = registry(4);
-        let _ = ByzServer::new(ServerId::new(0), 4, Role::Correct, &registry);
+        let _ = ByzServer::new(ServerId::new(0), 4, Role::Correct, &registry, 50);
     }
 
     #[test]
     fn silent_server_sends_nothing() {
         let registry = registry(4);
-        let mut server = ByzServer::new(ServerId::new(0), 4, Role::Silent, &registry);
-        assert!(server.disseminate(0).is_empty());
+        let mut server = ByzServer::new(ServerId::new(0), 4, Role::Silent, &registry, 50);
+        assert!(routed(&mut server, 0).is_empty());
         // Even FWD answers are suppressed.
         let other = registry.signer(ServerId::new(1)).unwrap();
         let block = Block::build(
@@ -328,8 +362,9 @@ mod tests {
             4,
             Role::Equivocate { at_seq: 0 },
             &registry,
+            50,
         );
-        let sends = server.disseminate(0);
+        let sends = routed(&mut server, 0);
         assert_eq!(sends.len(), 3);
         let blocks: Vec<&Block> = sends
             .iter()
@@ -357,9 +392,10 @@ mod tests {
             4,
             Role::Equivocate { at_seq: 0 },
             &registry,
+            50,
         );
-        let _fork = server.disseminate(0);
-        let after = server.disseminate(10);
+        let _fork = routed(&mut server, 0);
+        let after = routed(&mut server, 10);
         let distinct: BTreeSet<_> = after
             .iter()
             .map(|(_, m)| match m {
@@ -378,8 +414,9 @@ mod tests {
             4,
             Role::SlowLoris { repeat: 5 },
             &registry,
+            50,
         );
-        let sends = server.disseminate(0);
+        let sends = routed(&mut server, 0);
         // 5 copies × 3 targets, all the same valid block.
         assert_eq!(sends.len(), 15);
         let distinct: BTreeSet<_> = sends
@@ -409,8 +446,9 @@ mod tests {
                 per_round: 4,
             },
             &registry,
+            50,
         );
-        let flood = server.disseminate(0);
+        let flood = routed(&mut server, 0);
         // 4 forged blocks × 3 targets, none of them verifiable.
         assert_eq!(flood.len(), 12);
         let mut refs = BTreeSet::new();
@@ -423,7 +461,7 @@ mod tests {
         }
         assert_eq!(refs.len(), 4, "distinct contents per forged block");
         // Past `until`: honest dissemination, one valid block to everyone.
-        let honest = server.disseminate(1_000);
+        let honest = routed(&mut server, 1_000);
         assert_eq!(honest.len(), 3);
         for (_, message) in &honest {
             let NetMessage::Block(block) = message else {
@@ -442,8 +480,9 @@ mod tests {
             4,
             Role::SelectiveBroadcast { targets },
             &registry,
+            50,
         );
-        let sends = server.disseminate(0);
+        let sends = routed(&mut server, 0);
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].0, ServerId::new(1));
     }

@@ -3,19 +3,20 @@
 //!
 //! The runner realizes the deployment of Figure 1: every correct server is
 //! a [`Shim<P>`] whose [`NetCommand`]s are routed through the
-//! [`NetworkModel`]; byzantine servers are [`ByzServer`]s. Dissemination is
-//! requested on a per-server grid (Algorithm 3, lines 10–11; the
-//! [`Schedule`] a live node uses too), `FWD` retries on another.
-//! Everything — keys, latencies, drops, event order — derives from the
-//! seed, so runs are exactly reproducible.
+//! [`NetworkModel`]; byzantine servers are [`ByzServer`]s. Each server
+//! keeps its own clock (Algorithm 3, lines 10–11: seals, and for correct
+//! servers `FWD` retries, on the grids a live node uses too); the runner
+//! only wakes it at its [`Shim::next_wake`]. Everything — keys, latencies,
+//! drops, event order — derives from the seed, so runs are exactly
+//! reproducible.
 
 use std::collections::{BTreeSet, HashMap};
 
 use dagbft_codec::{WireDecode, WireEncode};
 use dagbft_core::{
     accountability, BlockRef, BlockStore, DefenseConfig, DeterministicProtocol, Indication, Label,
-    MemoryStore, NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Schedule,
-    Shim, ShimConfig, SnapshotProtocol, TimeMs,
+    MemoryStore, NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Shim,
+    ShimConfig, SnapshotProtocol, TimeMs,
 };
 use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
 use rand::rngs::StdRng;
@@ -62,18 +63,6 @@ pub enum IngestMode {
     },
 }
 
-/// Interval between a server's `FWD`-retry timer ticks.
-const TICK_EVERY: TimeMs = 100;
-
-/// Server `index`'s seal grid, the one a live node uses too.
-fn seal_schedule(config: &SimConfig, index: usize) -> Schedule {
-    Schedule::for_server(
-        ServerId::new(index as u32),
-        config.n,
-        config.disseminate_every,
-    )
-}
-
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -83,8 +72,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// The embedded protocol's fault configuration.
     pub protocol: ProtocolConfig,
-    /// Interval between a server's `disseminate()` calls, on the grid of
-    /// [`Schedule::for_server`] (0 is taken as 1 ms).
+    /// Interval between a server's seals, forwarded into every server's
+    /// [`ShimConfig::disseminate_every_ms`] (0 is taken as 1 ms).
     pub disseminate_every: TimeMs,
     /// Hard stop time.
     pub max_time: TimeMs,
@@ -444,10 +433,8 @@ enum Event<P: DeterministicProtocol> {
         from: ServerId,
         message: NetMessage,
     },
-    Disseminate {
-        server: usize,
-    },
-    Tick {
+    /// `server`'s clock is due: see [`Shim::wake`].
+    Wake {
         server: usize,
     },
     Inject(Injection<P>),
@@ -481,7 +468,7 @@ pub struct Simulation<P: DeterministicProtocol> {
 
 impl<P: DeterministicProtocol> Simulation<P> {
     /// Builds the simulation: generates keys, instantiates servers per
-    /// role, and schedules the recurring dissemination and tick timers.
+    /// role, and schedules every server's first wake, at 0.
     ///
     /// # Panics
     ///
@@ -490,9 +477,12 @@ impl<P: DeterministicProtocol> Simulation<P> {
         let registry = KeyRegistry::generate(config.n, config.seed);
         let shim_config = ShimConfig::new(config.protocol)
             .with_pending_cap(config.pending_cap)
-            .with_defense(config.defense);
+            .with_defense(config.defense)
+            .with_disseminate_every_ms(config.disseminate_every);
         let mut servers = Vec::with_capacity(config.n);
+        let mut queue = EventQueue::new();
         for index in 0..config.n {
+            queue.schedule_timer(0, Event::Wake { server: index });
             let role = config.roles.get(&index).cloned().unwrap_or(Role::Correct);
             let server = match role {
                 Role::Correct | Role::Crash { .. } | Role::Restart { .. } => {
@@ -506,18 +496,10 @@ impl<P: DeterministicProtocol> Simulation<P> {
                     config.n,
                     byzantine,
                     &registry,
+                    config.disseminate_every,
                 ))),
             };
             servers.push(server);
-        }
-
-        let mut queue = EventQueue::new();
-        for index in 0..config.n {
-            // Server i seals on the grid `i·period/n + k·period`, so
-            // servers do not act in lockstep, and ticks 1 ms after it.
-            let seal = seal_schedule(&config, index);
-            queue.schedule(seal.first(), Event::Disseminate { server: index });
-            queue.schedule(seal.tick(TICK_EVERY).first(), Event::Tick { server: index });
         }
 
         let mut sim = Simulation {
@@ -568,7 +550,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
     /// Makes `server` a durable one, born from `store`, and schedules its
     /// crash and its rejoin — `schedule_first`, like injections, crash
     /// ahead of rejoin: at one instant `t` the order is crash, rejoin,
-    /// injections, then timers and deliveries.
+    /// injections, then wakes, then deliveries.
     fn durable(
         &mut self,
         server: usize,
@@ -609,19 +591,19 @@ impl<P: DeterministicProtocol> Simulation<P> {
         self
     }
 
-    /// Schedules a request injection.
+    /// Queues a request injection.
     pub fn inject(&mut self, injection: Injection<P>) {
         assert!(injection.server < self.config.n, "server index in range");
         self.injected_at
             .entry(injection.label)
             .or_insert(injection.at);
         // `schedule_first`: an injection at time `t` must reach the shim
-        // before a dissemination firing at the same `t` builds its block.
+        // before a wake at the same `t` seals its block.
         self.queue
             .schedule_first(injection.at, Event::Inject(injection));
     }
 
-    /// Schedules many injections.
+    /// Queues many injections.
     pub fn inject_all<I: IntoIterator<Item = Injection<P>>>(&mut self, injections: I) {
         for injection in injections {
             self.inject(injection);
@@ -708,6 +690,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
                         self.servers[server] = Server::Correct(Box::new(shim));
                         self.recoveries
                             .push((now, ServerId::new(server as u32), report));
+                        self.queue.schedule_timer(now, Event::Wake { server });
                     }
                     up => self.servers[server] = up,
                 }
@@ -717,41 +700,22 @@ impl<P: DeterministicProtocol> Simulation<P> {
                     shim.request(injection.label, injection.request);
                 }
             }
-            Event::Disseminate { server } => {
-                match &mut self.servers[server] {
-                    Server::Correct(shim) => {
-                        let commands = shim.disseminate(now);
-                        self.route_commands(server, commands, now);
-                        self.collect_deliveries(server, now);
+            Event::Wake { server } => {
+                // Down: the chain ends, and a rejoin starts a new one.
+                // Before the deadline: a crash and rejoin in one slot left
+                // two chains, and the other already ran at this instant.
+                let (commands, next) = match &mut self.servers[server] {
+                    Server::Correct(shim) if now >= shim.next_wake() => {
+                        (shim.wake(now), shim.next_wake())
                     }
-                    Server::Byzantine(byz) => {
-                        let sends = byz.disseminate(now);
-                        for (to, message) in sends {
-                            self.send(server, to.index(), message, now);
-                        }
+                    Server::Byzantine(byz) if now >= byz.next_wake() => {
+                        (byz.wake(now), byz.next_wake())
                     }
-                    // A down server's timers keep their schedule for its
-                    // rejoin; a crashed one's lapse for good.
-                    Server::Down(_) => {}
-                    Server::Crashed => return,
-                }
-                let next = seal_schedule(&self.config, server).next_after(now);
-                self.queue.schedule(next, Event::Disseminate { server });
-            }
-            Event::Tick { server } => {
-                match &mut self.servers[server] {
-                    Server::Correct(shim) => {
-                        let commands = shim.on_tick(now);
-                        self.route_commands(server, commands, now);
-                    }
-                    // Byzantine servers skip retries.
-                    Server::Byzantine(_) | Server::Down(_) => {}
-                    Server::Crashed => return,
-                }
-                let next = seal_schedule(&self.config, server)
-                    .tick(TICK_EVERY)
-                    .next_after(now);
-                self.queue.schedule(next, Event::Tick { server });
+                    _ => return,
+                };
+                self.route_commands(server, commands, now);
+                self.collect_deliveries(server, now);
+                self.queue.schedule_timer(next, Event::Wake { server });
             }
             Event::Deliver { to, from, message } => {
                 match &mut self.servers[to] {
@@ -943,6 +907,40 @@ mod tests {
         for delivery in &outcome.deliveries {
             assert_eq!(delivery.indication, BrbIndication::Deliver(9));
         }
+    }
+
+    #[test]
+    fn a_crash_and_rejoin_inside_one_seal_slot_keeps_one_wake_chain() {
+        // Server 1 seals on 12 + 50k and ticks on 13 + 100k; it crashes
+        // and rejoins between its slots 112 and 162, so the wake its
+        // previous life armed for 162 is still queued when it rejoins.
+        let config = SimConfig::new(4).with_role(
+            1,
+            Role::Restart {
+                crash_at: 130,
+                rejoin_at: 140,
+            },
+        );
+        let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+        sim.inject(broadcast_injection(0, 1, 1, 3));
+        while sim.queue.peek_time().is_some_and(|at| at <= 1_000) {
+            let (now, event) = sim.queue.pop().expect("peeked");
+            sim.handle(now, event);
+        }
+        let Server::Correct(shim) = &sim.servers[1] else {
+            panic!("server 1 is up again");
+        };
+        // One seal per slot 12, 62, …, 962: none lost, none doubled.
+        assert_eq!(shim.gossip().next_seq().value(), 20);
+        assert_eq!(shim.next_wake(), 1_012);
+        let pending = std::iter::from_fn(|| sim.queue.pop());
+        let mut chains = vec![0; 4];
+        for (_, event) in pending {
+            if let Event::Wake { server } = event {
+                chains[server] += 1;
+            }
+        }
+        assert_eq!(chains, vec![1; 4]);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! A binary heap of timestamped events ordered by time, then priority
 //! class, then a monotonic tiebreaker: two events at the same instant pop
-//! in class order ([`EventQueue::schedule_first`] before
-//! [`EventQueue::schedule`]) and in insertion order within a class — one
-//! of the ingredients (with seeded randomness) that makes every
-//! simulation run bit-for-bit reproducible.
+//! in class order ([`EventQueue::schedule_first`], then
+//! [`EventQueue::schedule_timer`], then [`EventQueue::schedule`]) and in
+//! insertion order within a class — one of the ingredients (with seeded
+//! randomness) that makes every simulation run bit-for-bit reproducible.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -102,17 +102,24 @@ impl<E> EventQueue<E> {
     /// Events scheduled in the past are delivered at the current clock
     /// instead (time never goes backwards).
     pub fn schedule(&mut self, time: TimeMs, payload: E) {
+        self.schedule_class(time, 2, payload);
+    }
+
+    /// Schedules `payload` at `time`, between the
+    /// [`EventQueue::schedule_first`] and the plain entries at that instant:
+    /// a server's wake re-armed for `t + 1` still runs before deliveries
+    /// due at `t + 1` that were scheduled earlier.
+    pub fn schedule_timer(&mut self, time: TimeMs, payload: E) {
         self.schedule_class(time, 1, payload);
     }
 
-    /// Schedules `payload` at `time`, ahead of every plain
-    /// [`EventQueue::schedule`] entry at the same instant regardless of
-    /// insertion order.
+    /// Schedules `payload` at `time`, ahead of every other entry at the
+    /// same instant regardless of insertion order.
     ///
     /// Used for request injections: a request submitted at time `t` must
     /// be visible to a dissemination firing at the same `t`, even though
-    /// recurring timers are enqueued at construction — otherwise a
-    /// boundary-time injection silently slips a whole interval.
+    /// the timer was armed earlier — otherwise a boundary-time injection
+    /// silently slips a whole interval.
     pub fn schedule_first(&mut self, time: TimeMs, payload: E) {
         self.schedule_class(time, 0, payload);
     }
@@ -198,6 +205,17 @@ mod tests {
         // Despite later insertion, the injection precedes the timer.
         assert_eq!(queue.pop(), Some((10, "injection")));
         assert_eq!(queue.pop(), Some((10, "timer")));
+    }
+
+    #[test]
+    fn timers_run_between_first_entries_and_plain_ones() {
+        let mut queue = EventQueue::new();
+        queue.schedule(10, "delivery");
+        queue.schedule_timer(10, "wake");
+        queue.schedule_first(10, "injection");
+        queue.schedule_timer(10, "second wake");
+        let order: Vec<&str> = std::iter::from_fn(|| queue.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["injection", "wake", "second wake", "delivery"]);
     }
 
     #[test]

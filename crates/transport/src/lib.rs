@@ -25,7 +25,7 @@
 //! a live JSON metrics snapshot over HTTP (see [`dagbft_metrics`]): the
 //! event loop mirrors gossip/wave/interpreter/crypto/store counters and
 //! the transport's per-peer traffic into a [`dagbft_metrics::MetricsRegistry`]
-//! on every tick.
+//! after each wake of the shim that ran a timer.
 //!
 //! # Examples
 //!

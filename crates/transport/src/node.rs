@@ -8,32 +8,23 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dagbft_core::{
     shim::SetupError, BlockStore, DeterministicProtocol, Label, NetCommand, RecoverError,
-    RecoveryReport, Schedule, Shim, ShimConfig, TimeMs,
+    RecoveryReport, Shim, ShimConfig, TimeMs,
 };
 use dagbft_crypto::{KeyRegistry, ServerId};
 use dagbft_metrics::{publish, MetricsRegistry, MetricsServer};
 
 use crate::tcp::TcpTransport;
 
-/// Pacing configuration for a node's event loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What a node runs beside its shim (which keeps its own clock:
+/// [`ShimConfig::disseminate_every_ms`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeConfig {
-    /// Interval between `disseminate()` calls (Algorithm 3, lines 10–11).
-    /// Seals fall on the simulator's fixed grid, server `me` of `n` at
-    /// `me·period/n + k·period` on the node's clock from its start
-    /// ([`Schedule::for_server`]); a loop that wakes late skips the slots
-    /// it missed rather than sealing to catch up. 0 is taken as 1 ms.
-    pub disseminate_every_ms: u64,
-    /// Interval between `FWD` retry ticks, on the grid one millisecond
-    /// after the seal phase ([`Schedule::tick`]).
-    pub tick_every_ms: u64,
     /// When set, the node serves a live JSON metrics snapshot over HTTP
     /// from this address (port 0 binds ephemerally — read the bound
     /// address back via [`NodeHandle::metrics_addr`]). The event loop
     /// mirrors every counter documented in `docs/METRICS.md` into the
-    /// endpoint's registry on each tick (`tick_every_ms` cadence), off
-    /// the hot path. `None` (the default) spawns no endpoint and costs
-    /// nothing.
+    /// endpoint's registry after each wake that ran a timer, off the hot
+    /// path. `None` (the default) spawns no endpoint and costs nothing.
     pub metrics_addr: Option<SocketAddr>,
 }
 
@@ -43,16 +34,6 @@ impl NodeConfig {
     pub fn with_metrics_addr(mut self, addr: SocketAddr) -> Self {
         self.metrics_addr = Some(addr);
         self
-    }
-}
-
-impl Default for NodeConfig {
-    fn default() -> Self {
-        NodeConfig {
-            disseminate_every_ms: 50,
-            tick_every_ms: 100,
-            metrics_addr: None,
-        }
     }
 }
 
@@ -210,14 +191,13 @@ where
     let (requests_tx, requests_rx) = unbounded::<(Label, P::Request)>();
     let (indications_tx, indications_rx) = unbounded();
     let (stop_tx, stop_rx) = unbounded::<()>();
-    let pacing = node_config;
 
     // The observability side-car: bind the endpoint before the event
     // loop starts so the caller learns the resolved address, then hand
     // the server to the loop thread for shutdown. A bind failure is
     // reported by running without an endpoint rather than killing the
     // node — metrics must never wedge consensus.
-    let (metrics, metrics_server) = match pacing.metrics_addr {
+    let (metrics, metrics_server) = match node_config.metrics_addr {
         Some(addr) => {
             let registry_metrics = Arc::new(MetricsRegistry::new());
             match MetricsServer::serve(registry_metrics.clone(), addr) {
@@ -235,26 +215,14 @@ where
     let thread = std::thread::spawn(move || {
         let start = Instant::now();
         let now_ms = |start: Instant| -> TimeMs { start.elapsed().as_millis() as TimeMs };
-        // The simulator's grid, on this node's clock from its start.
-        let seal = Schedule::for_server(me, shim.config().protocol.n, pacing.disseminate_every_ms);
-        let tick = seal.tick(pacing.tick_every_ms);
-        let mut next_disseminate = seal.first();
-        let mut next_tick = tick.first();
         // Per-peer decode-error counts already charged to the defense
-        // layer, so each tick feeds only the delta.
+        // layer, so each wake feeds only the delta.
         let mut charged_decode_errors = vec![0u64; transport.peer_traffic().len()];
         loop {
-            // Run timers that are due.
+            // The shim's clock, on this node's clock from its start.
             let now = now_ms(start);
-            if now >= next_disseminate {
-                let commands = shim.disseminate(now);
-                route(&transport, commands);
-                next_disseminate = seal.next_after(now);
-            }
-            if now >= next_tick {
-                let commands = shim.on_tick(now);
-                route(&transport, commands);
-                next_tick = tick.next_after(now);
+            if now >= shim.next_wake() {
+                route(&transport, shim.wake(now));
                 sync_defense(&mut shim, &transport, &mut charged_decode_errors, now);
                 if let Some(metrics) = metrics.as_ref() {
                     publish_node_metrics(metrics, &shim, &transport, &registry, now);
@@ -265,10 +233,7 @@ where
             }
 
             // Wait for the next message, request, or timer deadline.
-            let wait = next_disseminate
-                .min(next_tick)
-                .saturating_sub(now_ms(start))
-                .clamp(1, 50);
+            let wait = shim.next_wake().saturating_sub(now_ms(start)).clamp(1, 50);
             crossbeam::channel::select! {
                 recv(transport.incoming()) -> incoming => {
                     if let Ok(first) = incoming {
@@ -283,9 +248,7 @@ where
                                 Err(_) => break,
                             }
                         }
-                        let now = now_ms(start);
-                        let commands = shim.on_message_burst(batch, now);
-                        route(&transport, commands);
+                        route(&transport, shim.on_message_burst(batch, now_ms(start)));
                     }
                 }
                 // Polled before the requests: once the handle is dropped
@@ -318,14 +281,13 @@ where
     }
 }
 
-/// Couples the shim's defense layer to the transport, on the tick
-/// cadence: malformed frames counted by the reader threads are charged
-/// to their peers as [`dagbft_core::Offense::MalformedFrame`] offenses
-/// (delta since the last tick — the reader only counts, the defense
-/// layer scores), and every active ban the scoring engine holds is
-/// mirrored into the transport's connection-level ban table so a banned
-/// peer's reconnects are refused at the socket, before any frame is
-/// decoded.
+/// Couples the shim's defense layer to the transport after each wake
+/// that ran a timer: malformed frames counted by the reader threads are
+/// charged to their peers as [`dagbft_core::Offense::MalformedFrame`]
+/// offenses (the delta since the last such wake: the reader counts, the
+/// defense layer scores), and every active ban the scoring engine holds
+/// is mirrored into the transport's connection-level ban table so a
+/// banned peer's reconnects are refused before any frame is decoded.
 fn sync_defense<P>(
     shim: &mut Shim<P>,
     transport: &TcpTransport,
@@ -353,8 +315,8 @@ fn sync_defense<P>(
 /// Mirrors every live counter the node owns into the endpoint's
 /// registry: gossip admission, wave/burst shape, interpreter footprint,
 /// crypto totals, store health, per-peer transport traffic, and
-/// node-level liveness gauges. Runs on the tick cadence, off the
-/// admission hot path.
+/// node-level liveness gauges. Runs after each wake that ran a timer,
+/// off the admission hot path.
 fn publish_node_metrics<P>(
     metrics: &MetricsRegistry,
     shim: &Shim<P>,

@@ -169,7 +169,7 @@ impl TcpTransport {
             let traffic = traffic.clone();
             let bans = bans.clone();
             threads.push(std::thread::spawn(move || {
-                accept_loop(listener, incoming_tx, traffic, bans, shutdown);
+                accept_loop(me, listener, incoming_tx, traffic, bans, shutdown);
             }));
         }
 
@@ -286,6 +286,7 @@ impl Drop for TcpTransport {
 }
 
 fn accept_loop(
+    me: ServerId,
     listener: TcpListener,
     incoming_tx: Sender<(ServerId, NetMessage)>,
     traffic: Arc<Vec<PeerTraffic>>,
@@ -308,7 +309,7 @@ fn accept_loop(
                 let traffic = traffic.clone();
                 let bans = bans.clone();
                 readers.push(std::thread::spawn(move || {
-                    reader_loop(stream, incoming_tx, traffic, bans, shutdown);
+                    reader_loop(me, stream, incoming_tx, traffic, bans, shutdown);
                 }));
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
@@ -323,6 +324,7 @@ fn accept_loop(
 }
 
 fn reader_loop(
+    me: ServerId,
     stream: TcpStream,
     incoming_tx: Sender<(ServerId, NetMessage)>,
     traffic: Arc<Vec<PeerTraffic>>,
@@ -338,6 +340,13 @@ fn reader_loop(
     let from = match read_retry(&mut stream, &shutdown, crate::frame::read_frame::<_, Hello>) {
         Some(hello) => hello.from,
         None => return,
+    };
+    // An id outside the server set, or our own, names no peer (and would
+    // key a defense-layer table): drop it. Another peer's id still passes,
+    // as `Hello` authenticates nothing: `ROADMAP.md` item 15's problem.
+    let peer = match traffic.get(from.index()) {
+        Some(peer) if from != me => peer,
+        _ => return,
     };
     // The reconnect gate of the defense layer's time-decaying bans: a
     // banned peer's connection is dropped as soon as it names itself, and
@@ -358,11 +367,9 @@ fn reader_loop(
         }
         match read_net_message_pooled(&mut stream, &mut arena) {
             Ok(message) => {
-                if let Some(peer) = traffic.get(from.index()) {
-                    peer.recv_msgs.fetch_add(1, Ordering::Relaxed);
-                    peer.recv_bytes
-                        .fetch_add(message.wire_len() as u64, Ordering::Relaxed);
-                }
+                peer.recv_msgs.fetch_add(1, Ordering::Relaxed);
+                peer.recv_bytes
+                    .fetch_add(message.wire_len() as u64, Ordering::Relaxed);
                 if incoming_tx.send((from, message)).is_err() {
                     return;
                 }
@@ -377,9 +384,7 @@ fn reader_loop(
                 // The bad payload was fully drained — the stream is still
                 // frame-synced, so count the offense and keep reading
                 // rather than handing the peer a free reconnect cycle.
-                if let Some(peer) = traffic.get(from.index()) {
-                    peer.recv_decode_errors.fetch_add(1, Ordering::Relaxed);
-                }
+                peer.recv_decode_errors.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             Err(_) => return,
@@ -618,6 +623,38 @@ mod tests {
         assert!(delivered, "sender must reconnect after peer comes up");
         a.shutdown();
         b.shutdown();
+    }
+
+    #[test]
+    fn a_hello_naming_no_peer_is_dropped() {
+        let transport = TcpTransport::bind(
+            ServerId::new(1),
+            localhost(),
+            vec![localhost(), localhost(), localhost()],
+        )
+        .unwrap();
+        // The writes may fail: the transport closes a rejected connection.
+        let connect = |claimed: u32| {
+            let mut stream = TcpStream::connect(transport.local_addr()).unwrap();
+            let from = ServerId::new(claimed);
+            let _ = write_frame(&mut stream, &Hello { from });
+            let _ = write_net_message(&mut stream, &sample_message());
+            stream
+        };
+        // Out of range, then the transport's own id.
+        let _streams = [connect(9), connect(1)];
+        assert!(transport
+            .incoming()
+            .recv_timeout(Duration::from_millis(500))
+            .is_err());
+        // A peer's name gets through the same way.
+        let _peer = connect(0);
+        let (from, _) = transport
+            .incoming()
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a peer's message");
+        assert_eq!(from, ServerId::new(0));
+        transport.shutdown();
     }
 
     #[test]

@@ -44,13 +44,8 @@ fn live_nodes_serve_metrics_over_http() {
     let registry = KeyRegistry::generate(n, 71);
     let addrs = reserve_ports(n);
     let metrics_endpoint: SocketAddr = "127.0.0.1:0".parse().unwrap();
-    let node_config = NodeConfig {
-        disseminate_every_ms: 20,
-        tick_every_ms: 25,
-        ..NodeConfig::default()
-    }
-    .with_metrics_addr(metrics_endpoint);
-    let shim_config = ShimConfig::new(ProtocolConfig::for_n(n));
+    let node_config = NodeConfig::default().with_metrics_addr(metrics_endpoint);
+    let shim_config = ShimConfig::new(ProtocolConfig::for_n(n)).with_disseminate_every_ms(20);
 
     let nodes: Vec<_> = (0..n)
         .map(|index| {

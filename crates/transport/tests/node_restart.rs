@@ -14,15 +14,7 @@ use dagbft_store::FileStore;
 use dagbft_transport::{spawn_node, spawn_node_with_store, NodeConfig, TcpTransport};
 
 fn shim_config(n: usize) -> ShimConfig {
-    ShimConfig::new(ProtocolConfig::for_n(n))
-}
-
-fn node_config() -> NodeConfig {
-    NodeConfig {
-        disseminate_every_ms: 20,
-        tick_every_ms: 50,
-        ..NodeConfig::default()
-    }
+    ShimConfig::new(ProtocolConfig::for_n(n)).with_disseminate_every_ms(20)
 }
 
 /// Reserves `n` localhost ports by binding and releasing probe listeners.
@@ -54,7 +46,8 @@ fn durable_node_recovers_journal_and_rejoins_cluster() {
         let transport =
             TcpTransport::bind(ServerId::new(index as u32), addrs[index], addrs.clone()).unwrap();
         nodes.push(
-            spawn_node::<Brb<u64>>(shim_config(n), node_config(), &registry, transport).unwrap(),
+            spawn_node::<Brb<u64>>(shim_config(n), NodeConfig::default(), &registry, transport)
+                .unwrap(),
         );
     }
     let durable = {
@@ -62,7 +55,7 @@ fn durable_node_recovers_journal_and_rejoins_cluster() {
         let store = Box::new(FileStore::open_dir(&dir).unwrap());
         let (handle, report) = spawn_node_with_store::<Brb<u64>>(
             shim_config(n),
-            node_config(),
+            NodeConfig::default(),
             &registry,
             transport,
             store,
@@ -115,7 +108,7 @@ fn durable_node_recovers_journal_and_rejoins_cluster() {
         let store = Box::new(FileStore::open_dir(&dir).unwrap());
         let (handle, report) = spawn_node_with_store::<Brb<u64>>(
             shim_config(n),
-            node_config(),
+            NodeConfig::default(),
             &registry,
             transport,
             store,

@@ -9,23 +9,15 @@ use dagbft_protocols::{Brb, BrbIndication, BrbRequest};
 use dagbft_transport::{spawn_local_cluster, NodeConfig};
 
 fn shim_config(n: usize) -> ShimConfig {
-    ShimConfig::new(ProtocolConfig::for_n(n))
+    ShimConfig::new(ProtocolConfig::for_n(n)).with_disseminate_every_ms(20)
 }
 
 #[test]
 fn brb_broadcast_over_real_tcp() {
     let n = 4;
-    let (nodes, _registry) = spawn_local_cluster::<Brb<u64>>(
-        n,
-        shim_config(n),
-        NodeConfig {
-            disseminate_every_ms: 20,
-            tick_every_ms: 50,
-            ..NodeConfig::default()
-        },
-        9,
-    )
-    .expect("cluster binds");
+    let (nodes, _registry) =
+        spawn_local_cluster::<Brb<u64>>(n, shim_config(n), NodeConfig::default(), 9)
+            .expect("cluster binds");
 
     nodes[0].request(Label::new(1), BrbRequest::Broadcast(42));
 
@@ -56,17 +48,9 @@ fn brb_broadcast_over_real_tcp() {
 fn parallel_instances_over_real_tcp() {
     let n = 4;
     let instances = 5;
-    let (nodes, _registry) = spawn_local_cluster::<Brb<u64>>(
-        n,
-        shim_config(n),
-        NodeConfig {
-            disseminate_every_ms: 20,
-            tick_every_ms: 50,
-            ..NodeConfig::default()
-        },
-        11,
-    )
-    .expect("cluster binds");
+    let (nodes, _registry) =
+        spawn_local_cluster::<Brb<u64>>(n, shim_config(n), NodeConfig::default(), 11)
+            .expect("cluster binds");
 
     for i in 0..instances {
         nodes[i % n].request(Label::new(i as u64), BrbRequest::Broadcast(100 + i as u64));
@@ -102,12 +86,8 @@ fn a_node_seals_at_most_once_per_slot() {
     let started = Instant::now();
     let (nodes, _registry) = spawn_local_cluster::<Brb<u64>>(
         n,
-        shim_config(n),
-        NodeConfig {
-            disseminate_every_ms: period,
-            tick_every_ms: 50,
-            ..NodeConfig::default()
-        },
+        shim_config(n).with_disseminate_every_ms(period),
+        NodeConfig::default(),
         13,
     )
     .expect("cluster binds");

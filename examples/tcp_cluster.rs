@@ -15,14 +15,10 @@ use dagbft::transport::{spawn_local_cluster, NodeConfig};
 
 fn main() {
     let n = 4;
-    let config = ShimConfig::new(ProtocolConfig::for_n(n));
-    let pacing = NodeConfig {
-        disseminate_every_ms: 25,
-        tick_every_ms: 50,
-        ..NodeConfig::default()
-    };
+    let config = ShimConfig::new(ProtocolConfig::for_n(n)).with_disseminate_every_ms(25);
     let (nodes, _registry) =
-        spawn_local_cluster::<Brb<u64>>(n, config, pacing, 2026).expect("bind localhost cluster");
+        spawn_local_cluster::<Brb<u64>>(n, config, NodeConfig::default(), 2026)
+            .expect("bind localhost cluster");
     println!("=== {n}-server BRB cluster over real TCP (localhost) ===\n");
 
     let started = Instant::now();
