@@ -6,17 +6,19 @@
 //! BFT protocol absorbs all of it. This module implements those behaviours
 //! so the integration tests and experiment E12 can exercise them.
 //!
-//! Byzantine servers here still *validate* and store blocks (a byzantine
-//! server gains nothing from corrupting its own view), but misbehave in
-//! what they send. They run the raw [`Gossip`] layer without any
-//! interpretation — they have no honest user to serve.
+//! A byzantine server is a correct [`Shim`](dagbft_core::Shim) whose
+//! [`Role`] rewrites what it sends. It validates, stores and interprets
+//! like any server, and seals every request injected at it into its own
+//! blocks; [`Role::rewrite`] decides where each sealed own block goes (or
+//! what goes out instead), and [`Role::answer`] whether it answers
+//! deliveries at all. Those are the block-layer moves §4 leaves a
+//! byzantine builder: equivocate, choose whom to send to, and choose which
+//! requests to inscribe.
 
 use std::collections::BTreeSet;
 
-use dagbft_core::{
-    Block, Gossip, GossipConfig, LabeledRequest, NetCommand, NetMessage, Schedule, TimeMs,
-};
-use dagbft_crypto::{KeyRegistry, ServerId, Signature, Signer};
+use dagbft_core::{Block, BlockRef, Label, LabeledRequest, NetCommand, NetMessage, SeqNum, TimeMs};
+use dagbft_crypto::{KeyRegistry, ServerId, Signature};
 
 /// The behaviour of one server in a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,7 +40,9 @@ pub enum Role {
         /// Recovery time.
         rejoin_at: TimeMs,
     },
-    /// Byzantine: receives and validates but never sends anything.
+    /// Byzantine: receives, validates and interprets, but never sends
+    /// anything — it is never woken, so it seals no block, and it answers
+    /// no delivery, not even a `FWD`.
     Silent,
     /// Byzantine: at its block with sequence number `at_seq`, builds two
     /// conflicting blocks (same `(n, k)`, different content) and sends one
@@ -62,20 +66,23 @@ pub enum Role {
         /// Copies of each block sent per round (clamped to at least 1).
         repeat: usize,
     },
-    /// Byzantine: until `until`, floods `per_round` forged blocks (null
-    /// signatures, distinct contents) per round, then switches to fully
-    /// correct behaviour — the probe for score decay: a reformed peer
-    /// must regain standing once its offenses age out.
+    /// Byzantine: until `until`, withholds its own block each round and
+    /// floods `per_round` forged blocks (null signatures, distinct
+    /// contents) instead, then switches to fully correct behaviour — the
+    /// probe for score decay: a reformed peer must regain standing once
+    /// its offenses age out. Its first block after `until` cites the
+    /// withheld chain, which honest servers then pull with `FWD`.
     FloodThenBehave {
         /// First round time at which the server behaves honestly.
         until: TimeMs,
         /// Forged blocks sent per flooding round (clamped to at least 1).
         per_round: usize,
     },
-    /// Byzantine: every round floods `per_round` blocks that can never be
-    /// valid — each names a builder outside the server set and cites a
-    /// predecessor nobody holds. A receiver that buffered them would
-    /// address `FWD` requests to a server that does not exist.
+    /// Byzantine: every round withholds its own block and floods
+    /// `per_round` blocks that can never be valid instead — each names a
+    /// builder outside the server set and cites a predecessor nobody
+    /// holds. A receiver that buffered them would address `FWD` requests
+    /// to a server that does not exist.
     OutsiderFlood {
         /// Blocks sent per round (clamped to at least 1).
         per_round: usize,
@@ -95,173 +102,120 @@ impl Role {
                 | Role::OutsiderFlood { .. }
         )
     }
-}
 
-/// A byzantine server: honest gossip state, dishonest sending.
-#[derive(Debug)]
-pub struct ByzServer {
-    gossip: Gossip,
-    signer: Signer,
-    role: Role,
-    n: usize,
-    /// The seal timer, armed by the first wake.
-    seal: Schedule,
-}
-
-impl ByzServer {
-    /// Creates a byzantine server with the given role, sealing every
-    /// `period` on the grid a correct `me` would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `role` is [`Role::Correct`] or [`Role::Crash`] (those run
-    /// a real shim), or if `me` has no key in the registry.
-    pub fn new(me: ServerId, n: usize, role: Role, registry: &KeyRegistry, period: TimeMs) -> Self {
-        assert!(role.is_byzantine(), "ByzServer requires a byzantine role");
-        let signer = registry.signer(me).expect("byzantine server has a key");
-        ByzServer {
-            gossip: Gossip::new(
-                me,
-                GossipConfig::for_n(n),
-                signer.clone(),
-                registry.verifier(),
-            ),
-            signer,
-            role,
-            n,
-            seal: Schedule::for_server(me, n, period),
-        }
-    }
-
-    /// The server identity.
-    pub fn me(&self) -> ServerId {
-        self.gossip.me()
-    }
-
-    /// Read access to the byzantine server's (honest) DAG.
-    pub fn dag(&self) -> &dagbft_core::BlockDag {
-        self.gossip.dag()
-    }
-
-    /// Handles an incoming message. Silent servers swallow everything;
-    /// others take part in gossip (including answering `FWD`s, which only
-    /// helps their blocks spread).
-    pub fn on_message(
-        &mut self,
-        from: ServerId,
-        message: NetMessage,
-        now: TimeMs,
-    ) -> Vec<NetCommand> {
-        let commands = self.gossip.on_message(from, message, now);
-        match self.role {
+    /// What this role sends of a delivery's outputs: nothing if
+    /// [`Role::Silent`], everything otherwise (answering `FWD`s only helps
+    /// a byzantine server's own blocks spread).
+    pub fn answer(&self, commands: Vec<NetCommand>) -> Vec<NetCommand> {
+        match self {
             Role::Silent => Vec::new(),
             _ => commands,
         }
     }
 
-    /// `Shim::wake` without the tick (byzantine servers skip `FWD`
-    /// retries): [`ByzServer::disseminate`] when its seal slot is due.
-    pub fn wake(&mut self, now: TimeMs) -> Vec<NetCommand> {
-        if self.seal.fire(now) {
-            self.disseminate(now)
-        } else {
-            Vec::new()
+    /// What this role sends of `Shim::wake`'s outputs at `now`, as server
+    /// `me` of `n`: the identity for the roles that are not byzantine.
+    /// Only the sealed own block's `Broadcast` is rewritten — split into
+    /// two forks, sent to targets only, repeated, replaced with junk or
+    /// withheld; `FWD` retries pass unchanged. `registry` signs the
+    /// equivocation twin.
+    pub fn rewrite(
+        &self,
+        me: ServerId,
+        n: usize,
+        registry: &KeyRegistry,
+        commands: Vec<NetCommand>,
+        now: TimeMs,
+    ) -> Vec<NetCommand> {
+        if !self.is_byzantine() {
+            return commands;
         }
+        let mut out = Vec::new();
+        for command in commands {
+            match command {
+                NetCommand::Broadcast {
+                    message: NetMessage::Block(block),
+                } if block.builder() == me => self.send_own(block, n, registry, now, &mut out),
+                retry => out.push(retry),
+            }
+        }
+        out
     }
 
-    /// When [`ByzServer::wake`] next has work (0 before the first wake).
-    pub fn next_wake(&self) -> TimeMs {
-        self.seal.deadline().unwrap_or(0)
-    }
-
-    /// Produces this round's dissemination, per role.
-    pub fn disseminate(&mut self, now: TimeMs) -> Vec<NetCommand> {
-        match self.role.clone() {
-            Role::Silent => Vec::new(),
-            Role::Equivocate { at_seq } => {
-                let seq = self.gossip.next_seq();
-                let (block_a, _) = self.gossip.disseminate(vec![], now);
-                if seq.value() == at_seq {
-                    // Build the conflicting twin: same builder and sequence
-                    // number, different content (an extra junk request).
-                    let twin = Block::build(
-                        self.me(),
-                        block_a.seq(),
-                        block_a.preds().to_vec(),
-                        vec![LabeledRequest {
-                            label: dagbft_core::Label::new(u64::MAX),
-                            payload: bytes_lit(b"equivocation"),
-                        }],
-                        &self.signer,
-                    );
-                    let me = self.me().index();
-                    (0..self.n)
-                        .filter(|target| *target != me)
-                        .map(|to| send(to, if to < self.n / 2 { &block_a } else { &twin }))
-                        .collect()
-                } else {
-                    vec![broadcast(block_a)]
-                }
+    /// Pushes what a byzantine role sends in place of broadcasting its
+    /// freshly sealed `block`.
+    fn send_own(
+        &self,
+        block: Block,
+        n: usize,
+        registry: &KeyRegistry,
+        now: TimeMs,
+        out: &mut Vec<NetCommand>,
+    ) {
+        let me = block.builder();
+        match self {
+            Role::Equivocate { at_seq } if block.seq().value() == *at_seq => {
+                // The conflicting twin: same builder and sequence number,
+                // different content (one junk request).
+                let signer = registry.signer(me).expect("byzantine server has a key");
+                let twin = Block::build(
+                    me,
+                    block.seq(),
+                    block.preds().to_vec(),
+                    vec![junk(Label::new(u64::MAX), b"equivocation")],
+                    &signer,
+                );
+                out.extend(
+                    (0..n)
+                        .filter(|to| *to != me.index())
+                        .map(|to| send(to, if to < n / 2 { &block } else { &twin })),
+                );
             }
             Role::SelectiveBroadcast { targets } => {
-                let (block, _) = self.gossip.disseminate(vec![], now);
-                targets
-                    .iter()
-                    .filter(|t| **t != self.me().index())
-                    .map(|t| send(*t, &block))
-                    .collect()
+                out.extend(
+                    targets
+                        .iter()
+                        .filter(|to| **to != me.index())
+                        .map(|to| send(*to, &block)),
+                );
             }
             Role::SlowLoris { repeat } => {
-                let (block, _) = self.gossip.disseminate(vec![], now);
-                vec![broadcast(block); repeat.max(1)]
+                out.extend(std::iter::repeat_n(broadcast(block), (*repeat).max(1)));
             }
-            Role::FloodThenBehave { until, per_round } => {
-                if now < until {
-                    // Forged junk: null signatures over distinct contents,
-                    // so every copy costs the receiver a failed verification
-                    // before it can be rejected.
-                    let seq = self.gossip.next_seq();
-                    let mut out = Vec::new();
-                    for i in 0..per_round.max(1) {
-                        let forged = Block::build_with_signature(
-                            self.me(),
-                            seq,
-                            vec![],
-                            vec![LabeledRequest {
-                                label: dagbft_core::Label::new(
-                                    now.wrapping_mul(1_000_003).wrapping_add(i as u64),
-                                ),
-                                payload: bytes_lit(b"flood"),
-                            }],
-                            Signature::NULL,
-                        );
-                        out.push(broadcast(forged));
-                    }
-                    out
-                } else {
-                    let (block, _) = self.gossip.disseminate(vec![], now);
-                    vec![broadcast(block)]
+            Role::FloodThenBehave { until, per_round } if now < *until => {
+                // Forged genesis blocks: null signatures over distinct
+                // contents, so every copy costs the receiver a failed
+                // verification before it can be rejected.
+                for i in 0..(*per_round).max(1) as u64 {
+                    let label = Label::new(now.wrapping_mul(1_000_003).wrapping_add(i));
+                    out.push(broadcast(Block::build_with_signature(
+                        me,
+                        SeqNum::ZERO,
+                        vec![],
+                        vec![junk(label, b"flood")],
+                        Signature::NULL,
+                    )));
                 }
             }
             Role::OutsiderFlood { per_round } => {
-                let mut out = Vec::new();
-                for i in 0..per_round.max(1) as u64 {
+                for i in 0..(*per_round).max(1) as u64 {
                     let nonce = now.wrapping_mul(1_000_003).wrapping_add(i);
                     let nobody_has = dagbft_crypto::sha256(nonce.to_le_bytes());
-                    let outsider = Block::build_with_signature(
-                        ServerId::new(self.n as u32),
-                        dagbft_core::SeqNum::new(1),
-                        vec![dagbft_core::BlockRef::from_digest(nobody_has)],
+                    out.push(broadcast(Block::build_with_signature(
+                        ServerId::new(n as u32),
+                        SeqNum::new(1),
+                        vec![BlockRef::from_digest(nobody_has)],
                         vec![],
                         Signature::NULL,
-                    );
-                    out.push(broadcast(outsider));
+                    )));
                 }
-                out
             }
-            Role::Correct | Role::Crash { .. } | Role::Restart { .. } => {
-                unreachable!("checked in new()")
-            }
+            Role::Silent => {}
+            Role::Equivocate { .. }
+            | Role::FloodThenBehave { .. }
+            | Role::Correct
+            | Role::Crash { .. }
+            | Role::Restart { .. } => out.push(broadcast(block)),
         }
     }
 }
@@ -279,24 +233,38 @@ fn broadcast(block: Block) -> NetCommand {
     }
 }
 
-fn bytes_lit(data: &'static [u8]) -> bytes::Bytes {
-    bytes::Bytes::from_static(data)
+fn junk(label: Label, payload: &'static [u8]) -> LabeledRequest {
+    LabeledRequest {
+        label,
+        payload: bytes::Bytes::from_static(payload),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dagbft_core::{ProtocolConfig, Shim, ShimConfig};
+    use dagbft_protocols::Brb;
 
-    fn registry(n: usize) -> KeyRegistry {
-        KeyRegistry::generate(n, 9)
+    /// Server 0 of four, fresh, and the registry it signs from.
+    fn server() -> (KeyRegistry, Shim<Brb<u64>>) {
+        let registry = KeyRegistry::generate(4, 9);
+        let config = ShimConfig::new(ProtocolConfig::for_n(4));
+        let shim = Shim::new(ServerId::new(0), config, &registry).expect("server 0 has a key");
+        (registry, shim)
     }
 
-    /// One round's dissemination as `(destination, message)` pairs, for
-    /// a server among four.
-    fn routed(server: &mut ByzServer, now: TimeMs) -> Vec<(ServerId, NetMessage)> {
-        let me = server.me();
+    /// What `role` sends of one seal, as `(destination, message)` pairs.
+    fn routed(
+        role: &Role,
+        shim: &mut Shim<Brb<u64>>,
+        registry: &KeyRegistry,
+        now: TimeMs,
+    ) -> Vec<(ServerId, NetMessage)> {
+        let me = shim.me();
+        let sealed = shim.disseminate(now);
         let mut out = Vec::new();
-        for command in server.disseminate(now) {
+        for command in role.rewrite(me, 4, registry, sealed, now) {
             match command {
                 NetCommand::Broadcast { message } => out.extend(
                     (0..4)
@@ -308,6 +276,21 @@ mod tests {
             }
         }
         out
+    }
+
+    /// A `FWD` request for a block nobody holds, as a tick would send it.
+    fn fwd_retry() -> NetCommand {
+        NetCommand::SendTo {
+            to: ServerId::new(2),
+            message: NetMessage::FwdRequest(BlockRef::from_digest(dagbft_crypto::sha256(b"x"))),
+        }
+    }
+
+    fn block(message: &NetMessage) -> &Block {
+        match message {
+            NetMessage::Block(block) => block,
+            NetMessage::FwdRequest(_) => panic!("expected block"),
+        }
     }
 
     #[test]
@@ -328,54 +311,65 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "byzantine role")]
-    fn correct_role_rejected() {
-        let registry = registry(4);
-        let _ = ByzServer::new(ServerId::new(0), 4, Role::Correct, &registry, 50);
+    fn roles_that_are_not_byzantine_pass_outputs_through_unchanged() {
+        let retry = fwd_retry();
+        for role in [
+            Role::Correct,
+            Role::Crash { at: 5 },
+            Role::Restart {
+                crash_at: 5,
+                rejoin_at: 10,
+            },
+        ] {
+            let (registry, mut shim) = server();
+            let mut sealed = shim.disseminate(0);
+            sealed.push(retry.clone());
+            let rewritten = role.rewrite(shim.me(), 4, &registry, sealed.clone(), 0);
+            assert_eq!(rewritten, sealed, "{role:?}");
+            assert_eq!(role.answer(sealed.clone()), sealed, "{role:?}");
+        }
+    }
+
+    #[test]
+    fn byzantine_roles_pass_fwd_retries_through() {
+        let retry = fwd_retry();
+        let (registry, _) = server();
+        for role in [
+            Role::Equivocate { at_seq: 0 },
+            Role::SlowLoris { repeat: 3 },
+            Role::OutsiderFlood { per_round: 2 },
+        ] {
+            let rewritten = role.rewrite(ServerId::new(0), 4, &registry, vec![retry.clone()], 0);
+            assert_eq!(rewritten, vec![retry.clone()], "{role:?}");
+        }
     }
 
     #[test]
     fn silent_server_sends_nothing() {
-        let registry = registry(4);
-        let mut server = ByzServer::new(ServerId::new(0), 4, Role::Silent, &registry, 50);
-        assert!(routed(&mut server, 0).is_empty());
+        let (registry, mut shim) = server();
+        assert!(routed(&Role::Silent, &mut shim, &registry, 0).is_empty());
         // Even FWD answers are suppressed.
         let other = registry.signer(ServerId::new(1)).unwrap();
-        let block = Block::build(
-            ServerId::new(1),
-            dagbft_core::SeqNum::ZERO,
-            vec![],
-            vec![],
-            &other,
-        );
-        let commands = server.on_message(ServerId::new(1), NetMessage::Block(block.clone()), 0);
-        assert!(commands.is_empty());
+        let block = Block::build(ServerId::new(1), SeqNum::ZERO, vec![], vec![], &other);
+        let stored = shim.on_message(ServerId::new(1), NetMessage::Block(block.clone()), 0);
+        assert!(Role::Silent.answer(stored).is_empty());
+        let asked = NetMessage::FwdRequest(block.block_ref());
+        let answer = shim.on_message(ServerId::new(2), asked, 0);
+        assert!(!answer.is_empty(), "a correct server would answer");
+        assert!(Role::Silent.answer(answer).is_empty());
         // But it did validate and store the block.
-        assert!(server.dag().contains(&block.block_ref()));
+        assert!(shim.dag().contains(&block.block_ref()));
     }
 
     #[test]
     fn equivocator_sends_conflicting_blocks_to_halves() {
-        let registry = registry(4);
-        let mut server = ByzServer::new(
-            ServerId::new(0),
-            4,
-            Role::Equivocate { at_seq: 0 },
-            &registry,
-            50,
-        );
-        let sends = routed(&mut server, 0);
+        let (registry, mut shim) = server();
+        let sends = routed(&Role::Equivocate { at_seq: 0 }, &mut shim, &registry, 0);
         assert_eq!(sends.len(), 3);
-        let blocks: Vec<&Block> = sends
-            .iter()
-            .map(|(_, m)| match m {
-                NetMessage::Block(b) => b,
-                _ => panic!("expected block"),
-            })
-            .collect();
+        let blocks: Vec<&Block> = sends.iter().map(|(_, m)| block(m)).collect();
         // Same (builder, seq), at least two distinct refs.
         assert!(blocks.iter().all(|b| b.builder() == ServerId::new(0)));
-        assert!(blocks.iter().all(|b| b.seq() == dagbft_core::SeqNum::ZERO));
+        assert!(blocks.iter().all(|b| b.seq() == SeqNum::ZERO));
         let distinct: BTreeSet<_> = blocks.iter().map(|b| b.block_ref()).collect();
         assert_eq!(distinct.len(), 2, "two conflicting versions");
         // Both versions carry valid signatures — equivocation is *valid*.
@@ -386,103 +380,61 @@ mod tests {
 
     #[test]
     fn equivocator_honest_after_fork() {
-        let registry = registry(4);
-        let mut server = ByzServer::new(
-            ServerId::new(0),
-            4,
-            Role::Equivocate { at_seq: 0 },
-            &registry,
-            50,
-        );
-        let _fork = routed(&mut server, 0);
-        let after = routed(&mut server, 10);
-        let distinct: BTreeSet<_> = after
-            .iter()
-            .map(|(_, m)| match m {
-                NetMessage::Block(b) => b.block_ref(),
-                _ => panic!(),
-            })
-            .collect();
+        let (registry, mut shim) = server();
+        let role = Role::Equivocate { at_seq: 0 };
+        let _fork = routed(&role, &mut shim, &registry, 0);
+        let after = routed(&role, &mut shim, &registry, 10);
+        let distinct: BTreeSet<_> = after.iter().map(|(_, m)| block(m).block_ref()).collect();
         assert_eq!(distinct.len(), 1, "single chain after the fork");
     }
 
     #[test]
     fn slow_loris_repeats_valid_blocks() {
-        let registry = registry(4);
-        let mut server = ByzServer::new(
-            ServerId::new(0),
-            4,
-            Role::SlowLoris { repeat: 5 },
-            &registry,
-            50,
-        );
-        let sends = routed(&mut server, 0);
+        let (registry, mut shim) = server();
+        let sends = routed(&Role::SlowLoris { repeat: 5 }, &mut shim, &registry, 0);
         // 5 copies × 3 targets, all the same valid block.
         assert_eq!(sends.len(), 15);
-        let distinct: BTreeSet<_> = sends
-            .iter()
-            .map(|(_, m)| match m {
-                NetMessage::Block(b) => b.block_ref(),
-                _ => panic!("expected block"),
-            })
-            .collect();
+        let distinct: BTreeSet<_> = sends.iter().map(|(_, m)| block(m).block_ref()).collect();
         assert_eq!(distinct.len(), 1, "one block, many copies");
         for (_, message) in &sends {
-            let NetMessage::Block(block) = message else {
-                panic!("expected block");
-            };
-            assert!(block.verify_signature(&registry.verifier()));
+            assert!(block(message).verify_signature(&registry.verifier()));
         }
     }
 
     #[test]
     fn flood_then_behave_switches_to_honesty() {
-        let registry = registry(4);
-        let mut server = ByzServer::new(
-            ServerId::new(0),
-            4,
-            Role::FloodThenBehave {
-                until: 1_000,
-                per_round: 4,
-            },
-            &registry,
-            50,
-        );
-        let flood = routed(&mut server, 0);
+        let (registry, mut shim) = server();
+        let role = Role::FloodThenBehave {
+            until: 1_000,
+            per_round: 4,
+        };
+        let flood = routed(&role, &mut shim, &registry, 0);
         // 4 forged blocks × 3 targets, none of them verifiable.
         assert_eq!(flood.len(), 12);
         let mut refs = BTreeSet::new();
         for (_, message) in &flood {
-            let NetMessage::Block(block) = message else {
-                panic!("expected block");
-            };
-            assert!(!block.verify_signature(&registry.verifier()));
-            refs.insert(block.block_ref());
+            assert!(!block(message).verify_signature(&registry.verifier()));
+            refs.insert(block(message).block_ref());
         }
         assert_eq!(refs.len(), 4, "distinct contents per forged block");
+        // The block it sealed was withheld, not skipped.
+        assert_eq!(shim.gossip().next_seq(), SeqNum::new(1));
+        assert!(refs.iter().all(|r| !shim.dag().contains(r)));
         // Past `until`: honest dissemination, one valid block to everyone.
-        let honest = routed(&mut server, 1_000);
+        let honest = routed(&role, &mut shim, &registry, 1_000);
         assert_eq!(honest.len(), 3);
         for (_, message) in &honest {
-            let NetMessage::Block(block) = message else {
-                panic!("expected block");
-            };
-            assert!(block.verify_signature(&registry.verifier()));
+            assert!(block(message).verify_signature(&registry.verifier()));
         }
     }
 
     #[test]
     fn selective_broadcast_restricts_targets() {
-        let registry = registry(4);
-        let targets: BTreeSet<usize> = [1].into_iter().collect();
-        let mut server = ByzServer::new(
-            ServerId::new(0),
-            4,
-            Role::SelectiveBroadcast { targets },
-            &registry,
-            50,
-        );
-        let sends = routed(&mut server, 0);
+        let (registry, mut shim) = server();
+        let role = Role::SelectiveBroadcast {
+            targets: [1].into_iter().collect(),
+        };
+        let sends = routed(&role, &mut shim, &registry, 0);
         assert_eq!(sends.len(), 1);
         assert_eq!(sends[0].0, ServerId::new(1));
     }

@@ -8,8 +8,9 @@
 //!   run is exactly reproducible);
 //! * [`net`] — latency and loss models; with loss, eventual delivery is
 //!   re-established by gossip's `FWD` mechanism, keeping Assumption 1;
-//! * [`adversary`] — byzantine server behaviours: silence, crashes,
-//!   equivocation (Figure 3), selective sending;
+//! * [`adversary`] — server roles: crashes, and byzantine behaviours
+//!   (silence, equivocation (Figure 3), selective sending, floods) as
+//!   rewrites of what a correct shim sends;
 //! * [`metrics`] — the measurement plane: wire messages and bytes,
 //!   signature operations, delivery latencies;
 //! * [`runner`] — [`runner::Simulation`]: `n` servers running

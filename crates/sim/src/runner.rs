@@ -1,14 +1,15 @@
 //! The simulation runner: `n` servers running `shim(P)` over the simulated
 //! network, with a workload and optional byzantine roles.
 //!
-//! The runner realizes the deployment of Figure 1: every correct server is
-//! a [`Shim<P>`] whose [`NetCommand`]s are routed through the
-//! [`NetworkModel`]; byzantine servers are [`ByzServer`]s. Each server
-//! keeps its own clock (Algorithm 3, lines 10–11: seals, and for correct
-//! servers `FWD` retries, on the grids a live node uses too); the runner
-//! only wakes it at its [`Shim::next_wake`]. Everything — keys, latencies,
-//! drops, event order — derives from the seed, so runs are exactly
-//! reproducible.
+//! The runner realizes the deployment of Figure 1: every server is a
+//! [`Shim<P>`] whose [`NetCommand`]s are routed through the
+//! [`NetworkModel`], after its [`Role`] rewrote them — a byzantine server
+//! is a shim that lies about what it sends ([`Role::rewrite`],
+//! [`Role::answer`]). Each server keeps its own clock (Algorithm 3, lines
+//! 10–11: seals and `FWD` retries, on the grids a live node uses too); the
+//! runner only wakes it at its [`Shim::next_wake`]. Everything — keys,
+//! latencies, drops, event order — derives from the seed, so runs are
+//! exactly reproducible.
 
 use std::collections::{BTreeSet, HashMap};
 
@@ -22,7 +23,7 @@ use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::adversary::{ByzServer, Role};
+use crate::adversary::Role;
 use crate::metrics::{Delivery, NetMetrics};
 use crate::net::NetworkModel;
 use crate::sched::EventQueue;
@@ -41,7 +42,7 @@ pub struct Injection<P: DeterministicProtocol> {
     pub request: P::Request,
 }
 
-/// How the runner hands deliveries to a correct server's shim.
+/// How the runner hands deliveries to a server's shim.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IngestMode {
     /// One [`Shim::on_message`] call per delivered message (the
@@ -84,15 +85,17 @@ pub struct SimConfig {
     pub network: NetworkModel,
     /// Per-server roles; missing entries default to [`Role::Correct`].
     pub roles: HashMap<usize, Role>,
-    /// Delivery hand-off shape for correct servers (see [`IngestMode`]).
+    /// Delivery hand-off shape for every server (see [`IngestMode`]).
     pub ingest: IngestMode,
     /// Bound on each correct server's gossip pending buffer (see
-    /// `dagbft_core::GossipConfig::pending_cap`).
+    /// `dagbft_core::GossipConfig::pending_cap`); byzantine servers keep
+    /// the default.
     pub pending_cap: usize,
     /// Peer-defense configuration for every correct server (scored
-    /// admission, rate limits, bans — see `dagbft_core::DefenseConfig`).
-    /// Disabled by default: every pinned fingerprint predates the defense
-    /// layer and must stay byte-identical without it.
+    /// admission, rate limits, bans — see `dagbft_core::DefenseConfig`);
+    /// byzantine servers run without one. Disabled by default: every
+    /// pinned fingerprint predates the defense layer and must stay
+    /// byte-identical without it.
     pub defense: DefenseConfig,
 }
 
@@ -151,7 +154,7 @@ impl SimConfig {
         self
     }
 
-    /// Selects the delivery hand-off shape for correct servers.
+    /// Selects the delivery hand-off shape for every server.
     pub fn with_ingest(mut self, ingest: IngestMode) -> Self {
         self.ingest = ingest;
         self
@@ -182,8 +185,8 @@ impl SimConfig {
 
 /// A server slot in the simulation.
 enum Server<P: DeterministicProtocol> {
-    Correct(Box<Shim<P>>),
-    Byzantine(Box<ByzServer>),
+    /// A running server, and the role that rewrites what it sends.
+    Up(Box<Shim<P>>, Role),
     /// A crashed volatile server, nothing to come back from; kept for index stability.
     Crashed,
     /// A crashed durable server: everything except its store is gone.
@@ -283,8 +286,8 @@ fn first_difference<T: PartialEq>(a: &[T], b: &[T], label: impl Fn(&T) -> Label)
 pub enum ServerView<P: DeterministicProtocol> {
     /// A correct server's final shim.
     Correct(Box<Shim<P>>),
-    /// A byzantine server's final state.
-    Byzantine(Box<ByzServer>),
+    /// A byzantine server's final shim: its own, honestly kept view.
+    Byzantine(Box<Shim<P>>),
     /// The server crashed during the run.
     Crashed,
 }
@@ -305,8 +308,7 @@ impl<P: DeterministicProtocol> SimOutcome<P> {
     /// The final DAG of any non-crashed server.
     pub fn dag(&self, index: usize) -> Option<&dagbft_core::BlockDag> {
         match &self.servers[index] {
-            ServerView::Correct(shim) => Some(shim.dag()),
-            ServerView::Byzantine(server) => Some(server.dag()),
+            ServerView::Correct(shim) | ServerView::Byzantine(shim) => Some(shim.dag()),
             ServerView::Crashed => None,
         }
     }
@@ -468,7 +470,8 @@ pub struct Simulation<P: DeterministicProtocol> {
 
 impl<P: DeterministicProtocol> Simulation<P> {
     /// Builds the simulation: generates keys, instantiates servers per
-    /// role, and schedules every server's first wake, at 0.
+    /// role, and schedules every server's first wake, at 0 — but a
+    /// [`Role::Silent`] one's: it is never woken, so it seals nothing.
     ///
     /// # Panics
     ///
@@ -479,27 +482,25 @@ impl<P: DeterministicProtocol> Simulation<P> {
             .with_pending_cap(config.pending_cap)
             .with_defense(config.defense)
             .with_disseminate_every_ms(config.disseminate_every);
+        // Byzantine servers run the defaults: no defense, the default
+        // pending cap.
+        let byzantine_config =
+            ShimConfig::new(config.protocol).with_disseminate_every_ms(config.disseminate_every);
         let mut servers = Vec::with_capacity(config.n);
         let mut queue = EventQueue::new();
         for index in 0..config.n {
-            queue.schedule_timer(0, Event::Wake { server: index });
             let role = config.roles.get(&index).cloned().unwrap_or(Role::Correct);
-            let server = match role {
-                Role::Correct | Role::Crash { .. } | Role::Restart { .. } => {
-                    Server::Correct(Box::new(
-                        Shim::new(ServerId::new(index as u32), shim_config, &registry)
-                            .expect("key exists for every server"),
-                    ))
-                }
-                byzantine => Server::Byzantine(Box::new(ByzServer::new(
-                    ServerId::new(index as u32),
-                    config.n,
-                    byzantine,
-                    &registry,
-                    config.disseminate_every,
-                ))),
+            if role != Role::Silent {
+                queue.schedule_timer(0, Event::Wake { server: index });
+            }
+            let own_config = if role.is_byzantine() {
+                byzantine_config
+            } else {
+                shim_config
             };
-            servers.push(server);
+            let shim = Shim::new(ServerId::new(index as u32), own_config, &registry)
+                .expect("key exists for every server");
+            servers.push(Server::Up(Box::new(shim), role));
         }
 
         let mut sim = Simulation {
@@ -558,11 +559,9 @@ impl<P: DeterministicProtocol> Simulation<P> {
         crash_at: TimeMs,
         rejoin_at: TimeMs,
     ) {
-        assert!(
-            matches!(self.servers[server], Server::Correct(_)),
-            "server {server} is not correct"
-        );
-        self.servers[server] = Server::Correct(Box::new(self.boot(server, store).0));
+        let role = self.role(server);
+        assert!(!role.is_byzantine(), "server {server} is not correct");
+        self.servers[server] = Server::Up(Box::new(self.boot(server, store).0), role);
         self.queue.schedule_first(crash_at, Event::Crash { server });
         self.queue
             .schedule_first(rejoin_at, Event::Rejoin { server });
@@ -626,14 +625,23 @@ impl<P: DeterministicProtocol> Simulation<P> {
             }
         }
         let finished_at = self.queue.now();
+        let servers: Vec<ServerView<P>> = self
+            .servers
+            .into_iter()
+            .map(|server| match server {
+                Server::Up(shim, role) if role.is_byzantine() => ServerView::Byzantine(shim),
+                Server::Up(shim, _) => ServerView::Correct(shim),
+                Server::Crashed | Server::Down(_) => ServerView::Crashed,
+            })
+            .collect();
         let mut wave_stats = dagbft_core::WaveStats::default();
         // Aggregate §6 accountability over the correct servers: every
         // proof any of them can extract, deduplicated by (accused, seq)
         // — the same fork seen by two servers is one conviction.
         let mut convictions: BTreeSet<(ServerId, dagbft_core::SeqNum)> = BTreeSet::new();
         let mut accused: BTreeSet<ServerId> = BTreeSet::new();
-        for server in &self.servers {
-            if let Server::Correct(shim) = server {
+        for server in &servers {
+            if let ServerView::Correct(shim) = server {
                 wave_stats.merge(shim.gossip().wave_stats());
                 for proof in accountability::collect_proofs(shim.dag()) {
                     convictions.insert((proof.accused(), proof.blocks().0.seq()));
@@ -657,15 +665,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
             raised: self.raised,
             equivocation_proofs: convictions.len(),
             accused,
-            servers: self
-                .servers
-                .into_iter()
-                .map(|server| match server {
-                    Server::Correct(shim) => ServerView::Correct(shim),
-                    Server::Byzantine(byz) => ServerView::Byzantine(byz),
-                    Server::Crashed | Server::Down(_) => ServerView::Crashed,
-                })
-                .collect(),
+            servers,
         };
         if cfg!(debug_assertions) {
             if let Err(disagreement) = outcome.check_interpretation_agrees() {
@@ -678,7 +678,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
     fn handle(&mut self, now: TimeMs, event: Event<P>) {
         match event {
             Event::Crash { server } => {
-                if let Server::Correct(shim) = &mut self.servers[server] {
+                if let Server::Up(shim, _) = &mut self.servers[server] {
                     let left = shim.detach_store();
                     self.servers[server] = left.map_or(Server::Crashed, Server::Down);
                 }
@@ -687,7 +687,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 match std::mem::replace(&mut self.servers[server], Server::Crashed) {
                     Server::Down(store) => {
                         let (shim, report) = self.boot(server, store);
-                        self.servers[server] = Server::Correct(Box::new(shim));
+                        self.servers[server] = Server::Up(Box::new(shim), self.role(server));
                         self.recoveries
                             .push((now, ServerId::new(server as u32), report));
                         self.queue.schedule_timer(now, Event::Wake { server });
@@ -696,7 +696,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 }
             }
             Event::Inject(injection) => {
-                if let Server::Correct(shim) = &mut self.servers[injection.server] {
+                if let Server::Up(shim, _) = &mut self.servers[injection.server] {
                     shim.request(injection.label, injection.request);
                 }
             }
@@ -705,11 +705,12 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 // Before the deadline: a crash and rejoin in one slot left
                 // two chains, and the other already ran at this instant.
                 let (commands, next) = match &mut self.servers[server] {
-                    Server::Correct(shim) if now >= shim.next_wake() => {
-                        (shim.wake(now), shim.next_wake())
-                    }
-                    Server::Byzantine(byz) if now >= byz.next_wake() => {
-                        (byz.wake(now), byz.next_wake())
+                    Server::Up(shim, role) if now >= shim.next_wake() => {
+                        let me = ServerId::new(server as u32);
+                        let commands = shim.wake(now);
+                        let commands =
+                            role.rewrite(me, self.config.n, &self.registry, commands, now);
+                        (commands, shim.next_wake())
                     }
                     _ => return,
                 };
@@ -718,43 +719,37 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 self.queue.schedule_timer(next, Event::Wake { server });
             }
             Event::Deliver { to, from, message } => {
-                match &mut self.servers[to] {
-                    Server::Correct(shim) => {
-                        let commands = match self.config.ingest {
-                            IngestMode::PerMessage => shim.on_message(from, message, now),
-                            IngestMode::Burst { max } => {
-                                // Coalesce the run of deliveries queued for
-                                // this server at this instant into one
-                                // ingest call.
-                                let mut batch = vec![(from, message)];
-                                while batch.len() < max.max(1) {
-                                    let coalesced = self.queue.pop_if(|at, event| {
-                                        at == now
-                                            && matches!(
-                                                event,
-                                                Event::Deliver { to: next, .. } if *next == to
-                                            )
-                                    });
-                                    match coalesced {
-                                        Some((_, Event::Deliver { from, message, .. })) => {
-                                            batch.push((from, message));
-                                        }
-                                        Some(_) => unreachable!("pop_if matched a delivery"),
-                                        None => break,
-                                    }
+                let Server::Up(shim, role) = &mut self.servers[to] else {
+                    return;
+                };
+                let commands = match self.config.ingest {
+                    IngestMode::PerMessage => shim.on_message(from, message, now),
+                    IngestMode::Burst { max } => {
+                        // Coalesce the run of deliveries queued for this
+                        // server at this instant into one ingest call.
+                        let mut batch = vec![(from, message)];
+                        while batch.len() < max.max(1) {
+                            let coalesced = self.queue.pop_if(|at, event| {
+                                at == now
+                                    && matches!(
+                                        event,
+                                        Event::Deliver { to: next, .. } if *next == to
+                                    )
+                            });
+                            match coalesced {
+                                Some((_, Event::Deliver { from, message, .. })) => {
+                                    batch.push((from, message));
                                 }
-                                shim.on_message_burst(batch, now)
+                                Some(_) => unreachable!("pop_if matched a delivery"),
+                                None => break,
                             }
-                        };
-                        self.route_commands(to, commands, now);
-                        self.collect_deliveries(to, now);
+                        }
+                        shim.on_message_burst(batch, now)
                     }
-                    Server::Byzantine(byz) => {
-                        let commands = byz.on_message(from, message, now);
-                        self.route_commands(to, commands, now);
-                    }
-                    Server::Crashed | Server::Down(_) => {}
-                }
+                };
+                let commands = role.answer(commands);
+                self.route_commands(to, commands, now);
+                self.collect_deliveries(to, now);
             }
         }
     }
@@ -799,32 +794,47 @@ impl<P: DeterministicProtocol> Simulation<P> {
         );
     }
 
+    /// The role `server` was configured with.
+    fn role(&self, server: usize) -> Role {
+        self.config
+            .roles
+            .get(&server)
+            .cloned()
+            .unwrap_or(Role::Correct)
+    }
+
+    /// Takes what `server`'s interpretation raised: a correct server's
+    /// own indications are deliveries, a byzantine one's are no user's.
     fn collect_deliveries(&mut self, server: usize, now: TimeMs) {
-        if let Server::Correct(shim) = &mut self.servers[server] {
-            let me = ServerId::new(server as u32);
-            let raised = shim.poll_raised();
-            if cfg!(debug_assertions) {
-                let record = &mut self.raised[server];
-                let order = shim.interpreter().interpreted_order();
-                for block in &order[self.audited[server]..] {
-                    record.insert(*block, Vec::new());
-                }
-                self.audited[server] = order.len();
-                for indication in &raised {
-                    if let Some(at) = record.get_mut(&indication.block) {
-                        at.push(indication.clone());
-                    }
+        let Server::Up(shim, role) = &mut self.servers[server] else {
+            return;
+        };
+        let raised = shim.poll_raised();
+        if role.is_byzantine() {
+            return;
+        }
+        let me = ServerId::new(server as u32);
+        if cfg!(debug_assertions) {
+            let record = &mut self.raised[server];
+            let order = shim.interpreter().interpreted_order();
+            for block in &order[self.audited[server]..] {
+                record.insert(*block, Vec::new());
+            }
+            self.audited[server] = order.len();
+            for indication in &raised {
+                if let Some(at) = record.get_mut(&indication.block) {
+                    at.push(indication.clone());
                 }
             }
-            for indication in raised {
-                if indication.server == me {
-                    self.deliveries.push(Delivery {
-                        at: now,
-                        server: me,
-                        label: indication.label,
-                        indication: indication.indication,
-                    });
-                }
+        }
+        for indication in raised {
+            if indication.server == me {
+                self.deliveries.push(Delivery {
+                    at: now,
+                    server: me,
+                    label: indication.label,
+                    indication: indication.indication,
+                });
             }
         }
     }
@@ -844,7 +854,7 @@ where
     /// Call after [`Simulation::with_durable_store`].
     pub fn with_durable_snapshots(mut self, every: u64) -> Self {
         for server in &mut self.servers {
-            if let Server::Correct(shim) = server {
+            if let Server::Up(shim, _) = server {
                 shim.enable_snapshots(every);
             }
         }
@@ -927,7 +937,7 @@ mod tests {
             let (now, event) = sim.queue.pop().expect("peeked");
             sim.handle(now, event);
         }
-        let Server::Correct(shim) = &sim.servers[1] else {
+        let Server::Up(shim, _) = &sim.servers[1] else {
             panic!("server 1 is up again");
         };
         // One seal per slot 12, 62, …, 962: none lost, none doubled.
@@ -1093,6 +1103,24 @@ mod tests {
             .deliveries
             .iter()
             .all(|d| d.indication == BrbIndication::Deliver(5)));
+    }
+
+    #[test]
+    fn a_silent_server_builds_no_block() {
+        let config = SimConfig::new(4)
+            .with_max_time(2_000)
+            .with_role(3, Role::Silent);
+        let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+        sim.inject(broadcast_injection(0, 0, 1, 5));
+        // Reaches the silent server's shim, which never seals it.
+        sim.inject(broadcast_injection(0, 3, 2, 6));
+        let outcome = sim.run();
+        let silent = ServerId::new(3);
+        let dag = outcome.dag(3).expect("a silent server keeps its view");
+        assert!(dag.iter().count() > 0, "it stored the others' blocks");
+        assert!(dag.iter().all(|block| block.builder() != silent));
+        assert!(outcome.deliveries_for(Label::new(2)).is_empty());
+        assert_eq!(outcome.deliveries_for(Label::new(1)).len(), 3);
     }
 
     #[test]

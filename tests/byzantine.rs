@@ -168,8 +168,9 @@ fn crash_recovery_of_the_rest() {
 #[test]
 fn bcb_consistency_but_not_totality_under_equivocation() {
     // The framework preserves each P's *exact* property set: consistent
-    // broadcast keeps consistency under a byzantine requester, but unlike
-    // BRB it never promises totality. We assert only consistency here.
+    // broadcast keeps consistency under an equivocating builder, but
+    // unlike BRB it never promises totality. The request goes to honest
+    // server 1, so the broadcaster is correct; we assert only consistency.
     let config = SimConfig::new(4)
         .with_max_time(20_000)
         .with_role(0, Role::Equivocate { at_seq: 0 });
@@ -314,6 +315,83 @@ fn forged_signature_blocks_never_enter_dags() {
     for index in outcome.correct_servers() {
         for block in outcome.shim(index).dag().iter() {
             assert!(block.verify_signature(&verifier));
+        }
+    }
+}
+
+/// One run with byzantine server 3 of four as the broadcaster: `request`
+/// is injected at it, and its role decides where the block that
+/// inscribes it goes.
+fn byzantine_requester<P: DeterministicProtocol>(
+    role: &Role,
+    seed: u64,
+    request: P::Request,
+) -> SimOutcome<P> {
+    let config = SimConfig::new(4)
+        .with_seed(seed)
+        .with_max_time(30_000)
+        .with_role(3, role.clone())
+        .with_stop_after_deliveries(3);
+    let mut sim: Simulation<P> = Simulation::new(config);
+    sim.inject(Injection {
+        at: 0,
+        server: 3,
+        label: Label::new(1),
+        request,
+    });
+    sim.run()
+}
+
+/// Each of the three honest servers delivered `value`, once.
+fn each_honest_server_delivered<P: DeterministicProtocol>(
+    outcome: &SimOutcome<P>,
+    value: &P::Indication,
+    run: &str,
+) {
+    let servers: BTreeSet<usize> = outcome
+        .deliveries
+        .iter()
+        .map(|d| d.server.index())
+        .collect();
+    assert_eq!(outcome.deliveries.len(), 3, "{run}");
+    assert_eq!(servers, [0, 1, 2].into_iter().collect(), "{run}");
+    assert!(
+        outcome.deliveries.iter().all(|d| d.indication == *value),
+        "{run}"
+    );
+}
+
+#[test]
+fn a_byzantine_broadcaster_is_delivered_by_every_honest_server() {
+    // The broadcaster itself is byzantine: it inscribes the request, then
+    // sends the block that carries it to one server only, repeats it, or
+    // forks at its first, second or third block. A chain that does not
+    // fork is interpreted as a correct sender's, and one that forks is
+    // convicted — either way every honest server delivers, for `Brb` and
+    // for `Bcb` alike.
+    let roles = [
+        Role::SelectiveBroadcast {
+            targets: [0].into_iter().collect(),
+        },
+        Role::SlowLoris { repeat: 3 },
+        Role::Equivocate { at_seq: 0 },
+        Role::Equivocate { at_seq: 1 },
+        Role::Equivocate { at_seq: 2 },
+    ];
+    for role in &roles {
+        for seed in 0..16 {
+            let run = format!("{role:?}, seed {seed}");
+            let brb = byzantine_requester::<Brb<u64>>(role, seed, BrbRequest::Broadcast(seed));
+            each_honest_server_delivered(&brb, &BrbIndication::Deliver(seed), &run);
+            let bcb = byzantine_requester::<Bcb<u64>>(role, seed, BcbRequest::Broadcast(seed));
+            each_honest_server_delivered(&bcb, &BcbIndication::Deliver(seed), &run);
+            if *role == (Role::Equivocate { at_seq: 0 }) {
+                // The fork at the block that carries the request is in
+                // the honest DAGs by the time all three delivered.
+                for accused in [&brb.accused, &bcb.accused] {
+                    assert!(accused.contains(&ServerId::new(3)), "{run}");
+                }
+            }
         }
     }
 }
