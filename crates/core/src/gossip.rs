@@ -305,9 +305,9 @@ pub struct WaveStats {
     pub largest_wave: usize,
     /// Size of the smallest wave (0 until the first wave is recorded).
     pub smallest_wave: usize,
-    /// Multi-message ingest calls processed ([`Gossip::on_messages`],
-    /// [`Gossip::on_block_burst`]); a single [`Gossip::on_message`] is
-    /// not a burst.
+    /// Ingest runs processed ([`Gossip::on_messages`],
+    /// [`Gossip::on_block_burst`]), runs of one included; a single
+    /// [`Gossip::on_message`] is not a burst.
     pub bursts: u64,
     /// Blocks buffered through those calls (received minus duplicates
     /// and blocks rejected on receipt).

@@ -40,6 +40,14 @@ use crate::schedule::Schedule;
 use crate::store::{BlockStore, RecoverError, RecoveryReport, StoreContents, StoreError};
 use crate::TimeMs;
 
+/// Most messages in one [`Shim::on_message_burst`] call. The ingest rule
+/// of every driver: a server takes one delivered message plus whatever is
+/// already waiting behind it, up to this many, in one call — the node
+/// from its channel, the simulator from the same-instant deliveries to the
+/// same server. Nothing beyond the cap is dropped; it waits for the next
+/// run. The cap bounds the latency a run adds under sustained load.
+pub const INGEST_BURST_CAP: usize = 1024;
+
 /// Configuration for a [`Shim`] server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShimConfig {
@@ -149,7 +157,8 @@ struct StoreBinding<P: DeterministicProtocol> {
 
 /// A complete block DAG server: `shim(P)` running as one member of `Srvrs`.
 ///
-/// Drive it by delivering network messages ([`Shim::on_message`]) and
+/// Drive it by delivering runs of network messages
+/// ([`Shim::on_message_burst`]) and
 /// waking it at [`Shim::next_wake`] ([`Shim::wake`]); it returns
 /// [`NetCommand`]s for the transport. See the crate-level docs for a
 /// runnable example.
@@ -278,25 +287,12 @@ impl<P: DeterministicProtocol> Shim<P> {
         self.rqsts.len()
     }
 
-    /// Delivers a network message to this server.
-    pub fn on_message(
-        &mut self,
-        from: ServerId,
-        message: NetMessage,
-        now: TimeMs,
-    ) -> Vec<NetCommand> {
-        let commands = self.gossip.on_message(from, message, now);
-        self.run_interpretation();
-        commands
-    }
-
-    /// Delivers a whole ingest burst in one admission pass
+    /// Delivers a run of network messages in one admission pass
     /// ([`Gossip::on_messages`]): blocks are indexed first and promoted
     /// in one cascade, `FWD` requests are answered from the DAG as it
-    /// stood when the burst began, and interpretation steps once for the
-    /// whole burst instead of once per message. This is the ingest path
-    /// of the simulator's burst delivery and the transport's channel
-    /// drain.
+    /// stood when the run began, and interpretation steps once for the
+    /// whole run instead of once per message. Every driver ingests
+    /// through here, by the rule of [`INGEST_BURST_CAP`].
     pub fn on_message_burst(
         &mut self,
         messages: impl IntoIterator<Item = (ServerId, NetMessage)>,
@@ -699,15 +695,15 @@ mod tests {
                 NetCommand::Broadcast { message } => {
                     for (target, shim) in shims.iter_mut().enumerate() {
                         if target != from {
-                            let follow =
-                                shim.on_message(ServerId::new(from as u32), message.clone(), now);
+                            let run = [(ServerId::new(from as u32), message.clone())];
+                            let follow = shim.on_message_burst(run, now);
                             queue.extend(follow.into_iter().map(|c| (target, c)));
                         }
                     }
                 }
                 NetCommand::SendTo { to, message } => {
-                    let follow =
-                        shims[to.index()].on_message(ServerId::new(from as u32), message, now);
+                    let run = [(ServerId::new(from as u32), message)];
+                    let follow = shims[to.index()].on_message_burst(run, now);
                     queue.extend(follow.into_iter().map(|c| (to.index(), c)));
                 }
             }

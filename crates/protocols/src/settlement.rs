@@ -90,7 +90,7 @@ impl SettlementNode {
         message: NetMessage,
         now: TimeMs,
     ) -> Vec<NetCommand> {
-        let commands = self.shim.on_message(from, message, now);
+        let commands = self.shim.on_message_burst([(from, message)], now);
         self.settle_deliveries();
         commands
     }

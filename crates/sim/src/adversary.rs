@@ -351,10 +351,11 @@ mod tests {
         // Even FWD answers are suppressed.
         let other = registry.signer(ServerId::new(1)).unwrap();
         let block = Block::build(ServerId::new(1), SeqNum::ZERO, vec![], vec![], &other);
-        let stored = shim.on_message(ServerId::new(1), NetMessage::Block(block.clone()), 0);
+        let stored =
+            shim.on_message_burst([(ServerId::new(1), NetMessage::Block(block.clone()))], 0);
         assert!(Role::Silent.answer(stored).is_empty());
         let asked = NetMessage::FwdRequest(block.block_ref());
-        let answer = shim.on_message(ServerId::new(2), asked, 0);
+        let answer = shim.on_message_burst([(ServerId::new(2), asked)], 0);
         assert!(!answer.is_empty(), "a correct server would answer");
         assert!(Role::Silent.answer(answer).is_empty());
         // But it did validate and store the block.

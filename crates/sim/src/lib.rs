@@ -50,4 +50,4 @@ pub mod sched;
 pub use adversary::Role;
 pub use metrics::{Delivery, NetMetrics};
 pub use net::{Latency, NetworkModel, Partition};
-pub use runner::{Disagreement, IngestMode, Injection, SimConfig, SimOutcome, Simulation};
+pub use runner::{Disagreement, Injection, SimConfig, SimOutcome, Simulation};

@@ -7,17 +7,19 @@
 //! is a shim that lies about what it sends ([`Role::rewrite`],
 //! [`Role::answer`]). Each server keeps its own clock (Algorithm 3, lines
 //! 10–11: seals and `FWD` retries, on the grids a live node uses too); the
-//! runner only wakes it at its [`Shim::next_wake`]. Everything — keys,
-//! latencies, drops, event order — derives from the seed, so runs are
-//! exactly reproducible.
+//! runner only wakes it at its [`Shim::next_wake`], and hands it each
+//! delivery by the node's ingest rule ([`INGEST_BURST_CAP`]). Everything —
+//! keys, latencies, drops, event order — derives from the seed, so runs
+//! are exactly reproducible.
 
 use std::collections::{BTreeSet, HashMap};
+use std::iter::{from_fn, once};
 
 use dagbft_codec::{WireDecode, WireEncode};
 use dagbft_core::{
     accountability, BlockRef, BlockStore, DefenseConfig, DeterministicProtocol, Indication, Label,
     MemoryStore, NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Shim,
-    ShimConfig, SnapshotProtocol, TimeMs,
+    ShimConfig, SnapshotProtocol, TimeMs, INGEST_BURST_CAP,
 };
 use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
 use rand::rngs::StdRng;
@@ -42,28 +44,6 @@ pub struct Injection<P: DeterministicProtocol> {
     pub request: P::Request,
 }
 
-/// How the runner hands deliveries to a server's shim.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IngestMode {
-    /// One [`Shim::on_message`] call per delivered message (the
-    /// historical behavior; `tests/golden/cross_seed.txt` is pinned on
-    /// it).
-    #[default]
-    PerMessage,
-    /// Coalesce a run of same-instant deliveries to the same server into
-    /// one [`Shim::on_message_burst`] call (up to `max` messages): all of
-    /// them are indexed first, then verified and promoted in one cascade
-    /// — what a live node's channel drain does. Protocol outcomes are
-    /// unchanged; block bytes may differ from [`IngestMode::PerMessage`]
-    /// because a call promotes its whole ready set smallest key first
-    /// rather than message by message, so the current block can reference
-    /// newly admitted blocks in another order.
-    Burst {
-        /// Maximum messages folded into one call.
-        max: usize,
-    },
-}
-
 /// Simulation parameters.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
@@ -85,8 +65,6 @@ pub struct SimConfig {
     pub network: NetworkModel,
     /// Per-server roles; missing entries default to [`Role::Correct`].
     pub roles: HashMap<usize, Role>,
-    /// Delivery hand-off shape for every server (see [`IngestMode`]).
-    pub ingest: IngestMode,
     /// Bound on each correct server's gossip pending buffer (see
     /// `dagbft_core::GossipConfig::pending_cap`); byzantine servers keep
     /// the default.
@@ -112,7 +90,6 @@ impl SimConfig {
             stop_after_deliveries: None,
             network: NetworkModel::default(),
             roles: HashMap::new(),
-            ingest: IngestMode::default(),
             pending_cap: dagbft_core::DEFAULT_PENDING_CAP,
             defense: DefenseConfig::default(),
         }
@@ -151,12 +128,6 @@ impl SimConfig {
     /// Assigns a role to one server.
     pub fn with_role(mut self, server: usize, role: Role) -> Self {
         self.roles.insert(server, role);
-        self
-    }
-
-    /// Selects the delivery hand-off shape for every server.
-    pub fn with_ingest(mut self, ingest: IngestMode) -> Self {
-        self.ingest = ingest;
         self
     }
 
@@ -209,8 +180,8 @@ pub struct SimOutcome<P: DeterministicProtocol> {
     /// Verifications that went through batched waves — the share of
     /// `verifications` on the amortized path.
     pub batched_verifications: u64,
-    /// Multi-message ingest calls accounted by the crypto layer (zero
-    /// unless servers ingest via [`IngestMode::Burst`]).
+    /// Ingest runs ([`Shim::on_message_burst`] calls, one per delivery
+    /// and the deliveries waiting behind it) that verified a signature.
     pub verify_bursts: u64,
     /// Verifications that belonged to those bursts.
     pub burst_verifications: u64,
@@ -477,6 +448,12 @@ impl<P: DeterministicProtocol> Simulation<P> {
     ///
     /// Panics if a configured role index is out of range.
     pub fn new(config: SimConfig) -> Self {
+        if let Some(index) = config.roles.keys().find(|&&index| index >= config.n) {
+            panic!(
+                "a role for server {index}, out of range for n = {}",
+                config.n
+            );
+        }
         let registry = KeyRegistry::generate(config.n, config.seed);
         let shim_config = ShimConfig::new(config.protocol)
             .with_pending_cap(config.pending_cap)
@@ -722,32 +699,22 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 let Server::Up(shim, role) = &mut self.servers[to] else {
                     return;
                 };
-                let commands = match self.config.ingest {
-                    IngestMode::PerMessage => shim.on_message(from, message, now),
-                    IngestMode::Burst { max } => {
-                        // Coalesce the run of deliveries queued for this
-                        // server at this instant into one ingest call.
-                        let mut batch = vec![(from, message)];
-                        while batch.len() < max.max(1) {
-                            let coalesced = self.queue.pop_if(|at, event| {
-                                at == now
-                                    && matches!(
-                                        event,
-                                        Event::Deliver { to: next, .. } if *next == to
-                                    )
-                            });
-                            match coalesced {
-                                Some((_, Event::Deliver { from, message, .. })) => {
-                                    batch.push((from, message));
-                                }
-                                Some(_) => unreachable!("pop_if matched a delivery"),
-                                None => break,
-                            }
-                        }
-                        shim.on_message_burst(batch, now)
-                    }
+                // The delivery and the ones waiting behind it — due now,
+                // to this server — as one run, the node's rule
+                // (`INGEST_BURST_CAP`); the rest stay queued.
+                let waiting = || {
+                    let (_, event) = self.queue.pop_if(|at, event| {
+                        at == now && matches!(event, Event::Deliver { to: next, .. } if *next == to)
+                    })?;
+                    let Event::Deliver { from, message, .. } = event else {
+                        unreachable!("pop_if matched a delivery");
+                    };
+                    Some((from, message))
                 };
-                let commands = role.answer(commands);
+                let run = once((from, message))
+                    .chain(from_fn(waiting))
+                    .take(INGEST_BURST_CAP);
+                let commands = role.answer(shim.on_message_burst(run, now));
                 self.route_commands(to, commands, now);
                 self.collect_deliveries(to, now);
             }
@@ -974,11 +941,10 @@ mod tests {
     #[test]
     fn honest_servers_interpret_every_shared_block_alike() {
         // Server 3 equivocates at its third block, so honest chains fork
-        // in their views of it; the others ingest in bursts. Every block
-        // two honest servers hold must read the same on both.
+        // in their views of it. Every block two honest servers hold must
+        // read the same on both.
         let config = SimConfig::new(4)
             .with_max_time(3_000)
-            .with_ingest(IngestMode::Burst { max: 8 })
             .with_role(3, Role::Equivocate { at_seq: 2 });
         let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
         for label in 0..6 {
@@ -1106,6 +1072,12 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a role for server 7, out of range for n = 4")]
+    fn a_role_out_of_range_is_refused() {
+        let _: Simulation<Brb<u64>> = Simulation::new(SimConfig::new(4).with_role(7, Role::Silent));
+    }
+
+    #[test]
     fn a_silent_server_builds_no_block() {
         let config = SimConfig::new(4)
             .with_max_time(2_000)
@@ -1228,36 +1200,29 @@ mod tests {
     }
 
     #[test]
-    fn burst_ingest_reaches_same_protocol_outcomes() {
-        // Burst delivery may reorder how blocks get referenced, but the
-        // protocol-level outcome — who delivers what — is unchanged, on
-        // clean and lossy networks.
+    fn deliveries_are_ingested_in_runs_on_clean_and_lossy_networks() {
+        // The simulator ingests the way the node does, with no setting:
+        // every delivery goes to the shim as a run, and runs verify the
+        // signatures — on clean and lossy networks alike.
         for drop_rate in [0.0, 0.3] {
-            let run = |ingest: IngestMode| {
-                let config = SimConfig::new(4)
-                    .with_max_time(30_000)
-                    .with_network(NetworkModel::default().with_drop_rate(drop_rate))
-                    .with_ingest(ingest)
-                    .with_stop_after_deliveries(4);
-                let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
-                sim.inject(broadcast_injection(0, 0, 1, 77));
-                sim.run()
-            };
-            let per_message = run(IngestMode::PerMessage);
-            let bursty = run(IngestMode::Burst { max: 1024 });
-            assert_eq!(per_message.deliveries.len(), bursty.deliveries.len());
-            for outcome in [&per_message, &bursty] {
-                assert!(outcome
-                    .deliveries
-                    .iter()
-                    .all(|d| d.indication == BrbIndication::Deliver(77)));
-                for index in outcome.correct_servers() {
-                    assert!(outcome.shim(index).dag().check_invariants());
-                }
+            let config = SimConfig::new(4)
+                .with_max_time(30_000)
+                .with_network(NetworkModel::default().with_drop_rate(drop_rate))
+                .with_stop_after_deliveries(4);
+            let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+            sim.inject(broadcast_injection(0, 0, 1, 77));
+            let outcome = sim.run();
+            let servers: BTreeSet<_> = outcome.deliveries.iter().map(|d| d.server).collect();
+            assert_eq!(servers.len(), 4, "drop {drop_rate}: every server delivers");
+            assert!(outcome
+                .deliveries
+                .iter()
+                .all(|d| d.indication == BrbIndication::Deliver(77)));
+            for index in outcome.correct_servers() {
+                assert!(outcome.shim(index).dag().check_invariants());
             }
-            // Burst ingest actually made multi-message calls.
-            assert!(bursty.wave_stats.bursts > 0, "drop {drop_rate}");
-            assert_eq!(per_message.wave_stats.bursts, 0);
+            assert!(outcome.wave_stats.bursts > 0, "drop {drop_rate}");
+            assert!(outcome.verify_bursts > 0, "drop {drop_rate}");
         }
     }
 
@@ -1266,14 +1231,13 @@ mod tests {
         let run = || {
             let config = SimConfig::new(4)
                 .with_max_time(10_000)
-                .with_ingest(IngestMode::Burst { max: 256 })
                 .with_stop_after_deliveries(4);
             let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
             sim.inject(broadcast_injection(0, 0, 1, 6));
             sim.run()
         };
         let outcome = run();
-        // Every multi-message call is one burst to gossip and, when it
+        // Every run is one burst to gossip and, when it
         // verified anything, one to the crypto layer.
         assert!(outcome.verify_bursts > 0);
         assert!(outcome.verify_bursts <= outcome.wave_stats.bursts);
@@ -1296,7 +1260,6 @@ mod tests {
             .with_max_time(20_000)
             .with_network(NetworkModel::default().with_drop_rate(0.2))
             .with_role(0, Role::Equivocate { at_seq: 0 })
-            .with_ingest(IngestMode::Burst { max: 64 })
             .with_pending_cap(8)
             .with_stop_after_deliveries(3);
         let mut sim: Simulation<Brb<u64>> = Simulation::new(config);

@@ -149,8 +149,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event only if `pred` accepts it — how the
-    /// runner's burst delivery coalesces a run of same-instant deliveries
-    /// to one server without disturbing any other event's order.
+    /// runner gathers a run of same-instant deliveries to one server
+    /// without disturbing any other event's order.
     pub fn pop_if(&mut self, pred: impl FnOnce(TimeMs, &E) -> bool) -> Option<(TimeMs, E)> {
         let head = self.heap.peek()?;
         if !pred(head.time, &head.payload) {

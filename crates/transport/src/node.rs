@@ -1,5 +1,6 @@
 //! The node event loop: a [`Shim`] driven by a [`TcpTransport`].
 
+use std::iter::{from_fn, once};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -8,7 +9,7 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use dagbft_core::{
     shim::SetupError, BlockStore, DeterministicProtocol, Label, NetCommand, RecoverError,
-    RecoveryReport, Shim, ShimConfig, TimeMs,
+    RecoveryReport, Shim, ShimConfig, TimeMs, INGEST_BURST_CAP,
 };
 use dagbft_crypto::{KeyRegistry, ServerId};
 use dagbft_metrics::{publish, MetricsRegistry, MetricsServer};
@@ -170,10 +171,6 @@ where
     Ok((handle, report))
 }
 
-/// Most messages of one channel drain handed to the shim as one ingest
-/// call: bounds the latency draining adds under sustained load.
-const INGEST_BURST_CAP: usize = 1024;
-
 fn spawn_with_shim<P>(
     mut shim: Shim<P>,
     node_config: NodeConfig,
@@ -237,18 +234,11 @@ where
             crossbeam::channel::select! {
                 recv(transport.incoming()) -> incoming => {
                     if let Ok(first) = incoming {
-                        // Drain whatever else already queued up behind the
-                        // first message and admit the whole run as one
-                        // burst: blocks are indexed first, then verified
-                        // in batched waves and interpreted once.
-                        let mut batch = vec![first];
-                        while batch.len() < INGEST_BURST_CAP {
-                            match transport.incoming().try_recv() {
-                                Ok(message) => batch.push(message),
-                                Err(_) => break,
-                            }
-                        }
-                        route(&transport, shim.on_message_burst(batch, now_ms(start)));
+                        // The first message and whatever already waits
+                        // behind it, as one run (`INGEST_BURST_CAP`).
+                        let waiting = || transport.incoming().try_recv().ok();
+                        let run = once(first).chain(from_fn(waiting)).take(INGEST_BURST_CAP);
+                        route(&transport, shim.on_message_burst(run, now_ms(start)));
                     }
                 }
                 // Polled before the requests: once the handle is dropped

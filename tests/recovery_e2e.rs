@@ -5,18 +5,14 @@
 use std::collections::BTreeSet;
 
 use dagbft::prelude::*;
-use dagbft::sim::IngestMode;
 
-/// The §7 restart scenario under an explicit ingest shape: crash
-/// mid-run, rejoin, catch up through gossip, never equivocate. Recovery
-/// is interpretation-level — none of its code paths may depend on
-/// whether the catch-up blocks are admitted one message or one burst at
-/// a time.
-fn restart_case(ingest: IngestMode) {
+#[test]
+fn restarted_server_catches_up_and_delivers() {
+    // The §7 restart scenario: crash mid-run, rejoin, catch up through
+    // gossip, never equivocate.
     let n = 4;
     let config = SimConfig::new(n)
         .with_max_time(60_000)
-        .with_ingest(ingest)
         .with_role(
             3,
             Role::Restart {
@@ -53,7 +49,7 @@ fn restart_case(ingest: IngestMode) {
         .collect();
     assert!(
         late_deliverers.contains(&3),
-        "{ingest:?}: restarted server must catch up: {late_deliverers:?}"
+        "restarted server must catch up: {late_deliverers:?}"
     );
     assert_eq!(late_deliverers.len(), 4);
 
@@ -63,25 +59,11 @@ fn restart_case(ingest: IngestMode) {
         let dag = outcome.shim(index).dag();
         assert!(
             dag.equivocations(ServerId::new(3)).is_empty(),
-            "{ingest:?}: restart must not equivocate (observer {index})"
+            "restart must not equivocate (observer {index})"
         );
     }
     // The restarted server is a correct server at the end.
     assert!(outcome.correct_servers().contains(&3));
-}
-
-#[test]
-fn restarted_server_catches_up_and_delivers() {
-    restart_case(IngestMode::PerMessage);
-}
-
-#[test]
-fn restart_matrix_across_schemes_and_admission_engines() {
-    // Every ingest shape must survive the same crash: admitting per
-    // message and in bursts.
-    for ingest in [IngestMode::PerMessage, IngestMode::Burst { max: 64 }] {
-        restart_case(ingest);
-    }
 }
 
 #[test]

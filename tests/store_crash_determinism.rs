@@ -5,8 +5,7 @@
 //! are byte-identical to the same seed run without the crash. The same
 //! holds when recovery goes through the real journal format
 //! ([`MemStore`]/[`FileStore`]) and through snapshot catch-up, which must
-//! additionally replay only the post-snapshot suffix. Either way, and
-//! whether messages are ingested one at a time or in bursts, the
+//! additionally replay only the post-snapshot suffix. Either way the
 //! recovered interpreter visited the blocks in the order the DAG admitted
 //! them, as its never-crashed twin did. There is one crash
 //! model: a `Role::Restart` with no downtime and a caller-supplied store
@@ -25,9 +24,6 @@
 //!   (the paper's §7 caveat).
 
 use dagbft::prelude::*;
-use dagbft::sim::IngestMode;
-
-const INGEST_MODES: [IngestMode; 2] = [IngestMode::PerMessage, IngestMode::Burst { max: 64 }];
 
 /// The determinism-smoke seed set (mirrors `cross_seed_determinism`).
 const SEEDS: [u64; 5] = [0, 1, 7, 42, 1337];
@@ -56,11 +52,10 @@ fn crash_point(seed: u64) -> (usize, TimeMs) {
 /// (identity for the uncrashed baseline), and fingerprints everything
 /// observable — the same format as `cross_seed_determinism`.
 fn run_fingerprint(
-    ingest: IngestMode,
     seed: u64,
     durable: impl FnOnce(Simulation<Brb<u64>>) -> Simulation<Brb<u64>>,
 ) -> (Vec<u8>, SimOutcome<Brb<u64>>) {
-    let sim = Simulation::new(config(seed).with_ingest(ingest));
+    let sim = Simulation::new(config(seed));
     run_fingerprint_of(durable(sim), seed)
 }
 
@@ -146,11 +141,11 @@ fn assert_interpreted_as_admitted(
 
 #[test]
 fn crash_and_restart_is_invisible_in_the_fingerprint() {
-    for (seed, ingest) in SEEDS.into_iter().flat_map(|s| INGEST_MODES.map(|i| (s, i))) {
-        let (baseline, twin) = run_fingerprint(ingest, seed, |sim| sim);
+    for seed in SEEDS {
+        let (baseline, twin) = run_fingerprint(seed, |sim| sim);
 
         let (server, crash_at) = crash_point(seed);
-        let (crashed, outcome) = run_fingerprint(ingest, seed, |sim| {
+        let (crashed, outcome) = run_fingerprint(seed, |sim| {
             sim.with_durable_store(server, Box::new(MemoryStore::new()), crash_at)
         });
 
@@ -172,9 +167,9 @@ fn crash_and_restart_is_invisible_in_the_fingerprint() {
 
         assert_eq!(
             baseline, crashed,
-            "seed {seed}, {ingest:?}: crash at t={crash_at} on server {server} leaked into the fingerprint"
+            "seed {seed}: crash at t={crash_at} on server {server} leaked into the fingerprint"
         );
-        let context = format!("seed {seed}, {ingest:?}, genesis replay");
+        let context = format!("seed {seed}, genesis replay");
         assert_interpreted_as_admitted(server, &outcome, &twin, &context);
     }
 }
@@ -185,9 +180,9 @@ fn one_crash_model_one_fingerprint() {
     // `MemoryStore` crashed at the same instant: the same crash event,
     // the same rejoin, the same bytes — which are the uncrashed run's.
     for seed in SEEDS {
-        let (baseline, _) = run_fingerprint(IngestMode::PerMessage, seed, |sim| sim);
+        let (baseline, _) = run_fingerprint(seed, |sim| sim);
         let (server, crash_at) = crash_point(seed);
-        let (stored, by_store) = run_fingerprint(IngestMode::PerMessage, seed, |sim| {
+        let (stored, by_store) = run_fingerprint(seed, |sim| {
             sim.with_durable_store(server, Box::new(MemoryStore::new()), crash_at)
         });
         let role = Role::Restart {
@@ -223,7 +218,7 @@ fn a_store_that_holds_a_journal_is_recovered_from() {
     store.sync().unwrap();
     store.mark_own_tip(SeqNum::new(2)).unwrap();
 
-    let (_, outcome) = run_fingerprint(IngestMode::PerMessage, seed, |sim| {
+    let (_, outcome) = run_fingerprint(seed, |sim| {
         sim.with_durable_store(server, Box::new(store), 450)
     });
     let [(_, _, report)] = outcome.recoveries[..] else {
@@ -260,14 +255,11 @@ fn journal_backed_snapshot_recovery_is_also_invisible_and_replays_the_suffix() {
     // snapshot, replays only the suffix, and still lands on the same
     // bytes. The suffix is shorter than the snapshot cadence whatever
     // the journal's length — a count, the same on every machine.
-    for (seed, ingest) in [1, 7, 42]
-        .into_iter()
-        .flat_map(|s| INGEST_MODES.map(|i| (s, i)))
-    {
-        let (baseline, twin) = run_fingerprint(ingest, seed, |sim| sim);
+    for seed in [1, 7, 42] {
+        let (baseline, twin) = run_fingerprint(seed, |sim| sim);
         let (server, crash_at) = crash_point(seed);
         for cadence in [4, 16] {
-            let (crashed, outcome) = run_fingerprint(ingest, seed, |sim| {
+            let (crashed, outcome) = run_fingerprint(seed, |sim| {
                 sim.with_durable_store(server, Box::new(MemStore::in_memory()), crash_at)
                     .with_durable_snapshots(cadence)
             });
@@ -284,7 +276,7 @@ fn journal_backed_snapshot_recovery_is_also_invisible_and_replays_the_suffix() {
                 report.journal_blocks
             );
             assert_eq!(baseline, crashed, "seed {seed}: snapshot recovery leaked");
-            let context = format!("seed {seed}, {ingest:?}, snapshot every {cadence}");
+            let context = format!("seed {seed}, snapshot every {cadence}");
             assert_interpreted_as_admitted(server, &outcome, &twin, &context);
         }
     }
@@ -299,10 +291,10 @@ fn file_backed_journal_crash_survives_on_disk() {
     let dir = std::env::temp_dir().join(format!("dagbft-crash-determinism-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let (baseline, _) = run_fingerprint(IngestMode::PerMessage, seed, |sim| sim);
+    let (baseline, _) = run_fingerprint(seed, |sim| sim);
     let (server, crash_at) = crash_point(seed);
     let store = Box::new(FileStore::open_dir(&dir).expect("journal dir opens"));
-    let (crashed, outcome) = run_fingerprint(IngestMode::PerMessage, seed, |sim| {
+    let (crashed, outcome) = run_fingerprint(seed, |sim| {
         sim.with_durable_store(server, store, crash_at)
             .with_durable_snapshots(6)
     });
@@ -368,7 +360,8 @@ fn truncated_peer_tail_is_refetched_via_fwd() {
 
     // The builder's next block references the lost one: it parks as
     // pending and the recovered server asks for the hole over FWD.
-    let commands = shim.on_message(ServerId::new(0), NetMessage::Block(chain[4].clone()), 1_000);
+    let run = [(ServerId::new(0), NetMessage::Block(chain[4].clone()))];
+    let commands = shim.on_message_burst(run, 1_000);
     assert!(
         !shim.dag().contains(&chain[4].block_ref()),
         "parked pending"
@@ -392,7 +385,10 @@ fn truncated_peer_tail_is_refetched_via_fwd() {
 
     // The FWD response fills the hole, the pending block cascades in, and
     // both land back in the journal.
-    shim.on_message(ServerId::new(0), NetMessage::Block(chain[3].clone()), 1_002);
+    shim.on_message_burst(
+        [(ServerId::new(0), NetMessage::Block(chain[3].clone()))],
+        1_002,
+    );
     assert_eq!(shim.dag().len(), 5, "caught back up past the lost tail");
     assert!(shim.store_error().is_none());
     let mut store = shim.detach_store().expect("store stays attached");
@@ -539,7 +535,7 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
 
     // Format 2: a real snapshot of the first half of server 3's journal of
     // three broadcasts, as the previous format wrote it.
-    let (_, outcome) = run_fingerprint(IngestMode::PerMessage, 7, |sim| sim);
+    let (_, outcome) = run_fingerprint(7, |sim| sim);
     let dag = outcome.dag(me.index()).unwrap();
     let blocks: Vec<Block> = dag.iter().cloned().collect();
     let covered = blocks.len() / 2;
