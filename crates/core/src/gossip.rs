@@ -19,6 +19,23 @@
 //! event loop) to execute. Time is passed in explicitly and is only used to
 //! pace `FWD` retransmissions (the paper's timer `Δ_B'`).
 //!
+//! # `FWD` retries
+//!
+//! Line 11 asks again for a block that has not arrived after a per-block
+//! wait `Δ_B'`. Here `Δ_B'` is the server's seal period
+//! ([`GossipConfig::seal_period_ms`]). A request unanswered for one
+//! period is sent again, to the next candidate, at the first retry sweep
+//! ([`Gossip::on_tick`], which the shim runs just before each seal) or
+//! the first ingest that buffers a block. One period is long enough: the
+//! DAG grows one layer per seal period, so a server whose round trip
+//! exceeds it cannot keep up with the DAG anyway. A longer wait only
+//! delays the block behind a lost message, and riding the seal leaves
+//! each server one timer. Candidates are the builders of the blocks that
+//! cite the missing one; a banned candidate is skipped, since its answer
+//! would be dropped at the gate. An answer is a still-missing block that
+//! arrives from a peer we asked for it. It is wanted, so it passes the
+//! defense gate without spending the peer's tokens or score.
+//!
 //! # Admission
 //!
 //! Every received block enters the DAG the same way, whether it arrived
@@ -156,10 +173,6 @@ pub enum NetCommand {
 /// never-promotable blocks cannot grow memory without bound.
 pub const DEFAULT_PENDING_CAP: usize = 65_536;
 
-/// Minimum time between repeated `FWD` requests for the same block (the
-/// paper's per-block wait `Δ_B'`, informed by the round-trip time).
-pub const FWD_RETRY_MS: TimeMs = 100;
-
 /// Configuration for the gossip layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GossipConfig {
@@ -171,6 +184,10 @@ pub struct GossipConfig {
     /// The adversarial peer-defense engine (scoring, rate limits, bans;
     /// disabled by default — see [`crate::defense`]).
     pub defense: DefenseConfig,
+    /// The server's seal period, which is also the paper's per-block wait
+    /// `Δ_B'`: a `FWD` request is sent again once it has gone this long
+    /// unanswered (see the module docs).
+    pub seal_period_ms: TimeMs,
 }
 
 impl GossipConfig {
@@ -180,6 +197,7 @@ impl GossipConfig {
             n,
             pending_cap: DEFAULT_PENDING_CAP,
             defense: DefenseConfig::default(),
+            seal_period_ms: 50,
         }
     }
 
@@ -231,6 +249,8 @@ struct FwdState {
     last_sent: Option<TimeMs>,
     /// Number of requests sent so far (used to rotate candidates).
     attempts: u32,
+    /// The peers asked so far: an answer from one of them is solicited.
+    asked: BTreeSet<ServerId>,
 }
 
 /// Eviction rank of a pending block known never-promotable (references a
@@ -403,6 +423,9 @@ pub struct Gossip {
     waiters: BTreeMap<BlockRef, BTreeSet<BlockRef>>,
     /// Missing predecessor → forward-request state.
     missing: BTreeMap<BlockRef, FwdState>,
+    /// Peer → how many entries of `missing` it has been asked for: the
+    /// peers whose next block may be a solicited answer.
+    outstanding: BTreeMap<ServerId, usize>,
     /// Blocks rejected as permanently invalid, with the reason — kept for
     /// auditing (the paper notes accountability as an extension, §6).
     rejected: Vec<(BlockRef, InvalidBlockError)>,
@@ -446,6 +469,7 @@ impl Gossip {
             pending: BTreeMap::new(),
             waiters: BTreeMap::new(),
             missing: BTreeMap::new(),
+            outstanding: BTreeMap::new(),
             rejected: Vec::new(),
             stranded_refs: BTreeSet::new(),
             stats: GossipStats::default(),
@@ -661,7 +685,7 @@ impl Gossip {
         }
         // Nothing new was buffered (duplicates, throttled or rejected
         // blocks, FWD requests): nothing can have become ready or due for
-        // eviction, and `FWD` retries stay on the tick's schedule — a
+        // eviction, and `FWD` retries wait for the next seal's sweep — a
         // duplicate flood buys no promotion work.
         if self.arrivals == arrivals {
             return commands;
@@ -676,7 +700,7 @@ impl Gossip {
     /// Gates, counts, dedups and indexes one received block; returns its
     /// promotion key if it is ready.
     fn receive_block(&mut self, from: ServerId, block: Block, now: TimeMs) -> Option<ReadyKey> {
-        if from != self.me {
+        if from != self.me && !self.is_solicited(from, &block) {
             match self.defense.admit_block(from, block.wire_len() as u64, now) {
                 AdmitVerdict::Admit => {}
                 // Dropped before any hashing or verification: throttled
@@ -702,6 +726,19 @@ impl Gossip {
         }
         self.index_block(from, block_ref, block)
             .then(|| self.ready_key(builder, block_ref))
+    }
+
+    /// Whether `block` is a still-missing reference we asked `from` for.
+    /// Such an answer is wanted, so it skips the defense gate: the peer
+    /// is neither throttled nor scored for it. The block is hashed only
+    /// when `from` has a request outstanding, so an unsolicited flood
+    /// still meets the token bucket before any SHA-256.
+    fn is_solicited(&self, from: ServerId, block: &Block) -> bool {
+        self.outstanding.contains_key(&from)
+            && self
+                .missing
+                .get(&block.block_ref())
+                .is_some_and(|state| state.asked.contains(&from))
     }
 
     /// The promotion key of a block of `builder` that just became ready.
@@ -736,8 +773,9 @@ impl Gossip {
         }
     }
 
-    /// Periodic timer: re-issues `FWD` requests whose retry interval has
-    /// elapsed.
+    /// The retry sweep, run at every seal ([`crate::Shim::wake`]):
+    /// re-issues each `FWD` request unanswered for
+    /// [`GossipConfig::seal_period_ms`].
     pub fn on_tick(&mut self, now: TimeMs) -> Vec<NetCommand> {
         self.clock = self.clock.max(now);
         self.collect_fwd_commands(now)
@@ -775,7 +813,7 @@ impl Gossip {
     fn index_block(&mut self, from: ServerId, block_ref: BlockRef, block: Block) -> bool {
         // The block is no longer wanted from the network: it is now either
         // pending (indexed below) or about to be promoted.
-        self.missing.remove(&block_ref);
+        self.drop_missing(&block_ref);
         let missing: BTreeSet<BlockRef> = block
             .preds()
             .iter()
@@ -907,7 +945,7 @@ impl Gossip {
         // is Lemma A.6 (correct servers reference a block at most once).
         self.current_preds.push(block_ref);
         self.stats.blocks_validated += 1;
-        self.missing.remove(&block_ref);
+        self.drop_missing(&block_ref);
         // Wake the waiters: drop the satisfied dependency and queue any
         // block that just became fully satisfied.
         for waiter in self.waiters.remove(&block_ref).unwrap_or_default() {
@@ -931,8 +969,24 @@ impl Gossip {
         self.rejected.push((block_ref, reason));
         self.mark_never_promotable(block_ref);
         self.penalize(from, Offense::InvalidBlock);
-        self.missing.remove(&block_ref);
+        self.drop_missing(&block_ref);
         self.relist_missing(block_ref);
+    }
+
+    /// `block_ref` is no longer wanted from the network: no request for it
+    /// is outstanding any more.
+    fn drop_missing(&mut self, block_ref: &BlockRef) {
+        let Some(state) = self.missing.remove(block_ref) else {
+            return;
+        };
+        for peer in state.asked {
+            if let Some(count) = self.outstanding.get_mut(&peer) {
+                *count -= 1;
+                if *count == 0 {
+                    self.outstanding.remove(&peer);
+                }
+            }
+        }
     }
 
     /// `block_ref` left the buffer without entering the DAG (rejected or
@@ -1114,7 +1168,7 @@ impl Gossip {
                 waiting.remove(&victim);
                 if waiting.is_empty() {
                     self.waiters.remove(pred);
-                    self.missing.remove(pred);
+                    self.drop_missing(pred);
                 }
             }
         }
@@ -1123,23 +1177,36 @@ impl Gossip {
         self.relist_missing(victim);
     }
 
-    /// Emits `FWD` requests for missing blocks, respecting the retry timer.
+    /// Emits `FWD` requests for missing blocks never asked for, or
+    /// unanswered for [`GossipConfig::seal_period_ms`].
     fn collect_fwd_commands(&mut self, now: TimeMs) -> Vec<NetCommand> {
         let mut commands = Vec::new();
         for (block_ref, state) in self.missing.iter_mut() {
-            let due = match state.last_sent {
-                None => true,
-                Some(last) => now.saturating_sub(last) >= FWD_RETRY_MS,
-            };
-            if !due || state.candidates.is_empty() {
+            let due = state
+                .last_sent
+                .is_none_or(|last| now.saturating_sub(last) >= self.config.seal_period_ms);
+            if !due {
                 continue;
             }
             // Ask the builder of a block that referenced it (line 11);
-            // rotate through candidates on retries.
-            let candidates: Vec<ServerId> = state.candidates.iter().copied().collect();
+            // rotate through candidates on retries. A banned peer's answer
+            // would be dropped at the gate, so it is not asked: a block
+            // whose candidates are all banned waits.
+            let candidates: Vec<ServerId> = state
+                .candidates
+                .iter()
+                .copied()
+                .filter(|candidate| !self.defense.is_banned(*candidate, now))
+                .collect();
+            if candidates.is_empty() {
+                continue;
+            }
             let target = candidates[state.attempts as usize % candidates.len()];
             state.last_sent = Some(now);
             state.attempts += 1;
+            if state.asked.insert(target) {
+                *self.outstanding.entry(target).or_default() += 1;
+            }
             self.stats.fwd_sent += 1;
             commands.push(NetCommand::SendTo {
                 to: target,
@@ -1365,11 +1432,105 @@ mod tests {
         let first = alice.on_block(bob_b1, 0);
         assert_eq!(first.len(), 1);
         // Too early: no retry.
-        assert!(alice.on_tick(50).is_empty());
-        // After the interval: retried.
-        let retried = alice.on_tick(100);
+        assert!(alice.on_tick(49).is_empty());
+        // After one seal period: retried.
+        let retried = alice.on_tick(50);
         assert_eq!(retried.len(), 1);
         assert_eq!(alice.stats().fwd_sent, 2);
+    }
+
+    fn defended(registry: &KeyRegistry, defense: DefenseConfig) -> Gossip {
+        Gossip::new(
+            ServerId::new(0),
+            GossipConfig::for_n(4).with_defense(defense),
+            registry.signer(ServerId::new(0)).unwrap(),
+            registry.verifier(),
+        )
+    }
+
+    /// An empty block of server `id` at `seq`, signed under `registry`.
+    fn built(registry: &KeyRegistry, id: u32, seq: u64, preds: Vec<BlockRef>) -> Block {
+        let signer = registry.signer(ServerId::new(id)).unwrap();
+        Block::build(ServerId::new(id), SeqNum::new(seq), preds, vec![], &signer)
+    }
+
+    fn fwd(to: u32, block_ref: BlockRef) -> NetCommand {
+        NetCommand::SendTo {
+            to: ServerId::new(to),
+            message: NetMessage::FwdRequest(block_ref),
+        }
+    }
+
+    #[test]
+    fn answers_we_asked_for_are_neither_throttled_nor_scored() {
+        let registry = KeyRegistry::generate(4, 1);
+        let peer = ServerId::new(1);
+        // Two block tokens, never refilled.
+        let mut alice = defended(&registry, DefenseConfig::enabled().with_block_bucket(2, 0));
+        let genesis: Vec<Block> = (1..4).map(|id| built(&registry, id, 0, vec![])).collect();
+        let refs: Vec<BlockRef> = genesis.iter().map(Block::block_ref).collect();
+        let top = built(&registry, 1, 1, refs.clone());
+        // Every pred is missing, and peer 1 is the only one to ask.
+        let asked: BTreeSet<BlockRef> = alice
+            .on_block_from(peer, top.clone(), 0)
+            .into_iter()
+            .map(|command| match command {
+                NetCommand::SendTo {
+                    to,
+                    message: NetMessage::FwdRequest(block_ref),
+                } if to == peer => block_ref,
+                other => panic!("expected a FWD to peer 1, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(asked, refs.iter().copied().collect());
+        // Its three answers arrive in one burst, with one token left.
+        let answers = genesis
+            .iter()
+            .map(|block| (peer, NetMessage::Block(block.clone())));
+        assert!(alice.on_messages(answers, 10).is_empty());
+        assert_eq!(alice.dag().len(), 4, "the answers and the block they free");
+        assert_eq!(alice.defense().score(peer, 10), 0);
+        assert_eq!(alice.defense().stats().throttled_blocks, 0);
+        // Unsolicited blocks still meet the bucket: one passes, one is
+        // throttled and scored.
+        let next = built(&registry, 1, 2, vec![top.block_ref()]);
+        let other = built(&registry, 2, 1, vec![refs[1]]);
+        alice.on_block_from(peer, next.clone(), 20);
+        alice.on_block_from(peer, other.clone(), 20);
+        assert!(alice.dag().contains(&next.block_ref()));
+        assert!(!alice.dag().contains(&other.block_ref()));
+        assert_eq!(alice.defense().stats().throttled_blocks, 1);
+        assert!(alice.defense().score(peer, 20) > 0);
+    }
+
+    #[test]
+    fn fwd_skips_banned_candidates_and_waits_while_all_are_banned() {
+        let registry = KeyRegistry::generate(4, 1);
+        // One malformed frame bans a peer for a second.
+        let mut alice = defended(&registry, DefenseConfig::enabled().with_ban(20, 1_000));
+        let lost = built(&registry, 3, 0, vec![]).block_ref();
+        let citing = |id: u32| {
+            let block = built(&registry, id, 0, vec![lost]);
+            (ServerId::new(id), NetMessage::Block(block))
+        };
+        // Servers 1 and 2 both cite the lost block: it is asked of 1.
+        assert_eq!(
+            alice.on_messages([citing(1), citing(2)], 0),
+            vec![fwd(1, lost)]
+        );
+        // Server 2 is banned until 1 010: the rotation passes it over.
+        alice.note_malformed_frames(ServerId::new(2), 1, 10);
+        for now in [100, 200, 300] {
+            assert_eq!(alice.on_tick(now), vec![fwd(1, lost)], "at {now}");
+        }
+        // Server 1 is banned too, until 1 310: the request waits.
+        alice.note_malformed_frames(ServerId::new(1), 1, 310);
+        for now in [400, 700, 1_000] {
+            assert!(alice.on_tick(now).is_empty(), "at {now}");
+        }
+        // Server 2's ban lapses first.
+        assert_eq!(alice.on_tick(1_010), vec![fwd(2, lost)]);
+        assert_eq!(alice.stats().fwd_sent, 5);
     }
 
     #[test]
@@ -1478,7 +1639,8 @@ mod tests {
         let engine_registry = KeyRegistry::generate(n, seed);
         let reference_registry = KeyRegistry::generate(n, seed);
         let mut engine = gossip_for(&engine_registry, 0, n);
-        let mut reference = ReferenceGossip::new(n, reference_registry.verifier());
+        let mut reference =
+            ReferenceGossip::new(GossipConfig::for_n(n), reference_registry.verifier());
         for (blocks, at) in calls {
             // A single delivery takes the per-message road, a longer call
             // the multi-message one.

@@ -15,8 +15,9 @@
 //! * [`interpret`] — Algorithm 2: off-line interpretation of `P` over the
 //!   DAG, materializing messages without sending them;
 //! * [`shim`] — Algorithm 3: the user-facing choreography of the above;
-//! * [`schedule`] — when each server seals and ticks (Algorithm 3,
-//!   lines 10–11): the shim's timers, which every driver only wakes;
+//! * [`schedule`] — when each server seals (Algorithm 3, lines 10–11)
+//!   and sends unanswered `FWD` requests again: the shim's one timer,
+//!   which every driver only wakes;
 //! * [`protocol`] — the black-box abstraction of a deterministic `P`.
 //!
 //! # Quickstart
@@ -83,7 +84,7 @@ pub use defense::{
 pub use error::{DagError, InvalidBlockError};
 pub use gossip::{
     EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage, WaveStats,
-    DEFAULT_PENDING_CAP, FWD_RETRY_MS, WAVE_WIDTH_BUCKETS,
+    DEFAULT_PENDING_CAP, WAVE_WIDTH_BUCKETS,
 };
 pub use interpret::{Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError};
 pub use label::Label;

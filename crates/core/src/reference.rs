@@ -44,7 +44,7 @@ use dagbft_crypto::{ServerId, Verifier};
 use crate::block::{Block, BlockRef};
 use crate::dag::BlockDag;
 use crate::error::InvalidBlockError;
-use crate::gossip::{Gossip, GossipStats, NetCommand, NetMessage, FWD_RETRY_MS};
+use crate::gossip::{Gossip, GossipConfig, GossipStats, NetCommand, NetMessage};
 use crate::interpret::{Indication, InterpretError, InterpretStats};
 use crate::label::Label;
 use crate::protocol::{DeterministicProtocol, Envelope, Outbox, ProtocolConfig};
@@ -351,6 +351,8 @@ struct ReferenceFwd {
 #[derive(Debug)]
 pub struct ReferenceGossip {
     n: usize,
+    /// `Δ_B'`: how long a `FWD` request waits before it is sent again.
+    seal_period_ms: TimeMs,
     verifier: Verifier,
     dag: BlockDag,
     /// `blks`: received, not yet valid (line 3).
@@ -361,11 +363,13 @@ pub struct ReferenceGossip {
 }
 
 impl ReferenceGossip {
-    /// An oracle for `n` servers, retrying `FWD` requests every
-    /// [`FWD_RETRY_MS`] as [`Gossip`] does.
-    pub fn new(n: usize, verifier: Verifier) -> Self {
+    /// An oracle for [`GossipConfig::n`] servers, retrying `FWD` requests
+    /// after [`GossipConfig::seal_period_ms`] as [`Gossip`] does. The
+    /// pending cap and the defense are ignored.
+    pub fn new(config: GossipConfig, verifier: Verifier) -> Self {
         ReferenceGossip {
-            n,
+            n: config.n,
+            seal_period_ms: config.seal_period_ms,
             verifier,
             dag: BlockDag::new(),
             blks: BTreeMap::new(),
@@ -515,7 +519,7 @@ impl ReferenceGossip {
         for (block_ref, request) in &mut self.fwd {
             if request
                 .last_sent
-                .is_some_and(|last| now.saturating_sub(last) < FWD_RETRY_MS)
+                .is_some_and(|last| now.saturating_sub(last) < self.seal_period_ms)
             {
                 continue;
             }

@@ -1,5 +1,4 @@
-//! When a server seals and ticks: one fixed grid per server, for every
-//! driver.
+//! When a server seals: one fixed grid per server, for every driver.
 //!
 //! Algorithm 3 (lines 10–11) leaves the pacing of `disseminate()` to the
 //! caller. In `shim(P)` every message of `P` costs one DAG hop, and a hop
@@ -7,9 +6,10 @@
 //! latency a user sees. Servers whose seals fall at the same instants
 //! make every hop wait a full period; staggered ones let a block reach a
 //! peer shortly before that peer seals. Server `i` of `n` therefore seals
-//! at `i·period/n + k·period` and ticks one millisecond after each of its
-//! seal phases. The shim owns both timers ([`crate::Shim::wake`]); the
-//! simulator and the TCP node only wake it, so neither keeps a grid.
+//! at `i·period/n + k·period`. The seal is a server's only timer: just
+//! before it seals, it sends again every `FWD` request unanswered for a
+//! period. The shim owns the timer ([`crate::Shim::wake`]); the simulator
+//! and the TCP node only wake it, so neither keeps a grid.
 
 use dagbft_crypto::ServerId;
 
@@ -54,12 +54,6 @@ impl Schedule {
         let period = period.max(1);
         let phase = me.index() as u128 * u128::from(period) / n.max(1) as u128;
         Schedule::new(phase as TimeMs, period)
-    }
-
-    /// The tick grid that goes with this seal grid: one millisecond after
-    /// the seal phase, every `period`, its timer unarmed.
-    pub fn tick(&self, period: TimeMs) -> Self {
-        Schedule::new(self.phase + 1, period)
     }
 
     /// The first grid instant strictly after `now`: one slot, however
@@ -128,21 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn the_tick_runs_one_millisecond_after_the_seal_phase() {
-        for me in 0..4 {
-            let tick = seal(me).tick(100);
-            assert_eq!(tick.phase, seal(me).phase + 1);
-            assert_eq!(tick.next_after(tick.phase), tick.phase + 100);
-        }
-    }
-
-    #[test]
     fn a_zero_period_is_one_millisecond() {
         let grid = Schedule::for_server(ServerId::new(3), 4, 0);
         assert_eq!(grid, Schedule::new(0, 1));
         assert_eq!(grid.next_after(0), 1);
         assert_eq!(grid.next_after(41), 42);
-        assert_eq!(grid.tick(0).next_after(1), 2);
     }
 
     #[test]

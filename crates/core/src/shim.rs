@@ -32,7 +32,7 @@ use dagbft_crypto::{KeyRegistry, ServerId};
 use crate::block::{BlockRef, LabeledRequest};
 use crate::dag::BlockDag;
 use crate::defense::DefenseConfig;
-use crate::gossip::{Gossip, GossipConfig, NetCommand, NetMessage, FWD_RETRY_MS};
+use crate::gossip::{Gossip, GossipConfig, NetCommand, NetMessage};
 use crate::interpret::{Indication, Interpreter, InterpreterFootprint, SnapshotError};
 use crate::label::Label;
 use crate::protocol::{DeterministicProtocol, ProtocolConfig, SnapshotProtocol};
@@ -64,6 +64,8 @@ pub struct ShimConfig {
     pub defense: DefenseConfig,
     /// Interval between own seals, on [`Schedule::for_server`]'s grid (0
     /// is taken as 1 ms): the pacing that meets `P`'s network assumptions.
+    /// It is also how long a `FWD` request waits for its answer before
+    /// it is sent again ([`GossipConfig::seal_period_ms`]).
     pub disseminate_every_ms: TimeMs,
 }
 
@@ -110,6 +112,7 @@ impl ShimConfig {
             n: self.protocol.n,
             pending_cap: self.pending_cap,
             defense: self.defense,
+            seal_period_ms: self.disseminate_every_ms.max(1),
         }
     }
 }
@@ -192,9 +195,8 @@ pub struct Shim<P: DeterministicProtocol> {
     /// block ([`Shim::disseminate`]): one it could not make durable
     /// first is one a restart would sign again.
     store_error: Option<StoreError>,
-    /// The seal and tick timers, armed by the first [`Shim::wake`].
+    /// The seal timer, armed by the first [`Shim::wake`].
     seal: Schedule,
-    tick: Schedule,
 }
 
 impl<P: DeterministicProtocol> Shim<P> {
@@ -226,7 +228,6 @@ impl<P: DeterministicProtocol> Shim<P> {
         let signer = registry
             .signer(me)
             .ok_or(SetupError::UnknownServer { server: me })?;
-        let seal = Schedule::for_server(me, config.protocol.n, config.disseminate_every_ms);
         let mut shim = Shim {
             me,
             config,
@@ -236,8 +237,7 @@ impl<P: DeterministicProtocol> Shim<P> {
             raised: Vec::new(),
             store: None,
             store_error: None,
-            seal,
-            tick: seal.tick(FWD_RETRY_MS),
+            seal: Schedule::for_server(me, config.protocol.n, config.disseminate_every_ms),
         };
         shim.run_interpretation();
         Ok(shim)
@@ -303,29 +303,32 @@ impl<P: DeterministicProtocol> Shim<P> {
         commands
     }
 
-    /// Advances timers (`FWD` retries).
+    /// The `FWD` retry sweep ([`Gossip::on_tick`]): sends again every
+    /// request unanswered for one seal period.
     pub fn on_tick(&mut self, now: TimeMs) -> Vec<NetCommand> {
         self.gossip.on_tick(now)
     }
 
-    /// Runs the timers due at `now` ([`Schedule::fire`]): [`Shim::on_tick`]
-    /// every [`FWD_RETRY_MS`] from 1 ms after the seal phase, then
-    /// [`Shim::disseminate`] on the seal grid. The first wake arms both; a
-    /// wake before [`Shim::next_wake`] does nothing.
+    /// Runs the seal when it is due at `now` ([`Schedule::fire`]): first
+    /// the `FWD` retry sweep ([`Shim::on_tick`]), then
+    /// [`Shim::disseminate`]. The first wake arms the seal grid; a wake
+    /// before [`Shim::next_wake`] does nothing. A request is therefore
+    /// sent again at the first seal at least one period after it was last
+    /// sent (or at the first ingest that buffers a block, if sooner), and
+    /// before that seal's block.
     pub fn wake(&mut self, now: TimeMs) -> Vec<NetCommand> {
-        let mut commands = Vec::new();
-        if self.tick.fire(now) {
-            commands = self.on_tick(now);
+        if !self.seal.fire(now) {
+            return Vec::new();
         }
-        if self.seal.fire(now) {
-            commands.extend(self.disseminate(now));
-        }
+        let mut commands = self.on_tick(now);
+        commands.extend(self.disseminate(now));
         commands
     }
 
-    /// When [`Shim::wake`] next has work (0 before the first wake).
+    /// When [`Shim::wake`] next has work: the seal deadline (0 before the
+    /// first wake).
     pub fn next_wake(&self) -> TimeMs {
-        self.seal.deadline().min(self.tick.deadline()).unwrap_or(0)
+        self.seal.deadline().unwrap_or(0)
     }
 
     /// Reports `count` malformed frames received from `peer` — the
@@ -629,7 +632,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::SeqNum;
+    use crate::block::{Block, SeqNum};
     use crate::protocol::Outbox;
     use crate::store::MemoryStore;
     use std::collections::BTreeSet;
@@ -1047,7 +1050,7 @@ mod tests {
     }
 
     /// Server 1 of 4 with the default 50 ms seal period: seals on
-    /// `12 + 50k`, ticks on `13 + 100k`.
+    /// `12 + 50k`.
     fn server_one() -> Shim<Flood> {
         network(4).swap_remove(1)
     }
@@ -1057,19 +1060,16 @@ mod tests {
     }
 
     #[test]
-    fn the_first_wake_arms_both_timers_at_the_first_slots_at_or_after_it() {
+    fn the_first_wake_arms_the_seal_at_the_first_slot_at_or_after_it() {
         let mut shim = server_one();
         assert_eq!(shim.next_wake(), 0, "an unarmed shim wants a wake now");
         assert!(shim.wake(30).is_empty());
         assert_eq!(sealed(&shim), 0);
-        // Seal slot 62 (not 12), tick slot 113 (not 13).
+        // Slot 62, not 12.
         assert_eq!(shim.next_wake(), 62);
         assert!(!shim.wake(62).is_empty());
-        assert_eq!(sealed(&shim), 1);
-        assert_eq!(shim.next_wake(), 112);
+        assert_eq!((sealed(&shim), shim.next_wake()), (1, 112));
         shim.wake(112);
-        assert_eq!((sealed(&shim), shim.next_wake()), (2, 113));
-        shim.wake(113);
         assert_eq!((sealed(&shim), shim.next_wake()), (2, 162));
 
         // Armed on a slot, the timer fires at once.
@@ -1102,17 +1102,66 @@ mod tests {
         }
     }
 
+    /// Blocks of servers 0 and 2 that both cite server 3's genesis,
+    /// which server 1 lacks: its two `FWD` candidates. Returns them and
+    /// the missing reference.
+    fn two_blocks_citing_a_missing_one() -> ([Block; 2], BlockRef) {
+        let registry = KeyRegistry::generate(4, 77);
+        let signer = |id: u32| registry.signer(ServerId::new(id)).unwrap();
+        let lost = Block::build(ServerId::new(3), SeqNum::ZERO, vec![], vec![], &signer(3));
+        let citing = |id: u32| {
+            let preds = vec![lost.block_ref()];
+            Block::build(ServerId::new(id), SeqNum::ZERO, preds, vec![], &signer(id))
+        };
+        ([citing(0), citing(2)], lost.block_ref())
+    }
+
+    fn fwd(to: u32, block_ref: BlockRef) -> NetCommand {
+        NetCommand::SendTo {
+            to: ServerId::new(to),
+            message: NetMessage::FwdRequest(block_ref),
+        }
+    }
+
     #[test]
-    fn next_wake_is_the_earlier_of_the_seal_and_tick_deadlines() {
+    fn next_wake_is_the_seal_deadline() {
         let mut shim = server_one();
         shim.wake(12);
-        assert_eq!(shim.next_wake(), 13, "the tick");
-        shim.wake(13);
-        assert_eq!(shim.next_wake(), 62, "the seal");
-        shim.wake(62);
-        assert_eq!(shim.next_wake(), 112);
-        shim.wake(112);
-        assert_eq!(shim.next_wake(), 113);
+        assert_eq!(shim.next_wake(), 62);
+        // An ingest that sends a `FWD` arms no timer of its own.
+        let (blocks, lost) = two_blocks_citing_a_missing_one();
+        let run = blocks.map(|block| (block.builder(), NetMessage::Block(block)));
+        assert_eq!(shim.on_message_burst(run, 20), vec![fwd(0, lost)]);
+        assert_eq!(shim.next_wake(), 62);
+        for now in 13..=200 {
+            let before = shim.next_wake();
+            shim.wake(now);
+            let expected = if now >= before { before + 50 } else { before };
+            assert_eq!(shim.next_wake(), expected, "after a wake at {now}");
+        }
+    }
+
+    #[test]
+    fn an_unanswered_fwd_goes_to_the_next_candidate_at_the_first_seal_a_period_later() {
+        let mut shim = server_one();
+        shim.wake(12);
+        let (blocks, lost) = two_blocks_citing_a_missing_one();
+        let run = blocks.map(|block| (block.builder(), NetMessage::Block(block)));
+        // Asked of server 0 at 20, between the seals at 12 and 62.
+        assert_eq!(shim.on_message_burst(run, 20), vec![fwd(0, lost)]);
+        // At 62 it has waited 42 ms, less than a period: the seal alone.
+        let at_62 = shim.wake(62);
+        assert_eq!(at_62.len(), 1);
+        assert!(matches!(at_62[0], NetCommand::Broadcast { .. }));
+        // At 112 it has waited a period: asked of server 2, before the
+        // seal's block.
+        let at_112 = shim.wake(112);
+        assert_eq!(at_112[0], fwd(2, lost));
+        assert!(matches!(at_112[1..], [NetCommand::Broadcast { .. }]));
+        // Sent at a seal, it is sent again at the next one, to server 0.
+        let at_162 = shim.wake(162);
+        assert_eq!(at_162[0], fwd(0, lost));
+        assert_eq!(shim.gossip().stats().fwd_sent, 3);
     }
 
     #[test]

@@ -55,7 +55,7 @@ fn run_against_oracle(calls: &[&[Block]], n: usize) -> (Gossip, u64) {
     let engine_keys = KeyRegistry::generate(n, KEYS);
     let oracle_keys = KeyRegistry::generate(n, KEYS);
     let mut engine = receiver(&engine_keys, n, usize::MAX);
-    let mut oracle = ReferenceGossip::new(n, oracle_keys.verifier());
+    let mut oracle = ReferenceGossip::new(GossipConfig::for_n(n), oracle_keys.verifier());
     for (t, call) in calls.iter().enumerate() {
         let commands = match call {
             [block] => engine.on_block(block.clone(), t as u64),

@@ -153,7 +153,8 @@ proptest! {
         );
         // Same seed, same keys; its own verification counter.
         let oracle_registry = KeyRegistry::generate(builders + 1, 17);
-        let mut oracle = ReferenceGossip::new(builders + 1, oracle_registry.verifier());
+        let mut oracle =
+            ReferenceGossip::new(GossipConfig::for_n(builders + 1), oracle_registry.verifier());
         for index in &order {
             prop_assert_eq!(
                 receiver.on_block(blocks[*index].clone(), 0),

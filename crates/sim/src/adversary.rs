@@ -278,7 +278,8 @@ mod tests {
         out
     }
 
-    /// A `FWD` request for a block nobody holds, as a tick would send it.
+    /// A `FWD` request for a block nobody holds, as a seal's retry sweep
+    /// would send it.
     fn fwd_retry() -> NetCommand {
         NetCommand::SendTo {
             to: ServerId::new(2),

@@ -888,8 +888,7 @@ mod tests {
 
     #[test]
     fn a_crash_and_rejoin_inside_one_seal_slot_keeps_one_wake_chain() {
-        // Server 1 seals on 12 + 50k and ticks on 13 + 100k; it crashes
-        // and rejoins between its slots 112 and 162, so the wake its
+        // Server 1 seals on 12 + 50k; it crashes and rejoins between its slots 112 and 162, so the wake its
         // previous life armed for 162 is still queued when it rejoins.
         let config = SimConfig::new(4).with_role(
             1,

@@ -222,7 +222,7 @@ fn gossip_burst_admission_matches_scan_engine() {
             registry.signer(ServerId::new(0)).unwrap(),
             registry.verifier(),
         );
-        let mut scan = ReferenceGossip::new(4, registry.verifier());
+        let mut scan = ReferenceGossip::new(GossipConfig::for_n(4), registry.verifier());
         for (t, block) in schedule.iter().enumerate() {
             assert_eq!(
                 receiver.on_block(block.clone(), t as u64),
@@ -246,6 +246,53 @@ fn gossip_burst_admission_matches_scan_engine() {
         // promotion order.
         let (own, _) = receiver.disseminate(vec![], 10_000);
         assert_eq!(own.preds(), view.order.as_slice(), "{name}");
+    }
+}
+
+/// The schedules above with deliveries 20 ms apart, so one run spans
+/// several seal periods (`Δ_B'`): the engine and the rescan must send the
+/// same `FWD` retries at the same deliveries, to the same candidates.
+#[test]
+fn gossip_fwd_retries_match_scan_engine_across_seal_periods() {
+    let (registry, blocks) = hostile_soup(6);
+    let config = GossipConfig::for_n(4);
+    let spacing: TimeMs = 20;
+    assert!(spacing * blocks.len() as TimeMs > 2 * config.seal_period_ms);
+    for seed in [1u64, 7, 42] {
+        let mut schedule = blocks.clone();
+        schedule.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let mut receiver = Gossip::new(
+            ServerId::new(0),
+            config,
+            registry.signer(ServerId::new(0)).unwrap(),
+            registry.verifier(),
+        );
+        let mut scan = ReferenceGossip::new(config, registry.verifier());
+        let mut asked = std::collections::BTreeSet::new();
+        for (t, block) in schedule.iter().enumerate() {
+            let now = t as TimeMs * spacing;
+            let commands = receiver.on_block(block.clone(), now);
+            assert_eq!(
+                commands,
+                scan.on_blocks([block.clone()], now),
+                "seed {seed}: FWD traffic diverged at delivery {t}"
+            );
+            for command in commands {
+                if let NetCommand::SendTo {
+                    message: NetMessage::FwdRequest(block_ref),
+                    ..
+                } = command
+                {
+                    asked.insert(block_ref);
+                }
+            }
+        }
+        let view = AdmissionView::of(&receiver);
+        assert_eq!(view, scan.view(), "seed {seed}");
+        assert!(
+            view.stats.fwd_sent > asked.len() as u64,
+            "seed {seed}: some request was sent again"
+        );
     }
 }
 
