@@ -22,19 +22,37 @@
 //! # `FWD` retries
 //!
 //! Line 11 asks again for a block that has not arrived after a per-block
-//! wait `Δ_B'`. Here `Δ_B'` is the server's seal period
-//! ([`GossipConfig::seal_period_ms`]). A request unanswered for one
-//! period is sent again, to the next candidate, at the first retry sweep
-//! ([`Gossip::on_tick`], which the shim runs just before each seal) or
-//! the first ingest that buffers a block. One period is long enough: the
-//! DAG grows one layer per seal period, so a server whose round trip
-//! exceeds it cannot keep up with the DAG anyway. A longer wait only
-//! delays the block behind a lost message, and riding the seal leaves
-//! each server one timer. Candidates are the builders of the blocks that
-//! cite the missing one; a banned candidate is skipped, since its answer
-//! would be dropped at the gate. An answer is a still-missing block that
-//! arrives from a peer we asked for it. It is wanted, so it passes the
-//! defense gate without spending the peer's tokens or score.
+//! wait `Δ_B'`. Here `Δ_B'` is a retransmission timeout learned from the
+//! server's own answered requests ([`RoundTrip`], RFC 6298's estimator).
+//! A request is sent again, to the next candidate, once it has waited
+//! its turn: one timeout for each of the first retries, one per peer
+//! that could hold the block, then twice the previous wait, never more
+//! than the seal period ([`GossipConfig::seal_period_ms`]). The period is
+//! the first and the longest wait: the DAG grows one layer per period, so
+//! a server whose round trip exceeds it cannot keep up with the DAG
+//! anyway. Retries ride the server's existing events: they go out at the
+//! first retry sweep ([`Gossip::on_tick`], which the shim runs just
+//! before each seal) or the first ingest that buffers a block at or
+//! after their turn, so the server keeps one timer.
+//!
+//! The learned timeout takes over only once a request has gone a whole
+//! period unanswered. On links that lose nothing every wait is the
+//! period: a run in which every answer comes within a period is the run
+//! a fixed one-period wait gives. The timeout never falls below the
+//! longest round trip measured. A round-trip sample is taken only under
+//! Karn's rule: from a still-missing block that arrives from the one
+//! peer it was asked of, and was asked for exactly once. An unsolicited
+//! block or an answer to a retried request measures nothing, so a peer
+//! can only push the timeout up, and never above the period. The
+//! estimate is volatile: a restarted server starts again at the period.
+//!
+//! Candidates are the builders of the blocks that cite the missing one;
+//! a banned candidate is skipped, since its answer would be dropped at
+//! the gate. An answer is a block we asked its deliverer for: a
+//! still-missing one, or a late copy of one that has arrived since,
+//! until the first sweep a period after its arrival. It is wanted, so it
+//! passes the defense gate without spending the peer's tokens or score;
+//! a late copy is excused once per peer asked.
 //!
 //! # Admission
 //!
@@ -184,9 +202,10 @@ pub struct GossipConfig {
     /// The adversarial peer-defense engine (scoring, rate limits, bans;
     /// disabled by default — see [`crate::defense`]).
     pub defense: DefenseConfig,
-    /// The server's seal period, which is also the paper's per-block wait
-    /// `Δ_B'`: a `FWD` request is sent again once it has gone this long
-    /// unanswered (see the module docs).
+    /// The server's seal period, which is also the first and the longest
+    /// per-block wait `Δ_B'`: every `FWD` request waits this long until
+    /// one has gone this long unanswered, and none ever waits longer (see
+    /// the module docs).
     pub seal_period_ms: TimeMs,
 }
 
@@ -237,6 +256,83 @@ pub struct GossipStats {
     pub pending_peak: usize,
     /// Pending blocks evicted by the buffer cap (see [`EvictionEvent`]).
     pub blocks_evicted: u64,
+    /// The current `FWD` retransmission timeout ([`RoundTrip::rto`]).
+    pub fwd_rto_ms: TimeMs,
+}
+
+/// The round-trip estimate that paces `FWD` retries: RFC 6298's smoothed
+/// round-trip time and variation in integer form (`SRTT × 8`,
+/// `RTTVAR × 4`; α = 1/8, β = 1/4, K = 4).
+///
+/// The timeout is `cap` until a request has gone a whole `cap`
+/// unanswered ([`RoundTrip::time_out`]): on links that lose nothing
+/// every wait is `cap`. After that it is `SRTT + max(1, 4·RTTVAR)`, never
+/// below the longest round trip sampled, and clamped to `[1, cap]` ms.
+/// [`Gossip`] and the oracle in [`crate::reference`] both keep one, fed
+/// by the same samples and timeouts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoundTrip {
+    /// The longest timeout, and the timeout until the first time-out.
+    cap: TimeMs,
+    /// `(SRTT × 8, RTTVAR × 4)` once a sample has been taken.
+    estimate: Option<(u64, u64)>,
+    /// The longest round trip sampled.
+    longest: TimeMs,
+    /// Whether a request has gone `cap` unanswered.
+    timed_out: bool,
+}
+
+impl RoundTrip {
+    /// An estimator with no sample and no time-out yet, whose timeout is
+    /// `cap`.
+    pub fn new(cap: TimeMs) -> Self {
+        RoundTrip {
+            cap: cap.max(1),
+            estimate: None,
+            longest: 0,
+            timed_out: false,
+        }
+    }
+
+    /// Folds in one measured round trip of `rtt` ms.
+    pub fn sample(&mut self, rtt: TimeMs) {
+        let rtt8 = rtt.saturating_mul(8);
+        self.estimate = Some(match self.estimate {
+            None => (rtt8, rtt8 / 4),
+            Some((srtt8, rttvar4)) => (
+                (srtt8 - srtt8 / 8).saturating_add(rtt),
+                (rttvar4 - rttvar4 / 4).saturating_add(srtt8.abs_diff(rtt8) / 8),
+            ),
+        });
+        self.longest = self.longest.max(rtt);
+    }
+
+    /// A request is sent again because its wait ran out. The first time,
+    /// that wait was a whole `cap`: something was lost, and the estimate
+    /// paces retries from then on.
+    pub fn time_out(&mut self) {
+        self.timed_out = true;
+    }
+
+    /// The retransmission timeout, in ms.
+    pub fn rto(&self) -> TimeMs {
+        match self.estimate {
+            Some((srtt8, rttvar4)) if self.timed_out => (srtt8 / 8 + rttvar4.max(1))
+                .max(self.longest)
+                .clamp(1, self.cap),
+            _ => self.cap,
+        }
+    }
+
+    /// How long a request already sent `attempts` times (at least once)
+    /// waits before it is sent again, among `peers` peers that could
+    /// answer it: one timeout for each of the first `peers` retries, then
+    /// twice the previous wait, never more than the cap.
+    pub fn retry_wait(&self, attempts: u32, peers: usize) -> TimeMs {
+        let doublings = attempts.saturating_sub(peers as u32);
+        let factor = 1u64.checked_shl(doublings).unwrap_or(u64::MAX);
+        self.rto().saturating_mul(factor).min(self.cap)
+    }
 }
 
 /// State of an outstanding forward request for one missing block.
@@ -423,9 +519,15 @@ pub struct Gossip {
     waiters: BTreeMap<BlockRef, BTreeSet<BlockRef>>,
     /// Missing predecessor → forward-request state.
     missing: BTreeMap<BlockRef, FwdState>,
-    /// Peer → how many entries of `missing` it has been asked for: the
+    /// Block → when it arrived and the peers asked for it whose late copy
+    /// is still excused, kept until the first sweep a period later: such
+    /// a copy is a solicited duplicate.
+    answered: BTreeMap<BlockRef, (TimeMs, BTreeSet<ServerId>)>,
+    /// Peer → how many entries of `missing` and `answered` name it: the
     /// peers whose next block may be a solicited answer.
     outstanding: BTreeMap<ServerId, usize>,
+    /// The round-trip estimate that paces `FWD` retries.
+    round_trip: RoundTrip,
     /// Blocks rejected as permanently invalid, with the reason — kept for
     /// auditing (the paper notes accountability as an extension, §6).
     rejected: Vec<(BlockRef, InvalidBlockError)>,
@@ -459,6 +561,7 @@ impl Gossip {
     /// Creates a gossip instance for server `me`.
     pub fn new(me: ServerId, config: GossipConfig, signer: Signer, verifier: Verifier) -> Self {
         debug_assert_eq!(signer.id(), me);
+        let round_trip = RoundTrip::new(config.seal_period_ms);
         Gossip {
             me,
             config,
@@ -469,10 +572,15 @@ impl Gossip {
             pending: BTreeMap::new(),
             waiters: BTreeMap::new(),
             missing: BTreeMap::new(),
+            answered: BTreeMap::new(),
             outstanding: BTreeMap::new(),
+            round_trip,
             rejected: Vec::new(),
             stranded_refs: BTreeSet::new(),
-            stats: GossipStats::default(),
+            stats: GossipStats {
+                fwd_rto_ms: round_trip.rto(),
+                ..GossipStats::default()
+            },
             batch_verifier: verifier.batch(),
             wave_stats: WaveStats::default(),
             arrivals: 0,
@@ -700,7 +808,8 @@ impl Gossip {
     /// Gates, counts, dedups and indexes one received block; returns its
     /// promotion key if it is ready.
     fn receive_block(&mut self, from: ServerId, block: Block, now: TimeMs) -> Option<ReadyKey> {
-        if from != self.me && !self.is_solicited(from, &block) {
+        let solicited = from != self.me && self.is_solicited(from, &block);
+        if from != self.me && !solicited {
             match self.defense.admit_block(from, block.wire_len() as u64, now) {
                 AdmitVerdict::Admit => {}
                 // Dropped before any hashing or verification: throttled
@@ -713,8 +822,15 @@ impl Gossip {
         let block_ref = block.block_ref();
         if self.dag.contains(&block_ref) || self.pending.contains_key(&block_ref) {
             self.stats.duplicate_blocks += 1;
-            self.penalize(from, Offense::DuplicateFlood);
+            if solicited {
+                self.excuse_late_answer(from, &block_ref);
+            } else {
+                self.penalize(from, Offense::DuplicateFlood);
+            }
             return None;
+        }
+        if solicited {
+            self.sample_round_trip(from, &block_ref, now);
         }
         let builder = block.builder();
         if builder.index() >= self.config.n {
@@ -728,17 +844,52 @@ impl Gossip {
             .then(|| self.ready_key(builder, block_ref))
     }
 
-    /// Whether `block` is a still-missing reference we asked `from` for.
-    /// Such an answer is wanted, so it skips the defense gate: the peer
-    /// is neither throttled nor scored for it. The block is hashed only
-    /// when `from` has a request outstanding, so an unsolicited flood
-    /// still meets the token bucket before any SHA-256.
+    /// Whether `block` is a still-missing reference we asked `from` for,
+    /// or a late answer to one that has arrived since. Such an answer is
+    /// wanted, so it skips the defense gate: the peer is neither
+    /// throttled nor scored for it. The block is hashed only when `from`
+    /// has a request outstanding, so an unsolicited flood still meets the
+    /// token bucket before any SHA-256.
     fn is_solicited(&self, from: ServerId, block: &Block) -> bool {
-        self.outstanding.contains_key(&from)
-            && self
-                .missing
-                .get(&block.block_ref())
-                .is_some_and(|state| state.asked.contains(&from))
+        if !self.outstanding.contains_key(&from) {
+            return false;
+        }
+        let block_ref = block.block_ref();
+        self.missing
+            .get(&block_ref)
+            .is_some_and(|state| state.asked.contains(&from))
+            || self
+                .answered
+                .get(&block_ref)
+                .is_some_and(|(_, asked)| asked.contains(&from))
+    }
+
+    /// Karn's rule: the answer to a request sent exactly once, by the
+    /// peer it was sent to, measures one round trip.
+    fn sample_round_trip(&mut self, from: ServerId, block_ref: &BlockRef, now: TimeMs) {
+        if let Some(FwdState {
+            attempts: 1,
+            last_sent: Some(sent),
+            asked,
+            ..
+        }) = self.missing.get(block_ref)
+        {
+            if asked.contains(&from) {
+                self.round_trip.sample(now.saturating_sub(*sent));
+                self.stats.fwd_rto_ms = self.round_trip.rto();
+            }
+        }
+    }
+
+    /// `from`'s late answer to a request another peer answered first:
+    /// excused once, so a peer asked for a block cannot flood copies of
+    /// it for free.
+    fn excuse_late_answer(&mut self, from: ServerId, block_ref: &BlockRef) {
+        if let Some((_, asked)) = self.answered.get_mut(block_ref) {
+            if asked.remove(&from) {
+                self.release([from]);
+            }
+        }
     }
 
     /// The promotion key of a block of `builder` that just became ready.
@@ -774,10 +925,23 @@ impl Gossip {
     }
 
     /// The retry sweep, run at every seal ([`crate::Shim::wake`]):
-    /// re-issues each `FWD` request unanswered for
-    /// [`GossipConfig::seal_period_ms`].
+    /// re-issues each `FWD` request whose wait is over (see the module
+    /// docs), and stops excusing late answers to requests answered a
+    /// period or more ago.
     pub fn on_tick(&mut self, now: TimeMs) -> Vec<NetCommand> {
         self.clock = self.clock.max(now);
+        let period = self.config.seal_period_ms;
+        let mut expired = Vec::new();
+        self.answered.retain(|_, (at, asked)| {
+            let keep = now.saturating_sub(*at) < period;
+            if !keep {
+                expired.push(std::mem::take(asked));
+            }
+            keep
+        });
+        for asked in expired {
+            self.release(asked);
+        }
         self.collect_fwd_commands(now)
     }
 
@@ -812,8 +976,16 @@ impl Gossip {
     /// block is immediately ready for promotion.
     fn index_block(&mut self, from: ServerId, block_ref: BlockRef, block: Block) -> bool {
         // The block is no longer wanted from the network: it is now either
-        // pending (indexed below) or about to be promoted.
-        self.drop_missing(&block_ref);
+        // pending (indexed below) or about to be promoted. The peers asked
+        // for it may still answer.
+        if let Some(state) = self.missing.remove(&block_ref) {
+            if !state.asked.is_empty() {
+                let late = (self.clock, state.asked);
+                if let Some((_, replaced)) = self.answered.insert(block_ref, late) {
+                    self.release(replaced);
+                }
+            }
+        }
         let missing: BTreeSet<BlockRef> = block
             .preds()
             .iter()
@@ -976,10 +1148,14 @@ impl Gossip {
     /// `block_ref` is no longer wanted from the network: no request for it
     /// is outstanding any more.
     fn drop_missing(&mut self, block_ref: &BlockRef) {
-        let Some(state) = self.missing.remove(block_ref) else {
-            return;
-        };
-        for peer in state.asked {
+        if let Some(state) = self.missing.remove(block_ref) {
+            self.release(state.asked);
+        }
+    }
+
+    /// `peers` no longer have an answer outstanding for one block each.
+    fn release(&mut self, peers: impl IntoIterator<Item = ServerId>) {
+        for peer in peers {
             if let Some(count) = self.outstanding.get_mut(&peer) {
                 *count -= 1;
                 if *count == 0 {
@@ -1177,17 +1353,12 @@ impl Gossip {
         self.relist_missing(victim);
     }
 
-    /// Emits `FWD` requests for missing blocks never asked for, or
-    /// unanswered for [`GossipConfig::seal_period_ms`].
+    /// Emits `FWD` requests for missing blocks never asked for, or whose
+    /// retry wait ([`RoundTrip::retry_wait`]) is over.
     fn collect_fwd_commands(&mut self, now: TimeMs) -> Vec<NetCommand> {
         let mut commands = Vec::new();
+        let mut retried = false;
         for (block_ref, state) in self.missing.iter_mut() {
-            let due = state
-                .last_sent
-                .is_none_or(|last| now.saturating_sub(last) >= self.config.seal_period_ms);
-            if !due {
-                continue;
-            }
             // Ask the builder of a block that referenced it (line 11);
             // rotate through candidates on retries. A banned peer's answer
             // would be dropped at the gate, so it is not asked: a block
@@ -1198,10 +1369,15 @@ impl Gossip {
                 .copied()
                 .filter(|candidate| !self.defense.is_banned(*candidate, now))
                 .collect();
-            if candidates.is_empty() {
+            let due = state.last_sent.is_none_or(|last| {
+                now.saturating_sub(last)
+                    >= self.round_trip.retry_wait(state.attempts, candidates.len())
+            });
+            if !due || candidates.is_empty() {
                 continue;
             }
             let target = candidates[state.attempts as usize % candidates.len()];
+            retried |= state.attempts > 0;
             state.last_sent = Some(now);
             state.attempts += 1;
             if state.asked.insert(target) {
@@ -1212,6 +1388,10 @@ impl Gossip {
                 to: target,
                 message: NetMessage::FwdRequest(*block_ref),
             });
+        }
+        if retried {
+            self.round_trip.time_out();
+            self.stats.fwd_rto_ms = self.round_trip.rto();
         }
         commands
     }
@@ -1431,12 +1611,261 @@ mod tests {
 
         let first = alice.on_block(bob_b1, 0);
         assert_eq!(first.len(), 1);
-        // Too early: no retry.
-        assert!(alice.on_tick(49).is_empty());
-        // After one seal period: retried.
-        let retried = alice.on_tick(50);
-        assert_eq!(retried.len(), 1);
-        assert_eq!(alice.stats().fwd_sent, 2);
+        // Nothing measured yet: every wait is one seal period.
+        assert_eq!(alice.stats().fwd_rto_ms, 50);
+        for sent in [0, 50, 100] {
+            assert!(
+                alice.on_tick(sent + 49).is_empty(),
+                "too early after {sent}"
+            );
+            assert_eq!(alice.on_tick(sent + 50).len(), 1, "due after {sent}");
+        }
+        assert_eq!(alice.stats().fwd_sent, 4);
+    }
+
+    #[test]
+    fn the_round_trip_estimate_follows_rfc_6298_in_integers() {
+        let mut round_trip = RoundTrip::new(50);
+        // No sample: the cap, for every retry.
+        assert_eq!(round_trip.rto(), 50);
+        assert!((1..10).all(|attempts| round_trip.retry_wait(attempts, 3) == 50));
+        // A sample alone moves nothing: until a request times out, every
+        // wait is the cap.
+        round_trip.sample(10);
+        assert_eq!(round_trip.rto(), 50);
+        // First sample R: SRTT = R, RTTVAR = R/2, RTO = R + 4·R/2.
+        round_trip.time_out();
+        assert_eq!(round_trip.rto(), 30);
+        // Constant 20 ms round trips: RTTVAR decays to its integer floor.
+        let mut steady = RoundTrip::new(50);
+        steady.time_out();
+        let rtos: Vec<TimeMs> = (0..14)
+            .map(|_| {
+                steady.sample(20);
+                steady.rto()
+            })
+            .collect();
+        assert_eq!(
+            rtos,
+            [50, 50, 43, 38, 34, 31, 29, 27, 26, 25, 24, 23, 23, 23]
+        );
+        // Slow answers cap the timeout at the period.
+        let mut slow = RoundTrip::new(50);
+        slow.time_out();
+        for rtt in [200, 80, 400] {
+            slow.sample(rtt);
+            assert_eq!(slow.rto(), 50);
+        }
+        // A zero round trip still waits 1 ms.
+        let mut instant = RoundTrip::new(50);
+        instant.time_out();
+        instant.sample(0);
+        assert_eq!(instant.rto(), 1);
+    }
+
+    #[test]
+    fn the_timeout_never_falls_below_the_longest_round_trip_sampled() {
+        let (mut fast, mut once_slow) = (RoundTrip::new(50), RoundTrip::new(50));
+        fast.time_out();
+        once_slow.time_out();
+        once_slow.sample(40);
+        for _ in 0..30 {
+            fast.sample(2);
+            once_slow.sample(2);
+        }
+        assert_eq!(fast.rto(), 5);
+        assert_eq!(once_slow.rto(), 40);
+    }
+
+    #[test]
+    fn retries_wait_one_rto_per_peer_then_double_up_to_the_period() {
+        let mut round_trip = RoundTrip::new(50);
+        round_trip.sample(2);
+        round_trip.time_out();
+        assert_eq!(round_trip.rto(), 6);
+        let waits: Vec<TimeMs> = (1..=8)
+            .map(|attempts| round_trip.retry_wait(attempts, 3))
+            .collect();
+        assert_eq!(waits, [6, 6, 6, 12, 24, 48, 50, 50]);
+        let alone: Vec<TimeMs> = (1..=5)
+            .map(|attempts| round_trip.retry_wait(attempts, 1))
+            .collect();
+        assert_eq!(alone, [6, 12, 24, 48, 50]);
+        assert_eq!(round_trip.retry_wait(u32::MAX, 3), 50);
+    }
+
+    /// Server 0 of 4 after one time-out and no sample: peer 2 was asked
+    /// for its genesis at 0, asked again at 50, and answered at 51.
+    fn timed_out(registry: &KeyRegistry, defense: DefenseConfig) -> Gossip {
+        let mut alice = defended(registry, defense);
+        let genesis = built(registry, 2, 0, vec![]);
+        let child = built(registry, 2, 1, vec![genesis.block_ref()]);
+        assert_eq!(alice.on_block(child, 0), vec![fwd(2, genesis.block_ref())]);
+        assert_eq!(alice.on_tick(50), vec![fwd(2, genesis.block_ref())]);
+        assert!(alice.on_block(genesis, 51).is_empty());
+        assert_eq!(alice.stats().fwd_rto_ms, 50);
+        alice
+    }
+
+    /// [`timed_out`], then one measured round trip of `rtt` ms: peer 1 was
+    /// asked for its genesis at 100 and answered at `100 + rtt`.
+    fn measured(registry: &KeyRegistry, defense: DefenseConfig, rtt: TimeMs) -> Gossip {
+        let mut alice = timed_out(registry, defense);
+        let genesis = built(registry, 1, 0, vec![]);
+        let child = built(registry, 1, 1, vec![genesis.block_ref()]);
+        assert_eq!(
+            alice.on_block(child, 100),
+            vec![fwd(1, genesis.block_ref())]
+        );
+        assert!(alice.on_block(genesis, 100 + rtt).is_empty());
+        alice
+    }
+
+    #[test]
+    fn until_a_request_times_out_every_wait_is_the_period() {
+        let registry = KeyRegistry::generate(4, 1);
+        // A round trip of 5 ms is measured on a link that has lost nothing.
+        let mut alice = defended(&registry, DefenseConfig::default());
+        let genesis = built(&registry, 1, 0, vec![]);
+        let child = built(&registry, 1, 1, vec![genesis.block_ref()]);
+        assert_eq!(alice.on_block(child, 0), vec![fwd(1, genesis.block_ref())]);
+        assert!(alice.on_block(genesis, 5).is_empty());
+        assert_eq!(alice.stats().fwd_rto_ms, 50);
+        // A block cited by peers 1 and 2 is lost: its first retry waits
+        // the period, and is the time-out after which the estimate counts.
+        let lost = built(&registry, 3, 0, vec![]).block_ref();
+        let citing = |id: u32| {
+            let block = built(&registry, id, 2, vec![lost]);
+            (ServerId::new(id), NetMessage::Block(block))
+        };
+        assert_eq!(
+            alice.on_messages([citing(1), citing(2)], 10),
+            vec![fwd(1, lost)]
+        );
+        assert!(alice.on_tick(59).is_empty());
+        assert_eq!(alice.on_tick(60), vec![fwd(2, lost)]);
+        assert_eq!(alice.stats().fwd_rto_ms, 15);
+        assert!(alice.on_tick(74).is_empty());
+        assert_eq!(alice.on_tick(75), vec![fwd(1, lost)]);
+    }
+
+    #[test]
+    fn only_the_answer_to_a_request_sent_once_is_a_round_trip_sample() {
+        let registry = KeyRegistry::generate(4, 1);
+        // The positive case: asked once, answered by the peer asked.
+        let alice = measured(&registry, DefenseConfig::default(), 5);
+        assert_eq!(alice.stats().fwd_rto_ms, 15);
+        let lost_block = built(&registry, 3, 0, vec![]);
+        let lost = lost_block.block_ref();
+        let citing = |id: u32| {
+            let block = built(&registry, id, 2, vec![lost]);
+            (ServerId::new(id), NetMessage::Block(block))
+        };
+        // An answer to a retried request: asked of 1, then of 2.
+        for answerer in [1, 2] {
+            let mut alice = timed_out(&registry, DefenseConfig::default());
+            assert_eq!(
+                alice.on_messages([citing(1), citing(2)], 200),
+                vec![fwd(1, lost)]
+            );
+            assert_eq!(alice.on_tick(250), vec![fwd(2, lost)]);
+            alice.on_block_from(ServerId::new(answerer), lost_block.clone(), 255);
+            assert!(alice.dag().contains(&lost));
+            assert_eq!(alice.stats().fwd_rto_ms, 50, "answered by {answerer}");
+        }
+        // An unsolicited copy of a block asked once: its builder, not
+        // asked, delivers it.
+        let mut alice = timed_out(&registry, DefenseConfig::default());
+        assert_eq!(
+            alice.on_messages([citing(1), citing(2)], 200),
+            vec![fwd(1, lost)]
+        );
+        alice.on_block(lost_block.clone(), 205);
+        assert!(alice.dag().contains(&lost));
+        assert_eq!(alice.stats().fwd_rto_ms, 50);
+        // A late answer to an answered request measures nothing either.
+        alice.on_block_from(ServerId::new(1), lost_block, 206);
+        assert_eq!(alice.stats().fwd_rto_ms, 50);
+    }
+
+    #[test]
+    fn slow_answers_cap_the_retry_wait_at_the_period() {
+        let registry = KeyRegistry::generate(4, 1);
+        let mut alice = measured(&registry, DefenseConfig::default(), 120);
+        assert_eq!(alice.stats().fwd_rto_ms, 50);
+        let lost = built(&registry, 3, 0, vec![]).block_ref();
+        let citing = built(&registry, 2, 2, vec![lost]);
+        assert_eq!(alice.on_block(citing, 300), vec![fwd(2, lost)]);
+        assert!(alice.on_tick(349).is_empty());
+        assert_eq!(alice.on_tick(350), vec![fwd(2, lost)]);
+    }
+
+    #[test]
+    fn an_unanswerable_request_costs_a_bounded_number_of_sends() {
+        let period = 50;
+        let registry = KeyRegistry::generate(4, 1);
+        // Nobody holds it: cited by `citers` peers, swept every
+        // millisecond for a second.
+        let lost = BlockRef::from_digest(dagbft_crypto::sha256(b"never built"));
+        for (citers, exact) in [(3u32, 24), (1, 23)] {
+            let mut alice = measured(&registry, DefenseConfig::default(), 2);
+            let rto = alice.stats().fwd_rto_ms;
+            assert_eq!(rto, 6);
+            let citing = (1..=citers).map(|id| {
+                let block = built(&registry, id, 2, vec![lost]);
+                (ServerId::new(id), NetMessage::Block(block))
+            });
+            let mut sends = alice.on_messages(citing, 110).len() as u64;
+            for now in 111..=1_110 {
+                sends += alice.on_tick(now).len() as u64;
+            }
+            // Three candidates: 0, 6, 12, 18 (one RTO each), +12, +24,
+            // +48, then every period. One: 0, 6, +12, +24, +48, then
+            // every period.
+            assert_eq!(sends, exact, "{citers} candidates");
+            let doublings = (period as f64 / rto as f64).log2().ceil() as u64;
+            assert!(sends <= u64::from(citers) + doublings + 1_000 / period);
+        }
+    }
+
+    #[test]
+    fn a_late_answer_to_a_retried_request_is_not_charged() {
+        let registry = KeyRegistry::generate(4, 1);
+        let (first, second) = (ServerId::new(1), ServerId::new(2));
+        let mut alice = defended(&registry, DefenseConfig::enabled());
+        let lost_block = built(&registry, 3, 0, vec![]);
+        let lost = lost_block.block_ref();
+        let citing = |id: u32| {
+            let block = built(&registry, id, 0, vec![lost]);
+            (ServerId::new(id), NetMessage::Block(block))
+        };
+        // Asked of peer 1, then, a period later, of peer 2.
+        assert_eq!(
+            alice.on_messages([citing(1), citing(2)], 0),
+            vec![fwd(1, lost)]
+        );
+        assert_eq!(alice.on_tick(50), vec![fwd(2, lost)]);
+        // Peer 1's answer is admitted; peer 2's arrives late.
+        alice.on_block_from(first, lost_block.clone(), 60);
+        assert!(alice.dag().contains(&lost));
+        alice.on_block_from(second, lost_block.clone(), 70);
+        assert_eq!(alice.stats().duplicate_blocks, 1);
+        assert_eq!(alice.defense().score(second, 70), 0);
+        // Excused once: another copy from peer 2 is a flood.
+        alice.on_block_from(second, lost_block.clone(), 71);
+        assert!(alice.defense().score(second, 71) > 0);
+        // Peer 1 may still answer its own request late, until the first
+        // sweep a period after the block arrived.
+        alice.on_tick(109);
+        alice.on_block_from(first, lost_block.clone(), 109);
+        assert_eq!(alice.defense().score(first, 109), 0);
+        let mut other = defended(&registry, DefenseConfig::enabled());
+        other.on_messages([citing(1), citing(2)], 0);
+        other.on_tick(50);
+        other.on_block_from(first, lost_block.clone(), 60);
+        other.on_tick(110);
+        other.on_block_from(second, lost_block, 110);
+        assert!(other.defense().score(second, 110) > 0);
     }
 
     fn defended(registry: &KeyRegistry, defense: DefenseConfig) -> Gossip {

@@ -83,7 +83,7 @@ pub use defense::{
 };
 pub use error::{DagError, InvalidBlockError};
 pub use gossip::{
-    EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage, WaveStats,
+    EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage, RoundTrip, WaveStats,
     DEFAULT_PENDING_CAP, WAVE_WIDTH_BUCKETS,
 };
 pub use interpret::{Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError};

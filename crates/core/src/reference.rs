@@ -44,7 +44,7 @@ use dagbft_crypto::{ServerId, Verifier};
 use crate::block::{Block, BlockRef};
 use crate::dag::BlockDag;
 use crate::error::InvalidBlockError;
-use crate::gossip::{Gossip, GossipConfig, GossipStats, NetCommand, NetMessage};
+use crate::gossip::{Gossip, GossipConfig, GossipStats, NetCommand, NetMessage, RoundTrip};
 use crate::interpret::{Indication, InterpretError, InterpretStats};
 use crate::label::Label;
 use crate::protocol::{DeterministicProtocol, Envelope, Outbox, ProtocolConfig};
@@ -335,6 +335,8 @@ struct ReferenceFwd {
     /// Builders of the buffered blocks that reference the missing block.
     candidates: BTreeSet<ServerId>,
     last_sent: Option<TimeMs>,
+    /// The peer the last request went to.
+    last_to: Option<ServerId>,
     attempts: u32,
 }
 
@@ -346,13 +348,15 @@ struct ReferenceFwd {
 /// [`Verifier::verify`], and inserts or rejects it, until no buffered
 /// block is ready — O(|blks|²) on adversarial orders. The `FWD` set is
 /// then rebuilt by rescanning `blks` (line 10), keeping the retry timers
-/// of references that stay missing. No pending cap, no peer defense, no
-/// eviction; it neither builds blocks nor answers `FWD` requests.
+/// of references that stay missing. Retries wait as [`Gossip`]'s do, on a
+/// [`RoundTrip`] fed by the same samples. No pending cap, no peer
+/// defense, no eviction; it neither builds blocks nor answers `FWD`
+/// requests, and it takes each block as delivered by its builder.
 #[derive(Debug)]
 pub struct ReferenceGossip {
     n: usize,
-    /// `Δ_B'`: how long a `FWD` request waits before it is sent again.
-    seal_period_ms: TimeMs,
+    /// `Δ_B'`: paces `FWD` retries.
+    round_trip: RoundTrip,
     verifier: Verifier,
     dag: BlockDag,
     /// `blks`: received, not yet valid (line 3).
@@ -364,18 +368,22 @@ pub struct ReferenceGossip {
 
 impl ReferenceGossip {
     /// An oracle for [`GossipConfig::n`] servers, retrying `FWD` requests
-    /// after [`GossipConfig::seal_period_ms`] as [`Gossip`] does. The
-    /// pending cap and the defense are ignored.
+    /// as [`Gossip`] does, at most [`GossipConfig::seal_period_ms`] apart.
+    /// The pending cap and the defense are ignored.
     pub fn new(config: GossipConfig, verifier: Verifier) -> Self {
+        let round_trip = RoundTrip::new(config.seal_period_ms);
         ReferenceGossip {
             n: config.n,
-            seal_period_ms: config.seal_period_ms,
+            round_trip,
             verifier,
             dag: BlockDag::new(),
             blks: BTreeMap::new(),
             fwd: BTreeMap::new(),
             rejected: Vec::new(),
-            stats: GossipStats::default(),
+            stats: GossipStats {
+                fwd_rto_ms: round_trip.rto(),
+                ..GossipStats::default()
+            },
         }
     }
 
@@ -410,7 +418,23 @@ impl ReferenceGossip {
             let block_ref = block.block_ref();
             if self.dag.contains(&block_ref) || self.blks.contains_key(&block_ref) {
                 self.stats.duplicate_blocks += 1;
-            } else if block.builder().index() >= self.n {
+                continue;
+            }
+            // Arrived: no longer requested. Karn's rule: a request sent
+            // once, answered by the peer it went to, is one round trip.
+            if let Some(ReferenceFwd {
+                attempts: 1,
+                last_sent: Some(sent),
+                last_to,
+                ..
+            }) = self.fwd.remove(&block_ref)
+            {
+                if last_to == Some(block.builder()) {
+                    self.round_trip.sample(now.saturating_sub(sent));
+                    self.stats.fwd_rto_ms = self.round_trip.rto();
+                }
+            }
+            if block.builder().index() >= self.n {
                 let claimed = block.builder();
                 self.reject(block_ref, InvalidBlockError::UnknownBuilder { claimed });
             } else {
@@ -512,18 +536,19 @@ impl ReferenceGossip {
         }
     }
 
-    /// Line 11: ask a builder of a referencing block, at most once per
-    /// retry interval, rotating through the candidates.
+    /// Line 11: ask a builder of a referencing block, again once the
+    /// retry wait is over, rotating through the candidates.
     fn due_fwd_requests(&mut self, now: TimeMs) -> Vec<NetCommand> {
         let mut commands = Vec::new();
+        let mut retried = false;
         for (block_ref, request) in &mut self.fwd {
-            if request
-                .last_sent
-                .is_some_and(|last| now.saturating_sub(last) < self.seal_period_ms)
-            {
+            let peers = request.candidates.len();
+            if request.last_sent.is_some_and(|last| {
+                now.saturating_sub(last) < self.round_trip.retry_wait(request.attempts, peers)
+            }) {
                 continue;
             }
-            let rotation = request.attempts as usize % request.candidates.len().max(1);
+            let rotation = request.attempts as usize % peers.max(1);
             let Some(to) = request.candidates.iter().nth(rotation) else {
                 continue;
             };
@@ -531,9 +556,15 @@ impl ReferenceGossip {
                 to: *to,
                 message: NetMessage::FwdRequest(*block_ref),
             });
+            retried |= request.attempts > 0;
             request.last_sent = Some(now);
+            request.last_to = Some(*to);
             request.attempts += 1;
             self.stats.fwd_sent += 1;
+        }
+        if retried {
+            self.round_trip.time_out();
+            self.stats.fwd_rto_ms = self.round_trip.rto();
         }
         commands
     }

@@ -64,8 +64,10 @@ pub struct ShimConfig {
     pub defense: DefenseConfig,
     /// Interval between own seals, on [`Schedule::for_server`]'s grid (0
     /// is taken as 1 ms): the pacing that meets `P`'s network assumptions.
-    /// It is also how long a `FWD` request waits for its answer before
-    /// it is sent again ([`GossipConfig::seal_period_ms`]).
+    /// It is also the first and the longest wait of a `FWD` request for
+    /// its answer before it is sent again: once a request has gone a whole
+    /// period unanswered, the wait shrinks to a round-trip timeout learned
+    /// from answered requests ([`GossipConfig::seal_period_ms`]).
     pub disseminate_every_ms: TimeMs,
 }
 
@@ -304,7 +306,7 @@ impl<P: DeterministicProtocol> Shim<P> {
     }
 
     /// The `FWD` retry sweep ([`Gossip::on_tick`]): sends again every
-    /// request unanswered for one seal period.
+    /// request whose retry wait is over (at most one seal period).
     pub fn on_tick(&mut self, now: TimeMs) -> Vec<NetCommand> {
         self.gossip.on_tick(now)
     }
@@ -313,9 +315,9 @@ impl<P: DeterministicProtocol> Shim<P> {
     /// the `FWD` retry sweep ([`Shim::on_tick`]), then
     /// [`Shim::disseminate`]. The first wake arms the seal grid; a wake
     /// before [`Shim::next_wake`] does nothing. A request is therefore
-    /// sent again at the first seal at least one period after it was last
-    /// sent (or at the first ingest that buffers a block, if sooner), and
-    /// before that seal's block.
+    /// sent again at the first seal or the first ingest that buffers a
+    /// block once its retry wait is over — one round-trip timeout, at
+    /// most one period — and before that seal's block.
     pub fn wake(&mut self, now: TimeMs) -> Vec<NetCommand> {
         if !self.seal.fire(now) {
             return Vec::new();
@@ -1162,6 +1164,74 @@ mod tests {
         let at_162 = shim.wake(162);
         assert_eq!(at_162[0], fwd(0, lost));
         assert_eq!(shim.gossip().stats().fwd_sent, 3);
+    }
+
+    #[test]
+    fn after_one_measured_round_trip_a_retry_waits_one_rto_for_an_ingest_or_a_seal() {
+        let registry = KeyRegistry::generate(4, 77);
+        let block = |id: u32, seq: u64, preds: Vec<BlockRef>| {
+            let signer = registry.signer(ServerId::new(id)).unwrap();
+            Block::build(ServerId::new(id), SeqNum::new(seq), preds, vec![], &signer)
+        };
+        let run = |blocks: Vec<Block>| {
+            blocks
+                .into_iter()
+                .map(|block| (block.builder(), NetMessage::Block(block)))
+        };
+        let (genesis0, genesis2) = (block(0, 0, vec![]), block(2, 0, vec![]));
+        let child0 = block(0, 1, vec![genesis0.block_ref()]);
+        let child2 = block(2, 1, vec![genesis2.block_ref()]);
+        let lost = block(3, 0, vec![]).block_ref();
+        let citers = vec![
+            block(0, 2, vec![child0.block_ref(), lost]),
+            block(2, 2, vec![child2.block_ref(), lost]),
+        ];
+        let (second, third) = (
+            block(2, 3, vec![citers[1].block_ref()]),
+            block(3, 1, vec![lost]),
+        );
+        for by_ingest in [true, false] {
+            let mut shim = server_one();
+            shim.wake(12);
+            // Server 0 is asked for its genesis at 12 and answers only
+            // the retry at the seal at 62: a time-out, and no sample.
+            let asked = shim.on_message_burst(run(vec![child0.clone()]), 12);
+            assert_eq!(asked, vec![fwd(0, genesis0.block_ref())]);
+            let at_62 = shim.wake(62);
+            assert_eq!(at_62[0], fwd(0, genesis0.block_ref()));
+            assert!(shim
+                .on_message_burst(run(vec![genesis0.clone()]), 63)
+                .is_empty());
+            assert_eq!(shim.gossip().stats().fwd_rto_ms, 50);
+            // Server 2 is asked for its genesis at 64 and answers at 69:
+            // one round trip of 5 ms, RTO = 5 + 4 · 5/2 = 15 ms.
+            let asked = shim.on_message_burst(run(vec![child2.clone()]), 64);
+            assert_eq!(asked, vec![fwd(2, genesis2.block_ref())]);
+            assert!(shim
+                .on_message_burst(run(vec![genesis2.clone()]), 69)
+                .is_empty());
+            assert_eq!(shim.gossip().stats().fwd_rto_ms, 15);
+            // A block lost from servers 0 and 2 is asked of 0 at 70.
+            assert_eq!(
+                shim.on_message_burst(run(citers.clone()), 70),
+                vec![fwd(0, lost)]
+            );
+            if by_ingest {
+                // An ingest that buffers a block 14 ms later sends nothing;
+                // one 15 ms later asks server 2, long before the seal at 112.
+                assert!(shim
+                    .on_message_burst(run(vec![second.clone()]), 84)
+                    .is_empty());
+                let retry = shim.on_message_burst(run(vec![third.clone()]), 85);
+                assert_eq!(retry, vec![fwd(2, lost)]);
+            } else {
+                // No ingest: the seal at 112 sends it, before its block.
+                let at_112 = shim.wake(112);
+                assert_eq!(at_112[0], fwd(2, lost));
+                assert!(matches!(at_112[1..], [NetCommand::Broadcast { .. }]));
+            }
+            assert_eq!(shim.gossip().stats().fwd_sent, 5);
+        }
     }
 
     #[test]

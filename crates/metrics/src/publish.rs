@@ -26,6 +26,7 @@ pub fn publish_gossip(registry: &MetricsRegistry, stats: &GossipStats) {
     registry.set_counter("gossip_fwd_answered", stats.fwd_answered);
     registry.set_counter("gossip_blocks_evicted", stats.blocks_evicted);
     registry.set_gauge("gossip_pending_peak", stats.pending_peak as u64);
+    registry.set_gauge("gossip_fwd_rto_ms", stats.fwd_rto_ms);
 }
 
 /// Publishes [`WaveStats`] — the verification-pipeline shape (waves,

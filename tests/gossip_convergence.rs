@@ -296,6 +296,46 @@ fn gossip_fwd_retries_match_scan_engine_across_seal_periods() {
     }
 }
 
+/// A schedule in which blocks answer the `FWD`s they were asked for: the
+/// rounds of [`hostile_soup`] arrive newest first, one builder's blocks
+/// at a time, 2, 5, 8 and 11 ms apart in turn, so each builder is asked
+/// for its own older blocks and answers them after varying round trips.
+/// Some request goes a period unanswered, so both engines time out alike,
+/// learn the same moving round trip from the answers, and send the same
+/// retries on it.
+#[test]
+fn gossip_round_trip_samples_match_scan_engine() {
+    let (registry, blocks) = hostile_soup(6);
+    let config = GossipConfig::for_n(4);
+    let mut schedule: Vec<Block> = blocks.iter().rev().cloned().collect();
+    schedule.sort_by_key(|block| block.builder());
+    let mut receiver = Gossip::new(
+        ServerId::new(0),
+        config,
+        registry.signer(ServerId::new(0)).unwrap(),
+        registry.verifier(),
+    );
+    let mut scan = ReferenceGossip::new(config, registry.verifier());
+    let mut rtos = std::collections::BTreeSet::new();
+    let mut now = 0;
+    for (t, block) in schedule.iter().enumerate() {
+        now += 2 + 3 * (t as TimeMs % 4);
+        assert_eq!(
+            receiver.on_block(block.clone(), now),
+            scan.on_blocks([block.clone()], now),
+            "FWD traffic diverged at delivery {t}"
+        );
+        assert_eq!(
+            AdmissionView::of(&receiver),
+            scan.view(),
+            "after delivery {t}"
+        );
+        rtos.insert(receiver.stats().fwd_rto_ms);
+    }
+    assert!(rtos.len() > 2, "the estimate moved: {rtos:?}");
+    assert!(*rtos.first().unwrap() < config.seal_period_ms);
+}
+
 #[test]
 fn sequence_numbers_form_chains_per_correct_server() {
     let config = SimConfig::new(4).with_max_time(3_000);
@@ -322,4 +362,126 @@ fn sequence_numbers_form_chains_per_correct_server() {
             );
         }
     }
+}
+
+/// What [`broadcasts`] measured: the p50 from injection to the last
+/// server's delivery, and the `FWD` requests and messages sent.
+struct Recovery {
+    p50: TimeMs,
+    fwd_sent: u64,
+    messages_sent: u64,
+}
+
+/// 100 broadcasts, one every 50 ms round robin, on n = 4 servers over
+/// `network`, until every server has delivered every broadcast.
+fn broadcasts(network: NetworkModel, seed: u64) -> Recovery {
+    let config = SimConfig::new(4)
+        .with_seed(seed)
+        .with_network(network)
+        .with_max_time(60_000)
+        .with_stop_after_deliveries(400);
+    let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
+    for i in 0..100u64 {
+        sim.inject(Injection {
+            at: i * 50,
+            server: (i % 4) as usize,
+            label: Label::new(i),
+            request: BrbRequest::Broadcast(i),
+        });
+    }
+    let outcome = sim.run();
+    assert_eq!(
+        outcome.deliveries.len(),
+        400,
+        "seed {seed}: every server delivers"
+    );
+    let mut last = std::collections::BTreeMap::new();
+    for delivery in &outcome.deliveries {
+        let at = last.entry(delivery.label).or_insert(0);
+        *at = delivery.at.max(*at);
+    }
+    let mut latencies: Vec<TimeMs> = last
+        .iter()
+        .map(|(label, at)| at - label.id() * 50)
+        .collect();
+    latencies.sort_unstable();
+    Recovery {
+        p50: latencies[latencies.len() / 2],
+        fwd_sent: outcome.net.fwd_sent,
+        messages_sent: outcome.net.messages_sent,
+    }
+}
+
+/// Constant 10 ms links that drop `rate` of messages.
+fn lossy(rate: f64) -> NetworkModel {
+    NetworkModel::reliable_constant(10).with_drop_rate(rate)
+}
+
+/// The floor of the learned `FWD` wait Δ_B' on [`broadcasts`] over
+/// 10 ms links that drop 20 %. With Δ_B' fixed at the 50 ms seal
+/// period, seed 7 read a p50 of 312 ms and 394 `FWD`s; learned from
+/// answered requests it reads 237 ms and 393. Over seeds 1–20 every
+/// seed's p50 fell (`PERIOD_P50`), and the `FWD`s went 7 720 → 7 616.
+#[test]
+fn a_learned_fwd_wait_shortens_recovery_on_lossy_links() {
+    const PERIOD_P50: [TimeMs; 20] = [
+        312, 287, 275, 275, 287, 287, 312, 312, 337, 300, 262, 275, 250, 300, 262, 250, 275, 312,
+        275, 262,
+    ];
+    let seven = broadcasts(lossy(0.2), 7);
+    assert!(
+        seven.p50 <= 237 && seven.fwd_sent < 394,
+        "seed 7: {} ms, {} FWDs",
+        seven.p50,
+        seven.fwd_sent
+    );
+    let mut total_fwd = 0;
+    for (seed, period_p50) in (1..).zip(PERIOD_P50) {
+        let run = broadcasts(lossy(0.2), seed);
+        assert!(
+            run.p50 < period_p50,
+            "seed {seed}: {} ms, was {period_p50}",
+            run.p50
+        );
+        total_fwd += run.fwd_sent;
+    }
+    assert!(
+        total_fwd <= 7_616,
+        "{total_fwd} FWDs over seeds 1-20, was 7 720"
+    );
+}
+
+/// The same at 40 % loss, where E10's one broadcast over 5 seeds reads
+/// slower with the learned wait than with the fixed one: over 100
+/// broadcasts and seeds 1–20 the sum of the p50s went 18 183 → 16 721 ms
+/// and the `FWD`s 30 871 → 30 319.
+#[test]
+fn a_learned_fwd_wait_shortens_recovery_at_40_percent_loss() {
+    let (mut p50s, mut fwds) = (0, 0);
+    for seed in 1..=20 {
+        let run = broadcasts(lossy(0.4), seed);
+        p50s += run.p50;
+        fwds += run.fwd_sent;
+    }
+    assert!(
+        p50s <= 16_721 && fwds <= 30_319,
+        "{p50s} ms, {fwds} FWDs over seeds 1-20, was 18 183 ms, 30 871"
+    );
+}
+
+/// Round trips that spread across the seal period, on the default
+/// network's 5–30 ms links, and no loss: the learned wait is the fixed
+/// one. Over seeds 1–20 of [`broadcasts`] the sums read exactly what a
+/// fixed one-period wait gives: p50s 3 357 ms, 592 `FWD`s, 25 924
+/// messages.
+#[test]
+fn a_learned_fwd_wait_is_the_period_on_lossless_links_with_spread_round_trips() {
+    let (mut p50s, mut fwds, mut messages) = (0, 0, 0);
+    for seed in 1..=20 {
+        let run = broadcasts(NetworkModel::default(), seed);
+        p50s += run.p50;
+        fwds += run.fwd_sent;
+        messages += run.messages_sent;
+    }
+    assert_eq!((p50s, fwds, messages), (3_357, 592, 25_924));
 }

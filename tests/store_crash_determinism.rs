@@ -12,6 +12,11 @@
 //! crashed at the same instant are the same run, byte for byte, and a
 //! store that already holds a journal is recovered from, not overwritten.
 //!
+//! That promise is for lossless links. Under loss a crash is visible
+//! ([`under_loss_a_crash_changes_when_not_what_is_delivered`] pins how
+//! often): the pending buffer, the `FWD` requests and the learned `FWD`
+//! timeout die with the process.
+//!
 //! Also here, at the shim level:
 //!
 //! * a journal that lost a *peer* block off its tail recovers to a valid
@@ -196,6 +201,42 @@ fn one_crash_model_one_fingerprint() {
         assert_eq!(restarted, stored, "seed {seed}: two crash models");
         assert_eq!(restarted, baseline, "seed {seed}: the restart leaked");
     }
+}
+
+/// The same workload over 10 ms links that drop 20 %, seeds 0–19: a
+/// crash still changes no delivered indication, but it leaks into the
+/// fingerprint on 19 seeds; with a fixed one-period `FWD` wait, 10
+/// leaked. The pending buffer and the `FWD` requests die with the
+/// process, and a shorter wait lets that show on more seeds. The bound
+/// keeps the count from growing.
+#[test]
+fn under_loss_a_crash_changes_when_not_what_is_delivered() {
+    let lossy =
+        |seed| config(seed).with_network(NetworkModel::reliable_constant(10).with_drop_rate(0.2));
+    let delivered = |outcome: &SimOutcome<Brb<u64>>| {
+        let mut delivered: Vec<_> = outcome
+            .deliveries
+            .iter()
+            .map(|delivery| (delivery.server, delivery.label, delivery.indication.clone()))
+            .collect();
+        delivered.sort();
+        delivered
+    };
+    let mut leaks = 0;
+    for seed in 0..20 {
+        let (baseline, twin) = run_fingerprint_of(Simulation::new(lossy(seed)), seed);
+        let (server, crash_at) = crash_point(seed);
+        let sim = Simulation::new(lossy(seed)).with_durable_store(
+            server,
+            Box::new(MemoryStore::new()),
+            crash_at,
+        );
+        let (crashed, outcome) = run_fingerprint_of(sim, seed);
+        assert_eq!(outcome.recoveries.len(), 1, "seed {seed}: it did crash");
+        assert_eq!(delivered(&outcome), delivered(&twin), "seed {seed}");
+        leaks += usize::from(crashed != baseline);
+    }
+    assert!(leaks <= 19, "{leaks} of 20 crashes leaked, was 19");
 }
 
 #[test]
