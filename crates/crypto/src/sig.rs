@@ -158,18 +158,6 @@ impl CryptoMetrics {
     }
 }
 
-/// The signature scheme a [`KeyRegistry`]'s keys belong to: ed25519 is
-/// the only one.
-///
-/// Kept only because the benchmark adapter
-/// (`crates/bench/src/bin/benchmark/adapter.rs`) names it; it goes once
-/// that adapter stops naming it (`ROADMAP.md` item 9(g)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchemeKind {
-    /// RFC 8032 ed25519 with multi-scalar batch verification.
-    Ed25519,
-}
-
 /// One registry's key material, indexed by server. Each public key's
 /// fixed-base table is built once here and shared by every handle.
 /// `Debug` prints no secret and no table: [`ed25519::SecretKey`] redacts
@@ -222,15 +210,6 @@ impl KeyRegistry {
                 metrics: CryptoMetrics::default(),
             }),
         }
-    }
-
-    /// [`KeyRegistry::generate`]; `SchemeKind` has one value.
-    ///
-    /// Kept only because the benchmark adapter
-    /// (`crates/bench/src/bin/benchmark/adapter.rs`) calls it; it goes
-    /// once that adapter stops naming it (`ROADMAP.md` item 9(g)).
-    pub fn generate_kind(_: SchemeKind, n: usize, seed: u64) -> Self {
-        Self::generate(n, seed)
     }
 
     /// Number of servers with keys in this registry.
@@ -426,6 +405,25 @@ impl BatchVerifier {
         if items > 0 {
             self.registry.metrics.record_burst(items);
         }
+    }
+}
+
+// --- Benchmark adapter only ----------------------------------------------
+//
+// `crates/bench/src/bin/benchmark/adapter.rs:21/85` names these; they go
+// with ROADMAP item 9(g). ed25519 is the only scheme, so `generate_kind`
+// is `generate`.
+
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchemeKind {
+    Ed25519,
+}
+
+impl KeyRegistry {
+    #[doc(hidden)]
+    pub fn generate_kind(_: SchemeKind, n: usize, seed: u64) -> Self {
+        Self::generate(n, seed)
     }
 }
 

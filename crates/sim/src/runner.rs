@@ -137,16 +137,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns `self`: every simulation signs with ed25519 keys, and
-    /// `SchemeKind` has one value.
-    ///
-    /// Kept only because the benchmark adapter
-    /// (`crates/bench/src/bin/benchmark/adapter.rs`) calls it; it goes
-    /// once that adapter stops naming it (`ROADMAP.md` item 9(g)).
-    pub fn with_scheme(self, _: SchemeKind) -> Self {
-        self
-    }
-
     /// Configures the peer-defense layer on every correct server.
     pub fn with_defense(mut self, defense: DefenseConfig) -> Self {
         self.defense = defense;
@@ -840,6 +830,19 @@ where
             Shim::recover_from_store_with_snapshots(me, config, registry, store)?;
         shim.enable_snapshots(every);
         Ok((shim, report))
+    }
+}
+
+// --- Benchmark adapter only ----------------------------------------------
+//
+// `crates/bench/src/bin/benchmark/adapter.rs:194` names this; it goes with
+// ROADMAP item 9(g). Every simulation signs with ed25519 keys, the only
+// scheme, so it returns `self`.
+
+impl SimConfig {
+    #[doc(hidden)]
+    pub fn with_scheme(self, _: SchemeKind) -> Self {
+        self
     }
 }
 

@@ -4,16 +4,22 @@
 //! payload (a canonical [`dagbft_core::NetMessage`] encoding, or the
 //! 4-byte hello). A length cap protects receivers from hostile prefixes.
 //!
-//! [`NetMessage`]s get a dedicated zero-copy pair: [`write_net_message`]
-//! streams a block's cached wire bytes straight into the frame (no
-//! intermediate encode buffer), and [`read_net_message`] decodes the
-//! received frame as a shared buffer so the block's wire image and request
-//! payloads are slices of it rather than copies.
+//! Every frame is read one way: the length prefix (a read timeout before
+//! its first byte consumes nothing, so the read can simply be retried),
+//! the cap check before anything is allocated, then the payload into a
+//! buffer of exactly its length, drained across read timeouts so the
+//! stream never loses its framing. [`write_net_message`] streams a block's
+//! cached wire bytes straight into the frame (no intermediate encode
+//! buffer), and [`read_net_message`] moves the frame's buffer into shared
+//! [`Bytes`], so a received block's wire image and request payloads are
+//! slices of it rather than copies.
 
 use std::io::{self, Read, Write};
 
 use bytes::Bytes;
-use dagbft_codec::{decode_from_bytes, decode_from_slice, encode_to_vec, WireDecode, WireEncode};
+use dagbft_codec::{
+    decode_from_bytes, decode_from_slice, encode_to_vec, DecodeError, WireDecode, WireEncode,
+};
 use dagbft_core::NetMessage;
 use dagbft_crypto::ServerId;
 
@@ -39,29 +45,12 @@ pub fn write_frame<W: Write, T: WireEncode>(writer: &mut W, value: &T) -> io::Re
 /// # Errors
 ///
 /// * I/O errors from the reader (including clean EOF as
-///   [`io::ErrorKind::UnexpectedEof`]);
+///   [`io::ErrorKind::UnexpectedEof`]); a read timeout before the frame's
+///   first byte comes back as itself, with nothing consumed;
 /// * [`io::ErrorKind::InvalidData`] for oversized frames or payloads that
-///   fail to decode.
+///   fail to decode (the latter [frame-synced](is_corrupt_payload)).
 pub fn read_frame<R: Read, T: WireDecode>(reader: &mut R) -> io::Result<T> {
-    let payload = read_payload(reader)?;
-    decode_from_slice(&payload)
-        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))
-}
-
-/// Reads one frame's raw payload: length prefix, cap check, body.
-fn read_payload<R: Read>(reader: &mut R) -> io::Result<Vec<u8>> {
-    let mut len_bytes = [0u8; 4];
-    reader.read_exact(&mut len_bytes)?;
-    let len = u32::from_le_bytes(len_bytes) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    reader.read_exact(&mut payload)?;
-    Ok(payload)
+    decode_from_slice(&read_payload(reader)?).map_err(corrupt)
 }
 
 /// Writes one framed [`NetMessage`] without building an intermediate
@@ -95,168 +84,35 @@ pub fn write_net_message<W: Write>(writer: &mut W, message: &NetMessage) -> io::
 pub fn read_net_message<R: Read>(reader: &mut R) -> io::Result<NetMessage> {
     // `Bytes::from(Vec)` moves the frame allocation; the decoded block's
     // wire image and payloads are windows into it.
-    let payload = Bytes::from(read_payload(reader)?);
-    decode_from_bytes(&payload)
-        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))
+    decode_from_bytes(&Bytes::from(read_payload(reader)?)).map_err(corrupt)
 }
 
-/// Default number of frame buffers a [`FrameArena`] tracks for recycling.
-pub const DEFAULT_ARENA_BUFFERS: usize = 64;
-
-/// Largest buffer capacity the arena will pool for reuse (256 KiB).
-///
-/// Frames may legitimately reach [`MAX_FRAME_LEN`], but *pooling* such
-/// buffers would let a slow-loris peer pin
-/// `buffers × MAX_FRAME_LEN` ≈ 1 GiB of idle capacity per connection by
-/// announcing giant length prefixes and never completing the frames.
-/// Oversized buffers are served and then dropped — only modest ones
-/// re-enter the pool, bounding each connection's spare memory to
-/// `buffers × MAX_SPARE_BUFFER_BYTES` (16 MiB with the defaults).
-pub const MAX_SPARE_BUFFER_BYTES: usize = 256 * 1024;
-
-/// Usage counters of one [`FrameArena`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FrameArenaStats {
-    /// Frames read through the arena.
-    pub frames: u64,
-    /// Frames served from a recycled buffer (no allocation).
-    pub recycled: u64,
-    /// Buffers reclaimed after their last reference dropped.
-    pub reclaimed: u64,
-    /// Buffers returned directly after a failed frame read (disconnect or
-    /// drain timeout mid-payload).
-    pub released: u64,
-}
-
-/// A pool of reusable frame buffers for the receive path.
-///
-/// [`read_net_message_pooled`] reads each frame into a buffer drawn from
-/// the arena and decodes it as shared [`Bytes`], so the message's payload
-/// views are zero-copy windows into the pooled allocation. The arena
-/// keeps a handle to every buffer it lends out; once all *other*
-/// references drop — the frame was a `FWD` request, a duplicate, or a
-/// rejected block, i.e. nothing retained its bytes — the buffer is
-/// reclaimed and reused, capacity intact. Admitted blocks keep their
-/// buffer alive for as long as the DAG caches their wire image: those are
-/// permanently handed over (the arena forgets the oldest lent handles
-/// past its tracking capacity), which is exactly the copy the zero-copy
-/// wire path is built around.
-///
-/// Under a hostile duplicate/garbage flood this makes the receive loop
-/// allocation-free in steady state; under honest traffic it costs one
-/// tracked handle per in-flight frame.
-#[derive(Debug)]
-pub struct FrameArena {
-    /// Reclaimed buffers ready for reuse (capacity preserved).
-    spares: Vec<Vec<u8>>,
-    /// Handles to buffers currently lent out, oldest first.
-    lent: Vec<Bytes>,
-    /// Maximum buffers tracked across `spares` and `lent`.
-    buffers: usize,
-    stats: FrameArenaStats,
-}
-
-impl Default for FrameArena {
-    fn default() -> Self {
-        FrameArena::new(DEFAULT_ARENA_BUFFERS)
+/// Reads one frame's payload into a buffer of exactly its length: the
+/// length prefix, the cap check before any allocation, then the body.
+fn read_payload<R: Read>(reader: &mut R) -> io::Result<Vec<u8>> {
+    let len = read_len_prefix(reader)?;
+    if len > MAX_FRAME_LEN {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds cap"),
+        ));
     }
-}
-
-impl FrameArena {
-    /// Creates an arena tracking at most `buffers` buffers (at least 1).
-    pub fn new(buffers: usize) -> Self {
-        FrameArena {
-            spares: Vec::new(),
-            lent: Vec::new(),
-            buffers: buffers.max(1),
-            stats: FrameArenaStats::default(),
-        }
-    }
-
-    /// Usage counters.
-    pub fn stats(&self) -> FrameArenaStats {
-        self.stats
-    }
-
-    /// Buffers currently lent out (still referenced or awaiting sweep).
-    pub fn lent(&self) -> usize {
-        self.lent.len()
-    }
-
-    /// Sweeps lent handles, reclaiming every buffer whose other
-    /// references have all dropped; returns the number reclaimed.
-    pub fn sweep(&mut self) -> usize {
-        let mut reclaimed = 0;
-        let mut still_lent = Vec::with_capacity(self.lent.len());
-        for handle in self.lent.drain(..) {
-            match handle.try_reclaim() {
-                Ok(buffer) => {
-                    reclaimed += 1;
-                    if self.spares.len() < self.buffers
-                        && buffer.capacity() <= MAX_SPARE_BUFFER_BYTES
-                    {
-                        self.spares.push(buffer);
-                    }
-                }
-                Err(handle) => still_lent.push(handle),
-            }
-        }
-        self.lent = still_lent;
-        self.stats.reclaimed += reclaimed as u64;
-        reclaimed
-    }
-
-    /// Draws a cleared buffer: a recycled spare when available, a fresh
-    /// allocation otherwise.
-    fn acquire(&mut self) -> Vec<u8> {
-        self.sweep();
-        match self.spares.pop() {
-            Some(mut buffer) => {
-                buffer.clear();
-                self.stats.recycled += 1;
-                buffer
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Returns an unused buffer straight to the pool, capacity intact.
-    ///
-    /// The receive path calls this when a frame fails mid-read (peer
-    /// disconnect, drain timeout): the buffer never reached a decoder, so
-    /// it can be reused immediately instead of leaking out of the pool.
-    pub fn release(&mut self, mut buffer: Vec<u8>) {
-        self.stats.released += 1;
-        if self.spares.len() < self.buffers && buffer.capacity() <= MAX_SPARE_BUFFER_BYTES {
-            buffer.clear();
-            self.spares.push(buffer);
-        }
-    }
-
-    /// Registers a lent-out payload for future reclamation. Past the
-    /// tracking capacity the oldest handle is handed over for good (its
-    /// holder — typically the DAG's cached wire image — now owns the
-    /// allocation's lifetime).
-    fn track(&mut self, payload: Bytes) {
-        self.stats.frames += 1;
-        if self.lent.len() >= self.buffers {
-            self.lent.remove(0);
-        }
-        self.lent.push(payload);
-    }
+    let mut payload = vec![0u8; len];
+    read_exact_draining(reader, &mut payload)?;
+    Ok(payload)
 }
 
 /// Maximum consecutive idle reads tolerated while draining a partially
-/// received payload. With the transport's 25 ms read timeout this bounds a
+/// received frame. With the transport's 25 ms read timeout this bounds a
 /// stalled mid-frame peer to ~10 s before the connection is dropped.
 const MAX_MIDFRAME_IDLE_READS: u32 = 400;
 
 /// Fills `buf` completely, retrying across read timeouts.
 ///
-/// Once the length prefix has been consumed the stream is mid-frame:
+/// Once a frame's first byte has been consumed the stream is mid-frame:
 /// propagating a timeout would make the caller re-read the next bytes as
 /// a fresh length prefix and desynchronise the framing. So partial
-/// payloads are drained across timeouts, bounded by
+/// frames are drained across timeouts, bounded by
 /// [`MAX_MIDFRAME_IDLE_READS`] so a hung peer cannot pin the reader.
 fn read_exact_draining<R: Read>(reader: &mut R, mut buf: &mut [u8]) -> io::Result<()> {
     let mut idle_reads = 0u32;
@@ -313,42 +169,6 @@ fn read_len_prefix<R: Read>(reader: &mut R) -> io::Result<usize> {
     Ok(u32::from_le_bytes(len_bytes) as usize)
 }
 
-/// [`read_net_message`] over a [`FrameArena`]: the frame is read into a
-/// pooled buffer and decoded as shared [`Bytes`], and the buffer is
-/// recycled once every reference to it drops.
-///
-/// A frame that fails mid-payload (peer disconnect, drain timeout) is
-/// cleaned up fully: the partial payload is discarded and its buffer is
-/// [released](FrameArena::release) back to the arena, so a flapping
-/// connection never bleeds pooled allocations.
-///
-/// # Errors
-///
-/// Same conditions as [`read_frame`].
-pub fn read_net_message_pooled<R: Read>(
-    reader: &mut R,
-    arena: &mut FrameArena,
-) -> io::Result<NetMessage> {
-    let len = read_len_prefix(reader)?;
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds cap"),
-        ));
-    }
-    let mut buffer = arena.acquire();
-    buffer.resize(len, 0);
-    if let Err(err) = read_exact_draining(reader, &mut buffer) {
-        arena.release(buffer);
-        return Err(err);
-    }
-    let payload = Bytes::from(buffer);
-    let message = decode_from_bytes(&payload)
-        .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, CorruptPayload(err.to_string())));
-    arena.track(payload);
-    message
-}
-
 /// Error payload marking a frame whose body was fully consumed but failed
 /// to decode. The stream is still frame-synced after this error — the
 /// length prefix already drained the bad payload — so a reader may count
@@ -366,9 +186,13 @@ impl std::fmt::Display for CorruptPayload {
 
 impl std::error::Error for CorruptPayload {}
 
+fn corrupt(err: DecodeError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, CorruptPayload(err.to_string()))
+}
+
 /// Whether `err` marks a fully consumed, frame-synced-but-undecodable
-/// payload from [`read_net_message_pooled`] — the one framing error a
-/// reader can survive without desynchronising.
+/// payload from [`read_net_message`] or [`read_frame`] — the one framing
+/// error a reader can survive without desynchronising.
 pub fn is_corrupt_payload(err: &io::Error) -> bool {
     err.kind() == io::ErrorKind::InvalidData
         && err
@@ -390,11 +214,38 @@ impl WireEncode for Hello {
 }
 
 impl WireDecode for Hello {
-    fn decode(reader: &mut dagbft_codec::Reader<'_>) -> Result<Self, dagbft_codec::DecodeError> {
+    fn decode(reader: &mut dagbft_codec::Reader<'_>) -> Result<Self, DecodeError> {
         Ok(Hello {
             from: ServerId::decode(reader)?,
         })
     }
+}
+
+// --- Benchmark adapter only ----------------------------------------------
+//
+// `crates/bench/src/bin/benchmark/adapter.rs`'s `FrameReader` names these;
+// they read exactly as `read_net_message` does and nothing else calls them.
+
+#[doc(hidden)]
+pub const DEFAULT_ARENA_BUFFERS: usize = 64;
+
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct FrameArena;
+
+impl FrameArena {
+    #[doc(hidden)]
+    pub fn new(_: usize) -> Self {
+        FrameArena
+    }
+}
+
+#[doc(hidden)]
+pub fn read_net_message_pooled<R: Read>(
+    reader: &mut R,
+    _: &mut FrameArena,
+) -> io::Result<NetMessage> {
+    read_net_message(reader)
 }
 
 #[cfg(test)]
@@ -481,127 +332,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pooled_read_matches_unpooled_and_recycles_dropped_frames() {
-        let block = sample_block();
-        let messages = [
-            NetMessage::FwdRequest(block.block_ref()),
-            NetMessage::Block(block.clone()),
-            NetMessage::FwdRequest(block.block_ref()),
-        ];
-        let mut wire = Vec::new();
-        for message in &messages {
-            write_net_message(&mut wire, message).unwrap();
-        }
-        let mut arena = FrameArena::new(8);
-        let mut cursor = io::Cursor::new(wire);
-        // FWD requests copy their 32-byte ref out of the frame, so their
-        // buffers are reclaimable immediately; by the third read the
-        // arena serves a recycled buffer.
-        let first = read_net_message_pooled(&mut cursor, &mut arena).unwrap();
-        assert_eq!(first, messages[0]);
-        let second = read_net_message_pooled(&mut cursor, &mut arena).unwrap();
-        assert_eq!(second, messages[1]);
-        let third = read_net_message_pooled(&mut cursor, &mut arena).unwrap();
-        assert_eq!(third, messages[2]);
-        assert_eq!(arena.stats().frames, 3);
-        assert!(
-            arena.stats().recycled >= 1,
-            "fwd frame buffer reused: {:?}",
-            arena.stats()
-        );
-        // The decoded block's wire image is a zero-copy window into the
-        // pooled frame, which therefore stays lent out…
-        let NetMessage::Block(received) = &second else {
-            panic!("expected a block");
-        };
-        assert!(received.wire_bytes().ref_count() > 1);
-        drop(second);
-        // …until the block drops, after which a sweep reclaims it.
-        arena.sweep();
-        assert_eq!(arena.lent(), 0);
-        assert_eq!(arena.stats().reclaimed, 3);
-    }
-
-    #[test]
-    fn arena_hands_over_oldest_past_capacity() {
-        let block = sample_block();
-        let mut wire = Vec::new();
-        for _ in 0..3 {
-            write_net_message(&mut wire, &NetMessage::Block(block.clone())).unwrap();
-        }
-        let mut arena = FrameArena::new(2);
-        let mut cursor = io::Cursor::new(wire);
-        // All three decoded blocks retain their frames; the arena only
-        // tracks the newest two and permanently hands over the oldest.
-        let kept: Vec<NetMessage> = (0..3)
-            .map(|_| read_net_message_pooled(&mut cursor, &mut arena).unwrap())
-            .collect();
-        assert_eq!(arena.lent(), 2);
-        drop(kept);
-        arena.sweep();
-        assert_eq!(arena.stats().reclaimed, 2);
-    }
-
-    #[test]
-    fn pooled_read_rejects_oversized_and_garbage() {
-        let mut arena = FrameArena::new(4);
-        let mut buffer = Vec::new();
-        buffer.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
-        let mut cursor = io::Cursor::new(buffer);
-        assert_eq!(
-            read_net_message_pooled(&mut cursor, &mut arena)
-                .unwrap_err()
-                .kind(),
-            io::ErrorKind::InvalidData
-        );
-        let mut buffer = Vec::new();
-        buffer.extend_from_slice(&1u32.to_le_bytes());
-        buffer.push(9); // invalid discriminant
-        let mut cursor = io::Cursor::new(buffer);
-        assert_eq!(
-            read_net_message_pooled(&mut cursor, &mut arena)
-                .unwrap_err()
-                .kind(),
-            io::ErrorKind::InvalidData
-        );
-        // The garbage frame's buffer is still recycled.
-        arena.sweep();
-        assert_eq!(arena.stats().reclaimed, 1);
-    }
-
-    #[test]
-    fn partial_frame_releases_buffer_instead_of_poisoning_arena() {
-        let block = sample_block();
-        let message = NetMessage::Block(block);
-        let mut wire = Vec::new();
-        write_net_message(&mut wire, &message).unwrap();
-
-        // A disconnect mid-payload: the length prefix and half the payload
-        // arrive, then the stream ends.
-        let mut truncated = wire.clone();
-        truncated.truncate(wire.len() - wire.len() / 2);
-        let mut arena = FrameArena::new(4);
-        let mut cursor = io::Cursor::new(truncated);
-        let err = read_net_message_pooled(&mut cursor, &mut arena).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        // The partial buffer went back to the pool, not into the void.
-        assert_eq!(arena.stats().released, 1);
-        assert_eq!(arena.lent(), 0);
-
-        // The released buffer is recycled by the next (complete) frame.
-        let mut cursor = io::Cursor::new(wire);
-        let decoded = read_net_message_pooled(&mut cursor, &mut arena).unwrap();
-        assert_eq!(decoded, message);
-        assert_eq!(arena.stats().recycled, 1);
-    }
-
     /// A reader that yields timeouts between single-byte reads — the shape
     /// of a slow peer on a stream with a read timeout.
     struct Trickle {
         data: Vec<u8>,
         at: usize,
         give_byte: bool,
+    }
+
+    impl Trickle {
+        fn new(data: Vec<u8>) -> Self {
+            Trickle {
+                data,
+                at: 0,
+                give_byte: false,
+            }
+        }
     }
 
     impl Read for Trickle {
@@ -619,6 +365,18 @@ mod tests {
         }
     }
 
+    /// Retries `read_one` on a timeout, as the transport's `read_retry`
+    /// does.
+    fn retrying<T>(mut read_one: impl FnMut() -> io::Result<T>) -> T {
+        loop {
+            match read_one() {
+                Ok(value) => return value,
+                Err(err) if err.kind() == io::ErrorKind::WouldBlock => continue,
+                Err(err) => panic!("unexpected error: {err}"),
+            }
+        }
+    }
+
     #[test]
     fn mid_frame_timeouts_are_drained_not_desynced() {
         let block = sample_block();
@@ -630,23 +388,28 @@ mod tests {
         for message in &messages {
             write_net_message(&mut wire, message).unwrap();
         }
-        let mut trickle = Trickle {
-            data: wire,
-            at: 0,
-            give_byte: false,
-        };
-        let mut arena = FrameArena::new(4);
-        // The length prefix still goes through read_exact, which bails on
-        // the first timeout — retry it like the transport's read loop does.
+        let mut trickle = Trickle::new(wire);
+        // A timeout before a frame's first byte comes back, with nothing
+        // consumed; every later one, in the length prefix or the payload,
+        // is drained. So retrying the whole read stays frame-synced.
         for expected in &messages {
-            let received = loop {
-                match read_net_message_pooled(&mut trickle, &mut arena) {
-                    Ok(message) => break message,
-                    Err(err) if err.kind() == io::ErrorKind::WouldBlock => continue,
-                    Err(err) => panic!("unexpected error: {err}"),
-                }
-            };
+            let received = retrying(|| read_net_message(&mut trickle));
             assert_eq!(&received, expected);
+        }
+    }
+
+    #[test]
+    fn a_hello_split_by_read_timeouts_is_read_whole() {
+        let hello = Hello {
+            from: ServerId::new(3),
+        };
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &hello).unwrap();
+        write_frame(&mut wire, &hello).unwrap();
+        let mut trickle = Trickle::new(wire);
+        for _ in 0..2 {
+            let received: Hello = retrying(|| read_frame(&mut trickle));
+            assert_eq!(received, hello);
         }
     }
 
@@ -655,18 +418,37 @@ mod tests {
         let mut buffer = Vec::new();
         buffer.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
         let mut cursor = io::Cursor::new(buffer);
-        assert_eq!(
-            read_net_message(&mut cursor).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
+        let err = read_net_message(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // An oversized prefix leaves the stream unusable.
+        assert!(!is_corrupt_payload(&err));
 
         let mut buffer = Vec::new();
         buffer.extend_from_slice(&1u32.to_le_bytes());
         buffer.push(9); // invalid discriminant
         let mut cursor = io::Cursor::new(buffer);
-        assert_eq!(
-            read_net_message(&mut cursor).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
+        let err = read_net_message(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // A garbage payload was drained whole: the stream is frame-synced.
+        assert!(is_corrupt_payload(&err));
+    }
+
+    #[test]
+    fn pooled_read_rejects_oversized_and_garbage() {
+        let mut arena = FrameArena::new(4);
+        let mut buffer = Vec::new();
+        buffer.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
+        let mut cursor = io::Cursor::new(buffer);
+        let err = read_net_message_pooled(&mut cursor, &mut arena).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(!is_corrupt_payload(&err));
+
+        let mut buffer = Vec::new();
+        buffer.extend_from_slice(&1u32.to_le_bytes());
+        buffer.push(9); // invalid discriminant
+        let mut cursor = io::Cursor::new(buffer);
+        let err = read_net_message_pooled(&mut cursor, &mut arena).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(is_corrupt_payload(&err));
     }
 }

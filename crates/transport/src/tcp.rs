@@ -11,9 +11,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dagbft_core::NetMessage;
 use dagbft_crypto::ServerId;
 
-use crate::frame::{
-    is_corrupt_payload, read_net_message_pooled, write_frame, write_net_message, FrameArena, Hello,
-};
+use crate::frame::{is_corrupt_payload, read_net_message, write_frame, write_net_message, Hello};
 
 const POLL: Duration = Duration::from_millis(25);
 /// First reconnect delay; doubles per failed attempt up to [`BACKOFF_MAX`].
@@ -355,17 +353,14 @@ fn reader_loop(
     if bans.is_banned(from.index()) {
         return;
     }
-    // Blocks decoded here slice a pooled frame buffer (zero-copy receive
-    // with buffer recycling): see `frame::read_net_message_pooled`. One
-    // arena per connection, so a burst arriving off one socket reuses the
-    // same buffers as soon as upstream drops them (duplicates, FWD
-    // requests, rejected blocks).
-    let mut arena = FrameArena::default();
+    // Each frame is read into a buffer of exactly its length, and a
+    // decoded block's wire image and payloads are slices of it (zero-copy
+    // receive): see `frame::read_net_message`.
     while !shutdown.load(Ordering::SeqCst) {
         if bans.is_banned(from.index()) {
             return;
         }
-        match read_net_message_pooled(&mut stream, &mut arena) {
+        match read_net_message(&mut stream) {
             Ok(message) => {
                 peer.recv_msgs.fetch_add(1, Ordering::Relaxed);
                 peer.recv_bytes
