@@ -526,11 +526,12 @@ fn frontier() -> Section {
     (
         "E13 — latency in seal intervals and cost of one instance, by n and by protocol".into(),
         table,
-        "Reading: latency is ≈ (message rounds of P) × (seal interval) — each\n\
-         round waits for the next seal, plus the network's delay — independent\n\
-         of n, while the cost of that instance is not: `B/block` (wire bytes ÷\n\
-         block messages) grows with n because every block lists a predecessor\n\
-         per server, and there are ~n² block messages per round, so wire bytes\n\
-         grow ~n³. E9 is the same frontier seen along the seal interval.",
+        "Reading: latency is at most ≈ (message rounds of P) × (seal interval) —\n\
+         each round waits for the peers' next seals, plus the network's delay,\n\
+         while a server's own messages count at the block that sends them — and\n\
+         grows little with n. The cost of that instance grows fast: `B/block`\n\
+         (wire bytes ÷ block messages) grows with n because every block lists a\n\
+         predecessor per server, and there are ~n² block messages per round, so\n\
+         wire bytes grow ~n³. E9 is the same frontier seen along the seal interval.",
     )
 }

@@ -86,7 +86,10 @@ pub use gossip::{
     EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage, RoundTrip, WaveStats,
     DEFAULT_PENDING_CAP, WAVE_WIDTH_BUCKETS,
 };
-pub use interpret::{Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError};
+pub use interpret::{
+    Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError,
+    INTERPRETATION_RULE,
+};
 pub use label::Label;
 pub use protocol::{
     DeterministicProtocol, Envelope, Outbox, ProtocolConfig, ServerSet, SnapshotProtocol,

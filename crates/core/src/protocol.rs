@@ -341,6 +341,20 @@ impl<M: Clone> Outbox<M> {
 /// interpretations may diverge, which is precisely what the paper's
 /// Lemma 4.2 excludes for deterministic `P`.
 ///
+/// # Messages to itself
+///
+/// A message an instance sends its own server is delivered to it at the
+/// block that sends it, not over a DAG edge: the interpreter delivers what
+/// the block's handlers address to the builder, then what those deliveries
+/// address to it, until nothing new is left (the in-block self-link, see
+/// [`crate::interpret`]). So an implementation **must** send itself
+/// finitely many messages per input — a request or a message from another
+/// server — or interpreting one block never ends. Every shipped protocol
+/// (`Brb`, `Bcb`, `Fifo`, `Smr`, `Beacon` in `dagbft_protocols`) meets
+/// this through its once-flags: each sends a given `ECHO`, `READY`,
+/// `PREPARE`, `COMMIT` or share at most once per instance, stream
+/// position, slot or value, whatever it receives.
+///
 /// # Examples
 ///
 /// See the crate-level docs for a complete miniature implementation.

@@ -86,6 +86,28 @@ impl<P: DeterministicProtocol> ReferenceBlockState<P> {
     }
 }
 
+/// Stamps sender `me` on the envelopes a handler of `label`'s instance put
+/// in `outbox`, counts them, adds them to `B.Ms[out, ℓ]`, and queues the
+/// ones addressed to `me` on `to_me`, in the order sent.
+fn send<M: Clone + Ord>(
+    me: ServerId,
+    label: Label,
+    outbox: Outbox<M>,
+    outs: &mut BTreeMap<Label, BTreeSet<Envelope<M>>>,
+    to_me: &mut Vec<(Label, Envelope<M>)>,
+    stats: &mut InterpretStats,
+) {
+    let envelopes: Vec<_> = outbox.into_envelopes(me).collect();
+    stats.messages_materialized += envelopes.len() as u64;
+    to_me.extend(
+        envelopes
+            .iter()
+            .filter(|e| e.receiver == me)
+            .map(|e| (label, e.clone())),
+    );
+    outs.entry(label).or_default().extend(envelopes);
+}
+
 /// The clone-per-block `interpret(G, P)` oracle.
 ///
 /// Semantically identical to [`crate::interpret::Interpreter`] (both
@@ -209,6 +231,8 @@ impl<P: DeterministicProtocol> ReferenceInterpreter<P> {
         let mut outs: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> = BTreeMap::new();
         let mut ins: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> = BTreeMap::new();
         let mut touched: BTreeSet<Label> = BTreeSet::new();
+        // Every envelope sent to `me` at this block, in the order sent.
+        let mut to_me: Vec<(Label, Envelope<P::Message>)> = Vec::new();
         let config = self.config;
 
         // Lines 5–6: feed the block's own requests to B.n's instances.
@@ -221,9 +245,7 @@ impl<P: DeterministicProtocol> ReferenceInterpreter<P> {
                         .or_insert_with(|| P::new(&config, label, me));
                     let mut outbox = Outbox::new();
                     instance.on_request(request, &mut outbox);
-                    let envelopes: Vec<_> = outbox.into_envelopes(me).collect();
-                    self.stats.messages_materialized += envelopes.len() as u64;
-                    outs.entry(label).or_default().extend(envelopes);
+                    send(me, label, outbox, &mut outs, &mut to_me, &mut self.stats);
                     active.insert(label);
                     touched.insert(label);
                     self.stats.requests_processed += 1;
@@ -234,12 +256,18 @@ impl<P: DeterministicProtocol> ReferenceInterpreter<P> {
             }
         }
 
-        // Lines 7–11: collect and deliver in-messages in the order <_M.
+        // Lines 7–11: collect and deliver in-messages in the order <_M —
+        // those of other senders: what `me` sent itself is delivered at the
+        // block that sent it, below.
         for label in active.iter().copied() {
             let mut inbox: BTreeSet<Envelope<P::Message>> = BTreeSet::new();
             for pred in &preds {
                 if let Some(out) = self.states[pred].outs.get(&label) {
-                    inbox.extend(out.iter().filter(|e| e.receiver == me).cloned());
+                    inbox.extend(
+                        out.iter()
+                            .filter(|e| e.receiver == me && e.sender != me)
+                            .cloned(),
+                    );
                 }
             }
             if inbox.is_empty() {
@@ -251,13 +279,28 @@ impl<P: DeterministicProtocol> ReferenceInterpreter<P> {
             for envelope in &inbox {
                 let mut outbox = Outbox::new();
                 instance.on_message(envelope.sender, envelope.message.clone(), &mut outbox);
-                let envelopes: Vec<_> = outbox.into_envelopes(me).collect();
-                self.stats.messages_materialized += envelopes.len() as u64;
-                outs.entry(label).or_default().extend(envelopes);
+                send(me, label, outbox, &mut outs, &mut to_me, &mut self.stats);
                 self.stats.messages_delivered += 1;
             }
             touched.insert(label);
             ins.insert(label, inbox);
+        }
+
+        // The in-block self-link: each envelope sent to `me` at this block
+        // joins `B.Ms[in, ℓ]` and is delivered here, first come first
+        // served, once — the buffer is a set — and so is each one those
+        // deliveries send `me`.
+        let mut next = 0;
+        while let Some((label, envelope)) = to_me.get(next).cloned() {
+            next += 1;
+            if !ins.entry(label).or_default().insert(envelope.clone()) {
+                continue;
+            }
+            let instance = pis.get_mut(&label).expect("a sending instance");
+            let mut outbox = Outbox::new();
+            instance.on_message(me, envelope.message, &mut outbox);
+            send(me, label, outbox, &mut outs, &mut to_me, &mut self.stats);
+            self.stats.messages_delivered += 1;
         }
 
         // Lines 13–14: surface indications from the instances driven here.

@@ -747,9 +747,10 @@ mod tests {
         run_commands(&mut shims, 1, commands, 1);
 
         // s0's interpreter raised the indication of s1's simulation too,
-        // but s0 does not deliver it to its own user.
-        assert_eq!(shims[0].interpreter().stats().indications, 1);
-        assert_eq!(shims[0].poll_indications(), vec![]);
+        // but s0 delivers only its own, raised at its genesis, which sent
+        // s0 its PING, to its own user.
+        assert_eq!(shims[0].interpreter().stats().indications, 2);
+        assert_eq!(shims[0].poll_indications(), vec![(Label::new(1), 5)]);
         // s1 delivered for itself.
         assert_eq!(shims[1].poll_indications(), vec![(Label::new(1), 5)]);
     }

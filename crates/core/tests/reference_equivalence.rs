@@ -560,7 +560,7 @@ fn wide_dag(rounds: u64, per_block: u64) -> (BlockDag, BlockRef) {
 /// `a_fork_and_a_restore_cross_arena_chunks` crosses its chunks.
 #[test]
 fn chunk_boundaries_are_crossed_by_moved_and_rebuilt_views_and_a_restore() {
-    let (dag, fork_parent) = wide_dag(24, 8);
+    let (dag, fork_parent) = wide_dag(26, 8);
     assert!(dag.check_invariants());
     let config = ProtocolConfig::for_n(4);
     let mut reference: ReferenceInterpreter<Relay> = ReferenceInterpreter::new(config);

@@ -112,6 +112,13 @@ pub fn publish_peer(
     registry.set_counter(&format!("peer{peer}_recv_bytes"), recv_bytes);
 }
 
+/// Publishes how many of one peer's connections the transport refused
+/// because its `Hello` named another interpretation rule, as
+/// `peer<index>_refused_hellos`.
+pub fn publish_peer_refusals(registry: &MetricsRegistry, peer: usize, refused_hellos: u64) {
+    registry.set_counter(&format!("peer{peer}_refused_hellos"), refused_hellos);
+}
+
 /// Publishes the defense layer's observables: aggregate counters
 /// ([`dagbft_core::DefenseStats`] plus the audit-trail length) and, for
 /// every peer the scoring engine has touched, a live score gauge with
@@ -184,6 +191,7 @@ mod tests {
         publish_recovery(&registry, &RecoveryReport::default());
         publish_store_health(&registry, false, false);
         publish_peer(&registry, 0, 0, 0, 0, 0);
+        publish_peer_refusals(&registry, 0, 0);
         publish_node(&registry, 0, 0, 0);
         // The defense publisher only emits per-peer rows for touched
         // peers, so touch one to surface the `peer<i>_*` defense family.

@@ -2,7 +2,7 @@
 //!
 //! Wire layout per frame: `u32` little-endian payload length, then the
 //! payload (a canonical [`dagbft_core::NetMessage`] encoding, or the
-//! 4-byte hello). A length cap protects receivers from hostile prefixes.
+//! 8-byte [`Hello`]). A length cap protects receivers from hostile prefixes.
 //!
 //! Every frame is read one way: the length prefix (a read timeout before
 //! its first byte consumes nothing, so the read can simply be retried),
@@ -20,7 +20,7 @@ use bytes::Bytes;
 use dagbft_codec::{
     decode_from_bytes, decode_from_slice, encode_to_vec, DecodeError, WireDecode, WireEncode,
 };
-use dagbft_core::NetMessage;
+use dagbft_core::{NetMessage, INTERPRETATION_RULE};
 use dagbft_crypto::ServerId;
 
 /// Maximum accepted frame payload (16 MiB) — far above any legitimate
@@ -200,24 +200,43 @@ pub fn is_corrupt_payload(err: &io::Error) -> bool {
             .is_some_and(|inner| inner.is::<CorruptPayload>())
 }
 
-/// The first frame on every outbound connection: the sender's identity.
+/// The first frame on every outbound connection: the sender's identity
+/// and the interpretation rule it runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hello {
     /// The connecting server.
     pub from: ServerId,
+    /// The sender's [`INTERPRETATION_RULE`]. A `Hello` that ends after
+    /// `from` was written by a build from before the field, which ran
+    /// rule 1.
+    pub rule: u32,
+}
+
+impl Hello {
+    /// The `Hello` this build sends as `from`.
+    pub fn new(from: ServerId) -> Self {
+        Hello {
+            from,
+            rule: INTERPRETATION_RULE,
+        }
+    }
 }
 
 impl WireEncode for Hello {
     fn encode(&self, out: &mut Vec<u8>) {
         self.from.encode(out);
+        self.rule.encode(out);
     }
 }
 
 impl WireDecode for Hello {
     fn decode(reader: &mut dagbft_codec::Reader<'_>) -> Result<Self, DecodeError> {
-        Ok(Hello {
-            from: ServerId::decode(reader)?,
-        })
+        let from = ServerId::decode(reader)?;
+        let rule = match reader.remaining() {
+            0 => 1,
+            _ => u32::decode(reader)?,
+        };
+        Ok(Hello { from, rule })
     }
 }
 
@@ -255,19 +274,25 @@ mod tests {
     #[test]
     fn roundtrip_over_buffer() {
         let mut buffer = Vec::new();
-        write_frame(
-            &mut buffer,
-            &Hello {
-                from: ServerId::new(3),
-            },
-        )
-        .unwrap();
+        write_frame(&mut buffer, &Hello::new(ServerId::new(3))).unwrap();
         write_frame(&mut buffer, &42u64).unwrap();
         let mut cursor = io::Cursor::new(buffer);
         let hello: Hello = read_frame(&mut cursor).unwrap();
         assert_eq!(hello.from, ServerId::new(3));
+        assert_eq!(hello.rule, INTERPRETATION_RULE);
         let value: u64 = read_frame(&mut cursor).unwrap();
         assert_eq!(value, 42);
+    }
+
+    #[test]
+    fn a_hello_without_a_rule_reads_as_rule_1() {
+        // What a build from before the rule field wrote: `from` alone.
+        let mut buffer = Vec::new();
+        write_frame(&mut buffer, &ServerId::new(3)).unwrap();
+        let hello: Hello = read_frame(&mut io::Cursor::new(buffer)).unwrap();
+        assert_eq!(hello.from, ServerId::new(3));
+        assert_eq!(hello.rule, 1);
+        assert_ne!(hello.rule, INTERPRETATION_RULE);
     }
 
     #[test]
@@ -400,9 +425,7 @@ mod tests {
 
     #[test]
     fn a_hello_split_by_read_timeouts_is_read_whole() {
-        let hello = Hello {
-            from: ServerId::new(3),
-        };
+        let hello = Hello::new(ServerId::new(3));
         let mut wire = Vec::new();
         write_frame(&mut wire, &hello).unwrap();
         write_frame(&mut wire, &hello).unwrap();

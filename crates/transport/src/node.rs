@@ -337,6 +337,7 @@ fn publish_node_metrics<P>(
             traffic.recv_msgs,
             traffic.recv_bytes,
         );
+        publish::publish_peer_refusals(metrics, peer, traffic.refused_hellos);
     }
 }
 

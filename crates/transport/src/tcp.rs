@@ -8,7 +8,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use dagbft_core::NetMessage;
+use dagbft_core::{NetMessage, INTERPRETATION_RULE};
 use dagbft_crypto::ServerId;
 
 use crate::frame::{is_corrupt_payload, read_net_message, write_frame, write_net_message, Hello};
@@ -90,6 +90,9 @@ struct PeerTraffic {
     /// Frames from this peer that were fully read but failed to decode —
     /// the wire-level offense the node loop feeds into the defense engine.
     recv_decode_errors: AtomicU64,
+    /// Connections refused because this peer's `Hello` named another
+    /// interpretation rule.
+    refused_hellos: AtomicU64,
 }
 
 /// A point-in-time copy of one peer's [`TcpTransport`] traffic counters
@@ -106,6 +109,9 @@ pub struct PeerTrafficSnapshot {
     pub recv_bytes: u64,
     /// Frames from this peer that read completely but failed to decode.
     pub recv_decode_errors: u64,
+    /// Connections refused because this peer's `Hello` named another
+    /// [`dagbft_core::INTERPRETATION_RULE`] than this build's.
+    pub refused_hellos: u64,
 }
 
 /// A TCP transport endpoint for one server.
@@ -247,6 +253,7 @@ impl TcpTransport {
                 recv_msgs: peer.recv_msgs.load(Ordering::Relaxed),
                 recv_bytes: peer.recv_bytes.load(Ordering::Relaxed),
                 recv_decode_errors: peer.recv_decode_errors.load(Ordering::Relaxed),
+                refused_hellos: peer.refused_hellos.load(Ordering::Relaxed),
             })
             .collect()
     }
@@ -335,10 +342,11 @@ fn reader_loop(
     }
     // The first frame authenticates nothing — it merely names the peer;
     // blocks carry their own signatures (Definition 3.3 (i)).
-    let from = match read_retry(&mut stream, &shutdown, crate::frame::read_frame::<_, Hello>) {
-        Some(hello) => hello.from,
+    let hello = match read_retry(&mut stream, &shutdown, crate::frame::read_frame::<_, Hello>) {
+        Some(hello) => hello,
         None => return,
     };
+    let from = hello.from;
     // An id outside the server set, or our own, names no peer (and would
     // key a defense-layer table): drop it. Another peer's id still passes,
     // as `Hello` authenticates nothing: `ROADMAP.md` item 15's problem.
@@ -346,6 +354,13 @@ fn reader_loop(
         Some(peer) if from != me => peer,
         _ => return,
     };
+    // A server on another interpretation rule computes other executions of
+    // `P` from the same blocks (`dagbft_core::INTERPRETATION_RULE`): it is
+    // refused, not admitted to disagree.
+    if hello.rule != INTERPRETATION_RULE {
+        peer.refused_hellos.fetch_add(1, Ordering::Relaxed);
+        return;
+    }
     // The reconnect gate of the defense layer's time-decaying bans: a
     // banned peer's connection is dropped as soon as it names itself, and
     // the per-message check below closes connections that were already up
@@ -493,7 +508,7 @@ fn connect_with_hello(
             if stream.set_nodelay(true).is_err() {
                 return None;
             }
-            if write_frame(&mut stream, &Hello { from: me }).is_ok() {
+            if write_frame(&mut stream, &Hello::new(me)).is_ok() {
                 return Some(stream);
             }
         }
@@ -526,6 +541,7 @@ mod tests {
     use super::*;
     use dagbft_core::{Block, SeqNum};
     use dagbft_crypto::KeyRegistry;
+    use std::io::Write;
 
     fn sample_message() -> NetMessage {
         let registry = KeyRegistry::generate(1, 1);
@@ -632,7 +648,7 @@ mod tests {
         let connect = |claimed: u32| {
             let mut stream = TcpStream::connect(transport.local_addr()).unwrap();
             let from = ServerId::new(claimed);
-            let _ = write_frame(&mut stream, &Hello { from });
+            let _ = write_frame(&mut stream, &Hello::new(from));
             let _ = write_net_message(&mut stream, &sample_message());
             stream
         };
@@ -649,6 +665,51 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("a peer's message");
         assert_eq!(from, ServerId::new(0));
+        transport.shutdown();
+    }
+
+    #[test]
+    fn a_peer_on_another_interpretation_rule_is_refused_and_counted() {
+        let transport = TcpTransport::bind(
+            ServerId::new(1),
+            localhost(),
+            vec![localhost(), localhost()],
+        )
+        .unwrap();
+        // The writes may fail: the transport closes a refused connection.
+        let connect = |hello: Vec<u8>| {
+            let mut stream = TcpStream::connect(transport.local_addr()).unwrap();
+            let _ = stream.write_all(&hello);
+            let _ = write_net_message(&mut stream, &sample_message());
+            stream
+        };
+        fn framed(hello: &impl dagbft_codec::WireEncode) -> Vec<u8> {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, hello).unwrap();
+            frame
+        }
+        let from = ServerId::new(0);
+        // The rule before this one, then a `Hello` without the rule field,
+        // as a build from before it wrote.
+        let earlier = Hello {
+            from,
+            rule: INTERPRETATION_RULE - 1,
+        };
+        let _refused = [connect(framed(&earlier)), connect(framed(&from))];
+        assert!(transport
+            .incoming()
+            .recv_timeout(Duration::from_millis(500))
+            .is_err());
+        let traffic = transport.peer_traffic()[0];
+        assert_eq!((traffic.refused_hellos, traffic.recv_msgs), (2, 0));
+        // The same peer on this build's rule gets through.
+        let _admitted = connect(framed(&Hello::new(from)));
+        let (sender, _) = transport
+            .incoming()
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a peer's message");
+        assert_eq!(sender, from);
+        assert_eq!(transport.peer_traffic()[0].refused_hellos, 2);
         transport.shutdown();
     }
 

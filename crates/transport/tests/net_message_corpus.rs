@@ -75,7 +75,7 @@ const PATIENCE: Duration = Duration::from_secs(10);
 /// A connection that has said hello as [`peer`].
 fn connect(to: SocketAddr) -> TcpStream {
     let mut stream = TcpStream::connect(to).expect("transport is listening");
-    write_frame(&mut stream, &Hello { from: peer() }).expect("hello");
+    write_frame(&mut stream, &Hello::new(peer())).expect("hello");
     stream
 }
 

@@ -182,49 +182,75 @@ fn fig4_buffers_round_by_round() {
     let mut interpreter: Interpreter<Brb<u64>> = Interpreter::new(ProtocolConfig::for_n(4));
     interpreter.step(&dag);
 
-    // Round 0: B1 (s0) has out = ECHO 42 to {s0..s3}; in = ∅. Others: ∅/∅.
+    // A server's own ECHO or READY is delivered to it at the block that
+    // sends it, so it sits in that block's in-buffer, and no edge carries
+    // it again.
+
+    // Round 0: B1 (s0) has out = ECHO 42 to {s0..s3}; in = its own ECHO.
+    // Others: ∅/∅.
     let b1 = &layers[0][0];
     assert_eq!(out_kinds(&interpreter, b1), (4, 0));
-    assert!(in_senders(&interpreter, &dag, b1, true).is_empty());
+    assert_eq!(
+        in_senders(&interpreter, &dag, b1, true),
+        [0].into_iter().collect()
+    );
     for block in &layers[0][1..] {
         assert_eq!(out_kinds(&interpreter, block), (0, 0));
+        assert!(in_senders(&interpreter, &dag, block, true).is_empty());
     }
 
-    // Round 1: every block has in = ECHO 42 from {s0}; amplifiers (s1–s3)
-    // have out = ECHO 42 to all; s0 already echoed, so out = ∅
-    // (the figure's "ECHO 42 from {s1}" wave).
+    // Round 1: the amplifiers (s1–s3) have in = ECHO 42 from {s0} and
+    // their own, and out = ECHO 42 to all (the figure's "ECHO 42 from
+    // {s1}" wave); s0 already echoed and heard its own echo, so it has
+    // in = out = ∅.
     for (index, block) in layers[1].iter().enumerate() {
+        let (expected_in, expected_out) = if index == 0 {
+            (BTreeSet::new(), (0, 0))
+        } else {
+            ([0, index].into_iter().collect(), (4, 0))
+        };
         assert_eq!(
             in_senders(&interpreter, &dag, block, true),
-            [0].into_iter().collect(),
+            expected_in,
             "round 1 in-buffer of s{index}"
         );
-        let expected = if index == 0 { (0, 0) } else { (4, 0) };
-        assert_eq!(out_kinds(&interpreter, block), expected, "s{index}");
+        assert_eq!(out_kinds(&interpreter, block), expected_out, "s{index}");
     }
 
-    // Round 2: in = ECHO 42 from {s1, s2, s3} (the amplifiers) — the 2f+1
-    // quorum — so out = READY 42 to all (the figure's READY wave).
+    // Round 2: in = ECHO 42 from the amplifiers other than itself — with
+    // the echoes it already heard, the 2f+1 quorum — so out = READY 42 to
+    // all (the figure's READY wave), and in = its own READY.
     for (index, block) in layers[2].iter().enumerate() {
+        let amplifiers: BTreeSet<usize> = [1, 2, 3].into_iter().filter(|&s| s != index).collect();
         assert_eq!(
             in_senders(&interpreter, &dag, block, true),
-            [1, 2, 3].into_iter().collect(),
+            amplifiers,
             "round 2 in-buffer of s{index}"
+        );
+        assert_eq!(
+            in_senders(&interpreter, &dag, block, false),
+            [index].into_iter().collect(),
+            "round 2 own READY of s{index}"
         );
         assert_eq!(out_kinds(&interpreter, block), (0, 4), "s{index}");
     }
 
-    // Round 3: in = READY 42 from everyone ⇒ 2f+1 READYs ⇒ deliver(42) at
-    // every simulated server.
+    // Round 3: in = READY 42 from everyone else, which with its own makes
+    // 2f+1 READYs ⇒ deliver(42) at every simulated server.
     for (index, block) in layers[3].iter().enumerate() {
         assert_eq!(
             in_senders(&interpreter, &dag, block, false),
-            [0, 1, 2, 3].into_iter().collect(),
+            (0..4).filter(|&s| s != index).collect(),
             "round 3 in-buffer of s{index}"
         );
+        assert!(in_senders(&interpreter, &dag, block, true).is_empty());
     }
-    let mut delivered: Vec<(usize, u64)> = interpreter
-        .drain_indications()
+    let indications = interpreter.drain_indications();
+    for indication in &indications {
+        let server = indication.server.index();
+        assert_eq!(indication.block, layers[3][server].block_ref(), "s{server}");
+    }
+    let mut delivered: Vec<(usize, u64)> = indications
         .into_iter()
         .map(|i| {
             let BrbIndication::Deliver(v) = i.indication;

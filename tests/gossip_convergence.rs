@@ -365,11 +365,13 @@ fn sequence_numbers_form_chains_per_correct_server() {
 }
 
 /// What [`broadcasts`] measured: the p50 from injection to the last
-/// server's delivery, and the `FWD` requests and messages sent.
+/// server's delivery, the `FWD` requests and messages sent, and the
+/// blocks that reached a server already holding them.
 struct Recovery {
     p50: TimeMs,
     fwd_sent: u64,
     messages_sent: u64,
+    duplicates: u64,
 }
 
 /// 100 broadcasts, one every 50 ms round robin, on n = 4 servers over
@@ -409,6 +411,9 @@ fn broadcasts(network: NetworkModel, seed: u64) -> Recovery {
         p50: latencies[latencies.len() / 2],
         fwd_sent: outcome.net.fwd_sent,
         messages_sent: outcome.net.messages_sent,
+        duplicates: (0..4)
+            .map(|server| outcome.shim(server).gossip().stats().duplicate_blocks)
+            .sum(),
     }
 }
 
@@ -419,22 +424,25 @@ fn lossy(rate: f64) -> NetworkModel {
 
 /// The floor of the learned `FWD` wait Δ_B' on [`broadcasts`] over
 /// 10 ms links that drop 20 %. With Δ_B' fixed at the 50 ms seal
-/// period, seed 7 read a p50 of 312 ms and 394 `FWD`s; learned from
-/// answered requests it reads 237 ms and 393. Over seeds 1–20 every
-/// seed's p50 fell (`PERIOD_P50`), and the `FWD`s went 7 720 → 7 616.
+/// period, seed 7 reads a p50 of 300 ms and 390 `FWD`s; learned from
+/// answered requests it reads 225 ms and 393. Over seeds 1–20 every
+/// seed's p50 falls (`PERIOD_P50`), and the `FWD`s go 7 691 → 7 567, but
+/// not on every seed: seeds 5, 7 and 18 send 1, 3 and 29 more. No run of
+/// either wait re-asks a block whose answer is still on its way (that
+/// answer would arrive as a duplicate block), so each extra `FWD` re-asks
+/// a request or an answer the network dropped, and which messages it
+/// drops moves with the schedule.
+/// (When a server's messages to itself were delivered one block later,
+/// the fixed wait read 312 ms and 394 `FWD`s at seed 7, and 7 720 `FWD`s
+/// over the seeds; the learned one 237 ms, 393 and 7 616.)
 #[test]
 fn a_learned_fwd_wait_shortens_recovery_on_lossy_links() {
     const PERIOD_P50: [TimeMs; 20] = [
-        312, 287, 275, 275, 287, 287, 312, 312, 337, 300, 262, 275, 250, 300, 262, 250, 275, 312,
-        275, 262,
+        300, 275, 250, 275, 275, 287, 300, 300, 337, 300, 250, 262, 250, 287, 250, 237, 262, 312,
+        262, 237,
     ];
     let seven = broadcasts(lossy(0.2), 7);
-    assert!(
-        seven.p50 <= 237 && seven.fwd_sent < 394,
-        "seed 7: {} ms, {} FWDs",
-        seven.p50,
-        seven.fwd_sent
-    );
+    assert!(seven.p50 <= 225, "seed 7: {} ms", seven.p50);
     let mut total_fwd = 0;
     for (seed, period_p50) in (1..).zip(PERIOD_P50) {
         let run = broadcasts(lossy(0.2), seed);
@@ -443,18 +451,24 @@ fn a_learned_fwd_wait_shortens_recovery_on_lossy_links() {
             "seed {seed}: {} ms, was {period_p50}",
             run.p50
         );
+        assert_eq!(
+            run.duplicates, 0,
+            "seed {seed}: an answer came after a retry"
+        );
         total_fwd += run.fwd_sent;
     }
     assert!(
-        total_fwd <= 7_616,
-        "{total_fwd} FWDs over seeds 1-20, was 7 720"
+        total_fwd <= 7_567,
+        "{total_fwd} FWDs over seeds 1-20, was 7 691"
     );
 }
 
 /// The same at 40 % loss, where E10's one broadcast over 5 seeds reads
 /// slower with the learned wait than with the fixed one: over 100
-/// broadcasts and seeds 1–20 the sum of the p50s went 18 183 → 16 721 ms
-/// and the `FWD`s 30 871 → 30 319.
+/// broadcasts and seeds 1–20 the sum of the p50s goes 18 021 → 16 571 ms
+/// and the `FWD`s 30 858 → 30 312 (18 183 → 16 721 ms and 30 871 →
+/// 30 319 when a server's messages to itself were delivered one block
+/// later).
 #[test]
 fn a_learned_fwd_wait_shortens_recovery_at_40_percent_loss() {
     let (mut p50s, mut fwds) = (0, 0);
@@ -464,16 +478,17 @@ fn a_learned_fwd_wait_shortens_recovery_at_40_percent_loss() {
         fwds += run.fwd_sent;
     }
     assert!(
-        p50s <= 16_721 && fwds <= 30_319,
-        "{p50s} ms, {fwds} FWDs over seeds 1-20, was 18 183 ms, 30 871"
+        p50s <= 16_571 && fwds <= 30_312,
+        "{p50s} ms, {fwds} FWDs over seeds 1-20, was 18 021 ms, 30 858"
     );
 }
 
 /// Round trips that spread across the seal period, on the default
 /// network's 5–30 ms links, and no loss: the learned wait is the fixed
 /// one. Over seeds 1–20 of [`broadcasts`] the sums read exactly what a
-/// fixed one-period wait gives: p50s 3 357 ms, 592 `FWD`s, 25 924
-/// messages.
+/// fixed one-period wait gives: p50s 3 048 ms, 590 `FWD`s, 25 831
+/// messages (3 357, 592 and 25 924 when a server's messages to itself
+/// were delivered one block later).
 #[test]
 fn a_learned_fwd_wait_is_the_period_on_lossless_links_with_spread_round_trips() {
     let (mut p50s, mut fwds, mut messages) = (0, 0, 0);
@@ -483,5 +498,5 @@ fn a_learned_fwd_wait_is_the_period_on_lossless_links_with_spread_round_trips() 
         fwds += run.fwd_sent;
         messages += run.messages_sent;
     }
-    assert_eq!((p50s, fwds, messages), (3_357, 592, 25_924));
+    assert_eq!((p50s, fwds, messages), (3_048, 590, 25_831));
 }

@@ -543,7 +543,7 @@ fn snapshot_v2(interpreter: &Interpreter<Brb<u64>>, dag: &BlockDag) -> Vec<u8> {
 #[test]
 fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     // The latest snapshot in the journal was written by a build with an
-    // older snapshot format. This build reads only format 4 — but a
+    // older snapshot format. This build reads only format 5 — but a
     // snapshot is a cache of a pure function of the journal (Lemma 4.2), so
     // the server comes back by replaying from genesis, and says why.
     let registry = KeyRegistry::generate(N, 9);
@@ -603,10 +603,10 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
         .collect();
     assert_eq!(expected.len(), INJECT_AT.len());
     assert_eq!(shim.poll_indications(), expected);
-    // The same prefix in format 4 is read, and only the suffix replays.
-    let v4 = snapshotted.encode_snapshot();
-    assert!(v4.len() < v2.len());
-    let (_, report) = recover(&blocks, covered as u64, &v4).expect("a format-4 cache");
+    // The same prefix in format 5 is read, and only the suffix replays.
+    let v5 = snapshotted.encode_snapshot();
+    assert!(v5.len() < v2.len());
+    let (_, report) = recover(&blocks, covered as u64, &v5).expect("a format-5 cache");
     assert_eq!(report.snapshot_skipped_version, None);
     assert_eq!(report.snapshot_covered, covered);
     assert_eq!(report.replayed_blocks, blocks.len() - covered);
@@ -614,7 +614,7 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     // Only the version is forgiven: a corrupt current-format snapshot and
     // one that covers more than the journal keep their typed errors.
     assert!(matches!(
-        recover(&chain, 4, &[4, 0xff]),
+        recover(&chain, 4, &[5, 0xff]),
         Err(RecoverError::Snapshot(dagbft::dag::SnapshotError::Corrupt(
             _
         )))
@@ -623,4 +623,169 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
         recover(&chain, 6, &v1),
         Err(RecoverError::SnapshotDiverged { covered: 6 })
     ));
+}
+
+#[test]
+fn a_format_4_snapshot_replays_from_genesis_to_the_same_state() {
+    // Format 4 wrote format 5's bytes, but its states were computed with a
+    // server's messages to itself delivered one block late, over the edge
+    // from its parent. They are not this build's interpretation of the
+    // blocks they cover, so the snapshot is skipped however well it
+    // decodes, and recovery lands where a genesis replay does. The bytes
+    // here are this build's, under format 4's number: this pins the version
+    // gate on a whole run. `a_format_4_snapshot_holds_the_old_rules_states`
+    // shows, on bytes the older build wrote, why the gate is needed.
+    let (_, outcome) = run_fingerprint(7, |sim| sim);
+    let me = ServerId::new(3);
+    let dag = outcome.dag(me.index()).unwrap();
+    let blocks: Vec<Block> = dag.iter().cloned().collect();
+    let covered = blocks.len() / 2;
+    let mut prefix = BlockDag::new();
+    for block in &blocks[..covered] {
+        prefix.insert(block.clone()).unwrap();
+    }
+    let protocol = ProtocolConfig::for_n(N);
+    let mut snapshotted: Interpreter<Brb<u64>> = Interpreter::new(protocol);
+    snapshotted.step(&prefix);
+    snapshotted.drain_indications();
+    let mut v4 = snapshotted.encode_snapshot();
+    v4[0] = 4;
+
+    let registry = KeyRegistry::generate(N, config(7).seed);
+    let mut store = MemoryStore::new();
+    for block in &blocks {
+        store.append_block(block).unwrap();
+    }
+    store.append_snapshot(covered as u64, &v4).unwrap();
+    let (mut shim, report) = Shim::<Brb<u64>>::recover_from_store_with_snapshots(
+        me,
+        ShimConfig::new(protocol),
+        &registry,
+        Box::new(store),
+    )
+    .expect("a format-4 cache is not fatal");
+    assert_eq!(report.snapshot_skipped_version, Some(4));
+    assert_eq!(report.snapshot_covered, 0);
+    assert_eq!(report.replayed_blocks, blocks.len());
+
+    let mut fresh: Interpreter<Brb<u64>> = Interpreter::new(protocol);
+    assert_eq!(fresh.step(dag), blocks.len());
+    let expected: Vec<(Label, BrbIndication<u64>)> = fresh
+        .drain_indications()
+        .into_iter()
+        .filter(|indication| indication.server == me)
+        .map(|indication| (indication.label, indication.indication))
+        .collect();
+    assert_eq!(expected.len(), INJECT_AT.len());
+    assert_eq!(shim.poll_indications(), expected);
+    let recovered = shim.interpreter();
+    assert_eq!(recovered.stats(), fresh.stats());
+    assert_eq!(recovered.footprint(), fresh.footprint());
+    assert_eq!(recovered.interpreted_order(), fresh.interpreted_order());
+    assert_eq!(recovered.encode_snapshot(), fresh.encode_snapshot());
+}
+
+/// The DAG of Figure 4: n = 4, four rounds, every block naming the whole
+/// round before it, and `broadcast(42)` on label 1 at `s0`'s first block.
+fn figure_4() -> (KeyRegistry, BlockDag) {
+    let registry = KeyRegistry::generate(4, 4);
+    let mut dag = BlockDag::new();
+    let mut round: Vec<BlockRef> = Vec::new();
+    for seq in 0..4 {
+        round = (0..4)
+            .map(|builder| {
+                let requests = match (seq, builder) {
+                    (0, 0) => vec![LabeledRequest::encode(
+                        Label::new(1),
+                        &BrbRequest::Broadcast(42u64),
+                    )],
+                    _ => vec![],
+                };
+                let server = ServerId::new(builder);
+                let signer = registry.signer(server).unwrap();
+                let block =
+                    Block::build(server, SeqNum::new(seq), round.clone(), requests, &signer);
+                dag.insert(block.clone()).unwrap();
+                block.block_ref()
+            })
+            .collect();
+    }
+    (registry, dag)
+}
+
+#[test]
+fn a_format_4_snapshot_holds_the_old_rules_states() {
+    // `golden/fig4_two_rounds_format_4.hex` is what the build before the
+    // in-block self-link wrote, in format 4, after interpreting Figure 4's
+    // first two rounds. Format 5 has its layout, so it decodes as format 5,
+    // but its states are the old rule's: each server's round-1 ECHO still
+    // waits for an edge from its own block, which this build never
+    // delivers. Taken as a cache, it would leave every server one ECHO
+    // short of what the blocks say.
+    let v4: Vec<u8> = {
+        let hex: Vec<u8> = include_str!("golden/fig4_two_rounds_format_4.hex")
+            .bytes()
+            .filter(u8::is_ascii_hexdigit)
+            .collect();
+        hex.chunks(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    };
+    assert_eq!(v4[0], 4);
+    let (registry, dag) = figure_4();
+    let protocol = ProtocolConfig::for_n(4);
+    let mut fresh: Interpreter<Brb<u64>> = Interpreter::new(protocol);
+    assert_eq!(fresh.step(&dag), 16);
+    let indications = fresh.drain_indications();
+
+    let mut as_v5 = v4.clone();
+    as_v5[0] = 5;
+    let mut old = Interpreter::<Brb<u64>>::decode_snapshot(protocol, &as_v5)
+        .expect("format 4's layout is format 5's");
+    assert_eq!(old.interpreted_order(), &fresh.interpreted_order()[..8]);
+    assert_eq!(old.step(&dag), 8);
+    // Carried on over the last two rounds by this build, the old states end
+    // one ECHO short at s1–s3, whose round-1 ECHO to themselves is never
+    // delivered; s0's own round-0 ECHO came over its edge inside the
+    // snapshot. Brb's quorums have the slack to deliver anyway.
+    let label = Label::new(1);
+    let last_round: Vec<BlockRef> = dag.refs().skip(12).copied().collect();
+    let echoes = |interpreter: &Interpreter<Brb<u64>>| -> Vec<usize> {
+        last_round
+            .iter()
+            .map(|block| {
+                let instance = interpreter.instance_at(&dag, block, label).unwrap();
+                instance.echo_count(&42)
+            })
+            .collect()
+    };
+    assert_eq!(echoes(&fresh), [4, 4, 4, 4]);
+    assert_eq!(echoes(&old), [4, 3, 3, 3]);
+    assert_eq!(old.drain_indications(), indications);
+
+    // So recovery skips the format-4 snapshot and replays from genesis.
+    let me = ServerId::new(1);
+    let mut store = MemoryStore::new();
+    for block in dag.iter() {
+        store.append_block(block).unwrap();
+    }
+    store.append_snapshot(8, &v4).unwrap();
+    let (mut shim, report) = Shim::<Brb<u64>>::recover_from_store_with_snapshots(
+        me,
+        ShimConfig::new(protocol),
+        &registry,
+        Box::new(store),
+    )
+    .expect("a format-4 cache is not fatal");
+    assert_eq!(report.snapshot_skipped_version, Some(4));
+    assert_eq!(report.snapshot_covered, 0);
+    assert_eq!(report.replayed_blocks, 16);
+    assert_eq!(echoes(shim.interpreter()), [4, 4, 4, 4]);
+    let delivered: Vec<(Label, BrbIndication<u64>)> = indications
+        .into_iter()
+        .filter(|indication| indication.server == me)
+        .map(|indication| (indication.label, indication.indication))
+        .collect();
+    assert_eq!(delivered.len(), 1);
+    assert_eq!(shim.poll_indications(), delivered);
 }
