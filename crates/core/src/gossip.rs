@@ -31,9 +31,10 @@
 //! the first and the longest wait: the DAG grows one layer per period, so
 //! a server whose round trip exceeds it cannot keep up with the DAG
 //! anyway. Retries ride the server's existing events: they go out at the
-//! first retry sweep ([`Gossip::on_tick`], which the shim runs just
-//! before each seal) or the first ingest that buffers a block at or
-//! after their turn, so the server keeps one timer.
+//! first retry sweep ([`Gossip::on_tick`], which the shim runs at every
+//! slot of its seal grid, before it seals if it does) or the first ingest
+//! that buffers a block at or after their turn, so the server keeps one
+//! timer.
 //!
 //! The learned timeout takes over only once a request has gone a whole
 //! period unanswered. On links that lose nothing every wait is the
@@ -708,6 +709,13 @@ impl Gossip {
         self.next_seq
     }
 
+    /// `B.preds` of the block under construction: the own parent (none
+    /// before the genesis block) and every block admitted since it was
+    /// sealed, in admission order.
+    pub fn current_preds(&self) -> &[BlockRef] {
+        &self.current_preds
+    }
+
     /// Handles a message from `from`, returning transport commands
     /// (block handling: lines 4–13 of Algorithm 1).
     pub fn on_message(
@@ -793,7 +801,7 @@ impl Gossip {
         }
         // Nothing new was buffered (duplicates, throttled or rejected
         // blocks, FWD requests): nothing can have become ready or due for
-        // eviction, and `FWD` retries wait for the next seal's sweep — a
+        // eviction, and `FWD` retries wait for the next slot's sweep — a
         // duplicate flood buys no promotion work.
         if self.arrivals == arrivals {
             return commands;
@@ -924,7 +932,7 @@ impl Gossip {
         }
     }
 
-    /// The retry sweep, run at every seal ([`crate::Shim::wake`]):
+    /// The retry sweep, run at every slot ([`crate::Shim::wake`]):
     /// re-issues each `FWD` request whose wait is over (see the module
     /// docs), and stops excusing late answers to requests answered a
     /// period or more ago.

@@ -96,7 +96,7 @@ pub use protocol::{
 };
 pub use reference::{AdmissionView, ReferenceGossip, ReferenceInterpreter};
 pub use schedule::Schedule;
-pub use shim::{SetupError, Shim, ShimConfig, INGEST_BURST_CAP};
+pub use shim::{SealStats, SetupError, Shim, ShimConfig, HEARTBEAT_SLOTS, INGEST_BURST_CAP};
 pub use store::{BlockStore, MemoryStore, RecoverError, RecoveryReport, StoreContents, StoreError};
 
 /// Simulation / wall-clock time in milliseconds.

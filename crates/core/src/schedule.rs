@@ -5,11 +5,15 @@
 //! waits for the receiver's next seal, so the seal schedule sets the
 //! latency a user sees. Servers whose seals fall at the same instants
 //! make every hop wait a full period; staggered ones let a block reach a
-//! peer shortly before that peer seals. Server `i` of `n` therefore seals
-//! at `i·period/n + k·period`. The seal is a server's only timer: just
-//! before it seals, it sends again every `FWD` request unanswered for a
-//! period. The shim owns the timer ([`crate::Shim::wake`]); the simulator
-//! and the TCP node only wake it, so neither keeps a grid.
+//! peer shortly before that peer seals. Server `i` of `n` therefore may
+//! seal at `i·period/n + k·period`, slot `k` of its grid. The grid is a
+//! server's only timer. In every slot it is woken in, it first sends again
+//! every `FWD` request whose retry wait is over, and then seals only if
+//! the slot has something to say: a buffered request, a message for it in
+//! a block it has not yet cited, or a heartbeat, every
+//! [`crate::shim::HEARTBEAT_SLOTS`]th slot by its index
+//! ([`Schedule::slot`]). The shim owns the timer ([`crate::Shim::wake`]);
+//! the simulator and the TCP node only wake it, so neither keeps a grid.
 
 use dagbft_crypto::ServerId;
 
@@ -66,6 +70,12 @@ impl Schedule {
     fn at_or_after(&self, now: TimeMs) -> TimeMs {
         let slots = now.saturating_sub(self.phase).div_ceil(self.period);
         self.phase.saturating_add(slots.saturating_mul(self.period))
+    }
+
+    /// The index `k` of the last grid instant `phase + k·period` at or
+    /// before `at` (0 before the first): the slot a wake at `at` runs in.
+    pub fn slot(&self, at: TimeMs) -> u64 {
+        at.saturating_sub(self.phase) / self.period
     }
 
     /// When the timer fires next, `None` until [`Schedule::fire`] arms it.
@@ -144,6 +154,15 @@ mod tests {
         assert_eq!(grid.at_or_after(13), 62);
         assert_eq!(seal(0).at_or_after(0), 0);
         assert_eq!(seal(0).at_or_after(100), 100);
+    }
+
+    #[test]
+    fn a_slot_index_counts_grid_instants_from_the_phase() {
+        let grid = seal(1);
+        let slots: Vec<u64> = [0, 11, 12, 61, 62, 112, 12 + 3 * 50 + 7, 412]
+            .map(|at| grid.slot(at))
+            .into();
+        assert_eq!(slots, vec![0, 0, 0, 0, 1, 2, 3, 8]);
     }
 
     #[test]

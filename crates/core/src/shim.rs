@@ -11,7 +11,11 @@
 //!   forwarded to the user (lines 8–9, Lemma A.18);
 //! * `disseminate()` is requested repeatedly (lines 10–11) — here by the
 //!   shim's own clock, on its seal grid ([`Shim::wake`]); the driver
-//!   (simulator or event loop) only calls it at [`Shim::next_wake`].
+//!   (simulator or event loop) only calls it at [`Shim::next_wake`]. A
+//!   slot seals only when it has something to say: a buffered request, a
+//!   message for this server in a block the next one cites, or a
+//!   heartbeat every [`HEARTBEAT_SLOTS`] slots. A block with none of these
+//!   touches no instance, so leaving it out changes no indication.
 //!
 //! Theorem 5.1: with these pieces, `shim(P)` implements `P`'s interface and
 //! preserves every property of `P` whose proof relies on the reliable
@@ -47,6 +51,45 @@ use crate::TimeMs;
 /// same server. Nothing beyond the cap is dropped; it waits for the next
 /// run. The cap bounds the latency a run adds under sustained load.
 pub const INGEST_BURST_CAP: usize = 1024;
+
+/// Every how many slots of its seal grid a server seals even with nothing
+/// to say: slot `k` of [`Schedule::slot`] is a heartbeat slot when
+/// `k % HEARTBEAT_SLOTS == 0`. A block lost on the way to some peer is
+/// cited, and so asked for with `FWD`, only once another block cites it;
+/// the heartbeat bounds that wait by 8 slots on an idle cluster, which is
+/// the eventual citation the liveness of Theorem 5.1 needs under loss.
+/// With the default 50 ms period an idle server seals every 400 ms.
+pub const HEARTBEAT_SLOTS: u64 = 8;
+
+/// Why the slots a shim was woken in sealed a block, or did not
+/// ([`Shim::seal_stats`]). Each slot counts once, under the first reason
+/// that holds, in field order; a slot with none is idle. The counts are
+/// volatile: a restarted shim starts from zero.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SealStats {
+    /// Slots that sealed because requests were buffered.
+    pub for_requests: u64,
+    /// Slots that sealed because a block the new one cites holds a
+    /// message for this server.
+    pub for_messages: u64,
+    /// Slots that sealed only because they were heartbeat slots
+    /// ([`HEARTBEAT_SLOTS`]).
+    pub heartbeats: u64,
+    /// Slots that sealed nothing.
+    pub idle_slots: u64,
+}
+
+impl SealStats {
+    /// Every slot the shim was woken in: seals plus idle slots.
+    pub fn slots(&self) -> u64 {
+        self.seals() + self.idle_slots
+    }
+
+    /// Slots that sealed a block (or would have, with a failed store).
+    pub fn seals(&self) -> u64 {
+        self.for_requests + self.for_messages + self.heartbeats
+    }
+}
 
 /// Configuration for a [`Shim`] server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -199,6 +242,8 @@ pub struct Shim<P: DeterministicProtocol> {
     store_error: Option<StoreError>,
     /// The seal timer, armed by the first [`Shim::wake`].
     seal: Schedule,
+    /// Why each slot woken so far sealed, or did not.
+    seal_stats: SealStats,
 }
 
 impl<P: DeterministicProtocol> Shim<P> {
@@ -240,6 +285,7 @@ impl<P: DeterministicProtocol> Shim<P> {
             store: None,
             store_error: None,
             seal: Schedule::for_server(me, config.protocol.n, config.disseminate_every_ms),
+            seal_stats: SealStats::default(),
         };
         shim.run_interpretation();
         Ok(shim)
@@ -311,24 +357,73 @@ impl<P: DeterministicProtocol> Shim<P> {
         self.gossip.on_tick(now)
     }
 
-    /// Runs the seal when it is due at `now` ([`Schedule::fire`]): first
+    /// Runs the slot when it is due at `now` ([`Schedule::fire`]): first
     /// the `FWD` retry sweep ([`Shim::on_tick`]), then
-    /// [`Shim::disseminate`]. The first wake arms the seal grid; a wake
-    /// before [`Shim::next_wake`] does nothing. A request is therefore
-    /// sent again at the first seal or the first ingest that buffers a
-    /// block once its retry wait is over — one round-trip timeout, at
-    /// most one period — and before that seal's block.
+    /// [`Shim::disseminate`] if the slot has something to say. It seals
+    /// when requests are buffered, when a block in the current preds other
+    /// than the own parent holds an out-buffer entry addressed to this
+    /// server, or on a heartbeat slot ([`HEARTBEAT_SLOTS`]); otherwise the
+    /// slot is idle, and the next own block cites what this one would
+    /// have. The choice is a function of the DAG, the buffered requests
+    /// and the slot index alone, so a server reborn from its journal
+    /// chooses as its lost life would have. [`Shim::seal_stats`] counts
+    /// the choices.
+    ///
+    /// The first wake arms the grid; a wake before [`Shim::next_wake`]
+    /// does nothing. A request is therefore sent again at the first slot
+    /// or the first ingest that buffers a block once its retry wait is
+    /// over — one round-trip timeout, at most one period — and before that
+    /// slot's block, if it seals one.
     pub fn wake(&mut self, now: TimeMs) -> Vec<NetCommand> {
         if !self.seal.fire(now) {
             return Vec::new();
         }
         let mut commands = self.on_tick(now);
+        let requests = !self.rqsts.is_empty();
+        let messages = !requests && self.messages_waiting();
+        let heartbeat = self.seal.slot(now).is_multiple_of(HEARTBEAT_SLOTS);
+        let stats = &mut self.seal_stats;
+        if requests {
+            stats.for_requests += 1;
+        } else if messages {
+            stats.for_messages += 1;
+        } else if heartbeat {
+            stats.heartbeats += 1;
+        } else {
+            stats.idle_slots += 1;
+            return commands;
+        }
         commands.extend(self.disseminate(now));
         commands
     }
 
-    /// When [`Shim::wake`] next has work: the seal deadline (0 before the
-    /// first wake).
+    /// Whether a block the next own block would cite, other than the own
+    /// parent, holds a message for this server: the edges that would
+    /// drive an instance here. A block by this server carries nothing on
+    /// its edges (its messages to itself are delivered where they are
+    /// sent), and a block not yet interpreted counts as holding one.
+    fn messages_waiting(&self) -> bool {
+        let me = self.me;
+        let dag = self.gossip.dag();
+        self.gossip.current_preds().iter().any(|pred| {
+            if dag.get(pred).is_some_and(|block| block.builder() == me) {
+                return false;
+            }
+            self.interpreter.state(pred).is_none_or(|state| {
+                state
+                    .out_entries()
+                    .any(|(_, _, receivers)| receivers.contains(me))
+            })
+        })
+    }
+
+    /// Why the slots woken so far sealed, or did not.
+    pub fn seal_stats(&self) -> &SealStats {
+        &self.seal_stats
+    }
+
+    /// When [`Shim::wake`] next has work: the next slot of the seal grid,
+    /// whether or not it will seal (0 before the first wake).
     pub fn next_wake(&self) -> TimeMs {
         self.seal.deadline().unwrap_or(0)
     }
@@ -1062,20 +1157,27 @@ mod tests {
         shim.gossip().next_seq().value()
     }
 
+    fn woken(shim: &Shim<Flood>) -> u64 {
+        shim.seal_stats().slots()
+    }
+
     #[test]
     fn the_first_wake_arms_the_seal_at_the_first_slot_at_or_after_it() {
         let mut shim = server_one();
         assert_eq!(shim.next_wake(), 0, "an unarmed shim wants a wake now");
         assert!(shim.wake(30).is_empty());
-        assert_eq!(sealed(&shim), 0);
-        // Slot 62, not 12.
+        assert_eq!((sealed(&shim), woken(&shim)), (0, 0));
+        // Slot 62, not 12; it seals for the request buffered before it.
         assert_eq!(shim.next_wake(), 62);
+        shim.request(Label::new(1), 1);
         assert!(!shim.wake(62).is_empty());
         assert_eq!((sealed(&shim), shim.next_wake()), (1, 112));
+        shim.request(Label::new(2), 2);
         shim.wake(112);
         assert_eq!((sealed(&shim), shim.next_wake()), (2, 162));
+        assert_eq!(woken(&shim), 2);
 
-        // Armed on a slot, the timer fires at once.
+        // Armed on a slot, the timer fires at once: slot 0 is a heartbeat.
         let mut shim = server_one();
         assert!(!shim.wake(12).is_empty());
         assert_eq!(sealed(&shim), 1);
@@ -1086,9 +1188,69 @@ mod tests {
         let mut shim = server_one();
         shim.wake(12);
         assert_eq!(sealed(&shim), 1);
+        shim.request(Label::new(1), 1);
         shim.wake(12 + 3 * 50 + 7);
-        assert_eq!(sealed(&shim), 2);
+        assert_eq!((sealed(&shim), woken(&shim)), (2, 2));
         assert_eq!(shim.next_wake(), 12 + 4 * 50);
+    }
+
+    #[test]
+    fn an_idle_server_seals_only_on_heartbeat_slots() {
+        let mut shim = server_one();
+        for k in 0..=16 {
+            shim.wake(12 + 50 * k);
+        }
+        // Slots 0, 8 and 16 seal; the 14 between them are idle.
+        assert_eq!(sealed(&shim), 3);
+        let expected = SealStats {
+            heartbeats: 3,
+            idle_slots: 14,
+            ..SealStats::default()
+        };
+        assert_eq!(*shim.seal_stats(), expected);
+        assert_eq!(woken(&shim), 17);
+    }
+
+    #[test]
+    fn a_request_or_a_message_for_this_server_seals_its_slot() {
+        let mut shims = network(4);
+        // Server 0 seals for a request at its slot 0, a heartbeat slot too:
+        // the first reason that holds is the one counted.
+        shims[0].request(Label::new(1), 5);
+        let from_0 = shims[0].wake(0);
+        assert_eq!(shims[0].seal_stats().for_requests, 1);
+        let [NetCommand::Broadcast { message }] = &from_0[..] else {
+            panic!("one block: {from_0:?}");
+        };
+        let server_1 = &mut shims[1];
+        server_1.wake(12);
+        assert_eq!(sealed(server_1), 1, "a heartbeat");
+        // Server 0's block holds a message for server 1: slot 62 seals.
+        server_1.on_message_burst([(ServerId::new(0), message.clone())], 20);
+        server_1.wake(62);
+        assert_eq!(server_1.seal_stats().for_messages, 1);
+        assert_eq!(server_1.poll_indications(), vec![(Label::new(1), 5)]);
+        // Its own parent and an empty block of server 2 hold nothing for
+        // it: slots 112 and 162 are idle.
+        server_1.wake(112);
+        let registry = KeyRegistry::generate(4, 77);
+        let empty = Block::build(
+            ServerId::new(2),
+            SeqNum::ZERO,
+            vec![],
+            vec![],
+            &registry.signer(ServerId::new(2)).unwrap(),
+        );
+        server_1.on_message_burst([(ServerId::new(2), NetMessage::Block(empty))], 120);
+        assert!(server_1.wake(162).is_empty());
+        let expected = SealStats {
+            for_requests: 0,
+            for_messages: 1,
+            heartbeats: 1,
+            idle_slots: 2,
+        };
+        assert_eq!(*server_1.seal_stats(), expected);
+        assert_eq!(sealed(server_1), expected.seals());
     }
 
     #[test]
@@ -1146,25 +1308,40 @@ mod tests {
 
     #[test]
     fn an_unanswered_fwd_goes_to_the_next_candidate_at_the_first_seal_a_period_later() {
-        let mut shim = server_one();
-        shim.wake(12);
-        let (blocks, lost) = two_blocks_citing_a_missing_one();
-        let run = blocks.map(|block| (block.builder(), NetMessage::Block(block)));
-        // Asked of server 0 at 20, between the seals at 12 and 62.
-        assert_eq!(shim.on_message_burst(run, 20), vec![fwd(0, lost)]);
-        // At 62 it has waited 42 ms, less than a period: the seal alone.
-        let at_62 = shim.wake(62);
-        assert_eq!(at_62.len(), 1);
-        assert!(matches!(at_62[0], NetCommand::Broadcast { .. }));
-        // At 112 it has waited a period: asked of server 2, before the
-        // seal's block.
-        let at_112 = shim.wake(112);
-        assert_eq!(at_112[0], fwd(2, lost));
-        assert!(matches!(at_112[1..], [NetCommand::Broadcast { .. }]));
-        // Sent at a seal, it is sent again at the next one, to server 0.
-        let at_162 = shim.wake(162);
-        assert_eq!(at_162[0], fwd(0, lost));
-        assert_eq!(shim.gossip().stats().fwd_sent, 3);
+        // With a request buffered before every slot each slot seals; with
+        // none, the slots are idle and the sweep runs all the same.
+        for busy in [true, false] {
+            let mut shim = server_one();
+            shim.wake(12);
+            let wake = |shim: &mut Shim<Flood>, now: TimeMs| {
+                if busy {
+                    shim.request(Label::new(now), now);
+                }
+                let commands = shim.wake(now);
+                let seals = commands
+                    .iter()
+                    .filter(|command| matches!(command, NetCommand::Broadcast { .. }))
+                    .count();
+                assert_eq!(seals, usize::from(busy), "at {now}");
+                commands
+            };
+            let (blocks, lost) = two_blocks_citing_a_missing_one();
+            let run = blocks.map(|block| (block.builder(), NetMessage::Block(block)));
+            // Asked of server 0 at 20, between the slots at 12 and 62.
+            assert_eq!(shim.on_message_burst(run, 20), vec![fwd(0, lost)]);
+            // At 62 it has waited 42 ms, less than a period: the seal alone.
+            let at_62 = wake(&mut shim, 62);
+            assert_eq!(at_62.len(), usize::from(busy));
+            // At 112 it has waited a period: asked of server 2, before the
+            // seal's block.
+            let at_112 = wake(&mut shim, 112);
+            assert_eq!(at_112[0], fwd(2, lost));
+            assert_eq!(at_112.len(), 1 + usize::from(busy));
+            // Sent at a slot, it is sent again at the next one, to server 0.
+            let at_162 = wake(&mut shim, 162);
+            assert_eq!(at_162[0], fwd(0, lost));
+            assert_eq!(shim.gossip().stats().fwd_sent, 3);
+        }
     }
 
     #[test]
@@ -1226,7 +1403,9 @@ mod tests {
                 let retry = shim.on_message_burst(run(vec![third.clone()]), 85);
                 assert_eq!(retry, vec![fwd(2, lost)]);
             } else {
-                // No ingest: the seal at 112 sends it, before its block.
+                // No ingest: the seal at 112, for a request buffered
+                // before it, sends it before its block.
+                shim.request(Label::new(1), 1);
                 let at_112 = shim.wake(112);
                 assert_eq!(at_112[0], fwd(2, lost));
                 assert!(matches!(at_112[1..], [NetCommand::Broadcast { .. }]));
@@ -1240,13 +1419,13 @@ mod tests {
         let registry = KeyRegistry::generate(4, 77);
         let config = ShimConfig::new(ProtocolConfig::for_n(4)).with_disseminate_every_ms(20);
         let mut shim: Shim<Flood> = Shim::new(ServerId::new(2), config, &registry).unwrap();
-        let sealed_at: Vec<TimeMs> = (0..100)
+        let woken_at: Vec<TimeMs> = (0..100)
             .filter(|now| {
-                let before = sealed(&shim);
+                let before = woken(&shim);
                 shim.wake(*now);
-                sealed(&shim) > before
+                woken(&shim) > before
             })
             .collect();
-        assert_eq!(sealed_at, vec![10, 30, 50, 70, 90]);
+        assert_eq!(woken_at, vec![10, 30, 50, 70, 90]);
     }
 }

@@ -8,7 +8,7 @@
 //! `publishers_register_documented_fields` fails when the two drift.
 
 use dagbft_core::{
-    GossipStats, InterpreterFootprint, PeerDefense, RecoveryReport, TimeMs, WaveStats,
+    GossipStats, InterpreterFootprint, PeerDefense, RecoveryReport, SealStats, TimeMs, WaveStats,
 };
 use dagbft_crypto::CryptoMetrics;
 
@@ -27,6 +27,16 @@ pub fn publish_gossip(registry: &MetricsRegistry, stats: &GossipStats) {
     registry.set_counter("gossip_blocks_evicted", stats.blocks_evicted);
     registry.set_gauge("gossip_pending_peak", stats.pending_peak as u64);
     registry.set_gauge("gossip_fwd_rto_ms", stats.fwd_rto_ms);
+}
+
+/// Publishes [`SealStats`] — why each slot of the shim's seal grid
+/// sealed a block, or did not (`Shim::wake`'s rule): the four counters
+/// sum to the slots woken.
+pub fn publish_seals(registry: &MetricsRegistry, stats: &SealStats) {
+    registry.set_counter("seal_for_requests", stats.for_requests);
+    registry.set_counter("seal_for_messages", stats.for_messages);
+    registry.set_counter("seal_heartbeats", stats.heartbeats);
+    registry.set_counter("seal_idle_slots", stats.idle_slots);
 }
 
 /// Publishes [`WaveStats`] — the verification-pipeline shape (waves,
@@ -185,6 +195,7 @@ mod tests {
     fn publishers_register_documented_fields() {
         let registry = MetricsRegistry::new();
         publish_gossip(&registry, &GossipStats::default());
+        publish_seals(&registry, &SealStats::default());
         publish_waves(&registry, &WaveStats::default());
         publish_footprint(&registry, &InterpreterFootprint::default());
         publish_crypto(&registry, &CryptoMetrics::default());

@@ -210,10 +210,20 @@ mod tests {
             assert_eq!(node.ledger().balance(AccountId(2)), 30);
             assert_eq!(node.unsettled().count(), 0);
         }
-        // Each node sealed once per 50 ms slot of its own grid.
-        for node in &nodes {
-            assert_eq!(node.shim().gossip().next_seq().value(), 20);
-        }
+        // Each node was woken once per 50 ms slot of its own grid, and
+        // sealed only in the slots with something to say: the request,
+        // two slots with messages for it, and heartbeat slots 0, 8 and 16
+        // (one of which brings server 3 messages too).
+        let seals: Vec<u64> = nodes
+            .iter()
+            .map(|node| {
+                let stats = node.shim().seal_stats();
+                assert_eq!(stats.slots(), 20, "{}", node.me());
+                assert_eq!(node.shim().gossip().next_seq().value(), stats.seals());
+                stats.seals()
+            })
+            .collect();
+        assert_eq!(seals, vec![5, 5, 5, 4]);
     }
 
     #[test]

@@ -849,6 +849,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dagbft_core::SealStats;
     use dagbft_protocols::{Brb, BrbIndication, BrbRequest};
 
     fn broadcast_injection(
@@ -902,15 +903,26 @@ mod tests {
         );
         let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
         sim.inject(broadcast_injection(0, 1, 1, 3));
+        // What the first life sealed and was woken for, read as it crashes.
+        let mut first_life = SealStats::default();
         while sim.queue.peek_time().is_some_and(|at| at <= 1_000) {
             let (now, event) = sim.queue.pop().expect("peeked");
+            if let (Event::Crash { server: 1 }, Server::Up(shim, _)) = (&event, &sim.servers[1]) {
+                first_life = *shim.seal_stats();
+            }
             sim.handle(now, event);
         }
         let Server::Up(shim, _) = &sim.servers[1] else {
             panic!("server 1 is up again");
         };
-        // One seal per slot 12, 62, …, 962: none lost, none doubled.
-        assert_eq!(shim.gossip().next_seq().value(), 20);
+        // One woken slot per slot 12, 62, …, 962 over both lives — none
+        // lost, none doubled — and one block per seal.
+        let second_life = shim.seal_stats();
+        assert_eq!((first_life.slots(), second_life.slots()), (3, 17));
+        assert_eq!(
+            shim.gossip().next_seq().value(),
+            first_life.seals() + second_life.seals()
+        );
         assert_eq!(shim.next_wake(), 1_012);
         let pending = std::iter::from_fn(|| sim.queue.pop());
         let mut chains = vec![0; 4];
@@ -949,9 +961,11 @@ mod tests {
             .with_max_time(3_000)
             .with_role(3, Role::Equivocate { at_seq: 2 });
         let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
-        for label in 0..6 {
+        // Broadcasts all through the run, not only in its first quarter
+        // second: an idle slot seals no block to compare.
+        for label in 0..20 {
             sim.inject(broadcast_injection(
-                label * 40,
+                label * 140,
                 label as usize % 3,
                 label,
                 label,
@@ -992,7 +1006,7 @@ mod tests {
 
     #[test]
     fn a_zero_seal_period_runs_to_completion() {
-        // A zero period seals every millisecond instead of rescheduling
+        // A zero period wakes every millisecond instead of rescheduling
         // one instant forever.
         let config = SimConfig::new(4)
             .with_disseminate_every(0)

@@ -303,10 +303,10 @@ fn sync_defense<P>(
 }
 
 /// Mirrors every live counter the node owns into the endpoint's
-/// registry: gossip admission, wave/burst shape, interpreter footprint,
-/// crypto totals, store health, per-peer transport traffic, and
-/// node-level liveness gauges. Runs after each wake that ran a timer,
-/// off the admission hot path.
+/// registry: gossip admission, why slots sealed, wave/burst shape,
+/// interpreter footprint, crypto totals, store health, per-peer
+/// transport traffic, and node-level liveness gauges. Runs after each
+/// wake that ran a slot, sealing or not, off the admission hot path.
 fn publish_node_metrics<P>(
     metrics: &MetricsRegistry,
     shim: &Shim<P>,
@@ -317,6 +317,7 @@ fn publish_node_metrics<P>(
     P: DeterministicProtocol,
 {
     publish::publish_gossip(metrics, shim.gossip().stats());
+    publish::publish_seals(metrics, shim.seal_stats());
     publish::publish_waves(metrics, shim.gossip().wave_stats());
     publish::publish_defense(metrics, shim.gossip().defense(), now);
     publish::publish_footprint(metrics, &shim.footprint());

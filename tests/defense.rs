@@ -50,6 +50,11 @@ fn slow_loris_is_throttled_and_scored_while_honest_liveness_holds() {
         .with_role(3, Role::SlowLoris { repeat: 6 });
     let mut sim: Simulation<Brb<u64>> = Simulation::new(config);
     sim.inject(broadcast(0, 0, 1, 42));
+    // Background broadcasts every 100 ms keep the loris sealing, and so
+    // flooding, through the run: an idle slot seals no block to repeat.
+    for label in 2..30 {
+        sim.inject(broadcast(label * 100, label as usize % 3, label, label));
+    }
     let outcome = sim.run();
 
     // Liveness: every correct server delivers despite the flood.

@@ -34,8 +34,11 @@ use dagbft::prelude::*;
 const SEEDS: [u64; 5] = [0, 1, 7, 42, 1337];
 
 const N: usize = 4;
-/// Three broadcasts, spread so seed-derived crash instants land mid-run.
-const INJECT_AT: [TimeMs; 3] = [0, 300, 600];
+/// Five broadcasts, spread so seed-derived crash instants land mid-run,
+/// with enough traffic before the earliest crash (310 ms) that the
+/// journal holds more blocks than the snapshot cadence of 16: an idle
+/// slot seals no block.
+const INJECT_AT: [TimeMs; 5] = [0, 100, 200, 300, 600];
 
 /// The default network's seeded 5–30 ms latencies, not a constant one: in
 /// lockstep every DAG grows layer by layer, an order any topological
