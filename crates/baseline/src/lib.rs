@@ -45,7 +45,7 @@ pub use server::DirectServer;
 
 use std::collections::{BTreeSet, HashMap};
 
-use dagbft_codec::{encode_to_vec, WireDecode, WireEncode};
+use dagbft_codec::encode_to_vec;
 use dagbft_core::{DeterministicProtocol, Label, ProtocolConfig, TimeMs};
 use dagbft_crypto::{KeyRegistry, ServerId};
 use dagbft_sim::metrics::{Delivery, NetMetrics};
@@ -176,10 +176,7 @@ enum Event<P: DeterministicProtocol> {
 }
 
 /// The baseline event loop: direct sends, no blocks.
-pub struct BaselineSimulation<P: DeterministicProtocol>
-where
-    P::Message: WireEncode + WireDecode,
-{
+pub struct BaselineSimulation<P: DeterministicProtocol> {
     config: BaselineConfig,
     registry: KeyRegistry,
     servers: Vec<DirectServer<P>>,
@@ -190,10 +187,7 @@ where
     injected_at: HashMap<Label, TimeMs>,
 }
 
-impl<P: DeterministicProtocol> BaselineSimulation<P>
-where
-    P::Message: WireEncode + WireDecode,
-{
+impl<P: DeterministicProtocol> BaselineSimulation<P> {
     /// Builds the baseline: keys and one [`DirectServer`] per index.
     pub fn new(config: BaselineConfig) -> Self {
         let registry = KeyRegistry::generate(config.n, config.seed);

@@ -98,10 +98,7 @@ pub struct DirectServer<P: DeterministicProtocol> {
     rejected: u64,
 }
 
-impl<P: DeterministicProtocol> DirectServer<P>
-where
-    P::Message: WireEncode + WireDecode,
-{
+impl<P: DeterministicProtocol> DirectServer<P> {
     /// Creates the server.
     ///
     /// # Panics

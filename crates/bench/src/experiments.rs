@@ -265,8 +265,8 @@ fn latency() -> Section {
          wave), so its latency scales with the dissemination interval. A slot\n\
          seals only for a request, a message for its server or a heartbeat, yet\n\
          a shorter interval still costs blocks: a wave's messages reach a server\n\
-         over more slots, each sealing its own block, and the heartbeat, one\n\
-         slot in 8, comes sooner. E14 draws this frontier at two loads.\n\
+         over more slots, each sealing its own block. The heartbeat is a time,\n\
+         ~400 ms at any interval. E14 draws this frontier at two loads.\n\
          This is the crossover the paper implies: DAGs win on throughput-per-\n\
          message, direct wins on single-message latency.",
     )
@@ -613,8 +613,9 @@ fn spacing() -> Section {
          and `idle %` the share of woken slots that sealed nothing. Each shorter\n\
          spacing buys latency and pays in messages. At the busy load nearly\n\
          every slot has a request or a message to seal, so the blocks grow with\n\
-         the slots. At the light load most slots are idle and seal nothing, but\n\
-         the heartbeat is one slot in 8, not a fixed time: at 5 ms it is half\n\
-         the blocks. A shorter spacing wants its idle cadence kept in time.",
+         the slots. At the light load most slots are idle and seal nothing, and\n\
+         the heartbeat keeps its time, ~400 ms, at every spacing (19 of 220\n\
+         blocks at 5 ms). A shorter spacing still costs blocks there: a wave's\n\
+         messages reach each server over more slots, each sealing its own block.",
     )
 }

@@ -198,9 +198,7 @@ use dagbft_crypto::ServerId;
 use crate::block::{Block, BlockRef};
 use crate::dag::BlockDag;
 use crate::label::Label;
-use crate::protocol::{
-    DeterministicProtocol, Envelope, Outbox, ProtocolConfig, ServerSet, SnapshotProtocol,
-};
+use crate::protocol::{DeterministicProtocol, Envelope, Outbox, ProtocolConfig, ServerSet};
 
 /// An indication `(ℓ, i, s)` raised while interpreting: instance `ℓ` of the
 /// *simulated* server `s` indicated `i` (Algorithm 2, lines 13–14).
@@ -1434,10 +1432,7 @@ fn decode_entries(reader: &mut Reader<'_>, versions: Slot) -> Result<Delta, Snap
     Ok(entries)
 }
 
-impl<P: SnapshotProtocol> Interpreter<P>
-where
-    P::Message: WireEncode + WireDecode,
-{
+impl<P: DeterministicProtocol> Interpreter<P> {
     /// Serializes the complete interpretation state — order, counters,
     /// every instance version once, and per block its parent, builder,
     /// segment flags, delta and out-buffer entries — so a snapshot costs
@@ -1506,7 +1501,7 @@ where
     /// Its cursor stands after the first `interpreted_count()` blocks of
     /// the DAG's insertion order — feed it the same, grown DAG and
     /// [`Interpreter::step`] interprets only the suffix. The caller checks
-    /// the covered prefix (see `Shim::recover_from_store_with_snapshots`).
+    /// the covered prefix (see `Shim::recover_from_store`).
     ///
     /// # Errors
     ///
@@ -1644,6 +1639,7 @@ mod tests {
         type Request = u64;
         type Message = u64;
         type Indication = u64;
+        const SNAPSHOTS: bool = true;
 
         fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
             Ping {
@@ -1666,9 +1662,7 @@ mod tests {
         fn drain_indications(&mut self) -> Vec<u64> {
             std::mem::take(&mut self.pending)
         }
-    }
 
-    impl SnapshotProtocol for Ping {
         fn encode_state(&self, out: &mut Vec<u8>) {
             self.seen.encode(out);
             self.pending.encode(out);
@@ -2620,6 +2614,18 @@ mod tests {
     impl PartialOrd for Counted {
         fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
             Some(self.cmp(other))
+        }
+    }
+
+    impl WireEncode for Counted {
+        fn encode(&self, out: &mut Vec<u8>) {
+            self.0.encode(out);
+        }
+    }
+
+    impl WireDecode for Counted {
+        fn decode(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+            Ok(Counted(u64::decode(reader)?))
         }
     }
 

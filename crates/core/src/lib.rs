@@ -91,12 +91,12 @@ pub use interpret::{
     INTERPRETATION_RULE,
 };
 pub use label::Label;
-pub use protocol::{
-    DeterministicProtocol, Envelope, Outbox, ProtocolConfig, ServerSet, SnapshotProtocol,
-};
+pub use protocol::{DeterministicProtocol, Envelope, Outbox, ProtocolConfig, ServerSet};
 pub use reference::{AdmissionView, ReferenceGossip, ReferenceInterpreter};
 pub use schedule::Schedule;
-pub use shim::{SealStats, SetupError, Shim, ShimConfig, HEARTBEAT_SLOTS, INGEST_BURST_CAP};
+pub use shim::{
+    SealStats, SetupError, Shim, ShimConfig, HEARTBEAT_MS, INGEST_BURST_CAP, MAX_REQUESTS_PER_BLOCK,
+};
 pub use store::{BlockStore, MemoryStore, RecoverError, RecoveryReport, StoreContents, StoreError};
 
 /// Simulation / wall-clock time in milliseconds.

@@ -355,17 +355,40 @@ impl<M: Clone> Outbox<M> {
 /// `PREPARE`, `COMMIT` or share at most once per instance, stream
 /// position, slot or value, whatever it receives.
 ///
+/// # Snapshots
+///
+/// A server recovers by replaying its journal (§7: "persist enough
+/// information … as part of P"). A protocol that sets
+/// [`DeterministicProtocol::SNAPSHOTS`] and implements the state codec
+/// lets the interpreter persist periodic state snapshots through a
+/// [`crate::store::BlockStore`], so recovery replays only the block
+/// suffix past the last one. The encoding must be **canonical**:
+/// `decode_state` applied to `encode_state`'s output, under the same
+/// [`ProtocolConfig`], must reproduce an observationally identical
+/// instance (including its [`Label`], if behaviour depends on it), and
+/// identical instances must encode to identical bytes — snapshots feed
+/// determinism fingerprints. The configuration is not part of an
+/// instance's bytes: a snapshot writes it once, in its header, and hands
+/// it to every `decode_state`. A protocol that keeps the defaults keeps
+/// no snapshots and always recovers by replay from genesis.
+///
 /// # Examples
 ///
 /// See the crate-level docs for a complete miniature implementation.
 pub trait DeterministicProtocol: Clone {
     /// User requests, `Rqsts_P`. They travel inside blocks, hence the wire
-    /// bounds; everything else never touches the network.
+    /// bounds.
     type Request: Clone + Debug + WireEncode + WireDecode;
     /// Protocol messages, `M_P`. `Ord` supplies the total order `<_M`.
-    type Message: Clone + Debug + Ord;
+    /// Inside the DAG they are recomputed, never sent; the wire bounds are
+    /// for a snapshot's out-buffers and the direct point-to-point baseline.
+    type Message: Clone + Debug + Ord + WireEncode + WireDecode;
     /// Indications to the user, `Inds_P`.
     type Indication: Clone + Debug + PartialEq;
+
+    /// Whether `encode_state` and `decode_state` are implemented, so the
+    /// interpreter's state may be snapshotted (see [Snapshots](#snapshots)).
+    const SNAPSHOTS: bool = false;
 
     /// Creates the process instance of this protocol for instance `label`,
     /// running *as* server `me` within the configured server set.
@@ -390,40 +413,27 @@ pub trait DeterministicProtocol: Clone {
     /// (Algorithm 2, lines 13–14). Draining must be destructive so an
     /// indication is raised exactly once per occurrence.
     fn drain_indications(&mut self) -> Vec<Self::Indication>;
-}
 
-/// A [`DeterministicProtocol`] whose process-instance state can be
-/// serialized into interpreter snapshots.
-///
-/// The interpreter persists periodic state snapshots through a
-/// [`crate::store::BlockStore`] so crash recovery replays only the block
-/// suffix past the last snapshot instead of from genesis. The encoding
-/// must be **canonical**: `decode_state` applied to `encode_state`'s
-/// output, under the same [`ProtocolConfig`], must reproduce an
-/// observationally identical instance (including its [`Label`], if
-/// behaviour depends on it), and identical instances must encode to
-/// identical bytes — snapshots feed determinism fingerprints. The
-/// configuration is not part of an instance's bytes: a snapshot writes it
-/// once, in its header, and hands it to every `decode_state`.
-///
-/// Messages additionally need wire bounds because a snapshot persists the
-/// materialized out-message sets of every interpreted block.
-pub trait SnapshotProtocol: DeterministicProtocol
-where
-    Self::Message: WireEncode + WireDecode,
-{
     /// Appends this instance's state, less its [`ProtocolConfig`], to
-    /// `out`.
-    fn encode_state(&self, out: &mut Vec<u8>);
+    /// `out`. The default writes nothing: the protocol keeps no snapshots.
+    fn encode_state(&self, _out: &mut Vec<u8>) {}
 
     /// Rebuilds an instance running under `config` from bytes produced by
-    /// [`SnapshotProtocol::encode_state`].
+    /// [`DeterministicProtocol::encode_state`].
     ///
     /// # Errors
     ///
-    /// Any [`DecodeError`] on malformed or truncated input; implementations
-    /// must not panic.
-    fn decode_state(config: &ProtocolConfig, reader: &mut Reader<'_>) -> Result<Self, DecodeError>;
+    /// Any [`DecodeError`] on malformed or truncated input;
+    /// implementations must not panic. The default reads nothing and
+    /// fails: the protocol keeps no snapshots.
+    fn decode_state(
+        _config: &ProtocolConfig,
+        _reader: &mut Reader<'_>,
+    ) -> Result<Self, DecodeError> {
+        Err(DecodeError::Invalid {
+            reason: "the protocol keeps no snapshots",
+        })
+    }
 }
 
 #[cfg(test)]

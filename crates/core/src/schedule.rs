@@ -10,8 +10,8 @@
 //! server's only timer. In every slot it is woken in, it first sends again
 //! every `FWD` request whose retry wait is over, and then seals only if
 //! the slot has something to say: a buffered request, a message for it in
-//! a block it has not yet cited, or a heartbeat, every
-//! [`crate::shim::HEARTBEAT_SLOTS`]th slot by its index
+//! a block it has not yet cited, or a heartbeat, about every
+//! [`crate::shim::HEARTBEAT_MS`], picked by the slot's index
 //! ([`Schedule::slot`]). The shim owns the timer ([`crate::Shim::wake`]);
 //! the simulator and the TCP node only wake it, so neither keeps a grid.
 

@@ -14,7 +14,7 @@
 //!   (simulator or event loop) only calls it at [`Shim::next_wake`]. A
 //!   slot seals only when it has something to say: a buffered request, a
 //!   message for this server in a block the next one cites, or a
-//!   heartbeat every [`HEARTBEAT_SLOTS`] slots. A block with none of these
+//!   heartbeat about every [`HEARTBEAT_MS`]. A block with none of these
 //!   touches no instance, so leaving it out changes no indication.
 //!
 //! Theorem 5.1: with these pieces, `shim(P)` implements `P`'s interface and
@@ -39,7 +39,7 @@ use crate::defense::DefenseConfig;
 use crate::gossip::{Gossip, GossipConfig, NetCommand, NetMessage};
 use crate::interpret::{Indication, Interpreter, InterpreterFootprint, SnapshotError};
 use crate::label::Label;
-use crate::protocol::{DeterministicProtocol, ProtocolConfig, SnapshotProtocol};
+use crate::protocol::{DeterministicProtocol, ProtocolConfig};
 use crate::schedule::Schedule;
 use crate::store::{BlockStore, RecoverError, RecoveryReport, StoreContents, StoreError};
 use crate::TimeMs;
@@ -52,14 +52,19 @@ use crate::TimeMs;
 /// run. The cap bounds the latency a run adds under sustained load.
 pub const INGEST_BURST_CAP: usize = 1024;
 
-/// Every how many slots of its seal grid a server seals even with nothing
-/// to say: slot `k` of [`Schedule::slot`] is a heartbeat slot when
-/// `k % HEARTBEAT_SLOTS == 0`. A block lost on the way to some peer is
-/// cited, and so asked for with `FWD`, only once another block cites it;
-/// the heartbeat bounds that wait by 8 slots on an idle cluster, which is
+/// How often, in milliseconds, a server seals even with nothing to say:
+/// slot `k` of [`Schedule::slot`] is a heartbeat slot when
+/// `k % max(1, HEARTBEAT_MS / period) == 0` — every 8th slot at the
+/// default 50 ms, every slot at a period of 400 ms or more — so the idle
+/// cadence is a time, not a slot count. A block lost on the way to some
+/// peer is cited, and so asked for with `FWD`, only once another block
+/// cites it; the heartbeat bounds that wait on an idle cluster, which is
 /// the eventual citation the liveness of Theorem 5.1 needs under loss.
-/// With the default 50 ms period an idle server seals every 400 ms.
-pub const HEARTBEAT_SLOTS: u64 = 8;
+pub const HEARTBEAT_MS: TimeMs = 400;
+
+/// Most buffered requests one block carries (`rqsts.get()` returns "a
+/// suitable number", Algorithm 3); the rest wait for the next seal.
+pub const MAX_REQUESTS_PER_BLOCK: usize = 1024;
 
 /// Why the slots a shim was woken in sealed a block, or did not
 /// ([`Shim::seal_stats`]). Each slot counts once, under the first reason
@@ -73,7 +78,7 @@ pub struct SealStats {
     /// message for this server.
     pub for_messages: u64,
     /// Slots that sealed only because they were heartbeat slots
-    /// ([`HEARTBEAT_SLOTS`]).
+    /// ([`HEARTBEAT_MS`]).
     pub heartbeats: u64,
     /// Slots that sealed nothing.
     pub idle_slots: u64,
@@ -96,9 +101,6 @@ impl SealStats {
 pub struct ShimConfig {
     /// The embedded protocol's configuration (server count, fault bound).
     pub protocol: ProtocolConfig,
-    /// Maximum number of buffered requests injected per block
-    /// (`rqsts.get()` returns "a suitable number", Algorithm 3).
-    pub max_requests_per_block: usize,
     /// Bound on gossip's pending buffer (see
     /// [`GossipConfig::pending_cap`]).
     pub pending_cap: usize,
@@ -119,7 +121,6 @@ impl ShimConfig {
     pub fn new(protocol: ProtocolConfig) -> Self {
         ShimConfig {
             protocol,
-            max_requests_per_block: 1024,
             pending_cap: crate::gossip::DEFAULT_PENDING_CAP,
             defense: DefenseConfig::default(),
             disseminate_every_ms: 50,
@@ -129,12 +130,6 @@ impl ShimConfig {
     /// Sets the interval between own seals.
     pub fn with_disseminate_every_ms(mut self, period: TimeMs) -> Self {
         self.disseminate_every_ms = period;
-        self
-    }
-
-    /// Sets the per-block request cap.
-    pub fn with_max_requests_per_block(mut self, max: usize) -> Self {
-        self.max_requests_per_block = max;
         self
     }
 
@@ -184,21 +179,16 @@ impl fmt::Display for SetupError {
 
 impl Error for SetupError {}
 
-/// Encodes an interpreter into snapshot bytes — a plain function pointer
-/// so [`StoreBinding`] stays protocol-generic without extra bounds.
-type SnapshotEncodeFn<P> = fn(&Interpreter<P>) -> Vec<u8>;
-
 /// The [`BlockStore`] a durable shim was born from, plus the shim's
 /// bookkeeping around it: how much of the DAG's insertion order has been
 /// journaled, and the snapshot cadence.
 #[derive(Debug)]
-struct StoreBinding<P: DeterministicProtocol> {
+struct StoreBinding {
     store: Box<dyn BlockStore>,
     /// Prefix of the DAG's insertion order already appended to the store.
     synced_blocks: usize,
-    /// Snapshot cadence in blocks and the encoder, once
-    /// [`Shim::enable_snapshots`] installed them.
-    snapshots: Option<(u64, SnapshotEncodeFn<P>)>,
+    /// Snapshot cadence in blocks, once [`Shim::enable_snapshots`] set it.
+    snapshot_every: Option<u64>,
     /// Interpreted-block count at the last snapshot.
     last_snapshot_at: u64,
 }
@@ -233,7 +223,7 @@ pub struct Shim<P: DeterministicProtocol> {
     raised: Vec<Indication<P::Indication>>,
     /// Durable storage of a durable shim: every admitted block, buffered
     /// request, and periodic snapshot is journaled through it.
-    store: Option<StoreBinding<P>>,
+    store: Option<StoreBinding>,
     /// The write failure that detached the store. Storage must never
     /// panic or wedge consensus, so the server keeps admitting,
     /// interpreting and answering `FWD` — but it seals no further own
@@ -362,7 +352,7 @@ impl<P: DeterministicProtocol> Shim<P> {
     /// [`Shim::disseminate`] if the slot has something to say. It seals
     /// when requests are buffered, when a block in the current preds other
     /// than the own parent holds an out-buffer entry addressed to this
-    /// server, or on a heartbeat slot ([`HEARTBEAT_SLOTS`]); otherwise the
+    /// server, or on a heartbeat slot ([`HEARTBEAT_MS`]); otherwise the
     /// slot is idle, and the next own block cites what this one would
     /// have. The choice is a function of the DAG, the buffered requests
     /// and the slot index alone, so a server reborn from its journal
@@ -381,7 +371,8 @@ impl<P: DeterministicProtocol> Shim<P> {
         let mut commands = self.on_tick(now);
         let requests = !self.rqsts.is_empty();
         let messages = !requests && self.messages_waiting();
-        let heartbeat = self.seal.slot(now).is_multiple_of(HEARTBEAT_SLOTS);
+        let heartbeat_slots = (HEARTBEAT_MS / self.config.disseminate_every_ms.max(1)).max(1);
+        let heartbeat = self.seal.slot(now).is_multiple_of(heartbeat_slots);
         let stats = &mut self.seal_stats;
         if requests {
             stats.for_requests += 1;
@@ -436,8 +427,8 @@ impl<P: DeterministicProtocol> Shim<P> {
     }
 
     /// Requests `gossip.disseminate()` (Algorithm 3, lines 10–11): seals
-    /// the current block with up to
-    /// [`ShimConfig::max_requests_per_block`] buffered requests.
+    /// the current block with up to [`MAX_REQUESTS_PER_BLOCK`] buffered
+    /// requests.
     ///
     /// A durable shim journals the sealed block, syncs the journal, and
     /// durably advances the own-tip marker *before* the broadcast command
@@ -454,7 +445,7 @@ impl<P: DeterministicProtocol> Shim<P> {
         if self.store_error.is_some() {
             return Vec::new();
         }
-        let take = self.rqsts.len().min(self.config.max_requests_per_block);
+        let take = self.rqsts.len().min(MAX_REQUESTS_PER_BLOCK);
         let requests: Vec<LabeledRequest> = self.rqsts.drain(..take).collect();
         let (block, commands) = self.gossip.disseminate(requests, now);
         let sealed = block.seq();
@@ -502,10 +493,7 @@ impl<P: DeterministicProtocol> Shim<P> {
     /// volatile one). The only place a failed store is detached: the
     /// error is latched in `store_error`, which [`Shim::disseminate`]
     /// reads.
-    fn journal(
-        &mut self,
-        write: impl FnOnce(&Self, &mut StoreBinding<P>) -> Result<(), StoreError>,
-    ) {
+    fn journal(&mut self, write: impl FnOnce(&Self, &mut StoreBinding) -> Result<(), StoreError>) {
         let Some(mut binding) = self.store.take() else {
             return;
         };
@@ -519,19 +507,19 @@ impl<P: DeterministicProtocol> Shim<P> {
     /// takes a snapshot when the cadence is due. Interpretation runs to a
     /// fixed point before this is called, so a due snapshot always
     /// captures a fully-interpreted DAG.
-    fn journal_admitted(&self, binding: &mut StoreBinding<P>) -> Result<(), StoreError> {
+    fn journal_admitted(&self, binding: &mut StoreBinding) -> Result<(), StoreError> {
         let dag = self.gossip.dag();
         for block_ref in dag.refs().skip(binding.synced_blocks) {
             let block = dag.get(block_ref).expect("ref comes from the dag");
             binding.store.append_block(block)?;
             binding.synced_blocks += 1;
         }
-        if let Some((every, encode)) = binding.snapshots {
+        if let Some(every) = binding.snapshot_every {
             let covered = self.interpreter.interpreted_count() as u64;
             if covered.saturating_sub(binding.last_snapshot_at) >= every {
                 binding
                     .store
-                    .append_snapshot(covered, &encode(&self.interpreter))?;
+                    .append_snapshot(covered, &self.interpreter.encode_snapshot())?;
                 binding.last_snapshot_at = covered;
             }
         }
@@ -554,12 +542,32 @@ impl<P: DeterministicProtocol> Shim<P> {
         self.store_error.as_ref()
     }
 
-    /// Brings a durable server into existence from its store, replaying
-    /// the whole journal from genesis (any persisted snapshot is ignored
-    /// — this is the oracle path; see
-    /// [`Shim::recover_from_store_with_snapshots`] for snapshot catch-up).
-    /// An empty store is a fresh start: the result is [`Shim::new`]'s
-    /// state with the store attached.
+    /// Enables periodic interpreter snapshots through the store of a
+    /// durable shim: one snapshot every `every` interpreted blocks, so
+    /// recovery ([`Shim::recover_from_store`]) replays only the suffix past
+    /// the last snapshot. No-op on a volatile shim and for a `P` that keeps
+    /// no snapshots ([`DeterministicProtocol::SNAPSHOTS`]).
+    pub fn enable_snapshots(&mut self, every: u64) {
+        let covered = self.interpreter.interpreted_count() as u64;
+        if let Some(binding) = self.store.as_mut().filter(|_| P::SNAPSHOTS) {
+            binding.snapshot_every = Some(every.max(1));
+            binding.last_snapshot_at = covered;
+        }
+    }
+
+    /// Brings a durable server into existence from its store. An empty
+    /// store is a fresh start: the result is [`Shim::new`]'s state with
+    /// the store attached.
+    ///
+    /// When `P` keeps snapshots ([`DeterministicProtocol::SNAPSHOTS`]) and
+    /// the store holds one, interpreter state is restored from it and only
+    /// the journal suffix past it replays; otherwise the whole journal
+    /// replays from genesis. The snapshot is validated before use: its
+    /// `(n, f)` configuration and covered block set must match the journal
+    /// prefix exactly, otherwise a typed error is returned (never a
+    /// divergent state). A snapshot in a format version this build does
+    /// not read is skipped — recovery replays from genesis and
+    /// [`RecoveryReport::snapshot_skipped_version`] says so.
     ///
     /// The journal's blocks are re-inserted in admission order (a
     /// topological order by construction), gossip resumes the own chain
@@ -583,27 +591,10 @@ impl<P: DeterministicProtocol> Shim<P> {
         me: ServerId,
         config: ShimConfig,
         registry: &KeyRegistry,
-        store: Box<dyn BlockStore>,
-    ) -> Result<(Self, RecoveryReport), RecoverError> {
-        Self::recover_with(me, config, registry, store, |_| {
-            Ok((Interpreter::new(config.protocol), None))
-        })
-    }
-
-    /// The recovery body both public entry points share: read the store
-    /// back, let `restore` produce the interpreter to start from (and the
-    /// version of a snapshot it had to skip), rebuild the DAG, enforce
-    /// the own-tip guard, assemble the shim, re-buffer unsealed requests,
-    /// and bind the store it all came from.
-    fn recover_with(
-        me: ServerId,
-        config: ShimConfig,
-        registry: &KeyRegistry,
         mut store: Box<dyn BlockStore>,
-        restore: impl FnOnce(&StoreContents) -> Result<(Interpreter<P>, Option<u8>), RecoverError>,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
         let contents = store.contents()?;
-        let (interpreter, snapshot_skipped_version) = restore(&contents)?;
+        let (interpreter, snapshot_skipped_version) = Self::restore(config.protocol, &contents)?;
         let mut dag = BlockDag::new();
         for block in &contents.blocks {
             let block_ref = block.block_ref();
@@ -644,85 +635,71 @@ impl<P: DeterministicProtocol> Shim<P> {
         shim.store = Some(StoreBinding {
             store,
             synced_blocks: contents.blocks.len(),
-            snapshots: None,
+            snapshot_every: None,
             last_snapshot_at: 0,
         });
         Ok((shim, report))
     }
-}
 
-impl<P: SnapshotProtocol> Shim<P>
-where
-    P::Message: dagbft_codec::WireEncode + dagbft_codec::WireDecode,
-{
-    /// Enables periodic interpreter snapshots through the store of a
-    /// durable shim: one snapshot every `every` interpreted blocks, so
-    /// recovery via [`Shim::recover_from_store_with_snapshots`] replays
-    /// only the suffix past the last snapshot. No-op on a volatile shim.
-    pub fn enable_snapshots(&mut self, every: u64) {
-        let covered = self.interpreter.interpreted_count() as u64;
-        if let Some(binding) = self.store.as_mut() {
-            binding.snapshots = Some((every.max(1), |interpreter| interpreter.encode_snapshot()));
-            binding.last_snapshot_at = covered;
+    /// The interpreter recovery starts from: the store's snapshot, when `P`
+    /// keeps snapshots and there is one, checked against the journal, and
+    /// a fresh interpreter otherwise — with the version of a snapshot it
+    /// had to skip.
+    fn restore(
+        protocol: ProtocolConfig,
+        contents: &StoreContents,
+    ) -> Result<(Interpreter<P>, Option<u8>), RecoverError> {
+        let fresh = Interpreter::new(protocol);
+        let Some((covered, payload)) = contents.snapshot.as_ref().filter(|_| P::SNAPSHOTS) else {
+            return Ok((fresh, None));
+        };
+        let diverged = RecoverError::SnapshotDiverged { covered: *covered };
+        let covered = *covered as usize;
+        if covered > contents.blocks.len() {
+            return Err(diverged);
+        }
+        match Interpreter::decode_snapshot(protocol, payload) {
+            // A snapshot caches a pure function of the journal
+            // (Lemma 4.2): one in a format this build does not read
+            // costs a genesis replay, not the node.
+            Err(SnapshotError::UnsupportedVersion(version)) => Ok((fresh, Some(version))),
+            Err(err) => Err(err.into()),
+            Ok(decoded) => {
+                let prefix: HashSet<BlockRef> = contents.blocks[..covered]
+                    .iter()
+                    .map(|block| block.block_ref())
+                    .collect();
+                let matches = decoded.interpreted_count() == covered
+                    && prefix.len() == covered
+                    && decoded
+                        .interpreted_order()
+                        .iter()
+                        .all(|block_ref| prefix.contains(block_ref));
+                if matches {
+                    Ok((decoded, None))
+                } else {
+                    Err(diverged)
+                }
+            }
         }
     }
+}
 
-    /// [`Shim::recover_from_store`] with snapshot catch-up: interpreter
-    /// state is restored from the latest persisted snapshot (if any) and
-    /// only the journal suffix past it replays.
-    ///
-    /// The snapshot is validated before use: its `(n, f)` configuration
-    /// and covered block set must match the journal prefix exactly,
-    /// otherwise a typed error is returned (never a divergent state). A
-    /// snapshot in a format version this build does not read is skipped —
-    /// recovery replays from genesis and
-    /// [`RecoveryReport::snapshot_skipped_version`] says so. All other
-    /// semantics match [`Shim::recover_from_store`].
-    ///
-    /// # Errors
-    ///
-    /// Any [`RecoverError`].
+// --- Benchmark adapter only ----------------------------------------------
+//
+// `crates/bench/src/bin/benchmark/adapter.rs:686` names this; it is
+// `Shim::recover_from_store`, which restores a snapshot whenever `P` keeps
+// them.
+
+impl<P: DeterministicProtocol> Shim<P> {
+    #[doc(hidden)]
     pub fn recover_from_store_with_snapshots(
         me: ServerId,
         config: ShimConfig,
         registry: &KeyRegistry,
         store: Box<dyn BlockStore>,
     ) -> Result<(Self, RecoveryReport), RecoverError> {
-        Self::recover_with(me, config, registry, store, |contents| {
-            let fresh = Interpreter::new(config.protocol);
-            let Some((covered, payload)) = &contents.snapshot else {
-                return Ok((fresh, None));
-            };
-            let diverged = RecoverError::SnapshotDiverged { covered: *covered };
-            let covered = *covered as usize;
-            if covered > contents.blocks.len() {
-                return Err(diverged);
-            }
-            match Interpreter::decode_snapshot(config.protocol, payload) {
-                // A snapshot caches a pure function of the journal
-                // (Lemma 4.2): one in a format this build does not read
-                // costs a genesis replay, not the node.
-                Err(SnapshotError::UnsupportedVersion(version)) => Ok((fresh, Some(version))),
-                Err(err) => Err(err.into()),
-                Ok(decoded) => {
-                    let prefix: HashSet<BlockRef> = contents.blocks[..covered]
-                        .iter()
-                        .map(|block| block.block_ref())
-                        .collect();
-                    let matches = decoded.interpreted_count() == covered
-                        && prefix.len() == covered
-                        && decoded
-                            .interpreted_order()
-                            .iter()
-                            .all(|block_ref| prefix.contains(block_ref));
-                    if matches {
-                        Ok((decoded, None))
-                    } else {
-                        Err(diverged)
-                    }
-                }
-            }
-        })
+        Self::recover_from_store(me, config, registry, store)
     }
 }
 
@@ -853,19 +830,22 @@ mod tests {
     #[test]
     fn request_cap_per_block() {
         let registry = KeyRegistry::generate(1, 3);
-        let config = ShimConfig::new(ProtocolConfig::for_n(1)).with_max_requests_per_block(2);
+        let config = ShimConfig::new(ProtocolConfig::for_n(1));
         let mut shim: Shim<Flood> = Shim::new(ServerId::new(0), config, &registry).unwrap();
-        for value in 0..5 {
+        for value in 0..2 * MAX_REQUESTS_PER_BLOCK as u64 + 1 {
             shim.request(Label::new(value), value);
         }
         shim.disseminate(0);
-        assert_eq!(shim.pending_requests(), 3);
+        assert_eq!(shim.pending_requests(), MAX_REQUESTS_PER_BLOCK + 1);
         shim.disseminate(1);
         assert_eq!(shim.pending_requests(), 1);
         let dag = shim.dag();
         let mut per_block: Vec<usize> = dag.iter().map(|b| b.requests().len()).collect();
         per_block.sort();
-        assert_eq!(per_block, vec![2, 2]);
+        assert_eq!(
+            per_block,
+            vec![MAX_REQUESTS_PER_BLOCK, MAX_REQUESTS_PER_BLOCK]
+        );
     }
 
     #[test]
@@ -935,6 +915,38 @@ mod tests {
             );
         }
         assert!(dag.check_invariants());
+    }
+
+    #[test]
+    fn a_protocol_without_snapshots_replays_past_a_stored_snapshot() {
+        // `Flood` keeps no snapshots. A snapshot record in its store (here
+        // one its interpreter encodes, which `Flood` cannot decode) is
+        // passed over: the journal replays from genesis, without an error,
+        // and `enable_snapshots` writes no further snapshot.
+        let (registry, config, mut shims) = durable_network();
+        shims[0].request(Label::new(1), 42);
+        let commands = shims[0].disseminate(0);
+        run_commands(&mut shims, 0, commands, 0);
+        let commands = shims[1].disseminate(1);
+        run_commands(&mut shims, 1, commands, 1);
+        let mut store = shims[0].detach_store().unwrap();
+        let covered = shims[0].interpreter().interpreted_count();
+        let snapshot = shims[0].interpreter().encode_snapshot();
+        store.append_snapshot(covered as u64, &snapshot).unwrap();
+
+        let (mut recovered, report) =
+            Shim::<Flood>::recover_from_store(ServerId::new(0), config, &registry, store).unwrap();
+        assert_eq!(report.journal_blocks, covered);
+        assert_eq!(report.replayed_blocks, covered);
+        assert_eq!(report.snapshot_covered, 0);
+        assert_eq!(report.snapshot_skipped_version, None);
+        assert_eq!(recovered.poll_indications(), vec![(Label::new(1), 42)]);
+
+        recovered.enable_snapshots(1);
+        recovered.disseminate(2);
+        let contents = recovered.detach_store().unwrap().contents().unwrap();
+        assert_eq!(contents.blocks.len(), covered + 1);
+        assert_eq!(contents.snapshot, Some((covered as u64, snapshot)));
     }
 
     #[test]

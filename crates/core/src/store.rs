@@ -5,11 +5,13 @@
 //! function of it (Lemma 4.2). This module defines the storage seam the
 //! rest of the workspace shares, and the one persistence format: a
 //! durable shim is born from its `BlockStore`
-//! ([`crate::Shim::recover_from_store`], from whatever the store returns
-//! — nothing, a journal, or a journal plus a snapshot), journals every
-//! admitted block (its already-canonical wire bytes), every buffered user
-//! request, and periodic interpreter snapshots through it, crashes back
-//! to it, and is born from it again.
+//! ([`crate::Shim::recover_from_store`], the one recovery front for every
+//! protocol and driver, from whatever the store returns — nothing, a
+//! journal, or a journal plus a snapshot, which it restores when the
+//! protocol keeps snapshots), journals every admitted block (its
+//! already-canonical wire bytes), every buffered user request, and
+//! periodic interpreter snapshots through it, crashes back to it, and is
+//! born from it again.
 //!
 //! Two families of implementations exist:
 //!

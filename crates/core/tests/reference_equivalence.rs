@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_core::{
     Block, BlockDag, BlockRef, DeterministicProtocol, Interpreter, Label, LabeledRequest, Outbox,
-    ProtocolConfig, ReferenceInterpreter, SeqNum, SnapshotError, SnapshotProtocol,
+    ProtocolConfig, ReferenceInterpreter, SeqNum, SnapshotError,
 };
 use dagbft_crypto::{KeyRegistry, ServerId};
 use proptest::prelude::*;
@@ -51,6 +51,7 @@ impl DeterministicProtocol for Relay {
     type Request = u64;
     type Message = u64;
     type Indication = (ServerId, u64);
+    const SNAPSHOTS: bool = true;
 
     fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
         Relay {
@@ -90,9 +91,7 @@ impl DeterministicProtocol for Relay {
     fn drain_indications(&mut self) -> Vec<(ServerId, u64)> {
         std::mem::take(&mut self.pending)
     }
-}
 
-impl SnapshotProtocol for Relay {
     fn encode_state(&self, out: &mut Vec<u8>) {
         self.received.encode(out);
         self.relayed.encode(out);

@@ -22,7 +22,7 @@
 //! signature of the server that inscribed it (§5).
 
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
-use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig, SnapshotProtocol};
+use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig};
 use dagbft_crypto::ServerId;
 
 use crate::tally::Tally;
@@ -174,6 +174,7 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
     type Request = BrbRequest<V>;
     type Message = BrbMessage<V>;
     type Indication = BrbIndication<V>;
+    const SNAPSHOTS: bool = true;
 
     fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
         Brb {
@@ -223,9 +224,7 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
     fn drain_indications(&mut self) -> Vec<Self::Indication> {
         std::mem::take(&mut self.pending)
     }
-}
 
-impl<V: Value> SnapshotProtocol for Brb<V> {
     fn encode_state(&self, out: &mut Vec<u8>) {
         out.push(u8::from(self.echoed));
         out.push(u8::from(self.readied));

@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dagbft_codec::{decode_from_slice, encode_to_vec, Reader, WireEncode};
-use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig, SnapshotProtocol};
+use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig};
 use dagbft_crypto::ServerId;
 use dagbft_protocols::{
     Brb, BrbIndication, BrbMessage, BrbRequest, Smr, SmrIndication, SmrMessage, SmrRequest, Tally,

@@ -15,11 +15,10 @@
 use std::collections::{BTreeSet, HashMap};
 use std::iter::{from_fn, once};
 
-use dagbft_codec::{WireDecode, WireEncode};
 use dagbft_core::{
     accountability, BlockRef, BlockStore, DefenseConfig, DeterministicProtocol, Indication, Label,
-    MemoryStore, NetCommand, NetMessage, ProtocolConfig, RecoverError, RecoveryReport, Shim,
-    ShimConfig, SnapshotProtocol, TimeMs, INGEST_BURST_CAP,
+    MemoryStore, NetCommand, NetMessage, ProtocolConfig, RecoveryReport, Shim, ShimConfig, TimeMs,
+    INGEST_BURST_CAP,
 };
 use dagbft_crypto::{KeyRegistry, SchemeKind, ServerId};
 use rand::rngs::StdRng;
@@ -373,15 +372,6 @@ impl<P: DeterministicProtocol> SimOutcome<P> {
     }
 }
 
-/// What a recovery returns.
-type Recovered<P> = Result<(Shim<P>, RecoveryReport), RecoverError>;
-
-/// Recovery with snapshot catch-up at a cadence, as
-/// [`Simulation::with_durable_snapshots`] installs it. A plain `fn`
-/// pointer so [`Simulation`] itself needs no snapshot bounds.
-type SnapshotRecoverFn<P> =
-    fn(ServerId, ShimConfig, &KeyRegistry, Box<dyn BlockStore>, u64) -> Recovered<P>;
-
 enum Event<P: DeterministicProtocol> {
     /// Everything of `server` except its store is gone.
     Crash {
@@ -420,9 +410,8 @@ pub struct Simulation<P: DeterministicProtocol> {
     deliveries: Vec<Delivery<P::Indication>>,
     injected_at: HashMap<Label, TimeMs>,
     /// Set by [`Simulation::with_durable_snapshots`]: the snapshot cadence
-    /// and the recovery that catches up from snapshots and re-enables it.
-    /// `None`: durable servers come back via [`Shim::recover_from_store`].
-    snapshots: Option<(u64, SnapshotRecoverFn<P>)>,
+    /// every durable server keeps, also after a rejoin.
+    snapshot_every: Option<u64>,
     recoveries: Vec<(TimeMs, ServerId, RecoveryReport)>,
     raised: Raised<P::Indication>,
     /// Per server, how much of its interpreter's order `raised` covers.
@@ -479,7 +468,7 @@ impl<P: DeterministicProtocol> Simulation<P> {
             net: NetMetrics::default(),
             deliveries: Vec::new(),
             injected_at: HashMap::new(),
-            snapshots: None,
+            snapshot_every: None,
             recoveries: Vec::new(),
             raised: (0..config.n).map(|_| HashMap::new()).collect(),
             audited: vec![0; config.n],
@@ -505,11 +494,12 @@ impl<P: DeterministicProtocol> Simulation<P> {
     /// blocks recovery interpreted again stays the one made before.
     fn boot(&mut self, server: usize, store: Box<dyn BlockStore>) -> (Shim<P>, RecoveryReport) {
         let me = ServerId::new(server as u32);
-        let (mut shim, report) = match self.snapshots {
-            Some((every, recover)) => recover(me, self.shim_config, &self.registry, store, every),
-            None => Shim::recover_from_store(me, self.shim_config, &self.registry, store),
+        let (mut shim, report) =
+            Shim::recover_from_store(me, self.shim_config, &self.registry, store)
+                .expect("a server recovers from its own store");
+        if let Some(every) = self.snapshot_every {
+            shim.enable_snapshots(every);
         }
-        .expect("a server recovers from its own store");
         let _replayed = shim.poll_raised();
         self.audited[server] = shim.interpreter().interpreted_count();
         (shim, report)
@@ -540,8 +530,10 @@ impl<P: DeterministicProtocol> Simulation<P> {
     /// recovered from — and journals through it; at `crash_at` everything
     /// except the store is dropped and the server is born from it again.
     ///
-    /// Recovery replays the journal from genesis unless
-    /// [`Simulation::with_durable_snapshots`] is also configured.
+    /// Recovery restores the store's latest snapshot, if `P` keeps
+    /// snapshots and the store holds one ([`Shim::recover_from_store`]),
+    /// and replays the journal from genesis otherwise; the server writes
+    /// snapshots once [`Simulation::with_durable_snapshots`] is configured.
     ///
     /// # Panics
     ///
@@ -554,6 +546,23 @@ impl<P: DeterministicProtocol> Simulation<P> {
         crash_at: TimeMs,
     ) -> Self {
         self.durable(server, store, crash_at, crash_at);
+        self
+    }
+
+    /// Enables periodic interpreter snapshots (one every `every`
+    /// interpreted blocks) on every durable server, so a rejoining server
+    /// restores interpreter state from the latest snapshot and replays
+    /// only the journal suffix past it. No-op for a `P` that keeps no
+    /// snapshots ([`DeterministicProtocol::SNAPSHOTS`]).
+    ///
+    /// Call after [`Simulation::with_durable_store`].
+    pub fn with_durable_snapshots(mut self, every: u64) -> Self {
+        for server in &mut self.servers {
+            if let Server::Up(shim, _) = server {
+                shim.enable_snapshots(every);
+            }
+        }
+        self.snapshot_every = Some(every);
         self
     }
 
@@ -794,42 +803,6 @@ impl<P: DeterministicProtocol> Simulation<P> {
                 });
             }
         }
-    }
-}
-
-impl<P> Simulation<P>
-where
-    P: SnapshotProtocol,
-    P::Message: WireEncode + WireDecode,
-{
-    /// Enables periodic interpreter snapshots (one every `every`
-    /// interpreted blocks) on every durable server, and switches their
-    /// recovery to the snapshot catch-up path: a rejoining server restores
-    /// interpreter state from the latest snapshot and replays only the
-    /// journal suffix past it.
-    ///
-    /// Call after [`Simulation::with_durable_store`].
-    pub fn with_durable_snapshots(mut self, every: u64) -> Self {
-        for server in &mut self.servers {
-            if let Server::Up(shim, _) = server {
-                shim.enable_snapshots(every);
-            }
-        }
-        self.snapshots = Some((every, Self::recover_snapshotting));
-        self
-    }
-
-    fn recover_snapshotting(
-        me: ServerId,
-        config: ShimConfig,
-        registry: &KeyRegistry,
-        store: Box<dyn BlockStore>,
-        every: u64,
-    ) -> Recovered<P> {
-        let (mut shim, report) =
-            Shim::recover_from_store_with_snapshots(me, config, registry, store)?;
-        shim.enable_snapshots(every);
-        Ok((shim, report))
     }
 }
 

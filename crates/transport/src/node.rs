@@ -127,14 +127,12 @@ where
 /// fresh start) before the event loop begins, and every block admitted
 /// from then on is journaled through the same store.
 ///
-/// On restart after a crash the whole journal replays from genesis and
-/// gossip resumes from the recovered frontier. The node neither writes
-/// nor reads interpreter snapshots — it is generic over any
-/// [`DeterministicProtocol`] — so [`RecoveryReport::snapshot_covered`]
-/// is always 0 here; an embedder whose protocol implements
-/// `SnapshotProtocol` and who wants suffix-only catch-up drives the shim
-/// itself via `Shim::recover_from_store_with_snapshots` +
-/// `Shim::enable_snapshots`.
+/// On restart after a crash interpretation resumes from the store's
+/// latest snapshot, when `P` keeps snapshots and the store holds one, and
+/// replays only the journal suffix past it
+/// ([`RecoveryReport::snapshot_covered`] says how much it skipped);
+/// otherwise the whole journal replays from genesis. Gossip resumes from
+/// the recovered frontier. The node itself writes no snapshots.
 ///
 /// Blocks lost to a torn journal tail come back through the normal `FWD`
 /// path, one block at a time: `FWD` names a single block, so each lost

@@ -7,11 +7,11 @@ use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
-use dagbft_core::{Label, ProtocolConfig, ShimConfig};
+use dagbft_core::{BlockStore, Label, ProtocolConfig, ShimConfig};
 use dagbft_crypto::{KeyRegistry, ServerId};
 use dagbft_protocols::{Brb, BrbIndication, BrbRequest};
 use dagbft_store::FileStore;
-use dagbft_transport::{spawn_node, spawn_node_with_store, NodeConfig, TcpTransport};
+use dagbft_transport::{spawn_node, spawn_node_with_store, NodeConfig, NodeHandle, TcpTransport};
 
 fn shim_config(n: usize) -> ShimConfig {
     ShimConfig::new(ProtocolConfig::for_n(n)).with_disseminate_every_ms(20)
@@ -154,6 +154,74 @@ fn durable_node_recovers_journal_and_rejoins_cluster() {
             "restart must not equivocate"
         );
         assert!(shim.dag().check_invariants());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_node_restarts_from_the_snapshot_its_store_holds() {
+    let n = 4;
+    let registry = KeyRegistry::generate(n, 29);
+    let addrs = reserve_ports(n);
+    let dir = unique_dir("snapshot");
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable_node = |store: Box<dyn BlockStore>| {
+        let transport = TcpTransport::bind(ServerId::new(3), addrs[3], addrs.clone()).unwrap();
+        spawn_node_with_store::<Brb<u64>>(
+            shim_config(n),
+            NodeConfig::default(),
+            &registry,
+            transport,
+            store,
+        )
+        .unwrap()
+    };
+    let await_delivery = |node: &NodeHandle<Brb<u64>>, label: Label, value: u64| {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while Instant::now() < deadline {
+            if let Ok(delivered) = node.indications().try_recv() {
+                assert_eq!(delivered, (label, BrbIndication::Deliver(value)));
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("no delivery of {label}");
+    };
+
+    let nodes: Vec<_> = (0..n - 1)
+        .map(|index| {
+            let me = ServerId::new(index as u32);
+            let transport = TcpTransport::bind(me, addrs[index], addrs.clone()).unwrap();
+            spawn_node::<Brb<u64>>(shim_config(n), NodeConfig::default(), &registry, transport)
+                .unwrap()
+        })
+        .collect();
+    let (durable, _) = durable_node(Box::new(FileStore::open_dir(&dir).unwrap()));
+    nodes[0].request(Label::new(1), BrbRequest::Broadcast(10));
+    await_delivery(&durable, Label::new(1), 10);
+
+    // Stop the durable node and leave a snapshot of everything it
+    // interpreted in its journal, as a snapshotting embedder would have.
+    let mut stopped = durable.stop();
+    let covered = stopped.interpreter().interpreted_count();
+    let snapshot = stopped.interpreter().encode_snapshot();
+    let mut store = stopped.detach_store().expect("the store is attached");
+    store.append_snapshot(covered as u64, &snapshot).unwrap();
+    store.sync().unwrap();
+    drop((store, stopped));
+
+    let (restarted, report) = durable_node(Box::new(FileStore::open_dir(&dir).unwrap()));
+    assert!(report.snapshot_covered > 0, "{report:?}");
+    assert!(report.replayed_blocks < report.journal_blocks, "{report:?}");
+    // The snapshot holds instance 1 delivered, so nothing re-raises it,
+    // and the restarted node goes on to deliver a new instance.
+    nodes[1].request(Label::new(2), BrbRequest::Broadcast(20));
+    await_delivery(&restarted, Label::new(2), 20);
+
+    let restarted = restarted.stop();
+    assert!(restarted.dag().equivocations(ServerId::new(3)).is_empty());
+    for node in nodes {
+        assert!(node.stop().dag().check_invariants());
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -73,7 +73,7 @@ pub mod prelude {
         Indication, InterpretStats, Interpreter, InterpreterFootprint, Label, LabeledRequest,
         MemoryStore, NetCommand, NetMessage, Offense, Outbox, PeerDefense, PeerScoreSnapshot,
         ProtocolConfig, RecoverError, RecoveryReport, ReferenceInterpreter, SeqNum, Shim,
-        ShimConfig, SnapshotProtocol, StoreContents, StoreError, TimeMs,
+        ShimConfig, StoreContents, StoreError, TimeMs,
     };
     pub use dagbft_crypto::{KeyRegistry, ServerId};
     pub use dagbft_protocols::{

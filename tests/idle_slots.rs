@@ -1,7 +1,7 @@
 //! A slot with nothing to say seals no block (`Shim::wake`): a server
 //! seals for a buffered request, for a message addressed to it in a block
 //! it has not cited yet, or on a heartbeat slot, every
-//! `HEARTBEAT_SLOTS`th slot of its grid.
+//! `HEARTBEAT_MS / PERIOD`th slot of its grid.
 //!
 //! Two properties, on four shims over constant-latency links driven by
 //! the small event loop below:
@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dagbft::dag::{Schedule, HEARTBEAT_SLOTS};
+use dagbft::dag::{Schedule, HEARTBEAT_MS};
 use dagbft::prelude::*;
 
 const N: usize = 4;
@@ -300,7 +300,7 @@ fn on_lossless_links_skipping_idle_slots_moves_no_indication() {
         .sealed
         .iter()
         .filter(|((server, slot), block)| {
-            slot.is_multiple_of(HEARTBEAT_SLOTS) || touched(*server, block)
+            slot.is_multiple_of(HEARTBEAT_MS / PERIOD) || touched(*server, block)
         })
         .map(|(key, _)| *key)
         .collect();
@@ -357,12 +357,12 @@ fn a_heartbeat_cites_a_lost_block_so_an_idle_cluster_still_delivers() {
     };
     assert_eq!(label, Label::new(9));
     // Not before the next heartbeat slot, 8 slots on, cited the block.
-    assert!(delivered_at > HEARTBEAT_SLOTS * PERIOD);
+    assert!(delivered_at > HEARTBEAT_MS / PERIOD * PERIOD);
     // Within 8 slots and one `FWD` round trip of the seal: the heartbeat
     // blocks of servers 0 and 1 reach server 2 before its own next slot,
     // which it seals for the message once the answer is in.
     assert!(
-        delivered_at <= sealed_at + HEARTBEAT_SLOTS * PERIOD + 2 * LATENCY,
+        delivered_at <= sealed_at + HEARTBEAT_MS / PERIOD * PERIOD + 2 * LATENCY,
         "delivered at {delivered_at}"
     );
     assert!(cluster.shims[2].gossip().stats().fwd_sent >= 1);

@@ -559,7 +559,7 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
             store.append_block(block).unwrap();
         }
         store.append_snapshot(covered, payload).unwrap();
-        Shim::<Brb<u64>>::recover_from_store_with_snapshots(me, config, &registry, Box::new(store))
+        Shim::<Brb<u64>>::recover_from_store(me, config, &registry, Box::new(store))
     };
 
     // Format 1's header: version, covered, n, f.
@@ -660,7 +660,7 @@ fn a_format_4_snapshot_replays_from_genesis_to_the_same_state() {
         store.append_block(block).unwrap();
     }
     store.append_snapshot(covered as u64, &v4).unwrap();
-    let (mut shim, report) = Shim::<Brb<u64>>::recover_from_store_with_snapshots(
+    let (mut shim, report) = Shim::<Brb<u64>>::recover_from_store(
         me,
         ShimConfig::new(protocol),
         &registry,
@@ -773,7 +773,7 @@ fn a_format_4_snapshot_holds_the_old_rules_states() {
         store.append_block(block).unwrap();
     }
     store.append_snapshot(8, &v4).unwrap();
-    let (mut shim, report) = Shim::<Brb<u64>>::recover_from_store_with_snapshots(
+    let (mut shim, report) = Shim::<Brb<u64>>::recover_from_store(
         me,
         ShimConfig::new(protocol),
         &registry,
@@ -791,4 +791,72 @@ fn a_format_4_snapshot_holds_the_old_rules_states() {
         .collect();
     assert_eq!(delivered.len(), 1);
     assert_eq!(shim.poll_indications(), delivered);
+}
+
+/// Everything observable of a `Bcb` run: deliveries, wire and crypto
+/// counters, the final clock and every correct server's blocks.
+fn bcb_fingerprint(outcome: &SimOutcome<Bcb<u64>>) -> String {
+    let mut fingerprint = format!(
+        "{:?}\nnet:{:?}\ncrypto:{}:{} clock:{}\n",
+        outcome.deliveries,
+        outcome.net,
+        outcome.signatures,
+        outcome.verifications,
+        outcome.finished_at
+    );
+    for server in outcome.correct_servers() {
+        let dag = outcome.dag(server).unwrap();
+        let mut blocks: Vec<_> = dag
+            .iter()
+            .map(|block| block.wire_bytes().to_vec())
+            .collect();
+        blocks.sort();
+        fingerprint.push_str(&format!("dag:{server}:{blocks:?}\n"));
+    }
+    fingerprint
+}
+
+#[test]
+fn a_protocol_without_snapshots_recovers_by_replay_under_a_snapshot_cadence() {
+    // `Bcb` keeps no snapshots: a snapshot cadence on its durable server
+    // writes none, the server recovers from its journal by replay from
+    // genesis, and the crash is as invisible as under `Brb`.
+    for seed in SEEDS {
+        let run = |durable: bool| {
+            let mut sim: Simulation<Bcb<u64>> = Simulation::new(config(seed));
+            if durable {
+                let (server, crash_at) = crash_point(seed);
+                sim = sim
+                    .with_durable_store(server, Box::new(MemoryStore::new()), crash_at)
+                    .with_durable_snapshots(6);
+            }
+            for (i, at) in INJECT_AT.iter().enumerate() {
+                sim.inject(Injection {
+                    at: *at,
+                    server: i % N,
+                    label: Label::new(i as u64),
+                    request: BcbRequest::Broadcast(100 + i as u64),
+                });
+            }
+            sim.run()
+        };
+        let baseline = run(false);
+        let crashed = run(true);
+        assert_eq!(
+            baseline.deliveries.len(),
+            INJECT_AT.len() * N,
+            "seed {seed}"
+        );
+        assert_eq!(crashed.recoveries.len(), 1, "seed {seed}: it did crash");
+        for (_, _, report) in &crashed.recoveries {
+            assert!(report.journal_blocks > 6, "seed {seed}: {report:?}");
+            assert_eq!(report.snapshot_covered, 0, "seed {seed}");
+            assert_eq!(report.replayed_blocks, report.journal_blocks);
+        }
+        assert_eq!(
+            bcb_fingerprint(&baseline),
+            bcb_fingerprint(&crashed),
+            "seed {seed}: the crash leaked into the fingerprint"
+        );
+    }
 }
