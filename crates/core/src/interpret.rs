@@ -181,7 +181,7 @@
 //! payments run to pinned counts of heap allocations and resident
 //! versions, and its snapshot restore to a pinned count of allocations.
 //!
-//! A snapshot (format 5, [`Interpreter::encode_snapshot`]) writes the same
+//! A snapshot (format 5, [`Interpreter::snapshot`]) writes the same
 //! shapes: the [`ProtocolConfig`] once, every arena version once, then per
 //! block its parent, builder, segment flags, delta (naming versions by
 //! index) and out-buffer entries, each entry once with its receiver set.
@@ -1375,7 +1375,7 @@ impl From<DecodeError> for SnapshotError {
     }
 }
 
-/// Snapshot format version written by [`Interpreter::encode_snapshot`].
+/// Snapshot format version written by [`Interpreter::snapshot`].
 /// Format 5 writes each arena version once and names versions by index,
 /// with each block's segment flags. Format 4 had the same layout, but its
 /// instance states and out-buffers were computed with a builder's messages
@@ -1439,9 +1439,19 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// what is actually resident, not blocks × labels. Tip views are not
     /// written: they are rebuilt on first use.
     ///
+    /// `None` when `P` keeps no snapshots
+    /// ([`DeterministicProtocol::SNAPSHOTS`]): its instances write no
+    /// state, so [`Interpreter::decode_snapshot`] could not read the
+    /// bytes back.
+    ///
     /// Must be called with [`Interpreter::drain_indications`] drained:
     /// undrained indications are not captured.
-    pub fn encode_snapshot(&self) -> Vec<u8> {
+    pub fn snapshot(&self) -> Option<Vec<u8>> {
+        P::SNAPSHOTS.then(|| self.write_snapshot())
+    }
+
+    /// The bytes of [`Interpreter::snapshot`], for any `P`.
+    fn write_snapshot(&self) -> Vec<u8> {
         debug_assert!(
             self.indications.is_empty(),
             "drain indications before snapshotting"
@@ -1496,7 +1506,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         out
     }
 
-    /// Rebuilds an interpreter from [`Interpreter::encode_snapshot`] bytes.
+    /// Rebuilds an interpreter from [`Interpreter::snapshot`] bytes.
     ///
     /// Its cursor stands after the first `interpreted_count()` blocks of
     /// the DAG's insertion order — feed it the same, grown DAG and
@@ -1616,6 +1626,19 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             indications: Vec::new(),
             stats,
         })
+    }
+}
+
+// --- Benchmark adapter only ----------------------------------------------
+//
+// `crates/bench/src/bin/benchmark/adapter.rs:646` names this; it is
+// `Interpreter::snapshot` without the `P::SNAPSHOTS` check, so for a `P`
+// that keeps no snapshots it writes bytes no decode reads.
+
+impl<P: DeterministicProtocol> Interpreter<P> {
+    #[doc(hidden)]
+    pub fn encode_snapshot(&self) -> Vec<u8> {
+        self.write_snapshot()
     }
 }
 
@@ -2696,11 +2719,12 @@ mod tests {
     }
 
     /// Snapshot bytes of `interpreter` as a writer other than
-    /// `encode_snapshot` may have left them: per block no segment flag on a
-    /// genesis block, and a stale entry for the first delta label, naming
-    /// the last version, ahead of the real entries; the out-buffer entries
-    /// in descending order, each split into one entry per receiver; the
-    /// first entry once more, whole; and a message with no receiver.
+    /// `Interpreter::snapshot` may have left them: per block no segment
+    /// flag on a genesis block, and a stale entry for the first delta
+    /// label, naming the last version, ahead of the real entries; the
+    /// out-buffer entries in descending order, each split into one entry
+    /// per receiver; the first entry once more, whole; and a message with
+    /// no receiver.
     fn sloppy_snapshot(interpreter: &Interpreter<Ping>) -> Vec<u8> {
         let mut out = vec![SNAPSHOT_VERSION];
         (interpreter.config.n as u64).encode(&mut out);
@@ -2791,13 +2815,13 @@ mod tests {
         let mut straight: Interpreter<Ping> = Interpreter::new(config);
         straight.step(&prefix);
         straight.drain_indications();
-        let canonical = straight.encode_snapshot();
+        let canonical = straight.snapshot().unwrap();
         let sloppy = sloppy_snapshot(&straight);
         assert!(sloppy.len() > canonical.len());
 
         let mut restored: Interpreter<Ping> =
             Interpreter::decode_snapshot(config, &sloppy).unwrap();
-        assert_eq!(restored.encode_snapshot(), canonical);
+        assert_eq!(restored.snapshot().unwrap(), canonical);
         assert_eq!(restored.footprint(), straight.footprint());
         assert_eq!(straight.step(&dag), 2);
         assert_eq!(restored.step(&dag), 2);
@@ -2814,6 +2838,36 @@ mod tests {
                 assert_eq!(seen(&restored), seen(&straight));
             }
         }
+    }
+
+    #[test]
+    fn a_protocol_without_snapshots_has_no_snapshot() {
+        // `Journal` keeps the default codec, which writes nothing: the
+        // interpreter offers no bytes for it, before and after a block,
+        // while `Ping`'s codec gets a snapshot that decodes.
+        let (_, signers) = setup(1);
+        let request = LabeledRequest::encode(Label::new(1), &7u64);
+        let block = Block::build(
+            ServerId::new(0),
+            SeqNum::ZERO,
+            vec![],
+            vec![request],
+            &signers[0],
+        );
+        let mut dag = BlockDag::new();
+        dag.insert(block).unwrap();
+        let config = ProtocolConfig::for_n(1);
+        let mut journal: Interpreter<Journal> = Interpreter::new(config);
+        assert_eq!(journal.snapshot(), None);
+        assert_eq!(journal.step(&dag), 1);
+        journal.drain_indications();
+        assert_eq!(journal.snapshot(), None);
+        let mut ping: Interpreter<Ping> = Interpreter::new(config);
+        ping.step(&dag);
+        ping.drain_indications();
+        let bytes = ping.snapshot().expect("`Ping` keeps snapshots");
+        let restored = Interpreter::<Ping>::decode_snapshot(config, &bytes).unwrap();
+        assert_eq!(restored.interpreted_count(), 1);
     }
 
     #[test]

@@ -109,7 +109,11 @@ impl<M: WireDecode> WireDecode for Envelope<M> {
 ///
 /// The receivers of one [`Outbox`] entry and of one out-buffer entry of the
 /// [`crate::Interpreter`], and the senders a `dagbft_protocols::Tally`
-/// counts. A set whose members all have an index below 128 owns no heap.
+/// counts. A set whose members all have an index below 128 owns no heap,
+/// and the list of the rest sits behind one pointer-sized field: on a
+/// 64-bit target a set takes 24 bytes, two words of bits and the list's
+/// pointer. Every out-buffer entry holds one, and so does each of a `Brb`
+/// version's two tallies.
 /// On the wire it is a `BTreeSet<ServerId>`: a `u32` count, then the
 /// members ascending.
 ///
@@ -126,8 +130,14 @@ impl<M: WireDecode> WireDecode for Envelope<M> {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServerSet {
-    low: u128,
-    high: Vec<u32>,
+    /// Members below 128: index `i` is bit `i % 64` of word `i / 64`.
+    low: [u64; 2],
+    /// Members of 128 and up, ascending; `None` while there is none.
+    #[expect(
+        clippy::box_collection,
+        reason = "one pointer instead of an inline `Vec` keeps the set at 24 B"
+    )]
+    high: Option<Box<Vec<u32>>>,
 }
 
 impl ServerSet {
@@ -140,14 +150,20 @@ impl ServerSet {
     pub fn insert(&mut self, server: ServerId) -> bool {
         let index = server.index() as u32;
         if index < 128 {
-            let fresh = self.low & (1 << index) == 0;
-            self.low |= 1 << index;
+            let (word, bit) = (&mut self.low[index as usize / 64], 1 << (index % 64));
+            let fresh = *word & bit == 0;
+            *word |= bit;
             fresh
-        } else if let Err(at) = self.high.binary_search(&index) {
-            self.high.insert(at, index);
-            true
         } else {
-            false
+            // An absent list holds no member, so the insert below fills it.
+            let high = self.high.get_or_insert_default();
+            match high.binary_search(&index) {
+                Ok(_) => false,
+                Err(at) => {
+                    high.insert(at, index);
+                    true
+                }
+            }
         }
     }
 
@@ -155,40 +171,51 @@ impl ServerSet {
     pub fn contains(&self, server: ServerId) -> bool {
         let index = server.index() as u32;
         if index < 128 {
-            self.low & (1 << index) != 0
+            self.low[index as usize / 64] & (1 << (index % 64)) != 0
         } else {
-            self.high.binary_search(&index).is_ok()
+            self.high().binary_search(&index).is_ok()
         }
     }
 
     /// Number of members.
     pub fn len(&self) -> usize {
-        self.low.count_ones() as usize + self.high.len()
+        self.bits().count_ones() as usize + self.high().len()
     }
 
     /// Returns `true` if the set has no member.
     pub fn is_empty(&self) -> bool {
-        self.low == 0 && self.high.is_empty()
+        self.low == [0, 0] && self.high.is_none()
     }
 
     /// Members in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = ServerId> + '_ {
-        let mut bits = self.low;
+        let mut bits = self.bits();
         std::iter::from_fn(move || {
             let index = (bits != 0).then(|| bits.trailing_zeros())?;
             bits &= bits - 1;
             Some(index)
         })
-        .chain(self.high.iter().copied())
+        .chain(self.high().iter().copied())
         .map(ServerId::new)
     }
 
     /// Adds every member of `other`.
     pub fn union_with(&mut self, other: &ServerSet) {
-        self.low |= other.low;
-        for &index in &other.high {
+        self.low[0] |= other.low[0];
+        self.low[1] |= other.low[1];
+        for &index in other.high() {
             self.insert(ServerId::new(index));
         }
+    }
+
+    /// The members below 128 as one bit set.
+    fn bits(&self) -> u128 {
+        u128::from(self.low[1]) << 64 | u128::from(self.low[0])
+    }
+
+    /// The members of 128 and up, ascending.
+    fn high(&self) -> &[u32] {
+        self.high.as_deref().map_or(&[], Vec::as_slice)
     }
 }
 
@@ -552,11 +579,19 @@ mod tests {
     fn server_set_below_128_owns_no_heap() {
         let set: ServerSet = ServerId::all(128).collect();
         assert_eq!(set.len(), 128);
-        assert_eq!(set.high.capacity(), 0);
+        assert!(set.high.is_none());
         // The largest index costs one list slot, not a bit vector.
         let mut set = set;
         set.insert(ServerId::new(u32::MAX));
-        assert_eq!(set.high, vec![u32::MAX]);
+        assert_eq!(set.high(), [u32::MAX]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_server_set_is_three_words() {
+        // Two words of bits and the spill's pointer: no `u128` alignment
+        // padding, no inline `Vec` header.
+        assert_eq!(std::mem::size_of::<ServerSet>(), 24);
     }
 
     #[test]

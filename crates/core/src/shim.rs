@@ -517,9 +517,11 @@ impl<P: DeterministicProtocol> Shim<P> {
         if let Some(every) = binding.snapshot_every {
             let covered = self.interpreter.interpreted_count() as u64;
             if covered.saturating_sub(binding.last_snapshot_at) >= every {
-                binding
-                    .store
-                    .append_snapshot(covered, &self.interpreter.encode_snapshot())?;
+                // `enable_snapshots` sets a cadence only for a `P` that
+                // keeps snapshots, so this always has bytes to write.
+                if let Some(snapshot) = self.interpreter.snapshot() {
+                    binding.store.append_snapshot(covered, &snapshot)?;
+                }
                 binding.last_snapshot_at = covered;
             }
         }
@@ -919,10 +921,12 @@ mod tests {
 
     #[test]
     fn a_protocol_without_snapshots_replays_past_a_stored_snapshot() {
-        // `Flood` keeps no snapshots. A snapshot record in its store (here
-        // one its interpreter encodes, which `Flood` cannot decode) is
-        // passed over: the journal replays from genesis, without an error,
-        // and `enable_snapshots` writes no further snapshot.
+        // `Flood` keeps no snapshots, so its interpreter offers none. A
+        // snapshot record in its store (here the bytes the hidden
+        // `encode_snapshot` writes for any `P`, which `Flood` cannot
+        // decode) is passed over: the journal replays from genesis,
+        // without an error, and `enable_snapshots` writes no further
+        // snapshot.
         let (registry, config, mut shims) = durable_network();
         shims[0].request(Label::new(1), 42);
         let commands = shims[0].disseminate(0);
@@ -931,6 +935,7 @@ mod tests {
         run_commands(&mut shims, 1, commands, 1);
         let mut store = shims[0].detach_store().unwrap();
         let covered = shims[0].interpreter().interpreted_count();
+        assert_eq!(shims[0].interpreter().snapshot(), None);
         let snapshot = shims[0].interpreter().encode_snapshot();
         store.append_snapshot(covered as u64, &snapshot).unwrap();
 

@@ -342,9 +342,9 @@ fn assert_snapshot_transparent(dag: &BlockDag, cut: usize) {
     let mut stopped: Interpreter<Relay> = Interpreter::new(config);
     stopped.step(&prefix);
     assert_eq!(straight.drain_indications(), stopped.drain_indications());
-    let bytes = stopped.encode_snapshot();
+    let bytes = stopped.snapshot().unwrap();
     let mut restored: Interpreter<Relay> = Interpreter::decode_snapshot(config, &bytes).unwrap();
-    assert_eq!(restored.encode_snapshot(), bytes, "snapshot is canonical");
+    assert_eq!(restored.snapshot().unwrap(), bytes, "snapshot is canonical");
     assert_eq!(restored.stats(), straight.stats());
 
     assert_eq!(straight.step(dag), dag.len() - cut);
@@ -424,7 +424,7 @@ proptest! {
         let mut interpreter: Interpreter<Relay> = Interpreter::new(config);
         interpreter.step(&dag);
         interpreter.drain_indications();
-        let bytes = interpreter.encode_snapshot();
+        let bytes = interpreter.snapshot().unwrap();
 
         // Every strict prefix is an error, never a panic or a success.
         let truncated = &bytes[..keep % bytes.len()];
@@ -629,7 +629,7 @@ fn chunk_boundaries_are_crossed_by_moved_and_rebuilt_views_and_a_restore() {
 #[test]
 fn snapshot_header_errors_are_typed() {
     let config = ProtocolConfig::for_n(4);
-    let bytes = Interpreter::<Relay>::new(config).encode_snapshot();
+    let bytes = Interpreter::<Relay>::new(config).snapshot().unwrap();
     let decode = |config, bytes: &[u8]| Interpreter::<Relay>::decode_snapshot(config, bytes).err();
 
     assert_eq!(decode(config, &bytes), None);
@@ -832,7 +832,7 @@ fn a_fork_under_a_snapshot_cut_mid_segment_replays_the_same() {
     reference.step(&prefix);
     assert_eq!(straight.drain_indications(), reference.drain_indications());
     let mut restored: Interpreter<Relay> =
-        Interpreter::decode_snapshot(config, &straight.encode_snapshot()).unwrap();
+        Interpreter::decode_snapshot(config, &straight.snapshot().unwrap()).unwrap();
 
     assert_eq!(straight.step(&dag), dag.len() - cut);
     assert_eq!(restored.step(&dag), dag.len() - cut);
@@ -943,7 +943,7 @@ fn siblings_of_a_continued_parent_share_one_replay() {
     stopped.step(&prefix);
     stopped.drain_indications();
     let mut restored: Interpreter<Relay> =
-        Interpreter::decode_snapshot(config, &stopped.encode_snapshot()).unwrap();
+        Interpreter::decode_snapshot(config, &stopped.snapshot().unwrap()).unwrap();
     assert_eq!(restored.step(&dag), dag.len() - cut);
     assert_eq!(restored.blocks_replayed(), 0);
     assert_snapshot_transparent(&dag, cut);

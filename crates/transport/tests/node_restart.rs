@@ -204,7 +204,7 @@ fn a_node_restarts_from_the_snapshot_its_store_holds() {
     // interpreted in its journal, as a snapshotting embedder would have.
     let mut stopped = durable.stop();
     let covered = stopped.interpreter().interpreted_count();
-    let snapshot = stopped.interpreter().encode_snapshot();
+    let snapshot = stopped.interpreter().snapshot().unwrap();
     let mut store = stopped.detach_store().expect("the store is attached");
     store.append_snapshot(covered as u64, &snapshot).unwrap();
     store.sync().unwrap();

@@ -1,7 +1,8 @@
 //! Counted floors of the interpreter on one BRB payments DAG (400
 //! transfers, n = 4): heap allocations to interpret it and to restore its
-//! snapshot, resident instance versions, out-buffer entries per envelope,
-//! and snapshot bytes. Each prints its count per touch (one label driven
+//! snapshot, resident instance versions, the bytes they and the
+//! out-buffer entries take in place, out-buffer entries per envelope, and
+//! snapshot bytes. Each prints its count per touch (one label driven
 //! at one block) or per restored instance beside the total.
 //!
 //! The floors are absolute counts on this one DAG, not shares of its
@@ -43,6 +44,15 @@ const RESTORE_ALLOCATIONS: u64 = 76;
 /// touches; 1 600 over 5 343 with self-addressed messages delivered one
 /// block later; one version per touch before segments).
 const RESIDENT_VERSIONS: usize = 1_600;
+
+/// Bytes the resident instance versions and out-buffer entries of this
+/// DAG take in place, `size_of` each, heap spills aside (measured: 486 400,
+/// 1 600 versions of 176 B and 3 200 entries of 64 B; with a `ServerSet`
+/// of a `u128` and a `Vec`, 48 B, and a `Tally` whose spill was an inline
+/// `Vec`, 742 400: 272 B per version and 96 B per entry). On 64-bit
+/// targets, where those sizes hold.
+#[cfg(target_pointer_width = "64")]
+const RESIDENT_BYTES: usize = 486_400;
 
 /// Bytes a snapshot of this DAG's interpretation may take: exactly what
 /// format 5 writes, every resident version once (format 4, the same
@@ -153,7 +163,7 @@ fn a_touch_costs_about_half_an_allocation() {
 #[test]
 fn a_restore_allocates_per_block_not_per_instance() {
     let dag = payments_dag();
-    let bytes = interpreted(dag).encode_snapshot();
+    let bytes = interpreted(dag).snapshot().unwrap();
     let config = ProtocolConfig::for_n(4);
     let before = allocations();
     let restored = Interpreter::<Brb<Transfer>>::decode_snapshot(config, &bytes).unwrap();
@@ -189,6 +199,32 @@ fn a_segment_keeps_one_version_per_label() {
 }
 
 #[test]
+#[cfg(target_pointer_width = "64")]
+fn a_resident_version_costs_what_it_holds() {
+    use dagbft::dag::ServerSet;
+    use std::mem::size_of;
+    type Entry = (Label, (BrbMessage<Transfer>, ServerSet));
+    let interpreter = interpreted(payments_dag());
+    let versions = interpreter.resident_versions();
+    let entries = interpreter.footprint().out_entries;
+    let (version_size, entry_size) = (size_of::<Brb<Transfer>>(), size_of::<Entry>());
+    let bytes = versions * version_size + entries * entry_size;
+    assert!(
+        version_size <= 176 && entry_size <= 64,
+        "{version_size} B per version, {entry_size} B per out-buffer entry"
+    );
+    assert!(
+        bytes <= RESIDENT_BYTES,
+        "{versions} versions × {version_size} B + {entries} entries × {entry_size} B = \
+         {bytes} B, budget {RESIDENT_BYTES}"
+    );
+    println!(
+        "{bytes} resident bytes: {versions} versions × {version_size} B + \
+         {entries} out-buffer entries × {entry_size} B"
+    );
+}
+
+#[test]
 fn a_broadcast_is_one_out_buffer_entry() {
     // Every BRB message is an ECHO or READY to all four servers: one entry
     // each, counted as four envelopes.
@@ -204,7 +240,7 @@ fn a_broadcast_is_one_out_buffer_entry() {
 #[test]
 fn a_snapshot_stays_inside_its_byte_budget() {
     let interpreter = interpreted(payments_dag());
-    let bytes = interpreter.encode_snapshot();
+    let bytes = interpreter.snapshot().unwrap();
     assert!(
         bytes.len() <= SNAPSHOT_BYTES,
         "{} snapshot bytes, budget {SNAPSHOT_BYTES}",

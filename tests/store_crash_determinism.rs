@@ -607,7 +607,7 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     assert_eq!(expected.len(), INJECT_AT.len());
     assert_eq!(shim.poll_indications(), expected);
     // The same prefix in format 5 is read, and only the suffix replays.
-    let v5 = snapshotted.encode_snapshot();
+    let v5 = snapshotted.snapshot().unwrap();
     assert!(v5.len() < v2.len());
     let (_, report) = recover(&blocks, covered as u64, &v5).expect("a format-5 cache");
     assert_eq!(report.snapshot_skipped_version, None);
@@ -651,7 +651,7 @@ fn a_format_4_snapshot_replays_from_genesis_to_the_same_state() {
     let mut snapshotted: Interpreter<Brb<u64>> = Interpreter::new(protocol);
     snapshotted.step(&prefix);
     snapshotted.drain_indications();
-    let mut v4 = snapshotted.encode_snapshot();
+    let mut v4 = snapshotted.snapshot().unwrap();
     v4[0] = 4;
 
     let registry = KeyRegistry::generate(N, config(7).seed);
@@ -685,7 +685,7 @@ fn a_format_4_snapshot_replays_from_genesis_to_the_same_state() {
     assert_eq!(recovered.stats(), fresh.stats());
     assert_eq!(recovered.footprint(), fresh.footprint());
     assert_eq!(recovered.interpreted_order(), fresh.interpreted_order());
-    assert_eq!(recovered.encode_snapshot(), fresh.encode_snapshot());
+    assert_eq!(recovered.snapshot().unwrap(), fresh.snapshot().unwrap());
 }
 
 /// The DAG of Figure 4: n = 4, four rounds, every block naming the whole
