@@ -135,11 +135,9 @@ impl<P: DeterministicProtocol> DirectServer<P> {
             .instances
             .entry(label)
             .or_insert_with(|| P::new(&config, label, me));
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instance.on_request(request, &mut outbox);
-        let out = self.sign_all(label, outbox);
-        self.drain(label);
-        out
+        self.sign_all(label, outbox)
     }
 
     /// Handles a wire message: verifies the signature, decodes the payload,
@@ -181,11 +179,9 @@ impl<P: DeterministicProtocol> DirectServer<P> {
             .instances
             .entry(signed.label)
             .or_insert_with(|| P::new(&config, signed.label, me));
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instance.on_message(signed.sender, message, &mut outbox);
-        let out = self.sign_all(signed.label, outbox);
-        self.drain(signed.label);
-        out
+        self.sign_all(signed.label, outbox)
     }
 
     /// Returns indications raised since the last poll.
@@ -193,7 +189,18 @@ impl<P: DeterministicProtocol> DirectServer<P> {
         std::mem::take(&mut self.delivered)
     }
 
-    fn sign_all(&mut self, label: Label, outbox: Outbox<P::Message>) -> Vec<OutMessage> {
+    /// Keeps the indications a handler of `label`'s instance raised and
+    /// signs the messages it sent.
+    fn sign_all(
+        &mut self,
+        label: Label,
+        mut outbox: Outbox<P::Message, P::Indication>,
+    ) -> Vec<OutMessage> {
+        self.delivered.extend(
+            outbox
+                .drain_indications()
+                .map(|indication| (label, indication)),
+        );
         outbox
             .into_messages()
             .into_iter()
@@ -213,14 +220,6 @@ impl<P: DeterministicProtocol> DirectServer<P> {
                 }
             })
             .collect()
-    }
-
-    fn drain(&mut self, label: Label) {
-        if let Some(instance) = self.instances.get_mut(&label) {
-            for indication in instance.drain_indications() {
-                self.delivered.push((label, indication));
-            }
-        }
     }
 }
 

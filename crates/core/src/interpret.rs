@@ -148,10 +148,12 @@
 //!   the [`ServerSet`] of every server it goes to. Every sender is `B.n`,
 //!   stored once per block. A broadcast is one entry, not `n` envelopes.
 //!   The handlers' messages are appended as they are produced — through
-//!   **one** [`Outbox`] per block, drained after every handler call — and
-//!   the vector is sorted by `(label, message)` once, when the block is
-//!   done, merging the entries of one message into one with the union of
-//!   their receivers. Algorithm 2's buffers are *sets* of envelopes: a
+//!   **one** [`Outbox`] per block, drained after every handler call, which
+//!   also hands the handlers the [`ProtocolConfig`] and collects their
+//!   indications, drained once a label is done — and the vector is
+//!   sorted by `(label, message)` once, when the block is done, merging
+//!   the entries of one message into one with the union of their
+//!   receivers. Algorithm 2's buffers are *sets* of envelopes: a
 //!   handler that emits a value-equal envelope twice stores it once
 //!   ([`InterpretStats::messages_materialized`] still counts both), and
 //!   [`BlockState::out_messages`] expands the entries back into envelopes.
@@ -177,7 +179,9 @@
 //! What is left per touch is at most one instance copy — one per label
 //! per segment, written into the arena's current chunk, so the heap sees
 //! one allocation per chunk, not one per touch — plus whatever `P`'s clone
-//! itself allocates. `tests/interpret_alloc_budget.rs` holds a BRB
+//! itself allocates. A version is protocol state alone: no configuration,
+//! no buffer of indications not yet surfaced (see
+//! [`DeterministicProtocol`]). `tests/interpret_alloc_budget.rs` holds a BRB
 //! payments run to pinned counts of heap allocations and resident
 //! versions, and its snapshot restore to a pinned count of allocations.
 //!
@@ -384,6 +388,9 @@ trait Versions<P> {
 
     /// The version `touch` returned `key` for.
     fn get(&mut self, key: Self::Key) -> &mut P;
+
+    /// The configuration the versions run under.
+    fn config(&self) -> &ProtocolConfig;
 }
 
 /// A tip while a block is interpreted: the touches resolve into the arena
@@ -419,6 +426,10 @@ impl<P: DeterministicProtocol> Versions<P> for Driven<'_, P> {
     fn get(&mut self, slot: Slot) -> &mut P {
         &mut self.arena[slot]
     }
+
+    fn config(&self) -> &ProtocolConfig {
+        self.config
+    }
 }
 
 /// A replay's versions: owned copies, each cloned on first touch from the
@@ -448,6 +459,10 @@ impl<P: DeterministicProtocol> Versions<P> for Overlay<'_, P> {
 
     fn get(&mut self, label: Label) -> &mut P {
         self.versions.get_mut(&label).expect("a touched label")
+    }
+
+    fn config(&self) -> &ProtocolConfig {
+        self.config
     }
 }
 
@@ -497,7 +512,7 @@ fn self_link<P: DeterministicProtocol>(
     me: ServerId,
     label: Label,
     outs: &mut Buffer<P::Message>,
-    outbox: &mut Outbox<P::Message>,
+    outbox: &mut Outbox<P::Message, P::Indication>,
     link: &mut Vec<usize>,
     mut mark: usize,
 ) -> usize {
@@ -1054,10 +1069,10 @@ impl<P: DeterministicProtocol> Interpreter<P> {
 
     /// Drives `block`'s touches on `versions` (Algorithm 2, lines 5–11, the
     /// in-block self-link, and lines 13–14) — every label's, or `only`
-    /// one's — counting the work into
-    /// `stats` and handing each indication to `raise`. Returns the block's
-    /// out-buffer, normalized, and every touched label with its key, sorted.
-    /// The one body that interpretation and replay share.
+    /// one's — counting the work into `stats` and handing each indication
+    /// to `raise` as its label is done. Returns the block's out-buffer,
+    /// normalized, and every touched label with its key, sorted. The one
+    /// body that interpretation and replay share.
     fn drive<V: Versions<P>>(
         versions: &mut V,
         states: &HashMap<BlockRef, BlockState<P>>,
@@ -1071,7 +1086,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         let mut outs: Buffer<P::Message> = Vec::new();
         // Every touched label with its key, in label order: the delta.
         let mut delta: Delta<V::Key> = Vec::new();
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(*versions.config());
         // The block's requests by label, each label's in block order.
         let mut requests = Vec::with_capacity(block.requests().len());
         requests.extend(
@@ -1083,9 +1098,9 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         );
         requests.sort_unstable_by_key(|&(at, labeled)| (labeled.label, at));
 
-        // Label by label, Algorithm 2's lines 5–11 and then the in-block
-        // self-link. Lines 5–6 feed the block's own requests to B.n's
-        // instance; lines 7–11 deliver the in-messages addressed to B.n
+        // Label by label, Algorithm 2's lines 5–11, then the in-block
+        // self-link, then lines 13–14. Lines 5–6 feed the block's own
+        // requests to B.n's instance; lines 7–11 deliver the in-messages addressed to B.n
         // in the direct predecessors' out-buffers, in the total order <_M.
         // Line 7 ranges over every label requested at an ancestor, but
         // only labels requested here or sent on by some predecessor can
@@ -1097,7 +1112,10 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         // in the order sent, with what those deliveries send B.n in turn
         // (see the module docs). An instance sees only its own label's
         // messages, so it sees what one queue over the whole block would
-        // hand it, in the same order.
+        // hand it, in the same order. Lines 13–14 surface what the label's
+        // handlers raised, in the order raised: one label is driven in one
+        // go and labels in label order, so the block's indications come
+        // out label by label.
         let inbox = Self::inbox(states, preds, me, only);
         let mut groups = inbox.chunk_by(|a, b| a.0 == b.0).peekable();
         let mut runs = requests
@@ -1144,20 +1162,15 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             let instance = versions.get(key);
             let delivered = self_link(instance, me, label, &mut outs, &mut outbox, &mut link, mark);
             stats.messages_delivered += delivered as u64;
+            for indication in outbox.drain_indications() {
+                stats.indications += 1;
+                raise(label, indication);
+            }
         }
         stats.messages_delivered += inbox.len() as u64;
         // The counter is of messages made; the buffer is a set.
         stats.messages_materialized += envelope_count(&outs) as u64;
         normalize(&mut outs);
-
-        // Lines 13–14: surface indications from the instances driven here,
-        // label by label.
-        for &(label, key) in &delta {
-            for indication in versions.get(key).drain_indications() {
-                stats.indications += 1;
-                raise(label, indication);
-            }
-        }
         (outs, delta)
     }
 
@@ -1653,9 +1666,7 @@ mod tests {
     /// on PING, indicate the value once.
     #[derive(Debug, Clone)]
     struct Ping {
-        config: ProtocolConfig,
         seen: BTreeSet<u64>,
-        pending: Vec<u64>,
     }
 
     impl DeterministicProtocol for Ping {
@@ -1664,41 +1675,32 @@ mod tests {
         type Indication = u64;
         const SNAPSHOTS: bool = true;
 
-        fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+        fn new(_config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
             Ping {
-                config: *config,
                 seen: BTreeSet::new(),
-                pending: Vec::new(),
             }
         }
 
-        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64>) {
-            outbox.broadcast(&self.config, request);
+        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64, u64>) {
+            outbox.broadcast(request);
         }
 
-        fn on_message(&mut self, _sender: ServerId, message: u64, _outbox: &mut Outbox<u64>) {
+        fn on_message(&mut self, _sender: ServerId, message: u64, outbox: &mut Outbox<u64, u64>) {
             if self.seen.insert(message) {
-                self.pending.push(message);
+                outbox.indicate(message);
             }
-        }
-
-        fn drain_indications(&mut self) -> Vec<u64> {
-            std::mem::take(&mut self.pending)
         }
 
         fn encode_state(&self, out: &mut Vec<u8>) {
             self.seen.encode(out);
-            self.pending.encode(out);
         }
 
         fn decode_state(
-            config: &ProtocolConfig,
+            _config: &ProtocolConfig,
             reader: &mut Reader<'_>,
         ) -> Result<Self, DecodeError> {
             Ok(Ping {
-                config: *config,
                 seen: WireDecode::decode(reader)?,
-                pending: WireDecode::decode(reader)?,
             })
         }
     }
@@ -1706,34 +1708,24 @@ mod tests {
     /// Indicates every event in the order it arrived: a request `r` (which
     /// it also broadcasts) as `r`, a message `m` as `1000 + m`.
     #[derive(Debug, Clone)]
-    struct Journal {
-        config: ProtocolConfig,
-        pending: Vec<u64>,
-    }
+    struct Journal;
 
     impl DeterministicProtocol for Journal {
         type Request = u64;
         type Message = u64;
         type Indication = u64;
 
-        fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
-            Journal {
-                config: *config,
-                pending: Vec::new(),
-            }
+        fn new(_config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+            Journal
         }
 
-        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64>) {
-            self.pending.push(request);
-            outbox.broadcast(&self.config, request);
+        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64, u64>) {
+            outbox.indicate(request);
+            outbox.broadcast(request);
         }
 
-        fn on_message(&mut self, _sender: ServerId, message: u64, _outbox: &mut Outbox<u64>) {
-            self.pending.push(1000 + message);
-        }
-
-        fn drain_indications(&mut self) -> Vec<u64> {
-            std::mem::take(&mut self.pending)
+        fn on_message(&mut self, _sender: ServerId, message: u64, outbox: &mut Outbox<u64, u64>) {
+            outbox.indicate(1000 + message);
         }
     }
 
@@ -1745,7 +1737,6 @@ mod tests {
     struct Hops {
         me: ServerId,
         received: BTreeMap<(ServerId, u64), u32>,
-        pending: Vec<u64>,
     }
 
     impl DeterministicProtocol for Hops {
@@ -1757,24 +1748,46 @@ mod tests {
             Hops {
                 me,
                 received: BTreeMap::new(),
-                pending: Vec::new(),
             }
         }
 
-        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64>) {
+        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64, u64>) {
             outbox.send(self.me, 10 * request + 2);
         }
 
-        fn on_message(&mut self, sender: ServerId, message: u64, outbox: &mut Outbox<u64>) {
+        fn on_message(&mut self, sender: ServerId, message: u64, outbox: &mut Outbox<u64, u64>) {
             *self.received.entry((sender, message)).or_default() += 1;
-            self.pending.push(message);
+            outbox.indicate(message);
             if !message.is_multiple_of(10) {
                 outbox.send(self.me, message - 1);
             }
         }
+    }
 
-        fn drain_indications(&mut self) -> Vec<u64> {
-            std::mem::take(&mut self.pending)
+    /// On a request `r`, indicates `r` and then `r + 1` and sends its own
+    /// server `r + 2`; indicates every message it receives.
+    #[derive(Debug, Clone)]
+    struct Twice {
+        me: ServerId,
+    }
+
+    impl DeterministicProtocol for Twice {
+        type Request = u64;
+        type Message = u64;
+        type Indication = u64;
+
+        fn new(_config: &ProtocolConfig, _label: Label, me: ServerId) -> Self {
+            Twice { me }
+        }
+
+        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64, u64>) {
+            outbox.indicate(request);
+            outbox.indicate(request + 1);
+            outbox.send(self.me, request + 2);
+        }
+
+        fn on_message(&mut self, _sender: ServerId, message: u64, outbox: &mut Outbox<u64, u64>) {
+            outbox.indicate(message);
         }
     }
 
@@ -2657,7 +2670,6 @@ mod tests {
     #[derive(Debug, Clone)]
     struct Loopback {
         me: ServerId,
-        pending: Vec<u64>,
     }
 
     impl DeterministicProtocol for Loopback {
@@ -2666,13 +2678,10 @@ mod tests {
         type Indication = u64;
 
         fn new(_config: &ProtocolConfig, _label: Label, me: ServerId) -> Self {
-            Loopback {
-                me,
-                pending: Vec::new(),
-            }
+            Loopback { me }
         }
 
-        fn on_request(&mut self, request: u64, outbox: &mut Outbox<Counted>) {
+        fn on_request(&mut self, request: u64, outbox: &mut Outbox<Counted, u64>) {
             outbox.send(self.me, Counted(request));
         }
 
@@ -2680,14 +2689,46 @@ mod tests {
             &mut self,
             _sender: ServerId,
             message: Counted,
-            _outbox: &mut Outbox<Counted>,
+            outbox: &mut Outbox<Counted, u64>,
         ) {
-            self.pending.push(message.0);
+            outbox.indicate(message.0);
         }
+    }
 
-        fn drain_indications(&mut self) -> Vec<u64> {
-            std::mem::take(&mut self.pending)
-        }
+    #[test]
+    fn indications_surface_label_by_label_in_the_order_raised() {
+        // s1's genesis block requests on label 2, then on label 1. Each
+        // request raises two indications and sends s1 a message, whose
+        // self-link delivery raises a third. The block's indications come
+        // out label by label, each label's in the order raised, whatever
+        // order the requests came in.
+        let (_, signers) = setup(2);
+        let request = |label, value: u64| LabeledRequest::encode(Label::new(label), &value);
+        let b0 = Block::build(ServerId::new(0), SeqNum::ZERO, vec![], vec![], &signers[0]);
+        let b1 = Block::build(
+            ServerId::new(1),
+            SeqNum::ZERO,
+            vec![],
+            vec![request(2, 20), request(1, 10)],
+            &signers[1],
+        );
+        let mut dag = BlockDag::new();
+        dag.insert(b0).unwrap();
+        dag.insert(b1.clone()).unwrap();
+        let (interpreter, indications) =
+            interpret_like_the_oracle::<Twice>(&dag, 2, &[Label::new(1), Label::new(2)]);
+        let raised: Vec<(u64, u64)> = indications
+            .iter()
+            .map(|i| (i.label.id(), i.indication))
+            .collect();
+        assert_eq!(
+            raised,
+            [(1, 10), (1, 11), (1, 12), (2, 20), (2, 21), (2, 22)]
+        );
+        assert!(indications
+            .iter()
+            .all(|i| i.server == ServerId::new(1) && i.block == b1.block_ref()));
+        assert_eq!(interpreter.stats().indications, 6);
     }
 
     #[test]

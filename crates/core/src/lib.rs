@@ -30,22 +30,21 @@
 //! use dagbft_crypto::{KeyRegistry, ServerId};
 //!
 //! // A trivial deterministic protocol: indicate every received request.
+//! // It has no state: indications leave through the outbox as they are
+//! // raised, and the configuration reaches it there too.
 //! #[derive(Clone, Debug)]
-//! struct Echo { pending: Vec<u64> }
+//! struct Echo;
 //! impl DeterministicProtocol for Echo {
 //!     type Request = u64;
 //!     type Message = u64;
 //!     type Indication = u64;
 //!     fn new(_: &ProtocolConfig, _: Label, _: ServerId) -> Self {
-//!         Echo { pending: Vec::new() }
+//!         Echo
 //!     }
-//!     fn on_request(&mut self, req: u64, _out: &mut Outbox<u64>) {
-//!         self.pending.push(req);
+//!     fn on_request(&mut self, req: u64, out: &mut Outbox<u64, u64>) {
+//!         out.indicate(req);
 //!     }
-//!     fn on_message(&mut self, _from: ServerId, _msg: u64, _out: &mut Outbox<u64>) {}
-//!     fn drain_indications(&mut self) -> Vec<u64> {
-//!         std::mem::take(&mut self.pending)
-//!     }
+//!     fn on_message(&mut self, _from: ServerId, _msg: u64, _out: &mut Outbox<u64, u64>) {}
 //! }
 //!
 //! let registry = KeyRegistry::generate(1, 7);

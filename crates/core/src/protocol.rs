@@ -6,7 +6,8 @@
 //! captures exactly that contract as [`DeterministicProtocol`]:
 //!
 //! * handlers are *synchronous* — a request or message immediately produces
-//!   the triggered out-going messages (collected in an [`Outbox`]);
+//!   the triggered out-going messages and indications, both collected in an
+//!   [`Outbox`], which also hands the handler the run's [`ProtocolConfig`];
 //! * the implementation must be **deterministic**: state plus an ordered
 //!   message sequence fully determine the next state and outputs. No clocks,
 //!   no randomness, no global mutable state. The interpreter exploits this
@@ -250,12 +251,16 @@ impl WireDecode for ServerSet {
     }
 }
 
-/// Collector for the messages a protocol handler emits.
+/// What a protocol handler is handed and what it emits: the run's
+/// [`ProtocolConfig`], and a collector for the messages it sends and the
+/// indications it raises.
 ///
 /// The sender is implicit (the process instance being driven); the
 /// interpreter stamps it when materializing [`Envelope`]s. A message is
 /// queued once with the set of its receivers: a broadcast is one entry,
 /// not `n` copies of the message. Counting and expanding are per receiver.
+/// Indications are kept in the order raised. The configuration is read
+/// here, so no instance keeps a copy of it.
 ///
 /// # Examples
 ///
@@ -263,30 +268,37 @@ impl WireDecode for ServerSet {
 /// use dagbft_core::{Outbox, ProtocolConfig};
 /// use dagbft_crypto::ServerId;
 ///
-/// let config = ProtocolConfig::for_n(3);
-/// let mut outbox: Outbox<&'static str> = Outbox::new();
+/// let mut outbox: Outbox<&'static str, u8> = Outbox::new(ProtocolConfig::for_n(3));
 /// outbox.send(ServerId::new(1), "hi");
-/// outbox.broadcast(&config, "all");
+/// outbox.broadcast("all");
+/// outbox.indicate(7);
 /// assert_eq!(outbox.len(), 4);
+/// assert_eq!(outbox.config().quorum(), 1);
+/// assert!(outbox.drain_indications().eq([7]));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Outbox<M> {
+pub struct Outbox<M, I> {
+    /// The configuration every instance of the run shares.
+    config: ProtocolConfig,
     /// Per queued message, in call order, the servers it is addressed to.
     messages: Vec<(ServerSet, M)>,
+    /// Indications, in the order raised.
+    indications: Vec<I>,
 }
 
-impl<M> Default for Outbox<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> Outbox<M> {
-    /// Creates an empty outbox.
-    pub fn new() -> Self {
+impl<M, I> Outbox<M, I> {
+    /// Creates an empty outbox for handlers running under `config`.
+    pub fn new(config: ProtocolConfig) -> Self {
         Outbox {
+            config,
             messages: Vec::new(),
+            indications: Vec::new(),
         }
+    }
+
+    /// The configuration the handlers run under.
+    pub fn config(&self) -> &ProtocolConfig {
+        &self.config
     }
 
     /// Number of queued messages, one per receiver.
@@ -310,21 +322,34 @@ impl<M> Outbox<M> {
 
     /// Queues `message` for every server in the configuration, including the
     /// sender itself (the usual "send to all" of broadcast protocols).
-    pub fn broadcast(&mut self, config: &ProtocolConfig, message: M) {
-        self.messages.push((config.servers().collect(), message));
+    pub fn broadcast(&mut self, message: M) {
+        self.messages
+            .push((self.config.servers().collect(), message));
     }
 
-    /// Empties the outbox, yielding each queued message with its receivers,
-    /// and keeps its capacity: one outbox serves every handler call of a
-    /// block.
+    /// Raises `indication` to the user.
+    pub fn indicate(&mut self, indication: I) {
+        self.indications.push(indication);
+    }
+
+    /// Empties the outbox of messages, yielding each queued message with
+    /// its receivers, and keeps its capacity: one outbox serves every
+    /// handler call of a block.
     pub fn drain(&mut self) -> impl Iterator<Item = (ServerSet, M)> + '_ {
         self.messages.drain(..)
     }
+
+    /// Empties the outbox of indications, yielding them in the order
+    /// raised, and keeps its capacity.
+    pub fn drain_indications(&mut self) -> impl Iterator<Item = I> + '_ {
+        self.indications.drain(..)
+    }
 }
 
-impl<M: Clone> Outbox<M> {
+impl<M: Clone, I> Outbox<M, I> {
     /// Consumes the outbox, yielding one `(receiver, message)` pair per
     /// receiver: a broadcast expands to every server, in ascending order.
+    /// Undrained indications are dropped.
     pub fn into_messages(self) -> Vec<(ServerId, M)> {
         let mut pairs = Vec::with_capacity(self.len());
         for (receivers, message) in self.messages {
@@ -364,6 +389,14 @@ impl<M: Clone> Outbox<M> {
 ///   interpreter clones instance state along DAG edges
 ///   (Algorithm 2, line 4).
 ///
+/// An instance holds its own state and nothing else. The run's
+/// [`ProtocolConfig`] reaches every handler through its [`Outbox`], and
+/// every indication leaves through that same outbox the moment it is
+/// raised, so neither is in an instance's memory, nor in any of the
+/// versions the interpreter keeps resident. The interpreter surfaces a
+/// block's indications label by label, each label's in the order raised
+/// (Algorithm 2, lines 13–14).
+///
 /// Violating the contract does not corrupt the DAG, but different servers'
 /// interpretations may diverge, which is precisely what the paper's
 /// Lemma 4.2 excludes for deterministic `P`.
@@ -394,10 +427,11 @@ impl<M: Clone> Outbox<M> {
 /// [`ProtocolConfig`], must reproduce an observationally identical
 /// instance (including its [`Label`], if behaviour depends on it), and
 /// identical instances must encode to identical bytes — snapshots feed
-/// determinism fingerprints. The configuration is not part of an
-/// instance's bytes: a snapshot writes it once, in its header, and hands
-/// it to every `decode_state`. A protocol that keeps the defaults keeps
-/// no snapshots and always recovers by replay from genesis.
+/// determinism fingerprints. The configuration is in no instance's bytes,
+/// as it is in no instance's memory: a snapshot writes it once, in its
+/// header, and hands it to every `decode_state`, and the handlers read it
+/// from their [`Outbox`]. A protocol that keeps the defaults keeps no
+/// snapshots and always recovers by replay from genesis.
 ///
 /// # Examples
 ///
@@ -421,28 +455,27 @@ pub trait DeterministicProtocol: Clone {
     /// running *as* server `me` within the configured server set.
     fn new(config: &ProtocolConfig, label: Label, me: ServerId) -> Self;
 
-    /// High-level interface: the user requests `request`; messages
-    /// triggered by it are returned immediately via `outbox` (§4).
-    fn on_request(&mut self, request: Self::Request, outbox: &mut Outbox<Self::Message>);
+    /// High-level interface: the user requests `request`; the messages it
+    /// triggers and the indications it raises are returned immediately via
+    /// `outbox`, which also holds the configuration (§4).
+    fn on_request(
+        &mut self,
+        request: Self::Request,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
+    );
 
     /// Low-level interface: `message` from `sender` reaches this instance;
-    /// messages triggered by it are returned immediately via `outbox` (§4).
+    /// the messages it triggers and the indications it raises are returned
+    /// immediately via `outbox`, which also holds the configuration (§4).
     fn on_message(
         &mut self,
         sender: ServerId,
         message: Self::Message,
-        outbox: &mut Outbox<Self::Message>,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
     );
 
-    /// Removes and returns any pending indications `i ∈ Inds_P`.
-    ///
-    /// Called by the interpreter after each block interpretation
-    /// (Algorithm 2, lines 13–14). Draining must be destructive so an
-    /// indication is raised exactly once per occurrence.
-    fn drain_indications(&mut self) -> Vec<Self::Indication>;
-
-    /// Appends this instance's state, less its [`ProtocolConfig`], to
-    /// `out`. The default writes nothing: the protocol keeps no snapshots.
+    /// Appends this instance's state to `out`. The default writes nothing:
+    /// the protocol keeps no snapshots.
     fn encode_state(&self, _out: &mut Vec<u8>) {}
 
     /// Rebuilds an instance running under `config` from bytes produced by
@@ -506,9 +539,8 @@ mod tests {
 
     #[test]
     fn outbox_broadcast_includes_self() {
-        let config = ProtocolConfig::for_n(4);
-        let mut outbox = Outbox::new();
-        outbox.broadcast(&config, 1u8);
+        let mut outbox: Outbox<u8, ()> = Outbox::new(ProtocolConfig::for_n(4));
+        outbox.broadcast(1u8);
         let receivers: Vec<_> = outbox
             .into_messages()
             .into_iter()
@@ -519,7 +551,7 @@ mod tests {
 
     #[test]
     fn outbox_envelopes_stamp_sender() {
-        let mut outbox = Outbox::new();
+        let mut outbox: Outbox<_, ()> = Outbox::new(ProtocolConfig::for_n(8));
         outbox.send(ServerId::new(2), "m");
         let envelopes: Vec<_> = outbox.into_envelopes(ServerId::new(7)).collect();
         assert_eq!(envelopes.len(), 1);
@@ -530,9 +562,10 @@ mod tests {
     #[test]
     fn outbox_drains_and_is_reusable() {
         let config = ProtocolConfig::for_n(4);
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         outbox.send(ServerId::new(2), "m");
-        outbox.broadcast(&config, "b");
+        outbox.broadcast("b");
+        outbox.indicate(1u8);
         assert_eq!(outbox.len(), 5);
         let drained: Vec<_> = outbox.drain().collect();
         assert_eq!(drained.len(), 2, "a broadcast is one entry");
@@ -540,15 +573,17 @@ mod tests {
         assert!(drained[1].0.iter().eq(config.servers()));
         assert!(outbox.is_empty());
         outbox.send(ServerId::new(3), "n");
+        outbox.indicate(2);
         assert_eq!(outbox.drain().count(), 1);
+        assert!(outbox.drain_indications().eq([1, 2]), "in the order raised");
+        assert_eq!(outbox.drain_indications().count(), 0);
     }
 
     #[test]
     fn outbox_expands_in_call_then_receiver_order() {
-        let config = ProtocolConfig::for_n(3);
-        let mut outbox = Outbox::new();
+        let mut outbox: Outbox<_, ()> = Outbox::new(ProtocolConfig::for_n(3));
         outbox.send(ServerId::new(2), 'a');
-        outbox.broadcast(&config, 'b');
+        outbox.broadcast('b');
         outbox.send(ServerId::new(0), 'b');
         let pairs: Vec<(usize, char)> = outbox
             .into_messages()

@@ -31,6 +31,14 @@
 //! require the same [`AdmissionView`], the same commands per call and the
 //! same number of verifications.
 //!
+//! It does share one piece: when a `FWD` request is sent again. Both
+//! wait on production's [`RoundTrip`] estimator, fed the same samples, so
+//! where the equivalence covers `FWD` retry timing it compares that
+//! estimator with itself and can find no fault in it. What it checks
+//! independently is the admitted set — the insertion order and the
+//! rejections — and the commands each call returns; the estimator's own
+//! tests in [`crate::gossip`] are what check its timeouts.
+//!
 //! Production code paths (`Shim`, the simulator) must use
 //! [`crate::interpret::Interpreter`] and [`crate::gossip::Gossip`];
 //! nothing outside tests and benches should instantiate
@@ -87,16 +95,22 @@ impl<P: DeterministicProtocol> ReferenceBlockState<P> {
 }
 
 /// Stamps sender `me` on the envelopes a handler of `label`'s instance put
-/// in `outbox`, counts them, adds them to `B.Ms[out, ℓ]`, and queues the
-/// ones addressed to `me` on `to_me`, in the order sent.
-fn send<M: Clone + Ord>(
+/// in `outbox`, counts them, adds them to `B.Ms[out, ℓ]`, queues the ones
+/// addressed to `me` on `to_me`, in the order sent, and appends the
+/// indications it raised to `label`'s in `raised`.
+fn send<M: Clone + Ord, I>(
     me: ServerId,
     label: Label,
-    outbox: Outbox<M>,
+    mut outbox: Outbox<M, I>,
     outs: &mut BTreeMap<Label, BTreeSet<Envelope<M>>>,
     to_me: &mut Vec<(Label, Envelope<M>)>,
+    raised: &mut BTreeMap<Label, Vec<I>>,
     stats: &mut InterpretStats,
 ) {
+    raised
+        .entry(label)
+        .or_default()
+        .extend(outbox.drain_indications());
     let envelopes: Vec<_> = outbox.into_envelopes(me).collect();
     stats.messages_materialized += envelopes.len() as u64;
     to_me.extend(
@@ -230,9 +244,10 @@ impl<P: DeterministicProtocol> ReferenceInterpreter<P> {
 
         let mut outs: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> = BTreeMap::new();
         let mut ins: BTreeMap<Label, BTreeSet<Envelope<P::Message>>> = BTreeMap::new();
-        let mut touched: BTreeSet<Label> = BTreeSet::new();
         // Every envelope sent to `me` at this block, in the order sent.
         let mut to_me: Vec<(Label, Envelope<P::Message>)> = Vec::new();
+        // Per label, the indications its handlers raised, in that order.
+        let mut raised: BTreeMap<Label, Vec<P::Indication>> = BTreeMap::new();
         let config = self.config;
 
         // Lines 5–6: feed the block's own requests to B.n's instances.
@@ -243,11 +258,18 @@ impl<P: DeterministicProtocol> ReferenceInterpreter<P> {
                     let instance = pis
                         .entry(label)
                         .or_insert_with(|| P::new(&config, label, me));
-                    let mut outbox = Outbox::new();
+                    let mut outbox = Outbox::new(config);
                     instance.on_request(request, &mut outbox);
-                    send(me, label, outbox, &mut outs, &mut to_me, &mut self.stats);
+                    send(
+                        me,
+                        label,
+                        outbox,
+                        &mut outs,
+                        &mut to_me,
+                        &mut raised,
+                        &mut self.stats,
+                    );
                     active.insert(label);
-                    touched.insert(label);
                     self.stats.requests_processed += 1;
                 }
                 Err(_) => {
@@ -277,12 +299,19 @@ impl<P: DeterministicProtocol> ReferenceInterpreter<P> {
                 .entry(label)
                 .or_insert_with(|| P::new(&config, label, me));
             for envelope in &inbox {
-                let mut outbox = Outbox::new();
+                let mut outbox = Outbox::new(config);
                 instance.on_message(envelope.sender, envelope.message.clone(), &mut outbox);
-                send(me, label, outbox, &mut outs, &mut to_me, &mut self.stats);
+                send(
+                    me,
+                    label,
+                    outbox,
+                    &mut outs,
+                    &mut to_me,
+                    &mut raised,
+                    &mut self.stats,
+                );
                 self.stats.messages_delivered += 1;
             }
-            touched.insert(label);
             ins.insert(label, inbox);
         }
 
@@ -297,24 +326,31 @@ impl<P: DeterministicProtocol> ReferenceInterpreter<P> {
                 continue;
             }
             let instance = pis.get_mut(&label).expect("a sending instance");
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(config);
             instance.on_message(me, envelope.message, &mut outbox);
-            send(me, label, outbox, &mut outs, &mut to_me, &mut self.stats);
+            send(
+                me,
+                label,
+                outbox,
+                &mut outs,
+                &mut to_me,
+                &mut raised,
+                &mut self.stats,
+            );
             self.stats.messages_delivered += 1;
         }
 
-        // Lines 13–14: surface indications from the instances driven here.
-        for label in &touched {
-            if let Some(instance) = pis.get_mut(label) {
-                for indication in instance.drain_indications() {
-                    self.stats.indications += 1;
-                    self.indications.push(Indication {
-                        label: *label,
-                        indication,
-                        server: me,
-                        block: *block_ref,
-                    });
-                }
+        // Lines 13–14: surface the indications the instances driven here
+        // raised, label by label, each label's in the order raised.
+        for (label, indications) in raised {
+            for indication in indications {
+                self.stats.indications += 1;
+                self.indications.push(Indication {
+                    label,
+                    indication,
+                    server: me,
+                    block: *block_ref,
+                });
             }
         }
 

@@ -718,9 +718,7 @@ mod tests {
     /// indicate each distinct value once on receipt.
     #[derive(Debug, Clone)]
     struct Flood {
-        config: ProtocolConfig,
         seen: BTreeSet<u64>,
-        pending: Vec<u64>,
     }
 
     impl DeterministicProtocol for Flood {
@@ -728,26 +726,20 @@ mod tests {
         type Message = u64;
         type Indication = u64;
 
-        fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+        fn new(_config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
             Flood {
-                config: *config,
                 seen: BTreeSet::new(),
-                pending: Vec::new(),
             }
         }
 
-        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64>) {
-            outbox.broadcast(&self.config, request);
+        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64, u64>) {
+            outbox.broadcast(request);
         }
 
-        fn on_message(&mut self, _sender: ServerId, message: u64, _outbox: &mut Outbox<u64>) {
+        fn on_message(&mut self, _sender: ServerId, message: u64, outbox: &mut Outbox<u64, u64>) {
             if self.seen.insert(message) {
-                self.pending.push(message);
+                outbox.indicate(message);
             }
-        }
-
-        fn drain_indications(&mut self) -> Vec<u64> {
-            std::mem::take(&mut self.pending)
         }
     }
 

@@ -41,10 +41,8 @@ use rand::SeedableRng;
 /// back once (second-hop traffic), and indicates every receipt.
 #[derive(Debug, Clone, PartialEq)]
 struct Relay {
-    config: ProtocolConfig,
     received: BTreeMap<(ServerId, u64), u32>,
     relayed: BTreeSet<u64>,
-    pending: Vec<(ServerId, u64)>,
 }
 
 impl DeterministicProtocol for Relay {
@@ -53,25 +51,20 @@ impl DeterministicProtocol for Relay {
     type Indication = (ServerId, u64);
     const SNAPSHOTS: bool = true;
 
-    fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+    fn new(_config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
         Relay {
-            config: *config,
             received: BTreeMap::new(),
             relayed: BTreeSet::new(),
-            pending: Vec::new(),
         }
     }
 
     /// Out-buffer entries that must merge: the broadcast value once more to
     /// one server, and a second value to a subset of the servers, twice.
-    fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64>) {
-        outbox.broadcast(&self.config, request);
-        outbox.send(
-            ServerId::new((request % self.config.n as u64) as u32),
-            request,
-        );
-        let subset = self
-            .config
+    fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64, (ServerId, u64)>) {
+        let config = *outbox.config();
+        outbox.broadcast(request);
+        outbox.send(ServerId::new((request % config.n as u64) as u32), request);
+        let subset = config
             .servers()
             .filter(|server| (server.index() as u64 + request).is_multiple_of(2));
         for server in subset {
@@ -80,30 +73,31 @@ impl DeterministicProtocol for Relay {
         }
     }
 
-    fn on_message(&mut self, sender: ServerId, message: u64, outbox: &mut Outbox<u64>) {
+    fn on_message(
+        &mut self,
+        sender: ServerId,
+        message: u64,
+        outbox: &mut Outbox<u64, (ServerId, u64)>,
+    ) {
         *self.received.entry((sender, message)).or_default() += 1;
-        self.pending.push((sender, message));
+        outbox.indicate((sender, message));
         if message % 2 == 1 && self.relayed.insert(message) {
             outbox.send(sender, message + 1);
         }
     }
 
-    fn drain_indications(&mut self) -> Vec<(ServerId, u64)> {
-        std::mem::take(&mut self.pending)
-    }
-
     fn encode_state(&self, out: &mut Vec<u8>) {
         self.received.encode(out);
         self.relayed.encode(out);
-        self.pending.encode(out);
     }
 
-    fn decode_state(config: &ProtocolConfig, reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+    fn decode_state(
+        _config: &ProtocolConfig,
+        reader: &mut Reader<'_>,
+    ) -> Result<Self, DecodeError> {
         Ok(Relay {
-            config: *config,
             received: WireDecode::decode(reader)?,
             relayed: WireDecode::decode(reader)?,
-            pending: WireDecode::decode(reader)?,
         })
     }
 }

@@ -95,19 +95,17 @@ pub enum BcbIndication<V> {
 ///
 /// let config = ProtocolConfig::for_n(4);
 /// let mut instance: Bcb<u64> = Bcb::new(&config, Label::new(1), ServerId::new(0));
-/// let mut outbox = Outbox::new();
+/// let mut outbox = Outbox::new(config);
 /// instance.on_request(BcbRequest::Broadcast(9), &mut outbox);
 /// assert_eq!(outbox.len(), 4); // SEND 9 to everyone
 /// ```
 #[derive(Debug, Clone)]
 pub struct Bcb<V: Value> {
-    config: ProtocolConfig,
     sent: bool,
     /// The value this instance echoed, if any (one echo, ever).
     echoed: Option<V>,
     delivered: bool,
     echoes: Tally<V>,
-    pending: Vec<BcbIndication<V>>,
 }
 
 impl<V: Value> Bcb<V> {
@@ -132,22 +130,24 @@ impl<V: Value> DeterministicProtocol for Bcb<V> {
     type Message = BcbMessage<V>;
     type Indication = BcbIndication<V>;
 
-    fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+    fn new(_config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
         Bcb {
-            config: *config,
             sent: false,
             echoed: None,
             delivered: false,
             echoes: Tally::new(),
-            pending: Vec::new(),
         }
     }
 
-    fn on_request(&mut self, request: Self::Request, outbox: &mut Outbox<Self::Message>) {
+    fn on_request(
+        &mut self,
+        request: Self::Request,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
+    ) {
         let BcbRequest::Broadcast(value) = request;
         if !self.sent {
             self.sent = true;
-            outbox.broadcast(&self.config, BcbMessage::Send(value));
+            outbox.broadcast(BcbMessage::Send(value));
         }
     }
 
@@ -155,27 +155,23 @@ impl<V: Value> DeterministicProtocol for Bcb<V> {
         &mut self,
         sender: ServerId,
         message: Self::Message,
-        outbox: &mut Outbox<Self::Message>,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
     ) {
         match message {
             BcbMessage::Send(value) => {
                 if self.echoed.is_none() {
                     self.echoed = Some(value.clone());
-                    outbox.broadcast(&self.config, BcbMessage::Echo(value));
+                    outbox.broadcast(BcbMessage::Echo(value));
                 }
             }
             BcbMessage::Echo(value) => {
                 let echoes = self.echoes.record(&value, sender);
-                if !self.delivered && echoes >= self.config.quorum() {
+                if !self.delivered && echoes >= outbox.config().quorum() {
                     self.delivered = true;
-                    self.pending.push(BcbIndication::Deliver(value));
+                    outbox.indicate(BcbIndication::Deliver(value));
                 }
             }
         }
-    }
-
-    fn drain_indications(&mut self) -> Vec<Self::Indication> {
-        std::mem::take(&mut self.pending)
     }
 }
 
@@ -189,15 +185,16 @@ mod tests {
         mut queue: Vec<(usize, ServerId, BcbMessage<u64>)>,
     ) -> Vec<Option<u64>> {
         let mut delivered = vec![None; instances.len()];
+        let config = ProtocolConfig::for_n(instances.len());
         while let Some((to, from, message)) = queue.pop() {
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(config);
             instances[to].on_message(from, message, &mut outbox);
-            for (next_to, next_message) in outbox.into_messages() {
-                queue.push((next_to.index(), ServerId::new(to as u32), next_message));
-            }
-            for BcbIndication::Deliver(value) in instances[to].drain_indications() {
+            for BcbIndication::Deliver(value) in outbox.drain_indications() {
                 assert!(delivered[to].is_none(), "no duplication");
                 delivered[to] = Some(value);
+            }
+            for (next_to, next_message) in outbox.into_messages() {
+                queue.push((next_to.index(), ServerId::new(to as u32), next_message));
             }
         }
         delivered
@@ -213,7 +210,7 @@ mod tests {
     #[test]
     fn validity_with_correct_broadcaster() {
         let mut instances = fresh(4);
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(ProtocolConfig::for_n(4));
         instances[0].on_request(BcbRequest::Broadcast(5), &mut outbox);
         let queue = outbox
             .into_messages()
@@ -265,10 +262,10 @@ mod tests {
     fn echo_only_once() {
         let config = ProtocolConfig::for_n(4);
         let mut instance: Bcb<u64> = Bcb::new(&config, Label::new(1), ServerId::new(0));
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instance.on_message(ServerId::new(1), BcbMessage::Send(1), &mut outbox);
         assert_eq!(outbox.len(), 4);
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instance.on_message(ServerId::new(2), BcbMessage::Send(2), &mut outbox);
         assert!(outbox.is_empty(), "echoes exactly once");
         assert_eq!(instance.echoed(), Some(&1));

@@ -86,17 +86,15 @@ pub struct BeaconOutput {
 ///
 /// let config = ProtocolConfig::for_n(4);
 /// let mut instance = Beacon::new(&config, Label::new(1), ServerId::new(0));
-/// let mut outbox = Outbox::new();
+/// let mut outbox = Outbox::new(config);
 /// instance.on_request(BeaconRequest::Contribute(0xfeed), &mut outbox);
 /// assert_eq!(outbox.len(), 4); // the share goes to everyone
 /// ```
 #[derive(Debug, Clone)]
 pub struct Beacon {
-    config: ProtocolConfig,
     contributed: bool,
     shares: BTreeMap<ServerId, u64>,
     output: Option<BeaconOutput>,
-    pending: Vec<BeaconOutput>,
 }
 
 impl Beacon {
@@ -110,8 +108,9 @@ impl Beacon {
         self.output.as_ref()
     }
 
-    fn try_finalize(&mut self) {
-        if self.output.is_some() || self.shares.len() < self.config.n {
+    fn try_finalize(&mut self, outbox: &mut Outbox<BeaconMessage, BeaconOutput>) {
+        let n = outbox.config().n;
+        if self.output.is_some() || self.shares.len() < n {
             return;
         }
         // Deterministic mix: hash the (server, coin) pairs in server order.
@@ -126,10 +125,10 @@ impl Beacon {
         let value = u64::from_le_bytes(prefix);
         let output = BeaconOutput {
             value,
-            winner: ServerId::new((value % self.config.n as u64) as u32),
+            winner: ServerId::new((value % n as u64) as u32),
         };
         self.output = Some(output.clone());
-        self.pending.push(output);
+        outbox.indicate(output);
     }
 }
 
@@ -138,21 +137,23 @@ impl DeterministicProtocol for Beacon {
     type Message = BeaconMessage;
     type Indication = BeaconOutput;
 
-    fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+    fn new(_config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
         Beacon {
-            config: *config,
             contributed: false,
             shares: BTreeMap::new(),
             output: None,
-            pending: Vec::new(),
         }
     }
 
-    fn on_request(&mut self, request: Self::Request, outbox: &mut Outbox<Self::Message>) {
+    fn on_request(
+        &mut self,
+        request: Self::Request,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
+    ) {
         let BeaconRequest::Contribute(coin) = request;
         if !self.contributed {
             self.contributed = true;
-            outbox.broadcast(&self.config, BeaconMessage::Share(coin));
+            outbox.broadcast(BeaconMessage::Share(coin));
         }
     }
 
@@ -160,18 +161,14 @@ impl DeterministicProtocol for Beacon {
         &mut self,
         sender: ServerId,
         message: Self::Message,
-        _outbox: &mut Outbox<Self::Message>,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
     ) {
         let BeaconMessage::Share(coin) = message;
         // First share per sender counts (equivocating shares are absorbed
         // by whichever version the interpretation's total order feeds
         // first — consistently across all correct interpreters).
         self.shares.entry(sender).or_insert(coin);
-        self.try_finalize();
-    }
-
-    fn drain_indications(&mut self) -> Vec<Self::Indication> {
-        std::mem::take(&mut self.pending)
+        self.try_finalize(outbox);
     }
 }
 
@@ -186,21 +183,22 @@ mod tests {
             .collect();
         let mut queue: Vec<(usize, ServerId, BeaconMessage)> = Vec::new();
         for (i, coin) in coins.iter().enumerate() {
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(config);
             instances[i].on_request(BeaconRequest::Contribute(*coin), &mut outbox);
             for (to, message) in outbox.into_messages() {
                 queue.push((to.index(), ServerId::new(i as u32), message));
             }
         }
+        let mut outputs = vec![None; n];
         while let Some((to, from, message)) = queue.pop() {
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(config);
             instances[to].on_message(from, message, &mut outbox);
             assert!(outbox.is_empty(), "beacon sends only on request");
+            if let Some(output) = outbox.drain_indications().last() {
+                outputs[to] = Some(output);
+            }
         }
-        instances
-            .iter_mut()
-            .map(|i| i.drain_indications().pop())
-            .collect()
+        outputs
     }
 
     #[test]
@@ -237,7 +235,7 @@ mod tests {
     fn duplicate_shares_ignored() {
         let config = ProtocolConfig::for_n(2);
         let mut instance = Beacon::new(&config, Label::new(1), ServerId::new(0));
-        let mut sink = Outbox::new();
+        let mut sink = Outbox::new(config);
         instance.on_message(ServerId::new(1), BeaconMessage::Share(5), &mut sink);
         instance.on_message(ServerId::new(1), BeaconMessage::Share(6), &mut sink);
         assert_eq!(instance.share_count(), 1);

@@ -74,26 +74,6 @@ pub enum BrbIndication<V> {
     Deliver(V),
 }
 
-impl<V: WireEncode> WireEncode for BrbIndication<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let BrbIndication::Deliver(value) = self;
-        out.push(0);
-        value.encode(out);
-    }
-}
-
-impl<V: WireDecode> WireDecode for BrbIndication<V> {
-    fn decode(reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
-        match reader.read_u8()? {
-            0 => Ok(BrbIndication::Deliver(V::decode(reader)?)),
-            value => Err(DecodeError::InvalidDiscriminant {
-                type_name: "BrbIndication",
-                value,
-            }),
-        }
-    }
-}
-
 /// One process instance of byzantine reliable broadcast (Algorithm 4).
 ///
 /// # Examples
@@ -107,14 +87,13 @@ impl<V: WireDecode> WireDecode for BrbIndication<V> {
 ///
 /// let config = ProtocolConfig::for_n(4);
 /// let mut instance: Brb<u64> = Brb::new(&config, Label::new(1), ServerId::new(0));
-/// let mut outbox = Outbox::new();
+/// let mut outbox = Outbox::new(config);
 /// instance.on_request(BrbRequest::Broadcast(42), &mut outbox);
 /// // ECHO 42 to all four servers.
 /// assert_eq!(outbox.len(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Brb<V: Value> {
-    config: ProtocolConfig,
     echoed: bool,
     readied: bool,
     delivered: bool,
@@ -122,7 +101,6 @@ pub struct Brb<V: Value> {
     echoes: Tally<V>,
     /// `READY v` senders, per value.
     readies: Tally<V>,
-    pending: Vec<BrbIndication<V>>,
 }
 
 impl<V: Value> Brb<V> {
@@ -151,21 +129,21 @@ impl<V: Value> Brb<V> {
         self.readies.count(value)
     }
 
-    fn maybe_ready(&mut self, value: &V, outbox: &mut Outbox<BrbMessage<V>>) {
+    fn maybe_ready(&mut self, value: &V, outbox: &mut Outbox<BrbMessage<V>, BrbIndication<V>>) {
         // Lines 9–11: 2f+1 ECHOs. Lines 12–14: f+1 READYs (amplification).
-        let echo_quorum = self.echo_count(value) >= self.config.quorum();
-        let ready_plurality = self.ready_count(value) >= self.config.plurality();
+        let echo_quorum = self.echo_count(value) >= outbox.config().quorum();
+        let ready_plurality = self.ready_count(value) >= outbox.config().plurality();
         if !self.readied && (echo_quorum || ready_plurality) {
             self.readied = true;
-            outbox.broadcast(&self.config, BrbMessage::Ready(value.clone()));
+            outbox.broadcast(BrbMessage::Ready(value.clone()));
         }
     }
 
-    fn maybe_deliver(&mut self, value: &V) {
+    fn maybe_deliver(&mut self, value: &V, outbox: &mut Outbox<BrbMessage<V>, BrbIndication<V>>) {
         // Lines 15–17: 2f+1 READYs.
-        if !self.delivered && self.ready_count(value) >= self.config.quorum() {
+        if !self.delivered && self.ready_count(value) >= outbox.config().quorum() {
             self.delivered = true;
-            self.pending.push(BrbIndication::Deliver(value.clone()));
+            outbox.indicate(BrbIndication::Deliver(value.clone()));
         }
     }
 }
@@ -176,24 +154,26 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
     type Indication = BrbIndication<V>;
     const SNAPSHOTS: bool = true;
 
-    fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+    fn new(_config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
         Brb {
-            config: *config,
             echoed: false,
             readied: false,
             delivered: false,
             echoes: Tally::new(),
             readies: Tally::new(),
-            pending: Vec::new(),
         }
     }
 
-    fn on_request(&mut self, request: Self::Request, outbox: &mut Outbox<Self::Message>) {
+    fn on_request(
+        &mut self,
+        request: Self::Request,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
+    ) {
         let BrbRequest::Broadcast(value) = request;
         // Lines 3–5: the request is assumed authenticated (§5); echo once.
         if !self.echoed {
             self.echoed = true;
-            outbox.broadcast(&self.config, BrbMessage::Echo(value));
+            outbox.broadcast(BrbMessage::Echo(value));
         }
     }
 
@@ -201,14 +181,14 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
         &mut self,
         sender: ServerId,
         message: Self::Message,
-        outbox: &mut Outbox<Self::Message>,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
     ) {
         match message {
             BrbMessage::Echo(value) => {
                 // Lines 6–8: echo amplification on first ECHO.
                 if !self.echoed {
                     self.echoed = true;
-                    outbox.broadcast(&self.config, BrbMessage::Echo(value.clone()));
+                    outbox.broadcast(BrbMessage::Echo(value.clone()));
                 }
                 self.echoes.record(&value, sender);
                 self.maybe_ready(&value, outbox);
@@ -216,28 +196,27 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
             BrbMessage::Ready(value) => {
                 self.readies.record(&value, sender);
                 self.maybe_ready(&value, outbox);
-                self.maybe_deliver(&value);
+                self.maybe_deliver(&value, outbox);
             }
         }
     }
 
-    fn drain_indications(&mut self) -> Vec<Self::Indication> {
-        std::mem::take(&mut self.pending)
-    }
-
+    /// The flags, the two tallies, and a `u32` zero: the count of undrained
+    /// indications that older builds kept in the instance, so the bytes
+    /// stay those of snapshot format 5.
     fn encode_state(&self, out: &mut Vec<u8>) {
         out.push(u8::from(self.echoed));
         out.push(u8::from(self.readied));
         out.push(u8::from(self.delivered));
         self.echoes.encode(out);
         self.readies.encode(out);
-        (self.pending.len() as u32).encode(out);
-        for indication in &self.pending {
-            indication.encode(out);
-        }
+        0u32.encode(out);
     }
 
-    fn decode_state(config: &ProtocolConfig, reader: &mut Reader<'_>) -> Result<Self, DecodeError> {
+    fn decode_state(
+        _config: &ProtocolConfig,
+        reader: &mut Reader<'_>,
+    ) -> Result<Self, DecodeError> {
         let mut flags = [false; 3];
         for flag in &mut flags {
             *flag = match reader.read_u8()? {
@@ -253,19 +232,18 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
         }
         let echoes = Tally::decode(reader)?;
         let readies = Tally::decode(reader)?;
-        let pending_count = reader.read_len(2)?;
-        let mut pending = Vec::with_capacity(pending_count);
-        for _ in 0..pending_count {
-            pending.push(BrbIndication::decode(reader)?);
+        // A snapshot is taken with every indication surfaced.
+        if reader.read_u32()? != 0 {
+            return Err(DecodeError::Invalid {
+                reason: "a Brb state holds no undrained indication",
+            });
         }
         Ok(Brb {
-            config: *config,
             echoed: flags[0],
             readied: flags[1],
             delivered: flags[2],
             echoes,
             readies,
-            pending,
         })
     }
 }
@@ -281,6 +259,8 @@ mod tests {
         config: ProtocolConfig,
         instances: Vec<Brb<u64>>,
         silent: BTreeSet<usize>,
+        /// Per server, the value it delivered in the current run.
+        delivered: Vec<Option<u64>>,
     }
 
     impl Net {
@@ -292,6 +272,7 @@ mod tests {
                     .map(|i| Brb::new(&config, Label::new(1), ServerId::new(i as u32)))
                     .collect(),
                 silent: BTreeSet::new(),
+                delivered: vec![None; n],
             }
         }
 
@@ -303,7 +284,7 @@ mod tests {
         /// quiescence. Returns per-server delivered values.
         fn run(&mut self, origin: usize, value: u64) -> Vec<Option<u64>> {
             let mut queue: Vec<(usize, ServerId, BrbMessage<u64>)> = Vec::new();
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(self.config);
             self.instances[origin].on_request(BrbRequest::Broadcast(value), &mut outbox);
             for (to, message) in outbox.into_messages() {
                 queue.push((to.index(), ServerId::new(origin as u32), message));
@@ -316,21 +297,17 @@ mod tests {
                 if self.silent.contains(&to) {
                     continue;
                 }
-                let mut outbox = Outbox::new();
+                let mut outbox = Outbox::new(self.config);
                 self.instances[to].on_message(from, message, &mut outbox);
+                for BrbIndication::Deliver(value) in outbox.drain_indications() {
+                    self.delivered[to] = Some(value);
+                }
                 for (next_to, next_message) in outbox.into_messages() {
                     queue.push((next_to.index(), ServerId::new(to as u32), next_message));
                 }
             }
-            self.instances
-                .iter_mut()
-                .map(|instance| {
-                    instance.drain_indications().pop().map(|indication| {
-                        let BrbIndication::Deliver(value) = indication;
-                        value
-                    })
-                })
-                .collect()
+            let n = self.instances.len();
+            std::mem::replace(&mut self.delivered, vec![None; n])
         }
 
         fn config(&self) -> ProtocolConfig {
@@ -399,15 +376,14 @@ mod tests {
             if to == 3 {
                 continue; // byzantine stays silent from here on
             }
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(config);
             instances[to].on_message(from, message, &mut outbox);
-            for (next_to, next_message) in outbox.into_messages() {
-                queue.push((next_to.index(), ServerId::new(to as u32), next_message));
-            }
-            for indication in instances[to].drain_indications() {
-                let BrbIndication::Deliver(value) = indication;
+            for BrbIndication::Deliver(value) in outbox.drain_indications() {
                 assert!(delivered[to].is_none(), "no duplication");
                 delivered[to] = Some(value);
+            }
+            for (next_to, next_message) in outbox.into_messages() {
+                queue.push((next_to.index(), ServerId::new(to as u32), next_message));
             }
         }
         let values: BTreeSet<u64> = delivered.iter().flatten().copied().collect();
@@ -420,11 +396,11 @@ mod tests {
         // READYs (lines 12–14) — needed for totality.
         let config = ProtocolConfig::for_n(4);
         let mut instance: Brb<u64> = Brb::new(&config, Label::new(1), ServerId::new(0));
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instance.on_message(ServerId::new(1), BrbMessage::Ready(9), &mut outbox);
         assert!(outbox.is_empty());
         assert!(!instance.readied());
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instance.on_message(ServerId::new(2), BrbMessage::Ready(9), &mut outbox);
         assert!(instance.readied());
         let readies = outbox
@@ -439,7 +415,7 @@ mod tests {
     fn duplicate_senders_counted_once() {
         let config = ProtocolConfig::for_n(4);
         let mut instance: Brb<u64> = Brb::new(&config, Label::new(1), ServerId::new(0));
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         for _ in 0..5 {
             instance.on_message(ServerId::new(1), BrbMessage::Ready(3), &mut outbox);
         }
@@ -473,7 +449,7 @@ mod tests {
     fn snapshot_state_roundtrip_is_canonical() {
         let config = ProtocolConfig::for_n(4);
         let mut instance: Brb<u64> = Brb::new(&config, Label::new(1), ServerId::new(0));
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instance.on_message(ServerId::new(1), BrbMessage::Echo(9), &mut outbox);
         instance.on_message(ServerId::new(2), BrbMessage::Ready(9), &mut outbox);
         instance.on_message(ServerId::new(3), BrbMessage::Ready(9), &mut outbox);
@@ -495,6 +471,31 @@ mod tests {
         assert_eq!(decoded.delivered(), instance.delivered());
         assert_eq!(decoded.echo_count(&9), instance.echo_count(&9));
         assert_eq!(decoded.ready_count(&9), instance.ready_count(&9));
+    }
+
+    #[test]
+    fn snapshot_state_keeps_a_zero_indication_count() {
+        // Format 5 bytes: the flags, the tallies, then the `u32` count of
+        // undrained indications an instance once kept, always zero now.
+        let config = ProtocolConfig::for_n(4);
+        let mut instance: Brb<u64> = Brb::new(&config, Label::new(1), ServerId::new(0));
+        let mut outbox = Outbox::new(config);
+        for sender in 1..4 {
+            instance.on_message(ServerId::new(sender), BrbMessage::Ready(9), &mut outbox);
+        }
+        assert!(instance.delivered());
+        let mut bytes = Vec::new();
+        instance.encode_state(&mut bytes);
+        assert_eq!(bytes[bytes.len() - 4..], [0; 4]);
+
+        // An indication left in the bytes, as an older build may have
+        // written one, is refused, not decoded or panicked on.
+        let mut stale = bytes[..bytes.len() - 4].to_vec();
+        1u32.encode(&mut stale);
+        stale.push(0); // `Deliver`
+        9u64.encode(&mut stale);
+        let refused = Brb::<u64>::decode_state(&config, &mut Reader::new(&stale));
+        assert!(matches!(refused, Err(DecodeError::Invalid { .. })));
     }
 
     #[test]

@@ -112,14 +112,13 @@ impl<V: Value> Default for Sub<V> {
 ///
 /// let config = ProtocolConfig::for_n(4);
 /// let mut instance: Fifo<u64> = Fifo::new(&config, Label::new(1), ServerId::new(0));
-/// let mut outbox = Outbox::new();
+/// let mut outbox = Outbox::new(config);
 /// instance.on_request(FifoRequest::Broadcast(1), &mut outbox);
 /// instance.on_request(FifoRequest::Broadcast(2), &mut outbox);
 /// assert_eq!(outbox.len(), 8); // two sequenced ECHO broadcasts
 /// ```
 #[derive(Debug, Clone)]
 pub struct Fifo<V: Value> {
-    config: ProtocolConfig,
     me: ServerId,
     /// Next sequence number for own broadcasts.
     next_own_seq: StreamSeq,
@@ -128,7 +127,6 @@ pub struct Fifo<V: Value> {
     staged: BTreeMap<(ServerId, StreamSeq), V>,
     /// Next deliverable position per origin.
     cursor: BTreeMap<ServerId, StreamSeq>,
-    pending: Vec<FifoDeliver<V>>,
 }
 
 impl<V: Value> Fifo<V> {
@@ -148,19 +146,17 @@ impl<V: Value> Fifo<V> {
         origin: ServerId,
         seq: StreamSeq,
         value: V,
-        outbox: &mut Outbox<FifoMessage<V>>,
+        outbox: &mut Outbox<FifoMessage<V>, FifoDeliver<V>>,
     ) {
-        let quorum = self.config.quorum();
-        let config = self.config;
         let sub = self.subs.entry((origin, seq)).or_default();
         if !sub.echoed {
             sub.echoed = true;
-            outbox.broadcast(&config, FifoMessage::Echo(origin, seq, value.clone()));
+            outbox.broadcast(FifoMessage::Echo(origin, seq, value.clone()));
         }
         let echo_count = sub.echoes.record(&value, sender);
-        if !sub.readied && echo_count >= quorum {
+        if !sub.readied && echo_count >= outbox.config().quorum() {
             sub.readied = true;
-            outbox.broadcast(&config, FifoMessage::Ready(origin, seq, value));
+            outbox.broadcast(FifoMessage::Ready(origin, seq, value));
         }
     }
 
@@ -170,29 +166,27 @@ impl<V: Value> Fifo<V> {
         origin: ServerId,
         seq: StreamSeq,
         value: V,
-        outbox: &mut Outbox<FifoMessage<V>>,
+        outbox: &mut Outbox<FifoMessage<V>, FifoDeliver<V>>,
     ) {
-        let quorum = self.config.quorum();
-        let plurality = self.config.plurality();
-        let config = self.config;
+        let (quorum, plurality) = (outbox.config().quorum(), outbox.config().plurality());
         let sub = self.subs.entry((origin, seq)).or_default();
         let ready_count = sub.readies.record(&value, sender);
         if !sub.readied && ready_count >= plurality {
             sub.readied = true;
-            outbox.broadcast(&config, FifoMessage::Ready(origin, seq, value.clone()));
+            outbox.broadcast(FifoMessage::Ready(origin, seq, value.clone()));
         }
         if !sub.delivered && ready_count >= quorum {
             sub.delivered = true;
             self.staged.insert((origin, seq), value);
-            self.release(origin);
+            self.release(origin, outbox);
         }
     }
 
     /// Releases staged values of `origin` in sequence order.
-    fn release(&mut self, origin: ServerId) {
+    fn release(&mut self, origin: ServerId, outbox: &mut Outbox<FifoMessage<V>, FifoDeliver<V>>) {
         let mut cursor = self.cursor_of(origin);
         while let Some(value) = self.staged.remove(&(origin, cursor)) {
-            self.pending.push(FifoDeliver {
+            outbox.indicate(FifoDeliver {
                 origin,
                 seq: cursor,
                 value,
@@ -208,19 +202,21 @@ impl<V: Value> DeterministicProtocol for Fifo<V> {
     type Message = FifoMessage<V>;
     type Indication = FifoDeliver<V>;
 
-    fn new(config: &ProtocolConfig, _label: Label, me: ServerId) -> Self {
+    fn new(_config: &ProtocolConfig, _label: Label, me: ServerId) -> Self {
         Fifo {
-            config: *config,
             me,
             next_own_seq: 0,
             subs: BTreeMap::new(),
             staged: BTreeMap::new(),
             cursor: BTreeMap::new(),
-            pending: Vec::new(),
         }
     }
 
-    fn on_request(&mut self, request: Self::Request, outbox: &mut Outbox<Self::Message>) {
+    fn on_request(
+        &mut self,
+        request: Self::Request,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
+    ) {
         let FifoRequest::Broadcast(value) = request;
         let seq = self.next_own_seq;
         self.next_own_seq += 1;
@@ -233,7 +229,7 @@ impl<V: Value> DeterministicProtocol for Fifo<V> {
         &mut self,
         sender: ServerId,
         message: Self::Message,
-        outbox: &mut Outbox<Self::Message>,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
     ) {
         match message {
             FifoMessage::Echo(origin, seq, value) => {
@@ -244,10 +240,6 @@ impl<V: Value> DeterministicProtocol for Fifo<V> {
             }
         }
     }
-
-    fn drain_indications(&mut self) -> Vec<Self::Indication> {
-        std::mem::take(&mut self.pending)
-    }
 }
 
 #[cfg(test)]
@@ -255,7 +247,10 @@ mod tests {
     use super::*;
 
     struct Net {
+        config: ProtocolConfig,
         instances: Vec<Fifo<u64>>,
+        /// Per server, what it delivered since the last `deliveries`.
+        delivered: Vec<Vec<FifoDeliver<u64>>>,
         /// Messages held back (not delivered) while `true`.
         hold: bool,
         held: Vec<(usize, ServerId, FifoMessage<u64>)>,
@@ -265,17 +260,20 @@ mod tests {
         fn new(n: usize) -> Self {
             let config = ProtocolConfig::for_n(n);
             Net {
+                config,
                 instances: (0..n)
                     .map(|i| Fifo::new(&config, Label::new(1), ServerId::new(i as u32)))
                     .collect(),
+                delivered: vec![Vec::new(); n],
                 hold: false,
                 held: Vec::new(),
             }
         }
 
         fn broadcast(&mut self, origin: usize, value: u64) {
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(self.config);
             self.instances[origin].on_request(FifoRequest::Broadcast(value), &mut outbox);
+            self.delivered[origin].extend(outbox.drain_indications());
             let queue: Vec<_> = outbox
                 .into_messages()
                 .into_iter()
@@ -290,8 +288,9 @@ mod tests {
                     self.held.push((to, from, message));
                     continue;
                 }
-                let mut outbox = Outbox::new();
+                let mut outbox = Outbox::new(self.config);
                 self.instances[to].on_message(from, message, &mut outbox);
+                self.delivered[to].extend(outbox.drain_indications());
                 for (next_to, next_message) in outbox.into_messages() {
                     queue.push((next_to.index(), ServerId::new(to as u32), next_message));
                 }
@@ -305,10 +304,8 @@ mod tests {
         }
 
         fn deliveries(&mut self) -> Vec<Vec<FifoDeliver<u64>>> {
-            self.instances
-                .iter_mut()
-                .map(|i| i.drain_indications())
-                .collect()
+            let n = self.instances.len();
+            std::mem::replace(&mut self.delivered, vec![Vec::new(); n])
         }
     }
 

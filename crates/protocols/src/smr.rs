@@ -23,7 +23,7 @@
 //! Committed slots are indicated **in slot order** per instance (total
 //! order delivery).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_core::{DeterministicProtocol, Label, Outbox, ProtocolConfig};
@@ -121,13 +121,12 @@ impl<V: Value> Default for SlotState<V> {
 /// let config = ProtocolConfig::for_n(4);
 /// // Label 2 → leader is server 2; this instance runs as server 2.
 /// let mut leader: Smr<u64> = Smr::new(&config, Label::new(2), ServerId::new(2));
-/// let mut outbox = Outbox::new();
+/// let mut outbox = Outbox::new(config);
 /// leader.on_request(SmrRequest::Propose(9), &mut outbox);
 /// assert_eq!(outbox.len(), 4); // PRE-PREPARE(0, 9) to everyone
 /// ```
 #[derive(Debug, Clone)]
 pub struct Smr<V: Value> {
-    config: ProtocolConfig,
     me: ServerId,
     leader: ServerId,
     /// Next slot the leader assigns.
@@ -138,7 +137,6 @@ pub struct Smr<V: Value> {
     slots: BTreeMap<Slot, SlotState<V>>,
     /// Lowest slot not yet delivered (ordered delivery).
     next_deliver: Slot,
-    pending: VecDeque<SmrIndication<V>>,
 }
 
 impl<V: Value> Smr<V> {
@@ -157,23 +155,22 @@ impl<V: Value> Smr<V> {
         self.slots.get(&slot).and_then(|s| s.committed.as_ref())
     }
 
-    fn leader_assign(&mut self, value: V, outbox: &mut Outbox<SmrMessage<V>>) {
+    fn leader_assign(&mut self, value: V, outbox: &mut Outbox<SmrMessage<V>, SmrIndication<V>>) {
         if self.assigned.contains(&value) {
             return;
         }
         self.assigned.insert(value.clone());
         let slot = self.next_slot;
         self.next_slot += 1;
-        outbox.broadcast(&self.config, SmrMessage::PrePrepare(slot, value));
+        outbox.broadcast(SmrMessage::PrePrepare(slot, value));
     }
 
-    fn try_deliver(&mut self) {
+    fn try_deliver(&mut self, outbox: &mut Outbox<SmrMessage<V>, SmrIndication<V>>) {
         while let Some(state) = self.slots.get(&self.next_deliver) {
             let Some(value) = state.committed.clone() else {
                 break;
             };
-            self.pending
-                .push_back(SmrIndication::Committed(self.next_deliver, value));
+            outbox.indicate(SmrIndication::Committed(self.next_deliver, value));
             self.next_deliver += 1;
         }
     }
@@ -187,18 +184,20 @@ impl<V: Value> DeterministicProtocol for Smr<V> {
     fn new(config: &ProtocolConfig, label: Label, me: ServerId) -> Self {
         let leader = ServerId::new((label.id() % config.n as u64) as u32);
         Smr {
-            config: *config,
             me,
             leader,
             next_slot: 0,
             assigned: BTreeSet::new(),
             slots: BTreeMap::new(),
             next_deliver: 0,
-            pending: VecDeque::new(),
         }
     }
 
-    fn on_request(&mut self, request: Self::Request, outbox: &mut Outbox<Self::Message>) {
+    fn on_request(
+        &mut self,
+        request: Self::Request,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
+    ) {
         let SmrRequest::Propose(value) = request;
         if self.is_leader() {
             self.leader_assign(value, outbox);
@@ -211,7 +210,7 @@ impl<V: Value> DeterministicProtocol for Smr<V> {
         &mut self,
         sender: ServerId,
         message: Self::Message,
-        outbox: &mut Outbox<Self::Message>,
+        outbox: &mut Outbox<Self::Message, Self::Indication>,
     ) {
         match message {
             SmrMessage::Forward(value) => {
@@ -227,11 +226,11 @@ impl<V: Value> DeterministicProtocol for Smr<V> {
                 let state = self.slots.entry(slot).or_default();
                 if state.accepted.is_none() {
                     state.accepted = Some(value.clone());
-                    outbox.broadcast(&self.config, SmrMessage::Prepare(slot, value));
+                    outbox.broadcast(SmrMessage::Prepare(slot, value));
                 }
             }
             SmrMessage::Prepare(slot, value) => {
-                let quorum = self.config.quorum();
+                let quorum = outbox.config().quorum();
                 let state = self.slots.entry(slot).or_default();
                 let prepared = state.prepares.record(&value, sender) >= quorum;
                 // Commit only for the value we accepted (the prepare lock):
@@ -240,49 +239,51 @@ impl<V: Value> DeterministicProtocol for Smr<V> {
                 let is_accepted = state.accepted.as_ref() == Some(&value);
                 if prepared && is_accepted && !state.sent_commit {
                     state.sent_commit = true;
-                    outbox.broadcast(&self.config, SmrMessage::Commit(slot, value));
+                    outbox.broadcast(SmrMessage::Commit(slot, value));
                 }
             }
             SmrMessage::Commit(slot, value) => {
-                let quorum = self.config.quorum();
+                let quorum = outbox.config().quorum();
                 let state = self.slots.entry(slot).or_default();
                 let commits = state.commits.record(&value, sender);
                 if state.committed.is_none() && commits >= quorum {
                     state.committed = Some(value);
-                    self.try_deliver();
+                    self.try_deliver(outbox);
                 }
             }
         }
-    }
-
-    fn drain_indications(&mut self) -> Vec<Self::Indication> {
-        self.pending.drain(..).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     struct Net {
+        config: ProtocolConfig,
         instances: Vec<Smr<u64>>,
         /// Servers that drop all incoming traffic.
         silent: BTreeSet<usize>,
+        /// Per server, the slots and values it committed, in order.
+        committed: Vec<Vec<(Slot, u64)>>,
     }
 
     impl Net {
         fn new(n: usize, label: u64) -> Self {
             let config = ProtocolConfig::for_n(n);
             Net {
+                config,
                 instances: (0..n)
                     .map(|i| Smr::new(&config, Label::new(label), ServerId::new(i as u32)))
                     .collect(),
                 silent: BTreeSet::new(),
+                committed: vec![Vec::new(); n],
             }
         }
 
         fn propose(&mut self, origin: usize, value: u64) {
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(self.config);
             self.instances[origin].on_request(SmrRequest::Propose(value), &mut outbox);
             let queue: VecDeque<(usize, ServerId, SmrMessage<u64>)> = outbox
                 .into_messages()
@@ -297,8 +298,11 @@ mod tests {
                 if self.silent.contains(&to) {
                     continue;
                 }
-                let mut outbox = Outbox::new();
+                let mut outbox = Outbox::new(self.config);
                 self.instances[to].on_message(from, message, &mut outbox);
+                for SmrIndication::Committed(slot, value) in outbox.drain_indications() {
+                    self.committed[to].push((slot, value));
+                }
                 for (next_to, next_message) in outbox.into_messages() {
                     queue.push_back((next_to.index(), ServerId::new(to as u32), next_message));
                 }
@@ -306,15 +310,8 @@ mod tests {
         }
 
         fn committed_logs(&mut self) -> Vec<Vec<(Slot, u64)>> {
-            self.instances
-                .iter_mut()
-                .map(|i| {
-                    i.drain_indications()
-                        .into_iter()
-                        .map(|SmrIndication::Committed(slot, value)| (slot, value))
-                        .collect()
-                })
-                .collect()
+            let n = self.instances.len();
+            std::mem::replace(&mut self.committed, vec![Vec::new(); n])
         }
     }
 
@@ -401,20 +398,18 @@ mod tests {
             (2, leader, SmrMessage::PrePrepare(0, 2)),
             (3, leader, SmrMessage::PrePrepare(0, 2)),
         ]);
+        let mut committed = Vec::new();
         while let Some((to, from, message)) = queue.pop_front() {
             if to == 0 {
                 continue; // byzantine leader ignores the protocol now
             }
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(config);
             instances[to].on_message(from, message, &mut outbox);
+            committed.extend(outbox.drain_indications());
             for (next_to, next_message) in outbox.into_messages() {
                 queue.push_back((next_to.index(), ServerId::new(to as u32), next_message));
             }
         }
-        let committed: Vec<_> = instances
-            .iter_mut()
-            .flat_map(|i| i.drain_indications())
-            .collect();
         // Value 2 gathers prepares from {2, 3} only (s1 is locked on 1):
         // 2 < quorum 3 → no commit anywhere.
         assert!(
@@ -427,7 +422,7 @@ mod tests {
     fn non_leader_preprepare_ignored() {
         let config = ProtocolConfig::for_n(4);
         let mut instance: Smr<u64> = Smr::new(&config, Label::new(0), ServerId::new(1));
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instance.on_message(ServerId::new(2), SmrMessage::PrePrepare(0, 5), &mut outbox);
         assert!(outbox.is_empty(), "only the leader may pre-prepare");
     }
@@ -438,7 +433,7 @@ mod tests {
         let config = ProtocolConfig::for_n(4);
         let mut instance: Smr<u64> = Smr::new(&config, Label::new(0), ServerId::new(1));
         let leader = ServerId::new(0);
-        let mut sink = Outbox::new();
+        let mut sink = Outbox::new(config);
         for slot in [1u64, 0u64] {
             instance.on_message(leader, SmrMessage::PrePrepare(slot, slot + 10), &mut sink);
             for sender in 0..3 {
@@ -456,7 +451,7 @@ mod tests {
                 );
             }
         }
-        let indications = instance.drain_indications();
+        let indications: Vec<_> = sink.drain_indications().collect();
         assert_eq!(
             indications,
             vec![

@@ -251,4 +251,13 @@ mod tests {
         // spill's pointer.
         assert_eq!(std::mem::size_of::<Tally<crate::Transfer>>(), 64);
     }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_transfer_brb_is_its_two_tallies_and_three_flags() {
+        // The interpreter keeps one of these per resident version: two
+        // tallies and three flags, padded to 8. The configuration and the
+        // indications travel in the outbox, not in the instance.
+        assert_eq!(std::mem::size_of::<crate::Brb<crate::Transfer>>(), 136);
+    }
 }

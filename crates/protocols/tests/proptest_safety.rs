@@ -51,7 +51,7 @@ fn run_brb(broadcast: Option<u64>, actions: Vec<ByzAction>, lifo: bool) -> Vec<O
     let mut queue: Vec<(usize, ServerId, BrbMessage<u64>)> = Vec::new();
 
     if let Some(value) = broadcast {
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instances[0].on_request(BrbRequest::Broadcast(value), &mut outbox);
         for (to, message) in outbox.into_messages() {
             if to.index() < 3 {
@@ -73,16 +73,16 @@ fn run_brb(broadcast: Option<u64>, actions: Vec<ByzAction>, lifo: bool) -> Vec<O
         } else {
             queue.remove(0)
         };
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instances[to].on_message(from, message, &mut outbox);
+        for BrbIndication::Deliver(value) in outbox.drain_indications() {
+            assert!(delivered[to].is_none(), "no duplication");
+            delivered[to] = Some(value);
+        }
         for (next_to, next_message) in outbox.into_messages() {
             if next_to.index() < 3 {
                 queue.push((next_to.index(), ServerId::new(to as u32), next_message));
             }
-        }
-        for BrbIndication::Deliver(value) in instances[to].drain_indications() {
-            assert!(delivered[to].is_none(), "no duplication");
-            delivered[to] = Some(value);
         }
     }
     delivered
@@ -173,7 +173,7 @@ proptest! {
         }
         // A correct proposer also forwards a proposal, exercising the
         // normal path interleaved with the attack.
-        let mut outbox = Outbox::new();
+        let mut outbox = Outbox::new(config);
         instances[0].on_request(SmrRequest::Propose(9), &mut outbox);
         for (to, message) in outbox.into_messages() {
             if (1..4).contains(&to.index()) {
@@ -189,16 +189,16 @@ proptest! {
             } else {
                 queue.remove(0)
             };
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(config);
             instances[to].on_message(from, message, &mut outbox);
+            for SmrIndication::Committed(slot, value) in outbox.drain_indications() {
+                let previous = committed[to].insert(slot, value);
+                prop_assert!(previous.is_none(), "slot committed twice at one server");
+            }
             for (next_to, next_message) in outbox.into_messages() {
                 if (1..4).contains(&next_to.index()) {
                     queue.push((next_to.index() - 1, ServerId::new(to as u32 + 1), next_message));
                 }
-            }
-            for SmrIndication::Committed(slot, value) in instances[to].drain_indications() {
-                let previous = committed[to].insert(slot, value);
-                prop_assert!(previous.is_none(), "slot committed twice at one server");
             }
         }
         // Agreement per slot across correct servers.
@@ -235,13 +235,13 @@ fn brb_message(ready: bool, value: u64) -> BrbMessage<u64> {
     }
 }
 
-/// Server 0's instance after `events`, its indications left undrained so
-/// they are part of the state, and the two tallies as the model holds them.
+/// Server 0's instance after `events`, and the two tallies as the model
+/// holds them.
 fn reach(events: &[(u32, bool, u64)]) -> (Brb<u64>, TallyModel, TallyModel) {
     let config = ProtocolConfig::for_n(4);
     let mut instance: Brb<u64> = Brb::new(&config, Label::new(1), ServerId::new(0));
     let (mut echoes, mut readies) = (TallyModel::new(), TallyModel::new());
-    let mut outbox = Outbox::new();
+    let mut outbox = Outbox::new(config);
     for (sender, ready, value) in events {
         let sender = ServerId::new(*sender);
         instance.on_message(sender, brb_message(*ready, *value), &mut outbox);
@@ -293,7 +293,8 @@ proptest! {
         }
         echoes.encode(&mut expected);
         readies.encode(&mut expected);
-        instance.clone().drain_indications().encode(&mut expected);
+        // The count of undrained indications: an instance holds none.
+        0u32.encode(&mut expected);
         let bytes = encode_state(&instance);
         prop_assert_eq!(&bytes, &expected);
 
@@ -327,12 +328,11 @@ proptest! {
             flipped[at] ^= mask;
         }
         if let Ok(mut decoded) = Brb::<u64>::decode_state(&config, &mut Reader::new(&flipped)) {
-            let mut outbox = Outbox::new();
+            let mut outbox = Outbox::new(config);
             for sender in (0..4).map(ServerId::new) {
                 decoded.on_message(sender, BrbMessage::Echo(1), &mut outbox);
                 decoded.on_message(sender, BrbMessage::Ready(1), &mut outbox);
             }
-            decoded.drain_indications();
         }
     }
 }
@@ -352,7 +352,7 @@ fn brb_state_naming_the_largest_sender_decodes() {
     let mut decoded = Brb::<u64>::decode_state(&config, &mut Reader::new(&bytes)).unwrap();
     assert_eq!(decoded.echo_count(&7), 3);
     assert_eq!(encode_state(&decoded), bytes);
-    let mut outbox = Outbox::new();
+    let mut outbox = Outbox::new(config);
     decoded.on_message(ServerId::new(u32::MAX), BrbMessage::Echo(7), &mut outbox);
     assert_eq!(decoded.echo_count(&7), 3);
     assert!(decoded.readied(), "three ECHOs are a quorum of four");

@@ -41,9 +41,7 @@ const BROADCAST: u64 = 0xff;
 /// indication `(sender, value)`.
 #[derive(Debug, Clone)]
 struct Relay {
-    config: ProtocolConfig,
     me: ServerId,
-    received: Vec<(u32, u64)>,
 }
 
 impl DeterministicProtocol for Relay {
@@ -51,22 +49,18 @@ impl DeterministicProtocol for Relay {
     type Message = (u64, u64);
     type Indication = (u32, u64);
 
-    fn new(config: &ProtocolConfig, _label: Label, me: ServerId) -> Self {
-        Relay {
-            config: *config,
-            me,
-            received: Vec::new(),
-        }
+    fn new(_config: &ProtocolConfig, _label: Label, me: ServerId) -> Self {
+        Relay { me }
     }
 
-    fn on_request(&mut self, request: u64, outbox: &mut Outbox<(u64, u64)>) {
+    fn on_request(&mut self, request: u64, outbox: &mut Outbox<(u64, u64), (u32, u64)>) {
         let (to, hops, value) = (
             request >> 56,
             (request >> 48) & 0xff,
             request & ((1 << 48) - 1),
         );
         if to == BROADCAST {
-            outbox.broadcast(&self.config, (0, value));
+            outbox.broadcast((0, value));
         } else {
             outbox.send(ServerId::new(to as u32), (hops, value));
         }
@@ -76,17 +70,13 @@ impl DeterministicProtocol for Relay {
         &mut self,
         sender: ServerId,
         (hops, value): (u64, u64),
-        outbox: &mut Outbox<(u64, u64)>,
+        outbox: &mut Outbox<(u64, u64), (u32, u64)>,
     ) {
-        self.received.push((sender.index() as u32, value));
+        outbox.indicate((sender.index() as u32, value));
         if hops > 0 {
-            let next = (self.me.index() + 1) % self.config.n;
+            let next = (self.me.index() + 1) % outbox.config().n;
             outbox.send(ServerId::new(next as u32), (hops - 1, value));
         }
-    }
-
-    fn drain_indications(&mut self) -> Vec<(u32, u64)> {
-        std::mem::take(&mut self.received)
     }
 }
 

@@ -12,38 +12,30 @@ use std::collections::BTreeMap;
 use dagbft::prelude::*;
 
 /// The probe protocol: every request broadcasts a tagged value; deliveries
-/// record (sender, value) pairs exactly as received.
+/// indicate (sender, value) pairs exactly as received.
 #[derive(Debug, Clone)]
-struct Probe {
-    config: ProtocolConfig,
-    received: Vec<(ServerId, u64)>,
-    pending: Vec<(ServerId, u64)>,
-}
+struct Probe;
 
 impl DeterministicProtocol for Probe {
     type Request = u64;
     type Message = u64;
     type Indication = (ServerId, u64);
 
-    fn new(config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
-        Probe {
-            config: *config,
-            received: Vec::new(),
-            pending: Vec::new(),
-        }
+    fn new(_config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+        Probe
     }
 
-    fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64>) {
-        outbox.broadcast(&self.config, request);
+    fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64, (ServerId, u64)>) {
+        outbox.broadcast(request);
     }
 
-    fn on_message(&mut self, sender: ServerId, message: u64, _outbox: &mut Outbox<u64>) {
-        self.received.push((sender, message));
-        self.pending.push((sender, message));
-    }
-
-    fn drain_indications(&mut self) -> Vec<(ServerId, u64)> {
-        std::mem::take(&mut self.pending)
+    fn on_message(
+        &mut self,
+        sender: ServerId,
+        message: u64,
+        outbox: &mut Outbox<u64, (ServerId, u64)>,
+    ) {
+        outbox.indicate((sender, message));
     }
 }
 
