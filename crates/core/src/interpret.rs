@@ -143,24 +143,30 @@
 //! A *touch* is one label driven at one block. Everything a touch writes
 //! goes into flat storage that is sized by the block, not by the message:
 //!
-//! * `B.Ms[out, ·]` is one vector of **out-buffer entries** per block:
-//!   `(label, (message, receivers))`, one entry per distinct message, with
-//!   the [`ServerSet`] of every server it goes to. Every sender is `B.n`,
-//!   stored once per block. A broadcast is one entry, not `n` envelopes.
-//!   The handlers' messages are appended as they are produced — through
-//!   **one** [`Outbox`] per block, drained after every handler call, which
-//!   also hands the handlers the [`ProtocolConfig`] and collects their
-//!   indications, drained once a label is done — and the vector is
-//!   sorted by `(label, message)` once, when the block is done, merging
-//!   the entries of one message into one with the union of their
-//!   receivers. Algorithm 2's buffers are *sets* of envelopes: a
-//!   handler that emits a value-equal envelope twice stores it once
-//!   ([`InterpretStats::messages_materialized`] still counts both), and
-//!   [`BlockState::out_messages`] expands the entries back into envelopes.
-//!   A label whose instance was driven but sent nothing has no entry at
-//!   all.
+//! * `B.Ms[out, ·]` is one vector of **out-buffer entries** per block,
+//!   `(label, message)`, one entry per distinct message, and a
+//!   **receivers column** beside it: empty when every entry goes to every
+//!   server of the configuration, else the [`ServerSet`] of each entry's
+//!   receivers. Every sender is `B.n`, stored once per block. A broadcast
+//!   is one entry, not `n` envelopes, and a block of broadcasts stores no
+//!   set at all. The handlers' messages are appended as they are produced
+//!   — through **one** [`Outbox`] per block, drained after every handler
+//!   call, which also hands the handlers the [`ProtocolConfig`] and
+//!   collects their indications, drained once a label is done — to a
+//!   working vector of `(label, (message, receivers))`, which is sorted by
+//!   `(label, message)` once, when the block is done, merging the entries
+//!   of one message into one with the union of their receivers, and then
+//!   split into the entries and the column. Algorithm 2's buffers are
+//!   *sets* of envelopes: a handler that emits a value-equal envelope
+//!   twice stores it once ([`InterpretStats::messages_materialized`]
+//!   still counts both), and a message whose receivers make up the whole
+//!   server set after the union is a broadcast, however it was sent.
+//!   [`BlockState::out_messages`] expands the entries back into
+//!   envelopes. A label whose instance was driven but sent nothing has no
+//!   entry at all.
 //! * `B.Ms[in, ·]` over the edges is one merged inbox per block: the
-//!   entries whose receivers include `B.n` are picked from the out-vector
+//!   entries whose receivers include `B.n` — for a block of broadcasts,
+//!   every entry, with no set to probe — are picked from the out-vector
 //!   of each predecessor by another builder in one pass, as
 //!   `(label, sender, message)` — at most |preds| runs, each already in
 //!   that order, which is `(label, <_M)` — merged, and deduplicated **by
@@ -188,13 +194,14 @@
 //! A snapshot (format 5, [`Interpreter::snapshot`]) writes the same
 //! shapes: the [`ProtocolConfig`] once, every arena version once, then per
 //! block its parent, builder, segment flags, delta (naming versions by
-//! index) and out-buffer entries, each entry once with its receiver set.
+//! index) and out-buffer entries, each entry once with its receiver set,
+//! a broadcast's too.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 
 use dagbft_codec::{decode_from_slice, DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_crypto::ServerId;
@@ -466,37 +473,167 @@ impl<P: DeterministicProtocol> Versions<P> for Overlay<'_, P> {
     }
 }
 
-/// `B.Ms[out, ·]`: one entry per distinct message with its label and every
-/// server it is addressed to, sorted by `(label, message)` and free of
-/// repeats. The sender of every entry is the block's builder. A label that
-/// sent nothing has no entry.
+/// What a block's handlers sent, in the order sent: per message its label
+/// and receivers, repeats and empty receiver sets allowed. The working form
+/// of `B.Ms[out, ·]` while the block is driven; [`Outs::normalize`] makes
+/// the stored one.
 type Buffer<M> = Vec<(Label, (M, ServerSet))>;
 
 /// `(label, version)` entries, one per label, sorted by label: a block's
 /// touches, or what a rebuild replayed. Stored ones name arena slots.
 type Delta<K = Slot> = Vec<(Label, K)>;
 
-/// Puts a block's out-buffer into its stored form. `Ms[out, ℓ]` is a set of
-/// envelopes: the entries of one message merge into one with the union of
-/// their receivers, and an entry with no receiver is dropped.
-fn normalize<M: Ord>(outs: &mut Buffer<M>) {
-    outs.retain(|(_, (_, receivers))| !receivers.is_empty());
-    outs.sort_unstable_by(|(a, (m, _)), (b, (n, _))| (a, m).cmp(&(b, n)));
-    outs.dedup_by(
-        |(label, (message, receivers)), (kept_label, (kept, into))| {
-            let repeat = label == kept_label && message == kept;
-            if repeat {
-                into.union_with(receivers);
-            }
-            repeat
-        },
-    );
-    outs.shrink_to_fit();
+/// `B.Ms[out, ·]` as a block stores it: one entry per distinct message
+/// with its label, sorted by `(label, message)` and free of repeats, and a
+/// receivers column beside them. The sender of every entry is the block's
+/// builder. A label that sent nothing has no entry.
+///
+/// The column is empty when every entry goes to every server of the
+/// configuration — a block of broadcasts, all BRB ever sends, stores no
+/// set at all — and otherwise holds each entry's receivers, never an
+/// empty set. That form is canonical: the entries of one message are
+/// merged first, so a message sent to two complementary subsets, or both
+/// broadcast and sent, is one broadcast entry.
+#[derive(Debug, Clone)]
+struct Outs<M> {
+    /// `(label, message)`, sorted, each once.
+    entries: Vec<(Label, M)>,
+    /// Per entry, the servers it goes to; empty when each goes to all.
+    receivers: Vec<ServerSet>,
+    /// `n`: a broadcast entry goes to servers `0..n`.
+    n: usize,
 }
 
-/// The number of envelopes `outs` holds: every entry once per receiver.
-fn envelope_count<M>(outs: &Buffer<M>) -> usize {
-    outs.iter().map(|(_, (_, receivers))| receivers.len()).sum()
+impl<M> Outs<M> {
+    /// No entry yet, room for `len`, among `n` servers.
+    fn with_capacity(len: usize, n: usize) -> Self {
+        Outs {
+            entries: Vec::with_capacity(len),
+            receivers: Vec::new(),
+            n,
+        }
+    }
+
+    /// Appends `message` on `label` for `to`; the first entry that does
+    /// not go to `all`, the configuration's servers, opens the column.
+    fn push(&mut self, label: Label, message: M, to: ServerSet, all: &ServerSet) {
+        let open = !self.receivers.is_empty();
+        if open || to != *all {
+            if !open {
+                self.receivers.reserve_exact(self.entries.capacity());
+                self.receivers.resize(self.entries.len(), all.clone());
+            }
+            self.receivers.push(to);
+        }
+        self.entries.push((label, message));
+    }
+
+    /// Number of entries: distinct messages.
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Number of envelopes: every entry once per receiver.
+    fn envelopes(&self) -> usize {
+        if self.receivers.is_empty() {
+            self.len() * self.n
+        } else {
+            self.receivers.iter().map(ServerSet::len).sum()
+        }
+    }
+
+    /// The positions of `label`'s entries, or of every entry.
+    fn span(&self, only: Option<Label>) -> Range<usize> {
+        let Some(label) = only else {
+            return 0..self.len();
+        };
+        let start = self.entries.partition_point(|(held, _)| *held < label);
+        let len = self.entries[start..].partition_point(|(held, _)| *held == label);
+        start..start + len
+    }
+
+    /// Whether entry `at` goes to `server`: a probe of its set, or for a
+    /// broadcast a comparison with `n`.
+    fn goes_to(&self, at: usize, server: ServerId) -> bool {
+        match self.receivers.get(at) {
+            Some(receivers) => receivers.contains(server),
+            None => server.index() < self.n,
+        }
+    }
+
+    /// The servers entry `at` goes to.
+    fn receivers_of(&self, at: usize) -> ServerSet {
+        match self.receivers.get(at) {
+            Some(receivers) => receivers.clone(),
+            None => ServerId::all(self.n).collect(),
+        }
+    }
+
+    /// The entries at `span`, each with its label, message and receivers.
+    fn iter(&self, span: Range<usize>) -> impl DoubleEndedIterator<Item = (Label, &M, ServerSet)> {
+        span.map(|at| {
+            let (label, message) = &self.entries[at];
+            (*label, message, self.receivers_of(at))
+        })
+    }
+}
+
+impl<M: Ord> Outs<M> {
+    /// Puts what a block sent into its stored form. `Ms[out, ℓ]` is a set
+    /// of envelopes: the entries of one message merge into one with the
+    /// union of their receivers, and an entry with no receiver is dropped.
+    fn normalize(mut sent: Buffer<M>, n: usize) -> Self {
+        sent.retain(|(_, (_, receivers))| !receivers.is_empty());
+        sent.sort_unstable_by(|(a, (m, _)), (b, (n, _))| (a, m).cmp(&(b, n)));
+        sent.dedup_by(
+            |(label, (message, receivers)), (kept_label, (kept, into))| {
+                let repeat = label == kept_label && message == kept;
+                if repeat {
+                    into.union_with(receivers);
+                }
+                repeat
+            },
+        );
+        let all: ServerSet = ServerId::all(n).collect();
+        let mut outs = Outs::with_capacity(sent.len(), n);
+        for (label, (message, to)) in sent {
+            outs.push(label, message, to, &all);
+        }
+        outs
+    }
+
+    /// Whether these entries are in the form [`Outs::normalize`] makes,
+    /// given that [`Outs::push`] built them.
+    fn is_canonical(&self) -> bool {
+        let sorted = self.entries.windows(2).all(|pair| pair[0] < pair[1]);
+        let addressed = if self.receivers.is_empty() {
+            self.n > 0 || self.entries.is_empty()
+        } else {
+            self.receivers.iter().all(|receivers| !receivers.is_empty())
+        };
+        sorted && addressed
+    }
+
+    /// The stored form of entries [`Outs::push`] built in any order and
+    /// with repeats.
+    fn into_canonical(self) -> Self {
+        if self.is_canonical() {
+            return self;
+        }
+        let n = self.n;
+        let all = || ServerId::all(n).collect();
+        let mut receivers = self.receivers.into_iter();
+        let sent = self
+            .entries
+            .into_iter()
+            .map(|(label, message)| (label, (message, receivers.next().unwrap_or_else(all))));
+        Outs::normalize(sent.collect(), n)
+    }
+}
+
+/// The number of envelopes `sent` holds: every entry once per receiver.
+fn envelope_count<M>(sent: &Buffer<M>) -> usize {
+    sent.iter().map(|(_, (_, receivers))| receivers.len()).sum()
 }
 
 /// The in-block self-link of one label at one block (see the module
@@ -588,8 +725,8 @@ pub struct BlockState<P: DeterministicProtocol> {
     /// Sorted by label, one entry each.
     delta: Delta,
     /// `B.Ms[out, ℓ]`: messages sent by `B.n`'s instance at this block,
-    /// each once with its receivers.
-    outs: Buffer<P::Message>,
+    /// each once, with a receivers column unless every one is a broadcast.
+    outs: Outs<P::Message>,
 }
 
 impl<P: DeterministicProtocol> BlockState<P> {
@@ -603,26 +740,30 @@ impl<P: DeterministicProtocol> BlockState<P> {
     /// envelope per receiver, in the order `<_M`.
     pub fn out_messages(&self, label: Label) -> impl Iterator<Item = Envelope<P::Message>> {
         let sender = self.builder;
-        let mut envelopes: Vec<_> = label_range(&self.outs, label)
-            .iter()
-            .flat_map(|(_, (message, receivers))| {
-                receivers.iter().map(move |receiver| Envelope {
-                    sender,
-                    receiver,
-                    message: message.clone(),
-                })
-            })
-            .collect();
+        let mut envelopes = Vec::new();
+        for (_, message, receivers) in self.outs.iter(self.outs.span(Some(label))) {
+            envelopes.extend(receivers.iter().map(|receiver| Envelope {
+                sender,
+                receiver,
+                message: message.clone(),
+            }));
+        }
         envelopes.sort_unstable();
         envelopes.into_iter()
     }
 
-    /// `B.Ms[out, ·]` as stored: one entry per distinct message with its
-    /// label and receivers, sorted by `(label, message)`.
-    pub fn out_entries(&self) -> impl Iterator<Item = (Label, &P::Message, &ServerSet)> {
-        self.outs
-            .iter()
-            .map(|(label, (message, receivers))| (*label, message, receivers))
+    /// `B.Ms[out, ·]`: one entry per distinct message with its label and
+    /// receivers, sorted by `(label, message)`. A broadcast's receivers,
+    /// which the block does not store, are made for it.
+    pub fn out_entries(&self) -> impl Iterator<Item = (Label, &P::Message, ServerSet)> {
+        self.outs.iter(self.outs.span(None))
+    }
+
+    /// Whether `B.Ms[out, ·]` holds a message for `server`. For a block of
+    /// broadcasts: whether it holds one at all, and `server` is one of the
+    /// configuration's.
+    pub fn sends_to(&self, server: ServerId) -> bool {
+        (0..self.outs.len()).any(|at| self.outs.goes_to(at, server))
     }
 }
 
@@ -909,7 +1050,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             );
             let stored = &self.states[block_ref].outs;
             debug_assert!(
-                outs[..] == *only.map_or(&stored[..], |label| label_range(stored, label)),
+                outs.iter(outs.span(None))
+                    .eq(stored.iter(stored.span(only))),
                 "a replayed block sends what it sent"
             );
         }
@@ -976,13 +1118,13 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             // What `me` sent itself was delivered at the block that sent it.
             .filter(|state| state.builder != me)
             .flat_map(|state| {
-                let outs = match only {
-                    Some(label) => label_range(&state.outs, label),
-                    None => &state.outs,
-                };
-                outs.iter()
-                    .filter(move |(_, (_, receivers))| receivers.contains(me))
-                    .map(|(label, (message, _))| (*label, state.builder, message))
+                let outs = &state.outs;
+                outs.span(only)
+                    .filter(move |&at| outs.goes_to(at, me))
+                    .map(|at| {
+                        let (label, message) = &outs.entries[at];
+                        (*label, state.builder, message)
+                    })
             })
             .collect();
         // One sorted run per predecessor (its sender is fixed): the stable
@@ -1010,19 +1152,18 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         label: Label,
     ) -> impl Iterator<Item = Envelope<P::Message>> + '_ {
         let preds = dag.preds_of(block);
-        let own = self
-            .states
-            .get(block)
-            .map_or(&[][..], |state| label_range(&state.outs, label));
+        let own = self.states.get(block).map(|state| &state.outs);
         dag.get(block)
             .map(|block| {
                 let receiver = block.builder();
                 let mut inbox = Self::inbox(&self.states, &preds, receiver, Some(label));
-                inbox.extend(
-                    own.iter()
-                        .filter(|(_, (_, receivers))| receivers.contains(receiver))
-                        .map(|(label, (message, _))| (*label, receiver, message)),
-                );
+                if let Some(outs) = own {
+                    inbox.extend(
+                        outs.span(Some(label))
+                            .filter(|&at| outs.goes_to(at, receiver))
+                            .map(|at| (label, receiver, &outs.entries[at].1)),
+                    );
+                }
                 inbox.sort();
                 inbox.into_iter().map(move |(_, sender, message)| Envelope {
                     sender,
@@ -1081,9 +1222,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         only: Option<Label>,
         stats: &mut InterpretStats,
         mut raise: impl FnMut(Label, P::Indication),
-    ) -> (Buffer<P::Message>, Delta<V::Key>) {
+    ) -> (Outs<P::Message>, Delta<V::Key>) {
         let me = block.builder();
-        let mut outs: Buffer<P::Message> = Vec::new();
         // Every touched label with its key, in label order: the delta.
         let mut delta: Delta<V::Key> = Vec::new();
         let mut outbox = Outbox::new(*versions.config());
@@ -1117,6 +1257,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         // go and labels in label order, so the block's indications come
         // out label by label.
         let inbox = Self::inbox(states, preds, me, only);
+        // Room for a message per input; the self-link may add more.
+        let mut outs: Buffer<P::Message> = Vec::with_capacity(requests.len() + inbox.len());
         let mut groups = inbox.chunk_by(|a, b| a.0 == b.0).peekable();
         let mut runs = requests
             .chunk_by(|(_, a), (_, b)| a.label == b.label)
@@ -1170,8 +1312,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         stats.messages_delivered += inbox.len() as u64;
         // The counter is of messages made; the buffer is a set.
         stats.messages_materialized += envelope_count(&outs) as u64;
-        normalize(&mut outs);
-        (outs, delta)
+        (Outs::normalize(outs, versions.config().n), delta)
     }
 
     /// `B.PIs` at `parent` for a child that found no view there: the walk,
@@ -1294,7 +1435,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         self.footprint.blocks += 1;
         self.footprint.instances += tip.view.len();
         self.footprint.unique_instances += delta.len();
-        self.footprint.out_envelopes += envelope_count(&outs);
+        self.footprint.out_envelopes += outs.envelopes();
         self.footprint.out_entries += outs.len();
         self.views.insert(*block_ref, tip);
         self.states.insert(
@@ -1509,8 +1650,9 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 encode_entries(&replayed.entries, &mut out);
             }
             encode_entries(&state.delta, &mut out);
+            // Every entry with its receiver set, a broadcast's too.
             (state.outs.len() as u32).encode(&mut out);
-            for (label, (message, receivers)) in &state.outs {
+            for (label, message, receivers) in state.outs.iter(state.outs.span(None)) {
                 label.encode(&mut out);
                 message.encode(&mut out);
                 receivers.encode(&mut out);
@@ -1565,6 +1707,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             arena.push(P::decode_state(&config, &mut reader)?);
         }
         let versions = arena.len();
+        // The receivers of a broadcast entry, which a block stores as none.
+        let all: ServerSet = config.servers().collect();
         let mut states: HashMap<BlockRef, BlockState<P>> = HashMap::with_capacity(covered);
         let mut replays = HashMap::new();
         for (position, block_ref) in order.iter().enumerate() {
@@ -1596,17 +1740,18 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             let delta = decode_entries(&mut reader, versions)?;
             // An entry is at least its label and its receiver count.
             let entries = reader.read_len(12)?;
-            let mut outs: Buffer<P::Message> = Vec::with_capacity(entries);
+            let mut outs = Outs::with_capacity(entries, config.n);
             for _ in 0..entries {
                 let label = Label::decode(&mut reader)?;
                 let message = P::Message::decode(&mut reader)?;
-                outs.push((label, (message, ServerSet::decode(&mut reader)?)));
+                let receivers = ServerSet::decode(&mut reader)?;
+                outs.push(label, message, receivers, &all);
             }
             // Canonical bytes are sorted and repeat-free already; anything
             // else is normalized once per block.
-            normalize(&mut outs);
+            let outs = outs.into_canonical();
             footprint.unique_instances += delta.len();
-            footprint.out_envelopes += envelope_count(&outs);
+            footprint.out_envelopes += outs.envelopes();
             footprint.out_entries += outs.len();
             let state = BlockState {
                 parent,
@@ -2363,7 +2508,7 @@ mod tests {
         let (interpreter, _) = interpret_like_the_oracle::<Ping>(&dag, 2, &[Label::new(1)]);
         let driven = interpreter.state(&blocks[2].block_ref()).unwrap();
         assert!(driven.touched_labels().eq([&Label::new(1)]));
-        assert!(driven.outs.is_empty());
+        assert_eq!(driven.outs.len(), 0);
         assert_eq!(driven.out_messages(Label::new(1)).count(), 0);
         let successor = blocks[3].block_ref();
         assert_eq!(
@@ -2806,14 +2951,15 @@ mod tests {
                 .collect();
             encode_entries(&entries, &mut out);
             let mut entries: Vec<(Label, u64, ServerSet)> = Vec::new();
-            for (label, (message, receivers)) in state.outs.iter().rev() {
+            let stored = || state.outs.iter(state.outs.span(None));
+            for (label, message, receivers) in stored().rev() {
                 for receiver in receivers.iter() {
-                    entries.push((*label, *message, ServerSet::from_iter([receiver])));
+                    entries.push((label, *message, ServerSet::from_iter([receiver])));
                 }
             }
-            if let Some((label, (message, receivers))) = state.outs.first() {
-                entries.push((*label, *message, receivers.clone()));
-                entries.push((*label, message + 100, ServerSet::new()));
+            if let Some((label, message, receivers)) = stored().next() {
+                entries.push((label, *message, receivers));
+                entries.push((label, message + 100, ServerSet::new()));
             }
             (entries.len() as u32).encode(&mut out);
             for (label, message, receivers) in entries {
@@ -2879,6 +3025,95 @@ mod tests {
                 assert_eq!(seen(&restored), seen(&straight));
             }
         }
+    }
+
+    /// On request 0, sends message 1 to servers {0, 1}, broadcasts
+    /// message 2, sends message 1 to {2, 3} — the complement — and message
+    /// 2 to server 1 once more; on any other request `r`, sends `r` to
+    /// server 2 alone. Silent on delivery, and stateless.
+    #[derive(Debug, Clone)]
+    struct Scatter;
+
+    impl DeterministicProtocol for Scatter {
+        type Request = u64;
+        type Message = u64;
+        type Indication = u64;
+        const SNAPSHOTS: bool = true;
+
+        fn new(_config: &ProtocolConfig, _label: Label, _me: ServerId) -> Self {
+            Scatter
+        }
+
+        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64, u64>) {
+            if request != 0 {
+                outbox.send(ServerId::new(2), request);
+                return;
+            }
+            outbox.send(ServerId::new(0), 1);
+            outbox.send(ServerId::new(1), 1);
+            outbox.broadcast(2);
+            outbox.send(ServerId::new(2), 1);
+            outbox.send(ServerId::new(3), 1);
+            outbox.send(ServerId::new(1), 2);
+        }
+
+        fn on_message(&mut self, _sender: ServerId, _message: u64, _outbox: &mut Outbox<u64, u64>) {
+        }
+
+        fn decode_state(
+            _config: &ProtocolConfig,
+            _reader: &mut Reader<'_>,
+        ) -> Result<Self, DecodeError> {
+            Ok(Scatter)
+        }
+    }
+
+    #[test]
+    fn an_out_buffer_is_one_entry_per_message_and_a_column_only_for_point_to_point() {
+        // s0's genesis sends message 1 to two complementary halves of the
+        // four servers and message 2 by broadcast and by `send`: once
+        // merged, both go to everyone, so the block stores one entry per
+        // message and no receivers column. Its next block sends 5 to s2
+        // alone, and keeps that set in its column. The oracle check
+        // compares `out_messages` envelope for envelope.
+        let (dag, blocks) = dag_of(4, &[(0, 0, &[], &[0]), (0, 1, &[0], &[5])]);
+        let label = Label::new(1);
+        let (interpreter, _) = interpret_like_the_oracle::<Scatter>(&dag, 4, &[label]);
+        let all: ServerSet = ServerId::all(4).collect();
+        let only_s2 = ServerSet::from_iter([ServerId::new(2)]);
+        let state = |interpreter: &Interpreter<Scatter>, at: usize| {
+            let state = interpreter.state(&blocks[at].block_ref()).unwrap();
+            (state.outs.entries.clone(), state.outs.receivers.clone())
+        };
+        assert_eq!(
+            state(&interpreter, 0),
+            (vec![(label, 1), (label, 2)], vec![])
+        );
+        assert_eq!(
+            state(&interpreter, 1),
+            (vec![(label, 5)], vec![only_s2.clone()])
+        );
+        let first = interpreter.state(&blocks[0].block_ref()).unwrap();
+        assert!(first
+            .out_entries()
+            .eq([(label, &1, all.clone()), (label, &2, all)]));
+        assert!(first.sends_to(ServerId::new(3)) && !first.sends_to(ServerId::new(4)));
+        let second = interpreter.state(&blocks[1].block_ref()).unwrap();
+        assert!(second.out_entries().eq([(label, &5, only_s2)]));
+        assert!(second.sends_to(ServerId::new(2)) && !second.sends_to(ServerId::new(0)));
+        let footprint = interpreter.footprint();
+        assert_eq!((footprint.out_entries, footprint.out_envelopes), (3, 9));
+
+        // A restore reads the same stored form back and writes the same
+        // bytes, every entry with its full receiver set.
+        let bytes = interpreter.snapshot().unwrap();
+        let restored: Interpreter<Scatter> =
+            Interpreter::decode_snapshot(ProtocolConfig::for_n(4), &bytes).unwrap();
+        for at in 0..blocks.len() {
+            assert_eq!(state(&restored, at), state(&interpreter, at));
+        }
+        assert_eq!(restored.snapshot().unwrap(), bytes);
+        assert_eq!(restored.footprint(), footprint);
     }
 
     #[test]

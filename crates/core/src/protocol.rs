@@ -108,13 +108,14 @@ impl<M: WireDecode> WireDecode for Envelope<M> {
 /// A set of servers: indices below 128 as bits, the rest as a sorted list,
 /// so memory follows the number of members and never the largest index.
 ///
-/// The receivers of one [`Outbox`] entry and of one out-buffer entry of the
-/// [`crate::Interpreter`], and the senders a `dagbft_protocols::Tally`
-/// counts. A set whose members all have an index below 128 owns no heap,
-/// and the list of the rest sits behind one pointer-sized field: on a
-/// 64-bit target a set takes 24 bytes, two words of bits and the list's
-/// pointer. Every out-buffer entry holds one, and so does each of a `Brb`
-/// version's two tallies.
+/// The receivers of one [`Outbox`] entry and of one point-to-point
+/// out-buffer entry of the [`crate::Interpreter`], and the senders a
+/// `dagbft_protocols::Tally` counts. A set whose members all have an index
+/// below 128 owns no heap, and the list of the rest sits behind one
+/// pointer-sized field: on a 64-bit target a set takes 24 bytes, two words
+/// of bits and the list's pointer. A block of broadcasts stores none beside
+/// its out-buffer entries, and a `Brb` version holds two, one per column
+/// of its vote table.
 /// On the wire it is a `BTreeSet<ServerId>`: a `u32` count, then the
 /// members ascending.
 ///

@@ -400,11 +400,9 @@ impl<P: DeterministicProtocol> Shim<P> {
             if dag.get(pred).is_some_and(|block| block.builder() == me) {
                 return false;
             }
-            self.interpreter.state(pred).is_none_or(|state| {
-                state
-                    .out_entries()
-                    .any(|(_, _, receivers)| receivers.contains(me))
-            })
+            self.interpreter
+                .state(pred)
+                .is_none_or(|state| state.sends_to(me))
         })
     }
 

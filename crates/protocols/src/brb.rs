@@ -97,11 +97,15 @@ pub struct Brb<V: Value> {
     echoed: bool,
     readied: bool,
     delivered: bool,
-    /// `ECHO v` senders, per value.
-    echoes: Tally<V>,
-    /// `READY v` senders, per value.
-    readies: Tally<V>,
+    /// Per value, its `ECHO v` senders (column [`ECHO`]) and its
+    /// `READY v` senders (column [`READY`]).
+    votes: Tally<V, 2>,
 }
+
+/// The column of [`Brb`]'s vote table that counts `ECHO`s.
+const ECHO: usize = 0;
+/// The column of [`Brb`]'s vote table that counts `READY`s.
+const READY: usize = 1;
 
 impl<V: Value> Brb<V> {
     /// Whether this instance has already sent its `ECHO`.
@@ -121,29 +125,37 @@ impl<V: Value> Brb<V> {
 
     /// Number of distinct `ECHO` senders recorded for `value`.
     pub fn echo_count(&self, value: &V) -> usize {
-        self.echoes.count(value)
+        self.votes.count_in(ECHO, value)
     }
 
     /// Number of distinct `READY` senders recorded for `value`.
     pub fn ready_count(&self, value: &V) -> usize {
-        self.readies.count(value)
+        self.votes.count_in(READY, value)
     }
 
-    fn maybe_ready(&mut self, value: &V, outbox: &mut Outbox<BrbMessage<V>, BrbIndication<V>>) {
+    /// Records `sender`'s vote for `value` in `column` and acts on the
+    /// value's row, found once: lines 9–14 for either phase, and lines
+    /// 15–17 for a `READY`.
+    fn vote(
+        &mut self,
+        column: usize,
+        sender: ServerId,
+        value: V,
+        outbox: &mut Outbox<BrbMessage<V>, BrbIndication<V>>,
+    ) {
+        let (quorum, plurality) = (outbox.config().quorum(), outbox.config().plurality());
+        let [echoes, readies] = self.votes.record_in(column, &value, sender);
         // Lines 9–11: 2f+1 ECHOs. Lines 12–14: f+1 READYs (amplification).
-        let echo_quorum = self.echo_count(value) >= outbox.config().quorum();
-        let ready_plurality = self.ready_count(value) >= outbox.config().plurality();
-        if !self.readied && (echo_quorum || ready_plurality) {
+        let ready = echoes.len() >= quorum || readies.len() >= plurality;
+        // Lines 15–17: 2f+1 READYs.
+        let deliver = column == READY && readies.len() >= quorum;
+        if !self.readied && ready {
             self.readied = true;
             outbox.broadcast(BrbMessage::Ready(value.clone()));
         }
-    }
-
-    fn maybe_deliver(&mut self, value: &V, outbox: &mut Outbox<BrbMessage<V>, BrbIndication<V>>) {
-        // Lines 15–17: 2f+1 READYs.
-        if !self.delivered && self.ready_count(value) >= outbox.config().quorum() {
+        if !self.delivered && deliver {
             self.delivered = true;
-            outbox.indicate(BrbIndication::Deliver(value.clone()));
+            outbox.indicate(BrbIndication::Deliver(value));
         }
     }
 }
@@ -159,8 +171,7 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
             echoed: false,
             readied: false,
             delivered: false,
-            echoes: Tally::new(),
-            readies: Tally::new(),
+            votes: Tally::new(),
         }
     }
 
@@ -190,26 +201,22 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
                     self.echoed = true;
                     outbox.broadcast(BrbMessage::Echo(value.clone()));
                 }
-                self.echoes.record(&value, sender);
-                self.maybe_ready(&value, outbox);
+                self.vote(ECHO, sender, value, outbox);
             }
-            BrbMessage::Ready(value) => {
-                self.readies.record(&value, sender);
-                self.maybe_ready(&value, outbox);
-                self.maybe_deliver(&value, outbox);
-            }
+            BrbMessage::Ready(value) => self.vote(READY, sender, value, outbox),
         }
     }
 
-    /// The flags, the two tallies, and a `u32` zero: the count of undrained
-    /// indications that older builds kept in the instance, so the bytes
-    /// stay those of snapshot format 5.
+    /// The flags, the vote table's two columns as two one-column tallies
+    /// (the `ECHO`s, then the `READY`s), and a `u32` zero: the count of
+    /// undrained indications that older builds kept in the instance, so
+    /// the bytes stay those of snapshot format 5.
     fn encode_state(&self, out: &mut Vec<u8>) {
         out.push(u8::from(self.echoed));
         out.push(u8::from(self.readied));
         out.push(u8::from(self.delivered));
-        self.echoes.encode(out);
-        self.readies.encode(out);
+        self.votes.encode_column(ECHO, out);
+        self.votes.encode_column(READY, out);
         0u32.encode(out);
     }
 
@@ -230,8 +237,9 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
                 }
             };
         }
-        let echoes = Tally::decode(reader)?;
-        let readies = Tally::decode(reader)?;
+        let mut votes = Tally::new();
+        votes.decode_column(ECHO, reader)?;
+        votes.decode_column(READY, reader)?;
         // A snapshot is taken with every indication surfaced.
         if reader.read_u32()? != 0 {
             return Err(DecodeError::Invalid {
@@ -242,8 +250,7 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
             echoed: flags[0],
             readied: flags[1],
             delivered: flags[2],
-            echoes,
-            readies,
+            votes,
         })
     }
 }

@@ -85,9 +85,15 @@ struct Sub<V: Value> {
     echoed: bool,
     readied: bool,
     delivered: bool,
-    echoes: Tally<V>,
-    readies: Tally<V>,
+    /// Per value, its `ECHO` senders (column [`ECHO`]) and its `READY`
+    /// senders (column [`READY`]).
+    votes: Tally<V, 2>,
 }
+
+/// The column of a [`Sub`]'s vote table that counts `ECHO`s.
+const ECHO: usize = 0;
+/// The column of a [`Sub`]'s vote table that counts `READY`s.
+const READY: usize = 1;
 
 impl<V: Value> Default for Sub<V> {
     fn default() -> Self {
@@ -95,8 +101,7 @@ impl<V: Value> Default for Sub<V> {
             echoed: false,
             readied: false,
             delivered: false,
-            echoes: Tally::new(),
-            readies: Tally::new(),
+            votes: Tally::new(),
         }
     }
 }
@@ -153,7 +158,8 @@ impl<V: Value> Fifo<V> {
             sub.echoed = true;
             outbox.broadcast(FifoMessage::Echo(origin, seq, value.clone()));
         }
-        let echo_count = sub.echoes.record(&value, sender);
+        let [echoes, _] = sub.votes.record_in(ECHO, &value, sender);
+        let echo_count = echoes.len();
         if !sub.readied && echo_count >= outbox.config().quorum() {
             sub.readied = true;
             outbox.broadcast(FifoMessage::Ready(origin, seq, value));
@@ -170,7 +176,8 @@ impl<V: Value> Fifo<V> {
     ) {
         let (quorum, plurality) = (outbox.config().quorum(), outbox.config().plurality());
         let sub = self.subs.entry((origin, seq)).or_default();
-        let ready_count = sub.readies.record(&value, sender);
+        let [_, readies] = sub.votes.record_in(READY, &value, sender);
+        let ready_count = readies.len();
         if !sub.readied && ready_count >= plurality {
             sub.readied = true;
             outbox.broadcast(FifoMessage::Ready(origin, seq, value.clone()));

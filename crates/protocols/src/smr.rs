@@ -91,18 +91,23 @@ struct SlotState<V: Value> {
     /// The value accepted from the leader's first `PRE-PREPARE` — the
     /// prepare lock: a correct server prepares at most one value per slot.
     accepted: Option<V>,
-    prepares: Tally<V>,
-    commits: Tally<V>,
+    /// Per value, its `PREPARE` senders (column [`PREPARE`]) and its
+    /// `COMMIT` senders (column [`COMMIT`]).
+    votes: Tally<V, 2>,
     sent_commit: bool,
     committed: Option<V>,
 }
+
+/// The column of a [`SlotState`]'s vote table that counts `PREPARE`s.
+const PREPARE: usize = 0;
+/// The column of a [`SlotState`]'s vote table that counts `COMMIT`s.
+const COMMIT: usize = 1;
 
 impl<V: Value> Default for SlotState<V> {
     fn default() -> Self {
         SlotState {
             accepted: None,
-            prepares: Tally::new(),
-            commits: Tally::new(),
+            votes: Tally::new(),
             sent_commit: false,
             committed: None,
         }
@@ -232,7 +237,8 @@ impl<V: Value> DeterministicProtocol for Smr<V> {
             SmrMessage::Prepare(slot, value) => {
                 let quorum = outbox.config().quorum();
                 let state = self.slots.entry(slot).or_default();
-                let prepared = state.prepares.record(&value, sender) >= quorum;
+                let [prepares, _] = state.votes.record_in(PREPARE, &value, sender);
+                let prepared = prepares.len() >= quorum;
                 // Commit only for the value we accepted (the prepare lock):
                 // a correct server never helps commit a value it did not
                 // accept from the leader.
@@ -245,8 +251,8 @@ impl<V: Value> DeterministicProtocol for Smr<V> {
             SmrMessage::Commit(slot, value) => {
                 let quorum = outbox.config().quorum();
                 let state = self.slots.entry(slot).or_default();
-                let commits = state.commits.record(&value, sender);
-                if state.committed.is_none() && commits >= quorum {
+                let [_, commits] = state.votes.record_in(COMMIT, &value, sender);
+                if state.committed.is_none() && commits.len() >= quorum {
                     state.committed = Some(value);
                     self.try_deliver(outbox);
                 }

@@ -1,8 +1,10 @@
 //! Model equivalence of the compact sets every resident instance version
-//! holds: a [`ServerSet`] is a `BTreeSet<ServerId>` and a [`Tally`] a
-//! `BTreeMap<V, BTreeSet<ServerId>>`, after every step of a random run.
+//! holds: a [`ServerSet`] is a `BTreeSet<ServerId>`, a [`Tally`] a
+//! `BTreeMap<V, BTreeSet<ServerId>>`, and each column of a two-column
+//! `Tally<V, 2>` — one row per value, as `Brb`, `Fifo` and `Smr` keep
+//! their two phases — one such map, after every step of a random run.
 //!
-//! Both keep their common case inline — members below 128 as bits, one
+//! All keep their common case inline — members below 128 as bits, one
 //! value in place — and spill the rest behind one pointer. The members
 //! drawn here sit on both sides of the 128 threshold and at `u32::MAX`,
 //! and a tally sees up to three values, so every run crosses into the
@@ -11,7 +13,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dagbft_codec::{decode_from_slice, encode_to_vec};
+use dagbft_codec::{decode_from_slice, encode_to_vec, Reader};
 use dagbft_core::ServerSet;
 use dagbft_crypto::ServerId;
 use dagbft_protocols::Tally;
@@ -73,6 +75,44 @@ fn assert_tally_is(tally: &Tally<u64>, model: &BTreeMap<u64, BTreeSet<ServerId>>
     assert_eq!(encode_to_vec(&decoded), bytes);
 }
 
+/// Checks each column of `votes` against its model, and its bytes
+/// against a one-column tally of the same records.
+fn assert_columns_are(votes: &Tally<u64, 2>, models: &[BTreeMap<u64, BTreeSet<ServerId>>; 2]) {
+    for (column, model) in models.iter().enumerate() {
+        for value in 0..4 {
+            assert_eq!(
+                votes.count_in(column, &value),
+                model.get(&value).map_or(0, BTreeSet::len),
+                "column {column}, value {value}"
+            );
+        }
+        let pairs = model
+            .iter()
+            .flat_map(|(value, senders)| senders.iter().map(move |sender| (value, *sender)));
+        assert!(votes.column(column).eq(pairs), "column {column}");
+        let mut bytes = Vec::new();
+        votes.encode_column(column, &mut bytes);
+        let mut alone: Tally<u64> = Tally::new();
+        for (value, sender) in votes.column(column) {
+            alone.record(value, sender);
+        }
+        assert_eq!(bytes, encode_to_vec(&alone));
+        assert_eq!(bytes, encode_to_vec(model));
+    }
+    // Both columns back to back, as `Brb` writes its state, and read back.
+    let mut bytes = Vec::new();
+    votes.encode_column(0, &mut bytes);
+    votes.encode_column(1, &mut bytes);
+    let mut reader = Reader::new(&bytes);
+    let mut decoded: Tally<u64, 2> = Tally::new();
+    decoded.decode_column(0, &mut reader).unwrap();
+    decoded.decode_column(1, &mut reader).unwrap();
+    assert_eq!(reader.remaining(), 0);
+    for column in 0..2 {
+        assert!(decoded.column(column).eq(votes.column(column)));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -111,6 +151,24 @@ proptest! {
             senders.insert(sender);
             prop_assert_eq!(tally.record(&value, sender), senders.len());
             assert_tally_is(&tally, &model);
+        }
+    }
+
+    #[test]
+    fn two_column_tally_is_two_nested_maps_at_every_step(
+        records in proptest::collection::vec((0usize..2, 0u64..3, any_index()), 0..32),
+    ) {
+        let mut votes: Tally<u64, 2> = Tally::new();
+        let mut models: [BTreeMap<u64, BTreeSet<ServerId>>; 2] = Default::default();
+        assert_columns_are(&votes, &models);
+        for (column, value, sender) in records {
+            let sender = ServerId::new(sender);
+            models[column].entry(value).or_default().insert(sender);
+            let row = votes.record_in(column, &value, sender);
+            for (at, model) in models.iter().enumerate() {
+                prop_assert_eq!(row[at].len(), model.get(&value).map_or(0, BTreeSet::len));
+            }
+            assert_columns_are(&votes, &models);
         }
     }
 }

@@ -24,9 +24,11 @@ use std::sync::OnceLock;
 
 use dagbft::prelude::*;
 
-/// Heap allocations the interpreter may make on this DAG (measured: 817
-/// over 4 780 touches, 0.17 per touch; 2 353, 0.49 per touch, while each
-/// delivering instance pushed its indication into a buffer of its own;
+/// Heap allocations the interpreter may make on this DAG (measured: 690
+/// over 4 780 touches, 0.14 per touch, since a block's working out-buffer
+/// starts with room for one message per input; 817, 0.17 per touch, the
+/// floor's figure, while it grew from empty; 2 353, 0.49 per touch, while
+/// each delivering instance pushed its indication into a buffer of its own;
 /// with self-addressed messages delivered one block later it was 2 375
 /// over 5 343 touches; with one arena version per touch, 2 380; with a
 /// B-tree per tip view, 2 612; with one reference-counted heap block per
@@ -35,11 +37,12 @@ const INTERPRET_ALLOCATIONS: u64 = 817;
 
 /// Heap allocations a snapshot restore of this DAG's interpretation may
 /// make: per block and per arena chunk, not per instance (measured: 68
-/// over 4 780 instances and 29 blocks, 0.014 per instance; with
-/// self-addressed messages delivered one block later it was 76 over 5 343
-/// instances and 32 blocks; with one arena version per touch, 81; with one
-/// heap block per instance, 5 416).
-const RESTORE_ALLOCATIONS: u64 = 76;
+/// over 4 780 instances and 29 blocks, 0.014 per instance, and the floor
+/// was 76 until it was brought down to that; with self-addressed messages
+/// delivered one block later it was 76 over 5 343 instances and 32
+/// blocks; with one arena version per touch, 81; with one heap block per
+/// instance, 5 416).
+const RESTORE_ALLOCATIONS: u64 = 68;
 
 /// Instance versions resident on this DAG: the touches of one label in
 /// one segment of a chain share a version (measured: 1 600 over 4 780
@@ -48,14 +51,17 @@ const RESTORE_ALLOCATIONS: u64 = 76;
 const RESIDENT_VERSIONS: usize = 1_600;
 
 /// Bytes the resident instance versions and out-buffer entries of this
-/// DAG take in place, `size_of` each, heap spills aside (measured: 422 400,
-/// 1 600 versions of 136 B and 3 200 entries of 64 B; 486 400 with 176 B
-/// per version while each held the configuration and an indication
-/// buffer; with a `ServerSet` of a `u128` and a `Vec`, 48 B, and a `Tally`
-/// whose spill was an inline `Vec`, 742 400: 272 B per version and 96 B
-/// per entry). On 64-bit targets, where those sizes hold.
+/// DAG take in place, `size_of` each, heap spills aside (measured: 281 600,
+/// 1 600 versions of 96 B — one two-column vote table — and 3 200 entries
+/// of 40 B, every one a broadcast, so no block stores a receivers column;
+/// 422 400 with two one-column tallies per version, 136 B, and a
+/// receiver set in every entry, 64 B; 486 400 with 176 B per version while
+/// each held the configuration and an indication buffer; with a
+/// `ServerSet` of a `u128` and a `Vec`, 48 B, and a `Tally` whose spill
+/// was an inline `Vec`, 742 400: 272 B per version and 96 B per entry). On
+/// 64-bit targets, where those sizes hold.
 #[cfg(target_pointer_width = "64")]
-const RESIDENT_BYTES: usize = 422_400;
+const RESIDENT_BYTES: usize = 281_600;
 
 /// Bytes a snapshot of this DAG's interpretation may take: exactly what
 /// format 5 writes, every resident version once (format 4, the same
@@ -204,16 +210,17 @@ fn a_segment_keeps_one_version_per_label() {
 #[test]
 #[cfg(target_pointer_width = "64")]
 fn a_resident_version_costs_what_it_holds() {
-    use dagbft::dag::ServerSet;
     use std::mem::size_of;
-    type Entry = (Label, (BrbMessage<Transfer>, ServerSet));
+    // A stored out-buffer entry: the label and the message. A block of
+    // broadcasts stores no receiver set beside it.
+    type Entry = (Label, BrbMessage<Transfer>);
     let interpreter = interpreted(payments_dag());
     let versions = interpreter.resident_versions();
     let entries = interpreter.footprint().out_entries;
     let (version_size, entry_size) = (size_of::<Brb<Transfer>>(), size_of::<Entry>());
     let bytes = versions * version_size + entries * entry_size;
     assert!(
-        version_size <= 136 && entry_size <= 64,
+        version_size <= 96 && entry_size <= 40,
         "{version_size} B per version, {entry_size} B per out-buffer entry"
     );
     assert!(
