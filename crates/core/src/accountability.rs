@@ -203,7 +203,7 @@ mod tests {
             b.builder(),
             b.seq(),
             b.preds().to_vec(),
-            b.requests().to_vec(),
+            b.requests().collect(),
             dagbft_crypto::Signature::NULL,
         );
         let proof = EquivocationProof::new(a, forged).unwrap();

@@ -10,17 +10,27 @@
 //! reference cycles are impossible (Lemma 3.2): temporal order is a static,
 //! cryptographic property.
 //!
-//! # The encode-once wire path
+//! # One buffer per block
 //!
-//! The canonical encoding is a first-class artifact: a block computes its
-//! wire bytes exactly once — at [`Block::build`] time, or by *slicing* the
-//! received buffer at decode time — and caches them as shared [`Bytes`].
-//! `ref(B)`, signature verification, [`Block::wire_len`], and every send
-//! reuse that one buffer; [`Block::clone`] is a reference-count bump (the
-//! block body lives behind an `Arc`), so broadcasting to `n − 1` peers
-//! costs one canonical encode total instead of `n − 1`.
-//! [`Block::canonical_encodes`] counts the encodes actually performed,
-//! which `tests/encode_once.rs` uses to pin the encode-once claim.
+//! A block is its canonical encoding — one buffer of exactly its wire
+//! length — plus a fixed header: `n`, `k`, the `preds` as an exact boxed
+//! slice, and the cached `ref(B)`. Nothing else is kept: [`Block::requests`]
+//! reads each `(ℓ, r)` from the wire in place, its payload a slice of that
+//! one buffer, and [`Block::signature`] reads `σ` from the wire's tail. So a
+//! resident block costs its wire bytes, its `preds` and a constant, however
+//! many requests it carries.
+//!
+//! The buffer is computed exactly once — at [`Block::build`] time, into an
+//! allocation sized before the first byte is written, or by *slicing* the
+//! received buffer at decode time (one copy when decoding from a borrowed
+//! slice, as the journal does) — and kept as shared [`Bytes`]. `ref(B)`,
+//! signature verification, [`Block::wire_len`], and every send reuse it;
+//! [`Block::clone`] is a reference-count bump (the header lives behind an
+//! `Arc`), so broadcasting to `n − 1` peers costs one canonical encode
+//! total instead of `n − 1`. Decoding checks the structure once and
+//! allocates nothing per request. [`Block::canonical_encodes`] counts the
+//! encodes actually performed, which `tests/encode_once.rs` uses to pin
+//! the encode-once claim.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,9 +161,9 @@ impl WireDecode for SeqNum {
 ///
 /// The payload is the *opaque* wire encoding of `P::Request`; keeping it
 /// opaque makes `gossip` independent of the embedded protocol, exactly as in
-/// the paper's Figure 1 where only `interpret(G, P)` knows `P`. When a block
-/// is decoded from a shared receive buffer, the payload is a zero-copy slice
-/// of that buffer.
+/// the paper's Figure 1 where only `interpret(G, P)` knows `P`. A block
+/// keeps no `LabeledRequest`: [`Block::requests`] reads each one from the
+/// block's wire in place, its payload a zero-copy slice of that buffer.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct LabeledRequest {
     /// The protocol instance the request addresses.
@@ -188,21 +198,34 @@ impl WireDecode for LabeledRequest {
     }
 }
 
-/// The immutable body of a [`Block`], shared behind an `Arc`.
+/// Wire bytes of `n` (4), `k` (8) and the `preds` count (4): where the
+/// first predecessor reference begins.
+const PREDS_AT: usize = 4 + 8 + 4;
+/// Wire bytes of one predecessor reference.
+const REF_SIZE: usize = 32;
+/// Wire bytes of the `rs` count.
+const COUNT_SIZE: usize = 4;
+/// Wire bytes of a labeled request besides its payload: the label (8) and
+/// the payload's length (4).
+const REQUEST_HEADER: usize = 8 + 4;
+
+/// The immutable header of a [`Block`], shared behind an `Arc`: the fields
+/// read on every admission and interpretation step, and the one wire
+/// buffer everything else is read from.
 #[derive(Debug)]
 struct BlockInner {
     builder: ServerId,
     seq: SeqNum,
-    preds: Vec<BlockRef>,
-    requests: Vec<LabeledRequest>,
-    signature: Signature,
+    preds: Box<[BlockRef]>,
     /// Cached `ref(B)`, computed on first use. Builders fill it eagerly
     /// (they sign it); decoded blocks leave it empty and hash lazily at
     /// first reference.
     block_ref: OnceLock<BlockRef>,
-    /// Cached canonical wire encoding, *including* the trailing signature.
-    /// The signing preimage (Definition 3.1's hash input) is the prefix
-    /// `wire[..wire.len() − Signature::SIZE]`.
+    /// The canonical wire encoding, *including* the trailing signature,
+    /// in a buffer of exactly its length. The signing preimage
+    /// (Definition 3.1's hash input) is the prefix
+    /// `wire[..wire.len() − Signature::SIZE]`; `rs` and `σ` are read from
+    /// it in place.
     wire: Bytes,
 }
 
@@ -235,8 +258,10 @@ impl Block {
     /// Builds and signs a block (Algorithm 1, line 15: `σ := sign(s, B)`).
     ///
     /// This is the **one** canonical encode in a block's lifetime: the
-    /// signing preimage is serialized once, hashed into `ref(B)`, extended
-    /// with the signature, and cached as the block's wire image.
+    /// signing preimage is serialized once, into a buffer sized for it and
+    /// the signature, hashed into `ref(B)`, extended with the signature,
+    /// and kept as the block's wire image. `requests` are dropped: the
+    /// block reads them from its wire from then on.
     pub fn build(
         builder: ServerId,
         seq: SeqNum,
@@ -248,9 +273,7 @@ impl Block {
         let preimage = Self::encode_preimage(builder, seq, &preds, &requests);
         let block_ref = BlockRef(sha256(&preimage));
         let signature = signer.sign(block_ref.digest().as_bytes());
-        Self::assemble(
-            builder, seq, preds, requests, signature, block_ref, preimage,
-        )
+        Self::assemble(builder, seq, preds, signature, block_ref, preimage)
     }
 
     /// Assembles a block with an arbitrary signature, for adversarial tests
@@ -264,30 +287,26 @@ impl Block {
     ) -> Block {
         let preimage = Self::encode_preimage(builder, seq, &preds, &requests);
         let block_ref = BlockRef(sha256(&preimage));
-        Self::assemble(
-            builder, seq, preds, requests, signature, block_ref, preimage,
-        )
+        Self::assemble(builder, seq, preds, signature, block_ref, preimage)
     }
 
     fn assemble(
         builder: ServerId,
         seq: SeqNum,
         preds: Vec<BlockRef>,
-        requests: Vec<LabeledRequest>,
         signature: Signature,
         block_ref: BlockRef,
         mut wire: Vec<u8>,
     ) -> Block {
         signature.encode(&mut wire);
+        debug_assert_eq!(wire.len(), wire.capacity(), "the wire buffer is exact");
         let cached = OnceLock::new();
         cached.set(block_ref).expect("fresh cell");
         Block {
             inner: Arc::new(BlockInner {
                 builder,
                 seq,
-                preds,
-                requests,
-                signature,
+                preds: preds.into_boxed_slice(),
                 block_ref: cached,
                 wire: Bytes::from(wire),
             }),
@@ -295,7 +314,8 @@ impl Block {
     }
 
     /// Serializes the `ref` preimage — `n`, `k`, `preds`, `rs`, and *not*
-    /// `σ` (Definition 3.1: this keeps `sign(B.n, ref(B))` well defined).
+    /// `σ` (Definition 3.1: this keeps `sign(B.n, ref(B))` well defined) —
+    /// into a buffer with room for exactly it and the signature.
     /// The only place block fields are turned into bytes.
     fn encode_preimage(
         builder: ServerId,
@@ -303,11 +323,19 @@ impl Block {
         preds: &[BlockRef],
         requests: &[LabeledRequest],
     ) -> Vec<u8> {
-        let mut preimage = Vec::new();
+        let len = PREDS_AT
+            + REF_SIZE * preds.len()
+            + COUNT_SIZE
+            + requests
+                .iter()
+                .map(|labeled| REQUEST_HEADER + labeled.payload.len())
+                .sum::<usize>();
+        let mut preimage = Vec::with_capacity(len + Signature::SIZE);
         builder.encode(&mut preimage);
         seq.encode(&mut preimage);
         preds.encode(&mut preimage);
         requests.encode(&mut preimage);
+        debug_assert_eq!(preimage.len(), len, "the size computed is the size written");
         CANONICAL_ENCODES.fetch_add(1, Ordering::Relaxed);
         CANONICAL_ENCODE_BYTES.fetch_add(
             preimage.len() as u64 + Signature::SIZE as u64,
@@ -344,14 +372,28 @@ impl Block {
         &self.inner.preds
     }
 
-    /// The labeled requests `rs` carried by this block.
-    pub fn requests(&self) -> &[LabeledRequest] {
-        &self.inner.requests
+    /// The labeled requests `rs` carried by this block, in block order,
+    /// read in place from the wire: each payload is a slice of the
+    /// block's one buffer.
+    pub fn requests(&self) -> Requests<'_> {
+        let mut reader = Reader::from_shared(&self.inner.wire);
+        // `rs` follows `n`, `k` and `preds`; its count was checked when
+        // the block was built or decoded.
+        let left = reader
+            .take(PREDS_AT + REF_SIZE * self.inner.preds.len())
+            .and_then(|_| reader.read_u32())
+            .map_or(0, |count| count as usize);
+        Requests { reader, left }
     }
 
-    /// The signature `σ = sign(n, ref(B))`.
-    pub fn signature(&self) -> &Signature {
-        &self.inner.signature
+    /// The signature `σ = sign(n, ref(B))`, read from the wire's tail.
+    pub fn signature(&self) -> Signature {
+        let tail = self
+            .inner
+            .wire
+            .last_chunk::<{ Signature::SIZE }>()
+            .expect("a block's wire ends in its signature");
+        Signature::from_bytes(*tail)
     }
 
     /// The block reference `ref(B)`, hashed on first use and cached.
@@ -393,19 +435,19 @@ impl Block {
         verifier.verify(
             self.inner.builder,
             self.block_ref().digest().as_bytes(),
-            &self.inner.signature,
+            &self.signature(),
         )
     }
 
     /// The block's signature claim as a batch-verification item: "`σ` is
     /// `sign(B.n, ref(B))`". With `ref(B)` cached (the common case — see
     /// [`Block::block_ref`]), assembling a verification wave copies 3
-    /// small values per block and never touches the wire bytes.
+    /// small values per block and reads `σ` from the wire's tail.
     pub fn signed_digest(&self) -> dagbft_crypto::SignedDigest {
         dagbft_crypto::SignedDigest {
             claimed: self.inner.builder,
             digest: self.block_ref().digest(),
-            signature: self.inner.signature,
+            signature: self.signature(),
         }
     }
 
@@ -430,7 +472,7 @@ impl Block {
             return Ok(None); // Genesis: 0 is minimal in ℕ₀, no parent possible.
         };
         let mut parent: Option<BlockRef> = None;
-        for pred in &self.inner.preds {
+        for pred in self.inner.preds.iter() {
             let Some((builder, seq)) = meta(pred) else {
                 continue;
             };
@@ -483,7 +525,7 @@ impl fmt::Debug for Block {
             self.inner.seq,
             self.block_ref(),
             self.inner.preds.len(),
-            self.inner.requests.len()
+            self.requests().len()
         )
     }
 }
@@ -512,31 +554,67 @@ impl WireDecode for Block {
         let start = reader.position();
         let builder = ServerId::decode(reader)?;
         let seq = SeqNum::decode(reader)?;
-        let preds = Vec::<BlockRef>::decode(reader)?;
-        let requests = Vec::<LabeledRequest>::decode(reader)?;
-        let signature = Signature::decode(reader)?;
+        // Decoded into a vector of exactly its length: boxing moves it.
+        let preds = Vec::<BlockRef>::decode(reader)?.into_boxed_slice();
+        // `rs` is checked once, in place — each label and each payload
+        // length against the bytes left — and nothing of it is kept:
+        // `Block::requests` reads it from the wire.
+        for _ in 0..reader.read_len(1)? {
+            Label::decode(reader)?;
+            let payload = reader.read_len(1)?;
+            reader.take(payload)?;
+        }
+        reader.take(Signature::SIZE)?;
         let end = reader.position();
         // The codec is canonical (fixed-width integers, length-prefixed
         // sequences), so the consumed input *is* the canonical encoding:
         // retain it as the cached wire image (a zero-copy slice of the
-        // receive buffer when the reader is shared) and defer hashing
-        // `ref(B)` out of it until first use — burst admission moves that
-        // hash onto pool workers. A tampered byte lands in the hash — the
-        // cache can never vouch for bytes the signature doesn't.
+        // receive buffer when the reader is shared, one copy otherwise)
+        // and defer hashing `ref(B)` out of it until first use — burst
+        // admission moves that hash onto pool workers. A tampered byte
+        // lands in the hash — the cache can never vouch for bytes the
+        // signature doesn't.
         let wire = reader.bytes_between(start, end);
         Ok(Block {
             inner: Arc::new(BlockInner {
                 builder,
                 seq,
                 preds,
-                requests,
-                signature,
                 block_ref: OnceLock::new(),
                 wire,
             }),
         })
     }
 }
+
+/// The labeled requests `rs` of a [`Block`], read in place from its wire
+/// bytes by [`Block::requests`]: each yielded payload is a zero-copy
+/// slice of the block's buffer.
+#[derive(Debug, Clone)]
+pub struct Requests<'a> {
+    /// Positioned at the next request.
+    reader: Reader<'a>,
+    /// Requests not yet read.
+    left: usize,
+}
+
+impl Iterator for Requests<'_> {
+    type Item = LabeledRequest;
+
+    fn next(&mut self) -> Option<LabeledRequest> {
+        self.left = self.left.checked_sub(1)?;
+        let labeled = LabeledRequest::decode(&mut self.reader).ok();
+        // The block checked these bytes when it was built or decoded.
+        debug_assert!(labeled.is_some(), "a block's requests are well formed");
+        labeled
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Requests<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -626,7 +704,7 @@ mod tests {
             SeqNum::ZERO,
             vec![],
             vec![],
-            *block.signature(),
+            block.signature(),
         );
         assert!(!forged.verify_signature(&registry.verifier()));
     }
@@ -696,9 +774,9 @@ mod tests {
         // The decoded block's wire image and request payloads are slices of
         // the receive buffer — the zero-copy path.
         assert!(decoded.wire_bytes().shares_allocation_with(&buffer));
-        assert!(decoded.requests()[0]
-            .payload
-            .shares_allocation_with(&buffer));
+        assert!(decoded
+            .requests()
+            .all(|labeled| labeled.payload.shares_allocation_with(&buffer)));
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //!
 //! The structure additionally maintains the per-server chain index used to
 //! detect equivocations (two valid blocks by the same builder with the same
-//! sequence number — Figure 3).
+//! sequence number — Figure 3). It keeps no successor index: the edges are
+//! the blocks' `preds`, and the few queries that walk successors
+//! ([`BlockDag::children_of`], [`BlockDag::tips`]) derive them from the
+//! `preds` when called.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 use dagbft_crypto::ServerId;
 
@@ -40,8 +43,6 @@ use crate::error::DagError;
 #[derive(Debug, Clone, Default)]
 pub struct BlockDag {
     blocks: HashMap<BlockRef, Block>,
-    /// Successor adjacency: `r → { r' | r ∈ r'.preds }`.
-    children: HashMap<BlockRef, BTreeSet<BlockRef>>,
     /// Insertion order; a topological order by construction.
     order: Vec<BlockRef>,
     /// Per-server chains: `n → k → refs` (more than one ref at a `k` is an
@@ -120,15 +121,7 @@ impl BlockDag {
 
         // Definition 2.1: add the vertex and only edges into it. The vertex
         // is fresh, so acyclicity is preserved (Lemma 2.2 (3)).
-        let mut distinct_preds = BTreeSet::new();
-        for pred in block.preds() {
-            distinct_preds.insert(*pred);
-        }
-        for pred in &distinct_preds {
-            self.children.entry(*pred).or_default().insert(block_ref);
-        }
-        self.edge_count += distinct_preds.len();
-        self.children.entry(block_ref).or_default();
+        self.edge_count += distinct(block.preds()).len();
         self.chains
             .entry(block.builder())
             .or_default()
@@ -140,21 +133,23 @@ impl BlockDag {
         Ok(true)
     }
 
-    /// Distinct predecessors of a block (duplicate references collapse to
-    /// one edge).
+    /// Distinct predecessors of a block, sorted (duplicate references
+    /// collapse to one edge).
     pub fn preds_of(&self, block: &BlockRef) -> Vec<BlockRef> {
-        match self.blocks.get(block) {
-            Some(b) => {
-                let set: BTreeSet<BlockRef> = b.preds().iter().copied().collect();
-                set.into_iter().collect()
-            }
-            None => Vec::new(),
-        }
+        self.blocks
+            .get(block)
+            .map_or_else(Vec::new, |b| distinct(b.preds()))
     }
 
-    /// Blocks that reference `block` directly (`block ⇀ child`).
-    pub fn children_of(&self, block: &BlockRef) -> impl Iterator<Item = &BlockRef> {
-        self.children.get(block).into_iter().flatten()
+    /// Blocks that reference `block` directly (`block ⇀ child`), in
+    /// insertion order. Derived from the `preds` of the blocks inserted
+    /// after it: a scan of the DAG, for tests and tools.
+    pub fn children_of<'a>(&'a self, block: &'a BlockRef) -> impl Iterator<Item = &'a BlockRef> {
+        self.order
+            .iter()
+            .skip_while(move |r| *r != block)
+            .skip(1)
+            .filter(move |r| self.blocks[*r].preds().contains(block))
     }
 
     /// Blocks in insertion order — a topological order, since every block is
@@ -168,11 +163,13 @@ impl BlockDag {
         self.order.iter()
     }
 
-    /// Blocks with no successors — the current frontier.
+    /// Blocks with no successors — the current frontier, in insertion
+    /// order: every block no block's `preds` names.
     pub fn tips(&self) -> Vec<BlockRef> {
+        let cited: HashSet<&BlockRef> = self.iter().flat_map(Block::preds).collect();
         self.order
             .iter()
-            .filter(|r| self.children.get(r).is_none_or(BTreeSet::is_empty))
+            .filter(|r| !cited.contains(r))
             .copied()
             .collect()
     }
@@ -182,24 +179,10 @@ impl BlockDag {
         self.iter().filter(|b| b.is_genesis())
     }
 
-    /// `a ⇀⁺ b`: `b` is reachable from `a` along one or more edges.
+    /// `a ⇀⁺ b`: `b` is reachable from `a` along one or more edges —
+    /// `a` is an ancestor of `b`, found by walking `preds` back from `b`.
     pub fn reaches(&self, a: &BlockRef, b: &BlockRef) -> bool {
-        if !self.contains(a) || !self.contains(b) {
-            return false;
-        }
-        let mut queue: VecDeque<BlockRef> = self.children_of(a).copied().collect();
-        let mut seen: BTreeSet<BlockRef> = queue.iter().copied().collect();
-        while let Some(current) = queue.pop_front() {
-            if current == *b {
-                return true;
-            }
-            for next in self.children_of(&current) {
-                if seen.insert(*next) {
-                    queue.push_back(*next);
-                }
-            }
-        }
-        false
+        self.contains(a) && self.contains(b) && self.ancestors(b).contains(a)
     }
 
     /// `a ⇀* b`: reflexive-transitive reachability.
@@ -234,18 +217,14 @@ impl BlockDag {
         // Both edge sets are derived from identical block content, so
         // E = E' ∩ (V × V) reduces to: every edge of `other` between blocks
         // of `self` exists in `self` — guaranteed when both contain the same
-        // blocks — and vice versa. Verify the non-trivial direction.
-        for (pred, kids) in &other.children {
-            if !self.contains(pred) {
-                continue;
-            }
-            for kid in kids {
-                if self.contains(kid) && !self.children[pred].contains(kid) {
-                    return false;
-                }
-            }
-        }
-        true
+        // blocks — and vice versa. Verify the non-trivial direction: an
+        // edge `pred ⇀ kid` of `other` is `pred ∈ kid.preds` there.
+        self.iter().all(|kid| {
+            other.blocks[&kid.block_ref()]
+                .preds()
+                .iter()
+                .all(|pred| !self.contains(pred) || kid.preds().contains(pred))
+        })
     }
 
     /// The joint DAG `G ∪ G'` (§3): the union of vertices with the union of
@@ -302,10 +281,9 @@ impl BlockDag {
     /// Verifies the structural invariants of Definition 3.4; used by tests
     /// and debug assertions.
     ///
-    /// Checks that (a) every predecessor of every block is present with the
-    /// corresponding edge, and (b) the graph is acyclic (every block was
-    /// inserted after its predecessors, so insertion order witnesses a
-    /// topological order).
+    /// Checks that (a) every predecessor of every block is present, and (b)
+    /// the graph is acyclic (every block was inserted after its
+    /// predecessors, so insertion order witnesses a topological order).
     pub fn check_invariants(&self) -> bool {
         let mut position: HashMap<BlockRef, usize> = HashMap::new();
         for (index, r) in self.order.iter().enumerate() {
@@ -315,9 +293,6 @@ impl BlockDag {
             let my_pos = position[&block.block_ref()];
             for pred in block.preds() {
                 if !self.contains(pred) {
-                    return false;
-                }
-                if !self.children[pred].contains(&block.block_ref()) {
                     return false;
                 }
                 if position[pred] >= my_pos {
@@ -348,6 +323,15 @@ impl BlockDag {
         out.push_str("}\n");
         out
     }
+}
+
+/// The distinct references among `preds`, sorted: duplicate references
+/// collapse to one edge.
+fn distinct(preds: &[BlockRef]) -> Vec<BlockRef> {
+    let mut distinct = preds.to_vec();
+    distinct.sort_unstable();
+    distinct.dedup();
+    distinct
 }
 
 #[cfg(test)]

@@ -1232,11 +1232,10 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         requests.extend(
             block
                 .requests()
-                .iter()
                 .enumerate()
                 .filter(|(_, labeled)| only.is_none_or(|only| only == labeled.label)),
         );
-        requests.sort_unstable_by_key(|&(at, labeled)| (labeled.label, at));
+        requests.sort_unstable_by_key(|(at, labeled)| (labeled.label, *at));
 
         // Label by label, Algorithm 2's lines 5–11, then the in-block
         // self-link, then lines 13–14. Lines 5–6 feed the block's own

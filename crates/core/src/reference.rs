@@ -560,7 +560,7 @@ impl ReferenceGossip {
         let digest = block.block_ref().digest();
         if !self
             .verifier
-            .verify(builder, digest.as_bytes(), block.signature())
+            .verify(builder, digest.as_bytes(), &block.signature())
         {
             return Err(InvalidBlockError::BadSignature { claimed: builder });
         }

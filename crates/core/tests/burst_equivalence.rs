@@ -202,7 +202,7 @@ proptest! {
                 victim.builder(),
                 victim.seq(),
                 victim.preds().to_vec(),
-                victim.requests().to_vec(),
+                victim.requests().collect(),
                 Signature::NULL,
             );
         }

@@ -126,7 +126,7 @@ proptest! {
             victim.builder(),
             victim.seq(),
             victim.preds().to_vec(),
-            victim.requests().to_vec(),
+            victim.requests().collect(),
             Signature::NULL,
         );
         prop_assert_eq!(forged.block_ref(), victim.block_ref());
@@ -273,8 +273,8 @@ proptest! {
             decoded.builder(),
             decoded.seq(),
             decoded.preds().to_vec(),
-            decoded.requests().to_vec(),
-            *decoded.signature(),
+            decoded.requests().collect(),
+            decoded.signature(),
         );
         prop_assert_eq!(recomputed.block_ref(), block.block_ref());
         prop_assert_eq!(

@@ -185,6 +185,8 @@ pub fn parse(bytes: &[u8]) -> Result<ParsedJournal, StoreError> {
                         error: "block record shorter than its ref prefix".into(),
                     });
                 }
+                // One copy of the wire per record: the block keeps it as
+                // its one buffer and reads its requests from it in place.
                 let block: Block =
                     decode_from_slice(&payload[32..]).map_err(|err| StoreError::Decode {
                         record,

@@ -42,7 +42,7 @@ fn j1_image(blocks: &[Block]) -> Vec<u8> {
     let mut image = b"DAGBFTJ1".to_vec();
     for block in blocks {
         for request in block.requests() {
-            let payload = dagbft_codec::encode_to_vec(request);
+            let payload = dagbft_codec::encode_to_vec(&request);
             image.extend_from_slice(&j1_record(KIND_REQUEST, &payload));
         }
         let mut payload = block.block_ref().as_bytes().to_vec();

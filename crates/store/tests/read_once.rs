@@ -148,7 +148,8 @@ fn chain(len: u64) -> Vec<Block> {
 fn reference_image(blocks: &[Block]) -> Vec<u8> {
     let mut store = MemStore::in_memory();
     for (index, block) in blocks.iter().enumerate() {
-        store.append_request(&block.requests()[0]).unwrap();
+        let request = block.requests().next().expect("one request per block");
+        store.append_request(&request).unwrap();
         store.append_block(block).unwrap();
         if index + 1 == blocks.len() / 2 {
             store

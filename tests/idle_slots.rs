@@ -329,7 +329,7 @@ fn lose_the_request_block_to_server_2(
     let NetMessage::Block(block) = message else {
         return false;
     };
-    broadcast && (from, to) == (0, 2) && !block.requests().is_empty()
+    broadcast && (from, to) == (0, 2) && block.requests().next().is_some()
 }
 
 #[test]
