@@ -439,10 +439,9 @@ impl Block {
         )
     }
 
-    /// The block's signature claim as a batch-verification item: "`σ` is
-    /// `sign(B.n, ref(B))`". With `ref(B)` cached (the common case — see
-    /// [`Block::block_ref`]), assembling a verification wave copies 3
-    /// small values per block and reads `σ` from the wire's tail.
+    /// The block's signature claim: "`σ` is `sign(B.n, ref(B))`". With
+    /// `ref(B)` cached (the common case — see [`Block::block_ref`]), it
+    /// copies 3 small values and reads `σ` from the wire's tail.
     pub fn signed_digest(&self) -> dagbft_crypto::SignedDigest {
         dagbft_crypto::SignedDigest {
             claimed: self.inner.builder,

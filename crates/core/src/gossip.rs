@@ -73,24 +73,17 @@
 //!    equivocation admits after every honest ready block, and with the
 //!    defense disabled the order is plain `ref` order, the order the
 //!    paper-literal rescan (the oracle in [`crate::reference`])
-//!    produces. Settling a valid block inserts it, references it from the
-//!    current block, and wakes its waiters, which join the ready set.
-//! 3. **Batch-verify the unverified ready set.** Whenever the front of
-//!    the ready set has no signature verdict yet, every not-yet-verified
-//!    ready block is checked in one [`BatchVerifier`] pass — a *wave* —
-//!    over the cached `ref(B)` digests (the paper's batch-signature
-//!    economics, §4). Verdicts are a pure per-block function of cached
-//!    bytes, so computing them early cannot change a promotion decision;
-//!    each ready block is verified exactly once.
+//!    produces. Settling a block verifies its signature over the cached
+//!    `ref(B)` digest, once; a valid block is inserted, referenced from
+//!    the current block, and its waiters are woken into the ready set.
 //!
 //! A multi-message call indexes everything before it promotes anything,
-//! so its waves are as wide as the whole call's ready set, and `FWD`
-//! requests inside it are answered from the DAG as it stood when the call
-//! began. The admitted set, the rejections and the verification count do
-//! not depend on how a schedule is cut into calls (the promotion fixed
-//! point is confluent); the order in which the current block references
-//! newly admitted blocks, and `FWD` traffic for gaps closed within one
-//! call, do.
+//! so `FWD` requests inside it are answered from the DAG as it stood
+//! when the call began. The admitted set, the rejections and the
+//! verification count do not depend on how a schedule is cut into calls
+//! (the promotion fixed point is confluent); the order in which the
+//! current block references newly admitted blocks, and `FWD` traffic for
+//! gaps closed within one call, do.
 //!
 //! # Pending-buffer cap
 //!
@@ -106,7 +99,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
-use dagbft_crypto::{BatchVerifier, ServerId, SignedDigest, Signer, Verifier};
+use dagbft_crypto::{ServerId, Signer, Verifier};
 
 use crate::block::{Block, BlockRef, LabeledRequest, SeqNum};
 use crate::dag::BlockDag;
@@ -406,82 +399,6 @@ pub struct EvictionEvent {
     pub stranded_on: Option<BlockRef>,
 }
 
-/// Counters for wave-batched verification and multi-message ingest.
-///
-/// Deliberately *not* part of [`GossipStats`]: that struct is asserted
-/// equal to the paper-literal oracle's by the equivalence tests, and
-/// waves are an implementation property of batched verification, not an
-/// observable of Algorithm 1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WaveStats {
-    /// Verification waves batched so far.
-    pub waves: u64,
-    /// Blocks signature-checked through batched waves.
-    pub batched_blocks: u64,
-    /// Size of the largest wave.
-    pub largest_wave: usize,
-    /// Size of the smallest wave (0 until the first wave is recorded).
-    pub smallest_wave: usize,
-    /// Ingest runs processed ([`Gossip::on_messages`],
-    /// [`Gossip::on_block_burst`]), runs of one included; a single
-    /// [`Gossip::on_message`] is not a burst.
-    pub bursts: u64,
-    /// Blocks buffered through those calls (received minus duplicates
-    /// and blocks rejected on receipt).
-    pub burst_blocks: u64,
-    /// Wave-width histogram over power-of-two buckets: index `i` counts
-    /// waves of width in `[2^i, 2^(i+1))`; the last bucket is open-ended.
-    pub width_histogram: [u64; WAVE_WIDTH_BUCKETS],
-}
-
-/// Number of log₂ buckets in [`WaveStats::width_histogram`] (widths 1 up
-/// to ≥ 2048).
-pub const WAVE_WIDTH_BUCKETS: usize = 12;
-
-impl WaveStats {
-    fn record(&mut self, wave: usize) {
-        debug_assert!(wave > 0, "empty waves are not recorded");
-        self.waves += 1;
-        self.batched_blocks += wave as u64;
-        self.largest_wave = self.largest_wave.max(wave);
-        self.smallest_wave = if self.waves == 1 {
-            wave
-        } else {
-            self.smallest_wave.min(wave)
-        };
-        let bucket = (wave.ilog2() as usize).min(WAVE_WIDTH_BUCKETS - 1);
-        self.width_histogram[bucket] += 1;
-    }
-
-    /// Mean wave width (0.0 before the first wave).
-    pub fn mean_wave(&self) -> f64 {
-        if self.waves == 0 {
-            0.0
-        } else {
-            self.batched_blocks as f64 / self.waves as f64
-        }
-    }
-
-    /// Folds another instance's counters into this one — how the
-    /// simulator aggregates per-server wave statistics into a
-    /// whole-deployment view.
-    pub fn merge(&mut self, other: &WaveStats) {
-        self.smallest_wave = match (self.waves, other.waves) {
-            (_, 0) => self.smallest_wave,
-            (0, _) => other.smallest_wave,
-            _ => self.smallest_wave.min(other.smallest_wave),
-        };
-        self.waves += other.waves;
-        self.batched_blocks += other.batched_blocks;
-        self.largest_wave = self.largest_wave.max(other.largest_wave);
-        self.bursts += other.bursts;
-        self.burst_blocks += other.burst_blocks;
-        for (mine, theirs) in self.width_histogram.iter_mut().zip(other.width_histogram) {
-            *mine += theirs;
-        }
-    }
-}
-
 /// The gossip module of Algorithm 1: builds the local DAG `G` and the
 /// current block `B`.
 ///
@@ -537,9 +454,8 @@ pub struct Gossip {
     /// "never promotable" predicate the eviction policy sorts by.
     stranded_refs: BTreeSet<BlockRef>,
     stats: GossipStats,
-    /// Verifies each wave of ready blocks in one pass.
-    batch_verifier: BatchVerifier,
-    wave_stats: WaveStats,
+    /// Checks each ready block's signature as the cascade settles it.
+    verifier: Verifier,
     /// Receipt ordinal source for [`PendingBlock::arrival`].
     arrivals: u64,
     /// Eviction order over the pending buffer:
@@ -582,8 +498,7 @@ impl Gossip {
                 fwd_rto_ms: round_trip.rto(),
                 ..GossipStats::default()
             },
-            batch_verifier: verifier.batch(),
-            wave_stats: WaveStats::default(),
+            verifier,
             arrivals: 0,
             eviction_queue: BTreeSet::new(),
             evictions: Vec::new(),
@@ -662,11 +577,6 @@ impl Gossip {
         &self.stats
     }
 
-    /// Wave-batched verification and multi-message ingest counters.
-    pub fn wave_stats(&self) -> &WaveStats {
-        &self.wave_stats
-    }
-
     /// Number of buffered, not-yet-valid blocks.
     pub fn pending_len(&self) -> usize {
         self.pending.len()
@@ -724,26 +634,7 @@ impl Gossip {
         message: NetMessage,
         now: TimeMs,
     ) -> Vec<NetCommand> {
-        self.ingest(std::iter::once((from, message)), now)
-    }
-
-    /// Handles a batch of messages in one admission pass: everything is
-    /// indexed in arrival order, `FWD` requests are answered from the DAG
-    /// as it stood when the call began, then one cascade promotes the
-    /// whole batch's ready set (see the module docs). Counted as one
-    /// burst in [`WaveStats`] and the crypto metrics.
-    pub fn on_messages(
-        &mut self,
-        messages: impl IntoIterator<Item = (ServerId, NetMessage)>,
-        now: TimeMs,
-    ) -> Vec<NetCommand> {
-        let (arrivals, verified) = (self.arrivals, self.wave_stats.batched_blocks);
-        let commands = self.ingest(messages, now);
-        self.wave_stats.bursts += 1;
-        self.wave_stats.burst_blocks += self.arrivals - arrivals;
-        self.batch_verifier
-            .note_burst(self.wave_stats.batched_blocks - verified);
-        commands
+        self.on_messages(std::iter::once((from, message)), now)
     }
 
     /// Handles a received block (lines 4–11), taking the claimed builder
@@ -775,10 +666,12 @@ impl Gossip {
         self.on_messages(messages, now)
     }
 
-    /// The one ingest body: index every message in arrival order, then
-    /// one cascade over the ready set, cap enforcement and due `FWD`
-    /// requests.
-    fn ingest(
+    /// Handles a batch of messages in one admission pass, the one ingest
+    /// body: everything is indexed in arrival order, `FWD` requests are
+    /// answered from the DAG as it stood when the call began, then one
+    /// cascade promotes the whole batch's ready set (see the module
+    /// docs), the cap is enforced and due `FWD` requests go out.
+    pub fn on_messages(
         &mut self,
         messages: impl IntoIterator<Item = (ServerId, NetMessage)>,
         now: TimeMs,
@@ -1058,46 +951,16 @@ impl Gossip {
 
     /// The one promotion loop (lines 6–9): settles `ready` and every
     /// pending block its admissions unblock, always taking the smallest
-    /// [`ReadyKey`] first. A front without a signature verdict triggers
-    /// one verification wave over the whole unverified ready set.
+    /// [`ReadyKey`] first.
     fn promote_cascade(&mut self, mut ready: BTreeSet<ReadyKey>) {
-        let mut verdicts: BTreeMap<BlockRef, bool> = BTreeMap::new();
         while let Some((_, block_ref)) = ready.pop_first() {
-            let verdict = match verdicts.remove(&block_ref) {
-                Some(verdict) => verdict,
-                None => self.verify_wave(block_ref, &ready, &mut verdicts),
-            };
             let entry = self.take_pending(&block_ref);
-            self.settle_ready(block_ref, entry, verdict, &mut ready);
+            self.settle_ready(block_ref, entry, &mut ready);
         }
     }
 
-    /// Batch-verifies the signatures of `front` and of every ready block
-    /// that has no verdict yet — one wave, one `BatchVerifier` pass.
-    /// Returns `front`'s verdict and files the others under `verdicts`.
-    fn verify_wave(
-        &mut self,
-        front: BlockRef,
-        ready: &BTreeSet<ReadyKey>,
-        verdicts: &mut BTreeMap<BlockRef, bool>,
-    ) -> bool {
-        let wave: Vec<BlockRef> = std::iter::once(front)
-            .chain(ready.iter().map(|(_, block_ref)| *block_ref))
-            .filter(|block_ref| !verdicts.contains_key(block_ref))
-            .collect();
-        let items: Vec<SignedDigest> = wave
-            .iter()
-            .map(|block_ref| self.pending[block_ref].block.signed_digest())
-            .collect();
-        self.wave_stats.record(items.len());
-        let mut results = self.batch_verifier.verify_batch(&items).into_iter();
-        let front_verdict = results.next().expect("one verdict per item");
-        verdicts.extend(wave.into_iter().skip(1).zip(results));
-        front_verdict
-    }
-
     /// Applies Definition 3.3 to one ready block — (i) its signature
-    /// verdict, (ii) genesis or exactly one parent; (iii) holds because
+    /// verifies, (ii) genesis or exactly one parent; (iii) holds because
     /// all its preds are in the DAG and only valid blocks enter it — then
     /// inserts and references it, or rejects it. Blocks whose last missing
     /// dependency this settles join `ready`.
@@ -1105,12 +968,11 @@ impl Gossip {
         &mut self,
         block_ref: BlockRef,
         entry: PendingBlock,
-        signature_ok: bool,
         ready: &mut BTreeSet<ReadyKey>,
     ) {
         let PendingBlock { block, from, .. } = entry;
         let (builder, seq) = (block.builder(), block.seq());
-        let checked = if signature_ok {
+        let checked = if block.verify_signature(&self.verifier) {
             block.parent_via(|r| self.dag.meta(r))
         } else {
             Err(InvalidBlockError::BadSignature { claimed: builder })
@@ -1402,6 +1264,33 @@ impl Gossip {
             self.stats.fwd_rto_ms = self.round_trip.rto();
         }
         commands
+    }
+}
+
+// --- Benchmark adapter only ----------------------------------------------
+//
+// `crates/bench/src/bin/benchmark/adapter.rs` names these; they go with
+// ROADMAP item 9(j). Admission verifies each ready block on its own as the
+// cascade settles it, so every verification pass is one block wide: the
+// mean width is 1 once a block has been settled and 0 before.
+
+impl Gossip {
+    #[doc(hidden)]
+    pub fn wave_stats(&self) -> &Self {
+        self
+    }
+
+    #[doc(hidden)]
+    pub fn mean_wave(&self) -> f64 {
+        let rejected_when_settled = self
+            .rejected
+            .iter()
+            .any(|(_, reason)| !matches!(reason, InvalidBlockError::UnknownBuilder { .. }));
+        if self.stats.blocks_validated > 0 || rejected_when_settled {
+            1.0
+        } else {
+            0.0
+        }
     }
 }
 
@@ -2097,12 +1986,16 @@ mod tests {
             reference_registry.metrics().verifies(),
             "verification count diverged"
         );
-        // Every signature the engine checks goes through a batched wave:
-        // one per promoted or rejected-after-verification block.
-        let stats = engine.stats();
-        assert!(engine.wave_stats().batched_blocks >= stats.blocks_validated);
-        assert!(
-            engine.wave_stats().batched_blocks <= stats.blocks_validated + stats.invalid_blocks
+        // Exactly one check per block the cascade settled: each promoted
+        // block, and each rejected after it was ready.
+        let rejected_when_settled = engine
+            .rejected()
+            .iter()
+            .filter(|(_, reason)| !matches!(reason, InvalidBlockError::UnknownBuilder { .. }))
+            .count() as u64;
+        assert_eq!(
+            engine_registry.metrics().verifies(),
+            engine.stats().blocks_validated + rejected_when_settled
         );
     }
 
@@ -2172,10 +2065,10 @@ mod tests {
     }
 
     #[test]
-    fn burst_widens_waves_past_per_message_ingest() {
+    fn burst_and_per_message_ingest_verify_each_block_once() {
         // An in-order 4-builder soup: per-message ingest promotes each
-        // block alone (waves of 1); one multi-message call promotes whole
-        // rounds (waves of 4).
+        // block alone, one multi-message call promotes whole rounds; both
+        // check each signature exactly once.
         let registry = KeyRegistry::generate(5, 9);
         let signers: Vec<_> = (1..5)
             .map(|i| registry.signer(ServerId::new(i)).unwrap())
@@ -2201,18 +2094,12 @@ mod tests {
         for block in &blocks {
             per_message.on_block(block.clone(), 0);
         }
-        assert_eq!(per_message.wave_stats().largest_wave, 1);
+        assert_eq!(per_message.dag().len(), blocks.len());
+        assert_eq!(registry.metrics().verifies(), 24);
         let mut bursty = gossip_for(&registry, 0, 5);
         bursty.on_block_burst(blocks.iter().cloned(), 0);
         assert_eq!(bursty.dag().len(), blocks.len());
-        assert_eq!(bursty.wave_stats().largest_wave, 4);
-        assert_eq!(bursty.wave_stats().smallest_wave, 4);
-        assert_eq!(bursty.wave_stats().waves, 6);
-        assert_eq!(bursty.wave_stats().bursts, 1);
-        assert_eq!(bursty.wave_stats().burst_blocks, blocks.len() as u64);
-        // Histogram: six waves of width 4 land in the [4, 8) bucket.
-        assert_eq!(bursty.wave_stats().width_histogram[2], 6);
-        assert!((bursty.wave_stats().mean_wave() - 4.0).abs() < f64::EPSILON);
+        assert_eq!(registry.metrics().verifies(), 48);
     }
 
     #[test]
@@ -2491,12 +2378,11 @@ mod tests {
         let (b0, _) = bob.disseminate(vec![], 0);
         let mut alice = gossip_for(&registry, 0, 2);
         alice.on_block(b0.clone(), 0);
-        let waves_before = alice.wave_stats().waves;
+        let verified = registry.metrics().verifies();
         alice.on_block_burst(std::iter::repeat_n(b0.clone(), 64), 1);
         assert_eq!(alice.stats().duplicate_blocks, 64);
-        assert_eq!(alice.wave_stats().waves, waves_before);
-        assert_eq!(alice.wave_stats().bursts, 1);
-        assert_eq!(alice.wave_stats().burst_blocks, 0);
+        assert_eq!(alice.pending_len(), 0);
+        assert_eq!(registry.metrics().verifies(), verified);
     }
 
     #[test]

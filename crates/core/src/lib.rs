@@ -82,8 +82,8 @@ pub use defense::{
 };
 pub use error::{DagError, InvalidBlockError};
 pub use gossip::{
-    EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage, RoundTrip, WaveStats,
-    DEFAULT_PENDING_CAP, WAVE_WIDTH_BUCKETS,
+    EvictionEvent, Gossip, GossipConfig, GossipStats, NetCommand, NetMessage, RoundTrip,
+    DEFAULT_PENDING_CAP,
 };
 pub use interpret::{
     Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError,

@@ -8,16 +8,12 @@
 //! recodings the multiplications walk), [`point`] (the twisted Edwards
 //! curve in extended coordinates with cached addends, RFC 8032 strict
 //! compression/decompression, and fixed-base scalar multiplication over
-//! per-point tables of odd multiples), and [`msm`] (multi-scalar
-//! multiplication: Straus for small batches, Pippenger above a width
-//! threshold — the engine behind amortized batch signature
-//! verification).
+//! per-point tables of odd multiples).
 //!
 //! Every point addition and doubling bumps a thread-local counter
 //! ([`PointOps`], [`ops_snapshot`]): curve-level costs are *counted*, not
 //! timed, so the floors the ed25519 tests assert (a signature costs 32
-//! additions, a serial check ≤ 105 operations; a batch never costs more
-//! per item than serial checks) are machine-independent. The
+//! additions, a check ≤ 105 operations) are machine-independent. The
 //! basepoint's table is built on a process's first `[s]B` and counted on
 //! the thread that asked for it, so a counting test computes one `[s]B`
 //! before its first snapshot.
@@ -29,7 +25,6 @@
 //! wallet, and secret-dependent timing is out of scope.
 
 pub mod fe;
-pub mod msm;
 pub mod point;
 pub mod scalar;
 

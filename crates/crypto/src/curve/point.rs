@@ -400,7 +400,7 @@ fn odd_multiples(point: &Point, out: &mut [Point]) {
 
 /// The addend `[digit]P` from P's odd multiples [P, 3P, 5P, …], for an
 /// odd `digit` with |digit| < 2·`multiples.len()`: the one lookup behind
-/// [`OddMultiples`] and [`FixedBase`].
+/// [`FixedBase`].
 fn select<A: Addend>(multiples: &[A], digit: i16) -> A {
     debug_assert!(digit & 1 == 1, "even digit {digit}");
     let entry = multiples[usize::from(digit.unsigned_abs()) / 2];
@@ -408,26 +408,6 @@ fn select<A: Addend>(multiples: &[A], digit: i16) -> A {
         entry.neg()
     } else {
         entry
-    }
-}
-
-/// The odd multiples [P, 3P, 5P, …, (2N − 1)P] of a point as cached
-/// addends: the per-point table of [`super::msm::straus`], indexed by
-/// signed odd digit.
-#[derive(Clone)]
-pub(crate) struct OddMultiples<const N: usize>([Cached; N]);
-
-impl<const N: usize> OddMultiples<N> {
-    /// The table of `point`: N group operations and N multiplications.
-    pub(crate) fn new(point: &Point) -> Self {
-        let mut multiples = [*point; N];
-        odd_multiples(point, &mut multiples);
-        OddMultiples(multiples.map(Point::to_cached))
-    }
-
-    /// The addend `[digit]P` for an odd `digit`, |digit| < 2N.
-    pub(crate) fn select(&self, digit: i8) -> Cached {
-        select(&self.0, digit.into())
     }
 }
 
@@ -455,7 +435,6 @@ const NORMALISE_BATCH: usize = 512;
 /// the basepoint, and an ed25519 public key once its strict parse passed.
 #[derive(Clone)]
 pub(crate) struct FixedBase {
-    point: Point,
     width: usize,
     /// Window-major: window i's odd multiples of 2^(w·i)·P.
     entries: Vec<AffineCached>,
@@ -484,16 +463,7 @@ impl FixedBase {
             }
             entries.extend(affine_cached(&batch));
         }
-        FixedBase {
-            point: *point,
-            width,
-            entries,
-        }
-    }
-
-    /// The point P this table multiplies.
-    pub(crate) fn point(&self) -> &Point {
-        &self.point
+        FixedBase { width, entries }
     }
 
     /// `[scalar]P`.
@@ -796,7 +766,6 @@ mod tests {
     #[test]
     fn select_negates_by_swapping() {
         let p = Point::mul_base(&Scalar::from_u128(77));
-        let table = OddMultiples::<8>::new(&p);
         let mut multiples = [p; 8];
         odd_multiples(&p, &mut multiples);
         let affine = affine_cached(&multiples);
@@ -808,11 +777,9 @@ mod tests {
                 magnitude
             };
             let expected = basepoint().add(&p.mul(&scalar)).compress();
-            let via_cached = basepoint().add_cached(&table.select(digit)).to_point();
             let via_affine = basepoint()
                 .add_affine(&select(&affine, digit.into()))
                 .to_point();
-            assert_eq!(via_cached.compress(), expected, "digit {digit}");
             assert_eq!(via_affine.compress(), expected, "digit {digit}");
         }
     }

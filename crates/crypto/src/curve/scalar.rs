@@ -63,11 +63,6 @@ impl Scalar {
         reduce_wide(&wide)
     }
 
-    /// A 128-bit value as a scalar (batch-verification coefficients).
-    pub fn from_u128(value: u128) -> Scalar {
-        Scalar([value as u64, (value >> 64) as u64, 0, 0])
-    }
-
     /// Canonical little-endian encoding.
     pub fn to_bytes(self) -> [u8; 32] {
         let mut out = [0u8; 32];
@@ -106,44 +101,6 @@ impl Scalar {
         reduce_wide(&wide)
     }
 
-    /// True for the zero scalar.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0; 4]
-    }
-
-    /// The width-`width` non-adjacent form: signed digits, little-endian,
-    /// each zero or odd with |digit| < 2^(width − 1), any two non-zero
-    /// digits at least `width` positions apart, and Σ digitᵢ·2^i equal to
-    /// the scalar. About one digit in `width + 1` is non-zero, which is
-    /// what a signed-window multiplication pays an addition for.
-    pub fn non_adjacent_form(&self, width: usize) -> [i8; 256] {
-        debug_assert!((2..=8).contains(&width));
-        // A reduced scalar is below 2^253, so the last carry lands below
-        // position 256.
-        debug_assert!(self.0[3] >> 62 == 0);
-        let mut naf = [0i8; 256];
-        let mut pos = 0;
-        let mut carry = 0;
-        while pos < 256 {
-            let window = carry + bits(&self.0, pos, width);
-            if window & 1 == 0 {
-                // Covers window == 2^width (carry into an all-ones
-                // window): the carry rides on.
-                pos += 1;
-                continue;
-            }
-            if window < 1 << (width - 1) {
-                carry = 0;
-                naf[pos] = window as i8;
-            } else {
-                carry = 1;
-                naf[pos] = (window as i16 - (1 << width)) as i8;
-            }
-            pos += width;
-        }
-        naf
-    }
-
     /// 256/`width` signed radix-2^`width` digits, little-endian, all odd
     /// (±1, ±3, …, ±(2^width − 1); the top one positive), with
     /// Σ digitᵢ·2^(width·i) equal to the scalar if it is odd and to the
@@ -174,12 +131,6 @@ impl Scalar {
                 bits(&k, width * top, width) as i16 | 1
             }
         })
-    }
-
-    /// Digit `index` of the base-2^width decomposition (width ≤ 16) —
-    /// the bucket selector for Pippenger windows.
-    pub fn window_digit(&self, index: usize, width: usize) -> usize {
-        bits(&self.0, index * width, width) as usize
     }
 }
 
@@ -308,6 +259,13 @@ mod tests {
     use super::super::testing::{any_bytes32, any_scalar, edge_scalars};
     use super::*;
     use proptest::prelude::*;
+
+    impl Scalar {
+        /// A 128-bit value as a scalar (the tests' small values).
+        pub(crate) fn from_u128(value: u128) -> Scalar {
+            Scalar([value as u64, (value >> 64) as u64, 0, 0])
+        }
+    }
 
     fn l_minus_one() -> Scalar {
         let mut limbs = L;
@@ -537,23 +495,6 @@ mod tests {
         acc
     }
 
-    fn assert_naf_recodes(limbs: [u64; 4], width: usize) {
-        let naf = Scalar(limbs).non_adjacent_form(width);
-        assert_eq!(recompose(&naf.map(i16::from), 1), limbs, "width {width}");
-        for (i, &digit) in naf.iter().enumerate() {
-            if digit == 0 {
-                continue;
-            }
-            assert!(digit & 1 == 1, "even digit {digit} at {i}");
-            assert!(
-                i32::from(digit).abs() < 1 << (width - 1),
-                "digit {digit} at {i}"
-            );
-            let gap = &naf[i + 1..(i + width).min(256)];
-            assert!(gap.iter().all(|&d| d == 0), "adjacent digits after {i}");
-        }
-    }
-
     /// The widths `FixedBase` tables are built at: the keys' and the
     /// basepoint's.
     const ODD_RADIX_WIDTHS: [usize; 2] = [4, 8];
@@ -575,23 +516,8 @@ mod tests {
         );
     }
 
-    /// 0, 1, L − 1, 2^252 and 2^253 − 1: no digits, one digit, the
-    /// largest reduced scalar, a lone top bit, and the longest carry run
-    /// the 256 positions can hold.
-    const EDGE_LIMBS: [[u64; 4]; 5] = [
-        [0; 4],
-        [1, 0, 0, 0],
-        [L[0] - 1, L[1], L[2], L[3]],
-        [0, 0, 0, 1 << 60],
-        [u64::MAX, u64::MAX, u64::MAX, u64::MAX >> 3],
-    ];
-
     #[test]
     fn recodings_recompose_on_edge_scalars() {
-        for limbs in EDGE_LIMBS {
-            assert_naf_recodes(limbs, 5);
-            assert_naf_recodes(limbs, 8);
-        }
         for scalar in edge_scalars() {
             for width in ODD_RADIX_WIDTHS {
                 assert_odd_radix_recodes(scalar, width);
@@ -602,26 +528,9 @@ mod tests {
     proptest! {
         #[test]
         fn recodings_recompose_on_random_scalars(scalar in any_scalar()) {
-            assert_naf_recodes(scalar.0, 5);
-            assert_naf_recodes(scalar.0, 8);
             for width in ODD_RADIX_WIDTHS {
                 assert_odd_radix_recodes(scalar, width);
             }
-        }
-    }
-
-    #[test]
-    fn window_digits_recompose() {
-        let s = l_minus_one();
-        for width in [4usize, 6, 8, 12] {
-            let windows = 256usize.div_ceil(width);
-            let mut acc = Scalar::ZERO;
-            let base = Scalar::from_u128(1 << width);
-            for w in (0..windows).rev() {
-                acc = acc.mul(&base);
-                acc = acc.add(&Scalar::from_u128(s.window_digit(w, width) as u128));
-            }
-            assert_eq!(acc, s, "width {width}");
         }
     }
 }

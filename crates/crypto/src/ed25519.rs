@@ -1,50 +1,16 @@
-//! RFC 8032 ed25519 over the in-tree [`crate::curve`] arithmetic, with
-//! genuinely amortized batch verification.
+//! RFC 8032 ed25519 over the in-tree [`crate::curve`] arithmetic.
 //!
-//! Serial verification is *cofactored* — `[8]([s]B − [k]A − R) = 𝒪`.
+//! Verification is *cofactored* — `[8]([s]B − [k]A − R) = 𝒪`.
 //! Every valid key carries a radix-16 `FixedBase` table, built once
 //! where the key is validated ([`keygen`], [`PublicKey::from_bytes`]),
 //! and the basepoint one at radix 2⁸, so `[s]B − [k]A` is 32 additions
 //! from the basepoint's table and 64 from the key's, with no doubling
 //! chain: 103 group operations per check, 60 KiB per key and 480 KiB
-//! for the basepoint. Signing is the basepoint's 32 additions. Batch
-//! verification checks one random-linear-combination equation
-//!
-//! ```text
-//! [8]( [Σ zᵢsᵢ]B − Σ [zᵢ]Rᵢ − Σ [zᵢkᵢ]Aᵢ ) = 𝒪
-//! ```
-//!
-//! via a single multi-scalar multiplication ([`crate::curve::msm`]:
-//! Straus for wave-sized batches, Pippenger past the width threshold).
-//! Cofactoring both sides makes the two paths agree on *every* input,
-//! adversarial torsion points included, so batch-accept ⟺ every item
-//! serial-accepts (up to the 2⁻¹²⁸ linear-combination slack). The fold
-//! pays ~305 shared operations (the doubling chain, mostly) plus ~82 per
-//! item, so a wave narrower than `BATCH_MIN_WIDTH` is verified
-//! serially instead.
-//!
-//! The coefficients `zᵢ` are derived deterministically from the whole
-//! batch transcript (SHA-512, Fiat–Shamir style) rather than sampled:
-//! whole-simulation runs must stay reproducible, and the 128-bit
-//! soundness bound does not rely on secrecy, only on the zᵢ being fixed
-//! before the equation is evaluated. When the combined equation fails,
-//! a binary split pinpoints the forged items: subranges whose equation
-//! holds are accepted wholesale, failing ranges narrower than
-//! `BATCH_MIN_WIDTH` resolve to their items' serial verdicts — which is
-//! how "exactly the tampered block rejected, dependents stranded"
-//! survives any batch grouping.
+//! for the basepoint. Signing is the basepoint's 32 additions.
 
-use crate::curve::msm::msm;
 use crate::curve::point::{FixedBase, Point};
 use crate::curve::scalar::Scalar;
 use crate::{sha512, Sha512};
-
-/// The narrowest wave [`verify_batch`] folds into one multi-scalar
-/// multiplication; narrower ones are verified item by item. Counted in
-/// group operations, a fold of w items costs ~305 + 82·w against 103·w
-/// serially. `batch_costs_no_more_per_item_than_serial` pins the
-/// crossover.
-pub(crate) const BATCH_MIN_WIDTH: usize = 15;
 
 /// The window width of a public key's `FixedBase`: 64 radix-16 windows
 /// of eight odd multiples, 60 KiB and 768 group operations per key. A
@@ -159,165 +125,27 @@ fn challenge(r_bytes: &[u8; 32], public_bytes: &[u8; 32], message: &[u8]) -> Sca
     Scalar::from_bytes_wide(&hash.finalize())
 }
 
-/// A signature parsed into its verification inputs.
-struct ParsedSignature<'a> {
-    key: &'a FixedBase,
-    r_point: Point,
-    r_bytes: [u8; 32],
-    s: Scalar,
-}
-
-/// Strict parse: a valid key, `s` canonical (< L), `R` canonically
-/// encoded, on-curve, and not small-order.
-fn parse_signature<'a>(public: &'a PublicKey, signature: &[u8; 64]) -> Option<ParsedSignature<'a>> {
-    let key = public.table.as_ref()?;
-    let r_bytes: [u8; 32] = signature[..32].try_into().expect("32-byte half");
-    let s_bytes: [u8; 32] = signature[32..].try_into().expect("32-byte half");
-    let s = Scalar::from_bytes_canonical(&s_bytes)?;
-    let r_point = Point::decompress(&r_bytes).filter(|r| !r.is_small_order())?;
-    Some(ParsedSignature {
-        key,
-        r_point,
-        r_bytes,
-        s,
-    })
-}
-
-/// Cofactored serial verification: `[8]([s]B − [k]A − R) = 𝒪`.
+/// Cofactored verification, `[8]([s]B − [k]A − R) = 𝒪` from the two
+/// fixed-base tables, behind the strict parse: a valid key, `s`
+/// canonical (< L), `R` canonically encoded, on-curve, and not
+/// small-order.
 pub fn verify(public: &PublicKey, message: &[u8], signature: &[u8; 64]) -> bool {
-    let Some(parsed) = parse_signature(public, signature) else {
+    let Some(key) = public.table.as_ref() else {
         return false;
     };
-    let k = challenge(&parsed.r_bytes, &public.bytes, message);
-    equation_holds(&parsed, &k)
-}
-
-/// `[8]([s]B + [−k]A + (−R)) = 𝒪` from the two fixed-base tables.
-fn equation_holds(parsed: &ParsedSignature<'_>, k: &Scalar) -> bool {
-    parsed
-        .key
-        .add_mul(&Point::mul_base(&parsed.s), &k.neg())
-        .add(&parsed.r_point.neg())
+    let r_bytes: [u8; 32] = signature[..32].try_into().expect("32-byte half");
+    let s_bytes: [u8; 32] = signature[32..].try_into().expect("32-byte half");
+    let Some(s) = Scalar::from_bytes_canonical(&s_bytes) else {
+        return false;
+    };
+    let Some(r_point) = Point::decompress(&r_bytes).filter(|r| !r.is_small_order()) else {
+        return false;
+    };
+    let k = challenge(&r_bytes, &public.bytes, message);
+    key.add_mul(&Point::mul_base(&s), &k.neg())
+        .add(&r_point.neg())
         .mul_by_cofactor()
         .is_identity()
-}
-
-/// One batch item: the claim "`signature` was produced over `message`
-/// by the holder of `public`".
-pub struct BatchItem<'a> {
-    /// The claimed signer's public key.
-    pub public: &'a PublicKey,
-    /// The signed message.
-    pub message: &'a [u8],
-    /// The signature under test.
-    pub signature: &'a [u8; 64],
-}
-
-/// An item that survived the strict parse, with its challenge scalar and
-/// linear-combination coefficient precomputed.
-struct PreparedItem<'a> {
-    index: usize,
-    parsed: ParsedSignature<'a>,
-    k: Scalar,
-    z: Scalar,
-}
-
-/// Verifies a whole batch, returning per-item verdicts in input order:
-/// item by item below `BATCH_MIN_WIDTH`, otherwise through one
-/// multi-scalar multiplication.
-///
-/// Items failing the strict parse (invalid key, non-canonical `s` or
-/// `R`, small-order `R`) are rejected up front without touching the
-/// equation. The rest are combined with deterministic 128-bit
-/// coefficients; if the combined equation fails, a binary split isolates
-/// the forged items so the verdict vector always equals the serial one.
-pub fn verify_batch(items: &[BatchItem<'_>]) -> Vec<bool> {
-    if items.len() < BATCH_MIN_WIDTH {
-        return items
-            .iter()
-            .map(|item| verify(item.public, item.message, item.signature))
-            .collect();
-    }
-    let mut verdicts = vec![false; items.len()];
-    resolve_range(&prepare(items), &mut verdicts);
-    verdicts
-}
-
-/// The items that pass the strict parse, with their challenges and
-/// batch coefficients.
-fn prepare<'a>(items: &[BatchItem<'a>]) -> Vec<PreparedItem<'a>> {
-    let mut prepared = Vec::with_capacity(items.len());
-    for (index, item) in items.iter().enumerate() {
-        let Some(parsed) = parse_signature(item.public, item.signature) else {
-            continue;
-        };
-        let k = challenge(&parsed.r_bytes, &item.public.bytes, item.message);
-        prepared.push(PreparedItem {
-            index,
-            parsed,
-            k,
-            z: Scalar::ZERO, // assigned below from the batch transcript
-        });
-    }
-
-    // Deterministic coefficients, Fiat–Shamir style over the whole batch:
-    // fixed before the equation is evaluated, reproducible across runs.
-    let mut transcript = Sha512::new();
-    transcript.update(b"dagbft.ed25519.batch.v1");
-    for item in items {
-        transcript.update(item.public.as_bytes());
-        transcript.update(item.signature);
-        transcript.update(&(item.message.len() as u64).to_le_bytes());
-        transcript.update(item.message);
-    }
-    let transcript_digest = transcript.finalize();
-    for item in prepared.iter_mut() {
-        let mut hash = Sha512::new();
-        hash.update(&transcript_digest);
-        hash.update(&(item.index as u64).to_le_bytes());
-        let mut z_bytes: [u8; 16] = hash.finalize()[..16].try_into().expect("16 bytes");
-        // Odd ⇒ non-zero mod L: no item drops out of the combination.
-        z_bytes[0] |= 1;
-        item.z = Scalar::from_u128(u128::from_le_bytes(z_bytes));
-    }
-    prepared
-}
-
-/// Accepts `range` wholesale if its combined equation holds; otherwise
-/// splits in half and recurses, bottoming out at serial checks once a
-/// range is narrower than [`BATCH_MIN_WIDTH`].
-fn resolve_range(range: &[PreparedItem<'_>], verdicts: &mut [bool]) {
-    if range.len() < BATCH_MIN_WIDTH {
-        for item in range {
-            verdicts[item.index] = equation_holds(&item.parsed, &item.k);
-        }
-        return;
-    }
-    if range_equation_holds(range) {
-        for item in range {
-            verdicts[item.index] = true;
-        }
-        return;
-    }
-    let (left, right) = range.split_at(range.len() / 2);
-    resolve_range(left, verdicts);
-    resolve_range(right, verdicts);
-}
-
-fn range_equation_holds(range: &[PreparedItem<'_>]) -> bool {
-    let mut scalars = Vec::with_capacity(2 * range.len() + 1);
-    let mut points = Vec::with_capacity(2 * range.len() + 1);
-    let mut b_coefficient = Scalar::ZERO;
-    for item in range {
-        b_coefficient = b_coefficient.add(&item.z.mul(&item.parsed.s));
-        scalars.push(item.z);
-        points.push(item.parsed.r_point.neg());
-        scalars.push(item.z.mul(&item.k));
-        points.push(item.parsed.key.point().neg());
-    }
-    scalars.push(b_coefficient);
-    points.push(*crate::curve::point::basepoint());
-    msm(&scalars, &points).mul_by_cofactor().is_identity()
 }
 
 #[cfg(test)]
@@ -461,95 +289,10 @@ mod tests {
         assert!(!PublicKey::from_bytes(off).is_valid());
     }
 
+    /// The six shapes a forgery takes against one key, each with its
+    /// verdict: only the valid signature under its own key verifies.
     #[test]
-    fn batch_accepts_all_valid() {
-        let keys = test_keys(8);
-        let messages: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i; 5]).collect();
-        let signatures: Vec<[u8; 64]> = keys
-            .iter()
-            .zip(&messages)
-            .map(|((secret, _), message)| sign(secret, message))
-            .collect();
-        let items: Vec<BatchItem<'_>> = keys
-            .iter()
-            .zip(&messages)
-            .zip(&signatures)
-            .map(|(((_, public), message), signature)| BatchItem {
-                public,
-                message,
-                signature,
-            })
-            .collect();
-        assert_eq!(verify_batch(&items), vec![true; 8]);
-    }
-
-    #[test]
-    fn batch_pinpoints_forgeries_exactly() {
-        let keys = test_keys(9);
-        let messages: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 3]).collect();
-        let mut signatures: Vec<[u8; 64]> = keys
-            .iter()
-            .zip(&messages)
-            .map(|((secret, _), message)| sign(secret, message))
-            .collect();
-        // Forge item 2 (flip a bit in R), null item 5, swap item 7's
-        // signature with item 8's.
-        signatures[2][0] ^= 1;
-        signatures[5] = [0u8; 64];
-        signatures.swap(7, 8);
-        let items: Vec<BatchItem<'_>> = keys
-            .iter()
-            .zip(&messages)
-            .zip(&signatures)
-            .map(|(((_, public), message), signature)| BatchItem {
-                public,
-                message,
-                signature,
-            })
-            .collect();
-        let expected: Vec<bool> = items
-            .iter()
-            .map(|item| verify(item.public, item.message, item.signature))
-            .collect();
-        assert_eq!(
-            expected,
-            vec![true, true, false, true, true, false, true, false, false]
-        );
-        assert_eq!(verify_batch(&items), expected);
-    }
-
-    /// A wave of 64 with forgeries at 3 and 50 fails its fold, and the
-    /// split folds again twice (32 + 32, then four ranges of 16, two of
-    /// which hold and are accepted wholesale) before the failing ranges
-    /// drop below `BATCH_MIN_WIDTH` and resolve item by item.
-    #[test]
-    fn wide_batch_splits_down_to_serial_checks() {
-        let keys = test_keys(64);
-        let mut signatures: Vec<[u8; 64]> = keys
-            .iter()
-            .map(|(secret, _)| sign(secret, b"wide"))
-            .collect();
-        signatures[3][40] ^= 0x10;
-        signatures[50][0] ^= 1;
-        let items: Vec<BatchItem<'_>> = keys
-            .iter()
-            .zip(&signatures)
-            .map(|((_, public), signature)| BatchItem {
-                public,
-                message: b"wide",
-                signature,
-            })
-            .collect();
-        let expected: Vec<bool> = (0..64).map(|i| i != 3 && i != 50).collect();
-        assert_eq!(verify_batch(&items), expected);
-    }
-
-    /// A batch of one or two is checked item by item; the same item with
-    /// enough companions to reach [`BATCH_MIN_WIDTH`] goes through the
-    /// combined equation. All entries must agree, adversarial items
-    /// included.
-    #[test]
-    fn batch_of_one_is_the_serial_verdict() {
+    fn verify_gives_each_named_shape_its_verdict() {
         let keys = test_keys(2);
         let (secret, public) = &keys[0];
         let valid = sign(secret, b"msg");
@@ -564,14 +307,7 @@ mod tests {
         non_canonical_s[32..].copy_from_slice(&L_BYTES);
         let invalid_key = PublicKey::from_bytes([0u8; 32]);
         assert!(!invalid_key.is_valid());
-
-        let (companion_secret, companion_public) = &keys[1];
-        let companion_signature = sign(companion_secret, b"other");
-        let companion = || BatchItem {
-            public: companion_public,
-            message: b"other",
-            signature: &companion_signature,
-        };
+        let (_, other_public) = &keys[1];
 
         let cases: [(&str, &PublicKey, &[u8; 64], bool); 6] = [
             ("valid", public, &valid, true),
@@ -579,35 +315,11 @@ mod tests {
             ("small-order R", public, &small_order_r, false),
             ("non-canonical s", public, &non_canonical_s, false),
             ("invalid key", &invalid_key, &valid, false),
-            ("wrong key", companion_public, &valid, false),
+            ("wrong key", other_public, &valid, false),
         ];
         for (name, public, signature, expected) in cases {
-            let item = || BatchItem {
-                public,
-                message: b"msg",
-                signature,
-            };
             assert_eq!(verify(public, b"msg", signature), expected, "{name}");
-            assert_eq!(verify_batch(&[item()]), vec![expected], "{name}");
-            assert_eq!(
-                verify_batch(&[item(), companion()]),
-                vec![expected, true],
-                "{name}"
-            );
-            let mut wave = vec![item()];
-            wave.extend((1..BATCH_MIN_WIDTH).map(|_| companion()));
-            let mut verdicts = vec![true; BATCH_MIN_WIDTH];
-            verdicts[0] = expected;
-            assert_eq!(verify_batch(&wave), verdicts, "{name}");
         }
-    }
-
-    /// Group operations `work` performs on this thread (the counters are
-    /// thread-local, so parallel tests do not disturb them).
-    fn counted<T>(work: impl FnOnce() -> T) -> (T, u64) {
-        let before = crate::curve::ops_snapshot();
-        let result = work();
-        (result, (crate::curve::ops_snapshot() - before).total())
     }
 
     /// Machine-independent floor: a serial check is 32 + 64 table
@@ -636,62 +348,6 @@ mod tests {
             let ops = crate::curve::ops_snapshot() - before;
             assert_eq!((ops.adds, ops.doubles), (32, 0), "{ops:?}");
         }
-    }
-
-    /// Machine-independent floor: `verify_batch` never costs more group
-    /// operations per item than serial checks, and `BATCH_MIN_WIDTH` is
-    /// the crossover — the fold loses below it and wins from it on.
-    #[test]
-    fn batch_costs_no_more_per_item_than_serial() {
-        use crate::curve::msm::msm_engine;
-        let message = b"wave";
-        let keys = test_keys(256);
-        let signatures: Vec<[u8; 64]> = keys
-            .iter()
-            .map(|(secret, _)| sign(secret, message))
-            .collect();
-        let all_items: Vec<BatchItem<'_>> = keys
-            .iter()
-            .zip(&signatures)
-            .map(|((_, public), signature)| BatchItem {
-                public,
-                message,
-                signature,
-            })
-            .collect();
-
-        // Widths 13–17 pin the crossover from both sides: at 14 the fold
-        // costs 1 471 against 1 442 serially, at 15 1 542 against 1 545.
-        let mut engines = Vec::new();
-        for width in [
-            1usize, 2, 3, 4, 5, 6, 7, 8, 13, 14, 15, 16, 17, 32, 128, 256,
-        ] {
-            let items = &all_items[..width];
-            let (verdicts, batch_ops) = counted(|| verify_batch(items));
-            assert_eq!(verdicts, vec![true; width]);
-            let (_, serial_ops) = counted(|| {
-                for item in items {
-                    assert!(verify(item.public, item.message, item.signature));
-                }
-            });
-            assert!(
-                batch_ops <= serial_ops,
-                "width {width}: batch {batch_ops} vs serial {serial_ops}"
-            );
-            if width < 32 {
-                let (holds, fold_ops) = counted(|| range_equation_holds(&prepare(items)));
-                assert!(holds);
-                assert_eq!(
-                    fold_ops > serial_ops,
-                    width < BATCH_MIN_WIDTH,
-                    "width {width}: fold {fold_ops} vs serial {serial_ops}"
-                );
-            } else {
-                // A batch of k signatures is one MSM over 2k + 1 points.
-                engines.push(msm_engine(2 * width + 1));
-            }
-        }
-        assert_eq!(engines, ["straus", "straus", "pippenger"]);
     }
 
     /// Test-only cofactored verification spelled out with the
@@ -792,14 +448,6 @@ mod tests {
         let expected = oracle_verify(&public, message, signature);
         let key = PublicKey::from_bytes(public);
         assert_eq!(verify(&key, message, signature), expected);
-        let item = || BatchItem {
-            public: &key,
-            message,
-            signature,
-        };
-        assert_eq!(verify_batch(&[item()]), vec![expected]);
-        let wave: Vec<BatchItem<'_>> = (0..BATCH_MIN_WIDTH).map(|_| item()).collect();
-        assert_eq!(verify_batch(&wave), vec![expected; BATCH_MIN_WIDTH]);
         expected
     }
 

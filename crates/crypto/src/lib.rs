@@ -8,10 +8,9 @@
 //! * [`sha256`] / [`Sha256`] — a from-scratch FIPS 180-4 SHA-256
 //!   implementation, validated against the standard test vectors. Used for
 //!   block references ([`Digest`]).
-//! * [`Signer`] / [`Verifier`] / [`BatchVerifier`] — signing handles under
-//!   a trusted [`KeyRegistry`] of RFC 8032 [`ed25519`] keys over the
-//!   in-tree [`curve`] arithmetic (with one multi-scalar multiplication
-//!   per wide verified batch; see the signature-scheme section of
+//! * [`Signer`] / [`Verifier`] — signing handles under a trusted
+//!   [`KeyRegistry`] of RFC 8032 [`ed25519`] keys over the in-tree
+//!   [`curve`] arithmetic (see the signature-scheme section of
 //!   `docs/ARCHITECTURE.md`).
 //! * [`ServerId`] — the server identity `n` carried in every block
 //!   (Definition 3.1); it lives here because identity and key material are

@@ -5,8 +5,8 @@
 //! is zero (§2). [`KeyRegistry`] performs the trusted setup — one keypair
 //! per server, deterministically seeded so whole-simulation runs stay
 //! reproducible — and hands out [`Signer`] handles (one per server, able
-//! to sign only as that server) and [`Verifier`]/[`BatchVerifier`]
-//! handles (able to check any server's signature from its public key).
+//! to sign only as that server) and [`Verifier`] handles (able to check
+//! any server's signature from its public key).
 //!
 //! The economic property the paper leans on — *batch signatures*, one
 //! signature per block instead of one per protocol message (§4) — is
@@ -76,12 +76,6 @@ impl WireDecode for Signature {
 pub struct CryptoMetrics {
     signs: AtomicU64,
     verifies: AtomicU64,
-    batches: AtomicU64,
-    batched_verifies: AtomicU64,
-    largest_batch: AtomicU64,
-    bursts: AtomicU64,
-    burst_verifies: AtomicU64,
-    largest_burst: AtomicU64,
 }
 
 impl CryptoMetrics {
@@ -90,71 +84,15 @@ impl CryptoMetrics {
         self.signs.load(Ordering::Relaxed)
     }
 
-    /// Number of verification operations performed so far (batched items
-    /// included: a batch of `k` signatures counts `k` verifications, so
-    /// this total is identical whichever path performed the work).
+    /// Number of verification operations performed so far.
     pub fn verifies(&self) -> u64 {
         self.verifies.load(Ordering::Relaxed)
-    }
-
-    /// Number of [`BatchVerifier::verify_batch`] passes performed so far.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Number of verifications performed *inside* batches — the share of
-    /// [`CryptoMetrics::verifies`] that went through the amortized path.
-    pub fn batched_verifies(&self) -> u64 {
-        self.batched_verifies.load(Ordering::Relaxed)
-    }
-
-    /// Size of the largest batch verified so far.
-    pub fn largest_batch(&self) -> u64 {
-        self.largest_batch.load(Ordering::Relaxed)
-    }
-
-    /// Number of admission bursts accounted so far — one per
-    /// multi-message ingest call that verified at least one signature,
-    /// spanning every wave the call produced.
-    pub fn bursts(&self) -> u64 {
-        self.bursts.load(Ordering::Relaxed)
-    }
-
-    /// Number of verifications performed inside bursts — the share of
-    /// [`CryptoMetrics::batched_verifies`] that multi-message ingest
-    /// could widen past per-message waves.
-    pub fn burst_verifies(&self) -> u64 {
-        self.burst_verifies.load(Ordering::Relaxed)
-    }
-
-    /// Signature count of the largest burst accounted so far.
-    pub fn largest_burst(&self) -> u64 {
-        self.largest_burst.load(Ordering::Relaxed)
     }
 
     /// Resets all counters to zero.
     pub fn reset(&self) {
         self.signs.store(0, Ordering::Relaxed);
         self.verifies.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-        self.batched_verifies.store(0, Ordering::Relaxed);
-        self.largest_batch.store(0, Ordering::Relaxed);
-        self.bursts.store(0, Ordering::Relaxed);
-        self.burst_verifies.store(0, Ordering::Relaxed);
-        self.largest_burst.store(0, Ordering::Relaxed);
-    }
-
-    fn record_batch(&self, items: u64) {
-        self.verifies.fetch_add(items, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.batched_verifies.fetch_add(items, Ordering::Relaxed);
-        self.largest_batch.fetch_max(items, Ordering::Relaxed);
-    }
-
-    fn record_burst(&self, items: u64) {
-        self.bursts.fetch_add(1, Ordering::Relaxed);
-        self.burst_verifies.fetch_add(items, Ordering::Relaxed);
-        self.largest_burst.fetch_max(items, Ordering::Relaxed);
     }
 }
 
@@ -240,13 +178,6 @@ impl KeyRegistry {
         }
     }
 
-    /// Returns a batch-verification handle (see [`BatchVerifier`]).
-    pub fn batch_verifier(&self) -> BatchVerifier {
-        BatchVerifier {
-            registry: self.inner.clone(),
-        }
-    }
-
     /// Shared operation counters for all handles of this registry.
     pub fn metrics(&self) -> &CryptoMetrics {
         &self.inner.metrics
@@ -302,17 +233,10 @@ impl Verifier {
             .get(claimed.index())
             .is_some_and(|public| ed25519::verify(public, message, signature.as_bytes()))
     }
-
-    /// Returns a batch handle over the same registry (and counters).
-    pub fn batch(&self) -> BatchVerifier {
-        BatchVerifier {
-            registry: self.registry.clone(),
-        }
-    }
 }
 
-/// One signed 32-byte digest awaiting batch verification: the claim
-/// "`signature` is `sign(claimed, digest)`".
+/// One signed 32-byte digest: the claim "`signature` is
+/// `sign(claimed, digest)`".
 ///
 /// For blocks this is exactly Definition 3.3 (i): `claimed` is `B.n`,
 /// `digest` the cached `ref(B)` (the hash of the block's signing
@@ -327,92 +251,12 @@ pub struct SignedDigest {
     pub signature: Signature,
 }
 
-/// Batched verification over the whole server set: one pass over a slice
-/// of [`SignedDigest`]s, with per-item verdicts in input order.
-///
-/// A batch of at least `ed25519::BATCH_MIN_WIDTH` (15) items is genuinely
-/// amortized — one random-linear-combination multi-scalar multiplication
-/// for the whole batch, with a binary split pinpointing forged items on
-/// failure — and a narrower one is checked item by item, where that costs
-/// fewer group operations.
-/// Batch passes and sizes are counted in [`CryptoMetrics`] (experiment
-/// E6's batching argument, PAPER §4).
-///
-/// # Examples
-///
-/// ```
-/// use dagbft_crypto::{KeyRegistry, ServerId, SignedDigest};
-///
-/// let registry = KeyRegistry::generate(2, 42);
-/// let signer = registry.signer(ServerId::new(1)).unwrap();
-/// let digest = dagbft_crypto::sha256(b"block preimage");
-/// let signature = signer.sign(digest.as_bytes());
-/// let batch = registry.batch_verifier();
-/// let verdicts = batch.verify_batch(&[SignedDigest {
-///     claimed: ServerId::new(1),
-///     digest,
-///     signature,
-/// }]);
-/// assert_eq!(verdicts, vec![true]);
-/// ```
-#[derive(Debug, Clone)]
-pub struct BatchVerifier {
-    registry: Arc<RegistryInner>,
-}
-
-impl BatchVerifier {
-    /// Verifies every item in one pass, returning per-item verdicts in
-    /// input order. Unknown identities verify to `false`. The verdicts
-    /// are always exactly the serial ones, whatever the batch grouping —
-    /// which is what makes admission independent of how wide its
-    /// verification waves happen to be.
-    ///
-    /// An empty batch performs (and records) nothing.
-    pub fn verify_batch(&self, items: &[SignedDigest]) -> Vec<bool> {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        self.registry.metrics.record_batch(items.len() as u64);
-        // Items claiming unknown identities fail outright and stay out of
-        // the combined equation.
-        let (known, batch): (Vec<usize>, Vec<ed25519::BatchItem<'_>>) = items
-            .iter()
-            .enumerate()
-            .filter_map(|(index, item)| {
-                let public = self.registry.publics.get(item.claimed.index())?;
-                let batch_item = ed25519::BatchItem {
-                    public,
-                    message: item.digest.as_bytes(),
-                    signature: item.signature.as_bytes(),
-                };
-                Some((index, batch_item))
-            })
-            .unzip();
-        let mut verdicts = vec![false; items.len()];
-        for (index, verdict) in known.into_iter().zip(ed25519::verify_batch(&batch)) {
-            verdicts[index] = verdict;
-        }
-        verdicts
-    }
-
-    /// Accounts one admission *burst* of `items` verifications. The
-    /// items themselves were already verified (and counted) through
-    /// [`BatchVerifier::verify_batch`] passes — possibly several waves;
-    /// this records that they belonged to one multi-message ingest call,
-    /// so experiments can tell burst-widened verification apart from
-    /// per-message waves. Zero-item bursts are not recorded.
-    pub fn note_burst(&self, items: u64) {
-        if items > 0 {
-            self.registry.metrics.record_burst(items);
-        }
-    }
-}
-
 // --- Benchmark adapter only ----------------------------------------------
 //
-// `crates/bench/src/bin/benchmark/adapter.rs:21/85` names these; they go
-// with ROADMAP item 9(g). ed25519 is the only scheme, so `generate_kind`
-// is `generate`.
+// `crates/bench/src/bin/benchmark/adapter.rs` names these. `SchemeKind`
+// goes with ROADMAP item 9(g): ed25519 is the only scheme, so
+// `generate_kind` is `generate`. `BatchVerifier` goes with 9(j): there is
+// one verification path, so a batch is a loop over `Verifier::verify`.
 
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -424,6 +268,37 @@ impl KeyRegistry {
     #[doc(hidden)]
     pub fn generate_kind(_: SchemeKind, n: usize, seed: u64) -> Self {
         Self::generate(n, seed)
+    }
+
+    #[doc(hidden)]
+    pub fn batch_verifier(&self) -> BatchVerifier {
+        BatchVerifier(self.verifier())
+    }
+}
+
+/// ```
+/// use dagbft_crypto::{KeyRegistry, ServerId, SignedDigest};
+///
+/// let registry = KeyRegistry::generate(2, 42);
+/// let digest = dagbft_crypto::sha256(b"block preimage");
+/// let signature = registry.signer(ServerId::new(1)).unwrap().sign(digest.as_bytes());
+/// let item = SignedDigest { claimed: ServerId::new(1), digest, signature };
+/// assert_eq!(registry.batch_verifier().verify_batch(&[item]), vec![true]);
+/// ```
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct BatchVerifier(Verifier);
+
+impl BatchVerifier {
+    #[doc(hidden)]
+    pub fn verify_batch(&self, items: &[SignedDigest]) -> Vec<bool> {
+        items
+            .iter()
+            .map(|item| {
+                self.0
+                    .verify(item.claimed, item.digest.as_bytes(), &item.signature)
+            })
+            .collect()
     }
 }
 
@@ -520,12 +395,14 @@ mod tests {
             .collect();
         assert_eq!(verdicts, singles);
         assert_eq!(verdicts, vec![true, true, false, false]);
+        // Each item is one pass of `Verifier::verify`, counted once.
+        assert_eq!(registry.metrics().verifies(), 8);
     }
 
     #[test]
     fn batch_verify_unknown_identity_false() {
         let registry = registry();
-        let batch = registry.verifier().batch();
+        let batch = registry.batch_verifier();
         let digest = crate::sha256(b"x");
         let unknown = SignedDigest {
             claimed: ServerId::new(99),
@@ -533,8 +410,7 @@ mod tests {
             signature: Signature::NULL,
         };
         assert_eq!(batch.verify_batch(&[unknown]), vec![false]);
-        // Among known claimants the unknown one alone fails: it is left
-        // out of the combined equation.
+        // Among known claimants the unknown one alone fails.
         let signed_by = |i: u32| SignedDigest {
             claimed: ServerId::new(i),
             digest,
@@ -549,60 +425,6 @@ mod tests {
         };
         let mixed = [signed_by(1), forged, signed_by(2)];
         assert_eq!(batch.verify_batch(&mixed), vec![true, false, true]);
-    }
-
-    #[test]
-    fn batch_metrics_count_passes_and_items() {
-        let registry = registry();
-        let batch = registry.batch_verifier();
-        let signer = registry.signer(ServerId::new(0)).unwrap();
-        let digest = crate::sha256(b"m");
-        let signature = signer.sign(digest.as_bytes());
-        let item = SignedDigest {
-            claimed: ServerId::new(0),
-            digest,
-            signature,
-        };
-        assert!(batch.verify_batch(&[]).is_empty());
-        assert_eq!(registry.metrics().batches(), 0, "empty batches not counted");
-        batch.verify_batch(&[item; 3]);
-        batch.verify_batch(&[item; 2]);
-        assert_eq!(registry.metrics().batches(), 2);
-        assert_eq!(registry.metrics().batched_verifies(), 5);
-        assert_eq!(registry.metrics().largest_batch(), 3);
-        // Batched items count toward the one shared verification total.
-        assert_eq!(registry.metrics().verifies(), 5);
-        registry.metrics().reset();
-        assert_eq!(registry.metrics().batches(), 0);
-        assert_eq!(registry.metrics().largest_batch(), 0);
-    }
-
-    #[test]
-    fn burst_accounting_tracks_multi_wave_units() {
-        let registry = registry();
-        let batch = registry.batch_verifier();
-        let signer = registry.signer(ServerId::new(0)).unwrap();
-        let digest = crate::sha256(b"m");
-        let signature = signer.sign(digest.as_bytes());
-        let item = SignedDigest {
-            claimed: ServerId::new(0),
-            digest,
-            signature,
-        };
-        // Two waves verified, then accounted as one burst of 5.
-        batch.verify_batch(&[item; 3]);
-        batch.verify_batch(&[item; 2]);
-        batch.note_burst(5);
-        batch.note_burst(0); // empty bursts are not recorded
-        batch.note_burst(2);
-        assert_eq!(registry.metrics().bursts(), 2);
-        assert_eq!(registry.metrics().burst_verifies(), 7);
-        assert_eq!(registry.metrics().largest_burst(), 5);
-        // Burst accounting never double-counts verifications.
-        assert_eq!(registry.metrics().verifies(), 5);
-        registry.metrics().reset();
-        assert_eq!(registry.metrics().bursts(), 0);
-        assert_eq!(registry.metrics().largest_burst(), 0);
     }
 
     #[test]
@@ -633,8 +455,8 @@ mod tests {
         assert!(rendered.len() < 30);
     }
 
-    /// `Shim` and `Gossip` print their registry through `Signer`,
-    /// `Verifier` and `BatchVerifier`: each key's fixed-base table must
+    /// `Shim` and `Gossip` print their registry through `Signer` and
+    /// `Verifier`: each key's fixed-base table must
     /// print as a summary, not its 1 536 field elements.
     #[test]
     fn registry_debug_stays_short() {

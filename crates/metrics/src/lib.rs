@@ -18,7 +18,7 @@
 //!   TCP node, and what the transport's `node_metrics` test scrapes
 //!   mid-run.
 //! * [`publish`] — adapters that mirror the counters the workspace
-//!   already keeps (`GossipStats`, `WaveStats`, `InterpreterFootprint`,
+//!   already keeps (`GossipStats`, `InterpreterFootprint`,
 //!   `CryptoMetrics`, `RecoveryReport`, per-peer transport traffic) into
 //!   a registry under the documented field names.
 //!

@@ -8,7 +8,7 @@
 //! `publishers_register_documented_fields` fails when the two drift.
 
 use dagbft_core::{
-    GossipStats, InterpreterFootprint, PeerDefense, RecoveryReport, SealStats, TimeMs, WaveStats,
+    Gossip, GossipStats, InterpreterFootprint, PeerDefense, RecoveryReport, SealStats, TimeMs,
 };
 use dagbft_crypto::CryptoMetrics;
 
@@ -39,23 +39,6 @@ pub fn publish_seals(registry: &MetricsRegistry, stats: &SealStats) {
     registry.set_counter("seal_idle_slots", stats.idle_slots);
 }
 
-/// Publishes [`WaveStats`] — the verification-pipeline shape (waves,
-/// bursts, and the wave-width log₂ histogram): properties of how
-/// admission batches signature checks, not observables of Algorithm 1.
-pub fn publish_waves(registry: &MetricsRegistry, stats: &WaveStats) {
-    registry.set_counter("wave_count", stats.waves);
-    registry.set_counter("wave_batched_blocks", stats.batched_blocks);
-    registry.set_gauge("wave_largest", stats.largest_wave as u64);
-    registry.set_gauge("wave_smallest", stats.smallest_wave as u64);
-    registry.set_counter("wave_bursts", stats.bursts);
-    registry.set_counter("wave_burst_blocks", stats.burst_blocks);
-    registry.histogram("wave_width").store(
-        &stats.width_histogram,
-        stats.waves,
-        stats.batched_blocks,
-    );
-}
-
 /// Publishes an [`InterpreterFootprint`] — resident memory shape of the
 /// interpreter (unique vs total instances is the saving over
 /// clone-per-block).
@@ -66,19 +49,11 @@ pub fn publish_footprint(registry: &MetricsRegistry, footprint: &InterpreterFoot
     registry.set_gauge("interp_out_envelopes", footprint.out_envelopes as u64);
 }
 
-/// Publishes [`CryptoMetrics`] — sign/verify totals and the batched /
-/// burst-amortized shares (the source counters are atomics shared by
-/// every handle of one `KeyRegistry`, so these are live even while a
-/// verification pool is running).
+/// Publishes [`CryptoMetrics`] — sign/verify totals (the source counters
+/// are atomics shared by every handle of one `KeyRegistry`).
 pub fn publish_crypto(registry: &MetricsRegistry, metrics: &CryptoMetrics) {
     registry.set_counter("crypto_signs", metrics.signs());
     registry.set_counter("crypto_verifies", metrics.verifies());
-    registry.set_counter("crypto_batches", metrics.batches());
-    registry.set_counter("crypto_batched_verifies", metrics.batched_verifies());
-    registry.set_gauge("crypto_largest_batch", metrics.largest_batch());
-    registry.set_counter("crypto_bursts", metrics.bursts());
-    registry.set_counter("crypto_burst_verifies", metrics.burst_verifies());
-    registry.set_gauge("crypto_largest_burst", metrics.largest_burst());
 }
 
 /// Publishes a [`RecoveryReport`] — what the durable store replayed when
@@ -169,6 +144,16 @@ pub fn publish_node(
     registry.set_gauge("node_pending_requests", pending_requests);
 }
 
+// --- Benchmark adapter only ----------------------------------------------
+//
+// `crates/bench/src/bin/benchmark/adapter.rs` names this; it goes with
+// ROADMAP item 9(j). Admission has no verification waves to report (each
+// ready block is verified on its own as it settles), so it publishes
+// nothing.
+
+#[doc(hidden)]
+pub fn publish_waves(_: &MetricsRegistry, _: &Gossip) {}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
@@ -196,7 +181,6 @@ mod tests {
         let registry = MetricsRegistry::new();
         publish_gossip(&registry, &GossipStats::default());
         publish_seals(&registry, &SealStats::default());
-        publish_waves(&registry, &WaveStats::default());
         publish_footprint(&registry, &InterpreterFootprint::default());
         publish_crypto(&registry, &CryptoMetrics::default());
         publish_recovery(&registry, &RecoveryReport::default());
@@ -248,24 +232,6 @@ mod tests {
             stale.is_empty(),
             "documented in docs/METRICS.md but published by nothing: {stale:?}"
         );
-    }
-
-    #[test]
-    fn wave_histogram_mirrors_source() {
-        let registry = MetricsRegistry::new();
-        let mut histogram_source = [0; dagbft_core::WAVE_WIDTH_BUCKETS];
-        histogram_source[2] = 3;
-        let stats = WaveStats {
-            waves: 3,
-            batched_blocks: 12,
-            width_histogram: histogram_source,
-            ..WaveStats::default()
-        };
-        publish_waves(&registry, &stats);
-        let histogram = registry.histogram("wave_width");
-        assert_eq!(histogram.count(), 3);
-        assert_eq!(histogram.sum(), 12);
-        assert_eq!(histogram.buckets()[2], 3);
     }
 
     #[test]

@@ -13,8 +13,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 
 /// Number of log₂ buckets every [`Histogram`] carries: bucket `i` counts
 /// observations in `[2^i, 2^(i+1))` (bucket 0 also takes zeros; the last
-/// bucket is open-ended). 16 buckets cover values up to ≥ 32768 — wave
-/// widths, burst sizes and batch sizes all fit with headroom.
+/// bucket is open-ended). 16 buckets cover values up to ≥ 32768.
 pub const HISTOGRAM_BUCKETS: usize = 16;
 
 /// A monotonic counter handle: updates are single relaxed atomic
@@ -96,7 +95,7 @@ impl Histogram {
     }
 
     /// Overwrites the whole histogram from an external source (the
-    /// mirror-publish pattern — e.g. `WaveStats::width_histogram`).
+    /// mirror-publish pattern).
     /// `buckets` may be shorter than [`HISTOGRAM_BUCKETS`]; missing tail
     /// buckets are zeroed.
     ///

@@ -23,7 +23,7 @@
 //!
 //! With [`NodeConfig::metrics_addr`] set, every spawned node also serves
 //! a live JSON metrics snapshot over HTTP (see [`dagbft_metrics`]): the
-//! event loop mirrors gossip/wave/interpreter/crypto/store counters and
+//! event loop mirrors gossip/seal/interpreter/crypto/store counters and
 //! the transport's per-peer traffic into a [`dagbft_metrics::MetricsRegistry`]
 //! after each wake of the shim that ran a timer.
 //!

@@ -93,7 +93,7 @@ impl<P: DeterministicProtocol> NodeHandle<P> {
 ///
 /// Each drain of the inbound channel is handed to the shim as one
 /// `Shim::on_message_burst` call, so the blocks of a drain are indexed
-/// together and their signatures verified in batched waves on the event
+/// together and their signatures verified as they settle, on the event
 /// loop's own thread.
 ///
 /// # Errors
@@ -301,8 +301,7 @@ fn sync_defense<P>(
 }
 
 /// Mirrors every live counter the node owns into the endpoint's
-/// registry: gossip admission, why slots sealed, wave/burst shape,
-/// interpreter footprint, crypto totals, store health, per-peer
+/// registry: gossip admission, why slots sealed, interpreter footprint, crypto totals, store health, per-peer
 /// transport traffic, and node-level liveness gauges. Runs after each
 /// wake that ran a slot, sealing or not, off the admission hot path.
 fn publish_node_metrics<P>(
@@ -316,7 +315,6 @@ fn publish_node_metrics<P>(
 {
     publish::publish_gossip(metrics, shim.gossip().stats());
     publish::publish_seals(metrics, shim.seal_stats());
-    publish::publish_waves(metrics, shim.gossip().wave_stats());
     publish::publish_defense(metrics, shim.gossip().defense(), now);
     publish::publish_footprint(metrics, &shim.footprint());
     publish::publish_crypto(metrics, registry.metrics());
