@@ -55,16 +55,17 @@
 //! limitation the paper itself flags in §7. This interpreter keeps
 //! `B.PIs` in three pieces instead:
 //!
-//! * one append-only **arena** owns every instance version the
-//!   interpreter has made, addressed by slot. It is a list of
-//!   fixed-capacity chunks, so growing it never moves an instance;
+//! * one **arena** owns every instance version the interpreter holds,
+//!   addressed by a key: a slot and that slot's generation. It is a list
+//!   of fixed-capacity chunks, so growing it never moves an instance, and
+//!   a retired version's slot is reused (see "Retirement");
 //! * every interpreted block stores only its **delta**: the
-//!   `Label → slot` entries Algorithm 2 drove *at* that block — a request
+//!   `Label → key` entries Algorithm 2 drove *at* that block — a request
 //!   for the label appears in `B.rs` (lines 5–6) or a predecessor's
 //!   out-buffer delivers a message to `B.n` (lines 8–11); a self-addressed
 //!   delivery drives a label the block already touched;
 //! * every **chain tip** (an interpreted block no interpreted block names
-//!   as its parent) owns one mutable **view**, the full `Label → slot`
+//!   as its parent) owns one mutable **view**, the full `Label → key`
 //!   map at that block, a hash map. Interpreting a child *moves* the
 //!   parent's view to the child and repoints the touched entries, so a
 //!   block costs the labels it touches, not the labels its chain has ever
@@ -76,15 +77,17 @@
 //! segment opens at every block whose sequence number is a multiple of
 //! `SEGMENT`, at a genesis block, and at every block whose parent's view
 //! had to be rebuilt (see below). A view carries its segment's *mark*, the
-//! arena's length when the segment opened. A slot below the mark belongs to
-//! an earlier segment or to another chain and is never written again: the
-//! first touch of a label in the segment pushes a clone of the version the
-//! view names (or, on first contact, a new instance) and repoints the view.
-//! A slot at or above the mark is the segment's own, and every later touch
-//! in the segment, at this block or a later one, drives it in place. Each
-//! touch is one probe of the view, and it returns the slot it resolved: the
-//! block's delta is those `(label, slot)` pairs, sorted and deduplicated. A
-//! label driven at every block of a segment costs one version, not sixteen.
+//! number of pushes the arena had made when the segment opened, and every
+//! version carries its birth, the number made before it. A version born
+//! before the mark belongs to an earlier segment or to another chain and
+//! is never written again: the first touch of a label in the segment
+//! pushes a clone of the version the view names (or, on first contact, a
+//! new instance) and repoints the view. A version born since is the
+//! segment's own, and every later touch in the segment, at this block or a
+//! later one, drives it in place. Each touch is one probe of the view, and
+//! it returns the key it resolved: the block's delta is those
+//! `(label, key)` pairs, sorted and deduplicated. A label driven at every
+//! block of a segment costs one version, not sixteen.
 //!
 //! So a delta entry names its label's version as of the *last* block of
 //! the segment that drove it. A block whose child moved its view on without
@@ -107,7 +110,7 @@
 //! newest block first, where the first entry of a label wins. If the parent
 //! is continued, the first rebuild there also replays the parent's segment
 //! into fresh arena slots and records them as the parent's exact state.
-//! They lie below every later segment's mark, so they stay exact; every
+//! They are born before every later segment's mark, so they stay exact; every
 //! later rebuild at that parent, and every walk that reaches it, reads the
 //! record and skips the replayed segment. A rebuild costs O(touches on the
 //! chain), plus, once per continued parent, at most `SEGMENT − 1` replayed
@@ -127,16 +130,47 @@
 //! the view size over all blocks (what the literal interpreter would
 //! store), `unique_instances` sums the delta sizes (the touches). The
 //! versions actually resident, at most one per label per segment plus
-//! what rebuilds replayed, are [`Interpreter::resident_versions`].
+//! what rebuilds replayed, less the retired ones, are
+//! [`Interpreter::resident_versions`].
 //!
 //! `B.Ms[in, ·]` is not stored at all: it is a pure function of the direct
 //! predecessors' out-buffers and `B`'s own ([`Interpreter::in_messages`]),
 //! assembled when `B` is interpreted and derived again whenever someone
 //! asks.
-//! Out-buffers, deltas and arena slots are never dropped: any future
-//! block — including a byzantine server's — may still reference an old
-//! block directly (§7). Nothing is shared, so nothing is counted: the
-//! interpreter is the one owner, and dropping it frees every chunk.
+//! Out-buffers and deltas are never dropped: any future block — including
+//! a byzantine server's — may still reference an old block directly (§7).
+//! Nothing is shared, so nothing is counted: the interpreter is the one
+//! owner, and dropping it frees every chunk.
+//!
+//! # Retirement
+//!
+//! An instance that is terminal ([`DeterministicProtocol::is_terminal`]) —
+//! a BRB instance that has echoed, readied and delivered — will never send
+//! or indicate again, whatever reaches it. Once a block has driven a
+//! label, its version is checked; a terminal one is **retired**: the tip's
+//! view entry, and the block's delta entry, name the one shared
+//! **tombstone**, and the version is dropped and its slot handed to the
+//! next push. Every later request or message on the label in that chain
+//! is dropped unread, with no clone and no handler call. That changes no
+//! out-buffer and no indication, exactly because the instance would have
+//! emitted nothing; the touch is still a touch, so deltas, views and the
+//! footprint's counts are what they were. Only versions a tip owns retire:
+//! a version of a closed segment stays, because [`Interpreter::instance_at`]
+//! and rebuilds at that segment's blocks read it, and states exactly.
+//!
+//! A retired slot moves to its next generation before it is reused, and a
+//! key holds the generation it was made under, so an entry that names a
+//! reused slot — one a continued block of the segment still holds — reads
+//! as retired. No walk stops at such an entry anyway: it stops at the
+//! label's newest entry in the segment, which names the tombstone, and a
+//! continued block is replayed. A rebuild's walk and replay treat the
+//! tombstone as a version: a replay drops what reaches a retired label,
+//! and a replayed copy that turns terminal is recorded as retired. So
+//! [`Interpreter::instance_at`] answers [`InstanceAt::Retired`] exactly
+//! when the state at that block is terminal, and the live state otherwise.
+//! The versions resident are then the live ones only, plus the versions of
+//! closed segments; views, deltas and out-buffers still grow with the
+//! labels seen.
 //!
 //! # A touch costs a touch
 //!
@@ -183,19 +217,26 @@
 //!   the slots the block's touches returned: no second view lookup.
 //!
 //! What is left per touch is at most one instance copy — one per label
-//! per segment, written into the arena's current chunk, so the heap sees
-//! one allocation per chunk, not one per touch — plus whatever `P`'s clone
-//! itself allocates. A version is protocol state alone: no configuration,
-//! no buffer of indications not yet surfaced (see
+//! per segment, written into a free slot or the arena's current chunk, so
+//! the heap sees one allocation per chunk, not one per touch — plus
+//! whatever `P`'s clone itself allocates. A version is protocol state
+//! alone: no configuration, no buffer of indications not yet surfaced (see
 //! [`DeterministicProtocol`]). `tests/interpret_alloc_budget.rs` holds a BRB
 //! payments run to pinned counts of heap allocations and resident
 //! versions, and its snapshot restore to a pinned count of allocations.
 //!
-//! A snapshot (format 5, [`Interpreter::snapshot`]) writes the same
-//! shapes: the [`ProtocolConfig`] once, every arena version once, then per
-//! block its parent, builder, segment flags, delta (naming versions by
-//! index) and out-buffer entries, each entry once with its receiver set,
-//! a broadcast's too.
+//! Retirement makes a touch cheaper still: a touch on a retired label is
+//! one probe of the view, which finds the tombstone, and nothing else. A
+//! touch that retires its label costs one `is_terminal` call and drops the
+//! version; the slot it frees is linked into the arena's free list, which
+//! lives in the free slots themselves and so allocates nothing. On that
+//! payments run, 42 versions stay resident where 1 600 did.
+//!
+//! A snapshot (format 6, [`Interpreter::snapshot`]) writes the same
+//! shapes: the [`ProtocolConfig`] once, every live arena version once, then
+//! per block its parent, builder, segment flags, delta (naming versions by
+//! index, the tombstone by its own) and out-buffer entries, each entry once
+//! with its receiver set, a broadcast's too.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -279,65 +320,218 @@ impl fmt::Display for InterpretError {
 
 impl Error for InterpretError {}
 
-/// The position of one instance version in the interpreter's [`Arena`].
-type Slot = usize;
+/// The key of one instance version in the interpreter's [`Arena`]: the
+/// slot that holds it in the low 32 bits, and that slot's generation when
+/// the version was pushed in the high 32. A retired version's slot moves
+/// to the next generation before a later push reuses it, so a key to a
+/// retired version names none (see "Retirement" in the module docs).
+type Slot = u64;
+
+/// The key every retired label names: the one shared tombstone. No slot
+/// has its index.
+const RETIRED: Slot = Slot::MAX;
 
 /// Instance versions per arena chunk. A chunk is allocated at this
 /// capacity and never grows. `crates/core/tests/reference_equivalence.rs`
 /// names the same figure to cross chunk boundaries on purpose.
 const CHUNK: usize = 1024;
 
+/// The key of the version `slot` holds under `generation`.
+fn key_of(slot: usize, generation: u32) -> Slot {
+    u64::from(generation) << 32 | slot as u64
+}
+
+/// The slot a key names.
+fn slot_of(key: Slot) -> usize {
+    (key & u64::from(u32::MAX)) as usize
+}
+
+/// One arena slot: its generation, bumped each time its version retires,
+/// and a version with the arena's push count when it was pushed or, once
+/// that version retired, a link in the list of free slots.
+#[derive(Debug)]
+struct Held<P> {
+    generation: u32,
+    content: Content<P>,
+}
+
+#[derive(Debug)]
+enum Content<P> {
+    Live {
+        born: u64,
+        version: P,
+    },
+    /// The next free slot, `u32::MAX` for none.
+    Free {
+        next: u32,
+    },
+}
+
 /// Every instance version an interpreter holds, owned in one place and
-/// addressed by [`Slot`]: deltas and views store slots. Append-only, in
-/// chunks of [`CHUNK`], so a push never moves an instance already there.
+/// addressed by key ([`Slot`]): deltas and views store keys. In chunks of
+/// [`CHUNK`], so a push never moves an instance already there. A retired
+/// version's slot is handed to the next push under its next generation;
+/// each push also stamps the slot with the number of pushes before it, so
+/// a segment owns exactly the versions born since it opened, whichever
+/// slots they reuse.
 #[derive(Debug)]
 struct Arena<P> {
-    chunks: Vec<Vec<P>>,
+    chunks: Vec<Vec<Held<P>>>,
+    /// The free slot the next push takes, the last one retired; the others
+    /// are linked from it. `u32::MAX` while none is free.
+    free: u32,
+    /// Free slots.
+    freed: usize,
+    /// Pushes so far: the birth of the next version.
+    pushes: u64,
 }
 
 impl<P> Arena<P> {
     fn new() -> Self {
-        Arena { chunks: Vec::new() }
+        Arena {
+            chunks: Vec::new(),
+            free: u32::MAX,
+            freed: 0,
+            pushes: 0,
+        }
     }
 
-    /// The slot the next push will fill.
-    fn len(&self) -> Slot {
+    /// Slots made so far, live or free.
+    fn slots(&self) -> usize {
         self.chunks
             .last()
             .map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
     }
 
-    /// Stores `instance` in the next slot and returns that slot.
+    /// Slots that hold a version.
+    fn live(&self) -> usize {
+        self.slots() - self.freed
+    }
+
+    fn held(&self, slot: usize) -> &Held<P> {
+        &self.chunks[slot / CHUNK][slot % CHUNK]
+    }
+
+    fn held_mut(&mut self, slot: usize) -> &mut Held<P> {
+        &mut self.chunks[slot / CHUNK][slot % CHUNK]
+    }
+
+    /// Stores `instance` in the free slot retired last, or else in a new
+    /// one, and returns its key.
     fn push(&mut self, instance: P) -> Slot {
-        let slot = self.len();
+        let content = Content::Live {
+            born: self.pushes,
+            version: instance,
+        };
+        self.pushes += 1;
+        if self.free != u32::MAX {
+            let slot = self.free as usize;
+            let held = self.held_mut(slot);
+            let Content::Free { next } = std::mem::replace(&mut held.content, content) else {
+                unreachable!("a free slot holds no version");
+            };
+            let key = key_of(slot, held.generation);
+            self.free = next;
+            self.freed -= 1;
+            return key;
+        }
+        let slot = self.slots();
+        assert!(
+            slot < u32::MAX as usize,
+            "an arena holds fewer than 2^32 slots"
+        );
+        let held = Held {
+            generation: 0,
+            content,
+        };
         match self.chunks.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK => chunk.push(instance),
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(held),
             _ => {
                 let mut chunk = Vec::with_capacity(CHUNK);
-                chunk.push(instance);
+                chunk.push(held);
                 self.chunks.push(chunk);
             }
         }
-        slot
+        key_of(slot, 0)
     }
 
-    /// Every version, in slot order.
-    fn iter(&self) -> impl Iterator<Item = &P> {
-        self.chunks.iter().flatten()
+    /// `key` if it names a live version, else [`RETIRED`]: the version it
+    /// named retired, and its slot may hold another by now.
+    fn current(&self, key: Slot) -> Slot {
+        if key == RETIRED {
+            return RETIRED;
+        }
+        let held = self.held(slot_of(key));
+        let live = matches!(held.content, Content::Live { .. });
+        if live && u64::from(held.generation) == key >> 32 {
+            key
+        } else {
+            RETIRED
+        }
+    }
+
+    /// Whether the version `key` names was pushed once the arena had made
+    /// `mark` pushes: at or after the opening of the segment whose mark it
+    /// is.
+    fn born_since(&self, key: Slot, mark: u64) -> bool {
+        matches!(self.held(slot_of(key)).content, Content::Live { born, .. } if born >= mark)
+    }
+
+    /// Drops the version `key` names and hands its slot, under its next
+    /// generation, to a later push. A slot whose generations are spent is
+    /// never reused, so no two versions ever share a key.
+    fn retire(&mut self, key: Slot) {
+        let slot = slot_of(key);
+        let next = self.free;
+        let held = self.held_mut(slot);
+        held.content = Content::Free { next };
+        if let Some(generation) = held.generation.checked_add(1) {
+            held.generation = generation;
+            self.free = slot as u32;
+        }
+        self.freed += 1;
+    }
+
+    /// Every live version with its key, in slot order.
+    fn iter(&self) -> impl Iterator<Item = (Slot, &P)> {
+        self.chunks
+            .iter()
+            .flatten()
+            .enumerate()
+            .filter_map(|(slot, held)| match &held.content {
+                Content::Live { version, .. } => Some((key_of(slot, held.generation), version)),
+                Content::Free { .. } => None,
+            })
     }
 }
 
 impl<P> Index<Slot> for Arena<P> {
     type Output = P;
 
-    fn index(&self, slot: Slot) -> &P {
-        &self.chunks[slot / CHUNK][slot % CHUNK]
+    fn index(&self, key: Slot) -> &P {
+        debug_assert_eq!(
+            self.current(key),
+            key,
+            "a key a view or delta names is live"
+        );
+        match &self.held(slot_of(key)).content {
+            Content::Live { version, .. } => version,
+            Content::Free { .. } => unreachable!("a key a view or delta names is live"),
+        }
     }
 }
 
 impl<P> IndexMut<Slot> for Arena<P> {
-    fn index_mut(&mut self, slot: Slot) -> &mut P {
-        &mut self.chunks[slot / CHUNK][slot % CHUNK]
+    fn index_mut(&mut self, key: Slot) -> &mut P {
+        debug_assert_eq!(
+            self.current(key),
+            key,
+            "a key a view or delta names is live"
+        );
+        match &mut self.held_mut(slot_of(key)).content {
+            Content::Live { version, .. } => version,
+            Content::Free { .. } => unreachable!("a key a view or delta names is live"),
+        }
     }
 }
 
@@ -354,12 +548,12 @@ type Instances = HashMap<Label, Slot>;
 const SEGMENT: u64 = 16;
 
 /// A chain tip's view and the mark of the segment the tip is in: the
-/// arena's length when that segment opened. The slots at or above the mark
-/// that the view names are the segment's own, driven in place.
+/// arena's push count when that segment opened. The slots the view names
+/// that were born since are the segment's own, driven in place.
 #[derive(Debug)]
 struct Tip {
     view: Instances,
-    mark: Slot,
+    mark: u64,
 }
 
 /// The exact `B.PIs` of a continued block `B` that a rebuild needed, as far
@@ -372,7 +566,8 @@ struct Replayed {
     /// entries, a walk goes on from what this block started from.
     from: BlockRef,
     /// Every label the replayed blocks drove, sorted, with the slot of its
-    /// version at `B`. Those slots are never written again.
+    /// version at `B`, or the tombstone. Those slots are never written
+    /// again.
     entries: Delta,
 }
 
@@ -390,11 +585,16 @@ trait Versions<P> {
     /// What names a touched version again once the touches are done.
     type Key: Copy;
 
-    /// The version of `label` to drive at this block, and its key.
-    fn touch(&mut self, label: Label) -> (Self::Key, &mut P);
+    /// The version of `label` to drive at this block, and its key; no
+    /// version when the label is retired.
+    fn touch(&mut self, label: Label) -> (Self::Key, Option<&mut P>);
 
-    /// The version `touch` returned `key` for.
-    fn get(&mut self, key: Self::Key) -> &mut P;
+    /// The version `touch` returned `key` for, unless the label is retired.
+    fn get(&mut self, key: Self::Key) -> Option<&mut P>;
+
+    /// Drops the terminal version of `label` that `key` names; returns the
+    /// key that names the label retired.
+    fn retire(&mut self, label: Label, key: Self::Key) -> Self::Key;
 
     /// The configuration the versions run under.
     fn config(&self) -> &ProtocolConfig;
@@ -407,19 +607,22 @@ struct Driven<'a, P> {
     tip: &'a mut Tip,
     config: &'a ProtocolConfig,
     me: ServerId,
+    /// Versions retired at this block.
+    retired: usize,
 }
 
 impl<P: DeterministicProtocol> Versions<P> for Driven<'_, P> {
     type Key = Slot;
 
-    /// A slot below the mark is cloned into a new slot and the view
-    /// repointed; a slot at or above it is driven in place; a label the
-    /// view lacks starts a new instance.
-    fn touch(&mut self, label: Label) -> (Slot, &mut P) {
+    /// A slot born before the mark is cloned into a new slot and the view
+    /// repointed; one born since is driven in place; a label the view
+    /// lacks starts a new instance, and a retired one has no version.
+    fn touch(&mut self, label: Label) -> (Slot, Option<&mut P>) {
         let arena = &mut *self.arena;
         let slot = match self.tip.view.entry(label) {
+            Entry::Occupied(held) if *held.get() == RETIRED => return (RETIRED, None),
             Entry::Occupied(mut held) => {
-                if *held.get() < self.tip.mark {
+                if !arena.born_since(*held.get(), self.tip.mark) {
                     let copy = arena[*held.get()].clone();
                     held.insert(arena.push(copy));
                 }
@@ -427,11 +630,18 @@ impl<P: DeterministicProtocol> Versions<P> for Driven<'_, P> {
             }
             Entry::Vacant(new) => *new.insert(arena.push(P::new(self.config, label, self.me))),
         };
-        (slot, &mut arena[slot])
+        (slot, Some(&mut arena[slot]))
     }
 
-    fn get(&mut self, slot: Slot) -> &mut P {
-        &mut self.arena[slot]
+    fn get(&mut self, slot: Slot) -> Option<&mut P> {
+        (slot != RETIRED).then(|| &mut self.arena[slot])
+    }
+
+    fn retire(&mut self, label: Label, slot: Slot) -> Slot {
+        self.arena.retire(slot);
+        self.tip.view.insert(label, RETIRED);
+        self.retired += 1;
+        RETIRED
     }
 
     fn config(&self) -> &ProtocolConfig {
@@ -440,11 +650,12 @@ impl<P: DeterministicProtocol> Versions<P> for Driven<'_, P> {
 }
 
 /// A replay's versions: owned copies, each cloned on first touch from the
-/// version `base` names in the arena, which the replay only reads.
+/// version `base` names in the arena, which the replay only reads. A
+/// retired label's copy is `None`.
 struct Overlay<'a, P> {
     arena: &'a Arena<P>,
     base: &'a Instances,
-    versions: BTreeMap<Label, P>,
+    versions: BTreeMap<Label, Option<P>>,
     config: &'a ProtocolConfig,
     me: ServerId,
 }
@@ -452,20 +663,26 @@ struct Overlay<'a, P> {
 impl<P: DeterministicProtocol> Versions<P> for Overlay<'_, P> {
     type Key = Label;
 
-    fn touch(&mut self, label: Label) -> (Label, &mut P) {
+    fn touch(&mut self, label: Label) -> (Label, Option<&mut P>) {
         let (arena, base, config, me) = (self.arena, self.base, self.config, self.me);
         let version = self
             .versions
             .entry(label)
             .or_insert_with(|| match base.get(&label) {
-                Some(&slot) => arena[slot].clone(),
-                None => P::new(config, label, me),
+                Some(&RETIRED) => None,
+                Some(&slot) => Some(arena[slot].clone()),
+                None => Some(P::new(config, label, me)),
             });
-        (label, version)
+        (label, version.as_mut())
     }
 
-    fn get(&mut self, label: Label) -> &mut P {
-        self.versions.get_mut(&label).expect("a touched label")
+    fn get(&mut self, label: Label) -> Option<&mut P> {
+        self.versions.get_mut(&label).and_then(Option::as_mut)
+    }
+
+    fn retire(&mut self, label: Label, _: Label) -> Label {
+        self.versions.insert(label, None);
+        label
     }
 
     fn config(&self) -> &ProtocolConfig {
@@ -480,7 +697,8 @@ impl<P: DeterministicProtocol> Versions<P> for Overlay<'_, P> {
 type Buffer<M> = Vec<(Label, (M, ServerSet))>;
 
 /// `(label, version)` entries, one per label, sorted by label: a block's
-/// touches, or what a rebuild replayed. Stored ones name arena slots.
+/// touches, or what a rebuild replayed. Stored ones name arena slots, or
+/// the tombstone.
 type Delta<K = Slot> = Vec<(Label, K)>;
 
 /// `B.Ms[out, ·]` as a block stores it: one entry per distinct message
@@ -787,6 +1005,15 @@ pub struct InterpreterFootprint {
     /// Out-buffer entries: every stored message once, with its receiver
     /// set. A broadcast to `n` servers is one entry and `n` envelopes.
     pub out_entries: usize,
+    /// Instance versions resident now, each in one arena slot
+    /// ([`Interpreter::resident_versions`]). Unlike the counts above, not a
+    /// function of the DAG alone: a restore or an equivocation moves where
+    /// segments open, and so how many versions the same blocks leave.
+    pub live_versions: usize,
+    /// Versions retired since this interpreter was made or restored: a
+    /// label's instance on one chain that turned terminal, whose tip view
+    /// names the tombstone since and whose slot went back to the arena.
+    pub retired_instances: usize,
 }
 
 impl InterpreterFootprint {
@@ -809,6 +1036,36 @@ impl std::ops::AddAssign for InterpreterFootprint {
         self.unique_instances += rhs.unique_instances;
         self.out_envelopes += rhs.out_envelopes;
         self.out_entries += rhs.out_entries;
+        self.live_versions += rhs.live_versions;
+        self.retired_instances += rhs.retired_instances;
+    }
+}
+
+/// `B.PIs[ℓ]` of a started instance, as [`Interpreter::instance_at`]
+/// reads it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum InstanceAt<P> {
+    /// The state of the instance after the block.
+    Live(P),
+    /// The instance was terminal after the block
+    /// ([`DeterministicProtocol::is_terminal`]), so its version is retired
+    /// and its state is not kept: nothing it receives changes what it
+    /// sends or indicates.
+    Retired,
+}
+
+impl<P> InstanceAt<P> {
+    /// The state, unless the instance is retired.
+    pub fn live(self) -> Option<P> {
+        match self {
+            InstanceAt::Live(instance) => Some(instance),
+            InstanceAt::Retired => None,
+        }
+    }
+
+    /// Whether the instance is retired.
+    pub fn is_retired(&self) -> bool {
+        matches!(self, InstanceAt::Retired)
     }
 }
 
@@ -910,9 +1167,10 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     }
 
     /// Instance versions held in the arena: at most one per label per
-    /// chain segment, plus the versions rebuilds replayed.
+    /// chain segment, plus the versions rebuilds replayed, less every
+    /// version that retired — the live slots.
     pub fn resident_versions(&self) -> usize {
-        self.arena.len()
+        self.arena.live()
     }
 
     /// Interpretation state attached to `block`, if interpreted.
@@ -993,7 +1251,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         let mut view = Instances::new();
         self.walk(start, |entries| {
             for &(label, slot) in entries {
-                view.entry(label).or_insert(slot);
+                view.entry(label)
+                    .or_insert_with(|| self.arena.current(slot));
             }
             true
         });
@@ -1004,8 +1263,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// [`Interpreter::segment`] lists them) once more, oldest first, on
     /// owned copies of the versions `base` names, and returns the copies:
     /// every label the blocks drove — or just `only`, skipping the blocks
-    /// that did not drive it — at the newest block. The outs each block
-    /// makes are the ones it stored.
+    /// that did not drive it — at the newest block, `None` where the label
+    /// is retired. The outs each block makes are the ones it stored.
     ///
     /// # Errors
     ///
@@ -1017,7 +1276,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         segment: &[BlockRef],
         base: &Instances,
         only: Option<Label>,
-    ) -> Result<BTreeMap<Label, P>, InterpretError> {
+    ) -> Result<BTreeMap<Label, Option<P>>, InterpretError> {
         let Some(me) = segment.first().and_then(|top| self.states.get(top)) else {
             return Ok(BTreeMap::new());
         };
@@ -1062,9 +1321,16 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// after interpreting `block`, if it has been started — the newest
     /// delta entry on the parent chain, or, at a continued block that no
     /// rebuild replayed, the replay of its segment from `dag`. For tests
-    /// and audits. `None` also when that replay needs a block `dag` does
-    /// not hold.
-    pub fn instance_at(&self, dag: &BlockDag, block: &BlockRef, label: Label) -> Option<P> {
+    /// and audits. [`InstanceAt::Retired`] exactly when that state is
+    /// terminal ([`DeterministicProtocol::is_terminal`]): its version was
+    /// retired, and no state is kept for it. `None` also when that replay
+    /// needs a block `dag` does not hold.
+    pub fn instance_at(
+        &self,
+        dag: &BlockDag,
+        block: &BlockRef,
+        label: Label,
+    ) -> Option<InstanceAt<P>> {
         if !self.is_interpreted(block) {
             return None;
         }
@@ -1080,15 +1346,20 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         let mut base = Instances::new();
         self.walk(start, |entries| match label_range(entries, label).first() {
             Some(&(_, slot)) => {
-                base.insert(label, slot);
+                base.insert(label, self.arena.current(slot));
                 false
             }
             None => true,
         });
         let mut replayed = self.replay(dag, &segment, &base, Some(label)).ok()?;
-        replayed
-            .remove(&label)
-            .or_else(|| base.get(&label).map(|&slot| self.arena[slot].clone()))
+        let version = match replayed.remove(&label) {
+            Some(version) => version,
+            None => match *base.get(&label)? {
+                RETIRED => None,
+                slot => Some(self.arena[slot].clone()),
+            },
+        };
+        Some(version.map_or(InstanceAt::Retired, InstanceAt::Live))
     }
 
     /// Labels with a started instance at `block` (the keys of `B.PIs`), in
@@ -1211,7 +1482,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// Drives `block`'s touches on `versions` (Algorithm 2, lines 5–11, the
     /// in-block self-link, and lines 13–14) — every label's, or `only`
     /// one's — counting the work into `stats` and handing each indication
-    /// to `raise` as its label is done. Returns the block's out-buffer,
+    /// to `raise` as its label is done, and retiring each version that
+    /// ends the label's drive terminal. Returns the block's out-buffer,
     /// normalized, and every touched label with its key, sorted. The one
     /// body that interpretation and replay share.
     fn drive<V: Versions<P>>(
@@ -1276,8 +1548,11 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 match decode_from_slice::<P::Request>(&labeled.payload) {
                     Ok(request) => {
                         let (touched, instance) = versions.touch(label);
-                        instance.on_request(request, &mut outbox);
-                        outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
+                        // A retired instance would ignore it.
+                        if let Some(instance) = instance {
+                            instance.on_request(request, &mut outbox);
+                            outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
+                        }
                         key = Some(touched);
                         stats.requests_processed += 1;
                     }
@@ -1291,18 +1566,27 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             }
             if let Some(group) = groups.next_if(|group| group[0].0 == label) {
                 let (touched, instance) = versions.touch(label);
-                for (_, sender, message) in group {
-                    instance.on_message(*sender, (*message).clone(), &mut outbox);
-                    outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
+                // A retired instance would ignore them: no clone is made.
+                if let Some(instance) = instance {
+                    for (_, sender, message) in group {
+                        instance.on_message(*sender, (*message).clone(), &mut outbox);
+                        outs.extend(outbox.drain().map(|(to, message)| (label, (message, to))));
+                    }
                 }
                 key = Some(touched);
             }
             // Nothing drove the label: every request on it was garbage.
-            let Some(key) = key else { continue };
+            let Some(mut key) = key else { continue };
+            if let Some(instance) = versions.get(key) {
+                let delivered =
+                    self_link(instance, me, label, &mut outs, &mut outbox, &mut link, mark);
+                stats.messages_delivered += delivered as u64;
+                // A terminal instance sends and raises nothing again.
+                if instance.is_terminal() {
+                    key = versions.retire(label, key);
+                }
+            }
             delta.push((label, key));
-            let instance = versions.get(key);
-            let delivered = self_link(instance, me, label, &mut outs, &mut outbox, &mut link, mark);
-            stats.messages_delivered += delivered as u64;
             for indication in outbox.drain_indications() {
                 stats.indications += 1;
                 raise(label, indication);
@@ -1332,7 +1616,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             self.blocks_replayed += segment.len() as u64;
             let entries: Delta = replayed
                 .into_iter()
-                .map(|(label, version)| (label, self.arena.push(version)))
+                .map(|(label, version)| (label, version.map_or(RETIRED, |v| self.arena.push(v))))
                 .collect();
             self.replays.insert(parent, Replayed { from, entries });
         }
@@ -1403,7 +1687,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         let opens = continued.is_none();
         let mut tip = Tip {
             view,
-            mark: continued.unwrap_or(self.arena.len()),
+            mark: continued.unwrap_or(self.arena.pushes),
         };
 
         let indications = &mut self.indications;
@@ -1412,6 +1696,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             tip: &mut tip,
             config: &self.config,
             me,
+            retired: 0,
         };
         let (outs, delta) = Self::drive(
             &mut driven,
@@ -1429,6 +1714,8 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 })
             },
         );
+
+        self.footprint.retired_instances += driven.retired;
 
         // Line 12: I[B] := true.
         self.footprint.blocks += 1;
@@ -1462,9 +1749,12 @@ impl<P: DeterministicProtocol> Interpreter<P> {
     /// `instances` is what a clone-per-block interpreter would store;
     /// `unique_instances` is the delta entries this interpreter keeps —
     /// their ratio is the saving. [`Interpreter::resident_versions`]
-    /// counts the versions those entries share.
+    /// counts the versions those entries share, `live_versions` here.
     pub fn footprint(&self) -> InterpreterFootprint {
-        self.footprint
+        InterpreterFootprint {
+            live_versions: self.arena.live(),
+            ..self.footprint
+        }
     }
 
     /// Removes and returns the indications raised since the last drain.
@@ -1529,15 +1819,21 @@ impl From<DecodeError> for SnapshotError {
 }
 
 /// Snapshot format version written by [`Interpreter::snapshot`].
-/// Format 5 writes each arena version once and names versions by index,
-/// with each block's segment flags. Format 4 had the same layout, but its
-/// instance states and out-buffers were computed with a builder's messages
-/// to itself delivered at its next block, not at the block that sent them
+/// Format 6 writes each live arena version once and names versions by
+/// index, [`RETIRED_INDEX`] for the tombstone of a retired label, with each
+/// block's segment flags. Format 5 had the same layout but no tombstone:
+/// it wrote every version ever made, terminal ones too. A build that
+/// predates retirement would read the tombstone's index as a version it
+/// does not hold and fail recovery on a corrupt snapshot; under its own
+/// number the snapshot is skipped there, and this build likewise replays
+/// over a format-5 one. Format 4 had the same layout too, but its instance
+/// states and out-buffers were computed with a builder's messages to
+/// itself delivered at its next block, not at the block that sent them
 /// (the in-block self-link, see the module docs), so they are not this
 /// build's interpretation of the same blocks and must be replayed. Format
 /// 3 wrote the version of every delta entry, and format 2 also one
 /// envelope per receiver and the configuration in every instance.
-const SNAPSHOT_VERSION: u8 = 5;
+const SNAPSHOT_VERSION: u8 = 6;
 
 /// The version of the interpretation rule: how an [`Interpreter`] turns a
 /// DAG into executions of `P`. Servers on two rules compute two executions
@@ -1554,29 +1850,33 @@ const OPENS: u8 = 1;
 const CONTINUED: u8 = 2;
 const REPLAYED: u8 = 4;
 
-/// Writes `(label, slot)` entries: their count, then each label with its
-/// slot as a version index.
-fn encode_entries(entries: &[(Label, Slot)], out: &mut Vec<u8>) {
+/// The version index a snapshot writes for the tombstone.
+const RETIRED_INDEX: u32 = u32::MAX;
+
+/// Writes `(label, key)` entries: their count, then each label with the
+/// version index `index` gives its key.
+fn encode_entries(entries: &[(Label, Slot)], index: impl Fn(Slot) -> u32, out: &mut Vec<u8>) {
     (entries.len() as u32).encode(out);
-    for (label, slot) in entries {
+    for &(label, key) in entries {
         label.encode(out);
-        (*slot as u32).encode(out);
+        index(key).encode(out);
     }
 }
 
-/// Reads what [`encode_entries`] wrote, each slot below `versions`. Of a
-/// repeated label the last entry wins: reversed, the stable sort puts it
-/// first of its run, which is the one `dedup` keeps.
-fn decode_entries(reader: &mut Reader<'_>, versions: Slot) -> Result<Delta, SnapshotError> {
+/// Reads what [`encode_entries`] wrote, each slot below `versions` or the
+/// tombstone. Of a repeated label the last entry wins: reversed, the
+/// stable sort puts it first of its run, which is the one `dedup` keeps.
+fn decode_entries(reader: &mut Reader<'_>, versions: usize) -> Result<Delta, SnapshotError> {
     // An entry is a label and a version index.
     let count = reader.read_len(12)?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let label = Label::decode(reader)?;
-        let slot = reader.read_u32()? as Slot;
-        if slot >= versions {
-            return Err(SnapshotError::BadIndex);
-        }
+        let slot = match reader.read_u32()? {
+            RETIRED_INDEX => RETIRED,
+            index if (index as usize) < versions => Slot::from(index),
+            _ => return Err(SnapshotError::BadIndex),
+        };
         entries.push((label, slot));
     }
     entries.reverse();
@@ -1624,10 +1924,18 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         ] {
             counter.encode(&mut out);
         }
-        (self.arena.len() as u32).encode(&mut out);
-        for version in self.arena.iter() {
+        // The live versions in slot order, each named by its position. A
+        // key to a retired version names the tombstone.
+        let mut positions = vec![RETIRED_INDEX; self.arena.slots()];
+        (self.arena.live() as u32).encode(&mut out);
+        for ((key, version), position) in self.arena.iter().zip(0..) {
+            positions[slot_of(key)] = position;
             version.encode_state(&mut out);
         }
+        let index = |key| match self.arena.current(key) {
+            RETIRED => RETIRED_INDEX,
+            key => positions[slot_of(key)],
+        };
         // Per block, in interpretation order. A block is written as its
         // 1-based position in that order (0 for no parent).
         let position: HashMap<&BlockRef, u64> = self.order.iter().zip(1..).collect();
@@ -1646,9 +1954,9 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             flags.encode(&mut out);
             if let Some(replayed) = replayed {
                 position[&replayed.from].encode(&mut out);
-                encode_entries(&replayed.entries, &mut out);
+                encode_entries(&replayed.entries, index, &mut out);
             }
-            encode_entries(&state.delta, &mut out);
+            encode_entries(&state.delta, index, &mut out);
             // Every entry with its receiver set, a broadcast's too.
             (state.outs.len() as u32).encode(&mut out);
             for (label, message, receivers) in state.outs.iter(state.outs.span(None)) {
@@ -1705,7 +2013,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         for _ in 0..reader.read_len(0)? {
             arena.push(P::decode_state(&config, &mut reader)?);
         }
-        let versions = arena.len();
+        let versions = arena.slots();
         // The receivers of a broadcast entry, which a block stores as none.
         let all: ServerSet = config.servers().collect();
         let mut states: HashMap<BlockRef, BlockState<P>> = HashMap::with_capacity(covered);
@@ -2362,6 +2670,7 @@ mod tests {
         let at = |block: &Block| {
             interpreter
                 .instance_at(&dag, &block.block_ref(), Label::new(1))
+                .and_then(InstanceAt::live)
                 .unwrap()
                 .seen
         };
@@ -2391,8 +2700,8 @@ mod tests {
     /// The structure the module docs promise: exactly one view per chain
     /// tip, naming the slots of the chain's walk; a block is continued
     /// exactly when a child moved its view on inside its segment; every
-    /// arena slot is named by a delta entry or a replay; and footprint
-    /// counters that say what the states hold.
+    /// live arena slot, and no other, is named by a delta entry or a
+    /// replay; and footprint counters that say what the states hold.
     fn assert_structure(interpreter: &Interpreter<Ping>) {
         let states = &interpreter.states;
         let parents: BTreeSet<BlockRef> = states.values().filter_map(|s| s.parent).collect();
@@ -2417,10 +2726,14 @@ mod tests {
             .values()
             .flat_map(|s| &s.delta)
             .chain(interpreter.replays.values().flat_map(|r| &r.entries))
-            .map(|(_, slot)| *slot)
+            .map(|(_, key)| interpreter.arena.current(*key))
+            .filter(|key| *key != RETIRED)
             .collect();
         let deltas: usize = states.values().map(|s| s.delta.len()).sum();
-        assert!(named.iter().copied().eq(0..interpreter.arena.len()));
+        assert!(named
+            .iter()
+            .copied()
+            .eq(interpreter.arena.iter().map(|(slot, _)| slot)));
         let slots: usize = states
             .keys()
             .map(|b| interpreter.instance_labels_at(b).len())
@@ -2484,7 +2797,8 @@ mod tests {
 
         let seen = |at: usize| {
             let instance = interpreter.instance_at(&dag, &blocks[at].block_ref(), Label::new(1));
-            instance.unwrap().seen.into_iter().collect::<Vec<_>>()
+            let instance = instance.and_then(InstanceAt::live).unwrap();
+            instance.seen.into_iter().collect::<Vec<_>>()
         };
         assert_eq!(seen(0), [7], "ancestor unmodified");
         assert_eq!(seen(1), [7, 8], "descendant advanced");
@@ -2632,7 +2946,10 @@ mod tests {
         at: usize,
     ) -> Vec<((u32, u64), u32)> {
         let instance = interpreter.instance_at(dag, &blocks[at].block_ref(), Label::new(1));
-        let received = instance.map(|hops| hops.received).unwrap_or_default();
+        let received = instance
+            .and_then(InstanceAt::live)
+            .map(|hops| hops.received)
+            .unwrap_or_default();
         received
             .into_iter()
             .map(|((sender, message), count)| ((sender.index() as u32, message), count))
@@ -2927,8 +3244,11 @@ mod tests {
         ] {
             counter.encode(&mut out);
         }
-        (interpreter.arena.len() as u32).encode(&mut out);
-        for version in interpreter.arena.iter() {
+        // `Ping` never retires: every slot is live, and its own index.
+        let slots = interpreter.arena.slots();
+        assert_eq!(interpreter.arena.live(), slots);
+        (slots as u32).encode(&mut out);
+        for (_, version) in interpreter.arena.iter() {
             version.encode_state(&mut out);
         }
         assert!(interpreter.replays.is_empty());
@@ -2942,13 +3262,13 @@ mod tests {
             let opens = state.opens && state.parent.is_some();
             let continued = if state.continued { CONTINUED } else { 0 };
             (if opens { OPENS } else { 0 } | continued).encode(&mut out);
-            let last = interpreter.arena.len() - 1;
+            let last = slots as Slot - 1;
             let stale = state.delta.first().map(|(label, _)| (*label, last));
             let entries: Delta = stale
                 .into_iter()
                 .chain(state.delta.iter().copied())
                 .collect();
-            encode_entries(&entries, &mut out);
+            encode_entries(&entries, |key| key as u32, &mut out);
             let mut entries: Vec<(Label, u64, ServerSet)> = Vec::new();
             let stored = || state.outs.iter(state.outs.span(None));
             for (label, message, receivers) in stored().rev() {
@@ -3013,12 +3333,27 @@ mod tests {
         assert_eq!(restored.step(&dag), 2);
         assert_eq!(restored.drain_indications(), straight.drain_indications());
         assert_eq!(restored.stats(), straight.stats());
-        assert_eq!(restored.footprint(), straight.footprint());
+        // Every count the DAG decides. The restored chains rebuilt the
+        // views of b3's and b4's parents, so both opened a segment and
+        // copied a label whose version the straight run drove in place.
+        let of_the_dag = |footprint| InterpreterFootprint {
+            live_versions: 0,
+            ..footprint
+        };
+        assert_eq!(
+            of_the_dag(restored.footprint()),
+            of_the_dag(straight.footprint())
+        );
+        assert_eq!(
+            restored.resident_versions(),
+            straight.resident_versions() + 2
+        );
         for block in dag.refs() {
             for label in (1..4).map(Label::new) {
                 let seen = |interpreter: &Interpreter<Ping>| {
                     interpreter
                         .instance_at(&dag, block, label)
+                        .and_then(InstanceAt::live)
                         .map(|ping| ping.seen)
                 };
                 assert_eq!(seen(&restored), seen(&straight));
@@ -3233,5 +3568,155 @@ mod tests {
         let indications = interpreter.drain_indications();
         let labels: BTreeSet<_> = indications.iter().map(|i| i.label).collect();
         assert_eq!(labels.len(), 2);
+    }
+
+    /// Broadcasts the value of its first request and indicates the first
+    /// message another server sends it; terminal once it has done both.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Latch {
+        me: ServerId,
+        sent: bool,
+        fired: bool,
+    }
+
+    impl DeterministicProtocol for Latch {
+        type Request = u64;
+        type Message = u64;
+        type Indication = u64;
+        const SNAPSHOTS: bool = true;
+
+        fn new(_config: &ProtocolConfig, _label: Label, me: ServerId) -> Self {
+            Latch {
+                me,
+                sent: false,
+                fired: false,
+            }
+        }
+
+        fn on_request(&mut self, request: u64, outbox: &mut Outbox<u64, u64>) {
+            if !self.sent {
+                self.sent = true;
+                outbox.broadcast(request);
+            }
+        }
+
+        fn on_message(&mut self, sender: ServerId, message: u64, outbox: &mut Outbox<u64, u64>) {
+            if sender != self.me && !self.fired {
+                self.fired = true;
+                outbox.indicate(message);
+            }
+        }
+
+        fn is_terminal(&self) -> bool {
+            self.sent && self.fired
+        }
+
+        fn encode_state(&self, out: &mut Vec<u8>) {
+            self.me.encode(out);
+            out.extend([u8::from(self.sent), u8::from(self.fired)]);
+        }
+
+        fn decode_state(
+            _config: &ProtocolConfig,
+            reader: &mut Reader<'_>,
+        ) -> Result<Self, DecodeError> {
+            Ok(Latch {
+                me: ServerId::decode(reader)?,
+                sent: reader.read_u8()? != 0,
+                fired: reader.read_u8()? != 0,
+            })
+        }
+    }
+
+    #[test]
+    fn a_retired_slot_is_reused_and_the_keys_to_it_read_as_retired() {
+        // s0 sends on label 1 at b1 and retires it at b2, where s1's
+        // message arrives; b1 is continued, so its delta still holds the
+        // key to the version b2 retired. b3 starts label 2, whose version
+        // takes the freed slot under its next generation.
+        let (_, signers) = setup(2);
+        let request = |label, value: u64| LabeledRequest::encode(Label::new(label), &value);
+        let build = |builder: usize, seq, preds: &[&Block], requests| {
+            Block::build(
+                ServerId::new(builder as u32),
+                SeqNum::new(seq),
+                preds.iter().map(|block| block.block_ref()).collect(),
+                requests,
+                &signers[builder],
+            )
+        };
+        let b0 = build(1, 0, &[], vec![request(1, 10)]);
+        let b1 = build(0, 0, &[], vec![request(1, 11)]);
+        let b2 = build(0, 1, &[&b1, &b0], vec![]);
+        let b3 = build(0, 2, &[&b2], vec![request(2, 20)]);
+        let blocks = [&b0, &b1, &b2, &b3];
+        let mut dag = BlockDag::new();
+        for block in blocks {
+            dag.insert(block.clone()).unwrap();
+        }
+        let labels = [Label::new(1), Label::new(2)];
+        let (interpreter, indications) = interpret_like_the_oracle::<Latch>(&dag, 2, &labels);
+        assert_eq!(indications.len(), 1, "s0 hears s1 at b2");
+        assert_eq!(interpreter.footprint().retired_instances, 1);
+        // Label 2 at b3 took the slot label 1 gave back at b2.
+        let key = |block: &Block, label: u64| {
+            let delta = &interpreter.states[&block.block_ref()].delta;
+            label_range(delta, Label::new(label))[0].1
+        };
+        let (stale, fresh) = (key(&b1, 1), key(&b3, 2));
+        assert_eq!(key(&b2, 1), RETIRED);
+        assert_eq!(slot_of(stale), slot_of(fresh));
+        assert_ne!(stale, fresh, "a reused slot is under its next generation");
+        assert_eq!(interpreter.arena.current(stale), RETIRED);
+        assert_eq!(interpreter.arena.current(fresh), fresh);
+        assert_eq!(
+            interpreter.resident_versions(),
+            2,
+            "s1's label 1, s0's label 2"
+        );
+
+        // Each block's state is the oracle's, or retired exactly when the
+        // oracle's is terminal: b1's by a replay, past the stale key.
+        let mut oracle: crate::ReferenceInterpreter<Latch> =
+            crate::ReferenceInterpreter::new(ProtocolConfig::for_n(2));
+        oracle.step(&dag);
+        let states = |interpreter: &Interpreter<Latch>| {
+            let mut states = Vec::new();
+            for block in blocks {
+                for label in labels {
+                    let held = oracle.state(&block.block_ref()).unwrap().instance(label);
+                    let read = interpreter.instance_at(&dag, &block.block_ref(), label);
+                    match (held, &read) {
+                        (Some(held), Some(InstanceAt::Retired)) => assert!(held.is_terminal()),
+                        (held, read) => {
+                            assert_eq!(held, read.clone().and_then(InstanceAt::live).as_ref())
+                        }
+                    }
+                    states.push(read);
+                }
+            }
+            states
+        };
+        let before = states(&interpreter);
+        assert_eq!(
+            before[2],
+            Some(InstanceAt::Live(Latch {
+                me: ServerId::new(0),
+                sent: true,
+                fired: false
+            }))
+        );
+        assert_eq!(before[4], Some(InstanceAt::Retired));
+
+        // A snapshot writes the stale key as the tombstone, and only the
+        // two live versions.
+        let bytes = interpreter.snapshot().unwrap();
+        let restored: Interpreter<Latch> =
+            Interpreter::decode_snapshot(ProtocolConfig::for_n(2), &bytes).unwrap();
+        assert_eq!(restored.resident_versions(), 2);
+        let delta = &restored.states[&b1.block_ref()].delta;
+        assert_eq!(label_range(delta, Label::new(1))[0].1, RETIRED);
+        assert_eq!(states(&restored), before);
+        assert_eq!(restored.snapshot().unwrap(), bytes);
     }
 }

@@ -86,7 +86,7 @@ pub use gossip::{
     DEFAULT_PENDING_CAP,
 };
 pub use interpret::{
-    Indication, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError,
+    Indication, InstanceAt, InterpretStats, Interpreter, InterpreterFootprint, SnapshotError,
     INTERPRETATION_RULE,
 };
 pub use label::Label;

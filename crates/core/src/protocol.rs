@@ -416,6 +416,21 @@ impl<M: Clone, I> Outbox<M, I> {
 /// `PREPARE`, `COMMIT` or share at most once per instance, stream
 /// position, slot or value, whatever it receives.
 ///
+/// # Terminal instances
+///
+/// An instance may declare itself **terminal**
+/// ([`DeterministicProtocol::is_terminal`]): from then on no request and
+/// no message, from any sender, in any number and order, makes it send or
+/// indicate anything, and it stays terminal. A BRB instance that has
+/// echoed, readied and delivered is one: each of its handlers acts only
+/// behind a flag it has already set. The interpreter **retires** an
+/// instance that is terminal after a block drives it: it drops the
+/// version, and every later request or message on that label in that
+/// chain is dropped unread, which changes no out-buffer and no indication
+/// exactly because the contract holds (see [`crate::interpret`],
+/// "Retirement"). A `true` that breaks the contract changes what the DAG
+/// interprets to. The default is `false`: never terminal, never retired.
+///
 /// # Snapshots
 ///
 /// A server recovers by replaying its journal (§7: "persist enough
@@ -474,6 +489,14 @@ pub trait DeterministicProtocol: Clone {
         message: Self::Message,
         outbox: &mut Outbox<Self::Message, Self::Indication>,
     );
+
+    /// Whether this instance is terminal: once `true`, no request or
+    /// message ever makes it send or indicate again, and it stays `true`
+    /// (see [Terminal instances](#terminal-instances)). The default is
+    /// `false`.
+    fn is_terminal(&self) -> bool {
+        false
+    }
 
     /// Appends this instance's state to `out`. The default writes nothing:
     /// the protocol keeps no snapshots.

@@ -18,8 +18,9 @@
 //!   requests) yield bit-identical per-block states, indications, and
 //!   stats under both interpreters (Lemma 4.2 holds for either, so any
 //!   divergence is an implementation bug, not a semantic choice);
-//! * **benchmark baselines** — `interpret_offline` measures the win over
-//!   this implementation on identical workloads.
+//! * **retirement** — `tests/interpret_alloc_budget.rs` and
+//!   `tests/retirement.rs` hold the interpreter, which drops a terminal
+//!   instance's state, block by block to this one, which keeps it.
 //!
 //! # The rescanning admission oracle
 //!

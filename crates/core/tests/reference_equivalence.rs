@@ -28,8 +28,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use dagbft_codec::{DecodeError, Reader, WireDecode, WireEncode};
 use dagbft_core::{
-    Block, BlockDag, BlockRef, DeterministicProtocol, Interpreter, Label, LabeledRequest, Outbox,
-    ProtocolConfig, ReferenceInterpreter, SeqNum, SnapshotError,
+    Block, BlockDag, BlockRef, DeterministicProtocol, InstanceAt, Interpreter,
+    InterpreterFootprint, Label, LabeledRequest, Outbox, ProtocolConfig, ReferenceInterpreter,
+    SeqNum, SnapshotError,
 };
 use dagbft_crypto::{KeyRegistry, ServerId};
 use proptest::prelude::*;
@@ -283,7 +284,9 @@ fn assert_equivalent(dag: &BlockDag, pick_seed: u64) {
             // its entire state.
             assert_eq!(
                 naive.instance(label),
-                real.instance_at(dag, r, label).as_ref(),
+                real.instance_at(dag, r, label)
+                    .and_then(InstanceAt::live)
+                    .as_ref(),
                 "instance {label} at {r}"
             );
         }
@@ -346,7 +349,16 @@ fn assert_snapshot_transparent(dag: &BlockDag, cut: usize) {
     assert_eq!(straight.drain_indications(), restored.drain_indications());
     assert_eq!(straight.stats(), restored.stats());
     assert_eq!(straight.interpreted_order(), restored.interpreted_order());
-    assert_eq!(straight.footprint(), restored.footprint());
+    // Every count the DAG decides; the versions resident also depend on
+    // where the restore made segments open.
+    let of_the_dag = |footprint| InterpreterFootprint {
+        live_versions: 0,
+        ..footprint
+    };
+    assert_eq!(
+        of_the_dag(straight.footprint()),
+        of_the_dag(restored.footprint())
+    );
     // `Ms[in]` is derived, so the restored interpreter answers it like the
     // oracle that stores it — for blocks under the snapshot too.
     let mut reference: ReferenceInterpreter<Relay> = ReferenceInterpreter::new(config);
@@ -565,7 +577,9 @@ fn chunk_boundaries_are_crossed_by_moved_and_rebuilt_views_and_a_restore() {
         for label in labels {
             assert_eq!(
                 naive.instance(label),
-                real.instance_at(&dag, r, label).as_ref(),
+                real.instance_at(&dag, r, label)
+                    .and_then(InstanceAt::live)
+                    .as_ref(),
                 "instance {label} at {r}"
             );
             let outs: Vec<_> = real.state(r).unwrap().out_messages(label).collect();
@@ -740,7 +754,9 @@ fn assert_like_the_oracle(
         for label in labels {
             assert_eq!(
                 naive.instance(label),
-                real.instance_at(dag, r, label).as_ref(),
+                real.instance_at(dag, r, label)
+                    .and_then(InstanceAt::live)
+                    .as_ref(),
                 "instance {label} at {r}"
             );
             let outs: Vec<_> = real.state(r).unwrap().out_messages(label).collect();

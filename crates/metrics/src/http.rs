@@ -169,7 +169,8 @@ mod tests {
         registry.set_counter("gossip_blocks_validated", 42);
         let server = MetricsServer::serve(registry.clone(), ephemeral()).unwrap();
         let body = scrape(server.local_addr()).expect("scrape succeeds");
-        assert!(body.contains("\"schema_version\":1"), "{body}");
+        let schema = format!("\"schema_version\":{}", crate::SCHEMA_VERSION);
+        assert!(body.contains(&schema), "{body}");
         assert!(body.contains("\"gossip_blocks_validated\":42"), "{body}");
         // The endpoint counts its own requests; a second scrape sees the
         // first one recorded.

@@ -38,4 +38,4 @@ pub mod publish;
 mod registry;
 
 pub use http::{scrape, MetricsServer};
-pub use registry::{Counter, Gauge, Histogram, MetricsRegistry, HISTOGRAM_BUCKETS, SCHEMA_VERSION};
+pub use registry::{Counter, Gauge, MetricsRegistry, SCHEMA_VERSION};

@@ -41,12 +41,18 @@ pub fn publish_seals(registry: &MetricsRegistry, stats: &SealStats) {
 
 /// Publishes an [`InterpreterFootprint`] — resident memory shape of the
 /// interpreter (unique vs total instances is the saving over
-/// clone-per-block).
+/// clone-per-block; live versions are what it holds, retired instances
+/// what it gave back).
 pub fn publish_footprint(registry: &MetricsRegistry, footprint: &InterpreterFootprint) {
     registry.set_gauge("interp_blocks", footprint.blocks as u64);
     registry.set_gauge("interp_instances", footprint.instances as u64);
     registry.set_gauge("interp_unique_instances", footprint.unique_instances as u64);
     registry.set_gauge("interp_out_envelopes", footprint.out_envelopes as u64);
+    registry.set_gauge("interp_live_versions", footprint.live_versions as u64);
+    registry.set_gauge(
+        "interp_retired_instances",
+        footprint.retired_instances as u64,
+    );
 }
 
 /// Publishes [`CryptoMetrics`] — sign/verify totals (the source counters

@@ -6,15 +6,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Version of the snapshot JSON schema. Bump when the *shape* of
-/// [`MetricsRegistry::snapshot_json`] changes (new top-level sections,
-/// histogram encoding, …) — adding or removing registered fields is not
-/// a schema change, it is a field-set change gated by `docs/METRICS.md`.
-pub const SCHEMA_VERSION: u64 = 1;
-
-/// Number of log₂ buckets every [`Histogram`] carries: bucket `i` counts
-/// observations in `[2^i, 2^(i+1))` (bucket 0 also takes zeros; the last
-/// bucket is open-ended). 16 buckets cover values up to ≥ 32768.
-pub const HISTOGRAM_BUCKETS: usize = 16;
+/// [`MetricsRegistry::snapshot_json`] changes (new or removed top-level
+/// sections, a value's encoding, …) — adding or removing registered
+/// fields is not a schema change, it is a field-set change gated by
+/// `docs/METRICS.md`. Version 1 also had a `"histograms"` section, which
+/// nothing published into.
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// A monotonic counter handle: updates are single relaxed atomic
 /// operations, safe to call from any thread.
@@ -67,81 +64,15 @@ impl Gauge {
 }
 
 #[derive(Debug, Default)]
-struct HistogramCore {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-}
-
-/// A fixed-bucket log₂ histogram handle.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram(Arc<HistogramCore>);
-
-impl Histogram {
-    /// The bucket index for `value`.
-    fn bucket(value: u64) -> usize {
-        if value == 0 {
-            0
-        } else {
-            (value.ilog2() as usize).min(HISTOGRAM_BUCKETS - 1)
-        }
-    }
-
-    /// Records one observation.
-    pub fn observe(&self, value: u64) {
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(value, Ordering::Relaxed);
-        self.0.buckets[Self::bucket(value)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Overwrites the whole histogram from an external source (the
-    /// mirror-publish pattern).
-    /// `buckets` may be shorter than [`HISTOGRAM_BUCKETS`]; missing tail
-    /// buckets are zeroed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buckets` is longer than [`HISTOGRAM_BUCKETS`].
-    pub fn store(&self, buckets: &[u64], count: u64, sum: u64) {
-        assert!(buckets.len() <= HISTOGRAM_BUCKETS, "too many buckets");
-        self.0.count.store(count, Ordering::Relaxed);
-        self.0.sum.store(sum, Ordering::Relaxed);
-        for (index, cell) in self.0.buckets.iter().enumerate() {
-            cell.store(buckets.get(index).copied().unwrap_or(0), Ordering::Relaxed);
-        }
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observed values.
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
-    }
-
-    /// Current bucket counts.
-    pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        let mut out = [0; HISTOGRAM_BUCKETS];
-        for (slot, cell) in out.iter_mut().zip(&self.0.buckets) {
-            *slot = cell.load(Ordering::Relaxed);
-        }
-        out
-    }
-}
-
-#[derive(Debug, Default)]
 struct Inner {
     counters: BTreeMap<String, Counter>,
     gauges: BTreeMap<String, Gauge>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 /// The registry: named metrics, deterministic JSON snapshots.
 ///
 /// Lock discipline: the mutex guards only the name→handle maps.
-/// Registration (`counter`/`gauge`/`histogram`) locks briefly; returned
+/// Registration (`counter`/`gauge`) locks briefly; returned
 /// handles update lock-free, and the `set_*` conveniences re-use the
 /// registered handle, so steady-state publishing takes the lock once per
 /// metric per publish — a few nanoseconds of uncontended `Mutex` plus one
@@ -190,17 +121,6 @@ impl MetricsRegistry {
         inner.gauges.entry(name.to_owned()).or_default().clone()
     }
 
-    /// Returns the histogram `name`, registering it at zero on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is not a snake_case identifier.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        assert!(valid_name(name), "invalid metric name {name:?}");
-        let mut inner = self.inner.lock().expect("registry lock");
-        inner.histograms.entry(name.to_owned()).or_default().clone()
-    }
-
     /// Registers (if needed) and overwrites counter `name`.
     pub fn set_counter(&self, name: &str, value: u64) {
         self.counter(name).set(value);
@@ -211,7 +131,7 @@ impl MetricsRegistry {
         self.gauge(name).set(value);
     }
 
-    /// Every registered metric name (counters, gauges and histograms),
+    /// Every registered metric name (counters and gauges),
     /// sorted — the exported field set `docs/METRICS.md` is verified
     /// against.
     pub fn field_names(&self) -> BTreeSet<String> {
@@ -220,7 +140,6 @@ impl MetricsRegistry {
             .counters
             .keys()
             .chain(inner.gauges.keys())
-            .chain(inner.histograms.keys())
             .cloned()
             .collect()
     }
@@ -228,10 +147,9 @@ impl MetricsRegistry {
     /// Serializes the registry to one JSON object:
     ///
     /// ```json
-    /// {"schema_version":1,
+    /// {"schema_version":2,
     ///  "counters":{"name":value,...},
-    ///  "gauges":{"name":value,...},
-    ///  "histograms":{"name":{"count":c,"sum":s,"buckets":[...]},...}}
+    ///  "gauges":{"name":value,...}}
     /// ```
     ///
     /// Keys are sorted, values are decimal `u64`s — the output is a
@@ -254,25 +172,6 @@ impl MetricsRegistry {
                 out.push(',');
             }
             let _ = write!(out, "\"{name}\":{}", gauge.get());
-        }
-        out.push_str("},\"histograms\":{");
-        for (index, (name, histogram)) in inner.histograms.iter().enumerate() {
-            if index > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                histogram.count(),
-                histogram.sum()
-            );
-            for (bucket, value) in histogram.buckets().iter().enumerate() {
-                if bucket > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "{value}");
-            }
-            out.push_str("]}");
         }
         out.push_str("}}");
         out
@@ -300,43 +199,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_are_log2() {
-        let registry = MetricsRegistry::new();
-        let histogram = registry.histogram("wave_width");
-        for value in [0, 1, 2, 3, 4, 1024, u64::MAX] {
-            histogram.observe(value);
-        }
-        let buckets = histogram.buckets();
-        assert_eq!(buckets[0], 2); // 0 and 1
-        assert_eq!(buckets[1], 2); // 2 and 3
-        assert_eq!(buckets[2], 1); // 4
-        assert_eq!(buckets[10], 1); // 1024
-        assert_eq!(buckets[HISTOGRAM_BUCKETS - 1], 1); // open-ended tail
-        assert_eq!(histogram.count(), 7);
-    }
-
-    #[test]
-    fn histogram_store_mirrors_and_zeroes_tail() {
-        let registry = MetricsRegistry::new();
-        let histogram = registry.histogram("wave_width");
-        histogram.observe(1 << 15); // tail bucket, must be cleared by store
-        histogram.store(&[3, 1], 4, 5);
-        assert_eq!(histogram.count(), 4);
-        assert_eq!(histogram.sum(), 5);
-        let buckets = histogram.buckets();
-        assert_eq!(buckets[0], 3);
-        assert_eq!(buckets[1], 1);
-        assert!(buckets[2..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
     fn snapshot_is_deterministic_and_sorted() {
         let build = || {
             let registry = MetricsRegistry::new();
             registry.set_counter("zeta", 1);
             registry.set_counter("alpha", 2);
             registry.set_gauge("mid", 3);
-            registry.histogram("h").observe(4);
             registry.snapshot_json()
         };
         let first = build();
@@ -344,7 +212,13 @@ mod tests {
         let alpha = first.find("\"alpha\"").unwrap();
         let zeta = first.find("\"zeta\"").unwrap();
         assert!(alpha < zeta, "counter keys must be sorted");
-        assert!(first.starts_with(&format!("{{\"schema_version\":{SCHEMA_VERSION}")));
+        assert_eq!(
+            first,
+            format!(
+                "{{\"schema_version\":{SCHEMA_VERSION},\"counters\":{{\"alpha\":2,\"zeta\":1}},\
+                 \"gauges\":{{\"mid\":3}}}}"
+            )
+        );
     }
 
     #[test]
@@ -352,9 +226,8 @@ mod tests {
         let registry = MetricsRegistry::new();
         registry.counter("c");
         registry.gauge("g");
-        registry.histogram("h");
         let names: Vec<String> = registry.field_names().into_iter().collect();
-        assert_eq!(names, ["c", "g", "h"]);
+        assert_eq!(names, ["c", "g"]);
     }
 
     #[test]

@@ -207,6 +207,13 @@ impl<V: Value> DeterministicProtocol for Brb<V> {
         }
     }
 
+    /// Echoed, readied and delivered: `on_request` and an `ECHO` echo only
+    /// while not echoed, a vote sends `READY` only while not readied and
+    /// delivers only while not delivered, and no handler clears a flag.
+    fn is_terminal(&self) -> bool {
+        self.echoed && self.readied && self.delivered
+    }
+
     /// The flags, the vote table's two columns as two one-column tallies
     /// (the `ECHO`s, then the `READY`s), and a `u32` zero: the count of
     /// undrained indications that older builds kept in the instance, so
@@ -261,7 +268,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     /// A tiny in-memory network of BRB instances with synchronous,
-    /// in-order delivery. `byzantine_silent` servers never respond.
+    /// in-order delivery. `silent` servers never respond.
     struct Net {
         config: ProtocolConfig,
         instances: Vec<Brb<u64>>,

@@ -70,10 +70,10 @@ pub mod prelude {
     pub use dagbft_core::{
         AdmitVerdict, Block, BlockDag, BlockRef, BlockStore, DefenseConfig, DefenseEvent,
         DefenseStats, DeterministicProtocol, Envelope, Gossip, GossipConfig, GossipStats,
-        Indication, InterpretStats, Interpreter, InterpreterFootprint, Label, LabeledRequest,
-        MemoryStore, NetCommand, NetMessage, Offense, Outbox, PeerDefense, PeerScoreSnapshot,
-        ProtocolConfig, RecoverError, RecoveryReport, ReferenceInterpreter, SeqNum, Shim,
-        ShimConfig, StoreContents, StoreError, TimeMs,
+        Indication, InstanceAt, InterpretStats, Interpreter, InterpreterFootprint, Label,
+        LabeledRequest, MemoryStore, NetCommand, NetMessage, Offense, Outbox, PeerDefense,
+        PeerScoreSnapshot, ProtocolConfig, RecoverError, RecoveryReport, ReferenceInterpreter,
+        SeqNum, Shim, ShimConfig, StoreContents, StoreError, TimeMs,
     };
     pub use dagbft_crypto::{KeyRegistry, ServerId};
     pub use dagbft_protocols::{

@@ -17,6 +17,20 @@
 //! file under `src/`, `tests/`, `examples/` and `crates/` (a markdown-only
 //! walk let rustdoc cite an absent file twice), the benchmark's directory
 //! excepted.
+//!
+//! The same text is checked for citations of code, which a rename leaves
+//! behind (a renamed floor test was cited by its old name until someone
+//! noticed):
+//!
+//! * a back-ticked module path ending in a lowercase name
+//!   (`runner::tests::name`): the name must be a `fn` or a module in the
+//!   repository's Rust sources — `crates/`, `src/`, `tests/`, `examples/`
+//!   or the vendored crates; the standard library's paths are not checked;
+//! * a bare back-ticked snake_case name of four or more words, the shape
+//!   of a test name: it must occur in that code outside comments, as a
+//!   `fn`, a field, a module or a string — a metric field such as
+//!   `gossip_fwd_rto_ms` is the string its publisher registers. Shorter
+//!   names are too often workloads, fields or plans to tell apart.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -127,15 +141,20 @@ fn extract_citations(text: &str) -> Vec<Reference> {
 /// Every `.rs` file whose rustdoc is checked, sorted.
 fn rust_files() -> Vec<PathBuf> {
     let benchmark = root().join("crates/bench/src/bin/benchmark");
-    let mut dirs: Vec<PathBuf> = ["src", "tests", "examples", "crates"]
-        .iter()
-        .map(|dir| root().join(dir))
-        .collect();
+    rust_files_under(&["src", "tests", "examples", "crates"], |dir| {
+        dir != benchmark
+    })
+}
+
+/// Every `.rs` file under the repository's directories `roots`, in the
+/// directories `enter` accepts, sorted.
+fn rust_files_under(roots: &[&str], enter: impl Fn(&Path) -> bool) -> Vec<PathBuf> {
+    let mut dirs: Vec<PathBuf> = roots.iter().map(|dir| root().join(dir)).collect();
     let mut files = Vec::new();
     while let Some(dir) = dirs.pop() {
         for entry in std::fs::read_dir(&dir).expect("a source directory is readable") {
             let path = entry.expect("a source directory is readable").path();
-            if path.is_dir() && path != benchmark {
+            if path.is_dir() && enter(&path) {
                 dirs.push(path);
             } else if path.extension().is_some_and(|ext| ext == "rs") {
                 files.push(path);
@@ -156,6 +175,108 @@ fn rustdoc_text(source: &str) -> String {
             .unwrap_or("")
     }
     source.lines().map(doc).collect::<Vec<_>>().join("\n")
+}
+
+/// A back-ticked citation of code: a module path ending in a lowercase
+/// name, or a bare snake_case name of at least four words.
+#[derive(Debug, PartialEq)]
+enum CodeCitation {
+    Path(String),
+    Bare(String),
+}
+
+/// Whether `name` is a lowercase identifier.
+fn is_snake(name: &str) -> bool {
+    name.starts_with(|ch: char| ch.is_ascii_lowercase() || ch == '_')
+        && name
+            .chars()
+            .all(|ch| ch.is_ascii_lowercase() || ch.is_ascii_digit() || ch == '_')
+}
+
+/// Extracts code citations outside fenced code blocks, with their lines.
+fn extract_code_citations(text: &str) -> Vec<(usize, CodeCitation)> {
+    let mut citations = Vec::new();
+    for (number, line) in prose_lines(text) {
+        for span in line.split('`').skip(1).step_by(2) {
+            let segments: Vec<&str> = span.split("::").collect();
+            let words = |name: &str| name.split('_').filter(|word| !word.is_empty()).count();
+            let standard = |first: &str| ["std", "core", "alloc"].contains(&first);
+            let citation = match segments[..] {
+                [name] if is_snake(name) && words(name) >= 4 => CodeCitation::Bare(name.to_owned()),
+                [first, _, ..] if !standard(first) && segments.iter().all(|s| is_snake(s)) => {
+                    CodeCitation::Path(span.to_owned())
+                }
+                _ => continue,
+            };
+            citations.push((number, citation));
+        }
+    }
+    citations
+}
+
+/// The names a body of Rust source defines or uses: `fn` names, modules
+/// (`mod` names, file stems and directory names), and every identifier
+/// outside comments.
+#[derive(Default)]
+struct Code {
+    functions: BTreeSet<String>,
+    modules: BTreeSet<String>,
+    words: BTreeSet<String>,
+}
+
+impl Code {
+    /// Adds the source of the file at `path`.
+    fn add(&mut self, path: &Path, source: &str) {
+        for name in [path.file_stem(), path.parent().and_then(Path::file_name)]
+            .into_iter()
+            .flatten()
+        {
+            self.modules.insert(name.to_string_lossy().into_owned());
+        }
+        for line in source.lines() {
+            let code = line.split("//").next().unwrap_or("");
+            let words: Vec<&str> = code
+                .split(|ch: char| !(ch.is_ascii_alphanumeric() || ch == '_'))
+                .filter(|word| !word.is_empty())
+                .collect();
+            for pair in words.windows(2) {
+                match pair[0] {
+                    "fn" => self.functions.insert(pair[1].to_owned()),
+                    "mod" => self.modules.insert(pair[1].to_owned()),
+                    _ => false,
+                };
+            }
+            self.words.extend(words.into_iter().map(str::to_owned));
+        }
+    }
+
+    /// Whether `citation` names something here.
+    fn resolves(&self, citation: &CodeCitation) -> bool {
+        match citation {
+            CodeCitation::Path(path) => {
+                let name = path.rsplit("::").next().expect("a path has a last segment");
+                self.functions.contains(name) || self.modules.contains(name)
+            }
+            CodeCitation::Bare(name) => self.words.contains(name) || self.modules.contains(name),
+        }
+    }
+}
+
+/// The repository's Rust sources, the vendored crates and the benchmark's
+/// included; build outputs not, nor this file, whose fixtures name stale
+/// tests on purpose.
+fn all_code() -> Code {
+    let this = root().join(file!());
+    let roots = ["src", "tests", "examples", "crates", "vendor"];
+    let mut code = Code::default();
+    for path in rust_files_under(&roots, |dir| !dir.ends_with("target")) {
+        if path != this {
+            let source = std::fs::read_to_string(&path)
+                .unwrap_or_else(|error| panic!("{}: unreadable: {error}", path.display()));
+            code.add(&path, &source);
+        }
+    }
+    code
 }
 
 /// GitHub's heading-slug rule: lowercase; alphanumerics, hyphens, and
@@ -279,6 +400,90 @@ fn every_link_and_cited_file_resolves() {
         problems.len(),
         problems.join("\n")
     );
+}
+
+#[test]
+fn every_cited_function_exists() {
+    let code = all_code();
+    let mut problems = Vec::new();
+    let mut checked = 0usize;
+    let texts = doc_files().into_iter().map(|file| {
+        let text = std::fs::read_to_string(&file)
+            .unwrap_or_else(|error| panic!("{}: unreadable: {error}", file.display()));
+        (file, text)
+    });
+    let rustdoc = rust_files().into_iter().map(|file| {
+        let source = std::fs::read_to_string(&file)
+            .unwrap_or_else(|error| panic!("{}: unreadable: {error}", file.display()));
+        (file, rustdoc_text(&source))
+    });
+    for (file, text) in texts.chain(rustdoc) {
+        for (line, citation) in extract_code_citations(&text) {
+            checked += 1;
+            if !code.resolves(&citation) {
+                problems.push(format!(
+                    "{}:{line}: {citation:?} names nothing in the code",
+                    file.display()
+                ));
+            }
+        }
+    }
+    assert!(checked > 50, "{checked} code citations: the walk is broken");
+    assert!(
+        problems.is_empty(),
+        "{} stale code citations:\n{}",
+        problems.len(),
+        problems.join("\n")
+    );
+}
+
+#[test]
+fn code_citations_are_module_paths_and_long_snake_names() {
+    let text = "`runner::tests::each_settled_block_is_verified_exactly_once`, \
+                `dagbft_core::Schedule`, `std::sync::mpsc`, `Tally::record_in`,\n\
+                `serial_verify_costs_at_most_140_operations` and `gossip_fwd_rto_ms`, \
+                not `seal_period_ms`, `echoed` or `cargo test -q`\n\
+                ```\n`a_fenced_test_name_here`\n```";
+    let cited = extract_code_citations(text);
+    assert_eq!(
+        cited,
+        [
+            (
+                1,
+                CodeCitation::Path(
+                    "runner::tests::each_settled_block_is_verified_exactly_once".to_owned()
+                )
+            ),
+            (
+                2,
+                CodeCitation::Bare("serial_verify_costs_at_most_140_operations".to_owned())
+            ),
+            (2, CodeCitation::Bare("gossip_fwd_rto_ms".to_owned())),
+        ]
+    );
+}
+
+#[test]
+fn a_stale_test_name_is_flagged_and_a_metric_field_is_not() {
+    let mut code = Code::default();
+    code.add(
+        Path::new("crates/sim/src/runner.rs"),
+        "mod tests {\n    fn each_settled_block_is_verified_exactly_once() {}\n}\n\
+         fn serial_verify_costs_at_most_105_operations() {}\n\
+         /// was serial_verify_costs_at_most_140_operations\n\
+         // and `runner::tests::gone_by_now` too\n\
+         fn publish() { registry.set_gauge(\"gossip_fwd_rto_ms\", 0); }\n",
+    );
+    let path = |path: &str| CodeCitation::Path(path.to_owned());
+    let bare = |name: &str| CodeCitation::Bare(name.to_owned());
+    assert!(code.resolves(&path(
+        "runner::tests::each_settled_block_is_verified_exactly_once"
+    )));
+    assert!(code.resolves(&path("dagbft_sim::runner")));
+    assert!(!code.resolves(&path("runner::tests::gone_by_now")));
+    assert!(code.resolves(&bare("serial_verify_costs_at_most_105_operations")));
+    assert!(!code.resolves(&bare("serial_verify_costs_at_most_140_operations")));
+    assert!(code.resolves(&bare("gossip_fwd_rto_ms")));
 }
 
 #[test]

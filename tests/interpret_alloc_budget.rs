@@ -1,9 +1,12 @@
 //! Counted floors of the interpreter on one BRB payments DAG (400
 //! transfers, n = 4): heap allocations to interpret it and to restore its
 //! snapshot, resident instance versions, the bytes they and the
-//! out-buffer entries take in place, out-buffer entries per envelope, and
-//! snapshot bytes. Each prints its count per touch (one label driven
-//! at one block) or per restored instance beside the total.
+//! out-buffer entries take in place, out-buffer entries per envelope,
+//! snapshot bytes, and the versions retired. Each prints its count per
+//! touch (one label driven at one block) or per restored instance beside
+//! the total. On the same DAG, the interpreter that retires terminal
+//! instances is held block by block to the clone-per-block oracle that
+//! keeps them.
 //!
 //! The floors are absolute counts on this one DAG, not shares of its
 //! touches: a change that drives fewer labels at fewer blocks — as the
@@ -24,8 +27,10 @@ use std::sync::OnceLock;
 
 use dagbft::prelude::*;
 
-/// Heap allocations the interpreter may make on this DAG (measured: 634
-/// over 4 780 touches, 0.13 per touch, since `BlockDag::preds_of`
+/// Heap allocations the interpreter may make on this DAG (measured: 633
+/// over 4 780 touches, 0.13 per touch, since a terminal instance retires
+/// and a touch on its label clones and allocates nothing; 634 since
+/// `BlockDag::preds_of`
 /// deduplicates a block's `preds` by sorting one vector instead of
 /// building a `BTreeSet` and collecting it; 690, 0.14 per touch, since a
 /// block's working out-buffer starts with room for one message per input;
@@ -35,42 +40,48 @@ use dagbft::prelude::*;
 /// over 5 343 touches; with one arena version per touch, 2 380; with a
 /// B-tree per tip view, 2 612; with one reference-counted heap block per
 /// instance version, 7 947).
-const INTERPRET_ALLOCATIONS: u64 = 634;
+const INTERPRET_ALLOCATIONS: u64 = 633;
 
 /// Heap allocations a snapshot restore of this DAG's interpretation may
-/// make: per block and per arena chunk, not per instance (measured: 68
-/// over 4 780 instances and 29 blocks, 0.014 per instance, and the floor
+/// make: per block and per arena chunk, not per instance (measured: 67
+/// over 4 780 instances and 29 blocks, 0.014 per instance, since a
+/// snapshot holds the live versions only; 68 before, and the floor
 /// was 76 until it was brought down to that; with self-addressed messages
 /// delivered one block later it was 76 over 5 343 instances and 32
 /// blocks; with one arena version per touch, 81; with one heap block per
 /// instance, 5 416).
-const RESTORE_ALLOCATIONS: u64 = 68;
+const RESTORE_ALLOCATIONS: u64 = 67;
 
 /// Instance versions resident on this DAG: the touches of one label in
-/// one segment of a chain share a version (measured: 1 600 over 4 780
-/// touches; 1 600 over 5 343 with self-addressed messages delivered one
-/// block later; one version per touch before segments).
-const RESIDENT_VERSIONS: usize = 1_600;
+/// one segment of a chain share a version, and a terminal one retires
+/// (measured: 42 over 4 780 touches, the instances that had not delivered
+/// when the DAG ends; 1 600 before retirement; 1 600 over 5 343 with
+/// self-addressed messages delivered one block later; one version per
+/// touch before segments).
+const RESIDENT_VERSIONS: usize = 42;
 
 /// Bytes the resident instance versions and out-buffer entries of this
-/// DAG take in place, `size_of` each, heap spills aside (measured: 281 600,
-/// 1 600 versions of 96 B — one two-column vote table — and 3 200 entries
-/// of 40 B, every one a broadcast, so no block stores a receivers column;
-/// 422 400 with two one-column tallies per version, 136 B, and a
-/// receiver set in every entry, 64 B; 486 400 with 176 B per version while
+/// DAG take in place, `size_of` each, heap spills aside (measured: 132 032,
+/// 42 versions of 96 B — one two-column vote table — and 3 200 entries of
+/// 40 B, every one a broadcast, so no block stores a receivers column; an
+/// arena slot also holds its birth and generation beside the version;
+/// 281 600 before retirement, with 1 600 versions; 422 400 with two
+/// one-column tallies per version, 136 B, and a receiver set in every
+/// entry, 64 B; 486 400 with 176 B per version while
 /// each held the configuration and an indication buffer; with a
 /// `ServerSet` of a `u128` and a `Vec`, 48 B, and a `Tally` whose spill
 /// was an inline `Vec`, 742 400: 272 B per version and 96 B per entry). On
 /// 64-bit targets, where those sizes hold.
 #[cfg(target_pointer_width = "64")]
-const RESIDENT_BYTES: usize = 281_600;
+const RESIDENT_BYTES: usize = 132_032;
 
 /// Bytes a snapshot of this DAG's interpretation may take: exactly what
-/// format 5 writes, every resident version once (format 4, the same
-/// layout with self-addressed messages delivered one block later, wrote
+/// format 6 writes, every live version once and a tombstone index for a
+/// retired one (format 5 wrote every version ever made, 366 938 B; format
+/// 4, that layout with self-addressed messages delivered one block later,
 /// 374 213 B; format 3, one version per touch, 562 674 B; format 2, also
 /// one envelope per receiver and `(n, f)` in every instance, 897 978 B).
-const SNAPSHOT_BYTES: usize = 366_938;
+const SNAPSHOT_BYTES: usize = 219_336;
 
 thread_local! {
     /// `alloc` + `realloc` calls this thread made since it started.
@@ -259,4 +270,71 @@ fn a_snapshot_stays_inside_its_byte_budget() {
         bytes.len()
     );
     println!("{} snapshot bytes", bytes.len());
+}
+
+/// Versions retired on this DAG: one per label per chain whose instance
+/// echoed, readied and delivered inside it (measured: 1 558 of the 1 600
+/// instances, 400 labels on four chains; the other 42 are the resident
+/// versions).
+const RETIRED_INSTANCES: usize = 1_558;
+
+#[test]
+fn every_delivered_instance_gives_its_version_back() {
+    let interpreter = interpreted(payments_dag());
+    let footprint = interpreter.footprint();
+    assert_eq!(footprint.retired_instances, RETIRED_INSTANCES);
+    assert_eq!(footprint.live_versions, interpreter.resident_versions());
+    println!(
+        "{} versions retired, {} live",
+        footprint.retired_instances, footprint.live_versions
+    );
+}
+
+#[test]
+fn retirement_changes_no_output_and_no_live_state() {
+    // The clone-per-block oracle keeps every state, terminal ones too.
+    // Block by block, the out-buffers and the indications are its own;
+    // every state it holds as not terminal is the one `instance_at`
+    // reads, and every terminal one reads as retired.
+    let dag = payments_dag();
+    let mut interpreter: Interpreter<Brb<Transfer>> = Interpreter::new(ProtocolConfig::for_n(4));
+    let mut oracle: ReferenceInterpreter<Brb<Transfer>> =
+        ReferenceInterpreter::new(ProtocolConfig::for_n(4));
+    let bytes = |instance: &Brb<Transfer>| {
+        let mut out = Vec::new();
+        instance.encode_state(&mut out);
+        out
+    };
+    let (mut live, mut retired) = (0, 0);
+    for block in dag.refs() {
+        interpreter.interpret_block(dag, block).unwrap();
+        oracle.interpret_block(dag, block).unwrap();
+        assert_eq!(interpreter.drain_indications(), oracle.drain_indications());
+        let (state, stored) = (
+            interpreter.state(block).unwrap(),
+            oracle.state(block).unwrap(),
+        );
+        let labels: Vec<Label> = stored.instance_labels().copied().collect();
+        assert_eq!(labels, interpreter.instance_labels_at(block));
+        for label in labels {
+            assert!(state
+                .out_messages(label)
+                .eq(stored.out_messages(label).cloned()));
+            let held = stored.instance(label).unwrap();
+            match interpreter.instance_at(dag, block, label).unwrap() {
+                InstanceAt::Live(instance) => {
+                    assert!(!held.is_terminal(), "{label} at {block} is retired");
+                    assert_eq!(bytes(&instance), bytes(held), "{label} at {block}");
+                    live += 1;
+                }
+                InstanceAt::Retired => {
+                    assert!(held.is_terminal(), "{label} at {block} is live");
+                    retired += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(interpreter.stats(), oracle.stats());
+    assert!(live > 0 && retired > 0);
+    println!("{live} live and {retired} retired states, each as the oracle's");
 }

@@ -493,10 +493,14 @@ fn recovery_refuses_to_resume_below_own_tip() {
 /// format-2 encoder wrote it: the configuration, order and counters as in
 /// format 3; per block its parent, its delta with `(n, f)` ahead of every
 /// instance, and its out-buffer as label groups of one envelope per
-/// receiver.
+/// receiver. Format 2 kept every state; `interpreter` retires a terminal
+/// one, so the states come from the clone-per-block oracle, and each is
+/// checked against `interpreter`: equal, or retired exactly when terminal.
 fn snapshot_v2(interpreter: &Interpreter<Brb<u64>>, dag: &BlockDag) -> Vec<u8> {
     use dagbft::codec::WireEncode;
     let config = ProtocolConfig::for_n(N);
+    let mut oracle: ReferenceInterpreter<Brb<u64>> = ReferenceInterpreter::new(config);
+    oracle.step(dag);
     let order = interpreter.interpreted_order();
     let mut out = vec![2u8];
     (config.n as u64, config.f as u64).encode(&mut out);
@@ -523,8 +527,19 @@ fn snapshot_v2(interpreter: &Interpreter<Brb<u64>>, dag: &BlockDag) -> Vec<u8> {
         for label in &touched {
             label.encode(&mut out);
             (config.n as u64, config.f as u64).encode(&mut out);
-            let instance = interpreter.instance_at(dag, block_ref, *label).unwrap();
-            instance.encode_state(&mut out);
+            let state = oracle.state(block_ref).unwrap().instance(*label).unwrap();
+            let mut bytes = Vec::new();
+            state.encode_state(&mut bytes);
+            match interpreter.instance_at(dag, block_ref, *label).unwrap() {
+                InstanceAt::Live(instance) => {
+                    assert!(!state.is_terminal());
+                    let mut live = Vec::new();
+                    instance.encode_state(&mut live);
+                    assert_eq!(live, bytes, "{label} at {block_ref}");
+                }
+                InstanceAt::Retired => assert!(state.is_terminal(), "{label} at {block_ref}"),
+            }
+            out.extend(bytes);
         }
         let groups: Vec<(Label, Vec<Envelope<BrbMessage<u64>>>)> = touched
             .iter()
@@ -546,7 +561,7 @@ fn snapshot_v2(interpreter: &Interpreter<Brb<u64>>, dag: &BlockDag) -> Vec<u8> {
 #[test]
 fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     // The latest snapshot in the journal was written by a build with an
-    // older snapshot format. This build reads only format 5 — but a
+    // older snapshot format. This build reads only format 6 — but a
     // snapshot is a cache of a pure function of the journal (Lemma 4.2), so
     // the server comes back by replaying from genesis, and says why.
     let registry = KeyRegistry::generate(N, 9);
@@ -606,10 +621,10 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
         .collect();
     assert_eq!(expected.len(), INJECT_AT.len());
     assert_eq!(shim.poll_indications(), expected);
-    // The same prefix in format 5 is read, and only the suffix replays.
-    let v5 = snapshotted.snapshot().unwrap();
-    assert!(v5.len() < v2.len());
-    let (_, report) = recover(&blocks, covered as u64, &v5).expect("a format-5 cache");
+    // The same prefix in format 6 is read, and only the suffix replays.
+    let v6 = snapshotted.snapshot().unwrap();
+    assert!(v6.len() < v2.len());
+    let (_, report) = recover(&blocks, covered as u64, &v6).expect("a format-6 cache");
     assert_eq!(report.snapshot_skipped_version, None);
     assert_eq!(report.snapshot_covered, covered);
     assert_eq!(report.replayed_blocks, blocks.len() - covered);
@@ -617,7 +632,7 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     // Only the version is forgiven: a corrupt current-format snapshot and
     // one that covers more than the journal keep their typed errors.
     assert!(matches!(
-        recover(&chain, 4, &[5, 0xff]),
+        recover(&chain, 4, &[6, 0xff]),
         Err(RecoverError::Snapshot(dagbft::dag::SnapshotError::Corrupt(
             _
         )))
@@ -630,7 +645,7 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
 
 #[test]
 fn a_format_4_snapshot_replays_from_genesis_to_the_same_state() {
-    // Format 4 wrote format 5's bytes, but its states were computed with a
+    // Format 4 wrote format 6's layout, but its states were computed with a
     // server's messages to itself delivered one block late, over the edge
     // from its parent. They are not this build's interpretation of the
     // blocks they cover, so the snapshot is skipped however well it
@@ -638,6 +653,26 @@ fn a_format_4_snapshot_replays_from_genesis_to_the_same_state() {
     // here are this build's, under format 4's number: this pins the version
     // gate on a whole run. `a_format_4_snapshot_holds_the_old_rules_states`
     // shows, on bytes the older build wrote, why the gate is needed.
+    an_older_format_replays_from_genesis_to_the_same_state(4);
+}
+
+#[test]
+fn a_format_5_snapshot_replays_from_genesis_to_the_same_state() {
+    // Format 5 wrote format 6's layout with no tombstone: every version the
+    // interpreter ever made, terminal ones included. A build that predates
+    // retirement must skip a format-6 snapshot by its number rather than
+    // fail on the tombstone's index, so the number moved, and this build
+    // reads only its own: a format-5 snapshot is skipped, and recovery
+    // lands where a genesis replay does. The bytes here are this build's,
+    // under format 5's number.
+    an_older_format_replays_from_genesis_to_the_same_state(5);
+}
+
+/// Recovers server 3 of seed 7's run from its journal and a snapshot of
+/// the first half, this build's bytes under the older format `version`,
+/// and checks that the snapshot is skipped for a genesis replay that lands
+/// where a fresh interpreter does.
+fn an_older_format_replays_from_genesis_to_the_same_state(version: u8) {
     let (_, outcome) = run_fingerprint(7, |sim| sim);
     let me = ServerId::new(3);
     let dag = outcome.dag(me.index()).unwrap();
@@ -651,23 +686,23 @@ fn a_format_4_snapshot_replays_from_genesis_to_the_same_state() {
     let mut snapshotted: Interpreter<Brb<u64>> = Interpreter::new(protocol);
     snapshotted.step(&prefix);
     snapshotted.drain_indications();
-    let mut v4 = snapshotted.snapshot().unwrap();
-    v4[0] = 4;
+    let mut older = snapshotted.snapshot().unwrap();
+    older[0] = version;
 
     let registry = KeyRegistry::generate(N, config(7).seed);
     let mut store = MemoryStore::new();
     for block in &blocks {
         store.append_block(block).unwrap();
     }
-    store.append_snapshot(covered as u64, &v4).unwrap();
+    store.append_snapshot(covered as u64, &older).unwrap();
     let (mut shim, report) = Shim::<Brb<u64>>::recover_from_store(
         me,
         ShimConfig::new(protocol),
         &registry,
         Box::new(store),
     )
-    .expect("a format-4 cache is not fatal");
-    assert_eq!(report.snapshot_skipped_version, Some(4));
+    .expect("an older format's cache is not fatal");
+    assert_eq!(report.snapshot_skipped_version, Some(version));
     assert_eq!(report.snapshot_covered, 0);
     assert_eq!(report.replayed_blocks, blocks.len());
 
@@ -720,7 +755,7 @@ fn figure_4() -> (KeyRegistry, BlockDag) {
 fn a_format_4_snapshot_holds_the_old_rules_states() {
     // `golden/fig4_two_rounds_format_4.hex` is what the build before the
     // in-block self-link wrote, in format 4, after interpreting Figure 4's
-    // first two rounds. Format 5 has its layout, so it decodes as format 5,
+    // first two rounds. Format 6 has its layout, so it decodes as format 6,
     // but its states are the old rule's: each server's round-1 ECHO still
     // waits for an edge from its own block, which this build never
     // delivers. Taken as a cache, it would leave every server one ECHO
@@ -741,29 +776,37 @@ fn a_format_4_snapshot_holds_the_old_rules_states() {
     assert_eq!(fresh.step(&dag), 16);
     let indications = fresh.drain_indications();
 
-    let mut as_v5 = v4.clone();
-    as_v5[0] = 5;
-    let mut old = Interpreter::<Brb<u64>>::decode_snapshot(protocol, &as_v5)
-        .expect("format 4's layout is format 5's");
+    let mut as_v6 = v4.clone();
+    as_v6[0] = 6;
+    let mut old = Interpreter::<Brb<u64>>::decode_snapshot(protocol, &as_v6)
+        .expect("format 4's layout is format 6's");
     assert_eq!(old.interpreted_order(), &fresh.interpreted_order()[..8]);
     assert_eq!(old.step(&dag), 8);
-    // Carried on over the last two rounds by this build, the old states end
+    // Carried on over the third round by this build, the old states end
     // one ECHO short at s1–s3, whose round-1 ECHO to themselves is never
     // delivered; s0's own round-0 ECHO came over its edge inside the
-    // snapshot. Brb's quorums have the slack to deliver anyway.
+    // snapshot. Brb's quorums have the slack to deliver anyway, in the
+    // last round, where every instance is terminal and so retired.
     let label = Label::new(1);
-    let last_round: Vec<BlockRef> = dag.refs().skip(12).copied().collect();
+    let round = |at: usize| -> Vec<BlockRef> { dag.refs().skip(4 * at).take(4).copied().collect() };
     let echoes = |interpreter: &Interpreter<Brb<u64>>| -> Vec<usize> {
-        last_round
+        round(2)
             .iter()
             .map(|block| {
                 let instance = interpreter.instance_at(&dag, block, label).unwrap();
-                instance.echo_count(&42)
+                instance.live().expect("not yet delivered").echo_count(&42)
             })
             .collect()
     };
+    let retired = |interpreter: &Interpreter<Brb<u64>>| {
+        round(3).iter().all(|block| {
+            let instance = interpreter.instance_at(&dag, block, label);
+            instance.is_some_and(|instance| instance.is_retired())
+        })
+    };
     assert_eq!(echoes(&fresh), [4, 4, 4, 4]);
     assert_eq!(echoes(&old), [4, 3, 3, 3]);
+    assert!(retired(&fresh) && retired(&old));
     assert_eq!(old.drain_indications(), indications);
 
     // So recovery skips the format-4 snapshot and replays from genesis.
@@ -784,6 +827,7 @@ fn a_format_4_snapshot_holds_the_old_rules_states() {
     assert_eq!(report.snapshot_covered, 0);
     assert_eq!(report.replayed_blocks, 16);
     assert_eq!(echoes(shim.interpreter()), [4, 4, 4, 4]);
+    assert!(retired(shim.interpreter()));
     let delivered: Vec<(Label, BrbIndication<u64>)> = indications
         .into_iter()
         .filter(|indication| indication.server == me)
