@@ -183,7 +183,10 @@
 //!   server of the configuration, else the [`ServerSet`] of each entry's
 //!   receivers. Every sender is `B.n`, stored once per block. A broadcast
 //!   is one entry, not `n` envelopes, and a block of broadcasts stores no
-//!   set at all. The handlers' messages are appended as they are produced
+//!   set at all. A handler's broadcast is queued with
+//!   [`ServerSet::all`], two word masks built at no cost per server, and
+//!   telling it from a send is one comparison of sets. The handlers'
+//!   messages are appended as they are produced
 //!   — through **one** [`Outbox`] per block, drained after every handler
 //!   call, which also hands the handlers the [`ProtocolConfig`] and
 //!   collects their indications, drained once a label is done — to a
@@ -232,11 +235,13 @@
 //! lives in the free slots themselves and so allocates nothing. On that
 //! payments run, 42 versions stay resident where 1 600 did.
 //!
-//! A snapshot (format 6, [`Interpreter::snapshot`]) writes the same
+//! A snapshot (format 7, [`Interpreter::snapshot`]) writes the same
 //! shapes: the [`ProtocolConfig`] once, every live arena version once, then
 //! per block its parent, builder, segment flags, delta (naming versions by
 //! index, the tombstone by its own) and out-buffer entries, each entry once
-//! with its receiver set, a broadcast's too.
+//! and as the block stores it: a block with no receivers column, flagged,
+//! writes label and message only and decodes straight back into that
+//! form, and a block with a column writes every entry's set.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
@@ -783,7 +788,7 @@ impl<M> Outs<M> {
     fn receivers_of(&self, at: usize) -> ServerSet {
         match self.receivers.get(at) {
             Some(receivers) => receivers.clone(),
-            None => ServerId::all(self.n).collect(),
+            None => ServerSet::all(self.n),
         }
     }
 
@@ -800,6 +805,10 @@ impl<M: Ord> Outs<M> {
     /// Puts what a block sent into its stored form. `Ms[out, ℓ]` is a set
     /// of envelopes: the entries of one message merge into one with the
     /// union of their receivers, and an entry with no receiver is dropped.
+    /// Kept out of line: it runs once per block, and inlined into the
+    /// per-message loop of `drive` it cost `sim_payments` about 7 % of its
+    /// transfers per second.
+    #[inline(never)]
     fn normalize(mut sent: Buffer<M>, n: usize) -> Self {
         sent.retain(|(_, (_, receivers))| !receivers.is_empty());
         sent.sort_unstable_by(|(a, (m, _)), (b, (n, _))| (a, m).cmp(&(b, n)));
@@ -812,7 +821,7 @@ impl<M: Ord> Outs<M> {
                 repeat
             },
         );
-        let all: ServerSet = ServerId::all(n).collect();
+        let all = ServerSet::all(n);
         let mut outs = Outs::with_capacity(sent.len(), n);
         for (label, (message, to)) in sent {
             outs.push(label, message, to, &all);
@@ -839,7 +848,7 @@ impl<M: Ord> Outs<M> {
             return self;
         }
         let n = self.n;
-        let all = || ServerId::all(n).collect();
+        let all = || ServerSet::all(n);
         let mut receivers = self.receivers.into_iter();
         let sent = self
             .entries
@@ -1819,21 +1828,27 @@ impl From<DecodeError> for SnapshotError {
 }
 
 /// Snapshot format version written by [`Interpreter::snapshot`].
-/// Format 6 writes each live arena version once and names versions by
+/// Format 7 writes each live arena version once and names versions by
 /// index, [`RETIRED_INDEX`] for the tombstone of a retired label, with each
-/// block's segment flags. Format 5 had the same layout but no tombstone:
-/// it wrote every version ever made, terminal ones too. A build that
-/// predates retirement would read the tombstone's index as a version it
-/// does not hold and fail recovery on a corrupt snapshot; under its own
-/// number the snapshot is skipped there, and this build likewise replays
-/// over a format-5 one. Format 4 had the same layout too, but its instance
-/// states and out-buffers were computed with a builder's messages to
-/// itself delivered at its next block, not at the block that sent them
-/// (the in-block self-link, see the module docs), so they are not this
-/// build's interpretation of the same blocks and must be replayed. Format
-/// 3 wrote the version of every delta entry, and format 2 also one
-/// envelope per receiver and the configuration in every instance.
-const SNAPSHOT_VERSION: u8 = 6;
+/// block's segment flags, and writes a block's out-buffer as it is stored:
+/// a block with no receivers column sets [`BROADCASTS`] and writes its
+/// entries without sets, any other writes every entry's set. Format 6 was
+/// the case with that flag clear on every block: each entry's set written,
+/// a broadcast's too. A format-6 build would reject the flag as a corrupt
+/// snapshot and fail recovery, so the number moved, and this build
+/// likewise replays over a format-6 snapshot. Format 5 had format 6's
+/// layout but no tombstone: it wrote every version ever made, terminal
+/// ones too. A build that predates retirement would read the tombstone's
+/// index as a version it does not hold and fail recovery on a corrupt
+/// snapshot; under its own number the snapshot is skipped there, and this
+/// build likewise replays over a format-5 one. Format 4 had the same
+/// layout too, but its instance states and out-buffers were computed with
+/// a builder's messages to itself delivered at its next block, not at the
+/// block that sent them (the in-block self-link, see the module docs), so
+/// they are not this build's interpretation of the same blocks and must be
+/// replayed. Format 3 wrote the version of every delta entry, and format 2
+/// also one envelope per receiver and the configuration in every instance.
+const SNAPSHOT_VERSION: u8 = 7;
 
 /// The version of the interpretation rule: how an [`Interpreter`] turns a
 /// DAG into executions of `P`. Servers on two rules compute two executions
@@ -1845,10 +1860,12 @@ const SNAPSHOT_VERSION: u8 = 6;
 pub const INTERPRETATION_RULE: u32 = 2;
 
 /// A block's segment flags in a snapshot: it opened a segment, it was
-/// continued, and a rebuild replayed its segment up to it.
+/// continued, a rebuild replayed its segment up to it, and it has no
+/// receivers column, so its out-buffer entries are written without sets.
 const OPENS: u8 = 1;
 const CONTINUED: u8 = 2;
 const REPLAYED: u8 = 4;
+const BROADCASTS: u8 = 8;
 
 /// The version index a snapshot writes for the tombstone.
 const RETIRED_INDEX: u32 = u32::MAX;
@@ -1879,9 +1896,12 @@ fn decode_entries(reader: &mut Reader<'_>, versions: usize) -> Result<Delta, Sna
         };
         entries.push((label, slot));
     }
-    entries.reverse();
-    entries.sort_by_key(|(label, _)| *label);
-    entries.dedup_by_key(|(label, _)| *label);
+    // What `encode_entries` writes is strictly ascending already.
+    if !entries.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+        entries.reverse();
+        entries.sort_by_key(|(label, _)| *label);
+        entries.dedup_by_key(|(label, _)| *label);
+    }
     Ok(entries)
 }
 
@@ -1948,21 +1968,26 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 .encode(&mut out);
             state.builder.encode(&mut out);
             let replayed = self.replays.get(block_ref);
+            let broadcasts = state.outs.receivers.is_empty();
             let flags = if state.opens { OPENS } else { 0 }
                 | if state.continued { CONTINUED } else { 0 }
-                | if replayed.is_some() { REPLAYED } else { 0 };
+                | if replayed.is_some() { REPLAYED } else { 0 }
+                | if broadcasts { BROADCASTS } else { 0 };
             flags.encode(&mut out);
             if let Some(replayed) = replayed {
                 position[&replayed.from].encode(&mut out);
                 encode_entries(&replayed.entries, index, &mut out);
             }
             encode_entries(&state.delta, index, &mut out);
-            // Every entry with its receiver set, a broadcast's too.
+            // The entries as the block stores them: with no receivers
+            // column, no set written; with one, every entry's.
             (state.outs.len() as u32).encode(&mut out);
-            for (label, message, receivers) in state.outs.iter(state.outs.span(None)) {
+            for (at, (label, message)) in state.outs.entries.iter().enumerate() {
                 label.encode(&mut out);
                 message.encode(&mut out);
-                receivers.encode(&mut out);
+                if let Some(receivers) = state.outs.receivers.get(at) {
+                    receivers.encode(&mut out);
+                }
             }
         }
         out
@@ -2009,13 +2034,15 @@ impl<P: DeterministicProtocol> Interpreter<P> {
         };
 
         let mut arena = Arena::new();
-        // A protocol's state may encode to no bytes at all.
-        for _ in 0..reader.read_len(0)? {
+        // A protocol's state may encode to no bytes at all, but a live
+        // version is named by a delta or replay entry, 12 bytes at least:
+        // so a corrupt count costs what the snapshot's length allows.
+        for _ in 0..reader.read_len(12)? {
             arena.push(P::decode_state(&config, &mut reader)?);
         }
         let versions = arena.slots();
         // The receivers of a broadcast entry, which a block stores as none.
-        let all: ServerSet = config.servers().collect();
+        let all = ServerSet::all(config.n);
         let mut states: HashMap<BlockRef, BlockState<P>> = HashMap::with_capacity(covered);
         let mut replays = HashMap::new();
         for (position, block_ref) in order.iter().enumerate() {
@@ -2029,7 +2056,7 @@ impl<P: DeterministicProtocol> Interpreter<P> {
             let parent = earlier(reader.read_u64()?)?;
             let builder = ServerId::decode(&mut reader)?;
             let flags = reader.read_u8()?;
-            if flags & !(OPENS | CONTINUED | REPLAYED) != 0 {
+            if flags & !(OPENS | CONTINUED | REPLAYED | BROADCASTS) != 0 {
                 return Err(SnapshotError::Corrupt(DecodeError::InvalidDiscriminant {
                     type_name: "segment flags",
                     value: flags,
@@ -2045,14 +2072,22 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                 replays.insert(*block_ref, Replayed { from, entries });
             }
             let delta = decode_entries(&mut reader, versions)?;
-            // An entry is at least its label and its receiver count.
-            let entries = reader.read_len(12)?;
+            // An entry is at least its label, and its receiver count if
+            // the block has a column.
+            let broadcasts = flags & BROADCASTS != 0;
+            let entries = reader.read_len(if broadcasts { 8 } else { 12 })?;
             let mut outs = Outs::with_capacity(entries, config.n);
             for _ in 0..entries {
                 let label = Label::decode(&mut reader)?;
                 let message = P::Message::decode(&mut reader)?;
-                let receivers = ServerSet::decode(&mut reader)?;
-                outs.push(label, message, receivers, &all);
+                if broadcasts {
+                    // No column: the entry goes into the stored form as
+                    // it is, with no set built or compared.
+                    outs.entries.push((label, message));
+                } else {
+                    let receivers = ServerSet::decode(&mut reader)?;
+                    outs.push(label, message, receivers, &all);
+                }
             }
             // Canonical bytes are sorted and repeat-free already; anything
             // else is normalized once per block.
@@ -3439,7 +3474,8 @@ mod tests {
         assert_eq!((footprint.out_entries, footprint.out_envelopes), (3, 9));
 
         // A restore reads the same stored form back and writes the same
-        // bytes, every entry with its full receiver set.
+        // bytes: the first block's entries without sets, the second's
+        // with its column.
         let bytes = interpreter.snapshot().unwrap();
         let restored: Interpreter<Scatter> =
             Interpreter::decode_snapshot(ProtocolConfig::for_n(4), &bytes).unwrap();
@@ -3448,6 +3484,56 @@ mod tests {
         }
         assert_eq!(restored.snapshot().unwrap(), bytes);
         assert_eq!(restored.footprint(), footprint);
+    }
+
+    #[test]
+    fn a_truncated_or_bit_flipped_snapshot_decodes_or_fails_typed() {
+        // s0's genesis stores broadcasts only and its next block a
+        // receivers column; an equivocating sibling of that block makes a
+        // rebuild replay s0's genesis segment, and s1 then hears both. So
+        // the snapshot holds every segment flag, both entry layouts and a
+        // replay record. Every cut and every single-bit flip of it decodes
+        // or is a `SnapshotError`, never a panic; a cut never decodes, and
+        // what a flip decodes to snapshots again.
+        let (dag, blocks) = dag_of(
+            4,
+            &[
+                (0, 0, &[], &[0]),
+                (1, 0, &[], &[]),
+                (0, 1, &[0, 1], &[5]),
+                (0, 1, &[0], &[7]),
+                (1, 1, &[1, 2, 3], &[]),
+            ],
+        );
+        let config = ProtocolConfig::for_n(4);
+        let mut interpreter: Interpreter<Scatter> = Interpreter::new(config);
+        assert_eq!(interpreter.step(&dag), blocks.len());
+        interpreter.drain_indications();
+        let column = |at: usize| {
+            let state = interpreter.state(&blocks[at].block_ref()).unwrap();
+            !state.outs.receivers.is_empty()
+        };
+        assert!(!column(0) && column(2) && column(3));
+        assert!(interpreter.replays.contains_key(&blocks[0].block_ref()));
+        let bytes = interpreter.snapshot().unwrap();
+        let decode = |bytes: &[u8]| Interpreter::<Scatter>::decode_snapshot(config, bytes);
+        assert_eq!(decode(&bytes).unwrap().snapshot().unwrap(), bytes);
+
+        for cut in 0..bytes.len() {
+            assert!(decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut decoded = 0;
+        for bit in 0..8 * bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            if let Ok(restored) = decode(&flipped) {
+                decoded += 1;
+                let again = restored.snapshot().unwrap();
+                assert!(decode(&again).is_ok(), "bit {bit}");
+            }
+        }
+        // Flips in labels, messages and counters still decode.
+        assert!(decoded > 0);
     }
 
     #[test]

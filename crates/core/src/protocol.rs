@@ -148,6 +148,22 @@ impl ServerSet {
         Self::default()
     }
 
+    /// The set of servers `0..n`, every server of a configuration of `n`:
+    /// two word masks, and the spill only when `n` is above 128. Equal,
+    /// member for member and byte for byte, to `ServerId::all(n)`
+    /// collected, at no cost per member below 128.
+    pub fn all(n: usize) -> Self {
+        let mask = |word: usize| match n.saturating_sub(64 * word) {
+            0 => 0,
+            bits if bits >= 64 => u64::MAX,
+            bits => (1 << bits) - 1,
+        };
+        ServerSet {
+            low: [mask(0), mask(1)],
+            high: (n > 128).then(|| Box::new((128..n as u32).collect())),
+        }
+    }
+
     /// Adds `server`; returns whether it was new.
     pub fn insert(&mut self, server: ServerId) -> bool {
         let index = server.index() as u32;
@@ -324,8 +340,7 @@ impl<M, I> Outbox<M, I> {
     /// Queues `message` for every server in the configuration, including the
     /// sender itself (the usual "send to all" of broadcast protocols).
     pub fn broadcast(&mut self, message: M) {
-        self.messages
-            .push((self.config.servers().collect(), message));
+        self.messages.push((ServerSet::all(self.config.n), message));
     }
 
     /// Raises `indication` to the user.
@@ -643,6 +658,20 @@ mod tests {
         let mut set = set;
         set.insert(ServerId::new(u32::MAX));
         assert_eq!(set.high(), [u32::MAX]);
+    }
+
+    #[test]
+    fn the_full_set_is_every_server_collected() {
+        use dagbft_codec::encode_to_vec;
+        for n in [0, 1, 4, 63, 64, 65, 127, 128, 129, 300] {
+            let all = ServerSet::all(n);
+            let collected: ServerSet = ServerId::all(n).collect();
+            assert!(all.iter().eq(ServerId::all(n)), "n = {n}");
+            assert_eq!(all.len(), n);
+            assert_eq!(all, collected, "n = {n}");
+            assert_eq!(encode_to_vec(&all), encode_to_vec(&collected), "n = {n}");
+            assert_eq!(all.high.is_some(), n > 128, "n = {n}");
+        }
     }
 
     #[test]

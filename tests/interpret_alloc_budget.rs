@@ -43,14 +43,15 @@ use dagbft::prelude::*;
 const INTERPRET_ALLOCATIONS: u64 = 633;
 
 /// Heap allocations a snapshot restore of this DAG's interpretation may
-/// make: per block and per arena chunk, not per instance (measured: 67
-/// over 4 780 instances and 29 blocks, 0.014 per instance, since a
-/// snapshot holds the live versions only; 68 before, and the floor
-/// was 76 until it was brought down to that; with self-addressed messages
-/// delivered one block later it was 76 over 5 343 instances and 32
-/// blocks; with one arena version per touch, 81; with one heap block per
-/// instance, 5 416).
-const RESTORE_ALLOCATIONS: u64 = 67;
+/// make: per block and per arena chunk, not per instance (measured: 61
+/// over 4 780 instances and 29 blocks, 0.013 per instance, since a delta
+/// written in order decodes with no sort; 67 while every delta was sorted,
+/// which allocates a merge buffer for a long one; 68 while a snapshot held
+/// every version ever made, and the floor was 76 until it was brought down
+/// to that; with self-addressed messages delivered one block later it was
+/// 76 over 5 343 instances and 32 blocks; with one arena version per
+/// touch, 81; with one heap block per instance, 5 416).
+const RESTORE_ALLOCATIONS: u64 = 61;
 
 /// Instance versions resident on this DAG: the touches of one label in
 /// one segment of a chain share a version, and a terminal one retires
@@ -76,12 +77,15 @@ const RESIDENT_VERSIONS: usize = 42;
 const RESIDENT_BYTES: usize = 132_032;
 
 /// Bytes a snapshot of this DAG's interpretation may take: exactly what
-/// format 6 writes, every live version once and a tombstone index for a
-/// retired one (format 5 wrote every version ever made, 366 938 B; format
+/// format 7 writes, every live version once, a tombstone index for a
+/// retired one, and no receiver set for a block with no receivers column,
+/// which is every block here (format 6 wrote each entry's set, a
+/// broadcast's too, 20 B an entry: 219 336 B; format 5 also wrote every
+/// version ever made, 366 938 B; format
 /// 4, that layout with self-addressed messages delivered one block later,
 /// 374 213 B; format 3, one version per touch, 562 674 B; format 2, also
 /// one envelope per receiver and `(n, f)` in every instance, 897 978 B).
-const SNAPSHOT_BYTES: usize = 219_336;
+const SNAPSHOT_BYTES: usize = 155_336;
 
 thread_local! {
     /// `alloc` + `realloc` calls this thread made since it started.

@@ -561,7 +561,7 @@ fn snapshot_v2(interpreter: &Interpreter<Brb<u64>>, dag: &BlockDag) -> Vec<u8> {
 #[test]
 fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     // The latest snapshot in the journal was written by a build with an
-    // older snapshot format. This build reads only format 6 — but a
+    // older snapshot format. This build reads only format 7 — but a
     // snapshot is a cache of a pure function of the journal (Lemma 4.2), so
     // the server comes back by replaying from genesis, and says why.
     let registry = KeyRegistry::generate(N, 9);
@@ -621,10 +621,10 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
         .collect();
     assert_eq!(expected.len(), INJECT_AT.len());
     assert_eq!(shim.poll_indications(), expected);
-    // The same prefix in format 6 is read, and only the suffix replays.
-    let v6 = snapshotted.snapshot().unwrap();
-    assert!(v6.len() < v2.len());
-    let (_, report) = recover(&blocks, covered as u64, &v6).expect("a format-6 cache");
+    // The same prefix in format 7 is read, and only the suffix replays.
+    let v7 = snapshotted.snapshot().unwrap();
+    assert!(v7.len() < v2.len());
+    let (_, report) = recover(&blocks, covered as u64, &v7).expect("a format-7 cache");
     assert_eq!(report.snapshot_skipped_version, None);
     assert_eq!(report.snapshot_covered, covered);
     assert_eq!(report.replayed_blocks, blocks.len() - covered);
@@ -632,7 +632,7 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
     // Only the version is forgiven: a corrupt current-format snapshot and
     // one that covers more than the journal keep their typed errors.
     assert!(matches!(
-        recover(&chain, 4, &[6, 0xff]),
+        recover(&chain, 4, &[7, 0xff]),
         Err(RecoverError::Snapshot(dagbft::dag::SnapshotError::Corrupt(
             _
         )))
@@ -645,9 +645,9 @@ fn an_old_format_snapshot_costs_a_genesis_replay_not_the_node() {
 
 #[test]
 fn a_format_4_snapshot_replays_from_genesis_to_the_same_state() {
-    // Format 4 wrote format 6's layout, but its states were computed with a
-    // server's messages to itself delivered one block late, over the edge
-    // from its parent. They are not this build's interpretation of the
+    // Format 4 wrote format 7's layout with every receiver set written,
+    // but its states were computed with a server's messages to itself
+    // delivered one block late, over the edge from its parent. They are not this build's interpretation of the
     // blocks they cover, so the snapshot is skipped however well it
     // decodes, and recovery lands where a genesis replay does. The bytes
     // here are this build's, under format 4's number: this pins the version
@@ -666,6 +666,18 @@ fn a_format_5_snapshot_replays_from_genesis_to_the_same_state() {
     // lands where a genesis replay does. The bytes here are this build's,
     // under format 5's number.
     an_older_format_replays_from_genesis_to_the_same_state(5);
+}
+
+#[test]
+fn a_format_6_snapshot_replays_from_genesis_to_the_same_state() {
+    // Format 6 wrote every out-buffer entry with its receiver set, a
+    // broadcast's too; format 7 writes a block with no receivers column
+    // without sets, under a segment flag a format-6 build would reject as
+    // corrupt. So the number moved, and this build reads only its own: a
+    // format-6 snapshot is skipped, and recovery lands where a genesis
+    // replay does. The bytes here are this build's, under format 6's
+    // number.
+    an_older_format_replays_from_genesis_to_the_same_state(6);
 }
 
 /// Recovers server 3 of seed 7's run from its journal and a snapshot of
@@ -755,10 +767,11 @@ fn figure_4() -> (KeyRegistry, BlockDag) {
 fn a_format_4_snapshot_holds_the_old_rules_states() {
     // `golden/fig4_two_rounds_format_4.hex` is what the build before the
     // in-block self-link wrote, in format 4, after interpreting Figure 4's
-    // first two rounds. Format 6 has its layout, so it decodes as format 6,
-    // but its states are the old rule's: each server's round-1 ECHO still
-    // waits for an edge from its own block, which this build never
-    // delivers. Taken as a cache, it would leave every server one ECHO
+    // first two rounds. Format 7 reads its layout as the case where no
+    // block sets the broadcasts flag, which format 4 never wrote, so it
+    // decodes as format 7, but its states are the old rule's: each
+    // server's round-1 ECHO still waits for an edge from its own block,
+    // which this build never delivers. Taken as a cache, it would leave every server one ECHO
     // short of what the blocks say.
     let v4: Vec<u8> = {
         let hex: Vec<u8> = include_str!("golden/fig4_two_rounds_format_4.hex")
@@ -776,10 +789,10 @@ fn a_format_4_snapshot_holds_the_old_rules_states() {
     assert_eq!(fresh.step(&dag), 16);
     let indications = fresh.drain_indications();
 
-    let mut as_v6 = v4.clone();
-    as_v6[0] = 6;
-    let mut old = Interpreter::<Brb<u64>>::decode_snapshot(protocol, &as_v6)
-        .expect("format 4's layout is format 6's");
+    let mut as_v7 = v4.clone();
+    as_v7[0] = 7;
+    let mut old = Interpreter::<Brb<u64>>::decode_snapshot(protocol, &as_v7)
+        .expect("format 4's layout is format 7's with every set written");
     assert_eq!(old.interpreted_order(), &fresh.interpreted_order()[..8]);
     assert_eq!(old.step(&dag), 8);
     // Carried on over the third round by this build, the old states end
