@@ -400,8 +400,8 @@ impl Block {
     ///
     /// For built blocks this is always already cached (building signs
     /// it); for decoded blocks the first caller pays one SHA-256 over
-    /// the signing preimage — which burst admission schedules on the
-    /// gossip verify-pool workers so the receive thread rarely does.
+    /// the signing preimage — on a server, gossip's dedup in
+    /// `Gossip::receive_block`, on the thread that ingests the block.
     pub fn block_ref(&self) -> BlockRef {
         *self
             .inner
@@ -569,8 +569,8 @@ impl WireDecode for Block {
         // sequences), so the consumed input *is* the canonical encoding:
         // retain it as the cached wire image (a zero-copy slice of the
         // receive buffer when the reader is shared, one copy otherwise)
-        // and defer hashing `ref(B)` out of it until first use — burst
-        // admission moves that hash onto pool workers. A tampered byte
+        // and defer hashing `ref(B)` out of it until first use, which on
+        // a server is gossip's dedup on the ingest thread. A tampered byte
         // lands in the hash — the cache can never vouch for bytes the
         // signature doesn't.
         let wire = reader.bytes_between(start, end);

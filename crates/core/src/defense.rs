@@ -5,30 +5,30 @@
 //! as an extension (§6). A node serving open networks cannot: peers may
 //! flood duplicates, drip garbage, or equivocate. [`PeerDefense`] turns
 //! the admission outcomes the gossip layer already computes — invalid
-//! signatures, duplicate floods, pending-cap evictions, equivocations —
-//! into a **graduated, fully deterministic** response:
+//! signatures, duplicate floods, throttled blocks, equivocations — into a
+//! **graduated, fully deterministic** response:
 //!
 //! 1. **Scoring** — every offense adds a configured penalty to the
 //!    offender's score. Transient offenses decay with (logical) time;
 //!    equivocations are durable — they are provable from the DAG
 //!    ([`crate::accountability`]) and are re-derived on crash recovery.
+//!    A builder with a proven equivocation is *convicted*; conviction
+//!    changes nothing but its score, so admission order stays `ref`
+//!    order.
 //! 2. **Token-bucket rate limits** — per-peer blocks/bytes buckets gate
 //!    ingest; a flooding peer's surplus is dropped before it buys any
 //!    verification work.
-//! 3. **Deprioritization** — a caught equivocator's blocks admit last in
-//!    every ready set and its pending allowance shrinks
-//!    ([`DefenseConfig::deprioritized_allowance`]).
-//! 4. **Bans** — a score crossing [`DefenseConfig::ban_threshold`]
-//!    triggers a time-bounded ban: gossip drops the peer's traffic, and
-//!    the TCP transport refuses its reconnects until the ban decays.
+//! 3. **Bans** — a score crossing [`DefenseConfig::ban_threshold`]
+//!    triggers a time-bounded ban: gossip drops the peer's blocks and
+//!    `FWD` requests and asks it for nothing until the ban decays.
 //!
-//! Every state change emits a typed [`DefenseEvent`] — the auditable
-//! trail next to gossip's `EvictionEvent` log — and everything is keyed
-//! on the logical [`TimeMs`] the caller supplies, so identical event
-//! sequences produce byte-identical score trajectories across runs and
-//! restarts.
+//! Every state change emits a typed [`DefenseEvent`] into an auditable
+//! trail next to gossip's `EvictionEvent` log; the trail keeps the last
+//! [`EVENTS_KEPT`]. Everything is keyed on the logical [`TimeMs`] the
+//! caller supplies, so identical event sequences produce byte-identical
+//! score trajectories across runs and restarts.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use dagbft_crypto::ServerId;
 
@@ -46,11 +46,6 @@ pub struct DefenseConfig {
     pub invalid_penalty: u64,
     /// Score added per received block already held (duplicate flood).
     pub duplicate_penalty: u64,
-    /// Score added per pending-cap eviction attributed to the peer that
-    /// delivered the victim.
-    pub eviction_penalty: u64,
-    /// Score added per malformed frame reported by the transport.
-    pub malformed_penalty: u64,
     /// Score added per throttled block (sustained flooding escalates
     /// from throttling to a ban).
     pub throttle_penalty: u64,
@@ -76,9 +71,6 @@ pub struct DefenseConfig {
     pub refill_bytes: u64,
     /// Refill cadence in logical milliseconds.
     pub refill_interval_ms: u64,
-    /// Maximum pending-buffer slots a deprioritized (equivocating)
-    /// builder may occupy; excess blocks are evicted oldest-first.
-    pub deprioritized_allowance: usize,
 }
 
 impl Default for DefenseConfig {
@@ -87,8 +79,6 @@ impl Default for DefenseConfig {
             enabled: false,
             invalid_penalty: 40,
             duplicate_penalty: 2,
-            eviction_penalty: 5,
-            malformed_penalty: 20,
             throttle_penalty: 3,
             equivocation_penalty: 120,
             decay_interval_ms: 1_000,
@@ -100,7 +90,6 @@ impl Default for DefenseConfig {
             bucket_bytes: 1 << 20,
             refill_bytes: 512 << 10,
             refill_interval_ms: 100,
-            deprioritized_allowance: 16,
         }
     }
 }
@@ -143,17 +132,14 @@ impl DefenseConfig {
     }
 }
 
-/// The admission outcomes the scoring engine consumes.
+/// The admission outcomes the scoring engine consumes. The discriminant
+/// is the offense's code in [`PeerDefense::trajectory_bytes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Offense {
     /// A block rejected as permanently invalid (Definition 3.3).
     InvalidBlock,
     /// A received block already present (duplicate flood).
     DuplicateFlood,
-    /// A pending-cap eviction attributed to the delivering peer.
-    Eviction,
-    /// A malformed frame reported by the transport layer.
-    MalformedFrame,
     /// A block dropped by the token bucket (flood pressure).
     Throttled,
     /// A proven equivocation (durable; convicts the builder).
@@ -165,24 +151,16 @@ impl Offense {
         match self {
             Offense::InvalidBlock => config.invalid_penalty,
             Offense::DuplicateFlood => config.duplicate_penalty,
-            Offense::Eviction => config.eviction_penalty,
-            Offense::MalformedFrame => config.malformed_penalty,
             Offense::Throttled => config.throttle_penalty,
             Offense::Equivocation => config.equivocation_penalty,
         }
     }
-
-    fn code(self) -> u8 {
-        match self {
-            Offense::InvalidBlock => 0,
-            Offense::DuplicateFlood => 1,
-            Offense::Eviction => 2,
-            Offense::MalformedFrame => 3,
-            Offense::Throttled => 4,
-            Offense::Equivocation => 5,
-        }
-    }
 }
+
+/// How many of the latest [`DefenseEvent`]s a [`PeerDefense`] keeps: a
+/// flooding peer adds events for as long as it floods, so the trail is a
+/// window, while [`DefenseStats`] counts everything.
+pub const EVENTS_KEPT: usize = 1_024;
 
 /// Verdict of the per-peer ingest gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -238,9 +216,9 @@ pub enum DefenseEvent {
         /// Logical time the lapse was observed.
         at: TimeMs,
     },
-    /// A builder was (or remains, after recovery) deprioritized for
-    /// proven equivocation.
-    Deprioritized {
+    /// A builder was (or remains, after recovery) convicted of proven
+    /// equivocation.
+    Convicted {
         /// The convicted builder.
         builder: ServerId,
         /// Total proven equivocations so far.
@@ -261,8 +239,8 @@ pub struct DefenseStats {
     pub banned_blocks: u64,
     /// Bans imposed.
     pub bans: u64,
-    /// Builders currently deprioritized for proven equivocation.
-    pub deprioritized: u64,
+    /// Builders convicted of proven equivocation.
+    pub convicted: u64,
 }
 
 /// Point-in-time view of one peer's defense state.
@@ -348,6 +326,20 @@ impl PeerState {
     }
 }
 
+/// The last [`EVENTS_KEPT`] defense events, oldest first.
+#[derive(Debug, Clone, Default)]
+struct Trail(VecDeque<DefenseEvent>);
+
+impl Trail {
+    /// Appends `event`, dropping the oldest past [`EVENTS_KEPT`].
+    fn push(&mut self, event: DefenseEvent) {
+        if self.0.len() == EVENTS_KEPT {
+            self.0.pop_front();
+        }
+        self.0.push_back(event);
+    }
+}
+
 /// The deterministic per-peer defense engine (see the module docs).
 ///
 /// All entry points take the caller's logical clock: the simulator's
@@ -359,7 +351,7 @@ impl PeerState {
 pub struct PeerDefense {
     config: DefenseConfig,
     peers: BTreeMap<ServerId, PeerState>,
-    events: Vec<DefenseEvent>,
+    events: Trail,
     stats: DefenseStats,
 }
 
@@ -369,7 +361,7 @@ impl PeerDefense {
         PeerDefense {
             config,
             peers: BTreeMap::new(),
-            events: Vec::new(),
+            events: Trail::default(),
             stats: DefenseStats::default(),
         }
     }
@@ -389,9 +381,10 @@ impl PeerDefense {
         self.stats
     }
 
-    /// The auditable trail of every defensive action, in order.
-    pub fn events(&self) -> &[DefenseEvent] {
-        &self.events
+    /// The auditable trail of the last [`EVENTS_KEPT`] defensive
+    /// actions, in order.
+    pub fn events(&self) -> &VecDeque<DefenseEvent> {
+        &self.events.0
     }
 
     /// Gates one block from `peer` (`wire_len` canonical bytes) through
@@ -452,9 +445,9 @@ impl PeerDefense {
             state.equivocations += 1;
             let equivocations = state.equivocations;
             if equivocations == 1 {
-                self.stats.deprioritized += 1;
+                self.stats.convicted += 1;
             }
-            self.events.push(DefenseEvent::Deprioritized {
+            self.events.push(DefenseEvent::Convicted {
                 builder: peer,
                 equivocations,
                 at: now,
@@ -486,7 +479,7 @@ impl PeerDefense {
 
     /// Restores the durable score component after crash recovery: sets
     /// `builder`'s proven-equivocation count as re-derived from the
-    /// recovered DAG. Idempotent; emits a [`DefenseEvent::Deprioritized`]
+    /// recovered DAG. Idempotent; emits a [`DefenseEvent::Convicted`]
     /// record so the audit trail shows the recovered conviction.
     pub fn seed_equivocations(&mut self, builder: ServerId, count: u64, now: TimeMs) {
         if !self.config.enabled || count == 0 {
@@ -498,31 +491,24 @@ impl PeerDefense {
             .entry(builder)
             .or_insert_with(|| PeerState::fresh(&config, now));
         if state.equivocations == 0 {
-            self.stats.deprioritized += 1;
+            self.stats.convicted += 1;
         }
         state.equivocations = state.equivocations.max(count);
         let equivocations = state.equivocations;
-        self.events.push(DefenseEvent::Deprioritized {
+        self.events.push(DefenseEvent::Convicted {
             builder,
             equivocations,
             at: now,
         });
     }
 
-    /// Whether `builder` has at least one proven equivocation (its
-    /// blocks admit last and its pending allowance shrinks).
-    pub fn is_deprioritized(&self, builder: ServerId) -> bool {
+    /// Whether `builder` has at least one proven equivocation.
+    pub fn is_convicted(&self, builder: ServerId) -> bool {
         self.config.enabled
             && self
                 .peers
                 .get(&builder)
                 .is_some_and(|state| state.equivocations > 0)
-    }
-
-    /// Whether any builder is deprioritized (cheap guard for allowance
-    /// enforcement).
-    pub fn any_deprioritized(&self) -> bool {
-        self.stats.deprioritized > 0
     }
 
     /// Whether `peer` is banned at `now`.
@@ -532,16 +518,6 @@ impl PeerDefense {
                 .peers
                 .get(&peer)
                 .is_some_and(|state| state.banned_until > now)
-    }
-
-    /// Active bans at `now`: `(peer, lapse time)` — what a transport
-    /// syncs into its reconnect gate.
-    pub fn bans(&self, now: TimeMs) -> Vec<(ServerId, TimeMs)> {
-        self.peers
-            .iter()
-            .filter(|(_, state)| state.banned_until > now)
-            .map(|(peer, state)| (*peer, state.banned_until))
-            .collect()
     }
 
     /// `peer`'s current score with decay applied virtually (the stored
@@ -583,8 +559,8 @@ impl PeerDefense {
     /// Canonical byte encoding of the full event trajectory — what the
     /// determinism tests compare across runs.
     pub fn trajectory_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.events.len() * 24);
-        for event in &self.events {
+        let mut out = Vec::with_capacity(self.events.0.len() * 24);
+        for event in &self.events.0 {
             match *event {
                 DefenseEvent::Scored {
                     peer,
@@ -594,7 +570,7 @@ impl PeerDefense {
                 } => {
                     out.push(b'S');
                     out.extend_from_slice(&peer.index().to_le_bytes());
-                    out.push(offense.code());
+                    out.push(offense as u8);
                     out.extend_from_slice(&score.to_le_bytes());
                     out.extend_from_slice(&at.to_le_bytes());
                 }
@@ -621,12 +597,12 @@ impl PeerDefense {
                     out.extend_from_slice(&peer.index().to_le_bytes());
                     out.extend_from_slice(&at.to_le_bytes());
                 }
-                DefenseEvent::Deprioritized {
+                DefenseEvent::Convicted {
                     builder,
                     equivocations,
                     at,
                 } => {
-                    out.push(b'D');
+                    out.push(b'C');
                     out.extend_from_slice(&builder.index().to_le_bytes());
                     out.extend_from_slice(&equivocations.to_le_bytes());
                     out.extend_from_slice(&at.to_le_bytes());
@@ -656,7 +632,7 @@ mod tests {
         defense.note_offense(peer(1), Offense::Equivocation, 0);
         assert_eq!(defense.score(peer(1), 0), 0);
         assert!(defense.events().is_empty());
-        assert!(!defense.is_deprioritized(peer(1)));
+        assert!(!defense.is_convicted(peer(1)));
         assert_eq!(defense.stats(), DefenseStats::default());
     }
 
@@ -719,7 +695,6 @@ mod tests {
         defense.note_offense(peer(1), Offense::InvalidBlock, 0);
         assert!(defense.is_banned(peer(1), 0), "threshold crossed");
         assert_eq!(defense.stats().bans, 1);
-        assert_eq!(defense.bans(0), vec![(peer(1), 5_000)]);
         // Banned traffic is dropped without charging the bucket.
         assert_eq!(defense.admit_block(peer(1), 100, 1_000), AdmitVerdict::Ban);
         assert_eq!(defense.stats().banned_blocks, 1);
@@ -739,16 +714,15 @@ mod tests {
     fn equivocation_is_durable_and_deprioritizes() {
         let mut defense = PeerDefense::new(DefenseConfig::enabled());
         defense.note_offense(peer(2), Offense::Equivocation, 100);
-        assert!(defense.is_deprioritized(peer(2)));
-        assert!(defense.any_deprioritized());
-        assert!(!defense.is_deprioritized(peer(1)));
+        assert!(defense.is_convicted(peer(2)));
+        assert!(!defense.is_convicted(peer(1)));
         // Equivocation score never decays.
         let config = defense.config();
         assert_eq!(
             defense.score(peer(2), 10_000_000),
             config.equivocation_penalty
         );
-        assert_eq!(defense.stats().deprioritized, 1);
+        assert_eq!(defense.stats().convicted, 1);
     }
 
     #[test]
@@ -764,7 +738,7 @@ mod tests {
             recovered.score(peer(2), 100_000),
             "durable component identical after recovery"
         );
-        assert!(recovered.is_deprioritized(peer(2)));
+        assert!(recovered.is_convicted(peer(2)));
         // Seeding twice is idempotent.
         recovered.seed_equivocations(peer(2), 2, 0);
         assert_eq!(recovered.score(peer(2), 0), live.score(peer(2), 100_000));
@@ -797,5 +771,27 @@ mod tests {
         // 3 × throttle_penalty(3) = 9 ≥ threshold: the next block is
         // dropped by the ban, not the bucket.
         assert_eq!(defense.admit_block(peer(1), 1, 0), AdmitVerdict::Ban);
+    }
+
+    #[test]
+    fn the_trail_keeps_the_latest_events_and_the_stats_count_all() {
+        // An empty bucket and a ban no score reaches: every block is
+        // throttled and scored, two events each.
+        let config = DefenseConfig::enabled()
+            .with_block_bucket(1, 0)
+            .with_ban(u64::MAX, 1_000);
+        let mut defense = PeerDefense::new(config);
+        assert_eq!(defense.admit_block(peer(1), 1, 0), AdmitVerdict::Admit);
+        for now in 0..100_000 {
+            assert_eq!(defense.admit_block(peer(1), 1, now), AdmitVerdict::Throttle);
+        }
+        assert!(defense.events().len() <= EVENTS_KEPT);
+        assert_eq!(defense.stats().throttled_blocks, 100_000);
+        assert_eq!(defense.stats().offenses, 100_000);
+        // The window ends at the last block.
+        assert!(matches!(
+            defense.events().back(),
+            Some(DefenseEvent::Scored { at: 99_999, .. })
+        ));
     }
 }

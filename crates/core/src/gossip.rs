@@ -68,14 +68,14 @@
 //!    missing predecessor → waiting blocks — and the `FWD` view are
 //!    updated in O(preds · log). A block with nothing missing is *ready*.
 //! 2. **Cascade.** Once all messages of the call are indexed, ready
-//!    blocks are settled smallest key first, the key being
-//!    `(builder is deprioritized, ref(B))` — a builder with a proven
-//!    equivocation admits after every honest ready block, and with the
-//!    defense disabled the order is plain `ref` order, the order the
+//!    blocks are settled smallest `ref(B)` first — the order the
 //!    paper-literal rescan (the oracle in [`crate::reference`])
-//!    produces. Settling a block verifies its signature over the cached
-//!    `ref(B)` digest, once; a valid block is inserted, referenced from
-//!    the current block, and its waiters are woken into the ready set.
+//!    produces, with the defense on or off: by Lemma 4.2 the order in
+//!    which a server cites ready blocks changes nothing `P` sees, so a
+//!    convicted builder's blocks settle in that order too. Settling a
+//!    block verifies its signature over the cached `ref(B)` digest,
+//!    once; a valid block is inserted, referenced from the current
+//!    block, and its waiters are woken into the ready set.
 //!
 //! A multi-message call indexes everything before it promotes anything,
 //! so `FWD` requests inside it are answered from the DAG as it stood
@@ -343,15 +343,6 @@ struct FwdState {
     asked: BTreeSet<ServerId>,
 }
 
-/// Eviction rank of a pending block known never-promotable (references a
-/// rejected block, transitively) — evicted first.
-const RANK_STRANDED: u8 = 0;
-/// Eviction rank of a block claiming a deprioritized (caught-equivocating)
-/// builder — evicted before honest backlog.
-const RANK_DEPRIORITIZED: u8 = 1;
-/// Eviction rank of an ordinary pending block — evicted last, oldest first.
-const RANK_NORMAL: u8 = 2;
-
 /// A buffered, not-yet-valid block plus its admission bookkeeping.
 #[derive(Debug, Clone)]
 struct PendingBlock {
@@ -367,17 +358,16 @@ struct PendingBlock {
     /// Whether the block is known never-promotable (references a
     /// rejected block, transitively).
     stranded: bool,
-    /// The block's current eviction-queue rank ([`RANK_STRANDED`] /
-    /// [`RANK_DEPRIORITIZED`] / [`RANK_NORMAL`]). Every re-rank updates
-    /// this together with the queue, so the queue key can always be
-    /// reconstructed exactly.
-    rank: u8,
 }
 
-/// Position of a ready block in the promotion order: blocks of
-/// deprioritized builders last, then by reference. The flag is evaluated
-/// when the block becomes ready.
-type ReadyKey = (bool, BlockRef);
+impl PendingBlock {
+    /// The block's key in the eviction queue: never-promotable blocks
+    /// first, then oldest arrival. Every change of `stranded` updates the
+    /// queue with it, so the key can always be reconstructed exactly.
+    fn eviction_key(&self, block_ref: BlockRef) -> (bool, u64, BlockRef) {
+        (!self.stranded, self.arrival, block_ref)
+    }
+}
 
 /// Accountability record for one pending-buffer eviction.
 ///
@@ -458,12 +448,11 @@ pub struct Gossip {
     verifier: Verifier,
     /// Receipt ordinal source for [`PendingBlock::arrival`].
     arrivals: u64,
-    /// Eviction order over the pending buffer:
-    /// `(rank, arrival, ref)` — known-stranded blocks (a rejected
-    /// predecessor) sort first, then blocks of deprioritized builders,
-    /// then oldest arrival. Kept in lockstep with `pending` so enforcing
-    /// the cap is O(log) per block.
-    eviction_queue: BTreeSet<(u8, u64, BlockRef)>,
+    /// Eviction order over the pending buffer, by
+    /// [`PendingBlock::eviction_key`]: known-stranded blocks (a rejected
+    /// predecessor) sort first, then oldest arrival. Kept in lockstep
+    /// with `pending` so enforcing the cap is O(log) per block.
+    eviction_queue: BTreeSet<(bool, u64, BlockRef)>,
     /// Accountability log of cap evictions, in eviction order.
     evictions: Vec<EvictionEvent>,
     /// The adversarial peer-defense engine (see [`crate::defense`]).
@@ -546,7 +535,7 @@ impl Gossip {
             .collect();
         // Re-derive the durable score component from the recovered DAG:
         // every equivocation provable from `G` before the crash is
-        // provable from it now, so convicted builders stay deprioritized
+        // provable from it now, so convicted builders stay convicted
         // across restarts. The volatile component is intentionally
         // transient — it models resource pressure on *this* process,
         // which a restart resets.
@@ -598,20 +587,6 @@ impl Gossip {
     /// audit trail (inert unless [`GossipConfig::defense`] enables it).
     pub fn defense(&self) -> &PeerDefense {
         &self.defense
-    }
-
-    /// Reports `count` malformed frames from `peer` (fed by the
-    /// transport's decode-error counters — a wire-level offense the
-    /// gossip layer cannot observe itself).
-    pub fn note_malformed_frames(&mut self, peer: ServerId, count: u64, now: TimeMs) {
-        self.clock = self.clock.max(now);
-        if peer == self.me {
-            return;
-        }
-        for _ in 0..count {
-            self.defense
-                .note_offense(peer, Offense::MalformedFrame, now);
-        }
     }
 
     /// Sequence number the next disseminated block will carry.
@@ -679,7 +654,7 @@ impl Gossip {
         self.clock = self.clock.max(now);
         let arrivals = self.arrivals;
         let mut commands = Vec::new();
-        let mut ready: BTreeSet<ReadyKey> = BTreeSet::new();
+        let mut ready: BTreeSet<BlockRef> = BTreeSet::new();
         for (from, message) in messages {
             match message {
                 NetMessage::Block(block) => ready.extend(self.receive_block(from, block, now)),
@@ -701,14 +676,13 @@ impl Gossip {
         }
         self.promote_cascade(ready);
         self.enforce_pending_cap();
-        self.enforce_deprioritized_allowance();
         commands.extend(self.collect_fwd_commands(now));
         commands
     }
 
     /// Gates, counts, dedups and indexes one received block; returns its
-    /// promotion key if it is ready.
-    fn receive_block(&mut self, from: ServerId, block: Block, now: TimeMs) -> Option<ReadyKey> {
+    /// reference if it is ready.
+    fn receive_block(&mut self, from: ServerId, block: Block, now: TimeMs) -> Option<BlockRef> {
         let solicited = from != self.me && self.is_solicited(from, &block);
         if from != self.me && !solicited {
             match self.defense.admit_block(from, block.wire_len() as u64, now) {
@@ -742,7 +716,7 @@ impl Gossip {
             return None;
         }
         self.index_block(from, block_ref, block)
-            .then(|| self.ready_key(builder, block_ref))
+            .then_some(block_ref)
     }
 
     /// Whether `block` is a still-missing reference we asked `from` for,
@@ -791,11 +765,6 @@ impl Gossip {
                 self.release([from]);
             }
         }
-    }
-
-    /// The promotion key of a block of `builder` that just became ready.
-    fn ready_key(&self, builder: ServerId, block_ref: BlockRef) -> ReadyKey {
-        (self.defense.is_deprioritized(builder), block_ref)
     }
 
     /// Charges one offense to `peer` at the current logical clock (no-op
@@ -909,25 +878,15 @@ impl Gossip {
         let arrival = self.arrivals;
         self.arrivals += 1;
         let stranded = block.preds().iter().any(|p| self.stranded_refs.contains(p));
-        let rank = if stranded {
-            RANK_STRANDED
-        } else if self.defense.is_deprioritized(block.builder()) {
-            RANK_DEPRIORITIZED
-        } else {
-            RANK_NORMAL
+        let pending = PendingBlock {
+            block,
+            from,
+            missing,
+            arrival,
+            stranded,
         };
-        self.eviction_queue.insert((rank, arrival, block_ref));
-        self.pending.insert(
-            block_ref,
-            PendingBlock {
-                block,
-                from,
-                missing,
-                arrival,
-                stranded,
-                rank,
-            },
-        );
+        self.eviction_queue.insert(pending.eviction_key(block_ref));
+        self.pending.insert(block_ref, pending);
         self.stats.pending_peak = self.stats.pending_peak.max(self.pending.len());
         if stranded {
             // Publish the doom (later arrivals citing this block strand
@@ -938,22 +897,19 @@ impl Gossip {
         ready
     }
 
-    /// Removes a block from the pending buffer and the eviction queue
-    /// (the stored `rank` reconstructs the queue key exactly).
+    /// Removes a block from the pending buffer and the eviction queue.
     fn take_pending(&mut self, block_ref: &BlockRef) -> PendingBlock {
         let entry = self.pending.remove(block_ref).expect("block pending");
-        let removed = self
-            .eviction_queue
-            .remove(&(entry.rank, entry.arrival, *block_ref));
+        let removed = self.eviction_queue.remove(&entry.eviction_key(*block_ref));
         debug_assert!(removed, "eviction queue mirrors pending");
         entry
     }
 
     /// The one promotion loop (lines 6–9): settles `ready` and every
     /// pending block its admissions unblock, always taking the smallest
-    /// [`ReadyKey`] first.
-    fn promote_cascade(&mut self, mut ready: BTreeSet<ReadyKey>) {
-        while let Some((_, block_ref)) = ready.pop_first() {
+    /// reference first.
+    fn promote_cascade(&mut self, mut ready: BTreeSet<BlockRef>) {
+        while let Some(block_ref) = ready.pop_first() {
             let entry = self.take_pending(&block_ref);
             self.settle_ready(block_ref, entry, &mut ready);
         }
@@ -968,7 +924,7 @@ impl Gossip {
         &mut self,
         block_ref: BlockRef,
         entry: PendingBlock,
-        ready: &mut BTreeSet<ReadyKey>,
+        ready: &mut BTreeSet<BlockRef>,
     ) {
         let PendingBlock { block, from, .. } = entry;
         let (builder, seq) = (block.builder(), block.seq());
@@ -994,8 +950,7 @@ impl Gossip {
             if let Some(pending) = self.pending.get_mut(&waiter) {
                 pending.missing.remove(&block_ref);
                 if pending.missing.is_empty() {
-                    let builder = pending.block.builder();
-                    ready.insert(self.ready_key(builder, waiter));
+                    ready.insert(waiter);
                 }
             }
         }
@@ -1068,47 +1023,19 @@ impl Gossip {
         if pending.stranded {
             return false;
         }
+        self.eviction_queue.remove(&pending.eviction_key(block_ref));
         pending.stranded = true;
-        let arrival = pending.arrival;
-        let old_rank = pending.rank;
-        pending.rank = RANK_STRANDED;
-        self.eviction_queue.remove(&(old_rank, arrival, block_ref));
-        self.eviction_queue
-            .insert((RANK_STRANDED, arrival, block_ref));
+        self.eviction_queue.insert(pending.eviction_key(block_ref));
         self.stranded_refs.insert(block_ref);
         true
     }
 
-    /// Re-ranks every normally ranked pending block of a freshly
-    /// deprioritized builder to [`RANK_DEPRIORITIZED`] — called once, on
-    /// the builder's first proven equivocation, so the eviction queue and
-    /// the stored ranks stay exact under mid-life transitions.
-    fn requeue_builder(&mut self, builder: ServerId) {
-        for (block_ref, pending) in &mut self.pending {
-            if pending.rank == RANK_NORMAL && pending.block.builder() == builder {
-                self.eviction_queue
-                    .remove(&(RANK_NORMAL, pending.arrival, *block_ref));
-                self.eviction_queue
-                    .insert((RANK_DEPRIORITIZED, pending.arrival, *block_ref));
-                pending.rank = RANK_DEPRIORITIZED;
-            }
-        }
-    }
-
     /// Post-admission equivocation check: if `builder` now has more than
     /// one block at `seq`, that is a proof of equivocation (Figure 3) —
-    /// charge the durable offense and, on the first conviction, re-rank
-    /// the builder's buffered blocks.
+    /// charge the durable offense.
     fn note_admitted(&mut self, builder: ServerId, seq: SeqNum) {
-        if !self.defense.is_enabled() || builder == self.me {
-            return;
-        }
-        if self.dag.blocks_at(builder, seq).len() > 1 {
-            let first_conviction = !self.defense.is_deprioritized(builder);
+        if self.defense.is_enabled() && self.dag.blocks_at(builder, seq).len() > 1 {
             self.penalize(builder, Offense::Equivocation);
-            if first_conviction {
-                self.requeue_builder(builder);
-            }
         }
     }
 
@@ -1149,48 +1076,12 @@ impl Gossip {
         }
     }
 
-    /// Shrinks the pending footprint of deprioritized (caught
-    /// equivocating) builders to
-    /// [`DefenseConfig::deprioritized_allowance`] slots each, evicting
-    /// oldest-first — a convicted flooder cannot hold honest blocks'
-    /// buffer space hostage while it waits out its ban.
-    fn enforce_deprioritized_allowance(&mut self) {
-        if !self.defense.is_enabled() || !self.defense.any_deprioritized() {
-            return;
-        }
-        let allowance = self.defense.config().deprioritized_allowance;
-        let mut per_builder: BTreeMap<ServerId, Vec<(u64, BlockRef)>> = BTreeMap::new();
-        for (block_ref, pending) in &self.pending {
-            let builder = pending.block.builder();
-            if self.defense.is_deprioritized(builder) {
-                per_builder
-                    .entry(builder)
-                    .or_default()
-                    .push((pending.arrival, *block_ref));
-            }
-        }
-        for (_, mut entries) in per_builder {
-            if entries.len() <= allowance {
-                continue;
-            }
-            entries.sort_unstable();
-            let excess = entries.len() - allowance;
-            for (_, victim) in entries.into_iter().take(excess) {
-                self.evict_pending(victim);
-            }
-        }
-    }
-
     /// Evicts one pending block: un-indexes it, logs the accountability
     /// event, and re-lists its reference as missing for any surviving
     /// waiters so the `FWD` path can re-fetch it.
     fn evict_pending(&mut self, victim: BlockRef) {
         let entry = self.take_pending(&victim);
         self.stats.blocks_evicted += 1;
-        // Charged to the deliverer, not the claimed builder: unverified
-        // junk naming an honest builder must not damage that builder's
-        // standing (the signature was never checked).
-        self.penalize(entry.from, Offense::Eviction);
         let stranded_on = entry
             .stranded
             .then(|| {
@@ -1832,8 +1723,12 @@ mod tests {
     #[test]
     fn fwd_skips_banned_candidates_and_waits_while_all_are_banned() {
         let registry = KeyRegistry::generate(4, 1);
-        // One malformed frame bans a peer for a second.
+        // One invalid block bans its deliverer for a second.
         let mut alice = defended(&registry, DefenseConfig::enabled().with_ban(20, 1_000));
+        let forged = |seq| {
+            let null = dagbft_crypto::Signature::NULL;
+            Block::build_with_signature(ServerId::new(3), SeqNum::new(seq), vec![], vec![], null)
+        };
         let lost = built(&registry, 3, 0, vec![]).block_ref();
         let citing = |id: u32| {
             let block = built(&registry, id, 0, vec![lost]);
@@ -1845,18 +1740,44 @@ mod tests {
             vec![fwd(1, lost)]
         );
         // Server 2 is banned until 1 010: the rotation passes it over.
-        alice.note_malformed_frames(ServerId::new(2), 1, 10);
+        alice.on_block_from(ServerId::new(2), forged(1), 10);
         for now in [100, 200, 300] {
             assert_eq!(alice.on_tick(now), vec![fwd(1, lost)], "at {now}");
         }
         // Server 1 is banned too, until 1 310: the request waits.
-        alice.note_malformed_frames(ServerId::new(1), 1, 310);
+        alice.on_block_from(ServerId::new(1), forged(2), 310);
         for now in [400, 700, 1_000] {
             assert!(alice.on_tick(now).is_empty(), "at {now}");
         }
         // Server 2's ban lapses first.
         assert_eq!(alice.on_tick(1_010), vec![fwd(2, lost)]);
         assert_eq!(alice.stats().fwd_sent, 5);
+    }
+
+    #[test]
+    fn a_banned_peers_fwd_request_is_not_answered() {
+        // Answering would hand a banned peer a block-sized reply per tiny
+        // request. One invalid block bans its deliverer for a second.
+        let registry = KeyRegistry::generate(4, 1);
+        let mut alice = defended(&registry, DefenseConfig::enabled().with_ban(20, 1_000));
+        let held = built(&registry, 1, 0, vec![]);
+        alice.on_block(held.clone(), 0);
+        let ask = |alice: &mut Gossip, now| {
+            let request = NetMessage::FwdRequest(held.block_ref());
+            alice.on_message(ServerId::new(2), request, now)
+        };
+        assert_eq!(ask(&mut alice, 5).len(), 1, "answered while in standing");
+        let null = dagbft_crypto::Signature::NULL;
+        let forged =
+            Block::build_with_signature(ServerId::new(3), SeqNum::ZERO, vec![], vec![], null);
+        alice.on_block_from(ServerId::new(2), forged, 10);
+        assert!(ask(&mut alice, 20).is_empty(), "dropped while banned");
+        assert_eq!(alice.stats().fwd_received, 1);
+        assert_eq!(
+            ask(&mut alice, 1_010).len(),
+            1,
+            "answered once the ban lapsed"
+        );
     }
 
     #[test]
@@ -2302,69 +2223,67 @@ mod tests {
     }
 
     #[test]
-    fn convicted_builder_admits_last() {
+    fn a_convicted_builders_ready_block_settles_in_ref_order() {
         // With the defense on, a ready set holding a convicted builder's
-        // block and an honest one promotes the honest block first even
-        // though the convict's reference is the smaller — in a
-        // multi-message call and in a per-message cascade alike.
-        let registry = KeyRegistry::generate(3, 1);
-        let (convict_id, honest_id) = (ServerId::new(1), ServerId::new(2));
-        let convict_signer = registry.signer(convict_id).unwrap();
-        let honest_signer = registry.signer(honest_id).unwrap();
-        let g_a = Block::build(convict_id, SeqNum::ZERO, vec![], vec![], &convict_signer);
+        // block among honest ones settles smallest `ref(B)` first, the
+        // order of `ReferenceGossip` — in a multi-message call and in a
+        // per-message cascade alike.
+        let registry = KeyRegistry::generate(4, 1);
+        let convict = ServerId::new(1);
+        let convict_signer = registry.signer(convict).unwrap();
+        let g_a = built(&registry, 1, 0, vec![]);
         let g_b = Block::build(
-            convict_id,
+            convict,
             SeqNum::ZERO,
             vec![],
             vec![LabeledRequest::encode(crate::Label::new(1), &9u8)],
             &convict_signer,
         );
-        let honest_genesis = Block::build(honest_id, SeqNum::ZERO, vec![], vec![], &honest_signer);
-        let honest_child = Block::build(
-            honest_id,
-            SeqNum::new(1),
-            vec![honest_genesis.block_ref()],
-            vec![],
-            &honest_signer,
-        );
-        // Both children wait on the honest genesis; the nonce is searched
-        // until the convict's reference sorts first.
+        let root = built(&registry, 2, 0, vec![]);
+        let g3 = built(&registry, 3, 0, vec![]);
+        // Two honest children wait on `root`, the smaller one first.
+        let mut honest = [
+            built(&registry, 2, 1, vec![root.block_ref()]),
+            built(&registry, 3, 1, vec![g3.block_ref(), root.block_ref()]),
+        ];
+        honest.sort_by_key(Block::block_ref);
+        let [low, high] = honest;
+        // The convict's child waits on `root` too; the nonce is searched
+        // until its reference sorts between the honest two.
         let convict_child = (0u64..)
             .map(|nonce| {
                 Block::build(
-                    convict_id,
+                    convict,
                     SeqNum::new(1),
-                    vec![g_a.block_ref(), honest_genesis.block_ref()],
+                    vec![g_a.block_ref(), root.block_ref()],
                     vec![LabeledRequest::encode(crate::Label::new(7), &nonce)],
                     &convict_signer,
                 )
             })
-            .find(|block| block.block_ref() < honest_child.block_ref())
+            .find(|block| (low.block_ref()..high.block_ref()).contains(&block.block_ref()))
             .unwrap();
         for batched in [false, true] {
-            let mut alice = Gossip::new(
-                ServerId::new(0),
-                GossipConfig::for_n(3).with_defense(DefenseConfig::enabled()),
-                registry.signer(ServerId::new(0)).unwrap(),
-                registry.verifier(),
-            );
+            let mut alice = defended(&registry, DefenseConfig::enabled());
             alice.on_block(g_a.clone(), 0);
             alice.on_block(g_b.clone(), 0);
-            assert!(alice.defense().is_deprioritized(convict_id));
+            alice.on_block(g3.clone(), 0);
+            assert!(alice.defense().is_convicted(convict));
+            let children = [high.clone(), convict_child.clone(), low.clone()];
             if batched {
-                // One call whose ready set holds both children.
-                alice.on_block(honest_genesis.clone(), 1);
-                alice.on_block_burst([convict_child.clone(), honest_child.clone()], 2);
+                // One call whose ready set holds the three children.
+                alice.on_block(root.clone(), 1);
+                alice.on_block_burst(children, 2);
             } else {
-                // One delivery whose cascade unlocks both children.
-                alice.on_block(convict_child.clone(), 1);
-                alice.on_block(honest_child.clone(), 1);
-                alice.on_block(honest_genesis.clone(), 2);
+                // One delivery whose cascade unlocks the three children.
+                for child in children {
+                    alice.on_block(child, 1);
+                }
+                alice.on_block(root.clone(), 2);
             }
             let order: Vec<BlockRef> = alice.dag().refs().copied().collect();
             assert_eq!(
-                order[order.len() - 2..],
-                [honest_child.block_ref(), convict_child.block_ref()],
+                order[order.len() - 3..],
+                [low.block_ref(), convict_child.block_ref(), high.block_ref()],
                 "batched={batched}"
             );
         }

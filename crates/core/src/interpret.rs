@@ -830,7 +830,7 @@ impl<M: Ord> Outs<M> {
     }
 
     /// Whether these entries are in the form [`Outs::normalize`] makes,
-    /// given that [`Outs::push`] built them.
+    /// given that [`Outs::push`] built them: what a snapshot must hold.
     fn is_canonical(&self) -> bool {
         let sorted = self.entries.windows(2).all(|pair| pair[0] < pair[1]);
         let addressed = if self.receivers.is_empty() {
@@ -839,22 +839,6 @@ impl<M: Ord> Outs<M> {
             self.receivers.iter().all(|receivers| !receivers.is_empty())
         };
         sorted && addressed
-    }
-
-    /// The stored form of entries [`Outs::push`] built in any order and
-    /// with repeats.
-    fn into_canonical(self) -> Self {
-        if self.is_canonical() {
-            return self;
-        }
-        let n = self.n;
-        let all = || ServerSet::all(n);
-        let mut receivers = self.receivers.into_iter();
-        let sent = self
-            .entries
-            .into_iter()
-            .map(|(label, message)| (label, (message, receivers.next().unwrap_or_else(all))));
-        Outs::normalize(sent.collect(), n)
     }
 }
 
@@ -1881,8 +1865,7 @@ fn encode_entries(entries: &[(Label, Slot)], index: impl Fn(Slot) -> u32, out: &
 }
 
 /// Reads what [`encode_entries`] wrote, each slot below `versions` or the
-/// tombstone. Of a repeated label the last entry wins: reversed, the
-/// stable sort puts it first of its run, which is the one `dedup` keeps.
+/// tombstone, and labels strictly ascending: nothing else is written.
 fn decode_entries(reader: &mut Reader<'_>, versions: usize) -> Result<Delta, SnapshotError> {
     // An entry is a label and a version index.
     let count = reader.read_len(12)?;
@@ -1896,11 +1879,10 @@ fn decode_entries(reader: &mut Reader<'_>, versions: usize) -> Result<Delta, Sna
         };
         entries.push((label, slot));
     }
-    // What `encode_entries` writes is strictly ascending already.
     if !entries.windows(2).all(|pair| pair[0].0 < pair[1].0) {
-        entries.reverse();
-        entries.sort_by_key(|(label, _)| *label);
-        entries.dedup_by_key(|(label, _)| *label);
+        return Err(SnapshotError::Corrupt(DecodeError::Invalid {
+            reason: "snapshot entries not strictly ascending",
+        }));
     }
     Ok(entries)
 }
@@ -2089,9 +2071,13 @@ impl<P: DeterministicProtocol> Interpreter<P> {
                     outs.push(label, message, receivers, &all);
                 }
             }
-            // Canonical bytes are sorted and repeat-free already; anything
-            // else is normalized once per block.
-            let outs = outs.into_canonical();
+            // The writer writes the stored form: sorted, each message
+            // once, no empty set.
+            if !outs.is_canonical() {
+                return Err(SnapshotError::Corrupt(DecodeError::Invalid {
+                    reason: "snapshot out-buffer not in stored form",
+                }));
+            }
             footprint.unique_instances += delta.len();
             footprint.out_envelopes += outs.envelopes();
             footprint.out_entries += outs.len();
@@ -3255,14 +3241,26 @@ mod tests {
         assert!(comparisons <= 200_000, "{comparisons} comparisons");
     }
 
-    /// Snapshot bytes of `interpreter` as a writer other than
-    /// `Interpreter::snapshot` may have left them: per block no segment
-    /// flag on a genesis block, and a stale entry for the first delta
-    /// label, naming the last version, ahead of the real entries; the
-    /// out-buffer entries in descending order, each split into one entry
-    /// per receiver; the first entry once more, whole; and a message with
-    /// no receiver.
-    fn sloppy_snapshot(interpreter: &Interpreter<Ping>) -> Vec<u8> {
+    /// One way a writer other than `Interpreter::snapshot` could depart
+    /// from the stored form.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Sloppy {
+        /// None: the bytes `Interpreter::snapshot` writes.
+        Not,
+        /// A stale entry for the first delta label, naming the last
+        /// version, ahead of the real entries.
+        StaleDeltaEntry,
+        /// The out-buffer entries in descending order.
+        Descending,
+        /// Each out-buffer entry split into one entry per receiver.
+        SplitPerReceiver,
+        /// The last out-buffer entry with no receiver.
+        NoReceiver,
+    }
+
+    /// Snapshot bytes of `interpreter`, `sloppy` in every block that has
+    /// room for it.
+    fn sloppy_snapshot(interpreter: &Interpreter<Ping>, sloppy: Sloppy) -> Vec<u8> {
         let mut out = vec![SNAPSHOT_VERSION];
         (interpreter.config.n as u64).encode(&mut out);
         (interpreter.config.f as u64).encode(&mut out);
@@ -3287,48 +3285,64 @@ mod tests {
             version.encode_state(&mut out);
         }
         assert!(interpreter.replays.is_empty());
+        // `Ping` only broadcasts: no block has a receivers column, so the
+        // bytes hold sets only where the sloppiness needs them.
+        let sets = matches!(sloppy, Sloppy::SplitPerReceiver | Sloppy::NoReceiver);
         for block in &interpreter.order {
             let state = &interpreter.states[block];
+            assert!(state.outs.receivers.is_empty());
             let parent = state.parent.map_or(0, |parent| {
                 1 + interpreter.order.iter().position(|r| *r == parent).unwrap()
             });
             (parent as u64).encode(&mut out);
             state.builder.encode(&mut out);
-            let opens = state.opens && state.parent.is_some();
-            let continued = if state.continued { CONTINUED } else { 0 };
-            (if opens { OPENS } else { 0 } | continued).encode(&mut out);
+            let flags = if state.opens { OPENS } else { 0 }
+                | if state.continued { CONTINUED } else { 0 }
+                | if sets { 0 } else { BROADCASTS };
+            flags.encode(&mut out);
             let last = slots as Slot - 1;
             let stale = state.delta.first().map(|(label, _)| (*label, last));
             let entries: Delta = stale
+                .filter(|_| sloppy == Sloppy::StaleDeltaEntry)
                 .into_iter()
                 .chain(state.delta.iter().copied())
                 .collect();
             encode_entries(&entries, |key| key as u32, &mut out);
             let mut entries: Vec<(Label, u64, ServerSet)> = Vec::new();
-            let stored = || state.outs.iter(state.outs.span(None));
-            for (label, message, receivers) in stored().rev() {
-                for receiver in receivers.iter() {
-                    entries.push((label, *message, ServerSet::from_iter([receiver])));
+            for (label, message, receivers) in state.outs.iter(state.outs.span(None)) {
+                if sloppy == Sloppy::SplitPerReceiver {
+                    for receiver in receivers.iter() {
+                        entries.push((label, *message, ServerSet::from_iter([receiver])));
+                    }
+                } else {
+                    entries.push((label, *message, receivers));
                 }
             }
-            if let Some((label, message, receivers)) = stored().next() {
-                entries.push((label, *message, receivers));
-                entries.push((label, message + 100, ServerSet::new()));
+            match sloppy {
+                Sloppy::Descending => entries.reverse(),
+                Sloppy::NoReceiver => {
+                    if let Some((_, _, receivers)) = entries.last_mut() {
+                        *receivers = ServerSet::new();
+                    }
+                }
+                _ => {}
             }
             (entries.len() as u32).encode(&mut out);
             for (label, message, receivers) in entries {
                 label.encode(&mut out);
                 message.encode(&mut out);
-                receivers.encode(&mut out);
+                if sets {
+                    receivers.encode(&mut out);
+                }
             }
         }
         out
     }
 
     #[test]
-    fn a_sloppy_snapshot_decodes_to_the_canonical_state() {
+    fn a_sloppy_snapshot_is_refused_with_a_typed_error() {
         // s0's genesis requests on two labels; s1's block 1 is driven on
-        // both in silence; the last two blocks lie past the snapshot.
+        // both in silence.
         let (_, signers) = setup(2);
         let request = |label, value: u64| LabeledRequest::encode(Label::new(label), &value);
         let build = |builder: usize, seq, preds: &[&Block], requests| {
@@ -3343,56 +3357,31 @@ mod tests {
         let b0 = build(0, 0, &[], vec![request(2, 20), request(1, 10)]);
         let b1 = build(1, 0, &[], vec![]);
         let b2 = build(1, 1, &[&b1, &b0], vec![request(3, 30)]);
-        let b3 = build(0, 1, &[&b0, &b2], vec![request(1, 11)]);
-        let b4 = build(1, 2, &[&b2, &b3], vec![]);
-        let (mut prefix, mut dag) = (BlockDag::new(), BlockDag::new());
-        for (at, block) in [&b0, &b1, &b2, &b3, &b4].into_iter().enumerate() {
-            dag.insert(block.clone()).unwrap();
-            if at < 3 {
-                prefix.insert(block.clone()).unwrap();
-            }
+        let mut dag = BlockDag::new();
+        for block in [b0, b1, b2] {
+            dag.insert(block).unwrap();
         }
         let config = ProtocolConfig::for_n(2);
         let mut straight: Interpreter<Ping> = Interpreter::new(config);
-        straight.step(&prefix);
+        straight.step(&dag);
         straight.drain_indications();
         let canonical = straight.snapshot().unwrap();
-        let sloppy = sloppy_snapshot(&straight);
-        assert!(sloppy.len() > canonical.len());
-
-        let mut restored: Interpreter<Ping> =
-            Interpreter::decode_snapshot(config, &sloppy).unwrap();
-        assert_eq!(restored.snapshot().unwrap(), canonical);
-        assert_eq!(restored.footprint(), straight.footprint());
-        assert_eq!(straight.step(&dag), 2);
-        assert_eq!(restored.step(&dag), 2);
-        assert_eq!(restored.drain_indications(), straight.drain_indications());
-        assert_eq!(restored.stats(), straight.stats());
-        // Every count the DAG decides. The restored chains rebuilt the
-        // views of b3's and b4's parents, so both opened a segment and
-        // copied a label whose version the straight run drove in place.
-        let of_the_dag = |footprint| InterpreterFootprint {
-            live_versions: 0,
-            ..footprint
-        };
-        assert_eq!(
-            of_the_dag(restored.footprint()),
-            of_the_dag(straight.footprint())
-        );
-        assert_eq!(
-            restored.resident_versions(),
-            straight.resident_versions() + 2
-        );
-        for block in dag.refs() {
-            for label in (1..4).map(Label::new) {
-                let seen = |interpreter: &Interpreter<Ping>| {
-                    interpreter
-                        .instance_at(&dag, block, label)
-                        .and_then(InstanceAt::live)
-                        .map(|ping| ping.seen)
-                };
-                assert_eq!(seen(&restored), seen(&straight));
-            }
+        assert_eq!(sloppy_snapshot(&straight, Sloppy::Not), canonical);
+        for sloppy in [
+            Sloppy::StaleDeltaEntry,
+            Sloppy::Descending,
+            Sloppy::SplitPerReceiver,
+            Sloppy::NoReceiver,
+        ] {
+            let bytes = sloppy_snapshot(&straight, sloppy);
+            assert_ne!(bytes, canonical, "{sloppy:?}");
+            assert!(
+                matches!(
+                    Interpreter::<Ping>::decode_snapshot(config, &bytes),
+                    Err(SnapshotError::Corrupt(DecodeError::Invalid { .. }))
+                ),
+                "{sloppy:?}"
+            );
         }
     }
 

@@ -417,13 +417,6 @@ impl<P: DeterministicProtocol> Shim<P> {
         self.seal.deadline().unwrap_or(0)
     }
 
-    /// Reports `count` malformed frames received from `peer` — the
-    /// transport-level offense feed for the peer-defense engine (see
-    /// [`crate::defense`]).
-    pub fn note_malformed_frames(&mut self, peer: ServerId, count: u64, now: TimeMs) {
-        self.gossip.note_malformed_frames(peer, count, now);
-    }
-
     /// Requests `gossip.disseminate()` (Algorithm 3, lines 10–11): seals
     /// the current block with up to [`MAX_REQUESTS_PER_BLOCK`] buffered
     /// requests.

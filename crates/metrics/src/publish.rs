@@ -111,8 +111,9 @@ pub fn publish_peer_refusals(registry: &MetricsRegistry, peer: usize, refused_he
 }
 
 /// Publishes the defense layer's observables: aggregate counters
-/// ([`dagbft_core::DefenseStats`] plus the audit-trail length) and, for
-/// every peer the scoring engine has touched, a live score gauge with
+/// ([`dagbft_core::DefenseStats`] plus the events the audit trail
+/// keeps) and, for every peer the scoring engine has touched, a live
+/// score gauge with
 /// throttle / ban counters (`peer<index>_*` names, normalized to
 /// `peer<i>_*` by the drift gate like the transport-traffic fields).
 /// Publishing nothing per-peer while the defense layer is disabled is
@@ -123,7 +124,7 @@ pub fn publish_defense(registry: &MetricsRegistry, defense: &PeerDefense, now: T
     registry.set_counter("defense_throttled_blocks", stats.throttled_blocks);
     registry.set_counter("defense_banned_blocks", stats.banned_blocks);
     registry.set_counter("defense_bans", stats.bans);
-    registry.set_counter("defense_deprioritized", stats.deprioritized);
+    registry.set_counter("defense_convicted", stats.convicted);
     registry.set_counter("defense_events", defense.events().len() as u64);
     for (peer, snapshot) in defense.snapshots(now) {
         let peer = peer.index();

@@ -210,15 +210,11 @@ where
     let thread = std::thread::spawn(move || {
         let start = Instant::now();
         let now_ms = |start: Instant| -> TimeMs { start.elapsed().as_millis() as TimeMs };
-        // Per-peer decode-error counts already charged to the defense
-        // layer, so each wake feeds only the delta.
-        let mut charged_decode_errors = vec![0u64; transport.peer_traffic().len()];
         loop {
             // The shim's clock, on this node's clock from its start.
             let now = now_ms(start);
             if now >= shim.next_wake() {
                 route(&transport, shim.wake(now));
-                sync_defense(&mut shim, &transport, &mut charged_decode_errors, now);
                 if let Some(metrics) = metrics.as_ref() {
                     publish_node_metrics(metrics, &shim, &transport, &registry, now);
                 }
@@ -266,37 +262,6 @@ where
         stop_tx,
         metrics_addr,
         thread: Some(thread),
-    }
-}
-
-/// Couples the shim's defense layer to the transport after each wake
-/// that ran a timer: malformed frames counted by the reader threads are
-/// charged to their peers as [`dagbft_core::Offense::MalformedFrame`]
-/// offenses (the delta since the last such wake: the reader counts, the
-/// defense layer scores), and every active ban the scoring engine holds
-/// is mirrored into the transport's connection-level ban table so a
-/// banned peer's reconnects are refused before any frame is decoded.
-fn sync_defense<P>(
-    shim: &mut Shim<P>,
-    transport: &TcpTransport,
-    charged_decode_errors: &mut [u64],
-    now: TimeMs,
-) where
-    P: DeterministicProtocol,
-{
-    if !shim.gossip().defense().is_enabled() {
-        return;
-    }
-    for (peer, traffic) in transport.peer_traffic().iter().enumerate() {
-        let seen = traffic.recv_decode_errors;
-        let charged = &mut charged_decode_errors[peer];
-        if seen > *charged {
-            shim.note_malformed_frames(ServerId::new(peer as u32), seen - *charged, now);
-            *charged = seen;
-        }
-    }
-    for (peer, until) in shim.gossip().defense().bans(now) {
-        transport.ban_peer(peer, Duration::from_millis(until.saturating_sub(now)));
     }
 }
 

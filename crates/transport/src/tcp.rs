@@ -5,7 +5,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use dagbft_core::{NetMessage, INTERPRETATION_RULE};
@@ -40,42 +40,6 @@ fn reconnect_jitter(me: ServerId, peer_index: usize) -> Duration {
     Duration::from_millis(spread)
 }
 
-/// Lock-free table of per-peer inbound bans, in milliseconds since the
-/// transport started (`0` = not banned). The node event loop mirrors the
-/// defense engine's time-decaying bans in here; the accept/reader side
-/// consults it to refuse banned peers' connections and data.
-#[derive(Debug)]
-struct BanTable {
-    started: Instant,
-    deadlines: Vec<AtomicU64>,
-}
-
-impl BanTable {
-    fn new(peers: usize) -> Self {
-        BanTable {
-            started: Instant::now(),
-            deadlines: (0..peers).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    fn elapsed_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
-    }
-
-    fn ban(&self, peer: usize, remaining: Duration) {
-        if let Some(deadline) = self.deadlines.get(peer) {
-            let until = self.elapsed_ms() + remaining.as_millis() as u64;
-            deadline.store(until.max(1), Ordering::Relaxed);
-        }
-    }
-
-    fn is_banned(&self, peer: usize) -> bool {
-        self.deadlines
-            .get(peer)
-            .is_some_and(|deadline| self.elapsed_ms() < deadline.load(Ordering::Relaxed))
-    }
-}
-
 /// Per-peer traffic counters, updated lock-free by the sender and reader
 /// threads. Bytes count the message's canonical wire encoding
 /// (`NetMessage::wire_len`), excluding frame headers — the same currency
@@ -87,8 +51,7 @@ struct PeerTraffic {
     sent_bytes: AtomicU64,
     recv_msgs: AtomicU64,
     recv_bytes: AtomicU64,
-    /// Frames from this peer that were fully read but failed to decode —
-    /// the wire-level offense the node loop feeds into the defense engine.
+    /// Frames from this peer that were fully read but failed to decode.
     recv_decode_errors: AtomicU64,
     /// Connections refused because this peer's `Hello` named another
     /// interpretation rule.
@@ -129,7 +92,6 @@ pub struct TcpTransport {
     outboxes: Vec<Sender<NetMessage>>,
     incoming_rx: Receiver<(ServerId, NetMessage)>,
     traffic: Arc<Vec<PeerTraffic>>,
-    bans: Arc<BanTable>,
     shutdown: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
 }
@@ -163,7 +125,6 @@ impl TcpTransport {
         let (incoming_tx, incoming_rx) = unbounded();
         let traffic: Arc<Vec<PeerTraffic>> =
             Arc::new((0..peers.len()).map(|_| PeerTraffic::default()).collect());
-        let bans = Arc::new(BanTable::new(peers.len()));
         let mut threads = Vec::new();
 
         // Accept loop: spawns a reader thread per connection.
@@ -171,9 +132,8 @@ impl TcpTransport {
             let shutdown = shutdown.clone();
             let incoming_tx = incoming_tx.clone();
             let traffic = traffic.clone();
-            let bans = bans.clone();
             threads.push(std::thread::spawn(move || {
-                accept_loop(me, listener, incoming_tx, traffic, bans, shutdown);
+                accept_loop(me, listener, incoming_tx, traffic, shutdown);
             }));
         }
 
@@ -199,7 +159,6 @@ impl TcpTransport {
             outboxes,
             incoming_rx,
             traffic,
-            bans,
             shutdown,
             threads,
         })
@@ -258,21 +217,6 @@ impl TcpTransport {
             .collect()
     }
 
-    /// Bans `peer` from delivering inbound traffic for `remaining`:
-    /// its live reader connections close on their next message and fresh
-    /// connections are refused right after the identifying `Hello` —
-    /// re-banning extends the deadline, and it decays on its own. The
-    /// node event loop mirrors the defense engine's time-decaying bans
-    /// through this.
-    pub fn ban_peer(&self, peer: ServerId, remaining: Duration) {
-        self.bans.ban(peer.index(), remaining);
-    }
-
-    /// Whether `peer`'s inbound traffic is currently refused.
-    pub fn is_banned(&self, peer: ServerId) -> bool {
-        self.bans.is_banned(peer.index())
-    }
-
     /// Stops all transport threads and waits for them.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
@@ -295,7 +239,6 @@ fn accept_loop(
     listener: TcpListener,
     incoming_tx: Sender<(ServerId, NetMessage)>,
     traffic: Arc<Vec<PeerTraffic>>,
-    bans: Arc<BanTable>,
     shutdown: Arc<AtomicBool>,
 ) {
     let mut readers: Vec<JoinHandle<()>> = Vec::new();
@@ -312,9 +255,8 @@ fn accept_loop(
                 let incoming_tx = incoming_tx.clone();
                 let shutdown = shutdown.clone();
                 let traffic = traffic.clone();
-                let bans = bans.clone();
                 readers.push(std::thread::spawn(move || {
-                    reader_loop(me, stream, incoming_tx, traffic, bans, shutdown);
+                    reader_loop(me, stream, incoming_tx, traffic, shutdown);
                 }));
             }
             Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
@@ -333,7 +275,6 @@ fn reader_loop(
     stream: TcpStream,
     incoming_tx: Sender<(ServerId, NetMessage)>,
     traffic: Arc<Vec<PeerTraffic>>,
-    bans: Arc<BanTable>,
     shutdown: Arc<AtomicBool>,
 ) {
     let mut stream = stream;
@@ -347,8 +288,7 @@ fn reader_loop(
         None => return,
     };
     let from = hello.from;
-    // An id outside the server set, or our own, names no peer (and would
-    // key a defense-layer table): drop it. Another peer's id still passes,
+    // An id outside the server set, or our own, names no peer: drop it. Another peer's id still passes,
     // as `Hello` authenticates nothing: `ROADMAP.md` item 15's problem.
     let peer = match traffic.get(from.index()) {
         Some(peer) if from != me => peer,
@@ -361,20 +301,10 @@ fn reader_loop(
         peer.refused_hellos.fetch_add(1, Ordering::Relaxed);
         return;
     }
-    // The reconnect gate of the defense layer's time-decaying bans: a
-    // banned peer's connection is dropped as soon as it names itself, and
-    // the per-message check below closes connections that were already up
-    // when the ban landed.
-    if bans.is_banned(from.index()) {
-        return;
-    }
     // Each frame is read into a buffer of exactly its length, and a
     // decoded block's wire image and payloads are slices of it (zero-copy
     // receive): see `frame::read_net_message`.
     while !shutdown.load(Ordering::SeqCst) {
-        if bans.is_banned(from.index()) {
-            return;
-        }
         match read_net_message(&mut stream) {
             Ok(message) => {
                 peer.recv_msgs.fetch_add(1, Ordering::Relaxed);
@@ -392,8 +322,8 @@ fn reader_loop(
             }
             Err(err) if is_corrupt_payload(&err) => {
                 // The bad payload was fully drained — the stream is still
-                // frame-synced, so count the offense and keep reading
-                // rather than handing the peer a free reconnect cycle.
+                // frame-synced, so count it and keep reading rather than
+                // handing the peer a free reconnect cycle.
                 peer.recv_decode_errors.fetch_add(1, Ordering::Relaxed);
                 continue;
             }

@@ -11,8 +11,8 @@
 //!   stops, the volatile score decays and the reformed peer's valid
 //!   blocks are admitted again;
 //! * **colluding equivocator cliques** — provable forks convict every
-//!   member (§6 accountability, surfaced on [`SimOutcome`]), deprioritize
-//!   their blocks, and leave honest liveness intact.
+//!   member (§6 accountability, surfaced on [`SimOutcome`]) with a
+//!   durable score, and leave honest liveness intact.
 //!
 //! Determinism is pinned alongside: identical runs produce byte-identical
 //! defense-event trajectories, and a crash/restart replays to the same
@@ -272,21 +272,21 @@ fn equivocator_clique_is_convicted_deprioritized_and_outlived() {
     assert!(outcome.equivocation_proofs >= clique.len());
 
     // At least one correct server caught each member live and
-    // deprioritized it (catching requires both fork versions in one DAG,
+    // convicted it (catching requires both fork versions in one DAG,
     // which FWD spreads but the early-stop may truncate for some).
     for member in clique {
         assert!(
             outcome.correct_servers().iter().any(|server| {
                 let defense = outcome.shim(*server).gossip().defense();
-                defense.is_deprioritized(member)
+                defense.is_convicted(member)
                     && defense.events().iter().any(|e| {
                         matches!(
                             e,
-                            DefenseEvent::Deprioritized { builder, .. } if *builder == member
+                            DefenseEvent::Convicted { builder, .. } if *builder == member
                         )
                     })
             }),
-            "{member} deprioritized somewhere"
+            "{member} convicted somewhere"
         );
     }
 }
@@ -317,8 +317,8 @@ fn durable_crash_replays_equivocation_scores() {
     // crashed, and the audit trail records the recovered conviction.
     let recovered = outcome.shim(1).gossip().defense();
     let witness = outcome.shim(2).gossip().defense();
-    assert!(recovered.is_deprioritized(equivocator));
-    assert!(witness.is_deprioritized(equivocator));
+    assert!(recovered.is_convicted(equivocator));
+    assert!(witness.is_convicted(equivocator));
     let durable = |defense: &PeerDefense| {
         defense
             .snapshots(outcome.finished_at)
@@ -335,7 +335,7 @@ fn durable_crash_replays_equivocation_scores() {
     );
     assert!(recovered.events().iter().any(|e| matches!(
         e,
-        DefenseEvent::Deprioritized { builder, .. } if *builder == equivocator
+        DefenseEvent::Convicted { builder, .. } if *builder == equivocator
     )));
 }
 
